@@ -423,7 +423,7 @@ func (r *AnytimeResult) Escalate(workers int) ([]graph.NodeID, QueryStats, error
 	e := r.v.engines.Get().(*Engine)
 	defer r.v.engines.Put(e)
 	e.SetWorkers(workers)
-	answer, stats, err := e.DecideList(x, r.k, r.st.screen.Survivors())
+	answer, stats, err := e.DecideList(r.v.idx.ToInternal(r.Stats.Query), x, r.k, r.st.screen.Survivors())
 	if err != nil {
 		return nil, stats, err
 	}

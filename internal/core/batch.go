@@ -40,11 +40,11 @@ const spmmChunkWidth = 16
 // each query's candidate-decision step is dealt to a worker engine the
 // moment its column converges — decisions overlap the remaining columns'
 // iterations. Candidates whose refinement budget stalls are deferred past
-// the sweep and resolved for the WHOLE batch at once: their exact vectors
-// depend only on the candidate, so duplicates across queries are solved in
-// one shared forward SpMM slab set (rwr.ProximityVectorBatchFunc) and each
-// query just compares its own p_u(q) against the shared exact threshold. A
-// single valid query falls back to the scalar path. Answers are identical
+// the sweep and resolved for the WHOLE batch at once: their forward
+// iterations depend only on the candidate, so duplicates across queries
+// share one column of one forward SpMM slab set (Engine.resolveExact) and
+// each query is decided against its own p_u(q). A single valid query falls
+// back to the scalar path. Answers are identical
 // either way: the batched proximity vectors are bit-identical to scalar
 // runs, and each decision depends only on its own vector.
 //
@@ -132,7 +132,8 @@ func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 	// sweep (bounds and refinement); candidates that stall are parked in
 	// per-query pending lists and resolved once for the whole batch below.
 	type decideJob struct {
-		i         int // index into queries/results
+		i         int          // index into queries/results
+		q         graph.NodeID // internal label of queries[i]
 		vec       []float64
 		iters     int
 		pmElapsed time.Duration
@@ -156,7 +157,7 @@ func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 				st := &state[jb.i]
 				st.stats = QueryStats{Query: queries[jb.i], K: k}
 				start := time.Now()
-				st.partial, st.pend, st.err = eng.decideSetDeferred(jb.vec, k, idx.OwnedNodes(), &st.stats)
+				st.partial, st.pend, st.err = eng.decideSetDeferred(jb.q, jb.vec, k, idx.OwnedNodes(), &st.stats)
 				st.stats.PMPNIters = jb.iters
 				st.stats.PMPNElapsed = jb.pmElapsed
 				st.stats.Elapsed = jb.pmElapsed + time.Since(start)
@@ -182,7 +183,7 @@ func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 				}
 				return
 			}
-			jobs <- decideJob{i: i, vec: res.Vector, iters: res.Iterations, pmElapsed: time.Since(chunkStart)}
+			jobs <- decideJob{i: i, q: internal[j], vec: res.Vector, iters: res.Iterations, pmElapsed: time.Since(chunkStart)}
 		})
 	}
 	close(jobs)
@@ -193,52 +194,49 @@ func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 		return nil, batchErr
 	}
 
-	// Cross-query fallback resolution. A deferred candidate's exact vector
-	// depends only on the candidate — never on the query — so the whole
-	// batch's stalls dedupe into ONE set of forward SpMM slabs: each unique
-	// node is solved (and, in update mode, committed) once, then every
-	// query that deferred it decides membership against its own p_u(q).
-	// Per-query inline resolution would re-stream the matrix once per
-	// query; here B queries stalling on overlapping hub-adjacent candidates
-	// pay for the solve once.
-	colOf := make(map[graph.NodeID]int)
-	var unique []pendingFallback
-	var firstQ []int // unique column → query position that deferred it first
+	// Cross-query fallback resolution. A deferred candidate's forward
+	// iteration depends only on the candidate — never on the query — so the
+	// whole batch's stalls go to ONE resolveExact call, which runs each
+	// unique node's column once (and, in update mode, commits it once) and
+	// decides every query that deferred it against its own p_u(q). Per-query
+	// inline resolution would re-stream the matrix once per query; here B
+	// queries stalling on overlapping hub-adjacent candidates pay for the
+	// solve once.
+	var all []pendingFallback
+	var owner []int // all[a] was deferred by query position owner[a]
 	for _, i := range valid {
 		for _, pf := range state[i].pend {
-			if _, ok := colOf[pf.u]; !ok {
-				colOf[pf.u] = len(unique)
-				unique = append(unique, pf)
-				firstQ = append(firstQ, i)
-			}
+			all = append(all, pf)
+			owner = append(owner, i)
 		}
 	}
-	if len(unique) > 0 {
+	if len(all) > 0 {
 		resolveStart := time.Now()
-		th, rerr := engines[0].exactThresholds(unique, k, workers, func(col int) {
-			state[firstQ[col]].stats.Committed++
+		out, rerr := engines[0].resolveExact(all, k, workers, func(a int) {
+			state[owner[a]].stats.Committed++
 		})
 		resolveElapsed := time.Since(resolveStart)
-		tieTol := engines[0].tieTol
 		for _, i := range valid {
 			st := &state[i]
-			if len(st.pend) == 0 || st.err != nil {
+			if len(st.pend) == 0 {
 				continue
 			}
 			if rerr != nil {
 				st.err = rerr
 				continue
 			}
-			for _, pf := range st.pend {
-				if pf.puq >= th[colOf[pf.u]]-tieTol {
-					st.partial = append(st.partial, pf.u)
-				}
-			}
 			// The shared resolution benefits every pending query; charging
 			// each one the full wall time keeps per-query Elapsed an upper
 			// bound, matching the shared-PMPN accounting above.
 			st.stats.Elapsed += resolveElapsed
 			st.stats.FallbackElapsed += resolveElapsed
+		}
+		for a, o := range out {
+			st := &state[owner[a]]
+			st.stats.countFallback(o)
+			if o.member {
+				st.partial = append(st.partial, all[a].u)
+			}
 		}
 	}
 

@@ -92,6 +92,15 @@ type QueryStats struct {
 	// Under QueryBatch the resolution is shared across the whole batch
 	// and each pending query is charged the full shared wall time.
 	FallbackElapsed time.Duration
+	// FallbackIters is the total number of forward power-method iterations
+	// this query's exact fallbacks ran, and FallbackEarlyStops how many of
+	// them stopped before convergence because the iterate's error band had
+	// already cleared the decision (resolveExact). A fallback that shares
+	// its column with another query's counts the column's iterations in
+	// full, like FallbackElapsed. FallbackEarlyStops < ExactFallbacks means
+	// some of the query's fallbacks ran to convergence.
+	FallbackIters      int
+	FallbackEarlyStops int
 	// DecideElapsed is the part of Elapsed spent in the candidate
 	// decision sweep (Algorithm 4's screen + bound refinement),
 	// excluding the deferred-fallback resolution counted separately in
@@ -140,7 +149,8 @@ type Engine struct {
 	// arithmetic, and the PMPN estimate of p_u(q) differs from the
 	// power-method pkmax by up to ≈ε. Comparisons therefore treat values
 	// within tieTol as equal; gaps below tieTol are beneath the solvers'
-	// own precision.
+	// own precision. The exact fallback's early stop (resolveExact) leans on
+	// the same agreement between the PMPN and forward values of p_u(q).
 	tieTol float64
 	// maxRefine caps the BCA refinement steps spent on one candidate
 	// before switching to the exact power-method decision. A refinement
@@ -153,6 +163,9 @@ type Engine struct {
 	// practical selects the paper's literal decision rule for stalled
 	// candidates; see SetPracticalDecisions.
 	practical bool
+	// probeBuf is the n-vector resolveExact's early-stop probe reads
+	// fallback columns into; allocated by the first fallback that probes.
+	probeBuf []float64
 }
 
 // SetPracticalDecisions toggles the paper-literal decision mode.
@@ -259,7 +272,7 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 	// Decisions are independent across nodes (decide(u) touches only u's
 	// own index entry), so the set shards cleanly across workers.
 	decideStart := time.Now()
-	results, err := e.decideSet(pq, k, e.idx.OwnedNodes(), &stats)
+	results, err := e.decideSet(q, pq, k, e.idx.OwnedNodes(), &stats)
 	stats.DecideElapsed = time.Since(decideStart) - stats.FallbackElapsed
 	if err != nil {
 		return nil, stats, err
@@ -271,22 +284,28 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 }
 
 // DecideList is the shard-local candidate decision entry point: given the
-// exact proximities-to-query vector pq (full length, typically computed
-// once by a scatter-gather coordinator and shared across shards), it runs
-// Algorithm 4's per-candidate decision for exactly the listed nodes and
-// returns the members, ascending. Every listed node's row must be
-// materialized in the engine's index. The answer for each node is the one
-// Query itself would produce — DecideList(pq, k, all nodes) ≡ Query(q, k).
-func (e *Engine) DecideList(pq []float64, k int, nodes []graph.NodeID) ([]graph.NodeID, QueryStats, error) {
-	stats := QueryStats{Query: -1, K: k}
+// exact proximities-to-query vector pq of query node q (full length,
+// typically computed once by a scatter-gather coordinator and shared across
+// shards), it runs Algorithm 4's per-candidate decision for exactly the
+// listed nodes and returns the members, ascending. Every listed node's row
+// must be materialized in the engine's index. The answer for each node is
+// the one Query itself would produce — DecideList(q, pq, k, all nodes) ≡
+// Query(q, k). q is in pq's (internal) label space and only anchors the
+// exact fallback's early stop: a caller that does not know it passes −1 and
+// gets the same answer from fallbacks that always run to convergence.
+func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.NodeID) ([]graph.NodeID, QueryStats, error) {
+	stats := QueryStats{Query: q, K: k}
 	if len(pq) != e.g.N() {
 		return nil, stats, fmt.Errorf("core: proximity vector has %d entries, graph has %d", len(pq), e.g.N())
+	}
+	if int(q) < -1 || int(q) >= e.g.N() {
+		return nil, stats, fmt.Errorf("core: query node %d out of range [-1,%d)", q, e.g.N())
 	}
 	if k <= 0 || k > e.idx.K() {
 		return nil, stats, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
 	}
 	start := time.Now()
-	results, err := e.decideSet(pq, k, nodes, &stats)
+	results, err := e.decideSet(q, pq, k, nodes, &stats)
 	stats.DecideElapsed = time.Since(start) - stats.FallbackElapsed
 	if err != nil {
 		return nil, stats, err
@@ -312,8 +331,8 @@ func (e *Engine) DecideList(pq []float64, k int, nodes []graph.NodeID) ([]graph.
 // SpMM-batched exact solves on the coordinating goroutine — same pending
 // list, same order, whatever the worker count, so the sequential and
 // sharded engines still make bit-identical decisions and commits.
-func (e *Engine) decideSet(pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
-	results, pend, err := e.decideSetDeferred(pq, k, list, stats)
+func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
+	results, pend, err := e.decideSetDeferred(q, pq, k, list, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -333,8 +352,9 @@ func (e *Engine) decideSet(pq []float64, k int, list []graph.NodeID, stats *Quer
 // it returns the nodes the bounds decided plus the deferred candidates, in
 // list order whatever the worker count. QueryBatch uses it directly so a
 // whole query batch's fallbacks can be deduplicated and resolved in shared
-// slabs instead of per query.
-func (e *Engine) decideSetDeferred(pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, []pendingFallback, error) {
+// slabs instead of per query. q is the node pq was computed for (−1 if
+// unknown); it rides along on each deferred candidate, see pendingFallback.
+func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, []pendingFallback, error) {
 	count := e.g.N()
 	if list != nil {
 		count = len(list)
@@ -352,7 +372,7 @@ func (e *Engine) decideSetDeferred(pq []float64, k int, list []graph.NodeID, sta
 		defer e.wsPool.Put(ws)
 		for i := 0; i < count; i++ {
 			u := nodeAt(i)
-			added, err := e.decide(ws, u, k, pq[u], stats, &pend)
+			added, err := e.decide(ws, q, u, k, pq[u], stats, &pend)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -378,7 +398,7 @@ func (e *Engine) decideSetDeferred(pq []float64, k int, list []graph.NodeID, sta
 				defer e.wsPool.Put(ws)
 				for i := seg.Lo; i < seg.Hi; i++ {
 					u := nodeAt(i)
-					added, err := e.decide(ws, u, k, pq[u], &sh.stats, &sh.pend)
+					added, err := e.decide(ws, q, u, k, pq[u], &sh.stats, &sh.pend)
 					if err != nil {
 						sh.err = err
 						return
@@ -431,13 +451,13 @@ func (e *Engine) eachIndexed() func(yield func(graph.NodeID) bool) {
 // decide implements the inner while loop of Algorithm 4 for one node u:
 // it returns whether u belongs to the reverse top-k set of the query,
 // given puq = p_u(q). ws is the BCA scratch to refine with — one pooled
-// workspace for the whole sweep on the sequential path, a per-shard one
-// under decideSharded (stats must likewise be private to the calling
-// shard). A candidate whose refinement budget runs out is NOT decided
-// here: it is appended to *pend for the caller to batch-resolve with
-// exact vectors after the sweep (resolveFallbacks), and reported as not
-// added.
-func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) (bool, error) {
+// workspace for the whole sweep on the sequential path, one per shard on
+// decideSetDeferred's sharded path (stats and pend must likewise be
+// private to the calling shard). A candidate whose refinement budget runs
+// out is NOT decided here: it is appended to *pend, tagged with the query
+// node q (−1 if unknown), for the caller to batch-resolve with exact
+// solves after the sweep (resolveFallbacks), and reported as not added.
+func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) (bool, error) {
 	lb := e.idx.KthLowerBound(u, k)
 	if puq < lb-e.tieTol {
 		return false, nil // pruned immediately (never becomes a candidate)
@@ -535,7 +555,7 @@ func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, puq float64, s
 		// strictly better exact state instead, exactly as the inline
 		// fallback did.
 		stats.ExactFallbacks++
-		*pend = append(*pend, pendingFallback{u: u, puq: puq, nextT: st.T + 1})
+		*pend = append(*pend, pendingFallback{u: u, q: q, puq: puq, nextT: st.T + 1})
 		return false, nil
 	}
 
@@ -547,74 +567,183 @@ func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, puq float64, s
 }
 
 // pendingFallback is one candidate whose refinement budget ran out before
-// a bound decided: u must be resolved by the exact power method. puq and
-// the would-be next BCA iteration number are captured at deferral time so
-// resolution needs nothing but the exact vector.
+// a bound decided: u must be resolved by the exact power method. The query
+// node, puq and the would-be next BCA iteration number are captured at
+// deferral time so resolution needs nothing but u's forward iteration.
+// q = −1 means the caller did not know the query node; such a candidate is
+// only ever decided against the converged vector.
 type pendingFallback struct {
-	u     graph.NodeID
+	u, q  graph.NodeID
 	puq   float64
 	nextT int
 }
 
-// resolveFallbacks decides every deferred candidate with exact proximity
-// vectors computed in SpMM batches, returning the members. Each column is
-// bit-identical to the scalar ProximityVectorParallel solve the inline
-// fallback used to run, at any worker count, so the decisions — and, in
-// update mode, the committed exact states — match the unbatched engine's
-// exactly. Runs on the coordinating goroutine after the decision sweep, so
-// it can use the engine's full worker budget without oversubscribing the
-// shards.
+// fallbackOutcome is how resolveExact decided one deferred candidate.
+type fallbackOutcome struct {
+	member bool
+	iters  int  // forward iterations the candidate's column ran
+	early  bool // the column stopped before converging
+}
+
+// countFallback adds one resolved fallback to its query's stats.
+func (s *QueryStats) countFallback(o fallbackOutcome) {
+	s.FallbackIters += o.iters
+	if o.early {
+		s.FallbackEarlyStops++
+	}
+}
+
+// resolveFallbacks decides every candidate one sweep deferred, returning
+// the members. Runs on the coordinating goroutine after the decision
+// sweep, so it can use the engine's full worker budget without
+// oversubscribing the shards.
 func (e *Engine) resolveFallbacks(pend []pendingFallback, k int, stats *QueryStats) ([]graph.NodeID, error) {
-	th, err := e.exactThresholds(pend, k, e.workers, func(int) { stats.Committed++ })
+	out, err := e.resolveExact(pend, k, e.workers, func(int) { stats.Committed++ })
 	if err != nil {
 		return nil, err
 	}
 	var results []graph.NodeID
-	for i, pf := range pend {
-		if pf.puq >= th[i]-e.tieTol {
-			results = append(results, pf.u)
+	for i, o := range out {
+		stats.countFallback(o)
+		if o.member {
+			results = append(results, pend[i].u)
 		}
 	}
 	return results, nil
 }
 
-// exactThresholds computes each deferred candidate's exact decision
-// threshold pkmax(u) — the k-th largest entry of u's exact proximity
-// vector — through forward SpMM slabs of at most spmmChunkWidth columns,
-// with the given worker budget. In update mode each solved vector is also
-// committed as a fully drained exact state (all ink retained, zero
-// residue) so no future query ever spends work on that node again — this
-// is what makes the update curve of Fig. 7/8 flatten: the index converges
-// to exactness on the nodes queries care about. onCommit is invoked once
-// per committed column (for the caller's stats attribution).
-func (e *Engine) exactThresholds(pend []pendingFallback, k, workers int, onCommit func(col int)) ([]float64, error) {
-	th := make([]float64, len(pend))
-	for lo := 0; lo < len(pend); lo += spmmChunkWidth {
-		hi := min(lo+spmmChunkWidth, len(pend))
-		chunk := pend[lo:hi]
+// The early-stop probe looks at a fallback column on a fixed geometric
+// schedule: first once the column's error band τ is below probeFirstTail,
+// then each time τ has fallen by probeTailRatio (≈ every 9 iterations at
+// α = 0.15). One look is an O(n log k) selection, about one sweep's worth
+// of work against the nine sweeps between two looks, and no look before
+// τ ≤ 1e-2 could decide anything but a self-candidate.
+const (
+	probeFirstTail = 1e-2
+	probeTailRatio = 4
+)
+
+// resolveExact decides every deferred candidate ("asker") by u's forward
+// power iteration: pend[i] is a member iff p_u(q) ≥ pkmax(u) − tieTol,
+// pkmax(u) the k-th largest entry of u's exact proximity vector. Askers
+// naming the same u — several queries of a batch stalling on one node —
+// share one column; columns run in forward SpMM slabs of at most
+// spmmChunkWidth, in first-asked order, with the given worker budget, and
+// every column that runs to convergence is bit-identical to the scalar
+// ProximityVectorParallel solve at any worker count.
+//
+// A no-update engine rarely needs the converged vector. p_u(q) is already
+// exact (the PMPN gave it); the unknown is only which side of it pkmax(u)
+// falls, and the iterate x^t brackets every entry of p_u within the
+// elementwise band τ_t = r_t·(1−α)/α (rwr.ColumnProbe). So between
+// iterations a probe computes κ, the k-th largest of x^t over v ≠ q, and
+// decides an asker the moment the band clears its anchor (Fujiwara et
+// al.'s bound-driven termination, PAPERS.md):
+//
+//	κ − τ > p_u(q) + tieTol  ⇒ non-member. Unconditionally the converged
+//	    decision: the converged threshold T* ≥ κ* ≥ κ − τ > p_u(q) + tieTol.
+//	κ + τ ≤ p_u(q) + tieTol  ⇒ member. At most k−1 nodes other than q can
+//	    end above p_u(q) + tieTol, so T* ≤ max(x*[q], p_u(q) + tieTol), which
+//	    is the converged decision provided the forward value x*[q] of p_u(q)
+//	    agrees with the PMPN value within tieTol — the agreement tieTol is
+//	    defined by and every exact tie already relies on (see Engine.tieTol).
+//
+// The test is anchored at p_u(q), with q left out of κ, because nearly
+// half of all fallbacks are exact ties — q IS u's k-th node and the gap to
+// pkmax is ≈1e-15 (ROADMAP.md has the distribution) — where a band around
+// the k-th entry itself can never close above tieTol, while the (k+1)-th
+// entry separates from the anchor early. A
+// column stops when every one of its askers is decided; an asker without a
+// query node (q = −1) keeps its column running to convergence.
+//
+// In update mode there is no probe: each solved vector is committed as a
+// fully drained exact state (all ink retained, zero residue) so no future
+// query ever spends work on that node again — this is what makes the
+// update curve of Fig. 7/8 flatten — and that needs the converged vector.
+// onCommit is invoked once per committed column with the index of the
+// asker that deferred it first (for the caller's stats attribution).
+func (e *Engine) resolveExact(pend []pendingFallback, k, workers int, onCommit func(asker int)) ([]fallbackOutcome, error) {
+	type column struct {
+		askers    []int   // indices into pend
+		nextProbe float64 // probe once the tail is at most this
+	}
+	out := make([]fallbackOutcome, len(pend))
+	colOf := make(map[graph.NodeID]int)
+	var cols []column
+	for i, pf := range pend {
+		c, ok := colOf[pf.u]
+		if !ok {
+			c = len(cols)
+			colOf[pf.u] = c
+			cols = append(cols, column{nextProbe: probeFirstTail})
+		}
+		cols[c].askers = append(cols[c].askers, i)
+		if pf.q < 0 {
+			cols[c].nextProbe = -1 // no tail gets there: never probed
+		}
+	}
+	for lo := 0; lo < len(cols); lo += spmmChunkWidth {
+		chunk := cols[lo:min(lo+spmmChunkWidth, len(cols))]
 		origins := make([]graph.NodeID, len(chunk))
-		for i, pf := range chunk {
-			origins[i] = pf.u
+		for i, c := range chunk {
+			origins[i] = pend[c.askers[0]].u
+		}
+		var probe rwr.ColumnProbe
+		if !e.update {
+			if e.probeBuf == nil {
+				e.probeBuf = make([]float64, e.g.N())
+			}
+			probe = func(i, iter int, tail float64, read func([]float64)) bool {
+				c := &chunk[i]
+				if tail > c.nextProbe {
+					return false
+				}
+				c.nextProbe = tail / probeTailRatio
+				read(e.probeBuf)
+				top := vecmath.TopKValues(e.probeBuf, k+1)
+				for _, a := range c.askers {
+					pf := pend[a]
+					kappa := top[k-1]
+					if e.probeBuf[pf.q] >= kappa {
+						kappa = top[k] // q is one of the k largest: leave it out
+					}
+					switch anchor := pf.puq + e.tieTol; {
+					case kappa+tail <= anchor:
+						out[a].member = true
+					case kappa-tail > anchor:
+						out[a].member = false
+					default:
+						return false
+					}
+				}
+				for _, a := range c.askers {
+					out[a].iters, out[a].early = iter, true
+				}
+				return true
+			}
 		}
 		var colErr error
-		err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, workers, func(i int, res rwr.Result, rerr error) {
+		err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, workers, probe, func(i int, res rwr.Result, rerr error) {
 			if rerr != nil {
 				if colErr == nil {
 					colErr = rerr
 				}
 				return
 			}
-			pf := chunk[i]
-			th[lo+i] = vecmath.KthLargest(res.Vector, k)
+			th := vecmath.KthLargest(res.Vector, k)
+			for _, a := range chunk[i].askers {
+				out[a] = fallbackOutcome{member: pend[a].puq >= th-e.tieTol, iters: res.Iterations}
+			}
 			if e.update {
+				first := chunk[i].askers[0]
 				exact := &bca.State{
-					Origin: pf.u,
-					T:      pf.nextT,
+					Origin: origins[i],
+					T:      pend[first].nextT,
 					RNorm:  0,
 					W:      vecmath.GatherSparse(res.Vector, 0),
 				}
-				e.idx.Commit(pf.u, exact, vecmath.TopKValues(res.Vector, e.idx.K()))
-				onCommit(lo + i)
+				e.idx.Commit(origins[i], exact, vecmath.TopKValues(res.Vector, e.idx.K()))
+				onCommit(first)
 			}
 		})
 		if err != nil {
@@ -624,7 +753,7 @@ func (e *Engine) exactThresholds(pend []pendingFallback, k, workers int, onCommi
 			return nil, colErr
 		}
 	}
-	return th, nil
+	return out, nil
 }
 
 // BruteForce answers a reverse top-k query by computing the exact proximity

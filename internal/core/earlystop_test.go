@@ -1,0 +1,353 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/rwr"
+	"repro/internal/vecmath"
+)
+
+// The suites below hold the exact fallback's early stop (resolveExact's
+// probe) to the converged decision. "Forced off" is DecideList with q = −1:
+// the same sweep and the same fallbacks, but no asker names a query node,
+// so every fallback column runs to convergence.
+
+// bruteForceFrom is BruteForce's membership test over an already computed
+// proximity matrix (cols[u] = p_u), so one matrix serves every (q, k).
+func bruteForceFrom(cols [][]float64, q graph.NodeID, k int) []graph.NodeID {
+	var results []graph.NodeID
+	for u := range cols {
+		if cols[u][q] >= vecmath.KthLargest(cols[u], k) {
+			results = append(results, graph.NodeID(u))
+		}
+	}
+	return results
+}
+
+// TestEarlyStopMatchesConvergedAndBruteForce: across the oracle families ×
+// k ∈ {1, 10, K}, with the refinement budget squeezed so that most
+// candidates reach the fallback, the engine's answer with the probe equals
+// its answer with the probe forced off equals brute force; the same
+// candidates reach the fallback either way; and the probe really engages
+// (fewer forward iterations, some early stops) while the forced-off run
+// reports none.
+func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
+	const indexK = 20
+	p := rwr.DefaultParams()
+	for _, family := range []string{"web", "coauthor", "spam"} {
+		family := family
+		t.Run(family, func(t *testing.T) {
+			t.Parallel()
+			g := oracleGraph(t, family)
+			idx := buildIndex(t, g, indexK, 6)
+			cols, err := rwr.ProximityMatrix(g, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine(g, idx, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetMaxRefineSteps(1)
+			var on, off QueryStats
+			for _, k := range []int{1, 10, indexK} {
+				for _, q := range anytimeQueries(g.N()) {
+					label := fmt.Sprintf("q=%d k=%d", q, k)
+					want := bruteForceFrom(cols, q, k)
+					got, st, err := eng.Query(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: engine %v, brute force %v", label, got, want)
+					}
+					pq, err := rwr.ProximityToParallel(g, q, p, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					conv, cst, err := eng.DecideList(-1, pq.Vector, k, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(conv, want) {
+						t.Fatalf("%s: converged fallbacks %v, brute force %v", label, conv, want)
+					}
+					if st.ExactFallbacks != cst.ExactFallbacks || st.Candidates != cst.Candidates || st.RefineSteps != cst.RefineSteps {
+						t.Fatalf("%s: the probe changed the sweep: %+v vs %+v", label, st, cst)
+					}
+					if cst.FallbackEarlyStops != 0 {
+						t.Fatalf("%s: %d early stops without a query node", label, cst.FallbackEarlyStops)
+					}
+					if st.FallbackIters > cst.FallbackIters {
+						t.Fatalf("%s: %d iterations with the probe, %d without", label, st.FallbackIters, cst.FallbackIters)
+					}
+					on.ExactFallbacks += st.ExactFallbacks
+					on.FallbackIters += st.FallbackIters
+					on.FallbackEarlyStops += st.FallbackEarlyStops
+					off.FallbackIters += cst.FallbackIters
+				}
+			}
+			if on.ExactFallbacks == 0 || on.FallbackEarlyStops == 0 {
+				t.Fatalf("nothing exercised: %d fallbacks, %d early stops", on.ExactFallbacks, on.FallbackEarlyStops)
+			}
+			if on.FallbackIters >= off.FallbackIters {
+				t.Errorf("probe saved nothing: %d forward iterations against %d converged", on.FallbackIters, off.FallbackIters)
+			}
+			t.Logf("%d fallbacks, %d early stops, %d iterations against %d converged",
+				on.ExactFallbacks, on.FallbackEarlyStops, on.FallbackIters, off.FallbackIters)
+		})
+	}
+}
+
+// TestEarlyStopSelfCandidatesAndExactTies aims the probe at the two asker
+// shapes a sampled query list may miss. A self-candidate (u = q) has its
+// anchor p_u(u) ≥ α far above everything else. An exact tie — q is the node
+// at rank k of p_u, the commonest fallback in practice — has p_u(q) equal to
+// pkmax(u) to the last bits, so only the anchored test (q left out of κ) can
+// decide it before convergence. Every outcome must equal the converged
+// decision and brute force, and the ties must actually stop early.
+func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
+	const indexK = 20
+	p := rwr.DefaultParams()
+	for _, family := range []string{"web", "coauthor", "spam"} {
+		g := oracleGraph(t, family)
+		idx := buildIndex(t, g, indexK, 6)
+		eng, err := NewEngine(g, idx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 10, indexK} {
+			var askers []pendingFallback
+			var want []bool
+			var ties []int // askers that are exact ties with a gap below them
+			for _, u := range anytimeQueries(g.N()) {
+				pu, err := rwr.ProximityVectorParallel(g, u, p, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				top := vecmath.TopKEntries(pu.Vector, k+1)
+				if len(top) < k {
+					continue // u reaches fewer than k nodes
+				}
+				th := top[k-1].Value
+				for _, q := range []graph.NodeID{u, top[k-1].Index} {
+					pq, err := rwr.ProximityToParallel(g, q, p, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if q != u && len(top) > k && th-top[k].Value > 1e-6 {
+						ties = append(ties, len(askers))
+					}
+					askers = append(askers, pendingFallback{u: u, q: q, puq: pq.Vector[u]})
+					want = append(want, pu.Vector[q] >= th)
+				}
+			}
+			converged := make([]pendingFallback, len(askers))
+			for i, a := range askers {
+				a.q = -1
+				converged[i] = a
+			}
+			got, err := eng.resolveExact(askers, k, 1, func(int) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := eng.resolveExact(converged, k, 1, func(int) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range askers {
+				if got[i].member != want[i] || ref[i].member != want[i] {
+					t.Errorf("%s k=%d u=%d q=%d: probe says %v, converged %v, brute force %v",
+						family, k, a.u, a.q, got[i].member, ref[i].member, want[i])
+				}
+				if ref[i].early || got[i].iters > ref[i].iters {
+					t.Errorf("%s k=%d u=%d q=%d: %+v against converged %+v", family, k, a.u, a.q, got[i], ref[i])
+				}
+			}
+			// Askers of one u share a column, which stops when both are
+			// decided; a tie with a clear gap below it must not hold it.
+			for _, i := range ties {
+				if !got[i].member {
+					t.Errorf("%s k=%d: rank-k node %d of %d decided non-member", family, k, askers[i].q, askers[i].u)
+				}
+				if !got[i].early {
+					t.Errorf("%s k=%d: exact tie u=%d q=%d ran to convergence (%d iterations)",
+						family, k, askers[i].u, askers[i].q, got[i].iters)
+				}
+			}
+		}
+	}
+}
+
+// twinGraph is randomGraph(seed, n, false) plus two extra nodes n and n+1
+// with identical in- and out-neighborhoods: p_u(n) = p_u(n+1) bit for bit
+// for every other u, at every iteration.
+func twinGraph(seed int64, n int) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n + 2)
+	for i := 0; i < 4*n; i++ {
+		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	}
+	for _, twin := range []graph.NodeID{graph.NodeID(n), graph.NodeID(n + 1)} {
+		for _, src := range []graph.NodeID{3, 17, 58, 90} {
+			b.AddEdge(src, twin)
+		}
+		b.AddEdge(twin, 5)
+	}
+	g, _, err := b.Build(graph.DanglingSelfLoop)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestQueryMultiSharedColumnKeepsIterating: two queries of one batch stall
+// on the same node, so they share its fallback column, and only one of them
+// can be decided early — the other asks about a twin whose proximity ties
+// its sibling's at ranks k and k+1 at every iteration, which no band wider
+// than tieTol separates. The column must keep iterating for the undecided
+// asker: every column's iteration count in the batch is the largest any of
+// its askers needs alone, and both answers equal brute force.
+func TestQueryMultiSharedColumnKeepsIterating(t *testing.T) {
+	const k = 6
+	g := twinGraph(11, 150)
+	twin, other, shared := graph.NodeID(150), graph.NodeID(40), graph.NodeID(17)
+	idx := buildIndex(t, g, 10, 2)
+	v, err := NewView(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newEngine := func() *Engine {
+		e, _ := NewEngine(g, idx, false)
+		e.SetMaxRefineSteps(1)
+		return e
+	}
+	v.engines = sync.Pool{New: func() any { return newEngine() }}
+
+	// Each query's fallbacks, each resolved alone.
+	p := rwr.DefaultParams()
+	eng := newEngine()
+	qs := []graph.NodeID{other, twin}
+	alone := make([]map[graph.NodeID]fallbackOutcome, len(qs))
+	for i, q := range qs {
+		pq, err := rwr.ProximityToParallel(g, q, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st QueryStats
+		_, pend, err := eng.decideSetDeferred(q, pq.Vector, k, nil, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = map[graph.NodeID]fallbackOutcome{}
+		for _, pf := range pend {
+			out, err := eng.resolveExact([]pendingFallback{pf}, k, 1, func(int) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone[i][pf.u] = out[0]
+		}
+	}
+	early, held := alone[0][shared], alone[1][shared]
+	if !early.early || held.early || early.iters >= held.iters {
+		t.Fatalf("scenario lost: node %d alone stops at %+v for q=%d and %+v for q=%d; pick other nodes",
+			shared, early, other, held, twin)
+	}
+
+	// Together: a shared column runs as long as its slowest asker needs.
+	want := make([]QueryStats, len(qs))
+	for i := range qs {
+		for u, o := range alone[i] {
+			if o2, both := alone[1-i][u]; both && o2.iters > o.iters {
+				o = o2
+			}
+			want[i].countFallback(o)
+		}
+	}
+	var mu sync.Mutex
+	got := make([]QueryStats, len(qs))
+	answers := make([][]graph.NodeID, len(qs))
+	err = v.QueryMulti(qs, []int{k, k}, 1, func(i int, answer []graph.NodeID, stats QueryStats, qerr error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if qerr != nil {
+			t.Errorf("q=%d: %v", qs[i], qerr)
+		}
+		got[i], answers[i] = stats, answer
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if got[i].FallbackIters != want[i].FallbackIters || got[i].FallbackEarlyStops != want[i].FallbackEarlyStops {
+			t.Errorf("q=%d: %d forward iterations and %d early stops in the batch, want %d and %d",
+				q, got[i].FallbackIters, got[i].FallbackEarlyStops, want[i].FallbackIters, want[i].FallbackEarlyStops)
+		}
+		bf, err := BruteForce(g, q, k, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(answers[i], bf) {
+			t.Errorf("q=%d: batched %v, brute force %v", q, answers[i], bf)
+		}
+	}
+}
+
+// TestUpdateModeFallbackCommitsStayExact: an update-mode engine never
+// probes — committing needs the converged vector — so every fallback it
+// resolves leaves the bit-identical exact state the scalar solver gives:
+// all of p_u retained, no residue, the top-K row of p_u.
+func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
+	p := rwr.DefaultParams()
+	g := randomGraph(11, 150, false)
+	idx := buildIndex(t, g, 10, 2)
+	probe, err := NewEngine(g, idx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.SetMaxRefineSteps(1)
+	const q, k = 5, 10
+	pq, err := rwr.ProximityToParallel(g, q, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st QueryStats
+	_, pend, err := probe.decideSetDeferred(q, pq.Vector, k, nil, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pend) == 0 {
+		t.Fatal("no fallbacks fired; pick another query")
+	}
+
+	eng, err := NewEngine(g, idx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetMaxRefineSteps(1)
+	_, stats, err := eng.Query(q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ExactFallbacks != len(pend) || stats.FallbackEarlyStops != 0 || stats.Committed < len(pend) {
+		t.Fatalf("update-mode query: %+v, want %d converged, committed fallbacks", stats, len(pend))
+	}
+	for _, pf := range pend {
+		exact, err := rwr.ProximityVectorParallel(g, pf.u, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := idx.StateSnapshot(pf.u)
+		if state.RNorm != 0 || !reflect.DeepEqual(state.W, vecmath.GatherSparse(exact.Vector, 0)) {
+			t.Errorf("node %d: committed state is not the exact vector (residue %g)", pf.u, state.RNorm)
+		}
+		if row := idx.PHatRow(pf.u); !reflect.DeepEqual(row, vecmath.TopKValues(exact.Vector, idx.K())) {
+			t.Errorf("node %d: committed row %v is not the exact top-K", pf.u, row)
+		}
+	}
+}

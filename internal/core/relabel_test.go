@@ -208,7 +208,8 @@ func TestRelabeledShardUnionMatchesIdentity(t *testing.T) {
 					}
 					// One PMPN on the relabeled graph, decisions fanned out to
 					// the slices — the coordinator's shape.
-					pq, err := rwr.ProximityToParallel(pg, pidx.ToInternal(q), pidx.Options().RWR, 2)
+					qi := pidx.ToInternal(q)
+					pq, err := rwr.ProximityToParallel(pg, qi, pidx.Options().RWR, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -218,7 +219,7 @@ func TestRelabeledShardUnionMatchesIdentity(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						part, _, err := eng.DecideList(pq.Vector, k, slices[s].OwnedNodes())
+						part, _, err := eng.DecideList(qi, pq.Vector, k, slices[s].OwnedNodes())
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -97,13 +97,13 @@ func (v *View) Explain(q graph.NodeID, k int, includePruned bool, workers int) (
 // that converges early delivers early, never waiting for the batch's
 // stragglers. Candidates whose refinement budget stalls are NOT resolved
 // per query: they are parked past the sweep and resolved once for the whole
-// batch, deduplicated across queries — a deferred candidate's exact vector
-// depends only on the candidate, so B queries stalling on overlapping
-// hub-adjacent candidates pay for each forward solve once
-// (Engine.exactThresholds) and then compare their own p_u(q) against the
-// shared threshold. Only queries that actually deferred wait for this
-// phase; their deliveries carry the shared resolution wall clock in
-// QueryStats.FallbackElapsed (charged in full to each, like QueryBatch).
+// batch, deduplicated across queries — a deferred candidate's forward
+// iteration depends only on the candidate, so B queries stalling on
+// overlapping hub-adjacent candidates pay for each forward solve once
+// (Engine.resolveExact), each decided against its own p_u(q). Only queries
+// that actually deferred wait for this phase; their deliveries carry the
+// shared resolution wall clock in QueryStats.FallbackElapsed (charged in
+// full to each, like QueryBatch).
 //
 // deliver(i, answer, stats, err) is invoked exactly once per query,
 // possibly concurrently from multiple goroutines; QueryMulti returns after
@@ -163,7 +163,7 @@ func (v *View) QueryMulti(qs []graph.NodeID, ks []int, workers int, deliver func
 			st := &state[i]
 			st.stats = QueryStats{Query: qs[i], K: ks[i], PMPNIters: res.Iterations, PMPNElapsed: pmElapsed}
 			var derr error
-			st.partial, st.pend, derr = e.decideSetDeferred(res.Vector, ks[i], v.idx.OwnedNodes(), &st.stats)
+			st.partial, st.pend, derr = e.decideSetDeferred(internal[i], res.Vector, ks[i], v.idx.OwnedNodes(), &st.stats)
 			if derr == nil && len(st.pend) > 0 {
 				// Park for the deduplicated batch-wide resolution below.
 				st.parked = true
@@ -180,7 +180,7 @@ func (v *View) QueryMulti(qs []graph.NodeID, ks []int, workers int, deliver func
 		return err
 	}
 	// Batch-wide fallback resolution. The exact threshold pkmax(u) depends
-	// on k, so dedupe groups parked queries by their k — the common
+	// on k, so parked queries are resolved in groups by their k — the common
 	// uniform-k batch resolves in a single group. Groups run in ascending-k
 	// order for determinism.
 	byK := map[int][]int{}
@@ -196,25 +196,29 @@ func (v *View) QueryMulti(qs []graph.NodeID, ks []int, workers int, deliver func
 	sort.Ints(groupKs)
 	for _, k := range groupKs {
 		group := byK[k]
-		colOf := make(map[graph.NodeID]int)
-		var unique []pendingFallback
+		var all []pendingFallback
+		var owner []int // all[a] was deferred by query position owner[a]
 		for _, i := range group {
 			for _, pf := range state[i].pend {
-				if _, ok := colOf[pf.u]; !ok {
-					colOf[pf.u] = len(unique)
-					unique = append(unique, pf)
-				}
+				all = append(all, pf)
+				owner = append(owner, i)
 			}
 		}
 		resolveStart := time.Now()
 		e := v.engines.Get().(*Engine)
 		e.SetWorkers(workers)
-		tieTol := e.tieTol
 		// View engines never update the index, so no commits happen and the
 		// onCommit hook is unreachable.
-		th, rerr := e.exactThresholds(unique, k, workers, func(int) {})
+		out, rerr := e.resolveExact(all, k, workers, func(int) {})
 		v.engines.Put(e)
 		resolveElapsed := time.Since(resolveStart)
+		for a, o := range out {
+			st := &state[owner[a]]
+			st.stats.countFallback(o)
+			if o.member {
+				st.partial = append(st.partial, all[a].u)
+			}
+		}
 		for _, i := range group {
 			st := &state[i]
 			st.stats.FallbackElapsed += resolveElapsed
@@ -223,14 +227,8 @@ func (v *View) QueryMulti(qs []graph.NodeID, ks []int, workers int, deliver func
 				deliver(i, nil, st.stats, rerr)
 				continue
 			}
-			for _, pf := range st.pend {
-				if pf.puq >= th[colOf[pf.u]]-tieTol {
-					st.partial = append(st.partial, pf.u)
-				}
-			}
 			sort.Slice(st.partial, func(a, b int) bool { return st.partial[a] < st.partial[b] })
 			st.stats.Results = len(st.partial)
-			st.stats.Elapsed = time.Since(start)
 			deliver(i, externalAnswer(v.idx, st.partial), st.stats, nil)
 		}
 	}
@@ -240,13 +238,13 @@ func (v *View) QueryMulti(qs []graph.NodeID, ks []int, workers int, deliver func
 // DecideList answers the shard-local decision step for the listed nodes
 // against a precomputed proximities-to-query vector, with the given
 // intra-engine worker count (≤ 0 selects GOMAXPROCS) — the entry point the
-// scatter-gather coordinator fans out to. Safe for concurrent use; see
-// Engine.DecideList.
-func (v *View) DecideList(pq []float64, k int, nodes []graph.NodeID, workers int) ([]graph.NodeID, QueryStats, error) {
+// scatter-gather coordinator fans out to. q, pq and nodes are all in the
+// internal label space. Safe for concurrent use; see Engine.DecideList.
+func (v *View) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.NodeID, workers int) ([]graph.NodeID, QueryStats, error) {
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)
 	e.SetWorkers(workers)
-	return e.DecideList(pq, k, nodes)
+	return e.DecideList(q, pq, k, nodes)
 }
 
 // Graph returns the graph view this View queries (a base CSR *graph.Graph

@@ -49,6 +49,21 @@ func canonicalDump(v graph.View) string {
 	return b.String()
 }
 
+// assertInNeighborsAscending fails unless every in-neighbor list of v
+// strictly ascends by source — the order the forward push kernel's
+// bit-identity with the gather kernel rests on (rwr/spmmfwd.go).
+func assertInNeighborsAscending(t *testing.T, what string, v graph.View) {
+	t.Helper()
+	for u := graph.NodeID(0); int(u) < v.N(); u++ {
+		in := v.InNeighbors(u)
+		for i := 1; i < len(in); i++ {
+			if in[i-1] >= in[i] {
+				t.Fatalf("%s: in-neighbors of %d not strictly ascending: %v", what, u, in)
+			}
+		}
+	}
+}
+
 func diffTestGraph(t testing.TB, n int, seed int64, weighted bool) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -340,11 +355,13 @@ func FuzzOverlayApply(f *testing.F) {
 			if da, db := canonicalDump(rebuilt), canonicalDump(ov); da != db {
 				t.Fatalf("divergence after %+v:\n--- rebuild\n%s--- overlay\n%s", e, da, db)
 			}
+			assertInNeighborsAscending(t, "overlay", ov)
 		}
 		compacted, err := ov.Compact()
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertInNeighborsAscending(t, "compacted", compacted)
 		if da, db := canonicalDump(rebuilt), canonicalDump(compacted); da != db {
 			t.Fatalf("compaction divergence:\n--- rebuild\n%s--- compacted\n%s", da, db)
 		}

@@ -128,8 +128,10 @@ func (g *Graph) OutNeighbors(u NodeID) []NodeID {
 	return g.outEdges[g.outIndex[u]:g.outIndex[u+1]]
 }
 
-// InNeighbors returns the in-neighbors of u. The returned slice aliases
-// internal storage and must not be modified.
+// InNeighbors returns the in-neighbors of u, strictly ascending by source
+// (buildInAdjacency fills them walking sources in order; the forward push
+// kernel's bit-identity with the gather kernel rests on it, rwr/spmmfwd.go).
+// The returned slice aliases internal storage and must not be modified.
 func (g *Graph) InNeighbors(u NodeID) []NodeID {
 	return g.inEdges[g.inIndex[u]:g.inIndex[u+1]]
 }
@@ -265,6 +267,9 @@ func (g *Graph) Validate() error {
 			v := g.inEdges[e]
 			if v < 0 || int(v) >= g.n {
 				return fmt.Errorf("graph: in-edge %d←%d out of range", u, v)
+			}
+			if e > g.inIndex[u] && g.inEdges[e-1] >= v {
+				return fmt.Errorf("graph: in-neighbors of %d not strictly sorted", u)
 			}
 		}
 	}

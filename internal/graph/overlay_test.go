@@ -287,3 +287,89 @@ func TestOverlayCompactRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// inNeighborsAscending checks the adjacency order the forward push kernel's
+// bit-identity with the gather kernel rests on (rwr/spmmfwd.go): every
+// in-neighbor list strictly ascends by source, with the weight the source's
+// own out-list carries for that edge.
+func inNeighborsAscending(v View) error {
+	for u := NodeID(0); int(u) < v.N(); u++ {
+		in, ws := v.InNeighbors(u), v.InWeightsOf(u)
+		for i, src := range in {
+			if i > 0 && in[i-1] >= src {
+				return fmt.Errorf("in-neighbors of %d not strictly ascending: %v", u, in)
+			}
+			w := 1.0
+			if ws != nil {
+				w = ws[i]
+			}
+			if out := v.EdgeWeight(src, u); out != w {
+				return fmt.Errorf("edge %d→%d weighs %g in the in-list, %g in the out-list", src, u, w, out)
+			}
+		}
+	}
+	return nil
+}
+
+// TestInNeighborsAscendBySource holds the invariant for everything that
+// produces a view: Builder output (duplicate and weighted edges, every
+// dangling policy), each overlay a chain of Apply calls derives (removals,
+// weighted inserts, node growth), and the CSR Compact folds it into.
+func TestInNeighborsAscendBySource(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, policy := range []DanglingPolicy{DanglingSelfLoop, DanglingSharedSink, DanglingPrune} {
+		b := NewBuilder(80)
+		for i := 0; i < 400; i++ { // 400 draws over ≤ 3200 pairs of the first 40 sources: duplicates
+			u, v := NodeID(rng.Intn(40)), NodeID(rng.Intn(80))
+			if i%3 == 0 {
+				b.AddWeightedEdge(u, v, 0.5+rng.Float64())
+			} else {
+				b.AddEdge(u, v)
+			}
+		}
+		g, _, err := b.Build(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inNeighborsAscending(g); err != nil {
+			t.Fatalf("builder, policy %v: %v", policy, err)
+		}
+	}
+	for _, weighted := range []bool{false, true} {
+		o := NewOverlay(overlayTestGraph(t, 60, 21, weighted))
+		for batch := 0; batch < 8; batch++ {
+			var edits []EdgeEdit
+			seen := map[[2]NodeID]bool{}
+			for len(edits) < 6 {
+				u, v := NodeID(rng.Intn(o.N())), NodeID(rng.Intn(o.N()+2)) // v may grow the graph
+				if seen[[2]NodeID{u, v}] {
+					continue
+				}
+				seen[[2]NodeID{u, v}] = true
+				switch {
+				case int(v) < o.N() && o.HasEdge(u, v):
+					edits = append(edits, EdgeEdit{From: u, To: v, Remove: true})
+				case rng.Intn(2) == 0:
+					edits = append(edits, EdgeEdit{From: u, To: v, Weight: 0.25 + rng.Float64()*4})
+				default:
+					edits = append(edits, EdgeEdit{From: u, To: v})
+				}
+			}
+			next, err := o.Apply(edits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o = next
+			if err := inNeighborsAscending(o); err != nil {
+				t.Fatalf("weighted=%v, after batch %d: %v", weighted, batch, err)
+			}
+		}
+		compacted, err := o.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inNeighborsAscending(compacted); err != nil {
+			t.Fatalf("weighted=%v, compacted: %v", weighted, err)
+		}
+	}
+}

@@ -37,10 +37,14 @@ func MulTransitionTRange[G graph.View](g G, x, dst []float64, lo, hi int) {
 //
 // Unlike MulTransition — a scatter over out-edges whose additions interleave
 // across destinations — each output here is accumulated independently in
-// in-edge order, so the result is deterministic and identical for ANY
-// partition of [0, n), at the price of differing from the scatter result by
-// a few ulps (the additions associate differently). The parallel power
-// method builds on this form.
+// in-edge order, so the result is identical for ANY partition of [0, n);
+// the parallel power method builds on this form. It is also bit-identical
+// to the scatter result whenever in-neighbor lists ascend by source, as
+// both in-tree views guarantee (graph.Graph.InNeighbors): the scatter walks
+// sources in ascending order, so every dst entry receives the same addends
+// in the same order, and the zero-x sources the scatter skips contribute
+// +0. Only a third-party View with another in-list order can make the two
+// forms differ, and then by the few ulps of a reassociated sum.
 func MulTransitionRange[G graph.View](g G, x, dst []float64, lo, hi int) {
 	if len(x) != g.N() || len(dst) != g.N() {
 		panic(fmt.Sprintf("rwr: MulTransitionRange dimension mismatch: n=%d len(x)=%d len(dst)=%d", g.N(), len(x), len(dst)))
@@ -210,9 +214,12 @@ func ProximityToParallel[G graph.View](g G, q graph.NodeID, p Params, workers in
 // each iteration sharded across workers (≤ 0 selects GOMAXPROCS). The
 // forward matvec is evaluated in gather form (MulTransitionRange) so each
 // output row is owned by exactly one worker; the result is identical for
-// every worker count, and agrees with the sequential scatter-based
-// ProximityVector to within the solver tolerance (the additions associate
-// differently, see MulTransitionRange).
+// every worker count. Against the sequential scatter-based ProximityVector
+// every iterate is bit-identical on source-ordered adjacency (see
+// MulTransitionRange); the two solvers differ only in how they sum the
+// stopping residual — fixed blocks here, one flat pass there — which can
+// move the last bits of the reported Residual and, when a residual lands
+// within those bits of ε, the iteration the loop stops at.
 func ProximityVectorParallel[G graph.View](g G, u graph.NodeID, p Params, workers int) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err

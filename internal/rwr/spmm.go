@@ -150,8 +150,23 @@ type batchColumn struct {
 // the survivors. Validation failures return an error before any retire
 // call.
 func ProximityToBatchFunc[G graph.View](g G, queries []graph.NodeID, p Params, workers int, retire func(i int, res Result, err error)) error {
-	return spmmBatch(g, queries, p, workers, spmmTransitionTRange[G], retire)
+	return spmmBatch(g, queries, p, workers, spmmTransitionTRange[G], nil, retire)
 }
+
+// ColumnProbe lets a slab's caller stop a column before it converges. The
+// driver calls it on the coordinating goroutine after every iteration that
+// leaves column i (the caller's position in the origins slice) unconverged,
+// with the iteration count so far, the elementwise error bound
+// tail = r_t·(1−α)/α on the column's current iterate x^t (r_t its L1
+// residual; ToStepper's type doc proves the bound, and it holds for the
+// forward iteration too because a column-stochastic A never grows an L1
+// norm), and read, which copies x^t into a caller-owned n-vector — valid
+// during the call only, so a probe that does not want to look this round
+// pays nothing. Returning true drops the column from the slab: it gets no
+// retire call and no vector, the probe having taken what it needed.
+// Columns that do converge are untouched by probing — bit-identical to an
+// unprobed run.
+type ColumnProbe func(i, iter int, tail float64, read func(dst []float64)) bool
 
 // spmmBatch is the shared slab driver behind ProximityToBatchFunc (the
 // transposed PMPN iteration) and ProximityVectorBatchFunc (the forward
@@ -161,8 +176,9 @@ func ProximityToBatchFunc[G graph.View](g G, queries []graph.NodeID, p Params, w
 // node-major slab from x at the given column stride. Everything else (slab
 // layout, restart add, blocked residual reduction, per-column retirement
 // and repacking) is identical, so both entry points inherit the same
-// bit-identity and worker-independence guarantees from one body.
-func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int, kern func(g G, x, dst []float64, w, lo, hi int), retire func(i int, res Result, err error)) error {
+// bit-identity and worker-independence guarantees from one body. probe may
+// be nil.
+func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int, kern func(g G, x, dst []float64, w, lo, hi int), probe ColumnProbe, retire func(i int, res Result, err error)) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -229,6 +245,18 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 		}
 	}
 
+	// copyColumn copies live column j of the current iterate out of the slab
+	// (x and width are read at call time, so it follows the swaps and
+	// repacks below); readProbed is the probe's view of it.
+	copyColumn := func(out []float64, j int) {
+		for i := 0; i < n; i++ {
+			out[i] = x[i*width+j]
+		}
+	}
+	probed := 0
+	readProbed := func(out []float64) { copyColumn(out, probed) }
+	keep := make([]int, 0, w)
+
 	var start []chan struct{}
 	var done chan struct{}
 	if len(segs) > 1 {
@@ -276,27 +304,26 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 			colRes[j] = s
 		}
 
-		retiring := 0
+		// A column leaves the slab when it converges (retired with its
+		// vector) or when the caller's probe says it has seen enough.
+		keep = keep[:0]
 		for j := 0; j < width; j++ {
-			if colRes[j] < p.Eps {
-				retiring++
-			}
-		}
-		if retiring == 0 {
-			continue
-		}
-		keep := make([]int, 0, width-retiring)
-		for j := 0; j < width; j++ {
-			c := cols[j]
 			if colRes[j] < p.Eps {
 				vec := make([]float64, n)
-				for i := 0; i < n; i++ {
-					vec[i] = x[i*width+j]
-				}
-				retire(c.idx, Result{Vector: vec, Iterations: t, Residual: colRes[j]}, nil)
-			} else {
-				keep = append(keep, j)
+				copyColumn(vec, j)
+				retire(cols[j].idx, Result{Vector: vec, Iterations: t, Residual: colRes[j]}, nil)
+				continue
 			}
+			if probe != nil {
+				probed = j
+				if probe(cols[j].idx, t, colRes[j]*oneMinus/p.Alpha, readProbed) {
+					continue
+				}
+			}
+			keep = append(keep, j)
+		}
+		if len(keep) == width {
+			continue
 		}
 		if len(keep) == 0 {
 			return nil
@@ -319,9 +346,7 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 	// (Iterations counts the cap overrun the same way iterate does).
 	for j := 0; j < width; j++ {
 		vec := make([]float64, n)
-		for i := 0; i < n; i++ {
-			vec[i] = x[i*width+j]
-		}
+		copyColumn(vec, j)
 		retire(cols[j].idx,
 			Result{Vector: vec, Iterations: p.MaxIters + 1, Residual: colRes[j]},
 			fmt.Errorf("rwr: did not converge within %d iterations (residual %g)", p.MaxIters, colRes[j]))

@@ -4,18 +4,33 @@ import (
 	"repro/internal/graph"
 )
 
-// Forward (gather-form) SpMM tier: B power-method columns — one per origin
-// node, each the proximity vector p_u of ProximityVectorParallel — advance
-// together in one node-major slab, sharing every in-adjacency traversal.
-// This is the engine's exact-fallback batcher: a query whose refinement
-// budget leaves several candidates undecided resolves them all with one
-// slab sweep instead of streaming the CSR once per candidate.
+// Forward SpMM tier: B power-method columns — one per origin node, each the
+// proximity vector p_u of ProximityVectorParallel — advance together in one
+// node-major slab, sharing every adjacency traversal. This is the engine's
+// exact-fallback batcher: a query whose refinement budget leaves several
+// candidates undecided resolves them all with one slab sweep instead of
+// streaming the CSR once per candidate.
 //
-// The kernels mirror mulTransitionRangeCSR/Overlay/Generic: each output
-// row v gathers over v's in-neighbors in the same order, multiplying by
-// the same (precomputed or inline-computed) inverse normalizer, so every
-// column is bit-identical to its scalar run at any batch width and worker
-// count.
+// Two kernel forms compute the same sweep. The gather kernels mirror
+// mulTransitionRangeCSR/Overlay/Generic: each output row v gathers over v's
+// in-neighbors in list order, multiplying by the same (precomputed or
+// inline-computed) inverse normalizer, so any partition of the rows across
+// workers reproduces the scalar run. The push kernels (Lofgren's forward
+// push, PAPERS.md) walk SOURCE rows instead, skip a source whose slab row
+// is all zero — most of them for the first iterations, and for good on
+// graphs where the origin reaches only part of the node set — and add
+// x_j(u)·inv(u) into each out-neighbor's row. They run whenever one call
+// covers every row (a single-segment sweep: workers = 1, what a loaded
+// server deals each query); row-sharded sweeps and third-party views keep
+// the gather form, which is the one that partitions.
+//
+// Push ≡ gather bit for bit, given the adjacency order both in-tree views
+// document: in-neighbor lists ascend by source. Walking sources in
+// ascending order then hands every dst entry the same addends in the same
+// order as its gather, the addends are the same expressions, and the ones
+// push skips are +0 (x ≥ 0, inv and weights > 0), which leave a sum's bits
+// unchanged. So every column stays bit-identical to its scalar run at any
+// batch width and worker count, whichever kernel a sweep happens to take.
 
 // spmmTransitionRangeCSR computes dst[v*w+j] = (A·x_j)(v) for v ∈ [lo, hi)
 // and all w columns, accumulating each column in the same in-neighbor
@@ -107,14 +122,138 @@ func spmmTransitionRangeGeneric[G graph.View](g G, x, dst []float64, w, lo, hi i
 	}
 }
 
+// spmmTransitionPushCSR computes dst = A·x for the whole n×w slab in push
+// form (see the file comment): identical bits to spmmTransitionRangeCSR
+// over [0, n), without touching the out-edges of all-zero source rows.
+func spmmTransitionPushCSR(g *graph.Graph, x, dst []float64, w int) {
+	n := g.N()
+	clear(dst[:n*w])
+	if w == 1 {
+		// The lone-fallback shape, without the per-edge row slicing.
+		for u, xv := range x[:n] {
+			if xv == 0 {
+				continue
+			}
+			nbrs := g.OutNeighbors(graph.NodeID(u))
+			ws := g.OutWeightsOf(graph.NodeID(u))
+			inv := g.InvTotalOutWeight(graph.NodeID(u))
+			if ws == nil {
+				for _, v := range nbrs {
+					dst[v] += xv * inv
+				}
+			} else {
+				for i, v := range nbrs {
+					dst[v] += ws[i] * (xv * inv)
+				}
+			}
+		}
+		return
+	}
+	for u := 0; u < n; u++ {
+		xr := x[u*w : u*w+w]
+		if allZero(xr) {
+			continue
+		}
+		nbrs := g.OutNeighbors(graph.NodeID(u))
+		ws := g.OutWeightsOf(graph.NodeID(u))
+		inv := g.InvTotalOutWeight(graph.NodeID(u))
+		if ws == nil {
+			for _, v := range nbrs {
+				row := dst[int(v)*w : int(v)*w+w]
+				for j, xv := range xr {
+					row[j] += xv * inv
+				}
+			}
+		} else {
+			for i, v := range nbrs {
+				wi := ws[i]
+				row := dst[int(v)*w : int(v)*w+w]
+				for j, xv := range xr {
+					row[j] += wi * (xv * inv)
+				}
+			}
+		}
+	}
+}
+
+func spmmTransitionPushOverlay(g *graph.Overlay, x, dst []float64, w int) {
+	n := g.N()
+	clear(dst[:n*w])
+	if w == 1 {
+		// The lone-fallback shape, without the per-edge row slicing.
+		for u, xv := range x[:n] {
+			if xv == 0 {
+				continue
+			}
+			nbrs := g.OutNeighbors(graph.NodeID(u))
+			ws := g.OutWeightsOf(graph.NodeID(u))
+			inv := g.InvTotalOutWeight(graph.NodeID(u))
+			if ws == nil {
+				for _, v := range nbrs {
+					dst[v] += xv * inv
+				}
+			} else {
+				for i, v := range nbrs {
+					dst[v] += ws[i] * (xv * inv)
+				}
+			}
+		}
+		return
+	}
+	for u := 0; u < n; u++ {
+		xr := x[u*w : u*w+w]
+		if allZero(xr) {
+			continue
+		}
+		nbrs := g.OutNeighbors(graph.NodeID(u))
+		ws := g.OutWeightsOf(graph.NodeID(u))
+		inv := g.InvTotalOutWeight(graph.NodeID(u))
+		if ws == nil {
+			for _, v := range nbrs {
+				row := dst[int(v)*w : int(v)*w+w]
+				for j, xv := range xr {
+					row[j] += xv * inv
+				}
+			}
+		} else {
+			for i, v := range nbrs {
+				wi := ws[i]
+				row := dst[int(v)*w : int(v)*w+w]
+				for j, xv := range xr {
+					row[j] += wi * (xv * inv)
+				}
+			}
+		}
+	}
+}
+
+func allZero(xs []float64) bool {
+	for _, v := range xs {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // spmmTransitionRange dispatches to the devirtualized loop for the two
-// in-tree view types (mirroring MulTransitionRange).
+// in-tree view types (mirroring MulTransitionRange): the push kernel when
+// the call covers every row, the gather kernel for a row shard.
 func spmmTransitionRange[G graph.View](g G, x, dst []float64, w, lo, hi int) {
+	whole := lo == 0 && hi == g.N()
 	switch cg := any(g).(type) {
 	case *graph.Graph:
-		spmmTransitionRangeCSR(cg, x, dst, w, lo, hi)
+		if whole {
+			spmmTransitionPushCSR(cg, x, dst, w)
+		} else {
+			spmmTransitionRangeCSR(cg, x, dst, w, lo, hi)
+		}
 	case *graph.Overlay:
-		spmmTransitionRangeOverlay(cg, x, dst, w, lo, hi)
+		if whole {
+			spmmTransitionPushOverlay(cg, x, dst, w)
+		} else {
+			spmmTransitionRangeOverlay(cg, x, dst, w, lo, hi)
+		}
 	default:
 		spmmTransitionRangeGeneric(g, x, dst, w, lo, hi)
 	}
@@ -127,10 +266,11 @@ func spmmTransitionRange[G graph.View](g G, x, dst []float64, w, lo, hi int) {
 // retired Result is bit-identical to ProximityVectorParallel(g,
 // origins[i], p, workers) — vector, residual and iteration count — at any
 // batch width and worker count, and converged columns leave the slab
-// without stalling the survivors. Validation failures return an error
-// before any retire call.
-func ProximityVectorBatchFunc[G graph.View](g G, origins []graph.NodeID, p Params, workers int, retire func(i int, res Result, err error)) error {
-	return spmmBatch(g, origins, p, workers, spmmTransitionRange[G], retire)
+// without stalling the survivors. A non-nil probe may stop columns early
+// (see ColumnProbe); those get no retire call. Validation failures return
+// an error before any probe or retire call.
+func ProximityVectorBatchFunc[G graph.View](g G, origins []graph.NodeID, p Params, workers int, probe ColumnProbe, retire func(i int, res Result, err error)) error {
+	return spmmBatch(g, origins, p, workers, spmmTransitionRange[G], probe, retire)
 }
 
 // ProximityVectorBatch is the collect-everything form of
@@ -141,7 +281,7 @@ func ProximityVectorBatchFunc[G graph.View](g G, origins []graph.NodeID, p Param
 func ProximityVectorBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int) ([]Result, error) {
 	results := make([]Result, len(origins))
 	var colErr error
-	if err := ProximityVectorBatchFunc(g, origins, p, workers, func(i int, res Result, err error) {
+	if err := ProximityVectorBatchFunc(g, origins, p, workers, nil, func(i int, res Result, err error) {
 		results[i] = res
 		if err != nil && colErr == nil {
 			colErr = err

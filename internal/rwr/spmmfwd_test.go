@@ -59,8 +59,10 @@ func TestProximityVectorBatchBitIdentical(t *testing.T) {
 
 // TestProximityVectorBatchMatchesSolverTolerance: the batched forward
 // vectors agree with the sequential scatter-form ProximityVector to within
-// the solver tolerance (the gather and scatter forms associate additions
-// differently — see MulTransitionRange).
+// the solver tolerance. (On these source-ordered views the iterates are in
+// fact bit-identical — see MulTransitionRange; the tolerance covers the one
+// real difference, a residual summed flat instead of in blocks, which may
+// stop one of the two solvers an iteration later.)
 func TestProximityVectorBatchMatchesSolverTolerance(t *testing.T) {
 	for name, g := range spmmTestViews(t) {
 		t.Run(name, func(t *testing.T) {

@@ -103,19 +103,7 @@ func (s *Server) runGroup(g *spmmGroup) {
 	entries := g.entries
 	if len(entries) == 1 {
 		e := entries[0]
-		var tr queryTrace
-		e.body, e.err = s.computeScalar(g.snap, e.q, e.k, &tr)
-		e.stats.PMPNIters = tr.pmpnIters
-		for name, d := range tr.phases {
-			switch name {
-			case "pmpn":
-				e.stats.PMPNElapsed = d
-			case "decide":
-				e.stats.DecideElapsed = d
-			case "fallback":
-				e.stats.FallbackElapsed = d
-			}
-		}
+		e.body, e.stats, e.err = s.computeScalar(g.snap, e.q, e.k)
 		close(e.done)
 		return
 	}

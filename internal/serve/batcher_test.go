@@ -95,8 +95,23 @@ func TestBatchedEarlyReleaseUnderStarvation(t *testing.T) {
 
 	slowDone := make(chan result, 1)
 	fastDone := make(chan result, 1)
-	go query(slowQ, slowDone)
+	// Both queries end in an exact fallback, and QueryMulti delivers such
+	// parked members one after the other in group order, so the gate on the
+	// slow one also holds back whoever comes after it. The fast query
+	// therefore joins the group first; the slow one then fires it.
 	go query(fastQ, fastDone)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.batcher.mu.Lock()
+		open := len(s.batcher.groups)
+		s.batcher.mu.Unlock()
+		if open == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("fast query never joined an SpMM group")
+		}
+	}
+	go query(slowQ, slowDone)
 
 	// The fast member of the group returns while the slow one is gated.
 	select {

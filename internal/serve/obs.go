@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -48,6 +49,12 @@ var phaseBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// fallbackIterBuckets resolve rtk_fallback_iterations: a fallback that runs
+// to convergence takes at most about as many iterations as the PMPN (≈140
+// at the default α and ε; ≈44 on the benchmark's web fixture), one the
+// error band stops early a fraction of that.
+var fallbackIterBuckets = []float64{5, 10, 20, 30, 40, 50, 60, 80, 100, 120, 140, 160, 200, 300, 500, 1000}
+
 // metrics is the Server's instrument set, all registered on one Registry.
 type metrics struct {
 	served   *obs.CounterVec // rtk_queries_served_total{mode}
@@ -72,6 +79,8 @@ type metrics struct {
 
 	queryDur *obs.HistogramVec // rtk_query_duration_seconds{mode}
 	phaseDur *obs.HistogramVec // rtk_query_phase_seconds{phase}
+	fbIters  *obs.Histogram    // rtk_fallback_iterations
+	fbEarly  *obs.Counter      // rtk_fallback_early_stops_total
 	maintDur *obs.Histogram
 	walDur   *obs.Histogram
 	walBytes *obs.Counter
@@ -105,6 +114,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 		queryDur: reg.NewHistogramVec("rtk_query_duration_seconds", "End-to-end query latency, by mode.", nil, "mode"),
 		phaseDur: reg.NewHistogramVec("rtk_query_phase_seconds", "Per-query phase wall clock: pmpn, decide, fallback, mc.", phaseBuckets, "phase"),
+		fbIters:  reg.NewHistogram("rtk_fallback_iterations", "Forward power-method iterations per exact fallback (mean over one computed query's fallbacks).", fallbackIterBuckets),
+		fbEarly:  reg.NewCounter("rtk_fallback_early_stops_total", "Exact fallbacks decided before their forward iteration converged."),
 		maintDur: reg.NewHistogram("rtk_maint_duration_seconds", "Maintenance batch wall clock (apply + refresh + publish).", nil),
 		walDur:   reg.NewHistogram("rtk_wal_append_seconds", "WAL record write+fsync wall clock.", phaseBuckets),
 		walBytes: reg.NewCounter("rtk_wal_appended_bytes_total", "Bytes appended to the write-ahead journal."),
@@ -204,6 +215,17 @@ type queryTrace struct {
 	phases    map[string]time.Duration
 	pmpnIters int
 	rounds    int
+	// Exact fallbacks of the computation: how many, their forward
+	// iterations in total, and how many stopped before convergence.
+	fallbacks, fallbackIters, fallbackEarlyStops int
+}
+
+// setExact installs the record of an exact computation.
+func (t *queryTrace) setExact(st core.QueryStats) {
+	t.computed = true
+	t.pmpnIters = st.PMPNIters
+	t.setPhases(st.Phases())
+	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
 }
 
 // setPhases installs a non-empty phase map.
@@ -213,14 +235,19 @@ func (t *queryTrace) setPhases(p map[string]time.Duration) {
 	}
 }
 
-// observeQuery records one answered query's latency, phases, structured
-// log line and slow-log entry. code is the HTTP status actually sent.
+// observeQuery records one answered query's latency, phases, fallback
+// record, structured log line and slow-log entry. code is the HTTP status
+// actually sent.
 func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStatus CacheStatus, code int, elapsed time.Duration, tr *queryTrace) {
 	s.m.queryDur.With(mode).Observe(elapsed.Seconds())
 	phasesMS := make(map[string]float64, len(tr.phases))
 	for name, d := range tr.phases {
 		s.m.phaseDur.With(name).Observe(d.Seconds())
 		phasesMS[name] = float64(d) / float64(time.Millisecond)
+	}
+	if tr.fallbacks > 0 {
+		s.m.fbIters.Observe(float64(tr.fallbackIters) / float64(tr.fallbacks))
+		s.m.fbEarly.Add(uint64(tr.fallbackEarlyStops))
 	}
 	if s.logger != nil {
 		s.logger.Info("query",
@@ -234,6 +261,9 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 			"duration_ms", float64(elapsed)/float64(time.Millisecond),
 			"pmpn_iters", tr.pmpnIters,
 			"rounds", tr.rounds,
+			"fallbacks", tr.fallbacks,
+			"fallback_iters", tr.fallbackIters,
+			"fallback_early_stops", tr.fallbackEarlyStops,
 		)
 	}
 	if len(phasesMS) == 0 {
@@ -243,9 +273,10 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		Time:      time.Now(),
 		RequestID: id,
 		Route:     "reverse-topk",
-		Detail:    fmt.Sprintf("q=%d k=%d mode=%s cache=%s", q, k, mode, cacheStatus),
-		PhasesMS:  phasesMS,
-		Duration:  elapsed,
+		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
+			q, k, mode, cacheStatus, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
+		PhasesMS: phasesMS,
+		Duration: elapsed,
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/lbindex"
 	"repro/internal/obs"
@@ -507,6 +508,68 @@ func TestSlowLogEndpoint(t *testing.T) {
 	}
 	if resp, _ := get(t, ts.URL+"/debug/slowlog?threshold=bogus"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed threshold returned %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFallbackObservability: a query that ends in exact fallbacks reports
+// them where the phases are reported — the rtk_fallback_* families, the
+// request log line and the slow-log detail — with the counts the engine's
+// own QueryStats give for the same query, so a slow query says from its log
+// line alone whether its fallbacks ran to convergence.
+func TestFallbackObservability(t *testing.T) {
+	g := testGraph(t, 92, 60)
+	idx := testIndex(t, g, 4)
+	view, err := core.NewView(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := view.Query(1, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.ExactFallbacks == 0 || want.FallbackIters == 0 {
+		t.Fatalf("q=1 k=3 no longer falls back (%+v); pick another query", want)
+	}
+
+	logs, logger := newTestLogger()
+	_, ts := newTestServer(t, g, idx, Config{SlowLogThreshold: -1, Logger: logger})
+	if resp, body := get(t, ts.URL+"/v1/reverse-topk?q=1&k=3"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+
+	fams := scrapeMetrics(t, ts.URL)
+	if v, ok := obs.SampleValue(fams, "rtk_fallback_iterations_count", nil); !ok || v != 1 {
+		t.Errorf("rtk_fallback_iterations_count = %v (ok=%v), want 1", v, ok)
+	}
+	mean := float64(want.FallbackIters) / float64(want.ExactFallbacks)
+	if v, ok := obs.SampleValue(fams, "rtk_fallback_iterations_sum", nil); !ok || v != mean {
+		t.Errorf("rtk_fallback_iterations_sum = %v (ok=%v), want %v", v, ok, mean)
+	}
+	if v, ok := obs.SampleValue(fams, "rtk_fallback_early_stops_total", nil); !ok || v != float64(want.FallbackEarlyStops) {
+		t.Errorf("rtk_fallback_early_stops_total = %v (ok=%v), want %d", v, ok, want.FallbackEarlyStops)
+	}
+
+	var line map[string]any
+	for _, l := range logs.lines(t) {
+		if l["msg"] == "query" {
+			line = l
+		}
+	}
+	for field, n := range map[string]int{
+		"fallbacks":            want.ExactFallbacks,
+		"fallback_iters":       want.FallbackIters,
+		"fallback_early_stops": want.FallbackEarlyStops,
+	} {
+		if got, ok := line[field].(float64); !ok || got != float64(n) {
+			t.Errorf("log line %s = %v, want %d (line %v)", field, line[field], n, line)
+		}
+	}
+
+	_, body := get(t, ts.URL+"/debug/slowlog")
+	detail := fmt.Sprintf("fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
+		want.ExactFallbacks, want.FallbackIters, want.FallbackEarlyStops)
+	if !strings.Contains(string(body), detail) {
+		t.Errorf("slow-log entry lacks %q: %s", detail, body)
 	}
 }
 

@@ -503,43 +503,39 @@ func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) 
 		<-e.done
 		// The deliver callback filled e.stats before closing done, so the
 		// channel receive orders this read after that write.
-		tr.computed = true
-		tr.pmpnIters = e.stats.PMPNIters
-		tr.setPhases(e.stats.Phases())
+		tr.setExact(e.stats)
 		return e.body, e.err
 	}
-	return s.computeScalar(snap, q, k, tr)
+	body, stats, err := s.computeScalar(snap, q, k)
+	tr.setExact(stats)
+	return body, err
 }
 
 // computeScalar is the unbatched computation: one engine query with this
 // computation's dealt share of the worker budget, mirroring
 // core.QueryBatch — a lone query gets the whole budget, a busy server runs
 // sequential engines.
-func (s *Server) computeScalar(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) ([]byte, error) {
+func (s *Server) computeScalar(snap *Snapshot, q graph.NodeID, k int) ([]byte, core.QueryStats, error) {
 	workers := s.budget / int(max(s.active.Load(), 1))
 	if workers < 1 {
 		workers = 1
 	}
 	results, stats, err := snap.View.Query(q, k, workers)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	if results == nil {
 		results = []graph.NodeID{}
 	}
 	s.m.computed.With("exact").Inc()
-	if tr != nil {
-		tr.computed = true
-		tr.pmpnIters = stats.PMPNIters
-		tr.setPhases(stats.Phases())
-	}
-	return json.Marshal(QueryResponse{
+	body, err := json.Marshal(QueryResponse{
 		Query:   q,
 		K:       k,
 		Epoch:   snap.Epoch,
 		Count:   len(results),
 		Results: results,
 	})
+	return body, stats, err
 }
 
 // computeApprox is the anytime tier's computation: admission-controlled

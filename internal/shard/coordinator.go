@@ -354,7 +354,7 @@ func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, 
 			go func(i int, v *core.View) {
 				defer wg.Done()
 				o := &outs[i]
-				o.res, o.stats, o.err = v.DecideList(pq, k, screens[i].Survivors(), decideWorkers)
+				o.res, o.stats, o.err = v.DecideList(q, pq, k, screens[i].Survivors(), decideWorkers)
 			}(i, v)
 		}
 		wg.Wait()
