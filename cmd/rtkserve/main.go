@@ -8,17 +8,12 @@
 //	rtkserve -graph web.txt -index web.idx -addr :7471
 //	rtkserve -graph web.txt -index web.idx -mmap=off         # portable heap load
 //	rtkserve -graph web.txt -K 50 -B 20 -addr 127.0.0.1:0   # build the index at startup
-//	rtkserve -graph web.txt -index web.idx -spmm-batch 32    # wider SpMM query batching
 //
-// Concurrent queries that miss the cache coalesce into SpMM proximity
-// groups (up to -spmm-batch wide, after waiting at most -spmm-window for
-// companions): the group's proximity columns advance in one slab, sharing
-// every CSR traversal, and each query still returns — and frees its
-// admission slot — the moment its own column is decided. Answers are
-// bit-identical to unbatched ones. An index built with rtkindex -relabel
-// is served transparently: the daemon permutes the loaded graph to the
-// index's stored cache-aware layout and translates identifiers at the API
-// boundary.
+// A query that misses the cache is computed at once on its request's
+// goroutine, with its share of the -workers budget (a lone query gets all
+// of it). An index built with rtkindex -relabel is served transparently:
+// the daemon permutes the loaded graph to the index's stored cache-aware
+// layout and translates identifiers at the API boundary.
 //
 // Format-v2 index files are served zero-copy from an mmap'd image by
 // default, making daemon cold start a matter of mapping and checksum
@@ -142,8 +137,6 @@ func main() {
 		mmapMode     = flag.String("mmap", "on", "serve a v2 index zero-copy from the mapped file: on|off (off = portable heap load)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent engine computations (0 = 4×GOMAXPROCS)")
 		workers      = flag.Int("workers", 0, "total intra-query worker budget (0 = GOMAXPROCS)")
-		spmmBatch    = flag.Int("spmm-batch", 0, "max concurrent queries coalesced into one SpMM proximity group (0 = default 16; 1 or negative disables batching)")
-		spmmWindow   = flag.Duration("spmm-window", 0, "how long an under-filled SpMM group waits for companions before firing (0 = default 1ms)")
 		drain        = flag.Duration("drain", 15*time.Second, "graceful drain timeout on SIGTERM")
 		compactAfter = flag.Int("compact-after", 0, "overlay delta edges before background compaction (0 = max(4096, M/8), negative disables)")
 
@@ -244,8 +237,6 @@ func main() {
 		MaxInflight:      *maxInflight,
 		WorkerBudget:     *workers,
 		CompactAfter:     *compactAfter,
-		SpMMBatch:        *spmmBatch,
-		SpMMWindow:       *spmmWindow,
 		Logger:           logger,
 		SlowLogCapacity:  *slowCapacity,
 		SlowLogThreshold: *slowThreshold,

@@ -7,9 +7,12 @@
 // for the package architecture, the concurrency model (engine-per-goroutine
 // batching composed with intra-query worker sharding), the serving daemon
 // (cmd/rtkserve: snapshot epochs, byte-accounted result caching, admission
-// control), the persistence layer (checksummed index format v2 served
-// zero-copy via mmap for millisecond cold starts; v1 files migrate with
-// rtkindex -rewrite), the evolving-graph pipeline (graph.Overlay deltas
+// control; a cache miss is computed at once on its request's goroutine, and
+// its PMPN sweeps only the rows of q's backward ball while that ball is
+// small — README.md, "Batched serving & cache-aware layout"), the
+// persistence layer (checksummed index format v2 served zero-copy via mmap
+// for millisecond cold starts; v1 files migrate with rtkindex -rewrite), the
+// evolving-graph pipeline (graph.Overlay deltas
 // behind the graph.View interface, an asynchronous journaled edit queue
 // with watermarks, blast-radius-only index refreshes and background
 // compaction), the sharding layer (internal/partition deterministic

@@ -64,6 +64,20 @@ const spmmChunkWidth = 16
 //
 // practical toggles the paper-literal decision mode on every worker engine.
 func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, workers int, update, practical bool) ([]BatchResult, error) {
+	return queryBatch(g, idx, queries, k, workers, func() (*Engine, error) {
+		eng, err := NewEngine(g, idx, update)
+		if err != nil {
+			return nil, err
+		}
+		eng.SetPracticalDecisions(practical)
+		return eng, nil
+	})
+}
+
+// queryBatch is QueryBatch over engines from newEngine, which must all share
+// g and idx; tests pass one that starves the refinement budget so that the
+// deferred-fallback path is the one that runs.
+func queryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, workers int, newEngine func() (*Engine, error)) ([]BatchResult, error) {
 	if k <= 0 || k > idx.K() {
 		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, idx.K())
 	}
@@ -87,11 +101,10 @@ func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 	// jobs channel without receivers and deadlock the send loop.
 	engines := make([]*Engine, inter)
 	for w := range engines {
-		eng, err := NewEngine(g, idx, update)
+		eng, err := newEngine()
 		if err != nil {
 			return nil, err
 		}
-		eng.SetPracticalDecisions(practical)
 		engineIntra := intra
 		if w < extra {
 			engineIntra++
@@ -159,6 +172,7 @@ func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 				start := time.Now()
 				st.partial, st.pend, st.err = eng.decideSetDeferred(jb.q, jb.vec, k, idx.OwnedNodes(), &st.stats)
 				st.stats.PMPNIters = jb.iters
+				st.stats.PMPNSupport = support(jb.vec)
 				st.stats.PMPNElapsed = jb.pmElapsed
 				st.stats.Elapsed = jb.pmElapsed + time.Since(start)
 			}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/rwr"
 	"repro/internal/workload"
 )
 
@@ -77,6 +79,84 @@ func TestQueryBatchValidation(t *testing.T) {
 	}
 	if _, err := QueryBatch(bigger, idx, []graph.NodeID{0}, 2, 2, false, false); err == nil {
 		t.Error("want engine-construction error for mismatched graph/index")
+	}
+}
+
+// starvedEngines is a queryBatch engine source whose no-update engines give
+// up bound refinement after one step, so that most candidates stall and the
+// batch-wide deferred resolution is the path that decides them.
+func starvedEngines(g graph.View, idx *lbindex.Index) func() (*Engine, error) {
+	return func() (*Engine, error) {
+		e, err := NewEngine(g, idx, false)
+		if err == nil {
+			e.SetMaxRefineSteps(1)
+		}
+		return e, err
+	}
+}
+
+// TestQueryBatchDeferredFallbacks: when candidates exhaust their refinement
+// budget mid-batch, QueryBatch parks them and resolves the whole batch's
+// stalls in deduplicated shared slabs. The answers must equal a scalar
+// engine under the same budget and the brute-force oracle, the fallback path
+// must actually fire, and the shared resolution wall clock must be charged
+// to the parked queries' stats.
+func TestQueryBatchDeferredFallbacks(t *testing.T) {
+	p := rwr.DefaultParams()
+	g := randomGraph(11, 150, false)
+	idx := buildIndex(t, g, 10, 2)
+	newEngine := starvedEngines(g, idx)
+	scalar, err := newEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	qs := make([]graph.NodeID, 6)
+	for i := range qs {
+		qs[i] = graph.NodeID(rng.Intn(g.N()))
+	}
+	for _, k := range []int{5, 10} {
+		for _, workers := range []int{1, 4} {
+			results, err := queryBatch(g, idx, qs, k, workers, newEngine)
+			if err != nil {
+				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
+			}
+			fallbacks, charged := 0, 0
+			for i, r := range results {
+				if r.Err != nil {
+					t.Fatalf("k=%d workers=%d q=%d: %v", k, workers, qs[i], r.Err)
+				}
+				fallbacks += r.Stats.ExactFallbacks
+				if r.Stats.ExactFallbacks > 0 && r.Stats.FallbackElapsed > 0 {
+					charged++
+				}
+				want, err := BruteForce(g, qs[i], k, p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(r.Answer, want) {
+					t.Errorf("k=%d workers=%d q=%d: batched %v, brute force %v", k, workers, qs[i], r.Answer, want)
+				}
+				alone, astats, err := scalar.Query(qs[i], k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(r.Answer, alone) {
+					t.Errorf("k=%d workers=%d q=%d: batched %v, scalar engine %v", k, workers, qs[i], r.Answer, alone)
+				}
+				if r.Stats.PMPNIters != astats.PMPNIters || r.Stats.PMPNSupport != astats.PMPNSupport {
+					t.Errorf("k=%d workers=%d q=%d: batched PMPN %d iterations over %d rows, scalar %d over %d",
+						k, workers, qs[i], r.Stats.PMPNIters, r.Stats.PMPNSupport, astats.PMPNIters, astats.PMPNSupport)
+				}
+			}
+			if fallbacks == 0 {
+				t.Fatalf("k=%d workers=%d: no fallbacks fired; the deferred path went untested", k, workers)
+			}
+			if charged == 0 {
+				t.Errorf("k=%d workers=%d: no parked query was charged FallbackElapsed", k, workers)
+			}
+		}
 	}
 }
 

@@ -63,6 +63,11 @@ type QueryStats struct {
 	// PMPNIters is the iteration count of the exact proximity-to-query
 	// computation (Algorithm 2).
 	PMPNIters int
+	// PMPNSupport is the number of non-zero entries of that vector: the
+	// nodes with any walk to q at all. Next to PMPNIters it tells a
+	// 40-iteration whole-graph solve from a 4-iteration one over q's
+	// three-node backward ball.
+	PMPNSupport int
 	// Candidates counts nodes that survived the initial lower-bound
 	// screen (they entered Algorithm 4's while loop).
 	Candidates int
@@ -265,6 +270,7 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 	}
 	pq := pmpn.Vector // pq[u] = p_u(q)
 	stats.PMPNIters = pmpn.Iterations
+	stats.PMPNSupport = support(pq)
 	stats.PMPNElapsed = time.Since(start)
 
 	// Step 2: screen every materialized node — all of them on a full
@@ -281,6 +287,18 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 	stats.Elapsed = time.Since(start)
 	sort.Slice(results, func(i, j int) bool { return results[i] < results[j] })
 	return results, stats, nil
+}
+
+// support counts the non-zero entries of a proximity vector
+// (QueryStats.PMPNSupport).
+func support(pq []float64) int {
+	n := 0
+	for _, p := range pq {
+		if p != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // DecideList is the shard-local candidate decision entry point: given the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -206,32 +205,26 @@ func twinGraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
-// TestQueryMultiSharedColumnKeepsIterating: two queries of one batch stall
+// TestQueryBatchSharedColumnKeepsIterating: two queries of one batch stall
 // on the same node, so they share its fallback column, and only one of them
 // can be decided early — the other asks about a twin whose proximity ties
 // its sibling's at ranks k and k+1 at every iteration, which no band wider
 // than tieTol separates. The column must keep iterating for the undecided
 // asker: every column's iteration count in the batch is the largest any of
 // its askers needs alone, and both answers equal brute force.
-func TestQueryMultiSharedColumnKeepsIterating(t *testing.T) {
+func TestQueryBatchSharedColumnKeepsIterating(t *testing.T) {
 	const k = 6
 	g := twinGraph(11, 150)
 	twin, other, shared := graph.NodeID(150), graph.NodeID(40), graph.NodeID(17)
 	idx := buildIndex(t, g, 10, 2)
-	v, err := NewView(g, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newEngine := func() *Engine {
-		e, _ := NewEngine(g, idx, false)
-		e.SetMaxRefineSteps(1)
-		return e
-	}
-	v.engines = sync.Pool{New: func() any { return newEngine() }}
+	newEngine := starvedEngines(g, idx)
 
 	// Each query's fallbacks, each resolved alone.
 	p := rwr.DefaultParams()
-	eng := newEngine()
+	eng, err := newEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
 	qs := []graph.NodeID{other, twin}
 	alone := make([]map[graph.NodeID]fallbackOutcome, len(qs))
 	for i, q := range qs {
@@ -269,31 +262,24 @@ func TestQueryMultiSharedColumnKeepsIterating(t *testing.T) {
 			want[i].countFallback(o)
 		}
 	}
-	var mu sync.Mutex
-	got := make([]QueryStats, len(qs))
-	answers := make([][]graph.NodeID, len(qs))
-	err = v.QueryMulti(qs, []int{k, k}, 1, func(i int, answer []graph.NodeID, stats QueryStats, qerr error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if qerr != nil {
-			t.Errorf("q=%d: %v", qs[i], qerr)
-		}
-		got[i], answers[i] = stats, answer
-	})
+	got, err := queryBatch(g, idx, qs, k, 1, newEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		if got[i].FallbackIters != want[i].FallbackIters || got[i].FallbackEarlyStops != want[i].FallbackEarlyStops {
+		if got[i].Err != nil {
+			t.Fatalf("q=%d: %v", q, got[i].Err)
+		}
+		if st := got[i].Stats; st.FallbackIters != want[i].FallbackIters || st.FallbackEarlyStops != want[i].FallbackEarlyStops {
 			t.Errorf("q=%d: %d forward iterations and %d early stops in the batch, want %d and %d",
-				q, got[i].FallbackIters, got[i].FallbackEarlyStops, want[i].FallbackIters, want[i].FallbackEarlyStops)
+				q, st.FallbackIters, st.FallbackEarlyStops, want[i].FallbackIters, want[i].FallbackEarlyStops)
 		}
 		bf, err := BruteForce(g, q, k, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(answers[i], bf) {
-			t.Errorf("q=%d: batched %v, brute force %v", q, answers[i], bf)
+		if !reflect.DeepEqual(got[i].Answer, bf) {
+			t.Errorf("q=%d: batched %v, brute force %v", q, got[i].Answer, bf)
 		}
 	}
 }

@@ -117,6 +117,7 @@ func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanatio
 		return nil, err
 	}
 	stats.PMPNIters = pmpn.Iterations
+	stats.PMPNSupport = support(pmpn.Vector)
 
 	ex := &Explanation{Query: q, K: k}
 	ws := e.wsPool.Get()

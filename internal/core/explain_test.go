@@ -27,12 +27,24 @@ func TestExplainMatchesQuery(t *testing.T) {
 				fromExplain = append(fromExplain, d.Node)
 			}
 		}
-		want, _, err := eng.Query(q, 2)
+		want, stats, err := eng.Query(q, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fromExplain, want) {
 			t.Errorf("q=%d: explain answers %v, query answers %v", q, fromExplain, want)
+		}
+		// Both drivers report the support of p_·(q): the decisions with any
+		// proximity to q at all.
+		reach := 0
+		for _, d := range ex.Decisions {
+			if d.Proximity != 0 {
+				reach++
+			}
+		}
+		if stats.PMPNSupport != reach || ex.Stats.PMPNSupport != reach {
+			t.Errorf("q=%d: PMPNSupport %d from Query, %d from Explain, %d nodes reach q",
+				q, stats.PMPNSupport, ex.Stats.PMPNSupport, reach)
 		}
 		// With includePruned, every node gets a decision.
 		if len(ex.Decisions) != g.N() {

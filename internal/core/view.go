@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/lbindex"
-	"repro/internal/rwr"
 )
 
 // View is a read-only, concurrency-safe query façade over one immutable
@@ -88,151 +85,6 @@ func (v *View) Explain(q graph.NodeID, k int, includePruned bool, workers int) (
 		sort.Slice(ex.Decisions, func(i, j int) bool { return ex.Decisions[i].Node < ex.Decisions[j].Node })
 	}
 	return ex, nil
-}
-
-// QueryMulti answers a batch of reverse top-k queries through the SpMM tier
-// (rwr.ProximityToBatchFunc): all proximity columns advance in one slab,
-// amortizing the matrix traffic across the batch, and each query's decision
-// step runs on a pooled engine as soon as its column converges — a query
-// that converges early delivers early, never waiting for the batch's
-// stragglers. Candidates whose refinement budget stalls are NOT resolved
-// per query: they are parked past the sweep and resolved once for the whole
-// batch, deduplicated across queries — a deferred candidate's forward
-// iteration depends only on the candidate, so B queries stalling on
-// overlapping hub-adjacent candidates pay for each forward solve once
-// (Engine.resolveExact), each decided against its own p_u(q). Only queries
-// that actually deferred wait for this phase; their deliveries carry the
-// shared resolution wall clock in QueryStats.FallbackElapsed (charged in
-// full to each, like QueryBatch).
-//
-// deliver(i, answer, stats, err) is invoked exactly once per query,
-// possibly concurrently from multiple goroutines; QueryMulti returns after
-// every delivery has completed. Each answer is identical to
-// Query(qs[i], ks[i], workers) — the batched proximity vector is
-// bit-identical to the scalar one, each bound decision depends only on it,
-// and the deduplicated exact solves are bit-identical to the per-query
-// ones.
-//
-// Validation covers the whole batch up front: on a non-nil error from a
-// malformed input, deliver has not been called at all.
-func (v *View) QueryMulti(qs []graph.NodeID, ks []int, workers int, deliver func(i int, answer []graph.NodeID, stats QueryStats, err error)) error {
-	if len(qs) != len(ks) {
-		return fmt.Errorf("core: %d queries but %d k values", len(qs), len(ks))
-	}
-	n := v.g.N()
-	for i, q := range qs {
-		if int(q) < 0 || int(q) >= n {
-			return fmt.Errorf("core: query node %d out of range [0,%d)", q, n)
-		}
-		if ks[i] <= 0 || ks[i] > v.idx.K() {
-			return fmt.Errorf("core: k=%d outside [1,%d] supported by the index", ks[i], v.idx.K())
-		}
-	}
-	internal := make([]graph.NodeID, len(qs))
-	for i, q := range qs {
-		internal[i] = v.idx.ToInternal(q)
-	}
-	// swept is one query's decision-sweep outcome. Goroutines write disjoint
-	// entries; parked entries are only read after wg.Wait.
-	type swept struct {
-		partial []graph.NodeID
-		pend    []pendingFallback
-		stats   QueryStats
-		parked  bool
-	}
-	state := make([]swept, len(qs))
-	start := time.Now()
-	var wg sync.WaitGroup
-	err := rwr.ProximityToBatchFunc(v.g, internal, v.idx.Options().RWR, workers, func(i int, res rwr.Result, rerr error) {
-		pmElapsed := time.Since(start)
-		if rerr != nil {
-			deliver(i, nil, QueryStats{
-				Query: qs[i], K: ks[i],
-				PMPNIters: res.Iterations, PMPNElapsed: pmElapsed, Elapsed: pmElapsed,
-			}, rerr)
-			return
-		}
-		// Decide off the coordinating goroutine so the surviving columns keep
-		// iterating while this query's candidates are screened.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := v.engines.Get().(*Engine)
-			defer v.engines.Put(e)
-			e.SetWorkers(workers)
-			st := &state[i]
-			st.stats = QueryStats{Query: qs[i], K: ks[i], PMPNIters: res.Iterations, PMPNElapsed: pmElapsed}
-			var derr error
-			st.partial, st.pend, derr = e.decideSetDeferred(internal[i], res.Vector, ks[i], v.idx.OwnedNodes(), &st.stats)
-			if derr == nil && len(st.pend) > 0 {
-				// Park for the deduplicated batch-wide resolution below.
-				st.parked = true
-				return
-			}
-			sort.Slice(st.partial, func(a, b int) bool { return st.partial[a] < st.partial[b] })
-			st.stats.Results = len(st.partial)
-			st.stats.Elapsed = time.Since(start)
-			deliver(i, externalAnswer(v.idx, st.partial), st.stats, derr)
-		}()
-	})
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	// Batch-wide fallback resolution. The exact threshold pkmax(u) depends
-	// on k, so parked queries are resolved in groups by their k — the common
-	// uniform-k batch resolves in a single group. Groups run in ascending-k
-	// order for determinism.
-	byK := map[int][]int{}
-	for i := range state {
-		if state[i].parked {
-			byK[ks[i]] = append(byK[ks[i]], i)
-		}
-	}
-	groupKs := make([]int, 0, len(byK))
-	for k := range byK {
-		groupKs = append(groupKs, k)
-	}
-	sort.Ints(groupKs)
-	for _, k := range groupKs {
-		group := byK[k]
-		var all []pendingFallback
-		var owner []int // all[a] was deferred by query position owner[a]
-		for _, i := range group {
-			for _, pf := range state[i].pend {
-				all = append(all, pf)
-				owner = append(owner, i)
-			}
-		}
-		resolveStart := time.Now()
-		e := v.engines.Get().(*Engine)
-		e.SetWorkers(workers)
-		// View engines never update the index, so no commits happen and the
-		// onCommit hook is unreachable.
-		out, rerr := e.resolveExact(all, k, workers, func(int) {})
-		v.engines.Put(e)
-		resolveElapsed := time.Since(resolveStart)
-		for a, o := range out {
-			st := &state[owner[a]]
-			st.stats.countFallback(o)
-			if o.member {
-				st.partial = append(st.partial, all[a].u)
-			}
-		}
-		for _, i := range group {
-			st := &state[i]
-			st.stats.FallbackElapsed += resolveElapsed
-			st.stats.Elapsed = time.Since(start)
-			if rerr != nil {
-				deliver(i, nil, st.stats, rerr)
-				continue
-			}
-			sort.Slice(st.partial, func(a, b int) bool { return st.partial[a] < st.partial[b] })
-			st.stats.Results = len(st.partial)
-			deliver(i, externalAnswer(v.idx, st.partial), st.stats, nil)
-		}
-	}
-	return nil
 }
 
 // DecideList answers the shard-local decision step for the listed nodes

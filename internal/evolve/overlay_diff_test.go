@@ -49,18 +49,40 @@ func canonicalDump(v graph.View) string {
 	return b.String()
 }
 
-// assertInNeighborsAscending fails unless every in-neighbor list of v
-// strictly ascends by source — the order the forward push kernel's
-// bit-identity with the gather kernel rests on (rwr/spmmfwd.go).
-func assertInNeighborsAscending(t *testing.T, what string, v graph.View) {
+// assertInAdjacencyMirrorsOut fails unless the in-adjacency of v is its
+// out-adjacency transposed, listed by ascending source:
+//
+//   - every in-neighbor list strictly ascends — the order the forward push
+//     kernel's bit-identity with the gather kernel rests on (rwr/spmmfwd.go);
+//   - u ∈ InNeighbors(w) ⇔ w ∈ OutNeighbors(u), with the same weight — what
+//     lets the PMPN's ball phase find every row that can leave zero by
+//     walking InNeighbors (rwr.ProximityToParallel). Every in-entry names an
+//     existing out-edge, entries within a list are distinct, and both sides
+//     count the same number of edges, so the two are in bijection.
+func assertInAdjacencyMirrorsOut(t *testing.T, what string, v graph.View) {
 	t.Helper()
-	for u := graph.NodeID(0); int(u) < v.N(); u++ {
-		in := v.InNeighbors(u)
-		for i := 1; i < len(in); i++ {
-			if in[i-1] >= in[i] {
-				t.Fatalf("%s: in-neighbors of %d not strictly ascending: %v", what, u, in)
+	ins, outs := 0, 0
+	for w := graph.NodeID(0); int(w) < v.N(); w++ {
+		outs += len(v.OutNeighbors(w))
+		in := v.InNeighbors(w)
+		ins += len(in)
+		iws := v.InWeightsOf(w)
+		for i, u := range in {
+			if i > 0 && in[i-1] >= u {
+				t.Fatalf("%s: in-neighbors of %d not strictly ascending: %v", what, w, in)
+			}
+			weight := 1.0
+			if iws != nil {
+				weight = iws[i]
+			}
+			if got := v.EdgeWeight(u, w); got != weight {
+				t.Fatalf("%s: %d lists in-neighbor %d with weight %g, but edge %d→%d has weight %g (0 = absent)",
+					what, w, u, weight, u, w, got)
 			}
 		}
+	}
+	if ins != outs || outs != v.M() {
+		t.Fatalf("%s: %d in-entries, %d out-entries, M = %d", what, ins, outs, v.M())
 	}
 }
 
@@ -355,13 +377,13 @@ func FuzzOverlayApply(f *testing.F) {
 			if da, db := canonicalDump(rebuilt), canonicalDump(ov); da != db {
 				t.Fatalf("divergence after %+v:\n--- rebuild\n%s--- overlay\n%s", e, da, db)
 			}
-			assertInNeighborsAscending(t, "overlay", ov)
+			assertInAdjacencyMirrorsOut(t, "overlay", ov)
 		}
 		compacted, err := ov.Compact()
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertInNeighborsAscending(t, "compacted", compacted)
+		assertInAdjacencyMirrorsOut(t, "compacted", compacted)
 		if da, db := canonicalDump(rebuilt), canonicalDump(compacted); da != db {
 			t.Fatalf("compaction divergence:\n--- rebuild\n%s--- compacted\n%s", da, db)
 		}

@@ -162,7 +162,7 @@ func RunObsBench(cfg ObsBenchConfig, progress io.Writer) (*ObsBenchResult, error
 	// Both daemons serve with the cache disabled so every request runs the
 	// engine: the interesting overhead is on the compute path, and a warm
 	// cache would otherwise reduce the comparison to cache-hit dispatch.
-	base := serve.Config{CacheBytes: -1, WorkerBudget: 1, SpMMBatch: 1}
+	base := serve.Config{CacheBytes: -1, WorkerBudget: 1}
 	baseline, err := serve.New(g, idx, base)
 	if err != nil {
 		return nil, err

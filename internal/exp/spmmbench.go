@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -110,7 +109,7 @@ type SpMMBenchResult struct {
 
 // RunSpMMBench builds the bench index once (under the requested cache-aware
 // layout) and drives the same query workload through View.Query at width 1
-// and View.QueryMulti at every wider width, recording aggregate throughput.
+// and core.QueryBatch at every wider width, recording aggregate throughput.
 func RunSpMMBench(cfg SpMMBenchConfig, progress io.Writer) (*SpMMBenchResult, error) {
 	if len(cfg.Widths) == 0 || cfg.Widths[0] != 1 {
 		return nil, fmt.Errorf("exp: spmm widths must start with the scalar baseline 1, got %v", cfg.Widths)
@@ -215,7 +214,7 @@ func RunSpMMBench(cfg SpMMBenchConfig, progress io.Writer) (*SpMMBenchResult, er
 }
 
 // runSpMMWidth pushes the workload through the view at one batch width:
-// sequential scalar queries at width 1, back-to-back QueryMulti slabs
+// sequential scalar queries at width 1, back-to-back core.QueryBatch slabs
 // otherwise — always with a single worker, so widths compare batching
 // alone. A non-nil row accumulates iteration counts and oracle agreement.
 func runSpMMWidth(v *core.View, queries []graph.NodeID, k, w int, oracle map[int][]graph.NodeID, row *SpMMBenchRow) error {
@@ -237,39 +236,25 @@ func runSpMMWidth(v *core.View, queries []graph.NodeID, k, w int, oracle map[int
 		}
 		return nil
 	}
-	ks := make([]int, w)
-	for i := range ks {
-		ks[i] = k
-	}
 	for lo := 0; lo < len(queries); lo += w {
-		hi := min(lo+w, len(queries))
-		chunk := queries[lo:hi]
-		var (
-			mu       sync.Mutex
-			firstErr error
-		)
-		err := v.QueryMulti(chunk, ks[:len(chunk)], 1, func(i int, ans []graph.NodeID, st core.QueryStats, qerr error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if qerr != nil && firstErr == nil {
-				firstErr = qerr
-				return
+		chunk := queries[lo:min(lo+w, len(queries))]
+		results, err := core.QueryBatch(v.Graph(), v.Index(), chunk, k, 1, false, false)
+		if err != nil {
+			return err
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				return r.Err
 			}
 			if row != nil {
-				row.PMPNIters += int64(st.PMPNIters)
-				row.PMPNNS += int64(st.PMPNElapsed)
-				row.FallbackNS += int64(st.FallbackElapsed)
-				row.Fallbacks += int64(st.ExactFallbacks)
-				if want, ok := oracle[int(chunk[i])]; ok && !sameIDs(ans, want) {
+				row.PMPNIters += int64(r.Stats.PMPNIters)
+				row.PMPNNS += int64(r.Stats.PMPNElapsed)
+				row.FallbackNS += int64(r.Stats.FallbackElapsed)
+				row.Fallbacks += int64(r.Stats.ExactFallbacks)
+				if want, ok := oracle[int(r.Query)]; ok && !sameIDs(r.Answer, want) {
 					row.OracleAgree = false
 				}
 			}
-		})
-		if err == nil {
-			err = firstErr
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil

@@ -125,7 +125,7 @@ func ProximityVector[G graph.View](g G, u graph.NodeID, p Params) (Result, error
 		MulTransition(g, cur, dst)
 		vecmath.Scale(dst, 1-p.Alpha)
 		dst[u] += p.Alpha
-	}, nil)
+	})
 }
 
 // Personalized computes the personalized-PageRank vector P·v for an
@@ -155,7 +155,7 @@ func Personalized[G graph.View](g G, v []float64, p Params) (Result, error) {
 		for i := range dst {
 			dst[i] = (1-p.Alpha)*dst[i] + p.Alpha*v[i]
 		}
-	}, nil)
+	})
 }
 
 // PageRank computes the global PageRank vector pr = (1/n)·P·e (Eq. 3).
@@ -192,7 +192,7 @@ func ProximityTo[G graph.View](g G, q graph.NodeID, p Params) (Result, error) {
 		MulTransitionT(g, cur, dst)
 		vecmath.Scale(dst, 1-p.Alpha)
 		dst[q] += p.Alpha
-	}, nil)
+	})
 }
 
 // PageRankContributions decomposes node q's PageRank into the per-node
@@ -211,20 +211,13 @@ func PageRankContributions[G graph.View](g G, q graph.NodeID, p Params) (Result,
 	return res, nil
 }
 
-// iterate runs the generic fixed-point loop with L1 stopping rule shared by
-// all power-method variants. residual, called after each step, returns the
-// L1 change of that step; nil selects the plain full-vector L1Diff. The
-// parallel driver passes a block-reduced variant so that its single-segment
-// fallback matches the multi-worker runs bit for bit.
-func iterate(x, next []float64, p Params, step func(cur, dst []float64), residual func() float64) (Result, error) {
+// iterate runs the generic fixed-point loop with the full-vector L1 stopping
+// rule shared by the sequential power-method variants.
+func iterate(x, next []float64, p Params, step func(cur, dst []float64)) (Result, error) {
 	var res Result
 	for res.Iterations = 1; res.Iterations <= p.MaxIters; res.Iterations++ {
 		step(x, next)
-		if residual != nil {
-			res.Residual = residual()
-		} else {
-			res.Residual = vecmath.L1Diff(x, next)
-		}
+		res.Residual = vecmath.L1Diff(x, next)
 		x, next = next, x
 		if res.Residual < p.Eps {
 			res.Vector = x
@@ -232,5 +225,10 @@ func iterate(x, next []float64, p Params, step func(cur, dst []float64), residua
 		}
 	}
 	res.Vector = x
-	return res, fmt.Errorf("rwr: did not converge within %d iterations (residual %g)", p.MaxIters, res.Residual)
+	return res, errNotConverged(p, res.Residual)
+}
+
+// errNotConverged is the error of a power iteration that hit Params.MaxIters.
+func errNotConverged(p Params, residual float64) error {
+	return fmt.Errorf("rwr: did not converge within %d iterations (residual %g)", p.MaxIters, residual)
 }

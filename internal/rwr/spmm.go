@@ -349,7 +349,7 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 		copyColumn(vec, j)
 		retire(cols[j].idx,
 			Result{Vector: vec, Iterations: p.MaxIters + 1, Residual: colRes[j]},
-			fmt.Errorf("rwr: did not converge within %d iterations (residual %g)", p.MaxIters, colRes[j]))
+			errNotConverged(p, colRes[j]))
 	}
 	return nil
 }

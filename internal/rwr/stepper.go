@@ -93,20 +93,11 @@ func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*To
 		next:     make([]float64, n),
 		segs:     blockSegments(n, normWorkers(workers)),
 		partial:  make([]float64, (n+residualBlock-1)/residualBlock),
+		step:     pmpnStep(g, q, p),
 		tail:     1,
 		residual: math.Inf(1),
 	}
 	s.x[q] = 1
-	oneMinus := 1 - p.Alpha
-	s.step = func(cur, dst []float64, r vecmath.Range) {
-		MulTransitionTRange(g, cur, dst, r.Lo, r.Hi)
-		for i := r.Lo; i < r.Hi; i++ {
-			dst[i] *= oneMinus
-		}
-		if r.Lo <= int(q) && int(q) < r.Hi {
-			dst[q] += p.Alpha
-		}
-	}
 	return s, nil
 }
 
@@ -123,7 +114,7 @@ func (s *ToStepper) Step(iters int) (bool, error) {
 	}
 	for ; iters > 0; iters-- {
 		if s.iters >= s.p.MaxIters {
-			return false, fmt.Errorf("rwr: did not converge within %d iterations (residual %g)", s.p.MaxIters, s.residual)
+			return false, errNotConverged(s.p, s.residual)
 		}
 		s.iterateOnce()
 		s.iters++

@@ -64,8 +64,6 @@ type metrics struct {
 	failures *obs.Counter
 
 	epochSwaps    *obs.Counter
-	spmmGroups    *obs.Counter
-	spmmBatched   *obs.Counter
 	approxRounds  *obs.Counter
 	approxMCWalks *obs.Counter
 
@@ -99,8 +97,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		failures: reg.NewCounter("rtk_query_failures_total", "Queries that failed inside the engine (500)."),
 
 		epochSwaps:    reg.NewCounter("rtk_epoch_swaps_total", "Snapshot publishes (maintenance epoch bumps)."),
-		spmmGroups:    reg.NewCounter("rtk_spmm_groups_total", "SpMM groups fired at width >= 2."),
-		spmmBatched:   reg.NewCounter("rtk_spmm_batched_queries_total", "Queries served through an SpMM group."),
 		approxRounds:  reg.NewCounter("rtk_approx_rounds_total", "Anytime screen rounds across approx computations."),
 		approxMCWalks: reg.NewCounter("rtk_approx_mc_walks_total", "Monte Carlo walks spent by the anytime refinement stage."),
 
@@ -214,7 +210,11 @@ type queryTrace struct {
 	computed  bool
 	phases    map[string]time.Duration
 	pmpnIters int
-	rounds    int
+	// pmpnSupport is the non-zero count of an exact computation's proximity
+	// vector (core.QueryStats.PMPNSupport); 0 for an approx one, whose
+	// iterate is cut short.
+	pmpnSupport int
+	rounds      int
 	// Exact fallbacks of the computation: how many, their forward
 	// iterations in total, and how many stopped before convergence.
 	fallbacks, fallbackIters, fallbackEarlyStops int
@@ -223,7 +223,7 @@ type queryTrace struct {
 // setExact installs the record of an exact computation.
 func (t *queryTrace) setExact(st core.QueryStats) {
 	t.computed = true
-	t.pmpnIters = st.PMPNIters
+	t.pmpnIters, t.pmpnSupport = st.PMPNIters, st.PMPNSupport
 	t.setPhases(st.Phases())
 	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
 }
@@ -260,6 +260,7 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 			"status", code,
 			"duration_ms", float64(elapsed)/float64(time.Millisecond),
 			"pmpn_iters", tr.pmpnIters,
+			"pmpn_support", tr.pmpnSupport,
 			"rounds", tr.rounds,
 			"fallbacks", tr.fallbacks,
 			"fallback_iters", tr.fallbackIters,
@@ -273,8 +274,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		Time:      time.Now(),
 		RequestID: id,
 		Route:     "reverse-topk",
-		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
-			q, k, mode, cacheStatus, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
+		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
+			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
 		PhasesMS: phasesMS,
 		Duration: elapsed,
 	})

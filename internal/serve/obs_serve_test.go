@@ -83,12 +83,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rtk_maint_errors_total",
 		"rtk_compactions_total",
 		"rtk_checkpoint_age_seconds",
-		"rtk_spmm_groups_total",
 		"rtk_approx_rounds_total",
 		"rtk_uptime_seconds",
 	} {
 		if fams[name] == nil {
 			t.Errorf("family %s missing from exposition", name)
+		}
+	}
+	// The admission batcher's families went with it.
+	for _, name := range []string{"rtk_spmm_groups_total", "rtk_spmm_batched_queries_total"} {
+		if fams[name] != nil {
+			t.Errorf("family %s still exposed", name)
 		}
 	}
 
@@ -219,7 +224,7 @@ func TestStatsJSONShape(t *testing.T) {
 		"epoch", "nodes", "max_k", "served", "computed", "cache_hits",
 		"coalesced", "rejected", "errors", "epoch_swaps", "cache_len",
 		"cache_bytes", "cache_cap_bytes", "inflight", "worker_budget",
-		"draining", "uptime_seconds", "spmm_groups", "spmm_batched_queries",
+		"draining", "uptime_seconds",
 		"approx_computed", "approx_rounds", "approx_mc_walks",
 		"enqueued_watermark", "applied_watermark", "pending_edits",
 		"overlay_patched_nodes", "overlay_delta_edges", "overlay_generation",
@@ -229,6 +234,11 @@ func TestStatsJSONShape(t *testing.T) {
 	for _, k := range want {
 		if _, ok := got[k]; !ok {
 			t.Errorf("stats key %q missing", k)
+		}
+	}
+	for _, k := range []string{"spmm_groups", "spmm_batched_queries"} {
+		if _, ok := got[k]; ok {
+			t.Errorf("stats key %q outlived the admission batcher", k)
 		}
 	}
 	if got["served"].(float64) != 1 || got["computed"].(float64) != 1 {
@@ -530,6 +540,9 @@ func TestFallbackObservability(t *testing.T) {
 	if want.ExactFallbacks == 0 || want.FallbackIters == 0 {
 		t.Fatalf("q=1 k=3 no longer falls back (%+v); pick another query", want)
 	}
+	if want.PMPNSupport == 0 {
+		t.Fatalf("q=1 k=3 reports an empty proximity vector (%+v)", want)
+	}
 
 	logs, logger := newTestLogger()
 	_, ts := newTestServer(t, g, idx, Config{SlowLogThreshold: -1, Logger: logger})
@@ -556,6 +569,8 @@ func TestFallbackObservability(t *testing.T) {
 		}
 	}
 	for field, n := range map[string]int{
+		"pmpn_iters":           want.PMPNIters,
+		"pmpn_support":         want.PMPNSupport,
 		"fallbacks":            want.ExactFallbacks,
 		"fallback_iters":       want.FallbackIters,
 		"fallback_early_stops": want.FallbackEarlyStops,
@@ -566,8 +581,8 @@ func TestFallbackObservability(t *testing.T) {
 	}
 
 	_, body := get(t, ts.URL+"/debug/slowlog")
-	detail := fmt.Sprintf("fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
-		want.ExactFallbacks, want.FallbackIters, want.FallbackEarlyStops)
+	detail := fmt.Sprintf("pmpn_iters=%d pmpn_support=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
+		want.PMPNIters, want.PMPNSupport, want.ExactFallbacks, want.FallbackIters, want.FallbackEarlyStops)
 	if !strings.Contains(string(body), detail) {
 		t.Errorf("slow-log entry lacks %q: %s", detail, body)
 	}

@@ -43,17 +43,6 @@ type Config struct {
 	// fresh CSR after a batch. 0 selects max(4096, M/8) of the initial
 	// graph; negative disables compaction.
 	CompactAfter int
-	// SpMMBatch caps how many concurrently admitted queries coalesce into
-	// one SpMM group (their PMPN columns advance in a shared slab — see
-	// spmmBatcher). 0 selects DefaultSpMMBatch; 1 or negative disables
-	// batching and every query computes scalar.
-	SpMMBatch int
-	// SpMMWindow is how long an under-width group waits for more queries
-	// before firing anyway — the latency bound a lone query pays for the
-	// chance to share a slab. 0 selects DefaultSpMMWindow; negative fires
-	// groups immediately (batching only captures truly simultaneous
-	// arrivals).
-	SpMMWindow time.Duration
 	// Logger, when set, receives one structured line per query request
 	// (request id, mode, cache status, latency, phase counters). Nil
 	// disables request logging; metrics and the slow log still record.
@@ -70,14 +59,6 @@ type Config struct {
 // DefaultCacheBytes is the result-cache byte budget when Config.CacheBytes
 // is 0.
 const DefaultCacheBytes = 8 << 20
-
-// DefaultSpMMBatch is the SpMM group width when Config.SpMMBatch is 0 —
-// the knee of the batch-width sweep in BENCH_spmm.json.
-const DefaultSpMMBatch = 16
-
-// DefaultSpMMWindow is the group coalescing window when Config.SpMMWindow
-// is 0.
-const DefaultSpMMWindow = time.Millisecond
 
 var (
 	errSaturated = errors.New("serve: too many in-flight queries")
@@ -103,9 +84,6 @@ type Server struct {
 	cache       *Cache
 	budget      int
 	maxInflight int64
-	// batcher coalesces admitted computations into SpMM groups; nil when
-	// batching is disabled (Config.SpMMBatch ≤ 1 after defaulting).
-	batcher *spmmBatcher
 	// active counts currently running engine computations (admitted work,
 	// not raw connections).
 	active   atomic.Int64
@@ -168,10 +146,6 @@ type Server struct {
 	// maintenance batch — used to hold a maintenance pass open while
 	// queries flow.
 	testMaintGate func()
-	// testDeliverGate, when set by tests, runs inside a batched group's
-	// deliver callback before the entry is finished — used to hold one
-	// member of a group open while the others complete.
-	testDeliverGate func(q graph.NodeID)
 }
 
 // editBatch is one journaled maintenance unit: an edit batch with its
@@ -242,15 +216,6 @@ func newServer(g *graph.Graph, idx *lbindex.Index, cfg Config) (*Server, error) 
 			cfg.CompactAfter = m
 		}
 	}
-	if cfg.SpMMBatch == 0 {
-		cfg.SpMMBatch = DefaultSpMMBatch
-	}
-	if cfg.SpMMWindow == 0 {
-		cfg.SpMMWindow = DefaultSpMMWindow
-	}
-	if cfg.SpMMWindow < 0 {
-		cfg.SpMMWindow = 0
-	}
 	slowCap := cfg.SlowLogCapacity
 	if slowCap == 0 {
 		slowCap = DefaultSlowLogCapacity
@@ -274,9 +239,6 @@ func newServer(g *graph.Graph, idx *lbindex.Index, cfg Config) (*Server, error) 
 		m:            newMetrics(reg),
 		slow:         obs.NewSlowLog(slowCap, slowThresh),
 		logger:       cfg.Logger,
-	}
-	if cfg.SpMMBatch > 1 {
-		s.batcher = newSpmmBatcher(cfg.SpMMBatch, cfg.SpMMWindow)
 	}
 	store.AttachCache(s.cache)
 	s.registerGauges(reg)
@@ -482,13 +444,13 @@ func cacheLabel(st CacheStatus) string {
 	}
 }
 
-// compute runs one admitted computation against a pinned snapshot and
+// compute runs one admitted exact computation against a pinned snapshot and
 // serializes the response body. Admission happens here — after the cache —
 // so cache hits and coalesced waiters are never rejected, only work that
-// would actually occupy an engine. With SpMM batching enabled the admitted
-// query joins its snapshot's group and blocks until ITS result delivers:
-// the admission slot is per query and frees as soon as this query is
-// answered, even while the rest of the group is still computing.
+// would actually occupy an engine. The query runs at once on the request's
+// own goroutine with its dealt share of the worker budget, the way
+// core.QueryBatch deals its budget: a lone query gets all of it, a busy
+// server runs sequential engines.
 func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) ([]byte, error) {
 	active := s.active.Add(1)
 	defer s.active.Add(-1)
@@ -498,52 +460,33 @@ func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) 
 	if gate := s.testComputeGate; gate != nil {
 		gate()
 	}
-	if s.batcher != nil {
-		e := s.joinGroup(snap, q, k)
-		<-e.done
-		// The deliver callback filled e.stats before closing done, so the
-		// channel receive orders this read after that write.
-		tr.setExact(e.stats)
-		return e.body, e.err
-	}
-	body, stats, err := s.computeScalar(snap, q, k)
-	tr.setExact(stats)
-	return body, err
-}
-
-// computeScalar is the unbatched computation: one engine query with this
-// computation's dealt share of the worker budget, mirroring
-// core.QueryBatch — a lone query gets the whole budget, a busy server runs
-// sequential engines.
-func (s *Server) computeScalar(snap *Snapshot, q graph.NodeID, k int) ([]byte, core.QueryStats, error) {
 	workers := s.budget / int(max(s.active.Load(), 1))
 	if workers < 1 {
 		workers = 1
 	}
 	results, stats, err := snap.View.Query(q, k, workers)
+	tr.setExact(stats)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	if results == nil {
 		results = []graph.NodeID{}
 	}
 	s.m.computed.With("exact").Inc()
-	body, err := json.Marshal(QueryResponse{
+	return json.Marshal(QueryResponse{
 		Query:   q,
 		K:       k,
 		Epoch:   snap.Epoch,
 		Count:   len(results),
 		Results: results,
 	})
-	return body, stats, err
 }
 
 // computeApprox is the anytime tier's computation: admission-controlled
 // exactly like compute (the slot counts against the same MaxInflight and
-// the worker budget is dealt the same way), but always scalar — the anytime
-// round loop interleaves screens with iteration blocks, which the SpMM slab
-// cannot host. The Monte Carlo seed is a pure function of (epoch, q, k), so
-// recomputing a dropped cache entry reproduces the evicted body bytes.
+// the worker budget is dealt the same way). The Monte Carlo seed is a pure
+// function of (epoch, q, k), so recomputing a dropped cache entry reproduces
+// the evicted body bytes.
 func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps, delta float64, tr *queryTrace) ([]byte, error) {
 	active := s.active.Add(1)
 	defer s.active.Add(-1)
@@ -628,11 +571,6 @@ type StatsResponse struct {
 	Draining      bool    `json:"draining"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
-	// SpMM batching: groups fired at width ≥ 2 and the queries they served
-	// (zero when batching is disabled).
-	SpMMGroups         int64 `json:"spmm_groups"`
-	SpMMBatchedQueries int64 `json:"spmm_batched_queries"`
-
 	// Anytime tier: mode=approx computations actually run (cache hits and
 	// coalesced waiters excluded), the screen rounds they took, and the
 	// Monte Carlo walks their δ-budgeted refinement stage spent.
@@ -707,9 +645,6 @@ func (s *Server) Stats() StatsResponse {
 		WorkerBudget:  s.budget,
 		Draining:      s.draining.Load(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
-
-		SpMMGroups:         int64(s.m.spmmGroups.Value()),
-		SpMMBatchedQueries: int64(s.m.spmmBatched.Value()),
 
 		ApproxComputed: int64(s.m.computed.With(ModeApprox).Value()),
 		ApproxRounds:   int64(s.m.approxRounds.Value()),

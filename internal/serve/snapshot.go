@@ -2,10 +2,9 @@
 // daemon: a resident (graph, index) pair behind an HTTP API, with snapshot
 // isolation between serving and maintenance, an asynchronous journaled
 // edit pipeline, a byte-accounted LRU result cache with single-flight
-// deduplication, admission control over engine work, SpMM batching of
-// concurrent queries (admitted cache misses coalesce into multi-query
-// proximity groups whose columns share every CSR traversal — see
-// Config.SpMMBatch and the batcher in batcher.go), and graceful drain.
+// deduplication, admission control over engine work (an admitted cache miss
+// is computed at once on its request's goroutine with its share of the
+// worker budget), and graceful drain.
 //
 // Snapshot model: the daemon serves from an immutable Snapshot — an epoch
 // number plus a core.View over one (graph view, index) pair — published
