@@ -83,6 +83,26 @@ import (
 	"repro/internal/serve"
 )
 
+// Limits on what a client may make either public listener wait for or
+// buffer before a request exists. There is deliberately no WriteTimeout (a
+// hub query legitimately computes for seconds) and no body deadline (edit
+// batches have their own size validation).
+const (
+	// readHeaderTimeout closes a connection whose request headers are not
+	// complete this long after the server began reading them; a keep-alive
+	// connection idling between requests is not affected.
+	readHeaderTimeout = 5 * time.Second
+	// maxHeaderBytes caps the request line plus headers (net/http answers
+	// 431 past it); the API's requests are a short query string.
+	maxHeaderBytes = 16 << 10
+)
+
+// newHTTPServer builds the server of a public listener — the daemon's and
+// the fan-out coordinator's alike.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
+}
+
 // buildLogger constructs the structured request logger, writing to stderr
 // alongside the daemon's operational log.
 func buildLogger(format string) (*slog.Logger, error) {
@@ -272,7 +292,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
@@ -311,7 +331,7 @@ func runCoordinator(shardURLs []string, addr string, drain time.Duration, logger
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: fan.Handler()}
+	httpSrv := newHTTPServer(fan.Handler())
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	drained := make(chan struct{})

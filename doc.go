@@ -9,7 +9,9 @@
 // (cmd/rtkserve: snapshot epochs, byte-accounted result caching, admission
 // control; a cache miss is computed at once on its request's goroutine, and
 // its PMPN sweeps only the rows of q's backward ball while that ball is
-// small — README.md, "Batched serving & cache-aware layout"), the
+// small; when the run ends inside the ball the decision sweep screens only
+// the ball's rows plus the rows whose k-th lower bound is zero, not all n —
+// README.md, "Batched serving & cache-aware layout"), the
 // persistence layer (checksummed index format v2 served zero-copy via mmap
 // for millisecond cold starts; v1 files migrate with rtkindex -rewrite), the
 // evolving-graph pipeline (graph.Overlay deltas

@@ -170,9 +170,9 @@ func queryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 				st := &state[jb.i]
 				st.stats = QueryStats{Query: queries[jb.i], K: k}
 				start := time.Now()
-				st.partial, st.pend, st.err = eng.decideSetDeferred(jb.q, jb.vec, k, idx.OwnedNodes(), &st.stats)
+				st.partial, st.pend, st.err = eng.decideSetDeferred(jb.q, jb.vec, k, idx.OwnedNodes(), eng.workers, &st.stats)
 				st.stats.PMPNIters = jb.iters
-				st.stats.PMPNSupport = support(jb.vec)
+				st.stats.PMPNSupport = support(jb.vec, nil)
 				st.stats.PMPNElapsed = jb.pmElapsed
 				st.stats.Elapsed = jb.pmElapsed + time.Since(start)
 			}

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/partition"
 	"repro/internal/rwr"
-	"repro/internal/vecmath"
 	"repro/internal/workload"
 )
 
@@ -42,101 +45,340 @@ func oracleGraph(t *testing.T, family string) *graph.Graph {
 			t.Fatal(err)
 		}
 		return g
+	case "sinks":
+		return sinksGraph(t)
 	default:
 		t.Fatalf("unknown family %q", family)
 		return nil
 	}
 }
 
+// sinksGraph is the family neither benchmark fixture has: nodes that reach
+// fewer than k nodes, whose k-th lower bound is therefore zero and who rank
+// every node — reachable or not — in their top-k. A strongly mixed core of
+// 120 nodes; sink components the core feeds but cannot leave (a 3-cycle and
+// a dangling node that ends up with a bare self-loop); the same
+// shapes standing alone, unreachable from the core, so that a query there
+// closes its backward ball over zero-bound rows; and source chains leading
+// into the core and into a dangling node, whose backward balls are a few
+// rows of ordinary nodes.
+func sinksGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	const core = 120
+	rng := rand.New(rand.NewSource(23))
+	type edge = [2]graph.NodeID
+	var edges []edge
+	for u := 0; u < core; u++ {
+		for j := 0; j < 4; j++ {
+			edges = append(edges, edge{graph.NodeID(u), graph.NodeID(rng.Intn(core))})
+		}
+	}
+	next := graph.NodeID(core)
+	cycle := func(size int) graph.NodeID {
+		first := next
+		for i := 0; i < size; i++ {
+			if size > 1 {
+				edges = append(edges, edge{first + graph.NodeID(i), first + graph.NodeID((i+1)%size)})
+			}
+			next++
+		}
+		return first
+	}
+	for _, size := range []int{1, 3} { // fed by the core
+		first := cycle(size)
+		for j := 0; j < 2; j++ {
+			edges = append(edges, edge{graph.NodeID(rng.Intn(core)), first})
+		}
+	}
+	for _, size := range []int{2, 4} { // standing alone
+		cycle(size)
+	}
+	lone := cycle(1) // dangling, fed only by the chain below
+	for _, target := range []graph.NodeID{7, 63, lone} {
+		// c0 → c1 → c2 → target, with c0 also feeding c2.
+		c := next
+		next += 3
+		edges = append(edges, edge{c, c + 1}, edge{c + 1, c + 2}, edge{c, c + 2}, edge{c + 2, target})
+	}
+	g, err := graph.FromEdges(int(next), edges, graph.DanglingSelfLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// oracleOverlay is family g as a post-Apply overlay: one edge removed, two
+// weighted ones inserted, none of them touching the "sinks" family's small
+// components (every endpoint is below 100).
+func oracleOverlay(t *testing.T, g *graph.Graph) *graph.Overlay {
+	t.Helper()
+	var edits []graph.EdgeEdit
+	for u := graph.NodeID(0); u < 100; u++ {
+		if out := g.OutNeighbors(u); len(out) > 1 && out[len(out)-1] < 100 {
+			edits = append(edits, graph.EdgeEdit{From: u, To: out[len(out)-1], Remove: true})
+			break
+		}
+	}
+	for u := graph.NodeID(1); len(edits) < 3; u += 7 {
+		if v := (u*31 + 5) % 100; !g.HasEdge(u, v) {
+			edits = append(edits, graph.EdgeEdit{From: u, To: v, Weight: float64(2 * len(edits))})
+		}
+	}
+	ov, err := graph.NewOverlay(g).Apply(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov
+}
+
 // TestParallelQueryMatchesSequentialAndBruteForce is the correctness oracle
-// of the intra-query parallelism tentpole: across graph families, query
-// sizes and worker counts, the sharded engine must return EXACTLY the
-// answer of the sequential engine — which in exact mode equals brute force.
-// Run under -race this doubles as the data-race harness for the sharded
-// decision loop committing into the striped index.
+// of the intra-query parallelism tentpole: across graph families, as CSR and
+// as a post-Apply overlay, query sizes and worker counts, the sharded engine
+// must return EXACTLY the answer of the sequential engine — which in exact
+// mode equals brute force. Run under -race this doubles as the data-race
+// harness for the sharded decision loop committing into the striped index.
+//
+// The same table holds the View's sparse screen to the dense sweep: see
+// checkSparseScreen.
 func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
-	const indexK = 20
-	for _, family := range []string{"web", "coauthor", "spam"} {
-		family := family
+	for _, family := range []string{"web", "coauthor", "spam", "sinks"} {
 		t.Run(family, func(t *testing.T) {
-			g := oracleGraph(t, family)
-			opts := lbindex.DefaultOptions()
-			opts.K = indexK
-			opts.HubBudget = 5
-			opts.Workers = 2
-			built, _, err := lbindex.Build(g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries, err := workload.Queries(g.N(), 6, 55)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// One full proximity matrix serves every brute-force check of
-			// this family (BruteForce recomputes it per call).
-			cols, err := rwr.ProximityMatrix(g, opts.RWR, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bruteForce := func(q graph.NodeID, k int) []graph.NodeID {
-				var results []graph.NodeID
-				for u := 0; u < g.N(); u++ {
-					if cols[u][q] >= vecmath.KthLargest(cols[u], k) {
-						results = append(results, graph.NodeID(u))
-					}
-				}
-				return results
-			}
-			for _, update := range []bool{false, true} {
-				// Each worker-count sweep gets engines over the same shared
-				// index; in update mode the commits themselves must not
-				// change any answer (they only tighten bounds).
-				seqEng, err := NewEngine(g, built, update)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parEngs := make([]*Engine, 0, 2)
-				for _, w := range []int{2, 8} {
-					eng, err := NewEngine(g, built, update)
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng.SetWorkers(w)
-					parEngs = append(parEngs, eng)
-				}
-				for _, k := range []int{1, 10, indexK} {
-					for _, q := range queries {
-						want, _, err := seqEng.Query(q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						bf := bruteForce(q, k)
-						if !reflect.DeepEqual(want, bf) {
-							t.Fatalf("%s update=%t k=%d q=%d: sequential %v != brute force %v",
-								family, update, k, q, want, bf)
-						}
-						for _, eng := range parEngs {
-							got, stats, err := eng.Query(q, k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s update=%t k=%d q=%d workers=%d: parallel %v != sequential %v",
-									family, update, k, q, eng.Workers(), got, want)
-							}
-							if stats.Results != len(got) {
-								t.Fatalf("%s k=%d q=%d workers=%d: stats.Results=%d, len(answer)=%d",
-									family, k, q, eng.Workers(), stats.Results, len(got))
-							}
-						}
-					}
-				}
-			}
-			if err := built.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			for _, layout := range []string{"csr", "overlay"} {
+				t.Run(layout, func(t *testing.T) {
+					oracleTableRows(t, family, layout)
+				})
 			}
 		})
 	}
+}
+
+// oracleTableRows is one (family, layout) cell of
+// TestParallelQueryMatchesSequentialAndBruteForce.
+func oracleTableRows(t *testing.T, family, layout string) {
+	const indexK = 20
+	var g graph.View = oracleGraph(t, family)
+	if layout == "overlay" {
+		g = oracleOverlay(t, g.(*graph.Graph))
+	}
+	opts := lbindex.DefaultOptions()
+	opts.K = indexK
+	opts.HubBudget = 5
+	opts.Workers = 2
+	built, _, err := lbindex.Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := workload.Queries(g.N(), 6, 55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One full proximity matrix serves every brute-force check of
+	// this family (BruteForce recomputes it per call).
+	cols, err := rwr.ProximityMatrix(g, opts.RWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The View's index must stay as built, so the sparse rows run
+	// before the update-mode engines below commit into it.
+	closed, zeroBound := checkSparseScreen(t, g, built, cols, queries, []int{1, 10, indexK})
+	// coauthor is undirected — every backward ball is a whole
+	// component — so there the View takes the dense path only.
+	if closed == 0 && family != "coauthor" {
+		t.Fatal("no query node closes its backward ball: the sparse screen went untested")
+	}
+	if zeroBound == 0 && family == "sinks" {
+		t.Fatal("no row has a zero k-th lower bound: the zero-bound list went untested")
+	}
+	for _, update := range []bool{false, true} {
+		// Each worker-count sweep gets engines over the same shared
+		// index; in update mode the commits themselves must not
+		// change any answer (they only tighten bounds).
+		seqEng, err := NewEngine(g, built, update)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parEngs := make([]*Engine, 0, 2)
+		for _, w := range []int{2, 8} {
+			eng, err := NewEngine(g, built, update)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetWorkers(w)
+			parEngs = append(parEngs, eng)
+		}
+		for _, k := range []int{1, 10, indexK} {
+			for _, q := range queries {
+				want, _, err := seqEng.Query(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bf := bruteForceFrom(cols, q, k)
+				if !reflect.DeepEqual(want, bf) {
+					t.Fatalf("update=%t k=%d q=%d: sequential %v != brute force %v",
+						update, k, q, want, bf)
+				}
+				for _, eng := range parEngs {
+					got, stats, err := eng.Query(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("update=%t k=%d q=%d workers=%d: parallel %v != sequential %v",
+							update, k, q, eng.Workers(), got, want)
+					}
+					if stats.Results != len(got) {
+						t.Fatalf("k=%d q=%d workers=%d: stats.Results=%d, len(answer)=%d",
+							k, q, eng.Workers(), stats.Results, len(got))
+					}
+					if stats.Screened != g.N() {
+						t.Fatalf("k=%d q=%d workers=%d: a bare engine screened %d rows of %d",
+							k, q, eng.Workers(), stats.Screened, g.N())
+					}
+				}
+			}
+		}
+	}
+	if err := built.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// backwardReach returns, ascending, the nodes with a path to q, or nil once
+// there are limit of them or more.
+func backwardReach(g graph.View, q graph.NodeID, limit int) []graph.NodeID {
+	seen := map[graph.NodeID]bool{q: true}
+	reach := []graph.NodeID{q}
+	for i := 0; i < len(reach); i++ {
+		for _, u := range g.InNeighbors(reach[i]) {
+			if !seen[u] {
+				seen[u] = true
+				reach = append(reach, u)
+			}
+		}
+		if len(reach) >= limit {
+			return nil
+		}
+	}
+	slices.Sort(reach)
+	return reach
+}
+
+// sweepCounters are the QueryStats fields a sparse screen must reproduce
+// from the dense sweep exactly (Screened is the one that differs by design;
+// the rest are wall-clock).
+func sweepCounters(s QueryStats) [9]int {
+	return [9]int{s.PMPNIters, s.PMPNSupport, s.Candidates, s.Hits, s.RefineSteps,
+		s.ExactFallbacks, s.FallbackIters, s.FallbackEarlyStops, s.Results}
+}
+
+// checkSparseScreen is the sparse-screen half of the oracle table. For one
+// (graph, index) pair it takes two of the table's sampled queries plus a few
+// whose backward ball closes (the only ones a View screens sparsely), and for
+// every k and worker count holds View.Query — over the full index and over
+// each slice of a 2-way partition — to a bare engine's dense sweep on answers
+// and on every sweep counter, and the full index's answer to brute force. It
+// also pins what was screened: the ball plus the zero-bound rows when the
+// ball closed, every materialized row otherwise. It returns how many query
+// nodes close their ball and the longest zero-bound list it met.
+func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]float64, sampled []graph.NodeID, ks []int) (closedBalls, zeroBoundRows int) {
+	t.Helper()
+	n := g.N()
+	balls := map[graph.NodeID][]graph.NodeID{}
+	var closed []graph.NodeID
+	for q := graph.NodeID(0); int(q) < n; q++ {
+		// A backward BFS finds the small balls without n dense PMPN runs; the
+		// PMPN of such a q must then report exactly those rows.
+		reach := backwardReach(g, q, n/8)
+		if reach == nil {
+			continue
+		}
+		res, err := rwr.ProximityToParallel(g, q, idx.Options().RWR, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Rows, reach) {
+			t.Fatalf("q=%d: PMPN row list %v, backward reach %v", q, res.Rows, reach)
+		}
+		balls[q] = res.Rows
+		closed = append(closed, q)
+	}
+	// Two sampled queries (on a closed ball or not, as they fall) and six
+	// closed-ball ones spread over the id space.
+	queries := append([]graph.NodeID(nil), sampled[:2]...)
+	for i := 0; i < len(closed); i += max(1, len(closed)/6) {
+		if !slices.Contains(queries, closed[i]) {
+			queries = append(queries, closed[i])
+		}
+	}
+	pm, err := partition.New(partition.Hash, g, n, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := []*lbindex.Index{idx}
+	for s := 0; s < pm.P(); s++ {
+		slice, err := idx.ShardSlice(pm, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, slice)
+	}
+	for pi, pidx := range pairs {
+		v, err := NewView(g, pidx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := NewEngine(g, pidx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := n
+		if owned := pidx.OwnedNodes(); owned != nil {
+			rows = len(owned)
+		}
+		for _, k := range ks {
+			zero := v.zeroBound.rows(k)
+			zeroBoundRows = max(zeroBoundRows, len(zero))
+			for _, q := range queries {
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("index %d k=%d q=%d workers=%d", pi, k, q, workers)
+					dense.SetWorkers(workers)
+					want, wst, err := dense.Query(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gst, err := v.Query(q, k, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: sparse screen %v, dense sweep %v", label, got, want)
+					}
+					if sweepCounters(gst) != sweepCounters(wst) {
+						t.Fatalf("%s: sparse screen counted %+v, dense sweep %+v", label, gst, wst)
+					}
+					screened := rows
+					if ball, closed := balls[q]; closed {
+						screened = len(zero)
+						for _, u := range ball {
+							if pidx.Owns(u) && !slices.Contains(zero, u) {
+								screened++
+							}
+						}
+					}
+					if gst.Screened != screened || wst.Screened != rows {
+						t.Fatalf("%s: screened %d rows (dense %d), want %d (dense %d); ball %v, zero-bound rows %v",
+							label, gst.Screened, wst.Screened, screened, rows, balls[q], zero)
+					}
+					if pi == 0 {
+						if bf := bruteForceFrom(cols, q, k); !reflect.DeepEqual(got, bf) {
+							t.Fatalf("%s: sparse screen %v, brute force %v", label, got, bf)
+						}
+					}
+				}
+			}
+		}
+	}
+	return len(balls), zeroBoundRows
 }
 
 // TestParallelStatsMatchSequential: shard-merged counters must equal the

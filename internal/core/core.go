@@ -3,11 +3,28 @@
 //
 //  1. Compute the exact proximities from every node TO the query node with
 //     the transposed power method (Algorithm 2 / Theorem 2, package rwr).
-//  2. Screen every node u against the indexed lower bound p̂_u(k): nodes
-//     with p̂_u(k) > p_u(q) can never rank q in their top-k and are pruned;
-//     the survivors ("candidates") are confirmed with the staircase upper
+//  2. Screen node u against the indexed lower bound p̂_u(k): nodes with
+//     p̂_u(k) > p_u(q) can never rank q in their top-k and are pruned; the
+//     survivors ("candidates") are confirmed with the staircase upper
 //     bound of Algorithm 3 or refined step-by-step (Algorithm 1's loop)
 //     until their lower or upper bound decides membership (Algorithm 4).
+//
+// The paper screens every u. Which rows step 2 actually visits follows from
+// what step 1 observed. If the PMPN ended inside q's backward ball
+// (rwr.Result.Rows), p_u(q) is exactly zero outside that ball, and a zero
+// proximity survives the screen only where p̂_u(k) is itself within tieTol of
+// zero — u reaches fewer than k nodes, so it ranks every node, reachable or
+// not, among its top k. A View keeps those rows per k (zeroBoundTable: one
+// pass over the index on the first query at that k, by the same comparison
+// decide prunes with, prunedByLowerBound), and Engine.Query screens ball ∪
+// zero-bound rows: a handful of rows in place of n, the same decisions and
+// the same counters as the dense sweep, which could only have pruned the rest.
+// Everything else screens densely: a PMPN that left the ball (its vector has
+// no small support to exploit), QueryBatch, Explain and the anytime tier
+// (their PMPN drivers sweep all rows and report no ball), and an engine made
+// by NewEngine rather than handed out by a View (an update-mode commit moves
+// the bounds the table is derived from; only a View's index is immutable).
+// QueryStats.Screened reports the rows visited.
 //
 // In update mode, refinement results are committed back to the index
 // (§4.2.3), tightening bounds for later queries.
@@ -68,6 +85,11 @@ type QueryStats struct {
 	// 40-iteration whole-graph solve from a 4-iteration one over q's
 	// three-node backward ball.
 	PMPNSupport int
+	// Screened is the number of rows the decision sweep visited: every
+	// materialized row on a dense sweep, q's backward ball plus the
+	// zero-bound rows on a sparse one (Engine.Query), the listed nodes under
+	// DecideList.
+	Screened int
 	// Candidates counts nodes that survived the initial lower-bound
 	// screen (they entered Algorithm 4's while loop).
 	Candidates int
@@ -171,6 +193,11 @@ type Engine struct {
 	// probeBuf is the n-vector resolveExact's early-stop probe reads
 	// fallback columns into; allocated by the first fallback that probes.
 	probeBuf []float64
+	// zeroBound is the owning View's table of rows a zero proximity does not
+	// prune, which lets Query screen a closed backward ball sparsely. Nil on
+	// an engine made by NewEngine: an update-mode commit moves the bounds
+	// the table is derived from, so such engines always sweep densely.
+	zeroBound *zeroBoundTable
 }
 
 // SetPracticalDecisions toggles the paper-literal decision mode.
@@ -270,15 +297,23 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 	}
 	pq := pmpn.Vector // pq[u] = p_u(q)
 	stats.PMPNIters = pmpn.Iterations
-	stats.PMPNSupport = support(pq)
+	stats.PMPNSupport = support(pq, pmpn.Rows)
 	stats.PMPNElapsed = time.Since(start)
 
-	// Step 2: screen every materialized node — all of them on a full
-	// index, the owned subset on a shard slice (see lbindex.ShardSlice).
-	// Decisions are independent across nodes (decide(u) touches only u's
-	// own index entry), so the set shards cleanly across workers.
+	// Step 2: screen the materialized nodes — all of them on a full index,
+	// the owned subset on a shard slice (see lbindex.ShardSlice). Decisions
+	// are independent across nodes (decide(u) touches only u's own index
+	// entry), so the set shards cleanly across workers. When the PMPN never
+	// left q's backward ball, only the ball and the view's zero-bound rows
+	// can pass (see the package comment): the sweep visits those few rows,
+	// ascending like the dense sweep, on this goroutine — where the ball
+	// phase ran too.
 	decideStart := time.Now()
-	results, err := e.decideSet(q, pq, k, e.idx.OwnedNodes(), &stats)
+	list, workers := e.idx.OwnedNodes(), e.workers
+	if pmpn.Rows != nil && e.zeroBound != nil {
+		list, workers = e.sparseScreen(pmpn.Rows, k), 1
+	}
+	results, err := e.decideSet(q, pq, k, list, workers, &stats)
 	stats.DecideElapsed = time.Since(decideStart) - stats.FallbackElapsed
 	if err != nil {
 		return nil, stats, err
@@ -290,15 +325,52 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 }
 
 // support counts the non-zero entries of a proximity vector
-// (QueryStats.PMPNSupport).
-func support(pq []float64) int {
+// (QueryStats.PMPNSupport). rows, when non-nil, is the PMPN's own list of
+// the only rows that can hold one (rwr.Result.Rows), visited in place of
+// all n.
+func support(pq []float64, rows []graph.NodeID) int {
 	n := 0
+	if rows != nil {
+		for _, u := range rows {
+			if pq[u] != 0 {
+				n++
+			}
+		}
+		return n
+	}
 	for _, p := range pq {
 		if p != 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// sparseScreen returns, ascending, the materialized rows a query at k must
+// still decide when p_u(q) is zero outside ball (ascending): the ball's own
+// rows and the rows whose k-th lower bound a zero proximity does not fall
+// under. On both benchmark fixtures the second set is empty and a full
+// index returns ball itself.
+func (e *Engine) sparseScreen(ball []graph.NodeID, k int) []graph.NodeID {
+	zero := e.zeroBound.rows(k)
+	full := e.idx.OwnedNodes() == nil
+	if full && len(zero) == 0 {
+		return ball
+	}
+	list := make([]graph.NodeID, 0, len(ball)+len(zero))
+	for _, u := range ball {
+		for len(zero) > 0 && zero[0] < u {
+			list = append(list, zero[0])
+			zero = zero[1:]
+		}
+		if len(zero) > 0 && zero[0] == u {
+			zero = zero[1:]
+		}
+		if full || e.idx.Owns(u) {
+			list = append(list, u)
+		}
+	}
+	return append(list, zero...)
 }
 
 // DecideList is the shard-local candidate decision entry point: given the
@@ -323,7 +395,7 @@ func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.N
 		return nil, stats, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
 	}
 	start := time.Now()
-	results, err := e.decideSet(q, pq, k, nodes, &stats)
+	results, err := e.decideSet(q, pq, k, nodes, e.workers, &stats)
 	stats.DecideElapsed = time.Since(start) - stats.FallbackElapsed
 	if err != nil {
 		return nil, stats, err
@@ -335,8 +407,8 @@ func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.N
 }
 
 // decideSet runs the decision loop over a node set — `list`, or all of
-// [0, n) when list is nil — sequentially or sharded across the engine's
-// workers. Outcomes are identical either way: each shard runs the
+// [0, n) when list is nil — sequentially or sharded across workers
+// goroutines. Outcomes are identical either way: each shard runs the
 // sequential loop over its segment with a private workspace and counters,
 // answers concatenate in segment order and counters merge by addition;
 // commits land in the shared index under its own striped locking. On error
@@ -349,8 +421,8 @@ func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.N
 // SpMM-batched exact solves on the coordinating goroutine — same pending
 // list, same order, whatever the worker count, so the sequential and
 // sharded engines still make bit-identical decisions and commits.
-func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
-	results, pend, err := e.decideSetDeferred(q, pq, k, list, stats)
+func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, workers int, stats *QueryStats) ([]graph.NodeID, error) {
+	results, pend, err := e.decideSetDeferred(q, pq, k, list, workers, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -372,11 +444,14 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 // whole query batch's fallbacks can be deduplicated and resolved in shared
 // slabs instead of per query. q is the node pq was computed for (−1 if
 // unknown); it rides along on each deferred candidate, see pendingFallback.
-func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, []pendingFallback, error) {
+// workers is the engine's setting for a dense sweep and 1 for a sparse
+// screen, whose few rows are not worth a goroutine each.
+func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []graph.NodeID, workers int, stats *QueryStats) ([]graph.NodeID, []pendingFallback, error) {
 	count := e.g.N()
 	if list != nil {
 		count = len(list)
 	}
+	stats.Screened += count
 	nodeAt := func(i int) graph.NodeID {
 		if list != nil {
 			return list[i]
@@ -385,7 +460,7 @@ func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []g
 	}
 	var results []graph.NodeID
 	var pend []pendingFallback
-	if e.workers <= 1 {
+	if workers <= 1 {
 		ws := e.wsPool.Get()
 		defer e.wsPool.Put(ws)
 		for i := 0; i < count; i++ {
@@ -405,7 +480,7 @@ func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []g
 			stats   QueryStats
 			err     error
 		}
-		segs := vecmath.Split(count, e.workers)
+		segs := vecmath.Split(count, workers)
 		shards := make([]shard, len(segs))
 		var wg sync.WaitGroup
 		for si, seg := range segs {
@@ -445,12 +520,11 @@ func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []g
 	return results, pend, nil
 }
 
-// eachIndexed iterates the nodes whose index rows this engine
-// materializes: all of [0, n) for a full index, the owned subset for a
-// shard slice.
-func (e *Engine) eachIndexed() func(yield func(graph.NodeID) bool) {
+// eachIndexed iterates, ascending, the nodes whose rows idx materializes:
+// all of [0, n) for a full index, the owned subset for a shard slice.
+func eachIndexed(idx *lbindex.Index) func(yield func(graph.NodeID) bool) {
 	return func(yield func(graph.NodeID) bool) {
-		if owned := e.idx.OwnedNodes(); owned != nil {
+		if owned := idx.OwnedNodes(); owned != nil {
 			for _, u := range owned {
 				if !yield(u) {
 					return
@@ -458,7 +532,7 @@ func (e *Engine) eachIndexed() func(yield func(graph.NodeID) bool) {
 			}
 			return
 		}
-		for u := graph.NodeID(0); int(u) < e.g.N(); u++ {
+		for u := graph.NodeID(0); int(u) < idx.N(); u++ {
 			if !yield(u) {
 				return
 			}
@@ -476,9 +550,8 @@ func (e *Engine) eachIndexed() func(yield func(graph.NodeID) bool) {
 // node q (−1 if unknown), for the caller to batch-resolve with exact
 // solves after the sweep (resolveFallbacks), and reported as not added.
 func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) (bool, error) {
-	lb := e.idx.KthLowerBound(u, k)
-	if puq < lb-e.tieTol {
-		return false, nil // pruned immediately (never becomes a candidate)
+	if prunedByLowerBound(puq, e.idx.KthLowerBound(u, k), e.tieTol) {
+		return false, nil // never becomes a candidate
 	}
 	stats.Candidates++
 
@@ -582,6 +655,16 @@ func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64
 		stats.Committed++
 	}
 	return isResult, nil
+}
+
+// prunedByLowerBound is Algorithm 4's first screen: u cannot rank q in its
+// top-k when p_u(q) lies below u's k-th lower bound by more than tieTol. It
+// is the one place that comparison is written — decide and Explain prune by
+// it, and the zero-bound table (zeroBoundTable) is the set of rows it lets
+// through at puq = 0 — so the sparse screen's row list cannot drift from the
+// sweep it stands in for.
+func prunedByLowerBound(puq, lb, tieTol float64) bool {
+	return puq < lb-tieTol
 }
 
 // pendingFallback is one candidate whose refinement budget ran out before

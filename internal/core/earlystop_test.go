@@ -233,7 +233,7 @@ func TestQueryBatchSharedColumnKeepsIterating(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st QueryStats
-		_, pend, err := eng.decideSetDeferred(q, pq.Vector, k, nil, &st)
+		_, pend, err := eng.decideSetDeferred(q, pq.Vector, k, nil, eng.workers, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st QueryStats
-	_, pend, err := probe.decideSetDeferred(q, pq.Vector, k, nil, &st)
+	_, pend, err := probe.decideSetDeferred(q, pq.Vector, k, nil, probe.workers, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

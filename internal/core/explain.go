@@ -117,12 +117,13 @@ func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanatio
 		return nil, err
 	}
 	stats.PMPNIters = pmpn.Iterations
-	stats.PMPNSupport = support(pmpn.Vector)
+	stats.PMPNSupport = support(pmpn.Vector, pmpn.Rows)
 
 	ex := &Explanation{Query: q, K: k}
 	ws := e.wsPool.Get()
 	defer e.wsPool.Put(ws)
-	for u := range e.eachIndexed() {
+	for u := range eachIndexed(e.idx) {
+		stats.Screened++
 		d, err := e.explainNode(ws, u, k, pmpn.Vector[u], &stats)
 		if err != nil {
 			return nil, err
@@ -151,7 +152,7 @@ func (e *Engine) explainNode(ws *bca.Workspace, u graph.NodeID, k int, puq float
 		LowerBound: e.idx.KthLowerBound(u, k),
 		Residue:    e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u),
 	}
-	if puq < d.LowerBound-e.tieTol {
+	if prunedByLowerBound(puq, d.LowerBound, e.tieTol) {
 		d.Outcome = OutcomePruned
 		return d, nil
 	}

@@ -29,6 +29,47 @@ type View struct {
 	g       graph.View
 	idx     *lbindex.Index
 	engines sync.Pool
+	// zeroBound is shared by every engine the pool hands out. It belongs to
+	// the View because the View's index never changes: a new epoch publishes
+	// a new View, and with it an empty table.
+	zeroBound *zeroBoundTable
+}
+
+// zeroBoundTable holds, per query size k, the ascending list of rows of one
+// index that a proximity of zero does not prune: p̂_u(k) ≤ tieTol (the
+// tolerance every engine compares with, defaultTieTol), i.e. u reaches
+// fewer than k nodes with any mass worth the name (a sink component smaller
+// than k, a dangling node's self-loop). Such a u ranks every node in its
+// top-k, reachable or not, so it is in every answer at that k and no screen
+// may skip it; every other row outside q's backward ball is pruned by
+// prunedByLowerBound without being looked at. Each list is built by the
+// first query at its k, in one pass over the index with that same helper.
+type zeroBoundTable struct {
+	idx  *lbindex.Index
+	perK []zeroBoundList // perK[k-1]
+}
+
+type zeroBoundList struct {
+	once sync.Once
+	rows []graph.NodeID
+}
+
+func newZeroBoundTable(idx *lbindex.Index) *zeroBoundTable {
+	return &zeroBoundTable{idx: idx, perK: make([]zeroBoundList, idx.K())}
+}
+
+// rows returns the list for k, building it on first use. Safe for concurrent
+// use.
+func (t *zeroBoundTable) rows(k int) []graph.NodeID {
+	l := &t.perK[k-1]
+	l.once.Do(func() {
+		for u := range eachIndexed(t.idx) {
+			if !prunedByLowerBound(0, t.idx.KthLowerBound(u, k), defaultTieTol) {
+				l.rows = append(l.rows, u)
+			}
+		}
+	})
+	return l.rows
 }
 
 // NewView binds a graph and index into a shareable read-only view. The pair
@@ -39,9 +80,10 @@ func NewView(g graph.View, idx *lbindex.Index) (*View, error) {
 	if _, err := NewEngine(g, idx, false); err != nil {
 		return nil, err
 	}
-	v := &View{g: g, idx: idx}
+	v := &View{g: g, idx: idx, zeroBound: newZeroBoundTable(idx)}
 	v.engines.New = func() any {
 		e, _ := NewEngine(g, idx, false)
+		e.zeroBound = v.zeroBound
 		return e
 	}
 	return v, nil

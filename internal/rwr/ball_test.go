@@ -2,6 +2,7 @@ package rwr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -68,7 +69,10 @@ func TestGrowBallIsBackwardBFS(t *testing.T) {
 // dense loop alone (pmpnDense from e_q), bit for bit, at every worker
 // count, over the oracle graph families as CSR, post-Apply Overlay and
 // post-Compact CSR. Query nodes are picked per view to cover every way the
-// two phases can meet.
+// two phases can meet. With the vector comes the Result.Rows contract: the
+// list is non-nil iff the run never handed over to pmpnDense, ascending, with
+// every index outside it bit-equal to +0, and nil from the dense, stepper and
+// slab drivers.
 func TestProximityToParallelBallBitIdentical(t *testing.T) {
 	p := DefaultParams()
 	capped := p
@@ -121,8 +125,23 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 								t.Fatalf("%s: node %d is %g, dense loop %g", label, u, got.Vector[u], want.Vector[u])
 							}
 						}
+						// The row list is there iff the run never reached
+						// pmpnDense, and bounds the support from outside.
+						iter, _ := ballHandover(g, q)
+						handedOver := iter > 0 && iter <= min(got.Iterations, params.MaxIters)
+						if (got.Rows == nil) != handedOver {
+							t.Fatalf("%s: Rows nil is %v, run handed over is %v (iteration %d of %d)",
+								label, got.Rows == nil, handedOver, iter, got.Iterations)
+						}
+						if got.Rows != nil {
+							checkRowList(t, label, got)
+						}
+					}
+					if want.Rows != nil {
+						t.Fatalf("%s q=%d: pmpnDense returned a row list", name, q)
 					}
 				}
+				checkDenseDriversReturnNoRows(t, g, q, p)
 			}
 		}
 		if class := "no in-edges"; len(picked[class]) > 0 {
@@ -135,6 +154,49 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 	for _, class := range []string{"no in-edges", "dangling self-loop", "hub", "hand-over mid-run", "closed ball"} {
 		if !covered[class] {
 			t.Errorf("no view has a %q query node; that meeting of the two phases went untested", class)
+		}
+	}
+}
+
+// checkRowList holds a Result to the Rows contract: ascending without
+// repeats, and every entry of Vector outside it bit-equal to +0.
+func checkRowList(t *testing.T, label string, res Result) {
+	t.Helper()
+	if !slices.IsSorted(res.Rows) || len(slices.Compact(slices.Clone(res.Rows))) != len(res.Rows) {
+		t.Fatalf("%s: row list %v is not strictly ascending", label, res.Rows)
+	}
+	listed := make([]bool, len(res.Vector))
+	for _, u := range res.Rows {
+		listed[u] = true
+	}
+	for u, x := range res.Vector {
+		if !listed[u] && math.Float64bits(x) != 0 {
+			t.Fatalf("%s: node %d outside the row list holds %g (bits %#x), want +0", label, u, x, math.Float64bits(x))
+		}
+	}
+}
+
+// checkDenseDriversReturnNoRows runs q through every PMPN driver that sweeps
+// all rows; none of them may claim a row list.
+func checkDenseDriversReturnNoRows(t *testing.T, g graph.View, q graph.NodeID, p Params) {
+	t.Helper()
+	if res, err := ProximityTo(g, q, p); err != nil || res.Rows != nil {
+		t.Fatalf("q=%d: ProximityTo returned rows %v (err %v)", q, res.Rows, err)
+	}
+	st, err := NewToStepper(g, q, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Step(p.MaxIters); err != nil || st.Result().Rows != nil {
+		t.Fatalf("q=%d: ToStepper returned rows %v (err %v)", q, st.Result().Rows, err)
+	}
+	batch, err := ProximityToBatch(g, []graph.NodeID{q, 0}, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range batch {
+		if res.Rows != nil {
+			t.Fatalf("q=%d: the slab driver returned rows %v", q, res.Rows)
 		}
 	}
 }

@@ -195,6 +195,10 @@ func normWorkers(workers int) int {
 // same ascending order inside the same ascending blocks. Hence the returned
 // vector, residual and iteration count equal the dense loop's for every
 // worker count and every view (TestProximityToParallelBallBitIdentical).
+//
+// A run that ends without ever handing over also returns the ball as
+// Result.Rows: the only rows it wrote, so a caller can visit the vector's
+// support without scanning n entries. After a hand-over Rows is nil.
 func ProximityToParallel[G graph.View](g G, q graph.NodeID, p Params, workers int) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -230,11 +234,11 @@ func ProximityToParallel[G graph.View](g G, q graph.NodeID, p Params, workers in
 		res.Residual = ballResidual(x, next, rows)
 		x, next = next, x
 		if res.Residual < p.Eps {
-			res.Vector = x
+			res.Vector, res.Rows = x, ball.rows
 			return res, nil
 		}
 	}
-	res.Vector = x
+	res.Vector, res.Rows = x, ball.rows
 	return res, errNotConverged(p, res.Residual)
 }
 

@@ -106,6 +106,13 @@ type Result struct {
 	Iterations int
 	// Residual is the final L1 change between successive iterates.
 	Residual float64
+	// Rows, when non-nil, lists ascending every row Vector can be non-zero
+	// in: each entry outside it is exactly +0 and was never written. Only
+	// ProximityToParallel sets it, and only for a run that ended inside its
+	// ball phase (Rows is then q's backward ball); every dense sweep, the
+	// stepper and the slab drivers leave it nil, which says nothing about
+	// the vector.
+	Rows []graph.NodeID
 }
 
 // ProximityVector computes p_u, the RWR proximity from u to every node, by

@@ -214,7 +214,11 @@ type queryTrace struct {
 	// vector (core.QueryStats.PMPNSupport); 0 for an approx one, whose
 	// iterate is cut short.
 	pmpnSupport int
-	rounds      int
+	// screened is the number of rows the exact decision sweep visited
+	// (core.QueryStats.Screened): next to pmpnSupport it tells a sparse
+	// screen over a closed backward ball from a dense one over every row.
+	screened int
+	rounds   int
 	// Exact fallbacks of the computation: how many, their forward
 	// iterations in total, and how many stopped before convergence.
 	fallbacks, fallbackIters, fallbackEarlyStops int
@@ -223,7 +227,7 @@ type queryTrace struct {
 // setExact installs the record of an exact computation.
 func (t *queryTrace) setExact(st core.QueryStats) {
 	t.computed = true
-	t.pmpnIters, t.pmpnSupport = st.PMPNIters, st.PMPNSupport
+	t.pmpnIters, t.pmpnSupport, t.screened = st.PMPNIters, st.PMPNSupport, st.Screened
 	t.setPhases(st.Phases())
 	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
 }
@@ -261,6 +265,7 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 			"duration_ms", float64(elapsed)/float64(time.Millisecond),
 			"pmpn_iters", tr.pmpnIters,
 			"pmpn_support", tr.pmpnSupport,
+			"screened", tr.screened,
 			"rounds", tr.rounds,
 			"fallbacks", tr.fallbacks,
 			"fallback_iters", tr.fallbackIters,
@@ -274,8 +279,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		Time:      time.Now(),
 		RequestID: id,
 		Route:     "reverse-topk",
-		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
-			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
+		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d screened=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
+			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.screened, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
 		PhasesMS: phasesMS,
 		Duration: elapsed,
 	})
