@@ -1,7 +1,6 @@
 // Command rtkbench regenerates every table and figure of the paper's
 // evaluation section (§5) on the synthetic dataset analogs. Each experiment
-// prints the same rows/series the paper reports; see EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison.
+// prints the same rows/series the paper reports.
 //
 // Usage:
 //

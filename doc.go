@@ -29,7 +29,10 @@
 // refinement under explicit seeds, warm-started exact escalation, and
 // mode=approx serving with budget-aware cache keys — the paper's §5.3
 // hits-only approximation, core.Engine.QueryApproximate, is now a thin
-// wrapper over this engine), the exact fallback (a bit-identical push-form
+// wrapper over this engine), the refine-or-solve rule (a refinement step is
+// taken only when the ink it moves could let a bound decide; otherwise the
+// candidate goes straight to the exact fallback — README.md, "Refine or
+// solve"), the exact fallback (a bit-identical push-form
 // forward sweep plus a stop anchored at the PMPN-exact p_u(q): on the
 // benchmark's web-cold workload query_qps 167.5 → 208.3 and query_p95_ms
 // 44.5 → 33.3 with byte-equal answers; README.md, "Exact fallback"), and

@@ -14,7 +14,7 @@ package bca
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/vecmath"
@@ -122,6 +122,21 @@ func (st *State) CheckInvariant(tol float64) error {
 	return nil
 }
 
+// BatchInk returns Σ{r(v) : r(v) ≥ η}, the residue ink the next Step at
+// threshold η would move — the same predicate Step selects its batch with.
+// Zero means Step would be a no-op. The sum runs over R in stored (ascending
+// node) order, one fixed order per state, so its bits — and every decision
+// core.Engine takes from it — are the same in any sweep, shard or worker.
+func (st *State) BatchInk(eta float64) float64 {
+	var ink float64
+	for _, v := range st.R.Val {
+		if v >= eta {
+			ink += v
+		}
+	}
+	return ink
+}
+
 // Workspace holds dense scratch arrays reused across BCA runs so that
 // building the index for millions of nodes performs no per-node
 // allocations proportional to n. A Workspace serves one goroutine.
@@ -187,7 +202,7 @@ func (s *scratch) load(sp vecmath.Sparse) {
 func (s *scratch) gather() vecmath.Sparse {
 	idxs := make([]int32, len(s.touched))
 	copy(idxs, s.touched)
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
+	slices.Sort(idxs)
 	return vecmath.GatherSparseIndices(s.vals, idxs, 0)
 }
 

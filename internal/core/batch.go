@@ -39,8 +39,8 @@ const spmmChunkWidth = 16
 // amortizing the transition matrix's memory traffic across the chunk, and
 // each query's candidate-decision step is dealt to a worker engine the
 // moment its column converges — decisions overlap the remaining columns'
-// iterations. Candidates whose refinement budget stalls are deferred past
-// the sweep and resolved for the WHOLE batch at once: their forward
+// iterations. Candidates refinement leaves open (Engine.refine) are deferred
+// past the sweep and resolved for the WHOLE batch at once: their forward
 // iterations depend only on the candidate, so duplicates across queries
 // share one column of one forward SpMM slab set (Engine.resolveExact) and
 // each query is decided against its own p_u(q). A single valid query falls
@@ -64,20 +64,6 @@ const spmmChunkWidth = 16
 //
 // practical toggles the paper-literal decision mode on every worker engine.
 func QueryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, workers int, update, practical bool) ([]BatchResult, error) {
-	return queryBatch(g, idx, queries, k, workers, func() (*Engine, error) {
-		eng, err := NewEngine(g, idx, update)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetPracticalDecisions(practical)
-		return eng, nil
-	})
-}
-
-// queryBatch is QueryBatch over engines from newEngine, which must all share
-// g and idx; tests pass one that starves the refinement budget so that the
-// deferred-fallback path is the one that runs.
-func queryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, workers int, newEngine func() (*Engine, error)) ([]BatchResult, error) {
 	if k <= 0 || k > idx.K() {
 		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, idx.K())
 	}
@@ -101,10 +87,11 @@ func queryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 	// jobs channel without receivers and deadlock the send loop.
 	engines := make([]*Engine, inter)
 	for w := range engines {
-		eng, err := newEngine()
+		eng, err := NewEngine(g, idx, update)
 		if err != nil {
 			return nil, err
 		}
+		eng.SetPracticalDecisions(practical)
 		engineIntra := intra
 		if w < extra {
 			engineIntra++
@@ -226,7 +213,7 @@ func queryBatch(g graph.View, idx *lbindex.Index, queries []graph.NodeID, k, wor
 	}
 	if len(all) > 0 {
 		resolveStart := time.Now()
-		out, rerr := engines[0].resolveExact(all, k, workers, func(a int) {
+		out, rerr := engines[0].resolveExact(all, k, func(a int) {
 			state[owner[a]].stats.Committed++
 		})
 		resolveElapsed := time.Since(resolveStart)

@@ -82,31 +82,17 @@ func TestQueryBatchValidation(t *testing.T) {
 	}
 }
 
-// starvedEngines is a queryBatch engine source whose no-update engines give
-// up bound refinement after one step, so that most candidates stall and the
-// batch-wide deferred resolution is the path that decides them.
-func starvedEngines(g graph.View, idx *lbindex.Index) func() (*Engine, error) {
-	return func() (*Engine, error) {
-		e, err := NewEngine(g, idx, false)
-		if err == nil {
-			e.SetMaxRefineSteps(1)
-		}
-		return e, err
-	}
-}
-
-// TestQueryBatchDeferredFallbacks: when candidates exhaust their refinement
-// budget mid-batch, QueryBatch parks them and resolves the whole batch's
-// stalls in deduplicated shared slabs. The answers must equal a scalar
-// engine under the same budget and the brute-force oracle, the fallback path
+// TestQueryBatchDeferredFallbacks: candidates whose next refinement step
+// could not decide them are parked by QueryBatch, which resolves the whole
+// batch's stalls in deduplicated shared slabs. The answers must equal a
+// scalar engine and the brute-force oracle, the fallback path
 // must actually fire, and the shared resolution wall clock must be charged
 // to the parked queries' stats.
 func TestQueryBatchDeferredFallbacks(t *testing.T) {
 	p := rwr.DefaultParams()
 	g := randomGraph(11, 150, false)
 	idx := buildIndex(t, g, 10, 2)
-	newEngine := starvedEngines(g, idx)
-	scalar, err := newEngine()
+	scalar, err := NewEngine(g, idx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +104,7 @@ func TestQueryBatchDeferredFallbacks(t *testing.T) {
 	}
 	for _, k := range []int{5, 10} {
 		for _, workers := range []int{1, 4} {
-			results, err := queryBatch(g, idx, qs, k, workers, newEngine)
+			results, err := QueryBatch(g, idx, qs, k, workers, false, false)
 			if err != nil {
 				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
 			}

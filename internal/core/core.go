@@ -7,7 +7,10 @@
 //     p̂_u(k) > p_u(q) can never rank q in their top-k and are pruned; the
 //     survivors ("candidates") are confirmed with the staircase upper
 //     bound of Algorithm 3 or refined step-by-step (Algorithm 1's loop)
-//     until their lower or upper bound decides membership (Algorithm 4).
+//     until their lower or upper bound decides membership (Algorithm 4). A
+//     step is taken only when the ink it can move could let a bound decide
+//     (refine); a candidate whose next step could not is settled by one
+//     exact forward solve instead, batched after the sweep (resolveExact).
 //
 // The paper screens every u. Which rows step 2 actually visits follows from
 // what step 1 observed. If the PMPN ended inside q's backward ball
@@ -101,10 +104,13 @@ type QueryStats struct {
 	// RefineSteps is the total number of BCA refinement iterations spent
 	// across all candidates.
 	RefineSteps int
-	// ExactFallbacks counts candidates that had to be decided by an exact
-	// power-method computation because bound refinement stalled (residue
-	// trapped below the propagation threshold). Rare by construction; a
-	// sweep's fallbacks are batch-resolved through one forward SpMM slab
+	// ExactFallbacks counts candidates decided by an exact power-method
+	// computation because no outcome of their next refinement step could
+	// have decided them (refine): the step would move too little ink to
+	// close the gap to either bound, or none at all (residue trapped below
+	// the propagation threshold). Exact ties always end here, and on graphs
+	// whose BCA states spread over most nodes so do most candidates. A
+	// sweep's fallbacks are batch-resolved through forward SpMM slabs
 	// (resolveFallbacks), but each still counts individually here.
 	ExactFallbacks int
 	// Committed counts refined states written back to the index (update
@@ -167,9 +173,6 @@ type Engine struct {
 	// engines cost no dense scratch until their first query.
 	workers int
 	wsPool  *bca.Pool
-	// etaFloor bounds how far stalled refinement may shrink the
-	// propagation threshold before falling back to an exact computation.
-	etaFloor float64
 	// tieTol absorbs floating-point noise on the membership boundary.
 	// Whenever q is exactly the k-th ranked node of u — which holds for
 	// every rank-k member of the answer — p_u(q) equals pkmax_u in real
@@ -179,14 +182,6 @@ type Engine struct {
 	// own precision. The exact fallback's early stop (resolveExact) leans on
 	// the same agreement between the PMPN and forward values of p_u(q).
 	tieTol float64
-	// maxRefine caps the BCA refinement steps spent on one candidate
-	// before switching to the exact power-method decision. A refinement
-	// step costs about as much as a power-method iteration plus the
-	// materialization of p^t, so past a handful of steps the exact
-	// fallback — whose result is committed to the index as a permanently
-	// drained state — is strictly cheaper. Empirically 8 balances the two
-	// paths across graph families (see the budget sweep in EXPERIMENTS.md).
-	maxRefine int
 	// practical selects the paper's literal decision rule for stalled
 	// candidates; see SetPracticalDecisions.
 	practical bool
@@ -212,26 +207,13 @@ type Engine struct {
 //   - exact (default): decide stalled candidates with one power-method
 //     computation (and commit the now-exact state to the index). Answers
 //     equal brute force unconditionally.
-//   - practical: decide stalled or budget-exhausted candidates by the
+//   - practical: decide candidates refinement leaves open (refine) by the
 //     standing while-loop condition — p_u(q) ≥ p̂^t_u(k) means u stays in
 //     the answer. This is the only reading under which the paper's
 //     reported per-candidate refinement costs are attainable, and it can
 //     only ever ADD near-boundary nodes (whose gap is below the bound
 //     tightness reachable at η) to the exact answer.
 func (e *Engine) SetPracticalDecisions(on bool) { e.practical = on }
-
-// DefaultMaxRefineSteps is the per-candidate refinement budget before the
-// engine switches to the exact fallback.
-const DefaultMaxRefineSteps = 8
-
-// SetMaxRefineSteps overrides the per-candidate refinement budget
-// (0 restores DefaultMaxRefineSteps).
-func (e *Engine) SetMaxRefineSteps(n int) {
-	if n <= 0 {
-		n = DefaultMaxRefineSteps
-	}
-	e.maxRefine = n
-}
 
 // NewEngine creates a query engine. update selects whether refinements are
 // committed back to the index (§4.2.3) — the "update" series of Fig. 5/7.
@@ -240,14 +222,12 @@ func NewEngine(g graph.View, idx *lbindex.Index, update bool) (*Engine, error) {
 		return nil, fmt.Errorf("core: index built for %d nodes, graph has %d", idx.N(), g.N())
 	}
 	return &Engine{
-		g:         g,
-		idx:       idx,
-		update:    update,
-		workers:   1,
-		wsPool:    bca.NewPool(g.N()),
-		etaFloor:  1e-12,
-		tieTol:    defaultTieTol,
-		maxRefine: DefaultMaxRefineSteps,
+		g:       g,
+		idx:     idx,
+		update:  update,
+		workers: 1,
+		wsPool:  bca.NewPool(g.N()),
+		tieTol:  defaultTieTol,
 	}, nil
 }
 
@@ -416,11 +396,11 @@ func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.N
 // other segments remain in the index — exactly as a sequential sweep would
 // have left every node decided before the failure.
 //
-// Candidates whose refinement budget runs out are deferred by the sweep
-// (per shard, in segment order) and resolved afterwards in one pass of
-// SpMM-batched exact solves on the coordinating goroutine — same pending
-// list, same order, whatever the worker count, so the sequential and
-// sharded engines still make bit-identical decisions and commits.
+// Candidates whose next refinement step could not decide them (refine) are
+// deferred by the sweep (per shard, in segment order) and resolved afterwards
+// in one pass of SpMM-batched exact solves on the coordinating goroutine —
+// same pending list, same order, whatever the worker count, so the sequential
+// and sharded engines still make bit-identical decisions and commits.
 func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, workers int, stats *QueryStats) ([]graph.NodeID, error) {
 	results, pend, err := e.decideSetDeferred(q, pq, k, list, workers, stats)
 	if err != nil {
@@ -540,15 +520,15 @@ func eachIndexed(idx *lbindex.Index) func(yield func(graph.NodeID) bool) {
 	}
 }
 
-// decide implements the inner while loop of Algorithm 4 for one node u:
-// it returns whether u belongs to the reverse top-k set of the query,
-// given puq = p_u(q). ws is the BCA scratch to refine with — one pooled
-// workspace for the whole sweep on the sequential path, one per shard on
-// decideSetDeferred's sharded path (stats and pend must likewise be
-// private to the calling shard). A candidate whose refinement budget runs
-// out is NOT decided here: it is appended to *pend, tagged with the query
-// node q (−1 if unknown), for the caller to batch-resolve with exact
-// solves after the sweep (resolveFallbacks), and reported as not added.
+// decide implements Algorithm 4's per-candidate decision for one node u: it
+// returns whether u belongs to the reverse top-k set of the query, given
+// puq = p_u(q). ws is the BCA scratch to refine with — one pooled workspace
+// for the whole sweep on the sequential path, one per shard on
+// decideSetDeferred's sharded path (stats and pend must likewise be private
+// to the calling shard). A candidate refine leaves undecided is NOT decided
+// here: it is appended to *pend, tagged with the query node q (−1 if
+// unknown), for the caller to batch-resolve with exact solves after the
+// sweep (resolveFallbacks), and reported as not added.
 func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) (bool, error) {
 	if prunedByLowerBound(puq, e.idx.KthLowerBound(u, k), e.tieTol) {
 		return false, nil // never becomes a candidate
@@ -558,103 +538,122 @@ func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64
 	// The effective undecided mass is the BCA residue plus the proximity
 	// mass §4.1.3's rounding removed (tracked per state): a drained state
 	// is exact only when both are zero.
-	rnorm := e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u)
-	if rnorm == 0 {
+	rho := e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u)
+	if rho == 0 {
 		// Lower bound is the exact pkmax (hub node or fully drained BCA):
 		// puq ≥ lb decides membership outright.
 		stats.Hits++
 		return true, nil
 	}
 	phat := e.idx.PHatRow(u)
-	if ub := UpperBound(phat, k, rnorm); puq >= ub-e.tieTol {
+	if puq >= UpperBound(phat, k, rho)-e.tieTol {
 		stats.Hits++ // confirmed by the first upper-bound check
 		return true, nil
 	}
 
-	// Refinement loop: advance this node's BCA run until a bound decides.
-	st := e.idx.StateSnapshot(u)
-	if st == nil {
-		// Hubs always have rnorm == 0, so this cannot happen; guard for
-		// corrupted indexes.
-		return false, fmt.Errorf("core: node %d has residue but no state", u)
+	r, err := e.refine(ws, u, k, puq, phat, rho)
+	if err != nil {
+		return false, err
 	}
-	cfg := e.idx.Options().BCA
-	hm := e.idx.HubMatrix()
-	dirty := false
-	decided, isResult := false, false
-	localSteps := 0
-	for {
-		if puq < phat[k-1]-e.tieTol {
-			decided, isResult = true, false
-			break
-		}
-		slack := e.idx.StateSlack(st)
-		if st.RNorm+slack == 0 {
-			decided, isResult = true, true
-			break
-		}
-		if ub := UpperBound(phat, k, st.RNorm+slack); puq >= ub-e.tieTol {
-			decided, isResult = true, true
-			break
-		}
-		if localSteps >= e.maxRefine || localSteps >= cfg.MaxIters {
-			break // budget exhausted; resolve below
-		}
-		if bca.Step(e.g, st, hm, cfg, ws) == 0 {
-			if e.practical {
-				break // stalled at η: resolve by the standing condition
-			}
-			// All residue sits below η: shrink η for this node until
-			// progress resumes or the floor is hit.
-			progressed := false
-			for eta := cfg.Eta / 10; eta >= e.etaFloor; eta /= 10 {
-				c := cfg
-				c.Eta = eta
-				if bca.Step(e.g, st, hm, c, ws) > 0 {
-					progressed = true
-					break
-				}
-			}
-			if !progressed {
-				break // residue is numerically stuck; decide exactly
-			}
-		}
-		dirty = true
-		localSteps++
-		stats.RefineSteps++
-		// Only the first k entries feed the bound checks; the full-K
-		// column is recomputed once at commit time.
-		phat = bca.TopK(st, hm, ws, k)
-	}
-
-	if !decided && e.practical {
-		// Paper-literal resolution: the candidate is still inside the
-		// while loop (p_u(q) ≥ p̂^t_u(k)), so it stays in the answer.
-		decided, isResult = true, true
-	}
-	if !decided {
+	stats.RefineSteps += r.steps
+	if !r.decided {
 		// Exact fallback: the node needs p_u in full, compared against its
-		// own exact pkmax. The vector depends only on u — not on the query
-		// — and each one is a whole power method, so the sweep DEFERS it:
-		// the caller collects every stalled candidate and resolves them
-		// together through one forward SpMM slab (resolveFallbacks), where
-		// B columns share each CSR traversal instead of streaming the
-		// matrix from RAM B separate times. The batched columns are
-		// bit-identical to the per-candidate solves, so deferral changes
-		// no decision and no committed state. The refined st is NOT
-		// committed here even in update mode: resolution commits the
-		// strictly better exact state instead, exactly as the inline
-		// fallback did.
+		// own exact pkmax. The vector depends only on u — not on the query —
+		// and each one is a whole power method, so the sweep DEFERS it: the
+		// caller collects every open candidate and resolves them together
+		// through forward SpMM slabs (resolveFallbacks), where B columns
+		// share each CSR traversal instead of streaming the matrix from RAM
+		// B separate times. The batched columns are bit-identical to the
+		// per-candidate solves, so deferral changes no decision and no
+		// committed state. The refined state is NOT committed here even in
+		// update mode: resolution commits the strictly better exact state
+		// instead.
 		stats.ExactFallbacks++
-		*pend = append(*pend, pendingFallback{u: u, q: q, puq: puq, nextT: st.T + 1})
+		*pend = append(*pend, pendingFallback{u: u, q: q, puq: puq, nextT: r.t + r.steps + 1})
 		return false, nil
 	}
-
-	if dirty && e.update {
-		e.idx.Commit(u, st, bca.TopK(st, hm, ws, e.idx.K()))
+	if r.steps > 0 && e.update {
+		e.idx.Commit(u, r.st, bca.TopK(r.st, e.idx.HubMatrix(), ws, e.idx.K()))
 		stats.Committed++
 	}
-	return isResult, nil
+	return r.member, nil
+}
+
+// refinement is what refine reports about one candidate.
+type refinement struct {
+	// decided says a bound settled the candidate (or, for one left open,
+	// practical mode did), member which way. A candidate is left open when
+	// its next step could not have settled it.
+	decided, member bool
+	steps           int        // BCA steps taken
+	st              *bca.State // the refined copy of u's state; nil when steps == 0
+	t               int        // iterations u's stored state had run before these steps
+}
+
+// refine is the inner while loop of Algorithm 4 for a candidate its indexed
+// bounds leave open: phat is u's indexed row and rho its residue plus rounding
+// slack, with p̂(k) − tieTol ≤ p_u(q) < UpperBound(p̂, k, ρ) − tieTol. It
+// advances a copy of u's BCA state until a bound decides, but takes a step —
+// the first one and the deep copy before it included — only if that step
+// could decide. A step at threshold η takes exactly B = Σ{r(v) : r(v) ≥ η}
+// (bca.State.BatchInk) out of the residue and adds at most B to p^t, and the
+// slack never shrinks; so after it ρ′ ≥ ρ − B, p̂′ ≥ p̂ entrywise, and
+//
+//	UB′   = UpperBound(p̂′, k, ρ′) ≥ UpperBound(p̂, k, ρ − B)
+//	p̂′(k) ≤ UpperBound(p̂, k, B)
+//
+// If the first still clears p_u(q) and the second still does not, neither
+// bound can decide u whatever the step does, and u is left open at once for
+// the exact solve — which, since the push-form forward sweep, costs about
+// what one step over a spread-out state does. B = 0 (all residue below η, the
+// step a no-op) is the degenerate instance: both right-hand sides are then
+// the bounds that just failed. The test is a pure function of (u's state, k,
+// p_u(q)), so every sweep order and worker count takes the same steps.
+// cfg.MaxIters is the safety net against a state that never drains. In
+// practical mode (SetPracticalDecisions) a candidate left open is a member.
+func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, phat []float64, rho float64) (refinement, error) {
+	cfg := e.idx.Options().BCA
+	hm := e.idx.HubMatrix()
+	ink, t := e.idx.BatchInk(u, cfg.Eta)
+	r := refinement{t: t}
+	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, puq, e.tieTol) {
+		if r.st == nil {
+			if r.st = e.idx.StateSnapshot(u); r.st == nil {
+				// BatchInk saw a state a moment ago; guard for a hub commit
+				// racing this sweep.
+				return r, fmt.Errorf("core: node %d has residue but no state", u)
+			}
+		}
+		bca.Step(e.g, r.st, hm, cfg, ws)
+		r.steps++
+		// Only the first k entries feed the bound checks; the full-K column
+		// is recomputed once at commit time.
+		phat = bca.TopK(r.st, hm, ws, k)
+		if prunedByLowerBound(puq, phat[k-1], e.tieTol) {
+			r.decided = true
+			return r, nil
+		}
+		rho = r.st.RNorm + e.idx.StateSlack(r.st)
+		if rho == 0 || puq >= UpperBound(phat, k, rho)-e.tieTol {
+			r.decided, r.member = true, true
+			return r, nil
+		}
+		ink = r.st.BatchInk(cfg.Eta)
+	}
+	if e.practical {
+		// Paper-literal resolution: the candidate is still inside the while
+		// loop (p_u(q) ≥ p̂^t_u(k)), so it stays in the answer.
+		r.decided, r.member = true, true
+	}
+	return r, nil
+}
+
+// stepCanDecide is refine's one-step test: whether a BCA step that moves ink
+// out of a residue-plus-slack of rho could let the upper bound admit the
+// candidate or the lower bound exclude it (see refine for the two bounds).
+func stepCanDecide(phat []float64, k int, rho, ink, puq, tieTol float64) bool {
+	return puq >= UpperBound(phat, k, rho-ink)-tieTol ||
+		prunedByLowerBound(puq, UpperBound(phat, k, ink), tieTol)
 }
 
 // prunedByLowerBound is Algorithm 4's first screen: u cannot rank q in its
@@ -667,10 +666,10 @@ func prunedByLowerBound(puq, lb, tieTol float64) bool {
 	return puq < lb-tieTol
 }
 
-// pendingFallback is one candidate whose refinement budget ran out before
-// a bound decided: u must be resolved by the exact power method. The query
-// node, puq and the would-be next BCA iteration number are captured at
-// deferral time so resolution needs nothing but u's forward iteration.
+// pendingFallback is one candidate refine left open — no outcome of its next
+// step could have decided it: u must be resolved by the exact power method.
+// The query node, puq and the would-be next BCA iteration number are captured
+// at deferral time so resolution needs nothing but u's forward iteration.
 // q = −1 means the caller did not know the query node; such a candidate is
 // only ever decided against the converged vector.
 type pendingFallback struct {
@@ -695,11 +694,9 @@ func (s *QueryStats) countFallback(o fallbackOutcome) {
 }
 
 // resolveFallbacks decides every candidate one sweep deferred, returning
-// the members. Runs on the coordinating goroutine after the decision
-// sweep, so it can use the engine's full worker budget without
-// oversubscribing the shards.
+// the members. Runs on the coordinating goroutine after the decision sweep.
 func (e *Engine) resolveFallbacks(pend []pendingFallback, k int, stats *QueryStats) ([]graph.NodeID, error) {
-	out, err := e.resolveExact(pend, k, e.workers, func(int) { stats.Committed++ })
+	out, err := e.resolveExact(pend, k, func(int) { stats.Committed++ })
 	if err != nil {
 		return nil, err
 	}
@@ -729,9 +726,12 @@ const (
 // pkmax(u) the k-th largest entry of u's exact proximity vector. Askers
 // naming the same u — several queries of a batch stalling on one node —
 // share one column; columns run in forward SpMM slabs of at most
-// spmmChunkWidth, in first-asked order, with the given worker budget, and
-// every column that runs to convergence is bit-identical to the scalar
-// ProximityVectorParallel solve at any worker count.
+// spmmChunkWidth, in first-asked order, and every column that runs to
+// convergence is bit-identical to the scalar ProximityVectorParallel solve.
+// Each slab is swept by one worker whatever the engine's worker count: only
+// a single-segment sweep gets the push kernel (rwr/spmmfwd.go), and a
+// row-sharded one falls to the gather kernel at 1.6–3× the cost per column —
+// two workers were slower than one. Columns are bit-identical either way.
 //
 // A no-update engine rarely needs the converged vector. p_u(q) is already
 // exact (the PMPN gave it); the unknown is only which side of it pkmax(u)
@@ -763,7 +763,7 @@ const (
 // update curve of Fig. 7/8 flatten — and that needs the converged vector.
 // onCommit is invoked once per committed column with the index of the
 // asker that deferred it first (for the caller's stats attribution).
-func (e *Engine) resolveExact(pend []pendingFallback, k, workers int, onCommit func(asker int)) ([]fallbackOutcome, error) {
+func (e *Engine) resolveExact(pend []pendingFallback, k int, onCommit func(asker int)) ([]fallbackOutcome, error) {
 	type column struct {
 		askers    []int   // indices into pend
 		nextProbe float64 // probe once the tail is at most this
@@ -824,7 +824,7 @@ func (e *Engine) resolveExact(pend []pendingFallback, k, workers int, onCommit f
 			}
 		}
 		var colErr error
-		err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, workers, probe, func(i int, res rwr.Result, rerr error) {
+		err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, 1, probe, func(i int, res rwr.Result, rerr error) {
 			if rerr != nil {
 				if colErr == nil {
 					colErr = rerr

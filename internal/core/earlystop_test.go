@@ -29,8 +29,7 @@ func bruteForceFrom(cols [][]float64, q graph.NodeID, k int) []graph.NodeID {
 }
 
 // TestEarlyStopMatchesConvergedAndBruteForce: across the oracle families ×
-// k ∈ {1, 10, K}, with the refinement budget squeezed so that most
-// candidates reach the fallback, the engine's answer with the probe equals
+// k ∈ {1, 10, K}, the engine's answer with the probe equals
 // its answer with the probe forced off equals brute force; the same
 // candidates reach the fallback either way; and the probe really engages
 // (fewer forward iterations, some early stops) while the forced-off run
@@ -52,7 +51,6 @@ func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.SetMaxRefineSteps(1)
 			var on, off QueryStats
 			for _, k := range []int{1, 10, indexK} {
 				for _, q := range anytimeQueries(g.N()) {
@@ -151,11 +149,11 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 				a.q = -1
 				converged[i] = a
 			}
-			got, err := eng.resolveExact(askers, k, 1, func(int) {})
+			got, err := eng.resolveExact(askers, k, func(int) {})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := eng.resolveExact(converged, k, 1, func(int) {})
+			ref, err := eng.resolveExact(converged, k, func(int) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,13 +213,12 @@ func twinGraph(seed int64, n int) *graph.Graph {
 func TestQueryBatchSharedColumnKeepsIterating(t *testing.T) {
 	const k = 6
 	g := twinGraph(11, 150)
-	twin, other, shared := graph.NodeID(150), graph.NodeID(40), graph.NodeID(17)
+	twin, other, shared := graph.NodeID(150), graph.NodeID(72), graph.NodeID(17)
 	idx := buildIndex(t, g, 10, 2)
-	newEngine := starvedEngines(g, idx)
 
 	// Each query's fallbacks, each resolved alone.
 	p := rwr.DefaultParams()
-	eng, err := newEngine()
+	eng, err := NewEngine(g, idx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestQueryBatchSharedColumnKeepsIterating(t *testing.T) {
 		}
 		alone[i] = map[graph.NodeID]fallbackOutcome{}
 		for _, pf := range pend {
-			out, err := eng.resolveExact([]pendingFallback{pf}, k, 1, func(int) {})
+			out, err := eng.resolveExact([]pendingFallback{pf}, k, func(int) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +259,7 @@ func TestQueryBatchSharedColumnKeepsIterating(t *testing.T) {
 			want[i].countFallback(o)
 		}
 	}
-	got, err := queryBatch(g, idx, qs, k, 1, newEngine)
+	got, err := QueryBatch(g, idx, qs, k, 1, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +293,6 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.SetMaxRefineSteps(1)
 	const q, k = 5, 10
 	pq, err := rwr.ProximityToParallel(g, q, p, 1)
 	if err != nil {
@@ -315,7 +311,6 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetMaxRefineSteps(1)
 	_, stats, err := eng.Query(q, k)
 	if err != nil {
 		t.Fatal(err)

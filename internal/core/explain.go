@@ -11,25 +11,6 @@ import (
 	"repro/internal/vecmath"
 )
 
-// stepWithEtaShrink advances one BCA step, shrinking η when stalled (in
-// exact mode only, matching decide()'s behaviour).
-func stepWithEtaShrink(e *Engine, ws *bca.Workspace, st *bca.State, cfg bca.Config, hm bca.HubProximities) int {
-	if n := bca.Step(e.g, st, hm, cfg, ws); n > 0 {
-		return n
-	}
-	if e.practical {
-		return 0
-	}
-	for eta := cfg.Eta / 10; eta >= e.etaFloor; eta /= 10 {
-		c := cfg
-		c.Eta = eta
-		if n := bca.Step(e.g, st, hm, c, ws); n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
 func kthLargest(x []float64, k int) float64 { return vecmath.KthLargest(x, k) }
 
 // Outcome classifies how the engine decided one node during a query.
@@ -48,8 +29,9 @@ const (
 	// bounds until they admitted / excluded the node.
 	OutcomeRefinedIn
 	OutcomeRefinedOut
-	// OutcomeFallback: the refinement budget ran out and an exact
-	// power-method computation decided.
+	// OutcomeFallback: no outcome of the next refinement step could have
+	// decided the node (Engine.refine) and an exact power-method
+	// computation did.
 	OutcomeFallback
 )
 
@@ -143,8 +125,8 @@ func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanatio
 	return ex, nil
 }
 
-// explainNode mirrors decide() but on a throwaway state and with outcome
-// recording.
+// explainNode mirrors decide() — same screen, same refine — but never
+// commits, resolves a fallback inline, and records the outcome.
 func (e *Engine) explainNode(ws *bca.Workspace, u graph.NodeID, k int, puq float64, stats *QueryStats) (Decision, error) {
 	d := Decision{
 		Node:       u,
@@ -171,39 +153,17 @@ func (e *Engine) explainNode(ws *bca.Workspace, u graph.NodeID, k int, puq float
 		return d, nil
 	}
 
-	st := e.idx.StateSnapshot(u)
-	if st == nil {
-		return d, fmt.Errorf("core: node %d has residue but no state", u)
+	r, err := e.refine(ws, u, k, puq, phat, d.Residue)
+	if err != nil {
+		return d, err
 	}
-	cfg := e.idx.Options().BCA
-	hm := e.idx.HubMatrix()
-	for {
-		if puq < phat[k-1]-e.tieTol {
-			d.Outcome = OutcomeRefinedOut
-			return d, nil
-		}
-		slack := e.idx.StateSlack(st)
-		if st.RNorm+slack == 0 || puq >= UpperBound(phat, k, st.RNorm+slack)-e.tieTol {
+	d.RefineSteps = r.steps
+	stats.RefineSteps += r.steps
+	if r.decided {
+		d.Outcome, d.InAnswer = OutcomeRefinedOut, r.member
+		if r.member {
 			d.Outcome = OutcomeRefinedIn
-			d.InAnswer = true
-			return d, nil
 		}
-		if d.RefineSteps >= e.maxRefine {
-			break
-		}
-		if stepWithEtaShrink(e, ws, st, cfg, hm) == 0 {
-			break
-		}
-		d.RefineSteps++
-		stats.RefineSteps++
-		phat = bca.TopK(st, hm, ws, k)
-	}
-
-	if e.practical {
-		// Mirror Query's practical-mode resolution: the node is still
-		// inside the while loop, so it stays in the answer.
-		d.Outcome = OutcomeRefinedIn
-		d.InAnswer = true
 		return d, nil
 	}
 

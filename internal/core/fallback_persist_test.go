@@ -20,7 +20,6 @@ func TestFallbackCommitsSurviveSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetMaxRefineSteps(1)
 	_, st1, err := eng.Query(5, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +29,6 @@ func TestFallbackCommitsSurviveSaveLoad(t *testing.T) {
 	}
 	// in-memory repeat
 	eng2, _ := NewEngine(g, idx, false)
-	eng2.SetMaxRefineSteps(1)
 	_, st2, err := eng2.Query(5, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +54,6 @@ func TestFallbackCommitsSurviveSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng3.SetMaxRefineSteps(1)
 	_, st3, err := eng3.Query(5, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -145,7 +145,7 @@ func TestRunFigure7Shape(t *testing.T) {
 
 func TestRunFigure8Shape(t *testing.T) {
 	// n=500 is the smallest scale at which build costs dominate enough
-	// for the paper's curve ordering to emerge; see EXPERIMENTS.md.
+	// for the paper's curve ordering to emerge.
 	cfg := Fig8Config{
 		Graph:        GraphSpec{Name: "web-f8", Paper: "Web-stanford-cs", Nodes: 500, Kind: "web", Seed: 11, HubBudget: 10},
 		K:            10,
@@ -243,8 +243,7 @@ func TestRunApproxStudyShape(t *testing.T) {
 	}
 	for _, r := range rows {
 		// On a 300-node graph the δ=0.1 bounds are loose, so hits-only
-		// recall is modest; the paper-scale run (EXPERIMENTS.md) shows
-		// the web-graph recall. Here we only pin the shape.
+		// recall is modest. Here we only pin the shape.
 		if r.Recall <= 0.2 || r.Recall > 1 {
 			t.Errorf("recall out of expected range: %+v", r)
 		}

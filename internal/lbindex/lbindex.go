@@ -475,6 +475,22 @@ func (idx *Index) StateSlack(st *bca.State) float64 {
 	return stateSlack(st, idx.HubMatrix())
 }
 
+// BatchInk returns the ink the next refinement step of u's stored state would
+// move at threshold η (bca.State.BatchInk) and the iterations that state has
+// already run; zeros for hubs. It reads the stored state in place, so the
+// query engine can ask before StateSnapshot and pay no deep copy for a
+// candidate it will not step.
+func (idx *Index) BatchInk(u graph.NodeID, eta float64) (ink float64, t int) {
+	s := &idx.stripes[idx.stripeOf(u)]
+	s.RLock()
+	defer s.RUnlock()
+	st := idx.states[u]
+	if st == nil {
+		return 0, 0
+	}
+	return st.BatchInk(eta), st.T
+}
+
 // StateSnapshot returns a deep copy of u's resumable BCA state, or nil for
 // hub nodes. Copies are what the query engine refines in no-update mode.
 func (idx *Index) StateSnapshot(u graph.NodeID) *bca.State {

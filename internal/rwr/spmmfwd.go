@@ -7,7 +7,7 @@ import (
 // Forward SpMM tier: B power-method columns — one per origin node, each the
 // proximity vector p_u of ProximityVectorParallel — advance together in one
 // node-major slab, sharing every adjacency traversal. This is the engine's
-// exact-fallback batcher: a query whose refinement budget leaves several
+// exact-fallback batcher: a query whose refinement leaves several
 // candidates undecided resolves them all with one slab sweep instead of
 // streaming the CSR once per candidate.
 //
@@ -20,9 +20,10 @@ import (
 // is all zero — most of them for the first iterations, and for good on
 // graphs where the origin reaches only part of the node set — and add
 // x_j(u)·inv(u) into each out-neighbor's row. They run whenever one call
-// covers every row (a single-segment sweep: workers = 1, what a loaded
-// server deals each query); row-sharded sweeps and third-party views keep
-// the gather form, which is the one that partitions.
+// covers every row (a single-segment sweep: workers = 1, which is how
+// core.Engine sweeps every fallback slab, whatever its own worker count);
+// row-sharded sweeps and third-party views keep the gather form, which is
+// the one that partitions.
 //
 // Push ≡ gather bit for bit, given the adjacency order both in-tree views
 // document: in-neighbor lists ascend by source. Walking sources in

@@ -219,6 +219,10 @@ type queryTrace struct {
 	// screen over a closed backward ball from a dense one over every row.
 	screened int
 	rounds   int
+	// candidates is how many rows passed an exact computation's screen and
+	// refineSteps the BCA steps spent on them (core.QueryStats); beside
+	// fallbacks they say whether a slow query refined or solved.
+	candidates, refineSteps int
 	// Exact fallbacks of the computation: how many, their forward
 	// iterations in total, and how many stopped before convergence.
 	fallbacks, fallbackIters, fallbackEarlyStops int
@@ -229,6 +233,7 @@ func (t *queryTrace) setExact(st core.QueryStats) {
 	t.computed = true
 	t.pmpnIters, t.pmpnSupport, t.screened = st.PMPNIters, st.PMPNSupport, st.Screened
 	t.setPhases(st.Phases())
+	t.candidates, t.refineSteps = st.Candidates, st.RefineSteps
 	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
 }
 
@@ -267,6 +272,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 			"pmpn_support", tr.pmpnSupport,
 			"screened", tr.screened,
 			"rounds", tr.rounds,
+			"candidates", tr.candidates,
+			"refine_steps", tr.refineSteps,
 			"fallbacks", tr.fallbacks,
 			"fallback_iters", tr.fallbackIters,
 			"fallback_early_stops", tr.fallbackEarlyStops,
@@ -279,8 +286,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		Time:      time.Now(),
 		RequestID: id,
 		Route:     "reverse-topk",
-		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d screened=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
-			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.screened, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
+		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
+			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.screened, tr.candidates, tr.refineSteps, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
 		PhasesMS: phasesMS,
 		Duration: elapsed,
 	})

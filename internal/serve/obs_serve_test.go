@@ -540,8 +540,8 @@ func TestFallbackObservability(t *testing.T) {
 	if want.ExactFallbacks == 0 || want.FallbackIters == 0 {
 		t.Fatalf("q=1 k=3 no longer falls back (%+v); pick another query", want)
 	}
-	if want.PMPNSupport == 0 || want.Screened == 0 {
-		t.Fatalf("q=1 k=3 reports an empty proximity vector or an empty screen (%+v)", want)
+	if want.PMPNSupport == 0 || want.Screened == 0 || want.Candidates == 0 {
+		t.Fatalf("q=1 k=3 reports an empty proximity vector, an empty screen or no candidates (%+v)", want)
 	}
 
 	logs, logger := newTestLogger()
@@ -572,6 +572,8 @@ func TestFallbackObservability(t *testing.T) {
 		"pmpn_iters":           want.PMPNIters,
 		"pmpn_support":         want.PMPNSupport,
 		"screened":             want.Screened,
+		"candidates":           want.Candidates,
+		"refine_steps":         want.RefineSteps,
 		"fallbacks":            want.ExactFallbacks,
 		"fallback_iters":       want.FallbackIters,
 		"fallback_early_stops": want.FallbackEarlyStops,
@@ -582,8 +584,8 @@ func TestFallbackObservability(t *testing.T) {
 	}
 
 	_, body := get(t, ts.URL+"/debug/slowlog")
-	detail := fmt.Sprintf("pmpn_iters=%d pmpn_support=%d screened=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
-		want.PMPNIters, want.PMPNSupport, want.Screened, want.ExactFallbacks, want.FallbackIters, want.FallbackEarlyStops)
+	detail := fmt.Sprintf("pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
+		want.PMPNIters, want.PMPNSupport, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackEarlyStops)
 	if !strings.Contains(string(body), detail) {
 		t.Errorf("slow-log entry lacks %q: %s", detail, body)
 	}
