@@ -377,34 +377,6 @@ func BenchmarkPMPNvsColumn(b *testing.B) {
 	})
 }
 
-// BenchmarkRWRSolvers ablates the proximity-vector solvers: power method,
-// Gauss-Seidel sweeps, and local forward push at equivalent accuracy.
-func BenchmarkRWRSolvers(b *testing.B) {
-	g, _ := benchSetup(b)
-	p := rwr.DefaultParams()
-	b.Run("power-method", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rwr.ProximityVector(g, graph.NodeID(i%g.N()), p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gauss-seidel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rwr.GaussSeidel(g, graph.NodeID(i%g.N()), p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("forward-push", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rwr.ForwardPush(g, graph.NodeID(i%g.N()), p.Alpha, 1e-7, 1<<24); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkIntraQueryWorkers measures ONE reverse top-k query (Algorithm 4)
 // at increasing intra-query worker counts on the webgraph benchmark — the
 // single-query latency lever. Shape: near-linear speedup from workers=1 to
@@ -455,30 +427,6 @@ func BenchmarkParallelPMPN(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkQueryBatch measures parallel batch evaluation against one
-// shared index (update mode), per query.
-func BenchmarkQueryBatch(b *testing.B) {
-	g, idx := benchSetup(b)
-	queries, err := workload.Queries(g.N(), 64, 707)
-	if err != nil {
-		b.Fatal(err)
-	}
-	clone := cloneBenchIndex(b, idx)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := core.QueryBatch(g, clone, queries, 10, 0, true, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
 }
 
 // BenchmarkEvolveRefresh measures incremental maintenance (θ=1e-4)

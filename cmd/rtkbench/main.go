@@ -27,11 +27,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtkbench: ")
 	var (
-		which   = flag.String("exp", "all", "experiment: datasets|table2|fig5|fig6|fig7|fig8|fig9|spam|table3|approx|evolve|serve|all, or coldstart/shard/spmm/recovery/approxtier/obs (not in all: coldstart, shard, spmm and approxtier each build a ~131k-node index, recovery fsyncs a journal per batch, obs races two live daemons)")
+		which   = flag.String("exp", "all", "experiment: datasets|table2|fig5|fig6|fig7|fig8|fig9|spam|table3|approx|evolve|serve|all, or coldstart/shard/recovery/approxtier/obs (not in all: coldstart, shard and approxtier each build a ~131k-node index, recovery fsyncs a journal per batch, obs races two live daemons)")
 		scale   = flag.Int("scale", 1, "graph size multiplier (paper sizes ≈ 5–400)")
 		queries = flag.Int("queries", 0, "query workload size override (0 = experiment default; paper: 500)")
 		workers = flag.Int("workers", 1, "intra-query workers for the fig5/fig6 query sweep (0 = all cores)")
-		jsonOut = flag.String("json", "", "evolve/coldstart/shard/spmm/recovery/approxtier/obs experiments: write the machine-readable BENCH_<exp>.json record to this path")
+		jsonOut = flag.String("json", "", "evolve/coldstart/shard/recovery/approxtier/obs experiments: write the machine-readable BENCH_<exp>.json record to this path")
 		verbose = flag.Bool("v", false, "print progress while running")
 	)
 	flag.Parse()
@@ -39,7 +39,7 @@ func main() {
 	// Unknown experiment names fail fast with the full menu instead of
 	// silently running nothing.
 	valid := []string{"all", "datasets", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"spam", "table3", "approx", "evolve", "serve", "coldstart", "shard", "spmm", "recovery", "approxtier", "obs"}
+		"spam", "table3", "approx", "evolve", "serve", "coldstart", "shard", "recovery", "approxtier", "obs"}
 	if !slices.Contains(valid, *which) {
 		log.Fatalf("unknown experiment %q; valid -exp values: %s", *which, strings.Join(valid, ", "))
 	}
@@ -223,21 +223,6 @@ func main() {
 			log.Fatal(err)
 		}
 		if err := exp.WriteShardBench(os.Stdout, res, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *which == "spmm" {
-		header("Batching: multi-query SpMM proximity tier — aggregate qps vs batch width")
-		cfg := exp.DefaultSpMMBenchConfig(*scale)
-		if *queries > 0 {
-			cfg.Queries = *queries
-		}
-		res, err := exp.RunSpMMBench(cfg, progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteSpMMBench(os.Stdout, res, *jsonOut); err != nil {
 			log.Fatal(err)
 		}
 	}

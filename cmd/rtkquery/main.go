@@ -27,7 +27,7 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -111,9 +111,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// An index built with rtkindex -relabel stores its rows in the permuted
-	// (internal) space; permute the loaded graph to match and translate the
-	// query/answer at this boundary, so the command still speaks the edge-list
-	// file's external identifiers.
+	// (internal) space; permute the loaded graph to match. Queries and answers
+	// stay in the edge-list file's external identifiers.
 	if perm := idx.Relabeling(); perm != nil {
 		full, err := perm.Extend(g.N())
 		if err != nil {
@@ -130,11 +129,42 @@ func main() {
 		log.Fatal(perr)
 	}
 
-	if anytime {
-		view, err := core.NewView(g, idx)
+	if *update && !*explain && !*approx {
+		// Only a bare engine commits refinements (a View never mutates its
+		// index, and neither do -explain and -approx); it speaks the index's
+		// internal labels.
+		eng, err := core.NewEngine(g, idx, true)
 		if err != nil {
 			log.Fatal(err)
 		}
+		eng.SetWorkers(*workers)
+		answer, stats, err := eng.Query(idx.ToInternal(graph.NodeID(*q)), *k)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i := range answer {
+			answer[i] = idx.ToExternal(answer[i])
+		}
+		slices.Sort(answer)
+		printAnswer(*q, *k, answer, stats)
+		if *save {
+			if err := idx.SaveFile(*indexPath); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("saved refined index (%d refinement commits total)\n", idx.Refinements())
+		}
+		return
+	}
+
+	// Everything else is the call the daemon makes: a View over the pair,
+	// which screens a closed backward ball sparsely and translates relabeled
+	// identifiers itself.
+	view, err := core.NewView(g, idx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	switch {
+	case anytime:
 		res, err := view.QueryAnytime(graph.NodeID(*q), *k, core.AnytimeOptions{Eps: epsV, Delta: deltaV, Seed: *mcSeed}, *workers)
 		if err != nil {
 			log.Fatal(err)
@@ -149,62 +179,44 @@ func main() {
 		fmt.Printf("time: total=%v pmpn=%v mc=%v (%d PMPN iterations)\n",
 			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond),
 			s.MCElapsed.Round(time.Microsecond), s.PMPNIters)
-		return
-	}
-
-	eng, err := core.NewEngine(g, idx, *update)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng.SetWorkers(*workers)
-	if *explain {
-		ex, err := eng.Explain(idx.ToInternal(graph.NodeID(*q)), *k, false)
+	case *explain:
+		ex, err := view.Explain(graph.NodeID(*q), *k, false, *workers)
 		if err != nil {
 			log.Fatal(err)
-		}
-		if idx.Relabeling() != nil {
-			ex.Query = graph.NodeID(*q)
-			ex.Stats.Query = graph.NodeID(*q)
-			for i := range ex.Decisions {
-				ex.Decisions[i].Node = idx.ToExternal(ex.Decisions[i].Node)
-			}
-			sort.Slice(ex.Decisions, func(i, j int) bool { return ex.Decisions[i].Node < ex.Decisions[j].Node })
 		}
 		if err := core.WriteExplanation(os.Stdout, ex); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	query := eng.Query
-	if *approx {
-		query = eng.QueryApproximate
-	}
-	answer, stats, err := query(idx.ToInternal(graph.NodeID(*q)), *k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if idx.Relabeling() != nil {
-		stats.Query = graph.NodeID(*q)
-		for i := range answer {
-			answer[i] = idx.ToExternal(answer[i])
-		}
-		sort.Slice(answer, func(i, j int) bool { return answer[i] < answer[j] })
-	}
-
-	fmt.Printf("reverse top-%d of node %d: %d nodes\n", *k, *q, len(answer))
-	fmt.Printf("%v\n", answer)
-	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d exact_fallbacks=%d committed=%d\n",
-		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.Committed)
-	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
-		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
-
-	if *save {
-		if err := idx.SaveFile(*indexPath); err != nil {
+	case *approx:
+		// The hits of Fig. 6: the anytime tier run to ε = 0 with no Monte
+		// Carlo stage, keeping what the bounds confirmed.
+		res, err := view.QueryAnytime(graph.NodeID(*q), *k, core.AnytimeOptions{}, *workers)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("saved refined index (%d refinement commits total)\n", idx.Refinements())
+		s := res.Stats
+		fmt.Printf("reverse top-%d of node %d: %d nodes\n", *k, *q, len(res.Guaranteed))
+		fmt.Printf("%v\n", res.Guaranteed)
+		fmt.Printf("stats: candidates=%d hits=%d\n", s.Guaranteed+s.Maybe, s.Guaranteed)
+		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
+			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond), s.PMPNIters)
+	default:
+		answer, stats, err := view.Query(graph.NodeID(*q), *k, *workers)
+		if err != nil {
+			log.Fatal(err)
+		}
+		printAnswer(*q, *k, answer, stats)
 	}
+}
+
+// printAnswer prints an exact answer and its statistics.
+func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
+	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
+	fmt.Printf("%v\n", answer)
+	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d exact_fallbacks=%d committed=%d screened=%d\n",
+		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.Committed, stats.Screened)
+	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
+		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
 }
 
 // formatPhases renders a QueryStats phase map as " pmpn=… decide=…" in a

@@ -5,7 +5,7 @@
 // node q and an integer k, find every node u that ranks q among its k
 // highest-proximity nodes under random walk with restart. See README.md
 // for the package architecture, the concurrency model (engine-per-goroutine
-// batching composed with intra-query worker sharding), the serving daemon
+// pools composed with intra-query worker sharding), the serving daemon
 // (cmd/rtkserve: snapshot epochs, byte-accounted result caching, admission
 // control; a cache miss is computed at once on its request's goroutine, and
 // its PMPN sweeps only the rows of q's backward ball while that ball is
@@ -28,8 +28,8 @@
 // guaranteed ∪ maybe two-part answer, a residual-seeded Monte Carlo
 // refinement under explicit seeds, warm-started exact escalation, and
 // mode=approx serving with budget-aware cache keys — the paper's §5.3
-// hits-only approximation, core.Engine.QueryApproximate, is now a thin
-// wrapper over this engine), the refine-or-solve rule (a refinement step is
+// hits-only approximation is its guaranteed part at ε = 0, what rtkquery
+// -approx prints), the refine-or-solve rule (a refinement step is
 // taken only when the ink it moves could let a bound decide; otherwise the
 // candidate goes straight to the exact fallback — README.md, "Refine or
 // solve"), the exact fallback (a bit-identical push-form

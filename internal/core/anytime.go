@@ -236,9 +236,8 @@ func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers 
 	}, nil
 }
 
-// runAnytime is the round loop shared by View.QueryAnytime and the
-// Engine.QueryApproximate wrapper. qi is in the internal label space; the
-// returned state's hits/survivors are too.
+// runAnytime is View.QueryAnytime's round loop. qi is in the internal label
+// space; the returned state's hits/survivors are too.
 func runAnytime(g graph.View, idx *lbindex.Index, qi graph.NodeID, k int, o AnytimeOptions, workers int, stats *AnytimeStats) (*anytimeState, error) {
 	params := idx.Options().RWR
 	stepper, err := rwr.NewToStepper(g, qi, params, workers)

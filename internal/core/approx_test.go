@@ -9,7 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
-func TestQueryApproximateSubsetAndRecall(t *testing.T) {
+// TestAnytimeGuaranteedSubsetAndRecall holds the hits-only approximation of
+// §5.3 — the guaranteed part of an anytime run at ε = 0, δ = 0, which is what
+// rtkquery -approx prints — to its contract: a subset of the exact answer,
+// every member confirmed by a bound, high recall on a refined web index, and
+// that index left as it was.
+func TestAnytimeGuaranteedSubsetAndRecall(t *testing.T) {
 	g, err := gen.WebGraph(600, 21)
 	if err != nil {
 		t.Fatal(err)
@@ -38,25 +43,24 @@ func TestQueryApproximateSubsetAndRecall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := NewEngine(g, idx, false)
+	view, err := NewView(g, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refined := idx.Refinements()
 	var exactTotal, approxTotal, inter int
 	for _, q := range queries {
-		approx, as, err := eng.QueryApproximate(q, 10)
+		res, err := view.QueryAnytime(q, 10, AnytimeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, es, err := eng.Query(q, 10)
+		approx, as := res.Guaranteed, res.Stats
+		exact, _, err := view.Query(q, 10, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if as.Hits != as.Results {
-			t.Errorf("approximate results must all be hits: %+v", as)
-		}
-		if as.RefineSteps != 0 || as.Committed != 0 {
-			t.Errorf("approximate query refined or committed: %+v", as)
+		if as.ConfirmedByBound != len(approx) {
+			t.Errorf("approximate results must all be bound-confirmed hits: %+v", as)
 		}
 		inExact := map[graph.NodeID]bool{}
 		for _, u := range exact {
@@ -71,41 +75,13 @@ func TestQueryApproximateSubsetAndRecall(t *testing.T) {
 		}
 		exactTotal += len(exact)
 		approxTotal += len(approx)
-		_ = es
+	}
+	if idx.Refinements() != refined {
+		t.Errorf("approximate queries committed %d refinements", idx.Refinements()-refined)
 	}
 	// §5.3's observation on web graphs: hits ≈ results, so recall is high.
 	recall := float64(inter) / float64(exactTotal)
 	if recall < 0.6 {
 		t.Errorf("approximate recall %.2f too low (hits %d of %d exact)", recall, approxTotal, exactTotal)
-	}
-}
-
-func TestQueryApproximateValidation(t *testing.T) {
-	g := toyGraph(t)
-	idx := buildIndex(t, g, 3, 1)
-	eng, err := NewEngine(g, idx, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.QueryApproximate(-1, 2); err == nil {
-		t.Error("want range error")
-	}
-	if _, _, err := eng.QueryApproximate(0, 99); err == nil {
-		t.Error("want k error")
-	}
-}
-
-func TestQueryApproximateDoesNotTouchIndex(t *testing.T) {
-	g := toyGraph(t)
-	idx := buildIndex(t, g, 3, 1)
-	eng, err := NewEngine(g, idx, true) // even in update mode
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.QueryApproximate(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Refinements() != 0 {
-		t.Errorf("approximate query committed %d refinements", idx.Refinements())
 	}
 }

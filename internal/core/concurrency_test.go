@@ -278,7 +278,8 @@ func sweepCounters(s QueryStats) [9]int {
 // each slice of a 2-way partition — to a bare engine's dense sweep on answers
 // and on every sweep counter, and the full index's answer to brute force. It
 // also pins what was screened: the ball plus the zero-bound rows when the
-// ball closed, every materialized row otherwise. It returns how many query
+// ball closed, every materialized row otherwise — and on those closed balls
+// holds QueryAnytime(ε = 0) + Escalate to the cold query. It returns how many query
 // nodes close their ball and the longest zero-bound list it met.
 func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]float64, sampled []graph.NodeID, ks []int) (closedBalls, zeroBoundRows int) {
 	t.Helper()
@@ -372,6 +373,23 @@ func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]
 					if pi == 0 {
 						if bf := bruteForceFrom(cols, q, k); !reflect.DeepEqual(got, bf) {
 							t.Fatalf("%s: sparse screen %v, brute force %v", label, got, bf)
+						}
+					}
+					if _, closed := balls[q]; closed && pi == 0 {
+						// The anytime tier runs the same PMPN — ball phase and
+						// all — round by round: at ε = 0, escalated, it is the
+						// cold query.
+						res, err := v.QueryAnytime(q, k, AnytimeOptions{}, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						esc, est, err := res.Escalate(workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(esc, got) || est.PMPNIters != gst.PMPNIters {
+							t.Fatalf("%s: anytime + escalate %v after %d PMPN iterations, cold query %v after %d",
+								label, esc, est.PMPNIters, got, gst.PMPNIters)
 						}
 					}
 				}

@@ -22,11 +22,12 @@
 // decide prunes with, prunedByLowerBound), and Engine.Query screens ball ∪
 // zero-bound rows: a handful of rows in place of n, the same decisions and
 // the same counters as the dense sweep, which could only have pruned the rest.
-// Everything else screens densely: a PMPN that left the ball (its vector has
-// no small support to exploit), QueryBatch, Explain and the anytime tier
-// (their PMPN drivers sweep all rows and report no ball), and an engine made
-// by NewEngine rather than handed out by a View (an update-mode commit moves
-// the bounds the table is derived from; only a View's index is immutable).
+// Explain without pruned rows walks the same list (sparseScreen). Two things still screen
+// densely: a PMPN that left the ball (its vector has no small support to
+// exploit) and an engine made by NewEngine rather than handed out by a View
+// (an update-mode commit moves the bounds the table is derived from; only a
+// View's index is immutable). The anytime tier's Screen tracks every row
+// between rounds, whatever rows its PMPN touched.
 // QueryStats.Screened reports the rows visited.
 //
 // In update mode, refinement results are committed back to the index
@@ -90,8 +91,8 @@ type QueryStats struct {
 	PMPNSupport int
 	// Screened is the number of rows the decision sweep visited: every
 	// materialized row on a dense sweep, q's backward ball plus the
-	// zero-bound rows on a sparse one (Engine.Query), the listed nodes under
-	// DecideList.
+	// zero-bound rows on a sparse one (Engine.Query, Engine.Explain), the
+	// listed nodes under DecideList.
 	Screened int
 	// Candidates counts nodes that survived the initial lower-bound
 	// screen (they entered Algorithm 4's while loop).
@@ -122,16 +123,12 @@ type QueryStats struct {
 	PMPNElapsed time.Duration
 	// FallbackElapsed is the part of Elapsed spent resolving deferred
 	// exact fallbacks through forward SpMM slabs (resolveFallbacks).
-	// Under QueryBatch the resolution is shared across the whole batch
-	// and each pending query is charged the full shared wall time.
 	FallbackElapsed time.Duration
 	// FallbackIters is the total number of forward power-method iterations
 	// this query's exact fallbacks ran, and FallbackEarlyStops how many of
 	// them stopped before convergence because the iterate's error band had
-	// already cleared the decision (resolveExact). A fallback that shares
-	// its column with another query's counts the column's iterations in
-	// full, like FallbackElapsed. FallbackEarlyStops < ExactFallbacks means
-	// some of the query's fallbacks ran to convergence.
+	// already cleared the decision (resolveExact). FallbackEarlyStops <
+	// ExactFallbacks means some of the query's fallbacks ran to convergence.
 	FallbackIters      int
 	FallbackEarlyStops int
 	// DecideElapsed is the part of Elapsed spent in the candidate
@@ -400,33 +397,12 @@ func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.N
 // deferred by the sweep (per shard, in segment order) and resolved afterwards
 // in one pass of SpMM-batched exact solves on the coordinating goroutine —
 // same pending list, same order, whatever the worker count, so the sequential
-// and sharded engines still make bit-identical decisions and commits.
+// and sharded engines still make bit-identical decisions and commits. q is the
+// node pq was computed for (−1 if unknown); it rides along on each deferred
+// candidate, see pendingFallback. workers is the engine's setting for a dense
+// sweep and 1 for a sparse screen, whose few rows are not worth a goroutine
+// each.
 func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, workers int, stats *QueryStats) ([]graph.NodeID, error) {
-	results, pend, err := e.decideSetDeferred(q, pq, k, list, workers, stats)
-	if err != nil {
-		return nil, err
-	}
-	if len(pend) > 0 {
-		fbStart := time.Now()
-		fb, err := e.resolveFallbacks(pend, k, stats)
-		stats.FallbackElapsed += time.Since(fbStart)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, fb...)
-	}
-	return results, nil
-}
-
-// decideSetDeferred is decideSet's sweep without the fallback resolution:
-// it returns the nodes the bounds decided plus the deferred candidates, in
-// list order whatever the worker count. QueryBatch uses it directly so a
-// whole query batch's fallbacks can be deduplicated and resolved in shared
-// slabs instead of per query. q is the node pq was computed for (−1 if
-// unknown); it rides along on each deferred candidate, see pendingFallback.
-// workers is the engine's setting for a dense sweep and 1 for a sparse
-// screen, whose few rows are not worth a goroutine each.
-func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []graph.NodeID, workers int, stats *QueryStats) ([]graph.NodeID, []pendingFallback, error) {
 	count := e.g.N()
 	if list != nil {
 		count = len(list)
@@ -447,7 +423,7 @@ func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []g
 			u := nodeAt(i)
 			added, err := e.decide(ws, q, u, k, pq[u], stats, &pend)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if added {
 				results = append(results, u)
@@ -486,7 +462,7 @@ func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []g
 		for si := range shards {
 			sh := &shards[si]
 			if sh.err != nil {
-				return nil, nil, sh.err
+				return nil, sh.err
 			}
 			results = append(results, sh.results...)
 			pend = append(pend, sh.pend...)
@@ -497,7 +473,16 @@ func (e *Engine) decideSetDeferred(q graph.NodeID, pq []float64, k int, list []g
 			stats.Committed += sh.stats.Committed
 		}
 	}
-	return results, pend, nil
+	if len(pend) > 0 {
+		fbStart := time.Now()
+		fb, err := e.resolveFallbacks(pend, k, stats)
+		stats.FallbackElapsed += time.Since(fbStart)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, fb...)
+	}
+	return results, nil
 }
 
 // eachIndexed iterates, ascending, the nodes whose rows idx materializes:
@@ -523,9 +508,9 @@ func eachIndexed(idx *lbindex.Index) func(yield func(graph.NodeID) bool) {
 // decide implements Algorithm 4's per-candidate decision for one node u: it
 // returns whether u belongs to the reverse top-k set of the query, given
 // puq = p_u(q). ws is the BCA scratch to refine with — one pooled workspace
-// for the whole sweep on the sequential path, one per shard on
-// decideSetDeferred's sharded path (stats and pend must likewise be private
-// to the calling shard). A candidate refine leaves undecided is NOT decided
+// for the whole sweep on the sequential path, one per shard on decideSet's
+// sharded path (stats and pend must likewise be private to the calling
+// shard). A candidate refine leaves undecided is NOT decided
 // here: it is appended to *pend, tagged with the query node q (−1 if
 // unknown), for the caller to batch-resolve with exact solves after the
 // sweep (resolveFallbacks), and reported as not added.
@@ -685,30 +670,35 @@ type fallbackOutcome struct {
 	early  bool // the column stopped before converging
 }
 
-// countFallback adds one resolved fallback to its query's stats.
-func (s *QueryStats) countFallback(o fallbackOutcome) {
-	s.FallbackIters += o.iters
-	if o.early {
-		s.FallbackEarlyStops++
-	}
-}
-
 // resolveFallbacks decides every candidate one sweep deferred, returning
 // the members. Runs on the coordinating goroutine after the decision sweep.
 func (e *Engine) resolveFallbacks(pend []pendingFallback, k int, stats *QueryStats) ([]graph.NodeID, error) {
-	out, err := e.resolveExact(pend, k, func(int) { stats.Committed++ })
+	out, err := e.resolveExact(pend, k)
 	if err != nil {
 		return nil, err
 	}
+	if e.update {
+		stats.Committed += len(pend) // every resolved column commits its exact state
+	}
 	var results []graph.NodeID
 	for i, o := range out {
-		stats.countFallback(o)
+		stats.FallbackIters += o.iters
+		if o.early {
+			stats.FallbackEarlyStops++
+		}
 		if o.member {
 			results = append(results, pend[i].u)
 		}
 	}
 	return results, nil
 }
+
+// spmmChunkWidth caps how many proximity columns share one SpMM slab. The
+// slab costs 2·n·width float64s, so an unbounded batch on a large graph
+// would trade the cache-residency the batching exists for against slab
+// size; 16 columns keeps the working set tight while amortizing the CSR
+// traffic 16 ways.
+const spmmChunkWidth = 16
 
 // The early-stop probe looks at a fallback column on a fixed geometric
 // schedule: first once the column's error band τ is below probeFirstTail,
@@ -721,24 +711,23 @@ const (
 	probeTailRatio = 4
 )
 
-// resolveExact decides every deferred candidate ("asker") by u's forward
-// power iteration: pend[i] is a member iff p_u(q) ≥ pkmax(u) − tieTol,
-// pkmax(u) the k-th largest entry of u's exact proximity vector. Askers
-// naming the same u — several queries of a batch stalling on one node —
-// share one column; columns run in forward SpMM slabs of at most
-// spmmChunkWidth, in first-asked order, and every column that runs to
-// convergence is bit-identical to the scalar ProximityVectorParallel solve.
-// Each slab is swept by one worker whatever the engine's worker count: only
-// a single-segment sweep gets the push kernel (rwr/spmmfwd.go), and a
-// row-sharded one falls to the gather kernel at 1.6–3× the cost per column —
-// two workers were slower than one. Columns are bit-identical either way.
+// resolveExact decides every deferred candidate by its node's forward power
+// iteration: pend[i] is a member iff p_u(q) ≥ pkmax(u) − tieTol, pkmax(u) the
+// k-th largest entry of u's exact proximity vector. Each candidate gets one
+// column; columns run in forward SpMM slabs of at most spmmChunkWidth, in
+// deferral order, and every column that runs to convergence is bit-identical
+// to the scalar ProximityVectorParallel solve. Each slab is swept by one
+// worker whatever the engine's worker count: only a single-segment sweep gets
+// the push kernel (rwr/spmmfwd.go), and a row-sharded one falls to the gather
+// kernel at 1.6–3× the cost per column — two workers were slower than one.
+// Columns are bit-identical either way.
 //
 // A no-update engine rarely needs the converged vector. p_u(q) is already
 // exact (the PMPN gave it); the unknown is only which side of it pkmax(u)
 // falls, and the iterate x^t brackets every entry of p_u within the
 // elementwise band τ_t = r_t·(1−α)/α (rwr.ColumnProbe). So between
 // iterations a probe computes κ, the k-th largest of x^t over v ≠ q, and
-// decides an asker the moment the band clears its anchor (Fujiwara et
+// decides the candidate the moment the band clears its anchor (Fujiwara et
 // al.'s bound-driven termination, PAPERS.md):
 //
 //	κ − τ > p_u(q) + tieTol  ⇒ non-member. Unconditionally the converged
@@ -753,41 +742,27 @@ const (
 // half of all fallbacks are exact ties — q IS u's k-th node and the gap to
 // pkmax is ≈1e-15 (ROADMAP.md has the distribution) — where a band around
 // the k-th entry itself can never close above tieTol, while the (k+1)-th
-// entry separates from the anchor early. A
-// column stops when every one of its askers is decided; an asker without a
-// query node (q = −1) keeps its column running to convergence.
+// entry separates from the anchor early. A candidate without a query node
+// (q = −1) is never probed: its column runs to convergence.
 //
 // In update mode there is no probe: each solved vector is committed as a
 // fully drained exact state (all ink retained, zero residue) so no future
 // query ever spends work on that node again — this is what makes the
 // update curve of Fig. 7/8 flatten — and that needs the converged vector.
-// onCommit is invoked once per committed column with the index of the
-// asker that deferred it first (for the caller's stats attribution).
-func (e *Engine) resolveExact(pend []pendingFallback, k int, onCommit func(asker int)) ([]fallbackOutcome, error) {
-	type column struct {
-		askers    []int   // indices into pend
-		nextProbe float64 // probe once the tail is at most this
-	}
+func (e *Engine) resolveExact(pend []pendingFallback, k int) ([]fallbackOutcome, error) {
 	out := make([]fallbackOutcome, len(pend))
-	colOf := make(map[graph.NodeID]int)
-	var cols []column
-	for i, pf := range pend {
-		c, ok := colOf[pf.u]
-		if !ok {
-			c = len(cols)
-			colOf[pf.u] = c
-			cols = append(cols, column{nextProbe: probeFirstTail})
-		}
-		cols[c].askers = append(cols[c].askers, i)
-		if pf.q < 0 {
-			cols[c].nextProbe = -1 // no tail gets there: never probed
-		}
-	}
-	for lo := 0; lo < len(cols); lo += spmmChunkWidth {
-		chunk := cols[lo:min(lo+spmmChunkWidth, len(cols))]
+	for lo := 0; lo < len(pend); lo += spmmChunkWidth {
+		chunk := pend[lo:min(lo+spmmChunkWidth, len(pend))]
+		outs := out[lo : lo+len(chunk)]
 		origins := make([]graph.NodeID, len(chunk))
-		for i, c := range chunk {
-			origins[i] = pend[c.askers[0]].u
+		// nextProbe[i]: look at column i once its tail is at most this.
+		nextProbe := make([]float64, len(chunk))
+		for i, pf := range chunk {
+			origins[i] = pf.u
+			nextProbe[i] = probeFirstTail
+			if pf.q < 0 {
+				nextProbe[i] = -1 // no tail gets there: never probed
+			}
 		}
 		var probe rwr.ColumnProbe
 		if !e.update {
@@ -795,30 +770,24 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int, onCommit func(asker
 				e.probeBuf = make([]float64, e.g.N())
 			}
 			probe = func(i, iter int, tail float64, read func([]float64)) bool {
-				c := &chunk[i]
-				if tail > c.nextProbe {
+				if tail > nextProbe[i] {
 					return false
 				}
-				c.nextProbe = tail / probeTailRatio
+				nextProbe[i] = tail / probeTailRatio
 				read(e.probeBuf)
 				top := vecmath.TopKValues(e.probeBuf, k+1)
-				for _, a := range c.askers {
-					pf := pend[a]
-					kappa := top[k-1]
-					if e.probeBuf[pf.q] >= kappa {
-						kappa = top[k] // q is one of the k largest: leave it out
-					}
-					switch anchor := pf.puq + e.tieTol; {
-					case kappa+tail <= anchor:
-						out[a].member = true
-					case kappa-tail > anchor:
-						out[a].member = false
-					default:
-						return false
-					}
+				pf := chunk[i]
+				kappa := top[k-1]
+				if e.probeBuf[pf.q] >= kappa {
+					kappa = top[k] // q is one of the k largest: leave it out
 				}
-				for _, a := range c.askers {
-					out[a].iters, out[a].early = iter, true
+				switch anchor := pf.puq + e.tieTol; {
+				case kappa+tail <= anchor:
+					outs[i] = fallbackOutcome{member: true, iters: iter, early: true}
+				case kappa-tail > anchor:
+					outs[i] = fallbackOutcome{iters: iter, early: true}
+				default:
+					return false
 				}
 				return true
 			}
@@ -832,19 +801,15 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int, onCommit func(asker
 				return
 			}
 			th := vecmath.KthLargest(res.Vector, k)
-			for _, a := range chunk[i].askers {
-				out[a] = fallbackOutcome{member: pend[a].puq >= th-e.tieTol, iters: res.Iterations}
-			}
+			outs[i] = fallbackOutcome{member: chunk[i].puq >= th-e.tieTol, iters: res.Iterations}
 			if e.update {
-				first := chunk[i].askers[0]
 				exact := &bca.State{
 					Origin: origins[i],
-					T:      pend[first].nextT,
+					T:      chunk[i].nextT,
 					RNorm:  0,
 					W:      vecmath.GatherSparse(res.Vector, 0),
 				}
 				e.idx.Commit(origins[i], exact, vecmath.TopKValues(res.Vector, e.idx.K()))
-				onCommit(first)
 			}
 		})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -149,11 +150,11 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 				a.q = -1
 				converged[i] = a
 			}
-			got, err := eng.resolveExact(askers, k, func(int) {})
+			got, err := eng.resolveExact(askers, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := eng.resolveExact(converged, k, func(int) {})
+			ref, err := eng.resolveExact(converged, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,8 +167,7 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 					t.Errorf("%s k=%d u=%d q=%d: %+v against converged %+v", family, k, a.u, a.q, got[i], ref[i])
 				}
 			}
-			// Askers of one u share a column, which stops when both are
-			// decided; a tie with a clear gap below it must not hold it.
+			// A tie with a clear gap below it must stop early.
 			for _, i := range ties {
 				if !got[i].member {
 					t.Errorf("%s k=%d: rank-k node %d of %d decided non-member", family, k, askers[i].q, askers[i].u)
@@ -203,81 +203,51 @@ func twinGraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
-// TestQueryBatchSharedColumnKeepsIterating: two queries of one batch stall
-// on the same node, so they share its fallback column, and only one of them
-// can be decided early — the other asks about a twin whose proximity ties
-// its sibling's at ranks k and k+1 at every iteration, which no band wider
-// than tieTol separates. The column must keep iterating for the undecided
-// asker: every column's iteration count in the batch is the largest any of
-// its askers needs alone, and both answers equal brute force.
-func TestQueryBatchSharedColumnKeepsIterating(t *testing.T) {
+// TestEarlyStopTwinTieRunsToConvergence: the same node asked about by two
+// queries gets two verdicts from the probe. For an ordinary query node the
+// band clears the anchor early; for a twin — whose proximity ties its
+// sibling's at ranks k and k+1 at every iteration, which no band wider than
+// tieTol separates — the column must keep iterating to convergence. Both
+// decisions, and both queries' answers, equal brute force.
+func TestEarlyStopTwinTieRunsToConvergence(t *testing.T) {
 	const k = 6
 	g := twinGraph(11, 150)
 	twin, other, shared := graph.NodeID(150), graph.NodeID(72), graph.NodeID(17)
 	idx := buildIndex(t, g, 10, 2)
-
-	// Each query's fallbacks, each resolved alone.
 	p := rwr.DefaultParams()
 	eng, err := NewEngine(g, idx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := []graph.NodeID{other, twin}
-	alone := make([]map[graph.NodeID]fallbackOutcome, len(qs))
-	for i, q := range qs {
-		pq, err := rwr.ProximityToParallel(g, q, p, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st QueryStats
-		_, pend, err := eng.decideSetDeferred(q, pq.Vector, k, nil, eng.workers, &st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alone[i] = map[graph.NodeID]fallbackOutcome{}
-		for _, pf := range pend {
-			out, err := eng.resolveExact([]pendingFallback{pf}, k, func(int) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			alone[i][pf.u] = out[0]
-		}
-	}
-	early, held := alone[0][shared], alone[1][shared]
-	if !early.early || held.early || early.iters >= held.iters {
-		t.Fatalf("scenario lost: node %d alone stops at %+v for q=%d and %+v for q=%d; pick other nodes",
-			shared, early, other, held, twin)
-	}
-
-	// Together: a shared column runs as long as its slowest asker needs.
-	want := make([]QueryStats, len(qs))
-	for i := range qs {
-		for u, o := range alone[i] {
-			if o2, both := alone[1-i][u]; both && o2.iters > o.iters {
-				o = o2
-			}
-			want[i].countFallback(o)
-		}
-	}
-	got, err := QueryBatch(g, idx, qs, k, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		if got[i].Err != nil {
-			t.Fatalf("q=%d: %v", q, got[i].Err)
-		}
-		if st := got[i].Stats; st.FallbackIters != want[i].FallbackIters || st.FallbackEarlyStops != want[i].FallbackEarlyStops {
-			t.Errorf("q=%d: %d forward iterations and %d early stops in the batch, want %d and %d",
-				q, st.FallbackIters, st.FallbackEarlyStops, want[i].FallbackIters, want[i].FallbackEarlyStops)
-		}
+	var outcomes []fallbackOutcome
+	for _, q := range []graph.NodeID{other, twin} {
 		bf, err := BruteForce(g, q, k, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i].Answer, bf) {
-			t.Errorf("q=%d: batched %v, brute force %v", q, got[i].Answer, bf)
+		got, _, err := eng.Query(q, k)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(got, bf) {
+			t.Errorf("q=%d: engine %v, brute force %v", q, got, bf)
+		}
+		pq, err := rwr.ProximityToParallel(g, q, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := eng.resolveExact([]pendingFallback{{u: shared, q: q, puq: pq.Vector[shared]}}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0].member != slices.Contains(bf, shared) {
+			t.Errorf("q=%d: node %d decided member=%v, brute force says %v", q, shared, out[0].member, !out[0].member)
+		}
+		outcomes = append(outcomes, out[0])
+	}
+	if early, held := outcomes[0], outcomes[1]; !early.early || held.early || early.iters >= held.iters {
+		t.Fatalf("node %d stops at %+v for q=%d and %+v for q=%d; want an early stop and a converged column",
+			shared, early, other, held, twin)
 	}
 }
 
@@ -294,15 +264,11 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q, k = 5, 10
-	pq, err := rwr.ProximityToParallel(g, q, p, 1)
+	ex, err := probe.Explain(q, k, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st QueryStats
-	_, pend, err := probe.decideSetDeferred(q, pq.Vector, k, nil, probe.workers, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pend := fallbacksOf(ex, q)
 	if len(pend) == 0 {
 		t.Fatal("no fallbacks fired; pick another query")
 	}
@@ -331,4 +297,16 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 			t.Errorf("node %d: committed row %v is not the exact top-K", pf.u, row)
 		}
 	}
+}
+
+// fallbacksOf lists, in sweep order, the candidates an explained query left
+// to the exact fallback, as the sweep would have deferred them.
+func fallbacksOf(ex *Explanation, q graph.NodeID) []pendingFallback {
+	var pend []pendingFallback
+	for _, d := range ex.Decisions {
+		if d.Outcome == OutcomeFallback {
+			pend = append(pend, pendingFallback{u: d.Node, q: q, puq: d.Proximity})
+		}
+	}
+	return pend
 }

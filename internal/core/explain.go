@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/bca"
@@ -85,7 +86,10 @@ type Explanation struct {
 // Explain runs a reverse top-k query like Query but records the decision
 // path of every candidate (and, with includePruned, of pruned nodes too).
 // It never modifies the index, independent of the engine's update mode, so
-// an explanation reflects the index state as-is.
+// an explanation reflects the index state as-is. Without pruned rows it
+// visits the rows Query visits — the sparse screen when the PMPN ended
+// inside q's backward ball on a View's engine — and reports the same
+// Stats.Screened; with them it sweeps every materialized row.
 func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanation, error) {
 	stats := QueryStats{Query: q, K: k}
 	if int(q) < 0 || int(q) >= e.g.N() {
@@ -104,7 +108,11 @@ func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanatio
 	ex := &Explanation{Query: q, K: k}
 	ws := e.wsPool.Get()
 	defer e.wsPool.Put(ws)
-	for u := range eachIndexed(e.idx) {
+	sweep := eachIndexed(e.idx)
+	if !includePruned && pmpn.Rows != nil && e.zeroBound != nil {
+		sweep = slices.Values(e.sparseScreen(pmpn.Rows, k))
+	}
+	for u := range sweep {
 		stats.Screened++
 		d, err := e.explainNode(ws, u, k, pmpn.Vector[u], &stats)
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,10 +109,13 @@ func TestRefineRuleFallbackSoundness(t *testing.T) {
 
 // TestExplainMatchesQueryRefineAndFallbacks: Explain and Query share refine,
 // so for every node they report the same membership, the same refinement
-// steps and the same resort to the exact fallback.
+// steps and the same resort to the exact fallback — and they visit the same
+// rows: all of them on a bare engine, the sparse screen through a View when
+// the query's backward ball closes (two such queries join each family's list).
 func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 	const k = 10
 	p := rwr.DefaultParams()
+	sparse := 0
 	for _, family := range []string{"web", "coauthor", "spam"} {
 		g := oracleGraph(t, family)
 		idx := buildIndex(t, g, 20, 6)
@@ -119,8 +123,19 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		view, err := NewView(g, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := anytimeQueries(g.N())
+		for q, closed := graph.NodeID(0), 0; int(q) < g.N() && closed < 2; q++ {
+			if backwardReach(g, q, g.N()/8) != nil && !slices.Contains(queries, q) {
+				queries = append(queries, q)
+				closed++
+			}
+		}
 		steps, fallbacks := 0, 0
-		for _, q := range anytimeQueries(g.N()) {
+		for _, q := range queries {
 			ex, err := eng.Explain(q, k, true)
 			if err != nil {
 				t.Fatal(err)
@@ -153,10 +168,36 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 				ex.Stats.Candidates != qst.Candidates || ex.Stats.Hits != qst.Hits || ex.Stats.Results != qst.Results {
 				t.Errorf("%s q=%d: Explain stats %+v, Query stats %+v", family, q, ex.Stats, qst)
 			}
+			if ex.Stats.Screened != qst.Screened || qst.Screened != g.N() {
+				t.Errorf("%s q=%d: a bare engine's Explain screened %d rows and its Query %d of %d",
+					family, q, ex.Stats.Screened, qst.Screened, g.N())
+			}
+
+			vex, err := view.Explain(q, k, false, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, vst, err := view.Query(q, k, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vex.Stats.Screened != vst.Screened {
+				t.Errorf("%s q=%d: the view's Explain screened %d rows, its Query %d", family, q, vex.Stats.Screened, vst.Screened)
+			}
+			if vst.Screened < g.N() {
+				sparse++
+			}
+			kept := slices.DeleteFunc(slices.Clone(ex.Decisions), func(d Decision) bool { return d.Outcome == OutcomePruned })
+			if !reflect.DeepEqual(vex.Decisions, kept) {
+				t.Errorf("%s q=%d: the view explains %+v, the dense sweep %+v", family, q, vex.Decisions, kept)
+			}
 		}
 		if steps == 0 || fallbacks == 0 {
 			t.Fatalf("%s: nothing exercised: %d refine steps, %d fallbacks", family, steps, fallbacks)
 		}
+	}
+	if sparse == 0 {
+		t.Fatal("no query was screened sparsely; Explain's sparse walk went untested")
 	}
 }
 
@@ -199,10 +240,6 @@ func TestFallbackSlabSingleSegmentAtAnyWorkers(t *testing.T) {
 	idx := buildIndex(t, g, 20, 6)
 	// In-degree 51: 288 of the 700 nodes are candidates and 169 fall back.
 	const hubQ = graph.NodeID(19)
-	pq, err := rwr.ProximityToParallel(g, hubQ, rwr.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var wantAnswer []graph.NodeID
 	var want QueryStats
@@ -232,11 +269,12 @@ func TestFallbackSlabSingleSegmentAtAnyWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		spied.SetWorkers(workers)
-		var sst QueryStats
-		_, pend, err := spied.decideSetDeferred(hubQ, pq.Vector, k, nil, workers, &sst)
+		ex, err := spied.Explain(hubQ, k, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pend := fallbacksOf(ex, hubQ)
+		sst := QueryStats{ExactFallbacks: len(pend)}
 		spy.next, spy.passes, spy.breaks = 0, 0, 0
 		if _, err := spied.resolveFallbacks(pend, k, &sst); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/rwr"
 )
 
 func viewTestGraph(t *testing.T, seed int64, n int) *graph.Graph {
@@ -254,6 +255,71 @@ func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 		}
 		if st.Screened != c.screened {
 			t.Errorf("%s: screened %d rows, want %d (z and the zero-bound rows)", c.name, st.Screened, c.screened)
+		}
+	}
+}
+
+// TestViewQueryDeferredFallbacks: candidates whose next refinement step
+// could not decide them are parked by the sweep and resolved afterwards in
+// forward slabs. Through a View — sparse screen and all — the answers must
+// equal a bare engine's and the brute-force oracle, with the same PMPN, the
+// fallback path must actually fire, and the resolution wall clock must be
+// charged to the query's stats.
+func TestViewQueryDeferredFallbacks(t *testing.T) {
+	p := rwr.DefaultParams()
+	g := randomGraph(11, 150, false)
+	idx := buildIndex(t, g, 10, 2)
+	scalar, err := NewEngine(g, idx, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := NewView(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	qs := make([]graph.NodeID, 6)
+	for i := range qs {
+		qs[i] = graph.NodeID(rng.Intn(g.N()))
+	}
+	for _, k := range []int{5, 10} {
+		for _, workers := range []int{1, 4} {
+			fallbacks, charged := 0, 0
+			for _, q := range qs {
+				got, stats, err := view.Query(q, k, workers)
+				if err != nil {
+					t.Fatalf("k=%d workers=%d q=%d: %v", k, workers, q, err)
+				}
+				fallbacks += stats.ExactFallbacks
+				if stats.ExactFallbacks > 0 && stats.FallbackElapsed > 0 {
+					charged++
+				}
+				want, err := BruteForce(g, q, k, p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("k=%d workers=%d q=%d: view %v, brute force %v", k, workers, q, got, want)
+				}
+				alone, astats, err := scalar.Query(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, alone) {
+					t.Errorf("k=%d workers=%d q=%d: view %v, bare engine %v", k, workers, q, got, alone)
+				}
+				if stats.PMPNIters != astats.PMPNIters || stats.PMPNSupport != astats.PMPNSupport {
+					t.Errorf("k=%d workers=%d q=%d: view PMPN %d iterations over %d rows, bare engine %d over %d",
+						k, workers, q, stats.PMPNIters, stats.PMPNSupport, astats.PMPNIters, astats.PMPNSupport)
+				}
+			}
+			if fallbacks == 0 {
+				t.Fatalf("k=%d workers=%d: no fallbacks fired; the deferred path went untested", k, workers)
+			}
+			if charged == 0 {
+				t.Errorf("k=%d workers=%d: no query with fallbacks was charged FallbackElapsed", k, workers)
+			}
 		}
 	}
 }

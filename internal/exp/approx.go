@@ -11,8 +11,8 @@ import (
 )
 
 // ApproxRow compares the approximate query mode (§5.3's suggested
-// hits-only variant, core.QueryApproximate) against the exact engine for
-// one k: recall, precision and speedup.
+// hits-only variant: the guaranteed part of core.View.QueryAnytime at ε = 0,
+// δ = 0) against the exact engine for one k: recall, precision and speedup.
 type ApproxRow struct {
 	Graph        string
 	K            int
@@ -93,7 +93,7 @@ func RunApproxStudy(cfg ApproxConfig, progress io.Writer) ([]ApproxRow, error) {
 				return nil, err
 			}
 		}
-		eng, err := core.NewEngine(g, idxCopy, false)
+		view, err := core.NewView(g, idxCopy)
 		if err != nil {
 			return nil, err
 		}
@@ -101,15 +101,16 @@ func RunApproxStudy(cfg ApproxConfig, progress io.Writer) ([]ApproxRow, error) {
 		var exactTime, approxTime time.Duration
 		var interTotal, exactTotal, approxTotal int
 		for _, q := range queries {
-			approx, as, err := eng.QueryApproximate(q, k)
+			res, err := view.QueryAnytime(q, k, core.AnytimeOptions{}, 1)
 			if err != nil {
 				return nil, err
 			}
-			exact, es, err := eng.Query(q, k)
+			approx := res.Guaranteed
+			exact, es, err := view.Query(q, k, 1)
 			if err != nil {
 				return nil, err
 			}
-			approxTime += as.Elapsed
+			approxTime += res.Stats.Elapsed
 			exactTime += es.Elapsed
 			inExact := make(map[int32]bool, len(exact))
 			for _, u := range exact {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/graph"
 )
 
-// ballDenseDivisor bounds the ball phase of ProximityToParallel: it runs
+// ballDenseDivisor bounds the ball phase of ToStepper: it runs
 // while q's backward ball holds fewer than n/ballDenseDivisor rows. Below
 // that a sweep over the ball's rows reads at most an eighth of the out-CSR
 // rows; past it the bookkeeping (an ascending row list, merged once per level)
@@ -73,8 +73,8 @@ func growBall[G graph.View](g G, b *backwardBall, limit int) bool {
 	return true
 }
 
-// ballResidual is the block-reduced L1 difference of iterateParallel over
-// two vectors that are +0 outside rows (ascending): per-block sums in row
+// ballResidual is the dense sweep's block-reduced L1 difference (blockReduce)
+// over two vectors that are +0 outside rows (ascending): per-block sums in row
 // order, summed in block order. The rows and blocks it skips would each add
 // +0, which changes no partial sum, so the result is bit-identical to
 // reducing every block of the full vectors.

@@ -10,7 +10,7 @@ import (
 )
 
 // ballHandover replays the ball phase's growth for query node q: the
-// iteration at which ProximityToParallel hands over to the dense loop (0 if
+// iteration at which a ToStepper hands over to the dense sweep (0 if
 // the ball closes under the limit and the whole run stays sparse) and the
 // ball's size when growth stopped.
 func ballHandover(g graph.View, q graph.NodeID) (iter, size int) {
@@ -64,21 +64,39 @@ func TestGrowBallIsBackwardBFS(t *testing.T) {
 	}
 }
 
-// TestProximityToParallelBallBitIdentical is the contract of the ball phase:
-// ProximityToParallel returns the vector, residual and iteration count of the
-// dense loop alone (pmpnDense from e_q), bit for bit, at every worker
-// count, over the oracle graph families as CSR, post-Apply Overlay and
-// post-Compact CSR. Query nodes are picked per view to cover every way the
-// two phases can meet. With the vector comes the Result.Rows contract: the
-// list is non-nil iff the run never handed over to pmpnDense, ascending, with
-// every index outside it bit-equal to +0, and nil from the dense, stepper and
-// slab drivers.
+// plainView hides a view's concrete type, so the kernels' type switches take
+// their generic loops.
+type plainView struct{ graph.View }
+
+// pmpnIterate is one iteration of a stepper as its accessors report it.
+type pmpnIterate struct {
+	cur            []float64
+	residual, tail float64
+}
+
+// TestProximityToParallelBallBitIdentical is the contract of the one PMPN
+// driver: a ToStepper's Current, Residual, Tail and Iterations after every
+// round, and ProximityToParallel's Result, equal bit for bit those of the
+// dense-only reference — the same stepper with its ball limit set to 0, which
+// sweeps every row from e_q — at every worker count and round schedule, over
+// the oracle graph families as CSR, post-Apply Overlay, post-Compact CSR and
+// behind a wrapper that takes the generic kernels. Query nodes are picked per
+// view to cover every way the two phases can meet, and each runs with the
+// default cap and with one that runs out inside the ball phase. Previous is
+// x^{t−1} and RoundHook fires once per iteration in both phases. With the
+// iterate comes the Rows contract: the list is non-nil iff the run has not
+// handed over to the dense sweep, ascending, with every index outside it
+// bit-equal to +0 — and nil from the serial and forward drivers.
 func TestProximityToParallelBallBitIdentical(t *testing.T) {
 	p := DefaultParams()
 	capped := p
 	capped.MaxIters = 3 // runs out inside the ball phase of a closed ball
+	views := pushTestViews(t)
+	for _, family := range []string{"web", "coauthor", "spam"} {
+		views[family+"/generic"] = plainView{views[family+"/csr"]}
+	}
 	covered := map[string]bool{}
-	for name, g := range pushTestViews(t) {
+	for name, g := range views {
 		n := g.N()
 		picked := map[string][]graph.NodeID{}
 		for q := graph.NodeID(0); int(q) < n; q++ {
@@ -106,42 +124,108 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 		for class, qs := range picked {
 			covered[class] = true
 			for _, q := range qs {
+				handover, _ := ballHandover(g, q)
 				for _, params := range []Params{p, capped} {
-					e := make([]float64, n)
-					e[q] = 1
-					want, wantErr := pmpnDense(g, q, params, 1, e, make([]float64, n), 1)
+					// The reference trace: x^1, x^2, … of the dense-only run.
+					ref, err := NewToStepper(g, q, params, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref.ballLimit = 0
+					var want []pmpnIterate
+					var wantErr error
+					for done := false; !done && wantErr == nil; {
+						if done, wantErr = ref.Step(1); wantErr == nil {
+							want = append(want, pmpnIterate{slices.Clone(ref.Current()), ref.Residual(), ref.Tail()})
+						}
+					}
+					if ref.Rows() != nil {
+						t.Fatalf("%s q=%d: the dense-only reference reports a row list", name, q)
+					}
+					x0 := make([]float64, n)
+					x0[q] = 1
 					for _, workers := range []int{1, 2, 4} {
-						label := fmt.Sprintf("%s q=%d (%s) maxiters=%d workers=%d", name, q, class, params.MaxIters, workers)
-						got, err := ProximityToParallel(g, q, params, workers)
-						if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-							t.Fatalf("%s: error %v, dense loop %v", label, err, wantErr)
-						}
-						if got.Iterations != want.Iterations || got.Residual != want.Residual {
-							t.Fatalf("%s: %d iterations residual %g, dense loop %d and %g",
-								label, got.Iterations, got.Residual, want.Iterations, want.Residual)
-						}
-						for u := range want.Vector {
-							if got.Vector[u] != want.Vector[u] {
-								t.Fatalf("%s: node %d is %g, dense loop %g", label, u, got.Vector[u], want.Vector[u])
+						for _, round := range []int{params.MaxIters, 1, 3} {
+							label := fmt.Sprintf("%s q=%d (%s) maxiters=%d workers=%d Step(%d)", name, q, class, params.MaxIters, workers, round)
+							s, err := NewToStepper(g, q, params, workers)
+							if err != nil {
+								t.Fatal(err)
+							}
+							hooked := 0
+							s.RoundHook = func(iter int, residual, _ float64) {
+								if hooked++; iter != hooked || residual != want[iter-1].residual {
+									t.Fatalf("%s: hook call %d reports iteration %d residual %g, reference residual %g",
+										label, hooked, iter, residual, want[iter-1].residual)
+								}
+							}
+							for done := false; !done; {
+								done, err = s.Step(round)
+								if err != nil {
+									break
+								}
+								it := s.Iterations()
+								if it > len(want) || hooked != it {
+									t.Fatalf("%s: %d iterations and %d hook calls, the reference ran %d", label, it, hooked, len(want))
+								}
+								w := want[it-1]
+								if s.Residual() != w.residual || s.Tail() != w.tail {
+									t.Fatalf("%s iteration %d: residual %g tail %g, reference %g and %g",
+										label, it, s.Residual(), s.Tail(), w.residual, w.tail)
+								}
+								prev := x0
+								if it > 1 {
+									prev = want[it-2].cur
+								}
+								for u := range w.cur {
+									if s.Current()[u] != w.cur[u] || s.Previous()[u] != prev[u] {
+										t.Fatalf("%s iteration %d: node %d is %g after %g, reference %g after %g",
+											label, it, u, s.Current()[u], s.Previous()[u], w.cur[u], prev[u])
+									}
+								}
+								// The row list is there iff the run has not handed
+								// over, and bounds both iterates from outside.
+								if handedOver := handover > 0 && handover <= it; (s.Rows() == nil) != handedOver {
+									t.Fatalf("%s iteration %d: Rows nil is %v, handed over (at %d) is %v",
+										label, it, s.Rows() == nil, handover, handedOver)
+								}
+								if s.Rows() != nil {
+									checkRowList(t, label, s.Rows(), s.Current())
+									checkRowList(t, label, s.Rows(), s.Previous())
+								}
+							}
+							if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+								t.Fatalf("%s: error %v, dense-only reference %v", label, err, wantErr)
+							}
+							if s.Iterations() != len(want) {
+								t.Fatalf("%s: stopped after %d iterations, the reference after %d", label, s.Iterations(), len(want))
 							}
 						}
-						// The row list is there iff the run never reached
-						// pmpnDense, and bounds the support from outside.
-						iter, _ := ballHandover(g, q)
-						handedOver := iter > 0 && iter <= min(got.Iterations, params.MaxIters)
-						if (got.Rows == nil) != handedOver {
+
+						// The one-shot wrapper returns the last iterate, with the
+						// serial solvers' overrun iteration count on a failure.
+						label := fmt.Sprintf("%s q=%d (%s) maxiters=%d workers=%d one-shot", name, q, class, params.MaxIters, workers)
+						got, err := ProximityToParallel(g, q, params, workers)
+						if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+							t.Fatalf("%s: error %v, dense-only reference %v", label, err, wantErr)
+						}
+						last, iters := want[len(want)-1], len(want)
+						if err != nil {
+							iters++
+						}
+						if got.Iterations != iters || got.Residual != last.residual || !slices.Equal(got.Vector, last.cur) {
+							t.Fatalf("%s: %d iterations residual %g, reference %d and %g (vectors equal: %v)",
+								label, got.Iterations, got.Residual, iters, last.residual, slices.Equal(got.Vector, last.cur))
+						}
+						if handedOver := handover > 0 && handover <= len(want); (got.Rows == nil) != handedOver {
 							t.Fatalf("%s: Rows nil is %v, run handed over is %v (iteration %d of %d)",
-								label, got.Rows == nil, handedOver, iter, got.Iterations)
+								label, got.Rows == nil, handedOver, handover, len(want))
 						}
 						if got.Rows != nil {
-							checkRowList(t, label, got)
+							checkRowList(t, label, got.Rows, got.Vector)
 						}
 					}
-					if want.Rows != nil {
-						t.Fatalf("%s q=%d: pmpnDense returned a row list", name, q)
-					}
 				}
-				checkDenseDriversReturnNoRows(t, g, q, p)
+				checkOtherDriversReturnNoRows(t, g, q, p)
 			}
 		}
 		if class := "no in-edges"; len(picked[class]) > 0 {
@@ -158,39 +242,35 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 	}
 }
 
-// checkRowList holds a Result to the Rows contract: ascending without
-// repeats, and every entry of Vector outside it bit-equal to +0.
-func checkRowList(t *testing.T, label string, res Result) {
+// checkRowList holds a vector to the Rows contract: the list ascends without
+// repeats, and every entry of vec outside it is bit-equal to +0.
+func checkRowList(t *testing.T, label string, rows []graph.NodeID, vec []float64) {
 	t.Helper()
-	if !slices.IsSorted(res.Rows) || len(slices.Compact(slices.Clone(res.Rows))) != len(res.Rows) {
-		t.Fatalf("%s: row list %v is not strictly ascending", label, res.Rows)
+	if !slices.IsSorted(rows) || len(slices.Compact(slices.Clone(rows))) != len(rows) {
+		t.Fatalf("%s: row list %v is not strictly ascending", label, rows)
 	}
-	listed := make([]bool, len(res.Vector))
-	for _, u := range res.Rows {
+	listed := make([]bool, len(vec))
+	for _, u := range rows {
 		listed[u] = true
 	}
-	for u, x := range res.Vector {
+	for u, x := range vec {
 		if !listed[u] && math.Float64bits(x) != 0 {
 			t.Fatalf("%s: node %d outside the row list holds %g (bits %#x), want +0", label, u, x, math.Float64bits(x))
 		}
 	}
 }
 
-// checkDenseDriversReturnNoRows runs q through every PMPN driver that sweeps
-// all rows; none of them may claim a row list.
-func checkDenseDriversReturnNoRows(t *testing.T, g graph.View, q graph.NodeID, p Params) {
+// checkOtherDriversReturnNoRows runs q through the drivers that have no ball
+// phase; none of them may claim a row list.
+func checkOtherDriversReturnNoRows(t *testing.T, g graph.View, q graph.NodeID, p Params) {
 	t.Helper()
 	if res, err := ProximityTo(g, q, p); err != nil || res.Rows != nil {
 		t.Fatalf("q=%d: ProximityTo returned rows %v (err %v)", q, res.Rows, err)
 	}
-	st, err := NewToStepper(g, q, p, 2)
-	if err != nil {
-		t.Fatal(err)
+	if res, err := ProximityVectorParallel(g, q, p, 2); err != nil || res.Rows != nil {
+		t.Fatalf("q=%d: ProximityVectorParallel returned rows %v (err %v)", q, res.Rows, err)
 	}
-	if _, err := st.Step(p.MaxIters); err != nil || st.Result().Rows != nil {
-		t.Fatalf("q=%d: ToStepper returned rows %v (err %v)", q, st.Result().Rows, err)
-	}
-	batch, err := ProximityToBatch(g, []graph.NodeID{q, 0}, p, 2)
+	batch, err := ProximityVectorBatch(g, []graph.NodeID{q, 0}, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

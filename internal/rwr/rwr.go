@@ -4,14 +4,14 @@
 // (Eq. 1/12), the transposed power method PMPN of Algorithm 2 / Theorem 2
 // for the proximities from all nodes TO a query node, full proximity-matrix
 // construction for brute-force baselines, PageRank, and the Monte Carlo
-// estimators discussed in §6. ProximityToBatch/ProximityToBatchFunc are the
-// multi-query SpMM tier: the PMPN columns of a whole query batch advance in
-// one node-major slab, sharing every CSR traversal, with per-column
+// estimators discussed in §6. The sharded PMPN iteration has one driver,
+// ToStepper (ProximityToParallel steps it to convergence); ProximityTo is the
+// serial reference. ProximityVectorBatch/ProximityVectorBatchFunc are the
+// forward SpMM tier: the power-method columns of a set of origin nodes advance
+// in one node-major slab, sharing every CSR traversal, with per-column
 // convergence and retirement — each column bit-identical to its scalar
-// ProximityToParallel run. ProximityVectorBatch/ProximityVectorBatchFunc
-// are the same slab machinery over the forward power method (one column
-// per origin node's p_u), which the query engine uses to resolve all of a
-// sweep's exact fallbacks at once.
+// ProximityVectorParallel run — which the query engine uses to resolve all of
+// a sweep's exact fallbacks at once.
 package rwr
 
 import (
@@ -107,11 +107,11 @@ type Result struct {
 	// Residual is the final L1 change between successive iterates.
 	Residual float64
 	// Rows, when non-nil, lists ascending every row Vector can be non-zero
-	// in: each entry outside it is exactly +0 and was never written. Only
-	// ProximityToParallel sets it, and only for a run that ended inside its
-	// ball phase (Rows is then q's backward ball); every dense sweep, the
-	// stepper and the slab drivers leave it nil, which says nothing about
-	// the vector.
+	// in: each entry outside it is exactly +0 and was never written. Only a
+	// ToStepper run that ended inside its ball phase sets it (Rows is then
+	// q's backward ball) — through ProximityToParallel or ToStepper.Result;
+	// a run that handed over to the dense sweep, the serial solvers and the
+	// forward drivers leave it nil, which says nothing about the vector.
 	Rows []graph.NodeID
 }
 

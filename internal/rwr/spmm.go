@@ -8,149 +8,25 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Multi-query SpMM tier of the PMPN power iteration: B concurrent queries'
-// iterates live in one dense node-major slab (column j of query j at
-// x[u*w+j]) and every round runs ONE sweep of the transition matrix over
-// all of them, amortizing the CSR's memory traffic B ways — the serving
-// bottleneck at production traffic, where each scalar query streams the
-// whole matrix from RAM by itself.
+// The slab driver of the forward SpMM tier (spmmfwd.go has the kernels and
+// the entry points): B power-method columns live in one dense node-major slab
+// (column j at x[u*w+j]) and every round runs ONE sweep of the transition
+// matrix over all of them, amortizing the CSR's memory traffic B ways.
 //
 // Bit-identity contract: per column, every floating-point operation — the
 // neighbor-order accumulation, the multiply by the precomputed inverse
 // normalizer, the (1−α) scale, the restart add, and the block-order
 // residual reduction at residualBlock granularity — is the same operation
-// sequence as ProximityToParallel, so each query's vector, residual and
+// sequence as ProximityVectorParallel, so each column's vector, residual and
 // iteration count are bit-identical to a scalar run at any worker count
 // and any batch width. A column that converges retires from the slab
 // immediately (the survivors repack to a narrower stride) without
 // stalling the rest of the batch.
 
-// spmmTransitionTRangeCSR computes dst[u*w+j] = (Aᵀ·x_j)(u) for u ∈
-// [lo, hi) and all w columns, accumulating each column in the same
-// neighbor order as the scalar mulTransitionTRangeCSR.
-func spmmTransitionTRangeCSR(g *graph.Graph, x, dst []float64, w, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		nbrs := g.OutNeighbors(graph.NodeID(u))
-		ws := g.OutWeightsOf(graph.NodeID(u))
-		row := dst[u*w : u*w+w]
-		for j := range row {
-			row[j] = 0
-		}
-		if ws == nil {
-			for _, v := range nbrs {
-				xr := x[int(v)*w : int(v)*w+w]
-				for j, xv := range xr {
-					row[j] += xv
-				}
-			}
-		} else {
-			for i, v := range nbrs {
-				wi := ws[i]
-				xr := x[int(v)*w : int(v)*w+w]
-				for j, xv := range xr {
-					row[j] += wi * xv
-				}
-			}
-		}
-		inv := g.InvTotalOutWeight(graph.NodeID(u))
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-}
-
-func spmmTransitionTRangeOverlay(g *graph.Overlay, x, dst []float64, w, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		nbrs := g.OutNeighbors(graph.NodeID(u))
-		ws := g.OutWeightsOf(graph.NodeID(u))
-		row := dst[u*w : u*w+w]
-		for j := range row {
-			row[j] = 0
-		}
-		if ws == nil {
-			for _, v := range nbrs {
-				xr := x[int(v)*w : int(v)*w+w]
-				for j, xv := range xr {
-					row[j] += xv
-				}
-			}
-		} else {
-			for i, v := range nbrs {
-				wi := ws[i]
-				xr := x[int(v)*w : int(v)*w+w]
-				for j, xv := range xr {
-					row[j] += wi * xv
-				}
-			}
-		}
-		inv := g.InvTotalOutWeight(graph.NodeID(u))
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-}
-
-func spmmTransitionTRangeGeneric[G graph.View](g G, x, dst []float64, w, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		nbrs := g.OutNeighbors(graph.NodeID(u))
-		ws := g.OutWeightsOf(graph.NodeID(u))
-		row := dst[u*w : u*w+w]
-		for j := range row {
-			row[j] = 0
-		}
-		if ws == nil {
-			for _, v := range nbrs {
-				xr := x[int(v)*w : int(v)*w+w]
-				for j, xv := range xr {
-					row[j] += xv
-				}
-			}
-		} else {
-			for i, v := range nbrs {
-				wi := ws[i]
-				xr := x[int(v)*w : int(v)*w+w]
-				for j, xv := range xr {
-					row[j] += wi * xv
-				}
-			}
-		}
-		inv := 1 / g.TotalOutWeight(graph.NodeID(u))
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-}
-
-// spmmTransitionTRange dispatches to the devirtualized loop for the two
-// in-tree view types (mirroring MulTransitionTRange).
-func spmmTransitionTRange[G graph.View](g G, x, dst []float64, w, lo, hi int) {
-	switch cg := any(g).(type) {
-	case *graph.Graph:
-		spmmTransitionTRangeCSR(cg, x, dst, w, lo, hi)
-	case *graph.Overlay:
-		spmmTransitionTRangeOverlay(cg, x, dst, w, lo, hi)
-	default:
-		spmmTransitionTRangeGeneric(g, x, dst, w, lo, hi)
-	}
-}
-
 // batchColumn tracks one live column of the slab.
 type batchColumn struct {
-	idx int          // caller's position in the queries slice
+	idx int          // caller's position in the origins slice
 	q   graph.NodeID // restart node
-}
-
-// ProximityToBatchFunc runs the SpMM-batched PMPN iteration for all queries
-// at once and invokes retire(i, res, err) — on the coordinating goroutine,
-// between iterations — as each query's column converges (err == nil) or
-// the iteration cap is hit (err != nil, matching ProximityToParallel's
-// non-convergence error). Each retired Result is bit-identical to
-// ProximityToParallel(g, queries[i], p, workers) — vector, residual and
-// iteration count — and converged columns leave the slab without stalling
-// the survivors. Validation failures return an error before any retire
-// call.
-func ProximityToBatchFunc[G graph.View](g G, queries []graph.NodeID, p Params, workers int, retire func(i int, res Result, err error)) error {
-	return spmmBatch(g, queries, p, workers, spmmTransitionTRange[G], nil, retire)
 }
 
 // ColumnProbe lets a slab's caller stop a column before it converges. The
@@ -168,17 +44,12 @@ func ProximityToBatchFunc[G graph.View](g G, queries []graph.NodeID, p Params, w
 // unprobed run.
 type ColumnProbe func(i, iter int, tail float64, read func(dst []float64)) bool
 
-// spmmBatch is the shared slab driver behind ProximityToBatchFunc (the
-// transposed PMPN iteration) and ProximityVectorBatchFunc (the forward
-// power method, spmmfwd.go). Both iterations have the same shape —
-// x ← (1−α)·M·x + α·e_origin with an L1 stopping rule — and differ only in
-// the batched matvec kern, which must fill dst rows [lo, hi) of the
-// node-major slab from x at the given column stride. Everything else (slab
-// layout, restart add, blocked residual reduction, per-column retirement
-// and repacking) is identical, so both entry points inherit the same
-// bit-identity and worker-independence guarantees from one body. probe may
+// spmmBatch is the slab driver behind ProximityVectorBatchFunc: the forward
+// power method x ← (1−α)·A·x + α·e_origin with an L1 stopping rule, one column
+// per origin — slab layout, batched matvec (spmmTransitionRange), restart add,
+// blocked residual reduction, per-column retirement and repacking. probe may
 // be nil.
-func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int, kern func(g G, x, dst []float64, w, lo, hi int), probe ColumnProbe, retire func(i int, res Result, err error)) error {
+func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int, probe ColumnProbe, retire func(i int, res Result, err error)) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -206,8 +77,9 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 	colRes := make([]float64, w)
 	oneMinus := 1 - p.Alpha
 
-	// Shared per-iteration state, published to the persistent workers by
-	// the start-channel sends (iterateParallel's protocol).
+	// Shared per-iteration state, published to the persistent workers by the
+	// start-channel sends (the send/recv pairs establish the happens-before
+	// edges; each worker writes only its own dst rows and partial blocks).
 	var cur, dst []float64
 	width := w
 	segs := blockSegments(n, workers)
@@ -218,7 +90,7 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 	// a block — vecmath.L1DiffRange's order per column). partial is indexed
 	// [block*width + j].
 	runSeg := func(seg vecmath.Range) {
-		kern(g, cur, dst, width, seg.Lo, seg.Hi)
+		spmmTransitionRange(g, cur, dst, width, seg.Lo, seg.Hi)
 		for i := seg.Lo * width; i < seg.Hi*width; i++ {
 			dst[i] *= oneMinus
 		}
@@ -295,7 +167,7 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 		x, next = next, x // x now holds this iteration's output
 
 		// Per-column residual, summed in ascending block order — the same
-		// reduction order as the scalar path's reduce().
+		// reduction order as the scalar stepper's.
 		for j := 0; j < width; j++ {
 			var s float64
 			for b := 0; b < nblocks; b++ {
@@ -352,24 +224,6 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 			errNotConverged(p, colRes[j]))
 	}
 	return nil
-}
-
-// ProximityToBatch is the collect-everything form of ProximityToBatchFunc:
-// results[i] is bit-identical to ProximityToParallel(g, queries[i], p,
-// workers). The returned error is a validation failure (no results) or the
-// first per-column non-convergence (results still filled).
-func ProximityToBatch[G graph.View](g G, queries []graph.NodeID, p Params, workers int) ([]Result, error) {
-	results := make([]Result, len(queries))
-	var colErr error
-	if err := ProximityToBatchFunc(g, queries, p, workers, func(i int, res Result, err error) {
-		results[i] = res
-		if err != nil && colErr == nil {
-			colErr = err
-		}
-	}); err != nil {
-		return nil, err
-	}
-	return results, colErr
 }
 
 // repackSlab compacts the kept columns of an n×w node-major slab to stride

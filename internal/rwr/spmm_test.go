@@ -1,6 +1,7 @@
 package rwr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,76 +67,27 @@ func spmmTestViews(t *testing.T) map[string]graph.View {
 	}
 }
 
-// TestProximityToBatchBitIdentical is the tentpole's contract: every column
-// of the SpMM-batched PMPN — vector, iteration count and residual — is
-// bit-identical to a scalar ProximityToParallel run, across graph families,
-// batch widths {1,2,4,16} and worker counts.
-func TestProximityToBatchBitIdentical(t *testing.T) {
-	for name, g := range spmmTestViews(t) {
-		t.Run(name, func(t *testing.T) {
-			p := DefaultParams()
-			n := g.N()
-			for _, width := range spmmWidths {
-				queries := make([]graph.NodeID, width)
-				for j := range queries {
-					queries[j] = graph.NodeID((j * 37) % n)
-				}
-				want := make([]Result, width)
-				for j, q := range queries {
-					res, err := ProximityToParallel(g, q, p, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want[j] = res
-				}
-				for _, workers := range []int{1, 3, 8} {
-					got, err := ProximityToBatch(g, queries, p, workers)
-					if err != nil {
-						t.Fatalf("width=%d workers=%d: %v", width, workers, err)
-					}
-					for j := range queries {
-						if got[j].Iterations != want[j].Iterations {
-							t.Fatalf("width=%d workers=%d col=%d: %d iterations, scalar did %d",
-								width, workers, j, got[j].Iterations, want[j].Iterations)
-						}
-						if got[j].Residual != want[j].Residual {
-							t.Fatalf("width=%d workers=%d col=%d: residual %g, scalar %g",
-								width, workers, j, got[j].Residual, want[j].Residual)
-						}
-						for u := range got[j].Vector {
-							if got[j].Vector[u] != want[j].Vector[u] {
-								t.Fatalf("width=%d workers=%d col=%d: vector differs at node %d: %g vs %g",
-									width, workers, j, u, got[j].Vector[u], want[j].Vector[u])
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestProximityToBatchEarlyRetirement: columns retire in scalar-iteration
-// order, each at exactly its scalar iteration count, while the batch keeps
-// running — a fast query never waits for the slowest one.
-func TestProximityToBatchEarlyRetirement(t *testing.T) {
+// TestProximityVectorBatchEarlyRetirement: columns retire in
+// scalar-iteration order, each at exactly its scalar iteration count, while
+// the batch keeps running — a fast column never waits for the slowest one.
+func TestProximityVectorBatchEarlyRetirement(t *testing.T) {
 	g, err := gen.WebGraph(500, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	queries := []graph.NodeID{0, 9, 250, 499, 123, 44, 318, 77}
-	scalarIters := make([]int, len(queries))
-	for j, q := range queries {
-		res, err := ProximityToParallel(g, q, p, 1)
+	origins := []graph.NodeID{0, 9, 250, 499, 123, 44, 318, 77}
+	scalarIters := make([]int, len(origins))
+	for j, u := range origins {
+		res, err := ProximityVectorParallel(g, u, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scalarIters[j] = res.Iterations
 	}
 	lastIter := 0
-	retired := make([]bool, len(queries))
-	err = ProximityToBatchFunc(g, queries, p, 4, func(i int, res Result, err error) {
+	retired := make([]bool, len(origins))
+	err = ProximityVectorBatchFunc(g, origins, p, 4, nil, func(i int, res Result, err error) {
 		if err != nil {
 			t.Fatalf("col %d: %v", i, err)
 		}
@@ -159,18 +111,21 @@ func TestProximityToBatchEarlyRetirement(t *testing.T) {
 			t.Fatalf("col %d never retired", i)
 		}
 	}
+	if slices.Min(scalarIters) == slices.Max(scalarIters) {
+		t.Fatal("every column converges at the same iteration; nothing retired early")
+	}
 }
 
-// TestProximityToBatchDuplicateQueries: the same restart node may occupy
+// TestProximityVectorBatchDuplicateOrigins: the same restart node may occupy
 // several columns; each retires independently with identical bits.
-func TestProximityToBatchDuplicateQueries(t *testing.T) {
+func TestProximityVectorBatchDuplicateOrigins(t *testing.T) {
 	g, err := gen.SocialGraph(200, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	queries := []graph.NodeID{42, 42, 7, 42}
-	got, err := ProximityToBatch(g, queries, p, 2)
+	origins := []graph.NodeID{42, 42, 7, 42}
+	got, err := ProximityVectorBatch(g, origins, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,21 +136,20 @@ func TestProximityToBatchDuplicateQueries(t *testing.T) {
 	}
 }
 
-// TestProximityToBatchNonConvergence: columns that hit the iteration cap
-// fail with the scalar path's exact error while converged columns still
-// succeed.
-func TestProximityToBatchNonConvergence(t *testing.T) {
+// TestProximityVectorBatchNonConvergence: columns that hit the iteration cap
+// fail with the scalar path's exact error and its non-convergence Result.
+func TestProximityVectorBatchNonConvergence(t *testing.T) {
 	g, err := gen.WebGraph(300, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
 	p.MaxIters = 3 // far below the ~140 iterations ε=1e-10 needs
-	want, wantErr := ProximityToParallel(g, 5, p, 1)
+	want, wantErr := ProximityVectorParallel(g, 5, p, 1)
 	if wantErr == nil {
 		t.Fatal("scalar run unexpectedly converged in 3 iterations")
 	}
-	results, err := ProximityToBatch(g, []graph.NodeID{5, 9}, p, 2)
+	results, err := ProximityVectorBatch(g, []graph.NodeID{5, 9}, p, 2)
 	if err == nil {
 		t.Fatal("batch run unexpectedly converged in 3 iterations")
 	}
@@ -213,27 +167,27 @@ func TestProximityToBatchNonConvergence(t *testing.T) {
 	}
 }
 
-// TestProximityToBatchValidation: parameter and range failures reject the
+// TestProximityVectorBatchValidation: parameter and range failures reject the
 // whole batch before any retire call; an empty batch is a no-op.
-func TestProximityToBatchValidation(t *testing.T) {
+func TestProximityVectorBatchValidation(t *testing.T) {
 	g, err := gen.WebGraph(50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	if err := ProximityToBatchFunc(g, []graph.NodeID{50}, p, 1, func(int, Result, error) {
+	if err := ProximityVectorBatchFunc(g, []graph.NodeID{50}, p, 1, nil, func(int, Result, error) {
 		t.Fatal("retire called on validation failure")
 	}); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("out-of-range query: got %v", err)
+		t.Fatalf("out-of-range origin: got %v", err)
 	}
 	bad := p
 	bad.Alpha = 1.5
-	if err := ProximityToBatchFunc(g, []graph.NodeID{0}, bad, 1, func(int, Result, error) {
+	if err := ProximityVectorBatchFunc(g, []graph.NodeID{0}, bad, 1, nil, func(int, Result, error) {
 		t.Fatal("retire called on validation failure")
 	}); err == nil {
 		t.Fatal("bad alpha accepted")
 	}
-	if err := ProximityToBatchFunc(g, nil, p, 1, func(int, Result, error) {
+	if err := ProximityVectorBatchFunc(g, nil, p, 1, nil, func(int, Result, error) {
 		t.Fatal("retire called on empty batch")
 	}); err != nil {
 		t.Fatal(err)

@@ -6,10 +6,10 @@ import (
 
 // Forward SpMM tier: B power-method columns — one per origin node, each the
 // proximity vector p_u of ProximityVectorParallel — advance together in one
-// node-major slab, sharing every adjacency traversal. This is the engine's
-// exact-fallback batcher: a query whose refinement leaves several
-// candidates undecided resolves them all with one slab sweep instead of
-// streaming the CSR once per candidate.
+// node-major slab (spmm.go has the driver), sharing every adjacency
+// traversal. This is the engine's exact-fallback batcher: a query whose
+// refinement leaves several candidates undecided resolves them all with one
+// slab sweep instead of streaming the CSR once per candidate.
 //
 // Two kernel forms compute the same sweep. The gather kernels mirror
 // mulTransitionRangeCSR/Overlay/Generic: each output row v gathers over v's
@@ -271,7 +271,7 @@ func spmmTransitionRange[G graph.View](g G, x, dst []float64, w, lo, hi int) {
 // (see ColumnProbe); those get no retire call. Validation failures return
 // an error before any probe or retire call.
 func ProximityVectorBatchFunc[G graph.View](g G, origins []graph.NodeID, p Params, workers int, probe ColumnProbe, retire func(i int, res Result, err error)) error {
-	return spmmBatch(g, origins, p, workers, spmmTransitionRange[G], probe, retire)
+	return spmmBatch(g, origins, p, workers, probe, retire)
 }
 
 // ProximityVectorBatch is the collect-everything form of

@@ -9,13 +9,40 @@ import (
 	"repro/internal/vecmath"
 )
 
-// ToStepper is the round-driven form of ProximityToParallel: the same PMPN
-// iteration (Algorithm 2), but advanced an explicit number of iterations at
-// a time, exposing the current iterate and a rigorous elementwise error
-// bound between rounds. The sharded-query coordinator (internal/shard)
-// drives one of these, screening candidates on every shard against the
-// partial iterate after each round and stopping the iteration early once
-// every shard reports its candidates decided.
+// ToStepper is the sharded PMPN iteration (Algorithm 2) — the one driver
+// behind every caller that is not the serial reference ProximityTo — advanced
+// an explicit number of iterations at a time, exposing the current iterate and
+// a rigorous elementwise error bound between rounds. ProximityToParallel steps
+// one to convergence; the anytime tier (core.QueryAnytime) and the
+// sharded-query coordinator (internal/shard) screen candidates against the
+// partial iterate after each round and stop the iteration early once every
+// candidate is decided.
+//
+// The iteration is restricted to the rows that can be non-zero. Started from
+// e_q, the iterate x^t is supported on q's backward ball of radius t: row u of
+// Aᵀ·x gathers u's out-neighbours, so it leaves zero only once one of them
+// has. While that ball holds fewer than n/ballDenseDivisor rows, each
+// iteration gathers, scales, restarts and block-reduces only the ball's rows,
+// ascending, on the calling goroutine; once the ball reaches that size the
+// dense sweep — sharded over block-aligned row ranges across workers —
+// continues from the same iterate and iteration count.
+//
+// The two phases are one iteration bit for bit. Weights are positive and the
+// inverse normalizers finite, so every row the ball phase skips is +0 in both
+// iterates of the dense sweep and adds +0 to its block of the residual; the
+// ball's rows are accumulated in the same neighbour order and reduced in the
+// same ascending order inside the same ascending blocks. The dense sweep
+// computes every row in that order too and reduces the residual per fixed
+// block in block order, whatever the worker count. Hence Current, Previous,
+// Residual, Tail and Iterations after every iteration equal those of a run
+// that sweeps densely from e_q, for every worker count, round schedule and
+// view (TestProximityToParallelBallBitIdentical). A coordinator that decides
+// some candidates early and the rest against the converged vector therefore
+// reproduces the single-engine answer set exactly.
+//
+// A run that has not handed over also reports the ball as Rows: the only rows
+// it ever wrote, so a caller can visit the vector's support without scanning n
+// entries.
 //
 // The error bound is the tighter of two rigorous elementwise bounds:
 //
@@ -42,24 +69,25 @@ import (
 // valid upper bound on p_u(q) at every t — the quantities the coordinator's
 // cross-shard pruning exchanges.
 //
-// Bit-identity: each iteration shards the transposed matvec over the same
-// block-aligned row ranges and reduces the convergence residual at the same
-// fixed block granularity as ProximityToParallel, so after Step has reported
-// convergence, Result().Vector is bit-identical to what ProximityToParallel
-// returns — for every worker count on both sides. A coordinator that decides
-// some candidates early and the rest against the converged vector therefore
-// reproduces the single-engine answer set exactly.
-//
 // A ToStepper is single-use and not safe for concurrent use; Current()
 // aliases internal state and is only valid until the next Step.
 type ToStepper struct {
 	p       Params
-	q       graph.NodeID
 	n       int
 	x, next []float64
 	segs    []vecmath.Range
 	partial []float64
-	step    func(cur, dst []float64, r vecmath.Range)
+	// step fills dst[r.Lo:r.Hi] with one iteration's rows of cur — matvec,
+	// (1−α) scale and restart add — touching no other range.
+	step func(cur, dst []float64, r vecmath.Range)
+
+	// ball is the origin's backward ball while the iteration is still
+	// restricted to it, nil after the hand-over to the dense sweep (and from
+	// the start for the forward iteration, which has no ball phase). grow
+	// adds the next level, reporting false once the ball holds ballLimit rows.
+	ball      *backwardBall
+	grow      func(b *backwardBall, limit int) bool
+	ballLimit int
 
 	iters     int
 	tail      float64
@@ -75,29 +103,41 @@ type ToStepper struct {
 }
 
 // NewToStepper prepares a stepped PMPN run for query node q. workers bounds
-// the per-iteration matvec parallelism (≤ 0 selects GOMAXPROCS); the
-// computed iterates are identical for every setting.
+// the per-iteration matvec parallelism of the dense sweep (≤ 0 selects
+// GOMAXPROCS); the computed iterates are identical for every setting.
 func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*ToStepper, error) {
+	mulT := func(x, dst []float64, lo, hi int) { MulTransitionTRange(g, x, dst, lo, hi) }
+	s, err := newStepper(g.N(), q, p, workers, restartStep(mulT, q, p))
+	if err != nil {
+		return nil, err
+	}
+	s.ball = newBackwardBall(s.n, q)
+	s.grow = func(b *backwardBall, limit int) bool { return growBall(g, b, limit) }
+	s.ballLimit = s.n / ballDenseDivisor
+	return s, nil
+}
+
+// newStepper validates the run and allocates the iteration state around one
+// step function, starting from e_origin with no ball phase.
+func newStepper(n int, origin graph.NodeID, p Params, workers int, step func(cur, dst []float64, r vecmath.Range)) (*ToStepper, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if int(q) < 0 || int(q) >= g.N() {
-		return nil, fmt.Errorf("rwr: node %d out of range [0,%d)", q, g.N())
+	if int(origin) < 0 || int(origin) >= n {
+		return nil, fmt.Errorf("rwr: node %d out of range [0,%d)", origin, n)
 	}
-	n := g.N()
 	s := &ToStepper{
 		p:        p,
-		q:        q,
 		n:        n,
 		x:        make([]float64, n),
 		next:     make([]float64, n),
 		segs:     blockSegments(n, normWorkers(workers)),
 		partial:  make([]float64, (n+residualBlock-1)/residualBlock),
-		step:     pmpnStep(g, q, p),
+		step:     step,
 		tail:     1,
 		residual: math.Inf(1),
 	}
-	s.x[q] = 1
+	s.x[origin] = 1
 	return s, nil
 }
 
@@ -130,30 +170,62 @@ func (s *ToStepper) Step(iters int) (bool, error) {
 	return false, nil
 }
 
-// iterateOnce runs one sharded iteration x → next and swaps the buffers,
-// reducing the residual blockwise exactly like iterateParallel.
+// run steps to convergence or the iteration cap and packages what the
+// one-shot solvers return, the non-convergence Result included.
+func (s *ToStepper) run() (Result, error) {
+	// The iteration past the cap is the one Step refuses with the error.
+	_, err := s.Step(s.p.MaxIters + 1)
+	res := Result{Vector: s.x, Iterations: s.iters, Residual: s.residual, Rows: s.Rows()}
+	if err != nil {
+		res.Iterations++ // iterate's loop counter has overrun the cap when it gives up
+	}
+	return res, err
+}
+
+// iterateOnce runs one iteration x → next and swaps the buffers: over the
+// ball's rows while the ball is under its limit, as a dense sweep sharded
+// across the workers' segments after.
 func (s *ToStepper) iterateOnce() {
-	if len(s.segs) <= 1 {
-		all := vecmath.Range{Lo: 0, Hi: s.n}
-		s.step(s.x, s.next, all)
-		blockReduce(s.x, s.next, all, s.partial)
-	} else {
-		var wg sync.WaitGroup
-		for _, seg := range s.segs {
-			wg.Add(1)
-			go func(seg vecmath.Range) {
-				defer wg.Done()
-				s.step(s.x, s.next, seg)
-				blockReduce(s.x, s.next, seg, s.partial)
-			}(seg)
+	if s.ball != nil && !s.grow(s.ball, s.ballLimit) {
+		s.ball = nil
+	}
+	if s.ball != nil {
+		rows := s.ball.rows
+		for i := 0; i < len(rows); {
+			// One step call per run of consecutive rows.
+			lo := int(rows[i])
+			hi := lo + 1
+			for i++; i < len(rows) && int(rows[i]) == hi; i++ {
+				hi++
+			}
+			s.step(s.x, s.next, vecmath.Range{Lo: lo, Hi: hi})
 		}
-		wg.Wait()
+		s.residual = ballResidual(s.x, s.next, rows)
+	} else {
+		if len(s.segs) <= 1 {
+			all := vecmath.Range{Lo: 0, Hi: s.n}
+			s.step(s.x, s.next, all)
+			blockReduce(s.x, s.next, all, s.partial)
+		} else {
+			// One goroutine per segment, none on the caller's: measured on
+			// the web fixture at 2 workers, running a segment here as well
+			// cost a quarter more per PMPN.
+			var wg sync.WaitGroup
+			for _, seg := range s.segs {
+				wg.Add(1)
+				go func(seg vecmath.Range) {
+					defer wg.Done()
+					s.step(s.x, s.next, seg)
+					blockReduce(s.x, s.next, seg, s.partial)
+				}(seg)
+			}
+			wg.Wait()
+		}
+		s.residual = 0
+		for _, d := range s.partial {
+			s.residual += d
+		}
 	}
-	var res float64
-	for _, d := range s.partial {
-		res += d
-	}
-	s.residual = res
 	s.x, s.next = s.next, s.x
 }
 
@@ -173,6 +245,18 @@ func (s *ToStepper) Previous() []float64 {
 		return nil
 	}
 	return s.next
+}
+
+// Rows lists, ascending, every row the iterates so far can be non-zero in —
+// q's backward ball — while the run has not handed over to the dense sweep:
+// each entry of Current and Previous outside it is exactly +0 and was never
+// written. Nil after the hand-over, which says nothing about the vector. The
+// slice aliases internal state and is valid until the next Step.
+func (s *ToStepper) Rows() []graph.NodeID {
+	if s.ball == nil {
+		return nil
+	}
+	return s.ball.rows
 }
 
 // Tail returns the current elementwise error bound
@@ -204,5 +288,5 @@ func (s *ToStepper) Result() Result {
 	if !s.converged {
 		panic("rwr: ToStepper.Result before convergence")
 	}
-	return Result{Vector: s.x, Iterations: s.iters, Residual: s.residual}
+	return Result{Vector: s.x, Iterations: s.iters, Residual: s.residual, Rows: s.Rows()}
 }

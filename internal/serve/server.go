@@ -33,10 +33,10 @@ type Config struct {
 	// 0 selects 4×GOMAXPROCS.
 	MaxInflight int
 	// WorkerBudget is the total intra-query worker budget shared by
-	// concurrent computations, dealt the same way core.QueryBatch deals its
-	// budget: each active computation runs with budget/active workers
-	// (min 1), so a lone query spreads over all cores while a saturated
-	// server runs one goroutine per query. 0 selects GOMAXPROCS.
+	// concurrent computations: each active computation runs with
+	// budget/active workers (min 1), so a lone query spreads over all cores
+	// while a saturated server runs one goroutine per query. 0 selects
+	// GOMAXPROCS.
 	WorkerBudget int
 	// CompactAfter is the overlay delta size (patched adjacency entries)
 	// past which the maintenance goroutine folds the overlay back into a
@@ -448,9 +448,8 @@ func cacheLabel(st CacheStatus) string {
 // serializes the response body. Admission happens here — after the cache —
 // so cache hits and coalesced waiters are never rejected, only work that
 // would actually occupy an engine. The query runs at once on the request's
-// own goroutine with its dealt share of the worker budget, the way
-// core.QueryBatch deals its budget: a lone query gets all of it, a busy
-// server runs sequential engines.
+// own goroutine with its dealt share of the worker budget: a lone query gets
+// all of it, a busy server runs sequential engines.
 func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) ([]byte, error) {
 	active := s.active.Add(1)
 	defer s.active.Add(-1)

@@ -109,6 +109,59 @@ func TestCoordinatorMatchesSingleEngine(t *testing.T) {
 	}
 }
 
+// TestCoordinatorClosedBallMatchesView: a query node whose backward ball
+// closes keeps the coordinator's shared PMPN inside its ball phase from the
+// first round to the last. The answer must be the single View's, and so must
+// the iteration count whenever the coordinator ran the iteration to
+// convergence (a bound-decided early stop runs fewer).
+func TestCoordinatorClosedBallMatchesView(t *testing.T) {
+	g, idx := buildCase(t, "web", 350)
+	view, err := core.NewView(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := partition.NewHash(g.N(), 2, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, converged := 0, 0
+	for _, workers := range []int{1, 4} {
+		c, err := NewFromFull(g, idx, pm, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := graph.NodeID(0); int(q) < g.N(); q++ {
+			for _, k := range []int{1, 10} {
+				want, wst, err := view.Query(q, k, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wst.Screened == g.N() {
+					continue // the ball did not close: the dense sweep, covered above
+				}
+				closed++
+				got, stats, err := c.Query(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalIDs(got, want) {
+					t.Fatalf("q=%d k=%d w=%d: coordinator %v, view %v", q, k, workers, got, want)
+				}
+				if !stats.EarlyStop {
+					converged++
+				}
+				if stats.PMPNIters > wst.PMPNIters || (!stats.EarlyStop && stats.PMPNIters != wst.PMPNIters) {
+					t.Fatalf("q=%d k=%d w=%d: coordinator ran %d PMPN iterations (early stop %v), the view %d",
+						q, k, workers, stats.PMPNIters, stats.EarlyStop, wst.PMPNIters)
+				}
+			}
+		}
+	}
+	if closed == 0 || converged == 0 {
+		t.Fatalf("%d closed-ball queries, %d of them run to convergence: nothing exercised", closed, converged)
+	}
+}
+
 // TestCoordinatorMatchesBruteForce anchors the whole stack to the paper's
 // §3 brute-force definition on one configuration.
 func TestCoordinatorMatchesBruteForce(t *testing.T) {
