@@ -213,8 +213,8 @@ func main() {
 func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
 	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
 	fmt.Printf("%v\n", answer)
-	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d exact_fallbacks=%d committed=%d screened=%d\n",
-		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.Committed, stats.Screened)
+	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d exact_fallbacks=%d fallback_iters=%d fallback_ball_iters=%d committed=%d screened=%d\n",
+		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.Committed, stats.Screened)
 	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
 		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
 }

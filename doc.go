@@ -33,9 +33,9 @@
 // taken only when the ink it moves could let a bound decide; otherwise the
 // candidate goes straight to the exact fallback — README.md, "Refine or
 // solve"), the exact fallback (a bit-identical push-form
-// forward sweep plus a stop anchored at the PMPN-exact p_u(q): on the
-// benchmark's web-cold workload query_qps 167.5 → 208.3 and query_p95_ms
-// 44.5 → 33.3 with byte-equal answers; README.md, "Exact fallback"), and
+// forward sweep restricted to the candidates' forward balls while those are
+// under half the graph, plus a stop anchored at the PMPN-exact p_u(q);
+// README.md, "Exact fallback"), and
 // how to run the paper experiments and benchmarks.
 //
 // The repository's cross-cutting invariants — bit-identical determinism in

@@ -141,20 +141,22 @@ func oracleOverlay(t *testing.T, g *graph.Graph) *graph.Overlay {
 // The same table holds the View's sparse screen to the dense sweep: see
 // checkSparseScreen.
 func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
+	var phases fallbackPhases
 	for _, family := range []string{"web", "coauthor", "spam", "sinks"} {
 		t.Run(family, func(t *testing.T) {
 			for _, layout := range []string{"csr", "overlay"} {
 				t.Run(layout, func(t *testing.T) {
-					oracleTableRows(t, family, layout)
+					oracleTableRows(t, family, layout, &phases)
 				})
 			}
 		})
 	}
+	phases.check(t)
 }
 
 // oracleTableRows is one (family, layout) cell of
 // TestParallelQueryMatchesSequentialAndBruteForce.
-func oracleTableRows(t *testing.T, family, layout string) {
+func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases) {
 	const indexK = 20
 	var g graph.View = oracleGraph(t, family)
 	if layout == "overlay" {
@@ -180,7 +182,7 @@ func oracleTableRows(t *testing.T, family, layout string) {
 	}
 	// The View's index must stay as built, so the sparse rows run
 	// before the update-mode engines below commit into it.
-	closed, zeroBound := checkSparseScreen(t, g, built, cols, queries, []int{1, 10, indexK})
+	closed, zeroBound := checkSparseScreen(t, g, built, cols, queries, []int{1, 10, indexK}, phases)
 	// coauthor is undirected — every backward ball is a whole
 	// component — so there the View takes the dense path only.
 	if closed == 0 && family != "coauthor" {
@@ -266,9 +268,9 @@ func backwardReach(g graph.View, q graph.NodeID, limit int) []graph.NodeID {
 // sweepCounters are the QueryStats fields a sparse screen must reproduce
 // from the dense sweep exactly (Screened is the one that differs by design;
 // the rest are wall-clock).
-func sweepCounters(s QueryStats) [9]int {
-	return [9]int{s.PMPNIters, s.PMPNSupport, s.Candidates, s.Hits, s.RefineSteps,
-		s.ExactFallbacks, s.FallbackIters, s.FallbackEarlyStops, s.Results}
+func sweepCounters(s QueryStats) [10]int {
+	return [10]int{s.PMPNIters, s.PMPNSupport, s.Candidates, s.Hits, s.RefineSteps,
+		s.ExactFallbacks, s.FallbackIters, s.FallbackBallIters, s.FallbackEarlyStops, s.Results}
 }
 
 // checkSparseScreen is the sparse-screen half of the oracle table. For one
@@ -281,7 +283,7 @@ func sweepCounters(s QueryStats) [9]int {
 // ball closed, every materialized row otherwise — and on those closed balls
 // holds QueryAnytime(ε = 0) + Escalate to the cold query. It returns how many query
 // nodes close their ball and the longest zero-bound list it met.
-func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]float64, sampled []graph.NodeID, ks []int) (closedBalls, zeroBoundRows int) {
+func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]float64, sampled []graph.NodeID, ks []int, phases *fallbackPhases) (closedBalls, zeroBoundRows int) {
 	t.Helper()
 	n := g.N()
 	balls := map[graph.NodeID][]graph.NodeID{}
@@ -337,7 +339,7 @@ func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]
 			rows = len(owned)
 		}
 		for _, k := range ks {
-			zero := v.zeroBound.rows(k)
+			zero := v.zeroBound.list(k).rows
 			zeroBoundRows = max(zeroBoundRows, len(zero))
 			for _, q := range queries {
 				for _, workers := range []int{1, 4} {
@@ -357,6 +359,7 @@ func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]
 					if sweepCounters(gst) != sweepCounters(wst) {
 						t.Fatalf("%s: sparse screen counted %+v, dense sweep %+v", label, gst, wst)
 					}
+					phases.add(gst)
 					screened := rows
 					if ball, closed := balls[q]; closed {
 						screened = len(zero)

@@ -30,6 +30,14 @@
 // between rounds, whatever rows its PMPN touched.
 // QueryStats.Screened reports the rows visited.
 //
+// The exact solves use the same fact in the other direction (one ball type,
+// rwr/ball.go: grown by in-neighbours from q for step 1, by out-neighbours from
+// the open candidates here). A fallback column starts at e_u and after t
+// forward sweeps is supported on u's forward ball of radius t, so a slab sweeps
+// the union of its candidates' forward balls, and the early-stop probe selects
+// over those rows, until that union reaches half the graph
+// (QueryStats.FallbackBallIters).
+//
 // In update mode, refinement results are committed back to the index
 // (§4.2.3), tightening bounds for later queries.
 package core
@@ -131,6 +139,9 @@ type QueryStats struct {
 	// ExactFallbacks means some of the query's fallbacks ran to convergence.
 	FallbackIters      int
 	FallbackEarlyStops int
+	// FallbackBallIters is the part of FallbackIters swept over the
+	// candidates' forward balls rather than all n rows (rwr/spmm.go).
+	FallbackBallIters int
 	// DecideElapsed is the part of Elapsed spent in the candidate
 	// decision sweep (Algorithm 4's screen + bound refinement),
 	// excluding the deferred-fallback resolution counted separately in
@@ -329,7 +340,7 @@ func support(pq []float64, rows []graph.NodeID) int {
 // under. On both benchmark fixtures the second set is empty and a full
 // index returns ball itself.
 func (e *Engine) sparseScreen(ball []graph.NodeID, k int) []graph.NodeID {
-	zero := e.zeroBound.rows(k)
+	zero := e.zeroBound.list(k).rows
 	full := e.idx.OwnedNodes() == nil
 	if full && len(zero) == 0 {
 		return ball
@@ -414,6 +425,16 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 		}
 		return graph.NodeID(i)
 	}
+	// A View's dense sweep looks each row's k-th bound up in the View's flat
+	// copy first: it skips only rows decide would have pruned, which is nearly
+	// all of them, without the stripe lock decide reads the same number under.
+	var kth []float64
+	if list == nil && e.zeroBound != nil {
+		kth = e.zeroBound.list(k).kth
+	}
+	pruned := func(u graph.NodeID) bool {
+		return kth != nil && prunedByLowerBound(pq[u], kth[u], e.tieTol)
+	}
 	var results []graph.NodeID
 	var pend []pendingFallback
 	if workers <= 1 {
@@ -421,6 +442,9 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 		defer e.wsPool.Put(ws)
 		for i := 0; i < count; i++ {
 			u := nodeAt(i)
+			if pruned(u) {
+				continue
+			}
 			added, err := e.decide(ws, q, u, k, pq[u], stats, &pend)
 			if err != nil {
 				return nil, err
@@ -447,6 +471,9 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 				defer e.wsPool.Put(ws)
 				for i := seg.Lo; i < seg.Hi; i++ {
 					u := nodeAt(i)
+					if pruned(u) {
+						continue
+					}
 					added, err := e.decide(ws, q, u, k, pq[u], &sh.stats, &sh.pend)
 					if err != nil {
 						sh.err = err
@@ -673,10 +700,11 @@ type fallbackOutcome struct {
 // resolveFallbacks decides every candidate one sweep deferred, returning
 // the members. Runs on the coordinating goroutine after the decision sweep.
 func (e *Engine) resolveFallbacks(pend []pendingFallback, k int, stats *QueryStats) ([]graph.NodeID, error) {
-	out, err := e.resolveExact(pend, k)
+	out, ballIters, err := e.resolveExact(pend, k)
 	if err != nil {
 		return nil, err
 	}
+	stats.FallbackBallIters += ballIters
 	if e.update {
 		stats.Committed += len(pend) // every resolved column commits its exact state
 	}
@@ -718,9 +746,10 @@ const (
 // deferral order, and every column that runs to convergence is bit-identical
 // to the scalar ProximityVectorParallel solve. Each slab is swept by one
 // worker whatever the engine's worker count: only a single-segment sweep gets
-// the push kernel (rwr/spmmfwd.go), and a row-sharded one falls to the gather
-// kernel at 1.6–3× the cost per column — two workers were slower than one.
-// Columns are bit-identical either way.
+// the push kernel and the forward-ball phase (rwr/spmmfwd.go, rwr/spmm.go), and
+// a row-sharded one falls to the dense gather kernel at 1.6–3× the cost per
+// column — two workers were slower than one. Columns are bit-identical either
+// way.
 //
 // A no-update engine rarely needs the converged vector. p_u(q) is already
 // exact (the PMPN gave it); the unknown is only which side of it pkmax(u)
@@ -749,8 +778,8 @@ const (
 // fully drained exact state (all ink retained, zero residue) so no future
 // query ever spends work on that node again — this is what makes the
 // update curve of Fig. 7/8 flatten — and that needs the converged vector.
-func (e *Engine) resolveExact(pend []pendingFallback, k int) ([]fallbackOutcome, error) {
-	out := make([]fallbackOutcome, len(pend))
+func (e *Engine) resolveExact(pend []pendingFallback, k int) (out []fallbackOutcome, ballIters int, err error) {
+	out = make([]fallbackOutcome, len(pend))
 	for lo := 0; lo < len(pend); lo += spmmChunkWidth {
 		chunk := pend[lo:min(lo+spmmChunkWidth, len(pend))]
 		outs := out[lo : lo+len(chunk)]
@@ -769,16 +798,32 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int) ([]fallbackOutcome,
 			if e.probeBuf == nil {
 				e.probeBuf = make([]float64, e.g.N())
 			}
-			probe = func(i, iter int, tail float64, read func([]float64)) bool {
+			probe = func(i, iter int, tail float64, read func([]float64) []graph.NodeID) bool {
 				if tail > nextProbe[i] {
 					return false
 				}
 				nextProbe[i] = tail / probeTailRatio
-				read(e.probeBuf)
-				top := vecmath.TopKValues(e.probeBuf, k+1)
 				pf := chunk[i]
+				// A slab still inside its forward ball reads the ball's rows
+				// only: x^t is zero elsewhere — at q too, if q is not one of
+				// them — and TopKValues pads a short list with the zeros left
+				// out. The entries are packed to the front for the selection;
+				// rows ascend, so slot at never overtakes entry rows[at].
+				vals, xq := e.probeBuf, 0.0
+				if rows := read(vals); rows == nil {
+					xq = vals[pf.q]
+				} else {
+					for at, u := range rows {
+						if u == pf.q {
+							xq = vals[u]
+						}
+						vals[at] = vals[u]
+					}
+					vals = vals[:len(rows)]
+				}
+				top := vecmath.TopKValues(vals, k+1)
 				kappa := top[k-1]
-				if e.probeBuf[pf.q] >= kappa {
+				if xq >= kappa {
 					kappa = top[k] // q is one of the k largest: leave it out
 				}
 				switch anchor := pf.puq + e.tieTol; {
@@ -793,7 +838,7 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int) ([]fallbackOutcome,
 			}
 		}
 		var colErr error
-		err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, 1, probe, func(i int, res rwr.Result, rerr error) {
+		swept, err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, 1, probe, func(i int, res rwr.Result, rerr error) {
 			if rerr != nil {
 				if colErr == nil {
 					colErr = rerr
@@ -813,13 +858,14 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int) ([]fallbackOutcome,
 			}
 		})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if colErr != nil {
-			return nil, colErr
+			return nil, 0, colErr
 		}
+		ballIters += swept
 	}
-	return out, nil
+	return out, ballIters, nil
 }
 
 // BruteForce answers a reverse top-k query by computing the exact proximity

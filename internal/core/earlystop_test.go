@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,6 +17,31 @@ import (
 // probe) to the converged decision. "Forced off" is DecideList with q = −1:
 // the same sweep and the same fallbacks, but no asker names a query node,
 // so every fallback column runs to convergence.
+
+// fallbackPhases tallies, over the queries of one suite, where the fallbacks
+// that stopped early were when they did: in the slab's ball phase (the query
+// swept every fallback iteration over a forward ball) or past the hand-over
+// to the dense loop (some column ran on after it, and all stopped early). A
+// suite that meets only one of the two has left a phase of the probe untested.
+type fallbackPhases struct{ inBall, afterHandover atomic.Int64 }
+
+func (f *fallbackPhases) add(st QueryStats) {
+	switch {
+	case st.FallbackEarlyStops == 0:
+	case st.FallbackBallIters == st.FallbackIters:
+		f.inBall.Add(1)
+	case st.FallbackEarlyStops == st.ExactFallbacks:
+		f.afterHandover.Add(1)
+	}
+}
+
+func (f *fallbackPhases) check(t *testing.T) {
+	t.Helper()
+	if f.inBall.Load() == 0 || f.afterHandover.Load() == 0 {
+		t.Errorf("queries whose fallbacks stopped early inside the ball: %d, after the hand-over: %d; want both",
+			f.inBall.Load(), f.afterHandover.Load())
+	}
+}
 
 // bruteForceFrom is BruteForce's membership test over an already computed
 // proximity matrix (cols[u] = p_u), so one matrix serves every (q, k).
@@ -34,10 +60,14 @@ func bruteForceFrom(cols [][]float64, q graph.NodeID, k int) []graph.NodeID {
 // its answer with the probe forced off equals brute force; the same
 // candidates reach the fallback either way; and the probe really engages
 // (fewer forward iterations, some early stops) while the forced-off run
-// reports none.
+// reports none. Between them the families stop fallbacks early in both phases
+// of the slab (web's forward balls stay under half the graph, coauthor's pass
+// it within a few iterations).
 func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 	const indexK = 20
 	p := rwr.DefaultParams()
+	var phases fallbackPhases
+	t.Cleanup(func() { phases.check(t) }) // runs once the parallel families are done
 	for _, family := range []string{"web", "coauthor", "spam"} {
 		family := family
 		t.Run(family, func(t *testing.T) {
@@ -84,6 +114,10 @@ func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 					if st.FallbackIters > cst.FallbackIters {
 						t.Fatalf("%s: %d iterations with the probe, %d without", label, st.FallbackIters, cst.FallbackIters)
 					}
+					if st.FallbackBallIters > st.FallbackIters || cst.FallbackBallIters > cst.FallbackIters {
+						t.Fatalf("%s: more ball iterations than iterations: %+v, %+v", label, st, cst)
+					}
+					phases.add(st)
 					on.ExactFallbacks += st.ExactFallbacks
 					on.FallbackIters += st.FallbackIters
 					on.FallbackEarlyStops += st.FallbackEarlyStops
@@ -150,11 +184,11 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 				a.q = -1
 				converged[i] = a
 			}
-			got, err := eng.resolveExact(askers, k)
+			got, _, err := eng.resolveExact(askers, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := eng.resolveExact(converged, k)
+			ref, _, err := eng.resolveExact(converged, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +270,7 @@ func TestEarlyStopTwinTieRunsToConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := eng.resolveExact([]pendingFallback{{u: shared, q: q, puq: pq.Vector[shared]}}, k)
+		out, _, err := eng.resolveExact([]pendingFallback{{u: shared, q: q, puq: pq.Vector[shared]}}, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,10 @@ type View struct {
 // top-k, reachable or not, so it is in every answer at that k and no screen
 // may skip it; every other row outside q's backward ball is pruned by
 // prunedByLowerBound without being looked at. Each list is built by the
-// first query at its k, in one pass over the index with that same helper.
+// first query at its k, in one pass over the index with that same helper. On
+// a full index the pass also keeps every row's p̂_u(k) in one flat column, the
+// dense sweep's prefilter (decideSet); a shard slice's rows are not indexed by
+// node, so it has none.
 type zeroBoundTable struct {
 	idx  *lbindex.Index
 	perK []zeroBoundList // perK[k-1]
@@ -52,24 +55,32 @@ type zeroBoundTable struct {
 type zeroBoundList struct {
 	once sync.Once
 	rows []graph.NodeID
+	kth  []float64 // p̂_u(k) at [u]; nil on a shard slice
 }
 
 func newZeroBoundTable(idx *lbindex.Index) *zeroBoundTable {
 	return &zeroBoundTable{idx: idx, perK: make([]zeroBoundList, idx.K())}
 }
 
-// rows returns the list for k, building it on first use. Safe for concurrent
+// list returns the list for k, building it on first use. Safe for concurrent
 // use.
-func (t *zeroBoundTable) rows(k int) []graph.NodeID {
+func (t *zeroBoundTable) list(k int) *zeroBoundList {
 	l := &t.perK[k-1]
 	l.once.Do(func() {
+		if t.idx.OwnedNodes() == nil {
+			l.kth = make([]float64, t.idx.N())
+		}
 		for u := range eachIndexed(t.idx) {
-			if !prunedByLowerBound(0, t.idx.KthLowerBound(u, k), defaultTieTol) {
+			lb := t.idx.KthLowerBound(u, k)
+			if l.kth != nil {
+				l.kth[u] = lb
+			}
+			if !prunedByLowerBound(0, lb, defaultTieTol) {
 				l.rows = append(l.rows, u)
 			}
 		}
 	})
-	return l.rows
+	return l
 }
 
 // NewView binds a graph and index into a shareable read-only view. The pair

@@ -250,7 +250,7 @@ func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 		if slices.Contains(got, x) != c.xMember {
 			t.Errorf("%s: answer %v, want x=%d in it: %v", c.name, got, x, c.xMember)
 		}
-		if zero := c.v.zeroBound.rows(k); !slices.Equal(zero, c.zero) {
+		if zero := c.v.zeroBound.list(k).rows; !slices.Equal(zero, c.zero) {
 			t.Errorf("%s: zero-bound rows %v, want %v", c.name, zero, c.zero)
 		}
 		if st.Screened != c.screened {

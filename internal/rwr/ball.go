@@ -7,6 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
+// One ball, two directions. A power iterate started from unit vectors is
+// supported on the rows within t edges of them: PMPN's x ← Aᵀ·x walks in-edges,
+// so a ToStepper keeps q's backward ball; the exact fallback's x ← A·x walks
+// out-edges, so a slab (spmm.go) keeps the union of its origins' forward balls.
+// Both sweep the ball's rows only — K-dash's "visit in BFS order" (Fujiwara et
+// al., PAPERS.md) applied to rows — and hand the same buffers to their dense
+// loop once the ball stops paying.
+
 // ballDenseDivisor bounds the ball phase of ToStepper: it runs
 // while q's backward ball holds fewer than n/ballDenseDivisor rows. Below
 // that a sweep over the ball's rows reads at most an eighth of the out-CSR
@@ -18,34 +26,54 @@ import (
 // and 27; on its social fixture 95 % pass it by iteration 4.
 const ballDenseDivisor = 8
 
-// backwardBall is the set of rows a PMPN iterate started from e_q may hold a
-// non-zero in: q's backward ball, grown one in-neighbour level per iteration.
-type backwardBall struct {
-	member []bool
+// ball is the set of rows a power iterate started from its origins may hold a
+// non-zero in, grown one neighbour level per iteration.
+type ball struct {
+	forward bool // grow by out-neighbours (x ← A·x), not in-neighbours (x ← Aᵀ·x)
+	member  []bool
 	// rows is the ball, ascending — the order the dense sweep visits rows in.
 	rows []graph.NodeID
-	// frontier is the level the last growBall added (q before the first).
+	// frontier is the level the last growBall added (the origins before any).
 	frontier []graph.NodeID
 }
 
-func newBackwardBall(n int, q graph.NodeID) *backwardBall {
-	b := &backwardBall{member: make([]bool, n), rows: []graph.NodeID{q}, frontier: []graph.NodeID{q}}
-	b.member[q] = true
+func newBall(n int, forward bool, origins ...graph.NodeID) *ball {
+	b := &ball{forward: forward, member: make([]bool, n)}
+	for _, q := range origins {
+		if !b.member[q] {
+			b.member[q] = true
+			b.rows = append(b.rows, q)
+		}
+	}
+	slices.Sort(b.rows)
+	b.frontier = slices.Clone(b.rows)
 	return b
 }
 
-// growBall adds the in-neighbours of b's last level, keeping b.rows
+// list is the ball's rows, nil for a nil ball: a run past its ball phase.
+func (b *ball) list() []graph.NodeID {
+	if b == nil {
+		return nil
+	}
+	return b.rows
+}
+
+// growBall adds the neighbours of b's last level, keeping b.rows
 // ascending. It reports false, leaving b unspecified, once the ball holds
-// limit rows or more. The ball only ever grows (q restarts every iteration,
-// so level t contains level t−1), which is why expanding the newest level
-// alone reaches every row of the next one.
-func growBall[G graph.View](g G, b *backwardBall, limit int) bool {
+// limit rows or more. The ball only ever grows (the origins restart every
+// iteration, so level t contains level t−1), which is why expanding the newest
+// level alone reaches every row of the next one.
+func growBall[G graph.View](g G, b *ball, limit int) bool {
 	if len(b.rows) >= limit {
 		return false
 	}
 	var fresh []graph.NodeID
 	for _, v := range b.frontier {
-		for _, u := range g.InNeighbors(v) {
+		nbrs := g.InNeighbors(v)
+		if b.forward {
+			nbrs = g.OutNeighbors(v)
+		}
+		for _, u := range nbrs {
 			if b.member[u] {
 				continue
 			}

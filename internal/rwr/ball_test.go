@@ -14,7 +14,7 @@ import (
 // the ball closes under the limit and the whole run stays sparse) and the
 // ball's size when growth stopped.
 func ballHandover(g graph.View, q graph.NodeID) (iter, size int) {
-	b := newBackwardBall(g.N(), q)
+	b := newBall(g.N(), false, q)
 	for iter = 1; ; iter++ {
 		if !growBall(g, b, g.N()/ballDenseDivisor) {
 			return iter, len(b.rows)
@@ -44,7 +44,7 @@ func TestGrowBallIsBackwardBFS(t *testing.T) {
 					}
 				}
 			}
-			b := newBackwardBall(n, q)
+			b := newBall(n, false, q)
 			for level := 1; growBall(g, b, n+1); level++ {
 				var want []graph.NodeID
 				for u, d := range dist {

@@ -11,7 +11,10 @@
 // in one node-major slab, sharing every CSR traversal, with per-column
 // convergence and retirement — each column bit-identical to its scalar
 // ProximityVectorParallel run — which the query engine uses to resolve all of
-// a sweep's exact fallbacks at once.
+// a sweep's exact fallbacks at once. Both iterations start at a unit vector
+// and sweep only the rows it can have reached — one ball, grown backward for
+// PMPN and forward for the slab (ball.go) — before handing over to their dense
+// loops.
 package rwr
 
 import (
@@ -111,7 +114,8 @@ type Result struct {
 	// ToStepper run that ended inside its ball phase sets it (Rows is then
 	// q's backward ball) — through ProximityToParallel or ToStepper.Result;
 	// a run that handed over to the dense sweep, the serial solvers and the
-	// forward drivers leave it nil, which says nothing about the vector.
+	// forward drivers leave it nil, which says nothing about the vector (a
+	// slab shows its forward ball to a ColumnProbe's read instead).
 	Rows []graph.NodeID
 }
 

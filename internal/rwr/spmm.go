@@ -22,6 +22,18 @@ import (
 // and any batch width. A column that converges retires from the slab
 // immediately (the survivors repack to a narrower stride) without
 // stalling the rest of the batch.
+//
+// A single-segment slab over an in-tree view (the push kernel's case, and the
+// only one the engine's exact fallback runs) starts in a ball phase, the
+// forward twin of ToStepper's (ball.go): after t sweeps the columns are
+// supported on the union of the origins' forward balls of radius t, and while
+// that union holds fewer than n/slabBallDivisor rows an iteration clears,
+// pushes from, scales, restarts and block-reduces those rows only, and
+// retiring, probing and repacking copy or move only them; then the dense loop
+// continues from the same buffers and iteration count. A skipped row is +0 in
+// both iterates and adds +0 to its residual block, so nothing a caller sees
+// differs from a slab that sweeps densely from the start
+// (TestForwardBallBitIdentical).
 
 // batchColumn tracks one live column of the slab.
 type batchColumn struct {
@@ -38,29 +50,44 @@ type batchColumn struct {
 // forward iteration too because a column-stochastic A never grows an L1
 // norm), and read, which copies x^t into a caller-owned n-vector — valid
 // during the call only, so a probe that does not want to look this round
-// pays nothing. Returning true drops the column from the slab: it gets no
-// retire call and no vector, the probe having taken what it needed.
-// Columns that do converge are untouched by probing — bit-identical to an
-// unprobed run.
-type ColumnProbe func(i, iter int, tail float64, read func(dst []float64)) bool
+// pays nothing. read writes and returns the rows x^t can be non-zero in
+// (ascending, as Result.Rows) while the slab is in its ball phase — x^t is +0
+// at every other row and dst is left untouched there, whatever it held — and
+// writes all n entries and returns nil after the hand-over. Returning true
+// drops the column from the slab: it gets no retire call and no vector, the
+// probe having taken what it needed. Columns that do converge are untouched
+// by probing — bit-identical to an unprobed run.
+type ColumnProbe func(i, iter int, tail float64, read func(dst []float64) []graph.NodeID) bool
+
+// slabBallDivisor bounds the slab's ball phase: it runs while the union of the
+// origins' forward balls holds fewer than n/slabBallDivisor rows — later than
+// ToStepper's n/8 because a slab row costs up to 16 columns of clearing, scaling
+// and residual, all of which the ball skips. Fallback phase of a 400-query
+// k = 20 list through core.View on the benchmark's web fixture (229 fallbacks,
+// 5 037 column-iterations; medians of 8): no ball 0.63 s, n/8 0.54, n/4 0.52,
+// n/2 0.39 (no slab ever hands over: a web node reaches under half the graph),
+// never handing over 0.40; on its social fixture (k = 10, 15 915
+// column-iterations, 17 % of them before n/2) 0.69, 0.67, 0.72, 0.68 and 0.80.
+const slabBallDivisor = 2
 
 // spmmBatch is the slab driver behind ProximityVectorBatchFunc: the forward
 // power method x ← (1−α)·A·x + α·e_origin with an L1 stopping rule, one column
 // per origin — slab layout, batched matvec (spmmTransitionRange), restart add,
 // blocked residual reduction, per-column retirement and repacking. probe may
-// be nil.
-func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int, probe ColumnProbe, retire func(i int, res Result, err error)) error {
+// be nil. ballLimit is the row count that ends the ball phase (0: dense from
+// the start); ballIters reports the column-iterations swept inside it.
+func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers, ballLimit int, probe ColumnProbe, retire func(i int, res Result, err error)) (ballIters int, err error) {
 	if err := p.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	n := g.N()
 	for _, q := range origins {
 		if int(q) < 0 || int(q) >= n {
-			return fmt.Errorf("rwr: node %d out of range [0,%d)", q, n)
+			return 0, fmt.Errorf("rwr: node %d out of range [0,%d)", q, n)
 		}
 	}
 	if len(origins) == 0 {
-		return nil
+		return 0, nil
 	}
 	workers = normWorkers(workers)
 
@@ -117,16 +144,63 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 		}
 	}
 
+	// fb is the union of the origins' forward balls while the slab is in its
+	// ball phase (see the file comment): nil after the hand-over, and from the
+	// start for a row-sharded sweep or a third-party view.
+	var fb *ball
+	switch any(g).(type) {
+	case *graph.Graph, *graph.Overlay:
+		if len(segs) == 1 {
+			fb = newBall(n, true, origins...)
+		}
+	}
+
+	// runBall is runSeg over the ball's rows. partial stays +0 at the blocks
+	// the ball has not reached, as it would be had they been summed.
+	runBall := func(rows []graph.NodeID) {
+		spmmPush(g, cur, dst, width, rows)
+		for _, u := range rows {
+			for i := int(u) * width; i < (int(u)+1)*width; i++ {
+				dst[i] *= oneMinus
+			}
+		}
+		for j := 0; j < width; j++ {
+			dst[int(cols[j].q)*width+j] += p.Alpha
+		}
+		block := -1
+		var prow []float64
+		for _, u := range rows {
+			if b := int(u) / residualBlock; b != block {
+				block, prow = b, partial[b*width:b*width+width]
+				clear(prow)
+			}
+			base := int(u) * width
+			for j := range prow {
+				prow[j] += math.Abs(cur[base+j] - dst[base+j])
+			}
+		}
+	}
+
 	// copyColumn copies live column j of the current iterate out of the slab
-	// (x and width are read at call time, so it follows the swaps and
-	// repacks below); readProbed is the probe's view of it.
+	// (x, width and fb are read at call time, so it follows the swaps, repacks
+	// and hand-over below) — its ball rows only during the ball phase;
+	// readProbed is the probe's view of it.
 	copyColumn := func(out []float64, j int) {
+		if fb != nil {
+			for _, u := range fb.rows {
+				out[u] = x[int(u)*width+j]
+			}
+			return
+		}
 		for i := 0; i < n; i++ {
 			out[i] = x[i*width+j]
 		}
 	}
 	probed := 0
-	readProbed := func(out []float64) { copyColumn(out, probed) }
+	readProbed := func(out []float64) []graph.NodeID {
+		copyColumn(out, probed)
+		return fb.list()
+	}
 	keep := make([]int, 0, w)
 
 	var start []chan struct{}
@@ -154,7 +228,13 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 
 	for t := 1; t <= p.MaxIters; t++ {
 		cur, dst = x, next
-		if len(segs) > 1 {
+		if fb != nil && !growBall(g, fb, ballLimit) {
+			fb = nil
+		}
+		if fb != nil {
+			runBall(fb.rows)
+			ballIters += width
+		} else if len(segs) > 1 {
 			for _, ch := range start {
 				ch <- struct{}{}
 			}
@@ -198,12 +278,20 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 			continue
 		}
 		if len(keep) == 0 {
-			return nil
+			return ballIters, nil
 		}
 		// Repack the survivors to the narrower stride, in place. next's
 		// contents are dead (every dst row is rewritten from scratch each
-		// iteration), so only x needs the data moved.
-		repackSlab(x, n, width, keep)
+		// iteration), so only x needs the data moved — but the ball phase
+		// counts on both slabs, and partial, being +0 outside the ball, so
+		// there they give up what they hold at the old stride.
+		repackSlab(x, n, width, keep, fb.list())
+		if fb != nil {
+			for _, u := range fb.rows {
+				clear(next[int(u)*width : (int(u)+1)*width])
+			}
+			clear(partial)
+		}
 		for jj, j := range keep {
 			cols[jj] = cols[j]
 			colRes[jj] = colRes[j]
@@ -223,19 +311,31 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int,
 			Result{Vector: vec, Iterations: p.MaxIters + 1, Residual: colRes[j]},
 			errNotConverged(p, colRes[j]))
 	}
-	return nil
+	return ballIters, nil
 }
 
 // repackSlab compacts the kept columns of an n×w node-major slab to stride
 // len(keep), in place. keep must be ascending; every destination index is
 // ≤ its source index, so a single forward pass never clobbers unread data.
-func repackSlab(s []float64, n, w int, keep []int) {
+// A non-nil rows (ascending) says s is zero outside those rows: only they
+// move, and what a moved row leaves behind at the old stride is cleared, so s
+// is zero outside them at the new stride too.
+func repackSlab(s []float64, n, w int, keep []int, rows []graph.NodeID) {
 	w2 := len(keep)
-	for u := 0; u < n; u++ {
-		src := u * w
-		dstBase := u * w2
+	if rows != nil {
+		n = len(rows)
+	}
+	for i := 0; i < n; i++ {
+		u := i
+		if rows != nil {
+			u = int(rows[i])
+		}
+		src, dst := u*w, u*w2
 		for jj, j := range keep {
-			s[dstBase+jj] = s[src+j]
+			s[dst+jj] = s[src+j]
+		}
+		if rows != nil {
+			clear(s[max(src, dst+w2) : src+w])
 		}
 	}
 }

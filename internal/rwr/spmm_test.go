@@ -87,7 +87,7 @@ func TestProximityVectorBatchEarlyRetirement(t *testing.T) {
 	}
 	lastIter := 0
 	retired := make([]bool, len(origins))
-	err = ProximityVectorBatchFunc(g, origins, p, 4, nil, func(i int, res Result, err error) {
+	_, err = ProximityVectorBatchFunc(g, origins, p, 4, nil, func(i int, res Result, err error) {
 		if err != nil {
 			t.Fatalf("col %d: %v", i, err)
 		}
@@ -175,19 +175,19 @@ func TestProximityVectorBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	if err := ProximityVectorBatchFunc(g, []graph.NodeID{50}, p, 1, nil, func(int, Result, error) {
+	if _, err := ProximityVectorBatchFunc(g, []graph.NodeID{50}, p, 1, nil, func(int, Result, error) {
 		t.Fatal("retire called on validation failure")
 	}); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range origin: got %v", err)
 	}
 	bad := p
 	bad.Alpha = 1.5
-	if err := ProximityVectorBatchFunc(g, []graph.NodeID{0}, bad, 1, nil, func(int, Result, error) {
+	if _, err := ProximityVectorBatchFunc(g, []graph.NodeID{0}, bad, 1, nil, func(int, Result, error) {
 		t.Fatal("retire called on validation failure")
 	}); err == nil {
 		t.Fatal("bad alpha accepted")
 	}
-	if err := ProximityVectorBatchFunc(g, nil, p, 1, nil, func(int, Result, error) {
+	if _, err := ProximityVectorBatchFunc(g, nil, p, 1, nil, func(int, Result, error) {
 		t.Fatal("retire called on empty batch")
 	}); err != nil {
 		t.Fatal(err)

@@ -17,13 +17,15 @@ import (
 // inline-computed) inverse normalizer, so any partition of the rows across
 // workers reproduces the scalar run. The push kernels (Lofgren's forward
 // push, PAPERS.md) walk SOURCE rows instead, skip a source whose slab row
-// is all zero — most of them for the first iterations, and for good on
-// graphs where the origin reaches only part of the node set — and add
-// x_j(u)·inv(u) into each out-neighbor's row. They run whenever one call
-// covers every row (a single-segment sweep: workers = 1, which is how
-// core.Engine sweeps every fallback slab, whatever its own worker count);
-// row-sharded sweeps and third-party views keep the gather form, which is
-// the one that partitions.
+// is all zero and add x_j(u)·inv(u) into each out-neighbor's row. They run
+// whenever one call covers every row (a single-segment sweep: workers = 1,
+// which is how core.Engine sweeps every fallback slab, whatever its own
+// worker count), and take a row list — the slab driver's forward ball
+// (spmm.go, ball.go), which holds every source that can be non-zero and every
+// row they push into — so that a sweep whose columns have not spread far
+// clears and scans those rows and no others; nil means every row.
+// Row-sharded sweeps and third-party views keep the gather form, which is the
+// one that partitions.
 //
 // Push ≡ gather bit for bit, given the adjacency order both in-tree views
 // document: in-neighbor lists ascend by source. Walking sources in
@@ -123,41 +125,63 @@ func spmmTransitionRangeGeneric[G graph.View](g G, x, dst []float64, w, lo, hi i
 	}
 }
 
-// spmmTransitionPushCSR computes dst = A·x for the whole n×w slab in push
-// form (see the file comment): identical bits to spmmTransitionRangeCSR
-// over [0, n), without touching the out-edges of all-zero source rows.
-func spmmTransitionPushCSR(g *graph.Graph, x, dst []float64, w int) {
-	n := g.N()
-	clear(dst[:n*w])
+// spmmTransitionPushCSR computes dst = A·x for an n×w slab in push form (see
+// the file comment): identical bits to spmmTransitionRangeCSR over [0, n),
+// without touching the out-edges of all-zero source rows. A non-nil rows
+// (ascending) restricts the sweep to those rows: only they are cleared in dst
+// and pushed from, which is the whole product when x is zero outside rows and
+// rows holds every out-neighbour of x's support — the slab driver's forward
+// ball. Every other row of dst is left as it was.
+func spmmTransitionPushCSR(g *graph.Graph, x, dst []float64, w int, rows []graph.NodeID) {
+	count := g.N()
+	if rows == nil {
+		clear(dst[:count*w])
+	} else {
+		count = len(rows)
+		for _, u := range rows {
+			clear(dst[int(u)*w : int(u)*w+w])
+		}
+	}
 	if w == 1 {
 		// The lone-fallback shape, without the per-edge row slicing.
-		for u, xv := range x[:n] {
-			if xv == 0 {
-				continue
-			}
-			nbrs := g.OutNeighbors(graph.NodeID(u))
-			ws := g.OutWeightsOf(graph.NodeID(u))
-			inv := g.InvTotalOutWeight(graph.NodeID(u))
-			if ws == nil {
-				for _, v := range nbrs {
-					dst[v] += xv * inv
+		push := func(u graph.NodeID, xv float64) {
+			xv *= g.InvTotalOutWeight(u)
+			if ws := g.OutWeightsOf(u); ws == nil {
+				for _, v := range g.OutNeighbors(u) {
+					dst[v] += xv
 				}
 			} else {
-				for i, v := range nbrs {
-					dst[v] += ws[i] * (xv * inv)
+				for i, v := range g.OutNeighbors(u) {
+					dst[v] += ws[i] * xv
 				}
+			}
+		}
+		if rows == nil {
+			for u, xv := range x[:count] {
+				if xv != 0 {
+					push(graph.NodeID(u), xv)
+				}
+			}
+		}
+		for _, u := range rows {
+			if xv := x[u]; xv != 0 {
+				push(u, xv)
 			}
 		}
 		return
 	}
-	for u := 0; u < n; u++ {
-		xr := x[u*w : u*w+w]
+	for i := 0; i < count; i++ {
+		u := graph.NodeID(i)
+		if rows != nil {
+			u = rows[i]
+		}
+		xr := x[int(u)*w : int(u)*w+w]
 		if allZero(xr) {
 			continue
 		}
-		nbrs := g.OutNeighbors(graph.NodeID(u))
-		ws := g.OutWeightsOf(graph.NodeID(u))
-		inv := g.InvTotalOutWeight(graph.NodeID(u))
+		nbrs := g.OutNeighbors(u)
+		ws := g.OutWeightsOf(u)
+		inv := g.InvTotalOutWeight(u)
 		if ws == nil {
 			for _, v := range nbrs {
 				row := dst[int(v)*w : int(v)*w+w]
@@ -177,38 +201,56 @@ func spmmTransitionPushCSR(g *graph.Graph, x, dst []float64, w int) {
 	}
 }
 
-func spmmTransitionPushOverlay(g *graph.Overlay, x, dst []float64, w int) {
-	n := g.N()
-	clear(dst[:n*w])
+func spmmTransitionPushOverlay(g *graph.Overlay, x, dst []float64, w int, rows []graph.NodeID) {
+	count := g.N()
+	if rows == nil {
+		clear(dst[:count*w])
+	} else {
+		count = len(rows)
+		for _, u := range rows {
+			clear(dst[int(u)*w : int(u)*w+w])
+		}
+	}
 	if w == 1 {
 		// The lone-fallback shape, without the per-edge row slicing.
-		for u, xv := range x[:n] {
-			if xv == 0 {
-				continue
-			}
-			nbrs := g.OutNeighbors(graph.NodeID(u))
-			ws := g.OutWeightsOf(graph.NodeID(u))
-			inv := g.InvTotalOutWeight(graph.NodeID(u))
-			if ws == nil {
-				for _, v := range nbrs {
-					dst[v] += xv * inv
+		push := func(u graph.NodeID, xv float64) {
+			xv *= g.InvTotalOutWeight(u)
+			if ws := g.OutWeightsOf(u); ws == nil {
+				for _, v := range g.OutNeighbors(u) {
+					dst[v] += xv
 				}
 			} else {
-				for i, v := range nbrs {
-					dst[v] += ws[i] * (xv * inv)
+				for i, v := range g.OutNeighbors(u) {
+					dst[v] += ws[i] * xv
 				}
+			}
+		}
+		if rows == nil {
+			for u, xv := range x[:count] {
+				if xv != 0 {
+					push(graph.NodeID(u), xv)
+				}
+			}
+		}
+		for _, u := range rows {
+			if xv := x[u]; xv != 0 {
+				push(u, xv)
 			}
 		}
 		return
 	}
-	for u := 0; u < n; u++ {
-		xr := x[u*w : u*w+w]
+	for i := 0; i < count; i++ {
+		u := graph.NodeID(i)
+		if rows != nil {
+			u = rows[i]
+		}
+		xr := x[int(u)*w : int(u)*w+w]
 		if allZero(xr) {
 			continue
 		}
-		nbrs := g.OutNeighbors(graph.NodeID(u))
-		ws := g.OutWeightsOf(graph.NodeID(u))
-		inv := g.InvTotalOutWeight(graph.NodeID(u))
+		nbrs := g.OutNeighbors(u)
+		ws := g.OutWeightsOf(u)
+		inv := g.InvTotalOutWeight(u)
 		if ws == nil {
 			for _, v := range nbrs {
 				row := dst[int(v)*w : int(v)*w+w]
@@ -237,24 +279,32 @@ func allZero(xs []float64) bool {
 	return true
 }
 
+// spmmPush runs the push kernel of an in-tree view over rows (nil = every
+// row), reporting false for a third-party view, which has none.
+func spmmPush[G graph.View](g G, x, dst []float64, w int, rows []graph.NodeID) bool {
+	switch cg := any(g).(type) {
+	case *graph.Graph:
+		spmmTransitionPushCSR(cg, x, dst, w, rows)
+	case *graph.Overlay:
+		spmmTransitionPushOverlay(cg, x, dst, w, rows)
+	default:
+		return false
+	}
+	return true
+}
+
 // spmmTransitionRange dispatches to the devirtualized loop for the two
 // in-tree view types (mirroring MulTransitionRange): the push kernel when
 // the call covers every row, the gather kernel for a row shard.
 func spmmTransitionRange[G graph.View](g G, x, dst []float64, w, lo, hi int) {
-	whole := lo == 0 && hi == g.N()
+	if lo == 0 && hi == g.N() && spmmPush(g, x, dst, w, nil) {
+		return
+	}
 	switch cg := any(g).(type) {
 	case *graph.Graph:
-		if whole {
-			spmmTransitionPushCSR(cg, x, dst, w)
-		} else {
-			spmmTransitionRangeCSR(cg, x, dst, w, lo, hi)
-		}
+		spmmTransitionRangeCSR(cg, x, dst, w, lo, hi)
 	case *graph.Overlay:
-		if whole {
-			spmmTransitionPushOverlay(cg, x, dst, w)
-		} else {
-			spmmTransitionRangeOverlay(cg, x, dst, w, lo, hi)
-		}
+		spmmTransitionRangeOverlay(cg, x, dst, w, lo, hi)
 	default:
 		spmmTransitionRangeGeneric(g, x, dst, w, lo, hi)
 	}
@@ -269,9 +319,11 @@ func spmmTransitionRange[G graph.View](g G, x, dst []float64, w, lo, hi int) {
 // batch width and worker count, and converged columns leave the slab
 // without stalling the survivors. A non-nil probe may stop columns early
 // (see ColumnProbe); those get no retire call. Validation failures return
-// an error before any probe or retire call.
-func ProximityVectorBatchFunc[G graph.View](g G, origins []graph.NodeID, p Params, workers int, probe ColumnProbe, retire func(i int, res Result, err error)) error {
-	return spmmBatch(g, origins, p, workers, probe, retire)
+// an error before any probe or retire call. ballIters counts the
+// column-iterations the slab swept over its forward ball rather than over all
+// n rows (spmm.go) — observability only, the results do not depend on it.
+func ProximityVectorBatchFunc[G graph.View](g G, origins []graph.NodeID, p Params, workers int, probe ColumnProbe, retire func(i int, res Result, err error)) (ballIters int, err error) {
+	return spmmBatch(g, origins, p, workers, g.N()/slabBallDivisor, probe, retire)
 }
 
 // ProximityVectorBatch is the collect-everything form of
@@ -282,7 +334,7 @@ func ProximityVectorBatchFunc[G graph.View](g G, origins []graph.NodeID, p Param
 func ProximityVectorBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers int) ([]Result, error) {
 	results := make([]Result, len(origins))
 	var colErr error
-	if err := ProximityVectorBatchFunc(g, origins, p, workers, nil, func(i int, res Result, err error) {
+	if _, err := ProximityVectorBatchFunc(g, origins, p, workers, nil, func(i int, res Result, err error) {
 		results[i] = res
 		if err != nil && colErr == nil {
 			colErr = err

@@ -2,6 +2,8 @@ package rwr
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -94,10 +96,10 @@ func TestForwardPushEqualsGather(t *testing.T) {
 			for sweep := 1; sweep <= 12; sweep++ {
 				switch cg := g.(type) {
 				case *graph.Graph:
-					spmmTransitionPushCSR(cg, x, push, w)
+					spmmTransitionPushCSR(cg, x, push, w, nil)
 					spmmTransitionRangeCSR(cg, x, gather, w, 0, n)
 				case *graph.Overlay:
-					spmmTransitionPushOverlay(cg, x, push, w)
+					spmmTransitionPushOverlay(cg, x, push, w, nil)
 					spmmTransitionRangeOverlay(cg, x, gather, w, 0, n)
 				}
 				for i := range push {
@@ -161,7 +163,11 @@ func TestProximityVectorBatchPushBitIdentical(t *testing.T) {
 // sees every unconverged (column, iteration) once with a tail that bounds
 // the distance to the converged vector, a column it stops gets no retire
 // call, and the columns left to converge are bit-identical to an unprobed
-// run — at both kernel forms.
+// run — at both kernel forms. read is held to its contract with a buffer the
+// probe has dirtied: during the ball phase (workers = 1) it writes the listed
+// rows and nothing else, and x^t is zero at every other node — the far node
+// among them, which no origin reaches for the first iterations. Two probing
+// slabs run at once per worker count, so -race sees any state they share.
 func TestColumnProbe(t *testing.T) {
 	p := DefaultParams()
 	web, err := gen.WebGraph(300, 41)
@@ -170,58 +176,90 @@ func TestColumnProbe(t *testing.T) {
 	}
 	origins := []graph.NodeID{4, 90, 171}
 	const stopCol, stopIter = 1, 9
+	far := graph.NodeID(-1) // a node outside the ball after the first iteration
+	reach := newBall(web.N(), true, origins...)
+	growBall(web, reach, web.N())
+	for u := range reach.member {
+		if !reach.member[u] {
+			far = graph.NodeID(u)
+		}
+	}
 	for _, workers := range []int{1, 3} {
 		want, err := ProximityVectorBatch(web, origins, p, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]float64, web.N())
-		lastIter := make([]int, len(origins))
-		retired := make([]bool, len(origins))
-		err = ProximityVectorBatchFunc(web, origins, p, workers,
-			func(i, iter int, tail float64, read func([]float64)) bool {
-				if iter != lastIter[i]+1 {
-					t.Fatalf("workers=%d column %d: probed at iteration %d after %d", workers, i, iter, lastIter[i])
-				}
-				lastIter[i] = iter
-				read(buf)
-				for v, x := range buf {
-					if d := x - want[i].Vector[v]; d > tail || d < -tail {
-						t.Fatalf("workers=%d column %d iteration %d: node %d is %g off the converged value, tail %g",
-							workers, i, iter, v, d, tail)
-					}
-				}
-				return i == stopCol && iter == stopIter
-			},
-			func(i int, res Result, err error) {
+		var wg sync.WaitGroup
+		for slab := 0; slab < 2; slab++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]float64, web.N())
+				lastIter := make([]int, len(origins))
+				retired := make([]bool, len(origins))
+				sparseReads, farOutside := 0, false
+				_, err := ProximityVectorBatchFunc(web, origins, p, workers,
+					func(i, iter int, tail float64, read func([]float64) []graph.NodeID) bool {
+						if iter != lastIter[i]+1 {
+							t.Errorf("workers=%d column %d: probed at iteration %d after %d", workers, i, iter, lastIter[i])
+						}
+						lastIter[i] = iter
+						for v := range buf {
+							buf[v] = -7
+						}
+						rows := read(buf)
+						if rows != nil {
+							sparseReads++
+							if _, in := slices.BinarySearch(rows, far); !in {
+								farOutside = true
+							}
+						}
+						for v, x := range buf {
+							if _, listed := slices.BinarySearch(rows, graph.NodeID(v)); rows != nil && !listed {
+								if x != -7 {
+									t.Errorf("workers=%d column %d iteration %d: read wrote %g at node %d, outside its rows", workers, i, iter, x, v)
+								}
+								x = 0
+							}
+							if d := x - want[i].Vector[v]; d > tail || d < -tail {
+								t.Errorf("workers=%d column %d iteration %d: node %d is %g off the converged value, tail %g",
+									workers, i, iter, v, d, tail)
+								return true
+							}
+						}
+						return i == stopCol && iter == stopIter
+					},
+					func(i int, res Result, err error) {
+						if err != nil {
+							t.Error(err)
+						}
+						retired[i] = true
+						if res.Iterations != want[i].Iterations || res.Residual != want[i].Residual || !slices.Equal(res.Vector, want[i].Vector) {
+							t.Errorf("workers=%d column %d: %d iterations residual %g, unprobed run %d and %g (vectors equal: %v)",
+								workers, i, res.Iterations, res.Residual, want[i].Iterations, want[i].Residual, slices.Equal(res.Vector, want[i].Vector))
+						}
+					})
 				if err != nil {
-					t.Fatal(err)
+					t.Error(err)
 				}
-				retired[i] = true
-				if res.Iterations != want[i].Iterations || res.Residual != want[i].Residual {
-					t.Fatalf("workers=%d column %d: %d iterations residual %g, unprobed run %d and %g",
-						workers, i, res.Iterations, res.Residual, want[i].Iterations, want[i].Residual)
-				}
-				for v := range res.Vector {
-					if res.Vector[v] != want[i].Vector[v] {
-						t.Fatalf("workers=%d column %d: node %d differs from the unprobed run", workers, i, v)
+				for i := range origins {
+					if retired[i] == (i == stopCol) {
+						t.Errorf("workers=%d column %d: retired=%v", workers, i, retired[i])
+					}
+					// A converging column is probed on every iteration but its last.
+					if wantLast := want[i].Iterations - 1; i != stopCol && lastIter[i] != wantLast {
+						t.Errorf("workers=%d column %d: last probe at iteration %d, want %d", workers, i, lastIter[i], wantLast)
 					}
 				}
-			})
-		if err != nil {
-			t.Fatal(err)
+				if lastIter[stopCol] != stopIter {
+					t.Errorf("workers=%d: stopped column probed up to iteration %d, want %d", workers, lastIter[stopCol], stopIter)
+				}
+				// Only the single-segment slab has a ball phase to read from.
+				if (sparseReads > 0) != (workers == 1) || farOutside != (workers == 1) {
+					t.Errorf("workers=%d: %d reads handed back a row list, node %d seen outside one: %v", workers, sparseReads, far, farOutside)
+				}
+			}()
 		}
-		for i := range origins {
-			if retired[i] == (i == stopCol) {
-				t.Errorf("workers=%d column %d: retired=%v", workers, i, retired[i])
-			}
-			// A converging column is probed on every iteration but its last.
-			if wantLast := want[i].Iterations - 1; i != stopCol && lastIter[i] != wantLast {
-				t.Errorf("workers=%d column %d: last probe at iteration %d, want %d", workers, i, lastIter[i], wantLast)
-			}
-		}
-		if lastIter[stopCol] != stopIter {
-			t.Errorf("workers=%d: stopped column probed up to iteration %d, want %d", workers, lastIter[stopCol], stopIter)
-		}
+		wg.Wait()
 	}
 }

@@ -85,8 +85,8 @@ type ToStepper struct {
 	// restricted to it, nil after the hand-over to the dense sweep (and from
 	// the start for the forward iteration, which has no ball phase). grow
 	// adds the next level, reporting false once the ball holds ballLimit rows.
-	ball      *backwardBall
-	grow      func(b *backwardBall, limit int) bool
+	ball      *ball
+	grow      func(b *ball, limit int) bool
 	ballLimit int
 
 	iters     int
@@ -111,8 +111,8 @@ func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*To
 	if err != nil {
 		return nil, err
 	}
-	s.ball = newBackwardBall(s.n, q)
-	s.grow = func(b *backwardBall, limit int) bool { return growBall(g, b, limit) }
+	s.ball = newBall(s.n, false, q)
+	s.grow = func(b *ball, limit int) bool { return growBall(g, b, limit) }
 	s.ballLimit = s.n / ballDenseDivisor
 	return s, nil
 }
@@ -252,12 +252,7 @@ func (s *ToStepper) Previous() []float64 {
 // each entry of Current and Previous outside it is exactly +0 and was never
 // written. Nil after the hand-over, which says nothing about the vector. The
 // slice aliases internal state and is valid until the next Step.
-func (s *ToStepper) Rows() []graph.NodeID {
-	if s.ball == nil {
-		return nil
-	}
-	return s.ball.rows
-}
+func (s *ToStepper) Rows() []graph.NodeID { return s.ball.list() }
 
 // Tail returns the current elementwise error bound
 // |x^t[u] − p_u(q)| ≤ Tail(): the tighter of the analytic (1−α)^t and the

@@ -224,8 +224,10 @@ type queryTrace struct {
 	// fallbacks they say whether a slow query refined or solved.
 	candidates, refineSteps int
 	// Exact fallbacks of the computation: how many, their forward
-	// iterations in total, and how many stopped before convergence.
-	fallbacks, fallbackIters, fallbackEarlyStops int
+	// iterations in total, how many of those swept only the forward ball
+	// (core.QueryStats.FallbackBallIters), and how many fallbacks stopped
+	// before convergence.
+	fallbacks, fallbackIters, fallbackBallIters, fallbackEarlyStops int
 }
 
 // setExact installs the record of an exact computation.
@@ -235,6 +237,7 @@ func (t *queryTrace) setExact(st core.QueryStats) {
 	t.setPhases(st.Phases())
 	t.candidates, t.refineSteps = st.Candidates, st.RefineSteps
 	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
+	t.fallbackBallIters = st.FallbackBallIters
 }
 
 // setPhases installs a non-empty phase map.
@@ -276,6 +279,7 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 			"refine_steps", tr.refineSteps,
 			"fallbacks", tr.fallbacks,
 			"fallback_iters", tr.fallbackIters,
+			"fallback_ball_iters", tr.fallbackBallIters,
 			"fallback_early_stops", tr.fallbackEarlyStops,
 		)
 	}
@@ -286,8 +290,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		Time:      time.Now(),
 		RequestID: id,
 		Route:     "reverse-topk",
-		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
-			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.screened, tr.candidates, tr.refineSteps, tr.fallbacks, tr.fallbackIters, tr.fallbackEarlyStops),
+		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d",
+			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.screened, tr.candidates, tr.refineSteps, tr.fallbacks, tr.fallbackIters, tr.fallbackBallIters, tr.fallbackEarlyStops),
 		PhasesMS: phasesMS,
 		Duration: elapsed,
 	})

@@ -525,7 +525,8 @@ func TestSlowLogEndpoint(t *testing.T) {
 // them where the phases are reported — the rtk_fallback_* families, the
 // request log line and the slow-log detail — with the counts the engine's
 // own QueryStats give for the same query, so a slow query says from its log
-// line alone whether its fallbacks ran to convergence.
+// line alone whether its fallbacks ran to convergence and whether they swept
+// their forward ball or all n rows.
 func TestFallbackObservability(t *testing.T) {
 	g := testGraph(t, 92, 60)
 	idx := testIndex(t, g, 4)
@@ -539,6 +540,9 @@ func TestFallbackObservability(t *testing.T) {
 	}
 	if want.ExactFallbacks == 0 || want.FallbackIters == 0 {
 		t.Fatalf("q=1 k=3 no longer falls back (%+v); pick another query", want)
+	}
+	if want.FallbackBallIters == 0 || want.FallbackBallIters > want.FallbackIters {
+		t.Fatalf("q=1 k=3: %d of %d fallback iterations swept the forward ball; want some, at most all", want.FallbackBallIters, want.FallbackIters)
 	}
 	if want.PMPNSupport == 0 || want.Screened == 0 || want.Candidates == 0 {
 		t.Fatalf("q=1 k=3 reports an empty proximity vector, an empty screen or no candidates (%+v)", want)
@@ -576,6 +580,7 @@ func TestFallbackObservability(t *testing.T) {
 		"refine_steps":         want.RefineSteps,
 		"fallbacks":            want.ExactFallbacks,
 		"fallback_iters":       want.FallbackIters,
+		"fallback_ball_iters":  want.FallbackBallIters,
 		"fallback_early_stops": want.FallbackEarlyStops,
 	} {
 		if got, ok := line[field].(float64); !ok || got != float64(n) {
@@ -584,8 +589,8 @@ func TestFallbackObservability(t *testing.T) {
 	}
 
 	_, body := get(t, ts.URL+"/debug/slowlog")
-	detail := fmt.Sprintf("pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_early_stops=%d",
-		want.PMPNIters, want.PMPNSupport, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackEarlyStops)
+	detail := fmt.Sprintf("pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d",
+		want.PMPNIters, want.PMPNSupport, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackBallIters, want.FallbackEarlyStops)
 	if !strings.Contains(string(body), detail) {
 		t.Errorf("slow-log entry lacks %q: %s", detail, body)
 	}
