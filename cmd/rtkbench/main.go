@@ -1,6 +1,8 @@
 // Command rtkbench regenerates every table and figure of the paper's
 // evaluation section (§5) on the synthetic dataset analogs. Each experiment
-// prints the same rows/series the paper reports.
+// prints the same rows/series the paper reports. It is the reproduction,
+// not a system benchmark: serving, cold-start, edit, shard and
+// observability numbers come from bench/ (see BENCHMARK.json).
 //
 // Usage:
 //
@@ -27,11 +29,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtkbench: ")
 	var (
-		which   = flag.String("exp", "all", "experiment: datasets|table2|fig5|fig6|fig7|fig8|fig9|spam|table3|approx|evolve|serve|all, or coldstart/shard/recovery/approxtier/obs (not in all: coldstart, shard and approxtier each build a ~131k-node index, recovery fsyncs a journal per batch, obs races two live daemons)")
+		which   = flag.String("exp", "all", "experiment: datasets|table2|fig5|fig6|fig7|fig8|fig9|spam|table3|approx|all")
 		scale   = flag.Int("scale", 1, "graph size multiplier (paper sizes ≈ 5–400)")
 		queries = flag.Int("queries", 0, "query workload size override (0 = experiment default; paper: 500)")
 		workers = flag.Int("workers", 1, "intra-query workers for the fig5/fig6 query sweep (0 = all cores)")
-		jsonOut = flag.String("json", "", "evolve/coldstart/shard/recovery/approxtier/obs experiments: write the machine-readable BENCH_<exp>.json record to this path")
 		verbose = flag.Bool("v", false, "print progress while running")
 	)
 	flag.Parse()
@@ -39,7 +40,7 @@ func main() {
 	// Unknown experiment names fail fast with the full menu instead of
 	// silently running nothing.
 	valid := []string{"all", "datasets", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"spam", "table3", "approx", "evolve", "serve", "coldstart", "shard", "recovery", "approxtier", "obs"}
+		"spam", "table3", "approx"}
 	if !slices.Contains(valid, *which) {
 		log.Fatalf("unknown experiment %q; valid -exp values: %s", *which, strings.Join(valid, ", "))
 	}
@@ -168,117 +169,6 @@ func main() {
 			log.Fatal(err)
 		}
 		if err := exp.WriteApproxStudy(os.Stdout, rows); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if run("evolve") {
-		cfg := exp.DefaultEvolveConfig(*scale)
-		if *queries > 0 {
-			cfg.Queries = *queries
-		}
-		if *jsonOut != "" {
-			header("Extension: evolving graphs — overlay edit throughput + incremental refresh vs rebuild")
-			res, err := exp.RunEvolveBench(cfg, progress)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := exp.WriteEvolveBench(os.Stdout, res, *jsonOut); err != nil {
-				log.Fatal(err)
-			}
-			if err := exp.WriteEvolveStudy(os.Stdout, res.Refresh); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			header("Extension: evolving graphs (§7 future work) — incremental refresh vs rebuild")
-			rows, err := exp.RunEvolveStudy(cfg, progress)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := exp.WriteEvolveStudy(os.Stdout, rows); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
-	if *which == "coldstart" {
-		header("Persistence: index load cost per format generation (v1 parse / v2 heap / v2 mmap)")
-		res, err := exp.RunColdstart(exp.DefaultColdstartConfig(*scale), progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteColdstart(os.Stdout, res, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *which == "shard" {
-		header("Sharding: scatter-gather coordinator throughput + cross-shard bound pruning vs P")
-		cfg := exp.DefaultShardBenchConfig(*scale)
-		if *queries > 0 {
-			cfg.Queries = *queries
-		}
-		res, err := exp.RunShardBench(cfg, progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteShardBench(os.Stdout, res, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *which == "approxtier" {
-		header("Anytime tier: (ε,δ) accuracy/latency frontier vs the exact engine")
-		cfg := exp.DefaultApproxTierConfig(*scale)
-		if *queries > 0 {
-			cfg.Queries = *queries
-		}
-		res, err := exp.RunApprox(cfg, progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteApprox(os.Stdout, res, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *which == "obs" {
-		header("Observability: instrumentation overhead (structured logs + slow log + tracing) vs a quiet daemon")
-		cfg := exp.DefaultObsBenchConfig(*scale)
-		if *queries > 0 {
-			cfg.Queries = *queries
-		}
-		res, err := exp.RunObsBench(cfg, progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteObsBench(os.Stdout, res, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *which == "recovery" {
-		header("Durability: edit acknowledgement latency (fsync / no-sync / volatile) + journal replay time")
-		res, err := exp.RunRecovery(exp.DefaultRecoveryConfig(*scale), progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteRecovery(os.Stdout, res, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if run("serve") {
-		header("Serving: rtkserve HTTP smoke — cold / warm-cache / post-refresh")
-		cfg := exp.DefaultServeConfig(*scale)
-		if *queries > 0 {
-			cfg.Queries = *queries
-		}
-		rows, err := exp.RunServeSmoke(cfg, progress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.WriteServeSmoke(os.Stdout, rows); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -6,14 +6,13 @@
 // Usage:
 //
 //	rtkindex -graph web.txt -out web.idx -K 200 -B 100 -omega 1e-6
-//	rtkindex -rewrite old.idx -out new.idx    # migrate a v1 file to v2
 //	rtkindex -graph web.txt -out web.idx -partition 4 -strategy balanced
 //	rtkindex -graph web.txt -out web.idx -relabel degree   # cache-aware layout
 //
-// With -relabel the graph is permuted into a cache-aware node order
-// (degree-descending or reverse Cuthill–McKee) before the build, and the
-// permutation is stored in the index file; rtkserve/rtkquery translate at
-// the API boundary, so external identifiers never change.
+// With -relabel degree the graph is permuted into a cache-aware
+// (degree-descending) node order before the build, and the permutation is
+// stored in the index file; rtkserve/rtkquery translate at the API
+// boundary, so external identifiers never change.
 //
 // With -partition P the index is built ONCE and then streamed out as P
 // shard-slice files (web.idx.shard0of4, …), each carrying the partition
@@ -51,22 +50,11 @@ func main() {
 		delta     = flag.Float64("delta", 0.1, "BCA residue threshold δ")
 		alpha     = flag.Float64("alpha", 0.15, "restart probability α")
 		workers   = flag.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
-		rewrite   = flag.String("rewrite", "", "load an existing index (v1 or v2) and rewrite it as format v2 to -out, instead of building")
 		part      = flag.Int("partition", 0, "also write P shard-slice files <out>.shard<i>of<P> for sharded serving (0 = none)")
 		strategy  = flag.String("strategy", "balanced", "partitioner for -partition: hash|range|balanced")
-		relabel   = flag.String("relabel", "none", "cache-aware node relabeling baked into the index: none|degree|rcm (external ids never change; the permutation is stored in the file)")
+		relabel   = flag.String("relabel", "none", "cache-aware node relabeling baked into the index: none|degree (external ids never change; the permutation is stored in the file)")
 	)
 	flag.Parse()
-	if *rewrite != "" {
-		if *out == "" {
-			log.Fatal("-rewrite requires -out")
-		}
-		if *part != 0 {
-			log.Fatal("-rewrite migrates a file as-is and cannot partition; build with -graph -partition instead")
-		}
-		doRewrite(*rewrite, *out)
-		return
-	}
 	if *graphPath == "" || *out == "" {
 		log.Fatal("-graph and -out are required")
 	}
@@ -94,10 +82,8 @@ func main() {
 	case "none":
 	case "degree":
 		perm = graph.DegreeOrderPermutation(g)
-	case "rcm":
-		perm = graph.RCMPermutation(g)
 	default:
-		log.Fatalf("unknown relabeling %q; valid -relabel values: none, degree, rcm", *relabel)
+		log.Fatalf("unknown relabeling %q; valid -relabel values: none, degree", *relabel)
 	}
 	if perm.IsIdentity() {
 		perm = nil // nothing to translate; don't burden the file with a no-op section
@@ -195,23 +181,4 @@ func main() {
 // ShardPath names shard s's slice file for a base output path.
 func ShardPath(out string, s, p int) string {
 	return fmt.Sprintf("%s.shard%dof%d", out, s, p)
-}
-
-// doRewrite migrates an index file to format v2: a full (heap, deeply
-// validated) load followed by a checksummed v2 save. The two files answer
-// queries bit-identically; only the container changes.
-func doRewrite(in, out string) {
-	idx, err := lbindex.LoadFile(in, lbindex.LoadOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := idx.SaveFile(out); err != nil {
-		log.Fatal(err)
-	}
-	info, err := os.Stat(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("rewrote %s → %s as format v2 (n=%d K=%d, %d refinement commits, %d B on disk)\n",
-		in, out, idx.N(), idx.K(), idx.Refinements(), info.Size())
 }

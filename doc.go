@@ -12,8 +12,8 @@
 // small; when the run ends inside the ball the decision sweep screens only
 // the ball's rows plus the rows whose k-th lower bound is zero, not all n —
 // README.md, "Batched serving & cache-aware layout"), the
-// persistence layer (checksummed index format v2 served zero-copy via mmap
-// for millisecond cold starts; v1 files migrate with rtkindex -rewrite), the
+// persistence layer (one checksummed index format served zero-copy via mmap
+// for millisecond cold starts), the
 // evolving-graph pipeline (graph.Overlay deltas
 // behind the graph.View interface, an asynchronous journaled edit queue
 // with watermarks, blast-radius-only index refreshes and background
@@ -36,7 +36,8 @@
 // forward sweep restricted to the candidates' forward balls while those are
 // under half the graph, plus a stop anchored at the PMPN-exact p_u(q);
 // README.md, "Exact fallback"), and
-// how to run the paper experiments and benchmarks.
+// how to run the paper experiments (cmd/rtkbench) and the system benchmark
+// (bench/, declared in BENCHMARK.json — the only source of system numbers).
 //
 // The repository's cross-cutting invariants — bit-identical determinism in
 // the kernels, `guarded by` lock discipline, fsync-before-acknowledge

@@ -94,8 +94,7 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 	}
 
 	// The answer must not depend on how the index is loaded: mmap'd
-	// zero-copy (the default), heap (-mmap=off), and a rewritten copy
-	// (rtkindex -rewrite, the v1→v2 migration path) all agree.
+	// zero-copy (the default) and heap (-mmap=off) agree.
 	baseline := runTool(t, filepath.Join(bins, "rtkquery"),
 		"-graph", graphPath, "-index", indexPath, "-q", "42", "-k", "10")
 	answer := answerLine(t, baseline)
@@ -104,20 +103,10 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 	if got := answerLine(t, heapOut); got != answer {
 		t.Errorf("-mmap=off answers differ: %q vs %q", got, answer)
 	}
-	rewritten := filepath.Join(work, "g.rewritten.idx")
-	out = runTool(t, filepath.Join(bins, "rtkindex"), "-rewrite", indexPath, "-out", rewritten)
-	if !strings.Contains(out, "format v2") {
-		t.Errorf("rtkindex -rewrite output unexpected: %q", out)
-	}
-	rewOut := runTool(t, filepath.Join(bins, "rtkquery"),
-		"-graph", graphPath, "-index", rewritten, "-q", "42", "-k", "10")
-	if got := answerLine(t, rewOut); got != answer {
-		t.Errorf("rewritten index answers differ: %q vs %q", got, answer)
-	}
 
 	// A corrupted index file must be rejected, not served: flip one byte in
 	// the middle of the (checksummed v2) image.
-	img, err := os.ReadFile(rewritten)
+	img, err := os.ReadFile(indexPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +120,25 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 		t.Errorf("rtkquery served a corrupt index:\n%s", msg)
 	} else if !strings.Contains(msg, "checksum") {
 		t.Errorf("corrupt index error does not mention the checksum: %q", msg)
+	}
+
+	// A format v1 file is refused by name, with what to do about it, by
+	// both front ends and both loaders.
+	v1 := filepath.Join(work, "g.v1.idx")
+	if err := os.WriteFile(v1, []byte("RTKLBIX1 and whatever followed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range [][]string{
+		{"rtkquery", "-graph", graphPath, "-index", v1, "-q", "42", "-k", "10"},
+		{"rtkquery", "-graph", graphPath, "-index", v1, "-q", "42", "-k", "10", "-mmap=off"},
+		{"rtkserve", "-graph", graphPath, "-index", v1, "-addr", "127.0.0.1:0"},
+	} {
+		msg, err := runToolErr(t, filepath.Join(bins, tool[0]), tool[1:]...)
+		if err == nil {
+			t.Errorf("%s accepted a format v1 index:\n%s", tool[0], msg)
+		} else if !strings.Contains(msg, v1) || !strings.Contains(msg, "rebuild it with rtkindex") {
+			t.Errorf("%s: format v1 error does not name the file and the remedy: %q", tool[0], msg)
+		}
 	}
 }
 

@@ -66,10 +66,18 @@ func TestShardedIndexQueryPipeline(t *testing.T) {
 	} else if !strings.Contains(msg, "degree, greedy, none") {
 		t.Errorf("rtkindex -hubs error lacks valid values: %q", msg)
 	}
-	if msg, err := runToolErr(t, filepath.Join(bins, "rtkbench"), "-exp", "bogus"); err == nil {
-		t.Error("rtkbench accepted an unknown -exp")
-	} else if !strings.Contains(msg, "valid -exp values") || !strings.Contains(msg, "shard") {
-		t.Errorf("rtkbench -exp error lacks the experiment menu: %q", msg)
+	// rtkbench runs the paper's experiments only: the retired system
+	// one-offs (their numbers come from bench/) and -json are refused.
+	const menu = "valid -exp values: all, datasets, table2, fig5, fig6, fig7, fig8, fig9, spam, table3, approx\n"
+	for _, exp := range []string{"bogus", "coldstart"} {
+		if msg, err := runToolErr(t, filepath.Join(bins, "rtkbench"), "-exp", exp); err == nil {
+			t.Errorf("rtkbench accepted -exp %s", exp)
+		} else if !strings.HasSuffix(msg, menu) {
+			t.Errorf("rtkbench -exp %s error lacks the exact experiment menu: %q", exp, msg)
+		}
+	}
+	if msg, err := runToolErr(t, filepath.Join(bins, "rtkbench"), "-exp", "datasets", "-json", "x"); err == nil {
+		t.Errorf("rtkbench accepted -json:\n%s", msg)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -10,36 +9,20 @@ import (
 	"repro/internal/lbindex"
 )
 
-// TestQueryIdenticalAcrossLoaders is the acceptance check for index format
-// v2: the same index file must answer every query bit-identically whether
-// it was loaded from a v1 image, a v2 image onto the heap, or a v2 image
-// zero-copy via mmap — in both no-update and update (refining) engines.
+// TestQueryIdenticalAcrossLoaders is the acceptance check for the index
+// file's two loaders: the same file must answer every query bit-identically
+// whether it was read onto the heap or served zero-copy via mmap, and as the
+// index that wrote it does — in both no-update and update (refining) engines.
 func TestQueryIdenticalAcrossLoaders(t *testing.T) {
 	g := randomGraph(23, 300, false)
 	idx := buildIndex(t, g, 8, 3)
 
-	dir := t.TempDir()
-	v1Path, v2Path := filepath.Join(dir, "i.v1"), filepath.Join(dir, "i.v2")
-	for _, w := range []struct {
-		path string
-		save func(f *os.File) error
-	}{
-		{v1Path, func(f *os.File) error { return idx.SaveV1(f) }},
-		{v2Path, func(f *os.File) error { return idx.Save(f) }},
-	} {
-		f, err := os.Create(w.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.save(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(t.TempDir(), "i.idx")
+	if err := idx.SaveFile(path); err != nil {
+		t.Fatal(err)
 	}
 
-	load := func(path string, mmap bool) *lbindex.Index {
+	load := func(mmap bool) *lbindex.Index {
 		li, err := lbindex.LoadFile(path, lbindex.LoadOptions{Mmap: mmap})
 		if err != nil {
 			t.Fatalf("loading %s (mmap=%v): %v", path, mmap, err)
@@ -47,16 +30,16 @@ func TestQueryIdenticalAcrossLoaders(t *testing.T) {
 		return li
 	}
 	indexes := map[string]*lbindex.Index{
-		"v1-heap": load(v1Path, false),
-		"v2-heap": load(v2Path, false),
-		"v2-mmap": load(v2Path, true),
+		"built":   idx,
+		"v2-heap": load(false),
+		"v2-mmap": load(true),
 	}
 
 	for _, update := range []bool{false, true} {
 		engines := make(map[string]*Engine, len(indexes))
 		for name, li := range indexes {
 			// Update mode refines shared state: give each engine its own
-			// clone so the three runs stay independent and comparable.
+			// clone so the runs stay independent and comparable.
 			backing := li
 			if update {
 				backing = li.Clone()
@@ -69,7 +52,7 @@ func TestQueryIdenticalAcrossLoaders(t *testing.T) {
 		}
 		for q := 0; q < g.N(); q += 7 {
 			for _, k := range []int{1, 3, 8} {
-				want, _, err := engines["v1-heap"].Query(graph.NodeID(q), k)
+				want, _, err := engines["built"].Query(graph.NodeID(q), k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +62,7 @@ func TestQueryIdenticalAcrossLoaders(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("update=%v q=%d k=%d: %s answered %v, v1-heap answered %v",
+						t.Fatalf("update=%v q=%d k=%d: %s answered %v, the built index answered %v",
 							update, q, k, name, got, want)
 					}
 				}

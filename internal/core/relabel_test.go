@@ -45,11 +45,10 @@ func relabelFamilies(t *testing.T) map[string]*graph.Graph {
 func relabelings(g *graph.Graph) map[string]graph.Permutation {
 	return map[string]graph.Permutation{
 		"degree": graph.DegreeOrderPermutation(g),
-		"rcm":    graph.RCMPermutation(g),
 	}
 }
 
-// TestRelabeledViewMatchesIdentity: a view over a degree-ordered or RCM
+// TestRelabeledViewMatchesIdentity: a view over a degree-ordered
 // relabeled (graph, index) pair answers every query — scalar and batched —
 // with exactly the node set the identity-labeled pair produces, across graph
 // families and k. External callers cannot tell the layouts apart.

@@ -57,8 +57,8 @@ func DefaultApproxConfig(scale int) ApproxConfig {
 // candidate refinement is skipped. Every random choice here flows from
 // cfg.Seed (the workload) — nothing in this study or the anytime tier it
 // now rides on touches the global math/rand stream, so runs with equal
-// configs are bit-identical. RunApprox (approxtier.go) is the eps/delta
-// frontier companion to this fixed-budget study.
+// configs are bit-identical. The eps/delta frontier is bench/'s to measure
+// (serve.approx_p50_ms, core.anytime_* in BENCHMARK.json).
 func RunApproxStudy(cfg ApproxConfig, progress io.Writer) ([]ApproxRow, error) {
 	g, err := cfg.Graph.Build()
 	if err != nil {

@@ -337,41 +337,6 @@ func TestRunTable3Shape(t *testing.T) {
 	}
 }
 
-func TestRunEvolveStudyShape(t *testing.T) {
-	cfg := EvolveConfig{
-		Graph:   tinyGraphs()[0],
-		Edits:   5,
-		Thetas:  []float64{0, 1e-3},
-		K:       5,
-		IndexK:  20,
-		Queries: 8,
-		Omega:   1e-6,
-		Seed:    9,
-	}
-	rows, err := RunEvolveStudy(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// θ=0 must reproduce the rebuilt index's answers exactly.
-	if rows[0].Theta != 0 || rows[0].Jaccard < 1.0-1e-9 {
-		t.Errorf("θ=0 refresh not equivalent to rebuild: %+v", rows[0])
-	}
-	// Larger θ refreshes no more origins and stays accurate.
-	if rows[1].Affected > rows[0].Affected {
-		t.Errorf("θ>0 refreshed more origins than θ=0: %+v vs %+v", rows[1], rows[0])
-	}
-	if rows[1].Jaccard < 0.9 {
-		t.Errorf("thresholded refresh too inaccurate: %+v", rows[1])
-	}
-	var buf bytes.Buffer
-	if err := WriteEvolveStudy(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunDatasetsShape(t *testing.T) {
 	rows, err := RunDatasets(tinyGraphs(), nil)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 // Permutation is a node relabeling: perm[external] = internal. The external
 // identifier space is what callers (HTTP API, CLI, edge-list files) speak;
 // the internal space is the storage order of the CSR arrays. A cache-aware
-// relabeling (degree-descending or RCM) is applied at index build time and
+// relabeling (degree-descending) is applied at index build time and
 // carried alongside the index, so external identifiers never change.
 type Permutation []NodeID
 
@@ -83,83 +83,6 @@ func DegreeOrderPermutation(g *Graph) Permutation {
 		perm[u] = NodeID(rank)
 	}
 	return perm
-}
-
-// RCMPermutation computes a reverse Cuthill–McKee ordering of the
-// symmetrized adjacency (an edge in either direction connects two nodes):
-// breadth-first from a minimum-degree node per component, visiting each
-// frontier's unvisited neighbors in ascending (degree, id) order, with the
-// final order reversed. RCM clusters each node near its neighbors, shrinking
-// the bandwidth of the transition matrix so gather-style matvec sweeps walk
-// nearly-sequential memory.
-func RCMPermutation(g *Graph) Permutation {
-	n := g.N()
-	deg := make([]int32, n)
-	for u := 0; u < n; u++ {
-		deg[u] = int32(g.OutDegree(NodeID(u)) + g.InDegree(NodeID(u)))
-	}
-
-	// Seed order: all nodes by ascending (degree, id); BFS components start
-	// from the first unvisited entry, which is a minimum-degree node of its
-	// component's remainder.
-	seeds := make([]NodeID, n)
-	for i := range seeds {
-		seeds[i] = NodeID(i)
-	}
-	sort.Slice(seeds, func(a, b int) bool {
-		ua, ub := seeds[a], seeds[b]
-		if deg[ua] != deg[ub] {
-			return deg[ua] < deg[ub]
-		}
-		return ua < ub
-	})
-
-	visited := make([]bool, n)
-	order := make([]NodeID, 0, n)
-	queue := make([]NodeID, 0, n)
-	frontier := make([]NodeID, 0, 64)
-	for _, seed := range seeds {
-		if visited[seed] {
-			continue
-		}
-		visited[seed] = true
-		queue = append(queue[:0], seed)
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			order = append(order, u)
-			frontier = frontier[:0]
-			frontier = appendUnvisited(frontier, g.OutNeighbors(u), visited)
-			frontier = appendUnvisited(frontier, g.InNeighbors(u), visited)
-			sort.Slice(frontier, func(a, b int) bool {
-				va, vb := frontier[a], frontier[b]
-				if deg[va] != deg[vb] {
-					return deg[va] < deg[vb]
-				}
-				return va < vb
-			})
-			queue = append(queue, frontier...)
-		}
-	}
-
-	perm := make(Permutation, n)
-	for i, u := range order {
-		// Reverse the Cuthill–McKee order.
-		perm[u] = NodeID(n - 1 - i)
-	}
-	return perm
-}
-
-// appendUnvisited appends the not-yet-visited members of nbrs to dst,
-// marking them visited (so a node reachable via both adjacency directions
-// is enqueued once).
-func appendUnvisited(dst, nbrs []NodeID, visited []bool) []NodeID {
-	for _, v := range nbrs {
-		if !visited[v] {
-			visited[v] = true
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }
 
 // Extend pads p with identity labels up to n nodes: the relabeling a grown

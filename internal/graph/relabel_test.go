@@ -25,18 +25,13 @@ func relabelTestGraph(t *testing.T, seed int64, n, m int) *Graph {
 	return g
 }
 
-// TestPermutationsAreBijections: both cache-aware orderings produce valid
-// permutations on every graph shape tried.
+// TestPermutationsAreBijections: the cache-aware ordering produces a valid
+// permutation on every graph shape tried.
 func TestPermutationsAreBijections(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := relabelTestGraph(t, seed, 50+int(seed)*17, 120)
-		for name, perm := range map[string]Permutation{
-			"degree": DegreeOrderPermutation(g),
-			"rcm":    RCMPermutation(g),
-		} {
-			if err := perm.Validate(g.N()); err != nil {
-				t.Errorf("seed %d %s: %v", seed, name, err)
-			}
+		if err := DegreeOrderPermutation(g).Validate(g.N()); err != nil {
+			t.Errorf("seed %d degree: %v", seed, err)
 		}
 	}
 }

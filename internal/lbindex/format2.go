@@ -236,29 +236,32 @@ func ParseMmapMode(mode string) (bool, error) {
 	}
 }
 
-// LoadFile opens an index file by path. Format v2 files load via mmap when
+// LoadFile opens an index file by path. The file loads via mmap when
 // opts.Mmap is set (falling back to a heap read where mmap is unavailable);
-// v1 files and heap loads go through Load. The mmap fast path verifies the
-// header, table and whole-file CRC32C plus all structural invariants
-// (section bounds, offset-table monotonicity, sparse index ranges) but
-// skips the per-value scans (finiteness, ordering, ink conservation) that
-// the heap loader performs — the checksum already guarantees the bytes are
-// exactly what Save wrote. Load files from untrusted sources with Mmap off.
+// heap loads go through Load. The mmap fast path verifies the header, table
+// and whole-file CRC32C plus all structural invariants (section bounds,
+// offset-table monotonicity, sparse index ranges) but skips the per-value
+// scans (finiteness, ordering, ink conservation) that the heap loader
+// performs — the checksum already guarantees the bytes are exactly what
+// Save wrote. Load files from untrusted sources with Mmap off. A format v1
+// file is refused with ErrFormatV1 on either path.
 func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if !opts.Mmap || !mmapSupported || !hostLittleEndian {
-		return Load(f)
-	}
 	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != indexMagicV2 {
-		// v1 (or too short to tell): the stream loader gives the real error.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
+	k, _ := io.ReadFull(f, magic[:]) // a short or failed read is Load's to report
+	if string(magic[:k]) == indexMagicV1 {
+		return nil, fmt.Errorf("%s: %w", path, ErrFormatV1)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	if string(magic[:k]) != indexMagicV2 || !opts.Mmap || !mmapSupported || !hostLittleEndian {
+		// A heap load, or not a v2 image (too short to tell, unknown
+		// magic): the stream loader reads it or gives the real error.
 		return Load(f)
 	}
 	st, err := f.Stat()
@@ -271,9 +274,6 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	m, err := mmapFile(f, int(st.Size()))
 	if err != nil {
 		// mmap refused (exotic filesystem, empty file): portable fallback.
-		if _, serr := f.Seek(0, io.SeekStart); serr != nil {
-			return nil, serr
-		}
 		return Load(f)
 	}
 	idx, err := parseV2(m.data, false)

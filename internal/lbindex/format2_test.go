@@ -114,29 +114,19 @@ func requireIndexEqual(t *testing.T, a, b *Index) {
 	}
 }
 
-// TestV2RoundTripProperty is the migration property test: a v1 image loads,
-// re-saves as v2, and the v2 load is value-identical to the v1 load —
-// options, refinement counter, hub columns, states and p̂ all included.
+// TestV2RoundTripProperty: a saved image loads value-identical to the index
+// that wrote it — options, refinement counter, hub columns, states and p̂
+// all included — through the deep loader and the mmap-structural parser.
 // It also checks Save is deterministic (two saves, identical bytes).
 func TestV2RoundTripProperty(t *testing.T) {
 	for _, seed := range []int64{3, 11, 29} {
 		idx := refinedIndex(t, seed, 40, 4)
 
-		var v1 bytes.Buffer
-		if err := idx.SaveV1(&v1); err != nil {
-			t.Fatal(err)
-		}
-		fromV1, err := Load(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: v1 load: %v", seed, err)
-		}
-		requireIndexEqual(t, idx, fromV1)
-
 		var v2a, v2b bytes.Buffer
-		if err := fromV1.Save(&v2a); err != nil {
+		if err := idx.Save(&v2a); err != nil {
 			t.Fatal(err)
 		}
-		if err := fromV1.Save(&v2b); err != nil {
+		if err := idx.Save(&v2b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(v2a.Bytes(), v2b.Bytes()) {
@@ -146,7 +136,7 @@ func TestV2RoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: v2 load: %v", seed, err)
 		}
-		requireIndexEqual(t, fromV1, fromV2)
+		requireIndexEqual(t, idx, fromV2)
 
 		// And the mmap-structural parser agrees with the deep loader.
 		aligned := alignedBytes(v2a.Len())
@@ -183,34 +173,6 @@ func TestV2FlipEveryByteRejected(t *testing.T) {
 	}
 }
 
-// TestV1FlipSilentLoads documents WHY v2 exists: v1 has no checksum, so
-// some single-byte flips inside plausible bounds load without any error.
-// The loader must still never panic, and what it accepts must at least
-// pass the best-effort invariant re-check.
-func TestV1FlipSilentLoads(t *testing.T) {
-	idx := refinedIndex(t, 7, 24, 3)
-	var buf bytes.Buffer
-	if err := idx.SaveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	silent := 0
-	corrupt := make([]byte, len(valid))
-	for off := 0; off < len(valid); off++ {
-		copy(corrupt, valid)
-		corrupt[off] ^= 0x01 // low bit: stays within plausible ranges most often
-		loaded, err := Load(bytes.NewReader(corrupt))
-		if err != nil {
-			continue
-		}
-		silent++
-		if err := loaded.CheckInvariants(); err != nil {
-			t.Fatalf("v1 load at flipped offset %d accepted an index failing invariants: %v", off, err)
-		}
-	}
-	t.Logf("v1: %d/%d single-bit flips loaded silently (v2 rejects all)", silent, len(valid))
-}
-
 // TestV2TruncatedPrefixes runs Load on every prefix of a valid v2 image:
 // each must return an error, never panic or be accepted.
 func TestV2TruncatedPrefixes(t *testing.T) {
@@ -236,7 +198,7 @@ func TestV2TruncatedPrefixes(t *testing.T) {
 
 // TestLoadFileMmap exercises the zero-copy loader end to end: map, verify,
 // query-relevant reads, copy-on-write refinement, deterministic re-save,
-// and the v1/mmap-off fallbacks.
+// and the mmap-off fallback.
 func TestLoadFileMmap(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("mmap unsupported on this platform")
@@ -244,9 +206,7 @@ func TestLoadFileMmap(t *testing.T) {
 	idx := refinedIndex(t, 13, 40, 4)
 	dir := t.TempDir()
 	v2path := filepath.Join(dir, "index.v2")
-	v1path := filepath.Join(dir, "index.v1")
 	writeIndex(t, v2path, idx.Save)
-	writeIndex(t, v1path, idx.SaveV1)
 
 	mapped, err := LoadFile(v2path, LoadOptions{Mmap: true})
 	if err != nil {
@@ -265,15 +225,6 @@ func TestLoadFileMmap(t *testing.T) {
 		t.Fatal("LoadFile(Mmap:false) returned an mmap-backed index")
 	}
 	requireIndexEqual(t, mapped, heap2)
-
-	fromV1, err := LoadFile(v1path, LoadOptions{Mmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromV1.MmapBacked() {
-		t.Fatal("v1 file must fall back to the heap loader")
-	}
-	requireIndexEqual(t, mapped, fromV1)
 
 	// Clone shares the mapping; commits into the clone are copy-on-write
 	// (fresh heap rows replace the mapped pointers) and never leak back.

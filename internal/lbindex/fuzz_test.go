@@ -2,72 +2,37 @@ package lbindex
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
-// FuzzLoad feeds arbitrary bytes (seeded with a valid v1 index image and
-// mutations of it) into the deserializer: it must either return a valid
-// index or an error — never panic, never hang, never return an index that
-// fails its invariants. FuzzLoadV2 is the format-v2 counterpart.
-func FuzzLoad(f *testing.F) {
-	g := randomGraph(3, 40)
-	opts := testOptions(4)
-	idx, _, err := Build(g, opts)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := idx.SaveV1(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("RTKLBIX1"))
-	// Save→truncate→Load: prefixes that cut the image inside each section
-	// (header, hub matrix, node states, trailer).
-	for _, cut := range []int{
-		len(valid) / 5, len(valid) / 3, len(valid) / 2,
-		2 * len(valid) / 3, 4 * len(valid) / 5, len(valid) - 9, len(valid) - 1,
-	} {
-		if cut > 0 && cut < len(valid) {
-			f.Add(valid[:cut])
-		}
-	}
-	// Deterministic corruptions of the valid image: bit-flips spread across
-	// sections, plus length-field inflation near the front (the classic
-	// allocation-bomb shape).
-	for _, pos := range []int{8, 12, 16, 20, 64, 100, len(valid) / 4, len(valid) / 2, 3 * len(valid) / 4, len(valid) - 9} {
-		if pos < len(valid) {
-			c := append([]byte(nil), valid...)
-			c[pos] ^= 0xFF
-			f.Add(c)
-		}
-	}
-	for _, pos := range []int{8, 16, 90} {
-		if pos+4 <= len(valid) {
-			c := append([]byte(nil), valid...)
-			c[pos], c[pos+1], c[pos+2], c[pos+3] = 0xFF, 0xFF, 0xFF, 0x7F
-			f.Add(c)
-		}
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return // rejected, fine
-		}
-		if err := idx.CheckInvariants(); err != nil {
-			t.Fatalf("Load accepted an index that fails invariants: %v", err)
-		}
-	})
+// Two format v1 images, as the retired writer laid them out: the magic
+// alone, and the magic followed by a plausible header claiming n = 2^30
+// (n u64, K u32 = 200, hub budget u32 = 100, hub scheme u8, greedy seed
+// i64, ω = 1e-6, BCA α η δ and iteration cap, RWR α ε and iteration cap).
+// Load and LoadFile must refuse both by name without reading past the magic.
+var v1Images = []struct {
+	name string
+	img  []byte
+}{
+	{"magic alone", []byte("RTKLBIX1")},
+	{"magic and header", []byte("RTKLBIX1" +
+		"\x00\x00\x00\x40\x00\x00\x00\x00" + "\xc8\x00\x00\x00" + "\x64\x00\x00\x00" + "\x00" +
+		"\x01\x00\x00\x00\x00\x00\x00\x00" + "\x8d\xed\xb5\xa0\xf7\xc6\xb0\x3e" +
+		"\x33\x33\x33\x33\x33\x33\xc3\x3f" + "\x2d\x43\x1c\xeb\xe2\x36\x1a\x3f" + "\x9a\x99\x99\x99\x99\x99\xb9\x3f" + "\x64\x00\x00\x00" +
+		"\x33\x33\x33\x33\x33\x33\xc3\x3f" + "\xbb\xbd\xd7\xd9\xdf\x7c\xdb\x3d" + "\x64\x00\x00\x00")},
 }
 
-// FuzzLoadV2 mirrors FuzzLoad for the checksummed format: arbitrary bytes
-// (seeded with a valid v2 image, truncated prefixes, flips and inflated
-// size/length fields) must load as a valid index or fail with an error in
-// BOTH the deep loader and the mmap-structural parser — never panic, never
-// hang, never yield an index violating its invariants.
+// FuzzLoadV2 feeds arbitrary bytes (seeded with a valid v2 image, truncated
+// prefixes, flips, inflated size/length fields and the refused v1 images)
+// into the deserializer: they must load as a valid index or fail with an
+// error in BOTH the deep loader and the mmap-structural parser — never
+// panic, never hang, never yield an index violating its invariants.
 func FuzzLoadV2(f *testing.F) {
 	g := randomGraph(3, 40)
 	idx, _, err := Build(g, testOptions(4))
@@ -108,6 +73,9 @@ func FuzzLoadV2(f *testing.F) {
 			f.Add(c)
 		}
 	}
+	for _, v1 := range v1Images {
+		f.Add(v1.img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if idx, err := Load(bytes.NewReader(data)); err == nil {
 			if err := idx.CheckInvariants(); err != nil {
@@ -123,31 +91,6 @@ func FuzzLoadV2(f *testing.F) {
 			_, _ = parseV2(aligned, false)
 		}
 	})
-}
-
-// TestLoadTruncatedPrefixes runs Load on EVERY prefix of a valid v1 image:
-// each must either round-trip (the full image) or return an error — no
-// prefix may panic or be accepted as valid.
-func TestLoadTruncatedPrefixes(t *testing.T) {
-	g := randomGraph(5, 12)
-	opts := testOptions(3)
-	idx, _, err := Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := idx.SaveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	for cut := 0; cut < len(valid); cut++ {
-		if _, err := Load(bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("Load accepted a %d/%d-byte truncation", cut, len(valid))
-		}
-	}
-	if _, err := Load(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("Load rejected the untruncated image: %v", err)
-	}
 }
 
 // corruptIndex builds a small index, applies mutate to its in-memory form,
@@ -223,6 +166,35 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 				t.Fatal("Load accepted a corrupt image")
 			} else {
 				t.Logf("rejected as expected: %v", err)
+			}
+		})
+	}
+	// A format v1 image is refused by name on every path, and before its
+	// header's claimed n can size anything.
+	for _, v1 := range v1Images {
+		t.Run("format v1 "+v1.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "v1.idx")
+			if err := os.WriteFile(path, v1.img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, errStream := Load(bytes.NewReader(v1.img))
+			_, errHeap := LoadFile(path, LoadOptions{Mmap: false})
+			_, errMmap := LoadFile(path, LoadOptions{Mmap: true})
+			runtime.ReadMemStats(&after)
+			for loader, err := range map[string]error{"Load": errStream, "LoadFile heap": errHeap, "LoadFile mmap": errMmap} {
+				if !errors.Is(err, ErrFormatV1) {
+					t.Errorf("%s: got %v, want ErrFormatV1", loader, err)
+				}
+			}
+			if !strings.Contains(errMmap.Error(), path) {
+				t.Errorf("LoadFile error %q does not name the file", errMmap)
+			}
+			// Load's buffered reader is 1 MB; a make sized by n = 2^30
+			// would be gigabytes.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+				t.Errorf("refusing a v1 image allocated %d bytes", grew)
 			}
 		})
 	}

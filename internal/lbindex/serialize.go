@@ -3,36 +3,19 @@ package lbindex
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/bca"
-	"repro/internal/graph"
-	"repro/internal/hub"
-	"repro/internal/vecmath"
 )
 
-// Legacy binary index format v1. Little-endian throughout.
-//
-//	magic "RTKLBIX1"
-//	n u64, K u32
-//	options: hubBudget u32, hubScheme u8, greedySeed i64, omega f64,
-//	         bca{alpha,eta,delta f64, maxIters u32},
-//	         rwr{alpha,eps f64, maxIters u32}
-//	hub matrix: count u32, ids []i32,
-//	            per hub: dropped f64, exactTopK [K]f64, sparse col
-//	per node: tag u8 (0 hub, 1 state), state nodes: T u32, sparse R,W,S,
-//	          phat [K]f64
-//	refinements i64
-//
-// Sparse vectors serialize as nnz u32, idx []i32, val []f64.
-//
-// v1 carries NO checksum: corruption that stays within plausible bounds
-// loads silently. Save now writes the checksummed, mmap-able format v2
-// (see format2.go); the v1 reader and writer are kept for backward
-// compatibility and migration (rtkindex -rewrite).
-const indexMagic = "RTKLBIX1"
+// indexMagicV1 opens an image in the retired format v1, which carried no
+// checksum. Load and LoadFile recognise it only to refuse it by name.
+const indexMagicV1 = "RTKLBIX1"
+
+// ErrFormatV1 is what Load and LoadFile return for a format v1 image
+// (LoadFile wraps it with the path).
+var ErrFormatV1 = errors.New("lbindex: index format v1 (RTKLBIX1) is no longer readable; rebuild it with rtkindex")
 
 type binWriter struct {
 	w   *bufio.Writer
@@ -66,193 +49,10 @@ func (b *binWriter) u64(v uint64) {
 func (b *binWriter) i64(v int64)   { b.u64(uint64(v)) }
 func (b *binWriter) f64(v float64) { b.u64(math.Float64bits(v)) }
 
-func (b *binWriter) sparse(s vecmath.Sparse) {
-	b.u32(uint32(s.NNZ()))
-	for _, i := range s.Idx {
-		b.u32(uint32(i))
-	}
-	for _, v := range s.Val {
-		b.f64(v)
-	}
-}
-
 func (b *binWriter) floats(xs []float64) {
 	for _, v := range xs {
 		b.f64(v)
 	}
-}
-
-type binReader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
-}
-
-// fail records the first decoding error; all subsequent reads short-circuit.
-func (b *binReader) fail(format string, args ...any) {
-	if b.err == nil {
-		b.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (b *binReader) u8() uint8 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := b.r.ReadByte()
-	b.err = err
-	return v
-}
-
-func (b *binReader) u32() uint32 {
-	if b.err != nil {
-		return 0
-	}
-	_, b.err = io.ReadFull(b.r, b.buf[:4])
-	return binary.LittleEndian.Uint32(b.buf[:4])
-}
-
-func (b *binReader) u64() uint64 {
-	if b.err != nil {
-		return 0
-	}
-	_, b.err = io.ReadFull(b.r, b.buf[:8])
-	return binary.LittleEndian.Uint64(b.buf[:8])
-}
-
-func (b *binReader) i64() int64   { return int64(b.u64()) }
-func (b *binReader) f64() float64 { return math.Float64frombits(b.u64()) }
-
-// growCap bounds speculative slice pre-allocation: claimed element counts in
-// a corrupt header can be enormous, so slices grow by append (memory stays
-// proportional to input actually consumed) with at most this much reserved
-// up front.
-const growCap = 1 << 12
-
-// sparse decodes a sparse vector over n nodes. Corrupt input must fail
-// here, not panic downstream: indices are required in [0,n) and strictly
-// increasing (so nnz ≤ n), and values finite and non-negative — every
-// consumer scatters by index into length-n arrays and treats values as ink
-// mass.
-func (b *binReader) sparse(n int, what string) vecmath.Sparse {
-	nnz := int(b.u32())
-	if b.err != nil {
-		return vecmath.Sparse{}
-	}
-	if nnz < 0 || nnz > n {
-		b.fail("lbindex: %s: sparse nnz %d outside [0,%d]", what, nnz, n)
-		return vecmath.Sparse{}
-	}
-	s := vecmath.Sparse{Idx: make([]int32, 0, min(nnz, growCap))}
-	prev := int32(-1)
-	for i := 0; i < nnz; i++ {
-		v := int32(b.u32())
-		if b.err != nil {
-			return vecmath.Sparse{}
-		}
-		if v < 0 || int(v) >= n || v <= prev {
-			b.fail("lbindex: %s: sparse index %d at position %d (n=%d, previous %d)", what, v, i, n, prev)
-			return vecmath.Sparse{}
-		}
-		prev = v
-		s.Idx = append(s.Idx, v)
-	}
-	s.Val = make([]float64, 0, len(s.Idx))
-	for i := 0; i < nnz; i++ {
-		x := b.f64()
-		if b.err != nil {
-			return vecmath.Sparse{}
-		}
-		if !(x >= 0) || math.IsInf(x, 0) {
-			b.fail("lbindex: %s: sparse value %g at position %d not a finite non-negative", what, x, i)
-			return vecmath.Sparse{}
-		}
-		s.Val = append(s.Val, x)
-	}
-	return s
-}
-
-// floats decodes n proximity values, requiring each to be a finite
-// probability-mass value in [0, 1+tol].
-func (b *binReader) floats(n int, what string) []float64 {
-	xs := make([]float64, 0, min(n, growCap))
-	for i := 0; i < n; i++ {
-		x := b.f64()
-		if b.err != nil {
-			return nil
-		}
-		if !(x >= 0) || x > 1+1e-6 {
-			b.fail("lbindex: %s: proximity %g at position %d outside [0,1]", what, x, i)
-			return nil
-		}
-		xs = append(xs, x)
-	}
-	return xs
-}
-
-// SaveV1 writes the index in the legacy v1 format above. New images should
-// use Save (format v2: checksummed, mmap-able); SaveV1 exists so tests and
-// benchmarks can produce v1 images and so downgrades remain possible. The
-// same locking discipline as Save applies.
-func (idx *Index) SaveV1(w io.Writer) error {
-	if idx.part != nil {
-		return fmt.Errorf("lbindex: format v1 cannot represent a shard slice (shard %d); use Save", idx.shardID)
-	}
-	idx.lockAll()
-	defer idx.unlockAll()
-	hm := idx.HubMatrix()
-
-	bw := &binWriter{w: bufio.NewWriterSize(w, 1<<20)}
-	if _, err := bw.w.WriteString(indexMagic); err != nil {
-		return err
-	}
-	o := idx.opts
-	bw.u64(uint64(idx.n))
-	bw.u32(uint32(o.K))
-	bw.u32(uint32(o.HubBudget))
-	bw.u8(uint8(o.HubScheme))
-	bw.i64(o.GreedySeed)
-	bw.f64(o.Omega)
-	bw.f64(o.BCA.Alpha)
-	bw.f64(o.BCA.Eta)
-	bw.f64(o.BCA.Delta)
-	bw.u32(uint32(o.BCA.MaxIters))
-	bw.f64(o.RWR.Alpha)
-	bw.f64(o.RWR.Eps)
-	bw.u32(uint32(o.RWR.MaxIters))
-
-	n, hubIDs, cols, topK, dropped, _ := hm.Parts()
-	if n != idx.n {
-		return fmt.Errorf("lbindex: hub matrix sized for %d nodes, index has %d", n, idx.n)
-	}
-	bw.u32(uint32(len(hubIDs)))
-	for _, h := range hubIDs {
-		bw.u32(uint32(h))
-	}
-	for i := range hubIDs {
-		bw.f64(dropped[i])
-		bw.floats(topK[i])
-		bw.sparse(cols[i])
-	}
-
-	for u := 0; u < idx.n; u++ {
-		st := idx.states[u]
-		if st == nil {
-			bw.u8(0)
-		} else {
-			bw.u8(1)
-			bw.u32(uint32(st.T))
-			bw.sparse(st.R)
-			bw.sparse(st.W)
-			bw.sparse(st.S)
-		}
-		bw.floats(idx.phat[u])
-	}
-	bw.i64(idx.refinements.Load())
-	if bw.err != nil {
-		return bw.err
-	}
-	return bw.w.Flush()
 }
 
 // maxPlausibleK bounds the K a Load will accept. The paper's K is 200; a
@@ -260,16 +60,12 @@ func (idx *Index) SaveV1(w io.Writer) error {
 // and rejecting it keeps the per-node read bounded.
 const maxPlausibleK = 1 << 20
 
-// Load reads an index previously written by Save or SaveV1, dispatching on
-// the magic string (v1 and v2 images both load). It is safe on truncated
-// or corrupt input: every quantity that later code indexes with is
-// bounds-checked, and allocation stays proportional to the input actually
-// consumed (claimed element counts are never trusted with a large up-front
-// make), so a bad image yields an error — never a panic, a hang, or an
-// index that violates its invariants. v2 images additionally fail fast on
-// any checksum mismatch; v1 images have no checksum, so only a best-effort
-// finite/bounds re-check stands between a bit-flip and a silently wrong
-// index — rewrite old files with rtkindex -rewrite.
+// Load reads an index previously written by Save (format v2). It is safe on
+// truncated or corrupt input: every quantity that later code indexes with is
+// bounds-checked, allocation stays proportional to the input actually
+// consumed, and any checksum mismatch fails fast, so a bad image yields an
+// error — never a panic, a hang, or an index that violates its invariants.
+// A format v1 image is refused with ErrFormatV1.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := br.Peek(8)
@@ -277,143 +73,11 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("lbindex: reading magic: %w", err)
 	}
 	switch string(magic) {
-	case indexMagic:
-		return loadV1(br)
+	case indexMagicV1:
+		return nil, ErrFormatV1
 	case indexMagicV2:
 		return loadV2Stream(br)
 	default:
 		return nil, fmt.Errorf("lbindex: bad magic %q", magic)
 	}
-}
-
-// loadV1 reads the legacy v1 image whose magic br is positioned at.
-func loadV1(r *bufio.Reader) (*Index, error) {
-	br := &binReader{r: r}
-	if _, err := r.Discard(len(indexMagic)); err != nil {
-		return nil, err
-	}
-	n := int(br.u64())
-	var o Options
-	o.K = int(br.u32())
-	o.HubBudget = int(br.u32())
-	o.HubScheme = HubSelection(br.u8())
-	o.GreedySeed = br.i64()
-	o.Omega = br.f64()
-	o.BCA.Alpha = br.f64()
-	o.BCA.Eta = br.f64()
-	o.BCA.Delta = br.f64()
-	o.BCA.MaxIters = int(br.u32())
-	o.RWR.Alpha = br.f64()
-	o.RWR.Eps = br.f64()
-	o.RWR.MaxIters = int(br.u32())
-	if br.err != nil {
-		return nil, fmt.Errorf("lbindex: reading header: %w", br.err)
-	}
-	if n <= 0 || n > 1<<31 || o.K <= 0 || o.K > maxPlausibleK {
-		return nil, fmt.Errorf("lbindex: implausible header n=%d K=%d", n, o.K)
-	}
-	// A saved index was built from validated options; a header that fails
-	// validation (NaN thresholds, mismatched alphas, …) is corruption.
-	if err := o.Validate(); err != nil {
-		return nil, fmt.Errorf("lbindex: corrupt header options: %w", err)
-	}
-
-	hubCount := int(br.u32())
-	if br.err != nil {
-		return nil, fmt.Errorf("lbindex: reading hub count: %w", br.err)
-	}
-	if hubCount < 0 || hubCount > n {
-		return nil, fmt.Errorf("lbindex: implausible hub count %d", hubCount)
-	}
-	hubIDs := make([]graph.NodeID, 0, min(hubCount, growCap))
-	isHub := make(map[graph.NodeID]bool, min(hubCount, growCap))
-	for i := 0; i < hubCount; i++ {
-		h := graph.NodeID(br.u32())
-		if br.err != nil {
-			return nil, fmt.Errorf("lbindex: reading hub ids: %w", br.err)
-		}
-		if int(h) < 0 || int(h) >= n {
-			return nil, fmt.Errorf("lbindex: hub id %d out of range [0,%d)", h, n)
-		}
-		if i > 0 && h <= hubIDs[i-1] {
-			return nil, fmt.Errorf("lbindex: hub ids not strictly ascending at position %d", i)
-		}
-		hubIDs = append(hubIDs, h)
-		isHub[h] = true
-	}
-	cols := make([]vecmath.Sparse, 0, min(hubCount, growCap))
-	topK := make([][]float64, 0, min(hubCount, growCap))
-	dropped := make([]float64, 0, min(hubCount, growCap))
-	for i := 0; i < hubCount; i++ {
-		d := br.f64()
-		if !(d >= 0) || math.IsInf(d, 0) {
-			br.fail("lbindex: hub %d dropped mass %g not a finite non-negative", i, d)
-		}
-		dropped = append(dropped, d)
-		topK = append(topK, br.floats(o.K, "hub top-K"))
-		cols = append(cols, br.sparse(n, "hub column"))
-		if br.err != nil {
-			return nil, fmt.Errorf("lbindex: reading hub matrix: %w", br.err)
-		}
-	}
-
-	phat := make([][]float64, 0, min(n, growCap))
-	states := make([]*bca.State, 0, min(n, growCap))
-	for u := 0; u < n; u++ {
-		tag := br.u8()
-		switch tag {
-		case 0:
-			if br.err == nil && !isHub[graph.NodeID(u)] {
-				return nil, fmt.Errorf("lbindex: node %d tagged hub but absent from hub matrix", u)
-			}
-			states = append(states, nil)
-		case 1:
-			st := &bca.State{Origin: graph.NodeID(u), T: int(br.u32())}
-			st.R = br.sparse(n, "state R")
-			st.W = br.sparse(n, "state W")
-			st.S = br.sparse(n, "state S")
-			st.RNorm = st.R.L1()
-			// S holds ink parked at hubs; a non-hub index would be read out
-			// of the hub matrix's dropped-mass and column arrays downstream.
-			for _, h := range st.S.Idx {
-				if !isHub[graph.NodeID(h)] {
-					br.fail("lbindex: node %d parks ink at non-hub %d", u, h)
-					break
-				}
-			}
-			states = append(states, st)
-		default:
-			if br.err == nil {
-				return nil, fmt.Errorf("lbindex: node %d has unknown tag %d", u, tag)
-			}
-		}
-		phat = append(phat, br.floats(o.K, "phat"))
-		if br.err != nil {
-			return nil, fmt.Errorf("lbindex: reading nodes: %w", br.err)
-		}
-	}
-	refinements := br.i64()
-	if br.err != nil {
-		return nil, fmt.Errorf("lbindex: reading nodes: %w", br.err)
-	}
-
-	hm, err := hub.FromParts(n, hubIDs, cols, topK, dropped, o.Omega)
-	if err != nil {
-		return nil, err
-	}
-	idx := &Index{
-		opts:   o,
-		n:      n,
-		hubs:   hm,
-		phat:   phat,
-		states: states,
-	}
-	idx.refinements.Store(refinements)
-	// Best effort: v1 has no checksum, so this re-check (together with the
-	// finite/bounds validation above) is all that stands between in-bounds
-	// corruption and silently wrong answers.
-	if err := idx.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("lbindex: v1 image fails invariant re-check (v1 has no checksum; the file is likely corrupt — rewrite with rtkindex -rewrite): %w", err)
-	}
-	return idx, nil
 }

@@ -3,7 +3,6 @@ package lbindex
 import (
 	"bufio"
 	"bytes"
-	"io"
 	"path/filepath"
 	"testing"
 
@@ -190,24 +189,6 @@ func TestShardSliceCorruptionRejected(t *testing.T) {
 		if _, err := parseV2(corrupt, true); err == nil {
 			t.Fatalf("flipped byte at %d accepted", pos)
 		}
-	}
-}
-
-// TestShardSliceV1Refused: the v1 container has no partition section, so
-// writing a slice through it must fail loudly instead of silently dropping
-// the shard identity.
-func TestShardSliceV1Refused(t *testing.T) {
-	g, idx := shardTestIndex(t)
-	pm, err := partition.NewRange(g.N(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slice, err := idx.ShardSlice(pm, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := slice.SaveV1(io.Discard); err == nil {
-		t.Fatal("SaveV1 accepted a shard slice")
 	}
 }
 

@@ -120,8 +120,8 @@ type Family struct {
 // ParseText parses Prometheus text exposition, validating that every
 // sample belongs to a declared family (histogram samples may carry the
 // _bucket/_sum/_count suffixes) and that HELP/TYPE precede samples. It is
-// the verification half of WriteText: scrape tests and the CI smoke parse
-// the scraped body back through it.
+// the verification half of WriteText: scrape tests parse the scraped body
+// back through it.
 func ParseText(r io.Reader) (map[string]*Family, error) {
 	fams := make(map[string]*Family)
 	sc := bufio.NewScanner(r)

@@ -73,6 +73,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rtk_cache_entries",
 		"rtk_cache_evictions_total",
 		"rtk_epoch",
+		"rtk_epoch_swaps_total",
 		"rtk_nodes",
 		"rtk_inflight",
 		"rtk_maint_queue_depth",

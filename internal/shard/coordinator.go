@@ -203,7 +203,7 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 
 // NewFromFull slices a full index P ways under pm and builds the in-process
 // coordinator over the slices — the one-process deployment shape, and what
-// rtkbench -exp shard measures.
+// bench/'s shard probe (shard.query_ms_p2, shard.prune_fraction) measures.
 func NewFromFull(g graph.View, idx *lbindex.Index, pm *partition.Map, cfg Config) (*Coordinator, error) {
 	slices := make([]*lbindex.Index, pm.P())
 	for s := range slices {

@@ -6,12 +6,7 @@ package workload
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -41,106 +36,6 @@ func AllNodes(n int) []graph.NodeID {
 		qs[i] = graph.NodeID(i)
 	}
 	return qs
-}
-
-// DriveStats aggregates one HTTP load-driving run against an rtkserve
-// daemon.
-type DriveStats struct {
-	// Requests is the total issued; OK the 200s; Rejected the 503s
-	// (admission control); Errors everything else (including transport
-	// failures).
-	Requests, OK, Rejected, Errors int
-	// CacheHits / Coalesced / Computed classify the 200s by the server's
-	// X-Cache header (HIT, COALESCED, and MISS or BYPASS respectively).
-	CacheHits, Coalesced, Computed int
-	// Elapsed is the wall-clock span of the run; QPS is OK/Elapsed.
-	Elapsed time.Duration
-	QPS     float64
-	// Latency percentiles over successful requests.
-	MeanLatency, P50Latency, P95Latency, MaxLatency time.Duration
-}
-
-// DriveHTTP fires the query workload at an rtkserve daemon over HTTP with
-// the given client-side concurrency and returns throughput and latency
-// statistics. Rejections (503) and errors are counted, not fatal — only a
-// transport-level failure on every request yields an error.
-func DriveHTTP(baseURL string, queries []graph.NodeID, k, concurrency int) (DriveStats, error) {
-	if len(queries) == 0 {
-		return DriveStats{}, fmt.Errorf("workload: empty query workload")
-	}
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	client := &http.Client{Timeout: 60 * time.Second}
-	var (
-		mu        sync.Mutex
-		stats     DriveStats
-		latencies []time.Duration
-	)
-	jobs := make(chan graph.NodeID)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for q := range jobs {
-				url := fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=%d", baseURL, q, k)
-				t0 := time.Now()
-				resp, err := client.Get(url)
-				lat := time.Since(t0)
-				mu.Lock()
-				stats.Requests++
-				if err != nil {
-					stats.Errors++
-					mu.Unlock()
-					continue
-				}
-				switch resp.StatusCode {
-				case http.StatusOK:
-					stats.OK++
-					latencies = append(latencies, lat)
-					switch resp.Header.Get("X-Cache") {
-					case "HIT":
-						stats.CacheHits++
-					case "COALESCED":
-						stats.Coalesced++
-					default:
-						stats.Computed++
-					}
-				case http.StatusServiceUnavailable:
-					stats.Rejected++
-				default:
-					stats.Errors++
-				}
-				mu.Unlock()
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}()
-	}
-	for _, q := range queries {
-		jobs <- q
-	}
-	close(jobs)
-	wg.Wait()
-	stats.Elapsed = time.Since(start)
-
-	if stats.OK == 0 {
-		return stats, fmt.Errorf("workload: no successful responses from %s (%d rejected, %d errors)",
-			baseURL, stats.Rejected, stats.Errors)
-	}
-	stats.QPS = float64(stats.OK) / stats.Elapsed.Seconds()
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	var sum time.Duration
-	for _, l := range latencies {
-		sum += l
-	}
-	stats.MeanLatency = sum / time.Duration(len(latencies))
-	stats.P50Latency = latencies[len(latencies)/2]
-	stats.P95Latency = latencies[len(latencies)*95/100]
-	stats.MaxLatency = latencies[len(latencies)-1]
-	return stats, nil
 }
 
 // Jaccard computes |a∩b| / |a∪b| over two node sets given as slices

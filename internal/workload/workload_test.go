@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -57,65 +54,6 @@ func TestAllNodes(t *testing.T) {
 	qs := AllNodes(4)
 	if len(qs) != 4 || qs[0] != 0 || qs[3] != 3 {
 		t.Fatalf("AllNodes = %v", qs)
-	}
-}
-
-// TestDriveHTTP drives a stub daemon and checks request accounting:
-// statuses and X-Cache classes are tallied correctly and latency stats are
-// populated.
-func TestDriveHTTP(t *testing.T) {
-	var n atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/reverse-topk" || r.URL.Query().Get("q") == "" || r.URL.Query().Get("k") != "5" {
-			t.Errorf("unexpected request %s", r.URL)
-		}
-		switch n.Add(1) % 4 {
-		case 0:
-			w.WriteHeader(http.StatusServiceUnavailable)
-		case 1:
-			w.Header().Set("X-Cache", "HIT")
-			w.Write([]byte(`{}`))
-		case 2:
-			w.Header().Set("X-Cache", "COALESCED")
-			w.Write([]byte(`{}`))
-		default:
-			w.Header().Set("X-Cache", "MISS")
-			w.Write([]byte(`{}`))
-		}
-	}))
-	defer ts.Close()
-
-	queries := make([]graph.NodeID, 40)
-	stats, err := DriveHTTP(ts.URL, queries, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Requests != 40 {
-		t.Errorf("requests %d, want 40", stats.Requests)
-	}
-	if stats.OK != 30 || stats.Rejected != 10 || stats.Errors != 0 {
-		t.Errorf("ok/rejected/errors = %d/%d/%d, want 30/10/0", stats.OK, stats.Rejected, stats.Errors)
-	}
-	if stats.CacheHits != 10 || stats.Coalesced != 10 || stats.Computed != 10 {
-		t.Errorf("hits/coalesced/computed = %d/%d/%d, want 10/10/10",
-			stats.CacheHits, stats.Coalesced, stats.Computed)
-	}
-	if stats.QPS <= 0 || stats.MeanLatency <= 0 || stats.P95Latency < stats.P50Latency || stats.MaxLatency < stats.P95Latency {
-		t.Errorf("implausible latency stats %+v", stats)
-	}
-}
-
-// TestDriveHTTPAllFailing must return an error, not divide by zero.
-func TestDriveHTTPAllFailing(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-	if _, err := DriveHTTP(ts.URL, make([]graph.NodeID, 5), 3, 2); err == nil {
-		t.Fatal("DriveHTTP succeeded with zero OK responses")
-	}
-	if _, err := DriveHTTP(ts.URL, nil, 3, 2); err == nil {
-		t.Fatal("DriveHTTP accepted an empty workload")
 	}
 }
 
