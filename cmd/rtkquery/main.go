@@ -289,6 +289,11 @@ func querySharded(g *graph.Graph, paths []string, q, k, workers int, useMmap, an
 	fmt.Printf("%v\n", answer)
 	fmt.Printf("shards: P=%d rounds=%d pruned_by_bound=%d confirmed_by_bound=%d survivors=%d early_stop=%v\n",
 		c.P(), stats.Rounds, stats.PrunedByBound, stats.ConfirmedByBound, stats.Survivors, stats.EarlyStop)
+	// Each shard's finish reports a cold query's counters and phases.
+	for i, ps := range stats.PerShard {
+		fmt.Printf("shard %d: candidates=%d hits=%d refine_steps=%d exact_fallbacks=%d screened=%d time:%s\n",
+			i, ps.Candidates, ps.Hits, ps.RefineSteps, ps.ExactFallbacks, ps.Screened, formatPhases(ps.Phases()))
+	}
 	fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
 		stats.Elapsed.Round(time.Microsecond), stats.PMPNElapsed.Round(time.Microsecond), stats.PMPNIters)
 }

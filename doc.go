@@ -9,9 +9,11 @@
 // (cmd/rtkserve: snapshot epochs, byte-accounted result caching, admission
 // control; a cache miss is computed at once on its request's goroutine, and
 // its PMPN sweeps only the rows of q's backward ball while that ball is
-// small; when the run ends inside the ball the decision sweep screens only
-// the ball's rows plus the rows whose k-th lower bound is zero, not all n —
-// README.md, "Batched serving & cache-aware layout"), the
+// small; when it converges inside the ball the screen takes only the ball's
+// rows plus the rows whose k-th lower bound is zero, not all n — and every
+// entry point is one pipeline in internal/core: a round loop over the PMPN,
+// one Screen, one finish; README.md, "Batched serving & cache-aware
+// layout"), the
 // persistence layer (one checksummed index format served zero-copy via mmap
 // for millisecond cold starts), the
 // evolving-graph pipeline (graph.Overlay deltas
@@ -23,10 +25,10 @@
 // PMPN, exchanges pruning bounds between rounds and merges per-shard
 // decisions into the exact global answer — plus the rtkserve -shards
 // HTTP fan-out over stock shard daemons), the anytime approximate tier
-// (core.View.QueryAnytime: the same PMPN driven round by round through
-// the screen, stopping at an (ε,δ) budget with a guaranteed ⊆ exact ⊆
+// (core.View.QueryAnytime: the exact query's round loop stopped at an
+// (ε,δ) budget with a guaranteed ⊆ exact ⊆
 // guaranteed ∪ maybe two-part answer, a residual-seeded Monte Carlo
-// refinement under explicit seeds, warm-started exact escalation, and
+// refinement under explicit seeds, exact escalation that continues the run, and
 // mode=approx serving with budget-aware cache keys — the paper's §5.3
 // hits-only approximation is its guaranteed part at ε = 0, what rtkquery
 // -approx prints), the refine-or-solve rule (a refinement step is

@@ -8,15 +8,15 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/lbindex"
 	"repro/internal/rwr"
+	"repro/internal/vecmath"
 )
 
-// The anytime approximate query tier. Where Engine.Query runs the PMPN power
-// iteration to convergence and then refines every undecided candidate to an
-// exact answer, QueryAnytime drives the same iteration round by round
-// through a Screen and stops as soon as the caller's ε budget is met,
-// returning a two-part answer:
+// The anytime approximate query tier. Where Engine.Query runs the pipeline's
+// round loop as one round to convergence and then refines every undecided
+// candidate to an exact answer, QueryAnytime runs the same loop (Run.Rounds)
+// round by round and stops as soon as the caller's ε budget is met, returning
+// a two-part answer:
 //
 //   - guaranteed: nodes the monotone-safe bound tests (or, with δ > 0, the
 //     Monte Carlo stage) confirmed into the answer;
@@ -38,18 +38,18 @@ import (
 // deterministic band converges before the budget is met, the run stops
 // anyway (iterating further cannot decide anything new; the remaining
 // indecision lives in the index rows, not the iterate) and reports the
-// achieved ε honestly. Escalate hands the partial state to the exact path:
-// the warm-started stepper resumes from the current iterate instead of
-// restarting from e_q, and only the still-undecided candidates pay for
-// refinement.
+// achieved ε honestly. Escalate takes the same run on to the exact answer: the
+// loop resumes from the current iterate instead of restarting from e_q, and
+// only the still-undecided candidates pay for refinement.
 
 // DefaultAnytimeRoundIters is the PMPN iteration block between screen
-// advances when AnytimeOptions.RoundIters is unset, mirroring the sharded
-// coordinator's default exchange cadence.
+// advances when AnytimeOptions.RoundIters — or the sharded coordinator's — is
+// unset. At α = 0.15 the error band τ shrinks ≈ 3.7× in 8 iterations: coarse
+// enough that screens stay a small fraction of matvec cost, fine enough that
+// pruning starts long before convergence (≈ 140 iterations at ε = 1e-10).
 const DefaultAnytimeRoundIters = 8
 
 const (
-	maxAnytimeRoundIters   = 64
 	defaultMCWalks         = 512
 	defaultMCMaxLen        = 64
 	defaultMCMaxCandidates = 2048
@@ -148,25 +148,22 @@ type AnytimeStats struct {
 }
 
 // AnytimeResult is the two-part anytime answer, in the external identifier
-// space, each part ascending. A result additionally retains the partial
-// solver state so the exact path can warm-start from it; see Escalate.
+// space, each part ascending. A result additionally retains the run so the
+// exact path can continue it; see Escalate.
 type AnytimeResult struct {
 	Guaranteed []graph.NodeID
 	Maybe      []graph.NodeID
 	Stats      AnytimeStats
 
 	v         *View
-	k         int
-	params    rwr.Params
 	st        *anytimeState
 	escalated bool
 }
 
-// anytimeState is the solver state shared by the round loop, the Monte
-// Carlo stage, and Escalate.
+// anytimeState is the run with the Monte Carlo stage's verdicts on it.
 type anytimeState struct {
-	stepper *rwr.ToStepper
-	screen  *Screen
+	run    *Run
+	screen *Screen // run.screens[0]
 	// mcIn/mcOut record Monte Carlo decisions for nodes the deterministic
 	// screen still holds alive. Deterministic decisions always win: a node
 	// the screen later confirms or prunes simply drops out of Survivors and
@@ -176,11 +173,8 @@ type anytimeState struct {
 }
 
 func (st *anytimeState) effectiveCounts() (conf, und int) {
-	conf = st.screen.Confirmed()
+	conf = len(st.screen.Hits())
 	und = len(st.screen.Survivors())
-	if len(st.mcIn)+len(st.mcOut) == 0 {
-		return conf, und
-	}
 	for _, u := range st.screen.Survivors() {
 		if st.mcIn[u] {
 			conf++
@@ -205,104 +199,47 @@ func undecidedFrac(conf, und int) float64 {
 // like Query. Safe for concurrent use; with Delta = 0, or with a fixed
 // Seed, answers are deterministic at any worker setting.
 func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers int) (*AnytimeResult, error) {
-	if int(q) < 0 || int(q) >= v.g.N() {
-		return nil, fmt.Errorf("core: query node %d out of range [0,%d)", q, v.g.N())
-	}
-	if k <= 0 || k > v.idx.K() {
-		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, v.idx.K())
-	}
 	o, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	stats := AnytimeStats{Query: q, K: k, Eps: o.Eps, Delta: o.Delta}
-	st, err := runAnytime(v.g, v.idx, v.idx.ToInternal(q), k, o, workers, &stats)
+	e := v.engines.Get().(*Engine)
+	defer v.engines.Put(e)
+	e.SetWorkers(workers)
+	r, err := e.start(v.idx.ToInternal(q), k)
 	if err != nil {
 		return nil, err
 	}
+	st := &anytimeState{run: r, screen: r.screens[0]}
+	var mc AnytimeStats
+	if o.Delta > 0 {
+		// The Monte Carlo stage engages between rounds once the screen has
+		// done the bulk pruning, and its verdicts count towards the budget.
+		st.mcIn, st.mcOut = make(map[graph.NodeID]bool), make(map[graph.NodeID]bool)
+		r.between = func(tau float64, converged bool) (conf, und int) {
+			conf, und = st.effectiveCounts()
+			if !converged && und > 0 && und <= o.MCMaxCandidates && undecidedFrac(conf, und) > o.Eps {
+				st.engageMC(v.g, o, r.params.Alpha, tau, &mc)
+				conf, und = st.effectiveCounts()
+			}
+			return conf, und
+		}
+	}
+	if err := r.Rounds(o.Eps, o.RoundIters); err != nil {
+		return nil, err
+	}
 	guaranteed, maybe := st.assemble()
-	stats.Guaranteed = len(guaranteed)
-	stats.Maybe = len(maybe)
-	stats.Elapsed = time.Since(start)
+	stats := r.Stats()
+	stats.Query, stats.Eps, stats.Delta = q, o.Eps, o.Delta
+	stats.MCConfirmed, stats.MCPruned, stats.MCWalks, stats.MCElapsed = mc.MCConfirmed, mc.MCPruned, mc.MCWalks, mc.MCElapsed
+	stats.Guaranteed, stats.Maybe = len(guaranteed), len(maybe)
 	return &AnytimeResult{
 		Guaranteed: externalAnswer(v.idx, guaranteed),
 		Maybe:      externalAnswer(v.idx, maybe),
 		Stats:      stats,
 		v:          v,
-		k:          k,
-		params:     v.idx.Options().RWR,
 		st:         st,
 	}, nil
-}
-
-// runAnytime is View.QueryAnytime's round loop. qi is in the internal label
-// space; the returned state's hits/survivors are too.
-func runAnytime(g graph.View, idx *lbindex.Index, qi graph.NodeID, k int, o AnytimeOptions, workers int, stats *AnytimeStats) (*anytimeState, error) {
-	params := idx.Options().RWR
-	stepper, err := rwr.NewToStepper(g, qi, params, workers)
-	if err != nil {
-		return nil, err
-	}
-	screen, err := newScreen(g.N(), idx, k)
-	if err != nil {
-		return nil, err
-	}
-	st := &anytimeState{stepper: stepper, screen: screen}
-	oneMinus := 1 - params.Alpha
-
-	// Warm skip: while τ exceeds the largest k-th lower bound no node
-	// anywhere can be decided, so the first round jumps straight past that
-	// region (the sharded coordinator's scheduling rule).
-	roundLen := o.RoundIters
-	if maxLB := screen.MaxLowerBound(); maxLB > 0 && maxLB < 1 {
-		if warm := int(math.Ceil(math.Log(maxLB) / math.Log(oneMinus))); warm > roundLen {
-			roundLen = warm
-		}
-	}
-	for {
-		stepStart := time.Now()
-		converged, err := stepper.Step(roundLen)
-		stats.PMPNElapsed += time.Since(stepStart)
-		if err != nil {
-			return nil, err
-		}
-		tau := stepper.Tail()
-		x := stepper.Current()
-		rep := screen.Advance(x, tau)
-		stats.Rounds++
-		if converged && rep.Undecided > 0 {
-			// The band has collapsed: run the exact-pq screen so the final
-			// alive set is precisely the exact path's refinement candidates.
-			rep = screen.Advance(x, 0)
-			tau = 0
-		}
-		conf, und := st.effectiveCounts()
-		frac := undecidedFrac(conf, und)
-		if frac > o.Eps && !converged && o.Delta > 0 && und > 0 && und <= o.MCMaxCandidates {
-			st.engageMC(g, o, params.Alpha, tau, stats)
-			conf, und = st.effectiveCounts()
-			frac = undecidedFrac(conf, und)
-		}
-		if frac <= o.Eps || converged {
-			stats.EpsAchieved = frac
-			stats.TauAchieved = tau
-			break
-		}
-		// Size the next round: if every open node is waiting on the prune
-		// test, jump the band below the smallest open gap in one block.
-		roundLen = o.RoundIters
-		if gap := rep.MinPruneGap; !math.IsInf(gap, 1) && gap > 0 && tau > gap {
-			if need := int(math.Ceil(math.Log(gap/tau) / math.Log(oneMinus))); need > roundLen {
-				roundLen = min(need, maxAnytimeRoundIters)
-			}
-		}
-	}
-	stats.PMPNIters = stepper.Iterations()
-	stats.Converged = stepper.Converged()
-	stats.ConfirmedByBound = screen.Confirmed()
-	stats.PrunedByBound = screen.Pruned()
-	return st, nil
 }
 
 // engageMC runs one Monte Carlo refinement pass over the still-undecided
@@ -314,16 +251,11 @@ func runAnytime(g graph.View, idx *lbindex.Index, qi graph.NodeID, k int, o Anyt
 // evenly over the nodes tested in each, so all decisions of one query are
 // jointly valid with probability ≥ 1 − δ.
 func (st *anytimeState) engageMC(g graph.View, o AnytimeOptions, alpha, tau float64, stats *AnytimeStats) {
-	cur, prev := st.stepper.Current(), st.stepper.Previous()
+	cur, prev := st.run.stepper.Current(), st.run.stepper.Previous()
 	if prev == nil {
 		return
 	}
-	var deltaInf float64
-	for i := range cur {
-		if d := math.Abs(cur[i] - prev[i]); d > deltaInf {
-			deltaInf = d
-		}
-	}
+	deltaInf := vecmath.MaxAbsDiff(cur, prev)
 	if deltaInf == 0 {
 		return
 	}
@@ -358,17 +290,11 @@ func (st *anytimeState) engageMC(g graph.View, o AnytimeOptions, alpha, tau floa
 		lo := math.Max(xv+est-band, xv-tau)
 		hi := math.Min(xv+est+band, xv+tau)
 		if hi < lb-st.screen.tol {
-			if st.mcOut == nil {
-				st.mcOut = make(map[graph.NodeID]bool)
-			}
 			st.mcOut[u] = true
 			stats.MCPruned++
 			continue
 		}
 		if lo >= ub-st.screen.tol {
-			if st.mcIn == nil {
-				st.mcIn = make(map[graph.NodeID]bool)
-			}
 			st.mcIn[u] = true
 			stats.MCConfirmed++
 		}
@@ -377,8 +303,9 @@ func (st *anytimeState) engageMC(g graph.View, o AnytimeOptions, alpha, tau floa
 }
 
 // assemble splits the final alive set into the answer parts, in the
-// internal label space. Deterministic hits come first-hand from the screen;
-// Monte Carlo verdicts only apply to nodes the screen never decided.
+// internal label space, ascending (maybe as Survivors is). Deterministic hits
+// come first-hand from the screen; Monte Carlo verdicts only apply to nodes
+// the screen never decided.
 func (st *anytimeState) assemble() (guaranteed, maybe []graph.NodeID) {
 	guaranteed = append([]graph.NodeID(nil), st.screen.Hits()...)
 	for _, u := range st.screen.Survivors() {
@@ -391,16 +318,15 @@ func (st *anytimeState) assemble() (guaranteed, maybe []graph.NodeID) {
 		}
 	}
 	sort.Slice(guaranteed, func(i, j int) bool { return guaranteed[i] < guaranteed[j] })
-	sort.Slice(maybe, func(i, j int) bool { return maybe[i] < maybe[j] })
 	return guaranteed, maybe
 }
 
-// Escalate resolves the result exactly, reusing the partial iterate as a
-// warm start: the retained stepper resumes from x^t (never from e_q),
-// and only the nodes the anytime run left undecided pay for the
-// refinement/fallback phase. Monte Carlo verdicts are discarded — the
-// returned answer is bit-identical to a cold View.Query at any worker
-// count. Single-use, and not concurrently with other uses of the result.
+// Escalate resolves the result exactly by taking its run the rest of the way:
+// the round loop resumes from x^t (never from e_q) to convergence, and the
+// finish refines only the nodes the screen still holds open. Monte Carlo
+// verdicts are discarded — the returned answer and every counter are a cold
+// View.Query's at any worker count. Single-use, and not concurrently with
+// other uses of the result.
 func (r *AnytimeResult) Escalate(workers int) ([]graph.NodeID, QueryStats, error) {
 	if r.v == nil || r.st == nil {
 		return nil, QueryStats{}, fmt.Errorf("core: Escalate on a detached AnytimeResult")
@@ -409,29 +335,14 @@ func (r *AnytimeResult) Escalate(workers int) ([]graph.NodeID, QueryStats, error
 		return nil, QueryStats{}, fmt.Errorf("core: AnytimeResult escalated twice")
 	}
 	r.escalated = true
-	start := time.Now()
-	stepper := r.st.stepper
-	if !stepper.Converged() {
-		if _, err := stepper.Step(r.params.MaxIters); err != nil {
+	run := r.st.run
+	run.between = nil
+	if !run.stepper.Converged() {
+		if err := run.Rounds(0, 0); err != nil {
 			return nil, QueryStats{}, err
 		}
 	}
-	x := stepper.Current()
-	// Idempotent when the run already screened at τ = 0; decisive otherwise.
-	r.st.screen.Advance(x, 0)
-	e := r.v.engines.Get().(*Engine)
-	defer r.v.engines.Put(e)
-	e.SetWorkers(workers)
-	answer, stats, err := e.DecideList(r.v.idx.ToInternal(r.Stats.Query), x, r.k, r.st.screen.Survivors())
-	if err != nil {
-		return nil, stats, err
-	}
-	answer = append(answer, r.st.screen.Hits()...)
-	sort.Slice(answer, func(i, j int) bool { return answer[i] < answer[j] })
+	answer, stats, err := r.v.Finish(run, r.st.screen, workers)
 	stats.Query = r.Stats.Query
-	stats.K = r.k
-	stats.PMPNIters = stepper.Iterations()
-	stats.Results = len(answer)
-	stats.Elapsed = time.Since(start)
-	return externalAnswer(r.v.idx, answer), stats, nil
+	return externalAnswer(r.v.idx, answer), stats, err
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -152,9 +154,14 @@ func TestAnytimeMonteCarlo(t *testing.T) {
 
 // TestAnytimeEscalateMatchesColdQuery is the warm-start oracle: resolving a
 // partial anytime run exactly must give the SAME answer as a cold exact
-// query, at any worker count, and regardless of whether Monte Carlo
-// verdicts were taken along the way (they are discarded).
+// query and every one of its counters, at any worker count, wherever the
+// budget stopped the rounds, and regardless of whether Monte Carlo verdicts
+// were taken along the way (they are discarded). Two query nodes per family
+// close their backward ball, where the cold query's screen takes a handful of
+// rows: so does the escalated one's if its first screening came at
+// convergence, and every row if it came earlier.
 func TestAnytimeEscalateMatchesColdQuery(t *testing.T) {
+	sparse := 0
 	for _, family := range []string{"web", "coauthor", "spam"} {
 		g := oracleGraph(t, family)
 		idx := buildIndex(t, g, 20, 6)
@@ -162,31 +169,76 @@ func TestAnytimeEscalateMatchesColdQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range anytimeQueries(g.N()) {
-			want, _, err := view.Query(q, 10, 1)
+		other, err := NewView(g, idx.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := anytimeQueries(g.N())
+		for q, closed := graph.NodeID(0), 0; int(q) < g.N() && closed < 2; q++ {
+			if backwardReach(g, q, g.N()/8) != nil && !slices.Contains(queries, q) {
+				queries = append(queries, q)
+				closed++
+			}
+		}
+		for _, q := range queries {
+			want, wst, err := view.Query(q, 10, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 3} {
-				res, err := view.QueryAnytime(q, 10, AnytimeOptions{Eps: 0.5, Delta: 1e-3, RoundIters: 1, Seed: 7}, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, stats, err := res.Escalate(workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s q=%d w=%d: escalated %v, cold %v", family, q, workers, got, want)
-				}
-				if stats.Results != len(got) {
-					t.Fatalf("stats.Results=%d, answer has %d", stats.Results, len(got))
-				}
-				if _, _, err := res.Escalate(workers); err == nil {
-					t.Fatal("second Escalate accepted")
+			for _, opts := range []AnytimeOptions{
+				{Eps: 0.5, Delta: 1e-3, RoundIters: 1, Seed: 7},
+				{Eps: 0.3},
+				{Eps: 0},
+			} {
+				for _, workers := range []int{1, 3, 4} {
+					label := fmt.Sprintf("%s q=%d eps=%g w=%d", family, q, opts.Eps, workers)
+					res, err := view.QueryAnytime(q, 10, opts, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Finish refuses a run stopped on its budget with rows open, and
+					// another view's screen.
+					if run, open := res.st.run, res.st.screen.Survivors(); len(open) > 0 && !res.Stats.Converged {
+						if _, _, err := view.Finish(run, res.st.screen, workers); err == nil {
+							t.Fatalf("%s: Finish accepted a run %d rows short of decided", label, len(open))
+						}
+					}
+					got, stats, err := res.Escalate(workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := other.Finish(res.st.run, res.st.screen, workers); err == nil {
+						t.Fatalf("%s: Finish accepted another view's screen", label)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: escalated %v, cold %v", label, got, want)
+					}
+					if stats.Results != len(got) {
+						t.Fatalf("stats.Results=%d, answer has %d", stats.Results, len(got))
+					}
+					if sweepCounters(stats) != sweepCounters(wst) {
+						t.Fatalf("%s: escalated run counted %+v, cold query %+v", label, stats, wst)
+					}
+					screened := g.N()
+					if res.Stats.Rounds == 1 && res.Stats.Converged {
+						screened = wst.Screened
+					}
+					if stats.Screened != screened || stats.PMPNElapsed <= 0 {
+						t.Fatalf("%s: escalated run screened %d rows with %v of PMPN, want %d rows (cold: %d) and a PMPN phase; anytime stats %+v",
+							label, stats.Screened, stats.PMPNElapsed, screened, wst.Screened, res.Stats)
+					}
+					if stats.Screened < g.N() {
+						sparse++
+					}
+					if _, _, err := res.Escalate(workers); err == nil {
+						t.Fatal("second Escalate accepted")
+					}
 				}
 			}
 		}
+	}
+	if sparse == 0 {
+		t.Fatal("no escalated run took a closed ball's rows: the lazy screen went untested")
 	}
 }
 

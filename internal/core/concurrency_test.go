@@ -276,8 +276,9 @@ func sweepCounters(s QueryStats) [10]int {
 // checkSparseScreen is the sparse-screen half of the oracle table. For one
 // (graph, index) pair it takes two of the table's sampled queries plus a few
 // whose backward ball closes (the only ones a View screens sparsely), and for
-// every k and worker count holds View.Query — over the full index and over
-// each slice of a 2-way partition — to a bare engine's dense sweep on answers
+// every k and worker count holds View.Query — over the full index, over each
+// slice of a 2-way partition and over the slice of a shard that owns no node —
+// to a bare engine's dense sweep on answers
 // and on every sweep counter, and the full index's answer to brute force. It
 // also pins what was screened: the ball plus the zero-bound rows when the
 // ball closed, every materialized row otherwise — and on those closed balls
@@ -325,6 +326,22 @@ func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]
 		}
 		pairs = append(pairs, slice)
 	}
+	// And the slice of a shard that owns nothing (hashing n nodes n ways leaves
+	// some shards empty): no rows, which its nil owned list must not turn into
+	// all of them.
+	thin, err := partition.NewHash(n, n, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for thin.OwnedCount(empty) > 0 {
+		empty++
+	}
+	slice, err := idx.ShardSlice(thin, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs = append(pairs, slice)
 	for pi, pidx := range pairs {
 		v, err := NewView(g, pidx)
 		if err != nil {
@@ -335,8 +352,8 @@ func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]
 			t.Fatal(err)
 		}
 		rows := n
-		if owned := pidx.OwnedNodes(); owned != nil {
-			rows = len(owned)
+		if _, _, sliced := pidx.Shard(); sliced {
+			rows = len(pidx.OwnedNodes())
 		}
 		for _, k := range ks {
 			zero := v.zeroBound.list(k).rows

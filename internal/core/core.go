@@ -12,22 +12,27 @@
 //     (refine); a candidate whose next step could not is settled by one
 //     exact forward solve instead, batched after the sweep (resolveExact).
 //
-// The paper screens every u. Which rows step 2 actually visits follows from
-// what step 1 observed. If the PMPN ended inside q's backward ball
-// (rwr.Result.Rows), p_u(q) is exactly zero outside that ball, and a zero
-// proximity survives the screen only where p̂_u(k) is itself within tieTol of
-// zero — u reaches fewer than k nodes, so it ranks every node, reachable or
-// not, among its top k. A View keeps those rows per k (zeroBoundTable: one
-// pass over the index on the first query at that k, by the same comparison
-// decide prunes with, prunedByLowerBound), and Engine.Query screens ball ∪
-// zero-bound rows: a handful of rows in place of n, the same decisions and
-// the same counters as the dense sweep, which could only have pruned the rest.
-// Explain without pruned rows walks the same list (sparseScreen). Two things still screen
-// densely: a PMPN that left the ball (its vector has no small support to
-// exploit) and an engine made by NewEngine rather than handed out by a View
-// (an update-mode commit moves the bounds the table is derived from; only a
-// View's index is immutable). The anytime tier's Screen tracks every row
-// between rounds, whatever rows its PMPN touched.
+// That is one loop, written once (pipeline.go). A Run steps the package's one
+// PMPN in rounds; a Screen applies the prune and confirm tests — the only copy
+// of them — to every row still open against each round's iterate and its
+// error band; Engine.finish refines what the τ = 0 screen of the converged
+// vector leaves. Every entry point — the exact query, the anytime tier and its
+// escalation, Explain, the sharded coordinator (internal/shard) — is that loop
+// under its own stop rule (the table on Run), and because the Screen's tests
+// are monotone-safe they all reach the same hits, candidates and counters.
+//
+// The paper screens every u; a Screen visits fewer rows when step 1 lets it
+// (Screen.take). If the PMPN has converged inside q's backward ball
+// (rwr.ToStepper.Rows) by the Screen's first round, p_u(q) is exactly zero
+// outside the ball, and a zero proximity survives only where p̂_u(k) is itself
+// within tieTol of zero — u reaches fewer than k nodes, so it ranks every node
+// among its top k. A View keeps those rows per k (zeroBoundTable), and the
+// Screen takes ball ∪ zero-bound rows: a handful in place of n, with the
+// decisions and counters of the dense take, which could only have pruned the
+// rest. Every row is taken by a Screen whose first round comes before
+// convergence or after the PMPN left the ball, and by one whose engine came
+// from NewEngine rather than a View (an update-mode commit moves the bounds the
+// table is derived from; only a View's index is immutable).
 // QueryStats.Screened reports the rows visited.
 //
 // The exact solves use the same fact in the other direction (one ball type,
@@ -45,7 +50,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -97,13 +101,12 @@ type QueryStats struct {
 	// 40-iteration whole-graph solve from a 4-iteration one over q's
 	// three-node backward ball.
 	PMPNSupport int
-	// Screened is the number of rows the decision sweep visited: every
-	// materialized row on a dense sweep, q's backward ball plus the
-	// zero-bound rows on a sparse one (Engine.Query, Engine.Explain), the
-	// listed nodes under DecideList.
+	// Screened is the number of rows the Screen visited when it took its rows
+	// (Screen.take): every materialized row, or q's backward ball plus the
+	// zero-bound rows.
 	Screened int
-	// Candidates counts nodes that survived the initial lower-bound
-	// screen (they entered Algorithm 4's while loop).
+	// Candidates counts nodes that survived the lower-bound screen against
+	// the converged vector (they entered Algorithm 4's while loop).
 	Candidates int
 	// Hits counts candidates confirmed as results before any refinement
 	// (exact-lower-bound or first upper-bound check) — Fig. 6's "hits".
@@ -142,8 +145,8 @@ type QueryStats struct {
 	// FallbackBallIters is the part of FallbackIters swept over the
 	// candidates' forward balls rather than all n rows (rwr/spmm.go).
 	FallbackBallIters int
-	// DecideElapsed is the part of Elapsed spent in the candidate
-	// decision sweep (Algorithm 4's screen + bound refinement),
+	// DecideElapsed is the part of Elapsed spent deciding candidates — the
+	// Screen's passes plus the bound-refinement sweep (Algorithm 4) —
 	// excluding the deferred-fallback resolution counted separately in
 	// FallbackElapsed.
 	DecideElapsed time.Duration
@@ -174,11 +177,10 @@ type Engine struct {
 	g      graph.View
 	idx    *lbindex.Index
 	update bool
-	// workers is the intra-query parallelism degree: the PMPN power
-	// iteration is sharded over row ranges and the candidate-decision loop
-	// over node ranges, each shard drawing a workspace from wsPool. The
-	// sequential path draws one workspace per query from the same pool, so
-	// engines cost no dense scratch until their first query.
+	// workers is the intra-query parallelism degree: the PMPN's dense sweep and
+	// a screen's take off the index are sharded over row ranges, the refinement
+	// sweep over its candidate list, each shard drawing a workspace from wsPool
+	// — so engines cost no dense scratch until their first query.
 	workers int
 	wsPool  *bca.Pool
 	// tieTol absorbs floating-point noise on the membership boundary.
@@ -196,11 +198,14 @@ type Engine struct {
 	// probeBuf is the n-vector resolveExact's early-stop probe reads
 	// fallback columns into; allocated by the first fallback that probes.
 	probeBuf []float64
-	// zeroBound is the owning View's table of rows a zero proximity does not
-	// prune, which lets Query screen a closed backward ball sparsely. Nil on
-	// an engine made by NewEngine: an update-mode commit moves the bounds
-	// the table is derived from, so such engines always sweep densely.
+	// zeroBound is the owning View's per-k table, which this engine's screens
+	// read in place of the index (Screen.take). Nil on an engine made by
+	// NewEngine: an update-mode commit moves the bounds the table is derived
+	// from, so such an engine's screens always take every row.
 	zeroBound *zeroBoundTable
+	// record is set while Explain runs: the listener its pipeline reports
+	// every decision to.
+	record recorder
 }
 
 // SetPracticalDecisions toggles the paper-literal decision mode.
@@ -258,63 +263,36 @@ func (e *Engine) SetWorkers(n int) {
 // Workers returns the configured intra-query parallelism degree.
 func (e *Engine) Workers() int { return e.workers }
 
-// UpdatesIndex reports whether the engine commits refinements.
-func (e *Engine) UpdatesIndex() bool { return e.update }
-
-// Index returns the engine's index.
-func (e *Engine) Index() *lbindex.Index { return e.idx }
-
-// Query runs Algorithm 4 (OQ): it returns every node u with
-// p_u(q) ≥ pkmax_u, in ascending node order, plus the per-query statistics.
+// Query runs Algorithm 4 (OQ) — the pipeline as one round to convergence and
+// the finish: it returns every node u with p_u(q) ≥ pkmax_u, in ascending node
+// order, plus the per-query statistics.
 func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
-	stats := QueryStats{Query: q, K: k}
+	r, err := e.start(q, k)
+	if err == nil {
+		err = r.Rounds(0, 0)
+	}
+	if err != nil {
+		return nil, QueryStats{Query: q, K: k}, err
+	}
+	return e.finish(r, r.screens[0])
+}
+
+// start validates a query and starts its run over one screen of the engine's
+// index, read through the owning View's table when there is one.
+func (e *Engine) start(q graph.NodeID, k int) (*Run, error) {
 	if int(q) < 0 || int(q) >= e.g.N() {
-		return nil, stats, fmt.Errorf("core: query node %d out of range [0,%d)", q, e.g.N())
+		return nil, fmt.Errorf("core: query node %d out of range [0,%d)", q, e.g.N())
 	}
 	if k <= 0 || k > e.idx.K() {
-		return nil, stats, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
+		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
 	}
-	start := time.Now()
-
-	// Step 1 (Algorithm 4 line 1): exact proximities to q via PMPN, sharded
-	// over row ranges across the engine's workers.
-	opts := e.idx.Options()
-	pmpn, err := rwr.ProximityToParallel(e.g, q, opts.RWR, e.workers)
-	if err != nil {
-		return nil, stats, err
-	}
-	pq := pmpn.Vector // pq[u] = p_u(q)
-	stats.PMPNIters = pmpn.Iterations
-	stats.PMPNSupport = support(pq, pmpn.Rows)
-	stats.PMPNElapsed = time.Since(start)
-
-	// Step 2: screen the materialized nodes — all of them on a full index,
-	// the owned subset on a shard slice (see lbindex.ShardSlice). Decisions
-	// are independent across nodes (decide(u) touches only u's own index
-	// entry), so the set shards cleanly across workers. When the PMPN never
-	// left q's backward ball, only the ball and the view's zero-bound rows
-	// can pass (see the package comment): the sweep visits those few rows,
-	// ascending like the dense sweep, on this goroutine — where the ball
-	// phase ran too.
-	decideStart := time.Now()
-	list, workers := e.idx.OwnedNodes(), e.workers
-	if pmpn.Rows != nil && e.zeroBound != nil {
-		list, workers = e.sparseScreen(pmpn.Rows, k), 1
-	}
-	results, err := e.decideSet(q, pq, k, list, workers, &stats)
-	stats.DecideElapsed = time.Since(decideStart) - stats.FallbackElapsed
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Results = len(results)
-	stats.Elapsed = time.Since(start)
-	sort.Slice(results, func(i, j int) bool { return results[i] < results[j] })
-	return results, stats, nil
+	s := &Screen{idx: e.idx, k: k, tol: e.tieTol, table: e.zeroBound, record: e.record, workers: e.workers}
+	return NewRun(e.g, q, e.idx.Options().RWR, e.workers, nil, s)
 }
 
 // support counts the non-zero entries of a proximity vector
 // (QueryStats.PMPNSupport). rows, when non-nil, is the PMPN's own list of
-// the only rows that can hold one (rwr.Result.Rows), visited in place of
+// the only rows that can hold one (rwr.ToStepper.Rows), visited in place of
 // all n.
 func support(pq []float64, rows []graph.NodeID) int {
 	n := 0
@@ -334,75 +312,16 @@ func support(pq []float64, rows []graph.NodeID) int {
 	return n
 }
 
-// sparseScreen returns, ascending, the materialized rows a query at k must
-// still decide when p_u(q) is zero outside ball (ascending): the ball's own
-// rows and the rows whose k-th lower bound a zero proximity does not fall
-// under. On both benchmark fixtures the second set is empty and a full
-// index returns ball itself.
-func (e *Engine) sparseScreen(ball []graph.NodeID, k int) []graph.NodeID {
-	zero := e.zeroBound.list(k).rows
-	full := e.idx.OwnedNodes() == nil
-	if full && len(zero) == 0 {
-		return ball
-	}
-	list := make([]graph.NodeID, 0, len(ball)+len(zero))
-	for _, u := range ball {
-		for len(zero) > 0 && zero[0] < u {
-			list = append(list, zero[0])
-			zero = zero[1:]
-		}
-		if len(zero) > 0 && zero[0] == u {
-			zero = zero[1:]
-		}
-		if full || e.idx.Owns(u) {
-			list = append(list, u)
-		}
-	}
-	return append(list, zero...)
-}
-
-// DecideList is the shard-local candidate decision entry point: given the
-// exact proximities-to-query vector pq of query node q (full length,
-// typically computed once by a scatter-gather coordinator and shared across
-// shards), it runs Algorithm 4's per-candidate decision for exactly the
-// listed nodes and returns the members, ascending. Every listed node's row
-// must be materialized in the engine's index. The answer for each node is
-// the one Query itself would produce — DecideList(q, pq, k, all nodes) ≡
-// Query(q, k). q is in pq's (internal) label space and only anchors the
-// exact fallback's early stop: a caller that does not know it passes −1 and
-// gets the same answer from fallbacks that always run to convergence.
-func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.NodeID) ([]graph.NodeID, QueryStats, error) {
-	stats := QueryStats{Query: q, K: k}
-	if len(pq) != e.g.N() {
-		return nil, stats, fmt.Errorf("core: proximity vector has %d entries, graph has %d", len(pq), e.g.N())
-	}
-	if int(q) < -1 || int(q) >= e.g.N() {
-		return nil, stats, fmt.Errorf("core: query node %d out of range [-1,%d)", q, e.g.N())
-	}
-	if k <= 0 || k > e.idx.K() {
-		return nil, stats, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
-	}
-	start := time.Now()
-	results, err := e.decideSet(q, pq, k, nodes, e.workers, &stats)
-	stats.DecideElapsed = time.Since(start) - stats.FallbackElapsed
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Results = len(results)
-	stats.Elapsed = time.Since(start)
-	sort.Slice(results, func(i, j int) bool { return results[i] < results[j] })
-	return results, stats, nil
-}
-
-// decideSet runs the decision loop over a node set — `list`, or all of
-// [0, n) when list is nil — sequentially or sharded across workers
-// goroutines. Outcomes are identical either way: each shard runs the
-// sequential loop over its segment with a private workspace and counters,
-// answers concatenate in segment order and counters merge by addition;
-// commits land in the shared index under its own striped locking. On error
-// the lowest-segment error is reported, and committed refinements from
-// other segments remain in the index — exactly as a sequential sweep would
-// have left every node decided before the failure.
+// decideSet refines the listed candidates — a screen's survivors, each with
+// p̂(k) − tieTol ≤ p_u(q) < UB − tieTol; an empty list is no candidates —
+// sharded across the engine's workers, and resolves the ones refinement leaves
+// open. Outcomes are identical at any worker count: each shard runs the same
+// loop over its segment with a private workspace and counters, answers
+// concatenate in segment order and counters merge by addition; commits land in
+// the shared index under its own striped locking. On error the lowest-segment
+// error is reported, and committed refinements from other segments remain in
+// the index — exactly as a sequential sweep would have left every node decided
+// before the failure.
 //
 // Candidates whose next refinement step could not decide them (refine) are
 // deferred by the sweep (per shard, in segment order) and resolved afterwards
@@ -410,95 +329,60 @@ func (e *Engine) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.N
 // same pending list, same order, whatever the worker count, so the sequential
 // and sharded engines still make bit-identical decisions and commits. q is the
 // node pq was computed for (−1 if unknown); it rides along on each deferred
-// candidate, see pendingFallback. workers is the engine's setting for a dense
-// sweep and 1 for a sparse screen, whose few rows are not worth a goroutine
-// each.
-func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, workers int, stats *QueryStats) ([]graph.NodeID, error) {
-	count := e.g.N()
-	if list != nil {
-		count = len(list)
+// candidate, see pendingFallback. The sweep stays on this goroutine under
+// Explain (the recorder's) and for fewer than two shards' worth of candidates.
+func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
+	type shard struct {
+		results []graph.NodeID
+		pend    []pendingFallback
+		stats   QueryStats
+		err     error
 	}
-	stats.Screened += count
-	nodeAt := func(i int) graph.NodeID {
-		if list != nil {
-			return list[i]
-		}
-		return graph.NodeID(i)
+	workers := min(e.workers, len(list)/sweepShare)
+	if e.record != nil {
+		workers = 1
 	}
-	// A View's dense sweep looks each row's k-th bound up in the View's flat
-	// copy first: it skips only rows decide would have pruned, which is nearly
-	// all of them, without the stripe lock decide reads the same number under.
-	var kth []float64
-	if list == nil && e.zeroBound != nil {
-		kth = e.zeroBound.list(k).kth
-	}
-	pruned := func(u graph.NodeID) bool {
-		return kth != nil && prunedByLowerBound(pq[u], kth[u], e.tieTol)
-	}
-	var results []graph.NodeID
-	var pend []pendingFallback
-	if workers <= 1 {
+	segs := vecmath.Split(len(list), workers)
+	shards := make([]shard, len(segs))
+	sweep := func(sh *shard, seg vecmath.Range) {
 		ws := e.wsPool.Get()
 		defer e.wsPool.Put(ws)
-		for i := 0; i < count; i++ {
-			u := nodeAt(i)
-			if pruned(u) {
-				continue
-			}
-			added, err := e.decide(ws, q, u, k, pq[u], stats, &pend)
+		for _, u := range list[seg.Lo:seg.Hi] {
+			member, err := e.decide(ws, q, u, k, pq[u], &sh.stats, &sh.pend)
 			if err != nil {
-				return nil, err
+				sh.err = err
+				return
 			}
-			if added {
-				results = append(results, u)
+			if member {
+				sh.results = append(sh.results, u)
 			}
 		}
+	}
+	if len(segs) == 1 {
+		sweep(&shards[0], segs[0])
 	} else {
-		type shard struct {
-			results []graph.NodeID
-			pend    []pendingFallback
-			stats   QueryStats
-			err     error
-		}
-		segs := vecmath.Split(count, workers)
-		shards := make([]shard, len(segs))
 		var wg sync.WaitGroup
 		for si, seg := range segs {
 			wg.Add(1)
-			go func(sh *shard, seg vecmath.Range) {
+			go func() {
 				defer wg.Done()
-				ws := e.wsPool.Get()
-				defer e.wsPool.Put(ws)
-				for i := seg.Lo; i < seg.Hi; i++ {
-					u := nodeAt(i)
-					if pruned(u) {
-						continue
-					}
-					added, err := e.decide(ws, q, u, k, pq[u], &sh.stats, &sh.pend)
-					if err != nil {
-						sh.err = err
-						return
-					}
-					if added {
-						sh.results = append(sh.results, u)
-					}
-				}
-			}(&shards[si], seg)
+				sweep(&shards[si], seg)
+			}()
 		}
 		wg.Wait()
-		for si := range shards {
-			sh := &shards[si]
-			if sh.err != nil {
-				return nil, sh.err
-			}
-			results = append(results, sh.results...)
-			pend = append(pend, sh.pend...)
-			stats.Candidates += sh.stats.Candidates
-			stats.Hits += sh.stats.Hits
-			stats.RefineSteps += sh.stats.RefineSteps
-			stats.ExactFallbacks += sh.stats.ExactFallbacks
-			stats.Committed += sh.stats.Committed
+	}
+	var results []graph.NodeID
+	var pend []pendingFallback
+	for si := range shards {
+		sh := &shards[si]
+		if sh.err != nil {
+			return nil, sh.err
 		}
+		results = append(results, sh.results...)
+		pend = append(pend, sh.pend...)
+		stats.RefineSteps += sh.stats.RefineSteps
+		stats.ExactFallbacks += sh.stats.ExactFallbacks
+		stats.Committed += sh.stats.Committed
 	}
 	if len(pend) > 0 {
 		fbStart := time.Now()
@@ -512,58 +396,30 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 	return results, nil
 }
 
-// eachIndexed iterates, ascending, the nodes whose rows idx materializes:
-// all of [0, n) for a full index, the owned subset for a shard slice.
-func eachIndexed(idx *lbindex.Index) func(yield func(graph.NodeID) bool) {
-	return func(yield func(graph.NodeID) bool) {
-		if owned := idx.OwnedNodes(); owned != nil {
-			for _, u := range owned {
-				if !yield(u) {
-					return
-				}
-			}
-			return
-		}
-		for u := graph.NodeID(0); int(u) < idx.N(); u++ {
-			if !yield(u) {
-				return
-			}
-		}
+// indexedRows returns how many rows idx materializes and the i-th of them,
+// ascending: all of [0, n) for a full index, the owned list — which may be
+// empty — for a shard slice. Fullness is what Index.Shard reports, never a nil
+// list: a shard that owns nothing has one too.
+func indexedRows(idx *lbindex.Index) (int, func(i int) graph.NodeID) {
+	if _, _, slice := idx.Shard(); slice {
+		owned := idx.OwnedNodes()
+		return len(owned), func(i int) graph.NodeID { return owned[i] }
 	}
+	return idx.N(), func(i int) graph.NodeID { return graph.NodeID(i) }
 }
 
-// decide implements Algorithm 4's per-candidate decision for one node u: it
-// returns whether u belongs to the reverse top-k set of the query, given
-// puq = p_u(q). ws is the BCA scratch to refine with — one pooled workspace
-// for the whole sweep on the sequential path, one per shard on decideSet's
-// sharded path (stats and pend must likewise be private to the calling
-// shard). A candidate refine leaves undecided is NOT decided
-// here: it is appended to *pend, tagged with the query node q (−1 if
-// unknown), for the caller to batch-resolve with exact solves after the
-// sweep (resolveFallbacks), and reported as not added.
+// decide is Algorithm 4's while loop for one candidate u the Screen left
+// open — puq = p_u(q) is neither under u's k-th lower bound nor over its
+// staircase upper bound: refine it, or defer it. It returns whether refinement
+// made u a member. ws is the BCA scratch to refine with, one per sweep shard
+// (stats and pend must likewise be private to the calling shard). A candidate
+// refine leaves undecided is NOT decided here: it is appended to *pend, tagged
+// with the query node q (−1 if unknown), for the caller to batch-resolve with
+// exact solves after the sweep (resolveFallbacks), and reported as not a
+// member.
 func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) (bool, error) {
-	if prunedByLowerBound(puq, e.idx.KthLowerBound(u, k), e.tieTol) {
-		return false, nil // never becomes a candidate
-	}
-	stats.Candidates++
-
-	// The effective undecided mass is the BCA residue plus the proximity
-	// mass §4.1.3's rounding removed (tracked per state): a drained state
-	// is exact only when both are zero.
 	rho := e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u)
-	if rho == 0 {
-		// Lower bound is the exact pkmax (hub node or fully drained BCA):
-		// puq ≥ lb decides membership outright.
-		stats.Hits++
-		return true, nil
-	}
-	phat := e.idx.PHatRow(u)
-	if puq >= UpperBound(phat, k, rho)-e.tieTol {
-		stats.Hits++ // confirmed by the first upper-bound check
-		return true, nil
-	}
-
-	r, err := e.refine(ws, u, k, puq, phat, rho)
+	r, err := e.refine(ws, u, k, puq, e.idx.PHatRow(u), rho)
 	if err != nil {
 		return false, err
 	}
@@ -581,12 +437,19 @@ func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64
 		// update mode: resolution commits the strictly better exact state
 		// instead.
 		stats.ExactFallbacks++
-		*pend = append(*pend, pendingFallback{u: u, q: q, puq: puq, nextT: r.t + r.steps + 1})
+		*pend = append(*pend, pendingFallback{u: u, q: q, puq: puq, nextT: r.t + r.steps + 1, steps: r.steps})
 		return false, nil
 	}
 	if r.steps > 0 && e.update {
 		e.idx.Commit(u, r.st, bca.TopK(r.st, e.idx.HubMatrix(), ws, e.idx.K()))
 		stats.Committed++
+	}
+	if e.record != nil {
+		how := OutcomeRefinedOut
+		if r.member {
+			how = OutcomeRefinedIn
+		}
+		e.record(u, puq, how, r.member, r.steps)
 	}
 	return r.member, nil
 }
@@ -670,10 +533,10 @@ func stepCanDecide(phat []float64, k int, rho, ink, puq, tieTol float64) bool {
 
 // prunedByLowerBound is Algorithm 4's first screen: u cannot rank q in its
 // top-k when p_u(q) lies below u's k-th lower bound by more than tieTol. It
-// is the one place that comparison is written — decide and Explain prune by
-// it, and the zero-bound table (zeroBoundTable) is the set of rows it lets
-// through at puq = 0 — so the sparse screen's row list cannot drift from the
-// sweep it stands in for.
+// is the one place that comparison is written — the Screen and refine prune
+// by it, and the zero-bound table (zeroBoundTable) is the set of rows it lets
+// through at puq = 0 — so a Screen's row list cannot drift from the dense
+// take it stands in for.
 func prunedByLowerBound(puq, lb, tieTol float64) bool {
 	return puq < lb-tieTol
 }
@@ -688,6 +551,7 @@ type pendingFallback struct {
 	u, q  graph.NodeID
 	puq   float64
 	nextT int
+	steps int // refinement steps taken before deferral, for Explain
 }
 
 // fallbackOutcome is how resolveExact decided one deferred candidate.
@@ -717,9 +581,17 @@ func (e *Engine) resolveFallbacks(pend []pendingFallback, k int, stats *QuerySta
 		if o.member {
 			results = append(results, pend[i].u)
 		}
+		if e.record != nil {
+			e.record(pend[i].u, pend[i].puq, OutcomeFallback, o.member, pend[i].steps)
+		}
 	}
 	return results, nil
 }
+
+// sweepShare is the fewest candidates a refinement-sweep shard is started for:
+// a shard costs one goroutine and one BCA workspace, which pays from about
+// eight candidates; a list under two shares stays on the calling goroutine.
+const sweepShare = 8
 
 // spmmChunkWidth caps how many proximity columns share one SpMM slab. The
 // slab costs 2·n·width float64s, so an unbounded batch on a large graph

@@ -14,9 +14,9 @@ import (
 )
 
 // The suites below hold the exact fallback's early stop (resolveExact's
-// probe) to the converged decision. "Forced off" is DecideList with q = −1:
-// the same sweep and the same fallbacks, but no asker names a query node,
-// so every fallback column runs to convergence.
+// probe) to the converged decision. "Forced off" is the same run finished with
+// q = −1: the same screen, the same sweep and the same fallbacks, but no asker
+// names a query node, so every fallback column runs to convergence.
 
 // fallbackPhases tallies, over the queries of one suite, where the fallbacks
 // that stopped early were when they did: in the slab's ball phase (the query
@@ -94,11 +94,15 @@ func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: engine %v, brute force %v", label, got, want)
 					}
-					pq, err := rwr.ProximityToParallel(g, q, p, 1)
+					r, err := eng.start(q, k)
+					if err == nil {
+						err = r.Rounds(0, 0)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					conv, cst, err := eng.DecideList(-1, pq.Vector, k, nil)
+					r.q = -1
+					conv, cst, err := eng.finish(r, r.screens[0])
 					if err != nil {
 						t.Fatal(err)
 					}

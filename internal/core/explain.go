@@ -3,16 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
-	"repro/internal/bca"
 	"repro/internal/graph"
-	"repro/internal/rwr"
-	"repro/internal/vecmath"
 )
-
-func kthLargest(x []float64, k int) float64 { return vecmath.KthLargest(x, k) }
 
 // Outcome classifies how the engine decided one node during a query.
 type Outcome uint8
@@ -31,8 +25,8 @@ const (
 	OutcomeRefinedIn
 	OutcomeRefinedOut
 	// OutcomeFallback: no outcome of the next refinement step could have
-	// decided the node (Engine.refine) and an exact power-method
-	// computation did.
+	// decided the node (Engine.refine) and its forward power iteration did
+	// (Engine.resolveExact).
 	OutcomeFallback
 )
 
@@ -74,7 +68,7 @@ type Decision struct {
 }
 
 // Explanation is a full per-node account of one reverse top-k query —
-// the debugging/observability counterpart of Engine.Query. Decisions are
+// Engine.Query with its decisions written down. Decisions are
 // ordered by node id and include pruned nodes only when requested.
 type Explanation struct {
 	Query     graph.NodeID
@@ -83,107 +77,46 @@ type Explanation struct {
 	Stats     QueryStats
 }
 
-// Explain runs a reverse top-k query like Query but records the decision
-// path of every candidate (and, with includePruned, of pruned nodes too).
-// It never modifies the index, independent of the engine's update mode, so
-// an explanation reflects the index state as-is. Without pruned rows it
-// visits the rows Query visits — the sparse screen when the PMPN ended
-// inside q's backward ball on a View's engine — and reports the same
-// Stats.Screened; with them it sweeps every materialized row.
+// recorder is the pipeline's optional per-row listener: the Screen tells it
+// each row it prunes or confirms, the refinement sweep each candidate it decides
+// and each fallback's resolution, with p_u(q) and the refinement steps taken.
+type recorder func(u graph.NodeID, puq float64, how Outcome, member bool, steps int)
+
+// Explain is Query with a recorder on the pipeline: the same run, with the
+// decision path of every candidate (and, with includePruned, of pruned nodes
+// too) written down. It never modifies the index, independent of the engine's
+// update mode, so an explanation reflects the index state as-is. Without
+// pruned rows it visits the rows Query visits and reports the same
+// Stats.Screened; with them it takes every materialized row.
 func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanation, error) {
-	stats := QueryStats{Query: q, K: k}
-	if int(q) < 0 || int(q) >= e.g.N() {
-		return nil, fmt.Errorf("core: query node %d out of range [0,%d)", q, e.g.N())
+	ex := &Explanation{Query: q, K: k}
+	// Read-only: with nothing committed, the bounds the recorder reads are the
+	// ones each decision was made on.
+	defer func(update bool, table *zeroBoundTable) { e.update, e.zeroBound, e.record = update, table, nil }(e.update, e.zeroBound)
+	e.update = false
+	if includePruned {
+		e.zeroBound = nil // no list stands in for rows that must each be reported
 	}
-	if k <= 0 || k > e.idx.K() {
-		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
+	e.record = func(u graph.NodeID, puq float64, how Outcome, member bool, steps int) {
+		if how == OutcomePruned && !includePruned {
+			return
+		}
+		ex.Decisions = append(ex.Decisions, Decision{
+			Node:        u,
+			Proximity:   puq,
+			LowerBound:  e.idx.KthLowerBound(u, k),
+			Residue:     e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u),
+			Outcome:     how,
+			InAnswer:    member,
+			RefineSteps: steps,
+		})
 	}
-	pmpn, err := rwr.ProximityToParallel(e.g, q, e.idx.Options().RWR, e.workers)
-	if err != nil {
+	var err error
+	if _, ex.Stats, err = e.Query(q, k); err != nil {
 		return nil, err
 	}
-	stats.PMPNIters = pmpn.Iterations
-	stats.PMPNSupport = support(pmpn.Vector, pmpn.Rows)
-
-	ex := &Explanation{Query: q, K: k}
-	ws := e.wsPool.Get()
-	defer e.wsPool.Put(ws)
-	sweep := eachIndexed(e.idx)
-	if !includePruned && pmpn.Rows != nil && e.zeroBound != nil {
-		sweep = slices.Values(e.sparseScreen(pmpn.Rows, k))
-	}
-	for u := range sweep {
-		stats.Screened++
-		d, err := e.explainNode(ws, u, k, pmpn.Vector[u], &stats)
-		if err != nil {
-			return nil, err
-		}
-		if d.Outcome == OutcomePruned && !includePruned {
-			continue
-		}
-		ex.Decisions = append(ex.Decisions, d)
-	}
 	sort.Slice(ex.Decisions, func(i, j int) bool { return ex.Decisions[i].Node < ex.Decisions[j].Node })
-	for _, d := range ex.Decisions {
-		if d.InAnswer {
-			stats.Results++
-		}
-	}
-	ex.Stats = stats
 	return ex, nil
-}
-
-// explainNode mirrors decide() — same screen, same refine — but never
-// commits, resolves a fallback inline, and records the outcome.
-func (e *Engine) explainNode(ws *bca.Workspace, u graph.NodeID, k int, puq float64, stats *QueryStats) (Decision, error) {
-	d := Decision{
-		Node:       u,
-		Proximity:  puq,
-		LowerBound: e.idx.KthLowerBound(u, k),
-		Residue:    e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u),
-	}
-	if prunedByLowerBound(puq, d.LowerBound, e.tieTol) {
-		d.Outcome = OutcomePruned
-		return d, nil
-	}
-	stats.Candidates++
-	if d.Residue == 0 {
-		stats.Hits++
-		d.Outcome = OutcomeExactHit
-		d.InAnswer = true
-		return d, nil
-	}
-	phat := e.idx.PHatRow(u)
-	if puq >= UpperBound(phat, k, d.Residue)-e.tieTol {
-		stats.Hits++
-		d.Outcome = OutcomeUpperBoundHit
-		d.InAnswer = true
-		return d, nil
-	}
-
-	r, err := e.refine(ws, u, k, puq, phat, d.Residue)
-	if err != nil {
-		return d, err
-	}
-	d.RefineSteps = r.steps
-	stats.RefineSteps += r.steps
-	if r.decided {
-		d.Outcome, d.InAnswer = OutcomeRefinedOut, r.member
-		if r.member {
-			d.Outcome = OutcomeRefinedIn
-		}
-		return d, nil
-	}
-
-	// Exact resolution (never committed: Explain is read-only).
-	stats.ExactFallbacks++
-	res, err := rwr.ProximityVector(e.g, u, e.idx.Options().RWR)
-	if err != nil {
-		return d, err
-	}
-	d.Outcome = OutcomeFallback
-	d.InAnswer = puq >= kthLargest(res.Vector, k)-e.tieTol
-	return d, nil
 }
 
 // WriteExplanation renders an explanation as an aligned table.

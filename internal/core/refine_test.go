@@ -144,10 +144,24 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Query's decision on each node alone, from a screen of its own over
+			// the converged vector — no recorder listening: a row it prunes is out,
+			// a row it confirms is in (no steps, no fallback either way), and a
+			// row it leaves open is the refinement sweep's, one candidate at a time.
+			oracle := &Screen{idx: idx, k: k, tol: eng.tieTol}
+			oracle.Advance(pq.Vector, 0)
 			for _, d := range ex.Decisions {
-				members, st, err := eng.DecideList(q, pq.Vector, k, []graph.NodeID{d.Node})
-				if err != nil {
-					t.Fatal(err)
+				hit, open := slices.Contains(oracle.Hits(), d.Node), slices.Contains(oracle.Survivors(), d.Node)
+				if settled := d.Outcome == OutcomePruned || d.Outcome == OutcomeExactHit || d.Outcome == OutcomeUpperBoundHit; hit && open || settled == open {
+					t.Errorf("%s q=%d u=%d: Explain says %+v, a fresh screen has the row hit=%v open=%v", family, q, d.Node, d, hit, open)
+				}
+				members, st := []graph.NodeID(nil), QueryStats{}
+				if hit {
+					members = []graph.NodeID{d.Node}
+				} else if open {
+					if members, err = eng.decideSet(q, pq.Vector, k, []graph.NodeID{d.Node}, &st); err != nil {
+						t.Fatal(err)
+					}
 				}
 				fell := 0
 				if d.Outcome == OutcomeFallback {
@@ -173,6 +187,15 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 					family, q, ex.Stats.Screened, qst.Screened, g.N())
 			}
 
+			// Asked for the pruned rows too, the view's engine takes every row —
+			// for that call only: the Query below is back on the view's table.
+			pex, err := view.Explain(q, k, true, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pex.Stats.Screened != g.N() || !reflect.DeepEqual(pex.Decisions, ex.Decisions) {
+				t.Errorf("%s q=%d: the view's Explain with pruned rows screened %d of %d rows or differs from the bare engine's", family, q, pex.Stats.Screened, g.N())
+			}
 			vex, err := view.Explain(q, k, false, 1)
 			if err != nil {
 				t.Fatal(err)

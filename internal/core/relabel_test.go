@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lbindex"
 	"repro/internal/partition"
-	"repro/internal/rwr"
 )
 
 // relabeledPair builds the permuted twin of (g, idx): the graph relabeled by
@@ -158,7 +157,7 @@ func TestRelabeledExplainMatchesIdentity(t *testing.T) {
 // TestRelabeledShardUnionMatchesIdentity: shard slices of a relabeled index
 // partition the node set exactly (their translated owned sets are a disjoint
 // cover of the external space), and the scatter-gather answer — per-shard
-// DecideList unioned across shards, translated back — equals the identity
+// finishes unioned across shards, translated back — equals the identity
 // pair's full answer for every strategy × P × k. This is the property the
 // distributed coordinator depends on.
 func TestRelabeledShardUnionMatchesIdentity(t *testing.T) {
@@ -203,20 +202,27 @@ func TestRelabeledShardUnionMatchesIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// One PMPN on the relabeled graph, decisions fanned out to
-					// the slices — the coordinator's shape.
+					// One PMPN on the relabeled graph, screened and finished per
+					// slice — the coordinator's shape.
 					qi := pidx.ToInternal(q)
-					pq, err := rwr.ProximityToParallel(pg, qi, pidx.Options().RWR, 2)
+					engs := make([]*Engine, P)
+					screens := make([]*Screen, P)
+					for s := 0; s < P; s++ {
+						if engs[s], err = NewEngine(pg, slices[s], false); err != nil {
+							t.Fatal(err)
+						}
+						screens[s] = &Screen{idx: slices[s], k: k, tol: defaultTieTol}
+					}
+					r, err := NewRun(pg, qi, pidx.Options().RWR, 2, nil, screens...)
+					if err == nil {
+						err = r.Rounds(0, 0)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
 					var union []graph.NodeID
 					for s := 0; s < P; s++ {
-						eng, err := NewEngine(pg, slices[s], false)
-						if err != nil {
-							t.Fatal(err)
-						}
-						part, _, err := eng.DecideList(qi, pq.Vector, k, slices[s].OwnedNodes())
+						part, _, err := engs[s].finish(r, screens[s])
 						if err != nil {
 							t.Fatal(err)
 						}

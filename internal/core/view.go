@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -35,18 +37,18 @@ type View struct {
 	zeroBound *zeroBoundTable
 }
 
-// zeroBoundTable holds, per query size k, the ascending list of rows of one
-// index that a proximity of zero does not prune: p̂_u(k) ≤ tieTol (the
-// tolerance every engine compares with, defaultTieTol), i.e. u reaches
-// fewer than k nodes with any mass worth the name (a sink component smaller
-// than k, a dangling node's self-loop). Such a u ranks every node in its
-// top-k, reachable or not, so it is in every answer at that k and no screen
-// may skip it; every other row outside q's backward ball is pruned by
-// prunedByLowerBound without being looked at. Each list is built by the
-// first query at its k, in one pass over the index with that same helper. On
-// a full index the pass also keeps every row's p̂_u(k) in one flat column, the
-// dense sweep's prefilter (decideSet); a shard slice's rows are not indexed by
-// node, so it has none.
+// zeroBoundTable is what a View reads off its immutable index once per query
+// size k — one pass, by the first query at that k — so that no Screen has to.
+// Per k it holds the ascending list of rows a proximity of zero does not
+// prune: p̂_u(k) ≤ tieTol (defaultTieTol), i.e. u reaches fewer than k nodes
+// with any mass worth the name (a sink component smaller than k, a dangling
+// node's self-loop). Such a u ranks every node in its top-k, reachable or not,
+// so it is in every answer at that k and no screen may skip it; every other row
+// outside q's backward ball is pruned by prunedByLowerBound — the helper the
+// pass selects with — without being looked at. It also holds the largest
+// p̂_u(k), which sizes a run's first round (Run.Rounds), and, on a full index,
+// every row's p̂_u(k) in one flat column for the dense take; a shard slice's
+// rows are not indexed by node, so it has none.
 type zeroBoundTable struct {
 	idx  *lbindex.Index
 	perK []zeroBoundList // perK[k-1]
@@ -56,6 +58,8 @@ type zeroBoundList struct {
 	once sync.Once
 	rows []graph.NodeID
 	kth  []float64 // p̂_u(k) at [u]; nil on a shard slice
+	max  float64   // the largest p̂_u(k)
+	n    int       // rows the index materializes
 }
 
 func newZeroBoundTable(idx *lbindex.Index) *zeroBoundTable {
@@ -67,14 +71,18 @@ func newZeroBoundTable(idx *lbindex.Index) *zeroBoundTable {
 func (t *zeroBoundTable) list(k int) *zeroBoundList {
 	l := &t.perK[k-1]
 	l.once.Do(func() {
-		if t.idx.OwnedNodes() == nil {
+		if _, _, slice := t.idx.Shard(); !slice {
 			l.kth = make([]float64, t.idx.N())
 		}
-		for u := range eachIndexed(t.idx) {
+		n, at := indexedRows(t.idx)
+		l.n = n
+		for i := range n {
+			u := at(i)
 			lb := t.idx.KthLowerBound(u, k)
 			if l.kth != nil {
 				l.kth[u] = lb
 			}
+			l.max = max(l.max, lb)
 			if !prunedByLowerBound(0, lb, defaultTieTol) {
 				l.rows = append(l.rows, u)
 			}
@@ -140,16 +148,20 @@ func (v *View) Explain(q graph.NodeID, k int, includePruned bool, workers int) (
 	return ex, nil
 }
 
-// DecideList answers the shard-local decision step for the listed nodes
-// against a precomputed proximities-to-query vector, with the given
-// intra-engine worker count (≤ 0 selects GOMAXPROCS) — the entry point the
-// scatter-gather coordinator fans out to. q, pq and nodes are all in the
-// internal label space. Safe for concurrent use; see Engine.DecideList.
-func (v *View) DecideList(q graph.NodeID, pq []float64, k int, nodes []graph.NodeID, workers int) ([]graph.NodeID, QueryStats, error) {
+// Finish is the pipeline's finish (Engine.finish) for this view's screen of a
+// run whose rounds have ended converged, or with nothing open — any other
+// screen or run is refused: the members among the view's rows — internal
+// labels, ascending — and a cold query's stats, with the given intra-engine
+// worker count (≤ 0 selects GOMAXPROCS). The scatter-gather coordinator calls
+// it once a shard. Safe for concurrent use.
+func (v *View) Finish(r *Run, s *Screen, workers int) ([]graph.NodeID, QueryStats, error) {
+	if s.idx != v.idx || !slices.Contains(r.screens, s) || !s.taken || len(s.ids) > 0 && !r.stepper.Converged() {
+		return nil, QueryStats{Query: r.q, K: s.k}, errors.New("core: Finish wants this view's screen of this run, screened with nothing left open or to convergence")
+	}
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)
 	e.SetWorkers(workers)
-	return e.DecideList(q, pq, k, nodes)
+	return e.finish(r, s)
 }
 
 // Graph returns the graph view this View queries (a base CSR *graph.Graph

@@ -189,9 +189,10 @@ func (idx *Index) Shard() (pm *partition.Map, shard int, ok bool) {
 	return idx.part, idx.shardID, idx.part != nil
 }
 
-// OwnedNodes returns the ascending list of nodes this index materializes
-// rows for, or nil when the index is full (every node present). The slice
-// aliases internal storage and must not be modified.
+// OwnedNodes returns the ascending list of nodes a shard slice materializes
+// rows for; nil for a full index, which materializes every node — and for the
+// slice of a shard that owns nothing, so tell the two apart with Shard, never
+// by this list. The slice aliases internal storage and must not be modified.
 func (idx *Index) OwnedNodes() []graph.NodeID {
 	return idx.owned
 }
@@ -244,8 +245,8 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 }
 
 // stripeOf maps a node to its lock stripe: contiguous node ranges, aligned
-// with how decideSharded partitions the node space, so each decision shard
-// mostly stays within its own stripes.
+// with how core's refinement sweep (decideSet) splits its ascending candidate
+// list, so each sweep shard mostly stays within its own stripes.
 func (idx *Index) stripeOf(u graph.NodeID) int {
 	return int(int64(u) * lockStripes / int64(idx.n))
 }

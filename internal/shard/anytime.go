@@ -1,22 +1,16 @@
 package shard
 
 import (
-	"fmt"
-	"math"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/rwr"
 )
 
-// QueryAnytime is the sharded form of core.View.QueryAnytime: the same
-// scatter-gather bound exchange as Query, but the loop terminates as soon
-// as the global undecided fraction meets the ε budget — the shards' gathered
-// reports ARE the budget check, so no extra exchange is needed. The answer
-// comes back in two parts, both ascending external ids:
+// QueryAnytime is the sharded form of core.View.QueryAnytime: the same round
+// loop as Query (core.Run.Rounds), stopped as soon as the global undecided
+// fraction meets the ε budget — the shards' gathered reports ARE the budget
+// check, so no extra exchange is needed — and no finish. The answer comes back
+// in two parts, both ascending external ids:
 //
 //   - guaranteed: nodes some shard's monotone-safe bound tests confirmed;
 //   - maybe: nodes still undecided when the exchange stopped.
@@ -31,125 +25,16 @@ import (
 // then precisely the exact path's refinement candidates. The full
 // refinement pass — the dominant share of exact latency — never runs.
 func (c *Coordinator) QueryAnytime(q graph.NodeID, k int, eps float64) (guaranteed, maybe []graph.NodeID, stats QueryStats, err error) {
-	stats = QueryStats{Query: q, K: k}
-	if math.IsNaN(eps) || eps < 0 || eps >= 1 {
-		return nil, nil, stats, fmt.Errorf("shard: eps=%v outside [0,1)", eps)
-	}
-	if int(q) < 0 || int(q) >= c.g.N() {
-		return nil, nil, stats, fmt.Errorf("shard: query node %d out of range [0,%d)", q, c.g.N())
-	}
-	if k <= 0 || k > c.maxK {
-		return nil, nil, stats, fmt.Errorf("shard: k=%d outside [1,%d] supported by every shard", k, c.maxK)
-	}
 	start := time.Now()
-	q = c.views[0].Index().ToInternal(q)
-
-	screens := make([]*core.Screen, len(c.views))
-	for i, v := range c.views {
-		s, serr := v.NewScreen(k)
-		if serr != nil {
-			return nil, nil, stats, serr
-		}
-		screens[i] = s
-	}
-	stepper, err := rwr.NewToStepper(c.g, q, c.params, c.workers)
+	_, screens, stats, err := c.rounds(q, k, eps)
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	stepper.RoundHook = c.RoundObserver
-
-	oneMinus := 1 - c.params.Alpha
-	roundLen := c.roundIters
-	maxLB := 0.0
-	for _, s := range screens {
-		if lb := s.MaxLowerBound(); lb > maxLB {
-			maxLB = lb
-		}
+	hits, open := make([][]graph.NodeID, len(screens)), make([][]graph.NodeID, len(screens))
+	for i, s := range screens {
+		hits[i], open[i] = s.Hits(), s.Survivors()
 	}
-	if maxLB > 0 && maxLB < 1 {
-		if warm := int(math.Ceil(math.Log(maxLB) / math.Log(oneMinus))); warm > roundLen {
-			roundLen = warm
-		}
-	}
-	converged := false
-	frac := 1.0
-	var pmpnElapsed time.Duration
-	for {
-		t0 := time.Now()
-		converged, err = stepper.Step(roundLen)
-		pmpnElapsed += time.Since(t0)
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		x, tau := stepper.Current(), stepper.Tail()
-		if converged {
-			// Run the final screens at the exact-pq band so the maybe set is
-			// exactly the refinement candidate set.
-			tau = 0
-		}
-		reports := make([]core.RoundReport, len(screens))
-		var wg sync.WaitGroup
-		for i, s := range screens {
-			wg.Add(1)
-			go func(i int, s *core.Screen) {
-				defer wg.Done()
-				reports[i] = s.Advance(x, tau)
-			}(i, s)
-		}
-		wg.Wait()
-		stats.Rounds++
-		undecided := 0
-		minGap := math.Inf(1)
-		for _, rep := range reports {
-			undecided += rep.Undecided
-			stats.PrunedByBound += rep.Pruned
-			stats.ConfirmedByBound += len(rep.NewHits)
-			if rep.MinPruneGap < minGap {
-				minGap = rep.MinPruneGap
-			}
-		}
-		confirmed := 0
-		for _, s := range screens {
-			confirmed += s.Confirmed()
-		}
-		frac = 0
-		if undecided > 0 {
-			frac = float64(undecided) / float64(confirmed+undecided)
-		}
-		if frac <= eps || converged {
-			break
-		}
-		roundLen = c.roundIters
-		if !math.IsInf(minGap, 1) && minGap < tau {
-			need := int(math.Ceil(math.Log(minGap/tau) / math.Log(oneMinus)))
-			if need > roundLen {
-				roundLen = need
-			}
-			if roundLen > maxRoundIters {
-				roundLen = maxRoundIters
-			}
-		}
-	}
-	stats.PMPNIters = stepper.Iterations()
-	stats.PMPNElapsed = pmpnElapsed
-	stats.EarlyStop = !converged
-	stats.EpsAchieved = frac
-
-	for _, s := range screens {
-		guaranteed = append(guaranteed, s.Hits()...)
-		maybe = append(maybe, s.Survivors()...)
-	}
-	if idx := c.views[0].Index(); idx.Relabeling() != nil {
-		for i := range guaranteed {
-			guaranteed[i] = idx.ToExternal(guaranteed[i])
-		}
-		for i := range maybe {
-			maybe[i] = idx.ToExternal(maybe[i])
-		}
-	}
-	sort.Slice(guaranteed, func(i, j int) bool { return guaranteed[i] < guaranteed[j] })
-	sort.Slice(maybe, func(i, j int) bool { return maybe[i] < maybe[j] })
-	stats.Survivors = len(maybe)
+	guaranteed, maybe = c.merge(hits), c.merge(open)
 	stats.Results = len(guaranteed)
 	stats.Elapsed = time.Since(start)
 	return guaranteed, maybe, stats, nil

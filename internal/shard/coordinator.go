@@ -5,20 +5,21 @@
 //
 // The decomposition follows the paper's own structure: the only global
 // computation in Algorithm 4 is the PMPN vector p_·(q); every subsequent
-// per-candidate decision touches one node's index row. The coordinator
-// therefore computes the PMPN ONCE (where a naive federation would compute
-// it P times), and scatters per-round partial iterates to the shards, which
-// prune or confirm their own candidates with the paper's bounds — the k-th
-// lower bound p̂_u(k) on one side and the Algorithm-3 staircase upper bound
-// on the other — evaluated against the iterate's rigorous error band
-// (rwr.ToStepper). Between rounds the shards' bound summaries (undecided
-// counts and the tightest open k-th-score lower-bound gap) are gathered and
-// folded into a global bound that sizes the next round and stops the PMPN
-// outright once every shard reports its candidates decided. Candidates
-// still open when the PMPN converges are decided exactly against the
-// converged vector (core.View.DecideList), so the merged answer is
-// bit-identical to the single-engine answer — see core.Screen for the
-// monotonicity argument.
+// per-candidate decision touches one node's index row. The coordinator is
+// therefore core's one query pipeline (core.Run) over P screens instead of
+// one: it computes the PMPN ONCE (where a naive federation would compute it P
+// times), and after each round every shard's core.Screen prunes or confirms
+// its own rows with the paper's bounds — the k-th lower bound p̂_u(k) on one
+// side and the Algorithm-3 staircase upper bound on the other — evaluated
+// against the iterate's rigorous error band (rwr.ToStepper). The loop folds the
+// shards' reports (undecided counts and the tightest open k-th-score
+// lower-bound gap) into the global bound that sizes the next round and stops
+// the PMPN outright once every shard reports its candidates decided.
+// Candidates still open when the PMPN converges are refined against the
+// converged vector by the pipeline's finish, once a shard (core.View.Finish),
+// so the merged answer is bit-identical to the single-engine answer — see
+// core.Screen for the monotonicity argument. The round schedule is core's
+// (core.Run.Rounds), the same one the unsharded anytime tier runs.
 //
 // This file is the in-process transport: P core.Views in one address
 // space. The HTTP transport — stock rtkserve daemons each loaded with one
@@ -29,7 +30,7 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,20 +48,11 @@ type Config struct {
 	// the shard engines (≥ 1 each). 0 selects the shard count.
 	Workers int
 	// RoundIters is the base number of PMPN iterations between screen
-	// rounds; the coordinator stretches later rounds adaptively using the
-	// gathered global bound. 0 selects DefaultRoundIters.
+	// rounds; the round loop stretches later rounds adaptively using the
+	// gathered global bound (core.Run.Rounds). 0 selects
+	// core.DefaultAnytimeRoundIters.
 	RoundIters int
 }
-
-// DefaultRoundIters is the base screen-round length. At α = 0.15 the error
-// band τ shrinks 8 iterations ≈ 3.7× per round — coarse enough that
-// screens stay a small fraction of matvec cost, fine enough that pruning
-// starts long before convergence (≈ 140 iterations at ε = 1e-10).
-const DefaultRoundIters = 8
-
-// maxRoundIters caps adaptive round stretching so a misestimated gap can
-// not postpone the next exchange indefinitely.
-const maxRoundIters = 64
 
 // QueryStats reports one distributed query's execution profile.
 type QueryStats struct {
@@ -74,20 +66,24 @@ type QueryStats struct {
 	// EarlyStop records that every shard decided all its candidates from
 	// bounds alone, so the PMPN was abandoned before convergence.
 	EarlyStop bool
-	// PrunedByBound / ConfirmedByBound count nodes decided during bound
-	// exchange rounds (τ > 0) — the cross-shard pruning the final exact
-	// pass never had to look at.
+	// PrunedByBound / ConfirmedByBound count nodes the shards' screens decided
+	// from bounds: in the exchange rounds (τ > 0) and, when the PMPN converged
+	// with candidates open, in the τ = 0 screen of the converged vector that
+	// ends the last one. Refinement never looks at them.
 	PrunedByBound    int
 	ConfirmedByBound int
-	// Survivors is the number of candidates left to the exact decide pass
-	// (for QueryAnytime: the size of the returned maybe set).
+	// Survivors is the number of candidates left for refinement when the
+	// rounds ended, on both entry points — Query finishes exactly these,
+	// QueryAnytime returns them as the maybe set — so that PrunedByBound +
+	// ConfirmedByBound + Survivors is the node count.
 	Survivors int
 	// EpsAchieved is QueryAnytime's final undecided fraction (0 for Query).
 	EpsAchieved float64
 	// Results is the answer-set size.
 	Results int
-	// PerShard carries the final decide pass's per-shard engine stats
-	// (zero-valued when EarlyStop skipped that pass).
+	// PerShard carries the finish's per-shard engine stats, each with a cold
+	// query's phases: the shared pmpn, the shard's decide and fallback. Nil
+	// when EarlyStop skipped the finish, and under QueryAnytime.
 	PerShard []core.QueryStats
 	// Elapsed is total wall clock; PMPNElapsed the share spent inside
 	// power iterations.
@@ -128,21 +124,17 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 	for i, idx := range slices {
 		ipm, shardID, ok := idx.Shard()
 		if !ok {
-			if len(slices) == 1 {
-				// A single full index is a valid 1-shard deployment; give
-				// it the trivial partition.
-				var err error
-				ipm, err = partition.NewRange(idx.N(), 1)
-				if err != nil {
-					return nil, err
-				}
-				var serr error
-				idx, serr = idx.ShardSlice(ipm, 0)
-				if serr != nil {
-					return nil, serr
-				}
-			} else {
+			if len(slices) > 1 {
 				return nil, fmt.Errorf("shard: index %d is not a shard slice", i)
+			}
+			// A single full index is a valid 1-shard deployment; give
+			// it the trivial partition.
+			var err error
+			if ipm, err = partition.NewRange(idx.N(), 1); err == nil {
+				idx, err = idx.ShardSlice(ipm, 0)
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 		if shardID != i {
@@ -196,7 +188,7 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 		c.workers = len(slices)
 	}
 	if c.roundIters <= 0 {
-		c.roundIters = DefaultRoundIters
+		c.roundIters = core.DefaultAnytimeRoundIters
 	}
 	return c, nil
 }
@@ -238,146 +230,92 @@ func (c *Coordinator) Views() []*core.View { return c.views }
 // translated to and from the internal space the slices store (free when no
 // relabeling is installed).
 func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
+	start := time.Now()
+	// The loop stops once no shard has a candidate open, or converged.
+	r, screens, stats, err := c.rounds(q, k, 0)
+	if err != nil {
+		return nil, stats, err
+	}
+	// Finish, once a shard, for candidates the bounds could not decide; the
+	// converged vector is bit-identical to the single engine's PMPN, so these
+	// decisions (refinement and all) match it exactly. An early stop left
+	// nothing open: the screens' hits are the answer.
+	parts := make([][]graph.NodeID, len(c.views))
+	if stats.EarlyStop {
+		for i, s := range screens {
+			parts[i] = s.Hits()
+		}
+	} else {
+		decideWorkers := max(1, c.workers/len(c.views))
+		stats.PerShard = make([]core.QueryStats, len(c.views))
+		errs := make([]error, len(c.views))
+		var wg sync.WaitGroup
+		for i, v := range c.views {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				parts[i], stats.PerShard[i], errs[i] = v.Finish(r, screens[i], decideWorkers)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return nil, stats, fmt.Errorf("shard %d: %w", i, err)
+			}
+		}
+	}
+	results := c.merge(parts)
+	stats.EpsAchieved = 0 // whatever the rounds left open, the finish decided
+	stats.Results = len(results)
+	stats.Elapsed = time.Since(start)
+	return results, stats, nil
+}
+
+// rounds validates a query and runs core's round loop over one screen a shard
+// under the undecided-fraction budget eps, reporting the loop's stats.
+func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*core.Screen, QueryStats, error) {
 	stats := QueryStats{Query: q, K: k}
+	if math.IsNaN(eps) || eps < 0 || eps >= 1 {
+		return nil, nil, stats, fmt.Errorf("shard: eps=%v outside [0,1)", eps)
+	}
 	if int(q) < 0 || int(q) >= c.g.N() {
-		return nil, stats, fmt.Errorf("shard: query node %d out of range [0,%d)", q, c.g.N())
+		return nil, nil, stats, fmt.Errorf("shard: query node %d out of range [0,%d)", q, c.g.N())
 	}
 	if k <= 0 || k > c.maxK {
-		return nil, stats, fmt.Errorf("shard: k=%d outside [1,%d] supported by every shard", k, c.maxK)
+		return nil, nil, stats, fmt.Errorf("shard: k=%d outside [1,%d] supported by every shard", k, c.maxK)
 	}
-	start := time.Now()
-	q = c.views[0].Index().ToInternal(q)
-
 	screens := make([]*core.Screen, len(c.views))
 	for i, v := range c.views {
 		s, err := v.NewScreen(k)
 		if err != nil {
-			return nil, stats, err
+			return nil, nil, stats, err
 		}
 		screens[i] = s
 	}
-	stepper, err := rwr.NewToStepper(c.g, q, c.params, c.workers)
+	r, err := core.NewRun(c.g, c.views[0].Index().ToInternal(q), c.params, c.workers, c.RoundObserver, screens...)
+	if err == nil {
+		err = r.Rounds(eps, c.roundIters)
+	}
 	if err != nil {
-		return nil, stats, err
+		return nil, nil, stats, err
 	}
-	stepper.RoundHook = c.RoundObserver
+	rs := r.Stats()
+	stats.PMPNIters, stats.PMPNElapsed, stats.Rounds = rs.PMPNIters, rs.PMPNElapsed, rs.Rounds
+	stats.EarlyStop, stats.EpsAchieved = !rs.Converged, rs.EpsAchieved
+	stats.PrunedByBound, stats.ConfirmedByBound, stats.Survivors = rs.PrunedByBound, rs.ConfirmedByBound, rs.Maybe
+	return r, screens, stats, nil
+}
 
-	// Scatter-gather rounds: advance the shared PMPN, broadcast the
-	// iterate + error band, gather each shard's round report. The first
-	// exchange is deferred until τ can fire at all — while τ exceeds the
-	// global max k-th lower bound, no shard can prune anything (and
-	// confirmations need plo ≥ UB ≥ that same bound's scale), so earlier
-	// rounds would be pure overhead.
-	oneMinus := 1 - c.params.Alpha
-	undecided := math.MaxInt
-	roundLen := c.roundIters
-	maxLB := 0.0
-	for _, s := range screens {
-		if lb := s.MaxLowerBound(); lb > maxLB {
-			maxLB = lb
+// merge concatenates per-shard node lists (internal labels) into one
+// ascending list of external ids.
+func (c *Coordinator) merge(parts [][]graph.NodeID) []graph.NodeID {
+	var all []graph.NodeID
+	idx := c.views[0].Index()
+	for _, part := range parts {
+		for _, u := range part {
+			all = append(all, idx.ToExternal(u))
 		}
 	}
-	if maxLB > 0 && maxLB < 1 {
-		if warm := int(math.Ceil(math.Log(maxLB) / math.Log(oneMinus))); warm > roundLen {
-			roundLen = warm
-		}
-	}
-	converged := false
-	var pmpnElapsed time.Duration
-	for !converged && undecided > 0 {
-		t0 := time.Now()
-		converged, err = stepper.Step(roundLen)
-		pmpnElapsed += time.Since(t0)
-		if err != nil {
-			return nil, stats, err
-		}
-		x, tau := stepper.Current(), stepper.Tail()
-		reports := make([]core.RoundReport, len(screens))
-		var wg sync.WaitGroup
-		for i, s := range screens {
-			wg.Add(1)
-			go func(i int, s *core.Screen) {
-				defer wg.Done()
-				reports[i] = s.Advance(x, tau)
-			}(i, s)
-		}
-		wg.Wait()
-		stats.Rounds++
-		undecided = 0
-		minGap := math.Inf(1)
-		for _, rep := range reports {
-			undecided += rep.Undecided
-			stats.PrunedByBound += rep.Pruned
-			stats.ConfirmedByBound += len(rep.NewHits)
-			if rep.MinPruneGap < minGap {
-				minGap = rep.MinPruneGap
-			}
-		}
-		// The exchanged global bound sizes the next round: τ must fall
-		// under the tightest open lower-bound gap before the pruning test
-		// can fire anywhere, which takes log(τ/gap)/log(1/(1−α))
-		// iterations — no point gathering sooner.
-		roundLen = c.roundIters
-		if undecided > 0 && !math.IsInf(minGap, 1) && minGap < tau {
-			need := int(math.Ceil(math.Log(minGap/tau) / math.Log(oneMinus)))
-			if need > roundLen {
-				roundLen = need
-			}
-			if roundLen > maxRoundIters {
-				roundLen = maxRoundIters
-			}
-		}
-	}
-	stats.PMPNIters = stepper.Iterations()
-	stats.PMPNElapsed = pmpnElapsed
-	stats.EarlyStop = !converged
-
-	// Final exact pass for candidates the bounds could not decide; the
-	// converged vector is bit-identical to the single engine's PMPN, so
-	// these decisions (refinement and all) match it exactly.
-	var results []graph.NodeID
-	if undecided > 0 {
-		pq := stepper.Result().Vector
-		decideWorkers := c.workers / len(c.views)
-		if decideWorkers < 1 {
-			decideWorkers = 1
-		}
-		type out struct {
-			res   []graph.NodeID
-			stats core.QueryStats
-			err   error
-		}
-		outs := make([]out, len(c.views))
-		var wg sync.WaitGroup
-		for i, v := range c.views {
-			wg.Add(1)
-			go func(i int, v *core.View) {
-				defer wg.Done()
-				o := &outs[i]
-				o.res, o.stats, o.err = v.DecideList(q, pq, k, screens[i].Survivors(), decideWorkers)
-			}(i, v)
-		}
-		wg.Wait()
-		stats.PerShard = make([]core.QueryStats, len(outs))
-		for i := range outs {
-			if outs[i].err != nil {
-				return nil, stats, fmt.Errorf("shard %d: %w", i, outs[i].err)
-			}
-			stats.Survivors += len(screens[i].Survivors())
-			stats.PerShard[i] = outs[i].stats
-			results = append(results, outs[i].res...)
-		}
-	}
-	for _, s := range screens {
-		results = append(results, s.Hits()...)
-	}
-	if idx := c.views[0].Index(); idx.Relabeling() != nil {
-		for i := range results {
-			results[i] = idx.ToExternal(results[i])
-		}
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i] < results[j] })
-	stats.Results = len(results)
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	slices.Sort(all)
+	return all
 }

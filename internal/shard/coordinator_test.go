@@ -163,28 +163,76 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 }
 
 // TestCoordinatorMatchesBruteForce anchors the whole stack to the paper's
-// §3 brute-force definition on one configuration.
+// §3 brute-force definition on two configurations: a web graph split three
+// ways, and a twelve-node graph hashed six ways so that one shard owns no node
+// at all — whose slice has no rows to decide, through the coordinator and
+// through a core.View of its own, and must not mistake its nil owned list for
+// a full index.
 func TestCoordinatorMatchesBruteForce(t *testing.T) {
-	g, idx := buildCase(t, "web", 250)
-	pm, err := partition.NewHash(g.N(), 3, 1)
+	web, webIdx := buildCase(t, "web", 250)
+	tiny, err := gen.ErdosRenyi(12, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewFromFull(g, idx, pm, Config{Workers: 2})
+	opts := lbindex.DefaultOptions()
+	opts.K, opts.HubBudget = 4, 2
+	tinyIdx, _, err := lbindex.Build(tiny, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []graph.NodeID{0, 17, 249} {
-		want, err := core.BruteForce(g, q, 10, idx.Options().RWR, 2)
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		idx     *lbindex.Index
+		p, k    int
+		seed    uint64
+		queries []graph.NodeID
+		empty   int // shards owning no node
+	}{
+		{"web", web, webIdx, 3, 10, 1, []graph.NodeID{0, 17, 249}, 0},
+		{"empty shard", tiny, tinyIdx, 6, 3, 0, []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 1},
+	} {
+		pm, err := partition.NewHash(tc.g.N(), tc.p, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := c.Query(q, 10)
+		c, err := NewFromFull(tc.g, tc.idx, pm, Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(got, want) {
-			t.Fatalf("q=%d: coordinator %v, brute force %v", q, got, want)
+		empty := 0
+		for _, q := range tc.queries {
+			want, err := core.BruteForce(tc.g, q, tc.k, tc.idx.Options().RWR, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := c.Query(q, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalIDs(got, want) {
+				t.Fatalf("%s q=%d: coordinator %v, brute force %v", tc.name, q, got, want)
+			}
+			if covered := stats.PrunedByBound + stats.ConfirmedByBound + stats.Survivors; covered != tc.g.N() {
+				t.Fatalf("%s q=%d: decisions cover %d of %d nodes", tc.name, q, covered, tc.g.N())
+			}
+			empty = 0
+			for s, v := range c.Views() {
+				if pm.OwnedCount(s) > 0 {
+					continue
+				}
+				empty++
+				alone, st, err := v.Query(q, tc.k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(alone) != 0 || st.Screened != 0 {
+					t.Fatalf("%s q=%d: shard %d owns nothing, its view answered %v after screening %d rows", tc.name, q, s, alone, st.Screened)
+				}
+			}
+		}
+		if empty < tc.empty {
+			t.Fatalf("%s: %d shards own nothing, want at least %d: the empty slice went untested", tc.name, empty, tc.empty)
 		}
 	}
 }
