@@ -140,8 +140,8 @@ func main() {
 	}
 	fmt.Printf("hubs: %d (selection+vectors took %v)\n", stats.HubCount, stats.HubElapsed.Round(time.Millisecond))
 	fmt.Printf("build: %v total, %d BCA iterations\n", stats.TotalElapsed.Round(time.Millisecond), stats.TotalIters)
-	fmt.Printf("size: actual %d B, unrounded %d B, Theorem-1 predicted %d B, P̂ alone %d B\n",
-		stats.Bytes, stats.UnroundedBytes, stats.PredictedBytes, stats.PhatBytes)
+	fmt.Printf("size: actual %d B, unrounded %d B, Theorem-1 predicted %d B, P̂ alone %d B; %d states summarized, saving %d B\n",
+		stats.Bytes, stats.UnroundedBytes, stats.PredictedBytes, stats.PhatBytes, stats.Summarized, stats.SummarizedBytes)
 
 	if err := idx.SaveFile(*out); err != nil {
 		log.Fatal(err)

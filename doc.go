@@ -33,7 +33,8 @@
 // hits-only approximation is its guaranteed part at ε = 0, what rtkquery
 // -approx prints), the refine-or-solve rule (a refinement step is
 // taken only when the ink it moves could let a bound decide; otherwise the
-// candidate goes straight to the exact fallback — README.md, "Refine or
+// candidate goes straight to the exact fallback, and a state no step could
+// move is stored summarized, without its R and W — README.md, "Refine or
 // solve"), the exact fallback (a bit-identical push-form
 // forward sweep restricted to the candidates' forward balls while those are
 // under half the graph, plus a stop anchored at the PMPN-exact p_u(q);

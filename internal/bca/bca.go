@@ -82,12 +82,20 @@ func (c Config) Validate() error {
 // State is the resumable ink distribution of a partially executed BCA run
 // from one origin node: exactly the (r^t_u, w^t_u, s^t_u) triple the index
 // stores per node (matrices R, W, S of §4.1.2), in sparse form.
+//
+// A state may also be a summary (Summarized): R and W empty, RNorm > 0. The
+// index stores one in place of a run whose residue sits wholly below η, which
+// no Step can move, and keeps only what queries read of it: ‖r‖₁, S (for the
+// rounding slack) and T. Its p̂ column was taken from the full state before R
+// and W were dropped. A full state never looks like a summary, since its RNorm
+// is ‖R‖₁.
 type State struct {
 	// Origin is the node the unit of ink was injected at.
 	Origin graph.NodeID
 	// T is the number of batch iterations executed so far.
 	T int
-	// RNorm is ‖R‖₁, the total undistributed residue ink.
+	// RNorm is ‖R‖₁, the total undistributed residue ink — of the dropped R,
+	// in a summary.
 	RNorm float64
 	// R holds residue ink awaiting propagation (non-hub nodes only).
 	R vecmath.Sparse
@@ -109,9 +117,27 @@ func (st *State) Bytes() int64 {
 	return st.R.Bytes() + st.W.Bytes() + st.S.Bytes() + 16
 }
 
+// Summarized reports whether st is a summary (see State): no R stored, and
+// RNorm > 0 the residue it held.
+func (st *State) Summarized() bool { return st.R.NNZ() == 0 && st.RNorm > 0 }
+
 // CheckInvariant verifies ink conservation: ‖w‖₁ + ‖s‖₁ + ‖r‖₁ must equal
-// the injected unit of ink (within tol), and RNorm must match R.
+// the injected unit of ink (within tol), and RNorm must match R. A summary
+// keeps no w, so it is held to what it does keep: no W entries,
+// 0 < RNorm ≤ 1 and RNorm + ‖s‖₁ ≤ 1 (within tol).
 func (st *State) CheckInvariant(tol float64) error {
+	if st.Summarized() {
+		if st.W.NNZ() > 0 {
+			return fmt.Errorf("bca: summarized state keeps %d W entries", st.W.NNZ())
+		}
+		if st.RNorm > 1 {
+			return fmt.Errorf("bca: summarized state has residue %g > 1", st.RNorm)
+		}
+		if total := st.RNorm + st.S.L1(); total > 1+tol {
+			return fmt.Errorf("bca: summarized state holds r+s = %g > 1", total)
+		}
+		return nil
+	}
 	total := st.R.L1() + st.W.L1() + st.S.L1()
 	if d := total - 1; d > tol || d < -tol {
 		return fmt.Errorf("bca: ink not conserved: w+s+r = %g", total)
@@ -124,9 +150,10 @@ func (st *State) CheckInvariant(tol float64) error {
 
 // BatchInk returns Σ{r(v) : r(v) ≥ η}, the residue ink the next Step at
 // threshold η would move — the same predicate Step selects its batch with.
-// Zero means Step would be a no-op. The sum runs over R in stored (ascending
-// node) order, one fixed order per state, so its bits — and every decision
-// core.Engine takes from it — are the same in any sweep, shard or worker.
+// Zero means Step would be a no-op; a summary's is zero, its R not being
+// stored. The sum runs over R in stored (ascending node) order, one fixed
+// order per state, so its bits — and every decision core.Engine takes from
+// it — are the same in any sweep, shard or worker.
 func (st *State) BatchInk(eta float64) float64 {
 	var ink float64
 	for _, v := range st.R.Val {
@@ -246,6 +273,9 @@ func Start(u graph.NodeID, hubs HubProximities) *State {
 func Step[G graph.View](g G, st *State, hubs HubProximities, cfg Config, ws *Workspace) int {
 	if ws.n != g.N() {
 		panic(fmt.Sprintf("bca: workspace sized for %d nodes, graph has %d", ws.n, g.N()))
+	}
+	if st.Summarized() {
+		panic(fmt.Sprintf("bca: Step on node %d's summarized state, whose R and W are not stored", st.Origin))
 	}
 	ws.r.reset()
 	ws.r.load(st.R)
@@ -403,8 +433,12 @@ func Run[G graph.View](g G, u graph.NodeID, hubs HubProximities, cfg Config, ws 
 // p^t = w + P_H·s, i.e. retained non-hub ink plus hub-accumulated ink
 // distributed through the (rounded) hub proximity vectors. The returned
 // slice aliases workspace scratch and is valid until the next workspace
-// use.
+// use. It panics on a summary, whose w is not stored: p^t would silently lose
+// that mass from both bounds (and so would TopK, which calls it).
 func MaterializePt(st *State, hubs HubProximities, ws *Workspace) []float64 {
+	if st.Summarized() {
+		panic(fmt.Sprintf("bca: p^t of node %d's summarized state, whose W is not stored", st.Origin))
+	}
 	vecmath.Zero(ws.pt)
 	st.W.CopyInto(ws.pt)
 	for i, h := range st.S.Idx {

@@ -317,6 +317,56 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestSummarizedStateInvariantAndGuards: a summary — a state with R and W
+// dropped and ‖r‖₁ kept — is told apart from every full state, passes
+// CheckInvariant on what it keeps and fails it when it keeps W or more than
+// the unit of ink, has no batch ink, and Step and TopK refuse it.
+func TestSummarizedStateInvariantAndGuards(t *testing.T) {
+	g := toyGraph(t)
+	ws := NewWorkspace(g.N())
+	cfg := Config{Alpha: 0.15, Eta: 1e-6, Delta: 0.3, MaxIters: 1000}
+	hubs := newExactHubs(t, g, []graph.NodeID{1})
+	st, err := Run(g, 3, hubs, cfg, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RNorm == 0 || st.S.NNZ() == 0 {
+		t.Fatalf("want a run with residue left and hub ink parked: ‖r‖₁=%g, %d S entries", st.RNorm, st.S.NNZ())
+	}
+	if st.Summarized() || Start(3, hubs).Summarized() {
+		t.Fatal("a full state reads as a summary")
+	}
+	sum := &State{Origin: st.Origin, T: st.T, RNorm: st.RNorm, S: st.S}
+	if !sum.Summarized() || sum.BatchInk(cfg.Eta) != 0 {
+		t.Fatalf("summary: Summarized=%v, batch ink %g", sum.Summarized(), sum.BatchInk(cfg.Eta))
+	}
+	if err := sum.CheckInvariant(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]*State{
+		"keeps W":         {RNorm: st.RNorm, W: st.W, S: st.S},
+		"residue above 1": {RNorm: 1.5},
+		"r+s above 1":     {RNorm: 1 - st.S.L1()/2, S: st.S},
+	} {
+		if !bad.Summarized() || bad.CheckInvariant(1e-9) == nil {
+			t.Errorf("%s: a malformed summary passes CheckInvariant", name)
+		}
+	}
+	for name, use := range map[string]func(){
+		"Step": func() { Step(g, sum.Clone(), hubs, cfg, ws) },
+		"TopK": func() { TopK(sum, hubs, ws, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a summarized state", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
 func TestStrategiesAllReachDelta(t *testing.T) {
 	g := toyGraph(t)
 	cfg := Config{Alpha: 0.15, Eta: 1e-7, Delta: 0.05, MaxIters: 100000}

@@ -47,6 +47,14 @@ func oracleGraph(t *testing.T, family string) *graph.Graph {
 		return g
 	case "sinks":
 		return sinksGraph(t)
+	case "social":
+		// Indexed at socialEta, most of its BCA runs stop with their residue
+		// spread below η: the states the index stores summarized.
+		g, err := gen.SocialGraph(512, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	default:
 		t.Fatalf("unknown family %q", family)
 		return nil
@@ -142,7 +150,7 @@ func oracleOverlay(t *testing.T, g *graph.Graph) *graph.Overlay {
 // checkSparseScreen.
 func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
 	var phases fallbackPhases
-	for _, family := range []string{"web", "coauthor", "spam", "sinks"} {
+	for _, family := range []string{"web", "coauthor", "spam", "sinks", "social"} {
 		t.Run(family, func(t *testing.T) {
 			for _, layout := range []string{"csr", "overlay"} {
 				t.Run(layout, func(t *testing.T) {
@@ -166,6 +174,9 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 	opts.K = indexK
 	opts.HubBudget = 5
 	opts.Workers = 2
+	if family == "social" {
+		opts.BCA.Eta = socialEta
+	}
 	built, _, err := lbindex.Build(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -191,6 +202,7 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 	if zeroBound == 0 && family == "sinks" {
 		t.Fatal("no row has a zero k-th lower bound: the zero-bound list went untested")
 	}
+	summarizedFallbacks := 0
 	for _, update := range []bool{false, true} {
 		// Each worker-count sweep gets engines over the same shared
 		// index; in update mode the commits themselves must not
@@ -219,6 +231,18 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 					t.Fatalf("update=%t k=%d q=%d: sequential %v != brute force %v",
 						update, k, q, want, bf)
 				}
+				if update {
+					// Asked again after its own commits, the engine answers the same.
+					again, _, err := seqEng.Query(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(again, want) {
+						t.Fatalf("k=%d q=%d: re-query after the commits %v, first answer %v", k, q, again, want)
+					}
+				} else if family == "social" {
+					summarizedFallbacks += countSummarizedFallbacks(t, seqEng, built, q, k)
+				}
 				for _, eng := range parEngs {
 					got, stats, err := eng.Query(q, k)
 					if err != nil {
@@ -240,9 +264,41 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 			}
 		}
 	}
+	if family == "social" {
+		if summarizedFallbacks == 0 {
+			t.Fatal("no summarized candidate reached the exact fallback: the social rows went untested")
+		}
+		t.Logf("%d summarized candidates reached the exact fallback", summarizedFallbacks)
+	}
 	if err := built.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// socialEta is the η the social oracle family is indexed at. At 512 nodes it
+// spreads most BCA runs' residue wholly below η, as the 4 096-node social
+// fixture's 1e-4 does, so the index stores those states summarized.
+const socialEta = 5e-4
+
+// countSummarizedFallbacks counts the candidates of query (q, k) that went to
+// the exact fallback with a summarized stored state: the rows whose R and W
+// the index never stored, which refinement must leave to the solve unread.
+func countSummarizedFallbacks(t *testing.T, eng *Engine, idx *lbindex.Index, q graph.NodeID, k int) int {
+	t.Helper()
+	ex, err := eng.Explain(q, k, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, d := range ex.Decisions {
+		if d.Outcome != OutcomeFallback {
+			continue
+		}
+		if st := idx.StateSnapshot(d.Node); st != nil && st.Summarized() {
+			n++
+		}
+	}
+	return n
 }
 
 // backwardReach returns, ascending, the nodes with a path to q, or nil once

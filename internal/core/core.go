@@ -419,7 +419,8 @@ func indexedRows(idx *lbindex.Index) (int, func(i int) graph.NodeID) {
 // member.
 func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) (bool, error) {
 	rho := e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u)
-	r, err := e.refine(ws, u, k, puq, e.idx.PHatRow(u), rho)
+	ink, t := e.idx.BatchInk(u, e.idx.Options().BCA.Eta)
+	r, err := e.refine(ws, u, k, puq, e.idx.PHatRow(u), rho, ink, t)
 	if err != nil {
 		return false, err
 	}
@@ -461,13 +462,15 @@ type refinement struct {
 	// its next step could not have settled it.
 	decided, member bool
 	steps           int        // BCA steps taken
-	st              *bca.State // the refined copy of u's state; nil when steps == 0
+	st              *bca.State // the refined copy of u's state; nil unless refine copied it to step
 	t               int        // iterations u's stored state had run before these steps
 }
 
 // refine is the inner while loop of Algorithm 4 for a candidate its indexed
-// bounds leave open: phat is u's indexed row and rho its residue plus rounding
-// slack, with p̂(k) − tieTol ≤ p_u(q) < UpperBound(p̂, k, ρ) − tieTol. It
+// bounds leave open: phat is u's indexed row, rho its residue plus rounding
+// slack, and ink and t its stored state's batch ink and iteration count
+// (lbindex.Index.BatchInk), with
+// p̂(k) − tieTol ≤ p_u(q) < UpperBound(p̂, k, ρ) − tieTol. It
 // advances a copy of u's BCA state until a bound decides, but takes a step —
 // the first one and the deep copy before it included — only if that step
 // could decide. A step at threshold η takes exactly B = Σ{r(v) : r(v) ≥ η}
@@ -482,14 +485,15 @@ type refinement struct {
 // the exact solve — which, since the push-form forward sweep, costs about
 // what one step over a spread-out state does. B = 0 (all residue below η, the
 // step a no-op) is the degenerate instance: both right-hand sides are then
-// the bounds that just failed. The test is a pure function of (u's state, k,
+// the bounds that just failed, so refine never copies or steps such a state —
+// which is why the index may store it summarized, without R and W
+// (bca.State.Summarized). The test is a pure function of (u's state, k,
 // p_u(q)), so every sweep order and worker count takes the same steps.
 // cfg.MaxIters is the safety net against a state that never drains. In
 // practical mode (SetPracticalDecisions) a candidate left open is a member.
-func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, phat []float64, rho float64) (refinement, error) {
+func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, phat []float64, rho, ink float64, t int) (refinement, error) {
 	cfg := e.idx.Options().BCA
 	hm := e.idx.HubMatrix()
-	ink, t := e.idx.BatchInk(u, cfg.Eta)
 	r := refinement{t: t}
 	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, puq, e.tieTol) {
 		if r.st == nil {
@@ -497,6 +501,14 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, p
 				// BatchInk saw a state a moment ago; guard for a hub commit
 				// racing this sweep.
 				return r, fmt.Errorf("core: node %d has residue but no state", u)
+			}
+			// Another engine's commit may have replaced the state ink and t
+			// were read from by one with no batch ink left — a summary among
+			// them, which Step refuses. A step would move nothing: u is left
+			// open for the exact solve.
+			r.t = r.st.T
+			if ink = r.st.BatchInk(cfg.Eta); ink == 0 {
+				break
 			}
 		}
 		bca.Step(e.g, r.st, hm, cfg, ws)

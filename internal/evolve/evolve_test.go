@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bca"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -283,6 +284,70 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("q=%d: snapshot index answers %v, brute force %v", q, got, want)
 		}
+	}
+}
+
+// TestRefreshPartialSummarizesZeroInkStates: the index's storage rule reaches
+// the states a refresh commits. After RefreshPartial on an edited social graph
+// each re-indexed origin whose fresh BCA run left residue wholly below η is
+// stored summarized and every other one whole, and the index keeps its
+// invariants. At 512 nodes η = 5e-4 leaves the residue of some runs, not all,
+// spread below η, as the 4 096-node social fixture does at 1e-4.
+func TestRefreshPartialSummarizesZeroInkStates(t *testing.T) {
+	g, err := gen.SocialGraph(512, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := lbindex.DefaultOptions()
+	opts.K = 10
+	opts.HubBudget = 5
+	opts.BCA.Eta = 5e-4
+	opts.Workers = 2
+	idx, _, err := lbindex.Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := []Edit{{From: 3, To: findMissingTarget(g, 3)}, {From: 77, To: findMissingTarget(g, 77)}}
+	g2, err := ApplyEdits(g, edits, graph.DanglingSelfLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	affected, err := AffectedOrigins(g2, Sources(edits), 0, opts.RWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := idx.Clone()
+	if _, err := RefreshPartial(g2, next, affected, next.HubMatrix().Hubs()); err != nil {
+		t.Fatal(err)
+	}
+	hm := next.HubMatrix()
+	ws := bca.NewWorkspace(g2.N())
+	summarized, whole := 0, 0
+	for _, u := range affected {
+		if hm.IsHub(u) {
+			continue
+		}
+		fresh, err := bca.Run(g2, u, hm, opts.BCA, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := next.StateSnapshot(u)
+		zeroInk := fresh.RNorm > 0 && fresh.BatchInk(opts.BCA.Eta) == 0
+		if stored.Summarized() != zeroInk || stored.RNorm != fresh.RNorm || (!zeroInk && stored.W.NNZ() != fresh.W.NNZ()) {
+			t.Fatalf("origin %d: stored summarized=%v ‖r‖₁=%g with %d W entries; fresh run ‖r‖₁=%g, batch ink %g, %d W entries",
+				u, stored.Summarized(), stored.RNorm, stored.W.NNZ(), fresh.RNorm, fresh.BatchInk(opts.BCA.Eta), fresh.W.NNZ())
+		}
+		if zeroInk {
+			summarized++
+		} else {
+			whole++
+		}
+	}
+	if summarized == 0 || whole == 0 {
+		t.Fatalf("the refresh committed %d summarized and %d whole states: the graph no longer mixes both", summarized, whole)
+	}
+	if err := next.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

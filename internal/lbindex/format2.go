@@ -36,7 +36,11 @@ import (
 // Sections are flat slabs: per-hub and per-state sparse vectors are
 // concatenated into one index slab + one value slab, with a u64 prefix-sum
 // offset table giving each row's boundaries; p̂ is one dense [n×K]f64 slab.
-// Node tags are implicit: a node is a state node iff it is not a hub.
+// Node tags are implicit: a node is a state node iff it is not a hub. A
+// summarized state (bca.State.Summarized, Index.summarize) is an ordinary
+// state row whose R and W ranges are empty and whose ‖r‖₁ is positive: it
+// needs no section, tag or magic of its own, and an index holding no summary
+// is written exactly as before.
 //
 // SHARD SLICES use the same container with three extra sections (nsec =
 // v2NumSectionsSharded): the partition-map fields (strategy, P, shard id,

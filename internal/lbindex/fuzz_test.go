@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/vecmath"
 )
 
 // Two format v1 images, as the retired writer laid them out: the magic
@@ -76,6 +78,22 @@ func FuzzLoadV2(f *testing.F) {
 	for _, v1 := range v1Images {
 		f.Add(v1.img)
 	}
+	// And an image holding summarized states: at η = 0.01 nearly every run on
+	// this graph stops with its residue spread below η.
+	sopts := testOptions(4)
+	sopts.BCA.Eta = 0.01
+	sidx, _, err := Build(g, sopts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if summaries(sidx) == 0 {
+		f.Fatal("the summarized seed image holds no summary")
+	}
+	var sbuf bytes.Buffer
+	if err := sidx.Save(&sbuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sbuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if idx, err := Load(bytes.NewReader(data)); err == nil {
 			if err := idx.CheckInvariants(); err != nil {
@@ -157,6 +175,15 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 		}},
 		{"phat above proximity range", func(idx *Index, u int) {
 			idx.phat[u][0] = 2.5
+		}},
+		{"summarized state keeping W entries", func(idx *Index, u int) {
+			st := idx.states[u]
+			st.R, st.RNorm = vecmath.Sparse{}, max(st.RNorm, 1e-3)
+		}},
+		{"summarized state holding more than the unit of ink", func(idx *Index, u int) {
+			st := idx.states[u]
+			st.R, st.W = vecmath.Sparse{}, vecmath.Sparse{}
+			st.RNorm = 1 - st.S.L1()/2
 		}},
 	}
 	for _, tc := range cases {

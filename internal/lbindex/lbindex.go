@@ -2,7 +2,9 @@
 // Algorithm 1 "Lower Bound Indexing"): for every node a descending list of
 // the K largest lower-bound proximities p̂^t_u(1:K) obtained by partially
 // executing the batch-propagation BCA, together with the resumable residue
-// state (the R, W, S matrices) and the rounded hub proximity matrix P_H.
+// state (the R, W, S matrices) and the rounded hub proximity matrix P_H. A
+// state whose residue sits wholly below η, which no refinement step can move,
+// is stored summarized: ‖r‖₁, S and T without R and W (Index.summarize).
 //
 // The index is dynamically refinable: the online query algorithm (package
 // core) advances individual nodes' BCA runs and commits the refined state
@@ -275,13 +277,18 @@ type BuildStats struct {
 	// Bytes is the serialized-payload size estimate of the built index.
 	Bytes int64
 	// UnroundedBytes estimates the size without §4.1.3 rounding (hub
-	// vectors dense).
+	// vectors dense). It is derived from Bytes, so it counts summarized
+	// states at their summarized size.
 	UnroundedBytes int64
 	// PredictedBytes is Theorem 1's estimate at β = 0.76.
 	PredictedBytes int64
 	// PhatBytes is the lower-bound matrix alone — Table 2's
 	// "minimum possible cost" (value in parentheses).
 	PhatBytes int64
+	// Summarized counts the states stored summarized (Index.summarize), and
+	// SummarizedBytes the bytes of R and W they no longer cost.
+	Summarized      int
+	SummarizedBytes int64
 }
 
 // Build runs Algorithm 1: select hubs, compute their exact proximity
@@ -340,14 +347,16 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	var totalIters int64
+	var totalIters, summarizedBytes int64
+	var summarized int
 	jobs := make(chan graph.NodeID)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ws := bca.NewWorkspace(g.N())
-			var iters int64
+			var iters, dropped int64
+			var summaries int
 			for u := range jobs {
 				if hm.IsHub(u) {
 					idx.phat[u] = hm.ExactTopK(u)
@@ -364,10 +373,16 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 				}
 				iters += int64(st.T)
 				idx.phat[u] = bca.TopK(st, hm, ws, opts.K)
+				if b := idx.summarize(st); b > 0 {
+					summaries++
+					dropped += b
+				}
 				idx.states[u] = st
 			}
 			mu.Lock()
 			totalIters += iters
+			summarized += summaries
+			summarizedBytes += dropped
 			mu.Unlock()
 		}()
 	}
@@ -381,10 +396,12 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	}
 
 	stats := BuildStats{
-		HubCount:     hm.NumHubs(),
-		HubElapsed:   hubElapsed,
-		TotalElapsed: time.Since(start),
-		TotalIters:   totalIters,
+		HubCount:        hm.NumHubs(),
+		HubElapsed:      hubElapsed,
+		TotalElapsed:    time.Since(start),
+		TotalIters:      totalIters,
+		Summarized:      summarized,
+		SummarizedBytes: summarizedBytes,
 	}
 	stats.PhatBytes = int64(g.N()) * int64(opts.K) * 8
 	stats.Bytes = idx.SizeBytes()
@@ -504,14 +521,36 @@ func (idx *Index) StateSnapshot(u graph.NodeID) *bca.State {
 	return idx.states[u].Clone()
 }
 
+// summarize is the index's one storage rule, applied wherever a state is
+// stored: Build and Commit, and so update-mode refinements and evolve
+// refreshes. A state with residue left and none of it at or above η
+// (‖r‖₁ > 0, BatchInk(η) = 0) is one no query steps: core's refinement takes
+// a step only when its batch ink could decide, and that ink is zero whatever
+// the query. Its R and W are dropped in place, leaving a summary
+// (bca.State.Summarized) that keeps what queries read: T, ‖r‖₁ and S, whose
+// rounding slack is taken against the current hub matrix. Its p̂ column was
+// computed from the full state. A drained state (‖r‖₁ = 0, as the exact
+// fallback commits) is left whole. It returns the bytes dropped.
+func (idx *Index) summarize(st *bca.State) int64 {
+	if st.RNorm == 0 || st.BatchInk(idx.opts.BCA.Eta) > 0 {
+		return 0
+	}
+	dropped := st.R.Bytes() + st.W.Bytes()
+	st.R, st.W = vecmath.Sparse{}, vecmath.Sparse{}
+	return dropped
+}
+
 // Commit stores a refined state and its recomputed p̂ column for node u
-// (§4.2.3 dynamic index update). The caller passes ownership of both.
-// Commits to different node ranges synchronize on different stripes, so
-// concurrent shard workers do not serialize against each other here.
+// (§4.2.3 dynamic index update). The caller passes ownership of both: the
+// state is stored under the index's storage rule (summarize), which may drop
+// its R and W. Commits to different node ranges synchronize on different
+// stripes, so concurrent shard workers do not serialize against each other
+// here.
 func (idx *Index) Commit(u graph.NodeID, st *bca.State, phat []float64) {
 	if len(phat) != idx.opts.K {
 		panic(fmt.Sprintf("lbindex: Commit phat length %d, want %d", len(phat), idx.opts.K))
 	}
+	idx.summarize(st)
 	s := &idx.stripes[idx.stripeOf(u)]
 	s.Lock()
 	idx.states[u] = st

@@ -160,9 +160,17 @@ func TestCommitAndRefinements(t *testing.T) {
 		t.Skip("all nodes are hubs")
 	}
 	st := idx.StateSnapshot(u)
-	ws := bca.NewWorkspace(g.N())
-	bca.Step(g, st, idx.HubMatrix(), idx.Options().BCA, ws)
-	phat := bca.TopK(st, idx.HubMatrix(), ws, idx.K())
+	phat := idx.PHatRow(u)
+	cfg := idx.Options().BCA
+	if st.BatchInk(cfg.Eta) == 0 && !st.Summarized() && st.RNorm != 0 {
+		t.Fatalf("node %d: stored state with residue %g but no batch ink is not summarized", u, st.RNorm)
+	}
+	if !st.Summarized() {
+		// A summary takes no step and is committed as it is.
+		ws := bca.NewWorkspace(g.N())
+		bca.Step(g, st, idx.HubMatrix(), cfg, ws)
+		phat = bca.TopK(st, idx.HubMatrix(), ws, idx.K())
+	}
 	before := idx.KthLowerBound(u, 3)
 	idx.Commit(u, st, phat)
 	if idx.Refinements() != 1 {

@@ -75,6 +75,12 @@ func TestConcurrentCommitsAndGlobalOps(t *testing.T) {
 				if st == nil {
 					continue
 				}
+				if st.BatchInk(cfg.Eta) == 0 && !st.Summarized() && st.RNorm != 0 {
+					t.Errorf("node %d: stored state with residue %g but no batch ink is not summarized", u, st.RNorm)
+				}
+				if st.Summarized() {
+					continue // a summary takes no step
+				}
 				bca.Step(g, st, hm, cfg, ws)
 				idx.Commit(u, st, bca.TopK(st, hm, ws, idx.K()))
 			}
