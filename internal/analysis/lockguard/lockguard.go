@@ -9,8 +9,8 @@
 //
 // Annotation syntax: a field whose doc or line comment contains
 // "guarded by <name>" (case-insensitive "guarded"), where <name> is a
-// sibling field of type sync.Mutex, sync.RWMutex, a pointer to one, or an
-// array/slice of them (lock striping). Example:
+// sibling field of type sync.Mutex, sync.RWMutex or a pointer to one.
+// Example:
 //
 //	mu    sync.Mutex
 //	queue []*editBatch // guarded by mu
@@ -18,11 +18,7 @@
 // An access is accepted when any of these hold in the enclosing function
 // (function literals inherit their enclosing function's evidence):
 //
-//   - the function locks the same base's guard directly
-//     (s.mu.Lock / s.stripes[i].RLock), through a local alias
-//     (l := &s.stripes[i]; l.Lock()), or by calling a locker method on the
-//     base — a method of the struct that itself acquires the guard on its
-//     receiver (lockAll-style helpers, computed as a fixpoint);
+//   - the function locks the same base's guard (s.mu.Lock / s.mu.RLock);
 //   - the base object was freshly constructed from a composite literal in
 //     this function and so cannot yet be shared.
 //
@@ -52,7 +48,7 @@ var guardRe = regexp.MustCompile(`(?i)guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 // guardInfo ties one guarded field to its guard field within a struct.
 type guardInfo struct {
 	field *types.Var // the guarded field
-	guard *types.Var // the mutex (or mutex-array) field protecting it
+	guard *types.Var // the mutex field protecting it
 }
 
 func run(pass *analysis.Pass) error {
@@ -60,14 +56,17 @@ func run(pass *analysis.Pass) error {
 	if len(guards) == 0 {
 		return nil
 	}
-	lockers := collectLockers(pass, guards)
+	guardVars := map[*types.Var]bool{}
+	for _, gi := range guards {
+		guardVars[gi.guard] = true
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFunc(pass, fd, guards, lockers)
+			checkFunc(pass, fd, guards, guardVars)
 		}
 	}
 	return nil
@@ -104,7 +103,7 @@ func collectGuards(pass *analysis.Pass) map[*types.Var]guardInfo {
 					continue
 				}
 				if !isMutexType(guard.Type()) {
-					pass.Reportf(field.Pos(), "guarded-by annotation names %q, which is not a sync.Mutex/RWMutex (or array/slice of them)", guardName)
+					pass.Reportf(field.Pos(), "guarded-by annotation names %q, which is not a sync.Mutex/RWMutex", guardName)
 					continue
 				}
 				for _, name := range field.Names {
@@ -132,67 +131,12 @@ func annotation(field *ast.Field) string {
 	return ""
 }
 
-// isMutexType accepts sync.Mutex, sync.RWMutex, pointers to them, and
-// arrays/slices of them (lock striping).
+// isMutexType accepts sync.Mutex, sync.RWMutex and pointers to them.
 func isMutexType(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Array:
-		return isMutexType(u.Elem())
-	case *types.Slice:
-		return isMutexType(u.Elem())
-	case *types.Pointer:
-		return isMutexType(u.Elem())
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
 	}
 	return analysis.IsNamedType(t, "sync", "Mutex") || analysis.IsNamedType(t, "sync", "RWMutex")
-}
-
-// collectLockers computes, as a fixpoint, which methods acquire which
-// guards on their own receiver — directly or by calling another locker
-// method on the receiver. These are the lockAll-style helpers.
-func collectLockers(pass *analysis.Pass, guards map[*types.Var]guardInfo) map[*types.Func]map[*types.Var]bool {
-	guardVars := map[*types.Var]bool{}
-	for _, gi := range guards {
-		guardVars[gi.guard] = true
-	}
-	lockers := map[*types.Func]map[*types.Var]bool{}
-	type method struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
-		recv string
-	}
-	var methods []method
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-				continue
-			}
-			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			methods = append(methods, method{fn: fn, decl: fd, recv: fd.Recv.List[0].Names[0].Name})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, m := range methods {
-			acq := acquisitions(pass, m.decl.Body, guardVars, lockers)
-			for key := range acq {
-				if key.base != m.recv {
-					continue
-				}
-				if lockers[m.fn] == nil {
-					lockers[m.fn] = map[*types.Var]bool{}
-				}
-				if !lockers[m.fn][key.guard] {
-					lockers[m.fn][key.guard] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return lockers
 }
 
 // acqKey is one piece of locking evidence: the rendered base expression
@@ -204,58 +148,25 @@ type acqKey struct {
 
 // acquisitions scans a function body (function literals included — they
 // inherit the enclosing evidence by construction of the flat walk) for
-// guard acquisitions.
-func acquisitions(pass *analysis.Pass, body *ast.BlockStmt, guardVars map[*types.Var]bool, lockers map[*types.Func]map[*types.Var]bool) map[acqKey]bool {
+// base.guard.Lock() and base.guard.RLock() calls.
+func acquisitions(pass *analysis.Pass, body *ast.BlockStmt, guardVars map[*types.Var]bool) map[acqKey]bool {
 	out := map[acqKey]bool{}
-	// aliases maps a local variable object to the (base, guard) whose
-	// address it holds: s := &idx.stripes[i].
-	aliases := map[types.Object]acqKey{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			if st.Tok != token.DEFINE || len(st.Lhs) != 1 || len(st.Rhs) != 1 {
-				return true
-			}
-			id, ok := st.Lhs[0].(*ast.Ident)
-			if !ok {
-				return true
-			}
-			un, ok := ast.Unparen(st.Rhs[0]).(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				return true
-			}
-			if base, guard, ok := guardSelector(pass, un.X, guardVars); ok {
-				if obj := pass.Info.Defs[id]; obj != nil {
-					aliases[obj] = acqKey{base: base, guard: guard}
-				}
-			}
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(st.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch sel.Sel.Name {
-			case "Lock", "RLock":
-				recv := ast.Unparen(sel.X)
-				if base, guard, ok := guardSelector(pass, recv, guardVars); ok {
-					out[acqKey{base: base, guard: guard}] = true
-					return true
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					if key, ok := aliases[pass.Info.Uses[id]]; ok {
-						out[key] = true
-					}
-				}
-			default:
-				// A call to a locker method counts as acquiring its
-				// guards on the call's base.
-				fn, _ := pass.Info.Uses[sel.Sel].(*types.Func)
-				if held := lockers[fn]; len(held) > 0 {
-					base := types.ExprString(ast.Unparen(sel.X))
-					for g := range held {
-						out[acqKey{base: base, guard: g}] = true
-					}
-				}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+			return true
+		}
+		guard, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if s := pass.Info.Selections[guard]; s != nil {
+			if v, ok := s.Obj().(*types.Var); ok && guardVars[v] {
+				out[acqKey{base: types.ExprString(ast.Unparen(guard.X)), guard: v}] = true
 			}
 		}
 		return true
@@ -263,35 +174,9 @@ func acquisitions(pass *analysis.Pass, body *ast.BlockStmt, guardVars map[*types
 	return out
 }
 
-// guardSelector decomposes base.guard or base.guard[i] (with arbitrary
-// parenthesization) into its rendered base and the guard field var.
-func guardSelector(pass *analysis.Pass, e ast.Expr, guardVars map[*types.Var]bool) (string, *types.Var, bool) {
-	e = ast.Unparen(e)
-	if ix, ok := e.(*ast.IndexExpr); ok {
-		e = ast.Unparen(ix.X)
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return "", nil, false
-	}
-	s := pass.Info.Selections[sel]
-	if s == nil {
-		return "", nil, false
-	}
-	v, ok := s.Obj().(*types.Var)
-	if !ok || !guardVars[v] {
-		return "", nil, false
-	}
-	return types.ExprString(ast.Unparen(sel.X)), v, true
-}
-
 // checkFunc verifies every guarded-field access in one function.
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, guards map[*types.Var]guardInfo, lockers map[*types.Func]map[*types.Var]bool) {
-	guardVars := map[*types.Var]bool{}
-	for _, gi := range guards {
-		guardVars[gi.guard] = true
-	}
-	acq := acquisitions(pass, fd.Body, guardVars, lockers)
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, guards map[*types.Var]guardInfo, guardVars map[*types.Var]bool) {
+	acq := acquisitions(pass, fd.Body, guardVars)
 	fresh := freshObjects(pass, fd.Body)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)

@@ -1,7 +1,7 @@
 // Package guards is the lockguard fixture: annotated fields with every
-// locking idiom the analyzer must accept — direct acquisition, stripe
-// aliasing, locker-method helpers, fresh construction — and the bare
-// accesses it must flag.
+// locking idiom the analyzer must accept — direct acquisition, function
+// literals under it, fresh construction — and the bare accesses it must
+// flag.
 package guards
 
 import "sync"
@@ -35,56 +35,13 @@ func (c *Counter) peek() int {
 	return c.n
 }
 
-// Striped mirrors lbindex.Index: an array of stripe locks guarding slices.
-type Striped struct {
-	stripes [4]sync.RWMutex
-	vals    []int // guarded by stripes
-}
-
-// Get uses the stripe-alias idiom: take the address of one stripe, lock
-// through the alias.
-func (s *Striped) Get(i int) int {
-	m := &s.stripes[i%4]
-	m.RLock()
-	defer m.RUnlock()
-	return s.vals[i]
-}
-
-// lockAll is a locker method: it acquires the guard on its receiver, so a
-// call to it counts as evidence in the caller.
-func (s *Striped) lockAll() {
-	for i := range s.stripes {
-		s.stripes[i].Lock()
-	}
-}
-
-func (s *Striped) unlockAll() {
-	for i := range s.stripes {
-		s.stripes[i].Unlock()
-	}
-}
-
-func (s *Striped) Sum() int {
-	s.lockAll()
-	defer s.unlockAll()
-	t := 0
-	for _, v := range s.vals {
-		t += v
-	}
-	return t
-}
-
-// Grow locks directly on an indexed stripe; function literals inherit the
-// enclosing function's evidence.
-func (s *Striped) Grow(i, v int) {
-	s.stripes[i%4].Lock()
-	defer s.stripes[i%4].Unlock()
-	set := func() { s.vals[i] = v }
+// Grow locks directly; function literals inherit the enclosing function's
+// evidence.
+func (c *Counter) Grow(v int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	set := func() { c.n += v }
 	set()
-}
-
-func (s *Striped) BadLen() int {
-	return len(s.vals) // want `vals is guarded by stripes`
 }
 
 // BadAnnotations exercise the malformed-annotation findings. The wants are

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -144,7 +145,8 @@ func oracleOverlay(t *testing.T, g *graph.Graph) *graph.Overlay {
 // as a post-Apply overlay, query sizes and worker counts, the sharded engine
 // must return EXACTLY the answer of the sequential engine — which in exact
 // mode equals brute force. Run under -race this doubles as the data-race
-// harness for the sharded decision loop committing into the striped index.
+// harness for the sharded decision loop: in update mode its shards commit
+// distinct rows of the engine's own index without a lock.
 //
 // The same table holds the View's sparse screen to the dense sweep: see
 // checkSparseScreen.
@@ -513,11 +515,16 @@ func TestParallelStatsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentEnginesSharedIndex runs several engines — one per
-// goroutine, as documented — against one shared index with updates
-// enabled. The index must stay invariant-clean and queries must agree with
-// a single-threaded reference. Run with -race to exercise the locking.
-func TestConcurrentEnginesSharedIndex(t *testing.T) {
+// TestViewQueriesBesideClonedWritersAndSave runs the pattern the serving
+// daemon runs, under lbindex.Index's one-writer rule: one built index serves
+// View queries from several goroutines while, at the same time, update-mode
+// engines each refine and commit into their own Clone of it and another
+// goroutine Saves the original. Every answer must equal a single-threaded
+// reference, each clone must stay invariant-clean with its commits counted,
+// and the original must save to the same bytes before, during and after. Run
+// with -race it shows that none of this needs a lock.
+func TestViewQueriesBesideClonedWritersAndSave(t *testing.T) {
+	const k = 10
 	g, err := gen.WebGraph(400, 31)
 	if err != nil {
 		t.Fatal(err)
@@ -531,61 +538,95 @@ func TestConcurrentEnginesSharedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Reference answers from a fresh single-threaded engine on a copy.
-	refIdx, _, err := lbindex.Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
+	save := func() []byte {
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
 	}
-	refEng, err := NewEngine(g, refIdx, false)
+	image := save()
+
+	refEng, err := NewEngine(g, idx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := []graph.NodeID{3, 77, 150, 222, 301, 399}
 	want := make([][]graph.NodeID, len(queries))
 	for i, q := range queries {
-		want[i], _, err = refEng.Query(q, 10)
-		if err != nil {
+		if want[i], _, err = refEng.Query(q, k); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	const workers = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			eng, err := NewEngine(g, idx, true)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for round := 0; round < 3; round++ {
-				for i, q := range queries {
-					got, _, err := eng.Query(q, 10)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("worker %d q=%d: got %v, want %v", worker, q, got, want[i])
-						return
-					}
+	v, err := NewView(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(who string, query func(graph.NodeID) ([]graph.NodeID, QueryStats, error)) {
+		for round := 0; round < 3; round++ {
+			for i, q := range queries {
+				got, _, err := query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s q=%d: got %v, want %v", who, q, got, want[i])
+					return
 				}
 			}
-		}(w)
+		}
 	}
+
+	const readers, writers = 3, 2
+	clones := make([]*lbindex.Index, writers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(fmt.Sprintf("view reader %d", r), func(q graph.NodeID) ([]graph.NodeID, QueryStats, error) {
+				return v.Query(q, k, 2)
+			})
+		}()
+	}
+	for w := range clones {
+		clones[w] = idx.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, err := NewEngine(g, clones[w], true)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			eng.SetWorkers(2)
+			check(fmt.Sprintf("writer %d", w), func(q graph.NodeID) ([]graph.NodeID, QueryStats, error) {
+				return eng.Query(q, k)
+			})
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 3 {
+			if !bytes.Equal(save(), image) {
+				t.Error("the original saved different bytes while its clones were written")
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+
+	for w, c := range clones {
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("clone %d: %v", w, err)
+		}
+		if c.Refinements() == 0 {
+			t.Errorf("clone %d: no commits: the writers went untested", w)
+		}
 	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Refinements() == 0 {
-		t.Log("note: no refinements were needed by this workload")
+	if !bytes.Equal(save(), image) {
+		t.Error("the original saved different bytes after its clones were written")
 	}
 }

@@ -31,8 +31,9 @@
 // decisions and counters of the dense take, which could only have pruned the
 // rest. Every row is taken by a Screen whose first round comes before
 // convergence or after the PMPN left the ball, and by one whose engine came
-// from NewEngine rather than a View (an update-mode commit moves the bounds the
-// table is derived from; only a View's index is immutable).
+// from NewEngine rather than a View (an update-mode engine owns its index and
+// its commits move the bounds the table is derived from; a View's index is
+// shared, so it is immutable).
 // QueryStats.Screened reports the rows visited.
 //
 // The exact solves use the same fact in the other direction (one ball type,
@@ -170,9 +171,12 @@ func (s *QueryStats) Phases() map[string]time.Duration {
 
 // Engine evaluates reverse top-k queries against a graph and its index.
 // An Engine is NOT safe for concurrent use (its workspace pool is, but the
-// query state is not); create one engine per goroutine sharing the same
-// index. Within a single query the engine can itself use multiple cores —
-// see SetWorkers — without changing its answers.
+// query state is not). A no-update engine only reads its index, so any number
+// of them may share one — a View hands them out. An update-mode engine is its
+// index's one writer (see lbindex.Index): it owns the index, and nothing else
+// may read or write it while the engine runs. Within a single query the engine
+// can itself use multiple cores — see SetWorkers — without changing its
+// answers.
 type Engine struct {
 	g      graph.View
 	idx    *lbindex.Index
@@ -229,7 +233,8 @@ type Engine struct {
 func (e *Engine) SetPracticalDecisions(on bool) { e.practical = on }
 
 // NewEngine creates a query engine. update selects whether refinements are
-// committed back to the index (§4.2.3) — the "update" series of Fig. 5/7.
+// committed back to the index (§4.2.3) — the "update" series of Fig. 5/7. An
+// update-mode engine owns idx: give it an index no one else uses, or a Clone.
 func NewEngine(g graph.View, idx *lbindex.Index, update bool) (*Engine, error) {
 	if g.N() != idx.N() {
 		return nil, fmt.Errorf("core: index built for %d nodes, graph has %d", idx.N(), g.N())
@@ -317,11 +322,9 @@ func support(pq []float64, rows []graph.NodeID) int {
 // sharded across the engine's workers, and resolves the ones refinement leaves
 // open. Outcomes are identical at any worker count: each shard runs the same
 // loop over its segment with a private workspace and counters, answers
-// concatenate in segment order and counters merge by addition; commits land in
-// the shared index under its own striped locking. On error the lowest-segment
-// error is reported, and committed refinements from other segments remain in
-// the index — exactly as a sequential sweep would have left every node decided
-// before the failure.
+// concatenate in segment order and counters merge by addition. In update mode
+// each shard commits only the rows of its own segment, so the shards write
+// distinct rows of the engine's own index and need no lock.
 //
 // Candidates whose next refinement step could not decide them (refine) are
 // deferred by the sweep (per shard, in segment order) and resolved afterwards
@@ -336,7 +339,6 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 		results []graph.NodeID
 		pend    []pendingFallback
 		stats   QueryStats
-		err     error
 	}
 	workers := min(e.workers, len(list)/sweepShare)
 	if e.record != nil {
@@ -348,12 +350,7 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 		ws := e.wsPool.Get()
 		defer e.wsPool.Put(ws)
 		for _, u := range list[seg.Lo:seg.Hi] {
-			member, err := e.decide(ws, q, u, k, pq[u], &sh.stats, &sh.pend)
-			if err != nil {
-				sh.err = err
-				return
-			}
-			if member {
+			if e.decide(ws, q, u, k, pq[u], &sh.stats, &sh.pend) {
 				sh.results = append(sh.results, u)
 			}
 		}
@@ -375,9 +372,6 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 	var pend []pendingFallback
 	for si := range shards {
 		sh := &shards[si]
-		if sh.err != nil {
-			return nil, sh.err
-		}
 		results = append(results, sh.results...)
 		pend = append(pend, sh.pend...)
 		stats.RefineSteps += sh.stats.RefineSteps
@@ -417,13 +411,10 @@ func indexedRows(idx *lbindex.Index) (int, func(i int) graph.NodeID) {
 // with the query node q (−1 if unknown), for the caller to batch-resolve with
 // exact solves after the sweep (resolveFallbacks), and reported as not a
 // member.
-func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) (bool, error) {
+func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) bool {
 	rho := e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u)
 	ink, t := e.idx.BatchInk(u, e.idx.Options().BCA.Eta)
-	r, err := e.refine(ws, u, k, puq, e.idx.PHatRow(u), rho, ink, t)
-	if err != nil {
-		return false, err
-	}
+	r := e.refine(ws, u, k, puq, e.idx.PHatRow(u), rho, ink, t)
 	stats.RefineSteps += r.steps
 	if !r.decided {
 		// Exact fallback: the node needs p_u in full, compared against its
@@ -439,7 +430,7 @@ func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64
 		// instead.
 		stats.ExactFallbacks++
 		*pend = append(*pend, pendingFallback{u: u, q: q, puq: puq, nextT: r.t + r.steps + 1, steps: r.steps})
-		return false, nil
+		return false
 	}
 	if r.steps > 0 && e.update {
 		e.idx.Commit(u, r.st, bca.TopK(r.st, e.idx.HubMatrix(), ws, e.idx.K()))
@@ -452,7 +443,7 @@ func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64
 		}
 		e.record(u, puq, how, r.member, r.steps)
 	}
-	return r.member, nil
+	return r.member
 }
 
 // refinement is what refine reports about one candidate.
@@ -491,25 +482,13 @@ type refinement struct {
 // p_u(q)), so every sweep order and worker count takes the same steps.
 // cfg.MaxIters is the safety net against a state that never drains. In
 // practical mode (SetPracticalDecisions) a candidate left open is a member.
-func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, phat []float64, rho, ink float64, t int) (refinement, error) {
+func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, phat []float64, rho, ink float64, t int) refinement {
 	cfg := e.idx.Options().BCA
 	hm := e.idx.HubMatrix()
 	r := refinement{t: t}
 	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, puq, e.tieTol) {
 		if r.st == nil {
-			if r.st = e.idx.StateSnapshot(u); r.st == nil {
-				// BatchInk saw a state a moment ago; guard for a hub commit
-				// racing this sweep.
-				return r, fmt.Errorf("core: node %d has residue but no state", u)
-			}
-			// Another engine's commit may have replaced the state ink and t
-			// were read from by one with no batch ink left — a summary among
-			// them, which Step refuses. A step would move nothing: u is left
-			// open for the exact solve.
-			r.t = r.st.T
-			if ink = r.st.BatchInk(cfg.Eta); ink == 0 {
-				break
-			}
+			r.st = e.idx.StateSnapshot(u)
 		}
 		bca.Step(e.g, r.st, hm, cfg, ws)
 		r.steps++
@@ -518,12 +497,12 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, p
 		phat = bca.TopK(r.st, hm, ws, k)
 		if prunedByLowerBound(puq, phat[k-1], e.tieTol) {
 			r.decided = true
-			return r, nil
+			return r
 		}
 		rho = r.st.RNorm + e.idx.StateSlack(r.st)
 		if rho == 0 || puq >= UpperBound(phat, k, rho)-e.tieTol {
 			r.decided, r.member = true, true
-			return r, nil
+			return r
 		}
 		ink = r.st.BatchInk(cfg.Eta)
 	}
@@ -532,7 +511,7 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, p
 		// loop (p_u(q) ≥ p̂^t_u(k)), so it stays in the answer.
 		r.decided, r.member = true, true
 	}
-	return r, nil
+	return r
 }
 
 // stepCanDecide is refine's one-step test: whether a BCA step that moves ink

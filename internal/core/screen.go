@@ -129,7 +129,7 @@ func (s *Screen) advance(x []float64, tau float64, ball []graph.NodeID) RoundRep
 // this index owns, ascending. Every other row is pruned, and counted so,
 // without being looked at. A dense take reads each k-th bound from the
 // View's flat column where there is one (a full index) and from the index, one
-// stripe lock a row, where there is not (a shard slice, a bare engine); those
+// row pointer a row, where there is not (a shard slice, a bare engine); those
 // rows are split over the screen's workers, each segment screened into a
 // Screen of its own and the segments appended in order — row order.
 func (s *Screen) take(x []float64, tau float64, ball []graph.NodeID, rep *RoundReport) {

@@ -16,12 +16,12 @@ import (
 // engines and hands each Query call a private one, so any number of
 // goroutines may query the same snapshot simultaneously.
 //
-// A View never mutates its index: its engines run in no-update mode, which
-// refines per-candidate state on deep copies (Index.StateSnapshot) and
-// commits nothing back. That makes a View safe to share not only across
-// goroutines but across index snapshots — a cloned index (lbindex.Clone)
-// being refreshed off to the side shares rows with the view's index, and
-// neither side ever writes through the shared rows.
+// A View's index is shared, so under lbindex.Index's one-writer rule it is
+// immutable, and the View never writes it: its engines run in no-update mode,
+// which refines per-candidate state on deep copies (Index.StateSnapshot) and
+// commits nothing back. A cloned index (lbindex.Clone) being refreshed off to
+// the side shares rows with the view's index, and neither side ever writes
+// through the shared rows.
 //
 // The serving daemon (internal/serve) publishes one View per snapshot epoch
 // behind an atomic pointer; requests grab the current View once and run

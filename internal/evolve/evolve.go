@@ -223,7 +223,9 @@ func RefreshSnapshot[G graph.View](g2 G, idx *lbindex.Index, affected []graph.No
 // vectors), so keeping the old set is sound; re-optimizing the selection
 // for a drifted degree distribution requires a full rebuild.
 //
-// The index must have been built for a graph with the same node count.
+// The index must have been built for a graph with the same node count, and
+// Refresh is its one writer (lbindex.Index): nothing may read it meanwhile.
+// To refresh an index that is being served, use RefreshSnapshot.
 func Refresh[G graph.View](g2 G, idx *lbindex.Index, affected []graph.NodeID) (Stats, error) {
 	return RefreshPartial(g2, idx, affected, idx.HubMatrix().Hubs())
 }

@@ -293,14 +293,11 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 // regardless of index size. The checksums in the preamble cover the whole
 // payload, so the body is generated three times — once per section for the
 // section CRCs, once for the file CRC, once into w — which trades a little
-// encode CPU for never materializing a file-sized image. All lock stripes
-// are held for the duration, so the snapshot is consistent even against
-// concurrent refinement commits. (It is NOT atomic against an in-place
-// evolve.Refresh — see the Index doc.)
+// encode CPU for never materializing a file-sized image. Save only reads, so
+// it may run on a shared index beside any number of queries; like every
+// reader it must not overlap that index's writer (see Index).
 func (idx *Index) Save(w io.Writer) error {
-	idx.lockAll()
-	defer idx.unlockAll()
-	e, err := idx.newV2EmitterLocked()
+	e, err := idx.newV2Emitter()
 	if err != nil {
 		return err
 	}
@@ -355,7 +352,6 @@ func (idx *Index) SaveFile(path string) error {
 
 // v2emitter holds the precomputed layout of one consistent index snapshot
 // and can stream any section (or the whole post-header body) repeatedly.
-// Caller holds all stripes for the emitter's lifetime.
 type v2emitter struct {
 	idx     *Index
 	hubIDs  []graph.NodeID
@@ -398,8 +394,8 @@ func (e *v2emitter) eachRow(f func(u graph.NodeID)) {
 	}
 }
 
-func (idx *Index) newV2EmitterLocked() (*v2emitter, error) {
-	hm := idx.HubMatrix()
+func (idx *Index) newV2Emitter() (*v2emitter, error) {
+	hm := idx.hubs
 	n, hubIDs, cols, topK, dropped, omega := hm.Parts()
 	if n != idx.n {
 		return nil, fmt.Errorf("lbindex: hub matrix sized for %d nodes, index has %d", n, idx.n)
@@ -431,7 +427,6 @@ func (idx *Index) newV2EmitterLocked() (*v2emitter, error) {
 		if rowErr != nil {
 			return
 		}
-		//rtklint:ignore lockguard the Locked suffix is the contract — SaveV2 holds every stripe for the emitter's lifetime
 		st, phatU := idx.states[u], idx.phat[u]
 		if st == nil {
 			if !hm.IsHub(u) {
@@ -500,7 +495,6 @@ func (idx *Index) newV2EmitterLocked() (*v2emitter, error) {
 // serializes them in.
 func (e *v2emitter) eachState(f func(st *bca.State)) {
 	e.eachRow(func(u graph.NodeID) {
-		//rtklint:ignore lockguard emitters only exist inside SaveV2, which holds every stripe
 		if st := e.idx.states[u]; st != nil {
 			f(st)
 		}
@@ -577,7 +571,6 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 	case secStateRVal, secStateWVal, secStateSVal:
 		e.eachState(func(st *bca.State) { bw.floats(e.stateVec(st, s).Val) })
 	case secPhat:
-		//rtklint:ignore lockguard emitters only exist inside SaveV2, which holds every stripe
 		e.eachRow(func(u graph.NodeID) { bw.floats(e.idx.phat[u]) })
 	case secPartMeta:
 		strategy, _, p, seed, _ := e.idx.part.Parts()

@@ -112,43 +112,27 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// lockStripes is the number of node-range lock stripes of an Index. The
-// intra-query decision shards and concurrent batch engines commit to
-// disjoint or well-spread node ranges, so with contiguous-range striping a
-// commit contends only with accesses to its own ~n/64 neighborhood instead
-// of serializing against every reader of the index.
-const lockStripes = 64
-
-// Index is the paper's graph index I = (P̂, R, W, S, P_H). Safe for
-// concurrent use: per-node reads and refinement commits synchronize on the
-// lock stripe covering that node's range, the hub matrix pointer has its own
-// lock, and whole-index operations take every stripe.
+// Index is the paper's graph index I = (P̂, R, W, S, P_H).
 //
-// Lock ordering: stripes are only ever acquired in ascending order, and the
-// hub lock is never held while acquiring a stripe.
-//
-// One operation sits outside this safety net: an IN-PLACE evolve.Refresh
-// (hub-matrix swap followed by many commits) is not atomic as a whole, so a
-// concurrent Save/Clone could pair the new hub matrix with not-yet-refreshed
-// rows. Run in-place refreshes with whole-index operations quiesced, or use
-// evolve.RefreshSnapshot, which refreshes a Clone and leaves this index
-// untouched — the serving daemon does the latter.
+// An index has at most one writer, nothing reads it while it is being
+// written, and once it is shared it is immutable. The writers are Build and
+// the loaders, an update-mode core.Engine (which owns its index; its sweep
+// shards commit distinct rows), and maintenance (evolve), which refreshes a
+// Clone before anyone reads it. A shared index — a core.View's, a published
+// snapshot, a checkpoint being saved — is only read, so no accessor locks.
+// The exceptions are the two atomic counters: refinements, which one writer's
+// sweep shards bump concurrently, and the journal watermark, which the serving
+// daemon stamps on its published index.
 type Index struct {
 	opts Options
 	n    int
-	// hubMu guards the hubs pointer (swapped by SetHubMatrix); the Matrix
-	// itself is immutable once built.
-	hubMu sync.RWMutex
-	hubs  *hub.Matrix // guarded by hubMu
-	// stripes[s] guards phat[u] and states[u] for every node u with
-	// stripeOf(u) == s (contiguous node ranges of ≈ n/lockStripes).
-	stripes [lockStripes]sync.RWMutex
+	// hubs is the rounded hub proximity matrix (swapped by SetHubMatrix);
+	// the Matrix itself is immutable once built.
+	hubs *hub.Matrix
 	// phat[u] is p̂^t_u(1:K): the K largest lower-bound proximities from
 	// u, descending. For hub nodes these are exact top-K values.
-	// Guarded by stripes.
 	phat [][]float64
 	// states[u] is the resumable BCA state of non-hub u; nil for hubs.
-	// Guarded by stripes.
 	states []*bca.State
 	// refinements counts committed post-build refinement steps (a
 	// diagnostic for the Fig. 7 experiment).
@@ -221,13 +205,11 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 	if shard < 0 || shard >= pm.P() {
 		return nil, fmt.Errorf("lbindex: shard %d outside [0,%d)", shard, pm.P())
 	}
-	idx.lockAll()
-	defer idx.unlockAll()
 	owned := pm.Owned(shard)
 	s := &Index{
 		opts:    idx.opts,
 		n:       idx.n,
-		hubs:    idx.HubMatrix(),
+		hubs:    idx.hubs,
 		phat:    make([][]float64, idx.n),
 		states:  make([]*bca.State, idx.n),
 		part:    pm,
@@ -244,27 +226,6 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 	s.refinements.Store(idx.refinements.Load())
 	s.watermark.Store(idx.watermark.Load())
 	return s, nil
-}
-
-// stripeOf maps a node to its lock stripe: contiguous node ranges, aligned
-// with how core's refinement sweep (decideSet) splits its ascending candidate
-// list, so each sweep shard mostly stays within its own stripes.
-func (idx *Index) stripeOf(u graph.NodeID) int {
-	return int(int64(u) * lockStripes / int64(idx.n))
-}
-
-// lockAll/unlockAll bracket whole-index operations (serialization, size and
-// invariant scans). Stripes are acquired in ascending order.
-func (idx *Index) lockAll() {
-	for i := range idx.stripes {
-		idx.stripes[i].RLock()
-	}
-}
-
-func (idx *Index) unlockAll() {
-	for i := range idx.stripes {
-		idx.stripes[i].RUnlock()
-	}
 }
 
 // BuildStats reports construction cost, mirroring Table 2's columns.
@@ -420,41 +381,28 @@ func (idx *Index) K() int { return idx.opts.K }
 func (idx *Index) Options() Options { return idx.opts }
 
 // HubMatrix returns the rounded hub proximity matrix.
-func (idx *Index) HubMatrix() *hub.Matrix {
-	idx.hubMu.RLock()
-	defer idx.hubMu.RUnlock()
-	return idx.hubs
-}
+func (idx *Index) HubMatrix() *hub.Matrix { return idx.hubs }
 
 // IsHub reports whether u is a hub (its index entry is exact).
-func (idx *Index) IsHub(u graph.NodeID) bool { return idx.HubMatrix().IsHub(u) }
+func (idx *Index) IsHub(u graph.NodeID) bool { return idx.hubs.IsHub(u) }
 
 // KthLowerBound returns p̂^t_u(k), the indexed lower bound of u's k-th
 // largest proximity (1-based k ≤ K).
 func (idx *Index) KthLowerBound(u graph.NodeID, k int) float64 {
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.RLock()
-	defer s.RUnlock()
 	if idx.phat[u] == nil {
 		panic(fmt.Sprintf("lbindex: node %d not materialized (shard %d does not own it)", u, idx.shardID))
 	}
 	return idx.phat[u][k-1]
 }
 
-// PHatRow copies the current p̂ column of node u (length K, descending).
-func (idx *Index) PHatRow(u graph.NodeID) []float64 {
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.RLock()
-	defer s.RUnlock()
-	return vecmath.Clone(idx.phat[u])
-}
+// PHatRow returns the stored p̂ column of node u (length K, descending),
+// without copying it. The row is read-only: it may alias an mmap'd image, and
+// it is shared with every Clone and shard slice of this index.
+func (idx *Index) PHatRow(u graph.NodeID) []float64 { return idx.phat[u] }
 
 // ResidueNorm returns ‖r^t_u‖₁, the undistributed ink of u's partial BCA
 // run; 0 for hubs (their proximities are exact).
 func (idx *Index) ResidueNorm(u graph.NodeID) float64 {
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.RLock()
-	defer s.RUnlock()
 	if idx.states[u] == nil {
 		return 0
 	}
@@ -468,15 +416,11 @@ func (idx *Index) ResidueNorm(u graph.NodeID) float64 {
 // staircase along with the residue. Zero when ω = 0 and for hub nodes
 // (their top-K columns are taken from the unrounded vectors).
 func (idx *Index) RoundingSlack(u graph.NodeID) float64 {
-	hm := idx.HubMatrix()
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.RLock()
-	defer s.RUnlock()
 	st := idx.states[u]
 	if st == nil {
 		return 0
 	}
-	return stateSlack(st, hm)
+	return stateSlack(st, idx.hubs)
 }
 
 func stateSlack(st *bca.State, hm *hub.Matrix) float64 {
@@ -490,7 +434,7 @@ func stateSlack(st *bca.State, hm *hub.Matrix) float64 {
 // StateSlack computes the rounding slack of an engine-local (refined copy)
 // state against this index's hub matrix.
 func (idx *Index) StateSlack(st *bca.State) float64 {
-	return stateSlack(st, idx.HubMatrix())
+	return stateSlack(st, idx.hubs)
 }
 
 // BatchInk returns the ink the next refinement step of u's stored state would
@@ -499,9 +443,6 @@ func (idx *Index) StateSlack(st *bca.State) float64 {
 // query engine can ask before StateSnapshot and pay no deep copy for a
 // candidate it will not step.
 func (idx *Index) BatchInk(u graph.NodeID, eta float64) (ink float64, t int) {
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.RLock()
-	defer s.RUnlock()
 	st := idx.states[u]
 	if st == nil {
 		return 0, 0
@@ -512,9 +453,6 @@ func (idx *Index) BatchInk(u graph.NodeID, eta float64) (ink float64, t int) {
 // StateSnapshot returns a deep copy of u's resumable BCA state, or nil for
 // hub nodes. Copies are what the query engine refines in no-update mode.
 func (idx *Index) StateSnapshot(u graph.NodeID) *bca.State {
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.RLock()
-	defer s.RUnlock()
 	if idx.states[u] == nil {
 		return nil
 	}
@@ -543,22 +481,18 @@ func (idx *Index) summarize(st *bca.State) int64 {
 // Commit stores a refined state and its recomputed p̂ column for node u
 // (§4.2.3 dynamic index update). The caller passes ownership of both: the
 // state is stored under the index's storage rule (summarize), which may drop
-// its R and W. Commits to different node ranges synchronize on different
-// stripes, so concurrent shard workers do not serialize against each other
-// here.
+// its R and W. Commit is a write: only the index's one writer calls it, before
+// the index is shared (see Index). That writer may commit distinct nodes from
+// several goroutines at once — an update-mode engine's sweep shards do — since
+// each commit replaces only u's own row pointers.
 func (idx *Index) Commit(u graph.NodeID, st *bca.State, phat []float64) {
 	if len(phat) != idx.opts.K {
 		panic(fmt.Sprintf("lbindex: Commit phat length %d, want %d", len(phat), idx.opts.K))
 	}
 	idx.summarize(st)
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.Lock()
 	idx.states[u] = st
 	idx.phat[u] = phat
-	// Counted before the stripe is released so a Save holding all stripes
-	// never serializes a committed state the counter doesn't yet reflect.
 	idx.refinements.Add(1)
-	s.Unlock()
 }
 
 // SetHubMatrix replaces the hub proximity matrix with one recomputed on an
@@ -571,7 +505,7 @@ func (idx *Index) SetHubMatrix(hm *hub.Matrix) error {
 	if n != idx.n {
 		return fmt.Errorf("lbindex: replacement hub matrix covers %d nodes, index has %d", n, idx.n)
 	}
-	oldHubs := idx.HubMatrix().Hubs()
+	oldHubs := idx.hubs.Hubs()
 	if len(newHubs) != len(oldHubs) {
 		return fmt.Errorf("lbindex: replacement changes hub count %d → %d", len(oldHubs), len(newHubs))
 	}
@@ -580,8 +514,6 @@ func (idx *Index) SetHubMatrix(hm *hub.Matrix) error {
 			return fmt.Errorf("lbindex: replacement changes hub membership at position %d: %d → %d", i, oldHubs[i], newHubs[i])
 		}
 	}
-	idx.hubMu.Lock()
-	defer idx.hubMu.Unlock()
 	idx.hubs = hm
 	return nil
 }
@@ -595,9 +527,6 @@ func (idx *Index) CommitHub(u graph.NodeID, phat []float64) {
 	if !idx.IsHub(u) {
 		panic(fmt.Sprintf("lbindex: CommitHub on non-hub node %d", u))
 	}
-	s := &idx.stripes[idx.stripeOf(u)]
-	s.Lock()
-	defer s.Unlock()
 	idx.states[u] = nil
 	idx.phat[u] = phat
 }
@@ -607,23 +536,16 @@ func (idx *Index) CommitHub(u graph.NodeID, phat []float64) {
 // immutable once committed — every writer (Commit, CommitHub, the refresh
 // path in package evolve) replaces the per-node pointers wholesale and the
 // query engine refines deep copies (StateSnapshot), never the stored
-// objects — so sharing them is safe. Commits to the clone replace only the
-// clone's pointers, leaving the original untouched, which is what makes
-// snapshot isolation cheap: a maintenance pass refreshes a clone off to the
-// side while readers keep serving from the original.
+// objects — so sharing them is safe. The clone has no reader yet, so its
+// caller may write it (see Index) while this index keeps serving: commits
+// replace only the clone's pointers. That is what makes snapshot isolation
+// cheap — a maintenance pass refreshes a clone off to the side, then
+// publishes it.
 func (idx *Index) Clone() *Index {
-	// Stripes first, hub pointer second: with every row frozen, the pair
-	// (rows, hub matrix) can only disagree if an in-place evolve.Refresh is
-	// running concurrently — which whole-index operations do not support
-	// (see the Index doc); snapshot maintenance uses RefreshSnapshot on a
-	// Clone instead, which never mutates this index at all.
-	idx.lockAll()
-	defer idx.unlockAll()
-	hm := idx.HubMatrix()
 	c := &Index{
 		opts:    idx.opts,
 		n:       idx.n,
-		hubs:    hm,
+		hubs:    idx.hubs,
 		phat:    append([][]float64(nil), idx.phat...),
 		states:  append([]*bca.State(nil), idx.states...),
 		part:    idx.part,
@@ -648,9 +570,6 @@ func (idx *Index) CloneGrown(n2 int) *Index {
 	if n2 < idx.n {
 		panic(fmt.Sprintf("lbindex: CloneGrown shrinking %d → %d nodes", idx.n, n2))
 	}
-	idx.lockAll()
-	defer idx.unlockAll()
-	hm := idx.HubMatrix()
 	phat := make([][]float64, n2)
 	copy(phat, idx.phat)
 	states := make([]*bca.State, n2)
@@ -658,7 +577,7 @@ func (idx *Index) CloneGrown(n2 int) *Index {
 	c := &Index{
 		opts:    idx.opts,
 		n:       n2,
-		hubs:    hm,
+		hubs:    idx.hubs,
 		phat:    phat,
 		states:  states,
 		perm:    idx.perm,
@@ -710,9 +629,6 @@ func (idx *Index) SetWatermark(wm uint64) { idx.watermark.Store(wm) }
 // SizeBytes returns the approximate payload footprint of the index: the
 // lower-bound matrix, all resumable states, and the rounded hub matrix.
 func (idx *Index) SizeBytes() int64 {
-	idx.lockAll()
-	defer idx.unlockAll()
-	hm := idx.HubMatrix()
 	var rows int64
 	for _, col := range idx.phat {
 		if col != nil {
@@ -725,16 +641,13 @@ func (idx *Index) SizeBytes() int64 {
 			total += st.Bytes()
 		}
 	}
-	total += hm.Bytes()
+	total += idx.hubs.Bytes()
 	return total
 }
 
 // CheckInvariants verifies every stored state conserves ink and every p̂
 // column is descending — used by tests and after deserialization.
 func (idx *Index) CheckInvariants() error {
-	idx.lockAll()
-	defer idx.unlockAll()
-	hm := idx.HubMatrix()
 	for u := 0; u < idx.n; u++ {
 		if idx.phat[u] == nil {
 			// Shard slices materialize owned rows only; a missing row is an
@@ -749,7 +662,7 @@ func (idx *Index) CheckInvariants() error {
 		}
 		st := idx.states[u]
 		if st == nil {
-			if !hm.IsHub(graph.NodeID(u)) && idx.Owns(graph.NodeID(u)) {
+			if !idx.hubs.IsHub(graph.NodeID(u)) && idx.Owns(graph.NodeID(u)) {
 				return fmt.Errorf("lbindex: non-hub node %d has no state", u)
 			}
 			continue
