@@ -35,10 +35,12 @@
 // taken only when the ink it moves could let a bound decide; otherwise the
 // candidate goes straight to the exact fallback, and a state no step could
 // move is stored summarized, without its R and W — README.md, "Refine or
-// solve"), the exact fallback (a bit-identical push-form
-// forward sweep restricted to the candidates' forward balls while those are
-// under half the graph, plus a stop anchored at the PMPN-exact p_u(q);
-// README.md, "Exact fallback"), and
+// solve"), the exact fallback (the forward method's one solver, a
+// node-major slab swept by push and restricted to the candidates' forward
+// balls while those are under half the graph, plus a stop anchored at the
+// PMPN-exact p_u(q); rwr.ProximityVector is one column of the same slab and
+// rwr.ProximityTo the one-worker PMPN stepper; README.md, "Exact
+// fallback"), and
 // how to run the paper experiments (cmd/rtkbench) and the system benchmark
 // (bench/, declared in BENCHMARK.json — the only source of system numbers).
 //

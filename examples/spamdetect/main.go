@@ -1,7 +1,7 @@
 // Spam detection with reverse top-k RWR search (§5.4 of the paper).
 //
-// The idea: a web page's PageRank is the sum of RWR contributions it
-// receives from all pages. If the pages that give q one of their TOP-k
+// The idea: a web page's global random-walk score (Eq. 3 of the paper) is
+// the sum of the RWR contributions it receives from all pages. If the pages that give q one of their TOP-k
 // contributions are mostly known spam, q is very likely spam too — link
 // farms boost each other. This example generates a labeled host graph with
 // planted link farms, runs reverse top-5 queries from suspicious hosts, and

@@ -606,13 +606,10 @@ const (
 // iteration: pend[i] is a member iff p_u(q) ≥ pkmax(u) − tieTol, pkmax(u) the
 // k-th largest entry of u's exact proximity vector. Each candidate gets one
 // column; columns run in forward SpMM slabs of at most spmmChunkWidth, in
-// deferral order, and every column that runs to convergence is bit-identical
-// to the scalar ProximityVectorParallel solve. Each slab is swept by one
-// worker whatever the engine's worker count: only a single-segment sweep gets
-// the push kernel and the forward-ball phase (rwr/spmmfwd.go, rwr/spmm.go), and
-// a row-sharded one falls to the dense gather kernel at 1.6–3× the cost per
-// column — two workers were slower than one. Columns are bit-identical either
-// way.
+// deferral order, and every column that runs to convergence is
+// rwr.ProximityVector's bit for bit. The slabs run one after another on the
+// calling goroutine whatever the engine's worker count; each sweeps its
+// columns' forward ball with the push kernel (rwr/spmm.go, rwr/spmmfwd.go).
 //
 // A no-update engine rarely needs the converged vector. p_u(q) is already
 // exact (the PMPN gave it); the unknown is only which side of it pkmax(u)
@@ -701,7 +698,7 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int) (out []fallbackOutc
 			}
 		}
 		var colErr error
-		swept, err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, 1, probe, func(i int, res rwr.Result, rerr error) {
+		swept, err := rwr.ProximityVectorBatchFunc(e.g, origins, e.idx.Options().RWR, probe, func(i int, res rwr.Result, rerr error) {
 			if rerr != nil {
 				if colErr == nil {
 					colErr = rerr

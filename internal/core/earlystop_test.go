@@ -162,7 +162,7 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 			var want []bool
 			var ties []int // askers that are exact ties with a gap below them
 			for _, u := range anytimeQueries(g.N()) {
-				pu, err := rwr.ProximityVectorParallel(g, u, p, 1)
+				pu, err := rwr.ProximityVector(g, u, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -323,7 +323,7 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 		t.Fatalf("update-mode query: %+v, want %d converged, committed fallbacks", stats, len(pend))
 	}
 	for _, pf := range pend {
-		exact, err := rwr.ProximityVectorParallel(g, pf.u, p, 1)
+		exact, err := rwr.ProximityVector(g, pf.u, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/bca"
@@ -230,39 +229,14 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 	}
 }
 
-// rowOrderSpy is a graph view that watches the order in which in-neighbor
-// lists are asked for. The forward slab's gather kernel — the one a view
-// type the kernels do not know gets — asks for row lo, lo+1, …, hi−1 of its
-// segment, so a sweep made in one segment asks for 0 … n−1 over and over,
-// and one split across workers cannot.
-type rowOrderSpy struct {
-	graph.View
-	mu             sync.Mutex
-	next           graph.NodeID
-	passes, breaks int
-}
-
-func (s *rowOrderSpy) InNeighbors(v graph.NodeID) []graph.NodeID {
-	s.mu.Lock()
-	if v != s.next {
-		s.breaks++
-	}
-	if s.next = v + 1; int(s.next) == s.N() {
-		s.next = 0
-		s.passes++
-	}
-	s.mu.Unlock()
-	return s.View.InNeighbors(v)
-}
-
 // TestFallbackSlabSingleSegmentAtAnyWorkers: a hub query — hundreds of
 // candidates, most ending in the exact fallback — decided by engines of 1, 2
 // and 4 workers gives the same answer and the same counters, forward
-// iterations and early stops included, and the fallback slabs are swept in
-// one segment each time, which is what keeps them on the push kernel.
+// iterations, ball iterations and early stops included. (A slab is one
+// segment by construction: rwr has no row-sharded forward sweep.)
 func TestFallbackSlabSingleSegmentAtAnyWorkers(t *testing.T) {
 	const k = 10
-	g, err := gen.WebGraph(700, 41) // three residual blocks: workers ≥ 2 would split the rows
+	g, err := gen.WebGraph(700, 41) // three residual blocks: workers ≥ 2 split the PMPN rows
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,30 +264,6 @@ func TestFallbackSlabSingleSegmentAtAnyWorkers(t *testing.T) {
 			}
 		} else if !reflect.DeepEqual(got, wantAnswer) || st != want {
 			t.Errorf("workers=%d: answer %v stats %+v, want %v %+v", workers, got, st, wantAnswer, want)
-		}
-
-		spy := &rowOrderSpy{View: g}
-		spied, err := NewEngine(spy, idx, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spied.SetWorkers(workers)
-		ex, err := spied.Explain(hubQ, k, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pend := fallbacksOf(ex, hubQ)
-		sst := QueryStats{ExactFallbacks: len(pend)}
-		spy.next, spy.passes, spy.breaks = 0, 0, 0
-		if _, err := spied.resolveFallbacks(pend, k, &sst); err != nil {
-			t.Fatal(err)
-		}
-		if spy.breaks != 0 || spy.passes == 0 {
-			t.Errorf("workers=%d: %d whole-graph passes, %d breaks in row order: the slab was not swept in one segment",
-				workers, spy.passes, spy.breaks)
-		}
-		if sst.ExactFallbacks != want.ExactFallbacks || sst.FallbackIters != want.FallbackIters || sst.FallbackEarlyStops != want.FallbackEarlyStops {
-			t.Errorf("workers=%d: the spied engine resolved %+v, want the fallback counters of %+v", workers, sst, want)
 		}
 	}
 }

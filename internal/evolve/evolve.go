@@ -154,7 +154,7 @@ func AffectedNodes[G graph.View](g2 G, sources []graph.NodeID, theta float64, p 
 			return nil, err
 		}
 		for w, v := range res.Vector {
-			if v > theta || (theta == 0 && v > 0) {
+			if v > 0 && v >= theta {
 				affected[w] = true
 			}
 		}

@@ -125,6 +125,38 @@ func TestAffectedOriginsThreshold(t *testing.T) {
 	}
 }
 
+// TestAffectedNodesThresholdInclusive: a node whose p_w(s) is exactly θ is
+// refreshed — the mask is {w : p_w(s) > 0 and p_w(s) ≥ θ}, for θ set to
+// proximities read from the same PMPN the mask is computed with.
+func TestAffectedNodesThresholdInclusive(t *testing.T) {
+	g := buildWeb(t, 200)
+	p := rwr.DefaultParams()
+	const s = graph.NodeID(7)
+	ps, err := rwr.ProximityTo(g, s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for w, theta := range ps.Vector {
+		if theta == 0 || w%5 != 0 {
+			continue
+		}
+		checked++
+		mask, err := AffectedNodes(g, []graph.NodeID{s}, theta, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, v := range ps.Vector {
+			if want := v > 0 && v >= theta; mask[u] != want {
+				t.Fatalf("θ = p_%d(%d) = %g: node %d with p = %g flagged %v, want %v", w, s, theta, u, v, mask[u], want)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no node reaches the source")
+	}
+}
+
 // TestRefreshTheta0MatchesRebuild is the central correctness property:
 // after edits, a θ=0 refresh must answer queries exactly like an index
 // built from scratch on the edited graph (both equal brute force).

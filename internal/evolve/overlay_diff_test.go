@@ -52,8 +52,9 @@ func canonicalDump(v graph.View) string {
 // assertInAdjacencyMirrorsOut fails unless the in-adjacency of v is its
 // out-adjacency transposed, listed by ascending source:
 //
-//   - every in-neighbor list strictly ascends — the order the forward push
-//     kernel's bit-identity with the gather kernel rests on (rwr/spmmfwd.go);
+//   - every in-neighbor list strictly ascends by source, as graph.View
+//     documents (no kernel's bits depend on it: the forward push walks
+//     out-lists in source order, rwr/spmmfwd.go);
 //   - u ∈ InNeighbors(w) ⇔ w ∈ OutNeighbors(u), with the same weight — what
 //     lets the PMPN's ball phase find every row that can leave zero by
 //     walking InNeighbors (rwr.ProximityToParallel). Every in-entry names an
@@ -192,8 +193,9 @@ func invalidBatch(rng *rand.Rand, v graph.View) []Edit {
 	return []Edit{{From: 0, To: 0, Weight: -1}}
 }
 
-// mulBitwiseEqual checks the three transition kernels agree bit for bit
-// between two views on a shared probe vector.
+// mulBitwiseEqual checks the two transition operators agree bit for bit
+// between two views: the PMPN gather on a shared probe vector, and the
+// forward slab's columns from a spread of origins.
 func mulBitwiseEqual(t *testing.T, a, b graph.View, seed int64) {
 	t.Helper()
 	n := a.N()
@@ -203,25 +205,32 @@ func mulBitwiseEqual(t *testing.T, a, b graph.View, seed int64) {
 		x[i] = rng.Float64()
 	}
 	da, db := make([]float64, n), make([]float64, n)
-	rwr.MulTransition(a, x, da)
-	rwr.MulTransition(b, x, db)
+	rwr.MulTransitionTRange(a, x, da, 0, n)
+	rwr.MulTransitionTRange(b, x, db, 0, n)
 	for i := range da {
 		if da[i] != db[i] {
-			t.Fatalf("MulTransition differs at %d: %b vs %b", i, da[i], db[i])
+			t.Fatalf("MulTransitionTRange differs at %d: %b vs %b", i, da[i], db[i])
 		}
 	}
-	rwr.MulTransitionT(a, x, da)
-	rwr.MulTransitionT(b, x, db)
-	for i := range da {
-		if da[i] != db[i] {
-			t.Fatalf("MulTransitionT differs at %d: %b vs %b", i, da[i], db[i])
-		}
+	origins := []graph.NodeID{0, graph.NodeID(rng.Intn(n)), graph.NodeID(n - 1)}
+	p := rwr.DefaultParams()
+	ca, err := rwr.ProximityVectorBatch(a, origins, p, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rwr.MulTransitionRange(a, x, da, 0, n)
-	rwr.MulTransitionRange(b, x, db, 0, n)
-	for i := range da {
-		if da[i] != db[i] {
-			t.Fatalf("MulTransitionRange differs at %d: %b vs %b", i, da[i], db[i])
+	cb, err := rwr.ProximityVectorBatch(b, origins, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, u := range origins {
+		if ca[j].Iterations != cb[j].Iterations || ca[j].Residual != cb[j].Residual {
+			t.Fatalf("ProximityVector(%d) convergence differs: (%d,%g) vs (%d,%g)",
+				u, ca[j].Iterations, ca[j].Residual, cb[j].Iterations, cb[j].Residual)
+		}
+		for i := range ca[j].Vector {
+			if ca[j].Vector[i] != cb[j].Vector[i] {
+				t.Fatalf("ProximityVector(%d) differs at %d: %b vs %b", u, i, ca[j].Vector[i], cb[j].Vector[i])
+			}
 		}
 	}
 }

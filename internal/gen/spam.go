@@ -75,7 +75,7 @@ func DefaultSpamWebOptions(scale int) SpamWebOptions {
 
 // SpamWeb generates a labeled web-host graph whose link structure carries
 // the spam-detection signal of §5.4: link-farm members exchange the bulk of
-// their PageRank contributions with other members of the same farm, while
+// their RWR contributions with other members of the same farm, while
 // normal hosts link mostly among themselves. Node layout: normal hosts
 // first, then spam, then undecided.
 func SpamWeb(o SpamWebOptions) (*graph.Graph, []Label, error) {

@@ -129,8 +129,9 @@ func (g *Graph) OutNeighbors(u NodeID) []NodeID {
 }
 
 // InNeighbors returns the in-neighbors of u, strictly ascending by source
-// (buildInAdjacency fills them walking sources in order; the forward push
-// kernel's bit-identity with the gather kernel rests on it, rwr/spmmfwd.go).
+// (buildInAdjacency fills them walking sources in order). No kernel's bits
+// depend on the order: the forward push walks out-lists in source order
+// (rwr/spmmfwd.go), and the backward ball reads in-lists as sets (rwr/ball.go).
 // The returned slice aliases internal storage and must not be modified.
 func (g *Graph) InNeighbors(u NodeID) []NodeID {
 	return g.inEdges[g.inIndex[u]:g.inIndex[u+1]]

@@ -288,10 +288,10 @@ func TestOverlayCompactRoundTrip(t *testing.T) {
 	}
 }
 
-// inNeighborsAscending checks the adjacency order the forward push kernel's
-// bit-identity with the gather kernel rests on (rwr/spmmfwd.go): every
+// inNeighborsAscending checks the in-adjacency View documents: every
 // in-neighbor list strictly ascends by source, with the weight the source's
-// own out-list carries for that edge.
+// own out-list carries for that edge — the transpose the backward ball
+// (rwr/ball.go) walks to find every row PMPN can reach.
 func inNeighborsAscending(v View) error {
 	for u := NodeID(0); int(u) < v.N(); u++ {
 		in, ws := v.InNeighbors(u), v.InWeightsOf(u)

@@ -86,15 +86,12 @@ type pmpnIterate struct {
 // x^{t−1} and RoundHook fires once per iteration in both phases. With the
 // iterate comes the Rows contract: the list is non-nil iff the run has not
 // handed over to the dense sweep, ascending, with every index outside it
-// bit-equal to +0 — and nil from the serial and forward drivers.
+// bit-equal to +0 — and nil from the forward slab.
 func TestProximityToParallelBallBitIdentical(t *testing.T) {
 	p := DefaultParams()
 	capped := p
 	capped.MaxIters = 3 // runs out inside the ball phase of a closed ball
-	views := pushTestViews(t)
-	for _, family := range []string{"web", "coauthor", "spam"} {
-		views[family+"/generic"] = plainView{views[family+"/csr"]}
-	}
+	views := referenceViews(t)
 	covered := map[string]bool{}
 	for name, g := range views {
 		n := g.N()
@@ -202,7 +199,7 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 						}
 
 						// The one-shot wrapper returns the last iterate, with the
-						// serial solvers' overrun iteration count on a failure.
+						// reference loop's overrun iteration count on a failure.
 						label := fmt.Sprintf("%s q=%d (%s) maxiters=%d workers=%d one-shot", name, q, class, params.MaxIters, workers)
 						got, err := ProximityToParallel(g, q, params, workers)
 						if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
@@ -225,7 +222,7 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 						}
 					}
 				}
-				checkOtherDriversReturnNoRows(t, g, q, p)
+				checkSlabReturnsNoRows(t, g, q, p)
 			}
 		}
 		if class := "no in-edges"; len(picked[class]) > 0 {
@@ -260,16 +257,10 @@ func checkRowList(t *testing.T, label string, rows []graph.NodeID, vec []float64
 	}
 }
 
-// checkOtherDriversReturnNoRows runs q through the drivers that have no ball
-// phase; none of them may claim a row list.
-func checkOtherDriversReturnNoRows(t *testing.T, g graph.View, q graph.NodeID, p Params) {
+// checkSlabReturnsNoRows runs q through the forward slab, which has a
+// ball phase of its own but never claims a row list.
+func checkSlabReturnsNoRows(t *testing.T, g graph.View, q graph.NodeID, p Params) {
 	t.Helper()
-	if res, err := ProximityTo(g, q, p); err != nil || res.Rows != nil {
-		t.Fatalf("q=%d: ProximityTo returned rows %v (err %v)", q, res.Rows, err)
-	}
-	if res, err := ProximityVectorParallel(g, q, p, 2); err != nil || res.Rows != nil {
-		t.Fatalf("q=%d: ProximityVectorParallel returned rows %v (err %v)", q, res.Rows, err)
-	}
 	batch, err := ProximityVectorBatch(g, []graph.NodeID{q, 0}, p, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,75 +1,20 @@
 package rwr
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/graph"
 )
 
-// Monte Carlo proximity estimators (§6.2 of the paper, after Fogaras et al.
-// and Avrachenkov et al.). They are faster but less accurate than the power
-// method and — critically for the paper's framework — their estimates are
-// NOT guaranteed lower bounds, which is why the index is built on BCA
-// instead. They are provided as comparators, for the approximate top-k
-// search ablations, and (ResidualWalkEstimate) as the probabilistic
-// refinement stage of the anytime query tier.
+// The Monte Carlo stage of the anytime query tier (§6.2 of the paper, after
+// Fogaras et al. and Avrachenkov et al.): ResidualWalkEstimate corrects a
+// partial PMPN iterate with random walks, and ResidualWalkBand bounds the
+// correction's error. Unlike the index's BCA bounds, a walk estimate is not a
+// guaranteed bound, only a band that holds with a chosen probability.
 //
-// Every estimator takes its *rand.Rand explicitly — there is no global
+// The estimator takes its *rand.Rand explicitly — there is no global
 // randomness anywhere in this package, so fixing the seed fixes the output.
-
-// MonteCarloEndPoint estimates p_u by simulating `walks` random walks with
-// restart from u and recording the node occupied when each restart fires:
-// p_u(v) ≈ (#walks whose restart fired at v)/walks. Matches the "MC End
-// Point" algorithm of [3].
-func MonteCarloEndPoint[G graph.View](g G, u graph.NodeID, walks int, p Params, rng *rand.Rand) ([]float64, error) {
-	if err := checkMC(g, u, walks, p); err != nil {
-		return nil, err
-	}
-	counts := make([]float64, g.N())
-	for w := 0; w < walks; w++ {
-		cur := u
-		for {
-			if rng.Float64() < p.Alpha {
-				counts[cur]++
-				break
-			}
-			cur = stepNeighbor(g, cur, rng)
-		}
-	}
-	inv := 1 / float64(walks)
-	for i := range counts {
-		counts[i] *= inv
-	}
-	return counts, nil
-}
-
-// MonteCarloCompletePath estimates p_u from full walk trajectories:
-// p_u(v) ≈ α · (total visits to v across walks)/walks. Every visited node
-// contributes, so the estimator has lower variance than MC End Point for
-// the same number of walks ("MC Complete Path" of [3]).
-func MonteCarloCompletePath[G graph.View](g G, u graph.NodeID, walks int, p Params, rng *rand.Rand) ([]float64, error) {
-	if err := checkMC(g, u, walks, p); err != nil {
-		return nil, err
-	}
-	visits := make([]float64, g.N())
-	for w := 0; w < walks; w++ {
-		cur := u
-		for {
-			visits[cur]++
-			if rng.Float64() < p.Alpha {
-				break
-			}
-			cur = stepNeighbor(g, cur, rng)
-		}
-	}
-	scale := p.Alpha / float64(walks)
-	for i := range visits {
-		visits[i] *= scale
-	}
-	return visits, nil
-}
 
 // ResidualWalkEstimate estimates the remaining PMPN error at node u from
 // the last iteration's delta. With x^t the current iterate and
@@ -128,19 +73,6 @@ func ResidualWalkBand(deltaInf float64, maxLen, walks int, alpha, fail float64) 
 	hoeff := 2 * span * math.Sqrt(math.Log(2/fail)/(2*float64(walks)))
 	trunc := deltaInf * tailPow / alpha
 	return hoeff + trunc
-}
-
-func checkMC[G graph.View](g G, u graph.NodeID, walks int, p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if int(u) < 0 || int(u) >= g.N() {
-		return fmt.Errorf("rwr: node %d out of range [0,%d)", u, g.N())
-	}
-	if walks <= 0 {
-		return fmt.Errorf("rwr: walk count must be positive, got %d", walks)
-	}
-	return nil
 }
 
 // stepNeighbor samples the next node of a random walk currently at u,

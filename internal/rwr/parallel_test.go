@@ -1,6 +1,7 @@
 package rwr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,11 +15,10 @@ import (
 // than nodes.
 var workerSweep = []int{1, 2, 3, 8, 33}
 
-// TestProximityToParallelBitIdentical is the bit-identity contract of the
-// tentpole: the sharded PMPN must return the exact same vector, iteration
-// count and residual as the sequential Algorithm 2 at EVERY worker count —
-// each row is accumulated in the same order, and the convergence check
-// reduces over fixed blocks.
+// TestProximityToParallelBitIdentical: the sharded PMPN returns the reference
+// loop's vector, iteration count and residual at EVERY worker count — each
+// row is accumulated in the same order, and the convergence check reduces
+// over fixed blocks.
 func TestProximityToParallelBitIdentical(t *testing.T) {
 	g, err := gen.WebGraph(700, 5)
 	if err != nil {
@@ -26,63 +26,32 @@ func TestProximityToParallelBitIdentical(t *testing.T) {
 	}
 	p := DefaultParams()
 	for _, q := range []graph.NodeID{0, 17, 350, 699} {
-		want, err := ProximityTo(g, q, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, wantErr := refProximityTo(g, q, p)
 		for _, w := range workerSweep {
 			got, err := ProximityToParallel(g, q, p, w)
-			if err != nil {
-				t.Fatalf("q=%d workers=%d: %v", q, w, err)
-			}
-			if got.Iterations != want.Iterations {
-				t.Fatalf("q=%d workers=%d: %d iterations, sequential did %d", q, w, got.Iterations, want.Iterations)
-			}
-			for u := range got.Vector {
-				if got.Vector[u] != want.Vector[u] {
-					t.Fatalf("q=%d workers=%d: vector differs at node %d: %g vs %g",
-						q, w, u, got.Vector[u], want.Vector[u])
-				}
-			}
+			sameRun(t, fmt.Sprintf("q=%d workers=%d", q, w), got, err, want, wantErr)
 		}
 	}
 }
 
-// TestProximityVectorParallelWorkerIndependent: the gather-form forward
-// power method must return identical bits for every worker count (each
-// output row is owned by one worker and accumulated in in-edge order), and
-// agree with the sequential scatter-based solver to solver precision.
+// TestProximityVectorParallelWorkerIndependent: the forward solve split
+// across workers (ProximityVectorBatch, one slab per share of the origins)
+// returns ProximityVector's bits for every origin at every worker count.
 func TestProximityVectorParallelWorkerIndependent(t *testing.T) {
 	g, err := gen.SocialGraph(400, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	for _, u := range []graph.NodeID{0, 123, 399} {
-		base, err := ProximityVectorParallel(g, u, p, 1)
+	origins := []graph.NodeID{0, 123, 399, 7, 250}
+	for _, w := range workerSweep {
+		got, err := ProximityVectorBatch(g, origins, p, w)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers=%d: %v", w, err)
 		}
-		for _, w := range workerSweep[1:] {
-			got, err := ProximityVectorParallel(g, u, p, w)
-			if err != nil {
-				t.Fatalf("u=%d workers=%d: %v", u, w, err)
-			}
-			if got.Iterations != base.Iterations {
-				t.Fatalf("u=%d workers=%d: %d iterations, 1-worker did %d", u, w, got.Iterations, base.Iterations)
-			}
-			for i := range got.Vector {
-				if got.Vector[i] != base.Vector[i] {
-					t.Fatalf("u=%d workers=%d: vector differs at node %d", u, w, i)
-				}
-			}
-		}
-		seq, err := ProximityVector(g, u, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := vecmath.MaxAbsDiff(base.Vector, seq.Vector); d > 1e-9 {
-			t.Errorf("u=%d: gather vs scatter solver differ by %g", u, d)
+		for j, u := range origins {
+			want, err := ProximityVector(g, u, p)
+			sameRun(t, fmt.Sprintf("u=%d workers=%d", u, w), got[j], nil, want, err)
 		}
 	}
 }
@@ -99,7 +68,7 @@ func TestMulTransitionTRangePartition(t *testing.T) {
 		x[i] = 1 / float64(i+1)
 	}
 	want := make([]float64, g.N())
-	MulTransitionT(g, x, want)
+	MulTransitionTRange(g, x, want, 0, g.N())
 	for _, parts := range []int{1, 2, 7, 300, 1000} {
 		got := make([]float64, g.N())
 		for _, seg := range vecmath.Split(g.N(), parts) {
@@ -108,42 +77,6 @@ func TestMulTransitionTRangePartition(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("parts=%d: row %d differs: %g vs %g", parts, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestMulTransitionRangeMatchesScatter: the in-adjacency gather computes the
-// same operator as the out-edge scatter, up to reassociation noise.
-func TestMulTransitionRangeMatchesScatter(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		b := graph.NewBuilder(6)
-		add := func(u, v graph.NodeID, w float64) {
-			if weighted {
-				b.AddWeightedEdge(u, v, w)
-			} else {
-				b.AddEdge(u, v)
-			}
-		}
-		add(0, 1, 2)
-		add(0, 2, 1)
-		add(1, 2, 3)
-		add(2, 0, 1)
-		add(3, 0, 0.5)
-		add(4, 3, 1)
-		add(5, 5, 1)
-		g, _, err := b.Build(graph.DanglingSelfLoop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := []float64{0.3, 0.1, 0.25, 0.05, 0.2, 0.1}
-		want := make([]float64, g.N())
-		MulTransition(g, x, want)
-		got := make([]float64, g.N())
-		MulTransitionRange(g, x, got, 0, g.N())
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-14 {
-				t.Fatalf("weighted=%t: node %d: gather %g vs scatter %g", weighted, i, got[i], want[i])
 			}
 		}
 	}
@@ -171,12 +104,12 @@ func TestParallelDegenerateGraphs(t *testing.T) {
 			if math.Abs(res.Vector[0]-1) > 1e-9 {
 				t.Errorf("workers=%d: self proximity %g, want 1", w, res.Vector[0])
 			}
-			fwd, err := ProximityVectorParallel(g, 0, p, w)
+			fwd, err := ProximityVectorBatch(g, []graph.NodeID{0, 0}, p, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(fwd.Vector[0]-1) > 1e-9 {
-				t.Errorf("workers=%d: forward self proximity %g, want 1", w, fwd.Vector[0])
+			if math.Abs(fwd[1].Vector[0]-1) > 1e-9 {
+				t.Errorf("workers=%d: forward self proximity %g, want 1", w, fwd[1].Vector[0])
 			}
 		}
 	})
@@ -194,20 +127,10 @@ func TestParallelDegenerateGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range []graph.NodeID{0, 3} {
-			want, err := ProximityTo(g, q, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, wantErr := refProximityTo(g, q, p)
 			for _, w := range []int{2, 9} {
 				got, err := ProximityToParallel(g, q, p, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range got.Vector {
-					if got.Vector[i] != want.Vector[i] {
-						t.Fatalf("q=%d workers=%d: node %d differs", q, w, i)
-					}
-				}
+				sameRun(t, fmt.Sprintf("q=%d workers=%d", q, w), got, err, want, wantErr)
 			}
 		}
 	})
@@ -217,22 +140,9 @@ func TestParallelDegenerateGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ProximityTo(g, 5, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, wantErr := refProximityTo(g, 5, p)
 		got, err := ProximityToParallel(g, 5, p, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("iterations %d vs %d", got.Iterations, want.Iterations)
-		}
-		for i := range got.Vector {
-			if got.Vector[i] != want.Vector[i] {
-				t.Fatalf("node %d differs", i)
-			}
-		}
+		sameRun(t, "workers=512", got, err, want, wantErr)
 	})
 }
 

@@ -73,7 +73,8 @@ func TestPredictedIters(t *testing.T) {
 
 func TestMulTransitionStochastic(t *testing.T) {
 	// A is column-stochastic, so ‖A·x‖1 = ‖x‖1 for non-negative x, under
-	// every dangling policy and for weighted graphs.
+	// every dangling policy and for weighted graphs: the push kernel at width
+	// 1 conserves mass.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(30), rng.Intn(2) == 0)
@@ -82,7 +83,7 @@ func TestMulTransitionStochastic(t *testing.T) {
 			x[i] = rng.Float64()
 		}
 		dst := make([]float64, g.N())
-		MulTransition(g, x, dst)
+		spmmPush(g, x, dst, 1, nil)
 		return math.Abs(vecmath.L1Norm(dst)-vecmath.L1Norm(x)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -91,7 +92,9 @@ func TestMulTransitionStochastic(t *testing.T) {
 }
 
 func TestMulTransitionTIsTranspose(t *testing.T) {
-	// Property: ⟨A·x, y⟩ = ⟨x, Aᵀ·y⟩ for random vectors on random graphs.
+	// Property: ⟨A·x, y⟩ = ⟨x, Aᵀ·y⟩ for random vectors on random graphs —
+	// the forward push and the PMPN gather are one operator and its
+	// transpose.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(25), rng.Intn(2) == 0)
@@ -104,8 +107,8 @@ func TestMulTransitionTIsTranspose(t *testing.T) {
 		}
 		ax := make([]float64, n)
 		aty := make([]float64, n)
-		MulTransition(g, x, ax)
-		MulTransitionT(g, y, aty)
+		spmmPush(g, x, ax, 1, nil)
+		MulTransitionTRange(g, y, aty, 0, n)
 		var lhs, rhs float64
 		for i := 0; i < n; i++ {
 			lhs += ax[i] * y[i]
@@ -153,7 +156,7 @@ func TestProximityVectorSolvesLinearSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 		ap := make([]float64, g.N())
-		MulTransition(g, res.Vector, ap)
+		spmmPush(g, res.Vector, ap, 1, nil)
 		for v := range ap {
 			want := (1-p.Alpha)*ap[v] + p.Alpha*boolToF(int(u) == v)
 			if math.Abs(res.Vector[v]-want) > 1e-7 {
@@ -205,7 +208,7 @@ func residualRatios(g *graph.Graph, q graph.NodeID, alpha float64, iters int) fl
 	var sum float64
 	var count int
 	for i := 0; i < iters; i++ {
-		MulTransitionT(g, x, next)
+		MulTransitionTRange(g, x, next, 0, n)
 		vecmath.Scale(next, 1-alpha)
 		next[q] += alpha
 		res := vecmath.L1Diff(x, next)
@@ -262,7 +265,7 @@ func TestProximityToArbitraryInit(t *testing.T) {
 	}
 	next := make([]float64, g.N())
 	for i := 0; i < 400; i++ {
-		MulTransitionT(g, x, next)
+		MulTransitionTRange(g, x, next, 0, g.N())
 		vecmath.Scale(next, 1-p.Alpha)
 		next[q] += p.Alpha
 		x, next = next, x
@@ -298,64 +301,6 @@ func TestProximityMatrixTooLarge(t *testing.T) {
 	}
 }
 
-func TestPageRankMatchesAverageColumn(t *testing.T) {
-	// Eq. 3: pr = (1/n)·P·e = average of the proximity columns.
-	g := toyGraph(t)
-	p := DefaultParams()
-	cols, err := ProximityMatrix(g, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, g.N())
-	for _, col := range cols {
-		vecmath.AddScaled(want, 1/float64(g.N()), col)
-	}
-	res, err := PageRank(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vecmath.MaxAbsDiff(res.Vector, want) > 1e-7 {
-		t.Errorf("PageRank deviates from column average by %g", vecmath.MaxAbsDiff(res.Vector, want))
-	}
-}
-
-func TestPersonalizedValidation(t *testing.T) {
-	g := toyGraph(t)
-	p := DefaultParams()
-	if _, err := Personalized(g, []float64{1}, p); err == nil {
-		t.Error("want length error")
-	}
-	bad := make([]float64, g.N())
-	bad[0] = -1
-	bad[1] = 2
-	if _, err := Personalized(g, bad, p); err == nil {
-		t.Error("want negativity error")
-	}
-	notSum := make([]float64, g.N())
-	notSum[0] = 0.5
-	if _, err := Personalized(g, notSum, p); err == nil {
-		t.Error("want sum error")
-	}
-}
-
-func TestPersonalizedEqualsProximityVectorOnUnitPreference(t *testing.T) {
-	g := toyGraph(t)
-	p := DefaultParams()
-	v := make([]float64, g.N())
-	v[3] = 1
-	per, err := Personalized(g, v, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := ProximityVector(g, 3, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vecmath.MaxAbsDiff(per.Vector, direct.Vector) > 1e-8 {
-		t.Error("Personalized(e_u) != ProximityVector(u)")
-	}
-}
-
 func TestOutOfRangeNodes(t *testing.T) {
 	g := toyGraph(t)
 	p := DefaultParams()
@@ -367,29 +312,6 @@ func TestOutOfRangeNodes(t *testing.T) {
 	}
 	if _, err := ProximityTo(g, 99, p); err == nil {
 		t.Error("want range error")
-	}
-}
-
-func TestPageRankContributionsSumToPageRank(t *testing.T) {
-	// Σ_u contribution(u→q) must equal PageRank(q) for every q.
-	g := toyGraph(t)
-	p := DefaultParams()
-	pr, err := PageRank(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := graph.NodeID(0); int(q) < g.N(); q++ {
-		contrib, err := PageRankContributions(g, q, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for _, c := range contrib.Vector {
-			sum += c
-		}
-		if math.Abs(sum-pr.Vector[q]) > 1e-8 {
-			t.Errorf("q=%d: contributions sum to %g, PageRank is %g", q, sum, pr.Vector[q])
-		}
 	}
 }
 
@@ -413,52 +335,10 @@ func TestMulTransitionStochasticAllPolicies(t *testing.T) {
 			x[i] = rng.Float64()
 		}
 		dst := make([]float64, g.N())
-		MulTransition(g, x, dst)
+		spmmPush(g, x, dst, 1, nil)
 		if math.Abs(vecmath.L1Norm(dst)-vecmath.L1Norm(x)) > 1e-9 {
 			t.Errorf("%v: mass not conserved: %g vs %g", policy, vecmath.L1Norm(dst), vecmath.L1Norm(x))
 		}
-	}
-}
-
-func TestMonteCarloApproximatesPowerMethod(t *testing.T) {
-	g := toyGraph(t)
-	p := DefaultParams()
-	exact, err := ProximityVector(g, 0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	ep, err := MonteCarloEndPoint(g, 0, 200000, p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := MonteCarloCompletePath(g, 0, 200000, p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vecmath.MaxAbsDiff(ep, exact.Vector); d > 0.01 {
-		t.Errorf("MC End Point deviates by %g", d)
-	}
-	if d := vecmath.MaxAbsDiff(cp, exact.Vector); d > 0.01 {
-		t.Errorf("MC Complete Path deviates by %g", d)
-	}
-	// Complete Path should have lower error than End Point at equal walks
-	// in aggregate (allow generous slack for randomness).
-	if vecmath.L1Diff(cp, exact.Vector) > 2*vecmath.L1Diff(ep, exact.Vector)+0.01 {
-		t.Errorf("Complete Path much worse than End Point: %g vs %g",
-			vecmath.L1Diff(cp, exact.Vector), vecmath.L1Diff(ep, exact.Vector))
-	}
-}
-
-func TestMonteCarloValidation(t *testing.T) {
-	g := toyGraph(t)
-	p := DefaultParams()
-	rng := rand.New(rand.NewSource(1))
-	if _, err := MonteCarloEndPoint(g, 0, 0, p, rng); err == nil {
-		t.Error("want walk-count error")
-	}
-	if _, err := MonteCarloCompletePath(g, -1, 10, p, rng); err == nil {
-		t.Error("want range error")
 	}
 }
 

@@ -5,35 +5,35 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/vecmath"
 )
 
 // The slab driver of the forward SpMM tier (spmmfwd.go has the kernels and
 // the entry points): B power-method columns live in one dense node-major slab
 // (column j at x[u*w+j]) and every round runs ONE sweep of the transition
-// matrix over all of them, amortizing the CSR's memory traffic B ways.
+// matrix over all of them, amortizing the adjacency's memory traffic B ways.
+// This is the forward method's one solver: ProximityVector is a slab of one
+// column, ProximityVectorBatch runs one slab per share of its origins, and the
+// engine's exact fallback runs one per chunk of its candidates.
 //
 // Bit-identity contract: per column, every floating-point operation — the
-// neighbor-order accumulation, the multiply by the precomputed inverse
-// normalizer, the (1−α) scale, the restart add, and the block-order
-// residual reduction at residualBlock granularity — is the same operation
-// sequence as ProximityVectorParallel, so each column's vector, residual and
-// iteration count are bit-identical to a scalar run at any worker count
-// and any batch width. A column that converges retires from the slab
-// immediately (the survivors repack to a narrower stride) without
-// stalling the rest of the batch.
+// source-order push accumulation, the multiply by the inverse normalizer, the
+// (1−α) scale, the restart add, and the block-order residual reduction at
+// residualBlock granularity — is the operation sequence of the plain scalar
+// power loop (scatter over out-lists in ascending source order, then scale,
+// restart and a per-block residual), so each column's vector, residual and
+// iteration count are the same at any batch width, whatever else shares the
+// slab. A column that converges retires from the slab immediately (the
+// survivors repack to a narrower stride) without stalling the rest.
 //
-// A single-segment slab over an in-tree view (the push kernel's case, and the
-// only one the engine's exact fallback runs) starts in a ball phase, the
-// forward twin of ToStepper's (ball.go): after t sweeps the columns are
-// supported on the union of the origins' forward balls of radius t, and while
-// that union holds fewer than n/slabBallDivisor rows an iteration clears,
-// pushes from, scales, restarts and block-reduces those rows only, and
-// retiring, probing and repacking copy or move only them; then the dense loop
-// continues from the same buffers and iteration count. A skipped row is +0 in
-// both iterates and adds +0 to its residual block, so nothing a caller sees
-// differs from a slab that sweeps densely from the start
-// (TestForwardBallBitIdentical).
+// A slab starts in a ball phase, the forward twin of ToStepper's (ball.go):
+// after t sweeps the columns are supported on the union of the origins'
+// forward balls of radius t, and while that union holds fewer than
+// n/slabBallDivisor rows an iteration clears, pushes from, scales, restarts
+// and block-reduces those rows only, and retiring, probing and repacking copy
+// or move only them; then the dense loop continues from the same buffers and
+// iteration count. A skipped row is +0 in both iterates and adds +0 to its
+// residual block, so nothing a caller sees differs from a slab that sweeps
+// densely from the start (TestForwardBallBitIdentical).
 
 // batchColumn tracks one live column of the slab.
 type batchColumn struct {
@@ -42,7 +42,7 @@ type batchColumn struct {
 }
 
 // ColumnProbe lets a slab's caller stop a column before it converges. The
-// driver calls it on the coordinating goroutine after every iteration that
+// slab calls it on its own goroutine after every iteration that
 // leaves column i (the caller's position in the origins slice) unconverged,
 // with the iteration count so far, the elementwise error bound
 // tail = r_t·(1−α)/α on the column's current iterate x^t (r_t its L1
@@ -72,11 +72,12 @@ const slabBallDivisor = 2
 
 // spmmBatch is the slab driver behind ProximityVectorBatchFunc: the forward
 // power method x ← (1−α)·A·x + α·e_origin with an L1 stopping rule, one column
-// per origin — slab layout, batched matvec (spmmTransitionRange), restart add,
-// blocked residual reduction, per-column retirement and repacking. probe may
-// be nil. ballLimit is the row count that ends the ball phase (0: dense from
-// the start); ballIters reports the column-iterations swept inside it.
-func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers, ballLimit int, probe ColumnProbe, retire func(i int, res Result, err error)) (ballIters int, err error) {
+// per origin — slab layout, push sweep (spmmPush), restart add, blocked
+// residual reduction, per-column retirement and repacking — on the calling
+// goroutine. probe may be nil. ballLimit is the row count that ends the ball
+// phase (0: dense from the start); ballIters reports the column-iterations
+// swept inside it.
+func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, ballLimit int, probe ColumnProbe, retire func(i int, res Result, err error)) (ballIters int, err error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
@@ -89,7 +90,6 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers, bal
 	if len(origins) == 0 {
 		return 0, nil
 	}
-	workers = normWorkers(workers)
 
 	w := len(origins)
 	x := make([]float64, n*w)
@@ -103,65 +103,31 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers, bal
 	partial := make([]float64, nblocks*w)
 	colRes := make([]float64, w)
 	oneMinus := 1 - p.Alpha
-
-	// Shared per-iteration state, published to the persistent workers by the
-	// start-channel sends (the send/recv pairs establish the happens-before
-	// edges; each worker writes only its own dst rows and partial blocks).
-	var cur, dst []float64
 	width := w
-	segs := blockSegments(n, workers)
-
-	// runSeg is one worker's share of one iteration: the batched matvec for
-	// seg's rows, the (1−α) scale, the per-column restart add, and the
-	// per-(block, column) L1 residual partials (ascending row order within
-	// a block — vecmath.L1DiffRange's order per column). partial is indexed
-	// [block*width + j].
-	runSeg := func(seg vecmath.Range) {
-		spmmTransitionRange(g, cur, dst, width, seg.Lo, seg.Hi)
-		for i := seg.Lo * width; i < seg.Hi*width; i++ {
-			dst[i] *= oneMinus
-		}
-		for j := 0; j < width; j++ {
-			if q := int(cols[j].q); seg.Lo <= q && q < seg.Hi {
-				dst[q*width+j] += p.Alpha
-			}
-		}
-		for blo := seg.Lo; blo < seg.Hi; blo += residualBlock {
-			bhi := blo + residualBlock
-			if bhi > seg.Hi {
-				bhi = seg.Hi
-			}
-			prow := partial[(blo/residualBlock)*width : (blo/residualBlock)*width+width]
-			for j := range prow {
-				prow[j] = 0
-			}
-			for i := blo; i < bhi; i++ {
-				base := i * width
-				for j := 0; j < width; j++ {
-					prow[j] += math.Abs(cur[base+j] - dst[base+j])
-				}
-			}
-		}
-	}
 
 	// fb is the union of the origins' forward balls while the slab is in its
-	// ball phase (see the file comment): nil after the hand-over, and from the
-	// start for a row-sharded sweep or a third-party view.
-	var fb *ball
-	switch any(g).(type) {
-	case *graph.Graph, *graph.Overlay:
-		if len(segs) == 1 {
-			fb = newBall(n, true, origins...)
-		}
-	}
+	// ball phase (see the file comment), nil after the hand-over.
+	fb := newBall(n, true, origins...)
 
-	// runBall is runSeg over the ball's rows. partial stays +0 at the blocks
-	// the ball has not reached, as it would be had they been summed.
-	runBall := func(rows []graph.NodeID) {
+	// sweep is one iteration cur → dst over rows (ascending; nil: all n): the
+	// push, the (1−α) scale, the per-column restart add, and the per-(block,
+	// column) L1 residual partials, in ascending row order within a block
+	// (vecmath.L1DiffRange's order per column). partial is indexed
+	// [block*width + j]; a block the rows do not reach keeps +0, as it would
+	// be had it been summed.
+	sweep := func(cur, dst []float64, rows []graph.NodeID) {
 		spmmPush(g, cur, dst, width, rows)
-		for _, u := range rows {
-			for i := int(u) * width; i < (int(u)+1)*width; i++ {
+		count := n
+		if rows == nil {
+			for i := range dst[:n*width] {
 				dst[i] *= oneMinus
+			}
+		} else {
+			count = len(rows)
+			for _, u := range rows {
+				for i := int(u) * width; i < (int(u)+1)*width; i++ {
+					dst[i] *= oneMinus
+				}
 			}
 		}
 		for j := 0; j < width; j++ {
@@ -169,12 +135,16 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers, bal
 		}
 		block := -1
 		var prow []float64
-		for _, u := range rows {
-			if b := int(u) / residualBlock; b != block {
+		for i := 0; i < count; i++ {
+			u := i
+			if rows != nil {
+				u = int(rows[i])
+			}
+			if b := u / residualBlock; b != block {
 				block, prow = b, partial[b*width:b*width+width]
 				clear(prow)
 			}
-			base := int(u) * width
+			base := u * width
 			for j := range prow {
 				prow[j] += math.Abs(cur[base+j] - dst[base+j])
 			}
@@ -203,51 +173,18 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers, bal
 	}
 	keep := make([]int, 0, w)
 
-	var start []chan struct{}
-	var done chan struct{}
-	if len(segs) > 1 {
-		start = make([]chan struct{}, len(segs))
-		for i := range start {
-			start[i] = make(chan struct{})
-		}
-		done = make(chan struct{}, len(segs))
-		for i, seg := range segs {
-			go func(i int, seg vecmath.Range) {
-				for range start[i] {
-					runSeg(seg)
-					done <- struct{}{}
-				}
-			}(i, seg)
-		}
-		defer func() {
-			for _, ch := range start {
-				close(ch)
-			}
-		}()
-	}
-
 	for t := 1; t <= p.MaxIters; t++ {
-		cur, dst = x, next
 		if fb != nil && !growBall(g, fb, ballLimit) {
 			fb = nil
 		}
+		sweep(x, next, fb.list())
 		if fb != nil {
-			runBall(fb.rows)
 			ballIters += width
-		} else if len(segs) > 1 {
-			for _, ch := range start {
-				ch <- struct{}{}
-			}
-			for range segs {
-				<-done
-			}
-		} else {
-			runSeg(segs[0])
 		}
 		x, next = next, x // x now holds this iteration's output
 
 		// Per-column residual, summed in ascending block order — the same
-		// reduction order as the scalar stepper's.
+		// reduction order as the stepper's.
 		for j := 0; j < width; j++ {
 			var s float64
 			for b := 0; b < nblocks; b++ {
@@ -302,8 +239,8 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, workers, bal
 		next = next[:n*width]
 	}
 
-	// Iteration cap hit: the survivors fail exactly like the scalar path
-	// (Iterations counts the cap overrun the same way iterate does).
+	// Iteration cap hit: the survivors fail, each reporting the iteration it
+	// could not run, as ToStepper does.
 	for j := 0; j < width; j++ {
 		vec := make([]float64, n)
 		copyColumn(vec, j)

@@ -68,7 +68,8 @@ func spmmTestViews(t *testing.T) map[string]graph.View {
 }
 
 // TestProximityVectorBatchEarlyRetirement: columns retire in
-// scalar-iteration order, each at exactly its scalar iteration count, while
+// scalar-iteration order, each at exactly the reference loop's iteration
+// count, while
 // the batch keeps running — a fast column never waits for the slowest one.
 func TestProximityVectorBatchEarlyRetirement(t *testing.T) {
 	g, err := gen.WebGraph(500, 7)
@@ -79,7 +80,7 @@ func TestProximityVectorBatchEarlyRetirement(t *testing.T) {
 	origins := []graph.NodeID{0, 9, 250, 499, 123, 44, 318, 77}
 	scalarIters := make([]int, len(origins))
 	for j, u := range origins {
-		res, err := ProximityVectorParallel(g, u, p, 1)
+		res, err := refProximityVector(g, u, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestProximityVectorBatchEarlyRetirement(t *testing.T) {
 	}
 	lastIter := 0
 	retired := make([]bool, len(origins))
-	_, err = ProximityVectorBatchFunc(g, origins, p, 4, nil, func(i int, res Result, err error) {
+	_, err = ProximityVectorBatchFunc(g, origins, p, nil, func(i int, res Result, err error) {
 		if err != nil {
 			t.Fatalf("col %d: %v", i, err)
 		}
@@ -137,7 +138,7 @@ func TestProximityVectorBatchDuplicateOrigins(t *testing.T) {
 }
 
 // TestProximityVectorBatchNonConvergence: columns that hit the iteration cap
-// fail with the scalar path's exact error and its non-convergence Result.
+// fail with the reference loop's exact error and its non-convergence Result.
 func TestProximityVectorBatchNonConvergence(t *testing.T) {
 	g, err := gen.WebGraph(300, 13)
 	if err != nil {
@@ -145,19 +146,19 @@ func TestProximityVectorBatchNonConvergence(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.MaxIters = 3 // far below the ~140 iterations ε=1e-10 needs
-	want, wantErr := ProximityVectorParallel(g, 5, p, 1)
+	want, wantErr := refProximityVector(g, 5, p)
 	if wantErr == nil {
-		t.Fatal("scalar run unexpectedly converged in 3 iterations")
+		t.Fatal("reference run unexpectedly converged in 3 iterations")
 	}
 	results, err := ProximityVectorBatch(g, []graph.NodeID{5, 9}, p, 2)
 	if err == nil {
 		t.Fatal("batch run unexpectedly converged in 3 iterations")
 	}
 	if err.Error() != wantErr.Error() {
-		t.Fatalf("batch error %q, scalar error %q", err, wantErr)
+		t.Fatalf("batch error %q, reference error %q", err, wantErr)
 	}
 	if results[0].Iterations != want.Iterations || results[0].Residual != want.Residual {
-		t.Fatalf("failed column result (%d, %g) differs from scalar (%d, %g)",
+		t.Fatalf("failed column result (%d, %g) differs from the reference (%d, %g)",
 			results[0].Iterations, results[0].Residual, want.Iterations, want.Residual)
 	}
 	for u := range results[0].Vector {
@@ -175,19 +176,19 @@ func TestProximityVectorBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	if _, err := ProximityVectorBatchFunc(g, []graph.NodeID{50}, p, 1, nil, func(int, Result, error) {
+	if _, err := ProximityVectorBatchFunc(g, []graph.NodeID{50}, p, nil, func(int, Result, error) {
 		t.Fatal("retire called on validation failure")
 	}); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range origin: got %v", err)
 	}
 	bad := p
 	bad.Alpha = 1.5
-	if _, err := ProximityVectorBatchFunc(g, []graph.NodeID{0}, bad, 1, nil, func(int, Result, error) {
+	if _, err := ProximityVectorBatchFunc(g, []graph.NodeID{0}, bad, nil, func(int, Result, error) {
 		t.Fatal("retire called on validation failure")
 	}); err == nil {
 		t.Fatal("bad alpha accepted")
 	}
-	if _, err := ProximityVectorBatchFunc(g, nil, p, 1, nil, func(int, Result, error) {
+	if _, err := ProximityVectorBatchFunc(g, nil, p, nil, func(int, Result, error) {
 		t.Fatal("retire called on empty batch")
 	}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // (a ball that grows for twenty levels and closes small) and a node pointing
 // at two thirds of the core — as a CSR, as an Overlay carrying un-compacted
 // edits (insert, weighted insert, removal, node growth), as the CSR that
-// overlay compacts to, and behind a wrapper that takes the generic kernels.
+// overlay compacts to, and behind a wrapper that takes the generic kernel.
 // The named nodes are valid origins on every view.
 func slabBallViews(t *testing.T) (views map[string]graph.View, cycle, dangling, ladder, hub graph.NodeID) {
 	t.Helper()
@@ -166,7 +166,7 @@ func traceSlab(t *testing.T, g graph.View, origins []graph.NodeID, p Params, bal
 			return i == dropCol && iter == dropIter
 		}
 	}
-	ballIters, err = spmmBatch(g, origins, p, 1, ballLimit, probe, func(i int, res Result, rerr error) {
+	ballIters, err = spmmBatch(g, origins, p, ballLimit, probe, func(i int, res Result, rerr error) {
 		ev := slabEvent{i: i, iter: res.Iterations, column: res.Vector, res: res.Residual}
 		if rerr != nil {
 			ev.err = rerr.Error()
@@ -240,7 +240,7 @@ func TestForwardBallBitIdentical(t *testing.T) {
 						t.Fatalf("%s: %d probe and retire calls, the dense-only reference made %d", label, len(got), len(want))
 					}
 					// The ball swept each column's iterations before the
-					// hand-over, and only on a view with a push kernel.
+					// hand-over.
 					total, wantBall := 0, 0
 					for i, ev := range want {
 						if !got[i].equal(ev) {
@@ -255,9 +255,6 @@ func TestForwardBallBitIdentical(t *testing.T) {
 								wantBall += min(it, handover-1)
 							}
 						}
-					}
-					if name == "generic" {
-						wantBall = 0
 					}
 					if refBall != 0 || ballIters != wantBall || ballIters > total {
 						t.Fatalf("%s: %d column-iterations over the ball (reference %d), want %d of %d", label, ballIters, refBall, wantBall, total)

@@ -1,6 +1,7 @@
 package rwr
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -8,10 +9,10 @@ import (
 
 // TestProximityVectorBatchBitIdentical is the forward tier's contract:
 // every column of the SpMM-batched power method — vector, iteration count
-// and residual — is bit-identical to a scalar ProximityVectorParallel run,
-// across graph families, batch widths {1,2,4,16} and worker counts. This
-// is what lets the engine batch its exact fallbacks without perturbing a
-// single membership decision or committed exact state.
+// and residual — is bit-identical to the reference power loop, across graph
+// families, batch widths {1,2,4,16} and worker counts. This is what lets the
+// engine batch its exact fallbacks without perturbing a single membership
+// decision or committed exact state.
 func TestProximityVectorBatchBitIdentical(t *testing.T) {
 	for name, g := range spmmTestViews(t) {
 		t.Run(name, func(t *testing.T) {
@@ -24,7 +25,7 @@ func TestProximityVectorBatchBitIdentical(t *testing.T) {
 				}
 				want := make([]Result, width)
 				for j, u := range origins {
-					res, err := ProximityVectorParallel(g, u, p, 1)
+					res, err := refProximityVector(g, u, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -36,20 +37,7 @@ func TestProximityVectorBatchBitIdentical(t *testing.T) {
 						t.Fatalf("width=%d workers=%d: %v", width, workers, err)
 					}
 					for j := range origins {
-						if got[j].Iterations != want[j].Iterations {
-							t.Fatalf("width=%d workers=%d col=%d: %d iterations, scalar did %d",
-								width, workers, j, got[j].Iterations, want[j].Iterations)
-						}
-						if got[j].Residual != want[j].Residual {
-							t.Fatalf("width=%d workers=%d col=%d: residual %g, scalar %g",
-								width, workers, j, got[j].Residual, want[j].Residual)
-						}
-						for u := range got[j].Vector {
-							if got[j].Vector[u] != want[j].Vector[u] {
-								t.Fatalf("width=%d workers=%d col=%d: vector differs at node %d: %g vs %g",
-									width, workers, j, u, got[j].Vector[u], want[j].Vector[u])
-							}
-						}
+						sameRun(t, fmt.Sprintf("width=%d workers=%d col=%d", width, workers, j), got[j], nil, want[j], nil)
 					}
 				}
 			}
@@ -57,12 +45,10 @@ func TestProximityVectorBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestProximityVectorBatchMatchesSolverTolerance: the batched forward
-// vectors agree with the sequential scatter-form ProximityVector to within
-// the solver tolerance. (On these source-ordered views the iterates are in
-// fact bit-identical — see MulTransitionRange; the tolerance covers the one
-// real difference, a residual summed flat instead of in blocks, which may
-// stop one of the two solvers an iteration later.)
+// TestProximityVectorBatchMatchesSolverTolerance: ProximityVector is one
+// column of the slab, so the batched forward vectors equal it — not only to
+// within the solver tolerance but bit for bit, residual and iteration count
+// included.
 func TestProximityVectorBatchMatchesSolverTolerance(t *testing.T) {
 	for name, g := range spmmTestViews(t) {
 		t.Run(name, func(t *testing.T) {
@@ -74,16 +60,7 @@ func TestProximityVectorBatchMatchesSolverTolerance(t *testing.T) {
 			}
 			for j, u := range origins {
 				want, err := ProximityVector(g, u, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range want.Vector {
-					d := got[j].Vector[v] - want.Vector[v]
-					if d < -1e-8 || d > 1e-8 {
-						t.Fatalf("origin %d: vector differs at node %d beyond tolerance: %g vs %g",
-							u, v, got[j].Vector[v], want.Vector[v])
-					}
-				}
+				sameRun(t, fmt.Sprintf("origin %d", u), got[j], nil, want, err)
 			}
 		})
 	}

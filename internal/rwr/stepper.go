@@ -9,11 +9,11 @@ import (
 	"repro/internal/vecmath"
 )
 
-// ToStepper is the sharded PMPN iteration (Algorithm 2) — the one driver
-// behind every caller that is not the serial reference ProximityTo — advanced
-// an explicit number of iterations at a time, exposing the current iterate and
-// a rigorous elementwise error bound between rounds. ProximityToParallel steps
-// one to convergence; the anytime tier (core.QueryAnytime) and the
+// ToStepper is the sharded PMPN iteration (Algorithm 2) — the one PMPN
+// solver — advanced an explicit number of iterations at a time, exposing the
+// current iterate and a rigorous elementwise error bound between rounds.
+// ProximityToParallel (and ProximityTo, on one worker) steps one to
+// convergence; the anytime tier (core.QueryAnytime) and the
 // sharded-query coordinator (internal/shard) screen candidates against the
 // partial iterate after each round and stop the iteration early once every
 // candidate is decided.
@@ -77,14 +77,13 @@ type ToStepper struct {
 	x, next []float64
 	segs    []vecmath.Range
 	partial []float64
-	// step fills dst[r.Lo:r.Hi] with one iteration's rows of cur — matvec,
-	// (1−α) scale and restart add — touching no other range.
+	// step fills dst[r.Lo:r.Hi] with one iteration's rows of cur — the Aᵀ
+	// gather, (1−α) scale and restart add — touching no other range.
 	step func(cur, dst []float64, r vecmath.Range)
 
-	// ball is the origin's backward ball while the iteration is still
-	// restricted to it, nil after the hand-over to the dense sweep (and from
-	// the start for the forward iteration, which has no ball phase). grow
-	// adds the next level, reporting false once the ball holds ballLimit rows.
+	// ball is q's backward ball while the iteration is still restricted to
+	// it, nil after the hand-over to the dense sweep. grow adds the next
+	// level, reporting false once the ball holds ballLimit rows.
 	ball      *ball
 	grow      func(b *ball, limit int) bool
 	ballLimit int
@@ -106,38 +105,37 @@ type ToStepper struct {
 // the per-iteration matvec parallelism of the dense sweep (≤ 0 selects
 // GOMAXPROCS); the computed iterates are identical for every setting.
 func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*ToStepper, error) {
-	mulT := func(x, dst []float64, lo, hi int) { MulTransitionTRange(g, x, dst, lo, hi) }
-	s, err := newStepper(g.N(), q, p, workers, restartStep(mulT, q, p))
-	if err != nil {
-		return nil, err
-	}
-	s.ball = newBall(s.n, false, q)
-	s.grow = func(b *ball, limit int) bool { return growBall(g, b, limit) }
-	s.ballLimit = s.n / ballDenseDivisor
-	return s, nil
-}
-
-// newStepper validates the run and allocates the iteration state around one
-// step function, starting from e_origin with no ball phase.
-func newStepper(n int, origin graph.NodeID, p Params, workers int, step func(cur, dst []float64, r vecmath.Range)) (*ToStepper, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if int(origin) < 0 || int(origin) >= n {
-		return nil, fmt.Errorf("rwr: node %d out of range [0,%d)", origin, n)
+	n := g.N()
+	if int(q) < 0 || int(q) >= n {
+		return nil, fmt.Errorf("rwr: node %d out of range [0,%d)", q, n)
 	}
+	oneMinus := 1 - p.Alpha
 	s := &ToStepper{
-		p:        p,
-		n:        n,
-		x:        make([]float64, n),
-		next:     make([]float64, n),
-		segs:     blockSegments(n, normWorkers(workers)),
-		partial:  make([]float64, (n+residualBlock-1)/residualBlock),
-		step:     step,
-		tail:     1,
-		residual: math.Inf(1),
+		p:       p,
+		n:       n,
+		x:       make([]float64, n),
+		next:    make([]float64, n),
+		segs:    blockSegments(n, normWorkers(workers)),
+		partial: make([]float64, (n+residualBlock-1)/residualBlock),
+		step: func(cur, dst []float64, r vecmath.Range) {
+			MulTransitionTRange(g, cur, dst, r.Lo, r.Hi)
+			for i := r.Lo; i < r.Hi; i++ {
+				dst[i] *= oneMinus
+			}
+			if r.Lo <= int(q) && int(q) < r.Hi {
+				dst[q] += p.Alpha
+			}
+		},
+		ball:      newBall(n, false, q),
+		grow:      func(b *ball, limit int) bool { return growBall(g, b, limit) },
+		ballLimit: n / ballDenseDivisor,
+		tail:      1,
+		residual:  math.Inf(1),
 	}
-	s.x[origin] = 1
+	s.x[q] = 1
 	return s, nil
 }
 
@@ -177,7 +175,7 @@ func (s *ToStepper) run() (Result, error) {
 	_, err := s.Step(s.p.MaxIters + 1)
 	res := Result{Vector: s.x, Iterations: s.iters, Residual: s.residual, Rows: s.Rows()}
 	if err != nil {
-		res.Iterations++ // iterate's loop counter has overrun the cap when it gives up
+		res.Iterations++ // a capped run reports the iteration it refused, as the forward slab does
 	}
 	return res, err
 }

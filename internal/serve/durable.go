@@ -241,6 +241,11 @@ func (s *Server) checkpoint() error {
 	if err := syncDir(s.ckptDir); err != nil {
 		return fmt.Errorf("syncing checkpoint dir: %w", err)
 	}
+	// Committed: count it and publish its watermark before the journal
+	// shrinks, so a Stats that sees the truncated journal sees this checkpoint.
+	s.m.checkpoints.Inc()
+	s.lastCkptWM.Store(wm)
+	s.lastCkptNS.Store(time.Now().UnixNano())
 
 	if err := s.journal.TruncateBelow(wm); err != nil {
 		return fmt.Errorf("truncating journal at %d: %w", wm, err)
@@ -249,9 +254,6 @@ func (s *Server) checkpoint() error {
 		os.Remove(filepath.Join(s.ckptDir, prev.Graph))
 		os.Remove(filepath.Join(s.ckptDir, prev.Index))
 	}
-	s.m.checkpoints.Inc()
-	s.lastCkptWM.Store(wm)
-	s.lastCkptNS.Store(time.Now().UnixNano())
 	return nil
 }
 
