@@ -8,12 +8,12 @@
 //	rtkquery -graph web.txt -index web.idx -q 42 -k 10
 //	rtkquery -graph web.txt -index web.idx -q 42 -k 10 -update -save
 //	rtkquery -graph web.txt -index web.idx -q 42 -k 10 -workers 0   # one query, all cores
-//	rtkquery -graph web.txt -index web.idx -q 42 -k 10 -mode approx -eps 0.1 -delta 0.001
+//	rtkquery -graph web.txt -index web.idx -q 42 -k 10 -mode approx -eps 0.1
 //	rtkquery -graph web.txt -shards web.idx.shard0of2,web.idx.shard1of2 -q 42 -k 10
 //
-// With -mode approx, the anytime (ε,δ) tier answers with a guaranteed part
-// and a maybe part instead of refining to an exact answer; eps bounds the
-// undecided fraction and delta (optional) enables the Monte Carlo stage.
+// With -mode approx, the anytime tier answers with a guaranteed part and a
+// maybe part instead of refining to an exact answer; eps bounds the
+// undecided fraction. Both parts are deterministic.
 //
 // With -shards, the comma-separated shard-slice files (rtkindex -partition)
 // are queried through the in-process scatter-gather coordinator: one shared
@@ -53,15 +53,13 @@ func main() {
 		mmapMode  = flag.String("mmap", "on", "load a v2 index zero-copy via mmap: on|off (off = portable heap load)")
 		approx    = flag.Bool("approx", false, "hits-only approximate mode (§5.3): no refinement, subset answer")
 		explain   = flag.Bool("explain", false, "print the per-candidate decision trace instead of running the query")
-		mode      = flag.String("mode", "", "query tier: exact (default) or approx — the anytime (ε,δ) tier")
+		mode      = flag.String("mode", "", "query tier: exact (default) or approx — the anytime tier")
 		eps       = flag.String("eps", "", "anytime undecided-fraction budget in [0,1); default 0.1 (needs -mode approx)")
-		delta     = flag.String("delta", "", "anytime Monte Carlo failure budget in [0,0.5]; default 0 (needs -mode approx)")
-		mcSeed    = flag.Int64("seed", 0, "anytime Monte Carlo seed (used when delta > 0)")
 	)
 	flag.Parse()
 	// Same shared validator as the rtkserve HTTP handler: same inputs, same
 	// rejections, same messages.
-	anytime, epsV, deltaV, perr := serve.ParseApproxParams(*mode, *eps, *delta)
+	anytime, epsV, perr := serve.ParseApproxParams(*mode, *eps, "")
 	if perr != nil {
 		log.Fatal(perr)
 	}
@@ -99,9 +97,6 @@ func main() {
 	if *shards != "" {
 		if *update || *save || *approx || *explain {
 			log.Fatal("-shards supports plain queries only (no -update/-save/-approx/-explain)")
-		}
-		if anytime && deltaV != 0 {
-			log.Fatal("-shards -mode approx is deterministic only (delta must be unset)")
 		}
 		querySharded(g, strings.Split(*shards, ","), *q, *k, *workers, useMmap, anytime, epsV)
 		return
@@ -165,20 +160,18 @@ func main() {
 	}
 	switch {
 	case anytime:
-		res, err := view.QueryAnytime(graph.NodeID(*q), *k, core.AnytimeOptions{Eps: epsV, Delta: deltaV, Seed: *mcSeed}, *workers)
+		res, err := view.QueryAnytime(graph.NodeID(*q), *k, core.AnytimeOptions{Eps: epsV}, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}
 		s := res.Stats
-		fmt.Printf("anytime reverse top-%d of node %d (eps=%g delta=%g):\n", *k, *q, epsV, deltaV)
+		fmt.Printf("anytime reverse top-%d of node %d (eps=%g delta=0):\n", *k, *q, epsV)
 		fmt.Printf("guaranteed (%d): %v\n", len(res.Guaranteed), res.Guaranteed)
 		fmt.Printf("maybe (%d): %v\n", len(res.Maybe), res.Maybe)
-		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v confirmed=%d pruned=%d mc_confirmed=%d mc_pruned=%d mc_walks=%d\n",
-			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged,
-			s.ConfirmedByBound, s.PrunedByBound, s.MCConfirmed, s.MCPruned, s.MCWalks)
-		fmt.Printf("time: total=%v pmpn=%v mc=%v (%d PMPN iterations)\n",
-			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond),
-			s.MCElapsed.Round(time.Microsecond), s.PMPNIters)
+		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v confirmed=%d pruned=%d\n",
+			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged, s.ConfirmedByBound, s.PrunedByBound)
+		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
+			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond), s.PMPNIters)
 	case *explain:
 		ex, err := view.Explain(graph.NodeID(*q), *k, false, *workers)
 		if err != nil {
@@ -188,8 +181,8 @@ func main() {
 			log.Fatal(err)
 		}
 	case *approx:
-		// The hits of Fig. 6: the anytime tier run to ε = 0 with no Monte
-		// Carlo stage, keeping what the bounds confirmed.
+		// The hits of Fig. 6: the anytime tier run to ε = 0, keeping what the
+		// bounds confirmed.
 		res, err := view.QueryAnytime(graph.NodeID(*q), *k, core.AnytimeOptions{}, *workers)
 		if err != nil {
 			log.Fatal(err)
@@ -223,7 +216,7 @@ func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
 // fixed phase order, so repeated runs diff cleanly.
 func formatPhases(phases map[string]time.Duration) string {
 	var b strings.Builder
-	for _, name := range []string{"pmpn", "decide", "fallback", "mc"} {
+	for _, name := range []string{"pmpn", "decide", "fallback"} {
 		if d, ok := phases[name]; ok {
 			fmt.Fprintf(&b, " %s=%v", name, d.Round(time.Microsecond))
 		}

@@ -26,9 +26,8 @@
 // decisions into the exact global answer — plus the rtkserve -shards
 // HTTP fan-out over stock shard daemons), the anytime approximate tier
 // (core.View.QueryAnytime: the exact query's round loop stopped at an
-// (ε,δ) budget with a guaranteed ⊆ exact ⊆
-// guaranteed ∪ maybe two-part answer, a residual-seeded Monte Carlo
-// refinement under explicit seeds, exact escalation that continues the run, and
+// ε budget with a deterministic guaranteed ⊆ exact ⊆ guaranteed ∪ maybe
+// two-part answer, exact escalation that continues the run, and
 // mode=approx serving with budget-aware cache keys — the paper's §5.3
 // hits-only approximation is its guaranteed part at ε = 0, what rtkquery
 // -approx prints), the refine-or-solve rule (a refinement step is

@@ -18,10 +18,10 @@ import (
 //
 //	Engine.Query, View.Query   Rounds(0, 0) — one round, to convergence — + finish
 //	Engine.Explain             the same, with a recorder listening
-//	View.QueryAnytime          Rounds(ε, RoundIters), Monte Carlo between rounds
+//	View.QueryAnytime          Rounds(ε, DefaultAnytimeRoundIters); hits + survivors
 //	AnytimeResult.Escalate     Rounds(0, 0) from where that run stopped + finish
-//	shard.Coordinator          Rounds(ε, RoundIters) over one Screen a shard,
-//	                           + for its exact Query one finish a shard
+//	shard.Coordinator          Rounds(ε, DefaultAnytimeRoundIters) over one Screen
+//	                           a shard, + for its exact Query one finish a shard
 //
 // A Run drives the only PMPN the package constructs. It is single-use and not
 // safe for concurrent use, except that once Rounds has returned, finishes over
@@ -31,9 +31,6 @@ type Run struct {
 	params  rwr.Params
 	stepper *rwr.ToStepper
 	screens []*Screen
-	// between, when set (the anytime tier's Monte Carlo stage), runs after each
-	// round's screening and returns the counts the stop rule should see.
-	between func(tau float64, converged bool) (conf, und int)
 
 	start       time.Time
 	pmpnElapsed time.Duration
@@ -103,14 +100,11 @@ func (r *Run) Rounds(eps float64, roundIters int) error {
 		if converged && rep.Undecided > 0 {
 			rep, tau = r.screen(0), 0
 		}
-		conf, und := 0, rep.Undecided
+		conf := 0
 		for _, s := range r.screens {
 			conf += len(s.hits)
 		}
-		if r.between != nil {
-			conf, und = r.between(tau, converged)
-		}
-		r.frac, r.tau = undecidedFrac(conf, und), tau
+		r.frac, r.tau = undecidedFrac(conf, rep.Undecided), tau
 		if r.frac <= eps || converged {
 			return nil
 		}
@@ -121,6 +115,13 @@ func (r *Run) Rounds(eps float64, roundIters int) error {
 			}
 		}
 	}
+}
+
+func undecidedFrac(conf, und int) float64 {
+	if und == 0 {
+		return 0
+	}
+	return float64(und) / float64(conf+und)
 }
 
 // screen advances every screen against the current iterate, concurrently when

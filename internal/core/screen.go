@@ -249,13 +249,5 @@ func (s *Screen) upper(u graph.NodeID, lb, rn, ub float64) (float64, float64) {
 // aliases internal state and is valid until the next Advance.
 func (s *Screen) Survivors() []graph.NodeID { return s.ids }
 
-// survivorBounds returns the decision bounds (p̂_u(k), UB_u) for the i-th
-// survivor, memoized as row does. The anytime tier's Monte Carlo stage
-// compares its probabilistic confidence interval for p_u(q) against these.
-func (s *Screen) survivorBounds(i int) (lb, ub float64) {
-	s.rn[i], s.ub[i] = s.upper(s.ids[i], s.lb[i], s.rn[i], s.ub[i])
-	return s.lb[i], s.ub[i]
-}
-
 // Hits returns every node confirmed so far, in confirmation order.
 func (s *Screen) Hits() []graph.NodeID { return s.hits }

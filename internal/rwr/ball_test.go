@@ -82,9 +82,8 @@ type pmpnIterate struct {
 // the oracle graph families as CSR, post-Apply Overlay, post-Compact CSR and
 // behind a wrapper that takes the generic kernels. Query nodes are picked per
 // view to cover every way the two phases can meet, and each runs with the
-// default cap and with one that runs out inside the ball phase. Previous is
-// x^{t−1} and RoundHook fires once per iteration in both phases. With the
-// iterate comes the Rows contract: the list is non-nil iff the run has not
+// default cap and with one that runs out inside the ball phase. RoundHook
+// fires once per iteration in both phases. With the iterate comes the Rows contract: the list is non-nil iff the run has not
 // handed over to the dense sweep, ascending, with every index outside it
 // bit-equal to +0 — and nil from the forward slab.
 func TestProximityToParallelBallBitIdentical(t *testing.T) {
@@ -139,8 +138,6 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 					if ref.Rows() != nil {
 						t.Fatalf("%s q=%d: the dense-only reference reports a row list", name, q)
 					}
-					x0 := make([]float64, n)
-					x0[q] = 1
 					for _, workers := range []int{1, 2, 4} {
 						for _, round := range []int{params.MaxIters, 1, 3} {
 							label := fmt.Sprintf("%s q=%d (%s) maxiters=%d workers=%d Step(%d)", name, q, class, params.MaxIters, workers, round)
@@ -169,25 +166,20 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 									t.Fatalf("%s iteration %d: residual %g tail %g, reference %g and %g",
 										label, it, s.Residual(), s.Tail(), w.residual, w.tail)
 								}
-								prev := x0
-								if it > 1 {
-									prev = want[it-2].cur
-								}
 								for u := range w.cur {
-									if s.Current()[u] != w.cur[u] || s.Previous()[u] != prev[u] {
-										t.Fatalf("%s iteration %d: node %d is %g after %g, reference %g after %g",
-											label, it, u, s.Current()[u], s.Previous()[u], w.cur[u], prev[u])
+									if s.Current()[u] != w.cur[u] {
+										t.Fatalf("%s iteration %d: node %d is %g, reference %g",
+											label, it, u, s.Current()[u], w.cur[u])
 									}
 								}
 								// The row list is there iff the run has not handed
-								// over, and bounds both iterates from outside.
+								// over, and bounds the iterate from outside.
 								if handedOver := handover > 0 && handover <= it; (s.Rows() == nil) != handedOver {
 									t.Fatalf("%s iteration %d: Rows nil is %v, handed over (at %d) is %v",
 										label, it, s.Rows() == nil, handover, handedOver)
 								}
 								if s.Rows() != nil {
 									checkRowList(t, label, s.Rows(), s.Current())
-									checkRowList(t, label, s.Rows(), s.Previous())
 								}
 							}
 							if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {

@@ -2,9 +2,8 @@
 // the paper: the transition operator of §2.1 (never materialized as a
 // matrix), the Power Method for a node's proximity vector p_u (Eq. 1/12),
 // the transposed power method PMPN of Algorithm 2 / Theorem 2 for the
-// proximities from all nodes TO a query node, full proximity-matrix
-// construction for brute-force baselines, and the residual-walk estimator
-// of the anytime tier (§6).
+// proximities from all nodes TO a query node, and full proximity-matrix
+// construction for brute-force baselines.
 //
 // Each direction has one solver. PMPN is ToStepper, which gathers Aᵀ·x over
 // out-lists (ProximityToParallel steps it to convergence, ProximityTo on one

@@ -33,10 +33,10 @@ import (
 // ball's rows are accumulated in the same neighbour order and reduced in the
 // same ascending order inside the same ascending blocks. The dense sweep
 // computes every row in that order too and reduces the residual per fixed
-// block in block order, whatever the worker count. Hence Current, Previous,
-// Residual, Tail and Iterations after every iteration equal those of a run
-// that sweeps densely from e_q, for every worker count, round schedule and
-// view (TestProximityToParallelBallBitIdentical). A coordinator that decides
+// block in block order, whatever the worker count. Hence Current, Residual,
+// Tail and Iterations after every iteration equal those of a run that sweeps
+// densely from e_q, for every worker count, round schedule and view
+// (TestProximityToParallelBallBitIdentical). A coordinator that decides
 // some candidates early and the rest against the converged vector therefore
 // reproduces the single-engine answer set exactly.
 //
@@ -232,24 +232,11 @@ func (s *ToStepper) iterateOnce() {
 // and must not be modified.
 func (s *ToStepper) Current() []float64 { return s.x }
 
-// Previous returns the prior iterate x^{t−1} (nil before the first Step).
-// Together with Current it yields the last step's delta δ_t = x^t − x^{t−1},
-// the seed of the Monte Carlo tail-correction estimator
-// (ResidualWalkEstimate): the remaining error p − x^t equals
-// Σ_{j≥1} ((1−α)Aᵀ)^j δ_t exactly. The slice aliases internal state (the
-// swap buffer) and is valid until the next Step.
-func (s *ToStepper) Previous() []float64 {
-	if s.iters == 0 {
-		return nil
-	}
-	return s.next
-}
-
 // Rows lists, ascending, every row the iterates so far can be non-zero in —
 // q's backward ball — while the run has not handed over to the dense sweep:
-// each entry of Current and Previous outside it is exactly +0 and was never
-// written. Nil after the hand-over, which says nothing about the vector. The
-// slice aliases internal state and is valid until the next Step.
+// each entry of Current outside it is exactly +0 and was never written. Nil
+// after the hand-over, which says nothing about the vector. The slice aliases
+// internal state and is valid until the next Step.
 func (s *ToStepper) Rows() []graph.NodeID { return s.ball.list() }
 
 // Tail returns the current elementwise error bound

@@ -32,7 +32,7 @@ func TestServeApproxMatchesOracle(t *testing.T) {
 	for _, q := range []int{0, 11, 42, 59} {
 		for _, k := range []int{1, 4, 8} {
 			for _, eps := range []string{"", "0.3", "0"} {
-				url := fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=%d&mode=approx&delta=0.001", ts.URL, q, k)
+				url := fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=%d&mode=approx&delta=0", ts.URL, q, k)
 				if eps != "" {
 					url += "&eps=" + eps
 				}
@@ -130,26 +130,67 @@ func TestServeApproxCacheIsolation(t *testing.T) {
 	}
 }
 
+// approxValidationCases are the mode/eps/delta 400s, each with a fragment its
+// error message must carry ("" checks the status only). A delta above 0 is
+// refused by name: the Monte Carlo stage it budgeted is gone.
+var approxValidationCases = []struct {
+	name, params, msg string
+}{
+	{"unknown mode", "q=1&k=3&mode=fast", ""},
+	{"eps without approx", "q=1&k=3&eps=0.1", ""},
+	{"delta without approx", "q=1&k=3&delta=0.1", ""},
+	{"eps=1", "q=1&k=3&mode=approx&eps=1", ""},
+	{"negative eps", "q=1&k=3&mode=approx&eps=-0.1", ""},
+	{"malformed eps", "q=1&k=3&mode=approx&eps=lots", ""},
+	{"delta>0", "q=1&k=3&mode=approx&delta=0.001", "Monte Carlo stage was removed"},
+	{"delta>0 with eps", "q=1&k=3&mode=approx&eps=0.2&delta=0.01", "Monte Carlo stage was removed"},
+	{"delta too large", "q=1&k=3&mode=approx&delta=0.9", "Monte Carlo stage was removed"},
+	{"negative delta", "q=1&k=3&mode=approx&delta=-0.1", ""},
+	{"NaN delta", "q=1&k=3&mode=approx&delta=NaN", ""},
+	{"malformed delta", "q=1&k=3&mode=approx&delta=x", ""},
+}
+
+// checkApproxValidation sends every approxValidationCases row to base.
+func checkApproxValidation(t *testing.T, base string) {
+	t.Helper()
+	for _, tc := range approxValidationCases {
+		resp, body := get(t, base+"/v1/reverse-topk?"+tc.params)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.msg)) {
+			t.Errorf("%s: status %d body %s, want 400 naming %q", tc.name, resp.StatusCode, body, tc.msg)
+		}
+	}
+}
+
 // TestServeApproxValidation covers the mode/eps/delta 400s.
 func TestServeApproxValidation(t *testing.T) {
 	g := testGraph(t, 35, 30)
 	idx := testIndex(t, g, 5)
 	_, ts := newTestServer(t, g, idx, Config{})
-	for _, tc := range []struct {
-		name, params string
-	}{
-		{"unknown mode", "q=1&k=3&mode=fast"},
-		{"eps without approx", "q=1&k=3&eps=0.1"},
-		{"delta without approx", "q=1&k=3&delta=0.1"},
-		{"eps=1", "q=1&k=3&mode=approx&eps=1"},
-		{"negative eps", "q=1&k=3&mode=approx&eps=-0.1"},
-		{"malformed eps", "q=1&k=3&mode=approx&eps=lots"},
-		{"delta too large", "q=1&k=3&mode=approx&delta=0.9"},
-		{"malformed delta", "q=1&k=3&mode=approx&delta=x"},
-	} {
-		resp, body := get(t, ts.URL+"/v1/reverse-topk?"+tc.params)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d body %s, want 400", tc.name, resp.StatusCode, body)
+	checkApproxValidation(t, ts.URL)
+}
+
+// TestServeApproxNegativeZeroEps: "-0" parses, equals 0 as a float and as a
+// cache key, and would marshal as "eps":-0. Whichever of eps=-0 and eps=0
+// fills the cache first, both bodies must read "eps":0 and be byte-equal, the
+// cached one to the fresh one.
+func TestServeApproxNegativeZeroEps(t *testing.T) {
+	g := testGraph(t, 35, 30)
+	idx := testIndex(t, g, 5)
+	for _, order := range [][2]string{{"-0", "0"}, {"0", "-0"}} {
+		_, ts := newTestServer(t, g, idx, Config{})
+		var bodies [2][]byte
+		for i, eps := range order {
+			resp, body := get(t, ts.URL+"/v1/reverse-topk?q=1&k=3&mode=approx&delta=-0&eps="+eps)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("eps=%s: status %d body %s", eps, resp.StatusCode, body)
+			}
+			if !bytes.Contains(body, []byte(`"eps":0,`)) {
+				t.Fatalf("eps=%s (order %v): body %s does not read \"eps\":0", eps, order, body)
+			}
+			bodies[i] = body
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("order %v: bodies differ:\n%s\n%s", order, bodies[0], bodies[1])
 		}
 	}
 }
@@ -202,7 +243,7 @@ func TestServeApproxConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			q := i % 6
 			if i%2 == 0 {
-				resp, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=5&mode=approx&eps=0.2&delta=0.001", ts.URL, q))
+				resp, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=5&mode=approx&eps=0.2", ts.URL, q))
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("approx q=%d: status %d body %s", q, resp.StatusCode, body)
 					return

@@ -11,22 +11,23 @@ import (
 
 // CacheKey identifies one cached result. The epoch component ties every
 // entry to the snapshot that produced it: after a snapshot swap, lookups
-// carry the new epoch and can never alias a stale answer. Mode, Eps and
-// Delta discriminate the result families that share (Q, K, Epoch): an
-// anytime answer under one budget is a different value from the exact
-// answer (and from an anytime answer under another budget), so keying them
-// apart is what guarantees an approx body can never be served to an exact
-// request or vice versa. The zero value of the three fields is the exact
-// query, keeping every pre-existing key literal meaning what it meant.
+// carry the new epoch and can never alias a stale answer. Mode and Eps
+// discriminate the result families that share (Q, K, Epoch): an anytime
+// answer under one budget is a different value from the exact answer (and
+// from an anytime answer under another budget), so keying them apart is what
+// guarantees an approx body can never be served to an exact request or vice
+// versa. The zero value of both fields is the exact query, keeping every
+// pre-existing key literal meaning what it meant.
 type CacheKey struct {
 	Q graph.NodeID
 	K int
 	// Mode is "" for exact queries, ModeApprox for anytime ones.
 	Mode string
-	// Eps and Delta are the anytime budget (always 0 for exact). Both are
-	// validated finite, so the comparable-struct key never holds a NaN.
+	// Eps is the anytime budget (always 0 for exact). It is validated
+	// finite and a zero is always +0, so the comparable-struct key never
+	// holds a NaN and one key never stands for two bodies ("eps":0 and
+	// "eps":-0).
 	Eps   float64
-	Delta float64
 	Epoch uint64
 }
 

@@ -221,7 +221,9 @@ const maxShardReply = 1 << 30
 // first one speaks for all); anything else is a 502 naming the shard. Every
 // failing shard is charged an error — not just the one whose failure is
 // relayed — so the per-shard counters stay truthful under partial outages.
-func (f *Fanout) relayFailure(w http.ResponseWriter, replies []shardReply, want int, reqID string) bool {
+// It returns the status it wrote, or 0 when every shard returned want and
+// nothing was written.
+func (f *Fanout) relayFailure(w http.ResponseWriter, replies []shardReply, want int, reqID string) int {
 	first := -1
 	for i, r := range replies {
 		if r.err == nil && r.status == want {
@@ -233,21 +235,21 @@ func (f *Fanout) relayFailure(w http.ResponseWriter, replies []shardReply, want 
 		}
 	}
 	if first < 0 {
-		return false
+		return 0
 	}
 	r := replies[first]
 	if r.err != nil {
 		writeError(w, http.StatusBadGateway, "shard %d (%s) unreachable: %v", first, f.shards[first], r.err)
-		return true
+		return http.StatusBadGateway
 	}
 	if r.status >= 400 && r.status < 500 {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(r.status)
 		w.Write(r.body)
-		return true
+		return r.status
 	}
 	writeError(w, http.StatusBadGateway, "shard %d (%s) returned %d: %s", first, f.shards[first], r.status, r.body)
-	return true
+	return http.StatusBadGateway
 }
 
 // logRequest emits the coordinator's one structured line per request.
@@ -269,13 +271,13 @@ func (f *Fanout) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reqID := ensureRequestID(w, r)
 	f.fanouts.Inc()
 	replies := f.fanGet("/v1/reverse-topk?"+r.URL.RawQuery, reqID)
-	if f.relayFailure(w, replies, http.StatusOK, reqID) {
-		f.logRequest("fanout_query", reqID, http.StatusBadGateway, time.Since(begin), "query", r.URL.RawQuery)
+	if status := f.relayFailure(w, replies, http.StatusOK, reqID); status != 0 {
+		f.logRequest("fanout_query", reqID, status, time.Since(begin), "query", r.URL.RawQuery)
 		return
 	}
 	if r.URL.Query().Get("mode") == ModeApprox {
-		f.mergeApprox(w, replies, reqID)
-		f.logRequest("fanout_query", reqID, http.StatusOK, time.Since(begin), "query", r.URL.RawQuery, "mode", ModeApprox)
+		status := f.mergeApprox(w, replies, reqID)
+		f.logRequest("fanout_query", reqID, status, time.Since(begin), "query", r.URL.RawQuery, "mode", ModeApprox)
 		return
 	}
 	merged := QueryResponse{}
@@ -314,8 +316,9 @@ func (f *Fanout) handleQuery(w http.ResponseWriter, r *http.Request) {
 // guaranteed and maybe sets union by plain concatenation; the achieved ε is
 // recomputed from the merged counts (each shard reports its local fraction,
 // which does not average), and rounds/iteration diagnostics report the
-// slowest shard — the fan-out's critical path.
-func (f *Fanout) mergeApprox(w http.ResponseWriter, replies []shardReply, reqID string) {
+// slowest shard — the fan-out's critical path. It returns the status it
+// wrote: 200, or 502 for a shard body that does not parse.
+func (f *Fanout) mergeApprox(w http.ResponseWriter, replies []shardReply, reqID string) int {
 	merged := ApproxQueryResponse{}
 	var maxEpoch uint64
 	converged := true
@@ -324,10 +327,10 @@ func (f *Fanout) mergeApprox(w http.ResponseWriter, replies []shardReply, reqID 
 		if err := json.Unmarshal(rep.body, &ar); err != nil {
 			f.recordShardError(i, reqID)
 			writeError(w, http.StatusBadGateway, "shard %d returned malformed body: %v", i, err)
-			return
+			return http.StatusBadGateway
 		}
 		merged.Query, merged.K = ar.Query, ar.K
-		merged.Mode, merged.Eps, merged.Delta = ar.Mode, ar.Eps, ar.Delta
+		merged.Mode, merged.Eps = ar.Mode, ar.Eps
 		if ar.Epoch > maxEpoch {
 			maxEpoch = ar.Epoch
 		}
@@ -360,6 +363,7 @@ func (f *Fanout) mergeApprox(w http.ResponseWriter, replies []shardReply, reqID 
 	w.Header().Set("X-Shards", fmt.Sprintf("%d", len(f.shards)))
 	body, _ := json.Marshal(merged)
 	w.Write(body)
+	return http.StatusOK
 }
 
 // FanoutShardSummary is one shard's health line in the coordinator's
@@ -501,8 +505,8 @@ func (f *Fanout) handleEdits(w http.ResponseWriter, r *http.Request) {
 	if req.Wait {
 		want = http.StatusOK
 	}
-	if f.relayFailure(w, replies, want, reqID) {
-		f.logRequest("fanout_edits", reqID, http.StatusBadGateway, time.Since(begin), "edits", len(req.Edits))
+	if status := f.relayFailure(w, replies, want, reqID); status != 0 {
+		f.logRequest("fanout_edits", reqID, status, time.Since(begin), "edits", len(req.Edits))
 		return
 	}
 	perShard := make([]EditsResponse, len(replies))

@@ -296,6 +296,9 @@ func TestFanoutErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range q relayed as %d", resp.StatusCode)
 	}
+	// The shards' parameter 400s are relayed verbatim, delta > 0 naming the
+	// removed Monte Carlo stage.
+	checkApproxValidation(t, fx.fanSrv.URL)
 
 	resp, err = http.Get(fx.fanSrv.URL + "/v1/stats")
 	if err != nil {
@@ -336,5 +339,42 @@ func TestFanoutErrorPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz with dead shard: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestFanoutErrorStatusLogged: the coordinator's request log line carries the
+// status it sent — a shard's relayed 4xx (out-of-range q), and the 502 of a
+// shard's approx body that does not parse.
+func TestFanoutErrorStatusLogged(t *testing.T) {
+	fx := newFanoutFixture(t, 2, "range")
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("not json"))
+	}))
+	t.Cleanup(stub.Close)
+	for _, tc := range []struct {
+		name   string
+		shards []string
+		params string
+	}{
+		{"out-of-range q", []string{fx.shardSrv[0].URL, fx.shardSrv[1].URL}, "q=99999&k=5"},
+		{"malformed approx body", []string{stub.URL}, "q=1&k=5&mode=approx"},
+	} {
+		buf, logger := newTestLogger()
+		fan, err := NewFanout(FanoutConfig{Shards: tc.shards, Logger: logger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		fan.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/reverse-topk?"+tc.params, nil))
+		if rec.Code < 400 {
+			t.Fatalf("%s: status %d body %s, want an error", tc.name, rec.Code, rec.Body)
+		}
+		lines := buf.lines(t)
+		if len(lines) != 1 {
+			t.Fatalf("%s: %d log lines, want 1: %v", tc.name, len(lines), lines)
+		}
+		if logged, _ := lines[0]["status"].(float64); int(logged) != rec.Code {
+			t.Errorf("%s: logged status %v, sent %d", tc.name, lines[0]["status"], rec.Code)
+		}
 	}
 }

@@ -63,9 +63,8 @@ type metrics struct {
 	rejected *obs.Counter
 	failures *obs.Counter
 
-	epochSwaps    *obs.Counter
-	approxRounds  *obs.Counter
-	approxMCWalks *obs.Counter
+	epochSwaps   *obs.Counter
+	approxRounds *obs.Counter
 
 	maintErrors *obs.Counter
 	compactions *obs.Counter
@@ -96,9 +95,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		rejected: reg.NewCounter("rtk_queries_rejected_total", "Queries rejected by admission control (503)."),
 		failures: reg.NewCounter("rtk_query_failures_total", "Queries that failed inside the engine (500)."),
 
-		epochSwaps:    reg.NewCounter("rtk_epoch_swaps_total", "Snapshot publishes (maintenance epoch bumps)."),
-		approxRounds:  reg.NewCounter("rtk_approx_rounds_total", "Anytime screen rounds across approx computations."),
-		approxMCWalks: reg.NewCounter("rtk_approx_mc_walks_total", "Monte Carlo walks spent by the anytime refinement stage."),
+		epochSwaps:   reg.NewCounter("rtk_epoch_swaps_total", "Snapshot publishes (maintenance epoch bumps)."),
+		approxRounds: reg.NewCounter("rtk_approx_rounds_total", "Anytime screen rounds across approx computations."),
 
 		maintErrors: reg.NewCounter("rtk_maint_errors_total", "Maintenance pipeline failures (rejected batches, compaction and checkpoint errors)."),
 		compactions: reg.NewCounter("rtk_compactions_total", "Overlay compactions folded back into a fresh CSR."),
@@ -109,7 +107,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		httpErrors: reg.NewCounterVec("rtk_http_errors_total", "Error responses, by handler and status code.", "handler", "status"),
 
 		queryDur: reg.NewHistogramVec("rtk_query_duration_seconds", "End-to-end query latency, by mode.", nil, "mode"),
-		phaseDur: reg.NewHistogramVec("rtk_query_phase_seconds", "Per-query phase wall clock: pmpn, decide, fallback, mc.", phaseBuckets, "phase"),
+		phaseDur: reg.NewHistogramVec("rtk_query_phase_seconds", "Per-query phase wall clock: pmpn, decide, fallback.", phaseBuckets, "phase"),
 		fbIters:  reg.NewHistogram("rtk_fallback_iterations", "Forward power-method iterations per exact fallback (mean over one computed query's fallbacks).", fallbackIterBuckets),
 		fbEarly:  reg.NewCounter("rtk_fallback_early_stops_total", "Exact fallbacks decided before their forward iteration converged."),
 		maintDur: reg.NewHistogram("rtk_maint_duration_seconds", "Maintenance batch wall clock (apply + refresh + publish).", nil),

@@ -50,7 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, g, idx, Config{})
 
 	// Two distinct exact queries, then a repeat (cache hit), then approx.
-	for _, q := range []string{"q=3&k=5", "q=7&k=5", "q=3&k=5", "q=9&k=5&mode=approx&eps=0.2&delta=0.01"} {
+	for _, q := range []string{"q=3&k=5", "q=7&k=5", "q=3&k=5", "q=9&k=5&mode=approx&eps=0.2&delta=0"} {
 		resp, body := get(t, ts.URL+"/v1/reverse-topk?"+q)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %s: %d %s", q, resp.StatusCode, body)
@@ -226,7 +226,7 @@ func TestStatsJSONShape(t *testing.T) {
 		"coalesced", "rejected", "errors", "epoch_swaps", "cache_len",
 		"cache_bytes", "cache_cap_bytes", "inflight", "worker_budget",
 		"draining", "uptime_seconds",
-		"approx_computed", "approx_rounds", "approx_mc_walks",
+		"approx_computed", "approx_rounds",
 		"enqueued_watermark", "applied_watermark", "pending_edits",
 		"overlay_patched_nodes", "overlay_delta_edges", "overlay_generation",
 		"compactions", "maint_errors", "last_maint_ms",
@@ -237,9 +237,11 @@ func TestStatsJSONShape(t *testing.T) {
 			t.Errorf("stats key %q missing", k)
 		}
 	}
-	for _, k := range []string{"spmm_groups", "spmm_batched_queries"} {
+	// Keys of deleted stages: the admission batcher's and the anytime tier's
+	// Monte Carlo stage's.
+	for _, k := range []string{"spmm_groups", "spmm_batched_queries", "approx_mc_walks"} {
 		if _, ok := got[k]; ok {
-			t.Errorf("stats key %q outlived the admission batcher", k)
+			t.Errorf("stats key %q outlived the stage that fed it", k)
 		}
 	}
 	if got["served"].(float64) != 1 || got["computed"].(float64) != 1 {

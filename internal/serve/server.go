@@ -299,7 +299,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the daemon's route table:
 //
 //	GET  /v1/reverse-topk?q=<node>&k=<k>  — answer a query exactly
-//	     (&mode=approx&eps=<ε>&delta=<δ>   — anytime approximate tier)
+//	     (&mode=approx&eps=<ε>              — anytime approximate tier)
 //	GET  /v1/stats                        — serving + maintenance counters
 //	GET  /metrics                         — Prometheus text exposition
 //	GET  /debug/slowlog                   — slow-query ring (?threshold= filters)
@@ -328,16 +328,15 @@ type QueryResponse struct {
 
 // ApproxQueryResponse is the JSON body of /v1/reverse-topk?mode=approx: the
 // two-part anytime answer. Results holds the guaranteed members (Count its
-// size); Maybe the candidates still undecided at the achieved ε. Like exact
-// bodies, approx bodies are cached verbatim under their own
-// (mode, eps, delta)-aware key, and the Monte Carlo seed is derived from
-// (q, k, epoch), so a cached response is byte-identical to the fresh one.
+// size); Maybe the candidates still undecided at the achieved ε. The answer
+// is deterministic, and like exact bodies, approx bodies are cached verbatim
+// under their own (mode, eps)-aware key, so a cached response is
+// byte-identical to the fresh one.
 type ApproxQueryResponse struct {
 	Query       graph.NodeID   `json:"query"`
 	K           int            `json:"k"`
 	Mode        string         `json:"mode"`
 	Eps         float64        `json:"eps"`
-	Delta       float64        `json:"delta,omitempty"`
 	EpsAchieved float64        `json:"eps_achieved"`
 	Converged   bool           `json:"converged"`
 	Rounds      int            `json:"rounds"`
@@ -375,7 +374,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	approx, eps, delta, perr := ParseApproxParams(params.Get("mode"), params.Get("eps"), params.Get("delta"))
+	approx, eps, perr := ParseApproxParams(params.Get("mode"), params.Get("eps"), params.Get("delta"))
 	if perr != nil {
 		s.httpError(w, "query", perr.Status, "%s", perr.Error())
 		return
@@ -397,7 +396,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	key := CacheKey{Q: graph.NodeID(q), K: k, Epoch: snap.Epoch}
 	if approx {
-		key.Mode, key.Eps, key.Delta = ModeApprox, eps, delta
+		key.Mode, key.Eps = ModeApprox, eps
 	}
 	// The trace is written only by the computation THIS request runs (a
 	// hit or coalesced wait leaves it empty — that work was traced by the
@@ -405,7 +404,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr := &queryTrace{}
 	body, status, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
 		if approx {
-			return s.computeApprox(snap, graph.NodeID(q), k, eps, delta, tr)
+			return s.computeApprox(snap, graph.NodeID(q), k, eps, tr)
 		}
 		return s.compute(snap, graph.NodeID(q), k, tr)
 	})
@@ -483,10 +482,9 @@ func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) 
 
 // computeApprox is the anytime tier's computation: admission-controlled
 // exactly like compute (the slot counts against the same MaxInflight and
-// the worker budget is dealt the same way). The Monte Carlo seed is a pure
-// function of (epoch, q, k), so recomputing a dropped cache entry reproduces
-// the evicted body bytes.
-func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps, delta float64, tr *queryTrace) ([]byte, error) {
+// the worker budget is dealt the same way). The answer is deterministic, so
+// recomputing a dropped cache entry reproduces the evicted body bytes.
+func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps float64, tr *queryTrace) ([]byte, error) {
 	active := s.active.Add(1)
 	defer s.active.Add(-1)
 	if active > s.maxInflight {
@@ -499,8 +497,7 @@ func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps, delta
 	if workers < 1 {
 		workers = 1
 	}
-	opts := core.AnytimeOptions{Eps: eps, Delta: delta, Seed: approxSeed(snap.Epoch, q, k)}
-	res, err := snap.View.QueryAnytime(q, k, opts, workers)
+	res, err := snap.View.QueryAnytime(q, k, core.AnytimeOptions{Eps: eps}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -513,26 +510,19 @@ func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps, delta
 	}
 	s.m.computed.With(ModeApprox).Inc()
 	s.m.approxRounds.Add(uint64(res.Stats.Rounds))
-	s.m.approxMCWalks.Add(uint64(res.Stats.MCWalks))
 	if tr != nil {
 		tr.computed = true
 		tr.pmpnIters = res.Stats.PMPNIters
 		tr.rounds = res.Stats.Rounds
-		phases := map[string]time.Duration{}
 		if res.Stats.PMPNElapsed > 0 {
-			phases["pmpn"] = res.Stats.PMPNElapsed
+			tr.setPhases(map[string]time.Duration{"pmpn": res.Stats.PMPNElapsed})
 		}
-		if res.Stats.MCElapsed > 0 {
-			phases["mc"] = res.Stats.MCElapsed
-		}
-		tr.setPhases(phases)
 	}
 	return json.Marshal(ApproxQueryResponse{
 		Query:       q,
 		K:           k,
 		Mode:        ModeApprox,
 		Eps:         eps,
-		Delta:       delta,
 		EpsAchieved: res.Stats.EpsAchieved,
 		Converged:   res.Stats.Converged,
 		Rounds:      res.Stats.Rounds,
@@ -542,12 +532,6 @@ func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps, delta
 		Results:     guaranteed,
 		Maybe:       maybe,
 	})
-}
-
-// approxSeed derives the deterministic Monte Carlo seed for one
-// (epoch, q, k) triple.
-func approxSeed(epoch uint64, q graph.NodeID, k int) int64 {
-	return int64(epoch)<<40 ^ int64(q)<<8 ^ int64(k)
 }
 
 // StatsResponse is the JSON body of /v1/stats.
@@ -571,11 +555,9 @@ type StatsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
 	// Anytime tier: mode=approx computations actually run (cache hits and
-	// coalesced waiters excluded), the screen rounds they took, and the
-	// Monte Carlo walks their δ-budgeted refinement stage spent.
+	// coalesced waiters excluded) and the screen rounds they took.
 	ApproxComputed int64 `json:"approx_computed"`
 	ApproxRounds   int64 `json:"approx_rounds"`
-	ApproxMCWalks  int64 `json:"approx_mc_walks"`
 
 	// Shard-slice identity (set when the daemon serves one shard of a
 	// partitioned index; absent on a full index).
@@ -647,7 +629,6 @@ func (s *Server) Stats() StatsResponse {
 
 		ApproxComputed: int64(s.m.computed.With(ModeApprox).Value()),
 		ApproxRounds:   int64(s.m.approxRounds.Value()),
-		ApproxMCWalks:  int64(s.m.approxMCWalks.Value()),
 
 		EnqueuedWatermark:   enq,
 		AppliedWatermark:    app,

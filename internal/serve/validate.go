@@ -52,19 +52,21 @@ const DefaultApproxEps = 0.1
 // ParseApproxParams validates the mode/eps/delta request parameters shared
 // by the HTTP handlers and cmd/rtkquery. mode "" or "exact" selects the
 // exact tier (eps/delta must then be absent); mode "approx" selects the
-// anytime tier with eps defaulting to DefaultApproxEps in [0,1) and delta
-// defaulting to 0 in [0,0.5]. Parameters are passed as raw strings so the
-// empty string can mean "unset".
-func ParseApproxParams(mode, epsStr, deltaStr string) (approx bool, eps, delta float64, perr *ParamError) {
-	bad := func(format string, args ...any) (bool, float64, float64, *ParamError) {
-		return false, 0, 0, &ParamError{Status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+// anytime tier with eps defaulting to DefaultApproxEps in [0,1). The anytime
+// tier is deterministic: delta, its former Monte Carlo failure budget, is
+// still read because clients send delta=0, but only 0 is accepted. A zero eps
+// is returned as +0, so "-0" and "0" share one cache key and one body.
+// Parameters are passed as raw strings so the empty string can mean "unset".
+func ParseApproxParams(mode, epsStr, deltaStr string) (approx bool, eps float64, perr *ParamError) {
+	bad := func(format string, args ...any) (bool, float64, *ParamError) {
+		return false, 0, &ParamError{Status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 	}
 	switch mode {
 	case "", "exact":
 		if epsStr != "" || deltaStr != "" {
 			return bad("eps/delta are only valid with mode=approx")
 		}
-		return false, 0, 0, nil
+		return false, 0, nil
 	case ModeApprox:
 	default:
 		return bad("unknown mode %q (want exact or approx)", mode)
@@ -80,17 +82,21 @@ func ParseApproxParams(mode, epsStr, deltaStr string) (approx bool, eps, delta f
 	if math.IsNaN(eps) || eps < 0 || eps >= 1 {
 		return bad("eps=%g outside [0,1)", eps)
 	}
+	if eps == 0 {
+		eps = 0 // -0 == 0, but it marshals as "-0"
+	}
 	if deltaStr != "" {
-		v, err := strconv.ParseFloat(deltaStr, 64)
-		if err != nil {
+		delta, err := strconv.ParseFloat(deltaStr, 64)
+		switch {
+		case err != nil:
 			return bad("malformed delta=%q: %v", deltaStr, err)
+		case delta > 0:
+			return bad("delta=%g: the Monte Carlo stage was removed and approx answers are deterministic; send delta=0 or omit it", delta)
+		case delta != 0: // negative or NaN
+			return bad("delta=%g: only delta=0 is accepted", delta)
 		}
-		delta = v
 	}
-	if math.IsNaN(delta) || delta < 0 || delta > 0.5 {
-		return bad("delta=%g outside [0,0.5]", delta)
-	}
-	return true, eps, delta, nil
+	return true, eps, nil
 }
 
 // ValidateEdits checks an edit batch and its staleness threshold before any

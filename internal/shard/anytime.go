@@ -15,11 +15,11 @@ import (
 //   - guaranteed: nodes some shard's monotone-safe bound tests confirmed;
 //   - maybe: nodes still undecided when the exchange stopped.
 //
-// Every decision is deterministic (the cross-shard tier runs no Monte Carlo
-// stage), so guaranteed ⊆ exact ⊆ guaranteed ∪ maybe unconditionally, and
-// with identical round configuration the two parts equal the unsharded
-// View.QueryAnytime's at δ = 0 — shards decide exactly the nodes the full
-// screen would, just partitioned. If the PMPN converges before the budget
+// Every decision is deterministic, so guaranteed ⊆ exact ⊆ guaranteed ∪ maybe
+// unconditionally, and with the same round length
+// (core.DefaultAnytimeRoundIters) the two parts equal the unsharded
+// View.QueryAnytime's — shards decide exactly the nodes the full screen
+// would, just partitioned. If the PMPN converges before the budget
 // is met the exchange stops at the exact-pq screen and reports the achieved
 // ε honestly (Stats.EpsAchieved > eps, EarlyStop = false); the maybe set is
 // then precisely the exact path's refinement candidates. The full

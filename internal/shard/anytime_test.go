@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestShardedAnytimeMatchesUnsharded: with δ = 0 and the same round
-// configuration, the sharded anytime answer must EQUAL the unsharded
+// TestShardedAnytimeMatchesUnsharded: with the same round length, the
+// sharded anytime answer must EQUAL the unsharded
 // View.QueryAnytime's — the shards decide exactly the nodes the full screen
 // would, just partitioned. Checked across P, partition strategies and the
 // eps sweep.

@@ -47,11 +47,6 @@ type Config struct {
 	// matvec uses all of it, and the final decide phase deals it across
 	// the shard engines (≥ 1 each). 0 selects the shard count.
 	Workers int
-	// RoundIters is the base number of PMPN iterations between screen
-	// rounds; the round loop stretches later rounds adaptively using the
-	// gathered global bound (core.Run.Rounds). 0 selects
-	// core.DefaultAnytimeRoundIters.
-	RoundIters int
 }
 
 // QueryStats reports one distributed query's execution profile.
@@ -101,8 +96,7 @@ type Coordinator struct {
 	params rwr.Params
 	maxK   int
 
-	workers    int
-	roundIters int
+	workers int
 
 	// RoundObserver, when set, watches the shared PMPN iteration of every
 	// query this coordinator runs: it is wired to rwr.ToStepper.RoundHook
@@ -171,13 +165,12 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 		}
 	}
 	c := &Coordinator{
-		g:          g,
-		pm:         pm,
-		views:      views,
-		params:     views[0].Index().Options().RWR,
-		maxK:       views[0].Index().K(),
-		workers:    cfg.Workers,
-		roundIters: cfg.RoundIters,
+		g:       g,
+		pm:      pm,
+		views:   views,
+		params:  views[0].Index().Options().RWR,
+		maxK:    views[0].Index().K(),
+		workers: cfg.Workers,
 	}
 	for i := 1; i < len(views); i++ {
 		if k := views[i].Index().K(); k < c.maxK {
@@ -186,9 +179,6 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 	}
 	if c.workers <= 0 {
 		c.workers = len(slices)
-	}
-	if c.roundIters <= 0 {
-		c.roundIters = core.DefaultAnytimeRoundIters
 	}
 	return c, nil
 }
@@ -294,7 +284,7 @@ func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*
 	}
 	r, err := core.NewRun(c.g, c.views[0].Index().ToInternal(q), c.params, c.workers, c.RoundObserver, screens...)
 	if err == nil {
-		err = r.Rounds(eps, c.roundIters)
+		err = r.Rounds(eps, core.DefaultAnytimeRoundIters)
 	}
 	if err != nil {
 		return nil, nil, stats, err
