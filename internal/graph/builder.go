@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -144,14 +145,6 @@ func (b *Builder) Build(policy DanglingPolicy) (g *Graph, remap []NodeID, err er
 		return nil, nil, fmt.Errorf("graph: unknown dangling policy %v", policy)
 	}
 
-	if n == 0 {
-		return &Graph{
-			n:        0,
-			outIndex: []int64{0},
-			inIndex:  []int64{0},
-		}, remap, nil
-	}
-
 	g = assemble(srcs, dsts, weights, n)
 	return g, remap, nil
 }
@@ -283,7 +276,45 @@ func assemble(srcs, dsts []NodeID, weights []float64, n int) *Graph {
 		}
 	}
 	g.buildInAdjacency()
+	g.buildDegreeOrder()
 	return g
+}
+
+// buildDegreeOrder sorts each block's rows by out-degree, ascending id inside
+// a degree, and records where each equal-degree run starts. A counting sort
+// over min(degree, countedDegrees) places every row, stable in id; the rows
+// of the last bucket are then sorted stably by their degree.
+func (g *Graph) buildDegreeOrder() {
+	const countedDegrees = 64
+	bucket := func(u NodeID) int { return min(g.OutDegree(u), countedDegrees) }
+	nblocks := (g.n + RowBlock - 1) / RowBlock
+	g.degOrder = make([]NodeID, g.n)
+	g.degRunsAt = make([]int32, nblocks+1)
+	for b := 0; b < nblocks; b++ {
+		lo := NodeID(b * RowBlock)
+		rows := g.degOrder[lo:min(int(lo)+RowBlock, g.n)]
+		var at [countedDegrees + 2]int // bucket d's size at d+1, then its start at d
+		for i := range rows {
+			at[bucket(lo+NodeID(i))+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for i := range rows {
+			u := lo + NodeID(i)
+			rows[at[bucket(u)]] = u
+			at[bucket(u)]++
+		}
+		slices.SortStableFunc(rows[at[countedDegrees-1]:], func(u, v NodeID) int { return g.OutDegree(u) - g.OutDegree(v) })
+		g.degRunsAt[b] = int32(len(g.degRuns))
+		for i, u := range rows {
+			if i == 0 || g.OutDegree(u) != g.OutDegree(rows[i-1]) {
+				g.degRuns = append(g.degRuns, int32(i))
+			}
+		}
+		g.degRuns = append(g.degRuns, int32(len(rows)))
+	}
+	g.degRunsAt[nblocks] = int32(len(g.degRuns))
 }
 
 // buildInAdjacency derives the in-CSR mirror from the out-CSR.

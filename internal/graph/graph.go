@@ -14,6 +14,15 @@ import (
 	"fmt"
 )
 
+// RowBlock is the row granularity shared by the CSR's degree order and the
+// rwr solvers: rows are grouped into aligned blocks of RowBlock rows (the
+// last block holds what is left of n). Each CSR keeps a visit order of every
+// block's rows sorted by out-degree (DegreeRuns); the solvers reduce their
+// L1 residual per block and cut worker segments at block boundaries, so a
+// block never straddles two workers. 256 rows (≈ a few thousand flops on
+// typical degrees) amortizes the synchronization per block comfortably.
+const RowBlock = 256
+
 // NodeID identifies a node. Nodes are dense integers in [0, N).
 // int32 keeps adjacency arrays compact: a 100M-edge graph costs 400MB
 // per direction instead of 800MB.
@@ -99,6 +108,17 @@ type Graph struct {
 	inEdges   []NodeID
 	inWeights []float64
 
+	// degOrder is a row visit order for the Aᵀ gather: block by block
+	// (RowBlock rows each), the block's rows sorted by out-degree, ascending
+	// id inside a degree, so the gather can step four equal-degree rows
+	// through one loop of fixed trip count (rwr/kernels.go). degRuns holds
+	// each block's equal-degree run starts, relative to the block, then the
+	// block's length; block b's entries are degRuns[degRunsAt[b]:degRunsAt[b+1]].
+	// Built once by assemble: ≈ 4 B/node, plus 4 B per run and per block.
+	degOrder  []NodeID
+	degRuns   []int32
+	degRunsAt []int32
+
 	weighted bool
 }
 
@@ -170,6 +190,16 @@ func (g *Graph) InvTotalOutWeight(u NodeID) float64 {
 	return g.invTotalOutWeight[u]
 }
 
+// DegreeRuns returns block b's rows — [b·RowBlock, min((b+1)·RowBlock, n)) —
+// sorted by out-degree, ascending id inside a degree, and the boundaries of
+// their equal-degree runs: run r is rows[runs[r]:runs[r+1]], its rows share
+// one out-degree, and runs ascend strictly by degree. Both slices alias
+// internal storage and must not be modified.
+func (g *Graph) DegreeRuns(b int) (rows []NodeID, runs []int32) {
+	lo := b * RowBlock
+	return g.degOrder[lo:min(lo+RowBlock, g.n)], g.degRuns[g.degRunsAt[b]:g.degRunsAt[b+1]]
+}
+
 // HasEdge reports whether the directed edge u→v exists. It runs a binary
 // search over u's (sorted) out-neighbor list.
 func (g *Graph) HasEdge(u, v NodeID) bool {
@@ -210,9 +240,10 @@ func (g *Graph) EdgeWeight(u, v NodeID) float64 {
 }
 
 // Validate performs internal-consistency checks: CSR monotonicity, neighbor
-// range, out/in mirror agreement on edge counts, positive weights, and
-// absence of dangling nodes. It is O(n+m) and intended for tests and for
-// verifying graphs loaded from external files.
+// range, out/in mirror agreement on edge counts, positive weights, absence
+// of dangling nodes, and the degree order's invariant (DegreeRuns). It is
+// O(n+m) and intended for tests and for verifying graphs loaded from
+// external files.
 func (g *Graph) Validate() error {
 	if g.n < 0 {
 		return errors.New("graph: negative node count")
@@ -271,6 +302,52 @@ func (g *Graph) Validate() error {
 			}
 			if e > g.inIndex[u] && g.inEdges[e-1] >= v {
 				return fmt.Errorf("graph: in-neighbors of %d not strictly sorted", u)
+			}
+		}
+	}
+	return g.validateDegreeOrder()
+}
+
+// validateDegreeOrder checks DegreeRuns' contract on every block: the rows
+// are a permutation of the block's, ids ascend inside a degree, and the runs
+// split them exactly where the degree changes, degrees ascending.
+func (g *Graph) validateDegreeOrder() error {
+	nblocks := (g.n + RowBlock - 1) / RowBlock
+	if len(g.degOrder) != g.n || len(g.degRunsAt) != nblocks+1 || g.degRunsAt[0] != 0 || int(g.degRunsAt[nblocks]) != len(g.degRuns) {
+		return errors.New("graph: degree order length mismatch")
+	}
+	for b := 0; b < nblocks; b++ {
+		if g.degRunsAt[b] >= g.degRunsAt[b+1] {
+			return fmt.Errorf("graph: block %d has no degree runs", b)
+		}
+		rows, runs := g.DegreeRuns(b)
+		lo := NodeID(b * RowBlock)
+		seen := make([]bool, len(rows))
+		for _, u := range rows {
+			if u < lo || int(u-lo) >= len(rows) || seen[u-lo] {
+				return fmt.Errorf("graph: degree order of block %d is not a permutation of its rows", b)
+			}
+			seen[u-lo] = true
+		}
+		if runs[0] != 0 || int(runs[len(runs)-1]) != len(rows) {
+			return fmt.Errorf("graph: degree runs of block %d do not cover it", b)
+		}
+		for r := 1; r < len(runs); r++ {
+			s, e := runs[r-1], runs[r]
+			if s >= e {
+				return fmt.Errorf("graph: block %d has an empty degree run", b)
+			}
+			d := g.OutDegree(rows[s])
+			if s > 0 && g.OutDegree(rows[s-1]) >= d {
+				return fmt.Errorf("graph: degree runs of block %d do not ascend by degree", b)
+			}
+			for i := s; i < e; i++ {
+				if g.OutDegree(rows[i]) != d {
+					return fmt.Errorf("graph: degree run of block %d mixes degrees %d and %d", b, d, g.OutDegree(rows[i]))
+				}
+				if i > s && rows[i-1] >= rows[i] {
+					return fmt.Errorf("graph: rows of block %d do not ascend inside degree %d", b, d)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -258,6 +259,119 @@ func TestInOutMirrorConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDegreeOrderInvariant holds DegreeRuns' contract, which Validate
+// asserts beside the in/out mirror, on every way a CSR is made: Builder.Build
+// (n = 0, n = 1, and weighted and unweighted graphs whose last block is
+// partial and whose degrees reach past 64), Overlay.Compact, ApplyPermutation
+// and Induced. Each block's order
+// is a permutation of its rows, ids ascend inside a degree, and runs split
+// exactly where the degree changes; corrupting either breaks Validate.
+func TestDegreeOrderInvariant(t *testing.T) {
+	check := func(label string, g *Graph) {
+		t.Helper()
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	empty, _, err := NewBuilder(0).Build(DanglingSelfLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("n=0", empty)
+	single, _, err := NewBuilder(1).Build(DanglingSelfLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("n=1", single)
+	if rows, runs := single.DegreeRuns(0); !reflect.DeepEqual(rows, []NodeID{0}) || !reflect.DeepEqual(runs, []int32{0, 1}) {
+		t.Fatalf("n=1: DegreeRuns(0) = %v, %v", rows, runs)
+	}
+
+	rng := rand.New(rand.NewSource(35))
+	const n = 2*RowBlock + 37
+	for _, weighted := range []bool{false, true} {
+		b := NewBuilder(n)
+		for u := NodeID(0); u < n; u++ {
+			d := rng.Intn(9) // degree 0 takes the self-loop
+			if u%41 == 0 {
+				d = 72 + rng.Intn(6) // past the counting sort's buckets, with ties
+			}
+			for ; d > 0; d-- {
+				if v := NodeID(rng.Intn(n)); weighted {
+					b.AddWeightedEdge(u, v, 0.5+rng.Float64())
+				} else {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		g, _, err := b.Build(DanglingSelfLoop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("weighted=%v", weighted)
+		check(label+" Build", g)
+
+		var edits []EdgeEdit
+		for len(edits) < 40 {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n+3)) // v may grow the graph
+			if g.HasEdge(u, v) {
+				edits = append(edits, EdgeEdit{From: u, To: v, Remove: true})
+			} else {
+				edits = append(edits, EdgeEdit{From: u, To: v, Weight: 1 + float64(rng.Intn(2))})
+			}
+		}
+		ov, err := NewOverlay(g).Apply(edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compacted, err := ov.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+" Compact", compacted)
+
+		perm := make(Permutation, n)
+		for i, p := range rng.Perm(n) {
+			perm[i] = NodeID(p)
+		}
+		relabeled, err := ApplyPermutation(g, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+" ApplyPermutation", relabeled)
+
+		var keep []NodeID
+		for u := NodeID(0); u < n; u += 2 {
+			keep = append(keep, u)
+		}
+		sub, _, err := Induced(g, keep, DanglingSelfLoop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+" Induced", sub)
+
+		// Validate must see a broken order: swap the first two rows of the
+		// first run of two or more, then move a run boundary by one.
+		rows, runs := g.DegreeRuns(0)
+		r := 1
+		for runs[r]-runs[r-1] < 2 {
+			r++
+		}
+		s := runs[r-1]
+		rows[s], rows[s+1] = rows[s+1], rows[s]
+		if g.Validate() == nil {
+			t.Fatalf("%s: Validate accepts rows descending inside a degree", label)
+		}
+		rows[s], rows[s+1] = rows[s+1], rows[s]
+		runs[r]++
+		if g.Validate() == nil {
+			t.Fatalf("%s: Validate accepts a run boundary one row late", label)
+		}
+		runs[r]--
+		check(label+" restored", g)
 	}
 }
 

@@ -252,7 +252,7 @@ func (m *Map) Owner(u graph.NodeID) int {
 		panic(fmt.Sprintf("partition: negative node id %d", u))
 	}
 	if m.strategy == Hash {
-		return int(mix64(uint64(u) ^ m.seed) % uint64(m.p))
+		return int(mix64(uint64(u)^m.seed) % uint64(m.p))
 	}
 	if int(u) >= m.n {
 		return m.p - 1

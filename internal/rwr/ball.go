@@ -23,7 +23,11 @@ import (
 // balls of real queries leave little to tune: on the benchmark's web fixture
 // (n = 16 384, the 15 565 nodes its workloads query) 67 % of balls close, at
 // 153 rows or fewer (p90 11), and the others pass n/8 between iterations 4
-// and 27; on its social fixture 95 % pass it by iteration 4.
+// and 27; on its social fixture 95 % pass it by iteration 4. Re-measured once
+// the dense CSR sweep became the grouped gather (kernels.go), which made the
+// dense side cheaper per row: on a replay of the web-cold workload's queries,
+// handing over at n/4 was 5 % slower and at n/16 or n/32 within 1 %, so the
+// hand-over stays at n/8.
 const ballDenseDivisor = 8
 
 // ball is the set of rows a power iterate started from its origins may hold a
@@ -110,7 +114,7 @@ func ballResidual(x, y []float64, rows []graph.NodeID) float64 {
 	var total, blockSum float64
 	block := -1
 	for _, u := range rows {
-		if b := int(u) / residualBlock; b != block {
+		if b := int(u) / graph.RowBlock; b != block {
 			total += blockSum
 			blockSum, block = 0, b
 		}

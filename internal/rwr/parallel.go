@@ -7,24 +7,23 @@ import (
 	"repro/internal/vecmath"
 )
 
-// residualBlock is the fixed granularity of both solvers' convergence check:
+// Both solvers check convergence at a fixed granularity, graph.RowBlock rows:
 // per-block L1 differences are reduced in block order, so the residual — and
 // with it the iteration count and the converged vector — is bit-identical
 // for every worker count and for the ball phases, which skip whole blocks.
-// Worker segments are block-aligned so a block never straddles two workers.
-// 256 rows (≈ a few thousand flops on typical degrees) amortizes the
-// synchronization per block comfortably.
-const residualBlock = 256
+// Worker segments are block-aligned so a block never straddles two workers,
+// and so each segment's transposed matvec can walk the CSR's per-block degree
+// order (kernels.go).
 
 // blockSegments partitions [0, n) into at most workers block-aligned
 // contiguous segments (the trailing segment may end off-alignment at n).
 func blockSegments(n, workers int) []vecmath.Range {
-	nblocks := (n + residualBlock - 1) / residualBlock
+	nblocks := (n + graph.RowBlock - 1) / graph.RowBlock
 	bsegs := vecmath.Split(nblocks, workers)
 	segs := make([]vecmath.Range, len(bsegs))
 	for i, bs := range bsegs {
-		lo := bs.Lo * residualBlock
-		hi := bs.Hi * residualBlock
+		lo := bs.Lo * graph.RowBlock
+		hi := bs.Hi * graph.RowBlock
 		if hi > n {
 			hi = n
 		}
@@ -36,12 +35,12 @@ func blockSegments(n, workers int) []vecmath.Range {
 // blockReduce computes per-block L1 differences for the blocks covered by
 // seg, writing them into partial (indexed by block number).
 func blockReduce(x, y []float64, seg vecmath.Range, partial []float64) {
-	for lo := seg.Lo; lo < seg.Hi; lo += residualBlock {
-		hi := lo + residualBlock
+	for lo := seg.Lo; lo < seg.Hi; lo += graph.RowBlock {
+		hi := lo + graph.RowBlock
 		if hi > seg.Hi {
 			hi = seg.Hi
 		}
-		partial[lo/residualBlock] = vecmath.L1DiffRange(x, y, lo, hi)
+		partial[lo/graph.RowBlock] = vecmath.L1DiffRange(x, y, lo, hi)
 	}
 }
 

@@ -161,7 +161,7 @@ func TestBlockSegments(t *testing.T) {
 			if s.Lo != prev || s.Hi <= s.Lo {
 				t.Fatalf("n=%d workers=%d: bad segment %d: %+v", tc.n, tc.workers, i, s)
 			}
-			if s.Lo%residualBlock != 0 {
+			if s.Lo%graph.RowBlock != 0 {
 				t.Fatalf("n=%d workers=%d: segment %d not block-aligned: %+v", tc.n, tc.workers, i, s)
 			}
 			prev = s.Hi

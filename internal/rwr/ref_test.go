@@ -3,6 +3,7 @@ package rwr
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
@@ -15,7 +16,7 @@ import (
 // order a bit-for-bit comparison needs: the forward product scatters over
 // out-lists in ascending source order, the transposed one gathers over
 // out-lists, both multiply by 1/W(u), and the residual is summed per
-// residualBlock rows and then over the blocks in order.
+// graph.RowBlock rows and then over the blocks in order.
 
 // refForward is dst = A·x: each source u with x[u] ≠ 0 scatters
 // x[u]·w(u,v)/W(u) into its out-neighbors, sources ascending.
@@ -68,9 +69,9 @@ func refPower(g graph.View, origin graph.NodeID, p Params, mul func(g graph.View
 		}
 		next[origin] += p.Alpha
 		residual = 0
-		for lo := 0; lo < n; lo += residualBlock {
+		for lo := 0; lo < n; lo += graph.RowBlock {
 			var block float64
-			for i := lo; i < min(lo+residualBlock, n); i++ {
+			for i := lo; i < min(lo+graph.RowBlock, n); i++ {
 				block += math.Abs(x[i] - next[i])
 			}
 			residual += block
@@ -114,18 +115,68 @@ func sameRun(t *testing.T, label string, got Result, gotErr error, want Result, 
 // referenceViews are the oracle families as CSR, Overlay and compacted CSR
 // (pushTestViews), plus each family's CSR behind a wrapper that takes the
 // generic kernels, plus a web graph of five residual blocks — the families
-// span two, which no reordering of a residual sum can tell apart.
+// span two, which no reordering of a residual sum can tell apart — plus the
+// degree-run family, unweighted and weighted, as CSR, as an unedited
+// Overlay over it and behind the generic wrapper.
 func referenceViews(t *testing.T) map[string]graph.View {
 	views := pushTestViews(t)
 	for _, family := range []string{"web", "coauthor", "spam"} {
 		views[family+"/generic"] = plainView{views[family+"/csr"]}
 	}
-	wide, err := gen.WebGraph(5*residualBlock-40, 3)
+	wide, err := gen.WebGraph(5*graph.RowBlock-40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	views["web5blocks/csr"] = wide
+	for family, weighted := range map[string]bool{"runs": false, "runs-weighted": true} {
+		g := degreeRunsGraph(t, weighted)
+		views[family+"/csr"] = g
+		views[family+"/overlay"] = graph.NewOverlay(g)
+		views[family+"/generic"] = plainView{g}
+	}
 	return views
+}
+
+// degreeRunsGraph reaches every path of the CSR's grouped gather
+// (kernels.go). Block 0 holds equal-degree runs of every length from 1 to 7,
+// at degrees 1–63, and four rows of degree 100, its rows shuffled so no run
+// is contiguous in id; block 1 holds degrees 1–8 at random and one row of
+// degree 80; n = 2·RowBlock+1, so the last block holds one row. Weighted
+// edges weigh 1 or a random value in [0.5, 3).
+func degreeRunsGraph(t *testing.T, weighted bool) *graph.Graph {
+	const n = 2*graph.RowBlock + 1
+	rng := rand.New(rand.NewSource(35))
+	var schedule []int
+	for run := 0; run < 63; run++ {
+		for range run%7 + 1 {
+			schedule = append(schedule, run+1)
+		}
+	}
+	schedule = append(schedule, 100, 100, 100, 100)
+	deg := make([]int, n)
+	for i, u := range rng.Perm(graph.RowBlock) {
+		deg[u] = schedule[i]
+	}
+	for u := graph.RowBlock; u < n; u++ {
+		deg[u] = 1 + rng.Intn(8)
+	}
+	deg[graph.RowBlock+44] = 80
+	b := graph.NewBuilder(n)
+	for u := range graph.NodeID(n) {
+		for _, v := range rng.Perm(n)[:deg[u]] {
+			w, heavy := 0.5+2.5*rng.Float64(), rng.Intn(2) == 0
+			if weighted && heavy {
+				b.AddWeightedEdge(u, graph.NodeID(v), w)
+			} else {
+				b.AddEdge(u, graph.NodeID(v))
+			}
+		}
+	}
+	g, _, err := b.Build(graph.DanglingReject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestSlabMatchesReference holds the forward solver to the reference loop

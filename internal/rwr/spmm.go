@@ -18,7 +18,7 @@ import (
 // Bit-identity contract: per column, every floating-point operation — the
 // source-order push accumulation, the multiply by the inverse normalizer, the
 // (1−α) scale, the restart add, and the block-order residual reduction at
-// residualBlock granularity — is the operation sequence of the plain scalar
+// graph.RowBlock granularity — is the operation sequence of the plain scalar
 // power loop (scatter over out-lists in ascending source order, then scale,
 // restart and a per-block residual), so each column's vector, residual and
 // iteration count are the same at any batch width, whatever else shares the
@@ -99,7 +99,7 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, ballLimit in
 		cols[j] = batchColumn{idx: j, q: q}
 		x[int(q)*w+j] = 1
 	}
-	nblocks := (n + residualBlock - 1) / residualBlock
+	nblocks := (n + graph.RowBlock - 1) / graph.RowBlock
 	partial := make([]float64, nblocks*w)
 	colRes := make([]float64, w)
 	oneMinus := 1 - p.Alpha
@@ -140,7 +140,7 @@ func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, ballLimit in
 			if rows != nil {
 				u = int(rows[i])
 			}
-			if b := u / residualBlock; b != block {
+			if b := u / graph.RowBlock; b != block {
 				block, prow = b, partial[b*width:b*width+width]
 				clear(prow)
 			}

@@ -119,7 +119,7 @@ func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*To
 		x:       make([]float64, n),
 		next:    make([]float64, n),
 		segs:    blockSegments(n, normWorkers(workers)),
-		partial: make([]float64, (n+residualBlock-1)/residualBlock),
+		partial: make([]float64, (n+graph.RowBlock-1)/graph.RowBlock),
 		step: func(cur, dst []float64, r vecmath.Range) {
 			MulTransitionTRange(g, cur, dst, r.Lo, r.Hi)
 			for i := r.Lo; i < r.Hi; i++ {
