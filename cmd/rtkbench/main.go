@@ -17,12 +17,12 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/vecmath"
 )
 
 func main() {
@@ -83,11 +83,7 @@ func main() {
 		if *queries > 0 {
 			cfg.Queries = *queries
 		}
-		if *workers <= 0 {
-			cfg.Workers = runtime.GOMAXPROCS(0)
-		} else {
-			cfg.Workers = *workers
-		}
+		cfg.Workers = vecmath.Workers(*workers)
 		rows, err := exp.RunFigure5And6(cfg, progress)
 		if err != nil {
 			log.Fatal(err)

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -36,6 +35,7 @@ import (
 	"repro/internal/lbindex"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/vecmath"
 )
 
 func main() {
@@ -228,11 +228,9 @@ func formatPhases(phases map[string]time.Duration) string {
 // the in-process scatter-gather coordinator — exactly (anytime = false) or
 // under the anytime eps budget (anytime = true).
 func querySharded(g *graph.Graph, paths []string, q, k, workers int, useMmap, anytime bool, eps float64) {
-	if workers <= 0 {
-		// Same convention as the unsharded path: 0 means all cores (the
-		// coordinator's own ≤0 default would mean "one per shard").
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// Same convention as the unsharded path: 0 means all cores (the
+	// coordinator's own ≤0 default would mean "one per shard").
+	workers = vecmath.Workers(workers)
 	slices := make([]*lbindex.Index, len(paths))
 	for i, path := range paths {
 		idx, err := lbindex.LoadFile(strings.TrimSpace(path), lbindex.LoadOptions{Mmap: useMmap})

@@ -12,7 +12,11 @@
 //     rounding);
 //   - accumulates floating point from channel receives (worker completion
 //     order is scheduler-dependent — partials must be merged in ascending
-//     block order by the blessed block-reduce helpers instead).
+//     block order by the blessed block-reduce helpers instead);
+//   - starts a goroutine of its own: every fan-out goes through vecmath's
+//     Parallel and ForEach, which join what they start and pick a failed
+//     pool's error deterministically, so vecmath is the one package in
+//     scope allowed a go statement.
 package detkernel
 
 import (
@@ -25,9 +29,13 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "detkernel",
-	Doc:  "kernel packages must be deterministic: no ambient rand, no map-order or channel-order float reductions",
+	Doc:  "kernel packages must be deterministic: no ambient rand, no map-order or channel-order float reductions, no goroutines outside vecmath's fan-out helper",
 	Run:  run,
 }
+
+// helperPkg is the package whose Parallel and ForEach start every kernel
+// goroutine.
+const helperPkg = "repro/internal/vecmath"
 
 // globalRandFuncs are the math/rand package-level functions backed by the
 // process-global (randomly seeded) source.
@@ -44,8 +52,21 @@ func run(pass *analysis.Pass) error {
 		checkRand(pass, f)
 		checkMapRangeAccum(pass, f)
 		checkChannelAccum(pass, f)
+		if pass.Pkg.Path() != helperPkg {
+			checkGo(pass, f)
+		}
 	}
 	return nil
+}
+
+// checkGo flags every go statement.
+func checkGo(pass *analysis.Pass, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if st, ok := n.(*ast.GoStmt); ok {
+			pass.Reportf(st.Pos(), "kernel starts a goroutine — fan out through vecmath.Parallel or vecmath.ForEach instead")
+		}
+		return true
+	})
 }
 
 // checkRand flags global math/rand draws and time-seeded sources.

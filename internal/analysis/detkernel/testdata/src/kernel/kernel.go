@@ -111,3 +111,10 @@ func suppressed(m map[int]float64) float64 {
 	}
 	return sum
 }
+
+// spawn starts goroutines of its own instead of fanning out through
+// vecmath.Parallel or vecmath.ForEach.
+func spawn(a, b func()) {
+	go a()              // want `kernel starts a goroutine`
+	go func() { b() }() // want `kernel starts a goroutine`
+}

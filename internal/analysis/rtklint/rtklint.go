@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/detkernel"
 	"repro/internal/analysis/lockguard"
 	"repro/internal/analysis/seedflow"
@@ -18,9 +17,9 @@ import (
 
 // Suite is the full scoped analyzer suite. Scopes follow the invariants:
 // syncerr guards the durability packages, detkernel the bit-identical
-// kernels, lockguard and atomicfield apply everywhere annotations or
-// atomics appear, and seedflow applies everywhere except the dataset
-// generator (which owns the seed flag itself).
+// kernels, lockguard applies everywhere annotations appear, and seedflow
+// applies everywhere except the dataset generator (which owns the seed flag
+// itself).
 func Suite() []analysis.Scoped {
 	return []analysis.Scoped{
 		{Analyzer: syncerr.Analyzer, Match: analysis.OneOf(
@@ -34,7 +33,6 @@ func Suite() []analysis.Scoped {
 			"repro/internal/core",
 		)},
 		{Analyzer: lockguard.Analyzer},
-		{Analyzer: atomicfield.Analyzer},
 		{Analyzer: seedflow.Analyzer, Match: analysis.AllBut(
 			"repro/internal/gen",
 		)},

@@ -14,8 +14,6 @@ package baseline
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -99,40 +97,18 @@ func BuildFBF(g *graph.Graph, maxK int, p rwr.Params, workers int) (*FBF, error)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	start := time.Now()
 	b := &FBF{g: g, k: maxK, p: p, topK: make([][]float64, g.N())}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	jobs := make(chan graph.NodeID)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range jobs {
-				res, err := rwr.ProximityVector(g, u, p)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("baseline: node %d: %w", u, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				b.topK[u] = vecmath.TopKValues(res.Vector, maxK)
-			}
-		}()
-	}
-	for u := 0; u < g.N(); u++ {
-		jobs <- graph.NodeID(u)
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := vecmath.ForEach(g.N(), workers, func(_, u int) error {
+		res, err := rwr.ProximityVector(g, graph.NodeID(u), p)
+		if err != nil {
+			return fmt.Errorf("baseline: node %d: %w", u, err)
+		}
+		b.topK[u] = vecmath.TopKValues(res.Vector, maxK)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	b.BuildElapsed = time.Since(start)
 	return b, nil

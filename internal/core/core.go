@@ -50,8 +50,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/bca"
@@ -258,12 +256,7 @@ func NewEngine(g graph.View, idx *lbindex.Index, update bool) (*Engine, error) {
 // convergence check at a fixed block granularity, and each candidate's
 // decision depends only on that candidate's own index entry, never on what
 // another shard decided.
-func (e *Engine) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.workers = n
-}
+func (e *Engine) SetWorkers(n int) { e.workers = vecmath.Workers(n) }
 
 // Workers returns the configured intra-query parallelism degree.
 func (e *Engine) Workers() int { return e.workers }
@@ -355,19 +348,7 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 			}
 		}
 	}
-	if len(segs) == 1 {
-		sweep(&shards[0], segs[0])
-	} else {
-		var wg sync.WaitGroup
-		for si, seg := range segs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sweep(&shards[si], seg)
-			}()
-		}
-		wg.Wait()
-	}
+	vecmath.Parallel(len(segs), func(si int) { sweep(&shards[si], segs[si]) })
 	var results []graph.NodeID
 	var pend []pendingFallback
 	for si := range shards {

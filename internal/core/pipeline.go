@@ -3,11 +3,11 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/rwr"
+	"repro/internal/vecmath"
 )
 
 // Run is one query's trip through the pipeline — the paper's Algorithm 4,
@@ -134,20 +134,7 @@ func (r *Run) screen(tau float64) RoundReport {
 		ball = r.stepper.Rows()
 	}
 	reports := make([]RoundReport, len(r.screens))
-	advance := func(i int) { reports[i] = r.screens[i].advance(x, tau, ball) }
-	if len(reports) == 1 {
-		advance(0)
-		return reports[0]
-	}
-	var wg sync.WaitGroup
-	for i := range reports {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			advance(i)
-		}()
-	}
-	wg.Wait()
+	vecmath.Parallel(len(reports), func(i int) { reports[i] = r.screens[i].advance(x, tau, ball) })
 	all := RoundReport{MinPruneGap: math.Inf(1)}
 	for _, rep := range reports {
 		all.Undecided += rep.Undecided

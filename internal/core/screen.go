@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -172,19 +171,13 @@ func (s *Screen) take(x []float64, tau float64, ball []graph.NodeID, rep *RoundR
 			return
 		}
 		parts, reps := make([]Screen, len(segs)), make([]RoundReport, len(segs))
-		var wg sync.WaitGroup
-		for si, seg := range segs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Not into parts[si] in place: row counts into its Screen at every
-				// row, and neighbouring elements share cache lines.
-				p, r := Screen{idx: s.idx, k: s.k, tol: s.tol}, RoundReport{MinPruneGap: math.Inf(1)}
-				sweep(&p, &r, seg)
-				parts[si], reps[si] = p, r
-			}()
-		}
-		wg.Wait()
+		vecmath.Parallel(len(segs), func(si int) {
+			// Not into parts[si] in place: row counts into its Screen at every
+			// row, and neighbouring elements share cache lines.
+			p, r := Screen{idx: s.idx, k: s.k, tol: s.tol}, RoundReport{MinPruneGap: math.Inf(1)}
+			sweep(&p, &r, segs[si])
+			parts[si], reps[si] = p, r
+		})
 		for si, p := range parts {
 			s.ids, s.lb, s.rn, s.ub = append(s.ids, p.ids...), append(s.lb, p.lb...), append(s.rn, p.rn...), append(s.ub, p.ub...)
 			s.hits, s.pruned = append(s.hits, p.hits...), s.pruned+p.pruned

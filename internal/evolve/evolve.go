@@ -29,9 +29,7 @@ package evolve
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/bca"
@@ -39,6 +37,7 @@ import (
 	"repro/internal/hub"
 	"repro/internal/lbindex"
 	"repro/internal/rwr"
+	"repro/internal/vecmath"
 )
 
 // Edit describes one edge mutation. Weight is used for insertions into
@@ -263,50 +262,30 @@ func RefreshPartial[G graph.View](g2 G, idx *lbindex.Index, affected, affectedHu
 		idx.CommitHub(h, hm.ExactTopK(h))
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	jobs := make(chan graph.NodeID)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := bca.NewWorkspace(g2.N())
-			for u := range jobs {
-				if hm.IsHub(u) {
-					continue // hub columns were refreshed above
-				}
-				if !idx.Owns(u) {
-					// Shard slices refresh only the rows they own; the
-					// same batch reaches every shard, and each re-indexes
-					// its own partition (hubs, replicated, refresh
-					// everywhere via affectedHubs above).
-					continue
-				}
-				st, err := bca.Run(g2, u, hm, opts.BCA, ws)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("evolve: origin %d: %w", u, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				idx.Commit(u, st, bca.TopK(st, hm, ws, opts.K))
-			}
-		}()
-	}
-	for _, u := range affected {
-		jobs <- u
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return Stats{}, firstErr
+	wss := make([]*bca.Workspace, vecmath.Workers(opts.Workers)) // one per ForEach worker
+	err = vecmath.ForEach(len(affected), opts.Workers, func(w, i int) error {
+		u := affected[i]
+		if hm.IsHub(u) {
+			return nil // hub columns were refreshed above
+		}
+		if !idx.Owns(u) {
+			// Shard slices refresh only the rows they own; the same batch
+			// reaches every shard, and each re-indexes its own partition
+			// (hubs, replicated, refresh everywhere via affectedHubs above).
+			return nil
+		}
+		if wss[w] == nil {
+			wss[w] = bca.NewWorkspace(g2.N())
+		}
+		st, err := bca.Run(g2, u, hm, opts.BCA, wss[w])
+		if err != nil {
+			return fmt.Errorf("evolve: origin %d: %w", u, err)
+		}
+		idx.Commit(u, st, bca.TopK(st, hm, wss[w], opts.K))
+		return nil
+	})
+	if err != nil {
+		return Stats{}, err
 	}
 	return Stats{
 		Affected:    len(affected),

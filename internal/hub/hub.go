@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/bca"
 	"repro/internal/graph"
@@ -191,45 +189,19 @@ func Build[G graph.View](g G, hubs []graph.NodeID, opts BuildOptions) (*Matrix, 
 // unaffected columns). A free function because Go methods cannot carry
 // type parameters.
 func computeColumns[G graph.View](m *Matrix, g G, cols []int, opts BuildOptions) error {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cols) && len(cols) > 0 {
-		workers = len(cols)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := rwr.ProximityVector(g, m.hubs[i], opts.RWR)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("hub %d: %w", m.hubs[i], err)
-					}
-					mu.Unlock()
-					continue
-				}
-				m.exactTopK[i] = vecmath.TopKValues(res.Vector, opts.TopK)
-				full := vecmath.GatherSparse(res.Vector, 0)
-				rounded := full.Compact(opts.Omega)
-				m.droppedL1[i] = full.L1() - rounded.L1()
-				m.cols[i] = rounded
-			}
-		}()
-	}
-	for _, i := range cols {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+	return vecmath.ForEach(len(cols), opts.Workers, func(_, c int) error {
+		i := cols[c]
+		res, err := rwr.ProximityVector(g, m.hubs[i], opts.RWR)
+		if err != nil {
+			return fmt.Errorf("hub %d: %w", m.hubs[i], err)
+		}
+		m.exactTopK[i] = vecmath.TopKValues(res.Vector, opts.TopK)
+		full := vecmath.GatherSparse(res.Vector, 0)
+		rounded := full.Compact(opts.Omega)
+		m.droppedL1[i] = full.L1() - rounded.L1()
+		m.cols[i] = rounded
+		return nil
+	})
 }
 
 // IsHub implements bca.HubProximities. Nodes beyond the matrix's node

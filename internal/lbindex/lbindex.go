@@ -13,8 +13,6 @@ package lbindex
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -301,59 +299,41 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		states: make([]*bca.State, g.N()),
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// Per-goroutine scratch and counters, indexed by ForEach's worker.
+	workers := vecmath.Workers(opts.Workers)
+	wss := make([]*bca.Workspace, workers)
+	iters, dropped, summaries := make([]int64, workers), make([]int64, workers), make([]int, workers)
+	err = vecmath.ForEach(g.N(), workers, func(w, i int) error {
+		u := graph.NodeID(i)
+		if hm.IsHub(u) {
+			idx.phat[u] = hm.ExactTopK(u)
+			return nil
+		}
+		if wss[w] == nil {
+			wss[w] = bca.NewWorkspace(g.N())
+		}
+		st, err := bca.Run(g, u, hm, opts.BCA, wss[w])
+		if err != nil {
+			return fmt.Errorf("lbindex: node %d: %w", u, err)
+		}
+		iters[w] += int64(st.T)
+		idx.phat[u] = bca.TopK(st, hm, wss[w], opts.K)
+		if b := idx.summarize(st); b > 0 {
+			summaries[w]++
+			dropped[w] += b
+		}
+		idx.states[u] = st
+		return nil
+	})
+	if err != nil {
+		return nil, BuildStats{}, err
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
 	var totalIters, summarizedBytes int64
 	var summarized int
-	jobs := make(chan graph.NodeID)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := bca.NewWorkspace(g.N())
-			var iters, dropped int64
-			var summaries int
-			for u := range jobs {
-				if hm.IsHub(u) {
-					idx.phat[u] = hm.ExactTopK(u)
-					continue
-				}
-				st, err := bca.Run(g, u, hm, opts.BCA, ws)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("lbindex: node %d: %w", u, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				iters += int64(st.T)
-				idx.phat[u] = bca.TopK(st, hm, ws, opts.K)
-				if b := idx.summarize(st); b > 0 {
-					summaries++
-					dropped += b
-				}
-				idx.states[u] = st
-			}
-			mu.Lock()
-			totalIters += iters
-			summarized += summaries
-			summarizedBytes += dropped
-			mu.Unlock()
-		}()
-	}
-	for u := 0; u < g.N(); u++ {
-		jobs <- graph.NodeID(u)
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, BuildStats{}, firstErr
+	for w := range workers {
+		totalIters += iters[w]
+		summarized += summaries[w]
+		summarizedBytes += dropped[w]
 	}
 
 	stats := BuildStats{

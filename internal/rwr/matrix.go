@@ -2,10 +2,9 @@ package rwr
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/vecmath"
 )
 
 // MaxMatrixNodes bounds the size of graphs for which ProximityMatrix will
@@ -18,7 +17,8 @@ const MaxMatrixNodes = 20000
 // is p_u. This is the heart of the brute-force baselines of §3 and Fig. 8
 // and is deliberately expensive: O(n·m) per full build.
 //
-// workers ≤ 0 selects GOMAXPROCS.
+// workers ≤ 0 selects GOMAXPROCS. A failure names the lowest failing column,
+// the same one on every run.
 func ProximityMatrix[G graph.View](g G, p Params, workers int) ([][]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -27,39 +27,17 @@ func ProximityMatrix[G graph.View](g G, p Params, workers int) ([][]float64, err
 	if n > MaxMatrixNodes {
 		return nil, fmt.Errorf("rwr: refusing to materialize %d×%d proximity matrix (limit %d nodes)", n, n, MaxMatrixNodes)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	cols := make([][]float64, n)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	jobs := make(chan graph.NodeID)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range jobs {
-				res, err := ProximityVector(g, u, p)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("rwr: column %d: %w", u, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				cols[u] = res.Vector
-			}
-		}()
-	}
-	for u := 0; u < n; u++ {
-		jobs <- graph.NodeID(u)
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := vecmath.ForEach(n, workers, func(_, u int) error {
+		res, err := ProximityVector(g, graph.NodeID(u), p)
+		if err != nil {
+			return fmt.Errorf("rwr: column %d: %w", u, err)
+		}
+		cols[u] = res.Vector
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cols, nil
 }

@@ -1,8 +1,6 @@
 package rwr
 
 import (
-	"runtime"
-
 	"repro/internal/graph"
 	"repro/internal/vecmath"
 )
@@ -42,15 +40,6 @@ func blockReduce(x, y []float64, seg vecmath.Range, partial []float64) {
 		}
 		partial[lo/graph.RowBlock] = vecmath.L1DiffRange(x, y, lo, hi)
 	}
-}
-
-// normWorkers maps the workers convention (≤ 0 selects GOMAXPROCS) shared by
-// all parallel entry points.
-func normWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
 }
 
 // ProximityToParallel is ProximityTo (Algorithm 2, PMPN) on workers (≤ 0

@@ -3,6 +3,7 @@ package rwr
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -84,8 +85,8 @@ func TestMulTransitionTRangePartition(t *testing.T) {
 
 // TestParallelDegenerateGraphs exercises the shapes that break naive
 // sharding: a single self-looped node, graphs with (self-loop-resolved)
-// dangling nodes, graphs smaller than one residual block, and worker counts
-// far beyond the node count.
+// dangling nodes, graphs smaller than one residual block, worker counts far
+// beyond the node count, and a column pool whose every column fails.
 func TestParallelDegenerateGraphs(t *testing.T) {
 	p := DefaultParams()
 
@@ -143,6 +144,22 @@ func TestParallelDegenerateGraphs(t *testing.T) {
 		want, wantErr := refProximityTo(g, 5, p)
 		got, err := ProximityToParallel(g, 5, p, 512)
 		sameRun(t, "workers=512", got, err, want, wantErr)
+	})
+
+	t.Run("every-column-fails", func(t *testing.T) {
+		// One iteration converges no column: four workers race to fail, and
+		// the matrix must blame column 0 on every call, whoever failed first.
+		g, err := gen.WebGraph(300, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped := p
+		capped.MaxIters = 1
+		for run := range 50 {
+			if _, err := ProximityMatrix(g, capped, 4); err == nil || !strings.HasPrefix(err.Error(), "rwr: column 0: ") {
+				t.Fatalf("call %d: error %v, want column 0's", run, err)
+			}
+		}
 	})
 }
 

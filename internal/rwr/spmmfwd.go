@@ -1,8 +1,6 @@
 package rwr
 
 import (
-	"sync"
-
 	"repro/internal/graph"
 	"repro/internal/vecmath"
 )
@@ -293,10 +291,10 @@ func ProximityVectorBatch[G graph.View](g G, origins []graph.NodeID, p Params, w
 		return nil, err
 	}
 	results := make([]Result, len(origins))
-	shares := vecmath.Split(len(origins), normWorkers(workers))
+	shares := vecmath.Split(len(origins), vecmath.Workers(workers))
 	errs := make([]error, len(shares))
 	colErrs := make([]error, len(shares))
-	run := func(s int) {
+	vecmath.Parallel(len(shares), func(s int) {
 		lo, hi := shares[s].Lo, shares[s].Hi
 		_, errs[s] = ProximityVectorBatchFunc(g, origins[lo:hi], p, nil, func(i int, res Result, err error) {
 			results[lo+i] = res
@@ -304,19 +302,7 @@ func ProximityVectorBatch[G graph.View](g G, origins []graph.NodeID, p Params, w
 				colErrs[s] = err
 			}
 		})
-	}
-	var wg sync.WaitGroup
-	for s := 1; s < len(shares); s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(s)
-		}()
-	}
-	if len(shares) > 0 {
-		run(0)
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

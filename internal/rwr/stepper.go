@@ -3,7 +3,6 @@ package rwr
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/vecmath"
@@ -73,7 +72,6 @@ import (
 // aliases internal state and is only valid until the next Step.
 type ToStepper struct {
 	p       Params
-	n       int
 	x, next []float64
 	segs    []vecmath.Range
 	partial []float64
@@ -115,10 +113,9 @@ func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*To
 	oneMinus := 1 - p.Alpha
 	s := &ToStepper{
 		p:       p,
-		n:       n,
 		x:       make([]float64, n),
 		next:    make([]float64, n),
-		segs:    blockSegments(n, normWorkers(workers)),
+		segs:    blockSegments(n, vecmath.Workers(workers)),
 		partial: make([]float64, (n+graph.RowBlock-1)/graph.RowBlock),
 		step: func(cur, dst []float64, r vecmath.Range) {
 			MulTransitionTRange(g, cur, dst, r.Lo, r.Hi)
@@ -200,25 +197,10 @@ func (s *ToStepper) iterateOnce() {
 		}
 		s.residual = ballResidual(s.x, s.next, rows)
 	} else {
-		if len(s.segs) <= 1 {
-			all := vecmath.Range{Lo: 0, Hi: s.n}
-			s.step(s.x, s.next, all)
-			blockReduce(s.x, s.next, all, s.partial)
-		} else {
-			// One goroutine per segment, none on the caller's: measured on
-			// the web fixture at 2 workers, running a segment here as well
-			// cost a quarter more per PMPN.
-			var wg sync.WaitGroup
-			for _, seg := range s.segs {
-				wg.Add(1)
-				go func(seg vecmath.Range) {
-					defer wg.Done()
-					s.step(s.x, s.next, seg)
-					blockReduce(s.x, s.next, seg, s.partial)
-				}(seg)
-			}
-			wg.Wait()
-		}
+		vecmath.Parallel(len(s.segs), func(i int) {
+			s.step(s.x, s.next, s.segs[i])
+			blockReduce(s.x, s.next, s.segs[i], s.partial)
+		})
 		s.residual = 0
 		for _, d := range s.partial {
 			s.residual += d

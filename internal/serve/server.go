@@ -17,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lbindex"
 	"repro/internal/obs"
+	"repro/internal/vecmath"
 	"repro/internal/wal"
 )
 
@@ -207,9 +208,7 @@ func newServer(g *graph.Graph, idx *lbindex.Index, cfg Config) (*Server, error) 
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4 * runtime.GOMAXPROCS(0)
 	}
-	if cfg.WorkerBudget <= 0 {
-		cfg.WorkerBudget = runtime.GOMAXPROCS(0)
-	}
+	cfg.WorkerBudget = vecmath.Workers(cfg.WorkerBudget)
 	if cfg.CompactAfter == 0 {
 		cfg.CompactAfter = 4096
 		if m := g.M() / 8; m > cfg.CompactAfter {

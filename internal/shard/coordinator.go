@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -39,6 +38,7 @@ import (
 	"repro/internal/lbindex"
 	"repro/internal/partition"
 	"repro/internal/rwr"
+	"repro/internal/vecmath"
 )
 
 // Config tunes a Coordinator. The zero value selects defaults.
@@ -239,15 +239,9 @@ func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, 
 		decideWorkers := max(1, c.workers/len(c.views))
 		stats.PerShard = make([]core.QueryStats, len(c.views))
 		errs := make([]error, len(c.views))
-		var wg sync.WaitGroup
-		for i, v := range c.views {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				parts[i], stats.PerShard[i], errs[i] = v.Finish(r, screens[i], decideWorkers)
-			}()
-		}
-		wg.Wait()
+		vecmath.Parallel(len(c.views), func(i int) {
+			parts[i], stats.PerShard[i], errs[i] = c.views[i].Finish(r, screens[i], decideWorkers)
+		})
 		for i, err := range errs {
 			if err != nil {
 				return nil, stats, fmt.Errorf("shard %d: %w", i, err)

@@ -1,10 +1,15 @@
 package vecmath
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -234,5 +239,109 @@ func TestSparseBytes(t *testing.T) {
 	s := Sparse{Idx: []int32{1, 2}, Val: []float64{1, 2}}
 	if got := s.Bytes(); got != 24 {
 		t.Errorf("Bytes = %d, want 24", got)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine 7 [running]:").
+func goid() int {
+	buf := make([]byte, 64)
+	f := bytes.Fields(buf[:runtime.Stack(buf, false)])
+	id, err := strconv.Atoi(string(f[1]))
+	if err != nil {
+		panic(fmt.Sprintf("unexpected stack header %q", buf))
+	}
+	return id
+}
+
+func TestWorkers(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{-3, runtime.GOMAXPROCS(0)}, {0, runtime.GOMAXPROCS(0)}, {1, 1}, {7, 7},
+	} {
+		if got := Workers(tc.in); got != tc.want {
+			t.Errorf("Workers(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+func TestParallelRunsEveryPart(t *testing.T) {
+	caller := goid()
+	for _, parts := range []int{0, 1, 2, 5} {
+		runs := make([]int, parts)
+		ids := make([]int, parts)
+		Parallel(parts, func(p int) {
+			runs[p]++
+			ids[p] = goid()
+		})
+		for p := range parts {
+			if runs[p] != 1 {
+				t.Errorf("parts=%d: part %d ran %d times", parts, p, runs[p])
+			}
+			// One part runs inline; two or more each get a goroutine, none
+			// of them the caller's.
+			if onCaller := ids[p] == caller; onCaller != (parts == 1) {
+				t.Errorf("parts=%d: part %d on the caller's goroutine = %v", parts, p, onCaller)
+			}
+		}
+	}
+}
+
+func TestForEach(t *testing.T) {
+	for _, tc := range []struct {
+		n, workers int
+		fail       []int // indices whose body fails
+		wantAt     int   // the index the returned error names; -1 for none
+	}{
+		{n: 0, workers: 4, wantAt: -1},
+		{n: 1, workers: 1, wantAt: -1},
+		{n: 100, workers: 1, wantAt: -1},
+		{n: 100, workers: 3, wantAt: -1},
+		{n: 3, workers: 8, wantAt: -1},  // more workers than items
+		{n: 50, workers: 0, wantAt: -1}, // ≤ 0 selects GOMAXPROCS
+		{n: 50, workers: -2, wantAt: -1},
+		{n: 100, workers: 4, fail: []int{0, 1, 2}, wantAt: 0},
+		{n: 100, workers: 4, fail: []int{97, 41, 60}, wantAt: 41},
+		{n: 10, workers: 1, fail: []int{9}, wantAt: 9},
+	} {
+		name := fmt.Sprintf("n=%d/workers=%d/fail=%v", tc.n, tc.workers, tc.fail)
+		bound := min(Workers(tc.workers), tc.n) // w's range: [0, bound)
+		fails := map[int]bool{}
+		for _, i := range tc.fail {
+			fails[i] = true
+		}
+		// Repeated, because which worker fails first varies run to run and
+		// the returned error must not.
+		for run := range 20 {
+			visits := make([]atomic.Int32, tc.n)
+			var badW atomic.Int32
+			badW.Store(-1)
+			err := ForEach(tc.n, tc.workers, func(w, i int) error {
+				if w < 0 || w >= bound {
+					badW.Store(int32(w))
+				}
+				visits[i].Add(1)
+				if fails[i] {
+					return fmt.Errorf("item %d", i)
+				}
+				return nil
+			})
+			if w := badW.Load(); w >= 0 {
+				t.Fatalf("%s run %d: worker %d outside [0,%d)", name, run, w, bound)
+			}
+			want := "<nil>"
+			if tc.wantAt >= 0 {
+				want = fmt.Sprintf("item %d", tc.wantAt)
+			}
+			if got := fmt.Sprint(err); got != want {
+				t.Fatalf("%s run %d: error %s, want %s", name, run, got, want)
+			}
+			// Every index below the lowest failure (all of them, when none
+			// fails) ran once; none ran twice.
+			for i := range visits {
+				if v := visits[i].Load(); v > 1 || (tc.wantAt < 0 || i < tc.wantAt) && v != 1 {
+					t.Fatalf("%s run %d: index %d visited %d times", name, run, i, v)
+				}
+			}
+		}
 	}
 }
