@@ -13,7 +13,8 @@
 //
 // With -mode approx, the anytime tier answers with a guaranteed part and a
 // maybe part instead of refining to an exact answer; eps bounds the
-// undecided fraction. Both parts are deterministic.
+// undecided fraction. Both parts are deterministic. At -eps 0 the
+// guaranteed part is the paper's §5.3 hits-only approximation.
 //
 // With -shards, the comma-separated shard-slice files (rtkindex -partition)
 // are queried through the in-process scatter-gather coordinator: one shared
@@ -51,7 +52,6 @@ func main() {
 		update    = flag.Bool("update", false, "refine the in-memory index during the query")
 		save      = flag.Bool("save", false, "write the refined index back (implies -update)")
 		mmapMode  = flag.String("mmap", "on", "load a v2 index zero-copy via mmap: on|off (off = portable heap load)")
-		approx    = flag.Bool("approx", false, "hits-only approximate mode (§5.3): no refinement, subset answer")
 		explain   = flag.Bool("explain", false, "print the per-candidate decision trace instead of running the query")
 		mode      = flag.String("mode", "", "query tier: exact (default) or approx — the anytime tier")
 		eps       = flag.String("eps", "", "anytime undecided-fraction budget in [0,1); default 0.1 (needs -mode approx)")
@@ -63,8 +63,8 @@ func main() {
 	if perr != nil {
 		log.Fatal(perr)
 	}
-	if anytime && (*update || *save || *approx || *explain) {
-		log.Fatal("-mode approx is incompatible with -update/-save/-approx/-explain")
+	if anytime && (*update || *save || *explain) {
+		log.Fatal("-mode approx is incompatible with -update/-save/-explain")
 	}
 	if *graphPath == "" || (*indexPath == "" && *shards == "") || *q < 0 {
 		log.Fatal("-graph, -q and one of -index/-shards are required")
@@ -95,8 +95,8 @@ func main() {
 		log.Fatal(err)
 	}
 	if *shards != "" {
-		if *update || *save || *approx || *explain {
-			log.Fatal("-shards supports plain queries only (no -update/-save/-approx/-explain)")
+		if *update || *save || *explain {
+			log.Fatal("-shards supports plain queries only (no -update/-save/-explain)")
 		}
 		querySharded(g, strings.Split(*shards, ","), *q, *k, *workers, useMmap, anytime, epsV)
 		return
@@ -124,10 +124,10 @@ func main() {
 		log.Fatal(perr)
 	}
 
-	if *update && !*explain && !*approx {
+	if *update && !*explain {
 		// Only a bare engine commits refinements (a View never mutates its
-		// index, and neither do -explain and -approx); it speaks the index's
-		// internal labels.
+		// index, and neither does -explain); it speaks the index's internal
+		// labels.
 		eng, err := core.NewEngine(g, idx, true)
 		if err != nil {
 			log.Fatal(err)
@@ -165,9 +165,7 @@ func main() {
 			log.Fatal(err)
 		}
 		s := res.Stats
-		fmt.Printf("anytime reverse top-%d of node %d (eps=%g delta=0):\n", *k, *q, epsV)
-		fmt.Printf("guaranteed (%d): %v\n", len(res.Guaranteed), res.Guaranteed)
-		fmt.Printf("maybe (%d): %v\n", len(res.Maybe), res.Maybe)
+		printAnytime(*q, *k, epsV, res.Guaranteed, res.Maybe)
 		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v confirmed=%d pruned=%d\n",
 			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged, s.ConfirmedByBound, s.PrunedByBound)
 		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
@@ -180,19 +178,6 @@ func main() {
 		if err := core.WriteExplanation(os.Stdout, ex); err != nil {
 			log.Fatal(err)
 		}
-	case *approx:
-		// The hits of Fig. 6: the anytime tier run to ε = 0, keeping what the
-		// bounds confirmed.
-		res, err := view.QueryAnytime(graph.NodeID(*q), *k, core.AnytimeOptions{}, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res.Stats
-		fmt.Printf("reverse top-%d of node %d: %d nodes\n", *k, *q, len(res.Guaranteed))
-		fmt.Printf("%v\n", res.Guaranteed)
-		fmt.Printf("stats: candidates=%d hits=%d\n", s.Guaranteed+s.Maybe, s.Guaranteed)
-		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
-			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond), s.PMPNIters)
 	default:
 		answer, stats, err := view.Query(graph.NodeID(*q), *k, *workers)
 		if err != nil {
@@ -210,6 +195,14 @@ func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
 		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.Committed, stats.Screened)
 	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
 		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
+}
+
+// printAnytime prints an anytime answer's header and its two parts; the
+// sharded and unsharded paths share it.
+func printAnytime(q, k int, eps float64, guaranteed, maybe []graph.NodeID) {
+	fmt.Printf("anytime reverse top-%d of node %d (eps=%g):\n", k, q, eps)
+	fmt.Printf("guaranteed (%d): %v\n", len(guaranteed), guaranteed)
+	fmt.Printf("maybe (%d): %v\n", len(maybe), maybe)
 }
 
 // formatPhases renders a QueryStats phase map as " pmpn=… decide=…" in a
@@ -263,9 +256,7 @@ func querySharded(g *graph.Graph, paths []string, q, k, workers int, useMmap, an
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("anytime reverse top-%d of node %d (eps=%g):\n", k, q, eps)
-		fmt.Printf("guaranteed (%d): %v\n", len(guaranteed), guaranteed)
-		fmt.Printf("maybe (%d): %v\n", len(maybe), maybe)
+		printAnytime(q, k, eps, guaranteed, maybe)
 		fmt.Printf("shards: P=%d rounds=%d eps_achieved=%.4f pruned_by_bound=%d confirmed_by_bound=%d early_stop=%v\n",
 			c.P(), stats.Rounds, stats.EpsAchieved, stats.PrunedByBound, stats.ConfirmedByBound, stats.EarlyStop)
 		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",

@@ -30,7 +30,7 @@
 // two-part answer, exact escalation that continues the run, and
 // mode=approx serving with budget-aware cache keys — the paper's §5.3
 // hits-only approximation is its guaranteed part at ε = 0, what rtkquery
-// -approx prints), the refine-or-solve rule (a refinement step is
+// -mode approx -eps 0 prints), the refine-or-solve rule (a refinement step is
 // taken only when the ink it moves could let a bound decide; otherwise the
 // candidate goes straight to the exact fallback, and a state no step could
 // move is stored summarized, without its R and W — README.md, "Refine or
@@ -51,7 +51,8 @@
 // fails on any violation; narrow exceptions carry //rtklint:ignore
 // directives with written reasons.
 //
-// The root package carries the repository-level benchmarks (bench_test.go):
-// one benchmark per table/figure of the paper plus ablations of the design
-// choices (BCA propagation strategy, hub selection scheme, rounding).
+// The root package holds only this overview. REPRODUCTION.md records one
+// run of cmd/rtkbench -exp all with each of the paper's qualitative claims
+// marked held or not; the micro-benchmarks live next to the packages they
+// time (internal/rwr, internal/core).
 package repro

@@ -10,10 +10,10 @@ import (
 )
 
 // TestAnytimeGuaranteedSubsetAndRecall holds the hits-only approximation of
-// §5.3 — the guaranteed part of an anytime run at ε = 0, δ = 0, which is what
-// rtkquery -approx prints — to its contract: a subset of the exact answer,
-// every member confirmed by a bound, high recall on a refined web index, and
-// that index left as it was.
+// §5.3 — the guaranteed part of an anytime run at ε = 0, which is what
+// rtkquery -mode approx -eps 0 prints — to its contract: a subset of the
+// exact answer, every member confirmed by a bound, high recall on a refined
+// web index, and that index left as it was.
 func TestAnytimeGuaranteedSubsetAndRecall(t *testing.T) {
 	g, err := gen.WebGraph(600, 21)
 	if err != nil {

@@ -227,7 +227,11 @@ type Engine struct {
 //     the answer. This is the only reading under which the paper's
 //     reported per-candidate refinement costs are attainable, and it can
 //     only ever ADD near-boundary nodes (whose gap is below the bound
-//     tightness reachable at η) to the exact answer.
+//     tightness reachable) to the exact answer. That tightness is set by
+//     η or by the index's rounding slack, whichever is looser; at
+//     ω = 1e-4 it is the slack, which leaves so many candidates open at
+//     k = K that Fig. 9's Jaccard falls to about 0.14, and stepping them
+//     until their residue drains changes none of them (REPRODUCTION.md).
 func (e *Engine) SetPracticalDecisions(on bool) { e.practical = on }
 
 // NewEngine creates a query engine. update selects whether refinements are

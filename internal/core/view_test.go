@@ -184,8 +184,9 @@ func TestZeroBoundConcurrentFirstQueries(t *testing.T) {
 // TestZeroBoundRebuiltPerEpoch: the zero-bound list belongs to one
 // (graph, index) pair. An edit that cuts a node's reach below k makes it a
 // zero-bound row of the NEXT epoch's View — built the way the daemon builds
-// it, overlay + evolve.RefreshSnapshot + NewView — while the old View, still
-// serving the old pair, keeps its own list and its own answers.
+// it, overlay + a Clone refreshed by evolve.Refresh + NewView — while the
+// old View, still serving the old pair, keeps its own list and its own
+// answers.
 func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 	const (
 		core = 30
@@ -215,8 +216,8 @@ func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx2, _, err := evolve.RefreshSnapshot(g2, idx, []graph.NodeID{x}) // nothing reaches x: only its row moves
-	if err != nil {
+	idx2 := idx.Clone()
+	if _, err := evolve.Refresh(g2, idx2, []graph.NodeID{x}); err != nil { // nothing reaches x: only its row moves
 		t.Fatal(err)
 	}
 	v2, err := NewView(g2, idx2)

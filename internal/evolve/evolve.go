@@ -189,26 +189,6 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// RefreshSnapshot is the snapshot-isolated variant of Refresh: instead of
-// committing refreshed origins into idx, it clones the index (an O(n)
-// pointer copy — see lbindex.Index.Clone), refreshes the clone against the
-// edited graph and returns it, leaving idx untouched. Readers keep serving
-// from the old (graph, index) pair for the whole maintenance pass; the
-// caller publishes the returned index (paired with g2) atomically when it
-// is complete. The serving daemon (internal/serve) builds its epoch-swap
-// layer on exactly this call (with RefreshPartial underneath).
-func RefreshSnapshot[G graph.View](g2 G, idx *lbindex.Index, affected []graph.NodeID) (*lbindex.Index, Stats, error) {
-	if g2.N() != idx.N() {
-		return nil, Stats{}, fmt.Errorf("evolve: index built for %d nodes, edited graph has %d (rebuild instead)", idx.N(), g2.N())
-	}
-	next := idx.Clone()
-	stats, err := Refresh(g2, next, affected)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return next, stats, nil
-}
-
 // Refresh brings an index up to date with an edited graph: it recomputes
 // EVERY hub proximity vector on the new graph and re-runs the indexing BCA
 // for every affected origin, committing results in place. Unaffected
@@ -224,7 +204,8 @@ func RefreshSnapshot[G graph.View](g2 G, idx *lbindex.Index, affected []graph.No
 //
 // The index must have been built for a graph with the same node count, and
 // Refresh is its one writer (lbindex.Index): nothing may read it meanwhile.
-// To refresh an index that is being served, use RefreshSnapshot.
+// To refresh an index that is being served, refresh a Clone of it and
+// publish the clone, as the serving daemon does.
 func Refresh[G graph.View](g2 G, idx *lbindex.Index, affected []graph.NodeID) (Stats, error) {
 	return RefreshPartial(g2, idx, affected, idx.HubMatrix().Hubs())
 }

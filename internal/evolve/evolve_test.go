@@ -215,11 +215,12 @@ func TestRefreshTheta0MatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRefreshSnapshotIsolation checks the snapshot-producing refresh:
-// the returned index answers brute-force-exact queries on the edited
-// graph, while the ORIGINAL index is bit-for-bit untouched — same hub
-// matrix, same p̂ rows, same refinement counter, same answers on the old
-// graph — which is the property the serving daemon's epoch swap relies on.
+// TestRefreshSnapshotIsolation checks a refresh of a Clone, the way the
+// serving daemon builds its next epoch: the refreshed clone answers
+// brute-force-exact queries on the edited graph, while the ORIGINAL index is
+// bit-for-bit untouched — same hub matrix, same p̂ rows, same refinement
+// counter, same answers on the old graph — which is the property the
+// daemon's epoch swap relies on.
 func TestRefreshSnapshotIsolation(t *testing.T) {
 	g := buildWeb(t, 150)
 	idx := buildIdx(t, g)
@@ -263,12 +264,10 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 		oldRows[i] = idx.PHatRow(u)
 	}
 
-	next, stats, err := RefreshSnapshot(g2, idx, affected)
+	next := idx.Clone()
+	stats, err := Refresh(g2, next, affected)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if next == idx {
-		t.Fatal("RefreshSnapshot returned the input index")
 	}
 	if stats.Affected != len(affected) {
 		t.Errorf("stats report %d affected, want %d", stats.Affected, len(affected))
@@ -276,7 +275,7 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 
 	// The original is untouched.
 	if idx.HubMatrix() != oldHub {
-		t.Error("RefreshSnapshot swapped the original's hub matrix")
+		t.Error("refreshing the clone swapped the original's hub matrix")
 	}
 	if got := idx.Refinements(); got != oldRefinements {
 		t.Errorf("original's refinement counter moved %d → %d", oldRefinements, got)
@@ -292,7 +291,7 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ans, oldAnswers[i]) {
-			t.Fatalf("old pair's answer for q=%d changed after RefreshSnapshot", q)
+			t.Fatalf("old pair's answer for q=%d changed after the clone's refresh", q)
 		}
 	}
 
