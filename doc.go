@@ -32,9 +32,10 @@
 // hits-only approximation is its guaranteed part at ε = 0, what rtkquery
 // -mode approx -eps 0 prints), the refine-or-solve rule (a refinement step is
 // taken only when the ink it moves could let a bound decide; otherwise the
-// candidate goes straight to the exact fallback, and a state no step could
-// move is stored summarized, without its R and W — README.md, "Refine or
-// solve"), the exact fallback (the forward method's one solver, a
+// candidate goes straight to the exact fallback; the index stores only the
+// residue entries a step can push, at or above η, folding the rest into ‖r‖₁,
+// and a state left with none is stored summarized, without its R and W —
+// README.md, "Refine or solve"), the exact fallback (the forward method's one solver, a
 // node-major slab swept by push and restricted to the candidates' forward
 // balls while those are under half the graph, plus a stop anchored at the
 // PMPN-exact p_u(q); rwr.ProximityVector is one column of the same slab and

@@ -83,19 +83,21 @@ func (c Config) Validate() error {
 // from one origin node: exactly the (r^t_u, w^t_u, s^t_u) triple the index
 // stores per node (matrices R, W, S of §4.1.2), in sparse form.
 //
-// A state may also be a summary (Summarized): R and W empty, RNorm > 0. The
-// index stores one in place of a run whose residue sits wholly below η, which
-// no Step can move, and keeps only what queries read of it: ‖r‖₁, S (for the
-// rounding slack) and T. Its p̂ column was taken from the full state before R
-// and W were dropped. A full state never looks like a summary, since its RNorm
-// is ‖R‖₁.
+// A stored state may be folded: the index keeps only its R entries at or
+// above η, the ones a Step can push, and RNorm keeps the whole residue ‖r‖₁ —
+// the dropped entries' mass included. No step moves folded mass; it stays
+// residue, which the upper bound pours in full. A state with no R entry left
+// also drops W and is a summary (Summarized): R and W empty, RNorm > 0, and
+// only what queries read of it kept — ‖r‖₁, S (for the rounding slack) and
+// T. Its p̂ column was taken from the full state before R and W were dropped.
+// A state straight out of Run or Start is whole: its RNorm is ‖R‖₁.
 type State struct {
 	// Origin is the node the unit of ink was injected at.
 	Origin graph.NodeID
 	// T is the number of batch iterations executed so far.
 	T int
-	// RNorm is ‖R‖₁, the total undistributed residue ink — of the dropped R,
-	// in a summary.
+	// RNorm is ‖r‖₁, the total undistributed residue ink: ‖R‖₁ plus the
+	// mass of the entries folded out of R.
 	RNorm float64
 	// R holds residue ink awaiting propagation (non-hub nodes only).
 	R vecmath.Sparse
@@ -117,19 +119,19 @@ func (st *State) Bytes() int64 {
 	return st.R.Bytes() + st.W.Bytes() + st.S.Bytes() + 16
 }
 
-// Summarized reports whether st is a summary (see State): no R stored, and
-// RNorm > 0 the residue it held.
-func (st *State) Summarized() bool { return st.R.NNZ() == 0 && st.RNorm > 0 }
+// Summarized reports whether st is a summary (see State): no R and no W
+// stored, and RNorm > 0 the residue it held. A folded state that has stepped
+// may be left with no R — every push landed on a hub — but it holds W.
+func (st *State) Summarized() bool {
+	return st.R.NNZ() == 0 && st.W.NNZ() == 0 && st.RNorm > 0
+}
 
 // CheckInvariant verifies ink conservation: ‖w‖₁ + ‖s‖₁ + ‖r‖₁ must equal
-// the injected unit of ink (within tol), and RNorm must match R. A summary
-// keeps no w, so it is held to what it does keep: no W entries,
-// 0 < RNorm ≤ 1 and RNorm + ‖s‖₁ ≤ 1 (within tol).
+// the injected unit of ink (within tol), and the stored R may hold no more
+// than ‖r‖₁, the rest of it folded. A summary keeps no w, so it is held to
+// what it does keep: 0 < RNorm ≤ 1 and RNorm + ‖s‖₁ ≤ 1 (within tol).
 func (st *State) CheckInvariant(tol float64) error {
 	if st.Summarized() {
-		if st.W.NNZ() > 0 {
-			return fmt.Errorf("bca: summarized state keeps %d W entries", st.W.NNZ())
-		}
 		if st.RNorm > 1 {
 			return fmt.Errorf("bca: summarized state has residue %g > 1", st.RNorm)
 		}
@@ -138,12 +140,12 @@ func (st *State) CheckInvariant(tol float64) error {
 		}
 		return nil
 	}
-	total := st.R.L1() + st.W.L1() + st.S.L1()
+	total := st.RNorm + st.W.L1() + st.S.L1()
 	if d := total - 1; d > tol || d < -tol {
 		return fmt.Errorf("bca: ink not conserved: w+s+r = %g", total)
 	}
-	if d := st.R.L1() - st.RNorm; d > tol || d < -tol {
-		return fmt.Errorf("bca: cached RNorm %g != ‖R‖₁ %g", st.RNorm, st.R.L1())
+	if r := st.R.L1(); r > st.RNorm+tol {
+		return fmt.Errorf("bca: stored ‖R‖₁ %g exceeds the residue ‖r‖₁ %g", r, st.RNorm)
 	}
 	return nil
 }
@@ -151,7 +153,8 @@ func (st *State) CheckInvariant(tol float64) error {
 // BatchInk returns Σ{r(v) : r(v) ≥ η}, the residue ink the next Step at
 // threshold η would move — the same predicate Step selects its batch with.
 // Zero means Step would be a no-op; a summary's is zero, its R not being
-// stored. The sum runs over R in stored (ascending node) order, one fixed
+// stored. Folding leaves it bit for bit the same, since it drops only entries
+// below η. The sum runs over R in stored (ascending node) order, one fixed
 // order per state, so its bits — and every decision core.Engine takes from
 // it — are the same in any sweep, shard or worker.
 func (st *State) BatchInk(eta float64) float64 {
@@ -270,6 +273,10 @@ func Start(u graph.NodeID, hubs HubProximities) *State {
 // Ink pushed toward a hub node is credited to s immediately (it would
 // otherwise sit in r only to be moved to s by Eq. 6 on the next iteration;
 // folding the move in keeps ‖r‖₁ meaningful as "ink still needing work").
+//
+// The mass folded out of R (State) is carried over: ‖r′‖₁ = ‖R′‖₁ +
+// (‖r‖₁ − ‖R‖₁). A whole state's difference is exactly zero, its RNorm being
+// ‖R‖₁ as computed here, so it steps bit for bit as if nothing were folded.
 func Step[G graph.View](g G, st *State, hubs HubProximities, cfg Config, ws *Workspace) int {
 	if ws.n != g.N() {
 		panic(fmt.Sprintf("bca: workspace sized for %d nodes, graph has %d", ws.n, g.N()))
@@ -277,6 +284,7 @@ func Step[G graph.View](g G, st *State, hubs HubProximities, cfg Config, ws *Wor
 	if st.Summarized() {
 		panic(fmt.Sprintf("bca: Step on node %d's summarized state, whose R and W are not stored", st.Origin))
 	}
+	folded := st.RNorm - st.R.L1()
 	ws.r.reset()
 	ws.r.load(st.R)
 	ws.batchIdx = ws.batchIdx[:0]
@@ -335,7 +343,7 @@ func Step[G graph.View](g G, st *State, hubs HubProximities, cfg Config, ws *Wor
 	st.R = ws.r.gather()
 	st.W = ws.w.gather()
 	st.S = ws.s.gather()
-	st.RNorm = st.R.L1()
+	st.RNorm = st.R.L1() + folded
 	return len(ws.batchIdx)
 }
 

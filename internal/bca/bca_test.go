@@ -318,9 +318,11 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 // TestSummarizedStateInvariantAndGuards: a summary — a state with R and W
-// dropped and ‖r‖₁ kept — is told apart from every full state, passes
-// CheckInvariant on what it keeps and fails it when it keeps W or more than
-// the unit of ink, has no batch ink, and Step and TopK refuse it.
+// dropped and ‖r‖₁ kept — is told apart from every full state and from a
+// folded one that still holds W, passes CheckInvariant on what it keeps and
+// fails it when it keeps more than the unit of ink, has no batch ink, and Step
+// and TopK refuse it. A non-summary fails CheckInvariant when ‖r‖₁ falls below
+// its stored ‖R‖₁ or its ink is not conserved.
 func TestSummarizedStateInvariantAndGuards(t *testing.T) {
 	g := toyGraph(t)
 	ws := NewWorkspace(g.N())
@@ -343,13 +345,37 @@ func TestSummarizedStateInvariantAndGuards(t *testing.T) {
 	if err := sum.CheckInvariant(1e-9); err != nil {
 		t.Fatal(err)
 	}
+	// Every R entry folded, W kept: what a step leaves when all its pushes
+	// land on hubs. Legal, steppable (a no-op) and not a summary.
+	foldedAll := &State{Origin: st.Origin, T: st.T, RNorm: st.RNorm, W: st.W, S: st.S}
+	if foldedAll.Summarized() {
+		t.Fatal("a folded state holding W reads as a summary")
+	}
+	if err := foldedAll.CheckInvariant(1e-9); err != nil {
+		t.Fatal(err)
+	}
+	if n := Step(g, foldedAll.Clone(), hubs, cfg, ws); n != 0 {
+		t.Fatalf("a state with no R pushed %d nodes", n)
+	}
 	for name, bad := range map[string]*State{
-		"keeps W":         {RNorm: st.RNorm, W: st.W, S: st.S},
 		"residue above 1": {RNorm: 1.5},
 		"r+s above 1":     {RNorm: 1 - st.S.L1()/2, S: st.S},
 	} {
 		if !bad.Summarized() || bad.CheckInvariant(1e-9) == nil {
 			t.Errorf("%s: a malformed summary passes CheckInvariant", name)
+		}
+	}
+	// ‖r‖₁ halved and the other half moved to W: ink is conserved, but R
+	// stores more than the residue.
+	below := st.Clone()
+	below.W.Val[0] += below.RNorm / 2
+	below.RNorm /= 2
+	for name, bad := range map[string]*State{
+		"‖r‖₁ below ‖R‖₁":   below,
+		"ink not conserved": {RNorm: st.RNorm + 0.01, W: st.W, S: st.S},
+	} {
+		if bad.Summarized() || bad.CheckInvariant(1e-9) == nil {
+			t.Errorf("%s: a malformed state passes CheckInvariant", name)
 		}
 	}
 	for name, use := range map[string]func(){

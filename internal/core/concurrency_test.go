@@ -204,7 +204,7 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 	if zeroBound == 0 && family == "sinks" {
 		t.Fatal("no row has a zero k-th lower bound: the zero-bound list went untested")
 	}
-	summarizedFallbacks := 0
+	summarizedFallbacks, foldedSteps := 0, 0
 	for _, update := range []bool{false, true} {
 		// Each worker-count sweep gets engines over the same shared
 		// index; in update mode the commits themselves must not
@@ -243,7 +243,9 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 						t.Fatalf("k=%d q=%d: re-query after the commits %v, first answer %v", k, q, again, want)
 					}
 				} else if family == "social" {
-					summarizedFallbacks += countSummarizedFallbacks(t, seqEng, built, q, k)
+					fallbacks, steps := countFoldedPaths(t, seqEng, built, q, k)
+					summarizedFallbacks += fallbacks
+					foldedSteps += steps
 				}
 				for _, eng := range parEngs {
 					got, stats, err := eng.Query(q, k)
@@ -270,7 +272,10 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 		if summarizedFallbacks == 0 {
 			t.Fatal("no summarized candidate reached the exact fallback: the social rows went untested")
 		}
-		t.Logf("%d summarized candidates reached the exact fallback", summarizedFallbacks)
+		if foldedSteps == 0 {
+			t.Fatal("refinement stepped no folded state: the folded rows went untested")
+		}
+		t.Logf("%d summarized candidates reached the exact fallback; refinement took %d steps from folded states", summarizedFallbacks, foldedSteps)
 	}
 	if err := built.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -282,25 +287,30 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 // fixture's 1e-4 does, so the index stores those states summarized.
 const socialEta = 5e-4
 
-// countSummarizedFallbacks counts the candidates of query (q, k) that went to
-// the exact fallback with a summarized stored state: the rows whose R and W
-// the index never stored, which refinement must leave to the solve unread.
-func countSummarizedFallbacks(t *testing.T, eng *Engine, idx *lbindex.Index, q graph.NodeID, k int) int {
+// countFoldedPaths counts, for query (q, k), the candidates that went to the
+// exact fallback with a summarized stored state — the rows whose R and W the
+// index never stored, which refinement must leave to the solve unread — and
+// the refinement steps taken from folded stored states: states that keep W
+// but not their R entries below η, whose mass stays in ‖r‖₁.
+func countFoldedPaths(t *testing.T, eng *Engine, idx *lbindex.Index, q graph.NodeID, k int) (summarizedFallbacks, foldedSteps int) {
 	t.Helper()
 	ex, err := eng.Explain(q, k, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
 	for _, d := range ex.Decisions {
-		if d.Outcome != OutcomeFallback {
+		st := idx.StateSnapshot(d.Node)
+		if st == nil {
 			continue
 		}
-		if st := idx.StateSnapshot(d.Node); st != nil && st.Summarized() {
-			n++
+		if d.Outcome == OutcomeFallback && st.Summarized() {
+			summarizedFallbacks++
+		}
+		if !st.Summarized() && st.R.L1() < st.RNorm {
+			foldedSteps += d.RefineSteps
 		}
 	}
-	return n
+	return summarizedFallbacks, foldedSteps
 }
 
 // backwardReach returns, ascending, the nodes with a path to q, or nil once

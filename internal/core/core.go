@@ -463,7 +463,9 @@ type refinement struct {
 // step a no-op) is the degenerate instance: both right-hand sides are then
 // the bounds that just failed, so refine never copies or steps such a state —
 // which is why the index may store it summarized, without R and W
-// (bca.State.Summarized). The test is a pure function of (u's state, k,
+// (bca.State.Summarized). Residue below η the index folds into ρ (see
+// lbindex.Index.summarize): no step moves it, so ρ′ ≥ ρ − B still holds.
+// The test is a pure function of (u's state, k,
 // p_u(q)), so every sweep order and worker count takes the same steps.
 // cfg.MaxIters is the safety net against a state that never drains. In
 // practical mode (SetPracticalDecisions) a candidate left open is a member.

@@ -321,8 +321,8 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 // TestRefreshPartialSummarizesZeroInkStates: the index's storage rule reaches
 // the states a refresh commits. After RefreshPartial on an edited social graph
 // each re-indexed origin whose fresh BCA run left residue wholly below η is
-// stored summarized and every other one whole, and the index keeps its
-// invariants. At 512 nodes η = 5e-4 leaves the residue of some runs, not all,
+// stored summarized, every other one keeps W and the run's R entries at or
+// above η, and the index keeps its invariants. At 512 nodes η = 5e-4 leaves the residue of some runs, not all,
 // spread below η, as the 4 096-node social fixture does at 1e-4.
 func TestRefreshPartialSummarizesZeroInkStates(t *testing.T) {
 	g, err := gen.SocialGraph(512, 3)
@@ -370,8 +370,18 @@ func TestRefreshPartialSummarizesZeroInkStates(t *testing.T) {
 		}
 		if zeroInk {
 			summarized++
-		} else {
-			whole++
+			continue
+		}
+		whole++
+		kept := 0
+		for _, v := range fresh.R.Val {
+			if v >= opts.BCA.Eta {
+				kept++
+			}
+		}
+		if stored.R.NNZ() != kept || stored.BatchInk(opts.BCA.Eta) != fresh.BatchInk(opts.BCA.Eta) {
+			t.Fatalf("origin %d: stored %d R entries with batch ink %g; fresh run has %d at or above η with batch ink %g",
+				u, stored.R.NNZ(), stored.BatchInk(opts.BCA.Eta), kept, fresh.BatchInk(opts.BCA.Eta))
 		}
 	}
 	if summarized == 0 || whole == 0 {

@@ -19,15 +19,15 @@ type Table2Row struct {
 	B            int
 	HubCount     int
 	BuildTime    time.Duration
-	// ActualBytes counts states stored summarized (lbindex.Index keeps no R
-	// or W for a state whose residue sits wholly below η) at their
-	// summarized size, and UnroundedBytes is derived from it. The paper's
-	// (P̂, R, W, S) store of Algorithm 1 is ActualBytes + SummarizedBytes.
-	ActualBytes     int64
-	SummarizedBytes int64
-	UnroundedBytes  int64
-	PredictedBytes  int64
-	PhatBytes       int64
+	// ActualBytes counts states at their folded size (lbindex.Index keeps
+	// only the R entries at or above η, and no W for a state left with
+	// none), and UnroundedBytes is derived from it. The paper's (P̂, R, W, S)
+	// store of Algorithm 1 is ActualBytes + FoldedBytes.
+	ActualBytes    int64
+	FoldedBytes    int64
+	UnroundedBytes int64
+	PredictedBytes int64
+	PhatBytes      int64
 	// FullPTime is the cost of the brute-force alternative: computing the
 	// entire proximity matrix (measured on a column sample and scaled).
 	FullPTime time.Duration
@@ -88,19 +88,19 @@ func RunTable2(cfg Table2Config, progress io.Writer) ([]Table2Row, error) {
 				return nil, err
 			}
 			rows = append(rows, Table2Row{
-				Graph:           spec.Name,
-				Nodes:           g.N(),
-				Edges:           g.M(),
-				B:               b,
-				HubCount:        stats.HubCount,
-				BuildTime:       stats.TotalElapsed,
-				ActualBytes:     stats.Bytes,
-				SummarizedBytes: stats.SummarizedBytes,
-				UnroundedBytes:  stats.UnroundedBytes,
-				PredictedBytes:  stats.PredictedBytes,
-				PhatBytes:       stats.PhatBytes,
-				FullPTime:       fullPTime,
-				FullPBytes:      int64(g.N()) * int64(g.N()) * 8,
+				Graph:          spec.Name,
+				Nodes:          g.N(),
+				Edges:          g.M(),
+				B:              b,
+				HubCount:       stats.HubCount,
+				BuildTime:      stats.TotalElapsed,
+				ActualBytes:    stats.Bytes,
+				FoldedBytes:    stats.FoldedBytes,
+				UnroundedBytes: stats.UnroundedBytes,
+				PredictedBytes: stats.PredictedBytes,
+				PhatBytes:      stats.PhatBytes,
+				FullPTime:      fullPTime,
+				FullPBytes:     int64(g.N()) * int64(g.N()) * 8,
 			})
 			if progress != nil {
 				fmt.Fprintf(progress, "table2: %s B=%d done (%v)\n", spec.Name, b, stats.TotalElapsed.Round(time.Millisecond))
@@ -140,16 +140,16 @@ func measureFullPTime(g *graph.Graph, sample int) (time.Duration, error) {
 }
 
 // WriteTable2 renders the rows in the layout of Table 2. The actual column
-// counts summarized states at their summarized size; summarized is the R and
-// W they no longer cost, so actual + summarized is the paper's store.
+// counts states at their folded size; folded is the R and W they no longer
+// cost, so actual + folded is the paper's store.
 func WriteTable2(w io.Writer, rows []Table2Row) error {
 	tw := newTable(w)
-	fmt.Fprintln(tw, "graph\tn\tm\tB\t|H|\tindex_time\tfullP_time\tactual\tsummarized\tno_round\tpredicted\tphat_only\tfullP_size")
+	fmt.Fprintln(tw, "graph\tn\tm\tB\t|H|\tindex_time\tfullP_time\tactual\tfolded\tno_round\tpredicted\tphat_only\tfullP_size")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%v\t%v\t%s\t%s\t%s\t%s\t%s\t%s\n",
 			r.Graph, r.Nodes, r.Edges, r.B, r.HubCount,
 			r.BuildTime.Round(time.Millisecond), r.FullPTime.Round(time.Millisecond),
-			fmtBytes(r.ActualBytes), fmtBytes(r.SummarizedBytes), fmtBytes(r.UnroundedBytes), fmtBytes(r.PredictedBytes),
+			fmtBytes(r.ActualBytes), fmtBytes(r.FoldedBytes), fmtBytes(r.UnroundedBytes), fmtBytes(r.PredictedBytes),
 			fmtBytes(r.PhatBytes), fmtBytes(r.FullPBytes))
 	}
 	return tw.Flush()

@@ -37,10 +37,10 @@ import (
 // concatenated into one index slab + one value slab, with a u64 prefix-sum
 // offset table giving each row's boundaries; p̂ is one dense [n×K]f64 slab.
 // Node tags are implicit: a node is a state node iff it is not a hub. A
-// summarized state (bca.State.Summarized, Index.summarize) is an ordinary
-// state row whose R and W ranges are empty and whose ‖r‖₁ is positive: it
-// needs no section, tag or magic of its own, and an index holding no summary
-// is written exactly as before.
+// folded state (Index.summarize) is an ordinary state row whose R range holds
+// only the entries at or above η and whose ‖r‖₁ exceeds their sum, and a
+// summarized one (bca.State.Summarized) has empty R and W ranges and a
+// positive ‖r‖₁: neither needs a section, tag or magic of its own.
 //
 // SHARD SLICES use the same container with three extra sections (nsec =
 // v2NumSectionsSharded): the partition-map fields (strategy, P, shard id,

@@ -176,9 +176,16 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 		{"phat above proximity range", func(idx *Index, u int) {
 			idx.phat[u][0] = 2.5
 		}},
-		{"summarized state keeping W entries", func(idx *Index, u int) {
+		{"residue norm below the stored R", func(idx *Index, u int) {
+			// Half the residue moved to W: ink is conserved, but R holds
+			// more than ‖r‖₁.
 			st := idx.states[u]
-			st.R, st.RNorm = vecmath.Sparse{}, max(st.RNorm, 1e-3)
+			st.W.Val[0] += st.RNorm / 2
+			st.RNorm /= 2
+		}},
+		{"folded state whose ink is not conserved", func(idx *Index, u int) {
+			st := idx.states[u]
+			st.R, st.RNorm = vecmath.Sparse{}, st.RNorm+1e-3
 		}},
 		{"summarized state holding more than the unit of ink", func(idx *Index, u int) {
 			st := idx.states[u]

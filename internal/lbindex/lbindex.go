@@ -3,8 +3,9 @@
 // the K largest lower-bound proximities p̂^t_u(1:K) obtained by partially
 // executing the batch-propagation BCA, together with the resumable residue
 // state (the R, W, S matrices) and the rounded hub proximity matrix P_H. A
-// state whose residue sits wholly below η, which no refinement step can move,
-// is stored summarized: ‖r‖₁, S and T without R and W (Index.summarize).
+// state keeps only the residue entries at or above η, the ones a refinement
+// step can push; ‖r‖₁ keeps the whole residue. A state left with none is
+// stored summarized: ‖r‖₁, S and T without R and W (Index.summarize).
 //
 // The index is dynamically refinable: the online query algorithm (package
 // core) advances individual nodes' BCA runs and commits the refined state
@@ -236,18 +237,21 @@ type BuildStats struct {
 	// Bytes is the serialized-payload size estimate of the built index.
 	Bytes int64
 	// UnroundedBytes estimates the size without §4.1.3 rounding (hub
-	// vectors dense). It is derived from Bytes, so it counts summarized
-	// states at their summarized size.
+	// vectors dense). It is derived from Bytes, so it counts folded states
+	// at their folded size.
 	UnroundedBytes int64
 	// PredictedBytes is Theorem 1's estimate at β = 0.76.
 	PredictedBytes int64
 	// PhatBytes is the lower-bound matrix alone — Table 2's
 	// "minimum possible cost" (value in parentheses).
 	PhatBytes int64
-	// Summarized counts the states stored summarized (Index.summarize), and
-	// SummarizedBytes the bytes of R and W they no longer cost.
-	Summarized      int
-	SummarizedBytes int64
+	// Folded counts the R entries below η not stored (Index.summarize),
+	// Summarized the states left with no R entry and so stored without W
+	// too, and FoldedBytes the bytes of R and W not stored: Bytes +
+	// FoldedBytes is the paper's (P̂, R, W, S) store.
+	Folded      int64
+	Summarized  int
+	FoldedBytes int64
 }
 
 // Build runs Algorithm 1: select hubs, compute their exact proximity
@@ -302,7 +306,7 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	// Per-goroutine scratch and counters, indexed by ForEach's worker.
 	workers := vecmath.Workers(opts.Workers)
 	wss := make([]*bca.Workspace, workers)
-	iters, dropped, summaries := make([]int64, workers), make([]int64, workers), make([]int, workers)
+	iters, folded, dropped, summaries := make([]int64, workers), make([]int64, workers), make([]int64, workers), make([]int, workers)
 	err = vecmath.ForEach(g.N(), workers, func(w, i int) error {
 		u := graph.NodeID(i)
 		if hm.IsHub(u) {
@@ -318,9 +322,11 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		}
 		iters[w] += int64(st.T)
 		idx.phat[u] = bca.TopK(st, hm, wss[w], opts.K)
-		if b := idx.summarize(st); b > 0 {
+		entries, b := idx.summarize(st)
+		folded[w] += int64(entries)
+		dropped[w] += b
+		if st.Summarized() {
 			summaries[w]++
-			dropped[w] += b
 		}
 		idx.states[u] = st
 		return nil
@@ -328,21 +334,23 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	if err != nil {
 		return nil, BuildStats{}, err
 	}
-	var totalIters, summarizedBytes int64
+	var totalIters, foldedEntries, foldedBytes int64
 	var summarized int
 	for w := range workers {
 		totalIters += iters[w]
+		foldedEntries += folded[w]
 		summarized += summaries[w]
-		summarizedBytes += dropped[w]
+		foldedBytes += dropped[w]
 	}
 
 	stats := BuildStats{
-		HubCount:        hm.NumHubs(),
-		HubElapsed:      hubElapsed,
-		TotalElapsed:    time.Since(start),
-		TotalIters:      totalIters,
-		Summarized:      summarized,
-		SummarizedBytes: summarizedBytes,
+		HubCount:     hm.NumHubs(),
+		HubElapsed:   hubElapsed,
+		TotalElapsed: time.Since(start),
+		TotalIters:   totalIters,
+		Folded:       foldedEntries,
+		Summarized:   summarized,
+		FoldedBytes:  foldedBytes,
 	}
 	stats.PhatBytes = int64(g.N()) * int64(opts.K) * 8
 	stats.Bytes = idx.SizeBytes()
@@ -441,30 +449,59 @@ func (idx *Index) StateSnapshot(u graph.NodeID) *bca.State {
 
 // summarize is the index's one storage rule, applied wherever a state is
 // stored: Build and Commit, and so update-mode refinements and evolve
-// refreshes. A state with residue left and none of it at or above η
-// (‖r‖₁ > 0, BatchInk(η) = 0) is one no query steps: core's refinement takes
-// a step only when its batch ink could decide, and that ink is zero whatever
-// the query. Its R and W are dropped in place, leaving a summary
-// (bca.State.Summarized) that keeps what queries read: T, ‖r‖₁ and S, whose
-// rounding slack is taken against the current hub matrix. Its p̂ column was
-// computed from the full state. A drained state (‖r‖₁ = 0, as the exact
-// fallback commits) is left whole. It returns the bytes dropped.
-func (idx *Index) summarize(st *bca.State) int64 {
-	if st.RNorm == 0 || st.BatchInk(idx.opts.BCA.Eta) > 0 {
-		return 0
+// refreshes. A state keeps only its R entries at or above η: a step pushes no
+// other, and core's refinement reads of R only the batch ink those entries
+// sum to (bca.State.BatchInk), which folding leaves bit for bit the same.
+// The dropped entries stay residue, counted in ‖r‖₁, which every upper bound
+// pours in full and no step moves (bca.Step carries it over). A state left
+// with residue but no entry at or above η is one no query steps: core takes a
+// step only when its batch ink could decide, and that ink is zero whatever
+// the query. Its W is dropped too, leaving a summary (bca.State.Summarized)
+// that keeps what queries read: T, ‖r‖₁ and S, whose rounding slack is taken
+// against the current hub matrix. Its p̂ column was computed from the full
+// state. A drained state (‖r‖₁ = 0, as the exact fallback commits) is left
+// whole. It returns the R entries folded and the bytes of R and W dropped.
+func (idx *Index) summarize(st *bca.State) (folded int, dropped int64) {
+	if st.RNorm == 0 {
+		return 0, 0
 	}
-	dropped := st.R.Bytes() + st.W.Bytes()
-	st.R, st.W = vecmath.Sparse{}, vecmath.Sparse{}
-	return dropped
+	eta := idx.opts.BCA.Eta
+	keep := 0
+	for _, v := range st.R.Val {
+		if v >= eta {
+			keep++
+		}
+	}
+	folded, dropped = st.R.NNZ()-keep, st.R.Bytes()
+	switch {
+	case keep == 0:
+		dropped += st.W.Bytes()
+		st.R, st.W = vecmath.Sparse{}, vecmath.Sparse{}
+		return folded, dropped
+	case folded == 0:
+		return 0, 0
+	}
+	// Fresh slices, not a compaction in place: a long-lived index must not
+	// keep the full R's backing arrays alive.
+	r := vecmath.Sparse{Idx: make([]int32, 0, keep), Val: make([]float64, 0, keep)}
+	for i, v := range st.R.Val {
+		if v >= eta {
+			r.Idx = append(r.Idx, st.R.Idx[i])
+			r.Val = append(r.Val, v)
+		}
+	}
+	st.R = r
+	return folded, dropped - r.Bytes()
 }
 
 // Commit stores a refined state and its recomputed p̂ column for node u
 // (§4.2.3 dynamic index update). The caller passes ownership of both: the
-// state is stored under the index's storage rule (summarize), which may drop
-// its R and W. Commit is a write: only the index's one writer calls it, before
-// the index is shared (see Index). That writer may commit distinct nodes from
-// several goroutines at once — an update-mode engine's sweep shards do — since
-// each commit replaces only u's own row pointers.
+// state is stored under the index's storage rule (summarize), which may fold
+// R entries below η into ‖r‖₁ and drop W. Commit is a write: only the index's
+// one writer calls it, before the index is shared (see Index). That writer may
+// commit distinct nodes from several goroutines at once — an update-mode
+// engine's sweep shards do — since each commit replaces only u's own row
+// pointers.
 func (idx *Index) Commit(u graph.NodeID, st *bca.State, phat []float64) {
 	if len(phat) != idx.opts.K {
 		panic(fmt.Sprintf("lbindex: Commit phat length %d, want %d", len(phat), idx.opts.K))
