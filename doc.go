@@ -34,8 +34,9 @@
 // taken only when the ink it moves could let a bound decide; otherwise the
 // candidate goes straight to the exact fallback; the index stores only the
 // residue entries a step can push, at or above η, folding the rest into ‖r‖₁,
-// and a state left with none is stored summarized, without its R and W —
-// README.md, "Refine or solve"), the exact fallback (the forward method's one solver, a
+// a state left with none is stored summarized, without its R and W, and every
+// stored sparse value is float32 rounded toward zero, its loss folded into
+// ‖r‖₁ or a hub's dropped mass — README.md, "Refine or solve"), the exact fallback (the forward method's one solver, a
 // node-major slab swept by push and restricted to the candidates' forward
 // balls while those are under half the graph, plus a stop anchored at the
 // PMPN-exact p_u(q); rwr.ProximityVector is one column of the same slab and

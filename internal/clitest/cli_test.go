@@ -123,22 +123,24 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 		t.Errorf("corrupt index error does not mention the checksum: %q", msg)
 	}
 
-	// A format v1 file is refused by name, with what to do about it, by
-	// both front ends and both loaders.
-	v1 := filepath.Join(work, "g.v1.idx")
-	if err := os.WriteFile(v1, []byte("RTKLBIX1 and whatever followed"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, tool := range [][]string{
-		{"rtkquery", "-graph", graphPath, "-index", v1, "-q", "42", "-k", "10"},
-		{"rtkquery", "-graph", graphPath, "-index", v1, "-q", "42", "-k", "10", "-mmap=off"},
-		{"rtkserve", "-graph", graphPath, "-index", v1, "-addr", "127.0.0.1:0"},
-	} {
-		msg, err := runToolErr(t, filepath.Join(bins, tool[0]), tool[1:]...)
-		if err == nil {
-			t.Errorf("%s accepted a format v1 index:\n%s", tool[0], msg)
-		} else if !strings.Contains(msg, v1) || !strings.Contains(msg, "rebuild it with rtkindex") {
-			t.Errorf("%s: format v1 error does not name the file and the remedy: %q", tool[0], msg)
+	// A format v1 or v2 file is refused by name, with what to do about it,
+	// by both front ends and both loaders.
+	for _, magic := range []string{"RTKLBIX1", "RTKLBIX2"} {
+		old := filepath.Join(work, "g."+magic+".idx")
+		if err := os.WriteFile(old, []byte(magic+" and whatever followed"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, tool := range [][]string{
+			{"rtkquery", "-graph", graphPath, "-index", old, "-q", "42", "-k", "10"},
+			{"rtkquery", "-graph", graphPath, "-index", old, "-q", "42", "-k", "10", "-mmap=off"},
+			{"rtkserve", "-graph", graphPath, "-index", old, "-addr", "127.0.0.1:0"},
+		} {
+			msg, err := runToolErr(t, filepath.Join(bins, tool[0]), tool[1:]...)
+			if err == nil {
+				t.Errorf("%s accepted a %s index:\n%s", tool[0], magic, msg)
+			} else if !strings.Contains(msg, old) || !strings.Contains(msg, magic) || !strings.Contains(msg, "rebuild it with rtkindex") {
+				t.Errorf("%s: %s error does not name the file, the format and the remedy: %q", tool[0], magic, msg)
+			}
 		}
 	}
 }

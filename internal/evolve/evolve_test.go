@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lbindex"
 	"repro/internal/rwr"
+	"repro/internal/vecmath"
 	"repro/internal/workload"
 )
 
@@ -322,8 +323,10 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 // the states a refresh commits. After RefreshPartial on an edited social graph
 // each re-indexed origin whose fresh BCA run left residue wholly below η is
 // stored summarized, every other one keeps W and the run's R entries at or
-// above η, and the index keeps its invariants. At 512 nodes η = 5e-4 leaves the residue of some runs, not all,
-// spread below η, as the 4 096-node social fixture does at 1e-4.
+// above η, and the index keeps its invariants. Values are compared as the
+// index stores them: rounded toward zero to float32, the loss of S and W
+// added to ‖r‖₁. At 512 nodes η = 5e-4 leaves the residue of some runs, not
+// all, spread below η, as the 4 096-node social fixture does at 1e-4.
 func TestRefreshPartialSummarizesZeroInkStates(t *testing.T) {
 	g, err := gen.SocialGraph(512, 3)
 	if err != nil {
@@ -362,11 +365,19 @@ func TestRefreshPartialSummarizesZeroInkStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r, _ := vecmath.Round32(fresh.R)
+		w, lostW := vecmath.Round32(fresh.W)
+		_, lostS := vecmath.Round32(fresh.S)
+		ink := (&bca.State{R: r.Widen()}).BatchInk(opts.BCA.Eta)
+		rnorm := fresh.RNorm + lostS
+		zeroInk := rnorm > 0 && ink == 0
+		if rnorm > 0 && !zeroInk {
+			rnorm += lostW
+		}
 		stored := next.StateSnapshot(u)
-		zeroInk := fresh.RNorm > 0 && fresh.BatchInk(opts.BCA.Eta) == 0
-		if stored.Summarized() != zeroInk || stored.RNorm != fresh.RNorm || (!zeroInk && stored.W.NNZ() != fresh.W.NNZ()) {
-			t.Fatalf("origin %d: stored summarized=%v ‖r‖₁=%g with %d W entries; fresh run ‖r‖₁=%g, batch ink %g, %d W entries",
-				u, stored.Summarized(), stored.RNorm, stored.W.NNZ(), fresh.RNorm, fresh.BatchInk(opts.BCA.Eta), fresh.W.NNZ())
+		if stored.Summarized() != zeroInk || stored.RNorm != rnorm || (!zeroInk && stored.W.NNZ() != w.NNZ()) {
+			t.Fatalf("origin %d: stored summarized=%v ‖r‖₁=%g with %d W entries; fresh run rounded ‖r‖₁=%g, batch ink %g, %d W entries",
+				u, stored.Summarized(), stored.RNorm, stored.W.NNZ(), rnorm, ink, w.NNZ())
 		}
 		if zeroInk {
 			summarized++
@@ -374,14 +385,14 @@ func TestRefreshPartialSummarizesZeroInkStates(t *testing.T) {
 		}
 		whole++
 		kept := 0
-		for _, v := range fresh.R.Val {
-			if v >= opts.BCA.Eta {
+		for _, v := range r.Val {
+			if float64(v) >= opts.BCA.Eta {
 				kept++
 			}
 		}
-		if stored.R.NNZ() != kept || stored.BatchInk(opts.BCA.Eta) != fresh.BatchInk(opts.BCA.Eta) {
+		if stored.R.NNZ() != kept || stored.BatchInk(opts.BCA.Eta) != ink {
 			t.Fatalf("origin %d: stored %d R entries with batch ink %g; fresh run has %d at or above η with batch ink %g",
-				u, stored.R.NNZ(), stored.BatchInk(opts.BCA.Eta), kept, fresh.BatchInk(opts.BCA.Eta))
+				u, stored.R.NNZ(), stored.BatchInk(opts.BCA.Eta), kept, ink)
 		}
 	}
 	if summarized == 0 || whole == 0 {

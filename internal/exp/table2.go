@@ -19,12 +19,14 @@ type Table2Row struct {
 	B            int
 	HubCount     int
 	BuildTime    time.Duration
-	// ActualBytes counts states at their folded size (lbindex.Index keeps
-	// only the R entries at or above η, and no W for a state left with
-	// none), and UnroundedBytes is derived from it. The paper's (P̂, R, W, S)
-	// store of Algorithm 1 is ActualBytes + FoldedBytes.
+	// ActualBytes counts states at their stored size (lbindex.Index keeps
+	// only the R entries at or above η, no W for a state left with none, and
+	// every sparse value as float32), and UnroundedBytes is derived from it.
+	// The paper's (P̂, R, W, S) store of Algorithm 1, at float64, is
+	// ActualBytes + FoldedBytes + RoundedBytes.
 	ActualBytes    int64
 	FoldedBytes    int64
+	RoundedBytes   int64
 	UnroundedBytes int64
 	PredictedBytes int64
 	PhatBytes      int64
@@ -96,6 +98,7 @@ func RunTable2(cfg Table2Config, progress io.Writer) ([]Table2Row, error) {
 				BuildTime:      stats.TotalElapsed,
 				ActualBytes:    stats.Bytes,
 				FoldedBytes:    stats.FoldedBytes,
+				RoundedBytes:   stats.RoundedBytes,
 				UnroundedBytes: stats.UnroundedBytes,
 				PredictedBytes: stats.PredictedBytes,
 				PhatBytes:      stats.PhatBytes,
@@ -140,16 +143,17 @@ func measureFullPTime(g *graph.Graph, sample int) (time.Duration, error) {
 }
 
 // WriteTable2 renders the rows in the layout of Table 2. The actual column
-// counts states at their folded size; folded is the R and W they no longer
-// cost, so actual + folded is the paper's store.
+// counts states at their stored size; folded is the R and W they no longer
+// cost and rounded what float32 values save, so actual + folded + rounded is
+// the paper's store.
 func WriteTable2(w io.Writer, rows []Table2Row) error {
 	tw := newTable(w)
-	fmt.Fprintln(tw, "graph\tn\tm\tB\t|H|\tindex_time\tfullP_time\tactual\tfolded\tno_round\tpredicted\tphat_only\tfullP_size")
+	fmt.Fprintln(tw, "graph\tn\tm\tB\t|H|\tindex_time\tfullP_time\tactual\tfolded\trounded\tno_round\tpredicted\tphat_only\tfullP_size")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%v\t%v\t%s\t%s\t%s\t%s\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%v\t%v\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
 			r.Graph, r.Nodes, r.Edges, r.B, r.HubCount,
 			r.BuildTime.Round(time.Millisecond), r.FullPTime.Round(time.Millisecond),
-			fmtBytes(r.ActualBytes), fmtBytes(r.FoldedBytes), fmtBytes(r.UnroundedBytes), fmtBytes(r.PredictedBytes),
+			fmtBytes(r.ActualBytes), fmtBytes(r.FoldedBytes), fmtBytes(r.RoundedBytes), fmtBytes(r.UnroundedBytes), fmtBytes(r.PredictedBytes),
 			fmtBytes(r.PhatBytes), fmtBytes(r.FullPBytes))
 	}
 	return tw.Flush()

@@ -107,18 +107,20 @@ func (h *hubMarker) NumHubs() int {
 }
 
 // Matrix is the hub proximity matrix P_H of Eq. 7, stored column-sparse
-// after the rounding of §4.1.3 (entries < ω are dropped). It implements
-// bca.HubProximities.
+// after the rounding of §4.1.3: entries < ω are dropped, and the rest are
+// stored as float32 rounded toward zero. It implements bca.HubProximities.
 type Matrix struct {
 	n     int
 	hubs  []graph.NodeID
 	pos   []int32 // node → index into cols, or -1
-	cols  []vecmath.Sparse
+	cols  []vecmath.Sparse32
 	omega float64
 	// exact holds the unrounded top-K values of each hub's proximity
 	// vector, needed for the index's P̂ columns of hub nodes.
 	exactTopK [][]float64
-	droppedL1 []float64 // per-hub L1 mass removed by rounding
+	// droppedL1 is each hub's L1 mass removed by rounding: the entries
+	// below ω and what rounding the rest to float32 took off them.
+	droppedL1 []float64
 }
 
 // BuildOptions configures hub matrix construction.
@@ -156,7 +158,7 @@ func Build[G graph.View](g G, hubs []graph.NodeID, opts BuildOptions) (*Matrix, 
 		n:         g.N(),
 		hubs:      append([]graph.NodeID(nil), hubs...),
 		pos:       make([]int32, g.N()),
-		cols:      make([]vecmath.Sparse, len(hubs)),
+		cols:      make([]vecmath.Sparse32, len(hubs)),
 		omega:     opts.Omega,
 		exactTopK: make([][]float64, len(hubs)),
 		droppedL1: make([]float64, len(hubs)),
@@ -182,8 +184,8 @@ func Build[G graph.View](g G, hubs []graph.NodeID, opts BuildOptions) (*Matrix, 
 }
 
 // computeColumns fills the given column positions of the matrix — exact
-// vector via the power method, unrounded top-K, rounding at ω, dropped
-// mass — across a worker pool. Build computes every column with it and
+// vector via the power method, unrounded top-K, rounding at ω and to float32,
+// dropped mass — across a worker pool. Build computes every column with it and
 // Rebuild only the affected ones, so the two can never drift apart on the
 // per-hub column format (the premise behind Rebuild's bit-for-bit reuse of
 // unaffected columns). A free function because Go methods cannot carry
@@ -198,8 +200,9 @@ func computeColumns[G graph.View](m *Matrix, g G, cols []int, opts BuildOptions)
 		m.exactTopK[i] = vecmath.TopKValues(res.Vector, opts.TopK)
 		full := vecmath.GatherSparse(res.Vector, 0)
 		rounded := full.Compact(opts.Omega)
-		m.droppedL1[i] = full.L1() - rounded.L1()
-		m.cols[i] = rounded
+		col, lost := vecmath.Round32(rounded)
+		m.droppedL1[i] = full.L1() - rounded.L1() + lost
+		m.cols[i] = col
 		return nil
 	})
 }
@@ -239,7 +242,8 @@ func (m *Matrix) ExactTopK(h graph.NodeID) []float64 {
 }
 
 // DroppedMass returns the L1 proximity mass the rounding removed from hub
-// h's column — the realized counterpart of Proposition 3's bound.
+// h's column — the realized counterpart of Proposition 3's bound, plus what
+// storing the kept entries as float32 took off them.
 func (m *Matrix) DroppedMass(h graph.NodeID) float64 {
 	p := m.pos[h]
 	if p < 0 {
@@ -347,7 +351,7 @@ func Rebuild[G graph.View](g G, old *Matrix, affected []graph.NodeID, opts Build
 		n:         g.N(),
 		hubs:      old.hubs,
 		pos:       make([]int32, g.N()),
-		cols:      append([]vecmath.Sparse(nil), old.cols...),
+		cols:      append([]vecmath.Sparse32(nil), old.cols...),
 		omega:     old.omega,
 		exactTopK: append([][]float64(nil), old.exactTopK...),
 		droppedL1: append([]float64(nil), old.droppedL1...),

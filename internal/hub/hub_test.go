@@ -112,7 +112,9 @@ func TestBuildMatrixUnrounded(t *testing.T) {
 	if m.NumHubs() != 2 {
 		t.Errorf("NumHubs = %d", m.NumHubs())
 	}
-	// Scatter must reproduce the exact proximity vector.
+	// Scatter must reproduce the exact proximity vector, each entry stored
+	// as float32 rounded toward zero; what that takes off is the dropped
+	// mass, ω = 0 dropping no entry.
 	p := rwr.DefaultParams()
 	for _, h := range []graph.NodeID{0, 1} {
 		exact, err := rwr.ProximityVector(g, h, p)
@@ -121,11 +123,15 @@ func TestBuildMatrixUnrounded(t *testing.T) {
 		}
 		dst := make([]float64, g.N())
 		m.ScatterHub(dst, h, 1)
-		if vecmath.MaxAbsDiff(dst, exact.Vector) > 1e-9 {
-			t.Errorf("hub %d scatter deviates", h)
+		var lost float64
+		for v := range dst {
+			if want := float64(vecmath.RoundDown32(exact.Vector[v])); dst[v] != want {
+				t.Errorf("hub %d entry %d = %g, want %g rounded toward zero to %g", h, v, dst[v], exact.Vector[v], want)
+			}
+			lost += exact.Vector[v] - dst[v]
 		}
-		if m.DroppedMass(h) != 0 {
-			t.Errorf("unrounded build dropped mass %g", m.DroppedMass(h))
+		if d := m.DroppedMass(h); d <= 0 || math.Abs(d-lost) > 1e-15 {
+			t.Errorf("ω = 0 build dropped mass %g, rounding to float32 took %g", d, lost)
 		}
 		// ExactTopK matches a direct top-k of the exact vector.
 		want := vecmath.TopKValues(exact.Vector, 3)
@@ -160,13 +166,12 @@ func TestBuildMatrixRounded(t *testing.T) {
 		m.ScatterHub(dst, h, 1)
 		var dropped float64
 		for v := range dst {
-			// Rounded entries are either exact or zero, never inflated.
-			if dst[v] != 0 && math.Abs(dst[v]-exact.Vector[v]) > 1e-9 {
+			// Kept entries are the exact ones rounded toward zero to
+			// float32, never inflated; the rest are zero.
+			if dst[v] != 0 && dst[v] != float64(vecmath.RoundDown32(exact.Vector[v])) {
 				t.Errorf("hub %d entry %d altered: %g vs %g", h, v, dst[v], exact.Vector[v])
 			}
-			if dst[v] == 0 {
-				dropped += exact.Vector[v]
-			}
+			dropped += exact.Vector[v] - dst[v]
 		}
 		if math.Abs(dropped-m.DroppedMass(h)) > 1e-9 {
 			t.Errorf("hub %d DroppedMass = %g, recomputed %g", h, m.DroppedMass(h), dropped)

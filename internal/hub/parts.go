@@ -9,13 +9,13 @@ import (
 
 // Parts exposes the raw components of the matrix for serialization by the
 // index layer. The returned slices share storage with the matrix.
-func (m *Matrix) Parts() (n int, hubs []graph.NodeID, cols []vecmath.Sparse, exactTopK [][]float64, dropped []float64, omega float64) {
+func (m *Matrix) Parts() (n int, hubs []graph.NodeID, cols []vecmath.Sparse32, exactTopK [][]float64, dropped []float64, omega float64) {
 	return m.n, m.hubs, m.cols, m.exactTopK, m.droppedL1, m.omega
 }
 
 // FromParts reassembles a Matrix from serialized components (the inverse of
 // Parts). It validates shape and ordering.
-func FromParts(n int, hubs []graph.NodeID, cols []vecmath.Sparse, exactTopK [][]float64, dropped []float64, omega float64) (*Matrix, error) {
+func FromParts(n int, hubs []graph.NodeID, cols []vecmath.Sparse32, exactTopK [][]float64, dropped []float64, omega float64) (*Matrix, error) {
 	if len(hubs) != len(cols) || len(hubs) != len(exactTopK) || len(hubs) != len(dropped) {
 		return nil, fmt.Errorf("hub: FromParts component lengths disagree: %d hubs, %d cols, %d topK, %d dropped",
 			len(hubs), len(cols), len(exactTopK), len(dropped))

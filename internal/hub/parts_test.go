@@ -54,7 +54,7 @@ func TestFromPartsValidation(t *testing.T) {
 	if _, err := FromParts(n, unsorted, cols, topK, dropped, omega); err == nil {
 		t.Error("want ordering error")
 	}
-	badCols := []vecmath.Sparse{{Idx: []int32{2, 1}, Val: []float64{1, 1}}, cols[1]}
+	badCols := []vecmath.Sparse32{{Idx: []int32{2, 1}, Val: []float32{1, 1}}, cols[1]}
 	if _, err := FromParts(n, hubs, badCols, topK, dropped, omega); err == nil {
 		t.Error("want column validation error")
 	}

@@ -9,10 +9,11 @@ import (
 // SummarizedSocial exposes summarizedSocial to the package's external tests.
 var SummarizedSocial = summarizedSocial
 
-// BuildUnfolded builds g's index as it was stored before residue below η was
-// folded into ‖r‖₁: every state whole, except one whose residue sits wholly
-// below η, which is a summary. It stands in for an index file an older build
-// wrote.
+// BuildUnfolded builds g's index with every state whole: R keeps its entries
+// below η, and only a state whose residue sits wholly below η is a summary.
+// Values are rounded to float32 as Index.summarize rounds them, their loss
+// added to ‖r‖₁. It stands in for an index written under a storage rule that
+// folds nothing.
 func BuildUnfolded(g *graph.Graph, opts Options) (*Index, error) {
 	idx, _, err := Build(g, opts)
 	if err != nil {
@@ -27,10 +28,18 @@ func BuildUnfolded(g *graph.Graph, opts Options) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		if full.RNorm > 0 && full.BatchInk(opts.BCA.Eta) == 0 {
-			full.R, full.W = vecmath.Sparse{}, vecmath.Sparse{}
+		var lostS, lostW float64
+		s := &stored{T: full.T}
+		s.S, lostS = vecmath.Round32(full.S)
+		s.RNorm = full.RNorm + lostS
+		if s.RNorm == 0 || full.BatchInk(opts.BCA.Eta) > 0 {
+			s.R, _ = vecmath.Round32(full.R)
+			s.W, lostW = vecmath.Round32(full.W)
 		}
-		idx.states[u] = full
+		if s.RNorm > 0 {
+			s.RNorm += lostW
+		}
+		idx.states[u] = s
 	}
 	return idx, nil
 }

@@ -3,6 +3,7 @@ package lbindex
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,18 +13,20 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/bca"
 	"repro/internal/graph"
 	"repro/internal/hub"
 	"repro/internal/partition"
 	"repro/internal/vecmath"
 )
 
-// Index format v2 ("RTKLBIX2"). Little-endian throughout, designed so a
-// loader can serve every large array zero-copy out of an mmap'd file:
+// Index format v3 ("RTKLBIX3"). Little-endian throughout, designed so a
+// loader can serve every large array zero-copy out of an mmap'd file. It is
+// format v2's section layout (hence the v2 names below) with the four sparse
+// value slabs — hub columns and the states' R, W and S — stored as f32 instead
+// of f64 (Index.summarize); a v2 image is refused with ErrFormatV2.
 //
 //	preamble (32 B):
-//	  0  magic    "RTKLBIX2"
+//	  0  magic    "RTKLBIX3"
 //	  8  fileSize u64   total image length
 //	  16 nsec     u32   number of sections (= v2NumSections)
 //	  20 tableCRC u32   CRC32C of the section table
@@ -34,8 +37,9 @@ import (
 //	payload sections, in table order, each starting 8-byte aligned.
 //
 // Sections are flat slabs: per-hub and per-state sparse vectors are
-// concatenated into one index slab + one value slab, with a u64 prefix-sum
-// offset table giving each row's boundaries; p̂ is one dense [n×K]f64 slab.
+// concatenated into one u32 index slab + one f32 value slab, with a u64
+// prefix-sum offset table giving each row's boundaries; p̂ is one dense
+// [n×K]f64 slab, and ‖r‖₁, the hubs' exact top-K and dropped mass are f64.
 // Node tags are implicit: a node is a state node iff it is not a hub. A
 // folded state (Index.summarize) is an ordinary state row whose R range holds
 // only the entries at or above η and whose ‖r‖₁ exceeds their sum, and a
@@ -61,7 +65,7 @@ import (
 // self-checking: corrupting it breaks the comparison). Per-section CRCs
 // exist to localize the damage in error messages and are all covered by
 // fileCRC too.
-const indexMagicV2 = "RTKLBIX2"
+const indexMagicV3 = "RTKLBIX3"
 
 // Section identifiers, in file order.
 const (
@@ -143,14 +147,10 @@ const (
 	v2PreambleSize = 32
 	v2TableEntry   = 24
 	v2HeaderEnd    = v2PreambleSize + v2NumSections*v2TableEntry
-	// v2MetaSize is the current meta-section length: the original 104-byte
-	// block plus the u64 edit-journal watermark at [104,112). Images
-	// written before the watermark existed carry v2MetaSizeLegacy bytes and
-	// load with watermark 0 — the section table already delimits meta, so
-	// growing it is a compatible extension, not a new format.
-	v2MetaSize       = 112
-	v2MetaSizeLegacy = 104
-	v2PartMetaSize   = 24
+	// v2MetaSize is the meta-section length: counts, options, the refinement
+	// counter and the u64 edit-journal watermark at [104,112).
+	v2MetaSize     = 112
+	v2PartMetaSize = 24
 	// maxV2FileSize bounds the image length a loader will believe; anything
 	// larger is corruption (and would be rejected by the CRC anyway, but the
 	// bound keeps speculative work proportional to plausible input).
@@ -163,7 +163,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // sections (v2HeaderEnd for full images, larger for shard slices).
 func v2HeaderEndOf(nsec int) int { return v2PreambleSize + nsec*v2TableEntry }
 
-// hostLittleEndian reports whether float64/int32 slabs can be aliased
+// hostLittleEndian reports whether float64/float32/int32 slabs can be aliased
 // directly; on a big-endian host the loaders fall back to copying decode.
 var hostLittleEndian = func() bool {
 	x := uint16(1)
@@ -174,7 +174,7 @@ var hostLittleEndian = func() bool {
 func alignUp8(x int) int { return (x + 7) &^ 7 }
 
 // alignedBytes allocates a byte slice whose backing array is 8-byte
-// aligned, so float64 slabs at 8-aligned offsets can be aliased in place.
+// aligned, so slabs at 8-aligned offsets can be aliased in place.
 func alignedBytes(n int) []byte {
 	if n == 0 {
 		return nil
@@ -247,8 +247,8 @@ func ParseMmapMode(mode string) (bool, error) {
 // offset-table monotonicity, sparse index ranges) but skips the per-value
 // scans (finiteness, ordering, ink conservation) that the heap loader
 // performs — the checksum already guarantees the bytes are exactly what
-// Save wrote. Load files from untrusted sources with Mmap off. A format v1
-// file is refused with ErrFormatV1 on either path.
+// Save wrote. Load files from untrusted sources with Mmap off. A format v1 or
+// v2 file is refused with ErrFormatV1 or ErrFormatV2 on either path.
 func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -257,14 +257,14 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	defer f.Close()
 	var magic [8]byte
 	k, _ := io.ReadFull(f, magic[:]) // a short or failed read is Load's to report
-	if string(magic[:k]) == indexMagicV1 {
-		return nil, fmt.Errorf("%s: %w", path, ErrFormatV1)
+	if err := retiredFormat(string(magic[:k])); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	if string(magic[:k]) != indexMagicV2 || !opts.Mmap || !mmapSupported || !hostLittleEndian {
-		// A heap load, or not a v2 image (too short to tell, unknown
+	if string(magic[:k]) != indexMagicV3 || !opts.Mmap || !mmapSupported || !hostLittleEndian {
+		// A heap load, or not a v3 image (too short to tell, unknown
 		// magic): the stream loader reads it or gives the real error.
 		return Load(f)
 	}
@@ -289,7 +289,7 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	return idx, nil
 }
 
-// Save writes the index in format v2, streaming: memory stays O(buffer)
+// Save writes the index in format v3, streaming: memory stays O(buffer)
 // regardless of index size. The checksums in the preamble cover the whole
 // payload, so the body is generated three times — once per section for the
 // section CRCs, once for the file CRC, once into w — which trades a little
@@ -355,7 +355,7 @@ func (idx *Index) SaveFile(path string) error {
 type v2emitter struct {
 	idx     *Index
 	hubIDs  []graph.NodeID
-	cols    []vecmath.Sparse
+	cols    []vecmath.Sparse32
 	topK    [][]float64
 	dropped []float64
 	// nsec is v2NumSections for full images, v2NumSectionsSharded for
@@ -457,18 +457,18 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 		secHubDropped: 8 * hubCount,
 		secHubColOff:  8 * (hubCount + 1),
 		secHubColIdx:  4 * colNNZ,
-		secHubColVal:  8 * colNNZ,
+		secHubColVal:  4 * colNNZ,
 		secStateT:     4 * numStates,
 		secStateRNorm: 8 * numStates,
 		secStateROff:  8 * (numStates + 1),
 		secStateRIdx:  4 * rNNZ,
-		secStateRVal:  8 * rNNZ,
+		secStateRVal:  4 * rNNZ,
 		secStateWOff:  8 * (numStates + 1),
 		secStateWIdx:  4 * wNNZ,
-		secStateWVal:  8 * wNNZ,
+		secStateWVal:  4 * wNNZ,
 		secStateSOff:  8 * (numStates + 1),
 		secStateSIdx:  4 * sNNZ,
-		secStateSVal:  8 * sNNZ,
+		secStateSVal:  4 * sNNZ,
 		secPhat:       8 * e.rowCount() * o.K,
 	}
 	if idx.part != nil {
@@ -493,7 +493,7 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 // eachState visits the committed states in ascending node order (owned
 // order for shard slices) — exactly the order every state-slab section
 // serializes them in.
-func (e *v2emitter) eachState(f func(st *bca.State)) {
+func (e *v2emitter) eachState(f func(st *stored)) {
 	e.eachRow(func(u graph.NodeID) {
 		if st := e.idx.states[u]; st != nil {
 			f(st)
@@ -549,27 +549,27 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 		}
 	case secHubColVal:
 		for _, c := range e.cols {
-			bw.floats(c.Val)
+			bw.floats32(c.Val)
 		}
 	case secStateT:
-		e.eachState(func(st *bca.State) { bw.u32(uint32(st.T)) })
+		e.eachState(func(st *stored) { bw.u32(uint32(st.T)) })
 	case secStateRNorm:
-		e.eachState(func(st *bca.State) { bw.f64(st.RNorm) })
+		e.eachState(func(st *stored) { bw.f64(st.RNorm) })
 	case secStateROff, secStateWOff, secStateSOff:
 		nnz := 0
 		bw.u64(0)
-		e.eachState(func(st *bca.State) {
+		e.eachState(func(st *stored) {
 			nnz += e.stateVec(st, s).NNZ()
 			bw.u64(uint64(nnz))
 		})
 	case secStateRIdx, secStateWIdx, secStateSIdx:
-		e.eachState(func(st *bca.State) {
+		e.eachState(func(st *stored) {
 			for _, v := range e.stateVec(st, s).Idx {
 				bw.u32(uint32(v))
 			}
 		})
 	case secStateRVal, secStateWVal, secStateSVal:
-		e.eachState(func(st *bca.State) { bw.floats(e.stateVec(st, s).Val) })
+		e.eachState(func(st *stored) { bw.floats32(e.stateVec(st, s).Val) })
 	case secPhat:
 		e.eachRow(func(u graph.NodeID) { bw.floats(e.idx.phat[u]) })
 	case secPartMeta:
@@ -596,7 +596,7 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 }
 
 // stateVec maps a R/W/S section id to the state's matching sparse vector.
-func (e *v2emitter) stateVec(st *bca.State, s int) vecmath.Sparse {
+func (e *v2emitter) stateVec(st *stored, s int) vecmath.Sparse32 {
 	switch s {
 	case secStateROff, secStateRIdx, secStateRVal:
 		return st.R
@@ -633,7 +633,7 @@ func (e *v2emitter) emitBody(w io.Writer) error {
 // (bytes 24:28) is filled by Save once the body checksum is known.
 func (e *v2emitter) buildHeader(secCRC []uint32) []byte {
 	header := make([]byte, v2HeaderEndOf(e.nsec))
-	copy(header, indexMagicV2)
+	copy(header, indexMagicV3)
 	binary.LittleEndian.PutUint64(header[8:], uint64(e.fileSize))
 	binary.LittleEndian.PutUint32(header[16:], uint32(e.nsec))
 	for s := 0; s < e.nsec; s++ {
@@ -735,6 +735,22 @@ func (p *v2parser) f64s(s int) []float64 {
 	return out
 }
 
+func (p *v2parser) f32s(s int) []float32 {
+	b := p.bytes(s)
+	n := len(b) / 4
+	if n == 0 {
+		return nil
+	}
+	if p.alias {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
 func (p *v2parser) i32s(s int) []int32 {
 	b := p.bytes(s)
 	n := len(b) / 4
@@ -779,9 +795,9 @@ func (p *v2parser) checkOffsets(s int, rows, nnz int, what string) error {
 
 // checkSparse validates one decoded sparse row structurally: indices
 // strictly ascending and in [0,n). This guards every scatter in the query
-// path, so it runs in BOTH load modes; value-level checks (finiteness,
-// non-negativity) are deep-mode only.
-func checkSparse(s vecmath.Sparse, n int, deep bool, what string, row int) error {
+// path, so it runs in BOTH load modes; value-level checks (checkValues) are
+// deep-mode only.
+func checkSparse(s vecmath.Sparse32, n int, what string, row int) error {
 	prev := int32(-1)
 	for _, v := range s.Idx {
 		if v <= prev || int(v) >= n {
@@ -789,11 +805,15 @@ func checkSparse(s vecmath.Sparse, n int, deep bool, what string, row int) error
 		}
 		prev = v
 	}
-	if deep {
-		for _, x := range s.Val {
-			if !(x >= 0) || math.IsInf(x, 0) {
-				return fmt.Errorf("lbindex: %s of state %d: value %g not a finite non-negative", what, row, x)
-			}
+	return nil
+}
+
+// checkValues is the deep loader's check of an f32 value slab: every value
+// a finite non-negative.
+func checkValues(xs []float32, what string) error {
+	for i, x := range xs {
+		if !(x >= 0) || math.IsInf(float64(x), 0) {
+			return fmt.Errorf("lbindex: %s value %d, %g, is not a finite non-negative", what, i, x)
 		}
 	}
 	return nil
@@ -807,7 +827,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	if len(data) < v2PreambleSize {
 		return nil, fmt.Errorf("lbindex: v2 image shorter (%d B) than its preamble", len(data))
 	}
-	if string(data[:8]) != indexMagicV2 {
+	if string(data[:8]) != indexMagicV3 {
 		return nil, fmt.Errorf("lbindex: bad magic %q", data[:8])
 	}
 	if got := binary.LittleEndian.Uint64(data[8:16]); got != uint64(len(data)) {
@@ -847,10 +867,8 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		p.offs[want], p.lens[want] = int(off), int(ln)
 	}
 
-	// Meta. Legacy-length blocks predate the journal watermark and imply
-	// watermark 0.
-	if p.lens[secMeta] != v2MetaSize && p.lens[secMeta] != v2MetaSizeLegacy {
-		return nil, fmt.Errorf("lbindex: meta section has %d bytes, want %d (or legacy %d)", p.lens[secMeta], v2MetaSize, v2MetaSizeLegacy)
+	if p.lens[secMeta] != v2MetaSize {
+		return nil, fmt.Errorf("lbindex: meta section has %d bytes, want %d", p.lens[secMeta], v2MetaSize)
 	}
 	mb := p.bytes(secMeta)
 	n := int(int64(binary.LittleEndian.Uint64(mb[0:])))
@@ -870,10 +888,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	o.RWR.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(mb[80:]))
 	o.RWR.Eps = math.Float64frombits(binary.LittleEndian.Uint64(mb[88:]))
 	refinements := int64(binary.LittleEndian.Uint64(mb[96:]))
-	var watermark uint64
-	if p.lens[secMeta] >= v2MetaSize {
-		watermark = binary.LittleEndian.Uint64(mb[104:])
-	}
+	watermark := binary.LittleEndian.Uint64(mb[104:])
 	if n <= 0 || n > 1<<31 || o.K <= 0 || o.K > maxPlausibleK {
 		return nil, fmt.Errorf("lbindex: implausible header n=%d K=%d", n, o.K)
 	}
@@ -934,24 +949,24 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	colNNZ := p.lens[secHubColIdx] / 4
 	rNNZ, wNNZ, sNNZ := p.lens[secStateRIdx]/4, p.lens[secStateWIdx]/4, p.lens[secStateSIdx]/4
 	want := [v2MaxSections]int{
-		secMeta:       p.lens[secMeta], // already validated: current or legacy size
+		secMeta:       v2MetaSize,
 		secHubIDs:     4 * hubCount,
 		secHubTopK:    8 * hubCount * o.K,
 		secHubDropped: 8 * hubCount,
 		secHubColOff:  8 * (hubCount + 1),
 		secHubColIdx:  4 * colNNZ,
-		secHubColVal:  8 * colNNZ,
+		secHubColVal:  4 * colNNZ,
 		secStateT:     4 * numStates,
 		secStateRNorm: 8 * numStates,
 		secStateROff:  8 * (numStates + 1),
 		secStateRIdx:  4 * rNNZ,
-		secStateRVal:  8 * rNNZ,
+		secStateRVal:  4 * rNNZ,
 		secStateWOff:  8 * (numStates + 1),
 		secStateWIdx:  4 * wNNZ,
-		secStateWVal:  8 * wNNZ,
+		secStateWVal:  4 * wNNZ,
 		secStateSOff:  8 * (numStates + 1),
 		secStateSIdx:  4 * sNNZ,
-		secStateSVal:  8 * sNNZ,
+		secStateSVal:  4 * sNNZ,
 		secPhat:       8 * rowCount * o.K,
 	}
 	if shardedNsec(nsec) {
@@ -976,16 +991,16 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 
 	// Hub matrix: FromParts validates hub ids and column structure.
 	hubIDs := p.i32s(secHubIDs)
-	colIdx, colVal := p.i32s(secHubColIdx), p.f64s(secHubColVal)
+	colIdx, colVal := p.i32s(secHubColIdx), p.f32s(secHubColVal)
 	if err := p.checkOffsets(secHubColOff, hubCount, colNNZ, "hub column"); err != nil {
 		return nil, err
 	}
-	cols := make([]vecmath.Sparse, hubCount)
+	cols := make([]vecmath.Sparse32, hubCount)
 	topKSlab := p.f64s(secHubTopK)
 	topK := make([][]float64, hubCount)
 	for i := 0; i < hubCount; i++ {
 		a, b := p.u64at(secHubColOff, i), p.u64at(secHubColOff, i+1)
-		cols[i] = vecmath.Sparse{Idx: colIdx[a:b:b], Val: colVal[a:b:b]}
+		cols[i] = vecmath.Sparse32{Idx: colIdx[a:b:b], Val: colVal[a:b:b]}
 		topK[i] = topKSlab[i*o.K : (i+1)*o.K : (i+1)*o.K]
 	}
 	dropped := p.f64s(secHubDropped)
@@ -1014,12 +1029,18 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	}
 	tSlab := p.i32s(secStateT)
 	rnorm := p.f64s(secStateRNorm)
-	rIdx, rVal := p.i32s(secStateRIdx), p.f64s(secStateRVal)
-	wIdx, wVal := p.i32s(secStateWIdx), p.f64s(secStateWVal)
-	sIdx, sVal := p.i32s(secStateSIdx), p.f64s(secStateSVal)
+	rIdx, rVal := p.i32s(secStateRIdx), p.f32s(secStateRVal)
+	wIdx, wVal := p.i32s(secStateWIdx), p.f32s(secStateWVal)
+	sIdx, sVal := p.i32s(secStateSIdx), p.f32s(secStateSVal)
+	if deep {
+		if err := errors.Join(checkValues(colVal, "hub column"), checkValues(rVal, "state R"),
+			checkValues(wVal, "state W"), checkValues(sVal, "state S")); err != nil {
+			return nil, err
+		}
+	}
 	phatSlab := p.f64s(secPhat)
-	stateArr := make([]bca.State, numStates)
-	states := make([]*bca.State, n)
+	stateArr := make([]stored, numStates)
+	states := make([]*stored, n)
 	phat := make([][]float64, n)
 	i := 0
 	for r := 0; r < rowCount; r++ {
@@ -1040,25 +1061,24 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 			return nil, fmt.Errorf("lbindex: image stores %d states but node %d is the %d-th non-hub row", numStates, u, i+1)
 		}
 		st := &stateArr[i]
-		st.Origin = graph.NodeID(u)
 		st.T = int(tSlab[i])
 		st.RNorm = rnorm[i]
 		if st.T < 0 || !(st.RNorm >= 0) || math.IsInf(st.RNorm, 0) {
 			return nil, fmt.Errorf("lbindex: state of node %d has T=%d RNorm=%g", u, st.T, st.RNorm)
 		}
 		a, b := p.u64at(secStateROff, i), p.u64at(secStateROff, i+1)
-		st.R = vecmath.Sparse{Idx: rIdx[a:b:b], Val: rVal[a:b:b]}
+		st.R = vecmath.Sparse32{Idx: rIdx[a:b:b], Val: rVal[a:b:b]}
 		a, b = p.u64at(secStateWOff, i), p.u64at(secStateWOff, i+1)
-		st.W = vecmath.Sparse{Idx: wIdx[a:b:b], Val: wVal[a:b:b]}
+		st.W = vecmath.Sparse32{Idx: wIdx[a:b:b], Val: wVal[a:b:b]}
 		a, b = p.u64at(secStateSOff, i), p.u64at(secStateSOff, i+1)
-		st.S = vecmath.Sparse{Idx: sIdx[a:b:b], Val: sVal[a:b:b]}
-		if err := checkSparse(st.R, n, deep, "R", u); err != nil {
+		st.S = vecmath.Sparse32{Idx: sIdx[a:b:b], Val: sVal[a:b:b]}
+		if err := checkSparse(st.R, n, "R", u); err != nil {
 			return nil, err
 		}
-		if err := checkSparse(st.W, n, deep, "W", u); err != nil {
+		if err := checkSparse(st.W, n, "W", u); err != nil {
 			return nil, err
 		}
-		if err := checkSparse(st.S, n, deep, "S", u); err != nil {
+		if err := checkSparse(st.S, n, "S", u); err != nil {
 			return nil, err
 		}
 		// S holds ink parked at hubs; a non-hub index would be read out of

@@ -2,8 +2,6 @@ package lbindex
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -58,6 +56,13 @@ func requireSparseEqual(t *testing.T, what string, a, b vecmath.Sparse) {
 	requireFloatsEqual(t, what, a.Val, b.Val)
 }
 
+// requireSparse32Equal is requireSparseEqual on float32 values, which widen
+// to float64 exactly.
+func requireSparse32Equal(t *testing.T, what string, a, b vecmath.Sparse32) {
+	t.Helper()
+	requireSparseEqual(t, what, a.Widen(), b.Widen())
+}
+
 // requireIndexEqual asserts two indexes are value-identical: options,
 // refinement counter, hub matrix parts, every state and every p̂ column,
 // with float64s compared bit for bit.
@@ -86,7 +91,7 @@ func requireIndexEqual(t *testing.T, a, b *Index) {
 			t.Fatalf("hub %d: id %d vs %d", i, ahubs[i], bhubs[i])
 		}
 		requireFloatsEqual(t, "hub topK", atopk[i], btopk[i])
-		requireSparseEqual(t, "hub col", acols[i], bcols[i])
+		requireSparse32Equal(t, "hub col", acols[i], bcols[i])
 	}
 	for u := 0; u < a.n; u++ {
 		requireFloatsEqual(t, "phat", a.phat[u], b.phat[u])
@@ -97,12 +102,12 @@ func requireIndexEqual(t *testing.T, a, b *Index) {
 		if as == nil {
 			continue
 		}
-		if as.Origin != bs.Origin || as.T != bs.T || math.Float64bits(as.RNorm) != math.Float64bits(bs.RNorm) {
+		if as.T != bs.T || math.Float64bits(as.RNorm) != math.Float64bits(bs.RNorm) {
 			t.Fatalf("node %d: state header differs", u)
 		}
-		requireSparseEqual(t, "R", as.R, bs.R)
-		requireSparseEqual(t, "W", as.W, bs.W)
-		requireSparseEqual(t, "S", as.S, bs.S)
+		requireSparse32Equal(t, "R", as.R, bs.R)
+		requireSparse32Equal(t, "W", as.W, bs.W)
+		requireSparse32Equal(t, "S", as.S, bs.S)
 	}
 	if len(a.perm) != len(b.perm) {
 		t.Fatalf("relabeling covers %d vs %d nodes", len(a.perm), len(b.perm))
@@ -309,9 +314,7 @@ func writeIndex(t *testing.T, path string, save func(w io.Writer) error) {
 }
 
 // TestV2WatermarkRoundTrip checks the edit-journal watermark embedded in
-// the meta block survives save/load through every loader, and that a
-// pre-watermark image (104-byte legacy meta block) still loads — with
-// watermark 0 and everything else intact.
+// the meta block survives save/load through every loader.
 func TestV2WatermarkRoundTrip(t *testing.T) {
 	idx := refinedIndex(t, 13, 30, 3)
 	const wm = 987654321
@@ -343,47 +346,4 @@ func TestV2WatermarkRoundTrip(t *testing.T) {
 	if structural.Watermark() != wm {
 		t.Fatalf("structural parse watermark %d, want %d", structural.Watermark(), wm)
 	}
-
-	legacy := stripWatermarkSection(t, buf.Bytes())
-	old, err := Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy meta block refused: %v", err)
-	}
-	if old.Watermark() != 0 {
-		t.Fatalf("legacy image loaded watermark %d, want 0", old.Watermark())
-	}
-	idx.SetWatermark(0)
-	requireIndexEqual(t, idx, old)
-}
-
-// stripWatermarkSection rewrites a current v2 image into its pre-watermark
-// form: the meta section shrinks back to v2MetaSizeLegacy bytes, every
-// later section slides forward 8 bytes, and all checksums are recomputed —
-// byte for byte what the previous release's Save emitted.
-func stripWatermarkSection(t *testing.T, data []byte) []byte {
-	t.Helper()
-	nsec := int(binary.LittleEndian.Uint32(data[16:20]))
-	headerEnd := v2HeaderEndOf(nsec)
-	out := make([]byte, len(data)-8)
-	copy(out, data[:headerEnd])
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(out)))
-	for s := 0; s < nsec; s++ {
-		entry := out[v2PreambleSize+s*v2TableEntry:]
-		off := binary.LittleEndian.Uint64(entry[8:])
-		ln := binary.LittleEndian.Uint64(entry[16:])
-		newOff, newLn := off, ln
-		if s == secMeta {
-			newLn = v2MetaSizeLegacy
-		} else {
-			newOff = off - 8
-		}
-		binary.LittleEndian.PutUint64(entry[8:], newOff)
-		binary.LittleEndian.PutUint64(entry[16:], newLn)
-		copy(out[newOff:newOff+newLn], data[off:off+ln])
-		binary.LittleEndian.PutUint32(entry[4:], crc32.Checksum(out[newOff:newOff+newLn], castagnoli))
-	}
-	binary.LittleEndian.PutUint32(out[20:], crc32.Checksum(out[v2PreambleSize:headerEnd], castagnoli))
-	fileCRC := crc32.Update(crc32.Checksum(out[:24], castagnoli), castagnoli, out[28:])
-	binary.LittleEndian.PutUint32(out[24:28], fileCRC)
-	return out
 }

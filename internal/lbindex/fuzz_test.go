@@ -30,11 +30,46 @@ var v1Images = []struct {
 		"\x33\x33\x33\x33\x33\x33\xc3\x3f" + "\xbb\xbd\xd7\xd9\xdf\x7c\xdb\x3d" + "\x64\x00\x00\x00")},
 }
 
-// FuzzLoadV2 feeds arbitrary bytes (seeded with a valid v2 image, truncated
-// prefixes, flips, inflated size/length fields and the refused v1 images)
-// into the deserializer: they must load as a valid index or fail with an
-// error in BOTH the deep loader and the mmap-structural parser — never
-// panic, never hang, never yield an index violating its invariants.
+// v2Images are two format v2 images: the magic alone, and a whole image under
+// it (a v3 image of the fuzz seed's index with its magic set back, the
+// section layout being v2's). Load and LoadFile must refuse both by name.
+func v2Images(v3 []byte) []struct {
+	name string
+	img  []byte
+} {
+	whole := append([]byte(indexMagicV2), v3[len(indexMagicV2):]...)
+	return []struct {
+		name string
+		img  []byte
+	}{{"magic alone", []byte(indexMagicV2)}, {"whole image", whole}}
+}
+
+// requireRefusedV2 checks that both loaders, the mmap one included, refuse a
+// format v2 image with ErrFormatV2.
+func requireRefusedV2(t *testing.T, img []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "v2.idx")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errStream := Load(bytes.NewReader(img))
+	_, errHeap := LoadFile(path, LoadOptions{Mmap: false})
+	_, errMmap := LoadFile(path, LoadOptions{Mmap: true})
+	for loader, err := range map[string]error{"Load": errStream, "LoadFile heap": errHeap, "LoadFile mmap": errMmap} {
+		if !errors.Is(err, ErrFormatV2) {
+			t.Fatalf("%s: got %v, want ErrFormatV2", loader, err)
+		}
+	}
+}
+
+// FuzzLoadV2 fuzzes the loaders of format v3 — the v2 section layout with
+// float32 sparse values. It feeds arbitrary bytes (seeded with a valid v3
+// image, truncated prefixes, flips, inflated size/length fields and the
+// refused v1 and v2 images) into the deserializer: they must load as a valid
+// index or fail with an error in BOTH the deep loader and the
+// mmap-structural parser — never panic, never hang, never yield an index
+// violating its invariants — and an input under the v2 magic must be refused
+// with ErrFormatV2 by both loaders.
 func FuzzLoadV2(f *testing.F) {
 	g := randomGraph(3, 40)
 	idx, _, err := Build(g, testOptions(4))
@@ -48,7 +83,7 @@ func FuzzLoadV2(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte(indexMagicV2))
+	f.Add([]byte(indexMagicV3))
 	for _, cut := range []int{
 		16, 31, 32, v2HeaderEnd - 1, v2HeaderEnd,
 		len(valid) / 4, len(valid) / 2, 3 * len(valid) / 4, len(valid) - 9, len(valid) - 1,
@@ -78,6 +113,9 @@ func FuzzLoadV2(f *testing.F) {
 	for _, v1 := range v1Images {
 		f.Add(v1.img)
 	}
+	for _, v2 := range v2Images(valid) {
+		f.Add(v2.img)
+	}
 	// And an image holding summarized states: at η = 0.01 nearly every run on
 	// this graph stops with its residue spread below η.
 	sopts := testOptions(4)
@@ -95,6 +133,10 @@ func FuzzLoadV2(f *testing.F) {
 	}
 	f.Add(sbuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if bytes.HasPrefix(data, []byte(indexMagicV2)) {
+			requireRefusedV2(t, data)
+			return
+		}
 		if idx, err := Load(bytes.NewReader(data)); err == nil {
 			if err := idx.CheckInvariants(); err != nil {
 				t.Fatalf("deep Load accepted an index that fails invariants: %v", err)
@@ -170,6 +212,10 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 		{"negative ink value", func(idx *Index, u int) {
 			idx.states[u].S.Val[0] = -idx.states[u].S.Val[0]
 		}},
+		{"infinite hub column value", func(idx *Index, u int) {
+			_, _, cols, _, _, _ := idx.hubs.Parts()
+			cols[0].Val[0] = float32(math.Inf(1))
+		}},
 		{"NaN in phat column", func(idx *Index, u int) {
 			idx.phat[u][0] = math.NaN()
 		}},
@@ -180,16 +226,16 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 			// Half the residue moved to W: ink is conserved, but R holds
 			// more than ‖r‖₁.
 			st := idx.states[u]
-			st.W.Val[0] += st.RNorm / 2
+			st.W.Val[0] += float32(st.RNorm / 2)
 			st.RNorm /= 2
 		}},
 		{"folded state whose ink is not conserved", func(idx *Index, u int) {
 			st := idx.states[u]
-			st.R, st.RNorm = vecmath.Sparse{}, st.RNorm+1e-3
+			st.R, st.RNorm = vecmath.Sparse32{}, st.RNorm+1e-3
 		}},
 		{"summarized state holding more than the unit of ink", func(idx *Index, u int) {
 			st := idx.states[u]
-			st.R, st.W = vecmath.Sparse{}, vecmath.Sparse{}
+			st.R, st.W = vecmath.Sparse32{}, vecmath.Sparse32{}
 			st.RNorm = 1 - st.S.L1()/2
 		}},
 	}
@@ -202,6 +248,11 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 				t.Logf("rejected as expected: %v", err)
 			}
 		})
+	}
+	// A format v2 image — the layout of v3, its values float64 — is refused
+	// by name on both loaders.
+	for _, v2 := range v2Images(corruptIndex(t, func(*Index, int) {})) {
+		t.Run("format v2 "+v2.name, func(t *testing.T) { requireRefusedV2(t, v2.img) })
 	}
 	// A format v1 image is refused by name on every path, and before its
 	// header's claimed n can size anything.

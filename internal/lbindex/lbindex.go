@@ -5,7 +5,10 @@
 // state (the R, W, S matrices) and the rounded hub proximity matrix P_H. A
 // state keeps only the residue entries at or above η, the ones a refinement
 // step can push; ‖r‖₁ keeps the whole residue. A state left with none is
-// stored summarized: ‖r‖₁, S and T without R and W (Index.summarize).
+// stored summarized: ‖r‖₁, S and T without R and W. The values of R, W, S and
+// the hub columns are stored as float32 rounded toward zero, the mass that
+// takes off folded into ‖r‖₁ and the hubs' dropped mass (Index.summarize);
+// p̂, ‖r‖₁ and the hubs' exact top-K stay float64.
 //
 // The index is dynamically refinable: the online query algorithm (package
 // core) advances individual nodes' BCA runs and commits the refined state
@@ -131,8 +134,8 @@ type Index struct {
 	// phat[u] is p̂^t_u(1:K): the K largest lower-bound proximities from
 	// u, descending. For hub nodes these are exact top-K values.
 	phat [][]float64
-	// states[u] is the resumable BCA state of non-hub u; nil for hubs.
-	states []*bca.State
+	// states[u] is the stored BCA state of non-hub u; nil for hubs.
+	states []*stored
 	// refinements counts committed post-build refinement steps (a
 	// diagnostic for the Fig. 7 experiment).
 	refinements atomic.Int64
@@ -210,7 +213,7 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 		n:       idx.n,
 		hubs:    idx.hubs,
 		phat:    make([][]float64, idx.n),
-		states:  make([]*bca.State, idx.n),
+		states:  make([]*stored, idx.n),
 		part:    pm,
 		shardID: shard,
 		owned:   owned,
@@ -247,11 +250,14 @@ type BuildStats struct {
 	PhatBytes int64
 	// Folded counts the R entries below η not stored (Index.summarize),
 	// Summarized the states left with no R entry and so stored without W
-	// too, and FoldedBytes the bytes of R and W not stored: Bytes +
-	// FoldedBytes is the paper's (P̂, R, W, S) store.
-	Folded      int64
-	Summarized  int
-	FoldedBytes int64
+	// too, FoldedBytes the bytes of R and W not stored and RoundedBytes the
+	// bytes saved by storing every kept sparse value, hub columns included,
+	// as float32: Bytes + FoldedBytes + RoundedBytes is the paper's
+	// (P̂, R, W, S) store at float64.
+	Folded       int64
+	Summarized   int
+	FoldedBytes  int64
+	RoundedBytes int64
 }
 
 // Build runs Algorithm 1: select hubs, compute their exact proximity
@@ -300,13 +306,14 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		n:      g.N(),
 		hubs:   hm,
 		phat:   make([][]float64, g.N()),
-		states: make([]*bca.State, g.N()),
+		states: make([]*stored, g.N()),
 	}
 
 	// Per-goroutine scratch and counters, indexed by ForEach's worker.
 	workers := vecmath.Workers(opts.Workers)
 	wss := make([]*bca.Workspace, workers)
-	iters, folded, dropped, summaries := make([]int64, workers), make([]int64, workers), make([]int64, workers), make([]int, workers)
+	iters, folded, dropped, values := make([]int64, workers), make([]int64, workers), make([]int64, workers), make([]int64, workers)
+	summaries := make([]int, workers)
 	err = vecmath.ForEach(g.N(), workers, func(w, i int) error {
 		u := graph.NodeID(i)
 		if hm.IsHub(u) {
@@ -322,13 +329,14 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		}
 		iters[w] += int64(st.T)
 		idx.phat[u] = bca.TopK(st, hm, wss[w], opts.K)
-		entries, b := idx.summarize(st)
+		s, entries, b := idx.summarize(st)
 		folded[w] += int64(entries)
 		dropped[w] += b
-		if st.Summarized() {
+		values[w] += int64(s.R.NNZ() + s.W.NNZ() + s.S.NNZ())
+		if s.Summarized() {
 			summaries[w]++
 		}
-		idx.states[u] = st
+		idx.states[u] = s
 		return nil
 	})
 	if err != nil {
@@ -336,11 +344,13 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	}
 	var totalIters, foldedEntries, foldedBytes int64
 	var summarized int
+	float32s := int64(hm.NNZ())
 	for w := range workers {
 		totalIters += iters[w]
 		foldedEntries += folded[w]
 		summarized += summaries[w]
 		foldedBytes += dropped[w]
+		float32s += values[w]
 	}
 
 	stats := BuildStats{
@@ -351,6 +361,7 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		Folded:       foldedEntries,
 		Summarized:   summarized,
 		FoldedBytes:  foldedBytes,
+		RoundedBytes: 4 * float32s,
 	}
 	stats.PhatBytes = int64(g.N()) * int64(opts.K) * 8
 	stats.Bytes = idx.SizeBytes()
@@ -398,116 +409,159 @@ func (idx *Index) ResidueNorm(u graph.NodeID) float64 {
 }
 
 // RoundingSlack returns the proximity mass that §4.1.3's rounding removed
-// from u's materialized lower bound: Σ_h s_u(h)·dropped(h). Rounding keeps
-// p̂ a valid lower bound, but a drained state (‖r‖=0) is only exact up to
-// this slack, and any sound upper bound must pour it back onto the
-// staircase along with the residue. Zero when ω = 0 and for hub nodes
-// (their top-K columns are taken from the unrounded vectors).
+// from u's materialized lower bound: Σ_h s_u(h)·dropped(h), over u's stored
+// S. Rounding keeps p̂ a valid lower bound, but a drained state (‖r‖=0) is
+// only exact up to this slack, and any sound upper bound must pour it back
+// onto the staircase along with the residue. Zero for hub nodes (their top-K
+// columns are taken from the unrounded vectors).
 func (idx *Index) RoundingSlack(u graph.NodeID) float64 {
 	st := idx.states[u]
 	if st == nil {
 		return 0
 	}
-	return stateSlack(st, idx.hubs)
-}
-
-func stateSlack(st *bca.State, hm *hub.Matrix) float64 {
-	var slack float64
-	for i, h := range st.S.Idx {
-		slack += st.S.Val[i] * hm.DroppedMass(graph.NodeID(h))
-	}
-	return slack
+	return slack(st.S.Idx, st.S.Val, idx.hubs)
 }
 
 // StateSlack computes the rounding slack of an engine-local (refined copy)
 // state against this index's hub matrix.
 func (idx *Index) StateSlack(st *bca.State) float64 {
-	return stateSlack(st, idx.hubs)
+	return slack(st.S.Idx, st.S.Val, idx.hubs)
+}
+
+// slack is Σ_h s(h)·dropped(h) over a sparse S, in stored order.
+func slack[V float32 | float64](hubs []int32, s []V, hm *hub.Matrix) float64 {
+	var sum float64
+	for i, h := range hubs {
+		sum += float64(s[i]) * hm.DroppedMass(graph.NodeID(h))
+	}
+	return sum
 }
 
 // BatchInk returns the ink the next refinement step of u's stored state would
 // move at threshold η (bca.State.BatchInk) and the iterations that state has
 // already run; zeros for hubs. It reads the stored state in place, so the
 // query engine can ask before StateSnapshot and pay no deep copy for a
-// candidate it will not step.
+// candidate it will not step. It sums the widened values in stored order, as
+// bca.State.BatchInk does on the snapshot, so the two agree bit for bit.
 func (idx *Index) BatchInk(u graph.NodeID, eta float64) (ink float64, t int) {
 	st := idx.states[u]
 	if st == nil {
 		return 0, 0
 	}
-	return st.BatchInk(eta), st.T
+	for _, v := range st.R.Val {
+		if x := float64(v); x >= eta {
+			ink += x
+		}
+	}
+	return ink, st.T
 }
 
-// StateSnapshot returns a deep copy of u's resumable BCA state, or nil for
-// hub nodes. Copies are what the query engine refines in no-update mode.
+// StateSnapshot returns u's resumable BCA state, its values widened to
+// float64, or nil for hub nodes. The copy is the query engine's to refine in
+// no-update mode.
 func (idx *Index) StateSnapshot(u graph.NodeID) *bca.State {
-	if idx.states[u] == nil {
+	st := idx.states[u]
+	if st == nil {
 		return nil
 	}
-	return idx.states[u].Clone()
+	return &bca.State{Origin: u, T: st.T, RNorm: st.RNorm, R: st.R.Widen(), W: st.W.Widen(), S: st.S.Widen()}
+}
+
+// stored is how the index keeps the BCA state of a non-hub node: the T and
+// ‖r‖₁ of a bca.State, and its R, W and S with float32 values rounded toward
+// zero (summarize). R holds only entries at or above η. A summary stores
+// neither R nor W (Summarized).
+type stored struct {
+	T       int
+	RNorm   float64
+	R, W, S vecmath.Sparse32
+}
+
+// Summarized reports whether s is a summary, as bca.State.Summarized.
+func (s *stored) Summarized() bool {
+	return s.R.NNZ() == 0 && s.W.NNZ() == 0 && s.RNorm > 0
+}
+
+// Bytes returns the payload footprint: the sparse vectors plus T and ‖r‖₁.
+func (s *stored) Bytes() int64 {
+	return s.R.Bytes() + s.W.Bytes() + s.S.Bytes() + 16
+}
+
+// CheckInvariant holds s to bca.State.CheckInvariant's ink rules.
+func (s *stored) CheckInvariant(tol float64) error {
+	return bca.CheckInk(s.RNorm, s.R.L1(), s.W.L1(), s.S.L1(), s.Summarized(), tol)
 }
 
 // summarize is the index's one storage rule, applied wherever a state is
 // stored: Build and Commit, and so update-mode refinements and evolve
-// refreshes. A state keeps only its R entries at or above η: a step pushes no
-// other, and core's refinement reads of R only the batch ink those entries
-// sum to (bca.State.BatchInk), which folding leaves bit for bit the same.
-// The dropped entries stay residue, counted in ‖r‖₁, which every upper bound
-// pours in full and no step moves (bca.Step carries it over). A state left
-// with residue but no entry at or above η is one no query steps: core takes a
-// step only when its batch ink could decide, and that ink is zero whatever
-// the query. Its W is dropped too, leaving a summary (bca.State.Summarized)
-// that keeps what queries read: T, ‖r‖₁ and S, whose rounding slack is taken
-// against the current hub matrix. Its p̂ column was computed from the full
-// state. A drained state (‖r‖₁ = 0, as the exact fallback commits) is left
-// whole. It returns the R entries folded and the bytes of R and W dropped.
-func (idx *Index) summarize(st *bca.State) (folded int, dropped int64) {
-	if st.RNorm == 0 {
-		return 0, 0
-	}
+// refreshes. It returns st's stored form, the R entries folded and the bytes
+// (at float64 width) of R and W not stored; st itself is not kept.
+//
+// Every value is rounded toward zero to float32 (vecmath.RoundDown32), so
+// W + P_H·S stays a lower bound, and what rounding takes off is residue the
+// bounds pour in full. A state keeps only the R entries whose stored value is
+// at or above η: a step pushes no other, and core's refinement reads of R only
+// the batch ink those entries sum to (bca.State.BatchInk). The dropped entries
+// and the kept ones' rounding loss stay residue, counted in ‖r‖₁, which every
+// upper bound pours in full and no step moves (bca.Step carries it over). The
+// losses of S and W are added to ‖r‖₁, which keeps ‖w‖₁ + ‖s‖₁ + ‖r‖₁ = 1 —
+// except W's on a state left drained (‖r‖₁ = 0 even after S's loss, as the
+// exact fallback commits it): no step reads its W, its exact p̂ and ρ = 0
+// decide it, and folding would turn its ties back into fallbacks. A state left
+// with residue but no R entry is one no query steps: core takes a step only
+// when its batch ink could decide, and that ink is zero whatever the query.
+// Its W is dropped too, leaving a summary (Summarized) that keeps what queries
+// read: T, ‖r‖₁ and S, whose rounding slack is taken against the current hub
+// matrix. p̂ is computed from st, before any of this, so it is a lower bound
+// that needs no slack of its own.
+func (idx *Index) summarize(st *bca.State) (s *stored, folded int, dropped int64) {
 	eta := idx.opts.BCA.Eta
+	s = &stored{T: st.T}
+	// Rounding only lowers a value, so most entries fail the first test.
+	kept := func(v float64) bool { return v >= eta && float64(vecmath.RoundDown32(v)) >= eta }
 	keep := 0
 	for _, v := range st.R.Val {
-		if v >= eta {
+		if kept(v) {
 			keep++
 		}
 	}
-	folded, dropped = st.R.NNZ()-keep, st.R.Bytes()
-	switch {
-	case keep == 0:
-		dropped += st.W.Bytes()
-		st.R, st.W = vecmath.Sparse{}, vecmath.Sparse{}
-		return folded, dropped
-	case folded == 0:
-		return 0, 0
-	}
-	// Fresh slices, not a compaction in place: a long-lived index must not
-	// keep the full R's backing arrays alive.
-	r := vecmath.Sparse{Idx: make([]int32, 0, keep), Val: make([]float64, 0, keep)}
+	s.R = vecmath.Sparse32{Idx: make([]int32, 0, keep), Val: make([]float32, 0, keep)}
 	for i, v := range st.R.Val {
-		if v >= eta {
-			r.Idx = append(r.Idx, st.R.Idx[i])
-			r.Val = append(r.Val, v)
+		if kept(v) {
+			s.R.Idx = append(s.R.Idx, st.R.Idx[i])
+			s.R.Val = append(s.R.Val, vecmath.RoundDown32(v))
 		}
 	}
-	st.R = r
-	return folded, dropped - r.Bytes()
+	folded = st.R.NNZ() - keep
+	dropped = int64(folded) * 12 // a u32 index and an f64 value each
+	var lostS, lostW float64
+	s.S, lostS = vecmath.Round32(st.S)
+	s.RNorm = st.RNorm + lostS
+	switch {
+	case s.RNorm > 0 && s.R.NNZ() == 0:
+		dropped += st.W.Bytes()
+	case s.RNorm > 0:
+		s.W, lostW = vecmath.Round32(st.W)
+		s.RNorm += lostW
+	default:
+		s.W, _ = vecmath.Round32(st.W)
+	}
+	return s, folded, dropped
 }
 
 // Commit stores a refined state and its recomputed p̂ column for node u
 // (§4.2.3 dynamic index update). The caller passes ownership of both: the
-// state is stored under the index's storage rule (summarize), which may fold
-// R entries below η into ‖r‖₁ and drop W. Commit is a write: only the index's
-// one writer calls it, before the index is shared (see Index). That writer may
-// commit distinct nodes from several goroutines at once — an update-mode
-// engine's sweep shards do — since each commit replaces only u's own row
-// pointers.
+// state is stored under the index's storage rule (summarize), which rounds
+// its values to float32, may fold R entries below η into ‖r‖₁ and may drop W.
+// Commit is a write: only the index's one writer calls it, before the index is
+// shared (see Index). That writer may commit distinct nodes from several
+// goroutines at once — an update-mode engine's sweep shards do — since each
+// commit replaces only u's own row pointers.
 func (idx *Index) Commit(u graph.NodeID, st *bca.State, phat []float64) {
 	if len(phat) != idx.opts.K {
 		panic(fmt.Sprintf("lbindex: Commit phat length %d, want %d", len(phat), idx.opts.K))
 	}
-	idx.summarize(st)
-	idx.states[u] = st
+	idx.states[u], _, _ = idx.summarize(st)
 	idx.phat[u] = phat
 	idx.refinements.Add(1)
 }
@@ -564,7 +618,7 @@ func (idx *Index) Clone() *Index {
 		n:       idx.n,
 		hubs:    idx.hubs,
 		phat:    append([][]float64(nil), idx.phat...),
-		states:  append([]*bca.State(nil), idx.states...),
+		states:  append([]*stored(nil), idx.states...),
 		part:    idx.part,
 		shardID: idx.shardID,
 		owned:   idx.owned,
@@ -589,7 +643,7 @@ func (idx *Index) CloneGrown(n2 int) *Index {
 	}
 	phat := make([][]float64, n2)
 	copy(phat, idx.phat)
-	states := make([]*bca.State, n2)
+	states := make([]*stored, n2)
 	copy(states, idx.states)
 	c := &Index{
 		opts:    idx.opts,

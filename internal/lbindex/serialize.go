@@ -17,6 +17,27 @@ const indexMagicV1 = "RTKLBIX1"
 // (LoadFile wraps it with the path).
 var ErrFormatV1 = errors.New("lbindex: index format v1 (RTKLBIX1) is no longer readable; rebuild it with rtkindex")
 
+// indexMagicV2 opens an image in the retired format v2, whose sparse values
+// were float64. Load and LoadFile recognise it only to refuse it by name.
+const indexMagicV2 = "RTKLBIX2"
+
+// ErrFormatV2 is what Load and LoadFile return for a format v2 image — an
+// index or a checkpoint written before the sparse values were stored as
+// float32 (LoadFile wraps it with the path).
+var ErrFormatV2 = errors.New("lbindex: index format v2 (RTKLBIX2) is no longer readable; rebuild it with rtkindex")
+
+// retiredFormat returns the error naming the retired format a magic opens,
+// or nil.
+func retiredFormat(magic string) error {
+	switch magic {
+	case indexMagicV1:
+		return ErrFormatV1
+	case indexMagicV2:
+		return ErrFormatV2
+	}
+	return nil
+}
+
 type binWriter struct {
 	w   *bufio.Writer
 	err error
@@ -55,29 +76,34 @@ func (b *binWriter) floats(xs []float64) {
 	}
 }
 
+func (b *binWriter) floats32(xs []float32) {
+	for _, v := range xs {
+		b.u32(math.Float32bits(v))
+	}
+}
+
 // maxPlausibleK bounds the K a Load will accept. The paper's K is 200; a
 // larger claim in a header is far more likely corruption than a real index,
 // and rejecting it keeps the per-node read bounded.
 const maxPlausibleK = 1 << 20
 
-// Load reads an index previously written by Save (format v2). It is safe on
+// Load reads an index previously written by Save (format v3). It is safe on
 // truncated or corrupt input: every quantity that later code indexes with is
 // bounds-checked, allocation stays proportional to the input actually
 // consumed, and any checksum mismatch fails fast, so a bad image yields an
 // error — never a panic, a hang, or an index that violates its invariants.
-// A format v1 image is refused with ErrFormatV1.
+// A format v1 or v2 image is refused with ErrFormatV1 or ErrFormatV2.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := br.Peek(8)
 	if err != nil || len(magic) < 8 {
 		return nil, fmt.Errorf("lbindex: reading magic: %w", err)
 	}
-	switch string(magic) {
-	case indexMagicV1:
-		return nil, ErrFormatV1
-	case indexMagicV2:
-		return loadV2Stream(br)
-	default:
+	if err := retiredFormat(string(magic)); err != nil {
+		return nil, err
+	}
+	if string(magic) != indexMagicV3 {
 		return nil, fmt.Errorf("lbindex: bad magic %q", magic)
 	}
+	return loadV2Stream(br)
 }

@@ -47,29 +47,33 @@ func summaries(idx *Index) int {
 	return n
 }
 
-// aboveEta returns the entries of r at or above η, the ones the index keeps.
-func aboveEta(r vecmath.Sparse, eta float64) vecmath.Sparse {
-	var out vecmath.Sparse
+// keptR returns the entries of r the index keeps: those whose float32 value,
+// rounded toward zero, is at or above η.
+func keptR(r vecmath.Sparse, eta float64) vecmath.Sparse32 {
+	var out vecmath.Sparse32
 	for i, v := range r.Val {
-		if v >= eta {
+		if f := vecmath.RoundDown32(v); float64(f) >= eta {
 			out.Idx = append(out.Idx, r.Idx[i])
-			out.Val = append(out.Val, v)
+			out.Val = append(out.Val, f)
 		}
 	}
 	return out
 }
 
 // TestBuildSummarizesZeroInkStates holds every stored state to a fresh BCA run
-// of its node: p̂, T, ‖r‖₁ and S are the run's, R is the run's entries at or
-// above η, and W is the run's unless no such entry is left, when it is
-// dropped and the state is a summary. BuildStats reports the R entries folded,
-// the summaries and the bytes of R and W they saved.
+// of its node: p̂ and T are the run's, and S, R and W its values rounded
+// toward zero to float32 — R only the entries whose value is then at or above
+// η, and W dropped when no such entry is left, the state a summary. ‖r‖₁ is
+// the run's plus the mass rounding took off S and, unless the state is left
+// drained or is a summary, W. BuildStats reports the R entries folded, the summaries, the
+// bytes of R and W they saved and the bytes float32 values save.
 func TestBuildSummarizesZeroInkStates(t *testing.T) {
 	g, idx, stats := summarizedSocial(t)
 	hm, cfg := idx.HubMatrix(), idx.Options().BCA
 	ws := bca.NewWorkspace(g.N())
 	summarized, folded, whole := 0, 0, 0
 	var entries, saved int64
+	values := int64(hm.NNZ())
 	for u := graph.NodeID(0); int(u) < g.N(); u++ {
 		stored := idx.states[u]
 		if hm.IsHub(u) {
@@ -84,18 +88,26 @@ func TestBuildSummarizesZeroInkStates(t *testing.T) {
 		}
 		label := fmt.Sprintf("node %d", u)
 		requireFloatsEqual(t, label+" p̂", idx.phat[u], bca.TopK(fresh, hm, ws, idx.K()))
-		if stored.T != fresh.T || math.Float64bits(stored.RNorm) != math.Float64bits(fresh.RNorm) {
-			t.Fatalf("%s: stored T=%d ‖r‖₁=%g, fresh run T=%d ‖r‖₁=%g", label, stored.T, stored.RNorm, fresh.T, fresh.RNorm)
+		s, lostS := vecmath.Round32(fresh.S)
+		w, lostW := vecmath.Round32(fresh.W)
+		kept := keptR(fresh.R, cfg.Eta)
+		rnorm := fresh.RNorm + lostS
+		summary := rnorm > 0 && kept.NNZ() == 0
+		if rnorm > 0 && !summary {
+			rnorm += lostW
 		}
-		requireSparseEqual(t, label+" S", stored.S, fresh.S)
-		kept := aboveEta(fresh.R, cfg.Eta)
-		requireSparseEqual(t, label+" R", stored.R, kept)
+		if stored.T != fresh.T || math.Float64bits(stored.RNorm) != math.Float64bits(rnorm) {
+			t.Fatalf("%s: stored T=%d ‖r‖₁=%g, fresh run T=%d ‖r‖₁=%g with the rounding loss folded", label, stored.T, stored.RNorm, fresh.T, rnorm)
+		}
+		requireSparse32Equal(t, label+" S", stored.S, s)
+		requireSparse32Equal(t, label+" R", stored.R, kept)
+		values += int64(s.NNZ() + kept.NNZ())
 		entries += int64(fresh.R.NNZ() - kept.NNZ())
-		saved += fresh.R.Bytes() - kept.Bytes()
+		saved += 12 * int64(fresh.R.NNZ()-kept.NNZ())
 		switch {
-		case fresh.RNorm > 0 && kept.NNZ() == 0:
+		case summary:
 			if !stored.Summarized() {
-				t.Fatalf("%s: residue %g wholly below η, yet W (%d entries) is stored", label, fresh.RNorm, stored.W.NNZ())
+				t.Fatalf("%s: residue %g wholly below η, yet W (%d entries) is stored", label, rnorm, stored.W.NNZ())
 			}
 			summarized++
 			saved += fresh.W.Bytes()
@@ -106,28 +118,31 @@ func TestBuildSummarizesZeroInkStates(t *testing.T) {
 			whole++
 		}
 		if stored.Summarized() {
-			t.Fatalf("%s: a state with batch ink %g reads as a summary", label, stored.BatchInk(cfg.Eta))
+			t.Fatalf("%s: a state with %d R entries at or above η reads as a summary", label, kept.NNZ())
 		}
-		requireSparseEqual(t, label+" W", stored.W, fresh.W)
+		requireSparse32Equal(t, label+" W", stored.W, w)
+		values += int64(w.NNZ())
 	}
 	if summarized == 0 || folded == 0 {
 		t.Fatalf("%d states summarized, %d folded and %d whole: the graph no longer mixes summaries and folds", summarized, folded, whole)
 	}
-	if stats.Folded != entries || stats.Summarized != summarized || stats.FoldedBytes != saved {
-		t.Errorf("BuildStats reports %d entries folded, %d states summarized, saving %d B; want %d, %d and %d",
-			stats.Folded, stats.Summarized, stats.FoldedBytes, entries, summarized, saved)
+	if stats.Folded != entries || stats.Summarized != summarized || stats.FoldedBytes != saved || stats.RoundedBytes != 4*values {
+		t.Errorf("BuildStats reports %d entries folded, %d states summarized, saving %d B, and float32 values saving %d B; want %d, %d, %d and %d",
+			stats.Folded, stats.Summarized, stats.FoldedBytes, stats.RoundedBytes, entries, summarized, saved, 4*values)
 	}
 	if err := idx.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d states summarized, %d folded, %d whole; %d R entries and %d B of R and W not stored", summarized, folded, whole, entries, saved)
+	t.Logf("%d states summarized, %d folded, %d whole; %d R entries and %d B of R and W not stored; %d values stored as float32", summarized, folded, whole, entries, saved, values)
 }
 
 // TestFoldedStateStepsAsWhole: folding changes no first refinement step. For
 // every stored state a step can move, the folded copy the index holds has the
-// full run's batch ink bit for bit, and one bca.Step from each leaves W′, S′
-// and p̂′ bit-identical. R′ differs only where the full state held an entry
-// below η — there by exactly that entry — and ‖r′‖₁ agrees within 1e-15.
+// batch ink of the full run stored whole — every value rounded as the index
+// rounds it, and ‖r‖₁ the stored one — bit for bit, and one bca.Step from each
+// leaves W′, S′ and p̂′ bit-identical. R′ differs only where the whole state
+// held an entry below η — there by exactly that entry — and ‖r′‖₁ agrees
+// within 1e-15.
 func TestFoldedStateStepsAsWhole(t *testing.T) {
 	g, idx, _ := summarizedSocial(t)
 	hm, cfg := idx.HubMatrix(), idx.Options().BCA
@@ -137,18 +152,25 @@ func TestFoldedStateStepsAsWhole(t *testing.T) {
 		if hm.IsHub(u) {
 			continue
 		}
-		full, err := bca.Run(g, u, hm, cfg, ws)
+		run, err := bca.Run(g, u, hm, cfg, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fold := idx.StateSnapshot(u)
+		r, _ := vecmath.Round32(run.R)
+		w, _ := vecmath.Round32(run.W)
+		s, _ := vecmath.Round32(run.S)
+		full := &bca.State{Origin: u, T: run.T, RNorm: fold.RNorm, R: r.Widen(), W: w.Widen(), S: s.Widen()}
 		ink := full.BatchInk(cfg.Eta)
 		if ink == 0 {
 			continue
 		}
-		fold := idx.StateSnapshot(u)
 		label := fmt.Sprintf("node %d", u)
 		if got := fold.BatchInk(cfg.Eta); math.Float64bits(got) != math.Float64bits(ink) {
 			t.Fatalf("%s: folded batch ink %g, full %g", label, got, ink)
+		}
+		if got, _ := idx.BatchInk(u, cfg.Eta); math.Float64bits(got) != math.Float64bits(ink) {
+			t.Fatalf("%s: stored batch ink %g, full %g", label, got, ink)
 		}
 		below := make(map[int32]float64)
 		for i, v := range full.R.Val {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/lbindex"
 )
 
-// TestUnfoldedIndexAnswersAsFolded: an index file written before residue
-// below η was folded — every state whole but the zero-ink summaries — loads
+// TestUnfoldedIndexAnswersAsFolded: an index file whose states keep their R
+// entries below η — every state whole but the zero-ink summaries — loads
 // through both loaders, the deep one's invariant check included, and answers
 // every (q, k) of a small family exactly as its folded rebuild does.
 func TestUnfoldedIndexAnswersAsFolded(t *testing.T) {

@@ -242,6 +242,39 @@ func TestSparseBytes(t *testing.T) {
 	}
 }
 
+// TestRound32RoundsTowardZero: every value is the largest float32 no farther
+// from zero than its source, an entry that rounds to zero is dropped, and the
+// reported loss is what rounding took off, exactly.
+func TestRound32RoundsTowardZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := Sparse{Idx: []int32{0, 1, 2, 3, 4}, Val: []float64{0.15, 1, 1e-50, 0x1p-140 * 3, 1.0 / 3}}
+	for i := int32(5); i < 200; i++ {
+		src.Idx = append(src.Idx, i)
+		src.Val = append(src.Val, rng.Float64()*math.Pow(10, -float64(rng.Intn(12))))
+	}
+	out, lost := Round32(src)
+	if out.NNZ() != src.NNZ()-1 || out.Idx[2] != 3 {
+		t.Fatalf("the entry 1e-50 rounds to zero and must go: %v", out.Idx[:4])
+	}
+	var want float64
+	for i, v := range src.Val {
+		f := RoundDown32(v)
+		if float64(f) > v || float64(math.Nextafter32(f, float32(math.Inf(1)))) <= v {
+			t.Fatalf("RoundDown32(%g) = %g, not the largest float32 at or below it", v, f)
+		}
+		if got := out.Widen().Get(src.Idx[i]); got != float64(f) {
+			t.Fatalf("entry %d: Round32 stored %g, want %g", src.Idx[i], got, f)
+		}
+		want += v - float64(f)
+	}
+	if lost != want || lost <= 0 {
+		t.Errorf("Round32 reports a loss of %g, want %g", lost, want)
+	}
+	if RoundDown32(-0.15) != -RoundDown32(0.15) {
+		t.Error("RoundDown32 does not round a negative value toward zero")
+	}
+}
+
 // goid returns the calling goroutine's id, parsed from its stack header
 // ("goroutine 7 [running]:").
 func goid() int {
