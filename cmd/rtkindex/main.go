@@ -140,8 +140,8 @@ func main() {
 	}
 	fmt.Printf("hubs: %d (selection+vectors took %v)\n", stats.HubCount, stats.HubElapsed.Round(time.Millisecond))
 	fmt.Printf("build: %v total, %d BCA iterations\n", stats.TotalElapsed.Round(time.Millisecond), stats.TotalIters)
-	fmt.Printf("size: actual %d B, unrounded %d B, Theorem-1 predicted %d B, P̂ alone %d B; %d residue entries below η folded, %d states summarized, saving %d B; sparse values stored as float32, saving %d B\n",
-		stats.Bytes, stats.UnroundedBytes, stats.PredictedBytes, stats.PhatBytes, stats.Folded, stats.Summarized, stats.FoldedBytes, stats.RoundedBytes)
+	fmt.Printf("size: actual %d B, unrounded %d B, Theorem-1 predicted %d B, P̂ alone %d B; %d residue entries below η folded, %d states summarized, saving %d B; sparse values stored as float32, saving %d B; indices delta-packed, saving %d B\n",
+		stats.Bytes, stats.UnroundedBytes, stats.PredictedBytes, stats.PhatBytes, stats.Folded, stats.Summarized, stats.FoldedBytes, stats.RoundedBytes, stats.PackedBytes)
 
 	if err := idx.SaveFile(*out); err != nil {
 		log.Fatal(err)

@@ -36,7 +36,8 @@
 // residue entries a step can push, at or above η, folding the rest into ‖r‖₁,
 // a state left with none is stored summarized, without its R and W, and every
 // stored sparse value is float32 rounded toward zero, its loss folded into
-// ‖r‖₁ or a hub's dropped mass — README.md, "Refine or solve"), the exact fallback (the forward method's one solver, a
+// ‖r‖₁ or a hub's dropped mass, and every state's indices gap varints —
+// README.md, "Refine or solve" and "Persistence & cold start"), the exact fallback (the forward method's one solver, a
 // node-major slab swept by push and restricted to the candidates' forward
 // balls while those are under half the graph, plus a stop anchored at the
 // PMPN-exact p_u(q); rwr.ProximityVector is one column of the same slab and

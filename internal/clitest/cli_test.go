@@ -123,9 +123,9 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 		t.Errorf("corrupt index error does not mention the checksum: %q", msg)
 	}
 
-	// A format v1 or v2 file is refused by name, with what to do about it,
-	// by both front ends and both loaders.
-	for _, magic := range []string{"RTKLBIX1", "RTKLBIX2"} {
+	// A format v1, v2 or v3 file is refused by name, with what to do about
+	// it, by both front ends and both loaders.
+	for _, magic := range []string{"RTKLBIX1", "RTKLBIX2", "RTKLBIX3"} {
 		old := filepath.Join(work, "g."+magic+".idx")
 		if err := os.WriteFile(old, []byte(magic+" and whatever followed"), 0o644); err != nil {
 			t.Fatal(err)

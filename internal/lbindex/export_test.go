@@ -28,18 +28,18 @@ func BuildUnfolded(g *graph.Graph, opts Options) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		var lostS, lostW float64
-		s := &stored{T: full.T}
-		s.S, lostS = vecmath.Round32(full.S)
-		s.RNorm = full.RNorm + lostS
-		if s.RNorm == 0 || full.BatchInk(opts.BCA.Eta) > 0 {
-			s.R, _ = vecmath.Round32(full.R)
-			s.W, lostW = vecmath.Round32(full.W)
+		var r, w vecmath.Sparse32
+		var lostW float64
+		s, lostS := vecmath.Round32(full.S)
+		rnorm := full.RNorm + lostS
+		if rnorm == 0 || full.BatchInk(opts.BCA.Eta) > 0 {
+			r, _ = vecmath.Round32(full.R)
+			w, lostW = vecmath.Round32(full.W)
 		}
-		if s.RNorm > 0 {
-			s.RNorm += lostW
+		if rnorm > 0 {
+			rnorm += lostW
 		}
-		idx.states[u] = s
+		idx.states[u] = newStored(full.T, rnorm, r, w, s)
 	}
 	return idx, nil
 }

@@ -19,14 +19,17 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Index format v3 ("RTKLBIX3"). Little-endian throughout, designed so a
+// Index format v4 ("RTKLBIX4"). Little-endian throughout, designed so a
 // loader can serve every large array zero-copy out of an mmap'd file. It is
 // format v2's section layout (hence the v2 names below) with the four sparse
 // value slabs — hub columns and the states' R, W and S — stored as f32 instead
-// of f64 (Index.summarize); a v2 image is refused with ErrFormatV2.
+// of f64 (v3), and the states' R, W and S indices stored as gap varints
+// (vecmath.Packed32) instead of u32, each kind with a u64 byte-offset table
+// beside its entry-offset table (v4); a v2 or v3 image is refused with
+// ErrFormatV2 or ErrFormatV3.
 //
 //	preamble (32 B):
-//	  0  magic    "RTKLBIX3"
+//	  0  magic    "RTKLBIX4"
 //	  8  fileSize u64   total image length
 //	  16 nsec     u32   number of sections (= v2NumSections)
 //	  20 tableCRC u32   CRC32C of the section table
@@ -37,9 +40,13 @@ import (
 //	payload sections, in table order, each starting 8-byte aligned.
 //
 // Sections are flat slabs: per-hub and per-state sparse vectors are
-// concatenated into one u32 index slab + one f32 value slab, with a u64
-// prefix-sum offset table giving each row's boundaries; p̂ is one dense
-// [n×K]f64 slab, and ‖r‖₁, the hubs' exact top-K and dropped mass are f64.
+// concatenated into one index slab + one f32 value slab, with a u64
+// prefix-sum offset table giving each row's entry boundaries. The hub
+// columns' index slab is u32. Each state kind's is bytes — every row its
+// first index, then each gap minus one, as minimal unsigned LEB128 — with a
+// second u64 prefix-sum table giving each row's byte boundaries, so a row is
+// found without decoding the rows before it. p̂ is one dense [n×K]f64 slab,
+// and ‖r‖₁, the hubs' exact top-K and dropped mass are f64.
 // Node tags are implicit: a node is a state node iff it is not a hub. A
 // folded state (Index.summarize) is an ordinary state row whose R range holds
 // only the entries at or above η and whose ‖r‖₁ exceeds their sum, and a
@@ -57,7 +64,7 @@ import (
 // before, bit for bit.
 //
 // Indexes carrying a cache-aware relabeling append one more trailing section
-// (secPerm; nsec = 20 full, 23 sharded) holding the external→internal node
+// (secPerm; nsec = 23 full, 26 sharded) holding the external→internal node
 // permutation, so the translation boundary survives a save/load round trip.
 //
 // Every byte of the image except the fileCRC field itself is covered by
@@ -65,7 +72,7 @@ import (
 // self-checking: corrupting it breaks the comparison). Per-section CRCs
 // exist to localize the damage in error messages and are all covered by
 // fileCRC too.
-const indexMagicV3 = "RTKLBIX3"
+const indexMagicV4 = "RTKLBIX4"
 
 // Section identifiers, in file order.
 const (
@@ -79,12 +86,15 @@ const (
 	secStateT
 	secStateRNorm
 	secStateROff
+	secStateRIdxOff
 	secStateRIdx
 	secStateRVal
 	secStateWOff
+	secStateWIdxOff
 	secStateWIdx
 	secStateWVal
 	secStateSOff
+	secStateSIdxOff
 	secStateSIdx
 	secStateSVal
 	secPhat
@@ -244,11 +254,12 @@ func ParseMmapMode(mode string) (bool, error) {
 // opts.Mmap is set (falling back to a heap read where mmap is unavailable);
 // heap loads go through Load. The mmap fast path verifies the header, table
 // and whole-file CRC32C plus all structural invariants (section bounds,
-// offset-table monotonicity, sparse index ranges) but skips the per-value
-// scans (finiteness, ordering, ink conservation) that the heap loader
-// performs — the checksum already guarantees the bytes are exactly what
-// Save wrote. Load files from untrusted sources with Mmap off. A format v1 or
-// v2 file is refused with ErrFormatV1 or ErrFormatV2 on either path.
+// offset-table monotonicity, every packed row's varints and index ranges)
+// but skips the per-value scans (finiteness, ordering, ink conservation)
+// that the heap loader performs — the checksum already guarantees the bytes
+// are exactly what Save wrote. Load files from untrusted sources with Mmap
+// off. A format v1, v2 or v3 file is refused with ErrFormatV1, ErrFormatV2
+// or ErrFormatV3 on either path.
 func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -263,8 +274,8 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	if string(magic[:k]) != indexMagicV3 || !opts.Mmap || !mmapSupported || !hostLittleEndian {
-		// A heap load, or not a v3 image (too short to tell, unknown
+	if string(magic[:k]) != indexMagicV4 || !opts.Mmap || !mmapSupported || !hostLittleEndian {
+		// A heap load, or not a v4 image (too short to tell, unknown
 		// magic): the stream loader reads it or gives the real error.
 		return Load(f)
 	}
@@ -289,7 +300,7 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	return idx, nil
 }
 
-// Save writes the index in format v3, streaming: memory stays O(buffer)
+// Save writes the index in format v4, streaming: memory stays O(buffer)
 // regardless of index size. The checksums in the preamble cover the whole
 // payload, so the body is generated three times — once per section for the
 // section CRCs, once for the file CRC, once into w — which trades a little
@@ -418,7 +429,7 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 		e.nsec++ // the trailing secPerm section
 	}
 
-	var colNNZ, rNNZ, wNNZ, sNNZ int
+	var colNNZ, rNNZ, wNNZ, sNNZ, rBytes, wBytes, sBytes int
 	for _, c := range cols {
 		colNNZ += c.NNZ()
 	}
@@ -444,6 +455,9 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 		rNNZ += st.R.NNZ()
 		wNNZ += st.W.NNZ()
 		sNNZ += st.S.NNZ()
+		rBytes += len(st.R.Idx)
+		wBytes += len(st.W.Idx)
+		sBytes += len(st.S.Idx)
 	})
 	if rowErr != nil {
 		return nil, rowErr
@@ -451,25 +465,28 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 	numStates := e.numStates
 
 	e.lens = [v2MaxSections]int{
-		secMeta:       v2MetaSize,
-		secHubIDs:     4 * hubCount,
-		secHubTopK:    8 * hubCount * o.K,
-		secHubDropped: 8 * hubCount,
-		secHubColOff:  8 * (hubCount + 1),
-		secHubColIdx:  4 * colNNZ,
-		secHubColVal:  4 * colNNZ,
-		secStateT:     4 * numStates,
-		secStateRNorm: 8 * numStates,
-		secStateROff:  8 * (numStates + 1),
-		secStateRIdx:  4 * rNNZ,
-		secStateRVal:  4 * rNNZ,
-		secStateWOff:  8 * (numStates + 1),
-		secStateWIdx:  4 * wNNZ,
-		secStateWVal:  4 * wNNZ,
-		secStateSOff:  8 * (numStates + 1),
-		secStateSIdx:  4 * sNNZ,
-		secStateSVal:  4 * sNNZ,
-		secPhat:       8 * e.rowCount() * o.K,
+		secMeta:         v2MetaSize,
+		secHubIDs:       4 * hubCount,
+		secHubTopK:      8 * hubCount * o.K,
+		secHubDropped:   8 * hubCount,
+		secHubColOff:    8 * (hubCount + 1),
+		secHubColIdx:    4 * colNNZ,
+		secHubColVal:    4 * colNNZ,
+		secStateT:       4 * numStates,
+		secStateRNorm:   8 * numStates,
+		secStateROff:    8 * (numStates + 1),
+		secStateRIdxOff: 8 * (numStates + 1),
+		secStateRIdx:    rBytes,
+		secStateRVal:    4 * rNNZ,
+		secStateWOff:    8 * (numStates + 1),
+		secStateWIdxOff: 8 * (numStates + 1),
+		secStateWIdx:    wBytes,
+		secStateWVal:    4 * wNNZ,
+		secStateSOff:    8 * (numStates + 1),
+		secStateSIdxOff: 8 * (numStates + 1),
+		secStateSIdx:    sBytes,
+		secStateSVal:    4 * sNNZ,
+		secPhat:         8 * e.rowCount() * o.K,
 	}
 	if idx.part != nil {
 		e.lens[secPartMeta] = v2PartMetaSize
@@ -562,12 +579,15 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 			nnz += e.stateVec(st, s).NNZ()
 			bw.u64(uint64(nnz))
 		})
-	case secStateRIdx, secStateWIdx, secStateSIdx:
+	case secStateRIdxOff, secStateWIdxOff, secStateSIdxOff:
+		off := 0
+		bw.u64(0)
 		e.eachState(func(st *stored) {
-			for _, v := range e.stateVec(st, s).Idx {
-				bw.u32(uint32(v))
-			}
+			off += len(e.stateVec(st, s).Idx)
+			bw.u64(uint64(off))
 		})
+	case secStateRIdx, secStateWIdx, secStateSIdx:
+		e.eachState(func(st *stored) { bw.bytes(e.stateVec(st, s).Idx) })
 	case secStateRVal, secStateWVal, secStateSVal:
 		e.eachState(func(st *stored) { bw.floats32(e.stateVec(st, s).Val) })
 	case secPhat:
@@ -595,12 +615,12 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 	}
 }
 
-// stateVec maps a R/W/S section id to the state's matching sparse vector.
-func (e *v2emitter) stateVec(st *stored, s int) vecmath.Sparse32 {
+// stateVec maps a R/W/S section id to the state's matching packed vector.
+func (e *v2emitter) stateVec(st *stored, s int) vecmath.Packed32 {
 	switch s {
-	case secStateROff, secStateRIdx, secStateRVal:
+	case secStateROff, secStateRIdxOff, secStateRIdx, secStateRVal:
 		return st.R
-	case secStateWOff, secStateWIdx, secStateWVal:
+	case secStateWOff, secStateWIdxOff, secStateWIdx, secStateWVal:
 		return st.W
 	default:
 		return st.S
@@ -633,7 +653,7 @@ func (e *v2emitter) emitBody(w io.Writer) error {
 // (bytes 24:28) is filled by Save once the body checksum is known.
 func (e *v2emitter) buildHeader(secCRC []uint32) []byte {
 	header := make([]byte, v2HeaderEndOf(e.nsec))
-	copy(header, indexMagicV3)
+	copy(header, indexMagicV4)
 	binary.LittleEndian.PutUint64(header[8:], uint64(e.fileSize))
 	binary.LittleEndian.PutUint32(header[16:], uint32(e.nsec))
 	for s := 0; s < e.nsec; s++ {
@@ -774,7 +794,8 @@ func (p *v2parser) u64at(s, i int) uint64 {
 }
 
 // checkOffsets validates a prefix-sum offset table: entry 0 is zero, the
-// sequence is non-decreasing, and the final entry equals nnz.
+// sequence is non-decreasing, and the final entry equals nnz, the entries or
+// bytes of the slab it cuts.
 func (p *v2parser) checkOffsets(s int, rows, nnz int, what string) error {
 	if p.u64at(s, 0) != 0 {
 		return fmt.Errorf("lbindex: %s offset table does not start at 0", what)
@@ -789,21 +810,6 @@ func (p *v2parser) checkOffsets(s int, rows, nnz int, what string) error {
 	}
 	if prev != uint64(nnz) {
 		return fmt.Errorf("lbindex: %s offset table ends at %d, slab holds %d entries", what, prev, nnz)
-	}
-	return nil
-}
-
-// checkSparse validates one decoded sparse row structurally: indices
-// strictly ascending and in [0,n). This guards every scatter in the query
-// path, so it runs in BOTH load modes; value-level checks (checkValues) are
-// deep-mode only.
-func checkSparse(s vecmath.Sparse32, n int, what string, row int) error {
-	prev := int32(-1)
-	for _, v := range s.Idx {
-		if v <= prev || int(v) >= n {
-			return fmt.Errorf("lbindex: %s of state %d: sparse index %d out of order or outside [0,%d)", what, row, v, n)
-		}
-		prev = v
 	}
 	return nil
 }
@@ -827,7 +833,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	if len(data) < v2PreambleSize {
 		return nil, fmt.Errorf("lbindex: v2 image shorter (%d B) than its preamble", len(data))
 	}
-	if string(data[:8]) != indexMagicV3 {
+	if string(data[:8]) != indexMagicV4 {
 		return nil, fmt.Errorf("lbindex: bad magic %q", data[:8])
 	}
 	if got := binary.LittleEndian.Uint64(data[8:16]); got != uint64(len(data)) {
@@ -947,27 +953,31 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 
 	// Expected section lengths, from the validated counts.
 	colNNZ := p.lens[secHubColIdx] / 4
-	rNNZ, wNNZ, sNNZ := p.lens[secStateRIdx]/4, p.lens[secStateWIdx]/4, p.lens[secStateSIdx]/4
+	rNNZ, wNNZ, sNNZ := p.lens[secStateRVal]/4, p.lens[secStateWVal]/4, p.lens[secStateSVal]/4
+	rBytes, wBytes, sBytes := p.lens[secStateRIdx], p.lens[secStateWIdx], p.lens[secStateSIdx]
 	want := [v2MaxSections]int{
-		secMeta:       v2MetaSize,
-		secHubIDs:     4 * hubCount,
-		secHubTopK:    8 * hubCount * o.K,
-		secHubDropped: 8 * hubCount,
-		secHubColOff:  8 * (hubCount + 1),
-		secHubColIdx:  4 * colNNZ,
-		secHubColVal:  4 * colNNZ,
-		secStateT:     4 * numStates,
-		secStateRNorm: 8 * numStates,
-		secStateROff:  8 * (numStates + 1),
-		secStateRIdx:  4 * rNNZ,
-		secStateRVal:  4 * rNNZ,
-		secStateWOff:  8 * (numStates + 1),
-		secStateWIdx:  4 * wNNZ,
-		secStateWVal:  4 * wNNZ,
-		secStateSOff:  8 * (numStates + 1),
-		secStateSIdx:  4 * sNNZ,
-		secStateSVal:  4 * sNNZ,
-		secPhat:       8 * rowCount * o.K,
+		secMeta:         v2MetaSize,
+		secHubIDs:       4 * hubCount,
+		secHubTopK:      8 * hubCount * o.K,
+		secHubDropped:   8 * hubCount,
+		secHubColOff:    8 * (hubCount + 1),
+		secHubColIdx:    4 * colNNZ,
+		secHubColVal:    4 * colNNZ,
+		secStateT:       4 * numStates,
+		secStateRNorm:   8 * numStates,
+		secStateROff:    8 * (numStates + 1),
+		secStateRIdxOff: 8 * (numStates + 1),
+		secStateRIdx:    rBytes,
+		secStateRVal:    4 * rNNZ,
+		secStateWOff:    8 * (numStates + 1),
+		secStateWIdxOff: 8 * (numStates + 1),
+		secStateWIdx:    wBytes,
+		secStateWVal:    4 * wNNZ,
+		secStateSOff:    8 * (numStates + 1),
+		secStateSIdxOff: 8 * (numStates + 1),
+		secStateSIdx:    sBytes,
+		secStateSVal:    4 * sNNZ,
+		secPhat:         8 * rowCount * o.K,
 	}
 	if shardedNsec(nsec) {
 		want[secPartMeta] = p.lens[secPartMeta]
@@ -1021,17 +1031,24 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		return nil, err
 	}
 
-	// Per-node states and p̂ columns.
-	for _, s := range [][2]int{{secStateROff, rNNZ}, {secStateWOff, wNNZ}, {secStateSOff, sNNZ}} {
-		if err := p.checkOffsets(s[0], numStates, s[1], "state"); err != nil {
+	// Per-node states and p̂ columns. Each kind's two offset tables cut its
+	// index and value slabs; Packed32.Validate then holds every row's count to
+	// its values'.
+	for _, s := range []struct {
+		sec, size int
+		what      string
+	}{
+		{secStateROff, rNNZ, "state R"}, {secStateRIdxOff, rBytes, "state R index"},
+		{secStateWOff, wNNZ, "state W"}, {secStateWIdxOff, wBytes, "state W index"},
+		{secStateSOff, sNNZ, "state S"}, {secStateSIdxOff, sBytes, "state S index"},
+	} {
+		if err := p.checkOffsets(s.sec, numStates, s.size, s.what); err != nil {
 			return nil, err
 		}
 	}
 	tSlab := p.i32s(secStateT)
 	rnorm := p.f64s(secStateRNorm)
-	rIdx, rVal := p.i32s(secStateRIdx), p.f32s(secStateRVal)
-	wIdx, wVal := p.i32s(secStateWIdx), p.f32s(secStateWVal)
-	sIdx, sVal := p.i32s(secStateSIdx), p.f32s(secStateSVal)
+	rVal, wVal, sVal := p.f32s(secStateRVal), p.f32s(secStateWVal), p.f32s(secStateSVal)
 	if deep {
 		if err := errors.Join(checkValues(colVal, "hub column"), checkValues(rVal, "state R"),
 			checkValues(wVal, "state W"), checkValues(sVal, "state S")); err != nil {
@@ -1042,7 +1059,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	stateArr := make([]stored, numStates)
 	states := make([]*stored, n)
 	phat := make([][]float64, n)
-	i := 0
+	nodes := make([]graph.NodeID, 0, numStates) // the node of each state
 	for r := 0; r < rowCount; r++ {
 		u := r
 		if rows != nil {
@@ -1057,6 +1074,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		if hm.IsHub(graph.NodeID(u)) {
 			continue
 		}
+		i := len(nodes)
 		if i >= numStates {
 			return nil, fmt.Errorf("lbindex: image stores %d states but node %d is the %d-th non-hub row", numStates, u, i+1)
 		}
@@ -1066,33 +1084,32 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		if st.T < 0 || !(st.RNorm >= 0) || math.IsInf(st.RNorm, 0) {
 			return nil, fmt.Errorf("lbindex: state of node %d has T=%d RNorm=%g", u, st.T, st.RNorm)
 		}
-		a, b := p.u64at(secStateROff, i), p.u64at(secStateROff, i+1)
-		st.R = vecmath.Sparse32{Idx: rIdx[a:b:b], Val: rVal[a:b:b]}
-		a, b = p.u64at(secStateWOff, i), p.u64at(secStateWOff, i+1)
-		st.W = vecmath.Sparse32{Idx: wIdx[a:b:b], Val: wVal[a:b:b]}
-		a, b = p.u64at(secStateSOff, i), p.u64at(secStateSOff, i+1)
-		st.S = vecmath.Sparse32{Idx: sIdx[a:b:b], Val: sVal[a:b:b]}
-		if err := checkSparse(st.R, n, "R", u); err != nil {
-			return nil, err
-		}
-		if err := checkSparse(st.W, n, "W", u); err != nil {
-			return nil, err
-		}
-		if err := checkSparse(st.S, n, "S", u); err != nil {
-			return nil, err
-		}
-		// S holds ink parked at hubs; a non-hub index would be read out of
-		// the hub matrix's dropped-mass and column arrays at query time.
-		for _, h := range st.S.Idx {
-			if !hm.IsHub(graph.NodeID(h)) {
-				return nil, fmt.Errorf("lbindex: node %d parks ink at non-hub %d", u, h)
+		states[u] = st
+		nodes = append(nodes, graph.NodeID(u))
+	}
+	if len(nodes) != numStates {
+		return nil, fmt.Errorf("lbindex: image stores %d states, rows list has %d non-hub nodes", numStates, len(nodes))
+	}
+	// Every state row is decoded once here, in BOTH load modes: its indices
+	// guard every scatter in the query path. Value checks (checkValues) are
+	// deep-mode only. The decoding is most of an mmap load's time, so it runs
+	// on every processor, each over a run of consecutive states; the error
+	// returned is the first state's to fail, as one pass in order would give.
+	vals := [3][]float32{rVal, wVal, sVal}
+	runs := vecmath.Split(numStates, vecmath.Workers(0))
+	errs := make([]error, len(runs))
+	vecmath.Parallel(len(runs), func(part int) {
+		for i := runs[part].Lo; i < runs[part].Hi; i++ {
+			if err := p.stateRows(&stateArr[i], i, n, hm, vals); err != nil {
+				errs[part] = fmt.Errorf("lbindex: state of node %d: %w", nodes[i], err)
+				return
 			}
 		}
-		states[u] = st
-		i++
-	}
-	if i != numStates {
-		return nil, fmt.Errorf("lbindex: image stores %d states, rows list has %d non-hub nodes", numStates, i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	idx := &Index{opts: o, n: n, hubs: hm, phat: phat, states: states, part: pm, shardID: shardID, owned: rows}
@@ -1111,6 +1128,36 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		}
 	}
 	return idx, nil
+}
+
+// stateRows cuts state i's R, W and S out of their checked offset tables
+// into st, their values out of vals, and validates them: every index in
+// [0, n), and every S index a hub — S holds ink parked at hubs, and a non-hub
+// index would be read out of the hub matrix's dropped-mass and column arrays
+// at query time.
+func (p *v2parser) stateRows(st *stored, i, n int, hm *hub.Matrix, vals [3][]float32) error {
+	for k, kind := range [3]struct {
+		row              *vecmath.Packed32
+		off, idxOff, idx int
+		name             string
+	}{
+		{&st.R, secStateROff, secStateRIdxOff, secStateRIdx, "R"},
+		{&st.W, secStateWOff, secStateWIdxOff, secStateWIdx, "W"},
+		{&st.S, secStateSOff, secStateSIdxOff, secStateSIdx, "S"},
+	} {
+		a, b := p.u64at(kind.off, i), p.u64at(kind.off, i+1)
+		x, y := p.u64at(kind.idxOff, i), p.u64at(kind.idxOff, i+1)
+		*kind.row = vecmath.Packed32{Idx: p.bytes(kind.idx)[x:y:y], Val: vals[k][a:b:b]}
+		if err := kind.row.Validate(n); err != nil {
+			return fmt.Errorf("%s: %w", kind.name, err)
+		}
+	}
+	for _, h := range st.S.Ids() {
+		if !hm.IsHub(h) {
+			return fmt.Errorf("S parks ink at non-hub %d", h)
+		}
+	}
+	return nil
 }
 
 // checkProximities validates one descending proximity column: every value a

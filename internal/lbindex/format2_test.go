@@ -63,6 +63,13 @@ func requireSparse32Equal(t *testing.T, what string, a, b vecmath.Sparse32) {
 	requireSparseEqual(t, what, a.Widen(), b.Widen())
 }
 
+// requirePackedEqual holds a packed row to the Sparse32 it encodes: its
+// indices decoded and its values widened, bit for bit.
+func requirePackedEqual(t *testing.T, what string, p vecmath.Packed32, s vecmath.Sparse32) {
+	t.Helper()
+	requireSparseEqual(t, what, p.Widen(), s.Widen())
+}
+
 // requireIndexEqual asserts two indexes are value-identical: options,
 // refinement counter, hub matrix parts, every state and every p̂ column,
 // with float64s compared bit for bit.
@@ -105,9 +112,9 @@ func requireIndexEqual(t *testing.T, a, b *Index) {
 		if as.T != bs.T || math.Float64bits(as.RNorm) != math.Float64bits(bs.RNorm) {
 			t.Fatalf("node %d: state header differs", u)
 		}
-		requireSparse32Equal(t, "R", as.R, bs.R)
-		requireSparse32Equal(t, "W", as.W, bs.W)
-		requireSparse32Equal(t, "S", as.S, bs.S)
+		requireSparseEqual(t, "R", as.R.Widen(), bs.R.Widen())
+		requireSparseEqual(t, "W", as.W.Widen(), bs.W.Widen())
+		requireSparseEqual(t, "S", as.S.Widen(), bs.S.Widen())
 	}
 	if len(a.perm) != len(b.perm) {
 		t.Fatalf("relabeling covers %d vs %d nodes", len(a.perm), len(b.perm))

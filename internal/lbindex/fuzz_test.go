@@ -2,7 +2,9 @@ package lbindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,25 +32,42 @@ var v1Images = []struct {
 		"\x33\x33\x33\x33\x33\x33\xc3\x3f" + "\xbb\xbd\xd7\xd9\xdf\x7c\xdb\x3d" + "\x64\x00\x00\x00")},
 }
 
-// v2Images are two format v2 images: the magic alone, and a whole image under
-// it (a v3 image of the fuzz seed's index with its magic set back, the
-// section layout being v2's). Load and LoadFile must refuse both by name.
-func v2Images(v3 []byte) []struct {
+// retiredImages are two images of a retired format: its magic alone, and a
+// whole image under it (a v4 image with its magic set back; v2 and v3 shared
+// v4's section container). Load and LoadFile must refuse both by name.
+func retiredImages(magic string, v4 []byte) []struct {
 	name string
 	img  []byte
 } {
-	whole := append([]byte(indexMagicV2), v3[len(indexMagicV2):]...)
+	whole := append([]byte(magic), v4[len(magic):]...)
 	return []struct {
 		name string
 		img  []byte
-	}{{"magic alone", []byte(indexMagicV2)}, {"whole image", whole}}
+	}{{"magic alone", []byte(magic)}, {"whole image", whole}}
 }
 
-// requireRefusedV2 checks that both loaders, the mmap one included, refuse a
-// format v2 image with ErrFormatV2.
-func requireRefusedV2(t *testing.T, img []byte) {
+// retired lists the retired formats that share v4's container, with the
+// error that refuses each.
+var retired = []struct {
+	version, magic string
+	err            error
+}{{"v2", indexMagicV2, ErrFormatV2}, {"v3", indexMagicV3, ErrFormatV3}}
+
+// retiredErr returns the error refusing data's retired magic, or nil.
+func retiredErr(data []byte) error {
+	for _, r := range retired {
+		if bytes.HasPrefix(data, []byte(r.magic)) {
+			return r.err
+		}
+	}
+	return nil
+}
+
+// requireRefused checks that every loader, the mmap one included, refuses
+// img with want.
+func requireRefused(t *testing.T, img []byte, want error) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "v2.idx")
+	path := filepath.Join(t.TempDir(), "retired.idx")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +75,20 @@ func requireRefusedV2(t *testing.T, img []byte) {
 	_, errHeap := LoadFile(path, LoadOptions{Mmap: false})
 	_, errMmap := LoadFile(path, LoadOptions{Mmap: true})
 	for loader, err := range map[string]error{"Load": errStream, "LoadFile heap": errHeap, "LoadFile mmap": errMmap} {
-		if !errors.Is(err, ErrFormatV2) {
-			t.Fatalf("%s: got %v, want ErrFormatV2", loader, err)
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: got %v, want %v", loader, err, want)
 		}
 	}
 }
 
-// FuzzLoadV2 fuzzes the loaders of format v3 — the v2 section layout with
-// float32 sparse values. It feeds arbitrary bytes (seeded with a valid v3
-// image, truncated prefixes, flips, inflated size/length fields and the
-// refused v1 and v2 images) into the deserializer: they must load as a valid
-// index or fail with an error in BOTH the deep loader and the
-// mmap-structural parser — never panic, never hang, never yield an index
-// violating its invariants — and an input under the v2 magic must be refused
-// with ErrFormatV2 by both loaders.
+// FuzzLoadV2 fuzzes the loaders of format v4 — the v2 section layout with
+// float32 sparse values and delta-packed state indices. It feeds arbitrary
+// bytes (seeded with valid v4 images, truncated prefixes, flips, inflated
+// size/length fields and the refused v1, v2 and v3 images) into the
+// deserializer: they must load as a valid index or fail with an error in BOTH
+// the deep loader and the mmap-structural parser — never panic, never hang,
+// never yield an index violating its invariants — and an input under the v2
+// or v3 magic must be refused with ErrFormatV2 or ErrFormatV3 by every loader.
 func FuzzLoadV2(f *testing.F) {
 	g := randomGraph(3, 40)
 	idx, _, err := Build(g, testOptions(4))
@@ -83,7 +102,7 @@ func FuzzLoadV2(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte(indexMagicV3))
+	f.Add([]byte(indexMagicV4))
 	for _, cut := range []int{
 		16, 31, 32, v2HeaderEnd - 1, v2HeaderEnd,
 		len(valid) / 4, len(valid) / 2, 3 * len(valid) / 4, len(valid) - 9, len(valid) - 1,
@@ -113,8 +132,10 @@ func FuzzLoadV2(f *testing.F) {
 	for _, v1 := range v1Images {
 		f.Add(v1.img)
 	}
-	for _, v2 := range v2Images(valid) {
-		f.Add(v2.img)
+	for _, r := range retired {
+		for _, img := range retiredImages(r.magic, valid) {
+			f.Add(img.img)
+		}
 	}
 	// And an image holding summarized states: at η = 0.01 nearly every run on
 	// this graph stops with its residue spread below η.
@@ -133,8 +154,8 @@ func FuzzLoadV2(f *testing.F) {
 	}
 	f.Add(sbuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if bytes.HasPrefix(data, []byte(indexMagicV2)) {
-			requireRefusedV2(t, data)
+		if err := retiredErr(data); err != nil {
+			requireRefused(t, data, err)
 			return
 		}
 		if idx, err := Load(bytes.NewReader(data)); err == nil {
@@ -181,78 +202,171 @@ func corruptIndex(t *testing.T, mutate func(idx *Index, stateNode int)) []byte {
 	return buf.Bytes()
 }
 
+// setLastIdx re-encodes row p with its last index replaced by v. An empty
+// row gains the entry (v, 0).
+func setLastIdx(p *vecmath.Packed32, v int32) {
+	s := vecmath.Sparse32{Idx: p.Widen().Idx, Val: append([]float32(nil), p.Val...)}
+	if len(s.Idx) == 0 {
+		s.Idx, s.Val = []int32{0}, []float32{0}
+	}
+	s.Idx[len(s.Idx)-1] = v
+	*p = vecmath.Pack32(s)
+}
+
+// sectionAt returns the payload of section id in a full image.
+func sectionAt(img []byte, id int) []byte {
+	e := img[v2PreambleSize+id*v2TableEntry:]
+	off, ln := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+	return img[off : off+ln]
+}
+
+// reseal recomputes img's section, table and file checksums after a test
+// patched its payload in place, so the loaders get past them to the
+// structural checks.
+func reseal(img []byte) {
+	nsec := int(binary.LittleEndian.Uint32(img[16:20]))
+	for s := 0; s < nsec; s++ {
+		e := img[v2PreambleSize+s*v2TableEntry:]
+		off, ln := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(img[off:off+ln], castagnoli))
+	}
+	binary.LittleEndian.PutUint32(img[20:], crc32.Checksum(img[v2PreambleSize:v2HeaderEndOf(nsec)], castagnoli))
+	binary.LittleEndian.PutUint32(img[24:], crc32.Update(crc32.Checksum(img[:24], castagnoli), castagnoli, img[28:]))
+}
+
 // TestLoadRejectsCorruptPayloads writes deliberately inconsistent indexes
 // and asserts Load refuses each: these are exactly the corruptions that
 // used to surface as panics deep inside query processing (out-of-range
 // scatter, dropped-mass lookup of a non-hub, NaN in the bound staircase).
+// A structural corruption — of a row's indices or of an offset table — must
+// be refused by the mmap loader too, which skips only the value checks. A
+// case with a patch edits the saved image's bytes and reseals its checksums.
 func TestLoadRejectsCorruptPayloads(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(idx *Index, stateNode int)
+		name       string
+		structural bool
+		mutate     func(idx *Index, stateNode int)
+		patch      func(img []byte)
 	}{
-		{"state S parks ink at a non-hub", func(idx *Index, u int) {
+		{"state S parks ink at a non-hub", true, func(idx *Index, u int) {
 			// Redirect the hub ink to a node that is not a hub: DroppedMass
 			// would index pos[-1] at query time.
+			s := idx.states[u].S.Widen().Idx
 			for v := int32(0); int(v) < idx.n; v++ {
-				if idx.states[int(v)] != nil && v > idx.states[u].S.Idx[idx.states[u].S.NNZ()-1] {
-					idx.states[u].S.Idx[idx.states[u].S.NNZ()-1] = v
+				if idx.states[int(v)] != nil && v > s[len(s)-1] {
+					setLastIdx(&idx.states[u].S, v)
 					return
 				}
 			}
 			panic("no replacement node found")
+		}, nil},
+		{"state R index out of range", true, func(idx *Index, u int) {
+			setLastIdx(&idx.states[u].R, int32(idx.n+5))
+		}, nil},
+		{"state W gaps sum to n", true, func(idx *Index, u int) {
+			setLastIdx(&idx.states[u].W, int32(idx.n))
+		}, nil},
+		{"state S gap past int32", true, func(idx *Index, u int) {
+			// One entry whose five-byte gap decodes to 2³², beyond any
+			// int32 index.
+			st := idx.states[u]
+			st.S.Idx, st.S.Val = []byte{0x80, 0x80, 0x80, 0x80, 0x10}, st.S.Val[:1]
+		}, nil},
+		{"state S row ends mid-varint", true, func(idx *Index, u int) {
+			st := idx.states[u]
+			st.S.Idx = append(append([]byte(nil), st.S.Idx...), 0x80)
+		}, nil},
+		{"state S non-minimal varint", true, func(idx *Index, u int) {
+			// The last gap's one byte b written as b|0x80, 0x00: the same
+			// value in two bytes.
+			st := idx.states[u]
+			b := append([]byte(nil), st.S.Idx...)
+			b[len(b)-1] |= 0x80
+			st.S.Idx = append(b, 0x00)
+		}, nil},
+		{"state S decodes one index more than its values", true, func(idx *Index, u int) {
+			st := idx.states[u]
+			st.S.Idx = append(append([]byte(nil), st.S.Idx...), 0x00)
+		}, nil},
+		{"state S decodes one index fewer than its values", true, func(idx *Index, u int) {
+			st := idx.states[u]
+			st.S.Val = append(append([]float32(nil), st.S.Val...), st.S.Val[0])
+		}, nil},
+		{"state S byte-offset table not monotone", true, func(*Index, int) {}, func(img []byte) {
+			// Raise the first row boundary past the second: the first S row
+			// would end after the second begins.
+			tab := sectionAt(img, secStateSIdxOff)
+			second := binary.LittleEndian.Uint64(tab[16:])
+			binary.LittleEndian.PutUint64(tab[8:], second+1)
 		}},
-		{"state R index out of range", func(idx *Index, u int) {
-			if idx.states[u].R.NNZ() == 0 {
-				idx.states[u].R.Idx = append(idx.states[u].R.Idx, int32(idx.n+5))
-				idx.states[u].R.Val = append(idx.states[u].R.Val, 0)
-			} else {
-				idx.states[u].R.Idx[idx.states[u].R.NNZ()-1] = int32(idx.n + 5)
-			}
+		{"state R byte-offset table runs past its slab", true, func(*Index, int) {}, func(img []byte) {
+			tab := sectionAt(img, secStateRIdxOff)
+			slab := uint64(len(sectionAt(img, secStateRIdx)))
+			binary.LittleEndian.PutUint64(tab[len(tab)-8:], slab+1)
 		}},
-		{"negative ink value", func(idx *Index, u int) {
+		{"negative ink value", false, func(idx *Index, u int) {
 			idx.states[u].S.Val[0] = -idx.states[u].S.Val[0]
-		}},
-		{"infinite hub column value", func(idx *Index, u int) {
+		}, nil},
+		{"infinite hub column value", false, func(idx *Index, u int) {
 			_, _, cols, _, _, _ := idx.hubs.Parts()
 			cols[0].Val[0] = float32(math.Inf(1))
-		}},
-		{"NaN in phat column", func(idx *Index, u int) {
+		}, nil},
+		{"NaN in phat column", false, func(idx *Index, u int) {
 			idx.phat[u][0] = math.NaN()
-		}},
-		{"phat above proximity range", func(idx *Index, u int) {
+		}, nil},
+		{"phat above proximity range", false, func(idx *Index, u int) {
 			idx.phat[u][0] = 2.5
-		}},
-		{"residue norm below the stored R", func(idx *Index, u int) {
+		}, nil},
+		{"residue norm below the stored R", false, func(idx *Index, u int) {
 			// Half the residue moved to W: ink is conserved, but R holds
 			// more than ‖r‖₁.
 			st := idx.states[u]
 			st.W.Val[0] += float32(st.RNorm / 2)
 			st.RNorm /= 2
-		}},
-		{"folded state whose ink is not conserved", func(idx *Index, u int) {
+		}, nil},
+		{"folded state whose ink is not conserved", false, func(idx *Index, u int) {
 			st := idx.states[u]
-			st.R, st.RNorm = vecmath.Sparse32{}, st.RNorm+1e-3
-		}},
-		{"summarized state holding more than the unit of ink", func(idx *Index, u int) {
+			st.R, st.RNorm = vecmath.Packed32{}, st.RNorm+1e-3
+		}, nil},
+		{"summarized state holding more than the unit of ink", false, func(idx *Index, u int) {
 			st := idx.states[u]
-			st.R, st.W = vecmath.Sparse32{}, vecmath.Sparse32{}
+			st.R, st.W = vecmath.Packed32{}, vecmath.Packed32{}
 			st.RNorm = 1 - st.S.L1()/2
-		}},
+		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img := corruptIndex(t, tc.mutate)
+			if tc.patch != nil {
+				tc.patch(img)
+				reseal(img)
+			}
 			if _, err := Load(bytes.NewReader(img)); err == nil {
 				t.Fatal("Load accepted a corrupt image")
 			} else {
 				t.Logf("rejected as expected: %v", err)
 			}
+			if !tc.structural {
+				return
+			}
+			path := filepath.Join(t.TempDir(), "corrupt.idx")
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, mmap := range []bool{false, true} {
+				if _, err := LoadFile(path, LoadOptions{Mmap: mmap}); err == nil {
+					t.Fatalf("LoadFile (mmap %v) accepted a corrupt image", mmap)
+				}
+			}
 		})
 	}
-	// A format v2 image — the layout of v3, its values float64 — is refused
-	// by name on both loaders.
-	for _, v2 := range v2Images(corruptIndex(t, func(*Index, int) {})) {
-		t.Run("format v2 "+v2.name, func(t *testing.T) { requireRefusedV2(t, v2.img) })
+	// A format v2 or v3 image — the container of v4, its values float64 or
+	// its state indices u32 — is refused by name on every loader.
+	clean := corruptIndex(t, func(*Index, int) {})
+	for _, r := range retired {
+		for _, img := range retiredImages(r.magic, clean) {
+			t.Run("format "+r.version+" "+img.name, func(t *testing.T) { requireRefused(t, img.img, r.err) })
+		}
 	}
 	// A format v1 image is refused by name on every path, and before its
 	// header's claimed n can size anything.

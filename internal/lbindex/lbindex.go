@@ -7,8 +7,9 @@
 // step can push; ‖r‖₁ keeps the whole residue. A state left with none is
 // stored summarized: ‖r‖₁, S and T without R and W. The values of R, W, S and
 // the hub columns are stored as float32 rounded toward zero, the mass that
-// takes off folded into ‖r‖₁ and the hubs' dropped mass (Index.summarize);
-// p̂, ‖r‖₁ and the hubs' exact top-K stay float64.
+// takes off folded into ‖r‖₁ and the hubs' dropped mass, and the states'
+// indices as gap varints (Index.summarize); p̂, ‖r‖₁ and the hubs' exact top-K
+// stay float64, and the hub columns' indices int32.
 //
 // The index is dynamically refinable: the online query algorithm (package
 // core) advances individual nodes' BCA runs and commits the refined state
@@ -250,14 +251,17 @@ type BuildStats struct {
 	PhatBytes int64
 	// Folded counts the R entries below η not stored (Index.summarize),
 	// Summarized the states left with no R entry and so stored without W
-	// too, FoldedBytes the bytes of R and W not stored and RoundedBytes the
+	// too, FoldedBytes the bytes of R and W not stored, RoundedBytes the
 	// bytes saved by storing every kept sparse value, hub columns included,
-	// as float32: Bytes + FoldedBytes + RoundedBytes is the paper's
-	// (P̂, R, W, S) store at float64.
+	// as float32, and PackedBytes the bytes saved by storing the states' R, W
+	// and S indices as gap varints: Bytes + FoldedBytes + RoundedBytes +
+	// PackedBytes is the paper's (P̂, R, W, S) store at a 4-byte index and an
+	// 8-byte value per entry.
 	Folded       int64
 	Summarized   int
 	FoldedBytes  int64
 	RoundedBytes int64
+	PackedBytes  int64
 }
 
 // Build runs Algorithm 1: select hubs, compute their exact proximity
@@ -312,7 +316,7 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	// Per-goroutine scratch and counters, indexed by ForEach's worker.
 	workers := vecmath.Workers(opts.Workers)
 	wss := make([]*bca.Workspace, workers)
-	iters, folded, dropped, values := make([]int64, workers), make([]int64, workers), make([]int64, workers), make([]int64, workers)
+	iters, folded, dropped, values, packed := make([]int64, workers), make([]int64, workers), make([]int64, workers), make([]int64, workers), make([]int64, workers)
 	summaries := make([]int, workers)
 	err = vecmath.ForEach(g.N(), workers, func(w, i int) error {
 		u := graph.NodeID(i)
@@ -332,7 +336,9 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		s, entries, b := idx.summarize(st)
 		folded[w] += int64(entries)
 		dropped[w] += b
-		values[w] += int64(s.R.NNZ() + s.W.NNZ() + s.S.NNZ())
+		nnz := int64(s.R.NNZ() + s.W.NNZ() + s.S.NNZ())
+		values[w] += nnz
+		packed[w] += 4*nnz - int64(len(s.R.Idx)+len(s.W.Idx)+len(s.S.Idx))
 		if s.Summarized() {
 			summaries[w]++
 		}
@@ -342,7 +348,7 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	if err != nil {
 		return nil, BuildStats{}, err
 	}
-	var totalIters, foldedEntries, foldedBytes int64
+	var totalIters, foldedEntries, foldedBytes, packedBytes int64
 	var summarized int
 	float32s := int64(hm.NNZ())
 	for w := range workers {
@@ -351,6 +357,7 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		summarized += summaries[w]
 		foldedBytes += dropped[w]
 		float32s += values[w]
+		packedBytes += packed[w]
 	}
 
 	stats := BuildStats{
@@ -362,6 +369,7 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 		Summarized:   summarized,
 		FoldedBytes:  foldedBytes,
 		RoundedBytes: 4 * float32s,
+		PackedBytes:  packedBytes,
 	}
 	stats.PhatBytes = int64(g.N()) * int64(opts.K) * 8
 	stats.Bytes = idx.SizeBytes()
@@ -419,20 +427,20 @@ func (idx *Index) RoundingSlack(u graph.NodeID) float64 {
 	if st == nil {
 		return 0
 	}
-	return slack(st.S.Idx, st.S.Val, idx.hubs)
+	var sum float64
+	for i, h := range st.S.Ids() {
+		sum += float64(st.S.Val[i]) * idx.hubs.DroppedMass(h)
+	}
+	return sum
 }
 
 // StateSlack computes the rounding slack of an engine-local (refined copy)
-// state against this index's hub matrix.
+// state against this index's hub matrix, summed in stored order as
+// RoundingSlack sums it.
 func (idx *Index) StateSlack(st *bca.State) float64 {
-	return slack(st.S.Idx, st.S.Val, idx.hubs)
-}
-
-// slack is Σ_h s(h)·dropped(h) over a sparse S, in stored order.
-func slack[V float32 | float64](hubs []int32, s []V, hm *hub.Matrix) float64 {
 	var sum float64
-	for i, h := range hubs {
-		sum += float64(s[i]) * hm.DroppedMass(graph.NodeID(h))
+	for i, h := range st.S.Idx {
+		sum += st.S.Val[i] * idx.hubs.DroppedMass(h)
 	}
 	return sum
 }
@@ -456,9 +464,9 @@ func (idx *Index) BatchInk(u graph.NodeID, eta float64) (ink float64, t int) {
 	return ink, st.T
 }
 
-// StateSnapshot returns u's resumable BCA state, its values widened to
-// float64, or nil for hub nodes. The copy is the query engine's to refine in
-// no-update mode.
+// StateSnapshot returns u's resumable BCA state, its indices decoded and its
+// values widened to float64, or nil for hub nodes. The copy is the query
+// engine's to refine in no-update mode.
 func (idx *Index) StateSnapshot(u graph.NodeID) *bca.State {
 	st := idx.states[u]
 	if st == nil {
@@ -469,12 +477,18 @@ func (idx *Index) StateSnapshot(u graph.NodeID) *bca.State {
 
 // stored is how the index keeps the BCA state of a non-hub node: the T and
 // ‖r‖₁ of a bca.State, and its R, W and S with float32 values rounded toward
-// zero (summarize). R holds only entries at or above η. A summary stores
-// neither R nor W (Summarized).
+// zero and indices delta-packed (summarize). R holds only entries at or above
+// η. A summary stores neither R nor W (Summarized).
 type stored struct {
 	T       int
 	RNorm   float64
-	R, W, S vecmath.Sparse32
+	R, W, S vecmath.Packed32
+}
+
+// newStored packs a state's rounded R, W and S: the one place the index
+// encodes a state's indices.
+func newStored(t int, rnorm float64, r, w, s vecmath.Sparse32) *stored {
+	return &stored{T: t, RNorm: rnorm, R: vecmath.Pack32(r), W: vecmath.Pack32(w), S: vecmath.Pack32(s)}
 }
 
 // Summarized reports whether s is a summary, as bca.State.Summarized.
@@ -482,7 +496,8 @@ func (s *stored) Summarized() bool {
 	return s.R.NNZ() == 0 && s.W.NNZ() == 0 && s.RNorm > 0
 }
 
-// Bytes returns the payload footprint: the sparse vectors plus T and ‖r‖₁.
+// Bytes returns the payload footprint: the packed sparse vectors plus T and
+// ‖r‖₁.
 func (s *stored) Bytes() int64 {
 	return s.R.Bytes() + s.W.Bytes() + s.S.Bytes() + 16
 }
@@ -513,10 +528,10 @@ func (s *stored) CheckInvariant(tol float64) error {
 // Its W is dropped too, leaving a summary (Summarized) that keeps what queries
 // read: T, ‖r‖₁ and S, whose rounding slack is taken against the current hub
 // matrix. p̂ is computed from st, before any of this, so it is a lower bound
-// that needs no slack of its own.
+// that needs no slack of its own. Last, the indices of R, W and S are
+// delta-packed (vecmath.Pack32), which changes no value a query reads.
 func (idx *Index) summarize(st *bca.State) (s *stored, folded int, dropped int64) {
 	eta := idx.opts.BCA.Eta
-	s = &stored{T: st.T}
 	// Rounding only lowers a value, so most entries fail the first test.
 	kept := func(v float64) bool { return v >= eta && float64(vecmath.RoundDown32(v)) >= eta }
 	keep := 0
@@ -525,28 +540,29 @@ func (idx *Index) summarize(st *bca.State) (s *stored, folded int, dropped int64
 			keep++
 		}
 	}
-	s.R = vecmath.Sparse32{Idx: make([]int32, 0, keep), Val: make([]float32, 0, keep)}
+	r32 := vecmath.Sparse32{Idx: make([]int32, 0, keep), Val: make([]float32, 0, keep)}
 	for i, v := range st.R.Val {
 		if kept(v) {
-			s.R.Idx = append(s.R.Idx, st.R.Idx[i])
-			s.R.Val = append(s.R.Val, vecmath.RoundDown32(v))
+			r32.Idx = append(r32.Idx, st.R.Idx[i])
+			r32.Val = append(r32.Val, vecmath.RoundDown32(v))
 		}
 	}
 	folded = st.R.NNZ() - keep
 	dropped = int64(folded) * 12 // a u32 index and an f64 value each
-	var lostS, lostW float64
-	s.S, lostS = vecmath.Round32(st.S)
-	s.RNorm = st.RNorm + lostS
+	var w32 vecmath.Sparse32
+	s32, lostS := vecmath.Round32(st.S)
+	rnorm := st.RNorm + lostS
 	switch {
-	case s.RNorm > 0 && s.R.NNZ() == 0:
+	case rnorm > 0 && r32.NNZ() == 0:
 		dropped += st.W.Bytes()
-	case s.RNorm > 0:
-		s.W, lostW = vecmath.Round32(st.W)
-		s.RNorm += lostW
+	case rnorm > 0:
+		var lostW float64
+		w32, lostW = vecmath.Round32(st.W)
+		rnorm += lostW
 	default:
-		s.W, _ = vecmath.Round32(st.W)
+		w32, _ = vecmath.Round32(st.W)
 	}
-	return s, folded, dropped
+	return newStored(st.T, rnorm, r32, w32, s32), folded, dropped
 }
 
 // Commit stores a refined state and its recomputed p̂ column for node u

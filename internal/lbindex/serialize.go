@@ -26,6 +26,15 @@ const indexMagicV2 = "RTKLBIX2"
 // float32 (LoadFile wraps it with the path).
 var ErrFormatV2 = errors.New("lbindex: index format v2 (RTKLBIX2) is no longer readable; rebuild it with rtkindex")
 
+// indexMagicV3 opens an image in the retired format v3, whose state indices
+// were u32. Load and LoadFile recognise it only to refuse it by name.
+const indexMagicV3 = "RTKLBIX3"
+
+// ErrFormatV3 is what Load and LoadFile return for a format v3 image — an
+// index or a checkpoint written before the states' indices were stored as gap
+// varints (LoadFile wraps it with the path).
+var ErrFormatV3 = errors.New("lbindex: index format v3 (RTKLBIX3) is no longer readable; rebuild it with rtkindex")
+
 // retiredFormat returns the error naming the retired format a magic opens,
 // or nil.
 func retiredFormat(magic string) error {
@@ -34,6 +43,8 @@ func retiredFormat(magic string) error {
 		return ErrFormatV1
 	case indexMagicV2:
 		return ErrFormatV2
+	case indexMagicV3:
+		return ErrFormatV3
 	}
 	return nil
 }
@@ -76,6 +87,13 @@ func (b *binWriter) floats(xs []float64) {
 	}
 }
 
+func (b *binWriter) bytes(xs []byte) {
+	if b.err != nil {
+		return
+	}
+	_, b.err = b.w.Write(xs)
+}
+
 func (b *binWriter) floats32(xs []float32) {
 	for _, v := range xs {
 		b.u32(math.Float32bits(v))
@@ -87,12 +105,13 @@ func (b *binWriter) floats32(xs []float32) {
 // and rejecting it keeps the per-node read bounded.
 const maxPlausibleK = 1 << 20
 
-// Load reads an index previously written by Save (format v3). It is safe on
+// Load reads an index previously written by Save (format v4). It is safe on
 // truncated or corrupt input: every quantity that later code indexes with is
 // bounds-checked, allocation stays proportional to the input actually
 // consumed, and any checksum mismatch fails fast, so a bad image yields an
 // error — never a panic, a hang, or an index that violates its invariants.
-// A format v1 or v2 image is refused with ErrFormatV1 or ErrFormatV2.
+// A format v1, v2 or v3 image is refused with ErrFormatV1, ErrFormatV2 or
+// ErrFormatV3.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := br.Peek(8)
@@ -102,7 +121,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err := retiredFormat(string(magic)); err != nil {
 		return nil, err
 	}
-	if string(magic) != indexMagicV3 {
+	if string(magic) != indexMagicV4 {
 		return nil, fmt.Errorf("lbindex: bad magic %q", magic)
 	}
 	return loadV2Stream(br)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,19 +61,32 @@ func keptR(r vecmath.Sparse, eta float64) vecmath.Sparse32 {
 	return out
 }
 
+// packSaving returns the bytes a row's indices save as gap varints over
+// int32s: 4 per index, less 1 per started 7 bits of each gap.
+func packSaving(idx []int32) int64 {
+	var saving int64
+	prev := int32(-1)
+	for _, i := range idx {
+		saving += 4 - int64(1+(bits.Len32(uint32(i-prev-1))-1)/7)
+		prev = i
+	}
+	return saving
+}
+
 // TestBuildSummarizesZeroInkStates holds every stored state to a fresh BCA run
 // of its node: p̂ and T are the run's, and S, R and W its values rounded
 // toward zero to float32 — R only the entries whose value is then at or above
 // η, and W dropped when no such entry is left, the state a summary. ‖r‖₁ is
 // the run's plus the mass rounding took off S and, unless the state is left
 // drained or is a summary, W. BuildStats reports the R entries folded, the summaries, the
-// bytes of R and W they saved and the bytes float32 values save.
+// bytes of R and W they saved, the bytes float32 values save and the bytes the
+// states' indices save as gap varints.
 func TestBuildSummarizesZeroInkStates(t *testing.T) {
 	g, idx, stats := summarizedSocial(t)
 	hm, cfg := idx.HubMatrix(), idx.Options().BCA
 	ws := bca.NewWorkspace(g.N())
 	summarized, folded, whole := 0, 0, 0
-	var entries, saved int64
+	var entries, saved, packed int64
 	values := int64(hm.NNZ())
 	for u := graph.NodeID(0); int(u) < g.N(); u++ {
 		stored := idx.states[u]
@@ -99,9 +113,10 @@ func TestBuildSummarizesZeroInkStates(t *testing.T) {
 		if stored.T != fresh.T || math.Float64bits(stored.RNorm) != math.Float64bits(rnorm) {
 			t.Fatalf("%s: stored T=%d ‖r‖₁=%g, fresh run T=%d ‖r‖₁=%g with the rounding loss folded", label, stored.T, stored.RNorm, fresh.T, rnorm)
 		}
-		requireSparse32Equal(t, label+" S", stored.S, s)
-		requireSparse32Equal(t, label+" R", stored.R, kept)
+		requirePackedEqual(t, label+" S", stored.S, s)
+		requirePackedEqual(t, label+" R", stored.R, kept)
 		values += int64(s.NNZ() + kept.NNZ())
+		packed += packSaving(s.Idx) + packSaving(kept.Idx)
 		entries += int64(fresh.R.NNZ() - kept.NNZ())
 		saved += 12 * int64(fresh.R.NNZ()-kept.NNZ())
 		switch {
@@ -120,15 +135,16 @@ func TestBuildSummarizesZeroInkStates(t *testing.T) {
 		if stored.Summarized() {
 			t.Fatalf("%s: a state with %d R entries at or above η reads as a summary", label, kept.NNZ())
 		}
-		requireSparse32Equal(t, label+" W", stored.W, w)
+		requirePackedEqual(t, label+" W", stored.W, w)
 		values += int64(w.NNZ())
+		packed += packSaving(w.Idx)
 	}
 	if summarized == 0 || folded == 0 {
 		t.Fatalf("%d states summarized, %d folded and %d whole: the graph no longer mixes summaries and folds", summarized, folded, whole)
 	}
-	if stats.Folded != entries || stats.Summarized != summarized || stats.FoldedBytes != saved || stats.RoundedBytes != 4*values {
-		t.Errorf("BuildStats reports %d entries folded, %d states summarized, saving %d B, and float32 values saving %d B; want %d, %d, %d and %d",
-			stats.Folded, stats.Summarized, stats.FoldedBytes, stats.RoundedBytes, entries, summarized, saved, 4*values)
+	if stats.Folded != entries || stats.Summarized != summarized || stats.FoldedBytes != saved || stats.RoundedBytes != 4*values || stats.PackedBytes != packed {
+		t.Errorf("BuildStats reports %d entries folded, %d states summarized, saving %d B, float32 values saving %d B and packed indices %d B; want %d, %d, %d, %d and %d",
+			stats.Folded, stats.Summarized, stats.FoldedBytes, stats.RoundedBytes, stats.PackedBytes, entries, summarized, saved, 4*values, packed)
 	}
 	if err := idx.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 // Sparse is a sparse vector: parallel slices of strictly increasing indices
 // and their values. The zero value is the empty vector. Sparse vectors hold
 // the resumable per-node BCA state (R, W, S) while it is computed and
-// refined; the index stores them, and its hub columns, as Sparse32.
+// refined; the index stores them as Packed32, and its hub columns as Sparse32.
 type Sparse struct {
 	Idx []int32
 	Val []float64
@@ -129,9 +129,9 @@ func (s Sparse) Bytes() int64 {
 
 // Sparse32 is a Sparse whose values are stored as float32, each rounded
 // toward zero from the float64 it replaces (Round32). It is the index's form
-// of its sparse slabs — the BCA states' R, W and S and the hub proximity
-// columns — at half the value bytes. Readers widen values to float64, which
-// is exact, and sum them in stored order.
+// of the hub proximity columns at half the value bytes, and of the BCA
+// states' R, W and S before their indices are packed (Packed32). Readers
+// widen values to float64, which is exact, and sum them in stored order.
 type Sparse32 struct {
 	Idx []int32
 	Val []float32
