@@ -1,18 +1,12 @@
 // Command rtkindex builds the reverse top-k lower-bound index (Algorithm 1)
 // for a graph stored as an edge list, reports construction statistics in
 // the style of Table 2, and writes the index in its binary format
-// (checksummed, mmap-able format v2).
+// (checksummed, mmap-able format v4, magic RTKLBIX4).
 //
 // Usage:
 //
 //	rtkindex -graph web.txt -out web.idx -K 200 -B 100 -omega 1e-6
 //	rtkindex -graph web.txt -out web.idx -partition 4 -strategy balanced
-//	rtkindex -graph web.txt -out web.idx -relabel degree   # cache-aware layout
-//
-// With -relabel degree the graph is permuted into a cache-aware
-// (degree-descending) node order before the build, and the permutation is
-// stored in the index file; rtkserve/rtkquery translate at the API
-// boundary, so external identifiers never change.
 //
 // With -partition P the index is built ONCE and then streamed out as P
 // shard-slice files (web.idx.shard0of4, …), each carrying the partition
@@ -52,7 +46,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
 		part      = flag.Int("partition", 0, "also write P shard-slice files <out>.shard<i>of<P> for sharded serving (0 = none)")
 		strategy  = flag.String("strategy", "balanced", "partitioner for -partition: hash|range|balanced")
-		relabel   = flag.String("relabel", "none", "cache-aware node relabeling baked into the index: none|degree (external ids never change; the permutation is stored in the file)")
 	)
 	flag.Parse()
 	if *graphPath == "" || *out == "" {
@@ -73,29 +66,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("graph: %s\n", graph.ComputeStats(g))
-
-	// Cache-aware relabeling: permute the graph BEFORE the build so every
-	// index structure lives in the permuted (internal) space, then record the
-	// permutation on the index so the query boundary translates external ids.
-	var perm graph.Permutation
-	switch *relabel {
-	case "none":
-	case "degree":
-		perm = graph.DegreeOrderPermutation(g)
-	default:
-		log.Fatalf("unknown relabeling %q; valid -relabel values: none, degree", *relabel)
-	}
-	if perm.IsIdentity() {
-		perm = nil // nothing to translate; don't burden the file with a no-op section
-	}
-	if perm != nil {
-		pg, err := graph.ApplyPermutation(g, perm)
-		if err != nil {
-			log.Fatal(err)
-		}
-		g = pg
-		fmt.Printf("relabel: %s order applied (%d nodes permuted)\n", *relabel, len(perm))
-	}
 
 	opts := lbindex.DefaultOptions()
 	opts.K = *k
@@ -133,11 +103,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if perm != nil {
-		if err := idx.SetRelabeling(perm); err != nil {
-			log.Fatal(err)
-		}
-	}
 	fmt.Printf("hubs: %d (selection+vectors took %v)\n", stats.HubCount, stats.HubElapsed.Round(time.Millisecond))
 	fmt.Printf("build: %v total, %d BCA iterations\n", stats.TotalElapsed.Round(time.Millisecond), stats.TotalIters)
 	fmt.Printf("size: actual %d B, unrounded %d B, Theorem-1 predicted %d B, P̂ alone %d B; %d residue entries below η folded, %d states summarized, saving %d B; sparse values stored as float32, saving %d B; indices delta-packed, saving %d B\n",
@@ -157,8 +122,8 @@ func main() {
 			log.Fatal(perr)
 		}
 		// One pass over the in-memory index: each slice shares its rows
-		// (O(owned) pointers) and streams straight to disk through the v2
-		// writer — peak memory stays one full index, never P×.
+		// (O(owned) pointers) and streams straight to disk through the
+		// index writer — peak memory stays one full index, never P×.
 		for s := 0; s < pm.P(); s++ {
 			slice, err := idx.ShardSlice(pm, s)
 			if err != nil {

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -51,7 +50,7 @@ func main() {
 		workers   = flag.Int("workers", 1, "intra-query worker count (0 = all cores); answers are identical at any setting")
 		update    = flag.Bool("update", false, "refine the in-memory index during the query")
 		save      = flag.Bool("save", false, "write the refined index back (implies -update)")
-		mmapMode  = flag.String("mmap", "on", "load a v2 index zero-copy via mmap: on|off (off = portable heap load)")
+		mmapMode  = flag.String("mmap", "on", "load the index zero-copy via mmap: on|off (off = portable heap load)")
 		explain   = flag.Bool("explain", false, "print the per-candidate decision trace instead of running the query")
 		mode      = flag.String("mode", "", "query tier: exact (default) or approx — the anytime tier")
 		eps       = flag.String("eps", "", "anytime undecided-fraction budget in [0,1); default 0.1 (needs -mode approx)")
@@ -105,18 +104,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// An index built with rtkindex -relabel stores its rows in the permuted
-	// (internal) space; permute the loaded graph to match. Queries and answers
-	// stay in the edge-list file's external identifiers.
-	if perm := idx.Relabeling(); perm != nil {
-		full, err := perm.Extend(g.N())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if g, err = graph.ApplyPermutation(g, full); err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	// Reject bad parameters exactly like the rtkserve HTTP handler does —
 	// same helper, same message.
@@ -126,21 +113,16 @@ func main() {
 
 	if *update && !*explain {
 		// Only a bare engine commits refinements (a View never mutates its
-		// index, and neither does -explain); it speaks the index's internal
-		// labels.
+		// index, and neither does -explain).
 		eng, err := core.NewEngine(g, idx, true)
 		if err != nil {
 			log.Fatal(err)
 		}
 		eng.SetWorkers(*workers)
-		answer, stats, err := eng.Query(idx.ToInternal(graph.NodeID(*q)), *k)
+		answer, stats, err := eng.Query(graph.NodeID(*q), *k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i := range answer {
-			answer[i] = idx.ToExternal(answer[i])
-		}
-		slices.Sort(answer)
 		printAnswer(*q, *k, answer, stats)
 		if *save {
 			if err := idx.SaveFile(*indexPath); err != nil {
@@ -152,8 +134,7 @@ func main() {
 	}
 
 	// Everything else is the call the daemon makes: a View over the pair,
-	// which screens a closed backward ball sparsely and translates relabeled
-	// identifiers itself.
+	// which screens a closed backward ball sparsely.
 	view, err := core.NewView(g, idx)
 	if err != nil {
 		log.Fatal(err)
@@ -231,18 +212,6 @@ func querySharded(g *graph.Graph, paths []string, q, k, workers int, useMmap, an
 			log.Fatal(err)
 		}
 		slices[i] = idx
-	}
-	// Slices of a relabeled index carry the build-time permutation; permute
-	// the loaded graph to match (the coordinator validates the slices agree
-	// and translates q/answers itself).
-	if perm := slices[0].Relabeling(); perm != nil {
-		full, err := perm.Extend(g.N())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if g, err = graph.ApplyPermutation(g, full); err != nil {
-			log.Fatal(err)
-		}
 	}
 	c, err := shard.NewInProc(g, slices, shard.Config{Workers: workers})
 	if err != nil {

@@ -11,14 +11,18 @@
 //
 // A query that misses the cache is computed at once on its request's
 // goroutine, with its share of the -workers budget (a lone query gets all
-// of it). An index built with rtkindex -relabel is served transparently:
-// the daemon permutes the loaded graph to the index's stored cache-aware
-// layout and translates identifiers at the API boundary.
+// of it).
 //
-// Format-v2 index files are served zero-copy from an mmap'd image by
-// default, making daemon cold start a matter of mapping and checksum
-// verification instead of a full parse; -mmap=off is the portable escape
-// hatch. See the README's "Persistence & cold start" section.
+// Index files (format v4, magic RTKLBIX4) are served zero-copy from an
+// mmap'd image by default, making daemon cold start a matter of mapping and
+// checksum verification instead of a full parse; -mmap=off is the portable
+// escape hatch. See the README's "Persistence & cold start" section.
+//
+// A flag the chosen mode ignores is refused at start rather than silently
+// dropped: -shards takes only -addr, -drain, -log and -debug-addr; -K and -B
+// size an index built at start, so they clash with -index; -mmap needs
+// -index, -journal-no-sync needs -journal, and -checkpoint-bytes and
+// -checkpoint-batches need -checkpoint-dir, which needs -journal.
 //
 // Endpoints:
 //
@@ -74,6 +78,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -154,7 +159,7 @@ func main() {
 		k            = flag.Int("K", 200, "maximum supported query k when building the index")
 		b            = flag.Int("B", 100, "hub budget when building the index")
 		cacheBytes   = flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache budget in bytes (negative disables caching)")
-		mmapMode     = flag.String("mmap", "on", "serve a v2 index zero-copy from the mapped file: on|off (off = portable heap load)")
+		mmapMode     = flag.String("mmap", "on", "serve the -index file zero-copy from its mapping: on|off (off = portable heap load)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent engine computations (0 = 4×GOMAXPROCS)")
 		workers      = flag.Int("workers", 0, "total intra-query worker budget (0 = GOMAXPROCS)")
 		drain        = flag.Duration("drain", 15*time.Second, "graceful drain timeout on SIGTERM")
@@ -172,26 +177,20 @@ func main() {
 		slowThreshold = flag.Duration("slowlog-threshold", 0, "record queries at least this slow (0 = 250ms, negative records all)")
 	)
 	flag.Parse()
+	if err := checkFlags(*shards != "", *indexPath != "", *journalPath != "", *ckptDir != ""); err != nil {
+		log.Fatal(err)
+	}
 	logger, err := buildLogger(*logFormat)
 	if err != nil {
 		log.Fatal(err)
 	}
 	startDebugServer(*debugAddr)
 	if *shards != "" {
-		// Coordinator mode holds no graph, index or cache; any serving
-		// flag alongside -shards is a mixed-up command line, not a request
-		// we can half-honor.
-		if *graphPath != "" || *indexPath != "" {
-			log.Fatal("-shards runs a pure coordinator: -graph/-index belong on the shard daemons")
-		}
 		runCoordinator(strings.Split(*shards, ","), *addr, *drain, logger)
 		return
 	}
 	if *graphPath == "" {
 		log.Fatal("-graph is required (or -shards for coordinator mode)")
-	}
-	if *journalPath == "" && *ckptDir != "" {
-		log.Fatal("-checkpoint-dir needs -journal: checkpoints exist to truncate the journal")
 	}
 
 	gf, err := os.Open(*graphPath)
@@ -222,23 +221,6 @@ func main() {
 		}
 		log.Printf("index: loaded %s in %v (K=%d, %d refinement commits, mmap=%v)",
 			*indexPath, time.Since(start).Round(time.Microsecond), idx.K(), idx.Refinements(), idx.MmapBacked())
-		// An index built under a cache-aware relabeling stores its graph in
-		// the permuted (internal) space; the edge-list file speaks external
-		// ids. Permute the loaded graph to match — identifiers added after
-		// the build keep identity labels, so a grown graph pads the stored
-		// permutation rather than failing.
-		if perm := idx.Relabeling(); perm != nil {
-			full, err := perm.Extend(g.N())
-			if err != nil {
-				log.Fatal(err)
-			}
-			pg, err := graph.ApplyPermutation(g, full)
-			if err != nil {
-				log.Fatal(err)
-			}
-			g = pg
-			log.Printf("relabel: applied the index's stored permutation (%d nodes)", len(perm))
-		}
 	} else {
 		opts := lbindex.DefaultOptions()
 		opts.K = *k
@@ -316,6 +298,38 @@ func main() {
 	<-drained
 	srv.Close()
 	log.Printf("drained; bye")
+}
+
+// checkFlags refuses a command line that sets a flag its mode would
+// silently ignore (see the package doc). flag.Visit sees only the flags that
+// were set; the arguments say which modes the values chose.
+func checkFlags(coordinator, index, journal, ckptDir bool) error {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	has := func(name string) bool { return slices.Contains(set, name) }
+	if coordinator {
+		for _, name := range set {
+			switch name {
+			case "shards", "addr", "drain", "log", "debug-addr":
+			default:
+				return fmt.Errorf("-shards runs a pure coordinator, which takes only -addr, -drain, -log and -debug-addr: -%s belongs on the shard daemons", name)
+			}
+		}
+		return nil
+	}
+	switch {
+	case index && (has("K") || has("B")):
+		return errors.New("-K and -B size an index built at start; -index loads one whose K and hub budget are fixed")
+	case !index && has("mmap"):
+		return errors.New("-mmap needs -index: an index built at start lives on the heap")
+	case !journal && has("journal-no-sync"):
+		return errors.New("-journal-no-sync needs -journal")
+	case !journal && ckptDir:
+		return errors.New("-checkpoint-dir needs -journal: checkpoints exist to truncate the journal")
+	case !ckptDir && (has("checkpoint-bytes") || has("checkpoint-batches")):
+		return errors.New("-checkpoint-bytes and -checkpoint-batches need -checkpoint-dir")
+	}
+	return nil
 }
 
 // runCoordinator serves the fan-out coordinator: same routes, no resident

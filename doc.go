@@ -12,8 +12,7 @@
 // small; when it converges inside the ball the screen takes only the ball's
 // rows plus the rows whose k-th lower bound is zero, not all n — and every
 // entry point is one pipeline in internal/core: a round loop over the PMPN,
-// one Screen, one finish; README.md, "Batched serving & cache-aware
-// layout"), the
+// one Screen, one finish; README.md, "Serving a cache miss"), the
 // persistence layer (one checksummed index format served zero-copy via mmap
 // for millisecond cold starts), the
 // evolving-graph pipeline (graph.Overlay deltas

@@ -5,7 +5,10 @@ package clitest
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -142,6 +145,27 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 				t.Errorf("%s: %s error does not name the file, the format and the remedy: %q", tool[0], magic, msg)
 			}
 		}
+	}
+
+	// An index written by the removed rtkindex -relabel flag carried one
+	// more section (23 in a full image); rtkquery exits 1 naming the flag.
+	// The patched count breaks the checksum too, but is read first.
+	img, err = os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[16:20], 23)
+	relabeled := filepath.Join(work, "g.relabeled.idx")
+	if err := os.WriteFile(relabeled, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := runToolErr(t, filepath.Join(bins, "rtkquery"),
+		"-graph", graphPath, "-index", relabeled, "-q", "42", "-k", "10")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("rtkquery on a relabeled index: exit %v, want status 1:\n%s", err, msg)
+	} else if !strings.Contains(msg, "-relabel") || !strings.Contains(msg, "rebuild it with rtkindex") {
+		t.Errorf("relabeled index error does not name the flag and the remedy: %q", msg)
 	}
 }
 
@@ -368,5 +392,39 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 	defer logMu.Unlock()
 	if !strings.Contains(logBuf.String(), "drained") {
 		t.Errorf("daemon log missing drain confirmation:\n%s", logBuf.String())
+	}
+}
+
+// TestServeRefusesIgnoredFlags: rtkserve refuses, at start, a flag its mode
+// would silently ignore, one case per rule. The graph path does not exist, so
+// a daemon that let a case through would fail on it with another message;
+// the coordinator case would start serving, which the timeout bounds.
+func TestServeRefusesIgnoredFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bins := buildTools(t)
+	work := t.TempDir()
+	graphPath := filepath.Join(work, "missing.txt")
+	indexPath := filepath.Join(work, "missing.idx")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards", "127.0.0.1:1", "-addr", "127.0.0.1:0", "-journal", filepath.Join(work, "x.wal")}, "-journal belongs on the shard daemons"},
+		{[]string{"-graph", graphPath, "-index", indexPath, "-K", "10"}, "-K and -B size an index built at start"},
+		{[]string{"-graph", graphPath, "-mmap", "off"}, "-mmap needs -index"},
+		{[]string{"-graph", graphPath, "-index", indexPath, "-journal-no-sync"}, "-journal-no-sync needs -journal"},
+		{[]string{"-graph", graphPath, "-index", indexPath, "-journal", filepath.Join(work, "x.wal"), "-checkpoint-batches", "4"}, "need -checkpoint-dir"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, filepath.Join(bins, "rtkserve"), tc.args...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("rtkserve %v: exit %v, want status 1:\n%s", tc.args, err, out)
+		} else if !strings.Contains(string(out), tc.want) {
+			t.Errorf("rtkserve %v: error does not say %q: %q", tc.args, tc.want, out)
+		}
 	}
 }

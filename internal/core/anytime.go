@@ -82,9 +82,9 @@ type AnytimeStats struct {
 	PMPNElapsed time.Duration
 }
 
-// AnytimeResult is the two-part anytime answer, in the external identifier
-// space, each part ascending. A result additionally retains the run so the
-// exact path can continue it; see Escalate.
+// AnytimeResult is the two-part anytime answer, each part ascending. A
+// result additionally retains the run so the exact path can continue it; see
+// Escalate.
 type AnytimeResult struct {
 	Guaranteed []graph.NodeID
 	Maybe      []graph.NodeID
@@ -98,8 +98,7 @@ type AnytimeResult struct {
 
 // QueryAnytime answers one reverse top-k query approximately under the
 // given ε budget, with the given intra-query worker count (≤ 0 selects
-// GOMAXPROCS). q and the answer parts are in the external identifier space,
-// like Query. Safe for concurrent use; answers are deterministic at any
+// GOMAXPROCS). Safe for concurrent use; answers are deterministic at any
 // worker setting.
 func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers int) (*AnytimeResult, error) {
 	if math.IsNaN(opts.Eps) || opts.Eps < 0 || opts.Eps >= 1 {
@@ -108,7 +107,7 @@ func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers 
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)
 	e.SetWorkers(workers)
-	r, err := e.start(v.idx.ToInternal(q), k)
+	r, err := e.start(q, k)
 	if err != nil {
 		return nil, err
 	}
@@ -116,15 +115,14 @@ func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers 
 		return nil, err
 	}
 	s := r.screens[0]
-	// Copies: the external translation works in place, and Escalate goes on
-	// from the screen's own lists.
+	// Copies: Escalate goes on from the screen's own lists.
 	guaranteed := slices.Sorted(slices.Values(s.Hits()))
 	maybe := slices.Clone(s.Survivors())
 	stats := r.Stats()
 	stats.Query, stats.Eps = q, opts.Eps
 	return &AnytimeResult{
-		Guaranteed: externalAnswer(v.idx, guaranteed),
-		Maybe:      externalAnswer(v.idx, maybe),
+		Guaranteed: guaranteed,
+		Maybe:      maybe,
 		Stats:      stats,
 		v:          v,
 		run:        r,
@@ -151,6 +149,5 @@ func (r *AnytimeResult) Escalate(workers int) ([]graph.NodeID, QueryStats, error
 		}
 	}
 	answer, stats, err := r.v.Finish(r.run, r.screen, workers)
-	stats.Query = r.Stats.Query
-	return externalAnswer(r.v.idx, answer), stats, err
+	return answer, stats, err
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -111,49 +110,27 @@ func NewView(g graph.View, idx *lbindex.Index) (*View, error) {
 // Query answers one reverse top-k query with the given intra-query worker
 // count (≤ 0 selects GOMAXPROCS, as in Engine.SetWorkers). Safe for
 // concurrent use; answers are identical at any worker setting.
-//
-// The View is the identifier-translation boundary for cache-aware
-// relabelings (lbindex.Index.Relabeling): q and the answer are in the
-// EXTERNAL space callers speak, translated to and from the internal storage
-// labels the graph and index were built under. With no relabeling installed
-// both spaces coincide and translation is free.
 func (v *View) Query(q graph.NodeID, k, workers int) ([]graph.NodeID, QueryStats, error) {
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)
 	e.SetWorkers(workers)
-	answer, stats, err := e.Query(v.idx.ToInternal(q), k)
-	stats.Query = q
-	return externalAnswer(v.idx, answer), stats, err
+	return e.Query(q, k)
 }
 
-// Explain runs Engine.Explain through the view's engine pool, translating
-// the query and every decision's node across the relabeling boundary like
-// Query does. Decisions come back ordered by external node id.
+// Explain runs Engine.Explain through the view's engine pool.
 func (v *View) Explain(q graph.NodeID, k int, includePruned bool, workers int) (*Explanation, error) {
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)
 	e.SetWorkers(workers)
-	ex, err := e.Explain(v.idx.ToInternal(q), k, includePruned)
-	if err != nil {
-		return nil, err
-	}
-	if v.idx.Relabeling() != nil {
-		ex.Query = q
-		ex.Stats.Query = q
-		for i := range ex.Decisions {
-			ex.Decisions[i].Node = v.idx.ToExternal(ex.Decisions[i].Node)
-		}
-		sort.Slice(ex.Decisions, func(i, j int) bool { return ex.Decisions[i].Node < ex.Decisions[j].Node })
-	}
-	return ex, nil
+	return e.Explain(q, k, includePruned)
 }
 
 // Finish is the pipeline's finish (Engine.finish) for this view's screen of a
 // run whose rounds have ended converged, or with nothing open — any other
-// screen or run is refused: the members among the view's rows — internal
-// labels, ascending — and a cold query's stats, with the given intra-engine
-// worker count (≤ 0 selects GOMAXPROCS). The scatter-gather coordinator calls
-// it once a shard. Safe for concurrent use.
+// screen or run is refused: the members among the view's rows, ascending,
+// and a cold query's stats, with the given intra-engine worker count (≤ 0
+// selects GOMAXPROCS). The scatter-gather coordinator calls it once a shard.
+// Safe for concurrent use.
 func (v *View) Finish(r *Run, s *Screen, workers int) ([]graph.NodeID, QueryStats, error) {
 	if s.idx != v.idx || !slices.Contains(r.screens, s) || !s.taken || len(s.ids) > 0 && !r.stepper.Converged() {
 		return nil, QueryStats{Query: r.q, K: s.k}, errors.New("core: Finish wants this view's screen of this run, screened with nothing left open or to convergence")
@@ -176,17 +153,3 @@ func (v *View) N() int { return v.g.N() }
 
 // MaxK returns the largest query k the underlying index supports.
 func (v *View) MaxK() int { return v.idx.K() }
-
-// externalAnswer maps an internally-labeled answer back to the external
-// identifier space and restores ascending order. With no relabeling the
-// spaces coincide and the slice passes through untouched.
-func externalAnswer(idx *lbindex.Index, answer []graph.NodeID) []graph.NodeID {
-	if idx.Relabeling() == nil {
-		return answer
-	}
-	for i, u := range answer {
-		answer[i] = idx.ToExternal(u)
-	}
-	sort.Slice(answer, func(i, j int) bool { return answer[i] < answer[j] })
-	return answer
-}

@@ -265,8 +265,8 @@ func TestInOutMirrorConsistency(t *testing.T) {
 // TestDegreeOrderInvariant holds DegreeRuns' contract, which Validate
 // asserts beside the in/out mirror, on every way a CSR is made: Builder.Build
 // (n = 0, n = 1, and weighted and unweighted graphs whose last block is
-// partial and whose degrees reach past 64), Overlay.Compact and
-// ApplyPermutation. Each block's order is a permutation of its rows, ids
+// partial and whose degrees reach past 64) and Overlay.Compact. Each
+// block's order is a permutation of its rows, ids
 // ascend inside a degree, and runs split exactly where the degree changes;
 // corrupting either breaks Validate.
 func TestDegreeOrderInvariant(t *testing.T) {
@@ -332,16 +332,6 @@ func TestDegreeOrderInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(label+" Compact", compacted)
-
-		perm := make(Permutation, n)
-		for i, p := range rng.Perm(n) {
-			perm[i] = NodeID(p)
-		}
-		relabeled, err := ApplyPermutation(g, perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+" ApplyPermutation", relabeled)
 
 		// Validate must see a broken order: swap the first two rows of the
 		// first run of two or more, then move a run boundary by one.

@@ -61,11 +61,9 @@ import (
 // state slabs cover only the owned non-hub rows and the p̂ slab only the
 // owned rows, in owned order — a P-way sharding therefore costs ≈ 1× the
 // full index on disk in total, not P×. Full images are written exactly as
-// before, bit for bit.
-//
-// Indexes carrying a cache-aware relabeling append one more trailing section
-// (secPerm; nsec = 23 full, 26 sharded) holding the external→internal node
-// permutation, so the translation boundary survives a save/load round trip.
+// before, bit for bit. A section's id is its table position. An image with
+// one section more than either count (23 or 26) was written with the
+// removed rtkindex -relabel flag and is refused with ErrRelabeled.
 //
 // Every byte of the image except the fileCRC field itself is covered by
 // fileCRC, so any single-byte corruption is detected (the fileCRC field is
@@ -109,49 +107,14 @@ const (
 	v2NumSectionsSharded
 )
 
-// secPerm stores the build-time cache-aware node relabeling: one u32
-// internal id per external id (see Index.SetRelabeling). The section is
-// OPTIONAL — indexes without a relabeling write exactly the old images, bit
-// for bit — and when present always occupies the LAST table position, with
-// this fixed id in both full (nsec = v2NumSectionsPerm) and shard-slice
-// (nsec = v2NumSectionsShardedPerm) images; sectionID maps table positions
-// to ids. The payload may cover fewer nodes than n when the image was saved
-// after node growth (grown ids keep identity labels) and must be a bijection
-// on its own length, which every loader verifies.
-const secPerm = v2NumSectionsSharded
-
-const (
-	v2NumSectionsPerm        = v2NumSections + 1
-	v2NumSectionsShardedPerm = v2NumSectionsSharded + 1
-	// v2MaxSections sizes the by-section-id offset/length tables.
-	v2MaxSections = secPerm + 1
-)
-
-// hasPermSection reports whether a section count implies a trailing
-// relabeling section.
-func hasPermSection(nsec int) bool {
-	return nsec == v2NumSectionsPerm || nsec == v2NumSectionsShardedPerm
-}
-
-// validNsec reports whether nsec is one of the four section counts a v2
+// validNsec reports whether nsec is one of the two section counts a v4
 // image can carry.
 func validNsec(nsec int) bool {
-	return nsec == v2NumSections || nsec == v2NumSectionsSharded || hasPermSection(nsec)
+	return nsec == v2NumSections || nsec == v2NumSectionsSharded
 }
 
 // shardedNsec reports whether nsec implies the shard-slice sections.
-func shardedNsec(nsec int) bool {
-	return nsec == v2NumSectionsSharded || nsec == v2NumSectionsShardedPerm
-}
-
-// sectionID maps a table position to its section id: the identity, except
-// that the last position of a perm-carrying image holds secPerm.
-func sectionID(nsec, pos int) int {
-	if hasPermSection(nsec) && pos == nsec-1 {
-		return secPerm
-	}
-	return pos
-}
+func shardedNsec(nsec int) bool { return nsec == v2NumSectionsSharded }
 
 const (
 	v2PreambleSize = 32
@@ -259,7 +222,7 @@ func ParseMmapMode(mode string) (bool, error) {
 // that the heap loader performs — the checksum already guarantees the bytes
 // are exactly what Save wrote. Load files from untrusted sources with Mmap
 // off. A format v1, v2 or v3 file is refused with ErrFormatV1, ErrFormatV2
-// or ErrFormatV3 on either path.
+// or ErrFormatV3, and a relabeled one with ErrRelabeled, on either path.
 func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -316,7 +279,7 @@ func (idx *Index) Save(w io.Writer) error {
 	for s := 0; s < e.nsec; s++ {
 		h := crc32.New(castagnoli)
 		bw := &binWriter{w: bufio.NewWriterSize(h, 1<<16)}
-		e.emitSection(sectionID(e.nsec, s), bw)
+		e.emitSection(s, bw)
 		if bw.err != nil {
 			return bw.err
 		}
@@ -379,8 +342,8 @@ type v2emitter struct {
 	// streamed three times (section CRCs, file CRC, output), and a value
 	// read per pass could change between passes and tear the checksums.
 	watermark uint64
-	lens      [v2MaxSections]int
-	offs      [v2MaxSections]int
+	lens      [v2NumSectionsSharded]int
+	offs      [v2NumSectionsSharded]int
 	fileSize  int
 }
 
@@ -425,9 +388,6 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 		e.rows = idx.owned
 		_, _, _, _, partBounds = idx.part.Parts()
 	}
-	if idx.perm != nil {
-		e.nsec++ // the trailing secPerm section
-	}
 
 	var colNNZ, rNNZ, wNNZ, sNNZ, rBytes, wBytes, sBytes int
 	for _, c := range cols {
@@ -464,7 +424,7 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 	}
 	numStates := e.numStates
 
-	e.lens = [v2MaxSections]int{
+	e.lens = [v2NumSectionsSharded]int{
 		secMeta:         v2MetaSize,
 		secHubIDs:       4 * hubCount,
 		secHubTopK:      8 * hubCount * o.K,
@@ -493,15 +453,11 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 		e.lens[secPartBounds] = 4 * len(partBounds)
 		e.lens[secPartRows] = 4 * len(e.rows)
 	}
-	if idx.perm != nil {
-		e.lens[secPerm] = 4 * len(idx.perm)
-	}
 	pos := v2HeaderEndOf(e.nsec)
 	for s := 0; s < e.nsec; s++ {
-		id := sectionID(e.nsec, s)
 		pos = alignUp8(pos)
-		e.offs[id] = pos
-		pos += e.lens[id]
+		e.offs[s] = pos
+		pos += e.lens[s]
 	}
 	e.fileSize = alignUp8(pos)
 	return e, nil
@@ -608,10 +564,6 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 		for _, u := range e.rows {
 			bw.u32(uint32(u))
 		}
-	case secPerm:
-		for _, in := range e.idx.perm {
-			bw.u32(uint32(in))
-		}
 	}
 }
 
@@ -633,12 +585,11 @@ func (e *v2emitter) emitBody(w io.Writer) error {
 	bw := &binWriter{w: bufio.NewWriterSize(w, 1<<20)}
 	pos := v2HeaderEndOf(e.nsec)
 	for s := 0; s < e.nsec; s++ {
-		id := sectionID(e.nsec, s)
-		for ; pos < e.offs[id]; pos++ {
+		for ; pos < e.offs[s]; pos++ {
 			bw.u8(0)
 		}
-		e.emitSection(id, bw)
-		pos += e.lens[id]
+		e.emitSection(s, bw)
+		pos += e.lens[s]
 	}
 	for ; pos < e.fileSize; pos++ {
 		bw.u8(0)
@@ -657,12 +608,11 @@ func (e *v2emitter) buildHeader(secCRC []uint32) []byte {
 	binary.LittleEndian.PutUint64(header[8:], uint64(e.fileSize))
 	binary.LittleEndian.PutUint32(header[16:], uint32(e.nsec))
 	for s := 0; s < e.nsec; s++ {
-		id := sectionID(e.nsec, s)
 		entry := header[v2PreambleSize+s*v2TableEntry:]
-		binary.LittleEndian.PutUint32(entry[0:], uint32(id))
+		binary.LittleEndian.PutUint32(entry[0:], uint32(s))
 		binary.LittleEndian.PutUint32(entry[4:], secCRC[s])
-		binary.LittleEndian.PutUint64(entry[8:], uint64(e.offs[id]))
-		binary.LittleEndian.PutUint64(entry[16:], uint64(e.lens[id]))
+		binary.LittleEndian.PutUint64(entry[8:], uint64(e.offs[s]))
+		binary.LittleEndian.PutUint64(entry[16:], uint64(e.lens[s]))
 	}
 	binary.LittleEndian.PutUint32(header[20:], crc32.Checksum(header[v2PreambleSize:], castagnoli))
 	return header
@@ -732,8 +682,8 @@ func readAligned(r io.Reader, pre []byte, n int) ([]byte, error) {
 type v2parser struct {
 	data  []byte
 	nsec  int
-	offs  [v2MaxSections]int
-	lens  [v2MaxSections]int
+	offs  [v2NumSectionsSharded]int
+	lens  [v2NumSectionsSharded]int
 	alias bool
 }
 
@@ -840,9 +790,12 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		return nil, fmt.Errorf("lbindex: v2 header claims %d bytes, image has %d", got, len(data))
 	}
 	nsec := int(binary.LittleEndian.Uint32(data[16:20]))
+	if nsec == v2NumSections+1 || nsec == v2NumSectionsSharded+1 {
+		return nil, ErrRelabeled
+	}
 	if !validNsec(nsec) {
-		return nil, fmt.Errorf("lbindex: v2 image has %d sections, want %d/%d (full) or %d/%d (shard slice), the larger with a relabeling",
-			nsec, v2NumSections, v2NumSectionsPerm, v2NumSectionsSharded, v2NumSectionsShardedPerm)
+		return nil, fmt.Errorf("lbindex: v2 image has %d sections, want %d (full) or %d (shard slice)",
+			nsec, v2NumSections, v2NumSectionsSharded)
 	}
 	headerEnd := v2HeaderEndOf(nsec)
 	if len(data) < headerEnd {
@@ -862,15 +815,14 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	p := &v2parser{data: data, nsec: nsec, alias: hostLittleEndian && uintptr(unsafe.Pointer(&data[0]))%8 == 0}
 	for s := 0; s < nsec; s++ {
 		e := data[v2PreambleSize+s*v2TableEntry:]
-		want := sectionID(nsec, s)
-		if id := binary.LittleEndian.Uint32(e[0:]); id != uint32(want) {
-			return nil, fmt.Errorf("lbindex: section at position %d has id %d, want %d", s, id, want)
+		if id := binary.LittleEndian.Uint32(e[0:]); id != uint32(s) {
+			return nil, fmt.Errorf("lbindex: section at position %d has id %d, want %d", s, id, s)
 		}
 		off, ln := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
 		if off%8 != 0 || off < uint64(headerEnd) || ln > uint64(len(data)) || off > uint64(len(data))-ln {
-			return nil, fmt.Errorf("lbindex: section %d spans [%d,%d) outside the %d-byte image", want, off, off+ln, len(data))
+			return nil, fmt.Errorf("lbindex: section %d spans [%d,%d) outside the %d-byte image", s, off, off+ln, len(data))
 		}
-		p.offs[want], p.lens[want] = int(off), int(ln)
+		p.offs[s], p.lens[s] = int(off), int(ln)
 	}
 
 	if p.lens[secMeta] != v2MetaSize {
@@ -955,7 +907,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	colNNZ := p.lens[secHubColIdx] / 4
 	rNNZ, wNNZ, sNNZ := p.lens[secStateRVal]/4, p.lens[secStateWVal]/4, p.lens[secStateSVal]/4
 	rBytes, wBytes, sBytes := p.lens[secStateRIdx], p.lens[secStateWIdx], p.lens[secStateSIdx]
-	want := [v2MaxSections]int{
+	want := [v2NumSectionsSharded]int{
 		secMeta:         v2MetaSize,
 		secHubIDs:       4 * hubCount,
 		secHubTopK:      8 * hubCount * o.K,
@@ -984,18 +936,9 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		want[secPartBounds] = p.lens[secPartBounds]
 		want[secPartRows] = p.lens[secPartRows]
 	}
-	if hasPermSection(nsec) {
-		// The relabeling's length is self-describing (bounds-checked when it
-		// is decoded below); only 4-byte granularity is structural.
-		if p.lens[secPerm]%4 != 0 {
-			return nil, fmt.Errorf("lbindex: relabeling section holds %d bytes, not a multiple of 4", p.lens[secPerm])
-		}
-		want[secPerm] = p.lens[secPerm]
-	}
 	for s := 0; s < nsec; s++ {
-		id := sectionID(nsec, s)
-		if p.lens[id] != want[id] {
-			return nil, fmt.Errorf("lbindex: section %d holds %d bytes, want %d", id, p.lens[id], want[id])
+		if p.lens[s] != want[s] {
+			return nil, fmt.Errorf("lbindex: section %d holds %d bytes, want %d", s, p.lens[s], want[s])
 		}
 	}
 
@@ -1115,13 +1058,6 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	idx := &Index{opts: o, n: n, hubs: hm, phat: phat, states: states, part: pm, shardID: shardID, owned: rows}
 	idx.refinements.Store(refinements)
 	idx.watermark.Store(watermark)
-	if hasPermSection(nsec) {
-		// Bijection-validated in BOTH load modes: a permutation that is not a
-		// bijection would silently misroute every translated query.
-		if err := idx.loadRelabeling(p.i32s(secPerm)); err != nil {
-			return nil, err
-		}
-	}
 	if deep {
 		if err := idx.CheckInvariants(); err != nil {
 			return nil, err
@@ -1189,10 +1125,10 @@ func localizeV2Corruption(data []byte) string {
 		crc := binary.LittleEndian.Uint32(e[4:])
 		off, ln := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
 		if off > uint64(len(data)) || ln > uint64(len(data))-off {
-			return fmt.Sprintf("section %d table entry out of bounds", sectionID(nsec, s))
+			return fmt.Sprintf("section %d table entry out of bounds", s)
 		}
 		if crc32.Checksum(data[off:off+ln], castagnoli) != crc {
-			return fmt.Sprintf("section %d payload corrupt", sectionID(nsec, s))
+			return fmt.Sprintf("section %d payload corrupt", s)
 		}
 	}
 	return "preamble, table or padding corrupt"

@@ -116,14 +116,6 @@ func requireIndexEqual(t *testing.T, a, b *Index) {
 		requireSparseEqual(t, "W", as.W.Widen(), bs.W.Widen())
 		requireSparseEqual(t, "S", as.S.Widen(), bs.S.Widen())
 	}
-	if len(a.perm) != len(b.perm) {
-		t.Fatalf("relabeling covers %d vs %d nodes", len(a.perm), len(b.perm))
-	}
-	for i := range a.perm {
-		if a.perm[i] != b.perm[i] {
-			t.Fatalf("relabeling differs at %d: %d vs %d", i, a.perm[i], b.perm[i])
-		}
-	}
 }
 
 // TestV2RoundTripProperty: a saved image loads value-identical to the index

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/partition"
 	"repro/internal/vecmath"
 )
 
@@ -395,6 +396,37 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 				t.Errorf("refusing a v1 image allocated %d bytes", grew)
 			}
+		})
+	}
+}
+
+// TestRelabeledImagesRefused: an image whose section count is one more than
+// a full image's or a shard slice's (23 or 26) was written by the removed
+// rtkindex -relabel flag, its last section a node permutation. Every loader
+// refuses it by name, before the checksum that the patched count breaks.
+func TestRelabeledImagesRefused(t *testing.T) {
+	g, idx := shardTestIndex(t)
+	pm, err := partition.NewRange(g.N(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := idx.ShardSlice(pm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		idx  *Index
+		nsec uint32
+	}{{"full", idx, v2NumSections + 1}, {"shard slice", slice, v2NumSectionsSharded + 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.idx.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			img := buf.Bytes()
+			binary.LittleEndian.PutUint32(img[16:20], tc.nsec)
+			requireRefused(t, img, ErrRelabeled)
 		})
 	}
 }

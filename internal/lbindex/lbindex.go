@@ -162,14 +162,6 @@ type Index struct {
 	part    *partition.Map
 	shardID int
 	owned   []graph.NodeID
-
-	// perm is the build-time cache-aware relabeling this index's graph is
-	// stored under (perm[external] = internal), nil for identity; permInv is
-	// its inverse. Both are immutable once set (SetRelabeling copies), so
-	// clones and shard slices share them. Nodes added after build (id ≥
-	// len(perm)) keep identity labels. Persisted as a checksummed v2 section.
-	perm    graph.Permutation
-	permInv graph.Permutation
 }
 
 // Shard returns the slice's partition map and shard id; ok is false for a
@@ -218,8 +210,6 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 		part:    pm,
 		shardID: shard,
 		owned:   owned,
-		perm:    idx.perm,
-		permInv: idx.permInv,
 	}
 	for _, u := range owned {
 		s.phat[u] = idx.phat[u]
@@ -638,8 +628,6 @@ func (idx *Index) Clone() *Index {
 		part:    idx.part,
 		shardID: idx.shardID,
 		owned:   idx.owned,
-		perm:    idx.perm,
-		permInv: idx.permInv,
 	}
 	c.setBacking(idx.backing)
 	c.refinements.Store(idx.refinements.Load())
@@ -662,13 +650,11 @@ func (idx *Index) CloneGrown(n2 int) *Index {
 	states := make([]*stored, n2)
 	copy(states, idx.states)
 	c := &Index{
-		opts:    idx.opts,
-		n:       n2,
-		hubs:    idx.hubs,
-		phat:    phat,
-		states:  states,
-		perm:    idx.perm,
-		permInv: idx.permInv,
+		opts:   idx.opts,
+		n:      n2,
+		hubs:   idx.hubs,
+		phat:   phat,
+		states: states,
 	}
 	if idx.part != nil {
 		// Extend the assignment: existing nodes never migrate (see

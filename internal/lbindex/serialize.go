@@ -35,6 +35,12 @@ const indexMagicV3 = "RTKLBIX3"
 // varints (LoadFile wraps it with the path).
 var ErrFormatV3 = errors.New("lbindex: index format v3 (RTKLBIX3) is no longer readable; rebuild it with rtkindex")
 
+// ErrRelabeled is what Load and LoadFile return for a v4 image with one
+// section more than a full image or a shard slice carries (23 or 26): its
+// trailing section holds a node permutation written by the removed
+// rtkindex -relabel flag, and no reader translates ids any more.
+var ErrRelabeled = errors.New("lbindex: index was built with rtkindex -relabel, which is removed; rebuild it with rtkindex")
+
 // retiredFormat returns the error naming the retired format a magic opens,
 // or nil.
 func retiredFormat(magic string) error {
@@ -111,7 +117,7 @@ const maxPlausibleK = 1 << 20
 // consumed, and any checksum mismatch fails fast, so a bad image yields an
 // error — never a panic, a hang, or an index that violates its invariants.
 // A format v1, v2 or v3 image is refused with ErrFormatV1, ErrFormatV2 or
-// ErrFormatV3.
+// ErrFormatV3, and a relabeled one with ErrRelabeled.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := br.Peek(8)

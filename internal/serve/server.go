@@ -901,20 +901,7 @@ func (s *Server) runBatch(b *editBatch) {
 		gate()
 	}
 	cur := s.overlay.Load()
-
-	// Translate edit endpoints into the internal label space the served
-	// graph stores (free without a relabeling). The journal keeps the
-	// external-id batch the client sent: replay re-translates against the
-	// same permutation carried by the index image, deterministically. Ids
-	// beyond the permutation — growth — keep identity labels in both
-	// spaces.
 	edits := b.edits
-	if idx := s.store.Current().View.Index(); idx.Relabeling() != nil {
-		edits = make([]evolve.Edit, len(b.edits))
-		for i, e := range b.edits {
-			edits[i] = evolve.Edit{From: idx.ToInternal(e.From), To: idx.ToInternal(e.To), Weight: e.Weight, Remove: e.Remove}
-		}
-	}
 
 	// Bound node growth before applying: one edit introduces at most two
 	// fresh identifiers, so anything larger is a fat-finger (or hostile)

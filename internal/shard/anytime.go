@@ -10,7 +10,7 @@ import (
 // loop as Query (core.Run.Rounds), stopped as soon as the global undecided
 // fraction meets the ε budget — the shards' gathered reports ARE the budget
 // check, so no extra exchange is needed — and no finish. The answer comes back
-// in two parts, both ascending external ids:
+// in two parts, both ascending:
 //
 //   - guaranteed: nodes some shard's monotone-safe bound tests confirmed;
 //   - maybe: nodes still undecided when the exchange stopped.

@@ -148,22 +148,6 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 		}
 		views[i] = v
 	}
-	// Every slice must agree on the cache-aware relabeling (all descend
-	// from one full index): the coordinator translates at its own query
-	// boundary, so a slice speaking a different internal space would
-	// silently decide the wrong rows.
-	base := views[0].Index().Relabeling()
-	for i := 1; i < len(views); i++ {
-		other := views[i].Index().Relabeling()
-		if len(other) != len(base) {
-			return nil, fmt.Errorf("shard: slice %d carries a different relabeling (%d nodes, shard 0 has %d)", i, len(other), len(base))
-		}
-		for j := range base {
-			if base[j] != other[j] {
-				return nil, fmt.Errorf("shard: slice %d carries a different relabeling (differs at node %d)", i, j)
-			}
-		}
-	}
 	c := &Coordinator{
 		g:       g,
 		pm:      pm,
@@ -215,10 +199,7 @@ func (c *Coordinator) Views() []*core.View { return c.views }
 
 // Query answers one reverse top-k query by scatter-gather over the shards.
 // The answer set is bit-identical to core.Engine.Query on the unsharded
-// index, in ascending node order. Like core.View, the coordinator is a
-// relabeling translation boundary: q and the answer are external ids,
-// translated to and from the internal space the slices store (free when no
-// relabeling is installed).
+// index, in ascending node order.
 func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
 	start := time.Now()
 	// The loop stops once no shard has a candidate open, or converged.
@@ -276,7 +257,7 @@ func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*
 		}
 		screens[i] = s
 	}
-	r, err := core.NewRun(c.g, c.views[0].Index().ToInternal(q), c.params, c.workers, c.RoundObserver, screens...)
+	r, err := core.NewRun(c.g, q, c.params, c.workers, c.RoundObserver, screens...)
 	if err == nil {
 		err = r.Rounds(eps, core.DefaultAnytimeRoundIters)
 	}
@@ -290,16 +271,9 @@ func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*
 	return r, screens, stats, nil
 }
 
-// merge concatenates per-shard node lists (internal labels) into one
-// ascending list of external ids.
+// merge concatenates per-shard node lists into one ascending list.
 func (c *Coordinator) merge(parts [][]graph.NodeID) []graph.NodeID {
-	var all []graph.NodeID
-	idx := c.views[0].Index()
-	for _, part := range parts {
-		for _, u := range part {
-			all = append(all, idx.ToExternal(u))
-		}
-	}
+	all := slices.Concat(parts...)
 	slices.Sort(all)
 	return all
 }
