@@ -10,7 +10,7 @@
 //
 // With -partition P the index is built ONCE and then streamed out as P
 // shard-slice files (web.idx.shard0of4, …), each carrying the partition
-// map, its owned rows and the full hub matrix — together ≈ one full
+// map, the rows of its node range and the full hub matrix — together ≈ one full
 // index's bytes, not P×, and never more than one full index resident in
 // memory. Serve each slice with a stock rtkserve and put an
 // `rtkserve -shards ...` coordinator in front; see the README's "Sharded
@@ -37,15 +37,14 @@ func main() {
 		graphPath = flag.String("graph", "", "input edge-list path (required)")
 		out       = flag.String("out", "", "output index path (required)")
 		k         = flag.Int("K", 200, "maximum supported query k")
-		b         = flag.Int("B", 100, "hub budget: union of top-B in/out degree nodes")
-		scheme    = flag.String("hubs", "degree", "hub selection: degree|greedy|none")
+		b         = flag.Int("B", 100, "hub budget: union of top-B in/out degree nodes (0 = no hubs)")
 		omega     = flag.Float64("omega", 1e-6, "hub rounding threshold ω")
 		eta       = flag.Float64("eta", 1e-4, "BCA propagation threshold η")
 		delta     = flag.Float64("delta", 0.1, "BCA residue threshold δ")
 		alpha     = flag.Float64("alpha", 0.15, "restart probability α")
 		workers   = flag.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
 		part      = flag.Int("partition", 0, "also write P shard-slice files <out>.shard<i>of<P> for sharded serving (0 = none)")
-		strategy  = flag.String("strategy", "balanced", "partitioner for -partition: hash|range|balanced")
+		strategy  = flag.String("strategy", "balanced", "partitioner for -partition: range|balanced")
 	)
 	flag.Parse()
 	if *graphPath == "" || *out == "" {
@@ -76,16 +75,6 @@ func main() {
 	opts.BCA.Alpha = *alpha
 	opts.RWR.Alpha = *alpha
 	opts.Workers = *workers
-	switch *scheme {
-	case "degree":
-		opts.HubScheme = lbindex.HubsByDegree
-	case "greedy":
-		opts.HubScheme = lbindex.HubsGreedy
-	case "none":
-		opts.HubScheme = lbindex.HubsNone
-	default:
-		log.Fatalf("unknown hub scheme %q; valid -hubs values: degree, greedy, none", *scheme)
-	}
 	// Resolve the partitioner before the (possibly long) build so a typo
 	// fails in milliseconds, not after the index exists.
 	var strat partition.Strategy
@@ -117,7 +106,7 @@ func main() {
 	}
 
 	if *part > 0 {
-		pm, perr := partition.New(strat, g, g.N(), *part, 0)
+		pm, perr := partition.New(strat, g, g.N(), *part)
 		if perr != nil {
 			log.Fatal(perr)
 		}
@@ -137,8 +126,9 @@ func main() {
 			if fi, err := os.Stat(path); err == nil {
 				size = fi.Size()
 			}
+			lo, hi := slice.Rows()
 			fmt.Printf("wrote %s (%s shard %d/%d, %d owned rows, %d B on disk)\n",
-				path, pm.Strategy(), s, pm.P(), len(slice.OwnedNodes()), size)
+				path, pm.Strategy(), s, pm.P(), hi-lo, size)
 		}
 	}
 }

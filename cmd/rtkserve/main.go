@@ -1,13 +1,13 @@
 // Command rtkserve is the long-lived reverse top-k query daemon: it loads
-// (or builds) the lower-bound index once and serves queries over HTTP from
+// the lower-bound index once and serves queries over HTTP from
 // a shared snapshot, refreshing the snapshot in place as graph edits
 // arrive. See the README's "Serving" section for the architecture.
 //
 // Usage:
 //
 //	rtkserve -graph web.txt -index web.idx -addr :7471
-//	rtkserve -graph web.txt -index web.idx -mmap=off         # portable heap load
-//	rtkserve -graph web.txt -K 50 -B 20 -addr 127.0.0.1:0   # build the index at startup
+//	rtkserve -graph web.txt -index web.idx -mmap=off   # portable heap load
+//	rtkserve -shards http://a:7471,http://b:7471        # fan-out coordinator
 //
 // A query that misses the cache is computed at once on its request's
 // goroutine, with its share of the -workers budget (a lone query gets all
@@ -18,11 +18,11 @@
 // checksum verification instead of a full parse; -mmap=off is the portable
 // escape hatch. See the README's "Persistence & cold start" section.
 //
+// The index is built by rtkindex; -index is required unless -shards is given.
 // A flag the chosen mode ignores is refused at start rather than silently
-// dropped: -shards takes only -addr, -drain, -log and -debug-addr; -K and -B
-// size an index built at start, so they clash with -index; -mmap needs
-// -index, -journal-no-sync needs -journal, and -checkpoint-bytes and
-// -checkpoint-batches need -checkpoint-dir, which needs -journal.
+// dropped: -shards takes only -addr, -drain, -log and -debug-addr, and
+// -checkpoint-bytes and -checkpoint-batches need -checkpoint-dir, which needs
+// -journal.
 //
 // Endpoints:
 //
@@ -153,11 +153,9 @@ func main() {
 	log.SetPrefix("rtkserve: ")
 	var (
 		graphPath    = flag.String("graph", "", "edge-list path (required unless -shards is given)")
-		indexPath    = flag.String("index", "", "prebuilt index path (omit to build at startup); may be a shard-slice file")
+		indexPath    = flag.String("index", "", "index path, as rtkindex writes it (required unless -shards is given); may be a shard-slice file")
 		shards       = flag.String("shards", "", "comma-separated shard daemon URLs: run as a fan-out coordinator (no graph/index loaded)")
 		addr         = flag.String("addr", ":7471", "listen address")
-		k            = flag.Int("K", 200, "maximum supported query k when building the index")
-		b            = flag.Int("B", 100, "hub budget when building the index")
 		cacheBytes   = flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache budget in bytes (negative disables caching)")
 		mmapMode     = flag.String("mmap", "on", "serve the -index file zero-copy from its mapping: on|off (off = portable heap load)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent engine computations (0 = 4×GOMAXPROCS)")
@@ -169,7 +167,6 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "checkpoint directory: periodically save the served pair and truncate the journal (requires -journal; empty = journal grows unbounded)")
 		ckptBytes   = flag.Int64("checkpoint-bytes", 0, "checkpoint once the journal exceeds this many bytes (0 = 64 MiB, negative disables the size trigger)")
 		ckptBatches = flag.Int("checkpoint-batches", 0, "checkpoint once the journal holds this many batches (0 = 1024, negative disables the count trigger)")
-		noSync      = flag.Bool("journal-no-sync", false, "skip the per-append fsync (benchmark escape hatch: a machine crash may lose recent acknowledgements)")
 
 		logFormat     = flag.String("log", "text", "structured request log format: text|json|off")
 		debugAddr     = flag.String("debug-addr", "", "private listen address for net/http/pprof (empty disables; never expose publicly)")
@@ -177,7 +174,7 @@ func main() {
 		slowThreshold = flag.Duration("slowlog-threshold", 0, "record queries at least this slow (0 = 250ms, negative records all)")
 	)
 	flag.Parse()
-	if err := checkFlags(*shards != "", *indexPath != "", *journalPath != "", *ckptDir != ""); err != nil {
+	if err := checkFlags(*shards != "", *journalPath != "", *ckptDir != ""); err != nil {
 		log.Fatal(err)
 	}
 	logger, err := buildLogger(*logFormat)
@@ -189,8 +186,12 @@ func main() {
 		runCoordinator(strings.Split(*shards, ","), *addr, *drain, logger)
 		return
 	}
-	if *graphPath == "" {
-		log.Fatal("-graph is required (or -shards for coordinator mode)")
+	if *graphPath == "" || *indexPath == "" {
+		log.Fatal("-graph and -index are required (or -shards for coordinator mode)")
+	}
+	useMmap, err := lbindex.ParseMmapMode(*mmapMode)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	gf, err := os.Open(*graphPath)
@@ -208,31 +209,13 @@ func main() {
 	}
 	log.Printf("graph: %s", graph.ComputeStats(g))
 
-	var idx *lbindex.Index
-	if *indexPath != "" {
-		useMmap, err := lbindex.ParseMmapMode(*mmapMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		idx, err = lbindex.LoadFile(*indexPath, lbindex.LoadOptions{Mmap: useMmap})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("index: loaded %s in %v (K=%d, %d refinement commits, mmap=%v)",
-			*indexPath, time.Since(start).Round(time.Microsecond), idx.K(), idx.Refinements(), idx.MmapBacked())
-	} else {
-		opts := lbindex.DefaultOptions()
-		opts.K = *k
-		opts.HubBudget = *b
-		start := time.Now()
-		var stats lbindex.BuildStats
-		idx, stats, err = lbindex.Build(g, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("index: built in %v (%d hubs, %d B)", time.Since(start).Round(time.Millisecond), stats.HubCount, stats.Bytes)
+	start := time.Now()
+	idx, err := lbindex.LoadFile(*indexPath, lbindex.LoadOptions{Mmap: useMmap})
+	if err != nil {
+		log.Fatal(err)
 	}
+	log.Printf("index: loaded %s in %v (K=%d, %d refinement commits, mmap=%v)",
+		*indexPath, time.Since(start).Round(time.Microsecond), idx.K(), idx.Refinements(), idx.MmapBacked())
 
 	cfg := serve.Config{
 		CacheBytes:       *cacheBytes,
@@ -252,7 +235,6 @@ func main() {
 			CheckpointDir:     *ckptDir,
 			CheckpointBytes:   *ckptBytes,
 			CheckpointBatches: *ckptBatches,
-			NoSync:            *noSync,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -303,7 +285,7 @@ func main() {
 // checkFlags refuses a command line that sets a flag its mode would
 // silently ignore (see the package doc). flag.Visit sees only the flags that
 // were set; the arguments say which modes the values chose.
-func checkFlags(coordinator, index, journal, ckptDir bool) error {
+func checkFlags(coordinator, journal, ckptDir bool) error {
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	has := func(name string) bool { return slices.Contains(set, name) }
@@ -318,12 +300,6 @@ func checkFlags(coordinator, index, journal, ckptDir bool) error {
 		return nil
 	}
 	switch {
-	case index && (has("K") || has("B")):
-		return errors.New("-K and -B size an index built at start; -index loads one whose K and hub budget are fixed")
-	case !index && has("mmap"):
-		return errors.New("-mmap needs -index: an index built at start lives on the heap")
-	case !journal && has("journal-no-sync"):
-		return errors.New("-journal-no-sync needs -journal")
 	case !journal && ckptDir:
 		return errors.New("-checkpoint-dir needs -journal: checkpoints exist to truncate the journal")
 	case !ckptDir && (has("checkpoint-bytes") || has("checkpoint-batches")):

@@ -26,10 +26,9 @@
 // HTTP fan-out over stock shard daemons), the anytime approximate tier
 // (core.View.QueryAnytime: the exact query's round loop stopped at an
 // ε budget with a deterministic guaranteed ⊆ exact ⊆ guaranteed ∪ maybe
-// two-part answer, exact escalation that continues the run, and
-// mode=approx serving with budget-aware cache keys — the paper's §5.3
-// hits-only approximation is its guaranteed part at ε = 0, what rtkquery
-// -mode approx -eps 0 prints), the refine-or-solve rule (a refinement step is
+// two-part answer, and mode=approx serving with budget-aware cache keys —
+// the paper's §5.3 hits-only approximation is its guaranteed part at ε = 0,
+// what rtkquery -mode approx -eps 0 prints), the refine-or-solve rule (a refinement step is
 // taken only when the ink it moves could let a bound decide; otherwise the
 // candidate goes straight to the exact fallback; the index stores only the
 // residue entries a step can push, at or above η, folding the rest into ‖r‖₁,

@@ -123,11 +123,3 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return nil
 }
-
-// IsPkgFunc reports whether the call statically resolves to the package
-// function pkgPath.name (not a method).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := CalleeFunc(info, call)
-	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath &&
-		f.Name() == name && f.Type().(*types.Signature).Recv() == nil
-}

@@ -10,8 +10,9 @@ import (
 // This file implements the two BCA propagation strategies the paper
 // compares its batch adaptation against (§4.1.2): Berkhin's original
 // max-residual selection [7] and the threshold-queue push of Andersen et
-// al. [2]. They are used by the ablation benchmarks and by the greedy hub
-// selector; the index itself always uses the batch strategy.
+// al. [2]. They are that section's baseline, which
+// TestBatchNeedsFewerIterationsThanSinglePush compares the batch strategy
+// against; the index itself always uses the batch strategy.
 
 // Strategy names a BCA propagation strategy for ablation reporting.
 type Strategy int

@@ -108,8 +108,8 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 		t.Errorf("-mmap=off answers differ: %q vs %q", got, answer)
 	}
 
-	// A corrupted index file must be rejected, not served: flip one byte in
-	// the middle of the (checksummed v2) image.
+	// A corrupted index file must be rejected, not served, by an error that
+	// names it: flip one byte in the middle of the checksummed image.
 	img, err := os.ReadFile(indexPath)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +122,8 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 	if msg, err := runToolErr(t, filepath.Join(bins, "rtkquery"),
 		"-graph", graphPath, "-index", corrupt, "-q", "42", "-k", "10"); err == nil {
 		t.Errorf("rtkquery served a corrupt index:\n%s", msg)
-	} else if !strings.Contains(msg, "checksum") {
-		t.Errorf("corrupt index error does not mention the checksum: %q", msg)
+	} else if !strings.Contains(msg, "checksum") || !strings.Contains(msg, corrupt) {
+		t.Errorf("corrupt index error does not name the file and the checksum: %q", msg)
 	}
 
 	// A format v1, v2 or v3 file is refused by name, with what to do about
@@ -164,8 +164,8 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Errorf("rtkquery on a relabeled index: exit %v, want status 1:\n%s", err, msg)
-	} else if !strings.Contains(msg, "-relabel") || !strings.Contains(msg, "rebuild it with rtkindex") {
-		t.Errorf("relabeled index error does not name the flag and the remedy: %q", msg)
+	} else if !strings.Contains(msg, "-relabel") || !strings.Contains(msg, "rebuild it with rtkindex") || !strings.Contains(msg, relabeled) {
+		t.Errorf("relabeled index error does not name the file, the flag and the remedy: %q", msg)
 	}
 }
 
@@ -412,9 +412,7 @@ func TestServeRefusesIgnoredFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-shards", "127.0.0.1:1", "-addr", "127.0.0.1:0", "-journal", filepath.Join(work, "x.wal")}, "-journal belongs on the shard daemons"},
-		{[]string{"-graph", graphPath, "-index", indexPath, "-K", "10"}, "-K and -B size an index built at start"},
-		{[]string{"-graph", graphPath, "-mmap", "off"}, "-mmap needs -index"},
-		{[]string{"-graph", graphPath, "-index", indexPath, "-journal-no-sync"}, "-journal-no-sync needs -journal"},
+		{[]string{"-graph", graphPath, "-mmap", "off"}, "-graph and -index are required"},
 		{[]string{"-graph", graphPath, "-index", indexPath, "-journal", filepath.Join(work, "x.wal"), "-checkpoint-batches", "4"}, "need -checkpoint-dir"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

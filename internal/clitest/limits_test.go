@@ -26,10 +26,12 @@ func TestServeHeaderLimits(t *testing.T) {
 	bins := buildTools(t)
 	work := t.TempDir()
 	graphPath := filepath.Join(work, "g.txt")
+	indexPath := filepath.Join(work, "g.idx")
 	runTool(t, filepath.Join(bins, "rtkgen"), "-kind", "web", "-n", "200", "-seed", "4", "-out", graphPath)
+	runTool(t, filepath.Join(bins, "rtkindex"), "-graph", graphPath, "-out", indexPath, "-K", "4", "-B", "2")
 	rtkserve := filepath.Join(bins, "rtkserve")
 	for name, args := range map[string][]string{
-		"daemon":      {"-graph", graphPath, "-K", "4", "-B", "2", "-addr", "127.0.0.1:0", "-log", "off"},
+		"daemon":      {"-graph", graphPath, "-index", indexPath, "-addr", "127.0.0.1:0", "-log", "off"},
 		"coordinator": {"-shards", "http://127.0.0.1:1", "-addr", "127.0.0.1:0", "-log", "off"}, // /metrics contacts no shard
 	} {
 		name, args := name, args

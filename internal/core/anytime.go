@@ -31,9 +31,7 @@ import (
 // deterministic band converges before the budget is met, the run stops
 // anyway (iterating further cannot decide anything new; the remaining
 // indecision lives in the index rows, not the iterate) and reports the
-// achieved ε honestly. Escalate takes the same run on to the exact answer: the
-// loop resumes from the current iterate instead of restarting from e_q, and
-// only the still-undecided candidates pay for refinement.
+// achieved ε honestly.
 
 // DefaultAnytimeRoundIters is the PMPN iteration block between screen
 // advances, for the anytime tier and the sharded coordinator alike. At
@@ -59,8 +57,7 @@ type AnytimeStats struct {
 	Eps float64
 	// EpsAchieved is the final undecided fraction |maybe|/(|guaranteed| +
 	// |maybe|). It is ≤ Eps when the budget was met, and may exceed Eps only
-	// when the deterministic band converged first (Converged = true) — the
-	// caller can Escalate to resolve the remainder exactly.
+	// when the deterministic band converged first (Converged = true).
 	EpsAchieved float64
 	// TauAchieved is the elementwise PMPN error bound at stop (0 after the
 	// exact-pq final screen).
@@ -82,18 +79,11 @@ type AnytimeStats struct {
 	PMPNElapsed time.Duration
 }
 
-// AnytimeResult is the two-part anytime answer, each part ascending. A
-// result additionally retains the run so the exact path can continue it; see
-// Escalate.
+// AnytimeResult is the two-part anytime answer, each part ascending.
 type AnytimeResult struct {
 	Guaranteed []graph.NodeID
 	Maybe      []graph.NodeID
 	Stats      AnytimeStats
-
-	v         *View
-	run       *Run
-	screen    *Screen // run.screens[0]
-	escalated bool
 }
 
 // QueryAnytime answers one reverse top-k query approximately under the
@@ -115,39 +105,8 @@ func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers 
 		return nil, err
 	}
 	s := r.screens[0]
-	// Copies: Escalate goes on from the screen's own lists.
-	guaranteed := slices.Sorted(slices.Values(s.Hits()))
-	maybe := slices.Clone(s.Survivors())
+	slices.Sort(s.hits)
 	stats := r.Stats()
 	stats.Query, stats.Eps = q, opts.Eps
-	return &AnytimeResult{
-		Guaranteed: guaranteed,
-		Maybe:      maybe,
-		Stats:      stats,
-		v:          v,
-		run:        r,
-		screen:     s,
-	}, nil
-}
-
-// Escalate resolves the result exactly by taking its run the rest of the way:
-// the round loop resumes from x^t (never from e_q) to convergence, and the
-// finish refines only the nodes the screen still holds open. The returned
-// answer and every counter are a cold View.Query's at any worker count.
-// Single-use, and not concurrently with other uses of the result.
-func (r *AnytimeResult) Escalate(workers int) ([]graph.NodeID, QueryStats, error) {
-	if r.v == nil || r.run == nil {
-		return nil, QueryStats{}, fmt.Errorf("core: Escalate on a detached AnytimeResult")
-	}
-	if r.escalated {
-		return nil, QueryStats{}, fmt.Errorf("core: AnytimeResult escalated twice")
-	}
-	r.escalated = true
-	if !r.run.stepper.Converged() {
-		if err := r.run.Rounds(0, 0); err != nil {
-			return nil, QueryStats{}, err
-		}
-	}
-	answer, stats, err := r.v.Finish(r.run, r.screen, workers)
-	return answer, stats, err
+	return &AnytimeResult{Guaranteed: s.hits, Maybe: s.ids, Stats: stats}, nil
 }

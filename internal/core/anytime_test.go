@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
@@ -109,16 +108,10 @@ func TestAnytimeContainmentAcrossFamilies(t *testing.T) {
 	}
 }
 
-// TestAnytimeEscalateMatchesColdQuery is the warm-start oracle: resolving a
-// partial anytime run exactly must give the SAME answer as a cold exact
-// query and every one of its counters, at any worker count, wherever the
-// budget stopped the rounds. Every family must escalate runs that stopped on
-// their budget with rows still open, the warm start proper. Two query nodes per family
-// close their backward ball, where the cold query's screen takes a handful of
-// rows: so does the escalated one's if its first screening came at
-// convergence, and every row if it came earlier.
-func TestAnytimeEscalateMatchesColdQuery(t *testing.T) {
-	sparse := 0
+// TestAnytimeFinishRefusals: View.Finish refuses a run its rounds stopped on
+// the anytime budget with rows still open, and another view's screen; over a
+// converged run and its own screen it gives the cold query's answer.
+func TestAnytimeFinishRefusals(t *testing.T) {
 	for _, family := range []string{"web", "coauthor", "spam"} {
 		budgetStopped := 0
 		g := oracleGraph(t, family)
@@ -131,76 +124,50 @@ func TestAnytimeEscalateMatchesColdQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := anytimeQueries(g.N())
-		for q, closed := graph.NodeID(0), 0; int(q) < g.N() && closed < 2; q++ {
-			if backwardReach(g, q, g.N()/8) != nil && !slices.Contains(queries, q) {
-				queries = append(queries, q)
-				closed++
-			}
-		}
-		for _, q := range queries {
-			want, wst, err := view.Query(q, 10, 1)
+		run := func(q graph.NodeID, eps float64, iters int) (*Run, *Screen) {
+			s, err := view.NewScreen(10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []AnytimeOptions{
-				{Eps: 0.5},
-				{Eps: 0.3},
-				{Eps: 0},
-			} {
-				for _, workers := range []int{1, 3, 4} {
-					label := fmt.Sprintf("%s q=%d eps=%g w=%d", family, q, opts.Eps, workers)
-					res, err := view.QueryAnytime(q, 10, opts, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Finish refuses a run stopped on its budget with rows open, and
-					// another view's screen.
-					if open := res.screen.Survivors(); len(open) > 0 && !res.Stats.Converged {
-						budgetStopped++
-						if _, _, err := view.Finish(res.run, res.screen, workers); err == nil {
-							t.Fatalf("%s: Finish accepted a run %d rows short of decided", label, len(open))
-						}
-					}
-					got, stats, err := res.Escalate(workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, _, err := other.Finish(res.run, res.screen, workers); err == nil {
-						t.Fatalf("%s: Finish accepted another view's screen", label)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: escalated %v, cold %v", label, got, want)
-					}
-					if stats.Results != len(got) {
-						t.Fatalf("stats.Results=%d, answer has %d", stats.Results, len(got))
-					}
-					if sweepCounters(stats) != sweepCounters(wst) {
-						t.Fatalf("%s: escalated run counted %+v, cold query %+v", label, stats, wst)
-					}
-					screened := g.N()
-					if res.Stats.Rounds == 1 && res.Stats.Converged {
-						screened = wst.Screened
-					}
-					if stats.Screened != screened || stats.PMPNElapsed <= 0 {
-						t.Fatalf("%s: escalated run screened %d rows with %v of PMPN, want %d rows (cold: %d) and a PMPN phase; anytime stats %+v",
-							label, stats.Screened, stats.PMPNElapsed, screened, wst.Screened, res.Stats)
-					}
-					if stats.Screened < g.N() {
-						sparse++
-					}
-					if _, _, err := res.Escalate(workers); err == nil {
-						t.Fatal("second Escalate accepted")
+			r, err := NewRun(g, q, idx.Options().RWR, 1, nil, s)
+			if err == nil {
+				err = r.Rounds(eps, iters)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r, s
+		}
+		for _, q := range anytimeQueries(g.N()) {
+			label := fmt.Sprintf("%s q=%d", family, q)
+			for _, eps := range []float64{0.5, 0.3} {
+				r, s := run(q, eps, DefaultAnytimeRoundIters)
+				if open := s.Survivors(); len(open) > 0 && !r.Stats().Converged {
+					budgetStopped++
+					if _, _, err := view.Finish(r, s, 1); err == nil {
+						t.Fatalf("%s eps=%g: Finish accepted a run %d rows short of decided", label, eps, len(open))
 					}
 				}
 			}
+			r, s := run(q, 0, 0)
+			if _, _, err := other.Finish(r, s, 1); err == nil {
+				t.Fatalf("%s: Finish accepted another view's screen", label)
+			}
+			got, _, err := view.Finish(r, s, 1)
+			if err != nil {
+				t.Fatalf("%s: Finish over a converged run: %v", label, err)
+			}
+			want, _, err := view.Query(q, 10, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: finished %v, cold %v", label, got, want)
+			}
 		}
 		if budgetStopped == 0 {
-			t.Fatalf("%s: no escalated run had stopped on its budget with rows open", family)
+			t.Fatalf("%s: no run stopped on its budget with rows open", family)
 		}
-	}
-	if sparse == 0 {
-		t.Fatal("no escalated run took a closed ball's rows: the lazy screen went untested")
 	}
 }
 

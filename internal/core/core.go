@@ -16,8 +16,8 @@
 // PMPN in rounds; a Screen applies the prune and confirm tests — the only copy
 // of them — to every row still open against each round's iterate and its
 // error band; Engine.finish refines what the τ = 0 screen of the converged
-// vector leaves. Every entry point — the exact query, the anytime tier and its
-// escalation, Explain, the sharded coordinator (internal/shard) — is that loop
+// vector leaves. Every entry point — the exact query, the anytime tier,
+// Explain, the sharded coordinator (internal/shard) — is that loop
 // under its own stop rule (the table on Run), and because the Screen's tests
 // are monotone-safe they all reach the same hits, candidates and counters.
 //
@@ -373,18 +373,6 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 		results = append(results, fb...)
 	}
 	return results, nil
-}
-
-// indexedRows returns how many rows idx materializes and the i-th of them,
-// ascending: all of [0, n) for a full index, the owned list — which may be
-// empty — for a shard slice. Fullness is what Index.Shard reports, never a nil
-// list: a shard that owns nothing has one too.
-func indexedRows(idx *lbindex.Index) (int, func(i int) graph.NodeID) {
-	if _, _, slice := idx.Shard(); slice {
-		owned := idx.OwnedNodes()
-		return len(owned), func(i int) graph.NodeID { return owned[i] }
-	}
-	return idx.N(), func(i int) graph.NodeID { return graph.NodeID(i) }
 }
 
 // decide is Algorithm 4's while loop for one candidate u the Screen left

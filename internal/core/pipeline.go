@@ -19,7 +19,6 @@ import (
 //	Engine.Query, View.Query   Rounds(0, 0) — one round, to convergence — + finish
 //	Engine.Explain             the same, with a recorder listening
 //	View.QueryAnytime          Rounds(ε, DefaultAnytimeRoundIters); hits + survivors
-//	AnytimeResult.Escalate     Rounds(0, 0) from where that run stopped + finish
 //	shard.Coordinator          Rounds(ε, DefaultAnytimeRoundIters) over one Screen
 //	                           a shard, + for its exact Query one finish a shard
 //
@@ -57,8 +56,8 @@ const maxRoundIters = 64
 
 // Rounds is the pipeline's one round loop: step the PMPN a round, screen every
 // row still open, stop once the undecided fraction |open| / (|confirmed| +
-// |open|) is at most eps or the iteration has converged. Calling it again
-// continues a run that stopped on its budget. One schedule for every caller:
+// |open|) is at most eps or the iteration has converged. One schedule for
+// every caller:
 //
 //   - A round is roundIters iterations; roundIters ≤ 0 asks for a single round
 //     run to convergence (the exact query).

@@ -82,7 +82,7 @@ type RoundReport struct {
 }
 
 // NewScreen prepares a screen over the nodes this view's index
-// materializes (its shard's owned set, or every node for a full index).
+// materializes (its shard's range, or every node for a full index).
 func (v *View) NewScreen(k int) (*Screen, error) {
 	if k <= 0 || k > v.idx.K() {
 		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, v.idx.K())
@@ -127,10 +127,10 @@ func (s *Screen) advance(x []float64, tau float64, ball []graph.NodeID) RoundRep
 // View supplies the rows a zero does not prune: those, and the rows of ball
 // this index owns, ascending. Every other row is pruned, and counted so,
 // without being looked at. A dense take reads each k-th bound from the
-// View's flat column where there is one (a full index) and from the index, one
-// row pointer a row, where there is not (a shard slice, a bare engine); those
-// rows are split over the screen's workers, each segment screened into a
-// Screen of its own and the segments appended in order — row order.
+// View's flat column, or, on a bare engine's screen, from the index, one row
+// pointer a row; those rows are split over the screen's workers, each segment
+// screened into a Screen of its own and the segments appended in order — row
+// order.
 func (s *Screen) take(x []float64, tau float64, ball []graph.NodeID, rep *RoundReport) {
 	nan := math.NaN()
 	var l *zeroBoundList
@@ -150,24 +150,24 @@ func (s *Screen) take(x []float64, tau float64, ball []graph.NodeID, rep *RoundR
 		for _, u := range rows {
 			s.row(u, x[u], tau, s.idx.KthLowerBound(u, s.k), nan, nan, rep)
 		}
-		s.screened, s.pruned = len(rows), s.pruned+l.n-len(rows)
-	case l != nil && l.kth != nil:
-		for u, lb := range l.kth {
+		s.screened, s.pruned = len(rows), s.pruned+len(l.kth)-len(rows)
+	case l != nil:
+		for i, lb := range l.kth {
+			u := l.lo + i
 			s.row(graph.NodeID(u), x[u], tau, lb, nan, nan, rep)
 		}
 		s.screened = len(l.kth)
 	default:
-		n, at := indexedRows(s.idx)
+		lo, hi := s.idx.Rows()
 		sweep := func(p *Screen, r *RoundReport, seg vecmath.Range) {
-			for i := seg.Lo; i < seg.Hi; i++ {
-				u := at(i)
+			for u := graph.NodeID(lo + seg.Lo); u < graph.NodeID(lo+seg.Hi); u++ {
 				p.row(u, x[u], tau, s.idx.KthLowerBound(u, s.k), nan, nan, r)
 			}
 		}
-		s.screened = n
-		segs := vecmath.Split(n, s.workers)
+		s.screened = hi - lo
+		segs := vecmath.Split(hi-lo, s.workers)
 		if len(segs) < 2 || s.record != nil { // the recorder hears rows in order
-			sweep(s, rep, vecmath.Range{Hi: n})
+			sweep(s, rep, vecmath.Range{Hi: hi - lo})
 			return
 		}
 		parts, reps := make([]Screen, len(segs)), make([]RoundReport, len(segs))

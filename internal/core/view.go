@@ -45,9 +45,8 @@ type View struct {
 // so it is in every answer at that k and no screen may skip it; every other row
 // outside q's backward ball is pruned by prunedByLowerBound — the helper the
 // pass selects with — without being looked at. It also holds the largest
-// p̂_u(k), which sizes a run's first round (Run.Rounds), and, on a full index,
-// every row's p̂_u(k) in one flat column for the dense take; a shard slice's
-// rows are not indexed by node, so it has none.
+// p̂_u(k), which sizes a run's first round (Run.Rounds), and every row's
+// p̂_u(k) in one flat column for the dense take.
 type zeroBoundTable struct {
 	idx  *lbindex.Index
 	perK []zeroBoundList // perK[k-1]
@@ -56,9 +55,9 @@ type zeroBoundTable struct {
 type zeroBoundList struct {
 	once sync.Once
 	rows []graph.NodeID
-	kth  []float64 // p̂_u(k) at [u]; nil on a shard slice
+	lo   int       // the first row the index materializes (Index.Rows)
+	kth  []float64 // p̂_u(k) at [u-lo], one per row the index materializes
 	max  float64   // the largest p̂_u(k)
-	n    int       // rows the index materializes
 }
 
 func newZeroBoundTable(idx *lbindex.Index) *zeroBoundTable {
@@ -70,17 +69,12 @@ func newZeroBoundTable(idx *lbindex.Index) *zeroBoundTable {
 func (t *zeroBoundTable) list(k int) *zeroBoundList {
 	l := &t.perK[k-1]
 	l.once.Do(func() {
-		if _, _, slice := t.idx.Shard(); !slice {
-			l.kth = make([]float64, t.idx.N())
-		}
-		n, at := indexedRows(t.idx)
-		l.n = n
-		for i := range n {
-			u := at(i)
+		lo, hi := t.idx.Rows()
+		l.lo, l.kth = lo, make([]float64, hi-lo)
+		for i := range l.kth {
+			u := graph.NodeID(lo + i)
 			lb := t.idx.KthLowerBound(u, k)
-			if l.kth != nil {
-				l.kth[u] = lb
-			}
+			l.kth[i] = lb
 			l.max = max(l.max, lb)
 			if !prunedByLowerBound(0, lb, defaultTieTol) {
 				l.rows = append(l.rows, u)

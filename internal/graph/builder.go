@@ -63,9 +63,6 @@ func (b *Builder) AddWeightedEdge(u, v NodeID, w float64) {
 // collapsing).
 func (b *Builder) NumEdges() int { return len(b.srcs) }
 
-// NumNodes returns the current node count.
-func (b *Builder) NumNodes() int { return b.n }
-
 // Build produces the Graph. The remap return value is non-nil only under
 // DanglingPrune: remap[old] is the new identifier of old, or -1 if the node
 // was pruned.

@@ -83,10 +83,6 @@ func NewOverlay(base *Graph) *Overlay {
 	}
 }
 
-// Base returns the underlying CSR graph (the state as of the last
-// compaction).
-func (o *Overlay) Base() *Graph { return o.base }
-
 // PatchedNodes returns the number of nodes with a patched adjacency.
 func (o *Overlay) PatchedNodes() int { return len(o.patch) }
 

@@ -1,25 +1,21 @@
-// Package hub implements the hub machinery of §4.1: hub selection (the
-// paper's degree-based scheme plus Berkhin's greedy scheme as a baseline),
-// exact hub proximity vectors, and the rounded hub proximity matrix P_H of
-// §4.1.3 together with the storage prediction of Theorem 1 and the rounding
-// error bound of Proposition 3.
+// Package hub implements the hub machinery of §4.1: the paper's degree-based
+// hub selection, exact hub proximity vectors, and the rounded hub proximity
+// matrix P_H of §4.1.3 together with the storage prediction of Theorem 1 and
+// the rounding error bound of Proposition 3.
 package hub
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
-	"repro/internal/bca"
 	"repro/internal/graph"
 	"repro/internal/rwr"
 	"repro/internal/vecmath"
 )
 
 // SelectByDegree implements the paper's hub selection (§4.1.1): the union
-// of the B highest in-degree and B highest out-degree nodes. It is
-// independent of graph size and hub count, unlike the greedy scheme.
+// of the B highest in-degree and B highest out-degree nodes.
 func SelectByDegree[G graph.View](g G, b int) []graph.NodeID {
 	seen := make(map[graph.NodeID]bool, 2*b)
 	var hubs []graph.NodeID
@@ -37,73 +33,6 @@ func SelectByDegree[G graph.View](g G, b int) []graph.NodeID {
 	}
 	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
 	return hubs
-}
-
-// SelectGreedy implements Berkhin's hub selection [7] as an ablation
-// baseline: repeatedly run (hub-aware) BCA from a random start node and
-// promote the non-hub node with the most retained ink to hub status, until
-// `count` hubs are chosen. Deterministic for a fixed seed.
-func SelectGreedy[G graph.View](g G, count int, cfg bca.Config, seed int64) ([]graph.NodeID, error) {
-	if count > g.N() {
-		count = g.N()
-	}
-	rng := rand.New(rand.NewSource(seed))
-	isHub := make([]bool, g.N())
-	var hubs []graph.NodeID
-	ws := bca.NewWorkspace(g.N())
-	marker := &hubMarker{isHub: isHub}
-	for len(hubs) < count {
-		start := graph.NodeID(rng.Intn(g.N()))
-		st, err := bca.Run(g, start, marker, cfg, ws)
-		if err != nil {
-			return nil, err
-		}
-		// Promote the non-hub node with the most retained ink.
-		best := graph.NodeID(-1)
-		bestVal := -1.0
-		for i, idx := range st.W.Idx {
-			if !isHub[idx] && st.W.Val[i] > bestVal {
-				bestVal = st.W.Val[i]
-				best = graph.NodeID(idx)
-			}
-		}
-		if best < 0 {
-			// Run retained nothing new (e.g. started on a hub); pick any
-			// non-hub to guarantee progress.
-			for u := graph.NodeID(0); int(u) < g.N(); u++ {
-				if !isHub[u] {
-					best = u
-					break
-				}
-			}
-			if best < 0 {
-				break
-			}
-		}
-		isHub[best] = true
-		hubs = append(hubs, best)
-	}
-	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
-	return hubs, nil
-}
-
-// hubMarker satisfies bca.HubProximities for the greedy selector, which
-// only needs hub membership: ink reaching a hub is simply parked in s and
-// never distributed (the selector never materializes p^t).
-type hubMarker struct{ isHub []bool }
-
-func (h *hubMarker) IsHub(v graph.NodeID) bool { return h.isHub[v] }
-func (h *hubMarker) ScatterHub([]float64, graph.NodeID, float64) {
-	panic("hub: greedy selector never materializes")
-}
-func (h *hubMarker) NumHubs() int {
-	n := 0
-	for _, b := range h.isHub {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 // Matrix is the hub proximity matrix P_H of Eq. 7, stored column-sparse

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bca"
 	"repro/internal/graph"
 	"repro/internal/rwr"
 	"repro/internal/vecmath"
@@ -53,46 +52,6 @@ func TestSelectByDegree(t *testing.T) {
 		if all[i] <= all[i-1] {
 			t.Errorf("hub list not sorted: %v", all)
 		}
-	}
-}
-
-func TestSelectGreedy(t *testing.T) {
-	g := randomGraph(3, 60)
-	cfg := bca.DefaultConfig()
-	hubs, err := SelectGreedy(g, 5, cfg, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hubs) != 5 {
-		t.Fatalf("got %d hubs, want 5", len(hubs))
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, h := range hubs {
-		if seen[h] {
-			t.Errorf("duplicate hub %d", h)
-		}
-		seen[h] = true
-	}
-	// Deterministic for a fixed seed.
-	again, err := SelectGreedy(g, 5, cfg, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range hubs {
-		if hubs[i] != again[i] {
-			t.Fatalf("greedy selection not deterministic: %v vs %v", hubs, again)
-		}
-	}
-}
-
-func TestSelectGreedyAllNodes(t *testing.T) {
-	g := toyGraph(t)
-	hubs, err := SelectGreedy(g, 100, bca.DefaultConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hubs) != g.N() {
-		t.Errorf("got %d hubs, want all %d", len(hubs), g.N())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"runtime"
@@ -54,14 +55,17 @@ import (
 // positive ‖r‖₁: neither needs a section, tag or magic of its own.
 //
 // SHARD SLICES use the same container with three extra sections (nsec =
-// v2NumSectionsSharded): the partition-map fields (strategy, P, shard id,
-// hash seed, range bounds) and the explicit ascending owned-row list. In a
-// shard image the meta node count n stays GLOBAL and the hub sections still
-// describe the full hub matrix (every shard refines against it), but the
-// state slabs cover only the owned non-hub rows and the p̂ slab only the
-// owned rows, in owned order — a P-way sharding therefore costs ≈ 1× the
-// full index on disk in total, not P×. Full images are written exactly as
-// before, bit for bit. A section's id is its table position. An image with
+// v2NumSectionsSharded): the partition-map fields (strategy, P, shard id, a
+// retired zero slot, range bounds) and the owned rows, which restate the
+// shard's range lo..hi. In a shard image the meta node count n stays GLOBAL
+// and the hub sections still describe the full hub matrix (every shard
+// refines against it), but the state slabs cover only the owned non-hub rows
+// and the p̂ slab only the owned rows, ascending — a P-way sharding therefore
+// costs ≈ 1× the full index on disk in total, not P×. A slice stored with
+// strategy 0, the removed hash partitioner's, is refused with
+// partition.ErrHash. The meta section's hub-scheme and greedy-seed slots are
+// retired too: written as zero, ignored on read. A section's id is its table
+// position. An image with
 // one section more than either count (23 or 26) was written with the
 // removed rtkindex -relabel flag and is refused with ErrRelabeled.
 //
@@ -193,7 +197,7 @@ func (idx *Index) MmapBacked() bool { return idx.backing != nil }
 
 // LoadOptions configures LoadFile.
 type LoadOptions struct {
-	// Mmap serves v2 images zero-copy from the mapped file. Off (or on an
+	// Mmap serves the image zero-copy from the mapped file. Off (or on an
 	// unsupported platform / big-endian host) the file is read into the
 	// heap instead — the portable escape hatch behind the CLIs' -mmap=off.
 	Mmap bool
@@ -222,24 +226,35 @@ func ParseMmapMode(mode string) (bool, error) {
 // that the heap loader performs — the checksum already guarantees the bytes
 // are exactly what Save wrote. Load files from untrusted sources with Mmap
 // off. A format v1, v2 or v3 file is refused with ErrFormatV1, ErrFormatV2
-// or ErrFormatV3, and a relabeled one with ErrRelabeled, on either path.
+// or ErrFormatV3, a relabeled one with ErrRelabeled and a hash-partitioned
+// shard slice with partition.ErrHash, on either path. Every error names the
+// file.
 func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	idx, err := loadFile(f, opts)
+	var pe *fs.PathError
+	if err != nil && !errors.As(err, &pe) {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return idx, err
+}
+
+// loadFile is LoadFile on the opened file; its errors that do not carry the
+// path already (a *fs.PathError does) are LoadFile's to name it in.
+func loadFile(f *os.File, opts LoadOptions) (*Index, error) {
 	var magic [8]byte
 	k, _ := io.ReadFull(f, magic[:]) // a short or failed read is Load's to report
-	if err := retiredFormat(string(magic[:k])); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
 	if string(magic[:k]) != indexMagicV4 || !opts.Mmap || !mmapSupported || !hostLittleEndian {
-		// A heap load, or not a v4 image (too short to tell, unknown
-		// magic): the stream loader reads it or gives the real error.
+		// A heap load, or not a v4 image (a retired format, too short to
+		// tell, unknown magic): the stream loader reads it or gives the real
+		// error.
 		return Load(f)
 	}
 	st, err := f.Stat()
@@ -247,7 +262,7 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 		return nil, err
 	}
 	if st.Size() > maxV2FileSize || st.Size() > math.MaxInt {
-		return nil, fmt.Errorf("lbindex: index file %s is implausibly large (%d bytes)", path, st.Size())
+		return nil, fmt.Errorf("lbindex: index file is implausibly large (%d bytes)", st.Size())
 	}
 	m, err := mmapFile(f, int(st.Size()))
 	if err != nil {
@@ -333,10 +348,10 @@ type v2emitter struct {
 	topK    [][]float64
 	dropped []float64
 	// nsec is v2NumSections for full images, v2NumSectionsSharded for
-	// shard slices; rows is the owned-row list (nil = all of [0, n)) and
+	// shard slices; [lo, hi) is the stored row range (Index.Rows) and
 	// numStates the count of serialized states (rows that are not hubs).
 	nsec      int
-	rows      []graph.NodeID
+	lo, hi    int
 	numStates int
 	// watermark is snapshotted once at emitter construction: the body is
 	// streamed three times (section CRCs, file CRC, output), and a value
@@ -347,23 +362,9 @@ type v2emitter struct {
 	fileSize  int
 }
 
-// rowCount returns how many p̂ rows the image stores.
-func (e *v2emitter) rowCount() int {
-	if e.rows != nil {
-		return len(e.rows)
-	}
-	return e.idx.n
-}
-
 // eachRow visits the stored rows in serialization order.
 func (e *v2emitter) eachRow(f func(u graph.NodeID)) {
-	if e.rows != nil {
-		for _, u := range e.rows {
-			f(u)
-		}
-		return
-	}
-	for u := 0; u < e.idx.n; u++ {
+	for u := e.lo; u < e.hi; u++ {
 		f(graph.NodeID(u))
 	}
 }
@@ -382,11 +383,11 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 	hubCount := len(hubIDs)
 
 	e := &v2emitter{idx: idx, hubIDs: hubIDs, cols: cols, topK: topK, dropped: dropped, nsec: v2NumSections, watermark: idx.watermark.Load()}
+	e.lo, e.hi = idx.Rows()
 	var partBounds []int32
 	if idx.part != nil {
 		e.nsec = v2NumSectionsSharded
-		e.rows = idx.owned
-		_, _, _, _, partBounds = idx.part.Parts()
+		_, _, _, partBounds = idx.part.Parts()
 	}
 
 	var colNNZ, rNNZ, wNNZ, sNNZ, rBytes, wBytes, sBytes int
@@ -446,12 +447,12 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 		secStateSIdxOff: 8 * (numStates + 1),
 		secStateSIdx:    sBytes,
 		secStateSVal:    4 * sNNZ,
-		secPhat:         8 * e.rowCount() * o.K,
+		secPhat:         8 * (e.hi - e.lo) * o.K,
 	}
 	if idx.part != nil {
 		e.lens[secPartMeta] = v2PartMetaSize
 		e.lens[secPartBounds] = 4 * len(partBounds)
-		e.lens[secPartRows] = 4 * len(e.rows)
+		e.lens[secPartRows] = 4 * (e.hi - e.lo)
 	}
 	pos := v2HeaderEndOf(e.nsec)
 	for s := 0; s < e.nsec; s++ {
@@ -463,9 +464,8 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 	return e, nil
 }
 
-// eachState visits the committed states in ascending node order (owned
-// order for shard slices) — exactly the order every state-slab section
-// serializes them in.
+// eachState visits the committed states in ascending node order — exactly
+// the order every state-slab section serializes them in.
 func (e *v2emitter) eachState(f func(st *stored)) {
 	e.eachRow(func(u graph.NodeID) {
 		if st := e.idx.states[u]; st != nil {
@@ -482,13 +482,13 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 		bw.u64(uint64(e.idx.n))
 		bw.u32(uint32(o.K))
 		bw.u32(uint32(o.HubBudget))
-		bw.u32(uint32(o.HubScheme))
+		bw.u32(0) // retired hub-scheme slot
 		bw.u32(uint32(o.BCA.MaxIters))
 		bw.u32(uint32(o.RWR.MaxIters))
 		bw.u32(uint32(len(e.hubIDs)))
 		bw.u32(uint32(e.numStates))
 		bw.u32(0) // pad to the 8-aligned i64/f64 block
-		bw.i64(o.GreedySeed)
+		bw.u64(0) // retired greedy-seed slot
 		bw.f64(o.Omega)
 		bw.f64(o.BCA.Alpha)
 		bw.f64(o.BCA.Eta)
@@ -549,21 +549,19 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 	case secPhat:
 		e.eachRow(func(u graph.NodeID) { bw.floats(e.idx.phat[u]) })
 	case secPartMeta:
-		strategy, _, p, seed, _ := e.idx.part.Parts()
+		strategy, _, p, _ := e.idx.part.Parts()
 		bw.u32(uint32(strategy))
 		bw.u32(uint32(p))
 		bw.u32(uint32(e.idx.shardID))
-		bw.u32(0) // pad to the 8-aligned seed
-		bw.u64(seed)
+		bw.u32(0) // pad to the 8-aligned slot below
+		bw.u64(0) // retired hash-seed slot
 	case secPartBounds:
-		_, _, _, _, bounds := e.idx.part.Parts()
+		_, _, _, bounds := e.idx.part.Parts()
 		for _, b := range bounds {
 			bw.u32(uint32(b))
 		}
 	case secPartRows:
-		for _, u := range e.rows {
-			bw.u32(uint32(u))
-		}
+		e.eachRow(func(u graph.NodeID) { bw.u32(uint32(u)) })
 	}
 }
 
@@ -618,26 +616,26 @@ func (e *v2emitter) buildHeader(secCRC []uint32) []byte {
 	return header
 }
 
-// loadV2Stream reads a v2 image from a reader (the heap path): the whole
+// loadV2Stream reads an index image from a reader (the heap path): the whole
 // image is buffered (aligned, so slabs alias it in place on little-endian
 // hosts) and parsed with full semantic validation.
 func loadV2Stream(br *bufio.Reader) (*Index, error) {
 	var pre [v2PreambleSize]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return nil, fmt.Errorf("lbindex: reading v2 preamble: %w", err)
+		return nil, fmt.Errorf("lbindex: reading index preamble: %w", err)
 	}
 	fileSize := binary.LittleEndian.Uint64(pre[8:16])
 	// The math.MaxInt bound matters on 32-bit platforms, where a u64 size
 	// would otherwise wrap negative through int and panic in make.
 	if fileSize < v2HeaderEnd || fileSize > maxV2FileSize || fileSize > math.MaxInt {
-		return nil, fmt.Errorf("lbindex: implausible v2 image size %d", fileSize)
+		return nil, fmt.Errorf("lbindex: implausible index image size %d", fileSize)
 	}
 	data, err := readAligned(br, pre[:], int(fileSize))
 	if err != nil {
 		return nil, err
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("lbindex: trailing data after %d-byte v2 image", fileSize)
+		return nil, fmt.Errorf("lbindex: trailing data after %d-byte index image", fileSize)
 	}
 	return parseV2(data, true)
 }
@@ -668,10 +666,10 @@ func readAligned(r io.Reader, pre []byte, n int) ([]byte, error) {
 		m, err := r.Read(buf[read:])
 		read += m
 		if err == io.EOF && read < n {
-			return nil, fmt.Errorf("lbindex: v2 image truncated: header claims %d bytes, got %d", n, read)
+			return nil, fmt.Errorf("lbindex: index image truncated: header claims %d bytes, got %d", n, read)
 		}
 		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("lbindex: reading v2 image: %w", err)
+			return nil, fmt.Errorf("lbindex: reading index image: %w", err)
 		}
 	}
 	return buf[:n], nil
@@ -775,31 +773,31 @@ func checkValues(xs []float32, what string) error {
 	return nil
 }
 
-// parseV2 decodes one complete v2 image. deep selects full semantic
+// parseV2 decodes one complete index image. deep selects full semantic
 // validation (heap loads of possibly hand-crafted files); the mmap path
 // runs structural validation only, trusting the verified checksums for
 // byte integrity. Never panics on any input.
 func parseV2(data []byte, deep bool) (*Index, error) {
 	if len(data) < v2PreambleSize {
-		return nil, fmt.Errorf("lbindex: v2 image shorter (%d B) than its preamble", len(data))
+		return nil, fmt.Errorf("lbindex: index image shorter (%d B) than its preamble", len(data))
 	}
 	if string(data[:8]) != indexMagicV4 {
 		return nil, fmt.Errorf("lbindex: bad magic %q", data[:8])
 	}
 	if got := binary.LittleEndian.Uint64(data[8:16]); got != uint64(len(data)) {
-		return nil, fmt.Errorf("lbindex: v2 header claims %d bytes, image has %d", got, len(data))
+		return nil, fmt.Errorf("lbindex: index header claims %d bytes, image has %d", got, len(data))
 	}
 	nsec := int(binary.LittleEndian.Uint32(data[16:20]))
 	if nsec == v2NumSections+1 || nsec == v2NumSectionsSharded+1 {
 		return nil, ErrRelabeled
 	}
 	if !validNsec(nsec) {
-		return nil, fmt.Errorf("lbindex: v2 image has %d sections, want %d (full) or %d (shard slice)",
+		return nil, fmt.Errorf("lbindex: index image has %d sections, want %d (full) or %d (shard slice)",
 			nsec, v2NumSections, v2NumSectionsSharded)
 	}
 	headerEnd := v2HeaderEndOf(nsec)
 	if len(data) < headerEnd {
-		return nil, fmt.Errorf("lbindex: v2 image shorter (%d B) than its %d-section header", len(data), nsec)
+		return nil, fmt.Errorf("lbindex: index image shorter (%d B) than its %d-section header", len(data), nsec)
 	}
 	if got := crc32.Checksum(data[v2PreambleSize:headerEnd], castagnoli); got != binary.LittleEndian.Uint32(data[20:24]) {
 		return nil, fmt.Errorf("lbindex: section table checksum mismatch (corrupt header)")
@@ -833,12 +831,12 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	var o Options
 	o.K = int(int32(binary.LittleEndian.Uint32(mb[8:])))
 	o.HubBudget = int(int32(binary.LittleEndian.Uint32(mb[12:])))
-	o.HubScheme = HubSelection(int32(binary.LittleEndian.Uint32(mb[16:])))
+	// [16,20) and [40,48) are the retired hub-scheme and greedy-seed slots:
+	// hubs are stored ids, so no reader needs them.
 	o.BCA.MaxIters = int(int32(binary.LittleEndian.Uint32(mb[20:])))
 	o.RWR.MaxIters = int(int32(binary.LittleEndian.Uint32(mb[24:])))
 	hubCount := int(int32(binary.LittleEndian.Uint32(mb[28:])))
 	numStates := int(int32(binary.LittleEndian.Uint32(mb[32:])))
-	o.GreedySeed = int64(binary.LittleEndian.Uint64(mb[40:]))
 	o.Omega = math.Float64frombits(binary.LittleEndian.Uint64(mb[48:]))
 	o.BCA.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(mb[56:]))
 	o.BCA.Eta = math.Float64frombits(binary.LittleEndian.Uint64(mb[64:]))
@@ -863,12 +861,12 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		return nil, fmt.Errorf("lbindex: corrupt header options: %w", err)
 	}
 
-	// Shard slices: reconstruct the partition map and the owned-row list
-	// before sizing the row-indexed slabs.
+	// Shard slices: reconstruct the partition map and the stored row range
+	// before sizing the row-indexed slabs. The row section restates the
+	// range, lo..hi; the seed slot at [16,24) is retired.
 	var pm *partition.Map
 	shardID := 0
-	var rows []graph.NodeID
-	rowCount := n
+	lo, hi := 0, n
 	if shardedNsec(nsec) {
 		if p.lens[secPartMeta] != v2PartMetaSize {
 			return nil, fmt.Errorf("lbindex: partition meta section has %d bytes, want %d", p.lens[secPartMeta], v2PartMetaSize)
@@ -877,29 +875,23 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		strategy := partition.Strategy(int32(binary.LittleEndian.Uint32(pb[0:])))
 		shards := int(int32(binary.LittleEndian.Uint32(pb[4:])))
 		shardID = int(int32(binary.LittleEndian.Uint32(pb[8:])))
-		seed := binary.LittleEndian.Uint64(pb[16:])
 		var err error
-		pm, err = partition.FromParts(strategy, n, shards, seed, p.i32s(secPartBounds))
+		pm, err = partition.FromParts(strategy, n, shards, p.i32s(secPartBounds))
 		if err != nil {
 			return nil, err
 		}
 		if shardID < 0 || shardID >= shards {
 			return nil, fmt.Errorf("lbindex: shard id %d outside [0,%d)", shardID, shards)
 		}
-		rows = p.i32s(secPartRows)
-		rowCount = len(rows)
-		if rowCount != pm.OwnedCount(shardID) {
-			return nil, fmt.Errorf("lbindex: image stores %d rows, shard %d owns %d", rowCount, shardID, pm.OwnedCount(shardID))
+		lo, hi = pm.Range(shardID)
+		rows := p.i32s(secPartRows)
+		if len(rows) != hi-lo {
+			return nil, fmt.Errorf("lbindex: image stores %d rows, shard %d owns %d", len(rows), shardID, hi-lo)
 		}
-		prev := graph.NodeID(-1)
-		for _, u := range rows {
-			if u <= prev || int(u) >= n {
-				return nil, fmt.Errorf("lbindex: owned-row list not strictly ascending within [0,%d) at %d", n, u)
+		for i, u := range rows {
+			if int(u) != lo+i {
+				return nil, fmt.Errorf("lbindex: row list holds %d at position %d, shard %d owns [%d,%d)", u, i, shardID, lo, hi)
 			}
-			if pm.Owner(u) != shardID {
-				return nil, fmt.Errorf("lbindex: row %d not owned by shard %d", u, shardID)
-			}
-			prev = u
 		}
 	}
 
@@ -929,7 +921,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		secStateSIdxOff: 8 * (numStates + 1),
 		secStateSIdx:    sBytes,
 		secStateSVal:    4 * sNNZ,
-		secPhat:         8 * rowCount * o.K,
+		secPhat:         8 * (hi - lo) * o.K,
 	}
 	if shardedNsec(nsec) {
 		want[secPartMeta] = p.lens[secPartMeta]
@@ -1003,11 +995,8 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	states := make([]*stored, n)
 	phat := make([][]float64, n)
 	nodes := make([]graph.NodeID, 0, numStates) // the node of each state
-	for r := 0; r < rowCount; r++ {
-		u := r
-		if rows != nil {
-			u = int(rows[r])
-		}
+	for u := lo; u < hi; u++ {
+		r := u - lo
 		phat[u] = phatSlab[r*o.K : (r+1)*o.K : (r+1)*o.K]
 		if deep {
 			if err := checkProximities(phat[u], fmt.Sprintf("p̂ of node %d", u)); err != nil {
@@ -1031,7 +1020,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		nodes = append(nodes, graph.NodeID(u))
 	}
 	if len(nodes) != numStates {
-		return nil, fmt.Errorf("lbindex: image stores %d states, rows list has %d non-hub nodes", numStates, len(nodes))
+		return nil, fmt.Errorf("lbindex: image stores %d states, its rows hold %d non-hub nodes", numStates, len(nodes))
 	}
 	// Every state row is decoded once here, in BOTH load modes: its indices
 	// guard every scatter in the query path. Value checks (checkValues) are
@@ -1055,7 +1044,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		}
 	}
 
-	idx := &Index{opts: o, n: n, hubs: hm, phat: phat, states: states, part: pm, shardID: shardID, owned: rows}
+	idx := &Index{opts: o, n: n, hubs: hm, phat: phat, states: states, part: pm, shardID: shardID}
 	idx.refinements.Store(refinements)
 	idx.watermark.Store(watermark)
 	if deep {

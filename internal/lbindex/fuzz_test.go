@@ -65,7 +65,7 @@ func retiredErr(data []byte) error {
 }
 
 // requireRefused checks that every loader, the mmap one included, refuses
-// img with want.
+// img with want, and that LoadFile names the file exactly once.
 func requireRefused(t *testing.T, img []byte, want error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "retired.idx")
@@ -79,6 +79,49 @@ func requireRefused(t *testing.T, img []byte, want error) {
 		if !errors.Is(err, want) {
 			t.Fatalf("%s: got %v, want %v", loader, err, want)
 		}
+		if got := strings.Count(err.Error(), path); loader != "Load" && got != 1 {
+			t.Fatalf("%s: error names %s %d times: %v", loader, path, got, err)
+		}
+	}
+}
+
+// TestLoadFileNamesPath: every LoadFile error names the file once, on both
+// paths — a checksum mismatch and a bad section count as much as a refused
+// format — and a missing file's error is the os one, which names it itself.
+// No load error speaks of format v2.
+func TestLoadFileNamesPath(t *testing.T) {
+	g := randomGraph(3, 40)
+	idx, _, err := Build(g, testOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := append([]byte(nil), buf.Bytes()...)
+	corrupt[len(corrupt)/2] ^= 0x40
+	sections := append([]byte(nil), buf.Bytes()...)
+	binary.LittleEndian.PutUint32(sections[16:20], v2NumSections+2)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, want string
+		img        []byte
+	}{{"corrupt", "checksum mismatch", corrupt}, {"sections", "index image has 24 sections", sections}} {
+		path := filepath.Join(dir, tc.name+".idx")
+		if err := os.WriteFile(path, tc.img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mmap := range []bool{false, true} {
+			_, err := LoadFile(path, LoadOptions{Mmap: mmap})
+			if err == nil || strings.Count(err.Error(), path) != 1 || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "v2") {
+				t.Errorf("%s mmap=%v: got %v, want one %s and %q, no v2", tc.name, mmap, err, path, tc.want)
+			}
+		}
+	}
+	missing := filepath.Join(dir, "missing.idx")
+	if _, err := LoadFile(missing, LoadOptions{}); !errors.Is(err, os.ErrNotExist) || strings.Count(err.Error(), missing) != 1 {
+		t.Errorf("missing file: got %v", err)
 	}
 }
 
@@ -428,5 +471,68 @@ func TestRelabeledImagesRefused(t *testing.T) {
 			binary.LittleEndian.PutUint32(img[16:20], tc.nsec)
 			requireRefused(t, img, ErrRelabeled)
 		})
+	}
+}
+
+// TestHashSlicesRefused: a shard slice stored with strategy 0, the removed
+// hash partitioner's, is refused by name on every load path.
+func TestHashSlicesRefused(t *testing.T) {
+	g, idx := shardTestIndex(t)
+	pm, err := partition.NewBalanced(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := idx.ShardSlice(pm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := slice.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	binary.LittleEndian.PutUint32(sectionAt(img, secPartMeta)[0:], 0)
+	reseal(img)
+	requireRefused(t, img, partition.ErrHash)
+}
+
+// TestRetiredMetaSlotsIgnored: the meta section's hub-scheme and greedy-seed
+// slots are written as zero and not read, so an image written with them set
+// (by the removed rtkindex -hubs greedy) loads on every path as the same
+// index as its zero-slot twin.
+func TestRetiredMetaSlotsIgnored(t *testing.T) {
+	g := randomGraph(3, 40)
+	idx, _, err := Build(g, testOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	meta := sectionAt(buf.Bytes(), secMeta)
+	if binary.LittleEndian.Uint32(meta[16:]) != 0 || binary.LittleEndian.Uint64(meta[40:]) != 0 {
+		t.Fatalf("retired slots written nonzero: %x", meta[16:48])
+	}
+	img := append([]byte(nil), buf.Bytes()...)
+	meta = sectionAt(img, secMeta)
+	binary.LittleEndian.PutUint32(meta[16:], 1)
+	binary.LittleEndian.PutUint64(meta[40:], 12345)
+	reseal(img)
+	path := filepath.Join(t.TempDir(), "greedy.idx")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(img))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	requireIndexEqual(t, idx, got)
+	for _, mmap := range []bool{false, true} {
+		got, err := LoadFile(path, LoadOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatalf("LoadFile mmap=%v: %v", mmap, err)
+		}
+		requireIndexEqual(t, idx, got)
 	}
 }

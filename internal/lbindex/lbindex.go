@@ -29,45 +29,13 @@ import (
 	"repro/internal/vecmath"
 )
 
-// HubSelection names the hub selection scheme used at build time.
-type HubSelection int
-
-const (
-	// HubsByDegree is the paper's scheme (§4.1.1): the union of top-B
-	// in-degree and top-B out-degree nodes.
-	HubsByDegree HubSelection = iota
-	// HubsGreedy is Berkhin's BCA-driven scheme [7]; kept as an ablation.
-	HubsGreedy
-	// HubsNone builds the index without hubs (pure BCA); slow to converge
-	// on hub-heavy graphs but useful as a baseline.
-	HubsNone
-)
-
-// String returns the scheme name.
-func (h HubSelection) String() string {
-	switch h {
-	case HubsByDegree:
-		return "degree"
-	case HubsGreedy:
-		return "greedy"
-	case HubsNone:
-		return "none"
-	default:
-		return fmt.Sprintf("HubSelection(%d)", int(h))
-	}
-}
-
 // Options configures index construction. The defaults mirror §5.2.
 type Options struct {
 	// K is the maximum supported query k (paper: 200).
 	K int
 	// HubBudget is the B of §4.1.1; the hub set is the union of top-B
-	// in-degree and top-B out-degree nodes, so |H| ≤ 2B.
+	// in-degree and top-B out-degree nodes, so |H| ≤ 2B (0: no hubs).
 	HubBudget int
-	// HubScheme selects the hub selection algorithm.
-	HubScheme HubSelection
-	// GreedySeed seeds the greedy selector (HubsGreedy only).
-	GreedySeed int64
 	// Omega is the hub-vector rounding threshold ω of §4.1.3.
 	Omega float64
 	// BCA carries α, η, δ for the per-node partial BCA runs.
@@ -85,7 +53,6 @@ func DefaultOptions() Options {
 	return Options{
 		K:         200,
 		HubBudget: 50,
-		HubScheme: HubsByDegree,
 		Omega:     1e-6,
 		BCA:       bca.DefaultConfig(),
 		RWR:       rwr.DefaultParams(),
@@ -155,13 +122,12 @@ type Index struct {
 
 	// Shard-slice fields (nil/zero for a full index). A slice covers the
 	// SAME node-id space as the full index (n is global) but materializes
-	// p̂ columns and states only for the nodes its shard owns — plus the
-	// full hub matrix, which every shard needs to refine any of its own
+	// p̂ columns and states only for the node range its shard owns — plus
+	// the full hub matrix, which every shard needs to refine any of its own
 	// candidates. part is the deterministic assignment, shardID this
-	// slice's shard, and owned the ascending materialized owned-node list.
+	// slice's shard.
 	part    *partition.Map
 	shardID int
-	owned   []graph.NodeID
 }
 
 // Shard returns the slice's partition map and shard id; ok is false for a
@@ -170,26 +136,28 @@ func (idx *Index) Shard() (pm *partition.Map, shard int, ok bool) {
 	return idx.part, idx.shardID, idx.part != nil
 }
 
-// OwnedNodes returns the ascending list of nodes a shard slice materializes
-// rows for; nil for a full index, which materializes every node — and for the
-// slice of a shard that owns nothing, so tell the two apart with Shard, never
-// by this list. The slice aliases internal storage and must not be modified.
-func (idx *Index) OwnedNodes() []graph.NodeID {
-	return idx.owned
+// Rows returns the node range [lo, hi) this index materializes rows for:
+// [0, n) for a full index, its shard's range for a slice — empty for a shard
+// that owns nothing.
+func (idx *Index) Rows() (lo, hi int) {
+	if idx.part == nil {
+		return 0, idx.n
+	}
+	return idx.part.Range(idx.shardID)
 }
 
-// Owns reports whether this index materializes node u's row. Always true
-// for a full index.
+// Owns reports whether this index materializes node u's row.
 func (idx *Index) Owns(u graph.NodeID) bool {
-	return idx.part == nil || idx.part.Owner(u) == idx.shardID
+	lo, hi := idx.Rows()
+	return lo <= int(u) && int(u) < hi
 }
 
 // ShardSlice returns the shard's view of this full index: an index over the
 // same (global) node-id space sharing the hub matrix and exactly the owned
-// nodes' p̂ columns and states. The slice is an O(owned) pointer copy — rows
+// range's p̂ columns and states. The slice is an O(n) pointer copy — rows
 // are shared with the receiver under the usual immutable-once-committed
-// discipline. Reading a non-owned row panics; the query engine iterates
-// OwnedNodes, so shard-local queries never do.
+// discipline. Reading a row outside the range panics; the query engine
+// iterates Rows, so shard-local queries never do.
 func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 	if idx.part != nil {
 		return nil, fmt.Errorf("lbindex: cannot re-slice a shard slice (shard %d)", idx.shardID)
@@ -200,7 +168,6 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 	if shard < 0 || shard >= pm.P() {
 		return nil, fmt.Errorf("lbindex: shard %d outside [0,%d)", shard, pm.P())
 	}
-	owned := pm.Owned(shard)
 	s := &Index{
 		opts:    idx.opts,
 		n:       idx.n,
@@ -209,12 +176,10 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 		states:  make([]*stored, idx.n),
 		part:    pm,
 		shardID: shard,
-		owned:   owned,
 	}
-	for _, u := range owned {
-		s.phat[u] = idx.phat[u]
-		s.states[u] = idx.states[u]
-	}
+	lo, hi := pm.Range(shard)
+	copy(s.phat[lo:hi], idx.phat[lo:hi])
+	copy(s.states[lo:hi], idx.states[lo:hi])
 	s.setBacking(idx.backing)
 	s.refinements.Store(idx.refinements.Load())
 	s.watermark.Store(idx.watermark.Load())
@@ -266,25 +231,7 @@ func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
 	}
 	start := time.Now()
 
-	var hubIDs []graph.NodeID
-	switch opts.HubScheme {
-	case HubsByDegree:
-		hubIDs = hub.SelectByDegree(g, opts.HubBudget)
-	case HubsGreedy:
-		var err error
-		hubIDs, err = hub.SelectGreedy(g, 2*opts.HubBudget, opts.BCA, opts.GreedySeed)
-		if err != nil {
-			return nil, BuildStats{}, err
-		}
-	case HubsNone:
-		hubIDs = nil
-	default:
-		return nil, BuildStats{}, fmt.Errorf("lbindex: unknown hub scheme %v", opts.HubScheme)
-	}
-
-	var hm *hub.Matrix
-	var err error
-	hm, err = hub.Build(g, hubIDs, hub.BuildOptions{
+	hm, err := hub.Build(g, hub.SelectByDegree(g, opts.HubBudget), hub.BuildOptions{
 		Omega:   opts.Omega,
 		RWR:     opts.RWR,
 		TopK:    opts.K,
@@ -627,7 +574,6 @@ func (idx *Index) Clone() *Index {
 		states:  append([]*stored(nil), idx.states...),
 		part:    idx.part,
 		shardID: idx.shardID,
-		owned:   idx.owned,
 	}
 	c.setBacking(idx.backing)
 	c.refinements.Store(idx.refinements.Load())
@@ -657,25 +603,15 @@ func (idx *Index) CloneGrown(n2 int) *Index {
 		states: states,
 	}
 	if idx.part != nil {
-		// Extend the assignment: existing nodes never migrate (see
-		// partition.Map.Grow), and the fresh ids this shard owns join its
-		// owned list — their rows, like every grown row, must be committed
-		// before the clone serves queries.
+		// Extend the assignment: existing nodes never migrate, and the last
+		// shard's range takes the fresh ids (partition.Map.Grow) — their
+		// rows, like every grown row, must be committed before the clone
+		// serves queries.
 		pm2, err := idx.part.Grow(n2)
 		if err != nil {
 			panic(fmt.Sprintf("lbindex: CloneGrown: %v", err))
 		}
-		c.part = pm2
-		c.shardID = idx.shardID
-		c.owned = idx.owned
-		for u := idx.n; u < n2; u++ {
-			if pm2.Owner(graph.NodeID(u)) == idx.shardID {
-				if len(c.owned) == len(idx.owned) {
-					c.owned = append([]graph.NodeID(nil), idx.owned...)
-				}
-				c.owned = append(c.owned, graph.NodeID(u))
-			}
-		}
+		c.part, c.shardID = pm2, idx.shardID
 	}
 	c.setBacking(idx.backing)
 	c.refinements.Store(idx.refinements.Load())

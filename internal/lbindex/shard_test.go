@@ -27,12 +27,10 @@ func shardTestIndex(t *testing.T) (*graph.Graph, *Index) {
 	return g, idx
 }
 
+// shardMaps returns a range, a balanced and a range map whose shard 0 owns
+// nothing, each over p shards.
 func shardMaps(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 	t.Helper()
-	hash, err := partition.NewHash(g.N(), p, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng, err := partition.NewRange(g.N(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -41,10 +39,17 @@ func shardMaps(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*partition.Map{"hash": hash, "range": rng, "balanced": bal}
+	_, n, _, bounds := rng.Parts()
+	bounds = append([]int32(nil), bounds...)
+	bounds[1] = 0
+	empty, err := partition.FromParts(partition.Range, n, p, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*partition.Map{"range": rng, "balanced": bal, "empty shard": empty}
 }
 
-// TestShardSliceSharesRows checks a slice exposes exactly the owned rows,
+// TestShardSliceSharesRows checks a slice exposes exactly its range's rows,
 // aliasing the full index's columns bit for bit, and panics on foreign rows.
 func TestShardSliceSharesRows(t *testing.T) {
 	g, idx := shardTestIndex(t)
@@ -65,9 +70,12 @@ func TestShardSliceSharesRows(t *testing.T) {
 			if err := slice.CheckInvariants(); err != nil {
 				t.Fatalf("%s shard %d: invariants: %v", name, s, err)
 			}
-			owned := slice.OwnedNodes()
-			covered += len(owned)
-			for _, u := range owned {
+			lo, hi := slice.Rows()
+			if wlo, whi := pm.Range(s); lo != wlo || hi != whi {
+				t.Fatalf("%s shard %d: Rows() = [%d,%d), want [%d,%d)", name, s, lo, hi, wlo, whi)
+			}
+			covered += hi - lo
+			for u := graph.NodeID(lo); u < graph.NodeID(hi); u++ {
 				if !slice.Owns(u) {
 					t.Fatalf("%s: Owns(%d) false for owned node", name, u)
 				}
@@ -141,10 +149,11 @@ func TestShardSliceSaveLoad(t *testing.T) {
 				if err := loaded.CheckInvariants(); err != nil {
 					t.Fatalf("%s shard %d mmap=%v: invariants: %v", name, s, mmap, err)
 				}
-				if got, want := loaded.OwnedNodes(), slice.OwnedNodes(); len(got) != len(want) {
-					t.Fatalf("%s shard %d: %d owned rows, want %d", name, s, len(got), len(want))
+				lo, hi := slice.Rows()
+				if glo, ghi := loaded.Rows(); glo != lo || ghi != hi {
+					t.Fatalf("%s shard %d: loaded rows [%d,%d), want [%d,%d)", name, s, glo, ghi, lo, hi)
 				}
-				for _, u := range slice.OwnedNodes() {
+				for u := graph.NodeID(lo); u < graph.NodeID(hi); u++ {
 					if !bytes.Equal(floatBytes(loaded.PHatRow(u)), floatBytes(slice.PHatRow(u))) {
 						t.Fatalf("%s shard %d mmap=%v: p̂ row %d differs after reload", name, s, mmap, u)
 					}
@@ -166,7 +175,7 @@ func TestShardSliceSaveLoad(t *testing.T) {
 // full-format guarantee.
 func TestShardSliceCorruptionRejected(t *testing.T) {
 	g, idx := shardTestIndex(t)
-	pm, err := partition.NewHash(g.N(), 2, 3)
+	pm, err := partition.NewBalanced(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +201,8 @@ func TestShardSliceCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestShardCloneGrown: growth extends the owned list with the new ids the
-// shard owns and never migrates existing nodes.
+// TestShardCloneGrown: growth extends the last shard's range over the new
+// ids and never migrates existing nodes.
 func TestShardCloneGrown(t *testing.T) {
 	g, idx := shardTestIndex(t)
 	for name, pm := range shardMaps(t, g, 2) {
@@ -207,18 +216,15 @@ func TestShardCloneGrown(t *testing.T) {
 			if !ok || pm2.N() != g.N()+10 {
 				t.Fatalf("%s shard %d: grown partition covers %d", name, s, pm2.N())
 			}
-			before := len(slice.OwnedNodes())
-			var newOwned int
-			for u := graph.NodeID(g.N()); int(u) < g.N()+10; u++ {
-				if pm2.Owner(u) == s {
-					newOwned++
-					if !grown.Owns(u) {
-						t.Fatalf("%s shard %d: grown slice does not own new node %d", name, s, u)
-					}
-				}
+			lo, hi := slice.Rows()
+			if s == 1 {
+				hi += 10
 			}
-			if got := len(grown.OwnedNodes()); got != before+newOwned {
-				t.Fatalf("%s shard %d: grown owned list has %d entries, want %d", name, s, got, before+newOwned)
+			if glo, ghi := grown.Rows(); glo != lo || ghi != hi {
+				t.Fatalf("%s shard %d: grown rows [%d,%d), want [%d,%d)", name, s, glo, ghi, lo, hi)
+			}
+			if grown.Owns(graph.NodeID(g.N())) != (s == 1) {
+				t.Fatalf("%s shard %d: ownership of new node %d wrong", name, s, g.N())
 			}
 		}
 	}

@@ -260,12 +260,6 @@ func (v *CounterVec) Total() uint64 {
 	return t
 }
 
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.getOrCreate(values).g }
-
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct{ f *family }
 
@@ -326,11 +320,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 // NewGauge registers an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	return r.register(name, help, kindGauge, nil, []string{}, nil).getOrCreate(nil).g
-}
-
-// NewGaugeVec registers a gauge family with the given label names.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labels, nil, nil)}
 }
 
 // NewGaugeFunc registers a gauge whose value is computed at scrape time.

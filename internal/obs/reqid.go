@@ -23,10 +23,10 @@ import (
 
 var reqSeq atomic.Uint64
 
-var procNonce = mix64(uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<48)
+var procNonce = scramble64(uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<48)
 
-// mix64 is the SplitMix64 finalizer: a cheap bijective scrambler.
-func mix64(z uint64) uint64 {
+// scramble64 is the SplitMix64 finalizer: a cheap bijective scrambler.
+func scramble64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -35,7 +35,7 @@ func mix64(z uint64) uint64 {
 
 // NewRequestID returns a fresh 16-hex-character request identifier.
 func NewRequestID() string {
-	id := mix64(procNonce ^ reqSeq.Add(1))
+	id := scramble64(procNonce ^ reqSeq.Add(1))
 	s := strconv.FormatUint(id, 16)
 	if n := len(s); n < 16 {
 		s = "0000000000000000"[:16-n] + s

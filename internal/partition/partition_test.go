@@ -1,20 +1,18 @@
 package partition
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// build constructs one map per strategy over the given shape.
+// buildMaps constructs one map per strategy over the given shape, plus, for
+// p ≥ 2, a range map whose shard 0 owns nothing.
 func buildMaps(t *testing.T, g graph.View, p int) map[string]*Map {
 	t.Helper()
 	n := g.N()
-	hash, err := NewHash(n, p, 42)
-	if err != nil {
-		t.Fatalf("NewHash(%d,%d): %v", n, p, err)
-	}
 	rng, err := NewRange(n, p)
 	if err != nil {
 		t.Fatalf("NewRange(%d,%d): %v", n, p, err)
@@ -23,12 +21,19 @@ func buildMaps(t *testing.T, g graph.View, p int) map[string]*Map {
 	if err != nil {
 		t.Fatalf("NewBalanced(%d,%d): %v", n, p, err)
 	}
-	return map[string]*Map{"hash": hash, "range": rng, "balanced": bal}
+	maps := map[string]*Map{"range": rng, "balanced": bal}
+	if p >= 2 {
+		bounds := append([]int32(nil), rng.bounds...)
+		bounds[1] = 0
+		if maps["empty shard"], err = FromParts(Range, n, p, bounds); err != nil {
+			t.Fatalf("FromParts(empty shard): %v", err)
+		}
+	}
+	return maps
 }
 
-// TestCoverageExactlyOnce is the partition correctness property: every
-// strategy assigns every node to exactly one shard, and Owned agrees with
-// Owner.
+// TestCoverageExactlyOnce is the partition correctness property: the shards'
+// ranges tile [0, n) in shard order, so every node is assigned exactly once.
 func TestCoverageExactlyOnce(t *testing.T) {
 	g, err := gen.WebGraph(257, 7)
 	if err != nil {
@@ -39,73 +44,46 @@ func TestCoverageExactlyOnce(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Fatalf("%s P=%d: Validate: %v", name, p, err)
 			}
-			seen := make([]int, g.N())
-			total := 0
+			next := 0
 			for s := 0; s < p; s++ {
-				owned := m.Owned(s)
-				if got := m.OwnedCount(s); got != len(owned) {
-					t.Errorf("%s P=%d shard %d: OwnedCount=%d, Owned has %d", name, p, s, got, len(owned))
+				lo, hi := m.Range(s)
+				if lo != next || hi < lo {
+					t.Fatalf("%s P=%d shard %d: range [%d,%d) after %d", name, p, s, lo, hi, next)
 				}
-				prev := graph.NodeID(-1)
-				for _, u := range owned {
-					if u <= prev {
-						t.Fatalf("%s P=%d shard %d: Owned not strictly ascending at %d", name, p, s, u)
-					}
-					prev = u
-					seen[u]++
-					if own := m.Owner(u); own != s {
-						t.Fatalf("%s P=%d: node %d in Owned(%d) but Owner says %d", name, p, u, s, own)
-					}
-				}
-				total += len(owned)
+				next = hi
 			}
-			if total != g.N() {
-				t.Errorf("%s P=%d: %d nodes assigned, graph has %d", name, p, total, g.N())
-			}
-			for u, c := range seen {
-				if c != 1 {
-					t.Errorf("%s P=%d: node %d assigned %d times", name, p, u, c)
-				}
+			if next != g.N() {
+				t.Errorf("%s P=%d: ranges end at %d, graph has %d nodes", name, p, next, g.N())
 			}
 		}
 	}
 }
 
 // TestDeterminism rebuilds each map from scratch and from its serialized
-// parts; all three must agree on every assignment.
+// parts; all three must agree.
 func TestDeterminism(t *testing.T) {
 	g, err := gen.SocialGraph(300, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, m := range buildMaps(t, g, 5) {
-		var again *Map
-		switch m.Strategy() {
-		case Hash:
-			again, err = NewHash(m.N(), m.P(), m.Seed())
-		case Range:
-			again, err = NewRange(m.N(), m.P())
-		case Balanced:
-			again, err = NewBalanced(g, m.P())
-		}
-		if err != nil {
-			t.Fatalf("%s: rebuild: %v", name, err)
-		}
-		if !m.Equal(again) {
-			t.Errorf("%s: rebuild differs from original", name)
-		}
-		strategy, n, p, seed, bounds := m.Parts()
-		round, err := FromParts(strategy, n, p, seed, bounds)
+		strategy, n, p, bounds := m.Parts()
+		round, err := FromParts(strategy, n, p, bounds)
 		if err != nil {
 			t.Fatalf("%s: FromParts: %v", name, err)
 		}
 		if !m.Equal(round) {
 			t.Errorf("%s: FromParts round trip differs", name)
 		}
-		for u := graph.NodeID(0); int(u) < m.N(); u++ {
-			if m.Owner(u) != again.Owner(u) || m.Owner(u) != round.Owner(u) {
-				t.Fatalf("%s: owner of %d unstable across reconstructions", name, u)
-			}
+		if name == "empty shard" {
+			continue
+		}
+		again, err := New(m.Strategy(), g, m.N(), m.P())
+		if err != nil {
+			t.Fatalf("%s: rebuild: %v", name, err)
+		}
+		if !m.Equal(again) {
+			t.Errorf("%s: rebuild differs from original", name)
 		}
 	}
 }
@@ -121,7 +99,8 @@ func TestBalancedWeights(t *testing.T) {
 	const p = 4
 	weight := func(m *Map, s int) float64 {
 		var w float64
-		for _, u := range m.Owned(s) {
+		lo, hi := m.Range(s)
+		for u := graph.NodeID(lo); u < graph.NodeID(hi); u++ {
 			w += float64(g.OutDegree(u) + g.InDegree(u))
 		}
 		return w
@@ -154,6 +133,8 @@ func TestBalancedWeights(t *testing.T) {
 	}
 }
 
+// TestGrow: growth extends the last shard's range over the new ids and
+// leaves every other range as it was.
 func TestGrow(t *testing.T) {
 	g, err := gen.WebGraph(100, 3)
 	if err != nil {
@@ -170,21 +151,13 @@ func TestGrow(t *testing.T) {
 		if err := grown.Validate(); err != nil {
 			t.Fatalf("%s: grown map invalid: %v", name, err)
 		}
-		for u := graph.NodeID(0); int(u) < m.N(); u++ {
-			if m.Owner(u) != grown.Owner(u) {
-				t.Fatalf("%s: growth migrated node %d (%d → %d)", name, u, m.Owner(u), grown.Owner(u))
+		for s := 0; s < 3; s++ {
+			lo, hi := m.Range(s)
+			if s == 2 {
+				hi = 120
 			}
-		}
-		// New ids are owned by SOME shard, and consistently so: the old
-		// map must predict the same owner (growth is decided before the
-		// grown map exists on the edit path).
-		for u := graph.NodeID(100); u < 120; u++ {
-			own := grown.Owner(u)
-			if own < 0 || own >= 3 {
-				t.Fatalf("%s: new node %d owner %d out of range", name, u, own)
-			}
-			if m.Owner(u) != own {
-				t.Fatalf("%s: old and grown maps disagree on new node %d", name, u)
+			if glo, ghi := grown.Range(s); glo != lo || ghi != hi {
+				t.Fatalf("%s shard %d: grown range [%d,%d), want [%d,%d)", name, s, glo, ghi, lo, hi)
 			}
 		}
 		if _, err := m.Grow(50); err == nil {
@@ -197,24 +170,32 @@ func TestShapeErrors(t *testing.T) {
 	if _, err := NewRange(5, 6); err == nil {
 		t.Error("P > n accepted")
 	}
-	if _, err := NewHash(0, 1, 0); err == nil {
+	if _, err := FromParts(Range, 0, 1, []int32{0, 0}); err == nil {
 		t.Error("empty node set accepted")
 	}
 	if _, err := NewRange(10, 0); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("unknown strategy name accepted")
+	for _, name := range []string{"bogus", "hash"} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Errorf("strategy name %q accepted", name)
+		}
 	}
 	for _, name := range Strategies() {
 		if _, err := ParseStrategy(name); err != nil {
 			t.Errorf("listed strategy %q rejected: %v", name, err)
 		}
 	}
-	if _, err := FromParts(Range, 10, 2, 0, []int32{0, 4, 9}); err == nil {
+	if _, err := FromParts(Range, 10, 2, []int32{0, 4, 9}); err == nil {
 		t.Error("bounds not ending at n accepted")
 	}
-	if _, err := FromParts(Hash, 10, 2, 0, []int32{0, 5, 10}); err == nil {
-		t.Error("hash map with bounds accepted")
+	if _, err := FromParts(Range, 10, 2, []int32{0, 6, 5, 10}); err == nil {
+		t.Error("bounds of the wrong count accepted")
+	}
+	if _, err := FromParts(0, 10, 2, nil); !errors.Is(err, ErrHash) {
+		t.Errorf("stored hash strategy: got %v, want ErrHash", err)
+	}
+	if _, err := FromParts(3, 10, 2, []int32{0, 5, 10}); err == nil || errors.Is(err, ErrHash) {
+		t.Errorf("unknown strategy 3: got %v", err)
 	}
 }

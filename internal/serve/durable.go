@@ -33,9 +33,6 @@ type DurabilityConfig struct {
 	// many batches. 0 selects DefaultCheckpointBatches; negative disables
 	// the count trigger.
 	CheckpointBatches int
-	// NoSync skips the per-append fsync (see wal.Options.NoSync). Only the
-	// recovery benchmark should set it — it prices the fsync.
-	NoSync bool
 }
 
 // Checkpoint trigger defaults: a 64 MiB journal replays in seconds, and
@@ -114,7 +111,6 @@ func NewDurable(g *graph.Graph, idx *lbindex.Index, cfg Config, dcfg DurabilityC
 		return nil, nil, err
 	}
 	log, rec, err := wal.Open(dcfg.JournalPath, wal.Options{
-		NoSync: dcfg.NoSync,
 		OnAppend: func(bytes int, elapsed time.Duration) {
 			s.m.walBytes.Add(uint64(bytes))
 			s.m.walDur.Observe(elapsed.Seconds())

@@ -44,8 +44,6 @@ func newFanoutFixture(t *testing.T, p int, strategy string) *fanoutFixture {
 	}
 	var pm *partition.Map
 	switch strategy {
-	case "hash":
-		pm, err = partition.NewHash(g.N(), p, 31)
 	case "balanced":
 		pm, err = partition.NewBalanced(g, p)
 	default:
@@ -110,7 +108,7 @@ func TestFanoutMatchesSingleEngine(t *testing.T) {
 	for _, tc := range []struct {
 		p        int
 		strategy string
-	}{{1, "range"}, {2, "hash"}, {4, "balanced"}} {
+	}{{1, "range"}, {2, "range"}, {4, "balanced"}} {
 		fx := newFanoutFixture(t, tc.p, tc.strategy)
 		eng, err := core.NewEngine(fx.g, fx.idx, false)
 		if err != nil {
@@ -144,7 +142,7 @@ func TestFanoutApprox(t *testing.T) {
 	for _, tc := range []struct {
 		p        int
 		strategy string
-	}{{1, "range"}, {3, "hash"}} {
+	}{{1, "range"}, {3, "balanced"}} {
 		fx := newFanoutFixture(t, tc.p, tc.strategy)
 		eng, err := core.NewEngine(fx.g, fx.idx, false)
 		if err != nil {

@@ -138,7 +138,7 @@ func TestMetricsDurable(t *testing.T) {
 	g := testGraph(t, 13, 80)
 	idx := testIndex(t, g, 12)
 	jp := t.TempDir() + "/edits.wal"
-	s, _, err := NewDurable(g, idx, Config{}, DurabilityConfig{JournalPath: jp, NoSync: true})
+	s, _, err := NewDurable(g, idx, Config{}, DurabilityConfig{JournalPath: jp})
 	if err != nil {
 		t.Fatal(err)
 	}

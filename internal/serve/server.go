@@ -563,7 +563,7 @@ type StatsResponse struct {
 	ShardID           *int   `json:"shard_id,omitempty"`
 	ShardCount        int    `json:"shard_count,omitempty"`
 	PartitionStrategy string `json:"partition_strategy,omitempty"`
-	OwnedNodes        int    `json:"owned_nodes,omitempty"`
+	OwnedRows         int    `json:"owned_nodes,omitempty"`
 
 	// Maintenance pipeline observability.
 	EnqueuedWatermark   uint64 `json:"enqueued_watermark"`
@@ -657,11 +657,11 @@ func (s *Server) Stats() StatsResponse {
 		resp.RecoveryDroppedBytes = s.replayDrop
 	}
 	if pm, shard, ok := snap.View.Index().Shard(); ok {
-		sh := shard
-		resp.ShardID = &sh
+		lo, hi := snap.View.Index().Rows()
+		resp.ShardID = &shard
 		resp.ShardCount = pm.P()
 		resp.PartitionStrategy = pm.Strategy().String()
-		resp.OwnedNodes = len(snap.View.Index().OwnedNodes())
+		resp.OwnedRows = hi - lo
 	}
 	return resp
 }
@@ -947,8 +947,8 @@ func (s *Server) runBatch(b *editBatch) {
 	}
 	hm := idx.HubMatrix()
 	// Grown graphs: pad the index (which also extends a shard slice's
-	// partition map and owned set) before routing refresh work, so the
-	// ownership test below covers the fresh ids too.
+	// partition map, and with it the last shard's range) before routing
+	// refresh work, so the ownership test below covers the fresh ids too.
 	var nextIdx *lbindex.Index
 	if next.N() > idx.N() {
 		nextIdx = idx.CloneGrown(next.N())

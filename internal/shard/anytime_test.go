@@ -73,7 +73,7 @@ func TestShardedAnytimeMatchesUnsharded(t *testing.T) {
 // the exact coordinator answer on the same deployment.
 func TestShardedAnytimeContainment(t *testing.T) {
 	g, idx := buildCase(t, "web", 300)
-	pm, err := partition.NewHash(g.N(), 3, 1)
+	pm, err := partition.NewBalanced(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

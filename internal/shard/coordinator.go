@@ -1,5 +1,5 @@
 // Package shard distributes one reverse top-k query across P shard
-// engines, each owning a partition of the node set (internal/partition)
+// engines, each owning one node range (internal/partition)
 // over a shard slice of the lower-bound index (lbindex.ShardSlice) and a
 // replicated graph + hub matrix.
 //
@@ -91,7 +91,6 @@ type QueryStats struct {
 // the shard views are themselves concurrency-safe.
 type Coordinator struct {
 	g      graph.View
-	pm     *partition.Map
 	views  []*core.View
 	params rwr.Params
 	maxK   int
@@ -150,7 +149,6 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 	}
 	c := &Coordinator{
 		g:       g,
-		pm:      pm,
 		views:   views,
 		params:  views[0].Index().Options().RWR,
 		maxK:    views[0].Index().K(),
@@ -190,9 +188,6 @@ func (c *Coordinator) N() int { return c.g.N() }
 
 // MaxK returns the largest k every shard's index supports.
 func (c *Coordinator) MaxK() int { return c.maxK }
-
-// Partition returns the shared partition map.
-func (c *Coordinator) Partition() *partition.Map { return c.pm }
 
 // Views returns the per-shard query views, in shard order.
 func (c *Coordinator) Views() []*core.View { return c.views }

@@ -42,9 +42,6 @@ func partitions(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 	t.Helper()
 	out := map[string]*partition.Map{}
 	var err error
-	if out["hash"], err = partition.NewHash(g.N(), p, 99); err != nil {
-		t.Fatal(err)
-	}
 	if out["range"], err = partition.NewRange(g.N(), p); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +117,7 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := partition.NewHash(g.N(), 2, 99)
+	pm, err := partition.NewBalanced(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +161,10 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 
 // TestCoordinatorMatchesBruteForce anchors the whole stack to the paper's
 // §3 brute-force definition on two configurations: a web graph split three
-// ways, and a twelve-node graph hashed six ways so that one shard owns no node
-// at all — whose slice has no rows to decide, through the coordinator and
-// through a core.View of its own, and must not mistake its nil owned list for
-// a full index.
+// ways, and a twelve-node graph split three ways so that the middle shard owns
+// no node at all — whose slice has no rows to decide, through the coordinator
+// and through a core.View of its own, and must not mistake its empty range
+// for a full index.
 func TestCoordinatorMatchesBruteForce(t *testing.T) {
 	web, webIdx := buildCase(t, "web", 250)
 	tiny, err := gen.ErdosRenyi(12, 40, 3)
@@ -184,15 +181,15 @@ func TestCoordinatorMatchesBruteForce(t *testing.T) {
 		name    string
 		g       *graph.Graph
 		idx     *lbindex.Index
-		p, k    int
-		seed    uint64
+		bounds  []int32
+		k       int
 		queries []graph.NodeID
 		empty   int // shards owning no node
 	}{
-		{"web", web, webIdx, 3, 10, 1, []graph.NodeID{0, 17, 249}, 0},
-		{"empty shard", tiny, tinyIdx, 6, 3, 0, []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 1},
+		{"web", web, webIdx, []int32{0, 80, 170, 250}, 10, []graph.NodeID{0, 17, 249}, 0},
+		{"empty shard", tiny, tinyIdx, []int32{0, 6, 6, 12}, 3, []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 1},
 	} {
-		pm, err := partition.NewHash(tc.g.N(), tc.p, tc.seed)
+		pm, err := partition.FromParts(partition.Range, tc.g.N(), len(tc.bounds)-1, tc.bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +215,7 @@ func TestCoordinatorMatchesBruteForce(t *testing.T) {
 			}
 			empty = 0
 			for s, v := range c.Views() {
-				if pm.OwnedCount(s) > 0 {
+				if lo, hi := pm.Range(s); hi > lo {
 					continue
 				}
 				empty++
@@ -290,7 +287,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewInProc(g, []*lbindex.Index{s0, idx}, Config{}); err == nil {
 		t.Error("full index in a 2-slice set accepted")
 	}
-	other, err := partition.NewHash(g.N(), 2, 5)
+	other, err := partition.FromParts(partition.Range, g.N(), 2, []int32{0, 1, int32(g.N())})
 	if err != nil {
 		t.Fatal(err)
 	}
