@@ -6,11 +6,12 @@
 // Usage:
 //
 //	rtkindex -graph web.txt -out web.idx -K 200 -B 100 -omega 1e-6
-//	rtkindex -graph web.txt -out web.idx -partition 4 -strategy balanced
+//	rtkindex -graph web.txt -out web.idx -partition 4
 //
 // With -partition P the index is built ONCE and then streamed out as P
 // shard-slice files (web.idx.shard0of4, …), each carrying the partition
-// map, the rows of its node range and the full hub matrix — together ≈ one full
+// map (P node ranges of ≈ equal total degree, partition.NewBalanced), the
+// rows of its node range and the full hub matrix — together ≈ one full
 // index's bytes, not P×, and never more than one full index resident in
 // memory. Serve each slice with a stock rtkserve and put an
 // `rtkserve -shards ...` coordinator in front; see the README's "Sharded
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -43,8 +43,7 @@ func main() {
 		delta     = flag.Float64("delta", 0.1, "BCA residue threshold δ")
 		alpha     = flag.Float64("alpha", 0.15, "restart probability α")
 		workers   = flag.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
-		part      = flag.Int("partition", 0, "also write P shard-slice files <out>.shard<i>of<P> for sharded serving (0 = none)")
-		strategy  = flag.String("strategy", "balanced", "partitioner for -partition: range|balanced")
+		part      = flag.Int("partition", 0, "also write P shard-slice files <out>.shard<i>of<P>, node ranges of ≈ equal total degree, for sharded serving (0 = none)")
 	)
 	flag.Parse()
 	if *graphPath == "" || *out == "" {
@@ -65,6 +64,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("graph: %s\n", graph.ComputeStats(g))
+	// Cut the partition before the (possibly long) build so a bad -partition
+	// fails in milliseconds, not after the index exists.
+	var pm *partition.Map
+	if *part != 0 {
+		if pm, err = partition.NewBalanced(g, *part); err != nil {
+			log.Fatalf("-partition %d: %v", *part, err)
+		}
+	}
 
 	opts := lbindex.DefaultOptions()
 	opts.K = *k
@@ -75,18 +82,6 @@ func main() {
 	opts.BCA.Alpha = *alpha
 	opts.RWR.Alpha = *alpha
 	opts.Workers = *workers
-	// Resolve the partitioner before the (possibly long) build so a typo
-	// fails in milliseconds, not after the index exists.
-	var strat partition.Strategy
-	if *part != 0 {
-		if *part < 0 {
-			log.Fatalf("-partition must be positive, got %d", *part)
-		}
-		var err error
-		if strat, err = partition.ParseStrategy(*strategy); err != nil {
-			log.Fatalf("%v; valid -strategy values: %s", err, strings.Join(partition.Strategies(), ", "))
-		}
-	}
 
 	idx, stats, err := lbindex.Build(g, opts)
 	if err != nil {
@@ -105,11 +100,7 @@ func main() {
 		fmt.Printf("wrote %s (%d B on disk)\n", *out, info.Size())
 	}
 
-	if *part > 0 {
-		pm, perr := partition.New(strat, g, g.N(), *part)
-		if perr != nil {
-			log.Fatal(perr)
-		}
+	if pm != nil {
 		// One pass over the in-memory index: each slice shares its rows
 		// (O(owned) pointers) and streams straight to disk through the
 		// index writer — peak memory stays one full index, never P×.
@@ -127,8 +118,8 @@ func main() {
 				size = fi.Size()
 			}
 			lo, hi := slice.Rows()
-			fmt.Printf("wrote %s (%s shard %d/%d, %d owned rows, %d B on disk)\n",
-				path, pm.Strategy(), s, pm.P(), hi-lo, size)
+			fmt.Printf("wrote %s (shard %d/%d, %d owned rows, %d B on disk)\n",
+				path, s, pm.P(), hi-lo, size)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func main() {
 func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
 	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
 	fmt.Printf("%v\n", answer)
-	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d exact_fallbacks=%d fallback_iters=%d fallback_ball_iters=%d committed=%d screened=%d\n",
+	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d committed=%d screened=%d\n",
 		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.Committed, stats.Screened)
 	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
 		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
@@ -227,7 +227,7 @@ func querySharded(g *graph.Graph, paths []string, q, k, workers int, useMmap, an
 		}
 		printAnytime(q, k, eps, guaranteed, maybe)
 		fmt.Printf("shards: P=%d rounds=%d eps_achieved=%.4f pruned_by_bound=%d confirmed_by_bound=%d early_stop=%v\n",
-			c.P(), stats.Rounds, stats.EpsAchieved, stats.PrunedByBound, stats.ConfirmedByBound, stats.EarlyStop)
+			c.P(), stats.Rounds, stats.EpsAchieved, stats.PrunedByBound, stats.ConfirmedByBound, !stats.Converged)
 		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
 			stats.Elapsed.Round(time.Microsecond), stats.PMPNElapsed.Round(time.Microsecond), stats.PMPNIters)
 		return
@@ -239,10 +239,10 @@ func querySharded(g *graph.Graph, paths []string, q, k, workers int, useMmap, an
 	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
 	fmt.Printf("%v\n", answer)
 	fmt.Printf("shards: P=%d rounds=%d pruned_by_bound=%d confirmed_by_bound=%d survivors=%d early_stop=%v\n",
-		c.P(), stats.Rounds, stats.PrunedByBound, stats.ConfirmedByBound, stats.Survivors, stats.EarlyStop)
+		c.P(), stats.Rounds, stats.PrunedByBound, stats.ConfirmedByBound, stats.Maybe, !stats.Converged)
 	// Each shard's finish reports a cold query's counters and phases.
 	for i, ps := range stats.PerShard {
-		fmt.Printf("shard %d: candidates=%d hits=%d refine_steps=%d exact_fallbacks=%d screened=%d time:%s\n",
+		fmt.Printf("shard %d: candidates=%d hits=%d refine_steps=%d fallbacks=%d screened=%d time:%s\n",
 			i, ps.Candidates, ps.Hits, ps.RefineSteps, ps.ExactFallbacks, ps.Screened, formatPhases(ps.Phases()))
 	}
 	fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",

@@ -9,6 +9,9 @@
 //	rtkserve -graph web.txt -index web.idx -mmap=off   # portable heap load
 //	rtkserve -shards http://a:7471,http://b:7471        # fan-out coordinator
 //
+// A shard daemon is a stock daemon whose -index is one of the shard-slice
+// files rtkindex -partition writes; the coordinator holds no graph or index.
+//
 // A query that misses the cache is computed at once on its request's
 // goroutine, with its share of the -workers budget (a lone query gets all
 // of it).
@@ -54,7 +57,8 @@
 // On SIGTERM/SIGINT the daemon drains gracefully: /healthz flips to 503,
 // the listener stops accepting, in-flight requests finish (bounded by
 // -drain), then the process exits 0 — with every acknowledged edit batch
-// applied, never failed.
+// applied, never failed. A -shards coordinator drains through the same code,
+// with no health flag to flip and no edits of its own to apply.
 //
 // With -journal the daemon is durable: each accepted edit batch is framed,
 // checksummed and fsync'd to a write-ahead journal BEFORE its 202
@@ -183,7 +187,17 @@ func main() {
 	}
 	startDebugServer(*debugAddr)
 	if *shards != "" {
-		runCoordinator(strings.Split(*shards, ","), *addr, *drain, logger)
+		// The fan-out coordinator: same routes, no resident graph or index —
+		// every query scatters to the shard daemons and the disjoint answers
+		// merge into the exact global answer. See the README's "Sharded
+		// serving" section for the topology.
+		fan, err := serve.NewFanout(serve.FanoutConfig{Shards: strings.Split(*shards, ","), Logger: logger})
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("coordinating %d shards: %s", len(fan.Shards()), strings.Join(fan.Shards(), ", "))
+		serveUntilSignal(*addr, fan.Handler(), *drain, nil)
+		log.Printf("drained; bye")
 		return
 	}
 	if *graphPath == "" || *indexPath == "" {
@@ -252,34 +266,42 @@ func main() {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	serveUntilSignal(*addr, srv.Handler(), *drain, srv.StartDrain)
+	srv.Close()
+	log.Printf("drained; bye")
+}
+
+// serveUntilSignal listens on addr and serves h until SIGTERM or SIGINT,
+// then drains: startDrain (when set) runs first, the listener stops
+// accepting and in-flight requests get up to drain to finish. The daemon
+// and the fan-out coordinator both run through it.
+func serveUntilSignal(addr string, h http.Handler, drain time.Duration, startDrain func()) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := newHTTPServer(srv.Handler())
-
+	httpSrv := newHTTPServer(h)
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	drained := make(chan struct{})
 	go func() {
 		sig := <-sigCh
-		log.Printf("received %v: draining (timeout %v)", sig, *drain)
-		srv.StartDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		log.Printf("received %v: draining (timeout %v)", sig, drain)
+		if startDrain != nil {
+			startDrain()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			log.Printf("drain incomplete: %v", err)
 		}
 		close(drained)
 	}()
-
 	log.Printf("listening on %s", ln.Addr())
 	if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-drained
-	srv.Close()
-	log.Printf("drained; bye")
 }
 
 // checkFlags refuses a command line that sets a flag its mode would
@@ -306,40 +328,4 @@ func checkFlags(coordinator, journal, ckptDir bool) error {
 		return errors.New("-checkpoint-bytes and -checkpoint-batches need -checkpoint-dir")
 	}
 	return nil
-}
-
-// runCoordinator serves the fan-out coordinator: same routes, no resident
-// graph or index — every query scatters to the shard daemons and the
-// disjoint answers merge into the exact global answer. See the README's
-// "Sharded serving" section for the topology.
-func runCoordinator(shardURLs []string, addr string, drain time.Duration, logger *slog.Logger) {
-	fan, err := serve.NewFanout(serve.FanoutConfig{Shards: shardURLs, Logger: logger})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	httpSrv := newHTTPServer(fan.Handler())
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	drained := make(chan struct{})
-	go func() {
-		sig := <-sigCh
-		log.Printf("received %v: draining coordinator (timeout %v)", sig, drain)
-		ctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("drain incomplete: %v", err)
-		}
-		close(drained)
-	}()
-	log.Printf("coordinating %d shards: %s", len(fan.Shards()), strings.Join(fan.Shards(), ", "))
-	log.Printf("listening on %s", ln.Addr())
-	if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	<-drained
-	log.Printf("drained; bye")
 }

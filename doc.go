@@ -18,12 +18,13 @@
 // evolving-graph pipeline (graph.Overlay deltas
 // behind the graph.View interface, an asynchronous journaled edit queue
 // with watermarks, blast-radius-only index refreshes and background
-// compaction), the sharding layer (internal/partition deterministic
-// node partitioning, lbindex shard slices carrying their partition map,
-// and the internal/shard scatter-gather coordinator that computes one
-// PMPN, exchanges pruning bounds between rounds and merges per-shard
-// decisions into the exact global answer — plus the rtkserve -shards
-// HTTP fan-out over stock shard daemons), the anytime approximate tier
+// compaction), the sharding layer (internal/partition's one partitioner,
+// contiguous node ranges of equal total degree; lbindex shard slices
+// carrying their partition map; and the internal/shard scatter-gather
+// coordinator that computes one PMPN, exchanges pruning bounds between
+// rounds and merges per-shard decisions into the exact global answer — plus
+// the rtkserve -shards HTTP fan-out over stock shard daemons, one broadcast
+// and one union-and-sort merge for every route), the anytime approximate tier
 // (core.View.QueryAnytime: the exact query's round loop stopped at an
 // ε budget with a deterministic guaranteed ⊆ exact ⊆ guaranteed ∪ maybe
 // two-part answer, and mode=approx serving with budget-aware cache keys —

@@ -31,7 +31,7 @@ func TestShardedIndexQueryPipeline(t *testing.T) {
 
 	out := runTool(t, filepath.Join(bins, "rtkindex"),
 		"-graph", graphPath, "-out", indexPath, "-K", "20", "-B", "6",
-		"-partition", "2", "-strategy", "balanced")
+		"-partition", "2")
 	for s := 0; s < 2; s++ {
 		if !strings.Contains(out, fmt.Sprintf("g.idx.shard%dof2", s)) {
 			t.Fatalf("rtkindex did not report shard %d file:\n%s", s, out)
@@ -52,14 +52,22 @@ func TestShardedIndexQueryPipeline(t *testing.T) {
 		t.Errorf("sharded query did not report pruning stats:\n%s", sharded)
 	}
 
-	// Unknown partitioner and experiment names must fail with the menu of
-	// valid values, not a bare error.
+	// There is one partitioner, so there is no -strategy to choose it, and
+	// a shard count the graph cannot fill fails before the build.
 	if msg, err := runToolErr(t, filepath.Join(bins, "rtkindex"),
-		"-graph", graphPath, "-out", indexPath, "-partition", "2", "-strategy", "bogus"); err == nil {
-		t.Error("rtkindex accepted an unknown -strategy")
-	} else if !strings.Contains(msg, "range, balanced") {
-		t.Errorf("rtkindex -strategy error lacks valid values: %q", msg)
+		"-graph", graphPath, "-out", indexPath, "-partition", "2", "-strategy", "balanced"); err == nil {
+		t.Error("rtkindex accepted -strategy")
+	} else if !strings.Contains(msg, "flag provided but not defined: -strategy") {
+		t.Errorf("rtkindex -strategy refused with %q", msg)
 	}
+	if msg, err := runToolErr(t, filepath.Join(bins, "rtkindex"),
+		"-graph", graphPath, "-out", indexPath, "-partition", "401"); err == nil {
+		t.Error("rtkindex accepted -partition 401 on a 400-node graph")
+	} else if !strings.Contains(msg, "cannot split 400 nodes into 401 shards") || strings.Contains(msg, "hubs:") {
+		t.Errorf("rtkindex -partition 401 refused late or without the reason: %q", msg)
+	}
+	// An unknown experiment name must fail with the menu of valid values,
+	// not a bare error.
 	// rtkbench runs the paper's experiments only: the retired system
 	// one-offs (their numbers come from bench/) and -json are refused.
 	const menu = "valid -exp values: all, datasets, table2, fig5, fig6, fig7, fig8, fig9, spam, table3, approx\n"
@@ -131,7 +139,7 @@ func TestShardedServeEndToEnd(t *testing.T) {
 	runTool(t, filepath.Join(bins, "rtkgen"),
 		"-kind", "web", "-n", "300", "-seed", "9", "-out", graphPath)
 	runTool(t, filepath.Join(bins, "rtkindex"),
-		"-graph", graphPath, "-out", indexPath, "-K", "12", "-B", "5", "-partition", "2", "-strategy", "range")
+		"-graph", graphPath, "-out", indexPath, "-K", "12", "-B", "5", "-partition", "2")
 
 	serveBin := filepath.Join(bins, "rtkserve")
 	fullURL, stopFull := startDaemonCLI(t, serveBin,

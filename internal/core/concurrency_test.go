@@ -397,7 +397,7 @@ func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]
 	}
 	// And the slice of a shard that owns nothing: no rows, which its empty
 	// range must not turn into all of them.
-	thin, err := partition.FromParts(partition.Range, n, 3, []int32{0, int32(n / 2), int32(n / 2), int32(n)})
+	thin, err := partition.FromParts(n, 3, []int32{0, int32(n / 2), int32(n / 2), int32(n)})
 	if err != nil {
 		t.Fatal(err)
 	}

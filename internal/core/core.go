@@ -328,8 +328,8 @@ func support(pq []float64, rows []graph.NodeID) int {
 // in one pass of SpMM-batched exact solves on the coordinating goroutine —
 // same pending list, same order, whatever the worker count, so the sequential
 // and sharded engines still make bit-identical decisions and commits. q is the
-// node pq was computed for (−1 if unknown); it rides along on each deferred
-// candidate, see pendingFallback. The sweep stays on this goroutine under
+// query node pq was computed for; resolution probes each deferred candidate's
+// column against it (resolveExact). The sweep stays on this goroutine under
 // Explain (the recorder's) and for fewer than two shards' worth of candidates.
 func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
 	type shard struct {
@@ -347,7 +347,7 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 		ws := e.wsPool.Get()
 		defer e.wsPool.Put(ws)
 		for _, u := range list[seg.Lo:seg.Hi] {
-			if e.decide(ws, q, u, k, pq[u], &sh.stats, &sh.pend) {
+			if e.decide(ws, u, k, pq[u], &sh.stats, &sh.pend) {
 				sh.results = append(sh.results, u)
 			}
 		}
@@ -365,7 +365,7 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 	}
 	if len(pend) > 0 {
 		fbStart := time.Now()
-		fb, err := e.resolveFallbacks(pend, k, stats)
+		fb, err := e.resolveFallbacks(pend, q, k, stats)
 		stats.FallbackElapsed += time.Since(fbStart)
 		if err != nil {
 			return nil, err
@@ -380,11 +380,10 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 // staircase upper bound: refine it, or defer it. It returns whether refinement
 // made u a member. ws is the BCA scratch to refine with, one per sweep shard
 // (stats and pend must likewise be private to the calling shard). A candidate
-// refine leaves undecided is NOT decided here: it is appended to *pend, tagged
-// with the query node q (−1 if unknown), for the caller to batch-resolve with
-// exact solves after the sweep (resolveFallbacks), and reported as not a
-// member.
-func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) bool {
+// refine leaves undecided is NOT decided here: it is appended to *pend for the
+// caller to batch-resolve with exact solves after the sweep
+// (resolveFallbacks), and reported as not a member.
+func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) bool {
 	rho := e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u)
 	ink, t := e.idx.BatchInk(u, e.idx.Options().BCA.Eta)
 	r := e.refine(ws, u, k, puq, e.idx.PHatRow(u), rho, ink, t)
@@ -402,7 +401,7 @@ func (e *Engine) decide(ws *bca.Workspace, q, u graph.NodeID, k int, puq float64
 		// update mode: resolution commits the strictly better exact state
 		// instead.
 		stats.ExactFallbacks++
-		*pend = append(*pend, pendingFallback{u: u, q: q, puq: puq, nextT: r.t + r.steps + 1, steps: r.steps})
+		*pend = append(*pend, pendingFallback{u: u, puq: puq, nextT: r.t + r.steps + 1, steps: r.steps})
 		return false
 	}
 	if r.steps > 0 && e.update {
@@ -509,12 +508,10 @@ func prunedByLowerBound(puq, lb, tieTol float64) bool {
 
 // pendingFallback is one candidate refine left open — no outcome of its next
 // step could have decided it: u must be resolved by the exact power method.
-// The query node, puq and the would-be next BCA iteration number are captured
-// at deferral time so resolution needs nothing but u's forward iteration.
-// q = −1 means the caller did not know the query node; such a candidate is
-// only ever decided against the converged vector.
+// puq and the would-be next BCA iteration number are captured at deferral
+// time so resolution needs nothing but u's forward iteration.
 type pendingFallback struct {
-	u, q  graph.NodeID
+	u     graph.NodeID
 	puq   float64
 	nextT int
 	steps int // refinement steps taken before deferral, for Explain
@@ -527,10 +524,11 @@ type fallbackOutcome struct {
 	early  bool // the column stopped before converging
 }
 
-// resolveFallbacks decides every candidate one sweep deferred, returning
-// the members. Runs on the coordinating goroutine after the decision sweep.
-func (e *Engine) resolveFallbacks(pend []pendingFallback, k int, stats *QueryStats) ([]graph.NodeID, error) {
-	out, ballIters, err := e.resolveExact(pend, k)
+// resolveFallbacks decides every candidate one sweep of query q deferred,
+// returning the members. Runs on the coordinating goroutine after the
+// decision sweep.
+func (e *Engine) resolveFallbacks(pend []pendingFallback, q graph.NodeID, k int, stats *QueryStats) ([]graph.NodeID, error) {
+	out, ballIters, err := e.resolveExact(pend, q, k)
 	if err != nil {
 		return nil, err
 	}
@@ -577,8 +575,8 @@ const (
 	probeTailRatio = 4
 )
 
-// resolveExact decides every deferred candidate by its node's forward power
-// iteration: pend[i] is a member iff p_u(q) ≥ pkmax(u) − tieTol, pkmax(u) the
+// resolveExact decides every candidate query q's sweep deferred by its node's
+// forward power iteration: pend[i] is a member iff p_u(q) ≥ pkmax(u) − tieTol, pkmax(u) the
 // k-th largest entry of u's exact proximity vector. Each candidate gets one
 // column; columns run in forward SpMM slabs of at most spmmChunkWidth, in
 // deferral order, and every column that runs to convergence is
@@ -606,14 +604,13 @@ const (
 // half of all fallbacks are exact ties — q IS u's k-th node and the gap to
 // pkmax is ≈1e-15 (ROADMAP.md has the distribution) — where a band around
 // the k-th entry itself can never close above tieTol, while the (k+1)-th
-// entry separates from the anchor early. A candidate without a query node
-// (q = −1) is never probed: its column runs to convergence.
+// entry separates from the anchor early.
 //
 // In update mode there is no probe: each solved vector is committed as a
 // fully drained exact state (all ink retained, zero residue) so no future
 // query ever spends work on that node again — this is what makes the
 // update curve of Fig. 7/8 flatten — and that needs the converged vector.
-func (e *Engine) resolveExact(pend []pendingFallback, k int) (out []fallbackOutcome, ballIters int, err error) {
+func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (out []fallbackOutcome, ballIters int, err error) {
 	out = make([]fallbackOutcome, len(pend))
 	for lo := 0; lo < len(pend); lo += spmmChunkWidth {
 		chunk := pend[lo:min(lo+spmmChunkWidth, len(pend))]
@@ -624,9 +621,6 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int) (out []fallbackOutc
 		for i, pf := range chunk {
 			origins[i] = pf.u
 			nextProbe[i] = probeFirstTail
-			if pf.q < 0 {
-				nextProbe[i] = -1 // no tail gets there: never probed
-			}
 		}
 		var probe rwr.ColumnProbe
 		if !e.update {
@@ -646,10 +640,10 @@ func (e *Engine) resolveExact(pend []pendingFallback, k int) (out []fallbackOutc
 				// rows ascend, so slot at never overtakes entry rows[at].
 				vals, xq := e.probeBuf, 0.0
 				if rows := read(vals); rows == nil {
-					xq = vals[pf.q]
+					xq = vals[q]
 				} else {
 					for at, u := range rows {
-						if u == pf.q {
+						if u == q {
 							xq = vals[u]
 						}
 						vals[at] = vals[u]

@@ -14,9 +14,11 @@ import (
 )
 
 // The suites below hold the exact fallback's early stop (resolveExact's
-// probe) to the converged decision. "Forced off" is the same run finished with
-// q = −1: the same screen, the same sweep and the same fallbacks, but no asker
-// names a query node, so every fallback column runs to convergence.
+// probe) to the converged decision. "Forced off" is the same query answered
+// by an update-mode engine over a clone of the index: the same screen, the
+// same sweep and the same fallbacks, but an update-mode engine never probes
+// (its commits need the converged vector), so every fallback column runs to
+// convergence; its commits land in the clone.
 
 // fallbackPhases tallies, over the queries of one suite, where the fallbacks
 // that stopped early were when they did: in the slab's ball phase (the query
@@ -94,15 +96,11 @@ func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: engine %v, brute force %v", label, got, want)
 					}
-					r, err := eng.start(q, k)
-					if err == nil {
-						err = r.Rounds(0, 0)
-					}
+					noProbe, err := NewEngine(g, idx.Clone(), true)
 					if err != nil {
 						t.Fatal(err)
 					}
-					r.q = -1
-					conv, cst, err := eng.finish(r, r.screens[0])
+					conv, cst, err := noProbe.Query(q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -113,7 +111,7 @@ func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 						t.Fatalf("%s: the probe changed the sweep: %+v vs %+v", label, st, cst)
 					}
 					if cst.FallbackEarlyStops != 0 {
-						t.Fatalf("%s: %d early stops without a query node", label, cst.FallbackEarlyStops)
+						t.Fatalf("%s: %d early stops with the probe forced off", label, cst.FallbackEarlyStops)
 					}
 					if st.FallbackIters > cst.FallbackIters {
 						t.Fatalf("%s: %d iterations with the probe, %d without", label, st.FallbackIters, cst.FallbackIters)
@@ -158,8 +156,12 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 10, indexK} {
-			var askers []pendingFallback
-			var want []bool
+			type asker struct {
+				pf   pendingFallback
+				q    graph.NodeID
+				want bool
+			}
+			var askers []asker
 			var ties []int // askers that are exact ties with a gap below them
 			for _, u := range anytimeQueries(g.N()) {
 				pu, err := rwr.ProximityVector(g, u, p)
@@ -179,40 +181,41 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 					if q != u && len(top) > k && th-top[k].Value > 1e-6 {
 						ties = append(ties, len(askers))
 					}
-					askers = append(askers, pendingFallback{u: u, q: q, puq: pq.Vector[u]})
-					want = append(want, pu.Vector[q] >= th)
+					askers = append(askers, asker{pendingFallback{u: u, puq: pq.Vector[u]}, q, pu.Vector[q] >= th})
 				}
 			}
-			converged := make([]pendingFallback, len(askers))
-			for i, a := range askers {
-				a.q = -1
-				converged[i] = a
-			}
-			got, _, err := eng.resolveExact(askers, k)
+			// An update-mode engine never probes; its commits land in a clone.
+			conv, err := NewEngine(g, idx.Clone(), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, _, err := eng.resolveExact(converged, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := make([]fallbackOutcome, len(askers))
 			for i, a := range askers {
-				if got[i].member != want[i] || ref[i].member != want[i] {
+				out, _, err := eng.resolveExact([]pendingFallback{a.pf}, a.q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, _, err := conv.resolveExact([]pendingFallback{a.pf}, a.q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = out[0]
+				if got[i].member != a.want || ref[0].member != a.want {
 					t.Errorf("%s k=%d u=%d q=%d: probe says %v, converged %v, brute force %v",
-						family, k, a.u, a.q, got[i].member, ref[i].member, want[i])
+						family, k, a.pf.u, a.q, got[i].member, ref[0].member, a.want)
 				}
-				if ref[i].early || got[i].iters > ref[i].iters {
-					t.Errorf("%s k=%d u=%d q=%d: %+v against converged %+v", family, k, a.u, a.q, got[i], ref[i])
+				if ref[0].early || got[i].iters > ref[0].iters {
+					t.Errorf("%s k=%d u=%d q=%d: %+v against converged %+v", family, k, a.pf.u, a.q, got[i], ref[0])
 				}
 			}
 			// A tie with a clear gap below it must stop early.
 			for _, i := range ties {
 				if !got[i].member {
-					t.Errorf("%s k=%d: rank-k node %d of %d decided non-member", family, k, askers[i].q, askers[i].u)
+					t.Errorf("%s k=%d: rank-k node %d of %d decided non-member", family, k, askers[i].q, askers[i].pf.u)
 				}
 				if !got[i].early {
 					t.Errorf("%s k=%d: exact tie u=%d q=%d ran to convergence (%d iterations)",
-						family, k, askers[i].u, askers[i].q, got[i].iters)
+						family, k, askers[i].pf.u, askers[i].q, got[i].iters)
 				}
 			}
 		}
@@ -274,7 +277,7 @@ func TestEarlyStopTwinTieRunsToConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := eng.resolveExact([]pendingFallback{{u: shared, q: q, puq: pq.Vector[shared]}}, k)
+		out, _, err := eng.resolveExact([]pendingFallback{{u: shared, puq: pq.Vector[shared]}}, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +309,7 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pend := fallbacksOf(ex, q)
+	pend := fallbacksOf(ex)
 	if len(pend) == 0 {
 		t.Fatal("no fallbacks fired; pick another query")
 	}
@@ -339,11 +342,11 @@ func TestUpdateModeFallbackCommitsStayExact(t *testing.T) {
 
 // fallbacksOf lists, in sweep order, the candidates an explained query left
 // to the exact fallback, as the sweep would have deferred them.
-func fallbacksOf(ex *Explanation, q graph.NodeID) []pendingFallback {
+func fallbacksOf(ex *Explanation) []pendingFallback {
 	var pend []pendingFallback
 	for _, d := range ex.Decisions {
 		if d.Outcome == OutcomeFallback {
-			pend = append(pend, pendingFallback{u: d.Node, q: q, puq: d.Proximity})
+			pend = append(pend, pendingFallback{u: d.Node, puq: d.Proximity})
 		}
 	}
 	return pend

@@ -59,10 +59,6 @@ func (b *Builder) AddWeightedEdge(u, v NodeID, w float64) {
 	}
 }
 
-// NumEdges returns the number of edges recorded so far (before duplicate
-// collapsing).
-func (b *Builder) NumEdges() int { return len(b.srcs) }
-
 // Build produces the Graph. The remap return value is non-nil only under
 // DanglingPrune: remap[old] is the new identifier of old, or -1 if the node
 // was pruned.

@@ -461,8 +461,12 @@ func TestReadEdgeListSkipsComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", b.NumEdges())
+	g, _, err := b.Build(DanglingSelfLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 2 || g.M() != 2 {
+		t.Fatalf("n = %d, m = %d, want 2 and 2", g.N(), g.M())
 	}
 }
 
@@ -507,17 +511,6 @@ func TestTopByDegree(t *testing.T) {
 	}
 	if got := TopByInDegree(g, 0); got != nil {
 		t.Errorf("TopByInDegree(0) = %v, want nil", got)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g, err := FromEdges(3, [][2]NodeID{{0, 1}, {1, 0}, {2, 0}}, DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := DegreeHistogram(g, true) // in-degrees: node0=2, node1=1, node2=0
-	if h[2] != 1 || h[1] != 1 || h[0] != 1 {
-		t.Errorf("histogram = %v", h)
 	}
 }
 

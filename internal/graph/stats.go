@@ -117,26 +117,6 @@ func topByDegree(n, b int, deg func(NodeID) int) []NodeID {
 	return out
 }
 
-// DegreeHistogram returns counts[d] = number of nodes whose degree (as
-// selected by inDegree) equals d, up to the maximum degree present.
-func DegreeHistogram(g *Graph, inDegree bool) []int {
-	max := 0
-	deg := func(u NodeID) int { return g.OutDegree(u) }
-	if inDegree {
-		deg = func(u NodeID) int { return g.InDegree(u) }
-	}
-	for u := NodeID(0); int(u) < g.N(); u++ {
-		if d := deg(u); d > max {
-			max = d
-		}
-	}
-	counts := make([]int, max+1)
-	for u := NodeID(0); int(u) < g.N(); u++ {
-		counts[deg(u)]++
-	}
-	return counts
-}
-
 // PowerLawExponent fits the tail exponent of the in-degree distribution via
 // the discrete maximum-likelihood estimator (Clauset-style with fixed
 // dmin). It returns NaN for graphs too small to fit. The experiment harness

@@ -55,15 +55,16 @@ import (
 // positive ‖r‖₁: neither needs a section, tag or magic of its own.
 //
 // SHARD SLICES use the same container with three extra sections (nsec =
-// v2NumSectionsSharded): the partition-map fields (strategy, P, shard id, a
-// retired zero slot, range bounds) and the owned rows, which restate the
+// v2NumSectionsSharded): the partition-map fields (a strategy slot, P, shard
+// id, a retired zero slot, range bounds) and the owned rows, which restate the
 // shard's range lo..hi. In a shard image the meta node count n stays GLOBAL
 // and the hub sections still describe the full hub matrix (every shard
 // refines against it), but the state slabs cover only the owned non-hub rows
 // and the p̂ slab only the owned rows, ascending — a P-way sharding therefore
-// costs ≈ 1× the full index on disk in total, not P×. A slice stored with
-// strategy 0, the removed hash partitioner's, is refused with
-// partition.ErrHash. The meta section's hub-scheme and greedy-seed slots are
+// costs ≈ 1× the full index on disk in total, not P×. The strategy slot is
+// written as 2; a slice stored with 1 (the removed range partitioner's) loads
+// by its stored bounds like any other, and one stored with 0, the removed
+// hash partitioner's, is refused with partition.ErrHash. The meta section's hub-scheme and greedy-seed slots are
 // retired too: written as zero, ignored on read. A section's id is its table
 // position. An image with
 // one section more than either count (23 or 26) was written with the
@@ -384,15 +385,13 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 
 	e := &v2emitter{idx: idx, hubIDs: hubIDs, cols: cols, topK: topK, dropped: dropped, nsec: v2NumSections, watermark: idx.watermark.Load()}
 	e.lo, e.hi = idx.Rows()
-	var partBounds []int32
+	c := v2Counts{hubs: hubCount, k: o.K, rows: e.hi - e.lo}
 	if idx.part != nil {
 		e.nsec = v2NumSectionsSharded
-		_, _, _, partBounds = idx.part.Parts()
+		c.shards = idx.part.P()
 	}
-
-	var colNNZ, rNNZ, wNNZ, sNNZ, rBytes, wBytes, sBytes int
-	for _, c := range cols {
-		colNNZ += c.NNZ()
+	for _, col := range cols {
+		c.colNNZ += col.NNZ()
 	}
 	var rowErr error
 	e.eachRow(func(u graph.NodeID) {
@@ -413,47 +412,18 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 			return
 		}
 		e.numStates++
-		rNNZ += st.R.NNZ()
-		wNNZ += st.W.NNZ()
-		sNNZ += st.S.NNZ()
-		rBytes += len(st.R.Idx)
-		wBytes += len(st.W.Idx)
-		sBytes += len(st.S.Idx)
+		c.rNNZ += st.R.NNZ()
+		c.wNNZ += st.W.NNZ()
+		c.sNNZ += st.S.NNZ()
+		c.rBytes += len(st.R.Idx)
+		c.wBytes += len(st.W.Idx)
+		c.sBytes += len(st.S.Idx)
 	})
 	if rowErr != nil {
 		return nil, rowErr
 	}
-	numStates := e.numStates
-
-	e.lens = [v2NumSectionsSharded]int{
-		secMeta:         v2MetaSize,
-		secHubIDs:       4 * hubCount,
-		secHubTopK:      8 * hubCount * o.K,
-		secHubDropped:   8 * hubCount,
-		secHubColOff:    8 * (hubCount + 1),
-		secHubColIdx:    4 * colNNZ,
-		secHubColVal:    4 * colNNZ,
-		secStateT:       4 * numStates,
-		secStateRNorm:   8 * numStates,
-		secStateROff:    8 * (numStates + 1),
-		secStateRIdxOff: 8 * (numStates + 1),
-		secStateRIdx:    rBytes,
-		secStateRVal:    4 * rNNZ,
-		secStateWOff:    8 * (numStates + 1),
-		secStateWIdxOff: 8 * (numStates + 1),
-		secStateWIdx:    wBytes,
-		secStateWVal:    4 * wNNZ,
-		secStateSOff:    8 * (numStates + 1),
-		secStateSIdxOff: 8 * (numStates + 1),
-		secStateSIdx:    sBytes,
-		secStateSVal:    4 * sNNZ,
-		secPhat:         8 * (e.hi - e.lo) * o.K,
-	}
-	if idx.part != nil {
-		e.lens[secPartMeta] = v2PartMetaSize
-		e.lens[secPartBounds] = 4 * len(partBounds)
-		e.lens[secPartRows] = 4 * (e.hi - e.lo)
-	}
+	c.states = e.numStates
+	e.lens = c.sectionLens()
 	pos := v2HeaderEndOf(e.nsec)
 	for s := 0; s < e.nsec; s++ {
 		pos = alignUp8(pos)
@@ -462,6 +432,52 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 	}
 	e.fileSize = alignUp8(pos)
 	return e, nil
+}
+
+// v2Counts are the counts every section length derives from: the hub count
+// and K, the hub columns' non-zeros, the stored states and rows, each state
+// slab's non-zeros and packed index bytes, and P (0 for a full image).
+type v2Counts struct {
+	hubs, k, colNNZ, states, rows int
+	rNNZ, wNNZ, sNNZ              int
+	rBytes, wBytes, sBytes        int
+	shards                        int
+}
+
+// sectionLens is the one section-length table: the emitter lays an image out
+// by it and the parser checks every stored length against it.
+func (c v2Counts) sectionLens() [v2NumSectionsSharded]int {
+	hubCount, numStates := c.hubs, c.states
+	lens := [v2NumSectionsSharded]int{
+		secMeta:         v2MetaSize,
+		secHubIDs:       4 * hubCount,
+		secHubTopK:      8 * hubCount * c.k,
+		secHubDropped:   8 * hubCount,
+		secHubColOff:    8 * (hubCount + 1),
+		secHubColIdx:    4 * c.colNNZ,
+		secHubColVal:    4 * c.colNNZ,
+		secStateT:       4 * numStates,
+		secStateRNorm:   8 * numStates,
+		secStateROff:    8 * (numStates + 1),
+		secStateRIdxOff: 8 * (numStates + 1),
+		secStateRIdx:    c.rBytes,
+		secStateRVal:    4 * c.rNNZ,
+		secStateWOff:    8 * (numStates + 1),
+		secStateWIdxOff: 8 * (numStates + 1),
+		secStateWIdx:    c.wBytes,
+		secStateWVal:    4 * c.wNNZ,
+		secStateSOff:    8 * (numStates + 1),
+		secStateSIdxOff: 8 * (numStates + 1),
+		secStateSIdx:    c.sBytes,
+		secStateSVal:    4 * c.sNNZ,
+		secPhat:         8 * c.rows * c.k,
+	}
+	if c.shards > 0 {
+		lens[secPartMeta] = v2PartMetaSize
+		lens[secPartBounds] = 4 * (c.shards + 1)
+		lens[secPartRows] = 4 * c.rows
+	}
+	return lens
 }
 
 // eachState visits the committed states in ascending node order — exactly
@@ -549,14 +565,13 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 	case secPhat:
 		e.eachRow(func(u graph.NodeID) { bw.floats(e.idx.phat[u]) })
 	case secPartMeta:
-		strategy, _, p, _ := e.idx.part.Parts()
-		bw.u32(uint32(strategy))
-		bw.u32(uint32(p))
+		bw.u32(2) // strategy slot: NewBalanced's value, which default builds have always written
+		bw.u32(uint32(e.idx.part.P()))
 		bw.u32(uint32(e.idx.shardID))
 		bw.u32(0) // pad to the 8-aligned slot below
 		bw.u64(0) // retired hash-seed slot
 	case secPartBounds:
-		_, _, _, bounds := e.idx.part.Parts()
+		_, _, bounds := e.idx.part.Parts()
 		for _, b := range bounds {
 			bw.u32(uint32(b))
 		}
@@ -872,11 +887,20 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 			return nil, fmt.Errorf("lbindex: partition meta section has %d bytes, want %d", p.lens[secPartMeta], v2PartMetaSize)
 		}
 		pb := p.bytes(secPartMeta)
-		strategy := partition.Strategy(int32(binary.LittleEndian.Uint32(pb[0:])))
+		// The strategy slot says only how the bounds were cut: 1 by the
+		// removed range partitioner, 2 by NewBalanced; 0 was the removed
+		// hash partitioner, whose shards did not own one range each.
+		switch strategy := binary.LittleEndian.Uint32(pb[0:]); strategy {
+		case 0:
+			return nil, partition.ErrHash
+		case 1, 2:
+		default:
+			return nil, fmt.Errorf("lbindex: unknown partition strategy %d", strategy)
+		}
 		shards := int(int32(binary.LittleEndian.Uint32(pb[4:])))
 		shardID = int(int32(binary.LittleEndian.Uint32(pb[8:])))
 		var err error
-		pm, err = partition.FromParts(strategy, n, shards, p.i32s(secPartBounds))
+		pm, err = partition.FromParts(n, shards, p.i32s(secPartBounds))
 		if err != nil {
 			return nil, err
 		}
@@ -897,37 +921,15 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 
 	// Expected section lengths, from the validated counts.
 	colNNZ := p.lens[secHubColIdx] / 4
-	rNNZ, wNNZ, sNNZ := p.lens[secStateRVal]/4, p.lens[secStateWVal]/4, p.lens[secStateSVal]/4
-	rBytes, wBytes, sBytes := p.lens[secStateRIdx], p.lens[secStateWIdx], p.lens[secStateSIdx]
-	want := [v2NumSectionsSharded]int{
-		secMeta:         v2MetaSize,
-		secHubIDs:       4 * hubCount,
-		secHubTopK:      8 * hubCount * o.K,
-		secHubDropped:   8 * hubCount,
-		secHubColOff:    8 * (hubCount + 1),
-		secHubColIdx:    4 * colNNZ,
-		secHubColVal:    4 * colNNZ,
-		secStateT:       4 * numStates,
-		secStateRNorm:   8 * numStates,
-		secStateROff:    8 * (numStates + 1),
-		secStateRIdxOff: 8 * (numStates + 1),
-		secStateRIdx:    rBytes,
-		secStateRVal:    4 * rNNZ,
-		secStateWOff:    8 * (numStates + 1),
-		secStateWIdxOff: 8 * (numStates + 1),
-		secStateWIdx:    wBytes,
-		secStateWVal:    4 * wNNZ,
-		secStateSOff:    8 * (numStates + 1),
-		secStateSIdxOff: 8 * (numStates + 1),
-		secStateSIdx:    sBytes,
-		secStateSVal:    4 * sNNZ,
-		secPhat:         8 * (hi - lo) * o.K,
+	c := v2Counts{
+		hubs: hubCount, k: o.K, colNNZ: colNNZ, states: numStates, rows: hi - lo,
+		rNNZ: p.lens[secStateRVal] / 4, wNNZ: p.lens[secStateWVal] / 4, sNNZ: p.lens[secStateSVal] / 4,
+		rBytes: p.lens[secStateRIdx], wBytes: p.lens[secStateWIdx], sBytes: p.lens[secStateSIdx],
 	}
-	if shardedNsec(nsec) {
-		want[secPartMeta] = p.lens[secPartMeta]
-		want[secPartBounds] = p.lens[secPartBounds]
-		want[secPartRows] = p.lens[secPartRows]
+	if pm != nil {
+		c.shards = pm.P()
 	}
+	want := c.sectionLens()
 	for s := 0; s < nsec; s++ {
 		if p.lens[s] != want[s] {
 			return nil, fmt.Errorf("lbindex: section %d holds %d bytes, want %d", s, p.lens[s], want[s])
@@ -973,9 +975,9 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		sec, size int
 		what      string
 	}{
-		{secStateROff, rNNZ, "state R"}, {secStateRIdxOff, rBytes, "state R index"},
-		{secStateWOff, wNNZ, "state W"}, {secStateWIdxOff, wBytes, "state W index"},
-		{secStateSOff, sNNZ, "state S"}, {secStateSIdxOff, sBytes, "state S index"},
+		{secStateROff, c.rNNZ, "state R"}, {secStateRIdxOff, c.rBytes, "state R index"},
+		{secStateWOff, c.wNNZ, "state W"}, {secStateWIdxOff, c.wBytes, "state W index"},
+		{secStateSOff, c.sNNZ, "state S"}, {secStateSIdxOff, c.sBytes, "state S index"},
 	} {
 		if err := p.checkOffsets(s.sec, numStates, s.size, s.what); err != nil {
 			return nil, err

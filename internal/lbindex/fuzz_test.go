@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -449,7 +450,7 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 // refuses it by name, before the checksum that the patched count breaks.
 func TestRelabeledImagesRefused(t *testing.T) {
 	g, idx := shardTestIndex(t)
-	pm, err := partition.NewRange(g.N(), 2)
+	pm, err := partition.NewBalanced(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,6 +495,65 @@ func TestHashSlicesRefused(t *testing.T) {
 	binary.LittleEndian.PutUint32(sectionAt(img, secPartMeta)[0:], 0)
 	reseal(img)
 	requireRefused(t, img, partition.ErrHash)
+}
+
+// TestRangeSlicesLoad: a shard slice stored with strategy 1, the removed
+// range partitioner's, loads by its stored bounds on every path as the same
+// index as the strategy-2 slice Save writes, and saves back to that slice's
+// bytes. A strategy no writer ever stored is refused.
+func TestRangeSlicesLoad(t *testing.T) {
+	g, idx := shardTestIndex(t)
+	pm, err := partition.FromParts(g.N(), 2, []int32{0, 100, 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := idx.ShardSlice(pm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := slice.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := buf.Bytes()
+	if got := binary.LittleEndian.Uint32(sectionAt(want, secPartMeta)); got != 2 {
+		t.Fatalf("strategy slot written as %d, want 2", got)
+	}
+	img := append([]byte(nil), want...)
+	binary.LittleEndian.PutUint32(sectionAt(img, secPartMeta)[0:], 1)
+	reseal(img)
+	path := filepath.Join(t.TempDir(), "range.idx")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(loader string, got *Index, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", loader, err)
+		}
+		requireIndexEqual(t, slice, got)
+		if gotPM, s, ok := got.Shard(); !ok || s != 1 || !gotPM.Equal(pm) {
+			t.Fatalf("%s: shard %d of %v (ok=%v), want shard 1 of %v", loader, s, gotPM, ok, pm)
+		}
+		var again bytes.Buffer
+		if err := got.Save(&again); err != nil {
+			t.Fatalf("%s: Save: %v", loader, err)
+		}
+		if !bytes.Equal(again.Bytes(), want) {
+			t.Fatalf("%s: re-saved slice differs from the strategy-2 image", loader)
+		}
+	}
+	got, err := Load(bytes.NewReader(img))
+	check("Load", got, err)
+	for _, mmap := range []bool{false, true} {
+		got, err := LoadFile(path, LoadOptions{Mmap: mmap})
+		check(fmt.Sprintf("LoadFile mmap=%v", mmap), got, err)
+	}
+	binary.LittleEndian.PutUint32(sectionAt(img, secPartMeta)[0:], 3)
+	reseal(img)
+	if _, err := Load(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "strategy 3") {
+		t.Fatalf("strategy 3: got %v, want it refused by name", err)
+	}
 }
 
 // TestRetiredMetaSlotsIgnored: the meta section's hub-scheme and greedy-seed

@@ -27,26 +27,24 @@ func shardTestIndex(t *testing.T) (*graph.Graph, *Index) {
 	return g, idx
 }
 
-// shardMaps returns a range, a balanced and a range map whose shard 0 owns
-// nothing, each over p shards.
+// shardMaps returns three maps over p ∈ {2, 3, 4} shards of the 200-node
+// test graph: a balanced one, the near-equal cut the removed range
+// partitioner made, and that cut with shard 0 owning nothing — the last two
+// as stored bounds.
 func shardMaps(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 	t.Helper()
-	rng, err := partition.NewRange(g.N(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bal, err := partition.NewBalanced(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n, _, bounds := rng.Parts()
-	bounds = append([]int32(nil), bounds...)
-	bounds[1] = 0
-	empty, err := partition.FromParts(partition.Range, n, p, bounds)
-	if err != nil {
-		t.Fatal(err)
+	cut := map[int][]int32{2: {0, 100, 200}, 3: {0, 67, 134, 200}, 4: {0, 50, 100, 150, 200}}[p]
+	maps := map[string]*partition.Map{"balanced": bal}
+	for name, bounds := range map[string][]int32{"range": cut, "empty shard": append([]int32{0, 0}, cut[2:]...)} {
+		if maps[name], err = partition.FromParts(g.N(), p, bounds); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return map[string]*partition.Map{"range": rng, "balanced": bal, "empty shard": empty}
+	return maps
 }
 
 // TestShardSliceSharesRows checks a slice exposes exactly its range's rows,

@@ -20,7 +20,6 @@ func buildTestRegistry() *Registry {
 	g := r.NewGauge("depth", "Queue depth.")
 	g.Set(2.5)
 	r.NewGaugeFunc("uptime_seconds", "Uptime.", func() float64 { return 12.25 })
-	r.NewCounterFunc("evictions_total", "Evictions.", func() float64 { return 7 })
 	r.NewCounterFuncs("drops_total", "Drops by cause.", "cause", map[string]func() float64{
 		"epoch":    func() float64 { return 2 },
 		"capacity": func() float64 { return 1 },
@@ -52,9 +51,6 @@ depth 2.5
 # HELP uptime_seconds Uptime.
 # TYPE uptime_seconds gauge
 uptime_seconds 12.25
-# HELP evictions_total Evictions.
-# TYPE evictions_total counter
-evictions_total 7
 # HELP drops_total Drops by cause.
 # TYPE drops_total counter
 drops_total{cause="capacity"} 1
@@ -86,8 +82,8 @@ func TestExpositionParsesBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse back: %v", err)
 	}
-	if len(fams) != 7 {
-		t.Fatalf("parsed %d families, want 7", len(fams))
+	if len(fams) != 6 {
+		t.Fatalf("parsed %d families, want 6", len(fams))
 	}
 	if f := fams["errors_total"]; f == nil || f.Type != "counter" {
 		t.Fatalf("errors_total family missing or mistyped: %+v", f)
@@ -176,6 +172,15 @@ func TestSlowLogThresholdAndDisable(t *testing.T) {
 	}
 	var nilLog *SlowLog
 	nilLog.Record(SlowEntry{Duration: time.Hour}) // must not panic
+	for _, c := range []struct {
+		log  *SlowLog
+		d    time.Duration
+		want bool
+	}{{sl, time.Millisecond, false}, {sl, 5 * time.Millisecond, true}, {off, time.Hour, false}, {nilLog, time.Hour, false}} {
+		if got := c.log.Keeps(c.d); got != c.want {
+			t.Errorf("Keeps(%v) = %v, want %v", c.d, got, c.want)
+		}
+	}
 }
 
 func TestSlowLogHandler(t *testing.T) {

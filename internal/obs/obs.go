@@ -331,16 +331,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	f.mu.Unlock()
 }
 
-// NewCounterFunc registers a counter whose value is read at scrape time —
-// the bridge for counters owned by subsystems that should not depend on
-// this package. fn must be monotone and safe from any goroutine.
-func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, kindCounterFunc, nil, nil, nil)
-	f.mu.Lock()
-	f.order = append(f.order, &series{values: []string{}, fn: fn})
-	f.mu.Unlock()
-}
-
 // NewCounterFuncs registers a one-label counter family whose series values
 // are read at scrape time. The series set is fixed at registration.
 func (r *Registry) NewCounterFuncs(name, help, label string, fns map[string]func() float64) {

@@ -52,10 +52,16 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 // Threshold returns the configured recording threshold.
 func (s *SlowLog) Threshold() time.Duration { return s.threshold }
 
-// Record offers one request to the ring; it is kept when recording is
-// enabled and the duration reaches the threshold.
+// Keeps reports whether Record would keep a request that took d: recording
+// is enabled and d reaches the threshold. A caller whose entry costs
+// something to build asks first.
+func (s *SlowLog) Keeps(d time.Duration) bool {
+	return s != nil && s.capacity > 0 && d >= s.threshold
+}
+
+// Record offers one request to the ring; it is kept when Keeps(e.Duration).
 func (s *SlowLog) Record(e SlowEntry) {
-	if s == nil || s.capacity <= 0 || e.Duration < s.threshold {
+	if !s.Keeps(e.Duration) {
 		return
 	}
 	e.DurationMS = float64(e.Duration) / float64(time.Millisecond)

@@ -4,21 +4,16 @@
 // time can be re-derived (or verified) by every shard and by the query
 // coordinator independently. Every shard owns one contiguous node-id range,
 // so its rows are one dense slab and coordinator merges are concatenations.
-// The map is tiny — a strategy tag plus P+1 boundaries — and is serialized
-// alongside each per-shard index slice (see lbindex), so a slice file is
-// self-describing: it knows which shard it is, out of how many, under which
-// assignment.
+// The map is tiny — P+1 boundaries — and is serialized alongside each
+// per-shard index slice (see lbindex), so a slice file is self-describing: it
+// knows which shard it is, out of how many, under which assignment.
 //
-// Two strategies place the boundaries:
-//
-//   - Range: P near-equal node-id ranges.
-//   - Balanced: boundaries placed so each shard owns ≈ the same total
-//     DEGREE (out+in edges), not the same node count — the balance-aware
-//     option for skewed graphs, where the heavy head of a power-law degree
-//     sequence would otherwise overload shard 0.
-//
-// Both cover [0, n) exactly once; Validate checks this in O(P) (and tests
-// re-check it exhaustively).
+// NewBalanced places the boundaries so each shard owns ≈ the same total
+// DEGREE (out+in edges), not the same node count: on a skewed graph the
+// heavy head of a power-law degree sequence would otherwise overload shard
+// 0. FromParts rebuilds a map from stored boundaries, wherever they were
+// cut. Every map covers [0, n) exactly once; Validate checks this in O(P)
+// (and tests re-check it exhaustively).
 package partition
 
 import (
@@ -29,78 +24,19 @@ import (
 	"repro/internal/graph"
 )
 
-// Strategy selects how the shard boundaries are placed. Its values are the
-// ones shard-slice files store.
-type Strategy int
-
-const (
-	// Range assigns P near-equal contiguous node-id ranges.
-	Range Strategy = 1
-	// Balanced assigns contiguous ranges with ≈ equal total degree.
-	Balanced Strategy = 2
-)
-
 // ErrHash refuses a map stored with strategy 0, the removed hash
 // partitioner's, whose shards owned scattered nodes rather than one range
 // each.
-var ErrHash = errors.New("partition: the hash strategy was removed; rebuild the shard slices with rtkindex -strategy balanced")
-
-// String returns the strategy name accepted by ParseStrategy.
-func (s Strategy) String() string {
-	switch s {
-	case Range:
-		return "range"
-	case Balanced:
-		return "balanced"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// Strategies lists the valid -strategy values, for CLI help messages.
-func Strategies() []string { return []string{"range", "balanced"} }
-
-// ParseStrategy decodes a CLI strategy name.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "range":
-		return Range, nil
-	case "balanced":
-		return Balanced, nil
-	default:
-		return 0, fmt.Errorf("partition: unknown strategy %q (valid: range, balanced)", name)
-	}
-}
+var ErrHash = errors.New("partition: the hash strategy was removed; rebuild the shard slices with rtkindex -partition")
 
 // Map is one deterministic assignment of n nodes to p shards. Immutable
 // after construction and safe for concurrent use.
 type Map struct {
-	n        int
-	p        int
-	strategy Strategy
+	n int
+	p int
 	// bounds holds the p+1 range boundaries: shard s owns
 	// [bounds[s], bounds[s+1]).
 	bounds []int32
-}
-
-// NewRange builds a contiguous partition of n nodes into p near-equal
-// ranges (the first n mod p shards own one extra node).
-func NewRange(n, p int) (*Map, error) {
-	if err := checkShape(n, p); err != nil {
-		return nil, err
-	}
-	bounds := make([]int32, p+1)
-	base, extra := n/p, n%p
-	pos := 0
-	for s := 0; s < p; s++ {
-		bounds[s] = int32(pos)
-		pos += base
-		if s < extra {
-			pos++
-		}
-	}
-	bounds[p] = int32(n)
-	return &Map{n: n, p: p, strategy: Range, bounds: bounds}, nil
 }
 
 // NewBalanced builds a contiguous partition whose boundaries equalize the
@@ -138,41 +74,17 @@ func NewBalanced(g graph.View, p int) (*Map, error) {
 	bounds[p] = int32(n)
 	// Boundaries must be non-decreasing; the clamps above keep them so,
 	// but an inconsistent View could break the prefix logic.
-	m := &Map{n: n, p: p, strategy: Balanced, bounds: bounds}
+	m := &Map{n: n, p: p, bounds: bounds}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// New builds a map with the named strategy — the one constructor CLI and
-// bench front ends share. g is only read by Balanced (its node count must
-// be n).
-func New(strategy Strategy, g graph.View, n, p int) (*Map, error) {
-	switch strategy {
-	case Range:
-		return NewRange(n, p)
-	case Balanced:
-		if g == nil {
-			return nil, fmt.Errorf("partition: balanced strategy needs the graph")
-		}
-		if g.N() != n {
-			return nil, fmt.Errorf("partition: balanced strategy over %d nodes, graph has %d", n, g.N())
-		}
-		return NewBalanced(g, p)
-	default:
-		return nil, fmt.Errorf("partition: unknown strategy %d", int(strategy))
-	}
-}
-
 // FromParts reconstructs a Map from its serialized fields (the inverse of
-// Parts), validating shape and coverage. A map of the removed hash strategy
-// is refused with ErrHash.
-func FromParts(strategy Strategy, n, p int, bounds []int32) (*Map, error) {
-	if strategy == 0 {
-		return nil, ErrHash
-	}
-	m := &Map{n: n, p: p, strategy: strategy, bounds: append([]int32(nil), bounds...)}
+// Parts), validating shape and coverage.
+func FromParts(n, p int, bounds []int32) (*Map, error) {
+	m := &Map{n: n, p: p, bounds: append([]int32(nil), bounds...)}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -181,8 +93,8 @@ func FromParts(strategy Strategy, n, p int, bounds []int32) (*Map, error) {
 
 // Parts returns the serializable fields of the map. The returned bounds
 // slice aliases internal storage and must not be modified.
-func (m *Map) Parts() (strategy Strategy, n, p int, bounds []int32) {
-	return m.strategy, m.n, m.p, m.bounds
+func (m *Map) Parts() (n, p int, bounds []int32) {
+	return m.n, m.p, m.bounds
 }
 
 func checkShape(n, p int) error {
@@ -204,9 +116,6 @@ func (m *Map) N() int { return m.n }
 // P returns the number of shards.
 func (m *Map) P() int { return m.p }
 
-// Strategy returns the assignment rule.
-func (m *Map) Strategy() Strategy { return m.strategy }
-
 // Range returns the node range [lo, hi) shard s owns; the last shard's
 // range also takes every id a Grow added.
 func (m *Map) Range(s int) (lo, hi int) {
@@ -227,25 +136,22 @@ func (m *Map) Grow(n2 int) (*Map, error) {
 	if n2 == m.n {
 		return m, nil
 	}
-	g := &Map{n: n2, p: m.p, strategy: m.strategy, bounds: append([]int32(nil), m.bounds...)}
+	g := &Map{n: n2, p: m.p, bounds: append([]int32(nil), m.bounds...)}
 	g.bounds[m.p] = int32(n2)
 	return g, nil
 }
 
 // Equal reports whether two maps describe the same assignment fields.
 func (m *Map) Equal(o *Map) bool {
-	return m.n == o.n && m.p == o.p && m.strategy == o.strategy && slices.Equal(m.bounds, o.bounds)
+	return m.n == o.n && m.p == o.p && slices.Equal(m.bounds, o.bounds)
 }
 
 // Validate checks that the map covers [0, n) exactly once: shard count and
-// node count positive, a known strategy, and boundaries non-decreasing from
+// node count positive and boundaries non-decreasing from
 // 0 to n.
 func (m *Map) Validate() error {
 	if err := checkShape(m.n, m.p); err != nil {
 		return err
-	}
-	if m.strategy != Range && m.strategy != Balanced {
-		return fmt.Errorf("partition: unknown strategy %d", int(m.strategy))
 	}
 	if len(m.bounds) != m.p+1 {
 		return fmt.Errorf("partition: %d bounds for %d shards, want %d", len(m.bounds), m.p, m.p+1)
@@ -263,5 +169,5 @@ func (m *Map) Validate() error {
 
 // String summarizes the map for logs.
 func (m *Map) String() string {
-	return fmt.Sprintf("partition{%s n=%d P=%d}", m.strategy, m.n, m.p)
+	return fmt.Sprintf("partition{n=%d P=%d}", m.n, m.p)
 }

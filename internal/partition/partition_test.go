@@ -1,32 +1,43 @@
 package partition
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// buildMaps constructs one map per strategy over the given shape, plus, for
-// p ≥ 2, a range map whose shard 0 owns nothing.
+// evenBounds is the cut the removed range partitioner made: p near-equal
+// ranges, the first n mod p of them one node longer.
+func evenBounds(n, p int) []int32 {
+	bounds := make([]int32, p+1)
+	for s := 1; s <= p; s++ {
+		bounds[s] = bounds[s-1] + int32(n/p)
+		if s <= n%p {
+			bounds[s]++
+		}
+	}
+	return bounds
+}
+
+// buildMaps constructs a balanced map over the given shape and, as stored
+// bounds, the near-equal cut and, for p ≥ 2, that cut with shard 0 owning
+// nothing.
 func buildMaps(t *testing.T, g graph.View, p int) map[string]*Map {
 	t.Helper()
 	n := g.N()
-	rng, err := NewRange(n, p)
-	if err != nil {
-		t.Fatalf("NewRange(%d,%d): %v", n, p, err)
-	}
 	bal, err := NewBalanced(g, p)
 	if err != nil {
 		t.Fatalf("NewBalanced(%d,%d): %v", n, p, err)
 	}
-	maps := map[string]*Map{"range": rng, "balanced": bal}
+	maps := map[string]*Map{"balanced": bal}
+	cuts := map[string][]int32{"range": evenBounds(n, p)}
 	if p >= 2 {
-		bounds := append([]int32(nil), rng.bounds...)
-		bounds[1] = 0
-		if maps["empty shard"], err = FromParts(Range, n, p, bounds); err != nil {
-			t.Fatalf("FromParts(empty shard): %v", err)
+		cuts["empty shard"] = append([]int32{0, 0}, cuts["range"][2:]...)
+	}
+	for name, bounds := range cuts {
+		if maps[name], err = FromParts(n, p, bounds); err != nil {
+			t.Fatalf("FromParts(%s): %v", name, err)
 		}
 	}
 	return maps
@@ -59,26 +70,26 @@ func TestCoverageExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestDeterminism rebuilds each map from scratch and from its serialized
-// parts; all three must agree.
+// TestDeterminism rebuilds each map from its serialized parts, and the
+// balanced one from scratch too; they must agree.
 func TestDeterminism(t *testing.T) {
 	g, err := gen.SocialGraph(300, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, m := range buildMaps(t, g, 5) {
-		strategy, n, p, bounds := m.Parts()
-		round, err := FromParts(strategy, n, p, bounds)
+		n, p, bounds := m.Parts()
+		round, err := FromParts(n, p, bounds)
 		if err != nil {
 			t.Fatalf("%s: FromParts: %v", name, err)
 		}
 		if !m.Equal(round) {
 			t.Errorf("%s: FromParts round trip differs", name)
 		}
-		if name == "empty shard" {
+		if name != "balanced" {
 			continue
 		}
-		again, err := New(m.Strategy(), g, m.N(), m.P())
+		again, err := NewBalanced(g, m.P())
 		if err != nil {
 			t.Fatalf("%s: rebuild: %v", name, err)
 		}
@@ -88,9 +99,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestBalancedWeights checks the balance-aware strategy actually bounds
-// per-shard degree skew well below the naive range split's on a power-law
-// graph.
+// TestBalancedWeights checks the balanced cut actually bounds per-shard
+// degree skew well below the near-equal node split's on a power-law graph.
 func TestBalancedWeights(t *testing.T) {
 	g, err := gen.SocialGraph(2000, 5)
 	if err != nil {
@@ -122,7 +132,7 @@ func TestBalancedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng, err := NewRange(g.N(), p)
+	rng, err := FromParts(g.N(), p, evenBounds(g.N(), p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,35 +177,26 @@ func TestGrow(t *testing.T) {
 }
 
 func TestShapeErrors(t *testing.T) {
-	if _, err := NewRange(5, 6); err == nil {
+	g, err := gen.WebGraph(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBalanced(g, 6); err == nil {
 		t.Error("P > n accepted")
 	}
-	if _, err := FromParts(Range, 0, 1, []int32{0, 0}); err == nil {
-		t.Error("empty node set accepted")
-	}
-	if _, err := NewRange(10, 0); err == nil {
+	if _, err := NewBalanced(g, 0); err == nil {
 		t.Error("zero shards accepted")
 	}
-	for _, name := range []string{"bogus", "hash"} {
-		if _, err := ParseStrategy(name); err == nil {
-			t.Errorf("strategy name %q accepted", name)
-		}
+	if _, err := FromParts(0, 1, []int32{0, 0}); err == nil {
+		t.Error("empty node set accepted")
 	}
-	for _, name := range Strategies() {
-		if _, err := ParseStrategy(name); err != nil {
-			t.Errorf("listed strategy %q rejected: %v", name, err)
-		}
-	}
-	if _, err := FromParts(Range, 10, 2, []int32{0, 4, 9}); err == nil {
+	if _, err := FromParts(10, 2, []int32{0, 4, 9}); err == nil {
 		t.Error("bounds not ending at n accepted")
 	}
-	if _, err := FromParts(Range, 10, 2, []int32{0, 6, 5, 10}); err == nil {
+	if _, err := FromParts(10, 2, []int32{0, 6, 5, 10}); err == nil {
 		t.Error("bounds of the wrong count accepted")
 	}
-	if _, err := FromParts(0, 10, 2, nil); !errors.Is(err, ErrHash) {
-		t.Errorf("stored hash strategy: got %v, want ErrHash", err)
-	}
-	if _, err := FromParts(3, 10, 2, []int32{0, 5, 10}); err == nil || errors.Is(err, ErrHash) {
-		t.Errorf("unknown strategy 3: got %v", err)
+	if _, err := FromParts(10, 2, []int32{0, 11, 10}); err == nil {
+		t.Error("decreasing bounds accepted")
 	}
 }

@@ -54,19 +54,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// PredictedIters returns the iteration bound of Theorem 2(c):
-// log(ε/α)/log(1−α), rounded up.
-func (p Params) PredictedIters() int {
-	// Solve (1−α)^i · α < ε.
-	iters := 0
-	v := p.Alpha
-	for v >= p.Eps && iters < p.MaxIters {
-		v *= 1 - p.Alpha
-		iters++
-	}
-	return iters
-}
-
 // Result carries a computed proximity vector together with convergence
 // diagnostics.
 type Result struct {

@@ -61,16 +61,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestPredictedIters(t *testing.T) {
-	p := DefaultParams()
-	got := p.PredictedIters()
-	// Theorem 2(c): i > log(ε/α)/log(1−α) ≈ log(1e-10/0.15)/log(0.85) ≈ 130.
-	want := math.Log(p.Eps/p.Alpha) / math.Log(1-p.Alpha)
-	if math.Abs(float64(got)-want) > 2 {
-		t.Errorf("PredictedIters = %d, analytic %g", got, want)
-	}
-}
-
 func TestMulTransitionStochastic(t *testing.T) {
 	// A is column-stochastic, so ‖A·x‖1 = ‖x‖1 for non-negative x, under
 	// every dangling policy and for weighted graphs: the push kernel at width

@@ -7,7 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -152,28 +152,37 @@ func (f *Fanout) recordShardError(i int, reqID string) {
 	}
 }
 
-// fanGet issues one GET per shard concurrently, stamping each with the
-// originating request's correlation ID and timing each call.
-func (f *Fanout) fanGet(path, reqID string) []shardReply {
+// broadcast sends the same request to every shard concurrently, stamping
+// each with the originating request's correlation ID and timing each call.
+func (f *Fanout) broadcast(method, path string, body []byte, reqID string) []shardReply {
 	replies := make([]shardReply, len(f.shards))
 	var wg sync.WaitGroup
 	for i, base := range f.shards {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			replies[i] = f.timedDo(i, http.MethodGet, url, nil, reqID)
+			start := time.Now()
+			replies[i] = f.do(method, url, body, reqID)
+			f.shardDur.With(strconv.Itoa(i)).Observe(time.Since(start).Seconds())
 		}(i, base+path)
 	}
 	wg.Wait()
 	return replies
 }
 
-// timedDo proxies one call to shard i, observing its latency.
-func (f *Fanout) timedDo(i int, method, url string, body []byte, reqID string) shardReply {
-	start := time.Now()
-	rep := f.do(method, url, body, reqID)
-	f.shardDur.With(strconv.Itoa(i)).Observe(time.Since(start).Seconds())
-	return rep
+// decodeReplies parses every shard's body as a T. On the first body that
+// does not parse it charges that shard an error, writes a 502 naming it and
+// returns nil.
+func decodeReplies[T any](f *Fanout, w http.ResponseWriter, replies []shardReply, reqID string) []T {
+	out := make([]T, len(replies))
+	for i, rep := range replies {
+		if err := json.Unmarshal(rep.body, &out[i]); err != nil {
+			f.recordShardError(i, reqID)
+			writeError(w, http.StatusBadGateway, "shard %d returned malformed body: %v", i, err)
+			return nil
+		}
+	}
+	return out
 }
 
 func (f *Fanout) do(method, url string, body []byte, reqID string) shardReply {
@@ -270,98 +279,59 @@ func (f *Fanout) handleQuery(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	reqID := ensureRequestID(w, r)
 	f.fanouts.Inc()
-	replies := f.fanGet("/v1/reverse-topk?"+r.URL.RawQuery, reqID)
-	if status := f.relayFailure(w, replies, http.StatusOK, reqID); status != 0 {
-		f.logRequest("fanout_query", reqID, status, time.Since(begin), "query", r.URL.RawQuery)
-		return
+	logArgs := []any{"query", r.URL.RawQuery}
+	approx := r.URL.Query().Get("mode") == ModeApprox
+	if approx {
+		logArgs = append(logArgs, "mode", ModeApprox)
 	}
-	if r.URL.Query().Get("mode") == ModeApprox {
-		status := f.mergeApprox(w, replies, reqID)
-		f.logRequest("fanout_query", reqID, status, time.Since(begin), "query", r.URL.RawQuery, "mode", ModeApprox)
-		return
+	replies := f.broadcast(http.MethodGet, "/v1/reverse-topk?"+r.URL.RawQuery, nil, reqID)
+	status := f.relayFailure(w, replies, http.StatusOK, reqID)
+	if status == 0 {
+		status = f.writeMerged(w, replies, approx, reqID)
 	}
-	merged := QueryResponse{}
-	var maxEpoch uint64
-	for i, rep := range replies {
-		var qr QueryResponse
-		if err := json.Unmarshal(rep.body, &qr); err != nil {
-			f.recordShardError(i, reqID)
-			writeError(w, http.StatusBadGateway, "shard %d returned malformed body: %v", i, err)
-			f.logRequest("fanout_query", reqID, http.StatusBadGateway, time.Since(begin), "query", r.URL.RawQuery)
-			return
-		}
-		merged.Query, merged.K = qr.Query, qr.K
-		if qr.Epoch > maxEpoch {
-			maxEpoch = qr.Epoch
-		}
-		merged.Results = append(merged.Results, qr.Results...)
-	}
-	// Partitions are disjoint, so the union is a plain merge; sort restores
-	// the global ascending order the single-engine answer uses.
-	sort.Slice(merged.Results, func(i, j int) bool { return merged.Results[i] < merged.Results[j] })
-	if merged.Results == nil {
-		merged.Results = []graph.NodeID{}
-	}
-	merged.Count = len(merged.Results)
-	merged.Epoch = maxEpoch
-	f.served.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Shards", fmt.Sprintf("%d", len(f.shards)))
-	body, _ := json.Marshal(merged)
-	w.Write(body)
-	f.logRequest("fanout_query", reqID, http.StatusOK, time.Since(begin), "query", r.URL.RawQuery)
+	f.logRequest("fanout_query", reqID, status, time.Since(begin), logArgs...)
 }
 
-// mergeApprox merges per-shard anytime answers. Partitions are disjoint, so
-// guaranteed and maybe sets union by plain concatenation; the achieved ε is
-// recomputed from the merged counts (each shard reports its local fraction,
-// which does not average), and rounds/iteration diagnostics report the
-// slowest shard — the fan-out's critical path. It returns the status it
-// wrote: 200, or 502 for a shard body that does not parse.
-func (f *Fanout) mergeApprox(w http.ResponseWriter, replies []shardReply, reqID string) int {
-	merged := ApproxQueryResponse{}
-	var maxEpoch uint64
-	converged := true
-	for i, rep := range replies {
-		var ar ApproxQueryResponse
-		if err := json.Unmarshal(rep.body, &ar); err != nil {
-			f.recordShardError(i, reqID)
-			writeError(w, http.StatusBadGateway, "shard %d returned malformed body: %v", i, err)
-			return http.StatusBadGateway
-		}
-		merged.Query, merged.K = ar.Query, ar.K
-		merged.Mode, merged.Eps = ar.Mode, ar.Eps
-		if ar.Epoch > maxEpoch {
-			maxEpoch = ar.Epoch
-		}
-		if ar.Rounds > merged.Rounds {
-			merged.Rounds = ar.Rounds
-		}
-		if ar.PMPNIters > merged.PMPNIters {
-			merged.PMPNIters = ar.PMPNIters
-		}
-		converged = converged && ar.Converged
-		merged.Results = append(merged.Results, ar.Results...)
-		merged.Maybe = append(merged.Maybe, ar.Maybe...)
+// writeMerged answers a query from the shards' answers, exact or approx
+// alike: an exact body is an approx body's fields without the anytime ones.
+// Partitions are disjoint, so the result and maybe sets union by plain
+// concatenation, and a sort restores the global ascending order the
+// single-engine answer uses. The epoch is the newest shard's, rounds and
+// PMPN iterations the slowest shard's (the fan-out's critical path), and the
+// answer converged only if every shard's did; the achieved ε is recomputed
+// from the merged counts, since the shards' local fractions do not average.
+// It returns the status it wrote: 200, or 502 for a shard body that does
+// not parse.
+func (f *Fanout) writeMerged(w http.ResponseWriter, replies []shardReply, approx bool, reqID string) int {
+	parts := decodeReplies[ApproxQueryResponse](f, w, replies, reqID)
+	if parts == nil {
+		return http.StatusBadGateway
 	}
-	sort.Slice(merged.Results, func(i, j int) bool { return merged.Results[i] < merged.Results[j] })
-	sort.Slice(merged.Maybe, func(i, j int) bool { return merged.Maybe[i] < merged.Maybe[j] })
-	if merged.Results == nil {
-		merged.Results = []graph.NodeID{}
+	m := ApproxQueryResponse{Converged: true, Results: []graph.NodeID{}, Maybe: []graph.NodeID{}}
+	for _, p := range parts {
+		m.Query, m.K, m.Mode, m.Eps = p.Query, p.K, p.Mode, p.Eps
+		m.Epoch = max(m.Epoch, p.Epoch)
+		m.Rounds = max(m.Rounds, p.Rounds)
+		m.PMPNIters = max(m.PMPNIters, p.PMPNIters)
+		m.Converged = m.Converged && p.Converged
+		m.Results = append(m.Results, p.Results...)
+		m.Maybe = append(m.Maybe, p.Maybe...)
 	}
-	if merged.Maybe == nil {
-		merged.Maybe = []graph.NodeID{}
+	slices.Sort(m.Results)
+	slices.Sort(m.Maybe)
+	m.Count = len(m.Results)
+	if len(m.Maybe) > 0 {
+		m.EpsAchieved = float64(len(m.Maybe)) / float64(len(m.Results)+len(m.Maybe))
 	}
-	merged.Count = len(merged.Results)
-	merged.Epoch = maxEpoch
-	merged.Converged = converged
-	if len(merged.Maybe) > 0 {
-		merged.EpsAchieved = float64(len(merged.Maybe)) / float64(len(merged.Results)+len(merged.Maybe))
+	var body []byte
+	if approx {
+		body, _ = json.Marshal(m)
+	} else {
+		body, _ = json.Marshal(QueryResponse{Query: m.Query, K: m.K, Epoch: m.Epoch, Count: m.Count, Results: m.Results})
 	}
 	f.served.Inc()
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Shards", fmt.Sprintf("%d", len(f.shards)))
-	body, _ := json.Marshal(merged)
+	w.Header().Set("X-Shards", strconv.Itoa(len(f.shards)))
 	w.Write(body)
 	return http.StatusOK
 }
@@ -422,7 +392,7 @@ func (f *Fanout) shardSummaries() []FanoutShardSummary {
 
 func (f *Fanout) handleStats(w http.ResponseWriter, r *http.Request) {
 	reqID := ensureRequestID(w, r)
-	replies := f.fanGet("/v1/stats", reqID)
+	replies := f.broadcast(http.MethodGet, "/v1/stats", nil, reqID)
 	resp := FanoutStatsResponse{
 		Shards:         len(f.shards),
 		Fanouts:        int64(f.fanouts.Value()),
@@ -447,7 +417,7 @@ func (f *Fanout) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fanout) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reqID := ensureRequestID(w, r)
-	replies := f.fanGet("/healthz", reqID)
+	replies := f.broadcast(http.MethodGet, "/healthz", nil, reqID)
 	var down []string
 	for i, rep := range replies {
 		if rep.err != nil || rep.status != http.StatusOK {
@@ -491,16 +461,7 @@ func (f *Fanout) handleEdits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.edits.Inc()
-	replies := make([]shardReply, len(f.shards))
-	var wg sync.WaitGroup
-	for i, base := range f.shards {
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			replies[i] = f.timedDo(i, http.MethodPost, url, body, reqID)
-		}(i, base+"/v1/edits")
-	}
-	wg.Wait()
+	replies := f.broadcast(http.MethodPost, "/v1/edits", body, reqID)
 	want := http.StatusAccepted
 	if req.Wait {
 		want = http.StatusOK
@@ -509,14 +470,10 @@ func (f *Fanout) handleEdits(w http.ResponseWriter, r *http.Request) {
 		f.logRequest("fanout_edits", reqID, status, time.Since(begin), "edits", len(req.Edits))
 		return
 	}
-	perShard := make([]EditsResponse, len(replies))
-	for i, rep := range replies {
-		if err := json.Unmarshal(rep.body, &perShard[i]); err != nil {
-			f.recordShardError(i, reqID)
-			writeError(w, http.StatusBadGateway, "shard %d returned malformed body: %v", i, err)
-			f.logRequest("fanout_edits", reqID, http.StatusBadGateway, time.Since(begin), "edits", len(req.Edits))
-			return
-		}
+	perShard := decodeReplies[EditsResponse](f, w, replies, reqID)
+	if perShard == nil {
+		f.logRequest("fanout_edits", reqID, http.StatusBadGateway, time.Since(begin), "edits", len(req.Edits))
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(want)

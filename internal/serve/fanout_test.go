@@ -29,7 +29,9 @@ type fanoutFixture struct {
 	fanSrv   *httptest.Server
 }
 
-func newFanoutFixture(t *testing.T, p int, strategy string) *fanoutFixture {
+// newFanoutFixture serves a 220-node graph from p shards cut at the given
+// bounds, or balanced when bounds is nil.
+func newFanoutFixture(t *testing.T, p int, bounds []int32) *fanoutFixture {
 	t.Helper()
 	g, err := gen.WebGraph(220, 13)
 	if err != nil {
@@ -42,12 +44,9 @@ func newFanoutFixture(t *testing.T, p int, strategy string) *fanoutFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pm *partition.Map
-	switch strategy {
-	case "balanced":
-		pm, err = partition.NewBalanced(g, p)
-	default:
-		pm, err = partition.NewRange(g.N(), p)
+	pm, err := partition.NewBalanced(g, p)
+	if bounds != nil {
+		pm, err = partition.FromParts(g.N(), p, bounds)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +102,14 @@ func (fx *fanoutFixture) query(t *testing.T, q, k int) ([]graph.NodeID, *http.Re
 }
 
 // TestFanoutMatchesSingleEngine: the HTTP transport's oracle check across
-// P ∈ {1, 2, 4} and partition strategies.
+// P ∈ {1, 2, 4}, over near-equal cuts and a balanced one.
 func TestFanoutMatchesSingleEngine(t *testing.T) {
 	for _, tc := range []struct {
 		p        int
 		strategy string
-	}{{1, "range"}, {2, "range"}, {4, "balanced"}} {
-		fx := newFanoutFixture(t, tc.p, tc.strategy)
+		bounds   []int32
+	}{{1, "range", []int32{0, 220}}, {2, "range", []int32{0, 110, 220}}, {4, "balanced", nil}} {
+		fx := newFanoutFixture(t, tc.p, tc.bounds)
 		eng, err := core.NewEngine(fx.g, fx.idx, false)
 		if err != nil {
 			t.Fatal(err)
@@ -136,14 +136,15 @@ func TestFanoutMatchesSingleEngine(t *testing.T) {
 
 // TestFanoutApprox: mode=approx through the fan-out coordinator merges the
 // per-shard anytime answers into one two-part response that still brackets
-// the exact answer, across P and partition strategies; parameter errors
-// relay the shard's 400.
+// the exact answer, across P, over a near-equal cut and a balanced one;
+// parameter errors relay the shard's 400.
 func TestFanoutApprox(t *testing.T) {
 	for _, tc := range []struct {
 		p        int
 		strategy string
-	}{{1, "range"}, {3, "balanced"}} {
-		fx := newFanoutFixture(t, tc.p, tc.strategy)
+		bounds   []int32
+	}{{1, "range", []int32{0, 220}}, {3, "balanced", nil}} {
+		fx := newFanoutFixture(t, tc.p, tc.bounds)
 		eng, err := core.NewEngine(fx.g, fx.idx, false)
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +206,7 @@ func TestFanoutApprox(t *testing.T) {
 // semantic change on every shard, with each shard re-indexing only its own
 // rows; post-edit answers must match a full server given the same batch.
 func TestFanoutEditsBroadcast(t *testing.T) {
-	fx := newFanoutFixture(t, 2, "range")
+	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
 
 	// The unsharded oracle server receives the identical batch.
 	oracle, err := New(fx.g, fx.idx.Clone(), Config{})
@@ -283,7 +284,7 @@ func TestFanoutEditsBroadcast(t *testing.T) {
 // TestFanoutErrorPaths: parameter errors relay the shard's 4xx; a dead
 // shard turns queries into 502 and /healthz into 503.
 func TestFanoutErrorPaths(t *testing.T) {
-	fx := newFanoutFixture(t, 2, "range")
+	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
 
 	resp, err := http.Get(fx.fanSrv.URL + "/v1/reverse-topk?q=99999&k=5")
 	if err != nil {
@@ -344,7 +345,7 @@ func TestFanoutErrorPaths(t *testing.T) {
 // status it sent — a shard's relayed 4xx (out-of-range q), and the 502 of a
 // shard's approx body that does not parse.
 func TestFanoutErrorStatusLogged(t *testing.T) {
-	fx := newFanoutFixture(t, 2, "range")
+	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("not json"))
 	}))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -250,49 +251,79 @@ func (t *queryTrace) setPhases(p map[string]time.Duration) {
 // actually sent.
 func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStatus CacheStatus, code int, elapsed time.Duration, tr *queryTrace) {
 	s.m.queryDur.With(mode).Observe(elapsed.Seconds())
-	phasesMS := make(map[string]float64, len(tr.phases))
 	for name, d := range tr.phases {
 		s.m.phaseDur.With(name).Observe(d.Seconds())
-		phasesMS[name] = float64(d) / float64(time.Millisecond)
 	}
 	if tr.fallbacks > 0 {
 		s.m.fbIters.Observe(float64(tr.fallbackIters) / float64(tr.fallbacks))
 		s.m.fbEarly.Add(uint64(tr.fallbackEarlyStops))
 	}
-	if s.logger != nil {
-		s.logger.Info("query",
-			"request_id", id,
-			"mode", mode,
-			"q", q,
-			"k", k,
-			"epoch", epoch,
-			"cache", cacheStatus.String(),
-			"status", code,
-			"duration_ms", float64(elapsed)/float64(time.Millisecond),
-			"pmpn_iters", tr.pmpnIters,
-			"pmpn_support", tr.pmpnSupport,
-			"screened", tr.screened,
-			"rounds", tr.rounds,
-			"candidates", tr.candidates,
-			"refine_steps", tr.refineSteps,
-			"fallbacks", tr.fallbacks,
-			"fallback_iters", tr.fallbackIters,
-			"fallback_ball_iters", tr.fallbackBallIters,
-			"fallback_early_stops", tr.fallbackEarlyStops,
-		)
+	keep := s.slow.Keeps(elapsed)
+	if s.logger == nil && !keep {
+		return
 	}
-	if len(phasesMS) == 0 {
-		phasesMS = nil
+	// The query's record, as the log line's keys and values in order; the
+	// slow-log entry's Detail carries the same fields less the log-only ones.
+	rec := []any{
+		"request_id", id,
+		"q", q,
+		"k", k,
+		"mode", mode,
+		"epoch", epoch,
+		"cache", cacheStatus.String(),
+		"status", code,
+		"duration_ms", float64(elapsed) / float64(time.Millisecond),
+		"pmpn_iters", tr.pmpnIters,
+		"pmpn_support", tr.pmpnSupport,
+		"screened", tr.screened,
+		"rounds", tr.rounds,
+		"candidates", tr.candidates,
+		"refine_steps", tr.refineSteps,
+		"fallbacks", tr.fallbacks,
+		"fallback_iters", tr.fallbackIters,
+		"fallback_ball_iters", tr.fallbackBallIters,
+		"fallback_early_stops", tr.fallbackEarlyStops,
+	}
+	if s.logger != nil {
+		s.logger.Info("query", rec...)
+	}
+	if !keep {
+		return
+	}
+	var phasesMS map[string]float64
+	if len(tr.phases) > 0 {
+		phasesMS = make(map[string]float64, len(tr.phases))
+		for name, d := range tr.phases {
+			phasesMS[name] = float64(d) / float64(time.Millisecond)
+		}
 	}
 	s.slow.Record(obs.SlowEntry{
 		Time:      time.Now(),
 		RequestID: id,
 		Route:     "reverse-topk",
-		Detail: fmt.Sprintf("q=%d k=%d mode=%s cache=%s pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d",
-			q, k, mode, cacheStatus, tr.pmpnIters, tr.pmpnSupport, tr.screened, tr.candidates, tr.refineSteps, tr.fallbacks, tr.fallbackIters, tr.fallbackBallIters, tr.fallbackEarlyStops),
-		PhasesMS: phasesMS,
-		Duration: elapsed,
+		Detail:    slowDetail(rec),
+		PhasesMS:  phasesMS,
+		Duration:  elapsed,
 	})
+}
+
+// slowDetail renders a query record as a slow-log Detail, "q=17 k=10
+// mode=exact cache=miss pmpn_iters=…": every field but those the entry holds
+// in fields of its own (request_id, duration_ms) or leaves out (epoch,
+// status, rounds).
+func slowDetail(rec []any) string {
+	var b strings.Builder
+	for i := 0; i < len(rec); i += 2 {
+		switch rec[i] {
+		case "request_id", "epoch", "status", "duration_ms", "rounds":
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", rec[i], rec[i+1])
+	}
+	return b.String()
 }
 
 // httpError writes an error response through the unified error account:

@@ -299,7 +299,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := partition.NewRange(g.N(), 2)
+	pm, err := partition.FromParts(g.N(), 2, []int32{0, 75, 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,10 +592,10 @@ func TestFallbackObservability(t *testing.T) {
 	}
 
 	_, body := get(t, ts.URL+"/debug/slowlog")
-	detail := fmt.Sprintf("pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d",
+	detail := fmt.Sprintf(`"detail":"q=1 k=3 mode=exact cache=MISS pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d"`,
 		want.PMPNIters, want.PMPNSupport, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackBallIters, want.FallbackEarlyStops)
 	if !strings.Contains(string(body), detail) {
-		t.Errorf("slow-log entry lacks %q: %s", detail, body)
+		t.Errorf("slow-log entry is not %s: %s", detail, body)
 	}
 }
 

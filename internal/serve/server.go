@@ -560,10 +560,9 @@ type StatsResponse struct {
 
 	// Shard-slice identity (set when the daemon serves one shard of a
 	// partitioned index; absent on a full index).
-	ShardID           *int   `json:"shard_id,omitempty"`
-	ShardCount        int    `json:"shard_count,omitempty"`
-	PartitionStrategy string `json:"partition_strategy,omitempty"`
-	OwnedRows         int    `json:"owned_nodes,omitempty"`
+	ShardID    *int `json:"shard_id,omitempty"`
+	ShardCount int  `json:"shard_count,omitempty"`
+	OwnedRows  int  `json:"owned_nodes,omitempty"`
 
 	// Maintenance pipeline observability.
 	EnqueuedWatermark   uint64 `json:"enqueued_watermark"`
@@ -660,7 +659,6 @@ func (s *Server) Stats() StatsResponse {
 		lo, hi := snap.View.Index().Rows()
 		resp.ShardID = &shard
 		resp.ShardCount = pm.P()
-		resp.PartitionStrategy = pm.Strategy().String()
 		resp.OwnedRows = hi - lo
 	}
 	return resp

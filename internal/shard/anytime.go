@@ -21,7 +21,7 @@ import (
 // View.QueryAnytime's — shards decide exactly the nodes the full screen
 // would, just partitioned. If the PMPN converges before the budget
 // is met the exchange stops at the exact-pq screen and reports the achieved
-// ε honestly (Stats.EpsAchieved > eps, EarlyStop = false); the maybe set is
+// ε honestly (Stats.EpsAchieved > eps, Converged = true); the maybe set is
 // then precisely the exact path's refinement candidates. The full
 // refinement pass — the dominant share of exact latency — never runs.
 func (c *Coordinator) QueryAnytime(q graph.NodeID, k int, eps float64) (guaranteed, maybe []graph.NodeID, stats QueryStats, err error) {

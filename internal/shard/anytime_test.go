@@ -58,9 +58,9 @@ func TestShardedAnytimeMatchesUnsharded(t *testing.T) {
 							t.Fatalf("%s eps=%g P=%d %s q=%d: sharded %v/%v, unsharded %v/%v",
 								kind, eps, p, strat, q, guaranteed, maybe, w.g, w.m)
 						}
-						if stats.Results != len(guaranteed) || stats.Survivors != len(maybe) {
+						if stats.Results != len(guaranteed) || stats.Maybe != len(maybe) {
 							t.Fatalf("stats sizes %d/%d, answer %d/%d",
-								stats.Results, stats.Survivors, len(guaranteed), len(maybe))
+								stats.Results, stats.Maybe, len(guaranteed), len(maybe))
 						}
 					}
 				}
@@ -113,7 +113,7 @@ func TestShardedAnytimeContainment(t *testing.T) {
 				t.Fatalf("q=%d: exact node %d missing from guaranteed∪maybe", q, u)
 			}
 		}
-		if stats.EarlyStop && stats.EpsAchieved > 0.25 {
+		if !stats.Converged && stats.EpsAchieved > 0.25 {
 			t.Fatalf("q=%d: early stop with achieved eps %g over budget", q, stats.EpsAchieved)
 		}
 	}
@@ -122,7 +122,7 @@ func TestShardedAnytimeContainment(t *testing.T) {
 // TestShardedAnytimeValidation covers the eps/parameter guard rails.
 func TestShardedAnytimeValidation(t *testing.T) {
 	g, idx := buildCase(t, "web", 120)
-	pm, err := partition.NewRange(g.N(), 2)
+	pm, err := partition.FromParts(g.N(), 2, []int32{0, 60, 120})
 	if err != nil {
 		t.Fatal(err)
 	}

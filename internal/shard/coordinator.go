@@ -1,6 +1,7 @@
 // Package shard distributes one reverse top-k query across P shard
-// engines, each owning one node range (internal/partition)
-// over a shard slice of the lower-bound index (lbindex.ShardSlice) and a
+// engines, each owning one node range — the partition.Map a slice file
+// stores, cut by partition.NewBalanced when rtkindex wrote it — over a
+// shard slice of the lower-bound index (lbindex.ShardSlice) and a
 // replicated graph + hub matrix.
 //
 // The decomposition follows the paper's own structure: the only global
@@ -49,41 +50,29 @@ type Config struct {
 	Workers int
 }
 
-// QueryStats reports one distributed query's execution profile.
+// QueryStats reports one distributed query's execution profile: the stats
+// of core's round loop over the shards' screens (core.Run.Stats), with the
+// answer size, the finish's per-shard stats and the wall clock on top.
+//
+// Converged false means the rounds stopped the PMPN before convergence
+// because every shard had decided its candidates from bounds: an early stop.
+// PrunedByBound and ConfirmedByBound count nodes the shards' screens decided
+// from bounds, in the exchange rounds (τ > 0) and, when the PMPN converged
+// with candidates open, in the τ = 0 screen of the converged vector that
+// ends the last one; refinement never looks at them. Maybe counts the
+// candidates left for refinement when the rounds ended, on both entry points
+// — Query finishes exactly these, QueryAnytime returns them as the maybe set
+// — so that PrunedByBound + ConfirmedByBound + Maybe is the node count.
+// EpsAchieved is QueryAnytime's final undecided fraction (0 for Query).
+// Elapsed is the whole query's wall clock.
 type QueryStats struct {
-	Query graph.NodeID
-	K     int
-	// PMPNIters is the number of power iterations actually run; with
-	// EarlyStop they are fewer than single-engine convergence needs.
-	PMPNIters int
-	// Rounds is the number of scatter-gather bound exchanges.
-	Rounds int
-	// EarlyStop records that every shard decided all its candidates from
-	// bounds alone, so the PMPN was abandoned before convergence.
-	EarlyStop bool
-	// PrunedByBound / ConfirmedByBound count nodes the shards' screens decided
-	// from bounds: in the exchange rounds (τ > 0) and, when the PMPN converged
-	// with candidates open, in the τ = 0 screen of the converged vector that
-	// ends the last one. Refinement never looks at them.
-	PrunedByBound    int
-	ConfirmedByBound int
-	// Survivors is the number of candidates left for refinement when the
-	// rounds ended, on both entry points — Query finishes exactly these,
-	// QueryAnytime returns them as the maybe set — so that PrunedByBound +
-	// ConfirmedByBound + Survivors is the node count.
-	Survivors int
-	// EpsAchieved is QueryAnytime's final undecided fraction (0 for Query).
-	EpsAchieved float64
+	core.AnytimeStats
 	// Results is the answer-set size.
 	Results int
 	// PerShard carries the finish's per-shard engine stats, each with a cold
 	// query's phases: the shared pmpn, the shard's decide and fallback. Nil
-	// when EarlyStop skipped the finish, and under QueryAnytime.
+	// after an early stop, which skips the finish, and under QueryAnytime.
 	PerShard []core.QueryStats
-	// Elapsed is total wall clock; PMPNElapsed the share spent inside
-	// power iterations.
-	Elapsed     time.Duration
-	PMPNElapsed time.Duration
 }
 
 // Coordinator fans reverse top-k queries out over in-process shard
@@ -123,7 +112,7 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 			// A single full index is a valid 1-shard deployment; give
 			// it the trivial partition.
 			var err error
-			if ipm, err = partition.NewRange(idx.N(), 1); err == nil {
+			if ipm, err = partition.NewBalanced(g, 1); err == nil {
 				idx, err = idx.ShardSlice(ipm, 0)
 			}
 			if err != nil {
@@ -207,7 +196,7 @@ func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, 
 	// decisions (refinement and all) match it exactly. An early stop left
 	// nothing open: the screens' hits are the answer.
 	parts := make([][]graph.NodeID, len(c.views))
-	if stats.EarlyStop {
+	if !stats.Converged {
 		for i, s := range screens {
 			parts[i] = s.Hits()
 		}
@@ -234,7 +223,7 @@ func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, 
 // rounds validates a query and runs core's round loop over one screen a shard
 // under the undecided-fraction budget eps, reporting the loop's stats.
 func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*core.Screen, QueryStats, error) {
-	stats := QueryStats{Query: q, K: k}
+	stats := QueryStats{AnytimeStats: core.AnytimeStats{Query: q, K: k, Eps: eps}}
 	if math.IsNaN(eps) || eps < 0 || eps >= 1 {
 		return nil, nil, stats, fmt.Errorf("shard: eps=%v outside [0,1)", eps)
 	}
@@ -259,10 +248,8 @@ func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	rs := r.Stats()
-	stats.PMPNIters, stats.PMPNElapsed, stats.Rounds = rs.PMPNIters, rs.PMPNElapsed, rs.Rounds
-	stats.EarlyStop, stats.EpsAchieved = !rs.Converged, rs.EpsAchieved
-	stats.PrunedByBound, stats.ConfirmedByBound, stats.Survivors = rs.PrunedByBound, rs.ConfirmedByBound, rs.Maybe
+	stats.AnytimeStats = r.Stats()
+	stats.Eps = eps
 	return r, screens, stats, nil
 }
 

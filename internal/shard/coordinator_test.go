@@ -38,11 +38,18 @@ func buildCase(t *testing.T, kind string, n int) (*graph.Graph, *lbindex.Index) 
 	return g, idx
 }
 
+// partitions returns two maps of a 350-node graph over p ∈ {1, 2, 3, 4}
+// shards: the balanced one and, as stored bounds, the near-equal cut the
+// removed range partitioner made.
 func partitions(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 	t.Helper()
+	if g.N() != 350 {
+		t.Fatalf("range cuts are tabled for 350 nodes, graph has %d", g.N())
+	}
+	cut := map[int][]int32{1: {0, 350}, 2: {0, 175, 350}, 3: {0, 117, 234, 350}, 4: {0, 88, 176, 263, 350}}[p]
 	out := map[string]*partition.Map{}
 	var err error
-	if out["range"], err = partition.NewRange(g.N(), p); err != nil {
+	if out["range"], err = partition.FromParts(g.N(), p, cut); err != nil {
 		t.Fatal(err)
 	}
 	if out["balanced"], err = partition.NewBalanced(g, p); err != nil {
@@ -90,10 +97,10 @@ func TestCoordinatorMatchesSingleEngine(t *testing.T) {
 								t.Fatalf("%s k=%d P=%d %s w=%d q=%d: got %v want %v (stats %+v)",
 									kind, k, p, strat, workers, q, got, want[q], stats)
 							}
-							if stats.PrunedByBound+stats.ConfirmedByBound+stats.Survivors != g.N() {
+							if stats.PrunedByBound+stats.ConfirmedByBound+stats.Maybe != g.N() {
 								t.Fatalf("%s k=%d P=%d %s q=%d: decisions cover %d of %d nodes",
 									kind, k, p, strat, q,
-									stats.PrunedByBound+stats.ConfirmedByBound+stats.Survivors, g.N())
+									stats.PrunedByBound+stats.ConfirmedByBound+stats.Maybe, g.N())
 							}
 							if stats.Results != len(got) {
 								t.Fatalf("stats.Results=%d, answer has %d", stats.Results, len(got))
@@ -144,12 +151,12 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 				if !equalIDs(got, want) {
 					t.Fatalf("q=%d k=%d w=%d: coordinator %v, view %v", q, k, workers, got, want)
 				}
-				if !stats.EarlyStop {
+				if stats.Converged {
 					converged++
 				}
-				if stats.PMPNIters > wst.PMPNIters || (!stats.EarlyStop && stats.PMPNIters != wst.PMPNIters) {
-					t.Fatalf("q=%d k=%d w=%d: coordinator ran %d PMPN iterations (early stop %v), the view %d",
-						q, k, workers, stats.PMPNIters, stats.EarlyStop, wst.PMPNIters)
+				if stats.PMPNIters > wst.PMPNIters || (stats.Converged && stats.PMPNIters != wst.PMPNIters) {
+					t.Fatalf("q=%d k=%d w=%d: coordinator ran %d PMPN iterations (converged %v), the view %d",
+						q, k, workers, stats.PMPNIters, stats.Converged, wst.PMPNIters)
 				}
 			}
 		}
@@ -189,7 +196,7 @@ func TestCoordinatorMatchesBruteForce(t *testing.T) {
 		{"web", web, webIdx, []int32{0, 80, 170, 250}, 10, []graph.NodeID{0, 17, 249}, 0},
 		{"empty shard", tiny, tinyIdx, []int32{0, 6, 6, 12}, 3, []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 1},
 	} {
-		pm, err := partition.FromParts(partition.Range, tc.g.N(), len(tc.bounds)-1, tc.bounds)
+		pm, err := partition.FromParts(tc.g.N(), len(tc.bounds)-1, tc.bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +217,7 @@ func TestCoordinatorMatchesBruteForce(t *testing.T) {
 			if !equalIDs(got, want) {
 				t.Fatalf("%s q=%d: coordinator %v, brute force %v", tc.name, q, got, want)
 			}
-			if covered := stats.PrunedByBound + stats.ConfirmedByBound + stats.Survivors; covered != tc.g.N() {
+			if covered := stats.PrunedByBound + stats.ConfirmedByBound + stats.Maybe; covered != tc.g.N() {
 				t.Fatalf("%s q=%d: decisions cover %d of %d nodes", tc.name, q, covered, tc.g.N())
 			}
 			empty = 0
@@ -239,7 +246,7 @@ func TestCoordinatorMatchesBruteForce(t *testing.T) {
 // confirmed by partial-iterate bounds, not by the final exact pass.
 func TestCoordinatorBoundPruning(t *testing.T) {
 	g, idx := buildCase(t, "web", 400)
-	pm, err := partition.NewRange(g.N(), 4)
+	pm, err := partition.FromParts(g.N(), 4, []int32{0, 100, 200, 300, 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +276,7 @@ func TestCoordinatorBoundPruning(t *testing.T) {
 // TestCoordinatorValidation covers the constructor and query guard rails.
 func TestCoordinatorValidation(t *testing.T) {
 	g, idx := buildCase(t, "web", 120)
-	pm, err := partition.NewRange(g.N(), 2)
+	pm, err := partition.FromParts(g.N(), 2, []int32{0, 60, 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +294,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewInProc(g, []*lbindex.Index{s0, idx}, Config{}); err == nil {
 		t.Error("full index in a 2-slice set accepted")
 	}
-	other, err := partition.FromParts(partition.Range, g.N(), 2, []int32{0, 1, int32(g.N())})
+	other, err := partition.FromParts(g.N(), 2, []int32{0, 1, int32(g.N())})
 	if err != nil {
 		t.Fatal(err)
 	}
