@@ -11,6 +11,10 @@
 //
 // A shard daemon is a stock daemon whose -index is one of the shard-slice
 // files rtkindex -partition writes; the coordinator holds no graph or index.
+// Before it listens, the coordinator reads every shard's /v1/stats and exits
+// unless the i-th URL serves shard i of as many shards as there are URLs,
+// all of one partition; a query reply that then names another shard in its
+// X-RTK-Shard header is answered 502.
 //
 // A query that misses the cache is computed at once on its request's
 // goroutine, with its share of the -workers budget (a lone query gets all
@@ -44,10 +48,10 @@
 // See the README's "Observability" section.
 //
 // Edits are asynchronous by default: the POST returns 202 with a journal
-// watermark and a single maintenance goroutine applies batches to the graph
-// overlay in the background (queries never block); pass "wait":true in the
-// body for synchronous edit-then-read semantics. Track progress via
-// /v1/stats (applied_watermark, overlay_delta_edges, compactions).
+// watermark and a single maintenance goroutine patches each batch into a new
+// CSR in the background (queries never block); pass "wait":true in the body
+// for synchronous edit-then-read semantics. Track progress via /v1/stats
+// (applied_watermark, pending_edits, last_maint_ms).
 // Edit weights must be finite, non-negative and — when nonzero — at least
 // graph.MinNormalWeight: smaller weights are rejected with 400, because a
 // subnormal out-weight normalizer's reciprocal overflows to +Inf and
@@ -156,16 +160,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtkserve: ")
 	var (
-		graphPath    = flag.String("graph", "", "edge-list path (required unless -shards is given)")
-		indexPath    = flag.String("index", "", "index path, as rtkindex writes it (required unless -shards is given); may be a shard-slice file")
-		shards       = flag.String("shards", "", "comma-separated shard daemon URLs: run as a fan-out coordinator (no graph/index loaded)")
-		addr         = flag.String("addr", ":7471", "listen address")
-		cacheBytes   = flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache budget in bytes (negative disables caching)")
-		mmapMode     = flag.String("mmap", "on", "serve the -index file zero-copy from its mapping: on|off (off = portable heap load)")
-		maxInflight  = flag.Int("max-inflight", 0, "max concurrent engine computations (0 = 4×GOMAXPROCS)")
-		workers      = flag.Int("workers", 0, "total intra-query worker budget (0 = GOMAXPROCS)")
-		drain        = flag.Duration("drain", 15*time.Second, "graceful drain timeout on SIGTERM")
-		compactAfter = flag.Int("compact-after", 0, "overlay delta edges before background compaction (0 = max(4096, M/8), negative disables)")
+		graphPath   = flag.String("graph", "", "edge-list path (required unless -shards is given)")
+		indexPath   = flag.String("index", "", "index path, as rtkindex writes it (required unless -shards is given); may be a shard-slice file")
+		shards      = flag.String("shards", "", "comma-separated shard daemon URLs: run as a fan-out coordinator (no graph/index loaded)")
+		addr        = flag.String("addr", ":7471", "listen address")
+		cacheBytes  = flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache budget in bytes (negative disables caching)")
+		mmapMode    = flag.String("mmap", "on", "serve the -index file zero-copy from its mapping: on|off (off = portable heap load)")
+		maxInflight = flag.Int("max-inflight", 0, "max concurrent engine computations (0 = 4×GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "total intra-query worker budget (0 = GOMAXPROCS)")
+		drain       = flag.Duration("drain", 15*time.Second, "graceful drain timeout on SIGTERM")
 
 		journalPath = flag.String("journal", "", "write-ahead edit journal path: fsync every accepted batch before acknowledging it, replay on startup (empty = volatile)")
 		ckptDir     = flag.String("checkpoint-dir", "", "checkpoint directory: periodically save the served pair and truncate the journal (requires -journal; empty = journal grows unbounded)")
@@ -235,7 +238,6 @@ func main() {
 		CacheBytes:       *cacheBytes,
 		MaxInflight:      *maxInflight,
 		WorkerBudget:     *workers,
-		CompactAfter:     *compactAfter,
 		Logger:           logger,
 		SlowLogCapacity:  *slowCapacity,
 		SlowLogThreshold: *slowThreshold,

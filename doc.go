@@ -15,10 +15,9 @@
 // one Screen, one finish; README.md, "Serving a cache miss"), the
 // persistence layer (one checksummed index format served zero-copy via mmap
 // for millisecond cold starts), the
-// evolving-graph pipeline (graph.Overlay deltas
-// behind the graph.View interface, an asynchronous journaled edit queue
-// with watermarks, blast-radius-only index refreshes and background
-// compaction), the sharding layer (internal/partition's one partitioner,
+// evolving-graph pipeline (every edit batch patched into a new CSR by
+// graph.Graph.Apply, an asynchronous journaled edit queue with watermarks,
+// and blast-radius-only index refreshes), the sharding layer (internal/partition's one partitioner,
 // contiguous node ranges of equal total degree; lbindex shard slices
 // carrying their partition map; and the internal/shard scatter-gather
 // coordinator that computes one PMPN, exchanges pruning bounds between

@@ -277,12 +277,6 @@ func Start(u graph.NodeID, hubs HubProximities) *State {
 // propagated; zero means no node holds ≥ η residue and the run cannot make
 // further progress at this η.
 //
-// Unlike the rwr matvec kernels, Step and Run carry no devirtualized
-// per-view fast paths: a query's cost is dominated by the PMPN matvec and
-// the dense scratch bookkeeping here, and the full-query benchmark
-// (BenchmarkIntraQueryWorkers) shows no measurable difference between the
-// pre-View concrete loops and the generic ones.
-//
 // Ink pushed toward a hub node is credited to s immediately (it would
 // otherwise sit in r only to be moved to s by Eq. 6 on the next iteration;
 // folding the move in keeps ‖r‖₁ meaningful as "ink still needing work").
@@ -290,7 +284,7 @@ func Start(u graph.NodeID, hubs HubProximities) *State {
 // The mass folded out of R (State) is carried over: ‖r′‖₁ = ‖R′‖₁ +
 // (‖r‖₁ − ‖R‖₁). A whole state's difference is exactly zero, its RNorm being
 // ‖R‖₁ as computed here, so it steps bit for bit as if nothing were folded.
-func Step[G graph.View](g G, st *State, hubs HubProximities, cfg Config, ws *Workspace) int {
+func Step(g *graph.Graph, st *State, hubs HubProximities, cfg Config, ws *Workspace) int {
 	if ws.n != g.N() {
 		panic(fmt.Sprintf("bca: workspace sized for %d nodes, graph has %d", ws.n, g.N()))
 	}
@@ -370,7 +364,7 @@ func Step[G graph.View](g G, st *State, hubs HubProximities, cfg Config, ws *Wor
 // end. This is what makes batch propagation pay off (§4.1.2): the
 // per-iteration cost is one scan of the touched region, with no sorting
 // or allocation.
-func Run[G graph.View](g G, u graph.NodeID, hubs HubProximities, cfg Config, ws *Workspace) (*State, error) {
+func Run(g *graph.Graph, u graph.NodeID, hubs HubProximities, cfg Config, ws *Workspace) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -28,11 +28,14 @@ func TestServeHeaderLimits(t *testing.T) {
 	graphPath := filepath.Join(work, "g.txt")
 	indexPath := filepath.Join(work, "g.idx")
 	runTool(t, filepath.Join(bins, "rtkgen"), "-kind", "web", "-n", "200", "-seed", "4", "-out", graphPath)
-	runTool(t, filepath.Join(bins, "rtkindex"), "-graph", graphPath, "-out", indexPath, "-K", "4", "-B", "2")
+	runTool(t, filepath.Join(bins, "rtkindex"), "-graph", graphPath, "-out", indexPath, "-K", "4", "-B", "2", "-partition", "1")
 	rtkserve := filepath.Join(bins, "rtkserve")
+	// The coordinator checks its one shard at start; /metrics contacts no shard.
+	shardURL, stopShard := startDaemonCLI(t, rtkserve, "-graph", graphPath, "-index", indexPath+".shard0of1", "-addr", "127.0.0.1:0", "-log", "off")
+	t.Cleanup(stopShard) // the subtests below run after this function returns
 	for name, args := range map[string][]string{
 		"daemon":      {"-graph", graphPath, "-index", indexPath, "-addr", "127.0.0.1:0", "-log", "off"},
-		"coordinator": {"-shards", "http://127.0.0.1:1", "-addr", "127.0.0.1:0", "-log", "off"}, // /metrics contacts no shard
+		"coordinator": {"-shards", shardURL, "-addr", "127.0.0.1:0", "-log", "off"},
 	} {
 		name, args := name, args
 		t.Run(name, func(t *testing.T) {

@@ -116,10 +116,10 @@ func sinksGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// oracleOverlay is family g as a post-Apply overlay: one edge removed, two
+// oracleEdited is family g patched by an edit batch: one edge removed, two
 // weighted ones inserted, none of them touching the "sinks" family's small
 // components (every endpoint is below 100).
-func oracleOverlay(t *testing.T, g *graph.Graph) *graph.Overlay {
+func oracleEdited(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	var edits []graph.EdgeEdit
 	for u := graph.NodeID(0); u < 100; u++ {
@@ -133,16 +133,17 @@ func oracleOverlay(t *testing.T, g *graph.Graph) *graph.Overlay {
 			edits = append(edits, graph.EdgeEdit{From: u, To: v, Weight: float64(2 * len(edits))})
 		}
 	}
-	ov, err := graph.NewOverlay(g).Apply(edits)
+	edited, err := g.Apply(edits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ov
+	return edited
 }
 
 // TestParallelQueryMatchesSequentialAndBruteForce is the correctness oracle
-// of the intra-query parallelism tentpole: across graph families, as CSR and
-// as a post-Apply overlay, query sizes and worker counts, the sharded engine
+// of the intra-query parallelism tentpole: across graph families, as built
+// ("csr") and as patched by an edit batch ("overlay", the layout the daemon
+// serves after an edit), query sizes and worker counts, the sharded engine
 // must return EXACTLY the answer of the sequential engine — which in exact
 // mode equals brute force. Run under -race this doubles as the data-race
 // harness for the sharded decision loop: in update mode its shards commit
@@ -168,9 +169,9 @@ func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
 // TestParallelQueryMatchesSequentialAndBruteForce.
 func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases) {
 	const indexK = 20
-	var g graph.View = oracleGraph(t, family)
+	g := oracleGraph(t, family)
 	if layout == "overlay" {
-		g = oracleOverlay(t, g.(*graph.Graph))
+		g = oracleEdited(t, g)
 	}
 	opts := lbindex.DefaultOptions()
 	opts.K = indexK
@@ -315,7 +316,7 @@ func countFoldedPaths(t *testing.T, eng *Engine, idx *lbindex.Index, q graph.Nod
 
 // backwardReach returns, ascending, the nodes with a path to q, or nil once
 // there are limit of them or more.
-func backwardReach(g graph.View, q graph.NodeID, limit int) []graph.NodeID {
+func backwardReach(g *graph.Graph, q graph.NodeID, limit int) []graph.NodeID {
 	seen := map[graph.NodeID]bool{q: true}
 	reach := []graph.NodeID{q}
 	for i := 0; i < len(reach); i++ {
@@ -353,7 +354,7 @@ func sweepCounters(s QueryStats) [10]int {
 // holds QueryAnytime(ε = 0)'s two parts around the cold query's answer. It
 // returns how many query nodes close their ball and the longest zero-bound
 // list it met.
-func checkSparseScreen(t *testing.T, g graph.View, idx *lbindex.Index, cols [][]float64, sampled []graph.NodeID, ks []int, phases *fallbackPhases) (closedBalls, zeroBoundRows int) {
+func checkSparseScreen(t *testing.T, g *graph.Graph, idx *lbindex.Index, cols [][]float64, sampled []graph.NodeID, ks []int, phases *fallbackPhases) (closedBalls, zeroBoundRows int) {
 	t.Helper()
 	n := g.N()
 	balls := map[graph.NodeID][]graph.NodeID{}

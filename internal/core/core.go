@@ -176,7 +176,7 @@ func (s *QueryStats) Phases() map[string]time.Duration {
 // can itself use multiple cores — see SetWorkers — without changing its
 // answers.
 type Engine struct {
-	g      graph.View
+	g      *graph.Graph
 	idx    *lbindex.Index
 	update bool
 	// workers is the intra-query parallelism degree: the PMPN's dense sweep and
@@ -237,7 +237,7 @@ func (e *Engine) SetPracticalDecisions(on bool) { e.practical = on }
 // NewEngine creates a query engine. update selects whether refinements are
 // committed back to the index (§4.2.3) — the "update" series of Fig. 5/7. An
 // update-mode engine owns idx: give it an index no one else uses, or a Clone.
-func NewEngine(g graph.View, idx *lbindex.Index, update bool) (*Engine, error) {
+func NewEngine(g *graph.Graph, idx *lbindex.Index, update bool) (*Engine, error) {
 	if g.N() != idx.N() {
 		return nil, fmt.Errorf("core: index built for %d nodes, graph has %d", idx.N(), g.N())
 	}
@@ -701,7 +701,7 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 // vector of every node (the BF method of §3). It is the correctness oracle
 // for the engine and the cost yardstick of Fig. 8. workers ≤ 0 selects
 // GOMAXPROCS.
-func BruteForce(g graph.View, q graph.NodeID, k int, p rwr.Params, workers int) ([]graph.NodeID, error) {
+func BruteForce(g *graph.Graph, q graph.NodeID, k int, p rwr.Params, workers int) ([]graph.NodeID, error) {
 	if int(q) < 0 || int(q) >= g.N() {
 		return nil, fmt.Errorf("core: query node %d out of range [0,%d)", q, g.N())
 	}

@@ -40,7 +40,7 @@ type Run struct {
 // NewRun starts the pipeline for query node q over one screen per index it
 // decides for. workers (≤ 0 selects GOMAXPROCS) spread the PMPN's matvec; a
 // non-nil hook observes its every iteration (ToStepper.RoundHook).
-func NewRun(g graph.View, q graph.NodeID, p rwr.Params, workers int, hook func(iter int, residual, tail float64), screens ...*Screen) (*Run, error) {
+func NewRun(g *graph.Graph, q graph.NodeID, p rwr.Params, workers int, hook func(iter int, residual, tail float64), screens ...*Screen) (*Run, error) {
 	start := time.Now()
 	stepper, err := rwr.NewToStepper(g, q, p, workers)
 	if err != nil {

@@ -27,7 +27,7 @@ import (
 // entirely against it, so a concurrent snapshot swap can never produce a
 // torn read.
 type View struct {
-	g       graph.View
+	g       *graph.Graph
 	idx     *lbindex.Index
 	engines sync.Pool
 	// zeroBound is shared by every engine the pool hands out. It belongs to
@@ -87,7 +87,7 @@ func (t *zeroBoundTable) list(k int) *zeroBoundList {
 // NewView binds a graph and index into a shareable read-only view. The pair
 // is validated once here, so engine construction inside the pool cannot
 // fail later.
-func NewView(g graph.View, idx *lbindex.Index) (*View, error) {
+func NewView(g *graph.Graph, idx *lbindex.Index) (*View, error) {
 	// Surface the node-count mismatch (the only constructor error) now.
 	if _, err := NewEngine(g, idx, false); err != nil {
 		return nil, err
@@ -135,9 +135,8 @@ func (v *View) Finish(r *Run, s *Screen, workers int) ([]graph.NodeID, QueryStat
 	return e.finish(r, s)
 }
 
-// Graph returns the graph view this View queries (a base CSR *graph.Graph
-// or a *graph.Overlay carrying un-compacted edits).
-func (v *View) Graph() graph.View { return v.g }
+// Graph returns the graph this View queries.
+func (v *View) Graph() *graph.Graph { return v.g }
 
 // Index returns the view's index.
 func (v *View) Index() *lbindex.Index { return v.idx }

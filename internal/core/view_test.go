@@ -184,9 +184,9 @@ func TestZeroBoundConcurrentFirstQueries(t *testing.T) {
 // TestZeroBoundRebuiltPerEpoch: the zero-bound list belongs to one
 // (graph, index) pair. An edit that cuts a node's reach below k makes it a
 // zero-bound row of the NEXT epoch's View — built the way the daemon builds
-// it, overlay + a Clone refreshed by evolve.Refresh + NewView — while the
-// old View, still serving the old pair, keeps its own list and its own
-// answers.
+// it, Graph.Apply + a Clone refreshed by evolve.RefreshPartial + NewView —
+// while the old View, still serving the old pair, keeps its own list and its
+// own answers.
 func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 	const (
 		core = 30
@@ -212,12 +212,12 @@ func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g2, err := graph.NewOverlay(g).Apply([]graph.EdgeEdit{{From: x, To: 0, Remove: true}})
+	g2, err := g.Apply([]graph.EdgeEdit{{From: x, To: 0, Remove: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	idx2 := idx.Clone()
-	if _, err := evolve.Refresh(g2, idx2, []graph.NodeID{x}); err != nil { // nothing reaches x: only its row moves
+	if _, err := evolve.RefreshPartial(g2, idx2, []graph.NodeID{x}, idx2.HubMatrix().Hubs()); err != nil { // nothing reaches x: only its row moves
 		t.Fatal(err)
 	}
 	v2, err := NewView(g2, idx2)
@@ -228,7 +228,7 @@ func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		v        *View
-		g        graph.View
+		g        *graph.Graph
 		zero     []graph.NodeID
 		xMember  bool
 		screened int

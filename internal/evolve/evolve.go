@@ -3,10 +3,11 @@
 // the index incrementally" — this package provides that maintenance, at
 // two granularities:
 //
-//  1. Graph: ApplyEdits rebuilds the immutable CSR from scratch (O(N+M),
-//     the reference semantics), while graph.Overlay.Apply realizes the
-//     same edit batch as a delta in O(edits). The differential tests in
-//     this package hold the two equal.
+//  1. Graph: ApplyEdits rebuilds the immutable CSR from scratch through
+//     graph.Builder (the reference semantics), while graph.Graph.Apply, what
+//     the serving pipeline uses, patches the same edit batch into a new CSR
+//     without sorting the edge list again. The differential tests in this
+//     package hold the two equal, field for field.
 //  2. Index: AffectedNodes bounds the blast radius of an edit batch:
 //     changing the out-edges of source node s changes column s of the
 //     transition matrix, and the proximity vector p_w of origin w changes
@@ -23,8 +24,8 @@
 // can reach an edited source is refreshed); θ > 0 trades accuracy on
 // far-away origins for speed, with the error vanishing as p_w(s) → 0.
 // The serving daemon (internal/serve) composes these pieces into its
-// asynchronous maintenance pipeline: overlay apply → affected-set
-// computation → partial refresh of an index clone → epoch publish.
+// asynchronous maintenance pipeline: CSR apply → affected-set computation →
+// partial refresh of an index clone → epoch publish.
 package evolve
 
 import (
@@ -43,7 +44,7 @@ import (
 // Edit describes one edge mutation. Weight is used for insertions into
 // weighted graphs (1 if zero); Remove deletes the edge if present. It is
 // an alias of graph.EdgeEdit so batches flow between the rebuild path here
-// and graph.Overlay.Apply without conversion.
+// and graph.Graph.Apply without conversion.
 type Edit = graph.EdgeEdit
 
 // ApplyEdits rebuilds the graph with the edits applied, in order. Node
@@ -52,9 +53,9 @@ type Edit = graph.EdgeEdit
 // removed. Removing a non-existent edge is an error, as is inserting a
 // duplicate.
 //
-// This is the O(N+M) reference implementation; graph.Overlay.Apply applies
-// the same batch as an O(edits) delta with identical semantics (under the
-// self-loop policy) and is what the serving pipeline uses.
+// This is the reference implementation; graph.Graph.Apply gives the same
+// graph (under the self-loop policy) without rebuilding it from an edge list
+// and is what the serving pipeline uses.
 func ApplyEdits(g *graph.Graph, edits []Edit, policy graph.DanglingPolicy) (*graph.Graph, error) {
 	type key struct{ u, v graph.NodeID }
 	removed := make(map[key]bool)
@@ -80,7 +81,7 @@ func ApplyEdits(g *graph.Graph, edits []Edit, policy graph.DanglingPolicy) (*gra
 			return nil, fmt.Errorf("evolve: negative weight on edge %d→%d", e.From, e.To)
 		}
 		if w < graph.MinNormalWeight {
-			// Mirror graph.Overlay.Apply (and graph.Builder): a subnormal
+			// Mirror graph.Graph.Apply (and graph.Builder): a subnormal
 			// weight can sum into a subnormal out-weight normalizer whose
 			// reciprocal overflows to +Inf and NaN-poisons proximity scores.
 			return nil, fmt.Errorf("evolve: subnormal weight %g on edge %d→%d (minimum %g)", w, e.From, e.To, graph.MinNormalWeight)
@@ -139,7 +140,7 @@ func Sources(edits []Edit) []graph.NodeID {
 // non-hub origin is re-indexed) and partial hub refreshes (every flagged
 // hub's proximity vector is recomputed); unflagged nodes keep their index
 // entries and hub vectors untouched.
-func AffectedNodes[G graph.View](g2 G, sources []graph.NodeID, theta float64, p rwr.Params) ([]bool, error) {
+func AffectedNodes(g2 *graph.Graph, sources []graph.NodeID, theta float64, p rwr.Params) ([]bool, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("evolve: negative staleness threshold %g", theta)
 	}
@@ -161,40 +162,26 @@ func AffectedNodes[G graph.View](g2 G, sources []graph.NodeID, theta float64, p 
 	return affected, nil
 }
 
-// AffectedOrigins returns every origin w with p_w(s) ≥ θ for at least one
-// edited source s, sorted ascending. See AffectedNodes.
-func AffectedOrigins[G graph.View](g2 G, sources []graph.NodeID, theta float64, p rwr.Params) ([]graph.NodeID, error) {
-	affected, err := AffectedNodes(g2, sources, theta, p)
-	if err != nil {
-		return nil, err
-	}
-	var out []graph.NodeID
-	for w, a := range affected {
-		if a {
-			out = append(out, graph.NodeID(w))
-		}
-	}
-	return out, nil
-}
-
 // Stats reports what a refresh did.
 type Stats struct {
 	// Affected is the number of origins re-indexed.
 	Affected int
-	// HubsRebuilt is the number of hub proximity vectors recomputed —
-	// every hub for a full Refresh, only the affected ones for
-	// RefreshPartial.
+	// HubsRebuilt is the number of hub proximity vectors recomputed: the
+	// affected hubs RefreshPartial was given.
 	HubsRebuilt int
 	// Elapsed is total wall-clock time.
 	Elapsed time.Duration
 }
 
-// Refresh brings an index up to date with an edited graph: it recomputes
-// EVERY hub proximity vector on the new graph and re-runs the indexing BCA
-// for every affected origin, committing results in place. Unaffected
-// origins keep their states — exactly stale by less than the refresh
-// threshold used to compute `affected`. RefreshPartial is the cheaper
-// variant that also restricts the hub recomputation to affected hubs.
+// RefreshPartial brings an index up to date with an edited graph: it
+// recomputes the proximity vectors of affectedHubs (and re-commits only
+// their exact top-K columns) and re-runs the indexing BCA for every
+// affected origin, committing results in place. Every other hub's rounded
+// column is reused bit for bit (see hub.Rebuild for why that is sound), and
+// every other origin keeps its state — stale by less than the threshold
+// used to compute the affected set. affectedHubs must be hub nodes;
+// affected origins that are hubs are skipped. Passing every hub
+// (idx.HubMatrix().Hubs()) recomputes all hub vectors.
 //
 // Hub IDENTITY is preserved: existing per-node states park ink at the
 // current hubs, so swapping hub membership would orphan that ink. Any node
@@ -202,25 +189,13 @@ type Stats struct {
 // vectors), so keeping the old set is sound; re-optimizing the selection
 // for a drifted degree distribution requires a full rebuild.
 //
-// The index must have been built for a graph with the same node count, and
-// Refresh is its one writer (lbindex.Index): nothing may read it meanwhile.
-// To refresh an index that is being served, refresh a Clone of it and
-// publish the clone, as the serving daemon does.
-func Refresh[G graph.View](g2 G, idx *lbindex.Index, affected []graph.NodeID) (Stats, error) {
-	return RefreshPartial(g2, idx, affected, idx.HubMatrix().Hubs())
-}
-
-// RefreshPartial is Refresh restricted to a known blast radius on the hub
-// side as well: only the proximity vectors of affectedHubs are recomputed
-// (and only their exact top-K columns re-committed); every other hub's
-// rounded column is reused bit for bit (see hub.Rebuild for why that is
-// sound). affectedHubs must be hub nodes; affected origins that are hubs
-// are skipped as before.
-//
-// Unlike Refresh, the graph may have GROWN relative to the index: pass an
-// index pre-sized with lbindex.CloneGrown and list every new node in
-// `affected` so its fresh BCA state is committed here.
-func RefreshPartial[G graph.View](g2 G, idx *lbindex.Index, affected, affectedHubs []graph.NodeID) (Stats, error) {
+// The graph may have GROWN relative to the index the clone came from: pass
+// an index pre-sized with lbindex.CloneGrown and list every new node in
+// `affected` so its fresh BCA state is committed here. RefreshPartial is
+// the index's one writer (lbindex.Index): nothing may read it meanwhile. To
+// refresh an index that is being served, refresh a Clone of it and publish
+// the clone, as the serving daemon does.
+func RefreshPartial(g2 *graph.Graph, idx *lbindex.Index, affected, affectedHubs []graph.NodeID) (Stats, error) {
 	start := time.Now()
 	if g2.N() != idx.N() {
 		return Stats{}, fmt.Errorf("evolve: index built for %d nodes, edited graph has %d (grow the clone first)", idx.N(), g2.N())

@@ -101,14 +101,25 @@ func TestSources(t *testing.T) {
 	}
 }
 
+// originsOf lists the nodes an AffectedNodes mask flags, ascending.
+func originsOf(mask []bool, err error) ([]graph.NodeID, error) {
+	var out []graph.NodeID
+	for w, a := range mask {
+		if a {
+			out = append(out, graph.NodeID(w))
+		}
+	}
+	return out, err
+}
+
 func TestAffectedOriginsThreshold(t *testing.T) {
 	g := buildWeb(t, 200)
 	p := rwr.DefaultParams()
-	all, err := AffectedOrigins(g, []graph.NodeID{7}, 0, p)
+	all, err := originsOf(AffectedNodes(g, []graph.NodeID{7}, 0, p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	some, err := AffectedOrigins(g, []graph.NodeID{7}, 1e-3, p)
+	some, err := originsOf(AffectedNodes(g, []graph.NodeID{7}, 1e-3, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +129,10 @@ func TestAffectedOriginsThreshold(t *testing.T) {
 	if len(some) == 0 {
 		t.Error("no origins above threshold; node 7 should matter to someone")
 	}
-	if _, err := AffectedOrigins(g, []graph.NodeID{7}, -1, p); err == nil {
+	if _, err := originsOf(AffectedNodes(g, []graph.NodeID{7}, -1, p)); err == nil {
 		t.Error("want threshold error")
 	}
-	if _, err := AffectedOrigins(g, []graph.NodeID{999}, 0, p); err == nil {
+	if _, err := originsOf(AffectedNodes(g, []graph.NodeID{999}, 0, p)); err == nil {
 		t.Error("want range error")
 	}
 }
@@ -177,11 +188,11 @@ func TestRefreshTheta0MatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	affected, err := AffectedOrigins(g2, Sources(edits), 0, idx.Options().RWR)
+	affected, err := originsOf(AffectedNodes(g2, Sources(edits), 0, idx.Options().RWR))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Refresh(g2, idx, affected)
+	stats, err := RefreshPartial(g2, idx, affected, idx.HubMatrix().Hubs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +245,7 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	affected, err := AffectedOrigins(g2, Sources(edits), 0, idx.Options().RWR)
+	affected, err := originsOf(AffectedNodes(g2, Sources(edits), 0, idx.Options().RWR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +277,7 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 	}
 
 	next := idx.Clone()
-	stats, err := Refresh(g2, next, affected)
+	stats, err := RefreshPartial(g2, next, affected, next.HubMatrix().Hubs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +357,7 @@ func TestRefreshPartialSummarizesZeroInkStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	affected, err := AffectedOrigins(g2, Sources(edits), 0, opts.RWR)
+	affected, err := originsOf(AffectedNodes(g2, Sources(edits), 0, opts.RWR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,11 +433,11 @@ func TestRefreshThresholdedStaysAccurate(t *testing.T) {
 	}
 	// Refresh only origins that send ≥ 1e-5 of their walk mass through
 	// the edited source.
-	affected, err := AffectedOrigins(g2, Sources(edits), 1e-5, idx.Options().RWR)
+	affected, err := originsOf(AffectedNodes(g2, Sources(edits), 1e-5, idx.Options().RWR))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Refresh(g2, idx, affected); err != nil {
+	if _, err := RefreshPartial(g2, idx, affected, idx.HubMatrix().Hubs()); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := core.NewEngine(g2, idx, true)
@@ -462,7 +473,7 @@ func TestRefreshRejectsGrownGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Refresh(g2, idx, nil); err == nil {
+	if _, err := RefreshPartial(g2, idx, nil, idx.HubMatrix().Hubs()); err == nil {
 		t.Error("want node-count error")
 	}
 }

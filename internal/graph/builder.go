@@ -245,15 +245,22 @@ func assemble(srcs, dsts []NodeID, weights []float64, n int) *Graph {
 		outIndex[u+1] += outIndex[u]
 	}
 
+	return newCSR(n, outIndex, outEdges, outWeights)
+}
+
+// newCSR completes a CSR from its out-adjacency (each row ascending by
+// target) in linear time: the normalizers, the in-mirror and the degree
+// order. Build and Apply both end here.
+func newCSR(n int, outIndex []int64, outEdges []NodeID, outWeights []float64) *Graph {
 	g := &Graph{
-		n:          n,
-		outIndex:   outIndex,
-		outEdges:   outEdges,
-		outWeights: outWeights,
-		weighted:   outWeights != nil,
+		n:                 n,
+		outIndex:          outIndex,
+		outEdges:          outEdges,
+		outWeights:        outWeights,
+		weighted:          outWeights != nil,
+		totalOutWeight:    make([]float64, n),
+		invTotalOutWeight: make([]float64, n),
 	}
-	g.totalOutWeight = make([]float64, n)
-	g.invTotalOutWeight = make([]float64, n)
 	for u := 0; u < n; u++ {
 		if outWeights != nil {
 			var s float64

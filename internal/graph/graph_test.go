@@ -265,7 +265,7 @@ func TestInOutMirrorConsistency(t *testing.T) {
 // TestDegreeOrderInvariant holds DegreeRuns' contract, which Validate
 // asserts beside the in/out mirror, on every way a CSR is made: Builder.Build
 // (n = 0, n = 1, and weighted and unweighted graphs whose last block is
-// partial and whose degrees reach past 64) and Overlay.Compact. Each
+// partial and whose degrees reach past 64) and Graph.Apply. Each
 // block's order is a permutation of its rows, ids
 // ascend inside a degree, and runs split exactly where the degree changes;
 // corrupting either breaks Validate.
@@ -323,15 +323,11 @@ func TestDegreeOrderInvariant(t *testing.T) {
 				edits = append(edits, EdgeEdit{From: u, To: v, Weight: 1 + float64(rng.Intn(2))})
 			}
 		}
-		ov, err := NewOverlay(g).Apply(edits)
+		applied, err := g.Apply(edits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compacted, err := ov.Compact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+" Compact", compacted)
+		check(label+" Apply", applied)
 
 		// Validate must see a broken order: swap the first two rows of the
 		// first run of two or more, then move a run boundary by one.

@@ -84,13 +84,13 @@ func (s Stats) String() string {
 
 // TopByInDegree returns the b nodes with the largest in-degree, ties broken
 // by smaller identifier. Used by the paper's hub selection (§4.1.1).
-func TopByInDegree[G View](g G, b int) []NodeID {
+func TopByInDegree(g *Graph, b int) []NodeID {
 	return topByDegree(g.N(), b, func(u NodeID) int { return g.InDegree(u) })
 }
 
 // TopByOutDegree returns the b nodes with the largest out-degree, ties
 // broken by smaller identifier.
-func TopByOutDegree[G View](g G, b int) []NodeID {
+func TopByOutDegree(g *Graph, b int) []NodeID {
 	return topByDegree(g.N(), b, func(u NodeID) int { return g.OutDegree(u) })
 }
 

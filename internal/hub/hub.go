@@ -16,7 +16,7 @@ import (
 
 // SelectByDegree implements the paper's hub selection (§4.1.1): the union
 // of the B highest in-degree and B highest out-degree nodes.
-func SelectByDegree[G graph.View](g G, b int) []graph.NodeID {
+func SelectByDegree(g *graph.Graph, b int) []graph.NodeID {
 	seen := make(map[graph.NodeID]bool, 2*b)
 	var hubs []graph.NodeID
 	for _, u := range graph.TopByInDegree(g, b) {
@@ -68,7 +68,7 @@ type BuildOptions struct {
 
 // Build computes the exact proximity vector of every hub with the power
 // method (Algorithm 1 line 2), rounds it at ω, and assembles the matrix.
-func Build[G graph.View](g G, hubs []graph.NodeID, opts BuildOptions) (*Matrix, error) {
+func Build(g *graph.Graph, hubs []graph.NodeID, opts BuildOptions) (*Matrix, error) {
 	if err := opts.RWR.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func Build[G graph.View](g G, hubs []graph.NodeID, opts BuildOptions) (*Matrix, 
 // per-hub column format (the premise behind Rebuild's bit-for-bit reuse of
 // unaffected columns). A free function because Go methods cannot carry
 // type parameters.
-func computeColumns[G graph.View](m *Matrix, g G, cols []int, opts BuildOptions) error {
+func computeColumns(m *Matrix, g *graph.Graph, cols []int, opts BuildOptions) error {
 	return vecmath.ForEach(len(cols), opts.Workers, func(_, c int) error {
 		i := cols[c]
 		res, err := rwr.ProximityVector(g, m.hubs[i], opts.RWR)
@@ -266,7 +266,7 @@ func RoundingErrorBound(n int, omega, beta float64) float64 {
 // index image): Rebuild is strictly copy-on-write — reused columns are
 // shared by reference, recomputed ones land in fresh slices, and nothing
 // is ever written into the old matrix's backing arrays.
-func Rebuild[G graph.View](g G, old *Matrix, affected []graph.NodeID, opts BuildOptions) (*Matrix, error) {
+func Rebuild(g *graph.Graph, old *Matrix, affected []graph.NodeID, opts BuildOptions) (*Matrix, error) {
 	if err := opts.RWR.Validate(); err != nil {
 		return nil, err
 	}

@@ -222,7 +222,7 @@ type BuildStats struct {
 // Build runs Algorithm 1: select hubs, compute their exact proximity
 // vectors, then run partial batch-BCA from every non-hub node, keeping the
 // top-K lower bounds and the resumable state.
-func Build[G graph.View](g G, opts Options) (*Index, BuildStats, error) {
+func Build(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, BuildStats{}, err
 	}

@@ -44,7 +44,7 @@ type Map struct {
 // decision cost) across shards, via the greedy prefix-sum cut: each
 // boundary advances until the running weight reaches the next multiple of
 // total/p. Deterministic for a given graph.
-func NewBalanced(g graph.View, p int) (*Map, error) {
+func NewBalanced(g *graph.Graph, p int) (*Map, error) {
 	n := g.N()
 	if err := checkShape(n, p); err != nil {
 		return nil, err
@@ -73,7 +73,7 @@ func NewBalanced(g graph.View, p int) (*Map, error) {
 	}
 	bounds[p] = int32(n)
 	// Boundaries must be non-decreasing; the clamps above keep them so,
-	// but an inconsistent View could break the prefix logic.
+	// and Validate holds them to it.
 	m := &Map{n: n, p: p, bounds: bounds}
 	if err := m.Validate(); err != nil {
 		return nil, err

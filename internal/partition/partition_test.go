@@ -23,7 +23,7 @@ func evenBounds(n, p int) []int32 {
 // buildMaps constructs a balanced map over the given shape and, as stored
 // bounds, the near-equal cut and, for p ≥ 2, that cut with shard 0 owning
 // nothing.
-func buildMaps(t *testing.T, g graph.View, p int) map[string]*Map {
+func buildMaps(t *testing.T, g *graph.Graph, p int) map[string]*Map {
 	t.Helper()
 	n := g.N()
 	bal, err := NewBalanced(g, p)

@@ -67,7 +67,7 @@ func (b *ball) list() []graph.NodeID {
 // limit rows or more. The ball only ever grows (the origins restart every
 // iteration, so level t contains level t−1), which is why expanding the newest
 // level alone reaches every row of the next one.
-func growBall[G graph.View](g G, b *ball, limit int) bool {
+func growBall(g *graph.Graph, b *ball, limit int) bool {
 	if len(b.rows) >= limit {
 		return false
 	}

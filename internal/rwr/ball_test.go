@@ -13,7 +13,7 @@ import (
 // iteration at which a ToStepper hands over to the dense sweep (0 if
 // the ball closes under the limit and the whole run stays sparse) and the
 // ball's size when growth stopped.
-func ballHandover(g graph.View, q graph.NodeID) (iter, size int) {
+func ballHandover(g *graph.Graph, q graph.NodeID) (iter, size int) {
 	b := newBall(g.N(), false, q)
 	for iter = 1; ; iter++ {
 		if !growBall(g, b, g.N()/ballDenseDivisor) {
@@ -64,10 +64,6 @@ func TestGrowBallIsBackwardBFS(t *testing.T) {
 	}
 }
 
-// plainView hides a view's concrete type, so the kernels' type switches take
-// their generic loops.
-type plainView struct{ graph.View }
-
 // pmpnIterate is one iteration of a stepper as its accessors report it.
 type pmpnIterate struct {
 	cur            []float64
@@ -79,13 +75,13 @@ type pmpnIterate struct {
 // round, and ProximityToParallel's Result, equal bit for bit those of the
 // dense-only reference — the same stepper with its ball limit set to 0, which
 // sweeps every row from e_q — at every worker count and round schedule, over
-// the oracle graph families as CSR, post-Apply Overlay, post-Compact CSR and
-// behind a wrapper that takes the generic kernels. Query nodes are picked per
-// view to cover every way the two phases can meet, and each runs with the
-// default cap and with one that runs out inside the ball phase. RoundHook
-// fires once per iteration in both phases. With the iterate comes the Rows contract: the list is non-nil iff the run has not
-// handed over to the dense sweep, ascending, with every index outside it
-// bit-equal to +0 — and nil from the forward slab.
+// the oracle graph families as built and as patched by an edit batch. Query
+// nodes are picked per graph to cover every way the two phases can meet, and
+// each runs with the default cap and with one that runs out inside the ball
+// phase. RoundHook fires once per iteration in both phases. With the iterate
+// comes the Rows contract: the list is non-nil iff the run has not handed
+// over to the dense sweep, ascending, with every index outside it bit-equal
+// to +0 — and nil from the forward slab.
 func TestProximityToParallelBallBitIdentical(t *testing.T) {
 	p := DefaultParams()
 	capped := p
@@ -226,7 +222,7 @@ func TestProximityToParallelBallBitIdentical(t *testing.T) {
 	}
 	for _, class := range []string{"no in-edges", "dangling self-loop", "hub", "hand-over mid-run", "closed ball"} {
 		if !covered[class] {
-			t.Errorf("no view has a %q query node; that meeting of the two phases went untested", class)
+			t.Errorf("no graph has a %q query node; that meeting of the two phases went untested", class)
 		}
 	}
 }
@@ -251,7 +247,7 @@ func checkRowList(t *testing.T, label string, rows []graph.NodeID, vec []float64
 
 // checkSlabReturnsNoRows runs q through the forward slab, which has a
 // ball phase of its own but never claims a row list.
-func checkSlabReturnsNoRows(t *testing.T, g graph.View, q graph.NodeID, p Params) {
+func checkSlabReturnsNoRows(t *testing.T, g *graph.Graph, q graph.NodeID, p Params) {
 	t.Helper()
 	batch, err := ProximityVectorBatch(g, []graph.NodeID{q, 0}, p, 2)
 	if err != nil {

@@ -7,33 +7,24 @@ import (
 )
 
 // This file holds the transposed matvec, PMPN's one kernel (the forward
-// push kernels are in spmmfwd.go). MulTransitionTRange is generic over
-// graph.View, so every consumer — engines, index construction, the
-// maintenance pipeline — runs on a base CSR or an Overlay unchanged; but
-// generic method calls on pointer-shaped type parameters go through a
-// dictionary and defeat inlining, so it type-switches to a devirtualized loop
-// for the two in-tree view types. Each loop accumulates in exactly the same
-// neighbor order, so CSR, overlay and generic paths produce bit-identical
-// vectors.
+// push kernel is in spmmfwd.go), over the CSR — the one graph type; an edit
+// batch publishes a patched CSR (graph.Graph.Apply).
 //
-// The CSR body sweeps a block-aligned range (the dense PMPN sweep: one
-// worker's [0, n), or a worker segment) in the graph's degree order
-// (graph.DegreeRuns): block by block, equal-degree run by run, four rows at a
-// time through one loop of the run's degree, with four independent
-// accumulators. The trip count is fixed along a run and four add chains
-// overlap, so a whole-graph sweep of the benchmark's web fixture costs
-// 1.0 ns/edge instead of the one-row loop's 2.7 (one core of a 2-core Xeon),
-// yet each row still sums its own terms in its own neighbour order, into its
-// own entry. Visiting rows in another order changes no bit: the result of a
-// row depends on nothing but x and the row. An unaligned range — a run of
-// the ball phase — takes the one-row loop, as do the Overlay and generic
-// bodies.
+// A block-aligned range (the dense PMPN sweep: one worker's [0, n), or a
+// worker segment) is swept in the graph's degree order (graph.DegreeRuns):
+// block by block, equal-degree run by run, four rows at a time through one
+// loop of the run's degree, with four independent accumulators. The trip
+// count is fixed along a run and four add chains overlap, so a whole-graph
+// sweep of the benchmark's web fixture costs 1.0 ns/edge instead of the
+// one-row loop's 2.7 (one core of a 2-core Xeon), yet each row still sums its
+// own terms in its own neighbour order, into its own entry. Visiting rows in
+// another order changes no bit: the result of a row depends on nothing but x
+// and the row. An unaligned range — a run of the ball phase — takes the
+// one-row loop.
 //
 // Normalization multiplies by the inverse out-weight instead of dividing:
-// the CSR and Overlay precompute 1/TotalOutWeight at build/Apply time
-// (rejecting subnormal weights, so the inverse is always finite — no NaN
-// can enter a column), and the generic loop computes the same exactly
-// rounded 1/TotalOutWeight(u) inline, keeping all paths bit-identical.
+// the CSR precomputes 1/TotalOutWeight when it is built (rejecting subnormal
+// weights, so the inverse is always finite — no NaN can enter a column).
 
 // MulTransitionTRange computes dst[u] = (Aᵀ·x)(u) for u ∈ [lo, hi) only.
 // Because (Aᵀx)(u) needs only u's own out-neighbors, each row is a gather
@@ -42,27 +33,13 @@ import (
 // on its own, so covering [0, n) with disjoint ranges — in any partition —
 // gives the same bits. This is the unit of work of the sharded PMPN
 // iteration.
-func MulTransitionTRange[G graph.View](g G, x, dst []float64, lo, hi int) {
+func MulTransitionTRange(g *graph.Graph, x, dst []float64, lo, hi int) {
 	if len(x) != g.N() || len(dst) != g.N() {
 		panic(fmt.Sprintf("rwr: MulTransitionTRange dimension mismatch: n=%d len(x)=%d len(dst)=%d", g.N(), len(x), len(dst)))
 	}
 	if lo < 0 || hi > g.N() || lo > hi {
 		panic(fmt.Sprintf("rwr: MulTransitionTRange range [%d,%d) outside [0,%d)", lo, hi, g.N()))
 	}
-	switch cg := any(g).(type) {
-	case *graph.Graph:
-		mulTransitionTRangeCSR(cg, x, dst, lo, hi)
-	case *graph.Overlay:
-		mulTransitionTRangeOverlay(cg, x, dst, lo, hi)
-	default:
-		mulTransitionTRangeGeneric(g, x, dst, lo, hi)
-	}
-}
-
-// mulTransitionTRangeCSR is the CSR body: the grouped gather over the degree
-// runs of each block when [lo, hi) is block-aligned, the one-row loop
-// otherwise.
-func mulTransitionTRangeCSR(g *graph.Graph, x, dst []float64, lo, hi int) {
 	if lo%graph.RowBlock != 0 || hi%graph.RowBlock != 0 && hi != g.N() {
 		for u := graph.NodeID(lo); int(u) < hi; u++ {
 			gatherRowCSR(g, x, dst, u)
@@ -132,40 +109,4 @@ func gatherRowCSR(g *graph.Graph, x, dst []float64, u graph.NodeID) {
 		}
 	}
 	dst[u] = acc * g.InvTotalOutWeight(u)
-}
-
-func mulTransitionTRangeOverlay(g *graph.Overlay, x, dst []float64, lo, hi int) {
-	for u := graph.NodeID(lo); int(u) < hi; u++ {
-		nbrs := g.OutNeighbors(u)
-		ws := g.OutWeightsOf(u)
-		var acc float64
-		if ws == nil {
-			for _, v := range nbrs {
-				acc += x[v]
-			}
-		} else {
-			for i, v := range nbrs {
-				acc += ws[i] * x[v]
-			}
-		}
-		dst[u] = acc * g.InvTotalOutWeight(u)
-	}
-}
-
-func mulTransitionTRangeGeneric[G graph.View](g G, x, dst []float64, lo, hi int) {
-	for u := graph.NodeID(lo); int(u) < hi; u++ {
-		nbrs := g.OutNeighbors(u)
-		ws := g.OutWeightsOf(u)
-		var acc float64
-		if ws == nil {
-			for _, v := range nbrs {
-				acc += x[v]
-			}
-		} else {
-			for i, v := range nbrs {
-				acc += ws[i] * x[v]
-			}
-		}
-		dst[u] = acc * (1 / g.TotalOutWeight(u))
-	}
 }

@@ -19,7 +19,7 @@ const MaxMatrixNodes = 20000
 //
 // workers ≤ 0 selects GOMAXPROCS. A failure names the lowest failing column,
 // the same one on every run.
-func ProximityMatrix[G graph.View](g G, p Params, workers int) ([][]float64, error) {
+func ProximityMatrix(g *graph.Graph, p Params, workers int) ([][]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -46,12 +46,12 @@ func blockReduce(x, y []float64, seg vecmath.Range, partial []float64) {
 // selects GOMAXPROCS): a ToStepper stepped to convergence, restricted to q's
 // backward ball while that is small and sharded across the workers after —
 // see the ToStepper type doc. The returned vector, residual and
-// iteration count are the same for every worker count and every view.
+// iteration count are the same for every worker count.
 //
 // A run that ends without ever handing over to the dense sweep also returns
 // the ball as Result.Rows: the only rows it wrote, so a caller can visit the
 // vector's support without scanning n entries. After a hand-over Rows is nil.
-func ProximityToParallel[G graph.View](g G, q graph.NodeID, p Params, workers int) (Result, error) {
+func ProximityToParallel(g *graph.Graph, q graph.NodeID, p Params, workers int) (Result, error) {
 	s, err := NewToStepper(g, q, p, workers)
 	if err != nil {
 		return Result{}, err

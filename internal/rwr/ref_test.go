@@ -20,7 +20,7 @@ import (
 
 // refForward is dst = A·x: each source u with x[u] ≠ 0 scatters
 // x[u]·w(u,v)/W(u) into its out-neighbors, sources ascending.
-func refForward(g graph.View, x, dst []float64) {
+func refForward(g *graph.Graph, x, dst []float64) {
 	clear(dst)
 	for u := graph.NodeID(0); int(u) < g.N(); u++ {
 		if x[u] == 0 {
@@ -40,7 +40,7 @@ func refForward(g graph.View, x, dst []float64) {
 
 // refTransposed is dst = Aᵀ·x: each row u gathers its out-neighbors'
 // entries, weighted, and divides by W(u).
-func refTransposed(g graph.View, x, dst []float64) {
+func refTransposed(g *graph.Graph, x, dst []float64) {
 	for u := graph.NodeID(0); int(u) < g.N(); u++ {
 		ws := g.OutWeightsOf(u)
 		var acc float64
@@ -57,7 +57,7 @@ func refTransposed(g graph.View, x, dst []float64) {
 
 // refPower runs the power loop over mul to convergence or the cap; a capped
 // run reports MaxIters+1 iterations and the solvers' error.
-func refPower(g graph.View, origin graph.NodeID, p Params, mul func(g graph.View, x, dst []float64)) (Result, error) {
+func refPower(g *graph.Graph, origin graph.NodeID, p Params, mul func(g *graph.Graph, x, dst []float64)) (Result, error) {
 	n := g.N()
 	x, next := make([]float64, n), make([]float64, n)
 	x[origin] = 1
@@ -84,11 +84,11 @@ func refPower(g graph.View, origin graph.NodeID, p Params, mul func(g graph.View
 	return Result{Vector: x, Iterations: p.MaxIters + 1, Residual: residual}, errNotConverged(p, residual)
 }
 
-func refProximityVector(g graph.View, u graph.NodeID, p Params) (Result, error) {
+func refProximityVector(g *graph.Graph, u graph.NodeID, p Params) (Result, error) {
 	return refPower(g, u, p, refForward)
 }
 
-func refProximityTo(g graph.View, q graph.NodeID, p Params) (Result, error) {
+func refProximityTo(g *graph.Graph, q graph.NodeID, p Params) (Result, error) {
 	return refPower(g, q, p, refTransposed)
 }
 
@@ -112,17 +112,12 @@ func sameRun(t *testing.T, label string, got Result, gotErr error, want Result, 
 	}
 }
 
-// referenceViews are the oracle families as CSR, Overlay and compacted CSR
-// (pushTestViews), plus each family's CSR behind a wrapper that takes the
-// generic kernels, plus a web graph of five residual blocks — the families
-// span two, which no reordering of a residual sum can tell apart — plus the
-// degree-run family, unweighted and weighted, as CSR, as an unedited
-// Overlay over it and behind the generic wrapper.
-func referenceViews(t *testing.T) map[string]graph.View {
+// referenceViews are the oracle families as built and as patched by an edit
+// batch (pushTestViews), plus a web graph of five residual blocks — the
+// families span two, which no reordering of a residual sum can tell apart —
+// plus the degree-run family, unweighted and weighted.
+func referenceViews(t *testing.T) map[string]*graph.Graph {
 	views := pushTestViews(t)
-	for _, family := range []string{"web", "coauthor", "spam"} {
-		views[family+"/generic"] = plainView{views[family+"/csr"]}
-	}
 	wide, err := gen.WebGraph(5*graph.RowBlock-40, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +126,6 @@ func referenceViews(t *testing.T) map[string]graph.View {
 	for family, weighted := range map[string]bool{"runs": false, "runs-weighted": true} {
 		g := degreeRunsGraph(t, weighted)
 		views[family+"/csr"] = g
-		views[family+"/overlay"] = graph.NewOverlay(g)
-		views[family+"/generic"] = plainView{g}
 	}
 	return views
 }

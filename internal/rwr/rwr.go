@@ -78,7 +78,7 @@ type Result struct {
 // from e_u. The result is exact up to ε. It is one column of the forward
 // slab (ProximityVectorBatch): the push kernel, swept over u's forward ball
 // until that covers half the graph.
-func ProximityVector[G graph.View](g G, u graph.NodeID, p Params) (Result, error) {
+func ProximityVector(g *graph.Graph, u graph.NodeID, p Params) (Result, error) {
 	res, err := ProximityVectorBatch(g, []graph.NodeID{u}, p, 1)
 	if res == nil {
 		return Result{}, err
@@ -95,7 +95,7 @@ func ProximityVector[G graph.View](g G, u graph.NodeID, p Params) (Result, error
 // ProximityToParallel on one worker.
 //
 // The returned vector r satisfies r[u] = p_u(q).
-func ProximityTo[G graph.View](g G, q graph.NodeID, p Params) (Result, error) {
+func ProximityTo(g *graph.Graph, q graph.NodeID, p Params) (Result, error) {
 	return ProximityToParallel(g, q, p, 1)
 }
 

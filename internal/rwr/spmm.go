@@ -77,7 +77,7 @@ const slabBallDivisor = 2
 // goroutine. probe may be nil. ballLimit is the row count that ends the ball
 // phase (0: dense from the start); ballIters reports the column-iterations
 // swept inside it.
-func spmmBatch[G graph.View](g G, origins []graph.NodeID, p Params, ballLimit int, probe ColumnProbe, retire func(i int, res Result, err error)) (ballIters int, err error) {
+func spmmBatch(g *graph.Graph, origins []graph.NodeID, p Params, ballLimit int, probe ColumnProbe, retire func(i int, res Result, err error)) (ballIters int, err error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}

@@ -36,10 +36,11 @@ func weightedTestGraph(t *testing.T, n int, seed int64) *graph.Graph {
 	return g
 }
 
-// spmmTestViews returns the graph families × view types the batched path
-// must hold bit-identity on: unweighted and weighted CSRs, and an Overlay
-// with an applied edit batch (patched and unpatched nodes mixed).
-func spmmTestViews(t *testing.T) map[string]graph.View {
+// spmmTestViews returns the graph families the batched path must hold
+// bit-identity on: unweighted and weighted CSRs, and under "overlay" the
+// CSR an edit batch patches the social graph into (edited and untouched
+// rows mixed, weighted, grown).
+func spmmTestViews(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	web, err := gen.WebGraph(700, 5)
 	if err != nil {
@@ -50,20 +51,19 @@ func spmmTestViews(t *testing.T) map[string]graph.View {
 		t.Fatal(err)
 	}
 	weighted := weightedTestGraph(t, 400, 11)
-	ov := graph.NewOverlay(social)
-	ov, err = ov.Apply([]graph.EdgeEdit{
+	edited, err := social.Apply([]graph.EdgeEdit{
 		{From: 0, To: 299},
 		{From: 7, To: 3, Weight: 2.5},
-		{From: 301, To: 5}, // grows the overlay beyond the base CSR
+		{From: 301, To: 5}, // grows the graph by two nodes
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]graph.View{
+	return map[string]*graph.Graph{
 		"web-unweighted": web,
 		"social":         social,
 		"weighted":       weighted,
-		"overlay":        ov,
+		"overlay":        edited,
 	}
 }
 

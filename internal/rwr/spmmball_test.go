@@ -16,11 +16,10 @@ import (
 // takes the ball past n/2 a level at a time), a three-node sink cycle and a
 // dangling node fed from the core, a 40-node ladder that drains into the cycle
 // (a ball that grows for twenty levels and closes small) and a node pointing
-// at two thirds of the core — as a CSR, as an Overlay carrying un-compacted
-// edits (insert, weighted insert, removal, node growth), as the CSR that
-// overlay compacts to, and behind a wrapper that takes the generic kernel.
-// The named nodes are valid origins on every view.
-func slabBallViews(t *testing.T) (views map[string]graph.View, cycle, dangling, ladder, hub graph.NodeID) {
+// at two thirds of the core — as built and as the CSR an edit batch
+// (insert, weighted insert, removal, node growth) patches it into. The named
+// nodes are valid origins on both.
+func slabBallViews(t *testing.T) (views map[string]*graph.Graph, cycle, dangling, ladder, hub graph.NodeID) {
 	t.Helper()
 	web, err := gen.WebGraph(600, 41)
 	if err != nil {
@@ -76,25 +75,21 @@ func slabBallViews(t *testing.T) (views map[string]graph.View, cycle, dangling, 
 			break
 		}
 	}
-	ov, err := graph.NewOverlay(g).Apply([]graph.EdgeEdit{
+	applied, err := g.Apply([]graph.EdgeEdit{
 		del,
 		{From: 8, To: 900},
 		{From: 15, To: 36, Weight: 3},
-		{From: hub + 2, To: 3, Weight: 0.5}, // grows the overlay by two nodes
+		{From: hub + 2, To: 3, Weight: 0.5}, // grows the graph by two nodes
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted, err := ov.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]graph.View{"csr": g, "overlay": ov, "compacted": compacted, "generic": plainView{g}}, cycle, dangling, ladder, hub
+	return map[string]*graph.Graph{"csr": g, "applied": applied}, cycle, dangling, ladder, hub
 }
 
 // slabHandover replays a slab's ball growth: the iteration at which it hands
 // over to the dense loop, 0 if the ball closes under the limit first.
-func slabHandover(g graph.View, origins []graph.NodeID, limit int) int {
+func slabHandover(g *graph.Graph, origins []graph.NodeID, limit int) int {
 	b := newBall(g.N(), true, origins...)
 	for iter := 1; ; iter++ {
 		if !growBall(g, b, limit) {
@@ -138,7 +133,7 @@ const dropIter = 2
 // The probe reads into a buffer it has filled with NaNs, takes x^t to be zero
 // outside the rows read hands back, and drops column dropCol at iteration
 // dropIter (dropCol < 0: none).
-func traceSlab(t *testing.T, g graph.View, origins []graph.NodeID, p Params, ballLimit int, withProbe bool, dropCol int) (events []slabEvent, ballIters int, err error) {
+func traceSlab(t *testing.T, g *graph.Graph, origins []graph.NodeID, p Params, ballLimit int, withProbe bool, dropCol int) (events []slabEvent, ballIters int, err error) {
 	t.Helper()
 	n := g.N()
 	buf := make([]float64, n)
@@ -184,7 +179,7 @@ func traceSlab(t *testing.T, g graph.View, origins []graph.NodeID, p Params, bal
 // order they retire in, every probe's iteration, tail and column, the cap
 // error's text — equals, bit for bit, what the same slab tells it with the
 // ball limit set to 0, which sweeps all n rows from the first iteration. Over
-// four views × widths {1, 3, 16 with repeated origins} × origin sets covering
+// both graphs × widths {1, 3, 16 with repeated origins} × origin sets covering
 // every way the two phases can meet × {no probe, a probe that drops a column
 // while the slab is still sparse so that it repacks there, MaxIters = 3}.
 func TestForwardBallBitIdentical(t *testing.T) {

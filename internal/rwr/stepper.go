@@ -34,7 +34,7 @@ import (
 // computes every row in that order too and reduces the residual per fixed
 // block in block order, whatever the worker count. Hence Current, Residual,
 // Tail and Iterations after every iteration equal those of a run that sweeps
-// densely from e_q, for every worker count, round schedule and view
+// densely from e_q, for every worker count and round schedule
 // (TestProximityToParallelBallBitIdentical). A coordinator that decides
 // some candidates early and the rest against the converged vector therefore
 // reproduces the single-engine answer set exactly.
@@ -71,19 +71,17 @@ import (
 // A ToStepper is single-use and not safe for concurrent use; Current()
 // aliases internal state and is only valid until the next Step.
 type ToStepper struct {
+	g       *graph.Graph
+	q       graph.NodeID
 	p       Params
 	x, next []float64
 	segs    []vecmath.Range
 	partial []float64
-	// step fills dst[r.Lo:r.Hi] with one iteration's rows of cur — the Aᵀ
-	// gather, (1−α) scale and restart add — touching no other range.
-	step func(cur, dst []float64, r vecmath.Range)
 
 	// ball is q's backward ball while the iteration is still restricted to
-	// it, nil after the hand-over to the dense sweep. grow adds the next
-	// level, reporting false once the ball holds ballLimit rows.
+	// it, nil after the hand-over to the dense sweep; the hand-over comes
+	// once the ball holds ballLimit rows.
 	ball      *ball
-	grow      func(b *ball, limit int) bool
 	ballLimit int
 
 	iters     int
@@ -102,7 +100,7 @@ type ToStepper struct {
 // NewToStepper prepares a stepped PMPN run for query node q. workers bounds
 // the per-iteration matvec parallelism of the dense sweep (≤ 0 selects
 // GOMAXPROCS); the computed iterates are identical for every setting.
-func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*ToStepper, error) {
+func NewToStepper(g *graph.Graph, q graph.NodeID, p Params, workers int) (*ToStepper, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,24 +108,15 @@ func NewToStepper[G graph.View](g G, q graph.NodeID, p Params, workers int) (*To
 	if int(q) < 0 || int(q) >= n {
 		return nil, fmt.Errorf("rwr: node %d out of range [0,%d)", q, n)
 	}
-	oneMinus := 1 - p.Alpha
 	s := &ToStepper{
-		p:       p,
-		x:       make([]float64, n),
-		next:    make([]float64, n),
-		segs:    blockSegments(n, vecmath.Workers(workers)),
-		partial: make([]float64, (n+graph.RowBlock-1)/graph.RowBlock),
-		step: func(cur, dst []float64, r vecmath.Range) {
-			MulTransitionTRange(g, cur, dst, r.Lo, r.Hi)
-			for i := r.Lo; i < r.Hi; i++ {
-				dst[i] *= oneMinus
-			}
-			if r.Lo <= int(q) && int(q) < r.Hi {
-				dst[q] += p.Alpha
-			}
-		},
+		g:         g,
+		q:         q,
+		p:         p,
+		x:         make([]float64, n),
+		next:      make([]float64, n),
+		segs:      blockSegments(n, vecmath.Workers(workers)),
+		partial:   make([]float64, (n+graph.RowBlock-1)/graph.RowBlock),
 		ball:      newBall(n, false, q),
-		grow:      func(b *ball, limit int) bool { return growBall(g, b, limit) },
 		ballLimit: n / ballDenseDivisor,
 		tail:      1,
 		residual:  math.Inf(1),
@@ -177,11 +166,24 @@ func (s *ToStepper) run() (Result, error) {
 	return res, err
 }
 
+// step fills dst[r.Lo:r.Hi] with one iteration's rows of cur — the Aᵀ
+// gather, (1−α) scale and restart add — touching no other range.
+func (s *ToStepper) step(cur, dst []float64, r vecmath.Range) {
+	MulTransitionTRange(s.g, cur, dst, r.Lo, r.Hi)
+	oneMinus := 1 - s.p.Alpha
+	for i := r.Lo; i < r.Hi; i++ {
+		dst[i] *= oneMinus
+	}
+	if r.Lo <= int(s.q) && int(s.q) < r.Hi {
+		dst[s.q] += s.p.Alpha
+	}
+}
+
 // iterateOnce runs one iteration x → next and swaps the buffers: over the
 // ball's rows while the ball is under its limit, as a dense sweep sharded
 // across the workers' segments after.
 func (s *ToStepper) iterateOnce() {
-	if s.ball != nil && !s.grow(s.ball, s.ballLimit) {
+	if s.ball != nil && !growBall(s.g, s.ball, s.ballLimit) {
 		s.ball = nil
 	}
 	if s.ball != nil {

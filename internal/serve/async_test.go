@@ -60,7 +60,7 @@ func waitWatermark(t *testing.T, s *Server, want uint64) {
 }
 
 // findInserts returns `count` distinct non-edges of v.
-func findInserts(t *testing.T, v graph.View, count int) []EditJSON {
+func findInserts(t *testing.T, v *graph.Graph, count int) []EditJSON {
 	t.Helper()
 	var edits []EditJSON
 	for u := graph.NodeID(0); len(edits) < count && int(u) < v.N(); u++ {
@@ -251,71 +251,5 @@ func TestServeNodeGrowth(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized growth: status %d body %s, want 400", resp.StatusCode, raw)
-	}
-}
-
-// TestServeCompaction forces compaction after every batch and checks it is
-// epoch-invisible: same epoch, cache intact, identical answers, and the
-// overlay delta reset.
-func TestServeCompaction(t *testing.T) {
-	g := testGraph(t, 34, 36)
-	idx := testIndex(t, g, 6)
-	s, ts := newTestServer(t, g, idx, Config{CompactAfter: 1})
-
-	edits := findInserts(t, g, 2)
-	resp, er, raw := postEdits(t, ts.URL, EditsRequest{Edits: edits, Wait: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("edits: %d %s", resp.StatusCode, raw)
-	}
-
-	// Warm the cache at epoch 2, then wait out the background compaction
-	// that the batch scheduled (it runs right after the publish).
-	url := fmt.Sprintf("%s/v1/reverse-topk?q=3&k=4", ts.URL)
-	_, body1 := get(t, url)
-	deadline := time.Now().Add(30 * time.Second)
-	for fetchStats(t, ts.URL).Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("compaction never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := fetchStats(t, ts.URL)
-	if st.Epoch != er.Epoch {
-		t.Fatalf("compaction bumped the epoch: %d → %d", er.Epoch, st.Epoch)
-	}
-	if st.OverlayDeltaEdges != 0 || st.OverlayPatchedNodes != 0 {
-		t.Fatalf("compaction left a delta: %+v", st)
-	}
-	// Compaction republishes a pure CSR view, restoring the fastest
-	// matvec path until the next edit batch.
-	if _, ok := s.Store().Current().View.Graph().(*graph.Graph); !ok {
-		t.Fatalf("compacted snapshot serves %T, want *graph.Graph", s.Store().Current().View.Graph())
-	}
-
-	// Cached answers survive the republish (same epoch, same semantics)...
-	r2, body2 := get(t, url)
-	if r2.Header.Get("X-Cache") != "HIT" || !bytes.Equal(body1, body2) {
-		t.Fatalf("cache lost across compaction: %s %q vs %q", r2.Header.Get("X-Cache"), body1, body2)
-	}
-	// ...and fresh computations on the compacted CSR agree with the
-	// edited graph's oracle.
-	var evEdits []evolve.Edit
-	for _, e := range edits {
-		evEdits = append(evEdits, evolve.Edit{From: e.From, To: e.To})
-	}
-	g2, err := evolve.ApplyEdits(g, evEdits, graph.DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orc2 := newOracle(t, g2)
-	for _, q := range []int{1, 17, 35} {
-		r, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=5", ts.URL, q))
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("post-compaction q=%d: %d %s", q, r.StatusCode, body)
-		}
-		qr := decodeQuery(t, body)
-		if want := orc2.answer(graph.NodeID(q), 5); !sameNodes(qr.Results, want) {
-			t.Fatalf("post-compaction q=%d answer %v, oracle %v", q, qr.Results, want)
-		}
 	}
 }

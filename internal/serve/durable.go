@@ -197,11 +197,8 @@ func (s *Server) checkpoint() error {
 	prev, _ := readManifest(s.ckptDir) // nil when none committed yet
 
 	wm := s.appliedWM.Load()
-	g, err := s.overlay.Load().Compact()
-	if err != nil {
-		return fmt.Errorf("compacting overlay: %w", err)
-	}
-	idx := s.store.Current().View.Index()
+	snap := s.store.Current()
+	g, idx := snap.View.Graph(), snap.View.Index()
 
 	m := manifest{
 		Watermark: wm,
@@ -290,9 +287,9 @@ func loadCheckpoint(dir string) (*graph.Graph, *lbindex.Index, bool, error) {
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("checkpoint graph: %w", err)
 	}
-	// The checkpointed graph came out of Overlay.Compact, which self-loops
-	// every out-edge-less node, so the policy below never fires — it is the
-	// same one the compactor used, kept for belt and braces.
+	// The checkpointed graph is a served CSR, which has no node without
+	// out-edges, so the policy below never fires — it is the one
+	// graph.Graph.Apply follows, kept for belt and braces.
 	g, _, err := builder.Build(graph.DanglingSelfLoop)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("checkpoint graph: %w", err)

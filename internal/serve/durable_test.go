@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/evolve"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/wal"
 )
 
@@ -53,7 +54,7 @@ func requireSameAnswers(t *testing.T, what string, a, b [][]graph.NodeID) {
 // many batches were acknowledged.
 func durableBurst(t *testing.T, s *Server) int {
 	t.Helper()
-	ins := findInserts(t, s.Overlay(), 3)
+	ins := findInserts(t, s.Store().Current().View.Graph(), 3)
 	mustApply := func(edits []evolve.Edit, theta float64) {
 		t.Helper()
 		if _, _, err := s.ApplyEdits(edits, theta); err != nil {
@@ -64,7 +65,7 @@ func durableBurst(t *testing.T, s *Server) int {
 		{From: ins[0].From, To: ins[0].To},
 		{From: ins[1].From, To: ins[1].To, Weight: 2.5},
 	}, 0)
-	n := s.Overlay().N()
+	n := s.Store().Current().View.Graph().N()
 	mustApply([]evolve.Edit{{From: graph.NodeID(n), To: 0}}, 0.5)
 	mustApply([]evolve.Edit{{From: ins[0].From, To: ins[0].To, Remove: true}}, 0)
 	// Duplicate insert: passes ValidateEdits, rejected when applied. The
@@ -154,7 +155,7 @@ func TestDurableRecoveryMatchesOracle(t *testing.T) {
 		t.Fatalf("replay re-rejected %d batches, want 1", errs)
 	}
 	// Fresh edits continue the watermark sequence past the replay.
-	ins := findInserts(t, b.Overlay(), 1)
+	ins := findInserts(t, b.Store().Current().View.Graph(), 1)
 	if _, _, err := b.ApplyEdits([]evolve.Edit{{From: ins[0].From, To: ins[0].To}}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestDurableCheckpointCrashBeforeTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := findInserts(t, b.Overlay(), 1)
+	ins := findInserts(t, b.Store().Current().View.Graph(), 1)
 	if _, _, err := b.ApplyEdits([]evolve.Edit{{From: ins[0].From, To: ins[0].To}}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +401,16 @@ func TestCloseDrainsAcknowledgedBatches(t *testing.T) {
 // coordinator never broadcasts a doomed batch.
 func TestValidateEditsSharedAcrossFrontEnds(t *testing.T) {
 	g := testGraph(t, 67, 30)
-	idx := testIndex(t, g, 4)
+	// The one slice of a one-shard partition: the coordinator below accepts
+	// its daemon as shard 0 of 1.
+	pm, err := partition.NewBalanced(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := testIndex(t, g, 4).ShardSlice(pm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, ts := newTestServer(t, g, idx, Config{})
 
 	bad := []struct {

@@ -68,8 +68,13 @@ type FanoutConfig struct {
 	Logger *slog.Logger
 }
 
-// NewFanout builds the coordinator. Shard reachability is not probed here —
-// /healthz reports it live.
+// NewFanout builds the coordinator after checking its shard set: it reads
+// every shard's /v1/stats and refuses unless the URL at position i serves
+// shard i, every shard serves one of len(cfg.Shards) shards, and all of
+// them report one partition bounds vector — the checks shard.NewInProc
+// makes of its slices. A shard that cannot be reached is refused too, as
+// nothing can then be known of it. Reachability after the start is
+// reported live by /healthz.
 func NewFanout(cfg FanoutConfig) (*Fanout, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("serve: fan-out coordinator needs at least one shard URL")
@@ -109,7 +114,41 @@ func NewFanout(cfg FanoutConfig) (*Fanout, error) {
 	reg.NewGaugeFunc("rtk_fanout_uptime_seconds", "Seconds since the coordinator started.", func() float64 {
 		return time.Since(f.start).Seconds()
 	})
+	if err := f.checkShardSet(); err != nil {
+		return nil, err
+	}
 	return f, nil
+}
+
+// checkShardSet reads every shard's /v1/stats and checks that position i
+// serves shard i of one partition into len(f.shards) shards.
+func (f *Fanout) checkShardSet() error {
+	var bounds []int32
+	for i, base := range f.shards {
+		rep := f.do(http.MethodGet, base+"/v1/stats", nil, "")
+		var st StatsResponse
+		switch {
+		case rep.err != nil:
+			return fmt.Errorf("serve: shard %d (%s): reading /v1/stats: %v", i, f.shards[i], rep.err)
+		case rep.status != http.StatusOK:
+			return fmt.Errorf("serve: shard %d (%s): /v1/stats answered %d", i, f.shards[i], rep.status)
+		}
+		if err := json.Unmarshal(rep.body, &st); err != nil {
+			return fmt.Errorf("serve: shard %d (%s): malformed /v1/stats: %v", i, f.shards[i], err)
+		}
+		switch {
+		case st.ShardID == nil:
+			return fmt.Errorf("serve: shard %d (%s) serves a full index, not a shard slice", i, f.shards[i])
+		case *st.ShardID != i || st.ShardCount != len(f.shards):
+			return fmt.Errorf("serve: shard %d (%s) serves shard %d of %d, want shard %d of %d",
+				i, f.shards[i], *st.ShardID, st.ShardCount, i, len(f.shards))
+		case i > 0 && !slices.Equal(st.PartitionBounds, bounds):
+			return fmt.Errorf("serve: shard %d (%s) has partition bounds %v, shard 0 has %v",
+				i, f.shards[i], st.PartitionBounds, bounds)
+		}
+		bounds = st.PartitionBounds
+	}
+	return nil
 }
 
 // Shards returns the shard base URLs, normalized.
@@ -136,9 +175,11 @@ func (f *Fanout) Handler() http.Handler {
 	return mux
 }
 
-// shardReply is one shard's response to a fanned-out call.
+// shardReply is one shard's response to a fanned-out call; shard is its
+// ShardHeader.
 type shardReply struct {
 	status int
+	shard  string
 	body   []byte
 	err    error
 }
@@ -216,7 +257,7 @@ func (f *Fanout) do(method, url string, body []byte, reqID string) shardReply {
 	if len(b) > maxShardReply {
 		return shardReply{err: fmt.Errorf("response exceeds %d bytes", maxShardReply)}
 	}
-	return shardReply{status: resp.StatusCode, body: b}
+	return shardReply{status: resp.StatusCode, shard: resp.Header.Get(ShardHeader), body: b}
 }
 
 // maxShardReply bounds one proxied shard response. Far above any plausible
@@ -300,9 +341,17 @@ func (f *Fanout) handleQuery(w http.ResponseWriter, r *http.Request) {
 // PMPN iterations the slowest shard's (the fan-out's critical path), and the
 // answer converged only if every shard's did; the achieved ε is recomputed
 // from the merged counts, since the shards' local fractions do not average.
-// It returns the status it wrote: 200, or 502 for a shard body that does
-// not parse.
+// It returns the status it wrote: 200, or 502 for a reply that names another
+// shard than its position's (a daemon restarted behind the URL with another
+// slice) or whose body does not parse.
 func (f *Fanout) writeMerged(w http.ResponseWriter, replies []shardReply, approx bool, reqID string) int {
+	for i, rep := range replies {
+		if want := shardName(i, len(f.shards)); rep.shard != want {
+			f.recordShardError(i, reqID)
+			writeError(w, http.StatusBadGateway, "shard %d (%s) answered as shard %q, want %q", i, f.shards[i], rep.shard, want)
+			return http.StatusBadGateway
+		}
+	}
 	parts := decodeReplies[ApproxQueryResponse](f, w, replies, reqID)
 	if parts == nil {
 		return http.StatusBadGateway

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -341,32 +343,72 @@ func TestFanoutErrorPaths(t *testing.T) {
 	}
 }
 
-// TestFanoutErrorStatusLogged: the coordinator's request log line carries the
-// status it sent — a shard's relayed 4xx (out-of-range q), and the 502 of a
-// shard's approx body that does not parse.
+// TestFanoutErrorStatusLogged: the coordinator refuses at start a shard set
+// that is not the shards of one partition in shard order, and its request
+// log line carries the status it sent — a shard's relayed 4xx (out-of-range
+// q), the 502 of a shard's approx body that does not parse, and the 502
+// naming the shard whose reply names another shard (a daemon restarted
+// behind its URL with another slice).
 func TestFanoutErrorStatusLogged(t *testing.T) {
 	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
+	recut := newFanoutFixture(t, 2, []int32{0, 100, 220})
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(ShardHeader, "0/1")
+		if r.URL.Path == "/v1/stats" {
+			w.Write([]byte(`{"shard_id":0,"shard_count":1,"partition_bounds":[0,1]}`))
+			return
+		}
 		w.Write([]byte("not json"))
 	}))
 	t.Cleanup(stub.Close)
+	// moving serves shard 0 until swapped, then shard 1.
+	var swapped atomic.Bool
+	moving := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if swapped.Load() {
+			fx.shards[1].Handler().ServeHTTP(w, r)
+			return
+		}
+		fx.shards[0].Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(moving.Close)
+	full, err := New(fx.g, fx.idx, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(full.Close)
+	fullURL := newTestListener(t, full.Handler())
+	s0, s1 := fx.shardSrv[0].URL, fx.shardSrv[1].URL
 	for _, tc := range []struct {
-		name   string
-		shards []string
-		params string
+		name     string
+		shards   []string
+		params   string
+		startErr string // NewFanout's refusal; "" when it must accept the set
+		msg      string // in the error body, when not ""
 	}{
-		{"out-of-range q", []string{fx.shardSrv[0].URL, fx.shardSrv[1].URL}, "q=99999&k=5"},
-		{"malformed approx body", []string{stub.URL}, "q=1&k=5&mode=approx"},
+		{"out-of-range q", []string{s0, s1}, "q=99999&k=5", "", ""},
+		{"malformed approx body", []string{stub.URL}, "q=1&k=5&mode=approx", "", "malformed body"},
+		{"one shard twice", []string{s0, s0}, "", "shard 1 (" + s0 + ") serves shard 0 of 2, want shard 1 of 2", ""},
+		{"shards of two partitions", []string{s0, recut.shardSrv[1].URL}, "", "has partition bounds [0 100 220], shard 0 has [0 110 220]", ""},
+		{"full index", []string{fullURL}, "", "serves a full index, not a shard slice", ""},
+		{"swapped shard", []string{moving.URL, s1}, "q=1&k=5", "", `shard 0 (` + moving.URL + `) answered as shard \"1/2\"`},
 	} {
 		buf, logger := newTestLogger()
+		swapped.Store(false)
 		fan, err := NewFanout(FanoutConfig{Shards: tc.shards, Logger: logger})
+		if tc.startErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.startErr) {
+				t.Fatalf("%s: NewFanout error %v, want one containing %q", tc.name, err, tc.startErr)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		swapped.Store(true)
 		rec := httptest.NewRecorder()
 		fan.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/reverse-topk?"+tc.params, nil))
-		if rec.Code < 400 {
-			t.Fatalf("%s: status %d body %s, want an error", tc.name, rec.Code, rec.Body)
+		if rec.Code < 400 || !strings.Contains(rec.Body.String(), tc.msg) {
+			t.Fatalf("%s: status %d body %s, want an error naming %q", tc.name, rec.Code, rec.Body, tc.msg)
 		}
 		lines := buf.lines(t)
 		if len(lines) != 1 {

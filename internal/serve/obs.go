@@ -68,7 +68,6 @@ type metrics struct {
 	approxRounds *obs.Counter
 
 	maintErrors *obs.Counter
-	compactions *obs.Counter
 	nodesGrown  *obs.Counter
 	checkpoints *obs.Counter
 
@@ -99,8 +98,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		epochSwaps:   reg.NewCounter("rtk_epoch_swaps_total", "Snapshot publishes (maintenance epoch bumps)."),
 		approxRounds: reg.NewCounter("rtk_approx_rounds_total", "Anytime screen rounds across approx computations."),
 
-		maintErrors: reg.NewCounter("rtk_maint_errors_total", "Maintenance pipeline failures (rejected batches, compaction and checkpoint errors)."),
-		compactions: reg.NewCounter("rtk_compactions_total", "Overlay compactions folded back into a fresh CSR."),
+		maintErrors: reg.NewCounter("rtk_maint_errors_total", "Maintenance pipeline failures (rejected batches and checkpoint errors)."),
 		nodesGrown:  reg.NewCounter("rtk_nodes_grown_total", "Nodes added to the graph by edit batches."),
 		checkpoints: reg.NewCounter("rtk_checkpoints_total", "Committed checkpoints."),
 
@@ -114,7 +112,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		maintDur: reg.NewHistogram("rtk_maint_duration_seconds", "Maintenance batch wall clock (apply + refresh + publish).", nil),
 		walDur:   reg.NewHistogram("rtk_wal_append_seconds", "WAL record write+fsync wall clock.", phaseBuckets),
 		walBytes: reg.NewCounter("rtk_wal_appended_bytes_total", "Bytes appended to the write-ahead journal."),
-		ckptDur:  reg.NewHistogram("rtk_checkpoint_duration_seconds", "Checkpoint wall clock (compact + save + commit + truncate).", nil),
+		ckptDur:  reg.NewHistogram("rtk_checkpoint_duration_seconds", "Checkpoint wall clock (save + commit + truncate).", nil),
 	}
 }
 
@@ -171,9 +169,6 @@ func (s *Server) registerGauges(reg *obs.Registry) {
 	})
 	reg.NewGaugeFunc("rtk_applied_watermark", "Watermark of the newest fully applied edit batch.", func() float64 {
 		return float64(s.appliedWM.Load())
-	})
-	reg.NewGaugeFunc("rtk_overlay_delta_edges", "Patched adjacency entries in the newest overlay (compaction trigger input).", func() float64 {
-		return float64(s.overlay.Load().DeltaEdges())
 	})
 	reg.NewGaugeFunc("rtk_journal_bytes", "Write-ahead journal size (0 on a volatile server).", func() float64 {
 		if s.journal == nil {

@@ -79,10 +79,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rtk_maint_queue_depth",
 		"rtk_enqueued_watermark",
 		"rtk_applied_watermark",
-		"rtk_overlay_delta_edges",
 		"rtk_maint_duration_seconds",
 		"rtk_maint_errors_total",
-		"rtk_compactions_total",
 		"rtk_checkpoint_age_seconds",
 		"rtk_approx_rounds_total",
 		"rtk_uptime_seconds",
@@ -91,8 +89,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("family %s missing from exposition", name)
 		}
 	}
-	// The admission batcher's families went with it.
-	for _, name := range []string{"rtk_spmm_groups_total", "rtk_spmm_batched_queries_total"} {
+	// The admission batcher's families went with it, and the overlay's
+	// with the overlay.
+	for _, name := range []string{"rtk_spmm_groups_total", "rtk_spmm_batched_queries_total", "rtk_overlay_delta_edges", "rtk_compactions_total"} {
 		if fams[name] != nil {
 			t.Errorf("family %s still exposed", name)
 		}
@@ -228,8 +227,7 @@ func TestStatsJSONShape(t *testing.T) {
 		"draining", "uptime_seconds",
 		"approx_computed", "approx_rounds",
 		"enqueued_watermark", "applied_watermark", "pending_edits",
-		"overlay_patched_nodes", "overlay_delta_edges", "overlay_generation",
-		"compactions", "maint_errors", "last_maint_ms",
+		"maint_errors", "last_maint_ms",
 		"last_affected_origins", "last_affected_hubs", "nodes_grown",
 	}
 	for _, k := range want {
@@ -237,9 +235,10 @@ func TestStatsJSONShape(t *testing.T) {
 			t.Errorf("stats key %q missing", k)
 		}
 	}
-	// Keys of deleted stages: the admission batcher's and the anytime tier's
-	// Monte Carlo stage's.
-	for _, k := range []string{"spmm_groups", "spmm_batched_queries", "approx_mc_walks"} {
+	// Keys of deleted stages: the admission batcher's, the anytime tier's
+	// Monte Carlo stage's and the overlay's.
+	for _, k := range []string{"spmm_groups", "spmm_batched_queries", "approx_mc_walks",
+		"overlay_patched_nodes", "overlay_delta_edges", "overlay_generation", "compactions"} {
 		if _, ok := got[k]; ok {
 			t.Errorf("stats key %q outlived the stage that fed it", k)
 		}
@@ -425,20 +424,9 @@ func TestRequestIDPropagation(t *testing.T) {
 // TestFanoutErrorAccounting kills one shard and checks the per-shard error
 // counter and last-error request ID light up for that shard only.
 func TestFanoutErrorAccounting(t *testing.T) {
-	g := testGraph(t, 23, 60)
-	idx := testIndex(t, g, 8)
-	srv, err := New(g, idx, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	liveURL := newTestListener(t, srv.Handler())
-
-	fan, err := NewFanout(FanoutConfig{Shards: []string{liveURL, "http://127.0.0.1:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fanURL := newTestListener(t, fan.Handler())
+	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
+	fx.shardSrv[1].Close()
+	fanURL := fx.fanSrv.URL
 
 	const reqID = "abad1deaabad1dea"
 	req, _ := http.NewRequest(http.MethodGet, fanURL+"/v1/reverse-topk?q=1&k=3", nil)

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/evolve"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
 	"repro/internal/rwr"
@@ -53,7 +55,7 @@ type oracle struct {
 	cols [][]float64
 }
 
-func newOracle(t *testing.T, g graph.View) *oracle {
+func newOracle(t *testing.T, g *graph.Graph) *oracle {
 	t.Helper()
 	cols, err := rwr.ProximityMatrix(g, rwr.DefaultParams(), 0)
 	if err != nil {
@@ -207,9 +209,14 @@ func TestServePostRefreshMatchesOracle(t *testing.T) {
 	}
 
 	// Served answers now match the oracle of the EDITED graph.
+	// The snapshot serves the CSR a full rebuild with the edits gives.
 	g2 := s.Store().Current().View.Graph()
-	if _, ok := g2.(*graph.Overlay); !ok {
-		t.Fatalf("post-edit snapshot serves %T, want *graph.Overlay", g2)
+	var applied []evolve.Edit
+	for _, e := range edits {
+		applied = append(applied, evolve.Edit{From: e.From, To: e.To, Weight: e.Weight, Remove: e.Remove})
+	}
+	if rebuilt, err := evolve.ApplyEdits(g, applied, graph.DanglingSelfLoop); err != nil || !reflect.DeepEqual(g2, rebuilt) {
+		t.Fatalf("post-edit snapshot graph differs from the rebuilt one (rebuild error %v)", err)
 	}
 	orc2 := newOracle(t, g2)
 	for _, q := range []int{0, 5, 17, 39} {

@@ -39,11 +39,6 @@ type Config struct {
 	// while a saturated server runs one goroutine per query. 0 selects
 	// GOMAXPROCS.
 	WorkerBudget int
-	// CompactAfter is the overlay delta size (patched adjacency entries)
-	// past which the maintenance goroutine folds the overlay back into a
-	// fresh CSR after a batch. 0 selects max(4096, M/8) of the initial
-	// graph; negative disables compaction.
-	CompactAfter int
 	// Logger, when set, receives one structured line per query request
 	// (request id, mode, cache status, latency, phase counters). Nil
 	// disables request logging; metrics and the slow log still record.
@@ -93,21 +88,15 @@ type Server struct {
 
 	// Maintenance pipeline: POST /v1/edits enqueues a journaled batch and
 	// returns a watermark; the single maintenance goroutine drains the
-	// queue, applies each batch to the overlay (O(edits)), refreshes only
-	// the affected origins and hubs on an index clone, publishes the new
-	// epoch, and compacts the overlay once its delta crosses the
-	// threshold. Queries never wait on any of this.
+	// queue, patches each batch into a new CSR, refreshes only the
+	// affected origins and hubs on an index clone, and publishes the new
+	// epoch. Queries never wait on any of this.
 	mu     sync.Mutex
 	queue  []*editBatch  // guarded by mu
 	closed bool          // guarded by mu
 	wake   chan struct{} // cap-1 doorbell for the maintenance goroutine
 	stop   chan struct{}
 	done   chan struct{}
-	// overlay is the graph state of the NEWEST published epoch (readers
-	// use their snapshot's own view; this pointer is for the maintenance
-	// goroutine and the stats endpoint).
-	overlay      atomic.Pointer[graph.Overlay]
-	compactAfter int
 
 	enqueuedWM atomic.Uint64
 	appliedWM  atomic.Uint64
@@ -133,6 +122,10 @@ type Server struct {
 	m      *metrics
 	slow   *obs.SlowLog
 	logger *slog.Logger
+
+	// shardName is the ShardHeader value of a daemon serving a shard slice,
+	// "" on a full index.
+	shardName string
 
 	lastRejectedWM atomic.Uint64
 	lastMaintNS    atomic.Int64
@@ -209,12 +202,6 @@ func newServer(g *graph.Graph, idx *lbindex.Index, cfg Config) (*Server, error) 
 		cfg.MaxInflight = 4 * runtime.GOMAXPROCS(0)
 	}
 	cfg.WorkerBudget = vecmath.Workers(cfg.WorkerBudget)
-	if cfg.CompactAfter == 0 {
-		cfg.CompactAfter = 4096
-		if m := g.M() / 8; m > cfg.CompactAfter {
-			cfg.CompactAfter = m
-		}
-	}
 	slowCap := cfg.SlowLogCapacity
 	if slowCap == 0 {
 		slowCap = DefaultSlowLogCapacity
@@ -225,23 +212,24 @@ func newServer(g *graph.Graph, idx *lbindex.Index, cfg Config) (*Server, error) 
 	}
 	reg := obs.NewRegistry()
 	s := &Server{
-		store:        store,
-		cache:        NewCache(cfg.CacheBytes),
-		budget:       cfg.WorkerBudget,
-		maxInflight:  int64(cfg.MaxInflight),
-		wake:         make(chan struct{}, 1),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
-		compactAfter: cfg.CompactAfter,
-		start:        time.Now(),
-		reg:          reg,
-		m:            newMetrics(reg),
-		slow:         obs.NewSlowLog(slowCap, slowThresh),
-		logger:       cfg.Logger,
+		store:       store,
+		cache:       NewCache(cfg.CacheBytes),
+		budget:      cfg.WorkerBudget,
+		maxInflight: int64(cfg.MaxInflight),
+		wake:        make(chan struct{}, 1),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		start:       time.Now(),
+		reg:         reg,
+		m:           newMetrics(reg),
+		slow:        obs.NewSlowLog(slowCap, slowThresh),
+		logger:      cfg.Logger,
 	}
 	store.AttachCache(s.cache)
 	s.registerGauges(reg)
-	s.overlay.Store(graph.NewOverlay(g))
+	if pm, shard, ok := idx.Shard(); ok {
+		s.shardName = shardName(shard, pm.P())
+	}
 	// Index watermarks start where the loaded image left off; a freshly
 	// built index is watermark 0. Enqueues continue from there.
 	s.enqueuedWM.Store(idx.Watermark())
@@ -280,9 +268,6 @@ func (s *Server) Store() *Store { return s.store }
 // Cache returns the server's result cache.
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Overlay returns the graph overlay of the newest published epoch.
-func (s *Server) Overlay() *graph.Overlay { return s.overlay.Load() }
-
 // AppliedWatermark returns the journal watermark of the last fully
 // processed edit batch.
 func (s *Server) AppliedWatermark() uint64 { return s.appliedWM.Load() }
@@ -312,8 +297,23 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /debug/slowlog", s.slow.Handler())
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("POST /v1/edits", s.handleEdits)
-	return mux
+	if s.shardName == "" {
+		return mux
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(ShardHeader, s.shardName)
+		mux.ServeHTTP(w, r)
+	})
 }
+
+// ShardHeader names, on every response of a daemon serving a shard slice,
+// the slice it serves: "i/P" for shard i of P. The fan-out coordinator
+// refuses to merge a reply that names another shard than the one its URL
+// was checked to serve at start.
+const ShardHeader = "X-RTK-Shard"
+
+// shardName is the ShardHeader value of shard i of p.
+func shardName(i, p int) string { return strconv.Itoa(i) + "/" + strconv.Itoa(p) }
 
 // QueryResponse is the JSON body of /v1/reverse-topk. Bodies are cached
 // verbatim, so a cached response is byte-identical to the fresh one.
@@ -560,18 +560,15 @@ type StatsResponse struct {
 
 	// Shard-slice identity (set when the daemon serves one shard of a
 	// partitioned index; absent on a full index).
-	ShardID    *int `json:"shard_id,omitempty"`
-	ShardCount int  `json:"shard_count,omitempty"`
-	OwnedRows  int  `json:"owned_nodes,omitempty"`
+	ShardID         *int    `json:"shard_id,omitempty"`
+	ShardCount      int     `json:"shard_count,omitempty"`
+	OwnedRows       int     `json:"owned_nodes,omitempty"`
+	PartitionBounds []int32 `json:"partition_bounds,omitempty"`
 
 	// Maintenance pipeline observability.
 	EnqueuedWatermark   uint64 `json:"enqueued_watermark"`
 	AppliedWatermark    uint64 `json:"applied_watermark"`
 	PendingEdits        uint64 `json:"pending_edits"`
-	OverlayPatchedNodes int    `json:"overlay_patched_nodes"`
-	OverlayDeltaEdges   int    `json:"overlay_delta_edges"`
-	OverlayGeneration   int    `json:"overlay_generation"`
-	Compactions         int64  `json:"compactions"`
 	MaintErrors         int64  `json:"maint_errors"`
 	LastRejectedWM      uint64 `json:"last_rejected_watermark,omitempty"`
 	LastMaintMS         int64  `json:"last_maint_ms"`
@@ -597,7 +594,6 @@ type StatsResponse struct {
 // Stats snapshots the serving counters.
 func (s *Server) Stats() StatsResponse {
 	snap := s.store.Current()
-	ov := s.overlay.Load()
 	// applied is loaded FIRST: a batch enqueued+applied between the two
 	// loads then only inflates enq, keeping the unsigned pending count
 	// from underflowing.
@@ -631,10 +627,6 @@ func (s *Server) Stats() StatsResponse {
 		EnqueuedWatermark:   enq,
 		AppliedWatermark:    app,
 		PendingEdits:        enq - app,
-		OverlayPatchedNodes: ov.PatchedNodes(),
-		OverlayDeltaEdges:   ov.DeltaEdges(),
-		OverlayGeneration:   ov.Generation(),
-		Compactions:         int64(s.m.compactions.Value()),
 		MaintErrors:         int64(s.m.maintErrors.Value()),
 		LastRejectedWM:      s.lastRejectedWM.Load(),
 		LastMaintMS:         s.lastMaintNS.Load() / 1e6,
@@ -660,6 +652,7 @@ func (s *Server) Stats() StatsResponse {
 		resp.ShardID = &shard
 		resp.ShardCount = pm.P()
 		resp.OwnedRows = hi - lo
+		_, _, resp.PartitionBounds = pm.Parts()
 	}
 	return resp
 }
@@ -833,11 +826,10 @@ func (s *Server) ApplyEdits(edits []evolve.Edit, theta float64) (evolve.Stats, u
 }
 
 // maintLoop is the single maintenance goroutine: it drains the journal in
-// watermark order, runs each batch through the incremental pipeline, and
-// compacts the overlay when its delta crosses the threshold. When Close is
-// called it finishes every batch still queued — each was acknowledged with
-// a watermark, so a graceful shutdown applies them all — and only then
-// exits.
+// watermark order and runs each batch through the incremental pipeline.
+// When Close is called it finishes every batch still queued — each was
+// acknowledged with a watermark, so a graceful shutdown applies them all —
+// and only then exits.
 func (s *Server) maintLoop() {
 	defer close(s.done)
 	for {
@@ -863,23 +855,22 @@ func (s *Server) maintLoop() {
 	}
 }
 
-// finishBatch runs one batch and publishes its completion: compaction and
-// the watermark stamp happen BEFORE the watermark is visible as applied,
-// so once it is, every side effect the batch scheduled has settled. The
+// finishBatch runs one batch and publishes its completion: the watermark
+// stamp happens BEFORE the watermark is visible as applied, so once it is,
+// every side effect the batch scheduled has settled. The
 // stamp lands on the current snapshot's index whether the batch succeeded
 // (the freshly published clone) or was rejected (the prior index — a
 // rejection still consumes its watermark, and a replay re-rejects it
 // deterministically), keeping saved images' embedded watermarks honest.
 func (s *Server) finishBatch(b *editBatch) {
 	s.runBatch(b)
-	s.maybeCompact()
 	s.store.Current().View.Index().SetWatermark(b.watermark)
 	s.appliedWM.Store(b.watermark)
 	close(b.done)
 }
 
-// runBatch executes one journaled batch end to end: O(edits) overlay
-// apply, affected-set computation (one PMPN per edited source), partial
+// runBatch executes one journaled batch end to end: the CSR patch
+// (graph.Graph.Apply), affected-set computation (one PMPN per edited source), partial
 // refresh of an index clone (affected origins + affected hubs only, new
 // origins included), and the epoch publish. Readers keep serving the old
 // snapshot until the final pointer swap.
@@ -898,12 +889,13 @@ func (s *Server) runBatch(b *editBatch) {
 	if gate := s.testMaintGate; gate != nil {
 		gate()
 	}
-	cur := s.overlay.Load()
+	snap := s.store.Current()
+	cur := snap.View.Graph()
 	edits := b.edits
 
 	// Bound node growth before applying: one edit introduces at most two
 	// fresh identifiers, so anything larger is a fat-finger (or hostile)
-	// id jump that would allocate the whole range. Mirror the overlay's
+	// id jump that would allocate the whole range. Mirror Apply's
 	// netting — an insert cancelled by a later remove of the same edge
 	// never grows the graph.
 	maxID := graph.NodeID(-1)
@@ -935,7 +927,6 @@ func (s *Server) runBatch(b *editBatch) {
 		return
 	}
 
-	snap := s.store.Current()
 	idx := snap.View.Index()
 	opts := idx.Options()
 	affected, err := evolve.AffectedNodes(next, evolve.Sources(edits), b.theta, opts.RWR)
@@ -989,7 +980,6 @@ func (s *Server) runBatch(b *editBatch) {
 	}
 	// Publish already dropped every other epoch from the cache — eager
 	// invalidation is the store's job, so it holds for ALL publishers.
-	s.overlay.Store(next)
 	s.m.epochSwaps.Inc()
 
 	b.stats = stats
@@ -999,34 +989,4 @@ func (s *Server) runBatch(b *editBatch) {
 	elapsed := time.Since(start)
 	s.lastMaintNS.Store(int64(elapsed))
 	s.m.maintDur.Observe(elapsed.Seconds())
-}
-
-// maybeCompact folds the overlay back into a fresh CSR once its delta
-// footprint crosses the threshold. The compacted graph is semantically
-// identical, so it is republished at the SAME epoch (Store.Replace) and
-// cached results stay valid; subsequent queries sweep pure CSR again.
-func (s *Server) maybeCompact() {
-	if s.compactAfter <= 0 {
-		return
-	}
-	ov := s.overlay.Load()
-	if ov.DeltaEdges() < s.compactAfter {
-		return
-	}
-	g2, err := ov.Compact()
-	if err != nil {
-		s.m.maintErrors.Inc()
-		msg := fmt.Sprintf("compaction failed: %v", err)
-		s.lastMaintError.Store(&msg)
-		return
-	}
-	snap := s.store.Current()
-	if _, err := s.store.Replace(g2, snap.View.Index()); err != nil {
-		s.m.maintErrors.Inc()
-		msg := fmt.Sprintf("compaction republish failed: %v", err)
-		s.lastMaintError.Store(&msg)
-		return
-	}
-	s.overlay.Store(graph.NewOverlay(g2))
-	s.m.compactions.Inc()
 }

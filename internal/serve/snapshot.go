@@ -7,13 +7,14 @@
 // worker budget), and graceful drain.
 //
 // Snapshot model: the daemon serves from an immutable Snapshot — an epoch
-// number plus a core.View over one (graph view, index) pair — published
-// behind an atomic pointer. Maintenance builds the NEXT snapshot entirely
-// off to the side (graph.Overlay.Apply + evolve.RefreshPartial on an index
-// clone) and publishes it with one pointer swap, so readers are never
-// locked out and can never observe a half-refreshed index: a request grabs
-// the current snapshot once and runs against it to completion, even if a
-// swap lands mid-request. Cached results are keyed by epoch, so a swap
+// number plus a core.View over one (graph, index) pair — published behind an
+// atomic pointer. The current snapshot's graph is the one copy of the served
+// graph. Maintenance builds the NEXT snapshot entirely off to the side
+// (graph.Graph.Apply patches the CSR into a new one, and
+// evolve.RefreshPartial refreshes an index clone) and publishes it with one
+// pointer swap, so readers are never locked out and can never observe a
+// half-refreshed index: a request grabs the current snapshot once and runs
+// against it to completion, even if a swap lands mid-request. Cached results are keyed by epoch, so a swap
 // invalidates the cache by key instead of by locking.
 //
 // Durability model: New builds a volatile server — edit acknowledgements
@@ -41,16 +42,13 @@ import (
 // Snapshot is one immutable published serving state. Epoch starts at 1 and
 // increases by 1 per semantic change (edit batch); it is the cache-key
 // component that makes results from different snapshots never alias.
-// A background compaction republishes the SAME epoch over a compacted
-// graph (Store.Replace): answers are identical, so cached results stay
-// valid.
 type Snapshot struct {
 	Epoch uint64
 	View  *core.View
 }
 
 // Store holds the current snapshot behind an atomic pointer. Reads
-// (Current) are wait-free; Publish/Replace are lock-free but publishers
+// (Current) are wait-free; Publish is lock-free but publishers
 // must be serialized externally — the Server's single maintenance
 // goroutine is the only publisher.
 //
@@ -73,7 +71,7 @@ type Store struct {
 func (s *Store) AttachCache(c *Cache) { s.cache = c }
 
 // NewStore creates a store serving the given pair as epoch 1.
-func NewStore(g graph.View, idx *lbindex.Index) (*Store, error) {
+func NewStore(g *graph.Graph, idx *lbindex.Index) (*Store, error) {
 	v, err := core.NewView(g, idx)
 	if err != nil {
 		return nil, err
@@ -92,7 +90,7 @@ func (s *Store) Current() *Snapshot {
 // Publish atomically replaces the current snapshot with a new one over the
 // given pair, at the next epoch, and eagerly drops every other epoch from
 // the attached cache. It returns the published snapshot.
-func (s *Store) Publish(g graph.View, idx *lbindex.Index) (*Snapshot, error) {
+func (s *Store) Publish(g *graph.Graph, idx *lbindex.Index) (*Snapshot, error) {
 	v, err := core.NewView(g, idx)
 	if err != nil {
 		return nil, err
@@ -102,24 +100,6 @@ func (s *Store) Publish(g graph.View, idx *lbindex.Index) (*Snapshot, error) {
 		next := &Snapshot{Epoch: old.Epoch + 1, View: v}
 		if s.cur.CompareAndSwap(old, next) {
 			s.cache.DropOtherEpochs(next.Epoch)
-			return next, nil
-		}
-	}
-}
-
-// Replace swaps in a new view at the CURRENT epoch. Only valid when the
-// new pair is semantically identical to the published one (same adjacency,
-// same index rows — e.g. an overlay compacted back to CSR): the epoch is
-// the cache key, so answers cached under it must remain correct.
-func (s *Store) Replace(g graph.View, idx *lbindex.Index) (*Snapshot, error) {
-	v, err := core.NewView(g, idx)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		old := s.cur.Load()
-		next := &Snapshot{Epoch: old.Epoch, View: v}
-		if s.cur.CompareAndSwap(old, next) {
 			return next, nil
 		}
 	}

@@ -79,7 +79,7 @@ type QueryStats struct {
 // engines. Safe for concurrent use: per-query state lives on the stack and
 // the shard views are themselves concurrency-safe.
 type Coordinator struct {
-	g      graph.View
+	g      *graph.Graph
 	views  []*core.View
 	params rwr.Params
 	maxK   int
@@ -97,7 +97,7 @@ type Coordinator struct {
 // NewInProc builds a coordinator over one shard slice per shard, in shard
 // order. Every slice must carry the same partition map (slice i owning
 // shard i) and be built over the given graph's node space.
-func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator, error) {
+func NewInProc(g *graph.Graph, slices []*lbindex.Index, cfg Config) (*Coordinator, error) {
 	if len(slices) == 0 {
 		return nil, fmt.Errorf("shard: no shard slices given")
 	}
@@ -157,7 +157,7 @@ func NewInProc(g graph.View, slices []*lbindex.Index, cfg Config) (*Coordinator,
 // NewFromFull slices a full index P ways under pm and builds the in-process
 // coordinator over the slices — the one-process deployment shape, and what
 // bench/'s shard probe (shard.query_ms_p2, shard.prune_fraction) measures.
-func NewFromFull(g graph.View, idx *lbindex.Index, pm *partition.Map, cfg Config) (*Coordinator, error) {
+func NewFromFull(g *graph.Graph, idx *lbindex.Index, pm *partition.Map, cfg Config) (*Coordinator, error) {
 	slices := make([]*lbindex.Index, pm.P())
 	for s := range slices {
 		sl, err := idx.ShardSlice(pm, s)
