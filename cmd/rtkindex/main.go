@@ -1,7 +1,10 @@
 // Command rtkindex builds the reverse top-k lower-bound index (Algorithm 1)
 // for a graph stored as an edge list, reports construction statistics in
 // the style of Table 2, and writes the index in its binary format
-// (checksummed, mmap-able format v4, magic RTKLBIX4).
+// (checksummed, mmap-able format v5, magic RTKLBIX5). The image stores the
+// graph too, with the SHA-256 of the edge-list file it was parsed from, so
+// rtkserve and rtkquery serve the index file alone, and check a -graph
+// they are given against the digest.
 //
 // Usage:
 //
@@ -11,16 +14,18 @@
 // With -partition P the index is built ONCE and then streamed out as P
 // shard-slice files (web.idx.shard0of4, …), each carrying the partition
 // map (P node ranges of ≈ equal total degree, partition.NewBalanced), the
-// rows of its node range and the full hub matrix — together ≈ one full
-// index's bytes, not P×, and never more than one full index resident in
-// memory. Serve each slice with a stock rtkserve and put an
+// rows of its node range, the full hub matrix and the full graph — together
+// ≈ one full index's bytes, not P×, and never more than one full index
+// resident in memory. Serve each slice with a stock rtkserve and put an
 // `rtkserve -shards ...` coordinator in front; see the README's "Sharded
 // serving" section.
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -54,7 +59,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	builder, err := graph.ReadEdgeList(f)
+	// The parser reads the file to its end, so h hashes every byte of it.
+	h := sha256.New()
+	builder, err := graph.ReadEdgeList(io.TeeReader(f, h))
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
@@ -87,6 +94,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	idx.SetSource([sha256.Size]byte(h.Sum(nil)))
 	fmt.Printf("hubs: %d (selection+vectors took %v)\n", stats.HubCount, stats.HubElapsed.Round(time.Millisecond))
 	fmt.Printf("build: %v total, %d BCA iterations\n", stats.TotalElapsed.Round(time.Millisecond), stats.TotalIters)
 	fmt.Printf("size: actual %d B, unrounded %d B, Theorem-1 predicted %d B, P̂ alone %d B; %d residue entries below η folded, %d states summarized, saving %d B; sparse values stored as float32, saving %d B; indices delta-packed, saving %d B\n",

@@ -1,15 +1,22 @@
 // Command rtkquery evaluates reverse top-k RWR queries (Algorithm 4)
-// against a graph and a prebuilt index, printing the answer set and the
-// per-query statistics of §5.3. With -update and -save, refinements made
-// during query processing are persisted back into the index file.
+// against a prebuilt index and the graph stored in it, printing the answer
+// set and the per-query statistics of §5.3. With -update and -save,
+// refinements made during query processing are persisted back into the
+// index file, graph and source digest included.
 //
 // Usage:
 //
-//	rtkquery -graph web.txt -index web.idx -q 42 -k 10
-//	rtkquery -graph web.txt -index web.idx -q 42 -k 10 -update -save
-//	rtkquery -graph web.txt -index web.idx -q 42 -k 10 -workers 0   # one query, all cores
-//	rtkquery -graph web.txt -index web.idx -q 42 -k 10 -mode approx -eps 0.1
-//	rtkquery -graph web.txt -shards web.idx.shard0of2,web.idx.shard1of2 -q 42 -k 10
+//	rtkquery -index web.idx -q 42 -k 10
+//	rtkquery -index web.idx -q 42 -k 10 -update -save
+//	rtkquery -index web.idx -q 42 -k 10 -workers 0   # one query, all cores
+//	rtkquery -index web.idx -q 42 -k 10 -mode approx -eps 0.1
+//	rtkquery -shards web.idx.shard0of2,web.idx.shard1of2 -q 42 -k 10
+//	rtkquery -graph web.txt -index web.idx -q 42 -k 10  # check web.txt is web.idx's source
+//
+// -graph is optional: given, its bytes must hash to the SHA-256 of the edge
+// list rtkindex built the index from, or rtkquery refuses and names both
+// files; an index that records none (refreshed or checkpointed) refuses any
+// -graph.
 //
 // With -mode approx, the anytime tier answers with a guaranteed part and a
 // maybe part instead of refining to an exact answer; eps bounds the
@@ -42,7 +49,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtkquery: ")
 	var (
-		graphPath = flag.String("graph", "", "edge-list path (required)")
+		graphPath = flag.String("graph", "", "edge-list path the index must have been built from (optional: checked against the index's digest)")
 		indexPath = flag.String("index", "", "index path (required unless -shards is given)")
 		shards    = flag.String("shards", "", "comma-separated shard-slice index files: query via the in-process coordinator")
 		q         = flag.Int("q", -1, "query node (required)")
@@ -65,28 +72,14 @@ func main() {
 	if anytime && (*update || *save || *explain) {
 		log.Fatal("-mode approx is incompatible with -update/-save/-explain")
 	}
-	if *graphPath == "" || (*indexPath == "" && *shards == "") || *q < 0 {
-		log.Fatal("-graph, -q and one of -index/-shards are required")
+	if (*indexPath == "" && *shards == "") || *q < 0 {
+		log.Fatal("-q and one of -index/-shards are required")
 	}
 	if *indexPath != "" && *shards != "" {
 		log.Fatal("-index and -shards are mutually exclusive")
 	}
 	if *save {
 		*update = true
-	}
-
-	gf, err := os.Open(*graphPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	builder, err := graph.ReadEdgeList(gf)
-	gf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, _, err := builder.Build(graph.DanglingSelfLoop)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	useMmap, err := lbindex.ParseMmapMode(*mmapMode)
@@ -97,13 +90,14 @@ func main() {
 		if *update || *save || *explain {
 			log.Fatal("-shards supports plain queries only (no -update/-save/-explain)")
 		}
-		querySharded(g, strings.Split(*shards, ","), *q, *k, *workers, useMmap, anytime, epsV)
+		querySharded(strings.Split(*shards, ","), *graphPath, *q, *k, *workers, useMmap, anytime, epsV)
 		return
 	}
-	idx, err := lbindex.LoadFile(*indexPath, lbindex.LoadOptions{Mmap: useMmap})
+	idx, err := lbindex.LoadServed(*indexPath, *graphPath, lbindex.LoadOptions{Mmap: useMmap})
 	if err != nil {
 		log.Fatal(err)
 	}
+	g := idx.Graph()
 
 	// Reject bad parameters exactly like the rtkserve HTTP handler does —
 	// same helper, same message.
@@ -200,19 +194,21 @@ func formatPhases(phases map[string]time.Duration) string {
 
 // querySharded loads the shard-slice files and answers the query through
 // the in-process scatter-gather coordinator — exactly (anytime = false) or
-// under the anytime eps budget (anytime = true).
-func querySharded(g *graph.Graph, paths []string, q, k, workers int, useMmap, anytime bool, eps float64) {
+// under the anytime eps budget (anytime = true) — over the graph the first
+// slice stores, which every other slice must store too.
+func querySharded(paths []string, graphPath string, q, k, workers int, useMmap, anytime bool, eps float64) {
 	// Same convention as the unsharded path: 0 means all cores (the
 	// coordinator's own ≤0 default would mean "one per shard").
 	workers = vecmath.Workers(workers)
 	slices := make([]*lbindex.Index, len(paths))
 	for i, path := range paths {
-		idx, err := lbindex.LoadFile(strings.TrimSpace(path), lbindex.LoadOptions{Mmap: useMmap})
+		idx, err := lbindex.LoadServed(strings.TrimSpace(path), graphPath, lbindex.LoadOptions{Mmap: useMmap})
 		if err != nil {
 			log.Fatal(err)
 		}
 		slices[i] = idx
 	}
+	g := slices[0].Graph()
 	c, err := shard.NewInProc(g, slices, shard.Config{Workers: workers})
 	if err != nil {
 		log.Fatal(err)

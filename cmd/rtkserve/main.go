@@ -1,31 +1,38 @@
 // Command rtkserve is the long-lived reverse top-k query daemon: it loads
-// the lower-bound index once and serves queries over HTTP from
-// a shared snapshot, refreshing the snapshot in place as graph edits
-// arrive. See the README's "Serving" section for the architecture.
+// the lower-bound index once and serves queries over HTTP, over the graph
+// stored in the index, from a shared snapshot, refreshing the snapshot in
+// place as graph edits arrive. See the README's "Serving" section for the
+// architecture.
 //
 // Usage:
 //
-//	rtkserve -graph web.txt -index web.idx -addr :7471
-//	rtkserve -graph web.txt -index web.idx -mmap=off   # portable heap load
+//	rtkserve -index web.idx -addr :7471
+//	rtkserve -index web.idx -mmap=off                  # portable heap load
+//	rtkserve -graph web.txt -index web.idx             # check web.txt is web.idx's source
 //	rtkserve -shards http://a:7471,http://b:7471        # fan-out coordinator
 //
 // A shard daemon is a stock daemon whose -index is one of the shard-slice
 // files rtkindex -partition writes; the coordinator holds no graph or index.
 // Before it listens, the coordinator reads every shard's /v1/stats and exits
 // unless the i-th URL serves shard i of as many shards as there are URLs,
-// all of one partition; a query reply that then names another shard in its
-// X-RTK-Shard header is answered 502.
+// all of one partition and one graph (graph_sha256); a query reply that then
+// names another shard in its X-RTK-Shard header is answered 502.
 //
 // A query that misses the cache is computed at once on its request's
 // goroutine, with its share of the -workers budget (a lone query gets all
 // of it).
 //
-// Index files (format v4, magic RTKLBIX4) are served zero-copy from an
-// mmap'd image by default, making daemon cold start a matter of mapping and
-// checksum verification instead of a full parse; -mmap=off is the portable
-// escape hatch. See the README's "Persistence & cold start" section.
+// Index files (format v5, magic RTKLBIX5) are served zero-copy from an
+// mmap'd image by default, making daemon cold start a matter of mapping,
+// checksum verification and decoding the stored graph instead of a full
+// parse; -mmap=off is the portable escape hatch. See the README's
+// "Persistence & cold start" section.
 //
 // The index is built by rtkindex; -index is required unless -shards is given.
+// -graph is optional: given, its bytes must hash to the SHA-256 of the edge
+// list rtkindex built the index from, or the daemon refuses to start and
+// names both files; an index that records none (refreshed or checkpointed)
+// refuses any -graph.
 // A flag the chosen mode ignores is refused at start rather than silently
 // dropped: -shards takes only -addr, -drain, -log and -debug-addr, and
 // -checkpoint-bytes and -checkpoint-batches need -checkpoint-dir, which needs
@@ -69,9 +76,9 @@
 // watermark is returned, and on startup the journal is replayed (any torn
 // final record truncated away) on top of the newest checkpoint, so even
 // kill -9 loses no acknowledged batch. Pair with -checkpoint-dir to bound
-// replay time: the daemon periodically saves the served (graph, index)
-// pair and truncates the journal at the checkpointed watermark. See the
-// README's "Durability & crash recovery" section.
+// replay time: the daemon periodically saves the served index, graph
+// included, as one file and truncates the journal at the checkpointed
+// watermark. See the README's "Durability & crash recovery" section.
 package main
 
 import (
@@ -91,7 +98,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/lbindex"
 	"repro/internal/serve"
 )
@@ -160,7 +166,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtkserve: ")
 	var (
-		graphPath   = flag.String("graph", "", "edge-list path (required unless -shards is given)")
+		graphPath   = flag.String("graph", "", "edge-list path the index must have been built from (optional: checked against the index's digest)")
 		indexPath   = flag.String("index", "", "index path, as rtkindex writes it (required unless -shards is given); may be a shard-slice file")
 		shards      = flag.String("shards", "", "comma-separated shard daemon URLs: run as a fan-out coordinator (no graph/index loaded)")
 		addr        = flag.String("addr", ":7471", "listen address")
@@ -171,7 +177,7 @@ func main() {
 		drain       = flag.Duration("drain", 15*time.Second, "graceful drain timeout on SIGTERM")
 
 		journalPath = flag.String("journal", "", "write-ahead edit journal path: fsync every accepted batch before acknowledging it, replay on startup (empty = volatile)")
-		ckptDir     = flag.String("checkpoint-dir", "", "checkpoint directory: periodically save the served pair and truncate the journal (requires -journal; empty = journal grows unbounded)")
+		ckptDir     = flag.String("checkpoint-dir", "", "checkpoint directory: periodically save the served index, graph included, and truncate the journal (requires -journal; empty = journal grows unbounded)")
 		ckptBytes   = flag.Int64("checkpoint-bytes", 0, "checkpoint once the journal exceeds this many bytes (0 = 64 MiB, negative disables the size trigger)")
 		ckptBatches = flag.Int("checkpoint-batches", 0, "checkpoint once the journal holds this many batches (0 = 1024, negative disables the count trigger)")
 
@@ -203,36 +209,22 @@ func main() {
 		log.Printf("drained; bye")
 		return
 	}
-	if *graphPath == "" || *indexPath == "" {
-		log.Fatal("-graph and -index are required (or -shards for coordinator mode)")
+	if *indexPath == "" {
+		log.Fatal("-index is required (or -shards for coordinator mode)")
 	}
 	useMmap, err := lbindex.ParseMmapMode(*mmapMode)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	gf, err := os.Open(*graphPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	builder, err := graph.ReadEdgeList(gf)
-	gf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, _, err := builder.Build(graph.DanglingSelfLoop)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("graph: %s", graph.ComputeStats(g))
-
 	start := time.Now()
-	idx, err := lbindex.LoadFile(*indexPath, lbindex.LoadOptions{Mmap: useMmap})
+	idx, err := lbindex.LoadServed(*indexPath, *graphPath, lbindex.LoadOptions{Mmap: useMmap})
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("index: loaded %s in %v (K=%d, %d refinement commits, mmap=%v)",
-		*indexPath, time.Since(start).Round(time.Microsecond), idx.K(), idx.Refinements(), idx.MmapBacked())
+	g := idx.Graph()
+	log.Printf("index: loaded %s in %v (%d nodes, %d edges, K=%d, %d refinement commits, mmap=%v)",
+		*indexPath, time.Since(start).Round(time.Microsecond), g.N(), g.M(), idx.K(), idx.Refinements(), idx.MmapBacked())
 
 	cfg := serve.Config{
 		CacheBytes:       *cacheBytes,

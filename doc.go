@@ -13,8 +13,10 @@
 // rows plus the rows whose k-th lower bound is zero, not all n — and every
 // entry point is one pipeline in internal/core: a round loop over the PMPN,
 // one Screen, one finish; README.md, "Serving a cache miss"), the
-// persistence layer (one checksummed index format served zero-copy via mmap
-// for millisecond cold starts), the
+// persistence layer (one checksummed index format, storing the graph the
+// index was built on, served zero-copy via mmap for millisecond cold starts:
+// one file serves, a checkpoint is one file, and every constructor that
+// pairs a graph with an index refuses any other graph), the
 // evolving-graph pipeline (every edit batch patched into a new CSR by
 // graph.Graph.Apply, an asynchronous journaled edit queue with watermarks,
 // and blast-radius-only index refreshes), the sharding layer (internal/partition's one partitioner,

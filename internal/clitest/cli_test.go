@@ -126,9 +126,9 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 		t.Errorf("corrupt index error does not name the file and the checksum: %q", msg)
 	}
 
-	// A format v1, v2 or v3 file is refused by name, with what to do about
-	// it, by both front ends and both loaders.
-	for _, magic := range []string{"RTKLBIX1", "RTKLBIX2", "RTKLBIX3"} {
+	// A format v1, v2, v3 or v4 file is refused by name, with what to do
+	// about it, by both front ends and both loaders.
+	for _, magic := range []string{"RTKLBIX1", "RTKLBIX2", "RTKLBIX3", "RTKLBIX4"} {
 		old := filepath.Join(work, "g."+magic+".idx")
 		if err := os.WriteFile(old, []byte(magic+" and whatever followed"), 0o644); err != nil {
 			t.Fatal(err)
@@ -147,13 +147,14 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 		}
 	}
 
-	// An index written by the removed rtkindex -relabel flag carried one
-	// more section (23 in a full image); rtkquery exits 1 naming the flag.
-	// The patched count breaks the checksum too, but is read first.
+	// An index written by the removed rtkindex -relabel flag was a format
+	// v4 image with one more section (23 in a full image); rtkquery exits 1
+	// refusing its format by name, as every v4 image.
 	img, err = os.ReadFile(indexPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	copy(img, "RTKLBIX4")
 	binary.LittleEndian.PutUint32(img[16:20], 23)
 	relabeled := filepath.Join(work, "g.relabeled.idx")
 	if err := os.WriteFile(relabeled, img, 0o644); err != nil {
@@ -164,8 +165,8 @@ func TestGenerateIndexQueryPipeline(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Errorf("rtkquery on a relabeled index: exit %v, want status 1:\n%s", err, msg)
-	} else if !strings.Contains(msg, "-relabel") || !strings.Contains(msg, "rebuild it with rtkindex") || !strings.Contains(msg, relabeled) {
-		t.Errorf("relabeled index error does not name the file, the flag and the remedy: %q", msg)
+	} else if !strings.Contains(msg, "RTKLBIX4") || !strings.Contains(msg, "rebuild it with rtkindex") || !strings.Contains(msg, relabeled) {
+		t.Errorf("relabeled index error does not name the file, the format and the remedy: %q", msg)
 	}
 }
 
@@ -412,7 +413,7 @@ func TestServeRefusesIgnoredFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-shards", "127.0.0.1:1", "-addr", "127.0.0.1:0", "-journal", filepath.Join(work, "x.wal")}, "-journal belongs on the shard daemons"},
-		{[]string{"-graph", graphPath, "-mmap", "off"}, "-graph and -index are required"},
+		{[]string{"-graph", graphPath, "-mmap", "off"}, "-index is required"},
 		{[]string{"-graph", graphPath, "-index", indexPath, "-journal", filepath.Join(work, "x.wal"), "-checkpoint-batches", "4"}, "need -checkpoint-dir"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -20,22 +20,25 @@ import (
 )
 
 // daemon wraps one running rtkserve process: its base URL, its captured
-// stderr log, and kill/terminate plumbing.
+// stderr log, and kill/terminate plumbing. exited is closed once the
+// process has exited and been waited for, waitErr then holding its status.
 type daemon struct {
-	cmd      *exec.Cmd
-	base     string
-	scanDone chan struct{}
-	logMu    sync.Mutex
-	logBuf   bytes.Buffer
+	cmd     *exec.Cmd
+	base    string
+	exited  chan struct{}
+	waitErr error
+	logMu   sync.Mutex
+	logBuf  bytes.Buffer
 }
 
 // startDaemon launches rtkserve with the given flags and waits for its
-// "listening on" line.
+// "listening on" line. A daemon that exits first fails the test at once,
+// with its log; the test's cleanup kills the daemon and waits for it.
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	d := &daemon{
-		cmd:      exec.Command(bin, args...),
-		scanDone: make(chan struct{}),
+		cmd:    exec.Command(bin, args...),
+		exited: make(chan struct{}),
 	}
 	stderr, err := d.cmd.StderrPipe()
 	if err != nil {
@@ -44,10 +47,14 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { d.cmd.Process.Kill(); d.cmd.Wait() })
+	t.Cleanup(d.stop)
 	addrCh := make(chan string, 1)
 	go func() {
-		defer close(d.scanDone)
+		// Wait only after the log is read to its end: Wait closes the pipe.
+		defer func() {
+			d.waitErr = d.cmd.Wait()
+			close(d.exited)
+		}()
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -65,10 +72,18 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	select {
 	case addr := <-addrCh:
 		d.base = "http://" + addr
+	case <-d.exited:
+		t.Fatalf("daemon %v exited (%v) before it listened; log:\n%s", args, d.waitErr, d.log())
 	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon did not report its listen address:\n%s", d.log())
+		t.Fatalf("daemon %v did not report its listen address; log:\n%s", args, d.log())
 	}
 	return d
+}
+
+// stop kills the daemon, if it still runs, and waits for it to exit.
+func (d *daemon) stop() {
+	d.cmd.Process.Kill()
+	<-d.exited
 }
 
 func (d *daemon) log() string {
@@ -84,8 +99,7 @@ func (d *daemon) kill9(t *testing.T) {
 	if err := d.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	<-d.scanDone
-	d.cmd.Wait() // non-zero by construction
+	<-d.exited // its status is non-zero by construction
 }
 
 func (d *daemon) get(t *testing.T, path string) (int, []byte) {
@@ -287,8 +301,8 @@ func TestServeCrashRecovery(t *testing.T) {
 	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	<-c.scanDone
-	if err := c.cmd.Wait(); err != nil {
-		t.Fatalf("daemon exited non-zero after SIGTERM: %v\n%s", err, c.log())
+	<-c.exited
+	if c.waitErr != nil {
+		t.Fatalf("daemon exited non-zero after SIGTERM: %v\n%s", c.waitErr, c.log())
 	}
 }

@@ -1,18 +1,13 @@
 package clitest
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // TestShardedIndexQueryPipeline: rtkindex -partition writes slice files in
@@ -83,46 +78,12 @@ func TestShardedIndexQueryPipeline(t *testing.T) {
 	}
 }
 
-// startDaemonCLI launches an rtkserve process and returns its base URL once
-// it reports the listen address; the returned stop function kills it.
+// startDaemonCLI is startDaemon for a test that needs only the daemon's
+// base URL: the returned stop function kills the daemon and waits for it.
 func startDaemonCLI(t *testing.T, bin string, args ...string) (string, func()) {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	addrCh := make(chan string, 1)
-	var logBuf bytes.Buffer
-	var logMu sync.Mutex
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			logMu.Lock()
-			logBuf.WriteString(line + "\n")
-			logMu.Unlock()
-			if _, addr, ok := strings.Cut(line, "listening on "); ok {
-				select {
-				case addrCh <- addr:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return "http://" + addr, func() { cmd.Process.Kill() }
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		logMu.Lock()
-		defer logMu.Unlock()
-		t.Fatalf("daemon %v did not report its listen address; log:\n%s", args, logBuf.String())
-		return "", nil
-	}
+	d := startDaemon(t, bin, args...)
+	return d.base, d.stop
 }
 
 // TestShardedServeEndToEnd: two stock shard daemons over slice files, a

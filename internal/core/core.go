@@ -237,10 +237,17 @@ func (e *Engine) SetPracticalDecisions(on bool) { e.practical = on }
 // NewEngine creates a query engine. update selects whether refinements are
 // committed back to the index (§4.2.3) — the "update" series of Fig. 5/7. An
 // update-mode engine owns idx: give it an index no one else uses, or a Clone.
+// g must be the graph the index is valid for (lbindex.Index.Graph), or a graph
+// equal to it: an index answers wrongly, and silently, for any other.
 func NewEngine(g *graph.Graph, idx *lbindex.Index, update bool) (*Engine, error) {
-	if g.N() != idx.N() {
-		return nil, fmt.Errorf("core: index built for %d nodes, graph has %d", idx.N(), g.N())
+	if err := checkPair(g, idx); err != nil {
+		return nil, err
 	}
+	return newEngine(g, idx, update), nil
+}
+
+// newEngine is NewEngine on a pair checkPair accepted.
+func newEngine(g *graph.Graph, idx *lbindex.Index, update bool) *Engine {
 	return &Engine{
 		g:       g,
 		idx:     idx,
@@ -248,7 +255,18 @@ func NewEngine(g *graph.Graph, idx *lbindex.Index, update bool) (*Engine, error)
 		workers: 1,
 		wsPool:  bca.NewPool(g.N()),
 		tieTol:  defaultTieTol,
-	}, nil
+	}
+}
+
+// checkPair refuses a graph that is neither the index's own graph nor equal
+// to it. The pointer comparison comes first: every index the daemon
+// publishes carries the graph it is served with, so only a pair assembled
+// from two sources pays the O(m) comparison.
+func checkPair(g *graph.Graph, idx *lbindex.Index) error {
+	if ig := idx.Graph(); g != ig && !g.Equal(ig) {
+		return fmt.Errorf("core: the graph (%d nodes, %d edges) is not the one the index was built on (%d nodes, %d edges)", g.N(), g.M(), ig.N(), ig.M())
+	}
+	return nil
 }
 
 // SetWorkers sets the intra-query parallelism degree: how many goroutines

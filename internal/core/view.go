@@ -85,16 +85,15 @@ func (t *zeroBoundTable) list(k int) *zeroBoundList {
 }
 
 // NewView binds a graph and index into a shareable read-only view. The pair
-// is validated once here, so engine construction inside the pool cannot
-// fail later.
+// is checked once here, as NewEngine checks it, so engine construction
+// inside the pool cannot fail later.
 func NewView(g *graph.Graph, idx *lbindex.Index) (*View, error) {
-	// Surface the node-count mismatch (the only constructor error) now.
-	if _, err := NewEngine(g, idx, false); err != nil {
+	if err := checkPair(g, idx); err != nil {
 		return nil, err
 	}
 	v := &View{g: g, idx: idx, zeroBound: newZeroBoundTable(idx)}
 	v.engines.New = func() any {
-		e, _ := NewEngine(g, idx, false)
+		e := newEngine(g, idx, false)
 		e.zeroBound = v.zeroBound
 		return e
 	}

@@ -175,11 +175,12 @@ type Stats struct {
 
 // RefreshPartial brings an index up to date with an edited graph: it
 // recomputes the proximity vectors of affectedHubs (and re-commits only
-// their exact top-K columns) and re-runs the indexing BCA for every
-// affected origin, committing results in place. Every other hub's rounded
-// column is reused bit for bit (see hub.Rebuild for why that is sound), and
-// every other origin keeps its state — stale by less than the threshold
-// used to compute the affected set. affectedHubs must be hub nodes;
+// their exact top-K columns), re-runs the indexing BCA for every affected
+// origin, committing results in place, and attaches g2 as the index's graph
+// (lbindex.Index.SetGraph). Every other hub's rounded column is reused bit
+// for bit (see hub.Rebuild for why that is sound), and every other origin
+// keeps its state — stale by less than the threshold used to compute the
+// affected set. affectedHubs must be hub nodes;
 // affected origins that are hubs are skipped. Passing every hub
 // (idx.HubMatrix().Hubs()) recomputes all hub vectors.
 //
@@ -241,6 +242,9 @@ func RefreshPartial(g2 *graph.Graph, idx *lbindex.Index, affected, affectedHubs 
 		return nil
 	})
 	if err != nil {
+		return Stats{}, err
+	}
+	if err := idx.SetGraph(g2); err != nil {
 		return Stats{}, err
 	}
 	return Stats{

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func applyTestGraph(t *testing.T, n int, seed int64, weighted bool) *Graph {
+func applyTestGraph(t testing.TB, n int, seed int64, weighted bool) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)

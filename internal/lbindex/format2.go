@@ -2,6 +2,7 @@ package lbindex
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,17 +21,18 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Index format v4 ("RTKLBIX4"). Little-endian throughout, designed so a
+// Index format v5 ("RTKLBIX5"). Little-endian throughout, designed so a
 // loader can serve every large array zero-copy out of an mmap'd file. It is
 // format v2's section layout (hence the v2 names below) with the four sparse
 // value slabs — hub columns and the states' R, W and S — stored as f32 instead
-// of f64 (v3), and the states' R, W and S indices stored as gap varints
+// of f64 (v3), the states' R, W and S indices stored as gap varints
 // (vecmath.Packed32) instead of u32, each kind with a u64 byte-offset table
-// beside its entry-offset table (v4); a v2 or v3 image is refused with
-// ErrFormatV2 or ErrFormatV3.
+// beside its entry-offset table (v4), and the graph the index was built on
+// stored after p̂ (v5), so one file serves; a v2, v3 or v4 image is refused
+// with ErrFormatV2, ErrFormatV3 or ErrFormatV4.
 //
 //	preamble (32 B):
-//	  0  magic    "RTKLBIX4"
+//	  0  magic    "RTKLBIX5"
 //	  8  fileSize u64   total image length
 //	  16 nsec     u32   number of sections (= v2NumSections)
 //	  20 tableCRC u32   CRC32C of the section table
@@ -54,28 +56,35 @@ import (
 // summarized one (bca.State.Summarized) has empty R and W ranges and a
 // positive ‖r‖₁: neither needs a section, tag or magic of its own.
 //
+// THE GRAPH is four sections, graph.OutLists' three and a digest: every
+// row's out-degree as a minimal uvarint, the rows' targets as gap varints,
+// the weights as f64 (empty for an unweighted graph), and the 32-byte SHA-256
+// of the edge-list file the graph was parsed from (Index.Source; all zero
+// when there is none). The in-mirror, normalizers and degree order are
+// rebuilt at load (graph.Decode), which validates every row on both loaders.
+// Index.SizeBytes, Table 2's index size, does not count these sections.
+//
 // SHARD SLICES use the same container with three extra sections (nsec =
 // v2NumSectionsSharded): the partition-map fields (a strategy slot, P, shard
 // id, a retired zero slot, range bounds) and the owned rows, which restate the
 // shard's range lo..hi. In a shard image the meta node count n stays GLOBAL
-// and the hub sections still describe the full hub matrix (every shard
-// refines against it), but the state slabs cover only the owned non-hub rows
-// and the p̂ slab only the owned rows, ascending — a P-way sharding therefore
-// costs ≈ 1× the full index on disk in total, not P×. The strategy slot is
-// written as 2; a slice stored with 1 (the removed range partitioner's) loads
-// by its stored bounds like any other, and one stored with 0, the removed
-// hash partitioner's, is refused with partition.ErrHash. The meta section's hub-scheme and greedy-seed slots are
-// retired too: written as zero, ignored on read. A section's id is its table
-// position. An image with
-// one section more than either count (23 or 26) was written with the
-// removed rtkindex -relabel flag and is refused with ErrRelabeled.
+// and the hub and graph sections still describe the full hub matrix and graph
+// (every shard refines against the one and runs the PMPN over the other), but
+// the state slabs cover only the owned non-hub rows and the p̂ slab only the
+// owned rows, ascending — a P-way sharding therefore costs ≈ 1× the full
+// index on disk in total, not P×. The strategy slot is written as 2; a slice
+// stored with 1 (the removed range partitioner's) loads by its stored bounds
+// like any other, and one stored with 0, the removed hash partitioner's, is
+// refused with partition.ErrHash. The meta section's hub-scheme and
+// greedy-seed slots are retired too: written as zero, ignored on read. A
+// section's id is its table position.
 //
 // Every byte of the image except the fileCRC field itself is covered by
 // fileCRC, so any single-byte corruption is detected (the fileCRC field is
 // self-checking: corrupting it breaks the comparison). Per-section CRCs
 // exist to localize the damage in error messages and are all covered by
 // fileCRC too.
-const indexMagicV4 = "RTKLBIX4"
+const indexMagic = "RTKLBIX5"
 
 // Section identifiers, in file order.
 const (
@@ -101,6 +110,10 @@ const (
 	secStateSIdx
 	secStateSVal
 	secPhat
+	secGraphDeg
+	secGraphTgt
+	secGraphW
+	secGraphSrc
 	v2NumSections
 )
 
@@ -112,8 +125,8 @@ const (
 	v2NumSectionsSharded
 )
 
-// validNsec reports whether nsec is one of the two section counts a v4
-// image can carry.
+// validNsec reports whether nsec is one of the two section counts an image
+// can carry.
 func validNsec(nsec int) bool {
 	return nsec == v2NumSections || nsec == v2NumSectionsSharded
 }
@@ -225,11 +238,11 @@ func ParseMmapMode(mode string) (bool, error) {
 // offset-table monotonicity, every packed row's varints and index ranges)
 // but skips the per-value scans (finiteness, ordering, ink conservation)
 // that the heap loader performs — the checksum already guarantees the bytes
-// are exactly what Save wrote. Load files from untrusted sources with Mmap
-// off. A format v1, v2 or v3 file is refused with ErrFormatV1, ErrFormatV2
-// or ErrFormatV3, a relabeled one with ErrRelabeled and a hash-partitioned
-// shard slice with partition.ErrHash, on either path. Every error names the
-// file.
+// are exactly what Save wrote. Both paths decode and validate every row of
+// the stored graph. Load files from untrusted sources with Mmap off. A format
+// v1, v2, v3 or v4 file is refused with ErrFormatV1, ErrFormatV2, ErrFormatV3
+// or ErrFormatV4 and a hash-partitioned shard slice with partition.ErrHash,
+// on either path. Every error names the file.
 func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -244,6 +257,42 @@ func LoadFile(path string, opts LoadOptions) (*Index, error) {
 	return idx, err
 }
 
+// LoadServed loads the index at indexPath for a command that serves it, as
+// LoadFile does; the index's graph (Graph) is what the command serves.
+// graphPath, when not empty, names the edge list the caller takes the index
+// to be built from: its bytes must hash to the digest the index records
+// (Source), and an index that records none — built in process, refreshed or
+// checkpointed — refuses any. A refusal names both files. The file is hashed
+// while the index loads.
+func LoadServed(indexPath, graphPath string, opts LoadOptions) (*Index, error) {
+	type hashed struct {
+		sum [sha256.Size]byte
+		err error
+	}
+	hc := make(chan hashed, 1)
+	if graphPath != "" {
+		go func() {
+			data, err := os.ReadFile(graphPath)
+			hc <- hashed{sha256.Sum256(data), err}
+		}()
+	}
+	idx, err := LoadFile(indexPath, opts)
+	if err != nil || graphPath == "" {
+		return idx, err
+	}
+	h := <-hc
+	if h.err != nil {
+		return nil, h.err
+	}
+	switch want, ok := idx.Source(); {
+	case !ok:
+		return nil, fmt.Errorf("lbindex: %s records no source edge list (it was built in process, refreshed or checkpointed), so it cannot be checked against %s", indexPath, graphPath)
+	case h.sum != want:
+		return nil, fmt.Errorf("lbindex: %s is not the edge list %s was built from: its SHA-256 is %x, the index records %x", graphPath, indexPath, h.sum, want)
+	}
+	return idx, nil
+}
+
 // loadFile is LoadFile on the opened file; its errors that do not carry the
 // path already (a *fs.PathError does) are LoadFile's to name it in.
 func loadFile(f *os.File, opts LoadOptions) (*Index, error) {
@@ -252,8 +301,8 @@ func loadFile(f *os.File, opts LoadOptions) (*Index, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	if string(magic[:k]) != indexMagicV4 || !opts.Mmap || !mmapSupported || !hostLittleEndian {
-		// A heap load, or not a v4 image (a retired format, too short to
+	if string(magic[:k]) != indexMagic || !opts.Mmap || !mmapSupported || !hostLittleEndian {
+		// A heap load, or not a v5 image (a retired format, too short to
 		// tell, unknown magic): the stream loader reads it or gives the real
 		// error.
 		return Load(f)
@@ -279,7 +328,7 @@ func loadFile(f *os.File, opts LoadOptions) (*Index, error) {
 	return idx, nil
 }
 
-// Save writes the index in format v4, streaming: memory stays O(buffer)
+// Save writes the index in format v5, streaming: memory stays O(buffer)
 // regardless of index size. The checksums in the preamble cover the whole
 // payload, so the body is generated three times — once per section for the
 // section CRCs, once for the file CRC, once into w — which trades a little
@@ -358,9 +407,11 @@ type v2emitter struct {
 	// streamed three times (section CRCs, file CRC, output), and a value
 	// read per pass could change between passes and tear the checksums.
 	watermark uint64
-	lens      [v2NumSectionsSharded]int
-	offs      [v2NumSectionsSharded]int
-	fileSize  int
+	// graph is the index's graph in its stored form, encoded once.
+	graph    graph.OutLists
+	lens     [v2NumSectionsSharded]int
+	offs     [v2NumSectionsSharded]int
+	fileSize int
 }
 
 // eachRow visits the stored rows in serialization order.
@@ -379,6 +430,9 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 	if omega != idx.opts.Omega {
 		// The options block is what Load rebuilds the matrix from.
 		return nil, fmt.Errorf("lbindex: hub matrix omega %g != options omega %g", omega, idx.opts.Omega)
+	}
+	if idx.graph == nil || idx.graph.N() != idx.n {
+		return nil, fmt.Errorf("lbindex: index of %d nodes carries no graph of as many (attach it with SetGraph)", idx.n)
 	}
 	o := idx.opts
 	hubCount := len(hubIDs)
@@ -423,6 +477,8 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 		return nil, rowErr
 	}
 	c.states = e.numStates
+	e.graph = idx.graph.Encode()
+	c.graphDeg, c.graphTgt, c.graphW = len(e.graph.Degrees), len(e.graph.Targets), len(e.graph.Weights)
 	e.lens = c.sectionLens()
 	pos := v2HeaderEndOf(e.nsec)
 	for s := 0; s < e.nsec; s++ {
@@ -436,11 +492,13 @@ func (idx *Index) newV2Emitter() (*v2emitter, error) {
 
 // v2Counts are the counts every section length derives from: the hub count
 // and K, the hub columns' non-zeros, the stored states and rows, each state
-// slab's non-zeros and packed index bytes, and P (0 for a full image).
+// slab's non-zeros and packed index bytes, the graph sections' bytes, and P
+// (0 for a full image).
 type v2Counts struct {
 	hubs, k, colNNZ, states, rows int
 	rNNZ, wNNZ, sNNZ              int
 	rBytes, wBytes, sBytes        int
+	graphDeg, graphTgt, graphW    int
 	shards                        int
 }
 
@@ -471,6 +529,10 @@ func (c v2Counts) sectionLens() [v2NumSectionsSharded]int {
 		secStateSIdx:    c.sBytes,
 		secStateSVal:    4 * c.sNNZ,
 		secPhat:         8 * c.rows * c.k,
+		secGraphDeg:     c.graphDeg,
+		secGraphTgt:     c.graphTgt,
+		secGraphW:       c.graphW,
+		secGraphSrc:     sha256.Size,
 	}
 	if c.shards > 0 {
 		lens[secPartMeta] = v2PartMetaSize
@@ -564,6 +626,14 @@ func (e *v2emitter) emitSection(s int, bw *binWriter) {
 		e.eachState(func(st *stored) { bw.floats32(e.stateVec(st, s).Val) })
 	case secPhat:
 		e.eachRow(func(u graph.NodeID) { bw.floats(e.idx.phat[u]) })
+	case secGraphDeg:
+		bw.bytes(e.graph.Degrees)
+	case secGraphTgt:
+		bw.bytes(e.graph.Targets)
+	case secGraphW:
+		bw.bytes(e.graph.Weights)
+	case secGraphSrc:
+		bw.bytes(e.idx.source[:])
 	case secPartMeta:
 		bw.u32(2) // strategy slot: NewBalanced's value, which default builds have always written
 		bw.u32(uint32(e.idx.part.P()))
@@ -617,7 +687,7 @@ func (e *v2emitter) emitBody(w io.Writer) error {
 // (bytes 24:28) is filled by Save once the body checksum is known.
 func (e *v2emitter) buildHeader(secCRC []uint32) []byte {
 	header := make([]byte, v2HeaderEndOf(e.nsec))
-	copy(header, indexMagicV4)
+	copy(header, indexMagic)
 	binary.LittleEndian.PutUint64(header[8:], uint64(e.fileSize))
 	binary.LittleEndian.PutUint32(header[16:], uint32(e.nsec))
 	for s := 0; s < e.nsec; s++ {
@@ -796,16 +866,13 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	if len(data) < v2PreambleSize {
 		return nil, fmt.Errorf("lbindex: index image shorter (%d B) than its preamble", len(data))
 	}
-	if string(data[:8]) != indexMagicV4 {
+	if string(data[:8]) != indexMagic {
 		return nil, fmt.Errorf("lbindex: bad magic %q", data[:8])
 	}
 	if got := binary.LittleEndian.Uint64(data[8:16]); got != uint64(len(data)) {
 		return nil, fmt.Errorf("lbindex: index header claims %d bytes, image has %d", got, len(data))
 	}
 	nsec := int(binary.LittleEndian.Uint32(data[16:20]))
-	if nsec == v2NumSections+1 || nsec == v2NumSectionsSharded+1 {
-		return nil, ErrRelabeled
-	}
 	if !validNsec(nsec) {
 		return nil, fmt.Errorf("lbindex: index image has %d sections, want %d (full) or %d (shard slice)",
 			nsec, v2NumSections, v2NumSectionsSharded)
@@ -925,6 +992,7 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		hubs: hubCount, k: o.K, colNNZ: colNNZ, states: numStates, rows: hi - lo,
 		rNNZ: p.lens[secStateRVal] / 4, wNNZ: p.lens[secStateWVal] / 4, sNNZ: p.lens[secStateSVal] / 4,
 		rBytes: p.lens[secStateRIdx], wBytes: p.lens[secStateWIdx], sBytes: p.lens[secStateSIdx],
+		graphDeg: p.lens[secGraphDeg], graphTgt: p.lens[secGraphTgt], graphW: p.lens[secGraphW],
 	}
 	if pm != nil {
 		c.shards = pm.P()
@@ -1029,10 +1097,22 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 	// deep-mode only. The decoding is most of an mmap load's time, so it runs
 	// on every processor, each over a run of consecutive states; the error
 	// returned is the first state's to fail, as one pass in order would give.
+	// The stored graph decodes as one more part beside them, its rows
+	// validated and its CSR completed on the heap (graph.Decode): the graph
+	// never aliases the image.
 	vals := [3][]float32{rVal, wVal, sVal}
 	runs := vecmath.Split(numStates, vecmath.Workers(0))
-	errs := make([]error, len(runs))
-	vecmath.Parallel(len(runs), func(part int) {
+	errs := make([]error, len(runs)+1)
+	var g *graph.Graph
+	vecmath.Parallel(len(runs)+1, func(part int) {
+		if part == len(runs) {
+			var err error
+			g, err = graph.Decode(n, graph.OutLists{Degrees: p.bytes(secGraphDeg), Targets: p.bytes(secGraphTgt), Weights: p.bytes(secGraphW)})
+			if err != nil {
+				errs[part] = fmt.Errorf("lbindex: stored graph: %w", err)
+			}
+			return
+		}
 		for i := runs[part].Lo; i < runs[part].Hi; i++ {
 			if err := p.stateRows(&stateArr[i], i, n, hm, vals); err != nil {
 				errs[part] = fmt.Errorf("lbindex: state of node %d: %w", nodes[i], err)
@@ -1046,7 +1126,8 @@ func parseV2(data []byte, deep bool) (*Index, error) {
 		}
 	}
 
-	idx := &Index{opts: o, n: n, hubs: hm, phat: phat, states: states, part: pm, shardID: shardID}
+	idx := &Index{opts: o, n: n, graph: g, hubs: hm, phat: phat, states: states, part: pm, shardID: shardID}
+	copy(idx.source[:], p.bytes(secGraphSrc))
 	idx.refinements.Store(refinements)
 	idx.watermark.Store(watermark)
 	if deep {

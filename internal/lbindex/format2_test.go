@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -71,8 +72,8 @@ func requirePackedEqual(t *testing.T, what string, p vecmath.Packed32, s vecmath
 }
 
 // requireIndexEqual asserts two indexes are value-identical: options,
-// refinement counter, hub matrix parts, every state and every p̂ column,
-// with float64s compared bit for bit.
+// refinement counter, graph (field for field) and source digest, hub matrix
+// parts, every state and every p̂ column, with float64s compared bit for bit.
 func requireIndexEqual(t *testing.T, a, b *Index) {
 	t.Helper()
 	// Workers is a runtime knob, not part of the persisted format.
@@ -86,6 +87,9 @@ func requireIndexEqual(t *testing.T, a, b *Index) {
 	}
 	if a.Watermark() != b.Watermark() {
 		t.Fatalf("watermark %d vs %d", a.Watermark(), b.Watermark())
+	}
+	if !reflect.DeepEqual(a.graph, b.graph) || a.source != b.source {
+		t.Fatalf("graph or source digest differs: %x vs %x", a.source, b.source)
 	}
 	an, ahubs, acols, atopk, adrop, aomega := a.HubMatrix().Parts()
 	bn, bhubs, bcols, btopk, bdrop, bomega := b.HubMatrix().Parts()

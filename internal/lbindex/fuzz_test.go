@@ -35,25 +35,25 @@ var v1Images = []struct {
 }
 
 // retiredImages are two images of a retired format: its magic alone, and a
-// whole image under it (a v4 image with its magic set back; v2 and v3 shared
-// v4's section container). Load and LoadFile must refuse both by name.
-func retiredImages(magic string, v4 []byte) []struct {
+// whole image under it (a v5 image with its magic set back; v2, v3 and v4
+// shared v5's section container). Load and LoadFile must refuse both by name.
+func retiredImages(magic string, v5 []byte) []struct {
 	name string
 	img  []byte
 } {
-	whole := append([]byte(magic), v4[len(magic):]...)
+	whole := append([]byte(magic), v5[len(magic):]...)
 	return []struct {
 		name string
 		img  []byte
 	}{{"magic alone", []byte(magic)}, {"whole image", whole}}
 }
 
-// retired lists the retired formats that share v4's container, with the
+// retired lists the retired formats that share v5's container, with the
 // error that refuses each.
 var retired = []struct {
 	version, magic string
 	err            error
-}{{"v2", indexMagicV2, ErrFormatV2}, {"v3", indexMagicV3, ErrFormatV3}}
+}{{"v2", indexMagicV2, ErrFormatV2}, {"v3", indexMagicV3, ErrFormatV3}, {"v4", indexMagicV4, ErrFormatV4}}
 
 // retiredErr returns the error refusing data's retired magic, or nil.
 func retiredErr(data []byte) error {
@@ -108,7 +108,7 @@ func TestLoadFileNamesPath(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		img        []byte
-	}{{"corrupt", "checksum mismatch", corrupt}, {"sections", "index image has 24 sections", sections}} {
+	}{{"corrupt", "checksum mismatch", corrupt}, {"sections", fmt.Sprintf("index image has %d sections", v2NumSections+2), sections}} {
 		path := filepath.Join(dir, tc.name+".idx")
 		if err := os.WriteFile(path, tc.img, 0o644); err != nil {
 			t.Fatal(err)
@@ -126,14 +126,17 @@ func TestLoadFileNamesPath(t *testing.T) {
 	}
 }
 
-// FuzzLoadV2 fuzzes the loaders of format v4 — the v2 section layout with
-// float32 sparse values and delta-packed state indices. It feeds arbitrary
-// bytes (seeded with valid v4 images, truncated prefixes, flips, inflated
-// size/length fields and the refused v1, v2 and v3 images) into the
+// FuzzLoadV2 fuzzes the loaders of format v5 — the v2 section layout with
+// float32 sparse values, delta-packed state indices and the stored graph. It
+// feeds arbitrary bytes (seeded with valid v5 images, truncated prefixes,
+// flips, inflated size/length fields, resealed flips and inflations inside
+// each graph section, and the refused v1, v2, v3 and v4 images) into the
 // deserializer: they must load as a valid index or fail with an error in BOTH
 // the deep loader and the mmap-structural parser — never panic, never hang,
-// never yield an index violating its invariants — and an input under the v2
-// or v3 magic must be refused with ErrFormatV2 or ErrFormatV3 by every loader.
+// never yield an index violating its invariants — and an input under the v2,
+// v3 or v4 magic must be refused with ErrFormatV2, ErrFormatV3 or ErrFormatV4
+// by every loader. A graph either loader accepts re-encodes to the bytes of
+// its sections.
 func FuzzLoadV2(f *testing.F) {
 	g := randomGraph(3, 40)
 	idx, _, err := Build(g, testOptions(4))
@@ -147,7 +150,7 @@ func FuzzLoadV2(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte(indexMagicV4))
+	f.Add([]byte(indexMagic))
 	for _, cut := range []int{
 		16, 31, 32, v2HeaderEnd - 1, v2HeaderEnd,
 		len(valid) / 4, len(valid) / 2, 3 * len(valid) / 4, len(valid) - 9, len(valid) - 1,
@@ -198,6 +201,33 @@ func FuzzLoadV2(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(sbuf.Bytes())
+	// Inside each graph section of an unweighted and a weighted image, a
+	// flipped byte and an inflated varint or weight, resealed so the loaders
+	// reach the graph decoder past the checksums.
+	widx, _, err := Build(weightedGraph(5, 40), testOptions(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var wbuf bytes.Buffer
+	if err := widx.Save(&wbuf); err != nil {
+		f.Fatal(err)
+	}
+	for _, img := range [][]byte{valid, wbuf.Bytes()} {
+		for _, s := range []int{secGraphDeg, secGraphTgt, secGraphW, secGraphSrc} {
+			if len(sectionAt(img, s)) == 0 {
+				continue
+			}
+			for _, patch := range []func(sec []byte){
+				func(sec []byte) { sec[len(sec)/2] ^= 0xFF },
+				func(sec []byte) { copy(sec, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x07}[:min(5, len(sec))]) },
+			} {
+				c := append([]byte(nil), img...)
+				patch(sectionAt(c, s))
+				reseal(c)
+				f.Add(c)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := retiredErr(data); err != nil {
 			requireRefused(t, data, err)
@@ -207,16 +237,31 @@ func FuzzLoadV2(f *testing.F) {
 			if err := idx.CheckInvariants(); err != nil {
 				t.Fatalf("deep Load accepted an index that fails invariants: %v", err)
 			}
+			requireGraphSections(t, idx, data)
 		}
 		if len(data) >= v2HeaderEnd {
 			// The structural parser (the mmap path) must never panic either;
 			// it may accept semantically-odd values, but only behind a valid
-			// checksum, which fuzzed mutations essentially never produce.
+			// checksum, which fuzzed mutations essentially never produce. Its
+			// graph is the deep loader's: both decode every row.
 			aligned := alignedBytes(len(data))
 			copy(aligned, data)
-			_, _ = parseV2(aligned, false)
+			if idx, err := parseV2(aligned, false); err == nil {
+				requireGraphSections(t, idx, data)
+			}
 		}
 	})
+}
+
+// requireGraphSections checks that a loaded index's graph re-encodes to the
+// graph sections of the image it was loaded from.
+func requireGraphSections(t *testing.T, idx *Index, img []byte) {
+	t.Helper()
+	l := idx.Graph().Encode()
+	if !bytes.Equal(l.Degrees, sectionAt(img, secGraphDeg)) || !bytes.Equal(l.Targets, sectionAt(img, secGraphTgt)) ||
+		!bytes.Equal(l.Weights, sectionAt(img, secGraphW)) {
+		t.Fatal("a loaded graph does not re-encode to its image's graph sections")
+	}
 }
 
 // corruptIndex builds a small index, applies mutate to its in-memory form,
@@ -444,10 +489,11 @@ func TestLoadRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
-// TestRelabeledImagesRefused: an image whose section count is one more than
-// a full image's or a shard slice's (23 or 26) was written by the removed
-// rtkindex -relabel flag, its last section a node permutation. Every loader
-// refuses it by name, before the checksum that the patched count breaks.
+// TestRelabeledImagesRefused: a format v4 image whose section count is one
+// more than a v4 full image's or shard slice's (23 or 26) was written by the
+// removed rtkindex -relabel flag, its last section a node permutation. Every
+// loader refuses it by its magic, with ErrFormatV4 like every v4 image,
+// before the checksum that the patched count breaks.
 func TestRelabeledImagesRefused(t *testing.T) {
 	g, idx := shardTestIndex(t)
 	pm, err := partition.NewBalanced(g, 2)
@@ -462,15 +508,15 @@ func TestRelabeledImagesRefused(t *testing.T) {
 		name string
 		idx  *Index
 		nsec uint32
-	}{{"full", idx, v2NumSections + 1}, {"shard slice", slice, v2NumSectionsSharded + 1}} {
+	}{{"full", idx, 23}, {"shard slice", slice, 26}} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := tc.idx.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			img := buf.Bytes()
+			img := append([]byte(indexMagicV4), buf.Bytes()[len(indexMagicV4):]...)
 			binary.LittleEndian.PutUint32(img[16:20], tc.nsec)
-			requireRefused(t, img, ErrRelabeled)
+			requireRefused(t, img, ErrFormatV4)
 		})
 	}
 }

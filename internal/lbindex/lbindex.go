@@ -17,6 +17,7 @@
 package lbindex
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -82,7 +83,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Index is the paper's graph index I = (P̂, R, W, S, P_H).
+// Index is the paper's graph index I = (P̂, R, W, S, P_H), together with the
+// graph G it was built on and is valid for (Graph): an index serves only that
+// graph, so it owns it and stores it in its image.
 //
 // An index has at most one writer, nothing reads it while it is being
 // written, and once it is shared it is immutable. The writers are Build and
@@ -96,6 +99,12 @@ func (o Options) Validate() error {
 type Index struct {
 	opts Options
 	n    int
+	// graph is the graph the rows are valid for: Build's, the loaders'
+	// decoded copy, or the edited graph a refresh attached (SetGraph).
+	graph *graph.Graph
+	// source is the SHA-256 of the edge-list file graph was parsed from, or
+	// all zero when there is none (Source).
+	source [sha256.Size]byte
 	// hubs is the rounded hub proximity matrix (swapped by SetHubMatrix);
 	// the Matrix itself is immutable once built.
 	hubs *hub.Matrix
@@ -153,11 +162,12 @@ func (idx *Index) Owns(u graph.NodeID) bool {
 }
 
 // ShardSlice returns the shard's view of this full index: an index over the
-// same (global) node-id space sharing the hub matrix and exactly the owned
-// range's p̂ columns and states. The slice is an O(n) pointer copy — rows
-// are shared with the receiver under the usual immutable-once-committed
-// discipline. Reading a row outside the range panics; the query engine
-// iterates Rows, so shard-local queries never do.
+// same (global) node-id space sharing the graph, the hub matrix and exactly
+// the owned range's p̂ columns and states. The slice keeps the whole graph,
+// because every shard runs the PMPN over all of it. The slice is an O(n)
+// pointer copy — rows are shared with the receiver under the usual
+// immutable-once-committed discipline. Reading a row outside the range
+// panics; the query engine iterates Rows, so shard-local queries never do.
 func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 	if idx.part != nil {
 		return nil, fmt.Errorf("lbindex: cannot re-slice a shard slice (shard %d)", idx.shardID)
@@ -171,6 +181,8 @@ func (idx *Index) ShardSlice(pm *partition.Map, shard int) (*Index, error) {
 	s := &Index{
 		opts:    idx.opts,
 		n:       idx.n,
+		graph:   idx.graph,
+		source:  idx.source,
 		hubs:    idx.hubs,
 		phat:    make([][]float64, idx.n),
 		states:  make([]*stored, idx.n),
@@ -221,7 +233,8 @@ type BuildStats struct {
 
 // Build runs Algorithm 1: select hubs, compute their exact proximity
 // vectors, then run partial batch-BCA from every non-hub node, keeping the
-// top-K lower bounds and the resumable state.
+// top-K lower bounds and the resumable state. The index keeps g (Graph),
+// which must not change afterwards.
 func Build(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, BuildStats{}, err
@@ -245,6 +258,7 @@ func Build(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
 	idx := &Index{
 		opts:   opts,
 		n:      g.N(),
+		graph:  g,
 		hubs:   hm,
 		phat:   make([][]float64, g.N()),
 		states: make([]*stored, g.N()),
@@ -326,6 +340,35 @@ func (idx *Index) Options() Options { return idx.opts }
 
 // HubMatrix returns the rounded hub proximity matrix.
 func (idx *Index) HubMatrix() *hub.Matrix { return idx.hubs }
+
+// Graph returns the graph this index's rows are valid for. It is shared and
+// immutable.
+func (idx *Index) Graph() *graph.Graph { return idx.graph }
+
+// SetGraph attaches g, an edited graph of N() nodes this index's rows have
+// been refreshed for (evolve.RefreshPartial calls it). Unless g is the graph
+// already attached, the source digest is dropped: no edge-list file holds g.
+// It is a write (see Index).
+func (idx *Index) SetGraph(g *graph.Graph) error {
+	if g.N() != idx.n {
+		return fmt.Errorf("lbindex: graph of %d nodes attached to an index of %d", g.N(), idx.n)
+	}
+	if g != idx.graph {
+		idx.graph, idx.source = g, [sha256.Size]byte{}
+	}
+	return nil
+}
+
+// Source returns the SHA-256 of the edge-list file the index's graph was
+// parsed from, as rtkindex records it (SetSource), and ok false for an index
+// with none: one built in process, refreshed or checkpointed.
+func (idx *Index) Source() (sum [sha256.Size]byte, ok bool) {
+	return idx.source, idx.source != [sha256.Size]byte{}
+}
+
+// SetSource records the SHA-256 of the edge-list file the index's graph was
+// parsed from. It is a write (see Index).
+func (idx *Index) SetSource(sum [sha256.Size]byte) { idx.source = sum }
 
 // IsHub reports whether u is a hub (its index entry is exact).
 func (idx *Index) IsHub(u graph.NodeID) bool { return idx.hubs.IsHub(u) }
@@ -555,7 +598,8 @@ func (idx *Index) CommitHub(u graph.NodeID, phat []float64) {
 	idx.phat[u] = phat
 }
 
-// Clone returns an independent index sharing this index's committed rows.
+// Clone returns an independent index sharing this index's committed rows,
+// its graph and its source digest.
 // The copy is O(n) pointers, not a deep copy: p̂ columns and BCA states are
 // immutable once committed — every writer (Commit, CommitHub, the refresh
 // path in package evolve) replaces the per-node pointers wholesale and the
@@ -569,6 +613,8 @@ func (idx *Index) Clone() *Index {
 	c := &Index{
 		opts:    idx.opts,
 		n:       idx.n,
+		graph:   idx.graph,
+		source:  idx.source,
 		hubs:    idx.hubs,
 		phat:    append([][]float64(nil), idx.phat...),
 		states:  append([]*stored(nil), idx.states...),
@@ -586,7 +632,8 @@ func (idx *Index) Clone() *Index {
 // Commit, typically through an evolve refresh that lists every new node as
 // affected) before the clone serves queries — reading an uncommitted new
 // row panics. Node growth never changes hub membership: new nodes are
-// plain origins with fresh BCA runs.
+// plain origins with fresh BCA runs. The clone keeps this index's graph
+// until the refresh attaches the grown one (SetGraph).
 func (idx *Index) CloneGrown(n2 int) *Index {
 	if n2 < idx.n {
 		panic(fmt.Sprintf("lbindex: CloneGrown shrinking %d → %d nodes", idx.n, n2))
@@ -598,6 +645,8 @@ func (idx *Index) CloneGrown(n2 int) *Index {
 	c := &Index{
 		opts:   idx.opts,
 		n:      n2,
+		graph:  idx.graph,
+		source: idx.source,
 		hubs:   idx.hubs,
 		phat:   phat,
 		states: states,
@@ -636,7 +685,8 @@ func (idx *Index) Watermark() uint64 { return idx.watermark.Load() }
 func (idx *Index) SetWatermark(wm uint64) { idx.watermark.Store(wm) }
 
 // SizeBytes returns the approximate payload footprint of the index: the
-// lower-bound matrix, all resumable states, and the rounded hub matrix.
+// lower-bound matrix, all resumable states, and the rounded hub matrix — the
+// paper's index, without the graph the image also stores.
 func (idx *Index) SizeBytes() int64 {
 	var rows int64
 	for _, col := range idx.phat {

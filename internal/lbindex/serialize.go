@@ -35,11 +35,14 @@ const indexMagicV3 = "RTKLBIX3"
 // varints (LoadFile wraps it with the path).
 var ErrFormatV3 = errors.New("lbindex: index format v3 (RTKLBIX3) is no longer readable; rebuild it with rtkindex")
 
-// ErrRelabeled is what Load and LoadFile return for a v4 image with one
-// section more than a full image or a shard slice carries (23 or 26): its
-// trailing section holds a node permutation written by the removed
-// rtkindex -relabel flag, and no reader translates ids any more.
-var ErrRelabeled = errors.New("lbindex: index was built with rtkindex -relabel, which is removed; rebuild it with rtkindex")
+// indexMagicV4 opens an image in the retired format v4, which did not store
+// its graph. Load and LoadFile recognise it only to refuse it by name.
+const indexMagicV4 = "RTKLBIX4"
+
+// ErrFormatV4 is what Load and LoadFile return for a format v4 image — an
+// index or a checkpoint written before the index stored the graph it was
+// built on, relabeled ones included (LoadFile wraps it with the path).
+var ErrFormatV4 = errors.New("lbindex: index format v4 (RTKLBIX4) stores no graph and is no longer readable; rebuild it with rtkindex")
 
 // retiredFormat returns the error naming the retired format a magic opens,
 // or nil.
@@ -51,6 +54,8 @@ func retiredFormat(magic string) error {
 		return ErrFormatV2
 	case indexMagicV3:
 		return ErrFormatV3
+	case indexMagicV4:
+		return ErrFormatV4
 	}
 	return nil
 }
@@ -111,13 +116,13 @@ func (b *binWriter) floats32(xs []float32) {
 // and rejecting it keeps the per-node read bounded.
 const maxPlausibleK = 1 << 20
 
-// Load reads an index previously written by Save (format v4). It is safe on
+// Load reads an index previously written by Save (format v5). It is safe on
 // truncated or corrupt input: every quantity that later code indexes with is
 // bounds-checked, allocation stays proportional to the input actually
 // consumed, and any checksum mismatch fails fast, so a bad image yields an
 // error — never a panic, a hang, or an index that violates its invariants.
-// A format v1, v2 or v3 image is refused with ErrFormatV1, ErrFormatV2 or
-// ErrFormatV3, and a relabeled one with ErrRelabeled.
+// A format v1, v2, v3 or v4 image is refused with ErrFormatV1, ErrFormatV2,
+// ErrFormatV3 or ErrFormatV4.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := br.Peek(8)
@@ -127,7 +132,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err := retiredFormat(string(magic)); err != nil {
 		return nil, err
 	}
-	if string(magic) != indexMagicV4 {
+	if string(magic) != indexMagic {
 		return nil, fmt.Errorf("lbindex: bad magic %q", magic)
 	}
 	return loadV2Stream(br)

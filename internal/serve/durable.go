@@ -21,8 +21,8 @@ type DurabilityConfig struct {
 	// recovered (torn tail truncated, intact records replayed) if present.
 	JournalPath string
 	// CheckpointDir, when set, enables background checkpointing: the served
-	// (graph, index) pair is saved there and the journal truncated at the
-	// checkpointed watermark, bounding replay time. Empty disables
+	// index, which stores its graph, is saved there and the journal truncated
+	// at the checkpointed watermark, bounding replay time. Empty disables
 	// checkpointing — the journal then grows without bound.
 	CheckpointDir string
 	// CheckpointBytes triggers a checkpoint once the journal exceeds this
@@ -44,8 +44,9 @@ const (
 
 // RecoveryInfo reports what NewDurable found on startup.
 type RecoveryInfo struct {
-	// FromCheckpoint is true when the serving pair was loaded from the
-	// checkpoint directory rather than the caller-provided one.
+	// FromCheckpoint is true when the served index (and its graph) was
+	// loaded from the checkpoint directory rather than the caller-provided
+	// pair.
 	FromCheckpoint bool
 	// CheckpointWatermark is the watermark embedded in the loaded index
 	// image (0 for a fresh pair).
@@ -65,13 +66,12 @@ type RecoveryInfo struct {
 }
 
 // manifest is the checkpoint directory's commit record: the one file whose
-// atomic rename decides which (graph, index) pair is current. Both data
-// files are fully written and fsync'd before the manifest names them, so a
-// crash at any point leaves either the previous consistent pair or the new
-// one — never a torn mix.
+// atomic rename decides which index image — the graph is inside it — is
+// current. The image is fully written and fsync'd before the manifest names
+// it, so a crash at any point leaves either the previous checkpoint or the
+// new one.
 type manifest struct {
 	Watermark uint64 `json:"watermark"`
-	Graph     string `json:"graph"`
 	Index     string `json:"index"`
 }
 
@@ -79,24 +79,24 @@ const manifestName = "CHECKPOINT"
 
 // NewDurable creates a journaled server. The given (graph, index) pair is
 // the cold-start state; when the checkpoint directory holds a committed
-// checkpoint, that pair is loaded instead. The journal is then opened
-// (truncating any torn tail) and every record newer than the loaded
-// image's embedded watermark is replayed through the ordinary maintenance
-// pipeline — synchronously, before the server accepts any traffic — so the
-// returned server has exactly the state of one that applied every
-// acknowledged batch and never crashed.
+// checkpoint, its index and the graph stored in it are served instead. The
+// journal is then opened (truncating any torn tail) and every record newer
+// than the loaded image's embedded watermark is replayed through the
+// ordinary maintenance pipeline — synchronously, before the server accepts
+// any traffic — so the returned server has exactly the state of one that
+// applied every acknowledged batch and never crashed.
 func NewDurable(g *graph.Graph, idx *lbindex.Index, cfg Config, dcfg DurabilityConfig) (*Server, *RecoveryInfo, error) {
 	if dcfg.JournalPath == "" {
 		return nil, nil, fmt.Errorf("serve: durable server needs a journal path")
 	}
 	info := &RecoveryInfo{}
 	if dcfg.CheckpointDir != "" {
-		cg, cidx, ok, err := loadCheckpoint(dcfg.CheckpointDir)
+		cidx, err := loadCheckpoint(dcfg.CheckpointDir)
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: loading checkpoint: %w", err)
 		}
-		if ok {
-			g, idx = cg, cidx
+		if cidx != nil {
+			g, idx = cidx.Graph(), cidx
 			info.FromCheckpoint = true
 		}
 	}
@@ -159,7 +159,7 @@ func NewDurable(g *graph.Graph, idx *lbindex.Index, cfg Config, dcfg DurabilityC
 	return s, info, nil
 }
 
-// maybeCheckpoint saves the served pair and truncates the journal once
+// maybeCheckpoint saves the served index and truncates the journal once
 // either trigger fires. It runs on the maintenance goroutine between
 // batches, so the pair it captures is quiescent; queries keep flowing
 // against the published snapshot throughout. Failures are reported through
@@ -184,12 +184,12 @@ func (s *Server) maybeCheckpoint() {
 	s.m.ckptDur.Observe(time.Since(start).Seconds())
 }
 
-// checkpoint writes the current (graph, index) pair to the checkpoint
+// checkpoint writes the current index, graph included, to the checkpoint
 // directory, commits it via the manifest rename, truncates the journal at
-// the checkpointed watermark, and deletes the files of the previous
-// checkpoint. The order matters: data files first (fsync'd), manifest
-// rename second (the commit point), journal truncation third (only drops
-// what the committed image provably contains), cleanup last.
+// the checkpointed watermark, and deletes the previous checkpoint's image.
+// The order matters: the image first (fsync'd), manifest rename second (the
+// commit point), journal truncation third (only drops what the committed
+// image provably contains), cleanup last.
 func (s *Server) checkpoint() error {
 	if err := os.MkdirAll(s.ckptDir, 0o755); err != nil {
 		return err
@@ -197,32 +197,17 @@ func (s *Server) checkpoint() error {
 	prev, _ := readManifest(s.ckptDir) // nil when none committed yet
 
 	wm := s.appliedWM.Load()
-	snap := s.store.Current()
-	g, idx := snap.View.Graph(), snap.View.Index()
+	idx := s.store.Current().View.Index()
 
-	m := manifest{
-		Watermark: wm,
-		Graph:     fmt.Sprintf("graph-%016x.edges", wm),
-		Index:     fmt.Sprintf("index-%016x.rtk", wm),
-	}
-	if err := writeFileSynced(filepath.Join(s.ckptDir, m.Graph), func(f *os.File) error {
-		return graph.WriteEdgeList(f, g)
-	}); err != nil {
-		return fmt.Errorf("writing checkpoint graph: %w", err)
-	}
+	m := manifest{Watermark: wm, Index: fmt.Sprintf("index-%016x.rtk", wm)}
 	if err := writeFileSynced(filepath.Join(s.ckptDir, m.Index), func(f *os.File) error {
 		return idx.Save(f)
 	}); err != nil {
 		return fmt.Errorf("writing checkpoint index: %w", err)
 	}
-	mb, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
 	// The manifest rename inside writeFileSynced is the commit point.
 	if err := writeFileSynced(filepath.Join(s.ckptDir, manifestName), func(f *os.File) error {
-		_, werr := f.Write(mb)
-		return werr
+		return json.NewEncoder(f).Encode(m)
 	}); err != nil {
 		return fmt.Errorf("writing checkpoint manifest: %w", err)
 	}
@@ -243,8 +228,7 @@ func (s *Server) checkpoint() error {
 	if err := s.journal.TruncateBelow(wm); err != nil {
 		return fmt.Errorf("truncating journal at %d: %w", wm, err)
 	}
-	if prev != nil && prev.Graph != m.Graph {
-		os.Remove(filepath.Join(s.ckptDir, prev.Graph))
+	if prev != nil && prev.Index != m.Index {
 		os.Remove(filepath.Join(s.ckptDir, prev.Index))
 	}
 	return nil
@@ -264,44 +248,27 @@ func readManifest(dir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("serve: corrupt checkpoint manifest: %w", err)
 	}
-	if m.Graph == "" || m.Index == "" {
-		return nil, fmt.Errorf("serve: checkpoint manifest names no files")
+	if m.Index == "" {
+		return nil, fmt.Errorf("serve: checkpoint manifest names no index")
 	}
 	return &m, nil
 }
 
-// loadCheckpoint loads the committed (graph, index) pair, reporting
-// ok=false when the directory holds no checkpoint.
-func loadCheckpoint(dir string) (*graph.Graph, *lbindex.Index, bool, error) {
+// loadCheckpoint loads the committed index, which carries its graph, or
+// returns nil when the directory holds no checkpoint.
+func loadCheckpoint(dir string) (*lbindex.Index, error) {
 	m, err := readManifest(dir)
 	if err != nil || m == nil {
-		return nil, nil, false, err
-	}
-	gf, err := os.Open(filepath.Join(dir, m.Graph))
-	if err != nil {
-		return nil, nil, false, err
-	}
-	//rtklint:ignore syncerr read-only fd — close errors cannot lose data that was never written
-	defer gf.Close()
-	builder, err := graph.ReadEdgeList(gf)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("checkpoint graph: %w", err)
-	}
-	// The checkpointed graph is a served CSR, which has no node without
-	// out-edges, so the policy below never fires — it is the one
-	// graph.Graph.Apply follows, kept for belt and braces.
-	g, _, err := builder.Build(graph.DanglingSelfLoop)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("checkpoint graph: %w", err)
+		return nil, err
 	}
 	idx, err := lbindex.LoadFile(filepath.Join(dir, m.Index), lbindex.LoadOptions{})
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("checkpoint index: %w", err)
+		return nil, fmt.Errorf("checkpoint index: %w", err)
 	}
 	if got := idx.Watermark(); got != m.Watermark {
-		return nil, nil, false, fmt.Errorf("checkpoint index watermark %d, manifest says %d", got, m.Watermark)
+		return nil, fmt.Errorf("checkpoint index watermark %d, manifest says %d", got, m.Watermark)
 	}
-	return g, idx, true, nil
+	return idx, nil
 }
 
 // writeFileSynced writes path via a temp sibling: fill, fsync, close,

@@ -71,10 +71,10 @@ type FanoutConfig struct {
 // NewFanout builds the coordinator after checking its shard set: it reads
 // every shard's /v1/stats and refuses unless the URL at position i serves
 // shard i, every shard serves one of len(cfg.Shards) shards, and all of
-// them report one partition bounds vector — the checks shard.NewInProc
-// makes of its slices. A shard that cannot be reached is refused too, as
-// nothing can then be known of it. Reachability after the start is
-// reported live by /healthz.
+// them report one partition bounds vector and one graph digest — the checks
+// shard.NewInProc makes of its slices. A shard that cannot be reached is
+// refused too, as nothing can then be known of it. Reachability after the
+// start is reported live by /healthz.
 func NewFanout(cfg FanoutConfig) (*Fanout, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("serve: fan-out coordinator needs at least one shard URL")
@@ -121,9 +121,11 @@ func NewFanout(cfg FanoutConfig) (*Fanout, error) {
 }
 
 // checkShardSet reads every shard's /v1/stats and checks that position i
-// serves shard i of one partition into len(f.shards) shards.
+// serves shard i of one partition into len(f.shards) shards, all over one
+// graph.
 func (f *Fanout) checkShardSet() error {
 	var bounds []int32
+	var digest string
 	for i, base := range f.shards {
 		rep := f.do(http.MethodGet, base+"/v1/stats", nil, "")
 		var st StatsResponse
@@ -145,8 +147,11 @@ func (f *Fanout) checkShardSet() error {
 		case i > 0 && !slices.Equal(st.PartitionBounds, bounds):
 			return fmt.Errorf("serve: shard %d (%s) has partition bounds %v, shard 0 has %v",
 				i, f.shards[i], st.PartitionBounds, bounds)
+		case i > 0 && st.GraphSHA256 != digest:
+			return fmt.Errorf("serve: shard %d (%s) serves graph %s, shard 0 (%s) serves graph %s",
+				i, f.shards[i], st.GraphSHA256, f.shards[0], digest)
 		}
-		bounds = st.PartitionBounds
+		bounds, digest = st.PartitionBounds, st.GraphSHA256
 	}
 	return nil
 }

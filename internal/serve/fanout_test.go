@@ -348,10 +348,33 @@ func TestFanoutErrorPaths(t *testing.T) {
 // log line carries the status it sent — a shard's relayed 4xx (out-of-range
 // q), the 502 of a shard's approx body that does not parse, and the 502
 // naming the shard whose reply names another shard (a daemon restarted
-// behind its URL with another slice).
+// behind its URL with another slice). A shard set over two graphs that
+// differ in one edge's weight, with equal degrees and partition bounds, is
+// refused by its graph digests alone.
 func TestFanoutErrorStatusLogged(t *testing.T) {
 	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
 	recut := newFanoutFixture(t, 2, []int32{0, 100, 220})
+	u := graph.NodeID(5)
+	x := fx.g.OutNeighbors(u)[0]
+	rg, err := fx.g.Apply([]graph.EdgeEdit{{From: u, To: x, Remove: true}, {From: u, To: x, Weight: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ridx, _, err := lbindex.Build(rg, fx.idx.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, _, _ := fx.shards[1].Store().Current().View.Index().Shard()
+	rslice, err := ridx.ShardSlice(pm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reweighted, err := New(rg, rslice, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reweighted.Close)
+	reweightedURL := newTestListener(t, reweighted.Handler())
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ShardHeader, "0/1")
 		if r.URL.Path == "/v1/stats" {
@@ -390,6 +413,7 @@ func TestFanoutErrorStatusLogged(t *testing.T) {
 		{"one shard twice", []string{s0, s0}, "", "shard 1 (" + s0 + ") serves shard 0 of 2, want shard 1 of 2", ""},
 		{"shards of two partitions", []string{s0, recut.shardSrv[1].URL}, "", "has partition bounds [0 100 220], shard 0 has [0 110 220]", ""},
 		{"full index", []string{fullURL}, "", "serves a full index, not a shard slice", ""},
+		{"shards of two graphs", []string{s0, reweightedURL}, "", "shard 1 (" + reweightedURL + ") serves graph ", ""},
 		{"swapped shard", []string{moving.URL, s1}, "q=1&k=5", "", `shard 0 (` + moving.URL + `) answered as shard \"1/2\"`},
 	} {
 		buf, logger := newTestLogger()

@@ -229,6 +229,7 @@ func TestStatsJSONShape(t *testing.T) {
 		"enqueued_watermark", "applied_watermark", "pending_edits",
 		"maint_errors", "last_maint_ms",
 		"last_affected_origins", "last_affected_hubs", "nodes_grown",
+		"graph_sha256",
 	}
 	for _, k := range want {
 		if _, ok := got[k]; !ok {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -498,4 +499,28 @@ func TestServeSingleFlight(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("%d clients reported MISS, want exactly 1", misses)
 	}
+}
+
+// TestServeRefusesOtherGraph: New and NewDurable serve an index only over
+// the graph it was built on (core.NewView's check): another graph of the
+// same node count is refused, and an equal graph built apart is served.
+func TestServeRefusesOtherGraph(t *testing.T) {
+	g := testGraph(t, 61, 40)
+	idx := testIndex(t, g, 4)
+	other := testGraph(t, 62, 40)
+	if other.N() != g.N() {
+		t.Fatalf("the graphs have %d and %d nodes", other.N(), g.N())
+	}
+	if _, err := New(other, idx, Config{}); err == nil {
+		t.Error("New served an index over another graph")
+	}
+	dcfg := DurabilityConfig{JournalPath: filepath.Join(t.TempDir(), "edits.wal")}
+	if _, _, err := NewDurable(other, idx, Config{}, dcfg); err == nil {
+		t.Error("NewDurable served an index over another graph")
+	}
+	s, _, err := NewDurable(testGraph(t, 61, 40), idx, Config{}, dcfg)
+	if err != nil {
+		t.Fatalf("NewDurable refused an equal graph: %v", err)
+	}
+	s.Close()
 }

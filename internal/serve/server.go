@@ -558,6 +558,11 @@ type StatsResponse struct {
 	ApproxComputed int64 `json:"approx_computed"`
 	ApproxRounds   int64 `json:"approx_rounds"`
 
+	// GraphSHA256 is the hex SHA-256 of the served graph's out-lists and
+	// weights (Snapshot.GraphSHA256): a coordinator refuses shards that
+	// report different ones.
+	GraphSHA256 string `json:"graph_sha256"`
+
 	// Shard-slice identity (set when the daemon serves one shard of a
 	// partitioned index; absent on a full index).
 	ShardID         *int    `json:"shard_id,omitempty"`
@@ -605,6 +610,7 @@ func (s *Server) Stats() StatsResponse {
 	resp := StatsResponse{
 		Epoch:         snap.Epoch,
 		Nodes:         snap.View.N(),
+		GraphSHA256:   snap.GraphSHA256(),
 		MaxK:          snap.View.MaxK(),
 		Served:        int64(s.m.served.Total()),
 		Computed:      int64(s.m.computed.With("exact").Value()),
@@ -968,6 +974,8 @@ func (s *Server) runBatch(b *editBatch) {
 			origins = append(origins, graph.NodeID(u))
 		}
 	}
+	// The refresh attaches next to nextIdx, so the published pair is one
+	// graph by pointer and a checkpoint of nextIdx stores next.
 	stats, err := evolve.RefreshPartial(next, nextIdx, origins, hubs)
 	if err != nil {
 		fail(err)

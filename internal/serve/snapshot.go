@@ -25,13 +25,16 @@
 // watermark is replayed through the same maintenance pipeline — including
 // deterministic re-rejection of batches that fail at apply time — so a
 // recovered server is bit-identical to one that never crashed. Background
-// checkpoints (DurabilityConfig.CheckpointDir) save the served pair and
-// truncate the journal, bounding replay time. Graceful Close drains the
-// queue either way: every acknowledged batch is applied, never failed,
-// on an orderly shutdown; the journal covers the disorderly ones.
+// checkpoints (DurabilityConfig.CheckpointDir) save the served index, its
+// graph inside, as one file and truncate the journal, bounding replay
+// time. Graceful Close drains the queue either way: every acknowledged
+// batch is applied, never failed, on an orderly shutdown; the journal
+// covers the disorderly ones.
 package serve
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -45,6 +48,16 @@ import (
 type Snapshot struct {
 	Epoch uint64
 	View  *core.View
+
+	graphOnce sync.Once
+	graphSum  string
+}
+
+// GraphSHA256 returns the hex SHA-256 of the served graph (graph.Graph.Digest),
+// computed once per snapshot, on first use.
+func (s *Snapshot) GraphSHA256() string {
+	s.graphOnce.Do(func() { s.graphSum = fmt.Sprintf("%x", s.View.Graph().Digest()) })
+	return s.graphSum
 }
 
 // Store holds the current snapshot behind an atomic pointer. Reads

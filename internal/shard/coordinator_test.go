@@ -335,3 +335,47 @@ func equalIDs(a, b []graph.NodeID) bool {
 	}
 	return true
 }
+
+// TestNewInProcRefusesOtherGraph: the coordinator runs the PMPN over the
+// graph it is given, so it refuses a graph other than the one its slices
+// were built on — one of the same node count included — and a slice set
+// whose slices come from indexes of two graphs.
+func TestNewInProcRefusesOtherGraph(t *testing.T) {
+	g, idx := buildCase(t, "web", 120)
+	other, err := gen.WebGraph(g.N(), 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := partition.FromParts(g.N(), 2, []int32{0, 60, 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, err := idx.ShardSlice(pm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := idx.ShardSlice(pm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewInProc(other, []*lbindex.Index{s0, s1}, Config{}); err == nil {
+		t.Error("NewInProc accepted another graph of the slices' node count")
+	}
+	if _, err := NewInProc(other, []*lbindex.Index{idx}, Config{}); err == nil {
+		t.Error("NewInProc accepted another graph beside a full index")
+	}
+	oidx, _, err := lbindex.Build(other, idx.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o1, err := oidx.ShardSlice(pm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewInProc(g, []*lbindex.Index{s0, o1}, Config{}); err == nil {
+		t.Error("NewInProc accepted slices of two graphs")
+	}
+	if _, err := NewInProc(g, []*lbindex.Index{s0, s1}, Config{}); err != nil {
+		t.Errorf("NewInProc refused the slices' own graph: %v", err)
+	}
+}
