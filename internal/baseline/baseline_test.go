@@ -1,92 +1,55 @@
 package baseline
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/rwr"
 )
 
-func testGraph(t testing.TB, seed int64, n int) *graph.Graph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		b.AddWeightedEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 1+rng.Float64())
-	}
-	for i := 0; i < 4*n; i++ {
-		b.AddWeightedEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), 1+rng.Float64()*3)
-	}
-	g, _, err := b.Build(graph.DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
+// baselineFamilies are the families the baselines' rows run on: one of each
+// kind of weighting, and the family of exact ties.
+var baselineFamilies = []string{"web", "skewed", "ties", "sinks"}
 
+// TestIBFMatchesBruteForce is IBF's row of the oracle table.
 func TestIBFMatchesBruteForce(t *testing.T) {
-	g := testGraph(t, 5, 60)
-	p := rwr.DefaultParams()
-	ibf, err := BuildIBF(g, 10, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []graph.NodeID{0, 17, 42} {
-		for _, k := range []int{1, 5, 10} {
-			got, err := ibf.Query(q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := core.BruteForce(g, q, k, p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("q=%d k=%d: IBF %v, BF %v", q, k, got, want)
-			}
+	for _, family := range baselineFamilies {
+		tab := oracle.Family(t, family)
+		g := tab.Graph
+		ibf, err := BuildIBF(g, oracle.K, rwr.DefaultParams(), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if ibf.BuildElapsed <= 0 {
-		t.Error("no build time recorded")
-	}
-	if ibf.MemoryBytes() <= int64(g.N())*int64(g.N()) {
-		t.Error("memory accounting implausible")
+		oracle.Check(t, "IBF.Query", tab, ibf.Query)
+		if ibf.BuildElapsed <= 0 {
+			t.Error("no build time recorded")
+		}
+		if ibf.MemoryBytes() <= int64(g.N())*int64(g.N()) {
+			t.Error("memory accounting implausible")
+		}
 	}
 }
 
+// TestFBFMatchesBruteForce is FBF's row of the oracle table.
 func TestFBFMatchesBruteForce(t *testing.T) {
-	g := testGraph(t, 6, 60)
-	p := rwr.DefaultParams()
-	fbf, err := BuildFBF(g, 10, p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []graph.NodeID{3, 29} {
-		for _, k := range []int{1, 4, 10} {
-			got, err := fbf.Query(q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := core.BruteForce(g, q, k, p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("q=%d k=%d: FBF %v, BF %v", q, k, got, want)
-			}
+	for _, family := range baselineFamilies {
+		tab := oracle.Family(t, family)
+		g := tab.Graph
+		fbf, err := BuildFBF(g, oracle.K, rwr.DefaultParams(), 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// FBF memory is K·n, far below IBF's n².
-	if fbf.MemoryBytes() >= int64(g.N())*int64(g.N())*8 {
-		t.Error("FBF memory should be far below IBF")
+		oracle.Check(t, "FBF.Query", tab, fbf.Query)
+		// FBF memory is K·n, far below IBF's n².
+		if fbf.MemoryBytes() >= int64(g.N())*int64(g.N())*8 {
+			t.Error("FBF memory should be far below IBF")
+		}
 	}
 }
 
 func TestValidation(t *testing.T) {
-	g := testGraph(t, 1, 20)
+	g := oracle.Family(t, "web").Graph
 	p := rwr.DefaultParams()
 	if _, err := BuildIBF(g, 0, p, 1); err == nil {
 		t.Error("want maxK error")
@@ -98,7 +61,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ibf.Query(99, 3); err == nil {
+	if _, err := ibf.Query(graph.NodeID(g.N()), 3); err == nil {
 		t.Error("want range error")
 	}
 	if _, err := ibf.Query(0, 6); err == nil {

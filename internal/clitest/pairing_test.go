@@ -10,45 +10,52 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/rwr"
+	"repro/internal/oracle"
 )
 
 // TestMismatchedPairRefused is the reproducer of a graph served with another
-// graph's index: two 2048-node web graphs (seeds 1 and 2) and an index of
-// seed 1. Served together they answered a query with another answer than
-// seed 1's (q = 700, k = 10 at the default rtkindex options: 5 nodes where
-// seed 1's answer has 1), and raised no error. rtkquery, plain and with -shards, and
-// rtkserve now refuse the pair at start, naming both files; without -graph
-// the index serves the graph it stores, and its answer is brute force's on
-// seed 1.
+// graph's index, over the oracle table's web family and the other graph of
+// its node count, both written as edge lists, and an index of the family.
+// Served together such a pair answered queries with other answers than the
+// index's graph and raised no error. rtkquery, plain and with -shards, and
+// rtkserve refuse the pair at start, naming both files. Then the commands
+// are the table's CLI rows: rtkquery from the index alone, checked against
+// its source edge list, and over its shard slices, and rtkserve without
+// -graph, answer as brute force on the family.
 func TestMismatchedPairRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	bins := buildTools(t)
 	work := t.TempDir()
+	tab := oracle.Family(t, "web")
 	g1, g2 := filepath.Join(work, "seed1.txt"), filepath.Join(work, "seed2.txt")
 	idx := filepath.Join(work, "seed1.idx")
-	for seed, path := range map[string]string{"1": g1, "2": g2} {
-		runTool(t, filepath.Join(bins, "rtkgen"), "-kind", "web", "-n", "2048", "-seed", seed, "-out", path)
+	for path, g := range map[string]*graph.Graph{g1: tab.Graph, g2: oracle.Other(t)} {
+		var buf bytes.Buffer
+		if err := graph.WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	runTool(t, filepath.Join(bins, "rtkindex"), "-graph", g1, "-out", idx, "-K", "10", "-B", "8", "-partition", "2")
+	runTool(t, filepath.Join(bins, "rtkindex"), "-graph", g1, "-out", idx, "-K", "20", "-B", "5", "-partition", "2")
 	shards := idx + ".shard0of2," + idx + ".shard1of2"
 
 	// A daemon that let the pair through would serve until killed: the
 	// timeout bounds it.
 	for _, tool := range [][]string{
-		{"rtkquery", "-graph", g2, "-index", idx, "-q", "700", "-k", "10"},
-		{"rtkquery", "-graph", g2, "-index", idx, "-q", "700", "-k", "10", "-mmap=off"},
-		{"rtkquery", "-graph", g2, "-shards", shards, "-q", "700", "-k", "10"},
+		{"rtkquery", "-graph", g2, "-index", idx, "-q", "7", "-k", "10"},
+		{"rtkquery", "-graph", g2, "-index", idx, "-q", "7", "-k", "10", "-mmap=off"},
+		{"rtkquery", "-graph", g2, "-shards", shards, "-q", "7", "-k", "10"},
 		{"rtkserve", "-graph", g2, "-index", idx, "-addr", "127.0.0.1:0"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -63,56 +70,44 @@ func TestMismatchedPairRefused(t *testing.T) {
 		}
 	}
 
-	f, err := os.Open(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := graph.ReadEdgeList(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _, err := b.Build(graph.DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := core.BruteForce(g, 700, 10, rwr.DefaultParams(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprint(oracle)
 	for _, args := range [][]string{
-		{"-index", idx, "-q", "700", "-k", "10"},
-		{"-graph", g1, "-index", idx, "-q", "700", "-k", "10"},
-		{"-shards", shards, "-q", "700", "-k", "10"},
+		{"-index", idx},
+		{"-graph", g1, "-index", idx},
+		{"-shards", shards},
 	} {
-		if got := answerLine(t, runTool(t, filepath.Join(bins, "rtkquery"), args...)); got != want {
-			t.Errorf("rtkquery %v answers %s, brute force on seed 1 %s", args, got, want)
-		}
+		oracle.Check(t, fmt.Sprintf("rtkquery %v", args), tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+			line := answerLine(t, runTool(t, filepath.Join(bins, "rtkquery"), append(args, "-q", fmt.Sprint(q), "-k", fmt.Sprint(k))...))
+			var ans []graph.NodeID
+			for _, f := range strings.Fields(strings.Trim(line, "[]")) {
+				u, err := strconv.Atoi(f)
+				if err != nil {
+					return nil, fmt.Errorf("answer line %q: %v", line, err)
+				}
+				ans = append(ans, graph.NodeID(u))
+			}
+			return ans, nil
+		})
 	}
 
 	d := startDaemon(t, filepath.Join(bins, "rtkserve"), "-index", idx, "-addr", "127.0.0.1:0", "-log", "off")
-	code, body := d.get(t, "/v1/reverse-topk?q=700&k=10")
-	var resp struct {
-		Results []graph.NodeID `json:"results"`
-	}
-	if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil {
-		t.Fatalf("rtkserve without -graph: %d %s (%v)", code, body, err)
-	}
-	if !slices.Equal(resp.Results, oracle) {
-		t.Errorf("rtkserve without -graph answers %v, brute force on seed 1 %v", resp.Results, oracle)
-	}
+	oracle.Check(t, "rtkserve without -graph", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		code, body := d.get(t, fmt.Sprintf("/v1/reverse-topk?q=%d&k=%d", q, k))
+		var resp struct {
+			Results []graph.NodeID `json:"results"`
+		}
+		if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil {
+			return nil, fmt.Errorf("%d %s (%v)", code, body, err)
+		}
+		return resp.Results, nil
+	})
 }
-
-// epochField matches a query body's epoch.
-var epochField = regexp.MustCompile(`"epoch":\d+`)
 
 // TestServeCheckpointOneFile: a durable daemon started from the index file
 // alone checkpoints one file, the index with its graph, beside the manifest.
 // The checkpointed index records no source edge list, so it refuses any
 // -graph. A kill -9 restart from the checkpoint and the journal serves every
-// exact and approx body byte for byte as before the kill, but for the epoch,
-// which counts the restarted process's own publishes.
+// exact and approx body byte for byte as before the kill, the epoch
+// included: it is the journal watermark plus one, so it does not go back.
 func TestServeCheckpointOneFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -135,13 +130,16 @@ func TestServeCheckpointOneFile(t *testing.T) {
 			t.Fatalf("batch %d: status %d body %s", i, code, raw)
 		}
 	}
-	// burstBatches holds 8 batches, so the last checkpoint is at the last
-	// watermark. It runs after its batch's reply: wait until it has
-	// committed and deleted its predecessor's image.
+	// A checkpoint runs once the journal holds two batches, after the reply
+	// to the batch that made it two. The next batch's append can land first,
+	// so the last checkpoint is at the last watermark or the one before it
+	// (and then none follows). Wait until it has committed and deleted its
+	// predecessor's image.
 	wm := a.statInt(t, "applied_watermark")
-	files := []string{"CHECKPOINT", fmt.Sprintf("index-%016x.rtk", wm)}
-	var names []string
+	var files, names []string
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		ckwm := a.statInt(t, "last_checkpoint_watermark")
+		files = []string{"CHECKPOINT", fmt.Sprintf("index-%016x.rtk", ckwm)}
 		entries, err := os.ReadDir(ckpt)
 		if err != nil {
 			t.Fatal(err)
@@ -150,7 +148,7 @@ func TestServeCheckpointOneFile(t *testing.T) {
 		for _, e := range entries {
 			names = append(names, e.Name())
 		}
-		if slices.Equal(names, files) {
+		if ckwm >= wm-1 && slices.Equal(names, files) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -174,12 +172,13 @@ func TestServeCheckpointOneFile(t *testing.T) {
 				if code != http.StatusOK {
 					t.Fatalf("query %d%s: %d %s", q, mode, code, body)
 				}
-				out = append(out, epochField.ReplaceAll(body, []byte(`"epoch":_`)))
+				out = append(out, body)
 			}
 		}
 		return out
 	}
 	want := bodies(a)
+	epoch := a.statInt(t, "epoch")
 	a.kill9(t)
 
 	b := startDaemon(t, rtkserve, args...)
@@ -188,6 +187,9 @@ func TestServeCheckpointOneFile(t *testing.T) {
 	}
 	if st := b.stats(t); st["nodes"] != float64(nodes) {
 		t.Fatalf("restart serves %v nodes, want %d", st["nodes"], nodes)
+	}
+	if got := b.statInt(t, "epoch"); got < epoch {
+		t.Fatalf("the epoch went back from %d to %d across the restart", epoch, got)
 	}
 	for i, got := range bodies(b) {
 		if !bytes.Equal(got, want[i]) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 func anytimeQueries(n int) []graph.NodeID {
@@ -23,29 +24,9 @@ func idSet(ids []graph.NodeID) map[graph.NodeID]bool {
 	return m
 }
 
-// checkContainment asserts guaranteed ⊆ exact ⊆ guaranteed ∪ maybe.
-func checkContainment(t *testing.T, label string, guaranteed, maybe, exact []graph.NodeID) {
-	t.Helper()
-	inExact := idSet(exact)
-	cover := idSet(guaranteed)
-	for _, u := range maybe {
-		cover[u] = true
-	}
-	for _, u := range guaranteed {
-		if !inExact[u] {
-			t.Fatalf("%s: guaranteed node %d not in exact answer %v", label, u, exact)
-		}
-	}
-	for _, u := range exact {
-		if !cover[u] {
-			t.Fatalf("%s: exact node %d in neither guaranteed %v nor maybe %v", label, u, guaranteed, maybe)
-		}
-	}
-}
-
-// TestAnytimeContainmentAcrossFamilies is the (ε, δ=0) oracle: across graph
-// families, k and the full eps sweep, the two-part answer must bracket the
-// brute-force answer, meet the budget whenever it did not stop on
+// TestAnytimeContainmentAcrossFamilies is the View.QueryAnytime row of the
+// oracle table: across its families, its query nodes and k, and the full eps
+// sweep, the two-part answer must bracket the brute-force answer, meet the budget whenever it did not stop on
 // convergence, and shrink its maybe set monotonically as eps tightens
 // (a later stop can only decide more nodes, never resurrect one).
 func TestAnytimeContainmentAcrossFamilies(t *testing.T) {
@@ -54,26 +35,23 @@ func TestAnytimeContainmentAcrossFamilies(t *testing.T) {
 		family := family
 		t.Run(family, func(t *testing.T) {
 			t.Parallel()
-			g := oracleGraph(t, family)
-			idx := buildIndex(t, g, 20, 6)
-			view, err := NewView(g, idx)
+			tab := oracle.Family(t, family)
+			view, err := NewView(tab.Graph, tab.Index(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []int{3, 10} {
-				for _, q := range anytimeQueries(g.N()) {
-					exact, err := BruteForce(g, q, k, idx.Options().RWR, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
+			for _, k := range tab.Ks {
+				for _, q := range tab.Queries {
+					exact := tab.Want(q, k)
 					prevMaybe := map[graph.NodeID]bool(nil)
 					for _, eps := range epsSweep {
 						res, err := view.QueryAnytime(q, k, AnytimeOptions{Eps: eps}, 2)
 						if err != nil {
 							t.Fatal(err)
 						}
-						label := family
-						checkContainment(t, label, res.Guaranteed, res.Maybe, exact)
+						if err := oracle.Brackets(res.Guaranteed, res.Maybe, exact); err != nil {
+							t.Fatalf("%s k=%d q=%d eps=%g: %v", family, k, q, eps, err)
+						}
 						if !res.Stats.Converged && res.Stats.EpsAchieved > eps {
 							t.Fatalf("%s k=%d q=%d eps=%g: budget missed without convergence (achieved %g)",
 								family, k, q, eps, res.Stats.EpsAchieved)
@@ -114,7 +92,7 @@ func TestAnytimeContainmentAcrossFamilies(t *testing.T) {
 func TestAnytimeFinishRefusals(t *testing.T) {
 	for _, family := range []string{"web", "coauthor", "spam"} {
 		budgetStopped := 0
-		g := oracleGraph(t, family)
+		g := oracle.Family(t, family).Graph
 		idx := buildIndex(t, g, 20, 6)
 		view, err := NewView(g, idx)
 		if err != nil {
@@ -176,7 +154,7 @@ func TestAnytimeFinishRefusals(t *testing.T) {
 // approx/exact serving mix, and every concurrent answer must equal its
 // sequential counterpart.
 func TestAnytimeConcurrent(t *testing.T) {
-	g := oracleGraph(t, "web")
+	g := oracle.Family(t, "web").Graph
 	idx := buildIndex(t, g, 20, 6)
 	view, err := NewView(g, idx)
 	if err != nil {

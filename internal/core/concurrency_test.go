@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -12,152 +11,36 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/oracle"
 	"repro/internal/partition"
 	"repro/internal/rwr"
-	"repro/internal/workload"
 )
 
-// oracleGraph builds one graph of each family the paper evaluates on.
-func oracleGraph(t *testing.T, family string) *graph.Graph {
-	t.Helper()
-	switch family {
-	case "web":
-		g, err := gen.WebGraph(300, 41)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	case "coauthor":
-		g, _, err := gen.Coauthor(gen.CoauthorOptions{
-			Authors: 250, Communities: 6, Prolific: 3,
-			PapersPerAuthor: 5, CoauthorsPerPaper: 2, Seed: 17,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	case "spam":
-		g, _, err := gen.SpamWeb(gen.SpamWebOptions{
-			Normal: 180, Spam: 50, Undecided: 25, Farms: 2,
-			FarmDensity: 6, NormalOut: 5, SpamToNormal: 2,
-			NormalToSpam: 0.02, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	case "sinks":
-		return sinksGraph(t)
-	case "social":
-		// Indexed at socialEta, most of its BCA runs stop with their residue
-		// spread below η: the states the index stores summarized.
-		g, err := gen.SocialGraph(512, 41)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	default:
-		t.Fatalf("unknown family %q", family)
-		return nil
-	}
-}
-
-// sinksGraph is the family neither benchmark fixture has: nodes that reach
-// fewer than k nodes, whose k-th lower bound is therefore zero and who rank
-// every node — reachable or not — in their top-k. A strongly mixed core of
-// 120 nodes; sink components the core feeds but cannot leave (a 3-cycle and
-// a dangling node that ends up with a bare self-loop); the same
-// shapes standing alone, unreachable from the core, so that a query there
-// closes its backward ball over zero-bound rows; and source chains leading
-// into the core and into a dangling node, whose backward balls are a few
-// rows of ordinary nodes.
-func sinksGraph(t *testing.T) *graph.Graph {
-	t.Helper()
-	const core = 120
-	rng := rand.New(rand.NewSource(23))
-	type edge = [2]graph.NodeID
-	var edges []edge
-	for u := 0; u < core; u++ {
-		for j := 0; j < 4; j++ {
-			edges = append(edges, edge{graph.NodeID(u), graph.NodeID(rng.Intn(core))})
-		}
-	}
-	next := graph.NodeID(core)
-	cycle := func(size int) graph.NodeID {
-		first := next
-		for i := 0; i < size; i++ {
-			if size > 1 {
-				edges = append(edges, edge{first + graph.NodeID(i), first + graph.NodeID((i+1)%size)})
-			}
-			next++
-		}
-		return first
-	}
-	for _, size := range []int{1, 3} { // fed by the core
-		first := cycle(size)
-		for j := 0; j < 2; j++ {
-			edges = append(edges, edge{graph.NodeID(rng.Intn(core)), first})
-		}
-	}
-	for _, size := range []int{2, 4} { // standing alone
-		cycle(size)
-	}
-	lone := cycle(1) // dangling, fed only by the chain below
-	for _, target := range []graph.NodeID{7, 63, lone} {
-		// c0 → c1 → c2 → target, with c0 also feeding c2.
-		c := next
-		next += 3
-		edges = append(edges, edge{c, c + 1}, edge{c + 1, c + 2}, edge{c, c + 2}, edge{c + 2, target})
-	}
-	g, err := graph.FromEdges(int(next), edges, graph.DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// oracleEdited is family g patched by an edit batch: one edge removed, two
-// weighted ones inserted, none of them touching the "sinks" family's small
-// components (every endpoint is below 100).
-func oracleEdited(t *testing.T, g *graph.Graph) *graph.Graph {
-	t.Helper()
-	var edits []graph.EdgeEdit
-	for u := graph.NodeID(0); u < 100; u++ {
-		if out := g.OutNeighbors(u); len(out) > 1 && out[len(out)-1] < 100 {
-			edits = append(edits, graph.EdgeEdit{From: u, To: out[len(out)-1], Remove: true})
-			break
-		}
-	}
-	for u := graph.NodeID(1); len(edits) < 3; u += 7 {
-		if v := (u*31 + 5) % 100; !g.HasEdge(u, v) {
-			edits = append(edits, graph.EdgeEdit{From: u, To: v, Weight: float64(2 * len(edits))})
-		}
-	}
-	edited, err := g.Apply(edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return edited
-}
-
-// TestParallelQueryMatchesSequentialAndBruteForce is the correctness oracle
-// of the intra-query parallelism tentpole: across graph families, as built
-// ("csr") and as patched by an edit batch ("overlay", the layout the daemon
-// serves after an edit), query sizes and worker counts, the sharded engine
-// must return EXACTLY the answer of the sequential engine — which in exact
-// mode equals brute force. Run under -race this doubles as the data-race
-// harness for the sharded decision loop: in update mode its shards commit
-// distinct rows of the engine's own index without a lock.
+// TestParallelQueryMatchesSequentialAndBruteForce holds the bare engine to
+// the oracle table: across its families, as built ("csr") and as patched by
+// the family's edit batch ("applied", the layout the daemon serves after an
+// edit, grown by one node), at every k of the table, Engine.Query answers
+// as brute force with update mode off and on at 1, 2 and 8 workers. Run
+// under -race this doubles as the data-race harness for the sharded decision
+// loop: in update mode its shards commit distinct rows of the engine's own
+// index without a lock.
 //
 // The same table holds the View's sparse screen to the dense sweep: see
 // checkSparseScreen.
 func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
+	if oracle.TieTol != defaultTieTol {
+		t.Fatalf("the oracle's tie tolerance %g is not the engine's %g", oracle.TieTol, defaultTieTol)
+	}
 	var phases fallbackPhases
-	for _, family := range []string{"web", "coauthor", "spam", "sinks", "social"} {
+	for _, family := range oracle.Families() {
 		t.Run(family, func(t *testing.T) {
-			for _, layout := range []string{"csr", "overlay"} {
+			for _, layout := range []string{"csr", "applied"} {
 				t.Run(layout, func(t *testing.T) {
-					oracleTableRows(t, family, layout, &phases)
+					tab := oracle.Family(t, family)
+					if layout == "applied" {
+						tab = tab.Applied(t)
+					}
+					oracleTableRows(t, family, tab, &phases)
 				})
 			}
 		})
@@ -167,36 +50,11 @@ func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
 
 // oracleTableRows is one (family, layout) cell of
 // TestParallelQueryMatchesSequentialAndBruteForce.
-func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases) {
-	const indexK = 20
-	g := oracleGraph(t, family)
-	if layout == "overlay" {
-		g = oracleEdited(t, g)
-	}
-	opts := lbindex.DefaultOptions()
-	opts.K = indexK
-	opts.HubBudget = 5
-	opts.Workers = 2
-	if family == "social" {
-		opts.BCA.Eta = socialEta
-	}
-	built, _, err := lbindex.Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := workload.Queries(g.N(), 6, 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One full proximity matrix serves every brute-force check of
-	// this family (BruteForce recomputes it per call).
-	cols, err := rwr.ProximityMatrix(g, opts.RWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+func oracleTableRows(t *testing.T, family string, tab *oracle.Table, phases *fallbackPhases) {
+	g, built := tab.Graph, tab.Index(t)
 	// The View's index must stay as built, so the sparse rows run
 	// before the update-mode engines below commit into it.
-	closed, zeroBound := checkSparseScreen(t, g, built, cols, queries, []int{1, 10, indexK}, phases)
+	closed, zeroBound := checkSparseScreen(t, tab, built, phases)
 	// coauthor is undirected — every backward ball is a whole
 	// component — so there the View takes the dense path only.
 	if closed == 0 && family != "coauthor" {
@@ -205,68 +63,74 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 	if zeroBound == 0 && family == "sinks" {
 		t.Fatal("no row has a zero k-th lower bound: the zero-bound list went untested")
 	}
+	v, err := NewView(g, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkSparseScreen held View.Query to brute force at one and four
+	// workers on a few query nodes; here it answers every one. Explain and
+	// the anytime tier run the same sweep.
+	oracle.Check(t, "View.Query", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		got, _, err := v.Query(q, k, 4)
+		return got, err
+	})
+	oracle.Check(t, "View.Explain's members", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		ex, err := v.Explain(q, k, false, 1)
+		if err != nil {
+			return nil, err
+		}
+		members := []graph.NodeID{}
+		for _, d := range ex.Decisions {
+			if d.InAnswer {
+				members = append(members, d.Node)
+			}
+		}
+		return members, nil
+	})
+	oracle.CheckAnytime(t, "View.QueryAnytime", tab, func(q graph.NodeID, k int) ([]graph.NodeID, []graph.NodeID, error) {
+		res, err := v.QueryAnytime(q, k, AnytimeOptions{Eps: 0.1}, 4)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Guaranteed, res.Maybe, nil
+	})
 	summarizedFallbacks, foldedSteps := 0, 0
 	for _, update := range []bool{false, true} {
-		// Each worker-count sweep gets engines over the same shared
-		// index; in update mode the commits themselves must not
-		// change any answer (they only tighten bounds).
-		seqEng, err := NewEngine(g, built, update)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parEngs := make([]*Engine, 0, 2)
-		for _, w := range []int{2, 8} {
+		// Every engine of a sweep shares the one index; in update mode the
+		// commits themselves must not change any answer (they only tighten
+		// bounds).
+		for _, workers := range []int{1, 2, 8} {
 			eng, err := NewEngine(g, built, update)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.SetWorkers(w)
-			parEngs = append(parEngs, eng)
-		}
-		for _, k := range []int{1, 10, indexK} {
-			for _, q := range queries {
-				want, _, err := seqEng.Query(q, k)
+			eng.SetWorkers(workers)
+			row := fmt.Sprintf("Engine.Query update=%t workers=%d", update, workers)
+			oracle.Check(t, row, tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+				got, stats, err := eng.Query(q, k)
 				if err != nil {
-					t.Fatal(err)
+					return nil, err
 				}
-				bf := bruteForceFrom(cols, q, k)
-				if !reflect.DeepEqual(want, bf) {
-					t.Fatalf("update=%t k=%d q=%d: sequential %v != brute force %v",
-						update, k, q, want, bf)
+				if stats.Results != len(got) || stats.Screened != g.N() {
+					return nil, fmt.Errorf("stats.Results=%d for %d members, a bare engine screened %d rows of %d",
+						stats.Results, len(got), stats.Screened, g.N())
 				}
-				if update {
+				if update && workers == 1 {
 					// Asked again after its own commits, the engine answers the same.
-					again, _, err := seqEng.Query(q, k)
+					again, _, err := eng.Query(q, k)
 					if err != nil {
-						t.Fatal(err)
+						return nil, err
 					}
-					if !reflect.DeepEqual(again, want) {
-						t.Fatalf("k=%d q=%d: re-query after the commits %v, first answer %v", k, q, again, want)
+					if !slices.Equal(again, got) {
+						return nil, fmt.Errorf("re-query after the commits %v, first answer %v", again, got)
 					}
-				} else if family == "social" {
-					fallbacks, steps := countFoldedPaths(t, seqEng, built, q, k)
+				} else if family == "social" && workers == 1 {
+					fallbacks, steps := countFoldedPaths(t, eng, built, q, k)
 					summarizedFallbacks += fallbacks
 					foldedSteps += steps
 				}
-				for _, eng := range parEngs {
-					got, stats, err := eng.Query(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("update=%t k=%d q=%d workers=%d: parallel %v != sequential %v",
-							update, k, q, eng.Workers(), got, want)
-					}
-					if stats.Results != len(got) {
-						t.Fatalf("k=%d q=%d workers=%d: stats.Results=%d, len(answer)=%d",
-							k, q, eng.Workers(), stats.Results, len(got))
-					}
-					if stats.Screened != g.N() {
-						t.Fatalf("k=%d q=%d workers=%d: a bare engine screened %d rows of %d",
-							k, q, eng.Workers(), stats.Screened, g.N())
-					}
-				}
-			}
+				return got, nil
+			})
 		}
 	}
 	if family == "social" {
@@ -282,11 +146,6 @@ func oracleTableRows(t *testing.T, family, layout string, phases *fallbackPhases
 		t.Fatal(err)
 	}
 }
-
-// socialEta is the η the social oracle family is indexed at. At 512 nodes it
-// spreads most BCA runs' residue wholly below η, as the 4 096-node social
-// fixture's 1e-4 does, so the index stores those states summarized.
-const socialEta = 5e-4
 
 // countFoldedPaths counts, for query (q, k), the candidates that went to the
 // exact fallback with a summarized stored state — the rows whose R and W the
@@ -343,7 +202,7 @@ func sweepCounters(s QueryStats) [10]int {
 }
 
 // checkSparseScreen is the sparse-screen half of the oracle table. For one
-// (graph, index) pair it takes two of the table's sampled queries plus a few
+// table and its index it takes two of the table's query nodes plus a few
 // whose backward ball closes (the only ones a View screens sparsely), and for
 // every k and worker count holds View.Query — over the full index, over each
 // slice of a 2-way partition and over the slice of a shard that owns no node —
@@ -351,11 +210,12 @@ func sweepCounters(s QueryStats) [10]int {
 // and on every sweep counter, and the full index's answer to brute force. It
 // also pins what was screened: the ball plus the zero-bound rows when the
 // ball closed, every materialized row otherwise — and on those closed balls
-// holds QueryAnytime(ε = 0)'s two parts around the cold query's answer. It
+// holds QueryAnytime(ε = 0)'s two parts around the brute-force answer. It
 // returns how many query nodes close their ball and the longest zero-bound
 // list it met.
-func checkSparseScreen(t *testing.T, g *graph.Graph, idx *lbindex.Index, cols [][]float64, sampled []graph.NodeID, ks []int, phases *fallbackPhases) (closedBalls, zeroBoundRows int) {
+func checkSparseScreen(t *testing.T, tab *oracle.Table, idx *lbindex.Index, phases *fallbackPhases) (closedBalls, zeroBoundRows int) {
 	t.Helper()
+	g := tab.Graph
 	n := g.N()
 	balls := map[graph.NodeID][]graph.NodeID{}
 	var closed []graph.NodeID
@@ -378,7 +238,7 @@ func checkSparseScreen(t *testing.T, g *graph.Graph, idx *lbindex.Index, cols []
 	}
 	// Two sampled queries (on a closed ball or not, as they fall) and six
 	// closed-ball ones spread over the id space.
-	queries := append([]graph.NodeID(nil), sampled[:2]...)
+	queries := slices.Clone(tab.Queries[:2])
 	for i := 0; i < len(closed); i += max(1, len(closed)/6) {
 		if !slices.Contains(queries, closed[i]) {
 			queries = append(queries, closed[i])
@@ -418,7 +278,7 @@ func checkSparseScreen(t *testing.T, g *graph.Graph, idx *lbindex.Index, cols []
 		}
 		lo, hi := pidx.Rows()
 		rows := hi - lo
-		for _, k := range ks {
+		for _, k := range tab.Ks {
 			zero := v.zeroBound.list(k).rows
 			zeroBoundRows = max(zeroBoundRows, len(zero))
 			for _, q := range queries {
@@ -453,20 +313,23 @@ func checkSparseScreen(t *testing.T, g *graph.Graph, idx *lbindex.Index, cols []
 						t.Fatalf("%s: screened %d rows (dense %d), want %d (dense %d); ball %v, zero-bound rows %v",
 							label, gst.Screened, wst.Screened, screened, rows, balls[q], zero)
 					}
-					if pi == 0 {
-						if bf := bruteForceFrom(cols, q, k); !reflect.DeepEqual(got, bf) {
-							t.Fatalf("%s: sparse screen %v, brute force %v", label, got, bf)
-						}
+					if pi != 0 {
+						continue
 					}
-					if _, closed := balls[q]; closed && pi == 0 {
+					if want := tab.Want(q, k); !slices.Equal(got, want) {
+						t.Fatalf("%s: sparse screen %v, brute force %v", label, got, want)
+					}
+					if _, closed := balls[q]; closed {
 						// The anytime tier runs the same PMPN — ball phase and
 						// all — round by round: at ε = 0 its two parts hold the
-						// cold query's answer.
+						// exact answer.
 						res, err := v.QueryAnytime(q, k, AnytimeOptions{}, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkContainment(t, label, res.Guaranteed, res.Maybe, got)
+						if err := oracle.Brackets(res.Guaranteed, res.Maybe, tab.Want(q, k)); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
 					}
 				}
 			}
@@ -478,15 +341,8 @@ func checkSparseScreen(t *testing.T, g *graph.Graph, idx *lbindex.Index, cols []
 // TestParallelStatsMatchSequential: shard-merged counters must equal the
 // sequential sweep's (they are per-node counts, summed).
 func TestParallelStatsMatchSequential(t *testing.T) {
-	g := oracleGraph(t, "web")
-	opts := lbindex.DefaultOptions()
-	opts.K = 20
-	opts.HubBudget = 5
-	opts.Workers = 2
-	idx, _, err := lbindex.Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := oracle.Family(t, "web")
+	g, idx := tab.Graph, tab.Index(t)
 	seq, err := NewEngine(g, idx, false)
 	if err != nil {
 		t.Fatal(err)

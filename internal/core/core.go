@@ -716,8 +716,9 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 }
 
 // BruteForce answers a reverse top-k query by computing the exact proximity
-// vector of every node (the BF method of §3). It is the correctness oracle
-// for the engine and the cost yardstick of Fig. 8. workers ≤ 0 selects
+// vector of every node (the BF method of §3), under the engine's membership
+// rule (p_u(q) ≥ pkmax_u − defaultTieTol). It is the correctness oracle for
+// the engine and the cost yardstick of Fig. 8. workers ≤ 0 selects
 // GOMAXPROCS.
 func BruteForce(g *graph.Graph, q graph.NodeID, k int, p rwr.Params, workers int) ([]graph.NodeID, error) {
 	if int(q) < 0 || int(q) >= g.N() {
@@ -730,11 +731,5 @@ func BruteForce(g *graph.Graph, q graph.NodeID, k int, p rwr.Params, workers int
 	if err != nil {
 		return nil, err
 	}
-	var results []graph.NodeID
-	for u := 0; u < g.N(); u++ {
-		if cols[u][q] >= vecmath.KthLargest(cols[u], k) {
-			results = append(results, graph.NodeID(u))
-		}
-	}
-	return results, nil
+	return rwr.ReverseTopK(cols, rwr.KthColumns(cols, k), q, defaultTieTol), nil
 }

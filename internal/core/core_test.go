@@ -1,17 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bca"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/oracle"
 	"repro/internal/rwr"
 	"repro/internal/vecmath"
+	"repro/internal/workload"
 )
 
 func toyGraph(t testing.TB) *graph.Graph {
@@ -236,62 +240,44 @@ func TestEngineMatchesBruteForceToy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := rwr.DefaultParams()
-	for q := graph.NodeID(0); int(q) < g.N(); q++ {
-		for k := 1; k <= 3; k++ {
-			got, stats, err := eng.Query(q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := BruteForce(g, q, k, p, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("q=%d k=%d: engine %v, brute force %v", q, k, got, want)
-			}
-			if stats.Results != len(got) {
-				t.Errorf("stats.Results = %d, len = %d", stats.Results, len(got))
-			}
+	tab := oracle.Of(t, g, 3)
+	tab.Queries, tab.Ks = workload.AllNodes(g.N()), []int{1, 2, 3}
+	oracle.Check(t, "Engine.Query", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		got, stats, err := eng.Query(q, k)
+		if err == nil && stats.Results != len(got) {
+			err = fmt.Errorf("stats.Results = %d, len = %d", stats.Results, len(got))
 		}
-	}
+		return got, err
+	})
 }
 
 func TestEngineMatchesBruteForceRandom(t *testing.T) {
 	// The central end-to-end property: OQ ≡ BF on random graphs, both
 	// update modes, weighted and unweighted.
-	p := rwr.DefaultParams()
 	for seed := int64(1); seed <= 6; seed++ {
 		weighted := seed%2 == 0
 		g := randomGraph(seed, 60, weighted)
 		idx := buildIndex(t, g, 10, 3)
+		tab := oracle.Of(t, g, 10)
 		for _, update := range []bool{false, true} {
 			eng, err := NewEngine(g, idx, update)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(seed + 100))
-			for trial := 0; trial < 4; trial++ {
-				q := graph.NodeID(rng.Intn(g.N()))
-				k := 1 + rng.Intn(10)
+			row := fmt.Sprintf("seed=%d update=%t: Engine.Query", seed, update)
+			oracle.Check(t, row, tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
 				got, stats, err := eng.Query(q, k)
 				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := BruteForce(g, q, k, p, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed=%d update=%t q=%d k=%d: engine %v, BF %v", seed, update, q, k, got, want)
+					return nil, err
 				}
 				if stats.Hits > stats.Candidates || stats.Results > stats.Candidates {
-					t.Errorf("inconsistent stats: %+v", stats)
+					return nil, fmt.Errorf("inconsistent stats: %+v", stats)
 				}
 				if !update && stats.Committed != 0 {
-					t.Errorf("no-update engine committed %d states", stats.Committed)
+					return nil, fmt.Errorf("no-update engine committed %d states", stats.Committed)
 				}
-			}
+				return got, nil
+			})
 		}
 	}
 }
@@ -299,7 +285,6 @@ func TestEngineMatchesBruteForceRandom(t *testing.T) {
 func TestEngineMatchesBruteForceAllDanglingPolicies(t *testing.T) {
 	// The engine must be exact regardless of how dangling nodes were
 	// resolved at graph construction (footnote 1 of the paper).
-	p := rwr.DefaultParams()
 	for _, policy := range []graph.DanglingPolicy{graph.DanglingSelfLoop, graph.DanglingSharedSink, graph.DanglingPrune} {
 		rng := rand.New(rand.NewSource(77))
 		b := graph.NewBuilder(50)
@@ -318,19 +303,12 @@ func TestEngineMatchesBruteForceAllDanglingPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range []graph.NodeID{0, graph.NodeID(g.N() / 2), graph.NodeID(g.N() - 1)} {
-			got, _, err := eng.Query(q, 5)
-			if err != nil {
-				t.Fatalf("%v: %v", policy, err)
-			}
-			want, err := BruteForce(g, q, 5, p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v q=%d: engine %v, BF %v", policy, q, got, want)
-			}
-		}
+		tab := oracle.Of(t, g, 5)
+		tab.Queries, tab.Ks = []graph.NodeID{0, graph.NodeID(g.N() / 2), graph.NodeID(g.N() - 1)}, []int{5}
+		oracle.Check(t, fmt.Sprintf("%v: Engine.Query", policy), tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+			got, _, err := eng.Query(q, k)
+			return got, err
+		})
 	}
 }
 
@@ -390,6 +368,18 @@ func TestNewEngineDimensionMismatch(t *testing.T) {
 	if _, err := NewEngine(other, idx, false); err == nil {
 		t.Error("want dimension error")
 	}
+}
+
+// TestBruteForceMatchesTable is BruteForce's row of the oracle table, on the
+// family with exact ties at the k-th rank: the reference the benchmark's
+// gate and the quickstart check the engine against answers as the table
+// does.
+func TestBruteForceMatchesTable(t *testing.T) {
+	tab := oracle.Family(t, "ties")
+	p := tab.Index(t).Options().RWR
+	oracle.Check(t, "BruteForce", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		return BruteForce(tab.Graph, q, k, p, 2)
+	})
 }
 
 func TestBruteForceValidation(t *testing.T) {
@@ -460,17 +450,14 @@ func TestRoundedIndexHighJaccard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := rwr.DefaultParams()
+	tab := oracle.Of(t, g, 5)
 	var inter, union int
 	for q := graph.NodeID(0); int(q) < 20; q++ {
 		got, _, err := eng.Query(q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := BruteForce(g, q, 5, p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := tab.Want(q, 5)
 		set := map[graph.NodeID]bool{}
 		for _, u := range got {
 			set[u] = true
@@ -521,9 +508,9 @@ func TestQueryNodeUsuallyInOwnResult(t *testing.T) {
 // in update mode the committed exact states must make a repeat query need
 // zero fallbacks.
 func TestBatchedFallbacksMatchBruteForce(t *testing.T) {
-	p := rwr.DefaultParams()
 	for _, seed := range []int64{3, 8} {
 		g := randomGraph(seed, 150, seed%2 == 0)
+		tab := oracle.Of(t, g, 10)
 		rng := rand.New(rand.NewSource(seed + 7))
 		queries := make([]graph.NodeID, 3)
 		for i := range queries {
@@ -543,12 +530,8 @@ func TestBatchedFallbacksMatchBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := BruteForce(g, q, 10, p, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed=%d q=%d: engine %v, BF %v", seed, q, got, want)
+				if want := tab.Want(q, 10); !slices.Equal(got, want) {
+					t.Fatalf("seed=%d q=%d: engine %v, brute force %v", seed, q, got, want)
 				}
 				fallbacks += stats.ExactFallbacks
 				seqAnswers = append(seqAnswers, got)

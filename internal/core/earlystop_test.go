@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/rwr"
 	"repro/internal/vecmath"
 )
@@ -45,18 +46,6 @@ func (f *fallbackPhases) check(t *testing.T) {
 	}
 }
 
-// bruteForceFrom is BruteForce's membership test over an already computed
-// proximity matrix (cols[u] = p_u), so one matrix serves every (q, k).
-func bruteForceFrom(cols [][]float64, q graph.NodeID, k int) []graph.NodeID {
-	var results []graph.NodeID
-	for u := range cols {
-		if cols[u][q] >= vecmath.KthLargest(cols[u], k) {
-			results = append(results, graph.NodeID(u))
-		}
-	}
-	return results
-}
-
 // TestEarlyStopMatchesConvergedAndBruteForce: across the oracle families ×
 // k ∈ {1, 10, K}, the engine's answer with the probe equals
 // its answer with the probe forced off equals brute force; the same
@@ -67,19 +56,15 @@ func bruteForceFrom(cols [][]float64, q graph.NodeID, k int) []graph.NodeID {
 // it within a few iterations).
 func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 	const indexK = 20
-	p := rwr.DefaultParams()
 	var phases fallbackPhases
 	t.Cleanup(func() { phases.check(t) }) // runs once the parallel families are done
 	for _, family := range []string{"web", "coauthor", "spam"} {
 		family := family
 		t.Run(family, func(t *testing.T) {
 			t.Parallel()
-			g := oracleGraph(t, family)
+			tab := oracle.Family(t, family)
+			g := tab.Graph
 			idx := buildIndex(t, g, indexK, 6)
-			cols, err := rwr.ProximityMatrix(g, p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
 			eng, err := NewEngine(g, idx, false)
 			if err != nil {
 				t.Fatal(err)
@@ -88,7 +73,7 @@ func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 			for _, k := range []int{1, 10, indexK} {
 				for _, q := range anytimeQueries(g.N()) {
 					label := fmt.Sprintf("q=%d k=%d", q, k)
-					want := bruteForceFrom(cols, q, k)
+					want := tab.Want(q, k)
 					got, st, err := eng.Query(q, k)
 					if err != nil {
 						t.Fatal(err)
@@ -149,7 +134,8 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 	const indexK = 20
 	p := rwr.DefaultParams()
 	for _, family := range []string{"web", "coauthor", "spam"} {
-		g := oracleGraph(t, family)
+		tab := oracle.Family(t, family)
+		g := tab.Graph
 		idx := buildIndex(t, g, indexK, 6)
 		eng, err := NewEngine(g, idx, false)
 		if err != nil {
@@ -181,7 +167,7 @@ func TestEarlyStopSelfCandidatesAndExactTies(t *testing.T) {
 					if q != u && len(top) > k && th-top[k].Value > 1e-6 {
 						ties = append(ties, len(askers))
 					}
-					askers = append(askers, asker{pendingFallback{u: u, puq: pq.Vector[u]}, q, pu.Vector[q] >= th})
+					askers = append(askers, asker{pendingFallback{u: u, puq: pq.Vector[u]}, q, slices.Contains(tab.Want(q, k), u)})
 				}
 			}
 			// An update-mode engine never probes; its commits land in a clone.
@@ -260,12 +246,10 @@ func TestEarlyStopTwinTieRunsToConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := oracle.Of(t, g, 10)
 	var outcomes []fallbackOutcome
 	for _, q := range []graph.NodeID{other, twin} {
-		bf, err := BruteForce(g, q, k, p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bf := tab.Want(q, k)
 		got, _, err := eng.Query(q, k)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bca"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/rwr"
 )
 
@@ -31,7 +32,7 @@ func TestRefineRuleFallbackSoundness(t *testing.T) {
 		family := family
 		t.Run(family, func(t *testing.T) {
 			t.Parallel()
-			g := oracleGraph(t, family)
+			g := oracle.Family(t, family).Graph
 			idx := buildIndex(t, g, indexK, 6)
 			eng, err := NewEngine(g, idx, false)
 			if err != nil {
@@ -122,7 +123,7 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 	p := rwr.DefaultParams()
 	sparse := 0
 	for _, family := range []string{"web", "coauthor", "spam"} {
-		g := oracleGraph(t, family)
+		g := oracle.Family(t, family).Graph
 		idx := buildIndex(t, g, 20, 6)
 		eng, err := NewEngine(g, idx, false)
 		if err != nil {
@@ -153,10 +154,10 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 			// the converged vector — no recorder listening: a row it prunes is out,
 			// a row it confirms is in (no steps, no fallback either way), and a
 			// row it leaves open is the refinement sweep's, one candidate at a time.
-			oracle := &Screen{idx: idx, k: k, tol: eng.tieTol}
-			oracle.Advance(pq.Vector, 0)
+			ref := &Screen{idx: idx, k: k, tol: eng.tieTol}
+			ref.Advance(pq.Vector, 0)
 			for _, d := range ex.Decisions {
-				hit, open := slices.Contains(oracle.Hits(), d.Node), slices.Contains(oracle.Survivors(), d.Node)
+				hit, open := slices.Contains(ref.Hits(), d.Node), slices.Contains(ref.Survivors(), d.Node)
 				if settled := d.Outcome == OutcomePruned || d.Outcome == OutcomeExactHit || d.Outcome == OutcomeUpperBoundHit; hit && open || settled == open {
 					t.Errorf("%s q=%d u=%d: Explain says %+v, a fresh screen has the row hit=%v open=%v", family, q, d.Node, d, hit, open)
 				}

@@ -10,28 +10,14 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
-	"repro/internal/rwr"
+	"repro/internal/oracle"
 )
-
-func viewTestGraph(t *testing.T, seed int64, n int) *graph.Graph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	for i := 0; i < 4*n; i++ {
-		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-	}
-	g, _, err := b.Build(graph.DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
 
 // TestViewConcurrentQueriesMatchEngine runs many goroutines through one
 // View at mixed worker counts and checks every answer equals a sequential
 // engine's — and that the view left the index untouched.
 func TestViewConcurrentQueriesMatchEngine(t *testing.T) {
-	g := viewTestGraph(t, 51, 60)
+	g := randomGraph(51, 60, false)
 	opts := lbindex.DefaultOptions()
 	opts.K = 6
 	opts.HubBudget = 2
@@ -98,29 +84,13 @@ func TestViewConcurrentQueriesMatchEngine(t *testing.T) {
 	}
 }
 
-// TestViewRejectsMismatchedPair mirrors NewEngine's only constructor error.
-func TestViewRejectsMismatchedPair(t *testing.T) {
-	g := viewTestGraph(t, 52, 30)
-	other := viewTestGraph(t, 53, 31)
-	opts := lbindex.DefaultOptions()
-	opts.K = 4
-	opts.HubBudget = 1
-	idx, _, err := lbindex.Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewView(other, idx); err == nil {
-		t.Fatal("NewView accepted a mismatched graph/index pair")
-	}
-}
-
 // TestZeroBoundConcurrentFirstQueries hammers a fresh View with concurrent
 // first queries at several k: whichever goroutine gets to a k first builds
 // that k's zero-bound list while the others wait on it or build another, and
 // every answer must still equal a bare engine's dense sweep. Run under -race
 // this is the data-race harness of the lazily built table.
 func TestZeroBoundConcurrentFirstQueries(t *testing.T) {
-	g := oracleGraph(t, "sinks")
+	g := oracle.Family(t, "sinks").Graph
 	idx := buildIndex(t, g, 12, 4)
 	eng, err := NewEngine(g, idx, false)
 	if err != nil {
@@ -225,27 +195,24 @@ func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	tab1, tab2 := oracle.Of(t, g, k), oracle.Of(t, g2, k)
 	for _, c := range []struct {
 		name     string
 		v        *View
-		g        *graph.Graph
+		tab      *oracle.Table
 		zero     []graph.NodeID
 		xMember  bool
 		screened int
 	}{
-		{"epoch 1", v1, g, []graph.NodeID{y}, false, 2},
-		{"epoch 2", v2, g2, []graph.NodeID{x, y}, true, 3},
-		{"epoch 1 again", v1, g, []graph.NodeID{y}, false, 2},
+		{"epoch 1", v1, tab1, []graph.NodeID{y}, false, 2},
+		{"epoch 2", v2, tab2, []graph.NodeID{x, y}, true, 3},
+		{"epoch 1 again", v1, tab1, []graph.NodeID{y}, false, 2},
 	} {
 		got, st, err := c.v.Query(z, k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := BruteForce(c.g, z, k, idx.Options().RWR, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if want := c.tab.Want(z, k); !slices.Equal(got, want) {
 			t.Errorf("%s: view %v, brute force %v", c.name, got, want)
 		}
 		if slices.Contains(got, x) != c.xMember {
@@ -267,8 +234,8 @@ func TestZeroBoundRebuiltPerEpoch(t *testing.T) {
 // fallback path must actually fire, and the resolution wall clock must be
 // charged to the query's stats.
 func TestViewQueryDeferredFallbacks(t *testing.T) {
-	p := rwr.DefaultParams()
 	g := randomGraph(11, 150, false)
+	tab := oracle.Of(t, g, 10)
 	idx := buildIndex(t, g, 10, 2)
 	scalar, err := NewEngine(g, idx, false)
 	if err != nil {
@@ -296,11 +263,7 @@ func TestViewQueryDeferredFallbacks(t *testing.T) {
 				if stats.ExactFallbacks > 0 && stats.FallbackElapsed > 0 {
 					charged++
 				}
-				want, err := BruteForce(g, q, k, p, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
+				if want := tab.Want(q, k); !slices.Equal(got, want) {
 					t.Errorf("k=%d workers=%d q=%d: view %v, brute force %v", k, workers, q, got, want)
 				}
 				alone, astats, err := scalar.Query(q, k)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bca"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/oracle"
 	"repro/internal/rwr"
 	"repro/internal/vecmath"
 	"repro/internal/workload"
@@ -169,61 +171,42 @@ func TestAffectedNodesThresholdInclusive(t *testing.T) {
 	}
 }
 
-// TestRefreshTheta0MatchesRebuild is the central correctness property:
-// after edits, a θ=0 refresh must answer queries exactly like an index
-// built from scratch on the edited graph (both equal brute force).
+// TestRefreshTheta0MatchesRebuild is RefreshPartial's row of the oracle
+// table, the central correctness property: on every family, a θ = 0 refresh
+// of the index for the family's edit batch — grown by the batch's new node
+// as the daemon grows it — answers as brute force on the applied graph, as
+// an index built from scratch on it does.
 func TestRefreshTheta0MatchesRebuild(t *testing.T) {
-	g := buildWeb(t, 150)
-	idx := buildIdx(t, g)
-
-	edits := []Edit{
-		{From: 3, To: 140},
-		{From: 77, To: 5},
-		{From: g.OutNeighbors(10)[0], To: 10, Remove: false},
-	}
-	// Make the last edit valid: add an edge that does not exist yet.
-	edits[2] = Edit{From: 10, To: findMissingTarget(g, 10)}
-
-	g2, err := ApplyEdits(g, edits, graph.DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	affected, err := originsOf(AffectedNodes(g2, Sources(edits), 0, idx.Options().RWR))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := RefreshPartial(g2, idx, affected, idx.HubMatrix().Hubs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Affected != len(affected) || stats.HubsRebuilt == 0 {
-		t.Errorf("stats wrong: %+v", stats)
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	eng, err := core.NewEngine(g2, idx, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := idx.Options().RWR
-	queries, err := workload.Queries(g2.N(), 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		got, _, err := eng.Query(q, 5)
+	for _, family := range oracle.Families() {
+		tab := oracle.Family(t, family)
+		applied := tab.Applied(t)
+		g2 := applied.Graph
+		idx := tab.Index(t).CloneGrown(g2.N())
+		// The new node is a source of the batch, so it is affected.
+		origins, err := originsOf(AffectedNodes(g2, Sources(tab.Edits), 0, idx.Options().RWR))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.BruteForce(g2, q, 5, p, 0)
+		hubs := idx.HubMatrix().Hubs()
+		stats, err := RefreshPartial(g2, idx, origins, hubs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("q=%d: refreshed index answers %v, brute force %v", q, got, want)
+		if stats.Affected != len(origins) || stats.HubsRebuilt != len(hubs) || len(hubs) == 0 {
+			t.Errorf("%s: stats report %d affected and %d hubs rebuilt, want %d and %d (> 0)",
+				family, stats.Affected, stats.HubsRebuilt, len(origins), len(hubs))
 		}
+		if err := idx.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.NewEngine(g2, idx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle.Check(t, "Engine.Query after RefreshPartial", applied, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+			got, _, err := eng.Query(q, k)
+			return got, err
+		})
 	}
 }
 
@@ -315,16 +298,13 @@ func TestRefreshSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := oracle.Of(t, g2, next.K())
 	for _, q := range queries {
 		got, _, err := engNew.Query(q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.BruteForce(g2, q, 5, next.Options().RWR, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if want := tab.Want(q, 5); !slices.Equal(got, want) {
 			t.Fatalf("q=%d: snapshot index answers %v, brute force %v", q, got, want)
 		}
 	}
@@ -444,7 +424,7 @@ func TestRefreshThresholdedStaysAccurate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := idx.Options().RWR
+	tab := oracle.Of(t, g2, idx.K())
 	var jSum float64
 	queries, err := workload.Queries(g2.N(), 10, 8)
 	if err != nil {
@@ -455,11 +435,7 @@ func TestRefreshThresholdedStaysAccurate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.BruteForce(g2, q, 5, p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jSum += workload.Jaccard(got, want)
+		jSum += workload.Jaccard(got, tab.Want(q, 5))
 	}
 	if avg := jSum / 10; avg < 0.95 {
 		t.Errorf("thresholded refresh too inaccurate: avg Jaccard %.3f", avg)
@@ -519,6 +495,7 @@ func TestRefreshOverMmapBackedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := Sources(edits)
+	tab := oracle.Of(t, g2, 10)
 	for _, base := range []*lbindex.Index{mapped, heap} {
 		affected, err := AffectedNodes(g2, sources, 0, base.Options().RWR)
 		if err != nil {
@@ -552,11 +529,7 @@ func TestRefreshOverMmapBackedIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.BruteForce(g2, q, 5, base.Options().RWR, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, want) {
+			if want := tab.Want(q, 5); !slices.Equal(res, want) {
 				t.Fatalf("post-refresh q=%d (mmap=%v): got %v want %v", q, base.MmapBacked(), res, want)
 			}
 		}

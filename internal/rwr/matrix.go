@@ -52,3 +52,28 @@ func MatrixRow(cols [][]float64, q graph.NodeID) []float64 {
 	}
 	return row
 }
+
+// KthColumns returns pkmax_u, the k-th largest entry of column u, for every
+// column of a proximity matrix.
+func KthColumns(cols [][]float64, k int) []float64 {
+	pkmax := make([]float64, len(cols))
+	for u, pu := range cols {
+		pkmax[u] = vecmath.KthLargest(pu, k)
+	}
+	return pkmax
+}
+
+// ReverseTopK is the brute-force reverse top-k answer of §3 read off a
+// proximity matrix: every u with p_u(q) ≥ pkmax_u − tol, ascending and never
+// nil, pkmax from KthColumns at the query's k. tol is the tolerance on the
+// membership boundary — the engine's, so that a node whose p_u(q) ties
+// pkmax_u within rounding is a member as the engine counts it.
+func ReverseTopK(cols [][]float64, pkmax []float64, q graph.NodeID, tol float64) []graph.NodeID {
+	out := []graph.NodeID{}
+	for u, pu := range cols {
+		if pu[q] >= pkmax[u]-tol {
+			out = append(out, graph.NodeID(u))
+		}
+	}
+	return out
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 func decodeApprox(t *testing.T, body []byte) ApproxQueryResponse {
@@ -20,61 +21,37 @@ func decodeApprox(t *testing.T, body []byte) ApproxQueryResponse {
 	return ar
 }
 
-// TestServeApproxMatchesOracle brackets every served anytime answer with
-// the brute-force oracle: guaranteed ⊆ exact ⊆ guaranteed ∪ maybe, across
-// (q, k, eps), with cached repeats byte-identical.
+// TestServeApproxMatchesOracle is the serve handler's approx row of the
+// oracle table: on every other family (the anytime tier's own rows in core
+// take them all), every served anytime answer — at the default eps, at 0.3
+// or at 0, taken in turn — brackets brute force's (guaranteed ⊆ exact ⊆
+// guaranteed ∪ maybe), cold, then cached byte for byte.
 func TestServeApproxMatchesOracle(t *testing.T) {
-	g := testGraph(t, 31, 60)
-	idx := testIndex(t, g, 8)
-	_, ts := newTestServer(t, g, idx, Config{})
-	orc := newOracle(t, g)
-
-	for _, q := range []int{0, 11, 42, 59} {
-		for _, k := range []int{1, 4, 8} {
-			for _, eps := range []string{"", "0.3", "0"} {
-				url := fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=%d&mode=approx&delta=0", ts.URL, q, k)
-				if eps != "" {
-					url += "&eps=" + eps
-				}
-				resp, body := get(t, url)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("q=%d k=%d eps=%s: status %d body %s", q, k, eps, resp.StatusCode, body)
+	for i, family := range oracle.Families() {
+		if i%2 != 0 {
+			continue
+		}
+		tab := oracle.Family(t, family)
+		_, ts := newTestServer(t, tab.Graph, tab.Index(t), Config{})
+		for _, eps := range []string{"", "0.3", "0"}[i/2%3 : i/2%3+1] {
+			params := "&mode=approx&delta=0"
+			if eps != "" {
+				params += "&eps=" + eps
+			}
+			oracle.CheckAnytime(t, "GET /v1/reverse-topk"+params, tab, func(q graph.NodeID, k int) ([]graph.NodeID, []graph.NodeID, error) {
+				body, err := served(t, ts.URL, q, k, params)
+				if err != nil {
+					return nil, nil, err
 				}
 				ar := decodeApprox(t, body)
-				if ar.Mode != ModeApprox || ar.Query != graph.NodeID(q) || ar.K != k || ar.Count != len(ar.Results) {
-					t.Fatalf("inconsistent envelope %+v", ar)
+				if ar.Mode != ModeApprox || ar.Query != q || ar.K != k || ar.Count != len(ar.Results) {
+					return nil, nil, fmt.Errorf("inconsistent envelope %+v", ar)
 				}
 				if eps == "" && ar.Eps != DefaultApproxEps {
-					t.Fatalf("default eps not applied: %+v", ar)
+					return nil, nil, fmt.Errorf("default eps not applied: %+v", ar)
 				}
-				want := orc.answer(graph.NodeID(q), k)
-				inExact := map[graph.NodeID]bool{}
-				for _, u := range want {
-					inExact[u] = true
-				}
-				cover := map[graph.NodeID]bool{}
-				for _, u := range ar.Results {
-					if !inExact[u] {
-						t.Fatalf("q=%d k=%d eps=%s: guaranteed %d not in exact %v", q, k, eps, u, want)
-					}
-					cover[u] = true
-				}
-				for _, u := range ar.Maybe {
-					cover[u] = true
-				}
-				for _, u := range want {
-					if !cover[u] {
-						t.Fatalf("q=%d k=%d eps=%s: exact node %d uncovered (body %s)", q, k, eps, u, body)
-					}
-				}
-				resp2, body2 := get(t, url)
-				if resp2.Header.Get("X-Cache") != "HIT" {
-					t.Errorf("q=%d k=%d eps=%s: repeat X-Cache=%s, want HIT", q, k, eps, resp2.Header.Get("X-Cache"))
-				}
-				if !bytes.Equal(body, body2) {
-					t.Errorf("q=%d k=%d eps=%s: cached approx body differs", q, k, eps)
-				}
-			}
+				return ar.Results, ar.Maybe, nil
+			})
 		}
 	}
 }
@@ -84,8 +61,7 @@ func TestServeApproxMatchesOracle(t *testing.T) {
 // be three distinct cache entries — each first request a MISS, each repeat
 // a HIT of its own body type.
 func TestServeApproxCacheIsolation(t *testing.T) {
-	g := testGraph(t, 33, 50)
-	idx := testIndex(t, g, 8)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{})
 
 	exactURL := fmt.Sprintf("%s/v1/reverse-topk?q=7&k=5", ts.URL)
@@ -163,8 +139,7 @@ func checkApproxValidation(t *testing.T, base string) {
 
 // TestServeApproxValidation covers the mode/eps/delta 400s.
 func TestServeApproxValidation(t *testing.T) {
-	g := testGraph(t, 35, 30)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{})
 	checkApproxValidation(t, ts.URL)
 }
@@ -174,8 +149,7 @@ func TestServeApproxValidation(t *testing.T) {
 // fills the cache first, both bodies must read "eps":0 and be byte-equal, the
 // cached one to the fresh one.
 func TestServeApproxNegativeZeroEps(t *testing.T) {
-	g := testGraph(t, 35, 30)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	for _, order := range [][2]string{{"-0", "0"}, {"0", "-0"}} {
 		_, ts := newTestServer(t, g, idx, Config{})
 		var bodies [2][]byte
@@ -197,8 +171,7 @@ func TestServeApproxNegativeZeroEps(t *testing.T) {
 
 // TestServeApproxStats checks the /v1/stats anytime counters move.
 func TestServeApproxStats(t *testing.T) {
-	g := testGraph(t, 37, 40)
-	idx := testIndex(t, g, 6)
+	g, idx := fixture(t)
 	s, ts := newTestServer(t, g, idx, Config{})
 
 	for q := 0; q < 5; q++ {
@@ -232,8 +205,7 @@ func TestServeApproxStats(t *testing.T) {
 // and anytime requests for the -race harness, checking each response is of
 // the requested type and internally consistent.
 func TestServeApproxConcurrentMixed(t *testing.T) {
-	g := testGraph(t, 39, 50)
-	idx := testIndex(t, g, 8)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{WorkerBudget: 4, MaxInflight: 64})
 
 	var wg sync.WaitGroup

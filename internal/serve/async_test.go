@@ -7,11 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/evolve"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 func postEdits(t *testing.T, url string, req EditsRequest) (*http.Response, EditsResponse, []byte) {
@@ -82,8 +85,7 @@ func findInserts(t *testing.T, v *graph.Graph, count int) []EditJSON {
 // maintenance is in flight, and (c) after release the new epoch's answers
 // match the edited graph's oracle.
 func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
-	g := testGraph(t, 31, 40)
-	idx := testIndex(t, g, 6)
+	g, idx := fixture(t)
 	s, err := New(g, idx, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +93,16 @@ func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
 	t.Cleanup(s.Close)
 	gateEntered := make(chan struct{}, 4)
 	gateRelease := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gateRelease) })
 	s.testMaintGate = func() {
 		gateEntered <- struct{}{}
 		<-gateRelease
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	// Cleanups run last-in first-out: a failure while the gate holds must
+	// open it before the listener's and the server's Close wait on it.
+	t.Cleanup(release)
 
 	edits := findInserts(t, g, 2)
 	resp, er, raw := postEdits(t, ts.URL, EditsRequest{Edits: edits})
@@ -109,7 +115,7 @@ func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
 	<-gateEntered // maintenance now holding the batch open
 
 	// Queries flow against epoch 1 while the batch is mid-flight.
-	orc := newOracle(t, g)
+	tab := oracle.Family(t, "web")
 	for _, q := range []int{0, 9, 33} {
 		r, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=4", ts.URL, q))
 		if r.StatusCode != http.StatusOK {
@@ -119,7 +125,7 @@ func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
 		if qr.Epoch != 1 {
 			t.Fatalf("query during maintenance served epoch %d, want 1", qr.Epoch)
 		}
-		if want := orc.answer(graph.NodeID(q), 4); !sameNodes(qr.Results, want) {
+		if want := tab.Want(graph.NodeID(q), 4); !slices.Equal(qr.Results, want) {
 			t.Fatalf("q=%d mid-maintenance answer %v, oracle %v", q, qr.Results, want)
 		}
 	}
@@ -127,7 +133,7 @@ func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
 		t.Fatalf("mid-flight stats %+v, want pending=1", st)
 	}
 
-	close(gateRelease)
+	release()
 	waitWatermark(t, s, 1)
 
 	// Post-apply: answers match the edited graph's oracle at epoch 2.
@@ -139,7 +145,7 @@ func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc2 := newOracle(t, g2)
+	tab2 := oracle.Of(t, g2, idx.K())
 	for _, q := range []int{0, 9, 33} {
 		r, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=4", ts.URL, q))
 		if r.StatusCode != http.StatusOK {
@@ -149,7 +155,7 @@ func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
 		if qr.Epoch != 2 {
 			t.Fatalf("post-apply epoch %d, want 2", qr.Epoch)
 		}
-		if want := orc2.answer(graph.NodeID(q), 4); !sameNodes(qr.Results, want) {
+		if want := tab2.Want(graph.NodeID(q), 4); !slices.Equal(qr.Results, want) {
 			t.Fatalf("q=%d post-apply answer %v, oracle %v", q, qr.Results, want)
 		}
 	}
@@ -162,8 +168,7 @@ func TestServeAsyncEditsDontBlockQueries(t *testing.T) {
 // still accepted (202), then surfaces through the maintenance error
 // counters without publishing an epoch.
 func TestServeAsyncInvalidBatch(t *testing.T) {
-	g := testGraph(t, 32, 30)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	s, ts := newTestServer(t, g, idx, Config{})
 
 	var u, v graph.NodeID
@@ -193,8 +198,7 @@ outer:
 // the index is padded with fresh origins: the new epoch serves queries for
 // the new nodes with oracle-exact answers.
 func TestServeNodeGrowth(t *testing.T) {
-	g := testGraph(t, 33, 36)
-	idx := testIndex(t, g, 6)
+	g, idx := fixture(t)
 	s, ts := newTestServer(t, g, idx, Config{})
 
 	n := graph.NodeID(g.N())
@@ -227,14 +231,14 @@ func TestServeNodeGrowth(t *testing.T) {
 		t.Fatalf("growth stats %+v, want nodes=%d grown=%d", st, g2.N(), g2.N()-g.N())
 	}
 
-	orc2 := newOracle(t, g2)
+	tab2 := oracle.Of(t, g2, idx.K())
 	for _, q := range []int{int(n), int(n) + 1, 0, 4, 9} {
 		r, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=4", ts.URL, q))
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("q=%d on grown graph: %d %s", q, r.StatusCode, body)
 		}
 		qr := decodeQuery(t, body)
-		if want := orc2.answer(graph.NodeID(q), 4); !sameNodes(qr.Results, want) {
+		if want := tab2.Want(graph.NodeID(q), 4); !slices.Equal(qr.Results, want) {
 			t.Fatalf("q=%d grown-graph answer %v, oracle %v", q, qr.Results, want)
 		}
 	}

@@ -12,14 +12,14 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/lbindex"
 )
 
 // TestCacheByteIdenticalProperty drives a randomized (q, k) stream through
 // a caching server and a cache-disabled twin over the same snapshot: every
 // cached response must be byte-identical to the fresh recomputation.
 func TestCacheByteIdenticalProperty(t *testing.T) {
-	g := testGraph(t, 31, 40)
-	idx := testIndex(t, g, 6)
+	g, idx := fixture(t)
 	_, cached := newTestServer(t, g, idx, Config{})
 	_, fresh := newTestServer(t, g, idx, Config{CacheBytes: -1})
 
@@ -231,8 +231,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // identity between every response and an uncached recomputation AND that
 // the LRU bound holds throughout.
 func TestCacheRandomizedStream(t *testing.T) {
-	g := testGraph(t, 33, 36)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	s, err := New(g, idx, Config{CacheBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +313,7 @@ func TestCacheByteAccounting(t *testing.T) {
 // lazily when eviction happens to reach them — immediately after Publish,
 // Len/Bytes count only current-epoch entries.
 func TestPublishDropsStaleEpochsEagerly(t *testing.T) {
-	g := testGraph(t, 41, 24)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	store, err := NewStore(g, idx)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +336,13 @@ func TestPublishDropsStaleEpochsEagerly(t *testing.T) {
 		t.Fatalf("warmup cached %d entries, want 5", c.Len())
 	}
 
-	snap, err := store.Publish(g, idx.Clone())
+	// Each publish carries the next batch's watermark: its epoch is one more.
+	next := func(wm uint64) *lbindex.Index {
+		c := idx.Clone()
+		c.SetWatermark(wm)
+		return c
+	}
+	snap, err := store.Publish(g, next(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +358,13 @@ func TestPublishDropsStaleEpochsEagerly(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("post-publish warmup cached %d entries, want 2", c.Len())
 	}
-	if _, err := store.Publish(g, idx.Clone()); err != nil {
+	if _, err := store.Publish(g, next(2)); err != nil {
 		t.Fatal(err)
+	}
+	// An index whose watermark is not past the served one is refused: the
+	// epoch would not advance.
+	if _, err := store.Publish(g, next(2)); err == nil || store.Current().Epoch != 3 {
+		t.Fatalf("a second publish at watermark 2: err %v, epoch %d", err, store.Current().Epoch)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("second Publish left %d stale entries", c.Len())

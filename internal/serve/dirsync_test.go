@@ -15,8 +15,7 @@ import (
 // with a journal that no longer holds the records to rebuild it.
 func TestCheckpointDirSyncFailureKeepsJournal(t *testing.T) {
 	dir := t.TempDir()
-	g := testGraph(t, 47, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	s, _, err := NewDurable(g, idx, Config{}, DurabilityConfig{
 		JournalPath:   filepath.Join(dir, "edits.wal"),
 		CheckpointDir: filepath.Join(dir, "ckpt"),

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/evolve"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/partition"
 	"repro/internal/wal"
 )
@@ -42,7 +44,7 @@ func requireSameAnswers(t *testing.T, what string, a, b [][]graph.NodeID) {
 		t.Fatalf("%s: node count %d vs %d", what, len(a), len(b))
 	}
 	for q := range a {
-		if !sameNodes(a[q], b[q]) {
+		if !slices.Equal(a[q], b[q]) {
 			t.Fatalf("%s: query %d: %v vs %v", what, q, a[q], b[q])
 		}
 	}
@@ -87,8 +89,7 @@ func durableBurst(t *testing.T, s *Server) int {
 // watermark before the acknowledgement returns.
 func TestDurableJournalBeforeAck(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "edits.wal")
-	g := testGraph(t, 41, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	s, info, err := NewDurable(g, idx, Config{}, DurabilityConfig{JournalPath: jp})
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +126,40 @@ func TestDurableJournalBeforeAck(t *testing.T) {
 // pair + full replay) and requires the recovered server to answer every
 // query exactly like the server that never went down — the rejected batch
 // re-rejects, watermarks line up, and new edits continue past the replay.
+// On three families of the oracle table, NewDurable over the family's pair
+// and a journal holding its edit batch serves brute force's answers on the
+// applied graph at the batch's epoch.
 func TestDurableRecoveryMatchesOracle(t *testing.T) {
+	for _, family := range []string{"web", "sinks", "ties"} {
+		tab := oracle.Family(t, family)
+		dcfg := DurabilityConfig{JournalPath: filepath.Join(t.TempDir(), "edits.wal")}
+		s, _, err := NewDurable(tab.Graph, tab.Index(t), Config{}, dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending, err := s.EnqueueEdits(tab.Edits, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close() // drains the batch; the journal keeps it
+		if _, _, err := pending.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		r, info, err := NewDurable(tab.Graph, tab.Index(t), Config{}, dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Replayed != 1 {
+			t.Fatalf("%s: replayed %d batches, want 1", family, info.Replayed)
+		}
+		ts := httptest.NewServer(r.Handler())
+		exactRow(t, "NewDurable after replay", tab.Applied(t), ts.URL, 2)
+		ts.Close()
+		r.Close()
+	}
+
 	jp := filepath.Join(t.TempDir(), "edits.wal")
-	g := testGraph(t, 43, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 
 	a, _, err := NewDurable(g, idx.Clone(), Config{}, DurabilityConfig{JournalPath: jp})
 	if err != nil {
@@ -169,8 +200,7 @@ func TestDurableRecoveryMatchesOracle(t *testing.T) {
 // Recovery must drop exactly the torn suffix and replay the rest.
 func TestDurableTornTailRecovery(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "edits.wal")
-	g := testGraph(t, 47, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	a, _, err := NewDurable(g, idx.Clone(), Config{}, DurabilityConfig{JournalPath: jp})
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +249,7 @@ func TestDurableCheckpoint(t *testing.T) {
 		CheckpointBatches: 2,
 		CheckpointBytes:   -1,
 	}
-	g := testGraph(t, 53, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	a, _, err := NewDurable(g, idx.Clone(), Config{}, dcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,13 +268,22 @@ func TestDurableCheckpoint(t *testing.T) {
 	}
 	want := snapshotAnswers(t, a, 3)
 	wantWM := a.AppliedWatermark()
+	wantEpoch := a.Store().Current().Epoch
 	a.Close()
+	if wantEpoch != wantWM+1 {
+		t.Fatalf("the last batch, watermark %d, published epoch %d", wantWM, wantEpoch)
+	}
 
 	b, info, err := NewDurable(g, idx.Clone(), Config{}, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	// One version counter: the restored daemon serves the epoch the one that
+	// went down served, however much of it came from the checkpoint.
+	if got := b.Store().Current().Epoch; got != wantEpoch {
+		t.Fatalf("restored epoch %d, want %d", got, wantEpoch)
+	}
 	if !info.FromCheckpoint {
 		t.Fatalf("recovery ignored the checkpoint: %+v", info)
 	}
@@ -269,8 +307,7 @@ func TestDurableCheckpointCrashBeforeTruncate(t *testing.T) {
 	dir := t.TempDir()
 	jp := filepath.Join(dir, "edits.wal")
 	ckpt := filepath.Join(dir, "ckpt")
-	g := testGraph(t, 59, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 
 	// Run with checkpointing, then un-truncate the journal by restoring a
 	// pre-checkpoint copy of it (same records, now below the watermark).
@@ -336,8 +373,7 @@ func TestDurableCheckpointCrashBeforeTruncate(t *testing.T) {
 // batches holding a 202 watermark when Close is called must be applied,
 // not failed with ErrClosed.
 func TestCloseDrainsAcknowledgedBatches(t *testing.T) {
-	g := testGraph(t, 61, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	s, err := New(g, idx, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -400,14 +436,14 @@ func TestCloseDrainsAcknowledgedBatches(t *testing.T) {
 // bad batches identically, before any watermark is assigned — and the
 // coordinator never broadcasts a doomed batch.
 func TestValidateEditsSharedAcrossFrontEnds(t *testing.T) {
-	g := testGraph(t, 67, 30)
+	g, full := fixture(t)
 	// The one slice of a one-shard partition: the coordinator below accepts
 	// its daemon as shard 0 of 1.
 	pm, err := partition.NewBalanced(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := testIndex(t, g, 4).ShardSlice(pm, 0)
+	idx, err := full.ShardSlice(pm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,8 +537,7 @@ func readAllClose(t *testing.T, resp *http.Response) []byte {
 // contract — every outcome carries the JSON content type and a decodable
 // body — and checks dropped response writes are counted, not ignored.
 func TestEditsResponseHeadersAndWriteAccounting(t *testing.T) {
-	g := testGraph(t, 71, 30)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	s, ts := newTestServer(t, g, idx, Config{})
 
 	ins := findInserts(t, g, 2)

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/evolve"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -506,11 +505,7 @@ func (f *Fanout) handleEdits(w http.ResponseWriter, r *http.Request) {
 	// Validate before broadcasting — the same helper the shard daemons run,
 	// so a bad batch is rejected here with the same message instead of
 	// fanning out P doomed requests (and shards never see it).
-	edits := make([]evolve.Edit, len(req.Edits))
-	for i, e := range req.Edits {
-		edits[i] = evolve.Edit{From: e.From, To: e.To, Weight: e.Weight, Remove: e.Remove}
-	}
-	if err := ValidateEdits(edits, req.Theta); err != nil {
+	if err := ValidateEdits(req.batch(), req.Theta); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

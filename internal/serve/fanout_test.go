@@ -11,17 +11,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/evolve"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/oracle"
 	"repro/internal/partition"
 )
 
 // fanoutFixture spins up P shard daemons over slices of one index plus a
 // coordinator in front of them, and returns everything needed to compare
-// against the unsharded oracle.
+// against the oracle table.
 type fanoutFixture struct {
 	g        *graph.Graph
 	idx      *lbindex.Index
@@ -31,21 +29,11 @@ type fanoutFixture struct {
 	fanSrv   *httptest.Server
 }
 
-// newFanoutFixture serves a 220-node graph from p shards cut at the given
+// newFanoutFixture serves tab's graph from p shards cut at the given
 // bounds, or balanced when bounds is nil.
-func newFanoutFixture(t *testing.T, p int, bounds []int32) *fanoutFixture {
+func newFanoutFixture(t *testing.T, tab *oracle.Table, p int, bounds []int32) *fanoutFixture {
 	t.Helper()
-	g, err := gen.WebGraph(220, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := lbindex.DefaultOptions()
-	opts.K = 20
-	opts.HubBudget = 6
-	idx, _, err := lbindex.Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, idx := tab.Graph, tab.Index(t)
 	pm, err := partition.NewBalanced(g, p)
 	if bounds != nil {
 		pm, err = partition.FromParts(g.N(), p, bounds)
@@ -103,35 +91,27 @@ func (fx *fanoutFixture) query(t *testing.T, q, k int) ([]graph.NodeID, *http.Re
 	return qr.Results, resp
 }
 
-// TestFanoutMatchesSingleEngine: the HTTP transport's oracle check across
-// P ∈ {1, 2, 4}, over near-equal cuts and a balanced one.
+// TestFanoutMatchesSingleEngine is the HTTP fan-out's row of the oracle
+// table: a coordinator over P ∈ {1, 2, 4} shard daemons — one whole, an
+// equal cut and a balanced one, taken in turn — answers as brute force on
+// every other family (the shards' own answers are the in-process
+// coordinator's rows, on all of them).
 func TestFanoutMatchesSingleEngine(t *testing.T) {
-	for _, tc := range []struct {
-		p        int
-		strategy string
-		bounds   []int32
-	}{{1, "range", []int32{0, 220}}, {2, "range", []int32{0, 110, 220}}, {4, "balanced", nil}} {
-		fx := newFanoutFixture(t, tc.p, tc.bounds)
-		eng, err := core.NewEngine(fx.g, fx.idx, false)
-		if err != nil {
-			t.Fatal(err)
+	for i, family := range oracle.Families() {
+		if i%2 != 0 {
+			continue
 		}
-		for _, q := range []int{0, 3, 77, 219} {
-			for _, k := range []int{1, 10} {
-				want, _, err := eng.Query(graph.NodeID(q), k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _ := fx.query(t, q, k)
-				if len(got) != len(want) {
-					t.Fatalf("P=%d %s q=%d k=%d: got %v want %v", tc.p, tc.strategy, q, k, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("P=%d %s q=%d k=%d: got %v want %v", tc.p, tc.strategy, q, k, got, want)
-					}
-				}
-			}
+		tab := oracle.Family(t, family)
+		n := int32(tab.Graph.N())
+		for _, tc := range []struct {
+			p      int
+			bounds []int32
+		}{{1, []int32{0, n}}, {2, []int32{0, n / 2, n}}, {4, nil}}[i/2%3 : i/2%3+1] {
+			fx := newFanoutFixture(t, tab, tc.p, tc.bounds)
+			oracle.Check(t, fmt.Sprintf("Fanout P=%d bounds %v", tc.p, tc.bounds), tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+				got, _ := fx.query(t, int(q), k)
+				return got, nil
+			})
 		}
 	}
 }
@@ -145,13 +125,10 @@ func TestFanoutApprox(t *testing.T) {
 		p        int
 		strategy string
 		bounds   []int32
-	}{{1, "range", []int32{0, 220}}, {3, "balanced", nil}} {
-		fx := newFanoutFixture(t, tc.p, tc.bounds)
-		eng, err := core.NewEngine(fx.g, fx.idx, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []int{0, 42, 219} {
+	}{{1, "range", []int32{0, 300}}, {3, "balanced", nil}} {
+		tab := oracle.Family(t, "web")
+		fx := newFanoutFixture(t, tab, tc.p, tc.bounds)
+		for _, q := range []int{0, 42, 299} {
 			resp, err := http.Get(fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=10&mode=approx&eps=0.2", fx.fanSrv.URL, q))
 			if err != nil {
 				t.Fatal(err)
@@ -168,28 +145,8 @@ func TestFanoutApprox(t *testing.T) {
 			if ar.Mode != ModeApprox || ar.Eps != 0.2 || ar.Count != len(ar.Results) {
 				t.Fatalf("inconsistent merged envelope %+v", ar)
 			}
-			want, _, err := eng.Query(graph.NodeID(q), 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inExact := map[graph.NodeID]bool{}
-			for _, u := range want {
-				inExact[u] = true
-			}
-			cover := map[graph.NodeID]bool{}
-			for _, u := range ar.Results {
-				if !inExact[u] {
-					t.Fatalf("P=%d %s q=%d: merged guaranteed %d not in exact %v", tc.p, tc.strategy, q, u, want)
-				}
-				cover[u] = true
-			}
-			for _, u := range ar.Maybe {
-				cover[u] = true
-			}
-			for _, u := range want {
-				if !cover[u] {
-					t.Fatalf("P=%d %s q=%d: exact node %d uncovered by merged answer %s", tc.p, tc.strategy, q, u, body)
-				}
+			if err := oracle.Brackets(ar.Results, ar.Maybe, tab.Want(graph.NodeID(q), 10)); err != nil {
+				t.Fatalf("P=%d %s q=%d: %v", tc.p, tc.strategy, q, err)
 			}
 		}
 		resp, err := http.Get(fx.fanSrv.URL + "/v1/reverse-topk?q=1&k=5&mode=approx&eps=2")
@@ -204,29 +161,14 @@ func TestFanoutApprox(t *testing.T) {
 	}
 }
 
-// TestFanoutEditsBroadcast: one POST to the coordinator must land the same
-// semantic change on every shard, with each shard re-indexing only its own
-// rows; post-edit answers must match a full server given the same batch.
+// TestFanoutEditsBroadcast is the fan-out's row after an edit batch: one
+// POST of the web family's batch — node growth included — to the
+// coordinator lands on every shard, each shard re-indexing only its own
+// rows, and the post-edit answers are brute force's on the applied graph.
 func TestFanoutEditsBroadcast(t *testing.T) {
-	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
-
-	// The unsharded oracle server receives the identical batch.
-	oracle, err := New(fx.g, fx.idx.Clone(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oracle.Close()
-
-	edits := []evolve.Edit{{From: 5, To: 140}, {From: 77, To: 3}}
-	if _, _, err := oracle.ApplyEdits(edits, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	req := EditsRequest{Theta: 0, Wait: true}
-	for _, e := range edits {
-		req.Edits = append(req.Edits, EditJSON{From: e.From, To: e.To})
-	}
-	body, _ := json.Marshal(req)
+	tab := oracle.Family(t, "web")
+	fx := newFanoutFixture(t, tab, 2, []int32{0, 150, 300})
+	body, _ := json.Marshal(EditsRequest{Edits: wire(tab.Edits), Wait: true})
 	resp, err := http.Post(fx.fanSrv.URL+"/v1/edits", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -252,41 +194,23 @@ func TestFanoutEditsBroadcast(t *testing.T) {
 		}
 		affectedTotal += sh.Affected
 	}
-	// Each shard refreshes only its owned origins: together they must do
-	// ≈ one full refresh's work, and no single shard all of it (the edit
-	// touches origins on both halves of a 220-node range split).
-	oracleStats := oracle.Stats()
-	if oracleStats.Epoch != 2 {
-		t.Fatalf("oracle epoch %d", oracleStats.Epoch)
-	}
+	// Each shard refreshes only its owned origins: no single shard does all
+	// of the work (the batch touches origins on both halves of the cut).
 	for i, sh := range out.Shards {
 		if sh.Affected == affectedTotal && affectedTotal > 1 {
 			t.Errorf("shard %d refreshed every affected origin (%d); routing to owner failed", i, sh.Affected)
 		}
 	}
-
-	snap := oracle.Store().Current()
-	for _, q := range []int{5, 77, 140} {
-		want, _, err := snap.View.Query(graph.NodeID(q), 10, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := fx.query(t, q, 10)
-		if len(got) != len(want) {
-			t.Fatalf("post-edit q=%d: got %v want %v", q, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("post-edit q=%d: got %v want %v", q, got, want)
-			}
-		}
-	}
+	oracle.Check(t, "Fanout after POST /v1/edits", tab.Applied(t), func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		got, _ := fx.query(t, int(q), k)
+		return got, nil
+	})
 }
 
 // TestFanoutErrorPaths: parameter errors relay the shard's 4xx; a dead
 // shard turns queries into 502 and /healthz into 503.
 func TestFanoutErrorPaths(t *testing.T) {
-	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
+	fx := newFanoutFixture(t, oracle.Family(t, "web"), 2, []int32{0, 150, 300})
 
 	resp, err := http.Get(fx.fanSrv.URL + "/v1/reverse-topk?q=99999&k=5")
 	if err != nil {
@@ -352,8 +276,8 @@ func TestFanoutErrorPaths(t *testing.T) {
 // differ in one edge's weight, with equal degrees and partition bounds, is
 // refused by its graph digests alone.
 func TestFanoutErrorStatusLogged(t *testing.T) {
-	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
-	recut := newFanoutFixture(t, 2, []int32{0, 100, 220})
+	fx := newFanoutFixture(t, oracle.Family(t, "web"), 2, []int32{0, 150, 300})
+	recut := newFanoutFixture(t, oracle.Family(t, "web"), 2, []int32{0, 140, 300})
 	u := graph.NodeID(5)
 	x := fx.g.OutNeighbors(u)[0]
 	rg, err := fx.g.Apply([]graph.EdgeEdit{{From: u, To: x, Remove: true}, {From: u, To: x, Weight: 2}})
@@ -411,7 +335,7 @@ func TestFanoutErrorStatusLogged(t *testing.T) {
 		{"out-of-range q", []string{s0, s1}, "q=99999&k=5", "", ""},
 		{"malformed approx body", []string{stub.URL}, "q=1&k=5&mode=approx", "", "malformed body"},
 		{"one shard twice", []string{s0, s0}, "", "shard 1 (" + s0 + ") serves shard 0 of 2, want shard 1 of 2", ""},
-		{"shards of two partitions", []string{s0, recut.shardSrv[1].URL}, "", "has partition bounds [0 100 220], shard 0 has [0 110 220]", ""},
+		{"shards of two partitions", []string{s0, recut.shardSrv[1].URL}, "", "has partition bounds [0 140 300], shard 0 has [0 150 300]", ""},
 		{"full index", []string{fullURL}, "", "serves a full index, not a shard slice", ""},
 		{"shards of two graphs", []string{s0, reweightedURL}, "", "shard 1 (" + reweightedURL + ") serves graph ", ""},
 		{"swapped shard", []string{moving.URL, s1}, "q=1&k=5", "", `shard 0 (` + moving.URL + `) answered as shard \"1/2\"`},

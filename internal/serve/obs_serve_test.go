@@ -18,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/lbindex"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/partition"
 )
 
@@ -45,8 +46,7 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]*obs.Family {
 // cache, batching and maintenance families with values matching the
 // traffic actually sent.
 func TestMetricsEndpoint(t *testing.T) {
-	g := testGraph(t, 11, 120)
-	idx := testIndex(t, g, 16)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{})
 
 	// Two distinct exact queries, then a repeat (cache hit), then approx.
@@ -134,8 +134,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsDurable asserts the WAL and checkpoint families move when a
 // durable daemon ingests edits.
 func TestMetricsDurable(t *testing.T) {
-	g := testGraph(t, 13, 80)
-	idx := testIndex(t, g, 12)
+	g, idx := fixture(t)
 	jp := t.TempDir() + "/edits.wal"
 	s, _, err := NewDurable(g, idx, Config{}, DurabilityConfig{JournalPath: jp})
 	if err != nil {
@@ -144,7 +143,8 @@ func TestMetricsDurable(t *testing.T) {
 	t.Cleanup(s.Close)
 	ts := newHTTPServer(t, s)
 
-	body := `{"edits":[{"from":1,"to":2,"weight":0.5}],"wait":true}`
+	ins := findInserts(t, g, 1)[0]
+	body := fmt.Sprintf(`{"edits":[{"from":%d,"to":%d,"weight":0.5}],"wait":true}`, ins.From, ins.To)
 	resp, rb := post(t, ts+"/v1/edits", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("edits: %d %s", resp.StatusCode, rb)
@@ -202,8 +202,7 @@ func post(t *testing.T, url, body string) (*http.Response, []byte) {
 // counters now live on the metric registry, and this test is the contract
 // that the migration kept the JSON wire shape intact for existing scrapers.
 func TestStatsJSONShape(t *testing.T) {
-	g := testGraph(t, 17, 90)
-	idx := testIndex(t, g, 12)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{})
 
 	if resp, body := get(t, ts.URL+"/v1/reverse-topk?q=2&k=4"); resp.StatusCode != http.StatusOK {
@@ -425,7 +424,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // TestFanoutErrorAccounting kills one shard and checks the per-shard error
 // counter and last-error request ID light up for that shard only.
 func TestFanoutErrorAccounting(t *testing.T) {
-	fx := newFanoutFixture(t, 2, []int32{0, 110, 220})
+	fx := newFanoutFixture(t, oracle.Family(t, "web"), 2, []int32{0, 150, 300})
 	fx.shardSrv[1].Close()
 	fanURL := fx.fanSrv.URL
 
@@ -463,8 +462,7 @@ func TestFanoutErrorAccounting(t *testing.T) {
 // the ring serves them newest first with request IDs and phase breakdowns,
 // and that the ?threshold= filter and capacity bound hold.
 func TestSlowLogEndpoint(t *testing.T) {
-	g := testGraph(t, 29, 80)
-	idx := testIndex(t, g, 10)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{SlowLogThreshold: -1, SlowLogCapacity: 4})
 
 	var ids []string
@@ -520,8 +518,7 @@ func TestSlowLogEndpoint(t *testing.T) {
 // line alone whether its fallbacks ran to convergence and whether they swept
 // their forward ball or all n rows.
 func TestFallbackObservability(t *testing.T) {
-	g := testGraph(t, 92, 60)
-	idx := testIndex(t, g, 4)
+	g, idx := fixture(t)
 	view, err := core.NewView(g, idx)
 	if err != nil {
 		t.Fatal(err)
@@ -592,8 +589,7 @@ func TestFallbackObservability(t *testing.T) {
 // that appears only after traffic would be invisible to dashboards built
 // from a cold scrape.
 func TestExpositionStable(t *testing.T) {
-	g := testGraph(t, 31, 60)
-	idx := testIndex(t, g, 8)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{})
 
 	cold := scrapeMetrics(t, ts.URL)

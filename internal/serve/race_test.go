@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -15,8 +16,7 @@ import (
 
 	"repro/internal/evolve"
 	"repro/internal/graph"
-	"repro/internal/rwr"
-	"repro/internal/vecmath"
+	"repro/internal/oracle"
 )
 
 // TestServeConcurrentWithRefresh hammers the server with concurrent
@@ -31,8 +31,7 @@ import (
 // epoch's oracle. Run under -race this also proves the swap and journal
 // layers are data-race-free.
 func TestServeConcurrentWithRefresh(t *testing.T) {
-	g := testGraph(t, 41, 48)
-	idx := testIndex(t, g, 6)
+	g, idx := fixture(t)
 	// MaxInflight must cover every reader: this test asserts 200s, and on a
 	// low-core machine (GOMAXPROCS small) the default 4×GOMAXPROCS limit
 	// could legitimately 503 a burst of readers.
@@ -83,11 +82,7 @@ func TestServeConcurrentWithRefresh(t *testing.T) {
 					edits = append(edits, evolve.Edit{From: u, To: v})
 				}
 			}
-			var wire []EditJSON
-			for _, e := range edits {
-				wire = append(wire, EditJSON{From: e.From, To: e.To, Weight: e.Weight, Remove: e.Remove})
-			}
-			body, _ := json.Marshal(EditsRequest{Edits: wire})
+			body, _ := json.Marshal(EditsRequest{Edits: wire(edits)})
 			resp, err := http.Post(ts.URL+"/v1/edits", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Errorf("maintenance round %d: %v", round, err)
@@ -183,29 +178,19 @@ func TestServeConcurrentWithRefresh(t *testing.T) {
 		t.Fatalf("maintenance errors during the run: %+v", st)
 	}
 
-	// Verify every sampled response against the oracle of its CLAIMED
-	// epoch. One exact proximity matrix per epoch answers all samples.
-	oracles := map[uint64][][]float64{}
+	// Verify every sampled response against the oracle table of its CLAIMED
+	// epoch's graph.
+	tables := map[uint64]*oracle.Table{}
 	for epoch, eg := range epochGraphs {
-		cols, err := rwr.ProximityMatrix(eg, rwr.DefaultParams(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracles[epoch] = cols
+		tables[epoch] = oracle.Of(t, eg, idx.K())
 	}
 	checked := 0
 	for _, sm := range samples {
-		cols, ok := oracles[sm.epoch]
+		tab, ok := tables[sm.epoch]
 		if !ok {
 			t.Fatalf("response claims epoch %d, which was never published", sm.epoch)
 		}
-		var want []graph.NodeID
-		for u := range cols {
-			if cols[u][sm.q] >= vecmath.KthLargest(cols[u], sm.k) {
-				want = append(want, graph.NodeID(u))
-			}
-		}
-		if !sameNodes(sm.results, want) {
+		if want := tab.Want(sm.q, sm.k); !slices.Equal(sm.results, want) {
 			t.Errorf("q=%d k=%d epoch=%d: served %v, oracle %v", sm.q, sm.k, sm.epoch, sm.results, want)
 		}
 		checked++

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -18,61 +17,15 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
-	"repro/internal/rwr"
-	"repro/internal/vecmath"
+	"repro/internal/oracle"
 )
 
-func testGraph(t *testing.T, seed int64, n int) *graph.Graph {
+// fixture is the pair most tests of this package serve: the oracle table's
+// web family and a clone of its index.
+func fixture(t *testing.T) (*graph.Graph, *lbindex.Index) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	for i := 0; i < 4*n; i++ {
-		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-	}
-	g, _, err := b.Build(graph.DanglingSelfLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func testIndex(t *testing.T, g *graph.Graph, k int) *lbindex.Index {
-	t.Helper()
-	opts := lbindex.DefaultOptions()
-	opts.K = k
-	opts.HubBudget = 2
-	opts.Workers = 2
-	idx, _, err := lbindex.Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx
-}
-
-// oracle answers reverse top-k queries from one exact proximity matrix
-// computation (the §3 brute-force method), so a test can check many (q, k)
-// pairs against one graph cheaply.
-type oracle struct {
-	cols [][]float64
-}
-
-func newOracle(t *testing.T, g *graph.Graph) *oracle {
-	t.Helper()
-	cols, err := rwr.ProximityMatrix(g, rwr.DefaultParams(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &oracle{cols: cols}
-}
-
-func (o *oracle) answer(q graph.NodeID, k int) []graph.NodeID {
-	results := []graph.NodeID{}
-	for u := range o.cols {
-		if o.cols[u][q] >= vecmath.KthLargest(o.cols[u], k) {
-			results = append(results, graph.NodeID(u))
-		}
-	}
-	return results
+	tab := oracle.Family(t, "web")
+	return tab.Graph, tab.Index(t)
 }
 
 func newTestServer(t *testing.T, g *graph.Graph, idx *lbindex.Index, cfg Config) (*Server, *httptest.Server) {
@@ -110,138 +63,101 @@ func decodeQuery(t *testing.T, body []byte) QueryResponse {
 	return qr
 }
 
-func sameNodes(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestServeMatchesOracle checks that every served answer — cold, then
-// cached — equals the brute-force oracle.
-func TestServeMatchesOracle(t *testing.T) {
-	g := testGraph(t, 21, 50)
-	idx := testIndex(t, g, 8)
-	_, ts := newTestServer(t, g, idx, Config{})
-	orc := newOracle(t, g)
-
-	for _, q := range []int{0, 7, 23, 49} {
-		for _, k := range []int{1, 3, 8} {
-			url := fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=%d", ts.URL, q, k)
-			resp, body := get(t, url)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("q=%d k=%d: status %d body %s", q, k, resp.StatusCode, body)
-			}
-			if got := resp.Header.Get("X-Cache"); got != "MISS" {
-				t.Errorf("q=%d k=%d: first request X-Cache=%s, want MISS", q, k, got)
-			}
-			qr := decodeQuery(t, body)
-			want := orc.answer(graph.NodeID(q), k)
-			if !sameNodes(qr.Results, want) {
-				t.Errorf("q=%d k=%d: served %v, oracle %v", q, k, qr.Results, want)
-			}
-			if qr.Epoch != 1 || qr.Count != len(qr.Results) || qr.Query != graph.NodeID(q) || qr.K != k {
-				t.Errorf("q=%d k=%d: inconsistent envelope %+v", q, k, qr)
-			}
-
-			// Second request: served from cache, byte-identical.
-			resp2, body2 := get(t, url)
-			if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Cache") != "HIT" {
-				t.Errorf("q=%d k=%d: repeat status=%d X-Cache=%s, want 200 HIT", q, k, resp2.StatusCode, resp2.Header.Get("X-Cache"))
-			}
-			if !bytes.Equal(body, body2) {
-				t.Errorf("q=%d k=%d: cached body differs from fresh:\n%s\n%s", q, k, body, body2)
-			}
-		}
-	}
-}
-
-// TestServePostRefreshMatchesOracle applies edits through the HTTP edits
-// endpoint and checks that post-refresh answers match the new graph's
-// oracle at the bumped epoch, with the old cache invalidated.
-func TestServePostRefreshMatchesOracle(t *testing.T) {
-	g := testGraph(t, 22, 40)
-	idx := testIndex(t, g, 6)
-	s, ts := newTestServer(t, g, idx, Config{})
-
-	// Warm the cache on epoch 1.
-	queryURL := ts.URL + "/v1/reverse-topk?q=5&k=4"
-	resp, body1 := get(t, queryURL)
+// served asks base for (q, k) twice — the first request must be a computed
+// MISS, the second a HIT with the same bytes — and returns the body for the
+// caller to decode. params, when set, is appended to the query string (an
+// approx request).
+func served(t *testing.T, base string, q graph.NodeID, k int, params string) ([]byte, error) {
+	t.Helper()
+	url := fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=%d%s", base, q, k, params)
+	resp, body := get(t, url)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup failed: %d %s", resp.StatusCode, body1)
+		return nil, fmt.Errorf("status %d body %s", resp.StatusCode, body)
 	}
-	if s.Cache().Len() == 0 {
-		t.Fatal("cache empty after warmup")
+	if got := resp.Header.Get("X-Cache"); got != "MISS" {
+		return nil, fmt.Errorf("first request X-Cache=%s, want MISS", got)
 	}
+	resp2, body2 := get(t, url)
+	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Cache") != "HIT" {
+		return nil, fmt.Errorf("repeat status=%d X-Cache=%s, want 200 HIT", resp2.StatusCode, resp2.Header.Get("X-Cache"))
+	}
+	if !bytes.Equal(body, body2) {
+		return nil, fmt.Errorf("cached body differs from fresh:\n%s\n%s", body, body2)
+	}
+	return body, nil
+}
 
-	// Find two non-edges to insert and one edge to remove.
-	var edits []EditJSON
-	for u := graph.NodeID(0); len(edits) < 2 && int(u) < g.N(); u++ {
-		for v := graph.NodeID(0); len(edits) < 2 && int(v) < g.N(); v++ {
-			if u != v && !g.HasEdge(u, v) {
-				edits = append(edits, EditJSON{From: u, To: v})
-			}
+// exactRow is the handler's exact row of the oracle table against ts, whose
+// snapshot is at epoch.
+func exactRow(t *testing.T, row string, tab *oracle.Table, base string, epoch uint64) {
+	t.Helper()
+	oracle.Check(t, row, tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		body, err := served(t, base, q, k, "")
+		if err != nil {
+			return nil, err
 		}
-	}
-	reqBody, _ := json.Marshal(EditsRequest{Edits: edits, Wait: true})
-	postResp, err := http.Post(ts.URL+"/v1/edits", "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	postBody, _ := io.ReadAll(postResp.Body)
-	postResp.Body.Close()
-	if postResp.StatusCode != http.StatusOK {
-		t.Fatalf("edits failed: %d %s", postResp.StatusCode, postBody)
-	}
-	var er EditsResponse
-	if err := json.Unmarshal(postBody, &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Epoch != 2 {
-		t.Fatalf("published epoch %d, want 2", er.Epoch)
-	}
-	if s.Cache().Len() != 0 {
-		t.Errorf("cache still holds %d stale entries after epoch bump", s.Cache().Len())
-	}
+		qr := decodeQuery(t, body)
+		if qr.Epoch != epoch || qr.Count != len(qr.Results) || qr.Query != q || qr.K != k {
+			return nil, fmt.Errorf("inconsistent envelope %+v, want epoch %d", qr, epoch)
+		}
+		return qr.Results, nil
+	})
+}
 
-	// Served answers now match the oracle of the EDITED graph.
-	// The snapshot serves the CSR a full rebuild with the edits gives.
-	g2 := s.Store().Current().View.Graph()
-	var applied []evolve.Edit
+// TestServeMatchesOracle is the serve handler's exact row of the oracle
+// table: on every family every served answer — cold, then cached byte for
+// byte — is brute force's.
+func TestServeMatchesOracle(t *testing.T) {
+	for _, family := range oracle.Families() {
+		tab := oracle.Family(t, family)
+		_, ts := newTestServer(t, tab.Graph, tab.Index(t), Config{})
+		exactRow(t, "GET /v1/reverse-topk", tab, ts.URL, 1)
+	}
+}
+
+// TestServePostRefreshMatchesOracle is the handler's row after an edit
+// batch: on every family, the family's batch — node growth included — posted
+// to /v1/edits publishes epoch 2 and invalidates the cache, the snapshot
+// serves the CSR a full rebuild with the edits gives, and every answer is
+// brute force's on the applied graph.
+func TestServePostRefreshMatchesOracle(t *testing.T) {
+	for _, family := range oracle.Families() {
+		tab := oracle.Family(t, family)
+		s, ts := newTestServer(t, tab.Graph, tab.Index(t), Config{})
+		if resp, body := get(t, ts.URL+"/v1/reverse-topk?q=5&k=4"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warmup failed: %d %s", resp.StatusCode, body)
+		}
+		if s.Cache().Len() == 0 {
+			t.Fatal("cache empty after warmup")
+		}
+		resp, er, raw := postEdits(t, ts.URL, EditsRequest{Edits: wire(tab.Edits), Wait: true})
+		if resp.StatusCode != http.StatusOK || er.Epoch != 2 {
+			t.Fatalf("%s: edits answered %d %s; want 200 and epoch 2", family, resp.StatusCode, raw)
+		}
+		if s.Cache().Len() != 0 {
+			t.Errorf("cache still holds %d stale entries after epoch bump", s.Cache().Len())
+		}
+		rebuilt, err := evolve.ApplyEdits(tab.Graph, tab.Edits, graph.DanglingSelfLoop)
+		if err != nil || !reflect.DeepEqual(s.Store().Current().View.Graph(), rebuilt) {
+			t.Fatalf("%s: post-edit snapshot graph differs from the rebuilt one (rebuild error %v)", family, err)
+		}
+		exactRow(t, "GET /v1/reverse-topk after POST /v1/edits", tab.Applied(t), ts.URL, 2)
+	}
+}
+
+// wire is an edit batch as POST /v1/edits carries it.
+func wire(edits []evolve.Edit) []EditJSON {
+	var out []EditJSON
 	for _, e := range edits {
-		applied = append(applied, evolve.Edit{From: e.From, To: e.To, Weight: e.Weight, Remove: e.Remove})
+		out = append(out, EditJSON{From: e.From, To: e.To, Weight: e.Weight, Remove: e.Remove})
 	}
-	if rebuilt, err := evolve.ApplyEdits(g, applied, graph.DanglingSelfLoop); err != nil || !reflect.DeepEqual(g2, rebuilt) {
-		t.Fatalf("post-edit snapshot graph differs from the rebuilt one (rebuild error %v)", err)
-	}
-	orc2 := newOracle(t, g2)
-	for _, q := range []int{0, 5, 17, 39} {
-		for _, k := range []int{1, 4, 6} {
-			resp, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=%d", ts.URL, q, k))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("q=%d k=%d: status %d body %s", q, k, resp.StatusCode, body)
-			}
-			qr := decodeQuery(t, body)
-			if qr.Epoch != 2 {
-				t.Errorf("q=%d k=%d: served from epoch %d, want 2", q, k, qr.Epoch)
-			}
-			if want := orc2.answer(graph.NodeID(q), k); !sameNodes(qr.Results, want) {
-				t.Errorf("q=%d k=%d: served %v, post-refresh oracle %v", q, k, qr.Results, want)
-			}
-		}
-	}
+	return out
 }
 
 // TestServeErrorPaths exercises every malformed-request path and its
 // status code.
 func TestServeErrorPaths(t *testing.T) {
-	g := testGraph(t, 23, 30)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	s, ts := newTestServer(t, g, idx, Config{})
 
 	cases := []struct {
@@ -254,10 +170,10 @@ func TestServeErrorPaths(t *testing.T) {
 		{"malformed q", "/v1/reverse-topk?q=abc&k=3", http.StatusBadRequest},
 		{"malformed k", "/v1/reverse-topk?q=3&k=abc", http.StatusBadRequest},
 		{"float k", "/v1/reverse-topk?q=3&k=2.5", http.StatusBadRequest},
-		{"unknown node", "/v1/reverse-topk?q=30&k=3", http.StatusNotFound},
+		{"unknown node", fmt.Sprintf("/v1/reverse-topk?q=%d&k=3", g.N()), http.StatusNotFound},
 		{"negative node", "/v1/reverse-topk?q=-1&k=3", http.StatusNotFound},
 		{"k zero", "/v1/reverse-topk?q=3&k=0", http.StatusBadRequest},
-		{"k above index K", "/v1/reverse-topk?q=3&k=6", http.StatusBadRequest},
+		{"k above index K", fmt.Sprintf("/v1/reverse-topk?q=3&k=%d", idx.K()+1), http.StatusBadRequest},
 		{"unknown path", "/v1/nope", http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -333,8 +249,7 @@ func TestServeErrorPaths(t *testing.T) {
 // TestServeHealthAndStats covers /healthz (including drain flip) and the
 // /v1/stats counters.
 func TestServeHealthAndStats(t *testing.T) {
-	g := testGraph(t, 24, 30)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	s, ts := newTestServer(t, g, idx, Config{})
 
 	resp, body := get(t, ts.URL+"/healthz")
@@ -353,7 +268,7 @@ func TestServeHealthAndStats(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Served != 2 || st.Computed != 1 || st.CacheHits != 1 || st.Epoch != 1 || st.Nodes != 30 || st.MaxK != 5 {
+	if st.Served != 2 || st.Computed != 1 || st.CacheHits != 1 || st.Epoch != 1 || st.Nodes != g.N() || st.MaxK != idx.K() {
 		t.Errorf("unexpected stats %+v", st)
 	}
 
@@ -374,8 +289,7 @@ func TestServeHealthAndStats(t *testing.T) {
 // second concurrent computation is rejected with 503 while a cache hit
 // still succeeds.
 func TestServeAdmissionControl(t *testing.T) {
-	g := testGraph(t, 25, 40)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	s, err := New(g, idx, Config{MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -383,6 +297,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	t.Cleanup(s.Close)
 	gateEntered := make(chan struct{}, 8)
 	gateRelease := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gateRelease) })
 	var gateActive, computedWhileInactive atomic.Bool
 	gateActive.Store(true)
 	s.testComputeGate = func() {
@@ -394,7 +309,10 @@ func TestServeAdmissionControl(t *testing.T) {
 		}
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	// Cleanups run last-in first-out: a failure while the gate holds must
+	// open it before the listener's and the server's Close wait on it.
+	t.Cleanup(release)
 
 	first := make(chan int, 1)
 	go func() {
@@ -416,7 +334,7 @@ func TestServeAdmissionControl(t *testing.T) {
 		t.Error("503 without Retry-After")
 	}
 
-	close(gateRelease)
+	release()
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("gated request finished with %d, want 200", code)
 	}
@@ -438,8 +356,7 @@ func TestServeAdmissionControl(t *testing.T) {
 // TestServeSingleFlight fires many identical queries at a cold cache and
 // checks the engine ran exactly once, with every response identical.
 func TestServeSingleFlight(t *testing.T) {
-	g := testGraph(t, 26, 40)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	s, err := New(g, idx, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -450,12 +367,16 @@ func TestServeSingleFlight(t *testing.T) {
 	const clients = 16
 	gateEntered := make(chan struct{}, clients)
 	gateRelease := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gateRelease) })
 	s.testComputeGate = func() {
 		gateEntered <- struct{}{}
 		<-gateRelease
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	// Cleanups run last-in first-out: a failure while the gate holds must
+	// open it before the listener's and the server's Close wait on it.
+	t.Cleanup(release)
 
 	bodies := make([][]byte, clients)
 	statuses := make([]string, clients)
@@ -481,7 +402,7 @@ func TestServeSingleFlight(t *testing.T) {
 	<-gateEntered
 	// All other clients are either coalesced onto the flight or not yet
 	// arrived; release the computation and let everyone finish.
-	close(gateRelease)
+	release()
 	wg.Wait()
 
 	if got := s.Stats().Computed; got != 1 {
@@ -501,26 +422,23 @@ func TestServeSingleFlight(t *testing.T) {
 	}
 }
 
-// TestServeRefusesOtherGraph: New and NewDurable serve an index only over
-// the graph it was built on (core.NewView's check): another graph of the
-// same node count is refused, and an equal graph built apart is served.
+// TestServeRefusesOtherGraph is the row of New and of NewDurable in the
+// oracle table's pairing check: each serves an index only over the graph it
+// was built on (core.NewView's check).
 func TestServeRefusesOtherGraph(t *testing.T) {
-	g := testGraph(t, 61, 40)
-	idx := testIndex(t, g, 4)
-	other := testGraph(t, 62, 40)
-	if other.N() != g.N() {
-		t.Fatalf("the graphs have %d and %d nodes", other.N(), g.N())
-	}
-	if _, err := New(other, idx, Config{}); err == nil {
-		t.Error("New served an index over another graph")
-	}
-	dcfg := DurabilityConfig{JournalPath: filepath.Join(t.TempDir(), "edits.wal")}
-	if _, _, err := NewDurable(other, idx, Config{}, dcfg); err == nil {
-		t.Error("NewDurable served an index over another graph")
-	}
-	s, _, err := NewDurable(testGraph(t, 61, 40), idx, Config{}, dcfg)
-	if err != nil {
-		t.Fatalf("NewDurable refused an equal graph: %v", err)
-	}
-	s.Close()
+	oracle.CheckPairing(t, "serve.New", func(g *graph.Graph, idx *lbindex.Index) error {
+		s, err := New(g, idx, Config{})
+		if err == nil {
+			s.Close()
+		}
+		return err
+	})
+	oracle.CheckPairing(t, "serve.NewDurable", func(g *graph.Graph, idx *lbindex.Index) error {
+		dcfg := DurabilityConfig{JournalPath: filepath.Join(t.TempDir(), "edits.wal")}
+		s, _, err := NewDurable(g, idx, Config{}, dcfg)
+		if err == nil {
+			s.Close()
+		}
+		return err
+	})
 }

@@ -175,10 +175,11 @@ func (p *Pending) Wait() (evolve.Stats, uint64, error) {
 	return p.b.stats, p.b.epoch, p.b.err
 }
 
-// New creates a server over an initial (graph, index) pair, published as
-// epoch 1, and starts its maintenance goroutine. Callers must Close the
-// server to stop it. The server is volatile: acknowledged edit batches
-// live only in memory until applied — use NewDurable for a journaled one.
+// New creates a server over an initial (graph, index) pair, published at
+// the epoch of the index's watermark (1 for a fresh index), and starts its
+// maintenance goroutine. Callers must Close the server to stop it. The
+// server is volatile: acknowledged edit batches live only in memory until
+// applied — use NewDurable for a journaled one.
 func New(g *graph.Graph, idx *lbindex.Index, cfg Config) (*Server, error) {
 	s, err := newServer(g, idx, cfg)
 	if err != nil {
@@ -442,25 +443,33 @@ func cacheLabel(st CacheStatus) string {
 	}
 }
 
-// compute runs one admitted exact computation against a pinned snapshot and
-// serializes the response body. Admission happens here — after the cache —
-// so cache hits and coalesced waiters are never rejected, only work that
-// would actually occupy an engine. The query runs at once on the request's
-// own goroutine with its dealt share of the worker budget: a lone query gets
-// all of it, a busy server runs sequential engines.
-func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) ([]byte, error) {
-	active := s.active.Add(1)
-	defer s.active.Add(-1)
-	if active > s.maxInflight {
-		return nil, errSaturated
+// admit takes an admission slot for one computation, or refuses it with
+// errSaturated when MaxInflight are already running, and deals the admitted
+// computation its share of the worker budget: a lone query gets all of it, a
+// busy server runs sequential engines. An admitted caller releases its slot
+// with s.active.Add(-1) when done. Admission happens after the cache, so
+// cache hits and coalesced waiters are never rejected, only work that would
+// actually occupy an engine.
+func (s *Server) admit() (workers int, err error) {
+	if s.active.Add(1) > s.maxInflight {
+		s.active.Add(-1)
+		return 0, errSaturated
 	}
 	if gate := s.testComputeGate; gate != nil {
 		gate()
 	}
-	workers := s.budget / int(max(s.active.Load(), 1))
-	if workers < 1 {
-		workers = 1
+	return max(s.budget/int(max(s.active.Load(), 1)), 1), nil
+}
+
+// compute runs one admitted exact computation against a pinned snapshot and
+// serializes the response body. The query runs at once on the request's own
+// goroutine with its dealt share of the worker budget.
+func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) ([]byte, error) {
+	workers, err := s.admit()
+	if err != nil {
+		return nil, err
 	}
+	defer s.active.Add(-1)
 	results, stats, err := snap.View.Query(q, k, workers)
 	tr.setExact(stats)
 	if err != nil {
@@ -484,18 +493,11 @@ func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) 
 // the worker budget is dealt the same way). The answer is deterministic, so
 // recomputing a dropped cache entry reproduces the evicted body bytes.
 func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps float64, tr *queryTrace) ([]byte, error) {
-	active := s.active.Add(1)
+	workers, err := s.admit()
+	if err != nil {
+		return nil, err
+	}
 	defer s.active.Add(-1)
-	if active > s.maxInflight {
-		return nil, errSaturated
-	}
-	if gate := s.testComputeGate; gate != nil {
-		gate()
-	}
-	workers := s.budget / int(max(s.active.Load(), 1))
-	if workers < 1 {
-		workers = 1
-	}
 	res, err := snap.View.QueryAnytime(q, k, core.AnytimeOptions{Eps: eps}, workers)
 	if err != nil {
 		return nil, err
@@ -704,6 +706,15 @@ type EditsRequest struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
+// batch is the request's edits as the maintenance pipeline takes them.
+func (r *EditsRequest) batch() []evolve.Edit {
+	edits := make([]evolve.Edit, len(r.Edits))
+	for i, e := range r.Edits {
+		edits[i] = evolve.Edit{From: e.From, To: e.To, Weight: e.Weight, Remove: e.Remove}
+	}
+	return edits
+}
+
 // EditsResponse reports a completed maintenance pass (Wait=true), or the
 // journal position of an accepted batch (202: only Watermark is set).
 type EditsResponse struct {
@@ -726,10 +737,7 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, "edits", http.StatusBadRequest, "malformed edits body: %v", err)
 		return
 	}
-	edits := make([]evolve.Edit, len(req.Edits))
-	for i, e := range req.Edits {
-		edits[i] = evolve.Edit{From: e.From, To: e.To, Weight: e.Weight, Remove: e.Remove}
-	}
+	edits := req.batch()
 	pending, err := s.EnqueueEdits(edits, req.Theta)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -981,6 +989,8 @@ func (s *Server) runBatch(b *editBatch) {
 		fail(err)
 		return
 	}
+	// The batch's watermark is the published snapshot's epoch, less one.
+	nextIdx.SetWatermark(b.watermark)
 	published, err := s.store.Publish(next, nextIdx)
 	if err != nil {
 		fail(err)

@@ -42,9 +42,13 @@ import (
 	"repro/internal/lbindex"
 )
 
-// Snapshot is one immutable published serving state. Epoch starts at 1 and
-// increases by 1 per semantic change (edit batch); it is the cache-key
-// component that makes results from different snapshots never alias.
+// Snapshot is one immutable published serving state. Epoch is its index's
+// journal watermark plus one: a fresh index serves epoch 1, the snapshot
+// journaled batch w publishes is epoch w+1, and a daemon restored from a
+// checkpoint at watermark W serves W+1, so the epoch never goes back across
+// a restart. A rejected batch uses up its watermark and publishes nothing,
+// so epochs may skip a value. Epoch is the cache-key component that makes
+// results from different snapshots never alias.
 type Snapshot struct {
 	Epoch uint64
 	View  *core.View
@@ -83,14 +87,15 @@ type Store struct {
 // drops. Call before the first Publish; the Server wires its own cache.
 func (s *Store) AttachCache(c *Cache) { s.cache = c }
 
-// NewStore creates a store serving the given pair as epoch 1.
+// NewStore creates a store serving the given pair at the epoch of its
+// index's watermark.
 func NewStore(g *graph.Graph, idx *lbindex.Index) (*Store, error) {
 	v, err := core.NewView(g, idx)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{}
-	s.cur.Store(&Snapshot{Epoch: 1, View: v})
+	s.cur.Store(&Snapshot{Epoch: idx.Watermark() + 1, View: v})
 	return s, nil
 }
 
@@ -101,16 +106,20 @@ func (s *Store) Current() *Snapshot {
 }
 
 // Publish atomically replaces the current snapshot with a new one over the
-// given pair, at the next epoch, and eagerly drops every other epoch from
-// the attached cache. It returns the published snapshot.
+// given pair, at the epoch of the index's watermark, and eagerly drops every
+// other epoch from the attached cache. It returns the published snapshot, or
+// an error when that epoch is not past the current one.
 func (s *Store) Publish(g *graph.Graph, idx *lbindex.Index) (*Snapshot, error) {
 	v, err := core.NewView(g, idx)
 	if err != nil {
 		return nil, err
 	}
+	next := &Snapshot{Epoch: idx.Watermark() + 1, View: v}
 	for {
 		old := s.cur.Load()
-		next := &Snapshot{Epoch: old.Epoch + 1, View: v}
+		if next.Epoch <= old.Epoch {
+			return nil, fmt.Errorf("serve: publishing epoch %d over epoch %d", next.Epoch, old.Epoch)
+		}
 		if s.cur.CompareAndSwap(old, next) {
 			s.cache.DropOtherEpochs(next.Epoch)
 			return next, nil

@@ -54,8 +54,7 @@ func TestValidateQueryParams(t *testing.T) {
 // as the shared helper prescribes — status AND message — so any front end
 // built on ValidateQueryParams (the rtkquery CLI) matches the daemon.
 func TestHandlerUsesSharedValidation(t *testing.T) {
-	g := testGraph(t, 17, 30)
-	idx := testIndex(t, g, 5)
+	g, idx := fixture(t)
 	_, ts := newTestServer(t, g, idx, Config{})
 
 	for _, tc := range []struct{ q, k int }{

@@ -1,11 +1,13 @@
 package shard
 
 import (
-	"reflect"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/partition"
 	"repro/internal/workload"
 )
@@ -17,7 +19,8 @@ import (
 // eps sweep.
 func TestShardedAnytimeMatchesUnsharded(t *testing.T) {
 	for _, kind := range []string{"web", "social"} {
-		g, idx := buildCase(t, kind, 350)
+		tab := oracle.Family(t, kind)
+		g, idx := tab.Graph, tab.Index(t)
 		view, err := core.NewView(g, idx)
 		if err != nil {
 			t.Fatal(err)
@@ -48,13 +51,7 @@ func TestShardedAnytimeMatchesUnsharded(t *testing.T) {
 							t.Fatalf("%s eps=%g P=%d %s q=%d: %v", kind, eps, p, strat, q, err)
 						}
 						w := want[q]
-						if len(w.g) == 0 {
-							w.g = nil
-						}
-						if len(w.m) == 0 {
-							w.m = nil
-						}
-						if !reflect.DeepEqual(guaranteed, w.g) || !reflect.DeepEqual(maybe, w.m) {
+						if !slices.Equal(guaranteed, w.g) || !slices.Equal(maybe, w.m) {
 							t.Fatalf("%s eps=%g P=%d %s q=%d: sharded %v/%v, unsharded %v/%v",
 								kind, eps, p, strat, q, guaranteed, maybe, w.g, w.m)
 						}
@@ -69,60 +66,40 @@ func TestShardedAnytimeMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedAnytimeContainment brackets the sharded anytime answer with
-// the exact coordinator answer on the same deployment.
+// TestShardedAnytimeContainment is the sharded anytime tier's row of the
+// oracle table: on every family at P ∈ {2, 4} or {1, 3} balanced shards by
+// turns, the two-part answer brackets brute force's, and meets its budget
+// unless the PMPN converged first.
 func TestShardedAnytimeContainment(t *testing.T) {
-	g, idx := buildCase(t, "web", 300)
-	pm, err := partition.NewBalanced(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewFromFull(g, idx, pm, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := workload.Queries(g.N(), 10, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		exact, _, err := c.Query(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inExact := map[graph.NodeID]bool{}
-		for _, u := range exact {
-			inExact[u] = true
-		}
-		guaranteed, maybe, stats, err := c.QueryAnytime(q, 10, 0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cover := map[graph.NodeID]bool{}
-		for _, u := range guaranteed {
-			if !inExact[u] {
-				t.Fatalf("q=%d: guaranteed %d not in exact %v", q, u, exact)
+	for i, family := range oracle.Families() {
+		tab := oracle.Family(t, family)
+		g, idx := tab.Graph, tab.Index(t)
+		for p := 2 - i%2; p <= 4; p += 2 {
+			pm, err := partition.NewBalanced(g, p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cover[u] = true
-		}
-		for _, u := range maybe {
-			cover[u] = true
-		}
-		for _, u := range exact {
-			if !cover[u] {
-				t.Fatalf("q=%d: exact node %d missing from guaranteed∪maybe", q, u)
+			c, err := NewFromFull(g, idx, pm, Config{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !stats.Converged && stats.EpsAchieved > 0.25 {
-			t.Fatalf("q=%d: early stop with achieved eps %g over budget", q, stats.EpsAchieved)
+			oracle.CheckAnytime(t, fmt.Sprintf("Coordinator.QueryAnytime P=%d", p), tab,
+				func(q graph.NodeID, k int) ([]graph.NodeID, []graph.NodeID, error) {
+					guaranteed, maybe, stats, err := c.QueryAnytime(q, k, 0.25)
+					if err == nil && !stats.Converged && stats.EpsAchieved > 0.25 {
+						err = fmt.Errorf("early stop with achieved eps %g over budget", stats.EpsAchieved)
+					}
+					return guaranteed, maybe, err
+				})
 		}
 	}
 }
 
 // TestShardedAnytimeValidation covers the eps/parameter guard rails.
 func TestShardedAnytimeValidation(t *testing.T) {
-	g, idx := buildCase(t, "web", 120)
-	pm, err := partition.FromParts(g.N(), 2, []int32{0, 60, 120})
+	tab := oracle.Family(t, "web")
+	g, idx := tab.Graph, tab.Index(t)
+	pm, err := partition.FromParts(g.N(), 2, []int32{0, 150, 300})
 	if err != nil {
 		t.Fatal(err)
 	}

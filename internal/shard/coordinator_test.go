@@ -1,52 +1,26 @@
 package shard
 
 import (
+	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbindex"
+	"repro/internal/oracle"
 	"repro/internal/partition"
-	"repro/internal/workload"
 )
 
-func buildCase(t *testing.T, kind string, n int) (*graph.Graph, *lbindex.Index) {
-	t.Helper()
-	var (
-		g   *graph.Graph
-		err error
-	)
-	switch kind {
-	case "web":
-		g, err = gen.WebGraph(n, 17)
-	case "social":
-		g, err = gen.SocialGraph(n, 17)
-	default:
-		t.Fatalf("unknown kind %q", kind)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := lbindex.DefaultOptions()
-	opts.K = 24
-	opts.HubBudget = 8
-	idx, _, err := lbindex.Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, idx
-}
-
-// partitions returns two maps of a 350-node graph over p ∈ {1, 2, 3, 4}
-// shards: the balanced one and, as stored bounds, the near-equal cut the
-// removed range partitioner made.
+// partitions returns two maps of g over p shards: the balanced one, and as
+// stored bounds the equal-count cut the removed range partitioner made.
 func partitions(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 	t.Helper()
-	if g.N() != 350 {
-		t.Fatalf("range cuts are tabled for 350 nodes, graph has %d", g.N())
+	cut := make([]int32, p+1)
+	for i := range cut {
+		cut[i] = int32(i * g.N() / p)
 	}
-	cut := map[int][]int32{1: {0, 350}, 2: {0, 175, 350}, 3: {0, 117, 234, 350}, 4: {0, 88, 176, 263, 350}}[p]
 	out := map[string]*partition.Map{}
 	var err error
 	if out["range"], err = partition.FromParts(g.N(), p, cut); err != nil {
@@ -58,58 +32,49 @@ func partitions(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 	return out
 }
 
-// TestCoordinatorMatchesSingleEngine is the distributed-correctness oracle:
-// for every graph family × k × P × strategy × worker count, the merged
-// coordinator answer must equal the single-engine answer node for node.
+// TestCoordinatorMatchesSingleEngine is the coordinator's row of the oracle
+// table: the merged answer is brute force's, and the shards' decisions cover
+// every node once. On web and social it runs every P ∈ {1, 2, 3, 4}, cut
+// balanced and at equal counts, at one and four workers; on the other
+// families P ∈ {1, 3} or {2, 4} by turns, each P cut one way, at one worker
+// count.
 func TestCoordinatorMatchesSingleEngine(t *testing.T) {
-	for _, kind := range []string{"web", "social"} {
-		g, idx := buildCase(t, kind, 350)
-		single, err := core.NewEngine(g, idx, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries, err := workload.Queries(g.N(), 12, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 5, 20} {
-			want := map[graph.NodeID][]graph.NodeID{}
-			for _, q := range queries {
-				ans, _, err := single.Query(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[q] = ans
-			}
-			for _, p := range []int{1, 2, 4} {
-				for strat, pm := range partitions(t, g, p) {
-					for _, workers := range []int{1, 4} {
-						c, err := NewFromFull(g, idx, pm, Config{Workers: workers})
-						if err != nil {
-							t.Fatalf("%s k=%d P=%d %s: %v", kind, k, p, strat, err)
-						}
-						for _, q := range queries {
-							got, stats, err := c.Query(q, k)
-							if err != nil {
-								t.Fatalf("%s k=%d P=%d %s w=%d q=%d: %v", kind, k, p, strat, workers, q, err)
-							}
-							if !equalIDs(got, want[q]) {
-								t.Fatalf("%s k=%d P=%d %s w=%d q=%d: got %v want %v (stats %+v)",
-									kind, k, p, strat, workers, q, got, want[q], stats)
-							}
-							if stats.PrunedByBound+stats.ConfirmedByBound+stats.Maybe != g.N() {
-								t.Fatalf("%s k=%d P=%d %s q=%d: decisions cover %d of %d nodes",
-									kind, k, p, strat, q,
-									stats.PrunedByBound+stats.ConfirmedByBound+stats.Maybe, g.N())
-							}
-							if stats.Results != len(got) {
-								t.Fatalf("stats.Results=%d, answer has %d", stats.Results, len(got))
-							}
-						}
+	for i, family := range oracle.Families() {
+		tab := oracle.Family(t, family)
+		g, idx := tab.Graph, tab.Index(t)
+		full := family == "web" || family == "social"
+		for p := 1; p <= 4; p++ {
+			for strat, pm := range partitions(t, g, p) {
+				for _, workers := range []int{1, 4} {
+					if !full && ((p+i)%2 == 0 || strat != []string{"balanced", "range"}[((p-1)/2+i/2)%2] || workers != 1+3*(i/2%2)) {
+						continue
 					}
+					c, err := NewFromFull(g, idx, pm, Config{Workers: workers})
+					if err != nil {
+						t.Fatalf("%s P=%d %s: %v", family, p, strat, err)
+					}
+					oracle.Check(t, fmt.Sprintf("Coordinator.Query P=%d %s workers=%d", p, strat, workers), tab, coordinatorRow(c, g.N()))
 				}
 			}
 		}
+	}
+}
+
+// coordinatorRow is c's exact answer as an oracle row, checking that the
+// shards' decisions cover all n nodes and that the stats count the answer.
+func coordinatorRow(c *Coordinator, n int) func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+	return func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+		got, stats, err := c.Query(q, k)
+		if err != nil {
+			return nil, err
+		}
+		if covered := stats.PrunedByBound + stats.ConfirmedByBound + stats.Maybe; covered != n {
+			return nil, fmt.Errorf("decisions cover %d of %d nodes", covered, n)
+		}
+		if stats.Results != len(got) {
+			return nil, fmt.Errorf("stats.Results=%d, answer has %d", stats.Results, len(got))
+		}
+		return got, nil
 	}
 }
 
@@ -119,7 +84,8 @@ func TestCoordinatorMatchesSingleEngine(t *testing.T) {
 // the iteration count whenever the coordinator ran the iteration to
 // convergence (a bound-decided early stop runs fewer).
 func TestCoordinatorClosedBallMatchesView(t *testing.T) {
-	g, idx := buildCase(t, "web", 350)
+	tab := oracle.Family(t, "web")
+	g, idx := tab.Graph, tab.Index(t)
 	view, err := core.NewView(g, idx)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +114,7 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !equalIDs(got, want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("q=%d k=%d w=%d: coordinator %v, view %v", q, k, workers, got, want)
 				}
 				if stats.Converged {
@@ -166,78 +132,53 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMatchesBruteForce anchors the whole stack to the paper's
-// §3 brute-force definition on two configurations: a web graph split three
-// ways, and a twelve-node graph split three ways so that the middle shard owns
-// no node at all — whose slice has no rows to decide, through the coordinator
-// and through a core.View of its own, and must not mistake its empty range
-// for a full index.
+// TestCoordinatorMatchesBruteForce is the row of shard-slice files and of a
+// shard that owns no node: a family split three ways with an empty middle
+// shard, each slice saved to its file and served zero-copy from it. The
+// coordinator over the loaded slices answers as brute force, and the empty
+// slice has no rows to decide — through the coordinator and through a
+// core.View of its own — and must not mistake its empty range for a full
+// index.
 func TestCoordinatorMatchesBruteForce(t *testing.T) {
-	web, webIdx := buildCase(t, "web", 250)
-	tiny, err := gen.ErdosRenyi(12, 40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := lbindex.DefaultOptions()
-	opts.K, opts.HubBudget = 4, 2
-	tinyIdx, _, err := lbindex.Build(tiny, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		g       *graph.Graph
-		idx     *lbindex.Index
-		bounds  []int32
-		k       int
-		queries []graph.NodeID
-		empty   int // shards owning no node
-	}{
-		{"web", web, webIdx, []int32{0, 80, 170, 250}, 10, []graph.NodeID{0, 17, 249}, 0},
-		{"empty shard", tiny, tinyIdx, []int32{0, 6, 6, 12}, 3, []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 1},
-	} {
-		pm, err := partition.FromParts(tc.g.N(), len(tc.bounds)-1, tc.bounds)
+	for _, family := range []string{"web", "ties"} {
+		tab := oracle.Family(t, family)
+		g, idx := tab.Graph, tab.Index(t)
+		n := int32(g.N())
+		pm, err := partition.FromParts(g.N(), 3, []int32{0, n / 2, n / 2, n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewFromFull(tc.g, tc.idx, pm, Config{Workers: 2})
+		dir := t.TempDir()
+		var parts []*lbindex.Index
+		for s := 0; s < pm.P(); s++ {
+			slice, err := idx.ShardSlice(pm, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("i.idx.shard%dof3", s))
+			if err := slice.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if slice, err = lbindex.LoadFile(path, lbindex.LoadOptions{Mmap: true}); err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, slice)
+		}
+		c, err := NewInProc(parts[0].Graph(), parts, Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		empty := 0
-		for _, q := range tc.queries {
-			want, err := core.BruteForce(tc.g, q, tc.k, tc.idx.Options().RWR, 2)
+		empty, query := c.Views()[1], coordinatorRow(c, g.N())
+		oracle.Check(t, "Coordinator.Query over slice files", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+			got, err := query(q, k)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			got, stats, err := c.Query(q, tc.k)
-			if err != nil {
-				t.Fatal(err)
+			if alone, st, err := empty.Query(q, k, 1); err != nil || len(alone) != 0 || st.Screened != 0 {
+				return nil, fmt.Errorf("shard 1 owns nothing, its view answered %v after screening %d rows (%v)", alone, st.Screened, err)
 			}
-			if !equalIDs(got, want) {
-				t.Fatalf("%s q=%d: coordinator %v, brute force %v", tc.name, q, got, want)
-			}
-			if covered := stats.PrunedByBound + stats.ConfirmedByBound + stats.Maybe; covered != tc.g.N() {
-				t.Fatalf("%s q=%d: decisions cover %d of %d nodes", tc.name, q, covered, tc.g.N())
-			}
-			empty = 0
-			for s, v := range c.Views() {
-				if lo, hi := pm.Range(s); hi > lo {
-					continue
-				}
-				empty++
-				alone, st, err := v.Query(q, tc.k, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(alone) != 0 || st.Screened != 0 {
-					t.Fatalf("%s q=%d: shard %d owns nothing, its view answered %v after screening %d rows", tc.name, q, s, alone, st.Screened)
-				}
-			}
-		}
-		if empty < tc.empty {
-			t.Fatalf("%s: %d shards own nothing, want at least %d: the empty slice went untested", tc.name, empty, tc.empty)
-		}
+			return got, nil
+		})
 	}
 }
 
@@ -245,8 +186,9 @@ func TestCoordinatorMatchesBruteForce(t *testing.T) {
 // work: on a reasonable graph most of the node set must be pruned or
 // confirmed by partial-iterate bounds, not by the final exact pass.
 func TestCoordinatorBoundPruning(t *testing.T) {
-	g, idx := buildCase(t, "web", 400)
-	pm, err := partition.FromParts(g.N(), 4, []int32{0, 100, 200, 300, 400})
+	tab := oracle.Family(t, "web")
+	g, idx := tab.Graph, tab.Index(t)
+	pm, err := partition.FromParts(g.N(), 4, []int32{0, 75, 150, 225, 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +215,12 @@ func TestCoordinatorBoundPruning(t *testing.T) {
 	}
 }
 
-// TestCoordinatorValidation covers the constructor and query guard rails.
+// TestCoordinatorValidation covers the constructor and query guard rails,
+// among them a slice set whose slices come from indexes of two graphs.
 func TestCoordinatorValidation(t *testing.T) {
-	g, idx := buildCase(t, "web", 120)
-	pm, err := partition.FromParts(g.N(), 2, []int32{0, 60, 120})
+	tab := oracle.Family(t, "web")
+	g, idx := tab.Graph, tab.Index(t)
+	pm, err := partition.FromParts(g.N(), 2, []int32{0, 150, 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +249,17 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewInProc(g, []*lbindex.Index{s0, o1}, Config{}); err == nil {
 		t.Error("mismatched partition maps accepted")
 	}
+	oidx, _, err := lbindex.Build(oracle.Other(t), idx.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x1, err := oidx.ShardSlice(pm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewInProc(g, []*lbindex.Index{s0, x1}, Config{}); err == nil {
+		t.Error("slices of two graphs accepted")
+	}
 	c, err := NewInProc(g, []*lbindex.Index{s0, s1}, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -324,58 +279,29 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 }
 
-func equalIDs(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestNewInProcRefusesOtherGraph: the coordinator runs the PMPN over the
-// graph it is given, so it refuses a graph other than the one its slices
-// were built on — one of the same node count included — and a slice set
-// whose slices come from indexes of two graphs.
+// TestNewInProcRefusesOtherGraph is NewInProc's row of the oracle table's
+// pairing check, over the two slices of a 2-way cut and over a full index
+// alone: the coordinator runs the PMPN over the graph it is given, so it
+// refuses a graph other than the one its slices were built on.
 func TestNewInProcRefusesOtherGraph(t *testing.T) {
-	g, idx := buildCase(t, "web", 120)
-	other, err := gen.WebGraph(g.N(), 18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := partition.FromParts(g.N(), 2, []int32{0, 60, 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0, err := idx.ShardSlice(pm, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := idx.ShardSlice(pm, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInProc(other, []*lbindex.Index{s0, s1}, Config{}); err == nil {
-		t.Error("NewInProc accepted another graph of the slices' node count")
-	}
-	if _, err := NewInProc(other, []*lbindex.Index{idx}, Config{}); err == nil {
-		t.Error("NewInProc accepted another graph beside a full index")
-	}
-	oidx, _, err := lbindex.Build(other, idx.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o1, err := oidx.ShardSlice(pm, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInProc(g, []*lbindex.Index{s0, o1}, Config{}); err == nil {
-		t.Error("NewInProc accepted slices of two graphs")
-	}
-	if _, err := NewInProc(g, []*lbindex.Index{s0, s1}, Config{}); err != nil {
-		t.Errorf("NewInProc refused the slices' own graph: %v", err)
-	}
+	oracle.CheckPairing(t, "NewInProc", func(g *graph.Graph, idx *lbindex.Index) error {
+		pm, err := partition.NewBalanced(idx.Graph(), 2)
+		if err != nil {
+			return err
+		}
+		var parts []*lbindex.Index
+		for s := 0; s < 2; s++ {
+			slice, err := idx.ShardSlice(pm, s)
+			if err != nil {
+				return err
+			}
+			parts = append(parts, slice)
+		}
+		_, err = NewInProc(g, parts, Config{})
+		return err
+	})
+	oracle.CheckPairing(t, "NewInProc over a full index", func(g *graph.Graph, idx *lbindex.Index) error {
+		_, err := NewInProc(g, []*lbindex.Index{idx}, Config{})
+		return err
+	})
 }

@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/lbindex"
+	"repro/internal/oracle"
 )
 
 // TestRoundObserver wires the coordinator's PMPN observation hook and
 // checks it sees every iteration the query stats report, without changing
 // the answer.
 func TestRoundObserver(t *testing.T) {
-	g, idx := buildCase(t, "web", 300)
+	tab := oracle.Family(t, "web")
+	g, idx := tab.Graph, tab.Index(t)
 	plain, err := NewInProc(g, []*lbindex.Index{idx}, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
