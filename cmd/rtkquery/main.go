@@ -141,8 +141,8 @@ func main() {
 		}
 		s := res.Stats
 		printAnytime(*q, *k, epsV, res.Guaranteed, res.Maybe)
-		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v confirmed=%d pruned=%d\n",
-			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged, s.ConfirmedByBound, s.PrunedByBound)
+		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v final=%v confirmed=%d pruned=%d\n",
+			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged, s.Final, s.ConfirmedByBound, s.PrunedByBound)
 		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
 			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond), s.PMPNIters)
 	case *explain:

@@ -10,10 +10,11 @@ import (
 )
 
 // The anytime approximate query tier — the paper's approximate mode (§5.3)
-// taken round by round. Where Engine.Query runs the pipeline's round loop as
-// one round to convergence and then refines every undecided candidate to an
-// exact answer, QueryAnytime runs the same loop (Run.Rounds) round by round and
-// stops as soon as the caller's ε budget is met, returning a two-part answer:
+// taken round by round. Where Engine.Query runs the pipeline's round loop
+// until nothing is open (or the screen is final, or the PMPN converged) and
+// then refines every undecided candidate to an exact answer, QueryAnytime runs
+// the same loop (Run.Rounds) and stops as soon as the caller's ε budget is met,
+// returning a two-part answer:
 //
 //   - guaranteed: nodes the monotone-safe bound tests confirmed into the
 //     answer (the screen's hits);
@@ -27,25 +28,19 @@ import (
 // |maybe|) bounds how much of the exact answer can hide in the maybe set.
 //
 // The tier never runs candidate refinement — the phase that dominates exact
-// latency — which is what makes it the sub-exact serving path. If the
-// deterministic band converges before the budget is met, the run stops
+// latency — which is what makes it the sub-exact serving path. If the screen
+// is final or the PMPN converges before the budget is met, the run stops
 // anyway (iterating further cannot decide anything new; the remaining
 // indecision lives in the index rows, not the iterate) and reports the
-// achieved ε honestly.
-
-// DefaultAnytimeRoundIters is the PMPN iteration block between screen
-// advances, for the anytime tier and the sharded coordinator alike. At
-// α = 0.15 the error band τ shrinks ≈ 3.7× in 8 iterations: coarse enough
-// that screens stay a small fraction of matvec cost, fine enough that pruning
-// starts long before convergence (≈ 140 iterations at ε = 1e-10).
-const DefaultAnytimeRoundIters = 8
+// achieved ε honestly: the maybe set is then exactly the exact query's
+// refinement candidates.
 
 // AnytimeOptions configures one anytime query.
 type AnytimeOptions struct {
 	// Eps is the undecided-fraction budget in [0,1): the run stops once
 	// |maybe| ≤ Eps·(|guaranteed| + |maybe|). Eps = 0 demands every node
-	// decided by bounds, i.e. the run iterates to convergence and stops at
-	// the exact path's pre-refinement screen.
+	// decided by bounds, i.e. the run iterates until the screen is final or
+	// the PMPN converges and stops at the exact path's pre-refinement screen.
 	Eps float64
 }
 
@@ -57,17 +52,25 @@ type AnytimeStats struct {
 	Eps float64
 	// EpsAchieved is the final undecided fraction |maybe|/(|guaranteed| +
 	// |maybe|). It is ≤ Eps when the budget was met, and may exceed Eps only
-	// when the deterministic band converged first (Converged = true).
+	// when the deterministic band converged (Converged) or the screen was
+	// final (Final) first.
 	EpsAchieved float64
 	// TauAchieved is the elementwise PMPN error bound at stop (0 after the
 	// exact-pq final screen).
 	TauAchieved float64
+	// PMPNTail is the band a finish decides the maybe set on:
+	// TauAchieved widened by the converged vector's own bound, 0 when
+	// converged (QueryStats.PMPNTail).
+	PMPNTail float64
 	// Rounds counts screen advances; PMPNIters the underlying iterations.
 	Rounds    int
 	PMPNIters int
 	// Converged reports whether the power iteration ran to residual
-	// convergence before the run stopped.
+	// convergence before the run stopped; Final whether the last screen
+	// left every open row final — no smaller τ could prune or confirm one
+	// (Run.Rounds).
 	Converged bool
+	Final     bool
 	// Decision tallies of the bound tests.
 	ConfirmedByBound int
 	PrunedByBound    int
@@ -101,7 +104,7 @@ func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers 
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Rounds(opts.Eps, DefaultAnytimeRoundIters); err != nil {
+	if err := r.Rounds(opts.Eps); err != nil {
 		return nil, err
 	}
 	s := r.screens[0]

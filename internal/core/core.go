@@ -15,24 +15,26 @@
 // That is one loop, written once (pipeline.go). A Run steps the package's one
 // PMPN in rounds; a Screen applies the prune and confirm tests — the only copy
 // of them — to every row still open against each round's iterate and its
-// error band; Engine.finish refines what the τ = 0 screen of the converged
-// vector leaves. Every entry point — the exact query, the anytime tier,
-// Explain, the sharded coordinator (internal/shard) — is that loop
-// under its own stop rule (the table on Run), and because the Screen's tests
-// are monotone-safe they all reach the same hits, candidates and counters.
+// error band; the rounds stop once nothing is open, the PMPN has converged,
+// or the screen is final — no open row could change side at a smaller band —
+// and Engine.finish refines what is left on the band the run stopped at (0
+// after convergence). Every entry point — the exact query, the anytime tier,
+// Explain, the sharded coordinator (internal/shard) — is that loop under its
+// own budget (the table on Run), and because the Screen's tests are
+// monotone-safe they all reach the same hits and candidates.
 //
 // The paper screens every u; a Screen visits fewer rows when step 1 lets it
-// (Screen.take). If the PMPN has converged inside q's backward ball
-// (rwr.ToStepper.Rows) by the Screen's first round, p_u(q) is exactly zero
-// outside the ball, and a zero proximity survives only where p̂_u(k) is itself
-// within tieTol of zero — u reaches fewer than k nodes, so it ranks every node
-// among its top k. A View keeps those rows per k (zeroBoundTable), and the
-// Screen takes ball ∪ zero-bound rows: a handful in place of n, with the
-// decisions and counters of the dense take, which could only have pruned the
-// rest. Every row is taken by a Screen whose first round comes before
-// convergence or after the PMPN left the ball, and by one whose engine came
-// from NewEngine rather than a View (an update-mode engine owns its index and
-// its commits move the bounds the table is derived from; a View's index is
+// (Screen.take). No round is screened while the PMPN is still inside q's
+// backward ball (rwr.ToStepper.Rows); if it converges there, p_u(q) is
+// exactly zero outside the ball, and a zero proximity survives only where
+// p̂_u(k) is itself within tieTol of zero — u reaches fewer than k nodes, so
+// it ranks every node among its top k. A View keeps those rows per k
+// (zeroBoundTable), and the Screen takes ball ∪ zero-bound rows: a handful in
+// place of n, with the decisions and counters of the dense take, which could
+// only have pruned the rest. Every row is taken by a Screen whose first round
+// comes after the PMPN left the ball, and by one whose engine came from
+// NewEngine rather than a View (an update-mode engine owns its index and its
+// commits move the bounds the table is derived from; a View's index is
 // shared, so it is immutable).
 // QueryStats.Screened reports the rows visited.
 //
@@ -50,6 +52,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/bca"
@@ -95,11 +98,17 @@ type QueryStats struct {
 	// PMPNIters is the iteration count of the exact proximity-to-query
 	// computation (Algorithm 2).
 	PMPNIters int
-	// PMPNSupport is the number of non-zero entries of that vector: the
-	// nodes with any walk to q at all. Next to PMPNIters it tells a
-	// 40-iteration whole-graph solve from a 4-iteration one over q's
-	// three-node backward ball.
+	// PMPNSupport is the number of non-zero entries of the iterate the run
+	// stopped at: after convergence, the nodes with any walk to q at all;
+	// after an earlier stop, those within PMPNIters steps of q. Next to
+	// PMPNIters it tells a 40-iteration whole-graph solve from a 4-iteration
+	// one over q's three-node backward ball.
 	PMPNSupport int
+	// PMPNTail is the half-width of the band around the iterate that the
+	// candidates were decided on: 0 when the PMPN converged, the error bound
+	// τ widened by the converged vector's own ε(1−α)/α when the run stopped
+	// on a final screen or with nothing open (Run.Rounds).
+	PMPNTail float64
 	// Screened is the number of rows the Screen visited when it took its rows
 	// (Screen.take): every materialized row, or q's backward ball plus the
 	// zero-bound rows.
@@ -191,8 +200,7 @@ type Engine struct {
 	// arithmetic, and the PMPN estimate of p_u(q) differs from the
 	// power-method pkmax by up to ≈ε. Comparisons therefore treat values
 	// within tieTol as equal; gaps below tieTol are beneath the solvers'
-	// own precision. The exact fallback's early stop (resolveExact) leans on
-	// the same agreement between the PMPN and forward values of p_u(q).
+	// own precision.
 	tieTol float64
 	// practical selects the paper's literal decision rule for stalled
 	// candidates; see SetPracticalDecisions.
@@ -283,13 +291,14 @@ func (e *Engine) SetWorkers(n int) { e.workers = vecmath.Workers(n) }
 // Workers returns the configured intra-query parallelism degree.
 func (e *Engine) Workers() int { return e.workers }
 
-// Query runs Algorithm 4 (OQ) — the pipeline as one round to convergence and
-// the finish: it returns every node u with p_u(q) ≥ pkmax_u, in ascending node
-// order, plus the per-query statistics.
+// Query runs Algorithm 4 (OQ) — the pipeline's rounds until nothing is open,
+// the screen is final or the PMPN has converged, and the finish: it returns
+// every node u with p_u(q) ≥ pkmax_u, in ascending node order, plus the
+// per-query statistics.
 func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
 	r, err := e.start(q, k)
 	if err == nil {
-		err = r.Rounds(0, 0)
+		err = r.Rounds(0)
 	}
 	if err != nil {
 		return nil, QueryStats{Query: q, K: k}, err
@@ -298,7 +307,10 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 }
 
 // start validates a query and starts its run over one screen of the engine's
-// index, read through the owning View's table when there is one.
+// index, read through the owning View's table when there is one. An
+// update-mode, practical-mode or explaining engine's run converges before it
+// screens (Run.converge): commits, the paper-literal rule and the recorded
+// p_u(q) are all defined on the converged vector.
 func (e *Engine) start(q graph.NodeID, k int) (*Run, error) {
 	if int(q) < 0 || int(q) >= e.g.N() {
 		return nil, fmt.Errorf("core: query node %d out of range [0,%d)", q, e.g.N())
@@ -307,7 +319,12 @@ func (e *Engine) start(q graph.NodeID, k int) (*Run, error) {
 		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
 	}
 	s := &Screen{idx: e.idx, k: k, tol: e.tieTol, table: e.zeroBound, record: e.record, workers: e.workers}
-	return NewRun(e.g, q, e.idx.Options().RWR, e.workers, nil, s)
+	r, err := NewRun(e.g, q, e.idx.Options().RWR, e.workers, nil, s)
+	if err != nil {
+		return nil, err
+	}
+	r.converge = e.update || e.practical || e.record != nil
+	return r, nil
 }
 
 // support counts the non-zero entries of a proximity vector
@@ -332,10 +349,10 @@ func support(pq []float64, rows []graph.NodeID) int {
 	return n
 }
 
-// decideSet refines the listed candidates — a screen's survivors, each with
-// p̂(k) − tieTol ≤ p_u(q) < UB − tieTol; an empty list is no candidates —
-// sharded across the engine's workers, and resolves the ones refinement leaves
-// open. Outcomes are identical at any worker count: each shard runs the same
+// decideSet refines the listed candidates — a screen's survivors, each with a
+// band [pq[u] − band, pq[u] + band] around p_u(q) inside [p̂(k) − tieTol,
+// UB − tieTol); an empty list is no candidates — sharded across the engine's
+// workers, and resolves the ones refinement leaves open. Outcomes are identical at any worker count: each shard runs the same
 // loop over its segment with a private workspace and counters, answers
 // concatenate in segment order and counters merge by addition. In update mode
 // each shard commits only the rows of its own segment, so the shards write
@@ -346,10 +363,10 @@ func support(pq []float64, rows []graph.NodeID) int {
 // in one pass of SpMM-batched exact solves on the coordinating goroutine —
 // same pending list, same order, whatever the worker count, so the sequential
 // and sharded engines still make bit-identical decisions and commits. q is the
-// query node pq was computed for; resolution probes each deferred candidate's
-// column against it (resolveExact). The sweep stays on this goroutine under
+// query node pq was computed for; resolution reads each deferred candidate's
+// column at it (resolveExact). The sweep stays on this goroutine under
 // Explain (the recorder's) and for fewer than two shards' worth of candidates.
-func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
+func (e *Engine) decideSet(q graph.NodeID, pq []float64, band float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
 	type shard struct {
 		results []graph.NodeID
 		pend    []pendingFallback
@@ -365,7 +382,7 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 		ws := e.wsPool.Get()
 		defer e.wsPool.Put(ws)
 		for _, u := range list[seg.Lo:seg.Hi] {
-			if e.decide(ws, u, k, pq[u], &sh.stats, &sh.pend) {
+			if e.decide(ws, u, k, pq[u], band, &sh.stats, &sh.pend) {
 				sh.results = append(sh.results, u)
 			}
 		}
@@ -394,32 +411,32 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, k int, list []graph.Nod
 }
 
 // decide is Algorithm 4's while loop for one candidate u the Screen left
-// open — puq = p_u(q) is neither under u's k-th lower bound nor over its
-// staircase upper bound: refine it, or defer it. It returns whether refinement
-// made u a member. ws is the BCA scratch to refine with, one per sweep shard
-// (stats and pend must likewise be private to the calling shard). A candidate
-// refine leaves undecided is NOT decided here: it is appended to *pend for the
-// caller to batch-resolve with exact solves after the sweep
-// (resolveFallbacks), and reported as not a member.
-func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, puq float64, stats *QueryStats, pend *[]pendingFallback) bool {
+// open — p_u(q), within band of the iterate's xv, is neither under u's k-th
+// lower bound nor over its staircase upper bound: refine it, or defer it. It
+// returns whether refinement made u a member. ws is the BCA scratch to refine
+// with, one per sweep shard (stats and pend must likewise be private to the
+// calling shard). A candidate refine leaves undecided is NOT decided here: it
+// is appended to *pend for the caller to batch-resolve with exact solves after
+// the sweep (resolveFallbacks), and reported as not a member.
+func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, xv, band float64, stats *QueryStats, pend *[]pendingFallback) bool {
 	rho := e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u)
 	ink, t := e.idx.BatchInk(u, e.idx.Options().BCA.Eta)
-	r := e.refine(ws, u, k, puq, e.idx.PHatRow(u), rho, ink, t)
+	r := e.refine(ws, u, k, xv-band, xv+band, e.idx.PHatRow(u), rho, ink, t)
 	stats.RefineSteps += r.steps
 	if !r.decided {
-		// Exact fallback: the node needs p_u in full, compared against its
-		// own exact pkmax. The vector depends only on u — not on the query —
-		// and each one is a whole power method, so the sweep DEFERS it: the
-		// caller collects every open candidate and resolves them together
-		// through forward SpMM slabs (resolveFallbacks), where B columns
-		// share each CSR traversal instead of streaming the matrix from RAM
-		// B separate times. The batched columns are bit-identical to the
-		// per-candidate solves, so deferral changes no decision and no
+		// Exact fallback: the node needs p_u in full, its entry at q compared
+		// against its own k-th largest. The vector depends only on u — not on
+		// the query — and each one is a whole power method, so the sweep
+		// DEFERS it: the caller collects every open candidate and resolves
+		// them together through forward SpMM slabs (resolveFallbacks), where
+		// B columns share each CSR traversal instead of streaming the matrix
+		// from RAM B separate times. The batched columns are bit-identical to
+		// the per-candidate solves, so deferral changes no decision and no
 		// committed state. The refined state is NOT committed here even in
 		// update mode: resolution commits the strictly better exact state
 		// instead.
 		stats.ExactFallbacks++
-		*pend = append(*pend, pendingFallback{u: u, puq: puq, nextT: r.t + r.steps + 1, steps: r.steps})
+		*pend = append(*pend, pendingFallback{u: u, puq: xv, band: band + 2*convergedTail(e.idx.Options().RWR), nextT: r.t + r.steps + 1, steps: r.steps})
 		return false
 	}
 	if r.steps > 0 && e.update {
@@ -431,7 +448,7 @@ func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, puq float64, s
 		if r.member {
 			how = OutcomeRefinedIn
 		}
-		e.record(u, puq, how, r.member, r.steps)
+		e.record(u, xv, how, r.member, r.steps)
 	}
 	return r.member
 }
@@ -450,8 +467,10 @@ type refinement struct {
 // refine is the inner while loop of Algorithm 4 for a candidate its indexed
 // bounds leave open: phat is u's indexed row, rho its residue plus rounding
 // slack, and ink and t its stored state's batch ink and iteration count
-// (lbindex.Index.BatchInk), with
-// p̂(k) − tieTol ≤ p_u(q) < UpperBound(p̂, k, ρ) − tieTol. It
+// (lbindex.Index.BatchInk), and p_u(q) lies in the band [lo, hi] with
+// p̂(k) − tieTol ≤ lo ≤ hi < UpperBound(p̂, k, ρ) − tieTol (lo = hi = p_u(q)
+// after a converged PMPN). A bound decides u when the whole band clears it:
+// the lower bound prunes on hi, the upper bound confirms on lo. It
 // advances a copy of u's BCA state until a bound decides, but takes a step —
 // the first one and the deep copy before it included — only if that step
 // could decide. A step at threshold η takes exactly B = Σ{r(v) : r(v) ≥ η}
@@ -461,9 +480,9 @@ type refinement struct {
 //	UB′   = UpperBound(p̂′, k, ρ′) ≥ UpperBound(p̂, k, ρ − B)
 //	p̂′(k) ≤ UpperBound(p̂, k, B)
 //
-// If the first still clears p_u(q) and the second still does not, neither
-// bound can decide u whatever the step does, and u is left open at once for
-// the exact solve — which, since the push-form forward sweep, costs about
+// If the first still clears lo and the second still does not clear hi,
+// neither bound can decide u whatever the step does, and u is left open at
+// once for the exact solve — which, since the push-form forward sweep, costs about
 // what one step over a spread-out state does. B = 0 (all residue below η, the
 // step a no-op) is the degenerate instance: both right-hand sides are then
 // the bounds that just failed, so refine never copies or steps such a state —
@@ -471,14 +490,14 @@ type refinement struct {
 // (bca.State.Summarized). Residue below η the index folds into ρ (see
 // lbindex.Index.summarize): no step moves it, so ρ′ ≥ ρ − B still holds.
 // The test is a pure function of (u's state, k,
-// p_u(q)), so every sweep order and worker count takes the same steps.
+// lo, hi), so every sweep order and worker count takes the same steps.
 // cfg.MaxIters is the safety net against a state that never drains. In
 // practical mode (SetPracticalDecisions) a candidate left open is a member.
-func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, phat []float64, rho, ink float64, t int) refinement {
+func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, lo, hi float64, phat []float64, rho, ink float64, t int) refinement {
 	cfg := e.idx.Options().BCA
 	hm := e.idx.HubMatrix()
 	r := refinement{t: t}
-	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, puq, e.tieTol) {
+	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, lo, hi, e.tieTol) {
 		if r.st == nil {
 			r.st = e.idx.StateSnapshot(u)
 		}
@@ -487,12 +506,13 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, p
 		// Only the first k entries feed the bound checks; the full-K column
 		// is recomputed once at commit time.
 		phat = bca.TopK(r.st, hm, ws, k)
-		if prunedByLowerBound(puq, phat[k-1], e.tieTol) {
+		if prunedByLowerBound(hi, phat[k-1], e.tieTol) {
 			r.decided = true
 			return r
 		}
+		// At ρ = 0 the bound is p̂(k) itself, which the band cleared only if lo does.
 		rho = r.st.RNorm + e.idx.StateSlack(r.st)
-		if rho == 0 || puq >= UpperBound(phat, k, rho)-e.tieTol {
+		if lo >= UpperBound(phat, k, rho)-e.tieTol {
 			r.decided, r.member = true, true
 			return r
 		}
@@ -508,10 +528,11 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, puq float64, p
 
 // stepCanDecide is refine's one-step test: whether a BCA step that moves ink
 // out of a residue-plus-slack of rho could let the upper bound admit the
-// candidate or the lower bound exclude it (see refine for the two bounds).
-func stepCanDecide(phat []float64, k int, rho, ink, puq, tieTol float64) bool {
-	return puq >= UpperBound(phat, k, rho-ink)-tieTol ||
-		prunedByLowerBound(puq, UpperBound(phat, k, ink), tieTol)
+// candidate's band [lo, hi] or the lower bound exclude it (see refine for the
+// two bounds).
+func stepCanDecide(phat []float64, k int, rho, ink, lo, hi, tieTol float64) bool {
+	return lo >= UpperBound(phat, k, rho-ink)-tieTol ||
+		prunedByLowerBound(hi, UpperBound(phat, k, ink), tieTol)
 }
 
 // prunedByLowerBound is Algorithm 4's first screen: u cannot rank q in its
@@ -526,11 +547,18 @@ func prunedByLowerBound(puq, lb, tieTol float64) bool {
 
 // pendingFallback is one candidate refine left open — no outcome of its next
 // step could have decided it: u must be resolved by the exact power method.
-// puq and the would-be next BCA iteration number are captured at deferral
-// time so resolution needs nothing but u's forward iteration.
+// The would-be next BCA iteration number is captured at deferral time so
+// resolution needs nothing but u's forward iteration. puq is the PMPN
+// iterate's x[u], and band a half-width that puts the converged column's
+// entry at q inside [puq − band, puq + band]: the run's band (Run.Rounds)
+// plus 2ε(1−α)/α. p_u(q) lies within τ + ε(1−α)/α of puq — the run's band
+// after a final stop, and after convergence, whose band is 0, within the
+// PMPN's own ε(1−α)/α — and the converged column's entry within ε(1−α)/α of
+// p_u(q).
 type pendingFallback struct {
 	u     graph.NodeID
 	puq   float64
+	band  float64
 	nextT int
 	steps int // refinement steps taken before deferral, for Explain
 }
@@ -594,35 +622,35 @@ const (
 )
 
 // resolveExact decides every candidate query q's sweep deferred by its node's
-// forward power iteration: pend[i] is a member iff p_u(q) ≥ pkmax(u) − tieTol, pkmax(u) the
-// k-th largest entry of u's exact proximity vector. Each candidate gets one
+// forward power iteration, under the oracle's membership rule read off the
+// column x = p_u itself: u is a member iff x[q] ≥ κ − tieTol, κ the k-th
+// largest entry of x over v ≠ q (columnMember; the same set as
+// rwr.ReverseTopK's x[q] ≥ pkmax(u) − tieTol). Each candidate gets one
 // column; columns run in forward SpMM slabs of at most spmmChunkWidth, in
 // deferral order, and every column that runs to convergence is
 // rwr.ProximityVector's bit for bit. The slabs run one after another on the
 // calling goroutine whatever the engine's worker count; each sweeps its
 // columns' forward ball with the push kernel (rwr/spmm.go, rwr/spmmfwd.go).
+// The rule asks nothing of the PMPN, so a candidate decided on a band (a
+// final stop, Run.Rounds) resolves as one decided on the converged vector.
 //
-// A no-update engine rarely needs the converged vector. p_u(q) is already
-// exact (the PMPN gave it); the unknown is only which side of it pkmax(u)
-// falls, and the iterate x^t brackets every entry of p_u within the
-// elementwise band τ_t = r_t·(1−α)/α (rwr.ColumnProbe). So between
-// iterations a probe computes κ, the k-th largest of x^t over v ≠ q, and
-// decides the candidate the moment the band clears its anchor (Fujiwara et
-// al.'s bound-driven termination, PAPERS.md):
+// A no-update engine rarely needs the converged column: the iterate x^t
+// brackets every entry of the converged x* within the elementwise band
+// τ_t = r_t·(1−α)/α (rwr.ColumnProbe), and the PMPN's band brackets x*[q] too
+// (pendingFallback), so between iterations a probe applies the rule to the
+// narrower bracket of x*[q], [L, U] = [max(x[q] − τ, lo), min(x[q] + τ, hi)],
+// and decides the candidate the moment it and κ separate (Fujiwara et al.'s
+// bound-driven termination, PAPERS.md). κ is 1-Lipschitz in the entries, so
 //
-//	κ − τ > p_u(q) + tieTol  ⇒ non-member. Unconditionally the converged
-//	    decision: the converged threshold T* ≥ κ* ≥ κ − τ > p_u(q) + tieTol.
-//	κ + τ ≤ p_u(q) + tieTol  ⇒ member. At most k−1 nodes other than q can
-//	    end above p_u(q) + tieTol, so T* ≤ max(x*[q], p_u(q) + tieTol), which
-//	    is the converged decision provided the forward value x*[q] of p_u(q)
-//	    agrees with the PMPN value within tieTol — the agreement tieTol is
-//	    defined by and every exact tie already relies on (see Engine.tieTol).
+//	L ≥ κ + τ − tieTol  ⇒ member:     x*[q] ≥ L ≥ κ + τ − tieTol ≥ κ* − tieTol;
+//	U < κ − τ − tieTol  ⇒ non-member: x*[q] ≤ U < κ − τ − tieTol ≤ κ* − tieTol;
 //
-// The test is anchored at p_u(q), with q left out of κ, because nearly
+// both the converged decision, whatever the PMPN's precision: a wide band
+// only leaves the column's own τ to decide. q is left out of κ because nearly
 // half of all fallbacks are exact ties — q IS u's k-th node and the gap to
-// pkmax is ≈1e-15 (ROADMAP.md has the distribution) — where a band around
-// the k-th entry itself can never close above tieTol, while the (k+1)-th
-// entry separates from the anchor early.
+// pkmax is ≈1e-15 (ROADMAP.md has the distribution) — where a band around the
+// k-th entry itself can never close above tieTol, while the (k+1)-th entry
+// separates from x[q] early.
 //
 // In update mode there is no probe: each solved vector is committed as a
 // fully drained exact state (all ink retained, zero residue) so no future
@@ -650,7 +678,6 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 					return false
 				}
 				nextProbe[i] = tail / probeTailRatio
-				pf := chunk[i]
 				// A slab still inside its forward ball reads the ball's rows
 				// only: x^t is zero elsewhere — at q too, if q is not one of
 				// them — and TopKValues pads a short list with the zeros left
@@ -668,20 +695,11 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 					}
 					vals = vals[:len(rows)]
 				}
-				top := vecmath.TopKValues(vals, k+1)
-				kappa := top[k-1]
-				if xq >= kappa {
-					kappa = top[k] // q is one of the k largest: leave it out
+				member, decided := columnMember(vals, xq, k, tail, chunk[i].puq-chunk[i].band, chunk[i].puq+chunk[i].band, e.tieTol)
+				if decided {
+					outs[i] = fallbackOutcome{member: member, iters: iter, early: true}
 				}
-				switch anchor := pf.puq + e.tieTol; {
-				case kappa+tail <= anchor:
-					outs[i] = fallbackOutcome{member: true, iters: iter, early: true}
-				case kappa-tail > anchor:
-					outs[i] = fallbackOutcome{iters: iter, early: true}
-				default:
-					return false
-				}
-				return true
+				return decided
 			}
 		}
 		var colErr error
@@ -692,8 +710,8 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 				}
 				return
 			}
-			th := vecmath.KthLargest(res.Vector, k)
-			outs[i] = fallbackOutcome{member: chunk[i].puq >= th-e.tieTol, iters: res.Iterations}
+			member, _ := columnMember(res.Vector, res.Vector[q], k, 0, math.Inf(-1), math.Inf(1), e.tieTol)
+			outs[i] = fallbackOutcome{member: member, iters: res.Iterations}
 			if e.update {
 				exact := &bca.State{
 					Origin: origins[i],
@@ -713,6 +731,27 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 		ballIters += swept
 	}
 	return out, ballIters, nil
+}
+
+// columnMember applies resolveExact's rule to a column x of u known within tail
+// of the converged one x*, xq its entry at the query node (vals may be x's
+// non-zero entries only, or all of it): whether u ranks q among its top k —
+// x*[q] ≥ κ* − tieTol — and whether the evidence decides it. x*[q] lies
+// within tail of xq and inside [lo, hi] (the PMPN's band, or ±Inf), κ* within
+// tail of κ. At tail = 0 with no band it always decides.
+func columnMember(vals []float64, xq float64, k int, tail, lo, hi, tieTol float64) (member, decided bool) {
+	top := vecmath.TopKValues(vals, k+1)
+	kappa := top[k-1]
+	if xq >= kappa {
+		kappa = top[k] // q is one of the k largest: leave it out
+	}
+	switch {
+	case max(xq-tail, lo) >= kappa+tail-tieTol:
+		return true, true
+	case min(xq+tail, hi) < kappa-tail-tieTol:
+		return false, true
+	}
+	return false, false
 }
 
 // BruteForce answers a reverse top-k query by computing the exact proximity

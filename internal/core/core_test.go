@@ -67,6 +67,21 @@ func buildIndex(t testing.TB, g *graph.Graph, k, hubBudget int) *lbindex.Index {
 	return idx
 }
 
+// queryConverged is e.Query with the PMPN stepped to convergence before its
+// one screen, as an update-mode, practical-mode or explaining engine runs it:
+// the run a final stop is held to, decided on the converged vector.
+func queryConverged(e *Engine, q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
+	r, err := e.start(q, k)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	r.converge = true
+	if err := r.Rounds(0); err != nil {
+		return nil, QueryStats{}, err
+	}
+	return e.finish(r, r.screens[0])
+}
+
 func TestUpperBoundNoResidue(t *testing.T) {
 	phat := []float64{0.5, 0.3, 0.2}
 	if got := UpperBound(phat, 2, 0); got != 0.3 {

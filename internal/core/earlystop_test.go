@@ -48,8 +48,9 @@ func (f *fallbackPhases) check(t *testing.T) {
 
 // TestEarlyStopMatchesConvergedAndBruteForce: across the oracle families ×
 // k ∈ {1, 10, K}, the engine's answer with the probe equals
-// its answer with the probe forced off equals brute force; the same
-// candidates reach the fallback either way; and the probe really engages
+// its answer with the probe forced off equals brute force; over the same
+// converged PMPN (queryConverged) the same candidates reach the fallback
+// either way; and the probe really engages
 // (fewer forward iterations, some early stops) while the forced-off run
 // reports none. Between them the families stop fallbacks early in both phases
 // of the slab (web's forward balls stay under half the graph, coauthor's pass
@@ -74,12 +75,21 @@ func TestEarlyStopMatchesConvergedAndBruteForce(t *testing.T) {
 				for _, q := range anytimeQueries(g.N()) {
 					label := fmt.Sprintf("q=%d k=%d", q, k)
 					want := tab.Want(q, k)
-					got, st, err := eng.Query(q, k)
+					got, _, err := eng.Query(q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: engine %v, brute force %v", label, got, want)
+					}
+					// The forced-off engine runs its PMPN to convergence: so
+					// does the sweep it is compared with.
+					got, st, err := queryConverged(eng, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: engine run to convergence %v, brute force %v", label, got, want)
 					}
 					noProbe, err := NewEngine(g, idx.Clone(), true)
 					if err != nil {

@@ -57,7 +57,7 @@ func TestRefineRuleFallbackSoundness(t *testing.T) {
 							continue
 						}
 						ink0, t0 := idx.BatchInk(u, cfg.Eta)
-						r := eng.refine(ws, u, k, puq, phat, rho, ink0, t0)
+						r := eng.refine(ws, u, k, puq, puq, phat, rho, ink0, t0)
 						refined += r.steps
 						if r.decided {
 							continue
@@ -114,10 +114,12 @@ func TestRefineRuleFallbackSoundness(t *testing.T) {
 }
 
 // TestExplainMatchesQueryRefineAndFallbacks: Explain and Query share refine,
-// so for every node they report the same membership, the same refinement
-// steps and the same resort to the exact fallback — and they visit the same
-// rows: all of them on a bare engine, the sparse screen through a View when
-// the query's backward ball closes (two such queries join each family's list).
+// so for every node they report the same membership, and Explain the same
+// refinement steps and the same resort to the exact fallback as Query's run
+// to convergence (queryConverged; a Query stopped on a final screen refines on
+// its band, and may step or fall back more) — and they visit the same rows:
+// all of them on a bare engine, the sparse screen through a View when the
+// query's backward ball closes (two such queries join each family's list).
 func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 	const k = 10
 	p := rwr.DefaultParams()
@@ -165,7 +167,7 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 				if hit {
 					members = []graph.NodeID{d.Node}
 				} else if open {
-					if members, err = eng.decideSet(q, pq.Vector, k, []graph.NodeID{d.Node}, &st); err != nil {
+					if members, err = eng.decideSet(q, pq.Vector, 0, k, []graph.NodeID{d.Node}, &st); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -184,9 +186,13 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ex.Stats.RefineSteps != qst.RefineSteps || ex.Stats.ExactFallbacks != qst.ExactFallbacks ||
+			_, cst, err := queryConverged(eng, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Stats.RefineSteps != cst.RefineSteps || ex.Stats.ExactFallbacks != cst.ExactFallbacks ||
 				ex.Stats.Candidates != qst.Candidates || ex.Stats.Hits != qst.Hits || ex.Stats.Results != qst.Results {
-				t.Errorf("%s q=%d: Explain stats %+v, Query stats %+v", family, q, ex.Stats, qst)
+				t.Errorf("%s q=%d: Explain stats %+v, Query stats %+v, converged Query stats %+v", family, q, ex.Stats, qst, cst)
 			}
 			if ex.Stats.Screened != qst.Screened || qst.Screened != g.N() {
 				t.Errorf("%s q=%d: a bare engine's Explain screened %d rows and its Query %d of %d",

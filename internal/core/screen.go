@@ -33,7 +33,11 @@ const defaultTieTol = 1e-9
 // Both tests are monotone-safe — they imply the same test at τ = 0 against the
 // converged vector — so a query screened over many early rounds and one
 // screened once at convergence end with the same hits and the same survivors:
-// the candidates refinement works on (Engine.finish).
+// the candidates refinement works on (Engine.finish). A row left open is
+// final when its band [x[u] − b, x[u] + b] (b ≥ τ: Run.Rounds widens it) lies
+// inside [p̂_u(k) − tol, UB_u − tol): no smaller τ can prune or confirm it.
+// Each advance counts the open rows that are not (RoundReport.Unsettled), and
+// the round loop stops once there are none.
 //
 // A Screen takes its rows when first advanced (take) and materializes only
 // those that pass; the residue and the staircase bound are fetched lazily and
@@ -70,15 +74,15 @@ type Screen struct {
 }
 
 // RoundReport summarizes one Advance for the round loop, which folds the
-// reports across screens to test its budget and size the next round.
+// reports across screens to test its stop rules.
 type RoundReport struct {
 	// Undecided is the remaining alive-set size after the round.
 	Undecided int
-	// MinPruneGap is the smallest p̂_u(k) − tol − x[u] over undecided
-	// nodes currently sitting BELOW their lower bound (+Inf if none): once
-	// τ drops under the global minimum of this quantity, every such node
-	// prunes.
-	MinPruneGap float64
+	// Unsettled counts the undecided rows that are not final: their band
+	// [x − b, x + b] does not lie inside [p̂_u(k) − tol, UB_u − tol), so a
+	// smaller τ might still prune or confirm them. 0 means the screen is
+	// final (Run.Rounds).
+	Unsettled int
 }
 
 // NewScreen prepares a screen over the nodes this view's index
@@ -91,27 +95,28 @@ func (v *View) NewScreen(k int) (*Screen, error) {
 }
 
 // Advance screens the alive set against iterate x with elementwise error
-// bound tau. x must cover the full node space; tau must be a valid bound
-// for THIS x. After a pass at tau = 0 over the converged vector the survivors
-// are the candidates refinement works on.
+// bound tau, and judges finality on the band tau. x must cover the full node
+// space; tau must be a valid bound for THIS x. After a pass at tau = 0 over
+// the converged vector the survivors are the candidates refinement works on.
 func (s *Screen) Advance(x []float64, tau float64) RoundReport {
-	return s.advance(x, tau, nil)
+	return s.advance(x, tau, tau, nil)
 }
 
-// advance is Advance for a caller that may know x's support: a non-nil ball
-// lists, ascending, the only rows where x — final, converged — is non-zero.
-// Only the first call, which takes the rows, looks at it.
-func (s *Screen) advance(x []float64, tau float64, ball []graph.NodeID) RoundReport {
+// advance is Advance with the finality band given apart from tau (band ≥
+// tau), for a caller that may know x's support: a non-nil ball lists,
+// ascending, the only rows where x — final, converged — is non-zero. Only the
+// first call, which takes the rows, looks at it.
+func (s *Screen) advance(x []float64, tau, band float64, ball []graph.NodeID) RoundReport {
 	start := time.Now()
-	rep := RoundReport{MinPruneGap: math.Inf(1)}
+	var rep RoundReport
 	if !s.taken {
 		s.taken = true
-		s.take(x, tau, ball, &rep)
+		s.take(x, tau, band, ball, &rep)
 	} else {
 		ids, lb, rn, ub := s.ids, s.lb, s.rn, s.ub
 		s.ids, s.lb, s.rn, s.ub = ids[:0], lb[:0], rn[:0], ub[:0]
 		for i, u := range ids {
-			s.row(u, x[u], tau, lb[i], rn[i], ub[i], &rep)
+			s.row(u, x[u], tau, band, lb[i], rn[i], ub[i], &rep)
 		}
 	}
 	rep.Undecided = len(s.ids)
@@ -131,7 +136,7 @@ func (s *Screen) advance(x []float64, tau float64, ball []graph.NodeID) RoundRep
 // pointer a row; those rows are split over the screen's workers, each segment
 // screened into a Screen of its own and the segments appended in order — row
 // order.
-func (s *Screen) take(x []float64, tau float64, ball []graph.NodeID, rep *RoundReport) {
+func (s *Screen) take(x []float64, tau, band float64, ball []graph.NodeID, rep *RoundReport) {
 	nan := math.NaN()
 	var l *zeroBoundList
 	if s.table != nil {
@@ -148,20 +153,20 @@ func (s *Screen) take(x []float64, tau float64, ball []graph.NodeID, rep *RoundR
 		slices.Sort(rows)
 		rows = slices.Compact(rows)
 		for _, u := range rows {
-			s.row(u, x[u], tau, s.idx.KthLowerBound(u, s.k), nan, nan, rep)
+			s.row(u, x[u], tau, band, s.idx.KthLowerBound(u, s.k), nan, nan, rep)
 		}
 		s.screened, s.pruned = len(rows), s.pruned+len(l.kth)-len(rows)
 	case l != nil:
 		for i, lb := range l.kth {
 			u := l.lo + i
-			s.row(graph.NodeID(u), x[u], tau, lb, nan, nan, rep)
+			s.row(graph.NodeID(u), x[u], tau, band, lb, nan, nan, rep)
 		}
 		s.screened = len(l.kth)
 	default:
 		lo, hi := s.idx.Rows()
 		sweep := func(p *Screen, r *RoundReport, seg vecmath.Range) {
 			for u := graph.NodeID(lo + seg.Lo); u < graph.NodeID(lo+seg.Hi); u++ {
-				p.row(u, x[u], tau, s.idx.KthLowerBound(u, s.k), nan, nan, r)
+				p.row(u, x[u], tau, band, s.idx.KthLowerBound(u, s.k), nan, nan, r)
 			}
 		}
 		s.screened = hi - lo
@@ -174,21 +179,22 @@ func (s *Screen) take(x []float64, tau float64, ball []graph.NodeID, rep *RoundR
 		vecmath.Parallel(len(segs), func(si int) {
 			// Not into parts[si] in place: row counts into its Screen at every
 			// row, and neighbouring elements share cache lines.
-			p, r := Screen{idx: s.idx, k: s.k, tol: s.tol}, RoundReport{MinPruneGap: math.Inf(1)}
+			p, r := Screen{idx: s.idx, k: s.k, tol: s.tol}, RoundReport{}
 			sweep(&p, &r, segs[si])
 			parts[si], reps[si] = p, r
 		})
 		for si, p := range parts {
 			s.ids, s.lb, s.rn, s.ub = append(s.ids, p.ids...), append(s.lb, p.lb...), append(s.rn, p.rn...), append(s.ub, p.ub...)
 			s.hits, s.pruned = append(s.hits, p.hits...), s.pruned+p.pruned
-			rep.MinPruneGap = min(rep.MinPruneGap, reps[si].MinPruneGap)
+			rep.Unsettled += reps[si].Unsettled
 		}
 	}
 }
 
 // row applies the two tests to node u at xv = x[u]: pruned, confirmed, or
-// kept alive with what it has memoized (rn, ub: NaN when not yet fetched).
-func (s *Screen) row(u graph.NodeID, xv, tau, lb, rn, ub float64, rep *RoundReport) {
+// kept alive with what it has memoized (rn, ub: NaN when not yet fetched) and
+// counted unsettled unless its band [xv − band, xv + band] is final.
+func (s *Screen) row(u graph.NodeID, xv, tau, band, lb, rn, ub float64, rep *RoundReport) {
 	if prunedByLowerBound(xv+tau, lb, s.tol) {
 		s.pruned++
 		if s.record != nil {
@@ -199,11 +205,8 @@ func (s *Screen) row(u graph.NodeID, xv, tau, lb, rn, ub float64, rep *RoundRepo
 	plo := xv - tau
 	if prunedByLowerBound(plo, lb, s.tol) {
 		// Not provably above the lower bound yet: it can neither be confirmed
-		// (UB ≥ lb) nor pruned this round. Record how far τ must still fall
-		// for the prune test to fire.
-		if gap := lb - s.tol - xv; gap > 0 && gap < rep.MinPruneGap {
-			rep.MinPruneGap = gap
-		}
+		// (UB ≥ lb) nor pruned this round, nor is it final.
+		rep.Unsettled++
 	} else if rn, ub = s.upper(u, lb, rn, ub); plo >= ub-s.tol {
 		s.hits = append(s.hits, u)
 		if s.record != nil {
@@ -214,6 +217,8 @@ func (s *Screen) row(u graph.NodeID, xv, tau, lb, rn, ub float64, rep *RoundRepo
 			s.record(u, xv, how, true, 0)
 		}
 		return
+	} else if prunedByLowerBound(xv-band, lb, s.tol) || xv+band >= ub-s.tol {
+		rep.Unsettled++
 	}
 	s.ids = append(s.ids, u)
 	s.lb = append(s.lb, lb)

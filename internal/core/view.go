@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"sync"
 
@@ -44,9 +45,9 @@ type View struct {
 // node's self-loop). Such a u ranks every node in its top-k, reachable or not,
 // so it is in every answer at that k and no screen may skip it; every other row
 // outside q's backward ball is pruned by prunedByLowerBound — the helper the
-// pass selects with — without being looked at. It also holds the largest
-// p̂_u(k), which sizes a run's first round (Run.Rounds), and every row's
-// p̂_u(k) in one flat column for the dense take.
+// pass selects with — without being looked at. It also holds the smallest
+// p̂_u(k) among the rows a zero prunes, which sizes a run's first round
+// (Run.Rounds), and every row's p̂_u(k) in one flat column for the dense take.
 type zeroBoundTable struct {
 	idx  *lbindex.Index
 	perK []zeroBoundList // perK[k-1]
@@ -57,7 +58,7 @@ type zeroBoundList struct {
 	rows []graph.NodeID
 	lo   int       // the first row the index materializes (Index.Rows)
 	kth  []float64 // p̂_u(k) at [u-lo], one per row the index materializes
-	max  float64   // the largest p̂_u(k)
+	min  float64   // the smallest p̂_u(k) a zero proximity prunes; +Inf if none
 }
 
 func newZeroBoundTable(idx *lbindex.Index) *zeroBoundTable {
@@ -70,14 +71,15 @@ func (t *zeroBoundTable) list(k int) *zeroBoundList {
 	l := &t.perK[k-1]
 	l.once.Do(func() {
 		lo, hi := t.idx.Rows()
-		l.lo, l.kth = lo, make([]float64, hi-lo)
+		l.lo, l.kth, l.min = lo, make([]float64, hi-lo), math.Inf(1)
 		for i := range l.kth {
 			u := graph.NodeID(lo + i)
 			lb := t.idx.KthLowerBound(u, k)
 			l.kth[i] = lb
-			l.max = max(l.max, lb)
 			if !prunedByLowerBound(0, lb, defaultTieTol) {
 				l.rows = append(l.rows, u)
+			} else {
+				l.min = min(l.min, lb)
 			}
 		}
 	})
@@ -119,14 +121,14 @@ func (v *View) Explain(q graph.NodeID, k int, includePruned bool, workers int) (
 }
 
 // Finish is the pipeline's finish (Engine.finish) for this view's screen of a
-// run whose rounds have ended converged, or with nothing open — any other
-// screen or run is refused: the members among the view's rows, ascending,
+// run whose rounds have ended converged, final, or with nothing open on this
+// screen — any other screen or run is refused: the members among the view's rows, ascending,
 // and a cold query's stats, with the given intra-engine worker count (≤ 0
 // selects GOMAXPROCS). The scatter-gather coordinator calls it once a shard.
 // Safe for concurrent use.
 func (v *View) Finish(r *Run, s *Screen, workers int) ([]graph.NodeID, QueryStats, error) {
-	if s.idx != v.idx || !slices.Contains(r.screens, s) || !s.taken || len(s.ids) > 0 && !r.stepper.Converged() {
-		return nil, QueryStats{Query: r.q, K: s.k}, errors.New("core: Finish wants this view's screen of this run, screened with nothing left open or to convergence")
+	if s.idx != v.idx || !slices.Contains(r.screens, s) || !s.taken || len(s.ids) > 0 && !r.stepper.Converged() && !r.final {
+		return nil, QueryStats{Query: r.q, K: s.k}, errors.New("core: Finish wants this view's screen of this run, screened with nothing left open, final or to convergence")
 	}
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)

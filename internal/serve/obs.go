@@ -204,10 +204,14 @@ type queryTrace struct {
 	computed  bool
 	phases    map[string]time.Duration
 	pmpnIters int
-	// pmpnSupport is the non-zero count of an exact computation's proximity
-	// vector (core.QueryStats.PMPNSupport); 0 for an approx one, whose
-	// iterate is cut short.
+	// pmpnSupport is the non-zero count of the PMPN iterate an exact
+	// computation stopped at (core.QueryStats.PMPNSupport); 0 for an approx
+	// one.
 	pmpnSupport int
+	// pmpnTail is the band around that iterate the computation decided on
+	// (core.QueryStats.PMPNTail, core.AnytimeStats.PMPNTail): 0 when the PMPN
+	// converged, so it tells a final or early stop from a converged one.
+	pmpnTail float64
 	// screened is the number of rows the exact decision sweep visited
 	// (core.QueryStats.Screened): next to pmpnSupport it tells a sparse
 	// screen over a closed backward ball from a dense one over every row.
@@ -227,7 +231,7 @@ type queryTrace struct {
 // setExact installs the record of an exact computation.
 func (t *queryTrace) setExact(st core.QueryStats) {
 	t.computed = true
-	t.pmpnIters, t.pmpnSupport, t.screened = st.PMPNIters, st.PMPNSupport, st.Screened
+	t.pmpnIters, t.pmpnSupport, t.pmpnTail, t.screened = st.PMPNIters, st.PMPNSupport, st.PMPNTail, st.Screened
 	t.setPhases(st.Phases())
 	t.candidates, t.refineSteps = st.Candidates, st.RefineSteps
 	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
@@ -270,6 +274,7 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		"duration_ms", float64(elapsed) / float64(time.Millisecond),
 		"pmpn_iters", tr.pmpnIters,
 		"pmpn_support", tr.pmpnSupport,
+		"pmpn_tail", tr.pmpnTail,
 		"screened", tr.screened,
 		"rounds", tr.rounds,
 		"candidates", tr.candidates,

@@ -561,6 +561,9 @@ func TestFallbackObservability(t *testing.T) {
 			line = l
 		}
 	}
+	if got, ok := line["pmpn_tail"].(float64); !ok || got != want.PMPNTail {
+		t.Errorf("log line pmpn_tail = %v, want %v (line %v)", line["pmpn_tail"], want.PMPNTail, line)
+	}
 	for field, n := range map[string]int{
 		"pmpn_iters":           want.PMPNIters,
 		"pmpn_support":         want.PMPNSupport,
@@ -578,8 +581,8 @@ func TestFallbackObservability(t *testing.T) {
 	}
 
 	_, body := get(t, ts.URL+"/debug/slowlog")
-	detail := fmt.Sprintf(`"detail":"q=1 k=3 mode=exact cache=MISS pmpn_iters=%d pmpn_support=%d screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d"`,
-		want.PMPNIters, want.PMPNSupport, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackBallIters, want.FallbackEarlyStops)
+	detail := fmt.Sprintf(`"detail":"q=1 k=3 mode=exact cache=MISS pmpn_iters=%d pmpn_support=%d pmpn_tail=%v screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d"`,
+		want.PMPNIters, want.PMPNSupport, want.PMPNTail, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackBallIters, want.FallbackEarlyStops)
 	if !strings.Contains(string(body), detail) {
 		t.Errorf("slow-log entry is not %s: %s", detail, body)
 	}

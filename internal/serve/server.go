@@ -328,10 +328,14 @@ type QueryResponse struct {
 
 // ApproxQueryResponse is the JSON body of /v1/reverse-topk?mode=approx: the
 // two-part anytime answer. Results holds the guaranteed members (Count its
-// size); Maybe the candidates still undecided at the achieved ε. The answer
-// is deterministic, and like exact bodies, approx bodies are cached verbatim
-// under their own (mode, eps)-aware key, so a cached response is
-// byte-identical to the fresh one.
+// size); Maybe the candidates still undecided at the achieved ε. EpsAchieved
+// is at most Eps unless the run stopped first because its PMPN converged
+// (Converged) or its screen was final — no open row could change side
+// (core.Run.Rounds); Maybe is then exactly the exact query's refinement
+// candidates, and the request's log line says which stop it was (pmpn_tail
+// is 0 after convergence only). The answer is deterministic, and like exact
+// bodies, approx bodies are cached verbatim under their own (mode,
+// eps)-aware key, so a cached response is byte-identical to the fresh one.
 type ApproxQueryResponse struct {
 	Query       graph.NodeID   `json:"query"`
 	K           int            `json:"k"`
@@ -513,7 +517,7 @@ func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps float6
 	s.m.approxRounds.Add(uint64(res.Stats.Rounds))
 	if tr != nil {
 		tr.computed = true
-		tr.pmpnIters = res.Stats.PMPNIters
+		tr.pmpnIters, tr.pmpnTail = res.Stats.PMPNIters, res.Stats.PMPNTail
 		tr.rounds = res.Stats.Rounds
 		if res.Stats.PMPNElapsed > 0 {
 			tr.setPhases(map[string]time.Duration{"pmpn": res.Stats.PMPNElapsed})

@@ -16,14 +16,13 @@ import (
 //   - maybe: nodes still undecided when the exchange stopped.
 //
 // Every decision is deterministic, so guaranteed ⊆ exact ⊆ guaranteed ∪ maybe
-// unconditionally, and with the same round length
-// (core.DefaultAnytimeRoundIters) the two parts equal the unsharded
-// View.QueryAnytime's — shards decide exactly the nodes the full screen
-// would, just partitioned. If the PMPN converges before the budget
-// is met the exchange stops at the exact-pq screen and reports the achieved
-// ε honestly (Stats.EpsAchieved > eps, Converged = true); the maybe set is
-// then precisely the exact path's refinement candidates. The full
-// refinement pass — the dominant share of exact latency — never runs.
+// unconditionally, and under the one round schedule the two parts equal the
+// unsharded View.QueryAnytime's — shards decide exactly the nodes the full
+// screen would, just partitioned. If the screens are final or the PMPN
+// converges before the budget is met, the exchange stops and reports the
+// achieved ε honestly (Stats.EpsAchieved > eps, Final or Converged); the
+// maybe set is then precisely the exact path's refinement candidates. The
+// full refinement pass — the dominant share of exact latency — never runs.
 func (c *Coordinator) QueryAnytime(q graph.NodeID, k int, eps float64) (guaranteed, maybe []graph.NodeID, stats QueryStats, err error) {
 	start := time.Now()
 	_, screens, stats, err := c.rounds(q, k, eps)

@@ -55,11 +55,12 @@ type Config struct {
 // answer size, the finish's per-shard stats and the wall clock on top.
 //
 // Converged false means the rounds stopped the PMPN before convergence
-// because every shard had decided its candidates from bounds: an early stop.
-// PrunedByBound and ConfirmedByBound count nodes the shards' screens decided
-// from bounds, in the exchange rounds (τ > 0) and, when the PMPN converged
-// with candidates open, in the τ = 0 screen of the converged vector that
-// ends the last one; refinement never looks at them. Maybe counts the
+// because the budget was met — for Query, every shard had decided its rows
+// from bounds — or because every row left open was final (Final): an early
+// stop. PrunedByBound and ConfirmedByBound count nodes the shards' screens
+// decided from bounds, in the exchange rounds (τ > 0) and, when the PMPN
+// converged with candidates open, in the τ = 0 screen of the converged vector
+// that ends the last one; refinement never looks at them. Maybe counts the
 // candidates left for refinement when the rounds ended, on both entry points
 // — Query finishes exactly these, QueryAnytime returns them as the maybe set
 // — so that PrunedByBound + ConfirmedByBound + Maybe is the node count.
@@ -71,7 +72,8 @@ type QueryStats struct {
 	Results int
 	// PerShard carries the finish's per-shard engine stats, each with a cold
 	// query's phases: the shared pmpn, the shard's decide and fallback. Nil
-	// after an early stop, which skips the finish, and under QueryAnytime.
+	// when the rounds left nothing open, which skips the finish, and under
+	// QueryAnytime.
 	PerShard []core.QueryStats
 }
 
@@ -186,17 +188,18 @@ func (c *Coordinator) Views() []*core.View { return c.views }
 // index, in ascending node order.
 func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
 	start := time.Now()
-	// The loop stops once no shard has a candidate open, or converged.
+	// The loop stops once no shard has a candidate open, the screens are
+	// final, or the PMPN converged.
 	r, screens, stats, err := c.rounds(q, k, 0)
 	if err != nil {
 		return nil, stats, err
 	}
 	// Finish, once a shard, for candidates the bounds could not decide; the
-	// converged vector is bit-identical to the single engine's PMPN, so these
-	// decisions (refinement and all) match it exactly. An early stop left
-	// nothing open: the screens' hits are the answer.
+	// iterate and its band are bit-identical to the single engine's PMPN, so
+	// these decisions (refinement and all) match it exactly. With nothing
+	// open the screens' hits are the answer.
 	parts := make([][]graph.NodeID, len(c.views))
-	if !stats.Converged {
+	if stats.Maybe == 0 {
 		for i, s := range screens {
 			parts[i] = s.Hits()
 		}
@@ -243,7 +246,7 @@ func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*
 	}
 	r, err := core.NewRun(c.g, q, c.params, c.workers, c.RoundObserver, screens...)
 	if err == nil {
-		err = r.Rounds(eps, core.DefaultAnytimeRoundIters)
+		err = r.Rounds(eps)
 	}
 	if err != nil {
 		return nil, nil, stats, err

@@ -120,9 +120,12 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 				if stats.Converged {
 					converged++
 				}
-				if stats.PMPNIters > wst.PMPNIters || (stats.Converged && stats.PMPNIters != wst.PMPNIters) {
-					t.Fatalf("q=%d k=%d w=%d: coordinator ran %d PMPN iterations (converged %v), the view %d",
-						q, k, workers, stats.PMPNIters, stats.Converged, wst.PMPNIters)
+				// One round schedule and one set of stop rules: the same
+				// stop as the view's, and an unconverged stop with rows open
+				// left every one of them final.
+				if stats.PMPNIters != wst.PMPNIters || !stats.Converged && stats.Maybe > 0 && !stats.Final {
+					t.Fatalf("q=%d k=%d w=%d: coordinator ran %d PMPN iterations (converged %v, final %v, %d open), the view %d",
+						q, k, workers, stats.PMPNIters, stats.Converged, stats.Final, stats.Maybe, wst.PMPNIters)
 				}
 			}
 		}
