@@ -141,8 +141,8 @@ func main() {
 		}
 		s := res.Stats
 		printAnytime(*q, *k, epsV, res.Guaranteed, res.Maybe)
-		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v final=%v confirmed=%d pruned=%d\n",
-			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged, s.Final, s.ConfirmedByBound, s.PrunedByBound)
+		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v final=%v confirmed=%d pruned=%d pmpn_edges=%d pmpn_handover=%v\n",
+			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged, s.Final, s.ConfirmedByBound, s.PrunedByBound, s.PMPNEdges, s.PMPNHandover)
 		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
 			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond), s.PMPNIters)
 	case *explain:
@@ -166,8 +166,8 @@ func main() {
 func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
 	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
 	fmt.Printf("%v\n", answer)
-	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d committed=%d screened=%d\n",
-		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.Committed, stats.Screened)
+	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d committed=%d pmpn_edges=%d pmpn_handover=%v screened=%d\n",
+		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.Committed, stats.PMPNEdges, stats.PMPNHandover, stats.Screened)
 	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
 		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
 }

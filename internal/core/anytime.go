@@ -62,9 +62,12 @@ type AnytimeStats struct {
 	// TauAchieved widened by the converged vector's own bound, 0 when
 	// converged (QueryStats.PMPNTail).
 	PMPNTail float64
-	// Rounds counts screen advances; PMPNIters the underlying iterations.
-	Rounds    int
-	PMPNIters int
+	// Rounds counts screen advances; PMPNIters, PMPNEdges and PMPNHandover
+	// are the run's QueryStats fields of those names.
+	Rounds       int
+	PMPNIters    int
+	PMPNEdges    int
+	PMPNHandover bool
 	// Converged reports whether the power iteration ran to residual
 	// convergence before the run stopped; Final whether the last screen
 	// left every open row final — no smaller τ could prune or confirm one
@@ -100,7 +103,7 @@ func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers 
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)
 	e.SetWorkers(workers)
-	r, err := e.start(q, k)
+	r, err := e.start(q, k, e.converges())
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,7 @@ func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
 		t.Fatalf("the oracle's tie tolerance %g is not the engine's %g", oracle.TieTol, defaultTieTol)
 	}
 	var phases fallbackPhases
+	var paths pmpnPaths
 	for _, family := range oracle.Families() {
 		t.Run(family, func(t *testing.T) {
 			for _, layout := range []string{"csr", "applied"} {
@@ -40,17 +41,18 @@ func TestParallelQueryMatchesSequentialAndBruteForce(t *testing.T) {
 					if layout == "applied" {
 						tab = tab.Applied(t)
 					}
-					oracleTableRows(t, family, tab, &phases)
+					oracleTableRows(t, family, tab, &phases, &paths)
 				})
 			}
 		})
 	}
 	phases.check(t)
+	paths.check(t)
 }
 
 // oracleTableRows is one (family, layout) cell of
 // TestParallelQueryMatchesSequentialAndBruteForce.
-func oracleTableRows(t *testing.T, family string, tab *oracle.Table, phases *fallbackPhases) {
+func oracleTableRows(t *testing.T, family string, tab *oracle.Table, phases *fallbackPhases, paths *pmpnPaths) {
 	g, built := tab.Graph, tab.Index(t)
 	// The View's index must stay as built, so the sparse rows run
 	// before the update-mode engines below commit into it.
@@ -71,7 +73,8 @@ func oracleTableRows(t *testing.T, family string, tab *oracle.Table, phases *fal
 	// workers on a few query nodes; here it answers every one. Explain and
 	// the anytime tier run the same sweep.
 	oracle.Check(t, "View.Query", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
-		got, _, err := v.Query(q, k, 4)
+		got, st, err := v.Query(q, k, 4)
+		paths.add(st.PMPNHandover)
 		return got, err
 	})
 	oracle.Check(t, "View.Explain's members", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
@@ -196,23 +199,23 @@ func backwardReach(g *graph.Graph, q graph.NodeID, limit int) []graph.NodeID {
 // sweepCounters are the QueryStats fields a sparse screen must reproduce
 // from the dense sweep exactly (Screened is the one that differs by design;
 // the rest are wall-clock).
-func sweepCounters(s QueryStats) [10]int {
-	return [10]int{s.PMPNIters, s.PMPNSupport, s.Candidates, s.Hits, s.RefineSteps,
+func sweepCounters(s QueryStats) [11]int {
+	return [11]int{s.PMPNIters, s.PMPNEdges, s.PMPNSupport, s.Candidates, s.Hits, s.RefineSteps,
 		s.ExactFallbacks, s.FallbackIters, s.FallbackBallIters, s.FallbackEarlyStops, s.Results}
 }
 
 // checkSparseScreen is the sparse-screen half of the oracle table. For one
 // table and its index it takes two of the table's query nodes plus a few
-// whose backward ball closes (the only ones a View screens sparsely), and for
-// every k and worker count holds View.Query — over the full index, over each
-// slice of a 2-way partition and over the slice of a shard that owns no node —
-// to a bare engine's dense sweep on answers
-// and on every sweep counter, and the full index's answer to brute force. It
-// also pins what was screened: the ball plus the zero-bound rows when the
-// ball closed, every materialized row otherwise — and on those closed balls
-// holds QueryAnytime(ε = 0)'s two parts around the brute-force answer. It
-// returns how many query nodes close their ball and the longest zero-bound
-// list it met.
+// whose backward ball closes, and for every k and worker count holds
+// View.Query — over the full index, over each slice of a 2-way partition and
+// over the slice of a shard that owns no node — to a bare engine's dense
+// sweep on answers and on every sweep counter, and the full index's answer to
+// brute force. It also bounds what was screened: every materialized row by
+// the bare engine, by the View at most the ball plus the zero-bound rows when
+// the ball closed (the push touches no row outside it) — and on those closed
+// balls holds QueryAnytime(ε = 0)'s two parts around the brute-force answer.
+// It returns how many query nodes close their ball and the longest
+// zero-bound list it met.
 func checkSparseScreen(t *testing.T, tab *oracle.Table, idx *lbindex.Index, phases *fallbackPhases) (closedBalls, zeroBoundRows int) {
 	t.Helper()
 	g := tab.Graph
@@ -309,8 +312,8 @@ func checkSparseScreen(t *testing.T, tab *oracle.Table, idx *lbindex.Index, phas
 							}
 						}
 					}
-					if gst.Screened != screened || wst.Screened != rows {
-						t.Fatalf("%s: screened %d rows (dense %d), want %d (dense %d); ball %v, zero-bound rows %v",
+					if gst.Screened > screened || wst.Screened != rows {
+						t.Fatalf("%s: screened %d rows (dense %d), want at most %d (dense %d); ball %v, zero-bound rows %v",
 							label, gst.Screened, wst.Screened, screened, rows, balls[q], zero)
 					}
 					if pi != 0 {

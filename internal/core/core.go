@@ -1,8 +1,11 @@
 // Package core implements the paper's primary contribution: the online
 // reverse top-k RWR query algorithm (§4.2). A query runs in two steps:
 //
-//  1. Compute the exact proximities from every node TO the query node with
-//     the transposed power method (Algorithm 2 / Theorem 2, package rwr).
+//  1. Bracket the proximities from every node TO the query node, p_u(q):
+//     with a backward local push from q (rwr.Push, Lofgren's primitive),
+//     which leaves every row it never reached below its largest residue, or
+//     with the transposed power method (Algorithm 2 / Theorem 2, package
+//     rwr).
 //  2. Screen node u against the indexed lower bound p̂_u(k): nodes with
 //     p̂_u(k) > p_u(q) can never rank q in their top-k and are pruned; the
 //     survivors ("candidates") are confirmed with the staircase upper
@@ -12,31 +15,36 @@
 //     (refine); a candidate whose next step could not is settled by one
 //     exact forward solve instead, batched after the sweep (resolveExact).
 //
-// That is one loop, written once (pipeline.go). A Run steps the package's one
-// PMPN in rounds; a Screen applies the prune and confirm tests — the only copy
-// of them — to every row still open against each round's iterate and its
-// error band; the rounds stop once nothing is open, the PMPN has converged,
-// or the screen is final — no open row could change side at a smaller band —
-// and Engine.finish refines what is left on the band the run stopped at (0
-// after convergence). Every entry point — the exact query, the anytime tier,
+// That is one loop, written once (pipeline.go). A Run tightens its bracket on
+// p_·(q) in rounds; a Screen applies the prune and confirm tests — the only
+// copy of them — to every row still open against each round's bracket; the
+// rounds stop once nothing is open, the PMPN has converged, or the screen is
+// final — no open row could change side at a smaller band — and
+// Engine.finish refines what is left on the band the run stopped at (0 after
+// convergence). Every entry point — the exact query, the anytime tier,
 // Explain, the sharded coordinator (internal/shard) — is that loop under its
 // own budget (the table on Run), and because the Screen's tests are
-// monotone-safe they all reach the same hits and candidates.
+// monotone-safe they all reach the same hits and candidates. The runs of
+// read-only engines start as a backward push and hand over to the power
+// method only when the push grows expensive; update-mode, practical-mode and
+// explaining runs step the power method to convergence, as the paper does.
 //
 // The paper screens every u; a Screen visits fewer rows when step 1 lets it
-// (Screen.take). No round is screened while the PMPN is still inside q's
-// backward ball (rwr.ToStepper.Rows); if it converges there, p_u(q) is
-// exactly zero outside the ball, and a zero proximity survives only where
-// p̂_u(k) is itself within tieTol of zero — u reaches fewer than k nodes, so
-// it ranks every node among its top k. A View keeps those rows per k
-// (zeroBoundTable), and the Screen takes ball ∪ zero-bound rows: a handful in
-// place of n, with the decisions and counters of the dense take, which could
-// only have pruned the rest. Every row is taken by a Screen whose first round
-// comes after the PMPN left the ball, and by one whose engine came from
+// (Screen.take). A row the push never reached has p_u(q) at most the push's
+// largest residue, which its first round drives under every k-th lower bound
+// a zero proximity does not already leave open; likewise a power iteration
+// that converges inside q's backward ball (rwr.ToStepper.Rows) leaves p_u(q)
+// exactly zero outside it. A zero proximity survives only where p̂_u(k) is
+// itself within tieTol of zero — u reaches fewer than k nodes, so it ranks
+// every node among its top k. A View keeps those rows per k
+// (zeroBoundTable), and the Screen takes the push's touched rows (or the
+// ball) ∪ the zero-bound rows: a handful in place of n, with the decisions
+// and counters of the dense take, which could only have pruned the rest.
+// Every row is taken by a Screen whose first round comes after a hand-over
+// to the power method outside its ball, and by one whose engine came from
 // NewEngine rather than a View (an update-mode engine owns its index and its
 // commits move the bounds the table is derived from; a View's index is
-// shared, so it is immutable).
-// QueryStats.Screened reports the rows visited.
+// shared, so it is immutable). QueryStats.Screened reports the rows visited.
 //
 // The exact solves use the same fact in the other direction (one ball type,
 // rwr/ball.go: grown by in-neighbours from q for step 1, by out-neighbours from
@@ -95,14 +103,26 @@ type QueryStats struct {
 	// Query and K echo the inputs.
 	Query graph.NodeID
 	K     int
-	// PMPNIters is the iteration count of the exact proximity-to-query
-	// computation (Algorithm 2).
+	// PMPNIters is the iteration count of the power method on p_·(q)
+	// (Algorithm 2): 0 for a run the backward push ended alone, the
+	// iterations after the hand-over for one that handed over (PMPNHandover),
+	// and every iteration to convergence for an update-mode, practical-mode
+	// or explaining engine's run (Run.Rounds).
 	PMPNIters int
-	// PMPNSupport is the number of non-zero entries of the iterate the run
-	// stopped at: after convergence, the nodes with any walk to q at all;
-	// after an earlier stop, those within PMPNIters steps of q. Next to
-	// PMPNIters it tells a 40-iteration whole-graph solve from a 4-iteration
-	// one over q's three-node backward ball.
+	// PMPNEdges is the number of edges the PMPN read: the backward push's
+	// in-edges plus the power method's out-edges (m per dense iteration, the
+	// ball's rows' out-degrees per ball iteration). Next to m it tells a
+	// query that bracketed p_·(q) from a few rows around q from one that
+	// swept the graph.
+	PMPNEdges int
+	// PMPNHandover says the run's backward push read its budget of edges
+	// (m/pushBudgetDivisor) without stopping the run and handed over to the
+	// power method (Run.Rounds).
+	PMPNHandover bool
+	// PMPNSupport is the number of non-zero entries of the vector the run
+	// stopped at: the rows the push pushed, or after the power method the
+	// iterate's non-zeros — after convergence from e_q, the nodes with any
+	// walk to q at all.
 	PMPNSupport int
 	// PMPNTail is the half-width of the band around the iterate that the
 	// candidates were decided on: 0 when the PMPN converged, the error bound
@@ -110,8 +130,9 @@ type QueryStats struct {
 	// on a final screen or with nothing open (Run.Rounds).
 	PMPNTail float64
 	// Screened is the number of rows the Screen visited when it took its rows
-	// (Screen.take): every materialized row, or q's backward ball plus the
-	// zero-bound rows.
+	// (Screen.take): every materialized row, or the rows the backward push
+	// touched (q's backward ball, after a converged power iteration inside
+	// it) plus the zero-bound rows.
 	Screened int
 	// Candidates counts nodes that survived the lower-bound screen against
 	// the converged vector (they entered Algorithm 4's while loop).
@@ -208,6 +229,9 @@ type Engine struct {
 	// probeBuf is the n-vector resolveExact's early-stop probe reads
 	// fallback columns into; allocated by the first fallback that probes.
 	probeBuf []float64
+	// push is the backward push scratch every run of this engine that does
+	// not converge starts with; allocated by the first.
+	push *rwr.Push
 	// zeroBound is the owning View's per-k table, which this engine's screens
 	// read in place of the index (Screen.take). Nil on an engine made by
 	// NewEngine: an update-mode commit moves the bounds the table is derived
@@ -216,6 +240,9 @@ type Engine struct {
 	// record is set while Explain runs: the listener its pipeline reports
 	// every decision to.
 	record recorder
+	// nextRank lets refine confirm by the next-rank rule
+	// (confirmedByNextRank); finish sets it for the run it finishes.
+	nextRank bool
 }
 
 // SetPracticalDecisions toggles the paper-literal decision mode.
@@ -296,7 +323,7 @@ func (e *Engine) Workers() int { return e.workers }
 // every node u with p_u(q) ≥ pkmax_u, in ascending node order, plus the
 // per-query statistics.
 func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
-	r, err := e.start(q, k)
+	r, err := e.start(q, k, e.converges())
 	if err == nil {
 		err = r.Rounds(0)
 	}
@@ -307,11 +334,9 @@ func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error
 }
 
 // start validates a query and starts its run over one screen of the engine's
-// index, read through the owning View's table when there is one. An
-// update-mode, practical-mode or explaining engine's run converges before it
-// screens (Run.converge): commits, the paper-literal rule and the recorded
-// p_u(q) are all defined on the converged vector.
-func (e *Engine) start(q graph.NodeID, k int) (*Run, error) {
+// index, read through the owning View's table when there is one; converge
+// selects the run to convergence (Run.converge) over the push-started one.
+func (e *Engine) start(q graph.NodeID, k int, converge bool) (*Run, error) {
 	if int(q) < 0 || int(q) >= e.g.N() {
 		return nil, fmt.Errorf("core: query node %d out of range [0,%d)", q, e.g.N())
 	}
@@ -319,38 +344,20 @@ func (e *Engine) start(q graph.NodeID, k int) (*Run, error) {
 		return nil, fmt.Errorf("core: k=%d outside [1,%d] supported by the index", k, e.idx.K())
 	}
 	s := &Screen{idx: e.idx, k: k, tol: e.tieTol, table: e.zeroBound, record: e.record, workers: e.workers}
-	r, err := NewRun(e.g, q, e.idx.Options().RWR, e.workers, nil, s)
-	if err != nil {
-		return nil, err
+	if !converge && e.push == nil {
+		e.push = rwr.NewPush(e.g.N())
 	}
-	r.converge = e.update || e.practical || e.record != nil
-	return r, nil
+	return newRun(e.g, q, e.idx.Options().RWR, e.workers, nil, e.push, converge, s)
 }
 
-// support counts the non-zero entries of a proximity vector
-// (QueryStats.PMPNSupport). rows, when non-nil, is the PMPN's own list of
-// the only rows that can hold one (rwr.ToStepper.Rows), visited in place of
-// all n.
-func support(pq []float64, rows []graph.NodeID) int {
-	n := 0
-	if rows != nil {
-		for _, u := range rows {
-			if pq[u] != 0 {
-				n++
-			}
-		}
-		return n
-	}
-	for _, p := range pq {
-		if p != 0 {
-			n++
-		}
-	}
-	return n
-}
+// converges reports whether the engine's runs converge before they screen:
+// an update-mode, practical-mode or explaining engine's, whose commits,
+// paper-literal rule and recorded p_u(q) are all defined on the converged
+// vector.
+func (e *Engine) converges() bool { return e.update || e.practical || e.record != nil }
 
 // decideSet refines the listed candidates — a screen's survivors, each with a
-// band [pq[u] − band, pq[u] + band] around p_u(q) inside [p̂(k) − tieTol,
+// band [c − band, c + band] around p_u(q), c = pq[u] + shift, inside [p̂(k) − tieTol,
 // UB − tieTol); an empty list is no candidates — sharded across the engine's
 // workers, and resolves the ones refinement leaves open. Outcomes are identical at any worker count: each shard runs the same
 // loop over its segment with a private workspace and counters, answers
@@ -366,7 +373,7 @@ func support(pq []float64, rows []graph.NodeID) int {
 // query node pq was computed for; resolution reads each deferred candidate's
 // column at it (resolveExact). The sweep stays on this goroutine under
 // Explain (the recorder's) and for fewer than two shards' worth of candidates.
-func (e *Engine) decideSet(q graph.NodeID, pq []float64, band float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
+func (e *Engine) decideSet(q graph.NodeID, pq []float64, shift, band float64, k int, list []graph.NodeID, stats *QueryStats) ([]graph.NodeID, error) {
 	type shard struct {
 		results []graph.NodeID
 		pend    []pendingFallback
@@ -382,7 +389,7 @@ func (e *Engine) decideSet(q graph.NodeID, pq []float64, band float64, k int, li
 		ws := e.wsPool.Get()
 		defer e.wsPool.Put(ws)
 		for _, u := range list[seg.Lo:seg.Hi] {
-			if e.decide(ws, u, k, pq[u], band, &sh.stats, &sh.pend) {
+			if e.decide(ws, u, k, pq[u]+shift, band, &sh.stats, &sh.pend) {
 				sh.results = append(sh.results, u)
 			}
 		}
@@ -470,7 +477,11 @@ type refinement struct {
 // (lbindex.Index.BatchInk), and p_u(q) lies in the band [lo, hi] with
 // p̂(k) − tieTol ≤ lo ≤ hi < UpperBound(p̂, k, ρ) − tieTol (lo = hi = p_u(q)
 // after a converged PMPN). A bound decides u when the whole band clears it:
-// the lower bound prunes on hi, the upper bound confirms on lo. It
+// the lower bound prunes on hi, the upper bound confirms on lo — the
+// staircase at rank k within tieTol, or at rank k+1 strictly
+// (confirmedByNextRank), which the Screen does not test, so refine tests it
+// on the indexed bounds before any step, and reads p̂′ one entry deeper after
+// each. It
 // advances a copy of u's BCA state until a bound decides, but takes a step —
 // the first one and the deep copy before it included — only if that step
 // could decide. A step at threshold η takes exactly B = Σ{r(v) : r(v) ≥ η}
@@ -480,8 +491,9 @@ type refinement struct {
 //	UB′   = UpperBound(p̂′, k, ρ′) ≥ UpperBound(p̂, k, ρ − B)
 //	p̂′(k) ≤ UpperBound(p̂, k, B)
 //
-// If the first still clears lo and the second still does not clear hi,
-// neither bound can decide u whatever the step does, and u is left open at
+// and the first holds at rank k+1 too. If both ranks' bounds still clear lo
+// and the second still does not clear hi, no bound can decide u whatever the
+// step does, and u is left open at
 // once for the exact solve — which, since the push-form forward sweep, costs about
 // what one step over a spread-out state does. B = 0 (all residue below η, the
 // step a no-op) is the degenerate instance: both right-hand sides are then
@@ -497,22 +509,28 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, lo, hi float64
 	cfg := e.idx.Options().BCA
 	hm := e.idx.HubMatrix()
 	r := refinement{t: t}
-	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, lo, hi, e.tieTol) {
+	// Only the first k entries feed the bound checks, and the (k+1)-th the
+	// next-rank rule when the index holds one; the full-K column is
+	// recomputed once at commit time.
+	depth := min(k+1, e.idx.K())
+	if e.nextRank && confirmedByNextRank(phat, k, rho, lo) { // the screen reads rank k only
+		r.decided, r.member = true, true
+		return r
+	}
+	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, lo, hi, e.tieTol, e.nextRank) {
 		if r.st == nil {
 			r.st = e.idx.StateSnapshot(u)
 		}
 		bca.Step(e.g, r.st, hm, cfg, ws)
 		r.steps++
-		// Only the first k entries feed the bound checks; the full-K column
-		// is recomputed once at commit time.
-		phat = bca.TopK(r.st, hm, ws, k)
+		phat = bca.TopK(r.st, hm, ws, depth)
 		if prunedByLowerBound(hi, phat[k-1], e.tieTol) {
 			r.decided = true
 			return r
 		}
 		// At ρ = 0 the bound is p̂(k) itself, which the band cleared only if lo does.
 		rho = r.st.RNorm + e.idx.StateSlack(r.st)
-		if lo >= UpperBound(phat, k, rho)-e.tieTol {
+		if lo >= UpperBound(phat, k, rho)-e.tieTol || e.nextRank && confirmedByNextRank(phat, k, rho, lo) {
 			r.decided, r.member = true, true
 			return r
 		}
@@ -528,11 +546,31 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, lo, hi float64
 
 // stepCanDecide is refine's one-step test: whether a BCA step that moves ink
 // out of a residue-plus-slack of rho could let the upper bound admit the
-// candidate's band [lo, hi] or the lower bound exclude it (see refine for the
-// two bounds).
-func stepCanDecide(phat []float64, k int, rho, ink, lo, hi, tieTol float64) bool {
+// candidate's band [lo, hi] — at rank k or, by the next-rank rule, at rank
+// k+1 — or the lower bound exclude it (see refine for the bounds; the
+// staircase argument for UB′ holds at every rank).
+func stepCanDecide(phat []float64, k int, rho, ink, lo, hi, tieTol float64, nextRank bool) bool {
 	return lo >= UpperBound(phat, k, rho-ink)-tieTol ||
+		nextRank && confirmedByNextRank(phat, k, rho-ink, lo) ||
 		prunedByLowerBound(hi, UpperBound(phat, k, ink), tieTol)
+}
+
+// confirmedByNextRank is refine's second confirming rule: u ranks q among its
+// top k when p_u(q) lies strictly above an upper bound on u's (k+1)-th largest
+// proximity — UpperBound(p̂, k+1, ρ), the staircase at rank k+1 — since then
+// at most k nodes can reach p_u(q), q among them, so p_u(q) ≥ pkmax_u. lo is
+// the bottom of p_u(q)'s band. The comparison is strict: at equality q may
+// share rank k+1 with a node below the k-th. It needs a (k+1)-th entry, so
+// it never fires at k = K or on a row of k entries.
+//
+// Only the runs that start as a backward push use it (Engine.nextRank): the
+// read-only exact queries. A run that converges keeps Algorithm 4's own loop —
+// an update-mode engine would commit a refined state for a candidate the
+// exact fallback otherwise commits exactly, which tightens the index for
+// every later query, and practical-mode and explaining runs reproduce the
+// paper's costs.
+func confirmedByNextRank(phat []float64, k int, rho, lo float64) bool {
+	return k < len(phat) && lo > UpperBound(phat, k+1, rho)
 }
 
 // prunedByLowerBound is Algorithm 4's first screen: u cannot rank q in its

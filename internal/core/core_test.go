@@ -71,11 +71,10 @@ func buildIndex(t testing.TB, g *graph.Graph, k, hubBudget int) *lbindex.Index {
 // one screen, as an update-mode, practical-mode or explaining engine runs it:
 // the run a final stop is held to, decided on the converged vector.
 func queryConverged(e *Engine, q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
-	r, err := e.start(q, k)
+	r, err := e.start(q, k, true)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	r.converge = true
 	if err := r.Rounds(0); err != nil {
 		return nil, QueryStats{}, err
 	}

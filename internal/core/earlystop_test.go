@@ -38,6 +38,29 @@ func (f *fallbackPhases) add(st QueryStats) {
 	}
 }
 
+// pmpnPaths tallies, over the exact queries of one suite, how their PMPN
+// ended: on the backward push alone, or handed over to the power method
+// (QueryStats.PMPNHandover). A suite that meets only one has left a path of
+// Run.Rounds untested.
+type pmpnPaths struct{ pushed, handedOver atomic.Int64 }
+
+func (p *pmpnPaths) add(handover bool) {
+	if handover {
+		p.handedOver.Add(1)
+	} else {
+		p.pushed.Add(1)
+	}
+}
+
+func (p *pmpnPaths) check(t *testing.T) {
+	t.Helper()
+	t.Logf("PMPN: %d queries ended on the push, %d handed over", p.pushed.Load(), p.handedOver.Load())
+	if p.pushed.Load() == 0 || p.handedOver.Load() == 0 {
+		t.Errorf("queries the push ended alone: %d, handed over to the power method: %d; want both",
+			p.pushed.Load(), p.handedOver.Load())
+	}
+}
+
 func (f *fallbackPhases) check(t *testing.T) {
 	t.Helper()
 	if f.inBall.Load() == 0 || f.afterHandover.Load() == 0 {

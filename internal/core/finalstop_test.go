@@ -19,9 +19,10 @@ import (
 // fallback rows the survivors. The run must stop with those hits and
 // survivors, on a final screen whenever it stops unconverged with rows open,
 // after no more PMPN iterations; its finish, View.Query and a two-shard
-// Coordinator.Query must answer as the table.
+// Coordinator.Query must answer as the table. The runs must include some the
+// backward push ended alone and some it handed over to the power method.
 func TestFinalStopMatchesConverged(t *testing.T) {
-	final := 0
+	final, pushed, handedOver := 0, 0, 0
 	for _, family := range oracle.Families() {
 		base := oracle.Family(t, family)
 		for _, tab := range []*oracle.Table{base, base.Applied(t)} {
@@ -44,6 +45,11 @@ func TestFinalStopMatchesConverged(t *testing.T) {
 						t.Fatal(err)
 					}
 					st := r.Stats()
+					if st.PMPNHandover {
+						handedOver++
+					} else {
+						pushed++
+					}
 					ex, err := view.Explain(q, k, false, 1)
 					if err != nil {
 						t.Fatal(err)
@@ -100,6 +106,9 @@ func TestFinalStopMatchesConverged(t *testing.T) {
 	}
 	if final == 0 {
 		t.Fatal("no run stopped on a final screen with rows open: the rule went untested")
+	}
+	if pushed == 0 || handedOver == 0 {
+		t.Fatalf("runs the push ended alone: %d, handed over to the power method: %d; want both", pushed, handedOver)
 	}
 	t.Logf("%d runs stopped on a final screen with rows open", final)
 }

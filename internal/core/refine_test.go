@@ -167,7 +167,7 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 				if hit {
 					members = []graph.NodeID{d.Node}
 				} else if open {
-					if members, err = eng.decideSet(q, pq.Vector, 0, k, []graph.NodeID{d.Node}, &st); err != nil {
+					if members, err = eng.decideSet(q, pq.Vector, 0, 0, k, []graph.NodeID{d.Node}, &st); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -216,7 +216,7 @@ func TestExplainMatchesQueryRefineAndFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vex.Stats.Screened != vst.Screened {
+			if vst.Screened > vex.Stats.Screened {
 				t.Errorf("%s q=%d: the view's Explain screened %d rows, its Query %d", family, q, vex.Stats.Screened, vst.Screened)
 			}
 			if vst.Screened < g.N() {

@@ -19,9 +19,12 @@ const defaultTieTol = 1e-9
 
 // Screen is the pipeline's pre-refinement decision — Algorithm 4's lower-bound
 // screen and its first Algorithm-3 check — and the only place it is written.
-// It classifies one index's rows against PMPN iterates, round by round: the
-// round loop (Run.Rounds) hands it the current iterate x and its elementwise
-// error bound τ (rwr.ToStepper.Tail), and for every still-undecided node u
+// It classifies one index's rows against the PMPN's brackets, round by round:
+// the round loop (Run.Rounds) hands it a centre x and an elementwise error
+// bound τ — the power iterate and rwr.ToStepper.Tail, or the backward push's
+// estimate shifted up by half its largest residue and that half (rwr.Push),
+// whose bracket [est, est + max r] is then exactly [x − τ, x + τ] — and for
+// every still-undecided node u
 //
 //   - x[u] + τ < p̂_u(k) − tol proves p_u(q) < p̂_u(k) − tol: u cannot rank q
 //     among its top k and is pruned, permanently;
@@ -99,24 +102,34 @@ func (v *View) NewScreen(k int) (*Screen, error) {
 // space; tau must be a valid bound for THIS x. After a pass at tau = 0 over
 // the converged vector the survivors are the candidates refinement works on.
 func (s *Screen) Advance(x []float64, tau float64) RoundReport {
-	return s.advance(x, tau, tau, nil)
+	return s.advance(bracket{x: x, tau: tau, band: tau})
 }
 
-// advance is Advance with the finality band given apart from tau (band ≥
-// tau), for a caller that may know x's support: a non-nil ball lists,
-// ascending, the only rows where x — final, converged — is non-zero. Only the
-// first call, which takes the rows, looks at it.
-func (s *Screen) advance(x []float64, tau, band float64, ball []graph.NodeID) RoundReport {
+// bracket is one round's bracket on p_·(q), as Run.Rounds hands it to the
+// screens: p_u(q) lies within tau of x[u] + shift, and the finality band is
+// band ≥ tau. A non-nil rows lists every row where x can be non-zero, and
+// p_u(q) ≤ outside at every other row: a power iterate converged inside q's
+// backward ball (outside 0), or a push's touched rows (outside its largest
+// residue). Only the first advance, which takes the rows, looks at rows.
+type bracket struct {
+	x                []float64
+	shift, tau, band float64
+	rows             []graph.NodeID
+	outside          float64
+}
+
+// advance is Advance over a round's bracket.
+func (s *Screen) advance(it bracket) RoundReport {
 	start := time.Now()
 	var rep RoundReport
 	if !s.taken {
 		s.taken = true
-		s.take(x, tau, band, ball, &rep)
+		s.take(it, &rep)
 	} else {
 		ids, lb, rn, ub := s.ids, s.lb, s.rn, s.ub
 		s.ids, s.lb, s.rn, s.ub = ids[:0], lb[:0], rn[:0], ub[:0]
 		for i, u := range ids {
-			s.row(u, x[u], tau, band, lb[i], rn[i], ub[i], &rep)
+			s.row(u, it.x[u]+it.shift, it.tau, it.band, lb[i], rn[i], ub[i], &rep)
 		}
 	}
 	rep.Undecided = len(s.ids)
@@ -124,28 +137,47 @@ func (s *Screen) advance(x []float64, tau, band float64, ball []graph.NodeID) Ro
 	return rep
 }
 
+// zeroMin is the smallest k-th lower bound among this screen's rows that a
+// zero proximity prunes, +Inf if there is none: the View's table holds it;
+// a bare engine's screen reads it off the index, one row pointer a row.
+func (s *Screen) zeroMin() float64 {
+	if s.table != nil {
+		return s.table.list(s.k).min
+	}
+	m := math.Inf(1)
+	lo, hi := s.idx.Rows()
+	for u := lo; u < hi; u++ {
+		if lb := s.idx.KthLowerBound(graph.NodeID(u), s.k); prunedByLowerBound(0, lb, s.tol) {
+			m = min(m, lb)
+		}
+	}
+	return m
+}
+
 // take is the one place the pipeline chooses rows, and the choice is explicit:
 // every row the index materializes, or a list — exactly its rows, so that an
 // empty one (a shard that owns nothing) is no rows, never "all of them".
 //
-// The list is taken when x is final and zero outside ball, on a screen whose
-// View supplies the rows a zero does not prune: those, and the rows of ball
-// this index owns, ascending. Every other row is pruned, and counted so,
-// without being looked at. A dense take reads each k-th bound from the
-// View's flat column, or, on a bare engine's screen, from the index, one row
-// pointer a row; those rows are split over the screen's workers, each segment
-// screened into a Screen of its own and the segments appended in order — row
-// order.
-func (s *Screen) take(x []float64, tau, band float64, ball []graph.NodeID, rep *RoundReport) {
+// The list is taken when the bracket lists the only rows x can be non-zero
+// in, on a screen whose View supplies the rows a zero does not prune, and the
+// bound outside the listed rows prunes every other row (it.outside <
+// p̂_u(k) − tol wherever a zero prunes): those rows, and the listed rows this
+// index owns, ascending. Every other row is pruned, and counted so, without
+// being looked at. A dense take reads each k-th bound from the View's flat
+// column, or, on a bare engine's screen, from the index, one row pointer a
+// row; those rows are split over the screen's workers, each segment screened
+// into a Screen of its own and the segments appended in order — row order.
+func (s *Screen) take(it bracket, rep *RoundReport) {
 	nan := math.NaN()
+	x, shift, tau, band := it.x, it.shift, it.tau, it.band
 	var l *zeroBoundList
 	if s.table != nil {
 		l = s.table.list(s.k)
 	}
 	switch {
-	case l != nil && ball != nil:
-		rows := append(make([]graph.NodeID, 0, len(l.rows)+len(ball)), l.rows...)
-		for _, u := range ball {
+	case l != nil && it.rows != nil && prunedByLowerBound(it.outside, l.min, s.tol):
+		rows := append(make([]graph.NodeID, 0, len(l.rows)+len(it.rows)), l.rows...)
+		for _, u := range it.rows {
 			if s.idx.Owns(u) {
 				rows = append(rows, u)
 			}
@@ -153,20 +185,20 @@ func (s *Screen) take(x []float64, tau, band float64, ball []graph.NodeID, rep *
 		slices.Sort(rows)
 		rows = slices.Compact(rows)
 		for _, u := range rows {
-			s.row(u, x[u], tau, band, s.idx.KthLowerBound(u, s.k), nan, nan, rep)
+			s.row(u, x[u]+shift, tau, band, s.idx.KthLowerBound(u, s.k), nan, nan, rep)
 		}
 		s.screened, s.pruned = len(rows), s.pruned+len(l.kth)-len(rows)
 	case l != nil:
 		for i, lb := range l.kth {
 			u := l.lo + i
-			s.row(graph.NodeID(u), x[u], tau, band, lb, nan, nan, rep)
+			s.row(graph.NodeID(u), x[u]+shift, tau, band, lb, nan, nan, rep)
 		}
 		s.screened = len(l.kth)
 	default:
 		lo, hi := s.idx.Rows()
 		sweep := func(p *Screen, r *RoundReport, seg vecmath.Range) {
 			for u := graph.NodeID(lo + seg.Lo); u < graph.NodeID(lo+seg.Hi); u++ {
-				p.row(u, x[u], tau, band, s.idx.KthLowerBound(u, s.k), nan, nan, r)
+				p.row(u, x[u]+shift, tau, band, s.idx.KthLowerBound(u, s.k), nan, nan, r)
 			}
 		}
 		s.screened = hi - lo

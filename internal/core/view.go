@@ -44,10 +44,11 @@ type View struct {
 // with any mass worth the name (a sink component smaller than k, a dangling
 // node's self-loop). Such a u ranks every node in its top-k, reachable or not,
 // so it is in every answer at that k and no screen may skip it; every other row
-// outside q's backward ball is pruned by prunedByLowerBound — the helper the
+// the PMPN did not reach is pruned by prunedByLowerBound — the helper the
 // pass selects with — without being looked at. It also holds the smallest
-// p̂_u(k) among the rows a zero prunes, which sizes a run's first round
-// (Run.Rounds), and every row's p̂_u(k) in one flat column for the dense take.
+// p̂_u(k) among the rows a zero prunes, which sets the residue bound a run's
+// first push round drives to (Run.Rounds), and every row's p̂_u(k) in one
+// flat column for the dense take.
 type zeroBoundTable struct {
 	idx  *lbindex.Index
 	perK []zeroBoundList // perK[k-1]
@@ -127,7 +128,7 @@ func (v *View) Explain(q graph.NodeID, k int, includePruned bool, workers int) (
 // selects GOMAXPROCS). The scatter-gather coordinator calls it once a shard.
 // Safe for concurrent use.
 func (v *View) Finish(r *Run, s *Screen, workers int) ([]graph.NodeID, QueryStats, error) {
-	if s.idx != v.idx || !slices.Contains(r.screens, s) || !s.taken || len(s.ids) > 0 && !r.stepper.Converged() && !r.final {
+	if s.idx != v.idx || !slices.Contains(r.screens, s) || !s.taken || len(s.ids) > 0 && !r.converged && !r.final {
 		return nil, QueryStats{Query: r.q, K: s.k}, errors.New("core: Finish wants this view's screen of this run, screened with nothing left open, final or to convergence")
 	}
 	e := v.engines.Get().(*Engine)

@@ -12,9 +12,10 @@
 //     changing the out-edges of source node s changes column s of the
 //     transition matrix, and the proximity vector p_w of origin w changes
 //     only in proportion to how much random-walk mass w sends through s —
-//     i.e. p_w(s). One PMPN run per edited source (Theorem 2) yields these
-//     quantities for ALL origins exactly; origins with p_w(s) below a
-//     staleness threshold θ keep their (slightly stale) index entries.
+//     i.e. p_w(s). One backward push per edited source (rwr.Push) brackets
+//     these quantities for ALL origins from the few edges that carry mass
+//     toward s; origins provably below a staleness threshold θ keep their
+//     (slightly stale) index entries.
 //     The same quantity classifies hubs: a hub vector p_h changes only if
 //     p_h(s) > 0 for some edited source, so RefreshPartial recomputes only
 //     the affected hubs' proximity vectors and reuses the rest bit for
@@ -30,6 +31,7 @@ package evolve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -133,28 +135,65 @@ func Sources(edits []Edit) []graph.NodeID {
 	return out
 }
 
-// AffectedNodes returns, for every node w of the NEW graph, whether
-// p_w(s) ≥ θ for at least one edited source s — computed exactly with one
-// PMPN run per source. θ = 0 flags every node that reaches any edited
-// source. The returned mask drives both origin refreshes (every flagged
-// non-hub origin is re-indexed) and partial hub refreshes (every flagged
-// hub's proximity vector is recomputed); unflagged nodes keep their index
-// entries and hub vectors untouched.
+// AffectedNodes returns, for every node w of the NEW graph, whether p_w(s)
+// may reach θ for at least one edited source s. θ = 0 flags every node that
+// reaches an edited source — a backward breadth-first search from each, which
+// is exact. For θ > 0 a backward push from each source (rwr.Push) to residues
+// under θ/10 brackets p_w(s) in [est_w, est_w + max r] and flags w when
+// est_w + max r + ε(1−α)/α ≥ θ: every node with p_w(s) ≥ θ, and every node a
+// converged PMPN would put at or above θ, is flagged, and so may a few nodes
+// just under θ. An unflagged node is provably below θ, so it keeps its index
+// entry within the staleness the threshold allows. The push reads only the
+// edges around s that carry at least θ/10 of mass toward it. The returned mask
+// drives both origin refreshes (every flagged non-hub origin is re-indexed)
+// and partial hub refreshes (every flagged hub's proximity vector is
+// recomputed); unflagged nodes keep their index entries and hub vectors
+// untouched.
 func AffectedNodes(g2 *graph.Graph, sources []graph.NodeID, theta float64, p rwr.Params) ([]bool, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("evolve: negative staleness threshold %g", theta)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	affected := make([]bool, g2.N())
 	for _, s := range sources {
 		if int(s) < 0 || int(s) >= g2.N() {
 			return nil, fmt.Errorf("evolve: source %d out of range [0,%d)", s, g2.N())
 		}
-		res, err := rwr.ProximityTo(g2, s, p)
-		if err != nil {
+	}
+	if theta == 0 {
+		// The mask is the search's visited set; a node reached from an earlier
+		// source is not searched again.
+		var frontier []graph.NodeID
+		for _, s := range sources {
+			if !affected[s] {
+				affected[s] = true
+				frontier = append(frontier, s)
+			}
+			for len(frontier) > 0 {
+				v := frontier[len(frontier)-1]
+				frontier = frontier[:len(frontier)-1]
+				for _, w := range g2.InNeighbors(v) {
+					if !affected[w] {
+						affected[w] = true
+						frontier = append(frontier, w)
+					}
+				}
+			}
+		}
+		return affected, nil
+	}
+	slack := p.Eps * (1 - p.Alpha) / p.Alpha
+	push := rwr.NewPush(g2.N())
+	for _, s := range sources {
+		if err := push.Start(g2, s, p); err != nil {
 			return nil, err
 		}
-		for w, v := range res.Vector {
-			if v > 0 && v >= theta {
+		push.Run(theta/10, math.MaxInt)
+		est, width := push.Est(), push.MaxResidual()+slack
+		for _, w := range push.Touched() {
+			if est[w]+width >= theta {
 				affected[w] = true
 			}
 		}

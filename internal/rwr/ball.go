@@ -105,20 +105,23 @@ func growBall(g *graph.Graph, b *ball, limit int) bool {
 	return true
 }
 
-// ballResidual is the dense sweep's block-reduced L1 difference (blockReduce)
-// over two vectors that are +0 outside rows (ascending): per-block sums in row
-// order, summed in block order. The rows and blocks it skips would each add
-// +0, which changes no partial sum, so the result is bit-identical to
+// ballResidual is the dense sweep's block-reduced L1 and L∞ differences
+// (blockReduce) over two vectors that are +0 outside rows (ascending):
+// per-block sums in row order, summed in block order, and the largest
+// difference. The rows and blocks it skips would each add +0, which changes
+// no partial sum and no maximum, so the results are bit-identical to
 // reducing every block of the full vectors.
-func ballResidual(x, y []float64, rows []graph.NodeID) float64 {
-	var total, blockSum float64
+func ballResidual(x, y []float64, rows []graph.NodeID) (l1, linf float64) {
+	var blockSum float64
 	block := -1
 	for _, u := range rows {
 		if b := int(u) / graph.RowBlock; b != block {
-			total += blockSum
+			l1 += blockSum
 			blockSum, block = 0, b
 		}
-		blockSum += math.Abs(x[u] - y[u])
+		d := math.Abs(x[u] - y[u])
+		blockSum += d
+		linf = max(linf, d)
 	}
-	return total + blockSum
+	return l1 + blockSum, linf
 }

@@ -1,6 +1,7 @@
 package rwr
 
 import (
+	"math"
 	"repro/internal/graph"
 	"repro/internal/vecmath"
 )
@@ -30,15 +31,20 @@ func blockSegments(n, workers int) []vecmath.Range {
 	return segs
 }
 
-// blockReduce computes per-block L1 differences for the blocks covered by
-// seg, writing them into partial (indexed by block number).
-func blockReduce(x, y []float64, seg vecmath.Range, partial []float64) {
+// blockReduce computes per-block L1 and L∞ differences for the blocks
+// covered by seg, writing them into partial and partialMax (indexed by block
+// number). Each block's L1 sum accumulates in index order, as
+// vecmath.L1DiffRange does; a maximum does not depend on the order at all.
+func blockReduce(x, y []float64, seg vecmath.Range, partial, partialMax []float64) {
 	for lo := seg.Lo; lo < seg.Hi; lo += graph.RowBlock {
-		hi := lo + graph.RowBlock
-		if hi > seg.Hi {
-			hi = seg.Hi
+		hi := min(lo+graph.RowBlock, seg.Hi)
+		var sum, big float64
+		for i := lo; i < hi; i++ {
+			d := math.Abs(x[i] - y[i])
+			sum += d
+			big = max(big, d)
 		}
-		partial[lo/graph.RowBlock] = vecmath.L1DiffRange(x, y, lo, hi)
+		partial[lo/graph.RowBlock], partialMax[lo/graph.RowBlock] = sum, big
 	}
 }
 

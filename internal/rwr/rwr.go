@@ -14,6 +14,11 @@
 // column). Both start at unit vectors and sweep only the rows the iterate can
 // have reached — one ball, grown backward for PMPN and forward for the slab
 // (ball.go) — before handing over to their dense loops.
+//
+// Push is the local alternative to the PMPN: a backward push from q brackets
+// every p_u(q) in [est_u, est_u + max r] from the rows that carry mass toward
+// q, without a sweep — the query pipeline's first phase (core.Run.Rounds)
+// and the affected-set bound of an edit batch (evolve.AffectedNodes).
 package rwr
 
 import (

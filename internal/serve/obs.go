@@ -204,6 +204,12 @@ type queryTrace struct {
 	computed  bool
 	phases    map[string]time.Duration
 	pmpnIters int
+	// pmpnEdges and pmpnHandover are the edges the PMPN read and whether its
+	// backward push handed over to the power method
+	// (core.QueryStats.PMPNEdges, PMPNHandover): beside pmpnIters they tell a
+	// push that stayed around q from one that swept the graph.
+	pmpnEdges    int
+	pmpnHandover bool
 	// pmpnSupport is the non-zero count of the PMPN iterate an exact
 	// computation stopped at (core.QueryStats.PMPNSupport); 0 for an approx
 	// one.
@@ -232,6 +238,7 @@ type queryTrace struct {
 func (t *queryTrace) setExact(st core.QueryStats) {
 	t.computed = true
 	t.pmpnIters, t.pmpnSupport, t.pmpnTail, t.screened = st.PMPNIters, st.PMPNSupport, st.PMPNTail, st.Screened
+	t.pmpnEdges, t.pmpnHandover = st.PMPNEdges, st.PMPNHandover
 	t.setPhases(st.Phases())
 	t.candidates, t.refineSteps = st.Candidates, st.RefineSteps
 	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
@@ -273,6 +280,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		"status", code,
 		"duration_ms", float64(elapsed) / float64(time.Millisecond),
 		"pmpn_iters", tr.pmpnIters,
+		"pmpn_edges", tr.pmpnEdges,
+		"pmpn_handover", tr.pmpnHandover,
 		"pmpn_support", tr.pmpnSupport,
 		"pmpn_tail", tr.pmpnTail,
 		"screened", tr.screened,

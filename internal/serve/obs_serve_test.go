@@ -516,7 +516,8 @@ func TestSlowLogEndpoint(t *testing.T) {
 // request log line and the slow-log detail — with the counts the engine's
 // own QueryStats give for the same query, so a slow query says from its log
 // line alone whether its fallbacks ran to convergence and whether they swept
-// their forward ball or all n rows.
+// their forward ball or all n rows; and the same lines say how many edges the
+// PMPN read and whether its backward push handed over to the power method.
 func TestFallbackObservability(t *testing.T) {
 	g, idx := fixture(t)
 	view, err := core.NewView(g, idx)
@@ -533,8 +534,8 @@ func TestFallbackObservability(t *testing.T) {
 	if want.FallbackBallIters == 0 || want.FallbackBallIters > want.FallbackIters {
 		t.Fatalf("q=1 k=3: %d of %d fallback iterations swept the forward ball; want some, at most all", want.FallbackBallIters, want.FallbackIters)
 	}
-	if want.PMPNSupport == 0 || want.Screened == 0 || want.Candidates == 0 {
-		t.Fatalf("q=1 k=3 reports an empty proximity vector, an empty screen or no candidates (%+v)", want)
+	if want.PMPNSupport == 0 || want.Screened == 0 || want.Candidates == 0 || want.PMPNEdges == 0 {
+		t.Fatalf("q=1 k=3 reports an empty proximity vector, an empty screen, no candidates or no edge read (%+v)", want)
 	}
 
 	logs, logger := newTestLogger()
@@ -564,8 +565,12 @@ func TestFallbackObservability(t *testing.T) {
 	if got, ok := line["pmpn_tail"].(float64); !ok || got != want.PMPNTail {
 		t.Errorf("log line pmpn_tail = %v, want %v (line %v)", line["pmpn_tail"], want.PMPNTail, line)
 	}
+	if got, ok := line["pmpn_handover"].(bool); !ok || got != want.PMPNHandover {
+		t.Errorf("log line pmpn_handover = %v, want %v (line %v)", line["pmpn_handover"], want.PMPNHandover, line)
+	}
 	for field, n := range map[string]int{
 		"pmpn_iters":           want.PMPNIters,
+		"pmpn_edges":           want.PMPNEdges,
 		"pmpn_support":         want.PMPNSupport,
 		"screened":             want.Screened,
 		"candidates":           want.Candidates,
@@ -581,8 +586,8 @@ func TestFallbackObservability(t *testing.T) {
 	}
 
 	_, body := get(t, ts.URL+"/debug/slowlog")
-	detail := fmt.Sprintf(`"detail":"q=1 k=3 mode=exact cache=MISS pmpn_iters=%d pmpn_support=%d pmpn_tail=%v screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d"`,
-		want.PMPNIters, want.PMPNSupport, want.PMPNTail, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackBallIters, want.FallbackEarlyStops)
+	detail := fmt.Sprintf(`"detail":"q=1 k=3 mode=exact cache=MISS pmpn_iters=%d pmpn_edges=%d pmpn_handover=%v pmpn_support=%d pmpn_tail=%v screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d"`,
+		want.PMPNIters, want.PMPNEdges, want.PMPNHandover, want.PMPNSupport, want.PMPNTail, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackBallIters, want.FallbackEarlyStops)
 	if !strings.Contains(string(body), detail) {
 		t.Errorf("slow-log entry is not %s: %s", detail, body)
 	}

@@ -518,6 +518,7 @@ func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps float6
 	if tr != nil {
 		tr.computed = true
 		tr.pmpnIters, tr.pmpnTail = res.Stats.PMPNIters, res.Stats.PMPNTail
+		tr.pmpnEdges, tr.pmpnHandover = res.Stats.PMPNEdges, res.Stats.PMPNHandover
 		tr.rounds = res.Stats.Rounds
 		if res.Stats.PMPNElapsed > 0 {
 			tr.setPhases(map[string]time.Duration{"pmpn": res.Stats.PMPNElapsed})
@@ -888,7 +889,7 @@ func (s *Server) finishBatch(b *editBatch) {
 }
 
 // runBatch executes one journaled batch end to end: the CSR patch
-// (graph.Graph.Apply), affected-set computation (one PMPN per edited source), partial
+// (graph.Graph.Apply), affected-set computation (one backward push per edited source), partial
 // refresh of an index clone (affected origins + affected hubs only, new
 // origins included), and the epoch publish. Readers keep serving the old
 // snapshot until the final pointer swap.

@@ -12,7 +12,8 @@
 // times), and after each round every shard's core.Screen prunes or confirms
 // its own rows with the paper's bounds — the k-th lower bound p̂_u(k) on one
 // side and the Algorithm-3 staircase upper bound on the other — evaluated
-// against the iterate's rigorous error band (rwr.ToStepper). The loop folds the
+// against the round's rigorous bracket on p_·(q) (rwr.Push, then
+// rwr.ToStepper if the push hands over). The loop folds the
 // shards' reports (undecided counts and the tightest open k-th-score
 // lower-bound gap) into the global bound that sizes the next round and stops
 // the PMPN outright once every shard reports its candidates decided.
@@ -88,10 +89,11 @@ type Coordinator struct {
 
 	workers int
 
-	// RoundObserver, when set, watches the shared PMPN iteration of every
+	// RoundObserver, when set, watches the shared power iteration of every
 	// query this coordinator runs: it is wired to rwr.ToStepper.RoundHook
 	// and receives (iteration, L1 residual, tail error bound) after each
-	// power iteration. Observational only; it runs on the query
+	// power iteration — none for a query the backward push ends alone
+	// (core.Run.Rounds). Observational only; it runs on the query
 	// goroutine, so set it before serving and keep it cheap.
 	RoundObserver func(iter int, residual, tail float64)
 }

@@ -37,8 +37,10 @@ func partitions(t *testing.T, g *graph.Graph, p int) map[string]*partition.Map {
 // every node once. On web and social it runs every P ∈ {1, 2, 3, 4}, cut
 // balanced and at equal counts, at one and four workers; on the other
 // families P ∈ {1, 3} or {2, 4} by turns, each P cut one way, at one worker
-// count.
+// count. Its queries must include some whose PMPN the backward push ended
+// alone and some it handed over to the power method.
 func TestCoordinatorMatchesSingleEngine(t *testing.T) {
+	var paths [2]int // queries the push ended alone, queries handed over
 	for i, family := range oracle.Families() {
 		tab := oracle.Family(t, family)
 		g, idx := tab.Graph, tab.Index(t)
@@ -53,20 +55,31 @@ func TestCoordinatorMatchesSingleEngine(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s P=%d %s: %v", family, p, strat, err)
 					}
-					oracle.Check(t, fmt.Sprintf("Coordinator.Query P=%d %s workers=%d", p, strat, workers), tab, coordinatorRow(c, g.N()))
+					oracle.Check(t, fmt.Sprintf("Coordinator.Query P=%d %s workers=%d", p, strat, workers), tab, coordinatorRow(c, g.N(), &paths))
 				}
 			}
 		}
 	}
+	if paths[0] == 0 || paths[1] == 0 {
+		t.Fatalf("queries the push ended alone: %d, handed over to the power method: %d; want both", paths[0], paths[1])
+	}
 }
 
 // coordinatorRow is c's exact answer as an oracle row, checking that the
-// shards' decisions cover all n nodes and that the stats count the answer.
-func coordinatorRow(c *Coordinator, n int) func(q graph.NodeID, k int) ([]graph.NodeID, error) {
+// shards' decisions cover all n nodes and that the stats count the answer,
+// and tallying into paths, when it is not nil, how the query's PMPN ended.
+func coordinatorRow(c *Coordinator, n int, paths *[2]int) func(q graph.NodeID, k int) ([]graph.NodeID, error) {
 	return func(q graph.NodeID, k int) ([]graph.NodeID, error) {
 		got, stats, err := c.Query(q, k)
 		if err != nil {
 			return nil, err
+		}
+		if paths != nil {
+			if stats.PMPNHandover {
+				paths[1]++
+			} else {
+				paths[0]++
+			}
 		}
 		if covered := stats.PrunedByBound + stats.ConfirmedByBound + stats.Maybe; covered != n {
 			return nil, fmt.Errorf("decisions cover %d of %d nodes", covered, n)
@@ -107,7 +120,7 @@ func TestCoordinatorClosedBallMatchesView(t *testing.T) {
 					t.Fatal(err)
 				}
 				if wst.Screened == g.N() {
-					continue // the ball did not close: the dense sweep, covered above
+					continue // the view took every row: the dense sweep, covered above
 				}
 				closed++
 				got, stats, err := c.Query(q, k)
@@ -171,7 +184,7 @@ func TestCoordinatorMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		empty, query := c.Views()[1], coordinatorRow(c, g.N())
+		empty, query := c.Views()[1], coordinatorRow(c, g.N(), nil)
 		oracle.Check(t, "Coordinator.Query over slice files", tab, func(q graph.NodeID, k int) ([]graph.NodeID, error) {
 			got, err := query(q, k)
 			if err != nil {
