@@ -166,8 +166,8 @@ func main() {
 func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
 	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
 	fmt.Printf("%v\n", answer)
-	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d committed=%d pmpn_edges=%d pmpn_handover=%v screened=%d\n",
-		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.Committed, stats.PMPNEdges, stats.PMPNHandover, stats.Screened)
+	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_push_edges=%d fallback_push_decided=%d committed=%d pmpn_edges=%d pmpn_handover=%v screened=%d\n",
+		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.FallbackPushEdges, stats.FallbackPushDecided, stats.Committed, stats.PMPNEdges, stats.PMPNHandover, stats.Screened)
 	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
 		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
 }

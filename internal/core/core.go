@@ -12,8 +12,9 @@
 //     bound of Algorithm 3 or refined step-by-step (Algorithm 1's loop)
 //     until their lower or upper bound decides membership (Algorithm 4). A
 //     step is taken only when the ink it can move could let a bound decide
-//     (refine); a candidate whose next step could not is settled by one
-//     exact forward solve instead, batched after the sweep (resolveExact).
+//     (refine); a candidate whose next step could not is settled on its own
+//     proximity column instead, after the sweep (resolveExact): a forward
+//     push from u, or a forward solve batched with the others.
 //
 // That is one loop, written once (pipeline.go). A Run tightens its bracket on
 // p_·(q) in rounds; a Screen applies the prune and confirm tests — the only
@@ -46,11 +47,15 @@
 // commits move the bounds the table is derived from; a View's index is
 // shared, so it is immutable). QueryStats.Screened reports the rows visited.
 //
-// The exact solves use the same fact in the other direction (one ball type,
-// rwr/ball.go: grown by in-neighbours from q for step 1, by out-neighbours from
-// the open candidates here). A fallback column starts at e_u and after t
-// forward sweeps is supported on u's forward ball of radius t, so a slab sweeps
-// the union of its candidates' forward balls, and the early-stop probe selects
+// The exact solves use the same two facts in the other direction. A read-only
+// engine's fallback starts as a forward push from e_u (rwr.Push again, one
+// type in two directions), which brackets the whole column p_u from the rows
+// u's walks reach and decides most candidates on a web graph with no column;
+// one whose push spreads too far is handed over to the slab. A slab column
+// starts at e_u and after t forward sweeps is supported on u's forward ball of
+// radius t (one ball type, rwr/ball.go: grown by in-neighbours from q for step
+// 1, by out-neighbours from the open candidates here), so a slab sweeps the
+// union of its candidates' forward balls, and the early-stop probe selects
 // over those rows, until that union reaches half the graph
 // (QueryStats.FallbackBallIters).
 //
@@ -145,14 +150,15 @@ type QueryStats struct {
 	// RefineSteps is the total number of BCA refinement iterations spent
 	// across all candidates.
 	RefineSteps int
-	// ExactFallbacks counts candidates decided by an exact power-method
-	// computation because no outcome of their next refinement step could
-	// have decided them (refine): the step would move too little ink to
-	// close the gap to either bound, or none at all (residue trapped below
-	// the propagation threshold). Exact ties always end here, and on graphs
+	// ExactFallbacks counts candidates decided on their own proximity
+	// column because no outcome of their next refinement step could have
+	// decided them (refine): the step would move too little ink to close the
+	// gap to either bound, or none at all (residue trapped below the
+	// propagation threshold). Exact ties always end here, and on graphs
 	// whose BCA states spread over most nodes so do most candidates. A
-	// sweep's fallbacks are batch-resolved through forward SpMM slabs
-	// (resolveFallbacks), but each still counts individually here.
+	// sweep's fallbacks are resolved together after it (resolveExact): by a
+	// forward push each, then through forward SpMM slabs for those the push
+	// hands over; each counts individually here.
 	ExactFallbacks int
 	// Committed counts refined states written back to the index (update
 	// mode only).
@@ -165,12 +171,19 @@ type QueryStats struct {
 	// exact fallbacks through forward SpMM slabs (resolveFallbacks).
 	FallbackElapsed time.Duration
 	// FallbackIters is the total number of forward power-method iterations
-	// this query's exact fallbacks ran, and FallbackEarlyStops how many of
-	// them stopped before convergence because the iterate's error band had
-	// already cleared the decision (resolveExact). FallbackEarlyStops <
-	// ExactFallbacks means some of the query's fallbacks ran to convergence.
+	// this query's exact fallbacks ran in slabs, and FallbackEarlyStops how
+	// many of them were decided before a column converged because an error
+	// band had already cleared the decision: the forward push's, or the slab
+	// iterate's (resolveExact). FallbackEarlyStops < ExactFallbacks means
+	// some of the query's fallbacks ran to convergence.
 	FallbackIters      int
 	FallbackEarlyStops int
+	// FallbackPushEdges is the number of out-edges the fallbacks' forward
+	// pushes read, those that decided and those that handed over to the
+	// slab alike, and FallbackPushDecided how many fallbacks the push decided
+	// with no slab column (their FallbackIters are 0; each is an early stop).
+	FallbackPushEdges   int
+	FallbackPushDecided int
 	// FallbackBallIters is the part of FallbackIters swept over the
 	// candidates' forward balls rather than all n rows (rwr/spmm.go).
 	FallbackBallIters int
@@ -229,9 +242,14 @@ type Engine struct {
 	// probeBuf is the n-vector resolveExact's early-stop probe reads
 	// fallback columns into; allocated by the first fallback that probes.
 	probeBuf []float64
-	// push is the backward push scratch every run of this engine that does
-	// not converge starts with; allocated by the first.
-	push *rwr.Push
+	// push is the engine's push scratch, allocated by its first use: every
+	// run of this engine that does not converge starts as a backward push
+	// with it, and every exact fallback of a no-update engine as a forward
+	// push (pushColumn) — after the refinement sweep has read the run's
+	// estimate, so the two never overlap. pushVals holds the estimates a
+	// fallback's rounds select κ from.
+	push     *rwr.Push
+	pushVals []float64
 	// zeroBound is the owning View's per-k table, which this engine's screens
 	// read in place of the index (Screen.take). Nil on an engine made by
 	// NewEngine: an update-mode commit moves the bounds the table is derived
@@ -493,9 +511,11 @@ type refinement struct {
 //
 // and the first holds at rank k+1 too. If both ranks' bounds still clear lo
 // and the second still does not clear hi, no bound can decide u whatever the
-// step does, and u is left open at
-// once for the exact solve — which, since the push-form forward sweep, costs about
-// what one step over a spread-out state does. B = 0 (all residue below η, the
+// step does, and u is left open at once for the exact solve. That solve is
+// not cheap: on the benchmark's web fixture a slab column cost about 3.5 ms
+// against about 0.24 ms a refine step, and the forward push that now decides
+// most web fallbacks about half the column's time — but a step that cannot
+// decide is wasted whatever it costs. B = 0 (all residue below η, the
 // step a no-op) is the degenerate instance: both right-hand sides are then
 // the bounds that just failed, so refine never copies or steps such a state —
 // which is why the index may store it summarized, without R and W
@@ -603,9 +623,11 @@ type pendingFallback struct {
 
 // fallbackOutcome is how resolveExact decided one deferred candidate.
 type fallbackOutcome struct {
-	member bool
-	iters  int  // forward iterations the candidate's column ran
-	early  bool // the column stopped before converging
+	member    bool
+	iters     int  // forward iterations the candidate's slab column ran
+	early     bool // decided before a column converged: by the push or the probe
+	pushed    bool // decided by the forward push, with no column
+	pushEdges int  // out-edges the forward push read
 }
 
 // resolveFallbacks decides every candidate one sweep of query q deferred,
@@ -623,8 +645,12 @@ func (e *Engine) resolveFallbacks(pend []pendingFallback, q graph.NodeID, k int,
 	var results []graph.NodeID
 	for i, o := range out {
 		stats.FallbackIters += o.iters
+		stats.FallbackPushEdges += o.pushEdges
 		if o.early {
 			stats.FallbackEarlyStops++
+		}
+		if o.pushed {
+			stats.FallbackPushDecided++
 		}
 		if o.member {
 			results = append(results, pend[i].u)
@@ -659,51 +685,86 @@ const (
 	probeTailRatio = 4
 )
 
-// resolveExact decides every candidate query q's sweep deferred by its node's
-// forward power iteration, under the oracle's membership rule read off the
-// column x = p_u itself: u is a member iff x[q] ≥ κ − tieTol, κ the k-th
-// largest entry of x over v ≠ q (columnMember; the same set as
-// rwr.ReverseTopK's x[q] ≥ pkmax(u) − tieTol). Each candidate gets one
-// column; columns run in forward SpMM slabs of at most spmmChunkWidth, in
-// deferral order, and every column that runs to convergence is
-// rwr.ProximityVector's bit for bit. The slabs run one after another on the
-// calling goroutine whatever the engine's worker count; each sweeps its
-// columns' forward ball with the push kernel (rwr/spmm.go, rwr/spmmfwd.go).
-// The rule asks nothing of the PMPN, so a candidate decided on a band (a
-// final stop, Run.Rounds) resolves as one decided on the converged vector.
+// The forward push of a no-update engine's exact fallback (resolveExact)
+// runs rounds from r_max = fallbackPushFirst, each dividing it by
+// fallbackPushRatio, and hands its column over to the slab once its first
+// round touches more than n/fallbackPushRowDivisor rows or its rounds have
+// read fallbackPushBudget·m edges. On the benchmark's web fixture a decided
+// column reads 45k edges at the median and 4.3·m at most (a 4·m budget left 6
+// of web-cold's 236 to the slab after 1.8M wasted edges); no social column can
+// be decided, even uncapped, and each passes n/8 rows within about 690 edges.
+const (
+	fallbackPushFirst      = 1e-3
+	fallbackPushRatio      = 4
+	fallbackPushRowDivisor = 8
+	fallbackPushBudget     = 6
+)
+
+// resolveExact decides every candidate query q's sweep deferred, under the
+// oracle's membership rule read off u's proximity column p_u itself: u is a
+// member iff x*[q] ≥ κ* − tieTol, κ* the k-th largest entry of x* = p_u over
+// v ≠ q (columnMember; the same set as rwr.ReverseTopK's
+// x[q] ≥ pkmax(u) − tieTol). The rule asks nothing of the PMPN, so a
+// candidate decided on a band (a final stop, Run.Rounds) resolves as one
+// decided on the converged vector.
 //
-// A no-update engine rarely needs the converged column: the iterate x^t
-// brackets every entry of the converged x* within the elementwise band
-// τ_t = r_t·(1−α)/α (rwr.ColumnProbe), and the PMPN's band brackets x*[q] too
-// (pendingFallback), so between iterations a probe applies the rule to the
-// narrower bracket of x*[q], [L, U] = [max(x[q] − τ, lo), min(x[q] + τ, hi)],
-// and decides the candidate the moment it and κ separate (Fujiwara et al.'s
-// bound-driven termination, PAPERS.md). κ is 1-Lipschitz in the entries, so
+// A no-update engine first runs each candidate as a forward push from e_u
+// (rwr.Push; pushColumn), which after each round holds est ≤ x* ≤ est + R
+// elementwise, R = ‖r‖₁. κ is monotone in the entries, so κ* lies in
+// [κ(est), κ(est) + R], and x*[q] in [max(est[q], lo), min(est[q] + R, hi)]
+// with [lo, hi] the PMPN's band (pendingFallback); columnMember decides the
+// moment those two brackets separate, with no column at all. A push that
+// grows expensive (the constants above) hands its candidate over to the
+// slab, which starts over from e_u.
+//
+// The slab is the forward power iteration: one column per candidate left,
+// in forward SpMM slabs of at most spmmChunkWidth, in deferral order, and
+// every column that runs to convergence is rwr.ProximityVector's bit for bit.
+// The slabs run one after another on the calling goroutine whatever the
+// engine's worker count; each sweeps its columns' forward ball with the push
+// kernel (rwr/spmm.go, rwr/spmmfwd.go). Between iterations a no-update
+// engine's probe reads the iterate x^t, which brackets every entry of x*
+// within the elementwise band τ_t = r_t·(1−α)/α (rwr.ColumnProbe), and
+// decides the candidate the moment the same two brackets — now symmetric,
+// [L, U] = [max(x[q] − τ, lo), min(x[q] + τ, hi)] against κ ± τ — separate
+// (Fujiwara et al.'s bound-driven termination, PAPERS.md):
 //
 //	L ≥ κ + τ − tieTol  ⇒ member:     x*[q] ≥ L ≥ κ + τ − tieTol ≥ κ* − tieTol;
 //	U < κ − τ − tieTol  ⇒ non-member: x*[q] ≤ U < κ − τ − tieTol ≤ κ* − tieTol;
 //
 // both the converged decision, whatever the PMPN's precision: a wide band
-// only leaves the column's own τ to decide. q is left out of κ because nearly
-// half of all fallbacks are exact ties — q IS u's k-th node and the gap to
-// pkmax is ≈1e-15 (ROADMAP.md has the distribution) — where a band around the
-// k-th entry itself can never close above tieTol, while the (k+1)-th entry
-// separates from x[q] early.
+// only leaves the column's own bracket to decide. q is left out of κ because
+// nearly half of all fallbacks are exact ties — q IS u's k-th node and the
+// gap to pkmax is ≈1e-15 (ROADMAP.md has the distribution) — where a band
+// around the k-th entry itself can never close above tieTol, while the
+// (k+1)-th entry separates from x[q] early.
 //
-// In update mode there is no probe: each solved vector is committed as a
-// fully drained exact state (all ink retained, zero residue) so no future
-// query ever spends work on that node again — this is what makes the
-// update curve of Fig. 7/8 flatten — and that needs the converged vector.
+// In update mode there is neither push nor probe: each solved vector is
+// committed as a fully drained exact state (all ink retained, zero residue)
+// so no future query ever spends work on that node again — this is what
+// makes the update curve of Fig. 7/8 flatten — and that needs the converged
+// vector.
 func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (out []fallbackOutcome, ballIters int, err error) {
 	out = make([]fallbackOutcome, len(pend))
-	for lo := 0; lo < len(pend); lo += spmmChunkWidth {
-		chunk := pend[lo:min(lo+spmmChunkWidth, len(pend))]
-		outs := out[lo : lo+len(chunk)]
+	slab := make([]int, 0, len(pend)) // positions in pend the push left to the slab
+	for i := range pend {
+		if !e.update {
+			if out[i], err = e.pushColumn(pend[i], q, k); err != nil {
+				return nil, 0, err
+			}
+			if out[i].pushed {
+				continue
+			}
+		}
+		slab = append(slab, i)
+	}
+	for lo := 0; lo < len(slab); lo += spmmChunkWidth {
+		chunk := slab[lo:min(lo+spmmChunkWidth, len(slab))]
 		origins := make([]graph.NodeID, len(chunk))
 		// nextProbe[i]: look at column i once its tail is at most this.
 		nextProbe := make([]float64, len(chunk))
-		for i, pf := range chunk {
-			origins[i] = pf.u
+		for i, at := range chunk {
+			origins[i] = pend[at].u
 			nextProbe[i] = probeFirstTail
 		}
 		var probe rwr.ColumnProbe
@@ -733,9 +794,11 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 					}
 					vals = vals[:len(rows)]
 				}
-				member, decided := columnMember(vals, xq, k, tail, chunk[i].puq-chunk[i].band, chunk[i].puq+chunk[i].band, e.tieTol)
+				pf := pend[chunk[i]]
+				member, decided := columnMember(vals, xq, k, tail, tail, pf.puq-pf.band, pf.puq+pf.band, e.tieTol)
 				if decided {
-					outs[i] = fallbackOutcome{member: member, iters: iter, early: true}
+					o := &out[chunk[i]]
+					o.member, o.iters, o.early = member, iter, true
 				}
 				return decided
 			}
@@ -748,12 +811,13 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 				}
 				return
 			}
-			member, _ := columnMember(res.Vector, res.Vector[q], k, 0, math.Inf(-1), math.Inf(1), e.tieTol)
-			outs[i] = fallbackOutcome{member: member, iters: res.Iterations}
+			member, _ := columnMember(res.Vector, res.Vector[q], k, 0, 0, math.Inf(-1), math.Inf(1), e.tieTol)
+			o := &out[chunk[i]]
+			o.member, o.iters = member, res.Iterations
 			if e.update {
 				exact := &bca.State{
 					Origin: origins[i],
-					T:      chunk[i].nextT,
+					T:      pend[chunk[i]].nextT,
 					RNorm:  0,
 					W:      vecmath.GatherSparse(res.Vector, 0),
 				}
@@ -771,22 +835,53 @@ func (e *Engine) resolveExact(pend []pendingFallback, q graph.NodeID, k int) (ou
 	return out, ballIters, nil
 }
 
-// columnMember applies resolveExact's rule to a column x of u known within tail
-// of the converged one x*, xq its entry at the query node (vals may be x's
-// non-zero entries only, or all of it): whether u ranks q among its top k —
-// x*[q] ≥ κ* − tieTol — and whether the evidence decides it. x*[q] lies
-// within tail of xq and inside [lo, hi] (the PMPN's band, or ±Inf), κ* within
-// tail of κ. At tail = 0 with no band it always decides.
-func columnMember(vals []float64, xq float64, k int, tail, lo, hi, tieTol float64) (member, decided bool) {
+// pushColumn runs candidate pf's forward push (see resolveExact) in rounds
+// until columnMember decides it on the push's bracket, or the push grows
+// expensive and the candidate is left to the slab (pushed false). The scratch
+// is the engine's own (Engine.push), reset through its touched list, so a
+// push allocates nothing of size n.
+func (e *Engine) pushColumn(pf pendingFallback, q graph.NodeID, k int) (fallbackOutcome, error) {
+	if e.push == nil {
+		e.push = rwr.NewPush(e.g.N())
+	}
+	p := e.push
+	if err := p.Start(e.g, pf.u, e.idx.Options().RWR, true); err != nil {
+		return fallbackOutcome{}, err
+	}
+	budget, rows := fallbackPushBudget*e.g.M(), e.g.N()/fallbackPushRowDivisor
+	for rmax := fallbackPushFirst; ; rmax /= fallbackPushRatio {
+		if !p.Run(rmax, budget, rows) {
+			return fallbackOutcome{pushEdges: p.Edges()}, nil
+		}
+		rows = e.g.N()
+		est, vals := p.Est(), e.pushVals[:0]
+		for _, v := range p.Touched() {
+			vals = append(vals, est[v])
+		}
+		e.pushVals = vals
+		if member, decided := columnMember(vals, est[q], k, 0, p.ResidualL1(), pf.puq-pf.band, pf.puq+pf.band, e.tieTol); decided {
+			return fallbackOutcome{member: member, early: true, pushed: true, pushEdges: p.Edges()}, nil
+		}
+	}
+}
+
+// columnMember applies resolveExact's rule to a column x of u whose
+// converged x* lies elementwise in [x − below, x + above], xq its entry at
+// the query node (vals may be x's non-zero entries only, or all of it):
+// whether u ranks q among its top k — x*[q] ≥ κ* − tieTol — and whether the
+// evidence decides it. x*[q] lies in [xq − below, xq + above] and inside
+// [lo, hi] (the PMPN's band, or ±Inf), κ* in [κ − below, κ + above]. At
+// below = above = 0 with no band it always decides.
+func columnMember(vals []float64, xq float64, k int, below, above, lo, hi, tieTol float64) (member, decided bool) {
 	top := vecmath.TopKValues(vals, k+1)
 	kappa := top[k-1]
 	if xq >= kappa {
 		kappa = top[k] // q is one of the k largest: leave it out
 	}
 	switch {
-	case max(xq-tail, lo) >= kappa+tail-tieTol:
+	case max(xq-below, lo) >= kappa+above-tieTol:
 		return true, true
-	case min(xq+tail, hi) < kappa-tail-tieTol:
+	case min(xq+above, hi) < kappa-below-tieTol:
 		return false, true
 	}
 	return false, false

@@ -85,7 +85,7 @@ func newRun(g *graph.Graph, q graph.NodeID, p rwr.Params, workers int, hook func
 		if push == nil {
 			push = rwr.NewPush(g.N())
 		}
-		r.push, err = push, push.Start(g, q, p)
+		r.push, err = push, push.Start(g, q, p, false)
 	}
 	if err != nil {
 		return nil, err
@@ -178,7 +178,7 @@ func (r *Run) Rounds(eps float64) error {
 	rmax := min(minLB-defaultTieTol, 1) / 2
 	for {
 		start := time.Now()
-		done := r.push.Run(rmax, r.g.M()/pushBudgetDivisor)
+		done := r.push.Run(rmax, r.g.M()/pushBudgetDivisor, r.g.N())
 		r.pmpnElapsed += time.Since(start)
 		if !done {
 			break

@@ -187,10 +187,10 @@ func AffectedNodes(g2 *graph.Graph, sources []graph.NodeID, theta float64, p rwr
 	slack := p.Eps * (1 - p.Alpha) / p.Alpha
 	push := rwr.NewPush(g2.N())
 	for _, s := range sources {
-		if err := push.Start(g2, s, p); err != nil {
+		if err := push.Start(g2, s, p, false); err != nil {
 			return nil, err
 		}
-		push.Run(theta/10, math.MaxInt)
+		push.Run(theta/10, math.MaxInt, g2.N())
 		est, width := push.Est(), push.MaxResidual()+slack
 		for _, w := range push.Touched() {
 			if est[w]+width >= theta {

@@ -174,11 +174,15 @@ func alignedBytes(n int) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
 }
 
-// Mapping owns one mmap'd index image. Every Index sharing the mapping
-// (the loaded index and all its Clones) holds a reference; the final
-// release — triggered by a GC cleanup when the last such Index becomes
-// unreachable, e.g. when the serving snapshot store drops its last snapshot
-// over the file — unmaps the image.
+// Mapping owns one mmap'd index image. Every value whose slices alias the
+// image holds a reference, dropped by a GC cleanup once that value is
+// unreachable: each Index sharing it (the loaded index, its Clones and shard
+// slices, whose stored states' packed rows alias it) and every hub matrix
+// that does (hub.Matrix; the loaded one, and a rebuilt one that shares its
+// columns, registered by SetHubMatrix). The final release unmaps the image —
+// e.g. when the serving snapshot store drops its last snapshot over the file
+// — so a caller that keeps only idx.HubMatrix() can still read it. The stored
+// graph never aliases the image: it is decoded onto the heap (graph.Decode).
 type Mapping struct {
 	data []byte
 	refs atomic.Int64
@@ -192,15 +196,21 @@ func (m *Mapping) release() {
 	}
 }
 
-// setBacking records the mapping an index's rows alias and arranges for the
-// reference to be dropped when the index is garbage collected.
-func (idx *Index) setBacking(m *Mapping) {
+// holdMapping makes the value at ptr hold a reference to m (nil: none),
+// dropped when that value is garbage collected.
+func holdMapping[T any](m *Mapping, ptr *T) {
 	if m == nil {
 		return
 	}
-	idx.backing = m
 	m.retain()
-	runtime.AddCleanup(idx, func(mm *Mapping) { mm.release() }, m)
+	runtime.AddCleanup(ptr, func(mm *Mapping) { mm.release() }, m)
+}
+
+// setBacking records the mapping an index's rows alias and makes the index
+// hold it.
+func (idx *Index) setBacking(m *Mapping) {
+	idx.backing = m
+	holdMapping(m, idx)
 }
 
 // MmapBacked reports whether this index serves its rows zero-copy from an
@@ -325,6 +335,7 @@ func loadFile(f *os.File, opts LoadOptions) (*Index, error) {
 		return nil, err
 	}
 	idx.setBacking(m)
+	holdMapping(m, idx.hubs)
 	return idx, nil
 }
 

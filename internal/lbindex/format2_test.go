@@ -2,14 +2,20 @@ package lbindex
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/hub"
 	"repro/internal/vecmath"
 )
 
@@ -299,6 +305,61 @@ func TestMappingRefcount(t *testing.T) {
 	if m.data != nil {
 		t.Fatal("mapping not released at refcount zero")
 	}
+}
+
+// mmapChildEnv names the index file TestHubMatrixOutlivesMappedIndex's child
+// process loads; set only in that child's environment.
+const mmapChildEnv = "LBINDEX_TEST_MMAP_CHILD"
+
+// TestHubMatrixOutlivesMappedIndex: a caller that keeps only the hub matrix
+// of an index loaded with Mmap: true reads it after the index itself has
+// been collected — the matrix's slices alias the mapping, so it must keep
+// the mapping alive. An unmapped read faults (SIGSEGV), which no test can
+// recover from, so the load, the two collections and the read run in a
+// child process and the test reads its exit.
+func TestHubMatrixOutlivesMappedIndex(t *testing.T) {
+	if !mmapSupported {
+		t.Skip("mmap unsupported on this platform")
+	}
+	if path := os.Getenv(mmapChildEnv); path != "" {
+		hm := mappedHubMatrix(t, path)
+		if hm.NumHubs() == 0 {
+			t.Fatal("the index has no hubs")
+		}
+		runtime.GC()
+		runtime.GC()
+		time.Sleep(50 * time.Millisecond) // cleanups run on their own goroutine
+		sum := 0.0
+		for _, h := range hm.Hubs() {
+			sum += hm.DroppedMass(h)
+			for _, v := range hm.ExactTopK(h) {
+				sum += v
+			}
+		}
+		fmt.Printf("hub matrix read: %d hubs, sum %g\n", hm.NumHubs(), sum)
+		return
+	}
+	path := filepath.Join(t.TempDir(), "index")
+	writeIndex(t, path, refinedIndex(t, 13, 40, 4).Save)
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHubMatrixOutlivesMappedIndex$", "-test.count=1")
+	cmd.Env = append(os.Environ(), mmapChildEnv+"="+path)
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "hub matrix read") {
+		t.Fatalf("reading the hub matrix of a collected mapped index: %v\n%s", err, out)
+	}
+}
+
+// mappedHubMatrix loads path with Mmap: true and returns its hub matrix
+// alone: the index is unreachable once it returns.
+func mappedHubMatrix(t *testing.T, path string) *hub.Matrix {
+	idx, err := LoadFile(path, LoadOptions{Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !idx.MmapBacked() {
+		t.Fatal("LoadFile(Mmap) returned a heap index")
+	}
+	return idx.HubMatrix()
 }
 
 func writeIndex(t *testing.T, path string, save func(w io.Writer) error) {

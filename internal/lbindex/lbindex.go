@@ -338,7 +338,9 @@ func (idx *Index) K() int { return idx.opts.K }
 // Options returns the build options.
 func (idx *Index) Options() Options { return idx.opts }
 
-// HubMatrix returns the rounded hub proximity matrix.
+// HubMatrix returns the rounded hub proximity matrix. A matrix whose slices
+// alias an mmap'd image keeps the image mapped (Mapping) for as long as it is
+// reachable, with or without the index.
 func (idx *Index) HubMatrix() *hub.Matrix { return idx.hubs }
 
 // Graph returns the graph this index's rows are valid for. It is shared and
@@ -383,8 +385,9 @@ func (idx *Index) KthLowerBound(u graph.NodeID, k int) float64 {
 }
 
 // PHatRow returns the stored p̂ column of node u (length K, descending),
-// without copying it. The row is read-only: it may alias an mmap'd image, and
-// it is shared with every Clone and shard slice of this index.
+// without copying it. The row is read-only: it may alias an mmap'd image —
+// valid while this index, or a Clone or shard slice of it, is reachable —
+// and it is shared with every Clone and shard slice of this index.
 func (idx *Index) PHatRow(u graph.NodeID) []float64 { return idx.phat[u] }
 
 // ResidueNorm returns ‖r^t_u‖₁, the undistributed ink of u's partial BCA
@@ -581,6 +584,9 @@ func (idx *Index) SetHubMatrix(hm *hub.Matrix) error {
 			return fmt.Errorf("lbindex: replacement changes hub membership at position %d: %d → %d", i, oldHubs[i], newHubs[i])
 		}
 	}
+	// A rebuilt matrix shares its unaffected columns with the one it
+	// replaces (hub.Rebuild), which may alias this index's mapping.
+	holdMapping(idx.backing, hm)
 	idx.hubs = hm
 	return nil
 }

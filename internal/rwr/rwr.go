@@ -15,10 +15,14 @@
 // have reached — one ball, grown backward for PMPN and forward for the slab
 // (ball.go) — before handing over to their dense loops.
 //
-// Push is the local alternative to the PMPN: a backward push from q brackets
-// every p_u(q) in [est_u, est_u + max r] from the rows that carry mass toward
-// q, without a sweep — the query pipeline's first phase (core.Run.Rounds)
-// and the affected-set bound of an edit batch (evolve.AffectedNodes).
+// Push is the local alternative to both, one type in two directions: a
+// backward push from q brackets every p_u(q) in [est_u, est_u + max r] from
+// the rows that carry mass toward q, without a sweep — the query pipeline's
+// first phase (core.Run.Rounds) and the affected-set bound of an edit batch
+// (evolve.AffectedNodes) — and a forward push from u brackets every p_u(x) in
+// [est_x, est_x + ‖r‖₁] from the rows u's walks reach — the exact fallback's
+// first phase (core's resolveExact), which hands a column it cannot decide
+// over to the slab.
 package rwr
 
 import (

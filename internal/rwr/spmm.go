@@ -56,7 +56,11 @@ type batchColumn struct {
 // writes all n entries and returns nil after the hand-over. Returning true
 // drops the column from the slab: it gets no retire call and no vector, the
 // probe having taken what it needed. Columns that do converge are untouched
-// by probing — bit-identical to an unprobed run.
+// by probing — bit-identical to an unprobed run. The tail is the L1 one, not
+// ToStepper's L∞ change: the forward column iterates A = Pᵀ, whose ‖A‖∞ is
+// the largest weighted in-flow of a row (in the hundreds at a hub of in-degree
+// two thousand), so ‖x^t − x^{t−1}‖∞·(1−α)/α bounds no tail of the forward
+// iteration.
 type ColumnProbe func(i, iter int, tail float64, read func(dst []float64) []graph.NodeID) bool
 
 // slabBallDivisor bounds the slab's ball phase: it runs while the union of the

@@ -78,6 +78,7 @@ type metrics struct {
 	phaseDur *obs.HistogramVec // rtk_query_phase_seconds{phase}
 	fbIters  *obs.Histogram    // rtk_fallback_iterations
 	fbEarly  *obs.Counter      // rtk_fallback_early_stops_total
+	fbPushed *obs.Counter      // rtk_fallback_push_decided_total
 	maintDur *obs.Histogram
 	walDur   *obs.Histogram
 	walBytes *obs.Counter
@@ -109,6 +110,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		phaseDur: reg.NewHistogramVec("rtk_query_phase_seconds", "Per-query phase wall clock: pmpn, decide, fallback.", phaseBuckets, "phase"),
 		fbIters:  reg.NewHistogram("rtk_fallback_iterations", "Forward power-method iterations per exact fallback (mean over one computed query's fallbacks).", fallbackIterBuckets),
 		fbEarly:  reg.NewCounter("rtk_fallback_early_stops_total", "Exact fallbacks decided before their forward iteration converged."),
+		fbPushed: reg.NewCounter("rtk_fallback_push_decided_total", "Exact fallbacks their forward push decided, with no power-method column."),
 		maintDur: reg.NewHistogram("rtk_maint_duration_seconds", "Maintenance batch wall clock (apply + refresh + publish).", nil),
 		walDur:   reg.NewHistogram("rtk_wal_append_seconds", "WAL record write+fsync wall clock.", phaseBuckets),
 		walBytes: reg.NewCounter("rtk_wal_appended_bytes_total", "Bytes appended to the write-ahead journal."),
@@ -230,8 +232,10 @@ type queryTrace struct {
 	// Exact fallbacks of the computation: how many, their forward
 	// iterations in total, how many of those swept only the forward ball
 	// (core.QueryStats.FallbackBallIters), and how many fallbacks stopped
-	// before convergence.
+	// before convergence; the out-edges their forward pushes read and how
+	// many of them the push decided with no column.
 	fallbacks, fallbackIters, fallbackBallIters, fallbackEarlyStops int
+	fallbackPushEdges, fallbackPushDecided                          int
 }
 
 // setExact installs the record of an exact computation.
@@ -243,6 +247,7 @@ func (t *queryTrace) setExact(st core.QueryStats) {
 	t.candidates, t.refineSteps = st.Candidates, st.RefineSteps
 	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
 	t.fallbackBallIters = st.FallbackBallIters
+	t.fallbackPushEdges, t.fallbackPushDecided = st.FallbackPushEdges, st.FallbackPushDecided
 }
 
 // setPhases installs a non-empty phase map.
@@ -263,6 +268,7 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 	if tr.fallbacks > 0 {
 		s.m.fbIters.Observe(float64(tr.fallbackIters) / float64(tr.fallbacks))
 		s.m.fbEarly.Add(uint64(tr.fallbackEarlyStops))
+		s.m.fbPushed.Add(uint64(tr.fallbackPushDecided))
 	}
 	keep := s.slow.Keeps(elapsed)
 	if s.logger == nil && !keep {
@@ -290,6 +296,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		"refine_steps", tr.refineSteps,
 		"fallbacks", tr.fallbacks,
 		"fallback_iters", tr.fallbackIters,
+		"fallback_push_edges", tr.fallbackPushEdges,
+		"fallback_push_decided", tr.fallbackPushDecided,
 		"fallback_ball_iters", tr.fallbackBallIters,
 		"fallback_early_stops", tr.fallbackEarlyStops,
 	}

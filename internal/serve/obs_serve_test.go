@@ -516,8 +516,10 @@ func TestSlowLogEndpoint(t *testing.T) {
 // request log line and the slow-log detail — with the counts the engine's
 // own QueryStats give for the same query, so a slow query says from its log
 // line alone whether its fallbacks ran to convergence and whether they swept
-// their forward ball or all n rows; and the same lines say how many edges the
-// PMPN read and whether its backward push handed over to the power method.
+// their forward ball or all n rows, how many edges their forward pushes read
+// and how many of them the push decided; and the same lines say how many
+// edges the PMPN read and whether its backward push handed over to the power
+// method.
 func TestFallbackObservability(t *testing.T) {
 	g, idx := fixture(t)
 	view, err := core.NewView(g, idx)
@@ -533,6 +535,9 @@ func TestFallbackObservability(t *testing.T) {
 	}
 	if want.FallbackBallIters == 0 || want.FallbackBallIters > want.FallbackIters {
 		t.Fatalf("q=1 k=3: %d of %d fallback iterations swept the forward ball; want some, at most all", want.FallbackBallIters, want.FallbackIters)
+	}
+	if want.FallbackPushEdges == 0 || want.FallbackPushDecided >= want.ExactFallbacks {
+		t.Fatalf("q=1 k=3: the fallbacks' push read %d edges and decided %d of %d; want some read, some handed over", want.FallbackPushEdges, want.FallbackPushDecided, want.ExactFallbacks)
 	}
 	if want.PMPNSupport == 0 || want.Screened == 0 || want.Candidates == 0 || want.PMPNEdges == 0 {
 		t.Fatalf("q=1 k=3 reports an empty proximity vector, an empty screen, no candidates or no edge read (%+v)", want)
@@ -555,6 +560,9 @@ func TestFallbackObservability(t *testing.T) {
 	if v, ok := obs.SampleValue(fams, "rtk_fallback_early_stops_total", nil); !ok || v != float64(want.FallbackEarlyStops) {
 		t.Errorf("rtk_fallback_early_stops_total = %v (ok=%v), want %d", v, ok, want.FallbackEarlyStops)
 	}
+	if v, ok := obs.SampleValue(fams, "rtk_fallback_push_decided_total", nil); !ok || v != float64(want.FallbackPushDecided) {
+		t.Errorf("rtk_fallback_push_decided_total = %v (ok=%v), want %d", v, ok, want.FallbackPushDecided)
+	}
 
 	var line map[string]any
 	for _, l := range logs.lines(t) {
@@ -569,16 +577,18 @@ func TestFallbackObservability(t *testing.T) {
 		t.Errorf("log line pmpn_handover = %v, want %v (line %v)", line["pmpn_handover"], want.PMPNHandover, line)
 	}
 	for field, n := range map[string]int{
-		"pmpn_iters":           want.PMPNIters,
-		"pmpn_edges":           want.PMPNEdges,
-		"pmpn_support":         want.PMPNSupport,
-		"screened":             want.Screened,
-		"candidates":           want.Candidates,
-		"refine_steps":         want.RefineSteps,
-		"fallbacks":            want.ExactFallbacks,
-		"fallback_iters":       want.FallbackIters,
-		"fallback_ball_iters":  want.FallbackBallIters,
-		"fallback_early_stops": want.FallbackEarlyStops,
+		"pmpn_iters":            want.PMPNIters,
+		"pmpn_edges":            want.PMPNEdges,
+		"pmpn_support":          want.PMPNSupport,
+		"screened":              want.Screened,
+		"candidates":            want.Candidates,
+		"refine_steps":          want.RefineSteps,
+		"fallbacks":             want.ExactFallbacks,
+		"fallback_iters":        want.FallbackIters,
+		"fallback_push_edges":   want.FallbackPushEdges,
+		"fallback_push_decided": want.FallbackPushDecided,
+		"fallback_ball_iters":   want.FallbackBallIters,
+		"fallback_early_stops":  want.FallbackEarlyStops,
 	} {
 		if got, ok := line[field].(float64); !ok || got != float64(n) {
 			t.Errorf("log line %s = %v, want %d (line %v)", field, line[field], n, line)
@@ -586,10 +596,46 @@ func TestFallbackObservability(t *testing.T) {
 	}
 
 	_, body := get(t, ts.URL+"/debug/slowlog")
-	detail := fmt.Sprintf(`"detail":"q=1 k=3 mode=exact cache=MISS pmpn_iters=%d pmpn_edges=%d pmpn_handover=%v pmpn_support=%d pmpn_tail=%v screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_early_stops=%d"`,
-		want.PMPNIters, want.PMPNEdges, want.PMPNHandover, want.PMPNSupport, want.PMPNTail, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackBallIters, want.FallbackEarlyStops)
+	detail := fmt.Sprintf(`"detail":"q=1 k=3 mode=exact cache=MISS pmpn_iters=%d pmpn_edges=%d pmpn_handover=%v pmpn_support=%d pmpn_tail=%v screened=%d candidates=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_push_edges=%d fallback_push_decided=%d fallback_ball_iters=%d fallback_early_stops=%d"`,
+		want.PMPNIters, want.PMPNEdges, want.PMPNHandover, want.PMPNSupport, want.PMPNTail, want.Screened, want.Candidates, want.RefineSteps, want.ExactFallbacks, want.FallbackIters, want.FallbackPushEdges, want.FallbackPushDecided, want.FallbackBallIters, want.FallbackEarlyStops)
 	if !strings.Contains(string(body), detail) {
 		t.Errorf("slow-log entry is not %s: %s", detail, body)
+	}
+
+	// The web fixture's 300 nodes hand every fallback over to the slab; the
+	// spam family's queries have fallbacks the push decides.
+	tab := oracle.Family(t, "spam")
+	view, err = core.NewView(tab.Graph, tab.Index(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs, logger = newTestLogger()
+	_, ts = newTestServer(t, tab.Graph, tab.Index(t), Config{Logger: logger})
+	decided := 0
+	for _, q := range tab.Queries {
+		_, st, err := view.Query(q, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, body := get(t, fmt.Sprintf("%s/v1/reverse-topk?q=%d&k=10", ts.URL, q)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: %d %s", resp.StatusCode, body)
+		}
+		decided += st.FallbackPushDecided
+	}
+	if decided == 0 {
+		t.Fatal("no spam query has a fallback the push decided; pick another k")
+	}
+	if v, ok := obs.SampleValue(scrapeMetrics(t, ts.URL), "rtk_fallback_push_decided_total", nil); !ok || v != float64(decided) {
+		t.Errorf("spam: rtk_fallback_push_decided_total = %v (ok=%v), want %d", v, ok, decided)
+	}
+	logged := 0.0
+	for _, l := range logs.lines(t) {
+		if n, ok := l["fallback_push_decided"].(float64); ok {
+			logged += n
+		}
+	}
+	if logged != float64(decided) {
+		t.Errorf("spam: the log lines' fallback_push_decided sum to %v, want %d", logged, decided)
 	}
 }
 
