@@ -58,7 +58,7 @@ func main() {
 		update    = flag.Bool("update", false, "refine the in-memory index during the query")
 		save      = flag.Bool("save", false, "write the refined index back (implies -update)")
 		mmapMode  = flag.String("mmap", "on", "load the index zero-copy via mmap: on|off (off = portable heap load)")
-		explain   = flag.Bool("explain", false, "print the per-candidate decision trace instead of running the query")
+		explain   = flag.Bool("explain", false, "also print every candidate's decision: the band on p_u(q) it was decided on, its outcome and refinement steps")
 		mode      = flag.String("mode", "", "query tier: exact (default) or approx — the anytime tier")
 		eps       = flag.String("eps", "", "anytime undecided-fraction budget in [0,1); default 0.1 (needs -mode approx)")
 	)
@@ -117,7 +117,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		printAnswer(*q, *k, answer, stats)
+		printAnswer(*q, *k, answer, stats, "hits", stats.Hits, "committed", stats.Committed)
 		if *save {
 			if err := idx.SaveFile(*indexPath); err != nil {
 				log.Fatal(err)
@@ -141,10 +141,9 @@ func main() {
 		}
 		s := res.Stats
 		printAnytime(*q, *k, epsV, res.Guaranteed, res.Maybe)
-		fmt.Printf("stats: eps_achieved=%.4f tau=%.3g rounds=%d converged=%v final=%v confirmed=%d pruned=%d pmpn_edges=%d pmpn_handover=%v\n",
-			s.EpsAchieved, s.TauAchieved, s.Rounds, s.Converged, s.Final, s.ConfirmedByBound, s.PrunedByBound, s.PMPNEdges, s.PMPNHandover)
-		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
-			s.Elapsed.Round(time.Microsecond), s.PMPNElapsed.Round(time.Microsecond), s.PMPNIters)
+		fmt.Printf("anytime: eps_achieved=%.4f tau=%.3g converged=%v final=%v confirmed=%d pruned=%d\n",
+			s.EpsAchieved, s.TauAchieved, s.Converged, s.Final, s.ConfirmedByBound, s.PrunedByBound)
+		printStats(core.QueryStats{RunStats: s.RunStats, Elapsed: s.Elapsed})
 	case *explain:
 		ex, err := view.Explain(graph.NodeID(*q), *k, false, *workers)
 		if err != nil {
@@ -153,23 +152,33 @@ func main() {
 		if err := core.WriteExplanation(os.Stdout, ex); err != nil {
 			log.Fatal(err)
 		}
+		printStats(ex.Stats, "hits", ex.Stats.Hits)
 	default:
 		answer, stats, err := view.Query(graph.NodeID(*q), *k, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printAnswer(*q, *k, answer, stats)
+		printAnswer(*q, *k, answer, stats, "hits", stats.Hits)
 	}
 }
 
 // printAnswer prints an exact answer and its statistics.
-func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats) {
+func printAnswer(q, k int, answer []graph.NodeID, stats core.QueryStats, extra ...any) {
 	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
 	fmt.Printf("%v\n", answer)
-	fmt.Printf("stats: candidates=%d hits=%d refine_steps=%d fallbacks=%d fallback_iters=%d fallback_ball_iters=%d fallback_push_edges=%d fallback_push_decided=%d committed=%d pmpn_edges=%d pmpn_handover=%v screened=%d\n",
-		stats.Candidates, stats.Hits, stats.RefineSteps, stats.ExactFallbacks, stats.FallbackIters, stats.FallbackBallIters, stats.FallbackPushEdges, stats.FallbackPushDecided, stats.Committed, stats.PMPNEdges, stats.PMPNHandover, stats.Screened)
-	fmt.Printf("time: total=%v%s (%d PMPN iterations)\n",
-		stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()), stats.PMPNIters)
+	printStats(stats, extra...)
+}
+
+// printStats prints a query's record (QueryStats.Record, the daemon's log
+// line less its request fields) and then the extra key/value pairs as the
+// stats: line, and its timings.
+func printStats(stats core.QueryStats, extra ...any) {
+	fmt.Print("stats:")
+	for rec, i := append(stats.Record(nil), extra...), 0; i < len(rec); i += 2 {
+		fmt.Printf(" %s=%v", rec[i], rec[i+1])
+	}
+	fmt.Println()
+	fmt.Printf("time: total=%v%s\n", stats.Elapsed.Round(time.Microsecond), formatPhases(stats.Phases()))
 }
 
 // printAnytime prints an anytime answer's header and its two parts; the
@@ -222,25 +231,23 @@ func querySharded(paths []string, graphPath string, q, k, workers int, useMmap, 
 			log.Fatal(err)
 		}
 		printAnytime(q, k, eps, guaranteed, maybe)
-		fmt.Printf("shards: P=%d rounds=%d eps_achieved=%.4f pruned_by_bound=%d confirmed_by_bound=%d early_stop=%v\n",
-			c.P(), stats.Rounds, stats.EpsAchieved, stats.PrunedByBound, stats.ConfirmedByBound, !stats.Converged)
-		fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
-			stats.Elapsed.Round(time.Microsecond), stats.PMPNElapsed.Round(time.Microsecond), stats.PMPNIters)
+		fmt.Printf("shards: P=%d eps_achieved=%.4f pruned_by_bound=%d confirmed_by_bound=%d early_stop=%v\n",
+			c.P(), stats.EpsAchieved, stats.PrunedByBound, stats.ConfirmedByBound, !stats.Converged)
+		printStats(core.QueryStats{RunStats: stats.RunStats, Elapsed: stats.Elapsed})
 		return
 	}
 	answer, stats, err := c.Query(graph.NodeID(q), k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reverse top-%d of node %d: %d nodes\n", k, q, len(answer))
-	fmt.Printf("%v\n", answer)
-	fmt.Printf("shards: P=%d rounds=%d pruned_by_bound=%d confirmed_by_bound=%d survivors=%d early_stop=%v\n",
-		c.P(), stats.Rounds, stats.PrunedByBound, stats.ConfirmedByBound, stats.Maybe, !stats.Converged)
+	// The coordinator's record is the run's; the shards' decisions are on
+	// their own lines.
+	printAnswer(q, k, answer, core.QueryStats{RunStats: stats.RunStats, Elapsed: stats.Elapsed})
+	fmt.Printf("shards: P=%d pruned_by_bound=%d confirmed_by_bound=%d survivors=%d early_stop=%v\n",
+		c.P(), stats.PrunedByBound, stats.ConfirmedByBound, stats.Maybe, !stats.Converged)
 	// Each shard's finish reports a cold query's counters and phases.
 	for i, ps := range stats.PerShard {
 		fmt.Printf("shard %d: candidates=%d hits=%d refine_steps=%d fallbacks=%d screened=%d time:%s\n",
 			i, ps.Candidates, ps.Hits, ps.RefineSteps, ps.ExactFallbacks, ps.Screened, formatPhases(ps.Phases()))
 	}
-	fmt.Printf("time: total=%v pmpn=%v (%d PMPN iterations)\n",
-		stats.Elapsed.Round(time.Microsecond), stats.PMPNElapsed.Round(time.Microsecond), stats.PMPNIters)
 }

@@ -46,8 +46,10 @@ type AnytimeOptions struct {
 
 // AnytimeStats carries the diagnostics of one anytime run.
 type AnytimeStats struct {
-	Query graph.NodeID
-	K     int
+	// RunStats are the run's counters; its PMPNTail is the band a finish
+	// decides the maybe set on: TauAchieved widened by the converged
+	// vector's own bound, 0 when converged.
+	RunStats
 	// Eps echoes the request.
 	Eps float64
 	// EpsAchieved is the final undecided fraction |maybe|/(|guaranteed| +
@@ -58,16 +60,6 @@ type AnytimeStats struct {
 	// TauAchieved is the elementwise PMPN error bound at stop (0 after the
 	// exact-pq final screen).
 	TauAchieved float64
-	// PMPNTail is the band a finish decides the maybe set on:
-	// TauAchieved widened by the converged vector's own bound, 0 when
-	// converged (QueryStats.PMPNTail).
-	PMPNTail float64
-	// Rounds counts screen advances; PMPNIters, PMPNEdges and PMPNHandover
-	// are the run's QueryStats fields of those names.
-	Rounds       int
-	PMPNIters    int
-	PMPNEdges    int
-	PMPNHandover bool
 	// Converged reports whether the power iteration ran to residual
 	// convergence before the run stopped; Final whether the last screen
 	// left every open row final — no smaller τ could prune or confirm one
@@ -81,8 +73,7 @@ type AnytimeStats struct {
 	Guaranteed int
 	Maybe      int
 
-	Elapsed     time.Duration
-	PMPNElapsed time.Duration
+	Elapsed time.Duration
 }
 
 // AnytimeResult is the two-part anytime answer, each part ascending.
@@ -113,6 +104,6 @@ func (v *View) QueryAnytime(q graph.NodeID, k int, opts AnytimeOptions, workers 
 	s := r.screens[0]
 	slices.Sort(s.hits)
 	stats := r.Stats()
-	stats.Query, stats.Eps = q, opts.Eps
+	stats.Eps = opts.Eps
 	return &AnytimeResult{Guaranteed: s.hits, Maybe: s.ids, Stats: stats}, nil
 }

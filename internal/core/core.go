@@ -27,8 +27,8 @@
 // own budget (the table on Run), and because the Screen's tests are
 // monotone-safe they all reach the same hits and candidates. The runs of
 // read-only engines start as a backward push and hand over to the power
-// method only when the push grows expensive; update-mode, practical-mode and
-// explaining runs step the power method to convergence, as the paper does.
+// method only when the push grows expensive; update-mode and practical-mode
+// runs step the power method to convergence, as the paper does.
 //
 // The paper screens every u; a Screen visits fewer rows when step 1 lets it
 // (Screen.take). A row the push never reached has p_u(q) at most the push's
@@ -103,16 +103,19 @@ func UpperBound(phat []float64, k int, rnorm float64) float64 {
 	return phat[0] + (rnorm-z)/float64(k)
 }
 
-// QueryStats reports the per-query counters behind Figures 5–7.
-type QueryStats struct {
+// RunStats are the counters of a run's rounds (Run.Rounds), the part of its
+// record QueryStats and AnytimeStats share.
+type RunStats struct {
 	// Query and K echo the inputs.
 	Query graph.NodeID
 	K     int
+	// Rounds counts the run's screen advances.
+	Rounds int
 	// PMPNIters is the iteration count of the power method on p_·(q)
 	// (Algorithm 2): 0 for a run the backward push ended alone, the
 	// iterations after the hand-over for one that handed over (PMPNHandover),
-	// and every iteration to convergence for an update-mode, practical-mode
-	// or explaining engine's run (Run.Rounds).
+	// and every iteration to convergence for an update-mode or practical-mode
+	// engine's run (Run.Rounds).
 	PMPNIters int
 	// PMPNEdges is the number of edges the PMPN read: the backward push's
 	// in-edges plus the power method's out-edges (m per dense iteration, the
@@ -124,16 +127,23 @@ type QueryStats struct {
 	// (m/pushBudgetDivisor) without stopping the run and handed over to the
 	// power method (Run.Rounds).
 	PMPNHandover bool
-	// PMPNSupport is the number of non-zero entries of the vector the run
-	// stopped at: the rows the push pushed, or after the power method the
-	// iterate's non-zeros — after convergence from e_q, the nodes with any
-	// walk to q at all.
-	PMPNSupport int
 	// PMPNTail is the half-width of the band around the iterate that the
 	// candidates were decided on: 0 when the PMPN converged, the error bound
 	// τ widened by the converged vector's own ε(1−α)/α when the run stopped
 	// on a final screen or with nothing open (Run.Rounds).
 	PMPNTail float64
+	// PMPNElapsed is the wall clock spent bracketing p_·(q).
+	PMPNElapsed time.Duration
+}
+
+// QueryStats reports the per-query counters behind Figures 5–7.
+type QueryStats struct {
+	RunStats
+	// PMPNSupport is the number of non-zero entries of the vector the run
+	// stopped at: the rows the push pushed, or after the power method the
+	// iterate's non-zeros — after convergence from e_q, the nodes with any
+	// walk to q at all.
+	PMPNSupport int
 	// Screened is the number of rows the Screen visited when it took its rows
 	// (Screen.take): every materialized row, or the rows the backward push
 	// touched (q's backward ball, after a converged power iteration inside
@@ -163,12 +173,11 @@ type QueryStats struct {
 	// Committed counts refined states written back to the index (update
 	// mode only).
 	Committed int
-	// Elapsed is total wall-clock time, PMPNElapsed the part spent in
-	// step 1.
-	Elapsed     time.Duration
-	PMPNElapsed time.Duration
+	// Elapsed is total wall-clock time.
+	Elapsed time.Duration
 	// FallbackElapsed is the part of Elapsed spent resolving deferred
-	// exact fallbacks through forward SpMM slabs (resolveFallbacks).
+	// exact fallbacks: their forward pushes, and the forward SpMM slabs of
+	// those the push hands over (resolveFallbacks).
 	FallbackElapsed time.Duration
 	// FallbackIters is the total number of forward power-method iterations
 	// this query's exact fallbacks ran in slabs, and FallbackEarlyStops how
@@ -192,6 +201,31 @@ type QueryStats struct {
 	// excluding the deferred-fallback resolution counted separately in
 	// FallbackElapsed.
 	DecideElapsed time.Duration
+}
+
+// Record appends to rec, as key/value pairs, the record a slow query is
+// explained by: the run's counters and its decisions', each under its one log
+// name, in one order — 15 pairs. The daemon's request log and slow log and
+// rtkquery's stats: line all print it. It holds no timing (Phases has those),
+// so two runs of one query give equal records.
+func (s *QueryStats) Record(rec []any) []any {
+	return append(rec,
+		"pmpn_iters", s.PMPNIters,
+		"pmpn_edges", s.PMPNEdges,
+		"pmpn_handover", s.PMPNHandover,
+		"pmpn_support", s.PMPNSupport,
+		"pmpn_tail", s.PMPNTail,
+		"screened", s.Screened,
+		"rounds", s.Rounds,
+		"candidates", s.Candidates,
+		"refine_steps", s.RefineSteps,
+		"fallbacks", s.ExactFallbacks,
+		"fallback_iters", s.FallbackIters,
+		"fallback_push_edges", s.FallbackPushEdges,
+		"fallback_push_decided", s.FallbackPushDecided,
+		"fallback_ball_iters", s.FallbackBallIters,
+		"fallback_early_stops", s.FallbackEarlyStops,
+	)
 }
 
 // Phases breaks the query wall clock into named phases for tracing; only
@@ -341,12 +375,17 @@ func (e *Engine) Workers() int { return e.workers }
 // every node u with p_u(q) ≥ pkmax_u, in ascending node order, plus the
 // per-query statistics.
 func (e *Engine) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
-	r, err := e.start(q, k, e.converges())
+	return e.query(q, k, e.converges())
+}
+
+// query is Query with the run chosen: to convergence, or push-started.
+func (e *Engine) query(q graph.NodeID, k int, converge bool) ([]graph.NodeID, QueryStats, error) {
+	r, err := e.start(q, k, converge)
 	if err == nil {
 		err = r.Rounds(0)
 	}
 	if err != nil {
-		return nil, QueryStats{Query: q, K: k}, err
+		return nil, QueryStats{RunStats: RunStats{Query: q, K: k}}, err
 	}
 	return e.finish(r, r.screens[0])
 }
@@ -369,10 +408,9 @@ func (e *Engine) start(q graph.NodeID, k int, converge bool) (*Run, error) {
 }
 
 // converges reports whether the engine's runs converge before they screen:
-// an update-mode, practical-mode or explaining engine's, whose commits,
-// paper-literal rule and recorded p_u(q) are all defined on the converged
-// vector.
-func (e *Engine) converges() bool { return e.update || e.practical || e.record != nil }
+// an update-mode or practical-mode engine's, whose commits and paper-literal
+// rule are defined on the converged vector.
+func (e *Engine) converges() bool { return e.update || e.practical }
 
 // decideSet refines the listed candidates — a screen's survivors, each with a
 // band [c − band, c + band] around p_u(q), c = pq[u] + shift, inside [p̂(k) − tieTol,
@@ -385,9 +423,10 @@ func (e *Engine) converges() bool { return e.update || e.practical || e.record !
 //
 // Candidates whose next refinement step could not decide them (refine) are
 // deferred by the sweep (per shard, in segment order) and resolved afterwards
-// in one pass of SpMM-batched exact solves on the coordinating goroutine —
-// same pending list, same order, whatever the worker count, so the sequential
-// and sharded engines still make bit-identical decisions and commits. q is the
+// in one pass of exact solves on the coordinating goroutine (resolveExact: a
+// forward push each, SpMM slabs for those it hands over) — same pending list,
+// same order, whatever the worker count, so the sequential and sharded
+// engines still make bit-identical decisions and commits. q is the
 // query node pq was computed for; resolution reads each deferred candidate's
 // column at it (resolveExact). The sweep stays on this goroutine under
 // Explain (the recorder's) and for fewer than two shards' worth of candidates.
@@ -449,14 +488,14 @@ func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, xv, band float
 	r := e.refine(ws, u, k, xv-band, xv+band, e.idx.PHatRow(u), rho, ink, t)
 	stats.RefineSteps += r.steps
 	if !r.decided {
-		// Exact fallback: the node needs p_u in full, its entry at q compared
-		// against its own k-th largest. The vector depends only on u — not on
-		// the query — and each one is a whole power method, so the sweep
-		// DEFERS it: the caller collects every open candidate and resolves
-		// them together through forward SpMM slabs (resolveFallbacks), where
-		// B columns share each CSR traversal instead of streaming the matrix
-		// from RAM B separate times. The batched columns are bit-identical to
-		// the per-candidate solves, so deferral changes no decision and no
+		// Exact fallback: the node needs p_u, its entry at q compared against
+		// its own k-th largest. The vector depends only on u — not on the
+		// query — so the sweep DEFERS it: the caller collects every open
+		// candidate and resolves them after the sweep (resolveFallbacks), each
+		// by a forward push from u and, for those the push hands over, through
+		// forward SpMM slabs, where B columns share each CSR traversal instead
+		// of streaming the matrix from RAM B separate times. Resolution reads
+		// nothing the sweep changes, so deferral changes no decision and no
 		// committed state. The refined state is NOT committed here even in
 		// update mode: resolution commits the strictly better exact state
 		// instead.
@@ -470,10 +509,13 @@ func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, xv, band float
 	}
 	if e.record != nil {
 		how := OutcomeRefinedOut
-		if r.member {
+		switch {
+		case r.byNextRank:
+			how = OutcomeNextRank
+		case r.member:
 			how = OutcomeRefinedIn
 		}
-		e.record(u, xv, how, r.member, r.steps)
+		e.record(u, xv-band, xv+band, how, r.member, r.steps)
 	}
 	return r.member
 }
@@ -481,12 +523,13 @@ func (e *Engine) decide(ws *bca.Workspace, u graph.NodeID, k int, xv, band float
 // refinement is what refine reports about one candidate.
 type refinement struct {
 	// decided says a bound settled the candidate (or, for one left open,
-	// practical mode did), member which way. A candidate is left open when
-	// its next step could not have settled it.
-	decided, member bool
-	steps           int        // BCA steps taken
-	st              *bca.State // the refined copy of u's state; nil unless refine copied it to step
-	t               int        // iterations u's stored state had run before these steps
+	// practical mode did), member which way, byNextRank that the next-rank
+	// rule confirmed it. A candidate is left open when its next step could
+	// not have settled it.
+	decided, member, byNextRank bool
+	steps                       int        // BCA steps taken
+	st                          *bca.State // the refined copy of u's state; nil unless refine copied it to step
+	t                           int        // iterations u's stored state had run before these steps
 }
 
 // refine is the inner while loop of Algorithm 4 for a candidate its indexed
@@ -534,7 +577,7 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, lo, hi float64
 	// recomputed once at commit time.
 	depth := min(k+1, e.idx.K())
 	if e.nextRank && confirmedByNextRank(phat, k, rho, lo) { // the screen reads rank k only
-		r.decided, r.member = true, true
+		r.decided, r.member, r.byNextRank = true, true, true
 		return r
 	}
 	for r.steps < cfg.MaxIters && stepCanDecide(phat, k, rho, ink, lo, hi, e.tieTol, e.nextRank) {
@@ -550,8 +593,12 @@ func (e *Engine) refine(ws *bca.Workspace, u graph.NodeID, k int, lo, hi float64
 		}
 		// At ρ = 0 the bound is p̂(k) itself, which the band cleared only if lo does.
 		rho = r.st.RNorm + e.idx.StateSlack(r.st)
-		if lo >= UpperBound(phat, k, rho)-e.tieTol || e.nextRank && confirmedByNextRank(phat, k, rho, lo) {
+		if lo >= UpperBound(phat, k, rho)-e.tieTol {
 			r.decided, r.member = true, true
+			return r
+		}
+		if e.nextRank && confirmedByNextRank(phat, k, rho, lo) {
+			r.decided, r.member, r.byNextRank = true, true, true
 			return r
 		}
 		ink = r.st.BatchInk(cfg.Eta)
@@ -587,8 +634,7 @@ func stepCanDecide(phat []float64, k int, rho, ink, lo, hi, tieTol float64, next
 // read-only exact queries. A run that converges keeps Algorithm 4's own loop —
 // an update-mode engine would commit a refined state for a candidate the
 // exact fallback otherwise commits exactly, which tightens the index for
-// every later query, and practical-mode and explaining runs reproduce the
-// paper's costs.
+// every later query, and practical-mode runs reproduce the paper's costs.
 func confirmedByNextRank(phat []float64, k int, rho, lo float64) bool {
 	return k < len(phat) && lo > UpperBound(phat, k+1, rho)
 }
@@ -655,8 +701,8 @@ func (e *Engine) resolveFallbacks(pend []pendingFallback, q graph.NodeID, k int,
 		if o.member {
 			results = append(results, pend[i].u)
 		}
-		if e.record != nil {
-			e.record(pend[i].u, pend[i].puq, OutcomeFallback, o.member, pend[i].steps)
+		if pf := pend[i]; e.record != nil {
+			e.record(pf.u, pf.puq-pf.band, pf.puq+pf.band, OutcomeFallback, o.member, pf.steps)
 		}
 	}
 	return results, nil

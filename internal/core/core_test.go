@@ -68,17 +68,16 @@ func buildIndex(t testing.TB, g *graph.Graph, k, hubBudget int) *lbindex.Index {
 }
 
 // queryConverged is e.Query with the PMPN stepped to convergence before its
-// one screen, as an update-mode, practical-mode or explaining engine runs it:
-// the run a final stop is held to, decided on the converged vector.
+// one screen, as an update-mode or practical-mode engine runs it: the run a
+// final stop is held to, decided on the converged vector.
 func queryConverged(e *Engine, q graph.NodeID, k int) ([]graph.NodeID, QueryStats, error) {
-	r, err := e.start(q, k, true)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := r.Rounds(0); err != nil {
-		return nil, QueryStats{}, err
-	}
-	return e.finish(r, r.screens[0])
+	return e.query(q, k, true)
+}
+
+// untimed is st with its timings zeroed: what two runs of one query agree on.
+func untimed(st QueryStats) QueryStats {
+	st.PMPNElapsed, st.Elapsed, st.DecideElapsed, st.FallbackElapsed = 0, 0, 0, 0
+	return st
 }
 
 func TestUpperBoundNoResidue(t *testing.T) {
@@ -517,7 +516,8 @@ func TestQueryNodeUsuallyInOwnResult(t *testing.T) {
 
 // TestBatchedFallbacksMatchBruteForce pins the deferred-fallback path:
 // the candidates whose next refinement step could not decide them (refine's
-// rule) must be resolved by the SpMM-batched exact solver. The answers must
+// rule) must be resolved after the sweep by the exact solver (a forward push,
+// then SpMM-batched slabs for the columns it hands over). The answers must
 // still equal brute force, sequential and sharded engines must agree, and
 // in update mode the committed exact states must make a repeat query need
 // zero fallbacks.

@@ -363,7 +363,7 @@ func fallbacksOf(ex *Explanation) []pendingFallback {
 	var pend []pendingFallback
 	for _, d := range ex.Decisions {
 		if d.Outcome == OutcomeFallback {
-			pend = append(pend, pendingFallback{u: d.Node, puq: d.Proximity})
+			pend = append(pend, pendingFallback{u: d.Node})
 		}
 	}
 	return pend

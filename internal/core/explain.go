@@ -25,9 +25,13 @@ const (
 	OutcomeRefinedIn
 	OutcomeRefinedOut
 	// OutcomeFallback: no outcome of the next refinement step could have
-	// decided the node (Engine.refine) and its forward power iteration did
+	// decided the node (Engine.refine) and its own proximity column did: the
+	// forward push from the node, or the slab it handed over to
 	// (Engine.resolveExact).
 	OutcomeFallback
+	// OutcomeNextRank: the staircase bound at rank k+1 admitted the node,
+	// before or after refinement (confirmedByNextRank).
+	OutcomeNextRank
 )
 
 // String names the outcome.
@@ -45,6 +49,8 @@ func (o Outcome) String() string {
 		return "refined-out"
 	case OutcomeFallback:
 		return "fallback"
+	case OutcomeNextRank:
+		return "next-rank"
 	default:
 		return fmt.Sprintf("Outcome(%d)", int(o))
 	}
@@ -53,8 +59,12 @@ func (o Outcome) String() string {
 // Decision explains how one node was classified.
 type Decision struct {
 	Node graph.NodeID
-	// Proximity is p_u(q), the exact proximity from the node to the query.
-	Proximity float64
+	// Lo and Hi bound the band [Lo, Hi] the node was decided on: the run's
+	// bracket on p_u(q) at the round that pruned or confirmed it, or the band
+	// refinement and the exact solve were handed. p_u(q) lies inside it,
+	// except that a band of zero width is the converged vector's entry,
+	// within ε(1−α)/α of p_u(q).
+	Lo, Hi float64
 	// LowerBound is the indexed p̂_u(k) at the time of the decision.
 	LowerBound float64
 	// Residue is the node's effective undecided mass (BCA residue plus
@@ -69,7 +79,9 @@ type Decision struct {
 
 // Explanation is a full per-node account of one reverse top-k query —
 // Engine.Query with its decisions written down. Decisions are
-// ordered by node id and include pruned nodes only when requested.
+// ordered by node id and include pruned nodes only when requested. Stats are
+// the run's, equal to Query's but for timings (and Screened, when pruned
+// nodes are requested).
 type Explanation struct {
 	Query     graph.NodeID
 	K         int
@@ -79,17 +91,21 @@ type Explanation struct {
 
 // recorder is the pipeline's optional per-row listener: the Screen tells it
 // each row it prunes or confirms, the refinement sweep each candidate it decides
-// and each fallback's resolution, with p_u(q) and the refinement steps taken.
-type recorder func(u graph.NodeID, puq float64, how Outcome, member bool, steps int)
+// and each fallback's resolution, with the band [lo, hi] on p_u(q) it was
+// decided on and the refinement steps taken.
+type recorder func(u graph.NodeID, lo, hi float64, how Outcome, member bool, steps int)
 
 // Explain is Query with a recorder on the pipeline: the same run, with the
 // decision path of every candidate (and, with includePruned, of pruned nodes
 // too) written down. It never modifies the index, independent of the engine's
-// update mode, so an explanation reflects the index state as-is. Without
+// update mode, so an explanation reflects the index state as-is: an
+// update-mode engine's run still converges, as its Query's does, and its
+// fallbacks are decided as a read-only engine's, committing nothing. Without
 // pruned rows it visits the rows Query visits and reports the same
 // Stats.Screened; with them it takes every materialized row.
 func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanation, error) {
 	ex := &Explanation{Query: q, K: k}
+	converge := e.converges()
 	// Read-only: with nothing committed, the bounds the recorder reads are the
 	// ones each decision was made on.
 	defer func(update bool, table *zeroBoundTable) { e.update, e.zeroBound, e.record = update, table, nil }(e.update, e.zeroBound)
@@ -97,13 +113,14 @@ func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanatio
 	if includePruned {
 		e.zeroBound = nil // no list stands in for rows that must each be reported
 	}
-	e.record = func(u graph.NodeID, puq float64, how Outcome, member bool, steps int) {
+	e.record = func(u graph.NodeID, lo, hi float64, how Outcome, member bool, steps int) {
 		if how == OutcomePruned && !includePruned {
 			return
 		}
 		ex.Decisions = append(ex.Decisions, Decision{
 			Node:        u,
-			Proximity:   puq,
+			Lo:          lo,
+			Hi:          hi,
 			LowerBound:  e.idx.KthLowerBound(u, k),
 			Residue:     e.idx.ResidueNorm(u) + e.idx.RoundingSlack(u),
 			Outcome:     how,
@@ -112,7 +129,7 @@ func (e *Engine) Explain(q graph.NodeID, k int, includePruned bool) (*Explanatio
 		})
 	}
 	var err error
-	if _, ex.Stats, err = e.Query(q, k); err != nil {
+	if _, ex.Stats, err = e.query(q, k, converge); err != nil {
 		return nil, err
 	}
 	sort.Slice(ex.Decisions, func(i, j int) bool { return ex.Decisions[i].Node < ex.Decisions[j].Node })
@@ -130,8 +147,8 @@ func WriteExplanation(w io.Writer, ex *Explanation) error {
 		if d.InAnswer {
 			mark = "*"
 		}
-		if _, err := fmt.Fprintf(w, "%s node %-8d p_u(q)=%.6g lb=%.6g residue=%.3g %-12s refines=%d\n",
-			mark, d.Node, d.Proximity, d.LowerBound, d.Residue, d.Outcome, d.RefineSteps); err != nil {
+		if _, err := fmt.Fprintf(w, "%s node %-8d p_u(q) in [%.6g, %.6g] lb=%.6g residue=%.3g %-12s refines=%d\n",
+			mark, d.Node, d.Lo, d.Hi, d.LowerBound, d.Residue, d.Outcome, d.RefineSteps); err != nil {
 			return err
 		}
 	}

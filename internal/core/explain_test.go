@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rwr"
 )
 
-// TestExplainMatchesQuery: Explain is Query's run to convergence with the
-// decisions written down — on a no-update engine (whose Query may stop on a
-// final screen: the same answer, its steps and fallbacks those of the run to
-// convergence, queryConverged) and on an update-mode one, whose Query commits
-// what it refines and solves while its Explain leaves the index as it found it
-// and still decides every row, fallbacks included, the way that Query does.
+// TestExplainMatchesQuery: Explain is Query's run with the decisions written
+// down — on a no-update engine every counter of it equals Query's, timings
+// aside, and on an update-mode one, whose Query commits what it refines and
+// solves while its Explain leaves the index as it found it, it still runs to
+// convergence and decides every row, fallbacks included, the way that Query
+// does.
 func TestExplainMatchesQuery(t *testing.T) {
 	g := toyGraph(t)
 	for _, update := range []bool{false, true} {
@@ -24,56 +25,64 @@ func TestExplainMatchesQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		fallbacks := 0
-		for q := graph.NodeID(0); int(q) < g.N(); q++ {
-			before := idx.Refinements()
-			ex, err := eng.Explain(q, 2, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := idx.Refinements(); got != before {
-				t.Errorf("update=%t q=%d: Explain committed %d refinements", update, q, got-before)
-			}
-			var fromExplain []graph.NodeID
-			for _, d := range ex.Decisions {
-				if d.InAnswer {
-					fromExplain = append(fromExplain, d.Node)
-				}
-				if d.Outcome == OutcomeFallback {
-					fallbacks++
-				}
-			}
-			want, stats, err := eng.Query(q, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fromExplain, want) {
-				t.Errorf("update=%t q=%d: explain answers %v, query answers %v", update, q, fromExplain, want)
-			}
-			conv := stats
-			if !update {
-				if _, conv, err = queryConverged(eng, q, 2); err != nil {
+		for _, k := range []int{2, idx.K()} { // at k = K the read-only engine falls back too
+			for q := graph.NodeID(0); int(q) < g.N(); q++ {
+				before := idx.Refinements()
+				ex, err := eng.Explain(q, k, true)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if ex.Stats.ExactFallbacks != conv.ExactFallbacks || ex.Stats.RefineSteps != conv.RefineSteps {
-				t.Errorf("update=%t q=%d: Explain took %d steps and %d fallbacks, Query run to convergence %d and %d",
-					update, q, ex.Stats.RefineSteps, ex.Stats.ExactFallbacks, conv.RefineSteps, conv.ExactFallbacks)
-			}
-			// Both drivers report the support of p_·(q): the decisions with any
-			// proximity to q at all.
-			reach := 0
-			for _, d := range ex.Decisions {
-				if d.Proximity != 0 {
-					reach++
+				if got := idx.Refinements(); got != before {
+					t.Errorf("update=%t q=%d k=%d: Explain committed %d refinements", update, q, k, got-before)
 				}
-			}
-			if stats.PMPNSupport != reach || ex.Stats.PMPNSupport != reach {
-				t.Errorf("q=%d: PMPNSupport %d from Query, %d from Explain, %d nodes reach q",
-					q, stats.PMPNSupport, ex.Stats.PMPNSupport, reach)
-			}
-			// With includePruned, every node gets a decision.
-			if len(ex.Decisions) != g.N() {
-				t.Errorf("q=%d: %d decisions, want %d", q, len(ex.Decisions), g.N())
+				var fromExplain []graph.NodeID
+				for _, d := range ex.Decisions {
+					if d.InAnswer {
+						fromExplain = append(fromExplain, d.Node)
+					}
+					if d.Outcome == OutcomeFallback {
+						fallbacks++
+					}
+				}
+				want, stats, err := eng.Query(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fromExplain, want) {
+					t.Errorf("update=%t q=%d k=%d: explain answers %v, query answers %v", update, q, k, fromExplain, want)
+				}
+				got, wantSt := untimed(ex.Stats), untimed(stats)
+				if update {
+					// The update-mode Query commits, and solves its fallbacks'
+					// columns to convergence; Explain does neither.
+					got.Committed, got.FallbackIters, got.FallbackBallIters = wantSt.Committed, wantSt.FallbackIters, wantSt.FallbackBallIters
+					got.FallbackEarlyStops, got.FallbackPushEdges, got.FallbackPushDecided = wantSt.FallbackEarlyStops, wantSt.FallbackPushEdges, wantSt.FallbackPushDecided
+				}
+				if got != wantSt {
+					t.Errorf("update=%t q=%d k=%d: Explain's stats %+v, Query's %+v", update, q, k, ex.Stats, stats)
+				}
+				if update {
+					// The update-mode run converges, so both drivers report the
+					// support of p_·(q): the nodes with any proximity to q at all.
+					x, err := rwr.ProximityTo(g, q, idx.Options().RWR)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reach := 0
+					for _, v := range x.Vector {
+						if v != 0 {
+							reach++
+						}
+					}
+					if stats.PMPNSupport != reach || ex.Stats.PMPNSupport != reach {
+						t.Errorf("q=%d k=%d: PMPNSupport %d from Query, %d from Explain, %d nodes reach q",
+							q, k, stats.PMPNSupport, ex.Stats.PMPNSupport, reach)
+					}
+				}
+				// With includePruned, every node gets a decision.
+				if len(ex.Decisions) != g.N() {
+					t.Errorf("q=%d k=%d: %d decisions, want %d", q, k, len(ex.Decisions), g.N())
+				}
 			}
 		}
 		if fallbacks == 0 {
@@ -143,7 +152,7 @@ func TestExplainValidationAndRender(t *testing.T) {
 	if !strings.Contains(out, "reverse top-2 of node 1") {
 		t.Errorf("render missing header: %q", out)
 	}
-	for _, o := range []Outcome{OutcomePruned, OutcomeExactHit, OutcomeUpperBoundHit, OutcomeRefinedIn, OutcomeRefinedOut, OutcomeFallback, Outcome(99)} {
+	for _, o := range []Outcome{OutcomePruned, OutcomeExactHit, OutcomeUpperBoundHit, OutcomeRefinedIn, OutcomeRefinedOut, OutcomeFallback, OutcomeNextRank, Outcome(99)} {
 		if o.String() == "" {
 			t.Error("empty outcome name")
 		}

@@ -8,15 +8,16 @@ import (
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/partition"
+	"repro/internal/rwr"
 	"repro/internal/shard"
 )
 
 // TestFinalStopMatchesConverged is the final-screen stop's row of the oracle
 // table (core.Run.Rounds). On every family, built and applied, at the table's
 // queries and k, the exact schedule over a View's screen is held to the same
-// query run to convergence — View.Explain, whose run converges, read as the
-// reference: its exact-hit and ub-hit rows are the hits, its refined and
-// fallback rows the survivors. The run must stop with those hits and
+// query run to convergence — the converged PMPN (rwr.ProximityToParallel)
+// screened once at τ = 0 by a screen of the view, read as the reference. The
+// run must stop with that screen's hits and
 // survivors, on a final screen whenever it stops unconverged with rows open,
 // after no more PMPN iterations; its finish, View.Query and a two-shard
 // Coordinator.Query must answer as the table. The runs must include some the
@@ -50,19 +51,16 @@ func TestFinalStopMatchesConverged(t *testing.T) {
 					} else {
 						pushed++
 					}
-					ex, err := view.Explain(q, k, false, 1)
+					pq, err := rwr.ProximityToParallel(g, q, idx.Options().RWR, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					var hits, open []graph.NodeID
-					for _, d := range ex.Decisions {
-						switch d.Outcome {
-						case core.OutcomeExactHit, core.OutcomeUpperBoundHit:
-							hits = append(hits, d.Node)
-						default:
-							open = append(open, d.Node)
-						}
+					conv, err := view.NewScreen(k)
+					if err != nil {
+						t.Fatal(err)
 					}
+					conv.Advance(pq.Vector, 0)
+					hits, open := slices.Sorted(slices.Values(conv.Hits())), conv.Survivors()
 					gotHits, gotOpen := slices.Sorted(slices.Values(s.Hits())), slices.Sorted(slices.Values(s.Survivors()))
 					if !slices.Equal(gotHits, hits) || !slices.Equal(gotOpen, open) {
 						t.Fatalf("%s q=%d k=%d: stopped with hits %v and survivors %v (%+v), converged %v and %v",
@@ -74,8 +72,8 @@ func TestFinalStopMatchesConverged(t *testing.T) {
 						}
 						final++
 					}
-					if st.PMPNIters > ex.Stats.PMPNIters {
-						t.Fatalf("%s q=%d k=%d: %d PMPN iterations, %d to convergence", tab.Name, q, k, st.PMPNIters, ex.Stats.PMPNIters)
+					if st.PMPNIters > pq.Iterations {
+						t.Fatalf("%s q=%d k=%d: %d PMPN iterations, %d to convergence", tab.Name, q, k, st.PMPNIters, pq.Iterations)
 					}
 					got, _, err := view.Finish(r, s, 1)
 					if err != nil {

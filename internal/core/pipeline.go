@@ -20,16 +20,16 @@ import (
 // (Rounds). They differ in the budget and in what follows the stop:
 //
 //	Engine.Query, View.Query   Rounds(0) + finish
-//	Engine.Explain             Rounds to convergence, with a recorder listening
+//	Engine.Explain             Query's run, with a recorder listening
 //	View.QueryAnytime          Rounds(ε); hits + survivors
 //	shard.Coordinator          Rounds(ε) over one Screen a shard, + for its
 //	                           exact Query one finish a shard
 //
-// Update-mode and practical-mode engines run to convergence too, as Explain
-// does: their commits and their paper-literal rule are defined on the
-// converged vector. Those runs step the power method (rwr.ToStepper) from e_q;
-// every other run starts as a backward push (rwr.Push) and hands over to the
-// power method only if the push grows expensive (Rounds).
+// Update-mode and practical-mode engines run to convergence: their commits
+// and their paper-literal rule are defined on the converged vector. Those
+// runs step the power method (rwr.ToStepper) from e_q; every other run starts
+// as a backward push (rwr.Push) and hands over to the power method only if
+// the push grows expensive (Rounds).
 //
 // A Run is single-use and not safe for concurrent use, except that once
 // Rounds has returned, finishes over different screens may run side by side.
@@ -75,7 +75,7 @@ func NewRun(g *graph.Graph, q graph.NodeID, p rwr.Params, workers int, hook func
 }
 
 // newRun is NewRun with the push scratch to use (nil: a fresh one) and the
-// converge flag of an update-mode, practical-mode or explaining engine.
+// converge flag of an update-mode or practical-mode engine.
 func newRun(g *graph.Graph, q graph.NodeID, p rwr.Params, workers int, hook func(iter int, residual, tail float64), push *rwr.Push, converge bool, screens ...*Screen) (*Run, error) {
 	r := &Run{g: g, q: q, params: p, workers: workers, hook: hook, screens: screens, converge: converge, start: time.Now()}
 	var err error
@@ -161,8 +161,8 @@ const pushBudgetDivisor = 8
 //     counted round — at τ, then at 0 against the converged vector — so the
 //     rows left are exactly the candidates refinement works on.
 //
-// A run started for an update-mode, practical-mode or explaining engine
-// (converge) is one round of the power method from e_q, run to convergence.
+// A run started for an update-mode or practical-mode engine (converge) is one
+// round of the power method from e_q, run to convergence.
 func (r *Run) Rounds(eps float64) error {
 	if r.converge {
 		if err := r.step(r.params.MaxIters + 1); err != nil { // the step past the cap reports non-convergence
@@ -286,24 +286,18 @@ func (r *Run) screen(it bracket) RoundReport {
 	return all
 }
 
-// pmpnIters and pmpnEdges are the power iterations the run stepped and the
-// edges the push and those iterations read.
-func (r *Run) pmpnIters() int {
-	if r.stepper == nil {
-		return 0
-	}
-	return r.stepper.Iterations()
-}
-
-func (r *Run) pmpnEdges() int {
-	n := 0
+// stats is the run's part of its record, for a screen of size k: the one
+// place QueryStats and AnytimeStats take it from.
+func (r *Run) stats(k int) RunStats {
+	st := RunStats{Query: r.q, K: k, Rounds: r.rounds, PMPNHandover: r.handover, PMPNTail: r.band, PMPNElapsed: r.pmpnElapsed}
 	if r.push != nil {
-		n = r.push.Edges()
+		st.PMPNEdges = r.push.Edges()
 	}
 	if r.stepper != nil {
-		n += r.stepper.Edges()
+		st.PMPNIters = r.stepper.Iterations()
+		st.PMPNEdges += r.stepper.Edges()
 	}
-	return n
+	return st
 }
 
 // support counts the non-zero entries of the vector the run stopped at
@@ -339,21 +333,14 @@ func (r *Run) support() int {
 // screens: Guaranteed and Maybe count the rows confirmed and still open.
 func (r *Run) Stats() AnytimeStats {
 	st := AnytimeStats{
-		Query:        r.q,
-		EpsAchieved:  r.frac,
-		TauAchieved:  r.tau,
-		PMPNTail:     r.band,
-		Rounds:       r.rounds,
-		PMPNIters:    r.pmpnIters(),
-		PMPNEdges:    r.pmpnEdges(),
-		PMPNHandover: r.handover,
-		Converged:    r.converged,
-		Final:        r.final,
-		Elapsed:      time.Since(r.start),
-		PMPNElapsed:  r.pmpnElapsed,
+		EpsAchieved: r.frac,
+		TauAchieved: r.tau,
+		Converged:   r.converged,
+		Final:       r.final,
+		Elapsed:     time.Since(r.start),
 	}
 	for _, s := range r.screens {
-		st.K = s.k
+		st.RunStats = r.stats(s.k) // every screen of a run has its k
 		st.ConfirmedByBound += len(s.hits)
 		st.PrunedByBound += s.pruned
 		st.Maybe += len(s.ids)
@@ -370,17 +357,11 @@ func (r *Run) Stats() AnytimeStats {
 func (e *Engine) finish(r *Run, s *Screen) ([]graph.NodeID, QueryStats, error) {
 	start := time.Now()
 	stats := QueryStats{
-		Query:        r.q,
-		K:            s.k,
-		PMPNIters:    r.pmpnIters(),
-		PMPNEdges:    r.pmpnEdges(),
-		PMPNHandover: r.handover,
-		PMPNSupport:  r.support(),
-		PMPNTail:     r.band,
-		PMPNElapsed:  r.pmpnElapsed,
-		Screened:     s.screened,
-		Candidates:   len(s.hits) + len(s.ids),
-		Hits:         len(s.hits),
+		RunStats:    r.stats(s.k),
+		PMPNSupport: r.support(),
+		Screened:    s.screened,
+		Candidates:  len(s.hits) + len(s.ids),
+		Hits:        len(s.hits),
 	}
 	e.nextRank = !r.converge
 	results, err := e.decideSet(r.q, r.x, r.shift, r.band, s.k, s.ids, &stats)

@@ -230,7 +230,7 @@ func (s *Screen) row(u graph.NodeID, xv, tau, band, lb, rn, ub float64, rep *Rou
 	if prunedByLowerBound(xv+tau, lb, s.tol) {
 		s.pruned++
 		if s.record != nil {
-			s.record(u, xv, OutcomePruned, false, 0)
+			s.record(u, xv-tau, xv+tau, OutcomePruned, false, 0)
 		}
 		return
 	}
@@ -246,7 +246,7 @@ func (s *Screen) row(u graph.NodeID, xv, tau, band, lb, rn, ub float64, rep *Rou
 			if rn == 0 {
 				how = OutcomeExactHit
 			}
-			s.record(u, xv, how, true, 0)
+			s.record(u, plo, xv+tau, how, true, 0)
 		}
 		return
 	} else if prunedByLowerBound(xv-band, lb, s.tol) || xv+band >= ub-s.tol {

@@ -129,7 +129,7 @@ func (v *View) Explain(q graph.NodeID, k int, includePruned bool, workers int) (
 // Safe for concurrent use.
 func (v *View) Finish(r *Run, s *Screen, workers int) ([]graph.NodeID, QueryStats, error) {
 	if s.idx != v.idx || !slices.Contains(r.screens, s) || !s.taken || len(s.ids) > 0 && !r.converged && !r.final {
-		return nil, QueryStats{Query: r.q, K: s.k}, errors.New("core: Finish wants this view's screen of this run, screened with nothing left open, final or to convergence")
+		return nil, QueryStats{RunStats: RunStats{Query: r.q, K: s.k}}, errors.New("core: Finish wants this view's screen of this run, screened with nothing left open, final or to convergence")
 	}
 	e := v.engines.Get().(*Engine)
 	defer v.engines.Put(e)

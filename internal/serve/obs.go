@@ -108,7 +108,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 		queryDur: reg.NewHistogramVec("rtk_query_duration_seconds", "End-to-end query latency, by mode.", nil, "mode"),
 		phaseDur: reg.NewHistogramVec("rtk_query_phase_seconds", "Per-query phase wall clock: pmpn, decide, fallback.", phaseBuckets, "phase"),
-		fbIters:  reg.NewHistogram("rtk_fallback_iterations", "Forward power-method iterations per exact fallback (mean over one computed query's fallbacks).", fallbackIterBuckets),
+		fbIters:  reg.NewHistogram("rtk_fallback_iterations", "Forward power-method iterations per slab column (mean over one computed query's fallbacks the forward push handed over; queries with none are not observed).", fallbackIterBuckets),
 		fbEarly:  reg.NewCounter("rtk_fallback_early_stops_total", "Exact fallbacks decided before their forward iteration converged."),
 		fbPushed: reg.NewCounter("rtk_fallback_push_decided_total", "Exact fallbacks their forward push decided, with no power-method column."),
 		maintDur: reg.NewHistogram("rtk_maint_duration_seconds", "Maintenance batch wall clock (apply + refresh + publish).", nil),
@@ -199,76 +199,26 @@ func (s *Server) registerGauges(reg *obs.Registry) {
 	})
 }
 
-// queryTrace is one request's phase record, filled by the computation that
-// actually ran (empty for cache hits and coalesced waiters — their work
-// happened under another request's trace).
-type queryTrace struct {
-	computed  bool
-	phases    map[string]time.Duration
-	pmpnIters int
-	// pmpnEdges and pmpnHandover are the edges the PMPN read and whether its
-	// backward push handed over to the power method
-	// (core.QueryStats.PMPNEdges, PMPNHandover): beside pmpnIters they tell a
-	// push that stayed around q from one that swept the graph.
-	pmpnEdges    int
-	pmpnHandover bool
-	// pmpnSupport is the non-zero count of the PMPN iterate an exact
-	// computation stopped at (core.QueryStats.PMPNSupport); 0 for an approx
-	// one.
-	pmpnSupport int
-	// pmpnTail is the band around that iterate the computation decided on
-	// (core.QueryStats.PMPNTail, core.AnytimeStats.PMPNTail): 0 when the PMPN
-	// converged, so it tells a final or early stop from a converged one.
-	pmpnTail float64
-	// screened is the number of rows the exact decision sweep visited
-	// (core.QueryStats.Screened): next to pmpnSupport it tells a sparse
-	// screen over a closed backward ball from a dense one over every row.
-	screened int
-	rounds   int
-	// candidates is how many rows passed an exact computation's screen and
-	// refineSteps the BCA steps spent on them (core.QueryStats); beside
-	// fallbacks they say whether a slow query refined or solved.
-	candidates, refineSteps int
-	// Exact fallbacks of the computation: how many, their forward
-	// iterations in total, how many of those swept only the forward ball
-	// (core.QueryStats.FallbackBallIters), and how many fallbacks stopped
-	// before convergence; the out-edges their forward pushes read and how
-	// many of them the push decided with no column.
-	fallbacks, fallbackIters, fallbackBallIters, fallbackEarlyStops int
-	fallbackPushEdges, fallbackPushDecided                          int
-}
-
-// setExact installs the record of an exact computation.
-func (t *queryTrace) setExact(st core.QueryStats) {
-	t.computed = true
-	t.pmpnIters, t.pmpnSupport, t.pmpnTail, t.screened = st.PMPNIters, st.PMPNSupport, st.PMPNTail, st.Screened
-	t.pmpnEdges, t.pmpnHandover = st.PMPNEdges, st.PMPNHandover
-	t.setPhases(st.Phases())
-	t.candidates, t.refineSteps = st.Candidates, st.RefineSteps
-	t.fallbacks, t.fallbackIters, t.fallbackEarlyStops = st.ExactFallbacks, st.FallbackIters, st.FallbackEarlyStops
-	t.fallbackBallIters = st.FallbackBallIters
-	t.fallbackPushEdges, t.fallbackPushDecided = st.FallbackPushEdges, st.FallbackPushDecided
-}
-
-// setPhases installs a non-empty phase map.
-func (t *queryTrace) setPhases(p map[string]time.Duration) {
-	if len(p) > 0 {
-		t.phases = p
-	}
-}
-
 // observeQuery records one answered query's latency, phases, fallback
 // record, structured log line and slow-log entry. code is the HTTP status
-// actually sent.
-func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStatus CacheStatus, code int, elapsed time.Duration, tr *queryTrace) {
+// actually sent; st is the record of the computation this request ran (zero
+// for cache hits and coalesced waiters — their work was recorded under the
+// request that computed it).
+func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStatus CacheStatus, code int, elapsed time.Duration, st *core.QueryStats) {
 	s.m.queryDur.With(mode).Observe(elapsed.Seconds())
-	for name, d := range tr.phases {
+	var phases map[string]time.Duration
+	if st.Elapsed > 0 || st.PMPNElapsed > 0 { // a hit's record is zero: no map to make
+		phases = st.Phases()
+	}
+	for name, d := range phases {
 		s.m.phaseDur.With(name).Observe(d.Seconds())
 	}
-	if tr.fallbacks > 0 {
-		s.m.fbIters.Observe(float64(tr.fallbackIters) / float64(tr.fallbacks))
-		s.m.fbEarly.Add(uint64(tr.fallbackEarlyStops))
-		s.m.fbPushed.Add(uint64(tr.fallbackPushDecided))
+	if slab := st.ExactFallbacks - st.FallbackPushDecided; slab > 0 {
+		s.m.fbIters.Observe(float64(st.FallbackIters) / float64(slab))
+	}
+	if st.ExactFallbacks > 0 {
+		s.m.fbEarly.Add(uint64(st.FallbackEarlyStops))
+		s.m.fbPushed.Add(uint64(st.FallbackPushDecided))
 	}
 	keep := s.slow.Keeps(elapsed)
 	if s.logger == nil && !keep {
@@ -276,7 +226,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 	}
 	// The query's record, as the log line's keys and values in order; the
 	// slow-log entry's Detail carries the same fields less the log-only ones.
-	rec := []any{
+	// 46 values: the request's 8 pairs and Record's 15, on the stack.
+	rec := st.Record(append(make([]any, 0, 46),
 		"request_id", id,
 		"q", q,
 		"k", k,
@@ -284,23 +235,8 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		"epoch", epoch,
 		"cache", cacheStatus.String(),
 		"status", code,
-		"duration_ms", float64(elapsed) / float64(time.Millisecond),
-		"pmpn_iters", tr.pmpnIters,
-		"pmpn_edges", tr.pmpnEdges,
-		"pmpn_handover", tr.pmpnHandover,
-		"pmpn_support", tr.pmpnSupport,
-		"pmpn_tail", tr.pmpnTail,
-		"screened", tr.screened,
-		"rounds", tr.rounds,
-		"candidates", tr.candidates,
-		"refine_steps", tr.refineSteps,
-		"fallbacks", tr.fallbacks,
-		"fallback_iters", tr.fallbackIters,
-		"fallback_push_edges", tr.fallbackPushEdges,
-		"fallback_push_decided", tr.fallbackPushDecided,
-		"fallback_ball_iters", tr.fallbackBallIters,
-		"fallback_early_stops", tr.fallbackEarlyStops,
-	}
+		"duration_ms", float64(elapsed)/float64(time.Millisecond),
+	))
 	if s.logger != nil {
 		s.logger.Info("query", rec...)
 	}
@@ -308,9 +244,9 @@ func (s *Server) observeQuery(id, mode string, q, k int, epoch uint64, cacheStat
 		return
 	}
 	var phasesMS map[string]float64
-	if len(tr.phases) > 0 {
-		phasesMS = make(map[string]float64, len(tr.phases))
-		for name, d := range tr.phases {
+	if len(phases) > 0 {
+		phasesMS = make(map[string]float64, len(phases))
+		for name, d := range phases {
 			phasesMS[name] = float64(d) / float64(time.Millisecond)
 		}
 	}

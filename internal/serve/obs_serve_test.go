@@ -553,7 +553,7 @@ func TestFallbackObservability(t *testing.T) {
 	if v, ok := obs.SampleValue(fams, "rtk_fallback_iterations_count", nil); !ok || v != 1 {
 		t.Errorf("rtk_fallback_iterations_count = %v (ok=%v), want 1", v, ok)
 	}
-	mean := float64(want.FallbackIters) / float64(want.ExactFallbacks)
+	mean := float64(want.FallbackIters) / float64(want.ExactFallbacks-want.FallbackPushDecided) // per slab column
 	if v, ok := obs.SampleValue(fams, "rtk_fallback_iterations_sum", nil); !ok || v != mean {
 		t.Errorf("rtk_fallback_iterations_sum = %v (ok=%v), want %v", v, ok, mean)
 	}
@@ -611,7 +611,7 @@ func TestFallbackObservability(t *testing.T) {
 	}
 	logs, logger = newTestLogger()
 	_, ts = newTestServer(t, tab.Graph, tab.Index(t), Config{Logger: logger})
-	decided := 0
+	decided, slabbed, pushOnly := 0, 0, 0
 	for _, q := range tab.Queries {
 		_, st, err := view.Query(q, 10, 1)
 		if err != nil {
@@ -621,12 +621,23 @@ func TestFallbackObservability(t *testing.T) {
 			t.Fatalf("query: %d %s", resp.StatusCode, body)
 		}
 		decided += st.FallbackPushDecided
+		switch {
+		case st.ExactFallbacks > st.FallbackPushDecided:
+			slabbed++
+		case st.ExactFallbacks > 0:
+			pushOnly++
+		}
 	}
-	if decided == 0 {
-		t.Fatal("no spam query has a fallback the push decided; pick another k")
+	if decided == 0 || pushOnly == 0 {
+		t.Fatalf("%d spam fallbacks the push decided, %d queries with no slab column; want both; pick another k", decided, pushOnly)
 	}
-	if v, ok := obs.SampleValue(scrapeMetrics(t, ts.URL), "rtk_fallback_push_decided_total", nil); !ok || v != float64(decided) {
+	fams = scrapeMetrics(t, ts.URL)
+	if v, ok := obs.SampleValue(fams, "rtk_fallback_push_decided_total", nil); !ok || v != float64(decided) {
 		t.Errorf("spam: rtk_fallback_push_decided_total = %v (ok=%v), want %d", v, ok, decided)
+	}
+	// rtk_fallback_iterations observes only queries that ran a slab column.
+	if v, ok := obs.SampleValue(fams, "rtk_fallback_iterations_count", nil); !ok || v != float64(slabbed) {
+		t.Errorf("spam: rtk_fallback_iterations_count = %v (ok=%v), want %d", v, ok, slabbed)
 	}
 	logged := 0.0
 	for _, l := range logs.lines(t) {

@@ -402,15 +402,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if approx {
 		key.Mode, key.Eps = ModeApprox, eps
 	}
-	// The trace is written only by the computation THIS request runs (a
-	// hit or coalesced wait leaves it empty — that work was traced by the
+	// The record is written only by the computation THIS request runs (a
+	// hit or coalesced wait leaves it zero — that work was recorded by the
 	// request that computed it), so no synchronization is needed.
-	tr := &queryTrace{}
+	rec := &core.QueryStats{}
 	body, status, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
 		if approx {
-			return s.computeApprox(snap, graph.NodeID(q), k, eps, tr)
+			return s.computeApprox(snap, graph.NodeID(q), k, eps, rec)
 		}
-		return s.compute(snap, graph.NodeID(q), k, tr)
+		return s.compute(snap, graph.NodeID(q), k, rec)
 	})
 	if err != nil {
 		if errors.Is(err, errSaturated) {
@@ -421,7 +421,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.m.failures.Inc()
 		s.httpError(w, "query", http.StatusInternalServerError, "query failed: %v", err)
-		s.observeQuery(id, mode, q, k, snap.Epoch, status, http.StatusInternalServerError, time.Since(begin), tr)
+		s.observeQuery(id, mode, q, k, snap.Epoch, status, http.StatusInternalServerError, time.Since(begin), rec)
 		return
 	}
 	s.m.cacheRes.With(cacheLabel(status)).Inc()
@@ -430,7 +430,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Cache", status.String())
 	w.Header().Set("X-Epoch", strconv.FormatUint(snap.Epoch, 10))
 	s.writeBody(w, "query", body)
-	s.observeQuery(id, mode, q, k, snap.Epoch, status, http.StatusOK, time.Since(begin), tr)
+	s.observeQuery(id, mode, q, k, snap.Epoch, status, http.StatusOK, time.Since(begin), rec)
 }
 
 // cacheLabel maps a cache status onto its metric label.
@@ -468,14 +468,14 @@ func (s *Server) admit() (workers int, err error) {
 // compute runs one admitted exact computation against a pinned snapshot and
 // serializes the response body. The query runs at once on the request's own
 // goroutine with its dealt share of the worker budget.
-func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) ([]byte, error) {
+func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, rec *core.QueryStats) ([]byte, error) {
 	workers, err := s.admit()
 	if err != nil {
 		return nil, err
 	}
 	defer s.active.Add(-1)
 	results, stats, err := snap.View.Query(q, k, workers)
-	tr.setExact(stats)
+	*rec = stats
 	if err != nil {
 		return nil, err
 	}
@@ -496,7 +496,7 @@ func (s *Server) compute(snap *Snapshot, q graph.NodeID, k int, tr *queryTrace) 
 // exactly like compute (the slot counts against the same MaxInflight and
 // the worker budget is dealt the same way). The answer is deterministic, so
 // recomputing a dropped cache entry reproduces the evicted body bytes.
-func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps float64, tr *queryTrace) ([]byte, error) {
+func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps float64, rec *core.QueryStats) ([]byte, error) {
 	workers, err := s.admit()
 	if err != nil {
 		return nil, err
@@ -515,15 +515,7 @@ func (s *Server) computeApprox(snap *Snapshot, q graph.NodeID, k int, eps float6
 	}
 	s.m.computed.With(ModeApprox).Inc()
 	s.m.approxRounds.Add(uint64(res.Stats.Rounds))
-	if tr != nil {
-		tr.computed = true
-		tr.pmpnIters, tr.pmpnTail = res.Stats.PMPNIters, res.Stats.PMPNTail
-		tr.pmpnEdges, tr.pmpnHandover = res.Stats.PMPNEdges, res.Stats.PMPNHandover
-		tr.rounds = res.Stats.Rounds
-		if res.Stats.PMPNElapsed > 0 {
-			tr.setPhases(map[string]time.Duration{"pmpn": res.Stats.PMPNElapsed})
-		}
-	}
+	*rec = core.QueryStats{RunStats: res.Stats.RunStats}
 	return json.Marshal(ApproxQueryResponse{
 		Query:       q,
 		K:           k,

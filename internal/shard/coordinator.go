@@ -228,7 +228,7 @@ func (c *Coordinator) Query(q graph.NodeID, k int) ([]graph.NodeID, QueryStats, 
 // rounds validates a query and runs core's round loop over one screen a shard
 // under the undecided-fraction budget eps, reporting the loop's stats.
 func (c *Coordinator) rounds(q graph.NodeID, k int, eps float64) (*core.Run, []*core.Screen, QueryStats, error) {
-	stats := QueryStats{AnytimeStats: core.AnytimeStats{Query: q, K: k, Eps: eps}}
+	stats := QueryStats{AnytimeStats: core.AnytimeStats{RunStats: core.RunStats{Query: q, K: k}, Eps: eps}}
 	if math.IsNaN(eps) || eps < 0 || eps >= 1 {
 		return nil, nil, stats, fmt.Errorf("shard: eps=%v outside [0,1)", eps)
 	}
